@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-stats chaos fuzz fuzz-server fuzz-wire ci bench bench-smoke bench-check load load-relay relay soak live tools
+.PHONY: all build test race vet lint lint-stats chaos fuzz fuzz-server fuzz-wire ci bench bench-smoke bench-check bench-module loc load load-relay relay soak live tools
 
 all: build test
 
@@ -65,9 +65,10 @@ fuzz-wire:
 
 # The cluster-tier battery: relay golden replays (one and two hops,
 # both codecs), chaos (upstream loss, partition, cross-hop lock
-# release), the relay wire codec, and the relayed load harness.
+# release), the relay wire codec, the relay node's own suite, and the
+# relayed load harness.
 relay:
-	$(GO) test -race -count=1 -run 'Relay' ./internal/server/ ./internal/wire/
+	$(GO) test -race -count=1 -run 'Relay' ./internal/server/ ./internal/wire/ ./internal/relay/
 
 # The in-situ battery: the solver-vs-replay differential, the live
 # golden corpus entries, steering chaos on both ends of the wire, and
@@ -85,7 +86,7 @@ tools:
 	$(GO) test -race -count=1 -run xxx -fuzz FuzzToolCommand -fuzztime 5s ./internal/server/
 
 # The gate a change must pass before merging.
-ci: vet lint race relay live tools bench-check fuzz-wire load-relay
+ci: vet lint race relay live tools bench-check bench-module fuzz-wire load-relay
 
 bench:
 	$(GO) test -bench . -benchmem ./...
@@ -100,6 +101,20 @@ bench-smoke:
 # baseline. After an intentional perf change:  go run ./cmd/benchcheck -update
 bench-check:
 	$(GO) run ./cmd/benchcheck
+
+# The nested benchmark/ module builds against this module's internal
+# packages through a replace directive, so `go build ./...` here never
+# sees it: vet and test it where it lives, or an internal API change
+# breaks the benchmark unnoticed.
+bench-module:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
+# Non-blank, non-comment lines of non-test Go in the three packages the
+# "one geometry pipeline" ROADMAP item counts, so every PR on that item
+# quotes the same number.
+loc:
+	@ls internal/server/*.go internal/wire/*.go internal/relay/*.go | grep -v _test | xargs cat | grep -vcE '^\s*(//|$$)'
 
 # Multi-workstation scale-out run: 64 simulated workstations at the
 # paper's 10 frames/second against one server.

@@ -770,8 +770,7 @@ func BenchmarkFrameEncodeV2(b *testing.B) {
 		Users: []wire.UserState{{ID: 1, Head: vmath.Identity(), Hand: vmath.V3(4, 5, 6)}},
 		Round: 42,
 	}
-	seqs := make([]uint64, nRakes)
-	segs := make([][]byte, nRakes)
+	segs := make([]wire.Segment, nRakes)
 	for r := 0; r < nRakes; r++ {
 		reply.Rakes = append(reply.Rakes, wire.RakeState{
 			ID: int32(r + 1),
@@ -788,20 +787,19 @@ func BenchmarkFrameEncodeV2(b *testing.B) {
 			g.Lines = append(g.Lines, line)
 		}
 		reply.Geometry = append(reply.Geometry, g)
-		seqs[r] = uint64(r + 1)
 		// Pre-encoded segments model the server's encode-once cache.
-		segs[r] = wire.AppendGeomV2(nil, g, q)
+		segs[r] = wire.Segment{Key: g.Rake, Seq: uint64(r + 1), Bytes: wire.AppendGeomV2(nil, g, q)}
 	}
 
 	b.Run("keyframe", func(b *testing.B) {
 		enc := wire.NewFrameEncoder(q)
-		buf := enc.AppendFrame(nil, reply, seqs, segs, nil, nil)
+		buf := enc.AppendFrame(nil, reply, segs)
 		b.SetBytes(int64(len(buf)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			enc.Reset()
-			buf = enc.AppendFrame(buf[:0], reply, seqs, segs, nil, nil)
+			buf = enc.AppendFrame(buf[:0], reply, segs)
 		}
 		if enc.LastInline != nRakes {
 			b.Fatalf("keyframe inlined %d of %d rakes", enc.LastInline, nRakes)
@@ -810,13 +808,13 @@ func BenchmarkFrameEncodeV2(b *testing.B) {
 
 	b.Run("steady", func(b *testing.B) {
 		enc := wire.NewFrameEncoder(q)
-		buf := enc.AppendFrame(nil, reply, seqs, segs, nil, nil) // warm the shadow
-		buf = enc.AppendFrame(buf[:0], reply, seqs, segs, nil, nil)
+		buf := enc.AppendFrame(nil, reply, segs) // warm the shadow
+		buf = enc.AppendFrame(buf[:0], reply, segs)
 		b.SetBytes(int64(len(buf)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buf = enc.AppendFrame(buf[:0], reply, seqs, segs, nil, nil)
+			buf = enc.AppendFrame(buf[:0], reply, segs)
 		}
 		if enc.LastRef != nRakes {
 			b.Fatalf("steady frame referenced %d of %d rakes", enc.LastRef, nRakes)

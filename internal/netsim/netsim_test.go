@@ -42,7 +42,9 @@ func TestPassThrough(t *testing.T) {
 	a, b := tcpPair(t)
 	ca := Link{}.Wrap(a)
 	msg := []byte("hello windtunnel")
+	wrote := make(chan struct{})
 	go func() {
+		defer close(wrote)
 		if _, err := ca.Write(msg); err != nil {
 			t.Error(err)
 		}
@@ -54,6 +56,9 @@ func TestPassThrough(t *testing.T) {
 	if !bytes.Equal(buf, msg) {
 		t.Errorf("got %q", buf)
 	}
+	// The counter is bumped after the underlying write returns, which
+	// the reader can outrun; wait for Write itself.
+	<-wrote
 	_, written := ca.Stats()
 	if written != int64(len(msg)) {
 		t.Errorf("bytesWritten = %d, want %d", written, len(msg))

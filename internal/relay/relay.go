@@ -98,12 +98,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.UpMarkers) / float64(total)
 }
 
-// cachedSeg is one origin-encoded codec-v2 segment in the round cache.
-type cachedSeg struct {
-	seq uint64
-	seg []byte
-}
-
 // upCache is the shared round cache for one upstream: the last full
 // payload fetched by any session pinned there. dlib dispatch is
 // serial, so handlers access it without extra locking.
@@ -119,8 +113,10 @@ type upCache struct {
 	// segsRound is the round the segment cache is complete for; when it
 	// trails round (a full was fetched before wantSegs, or a marker
 	// round outlived the directory) a v2 consumer forces a full fetch.
+	// segs holds the origin-encoded codec-v2 segments by directory key
+	// (rake id, or -kind for a shared tool), bytes always present.
 	wantSegs  bool
-	segs      map[int32]cachedSeg
+	segs      map[int32]wire.Segment
 	segsRound uint64
 }
 
@@ -137,16 +133,11 @@ type session struct {
 	codec uint8
 	enc   *wire.FrameEncoder
 
-	// Recycled per-session scratch: request/reply assembly, the
-	// aligned (seq, segment) rows fed to enc — rakes and shared tools
-	// separately — the request shadow, and the chained-reply directory.
-	buf      []byte
-	seqs     []uint64
-	segs     [][]byte
-	toolSeqs []uint64
-	toolSegs [][]byte
-	shadow   []wire.RelayShadowEntry
-	dir      []wire.RelaySegment
+	// Recycled per-session scratch: request/reply assembly, and the
+	// segment rows — first the request shadow, then, once the upstream
+	// exchange is done, the round's rows for enc or a chained reply.
+	buf  []byte
+	rows []wire.Segment
 }
 
 // Relay is a session router + frame cache node on a dlib server.
@@ -180,7 +171,7 @@ func New(cfg Config) (*Relay, error) {
 		caches:   make([]*upCache, len(cfg.Upstreams)),
 	}
 	for i := range r.caches {
-		r.caches[i] = &upCache{segs: make(map[int32]cachedSeg)}
+		r.caches[i] = &upCache{segs: make(map[int32]wire.Segment)}
 	}
 	// Replies are assembled in recycled per-session scratch and cache
 	// buffers that later rounds overwrite; copy-under-dispatch gives
@@ -356,16 +347,16 @@ func (r *Relay) fetchRound(ctx *dlib.Ctx, st *session, update []byte, needSegs b
 		req.LastRound = 0
 	}
 	if req.WantSegs {
-		st.shadow = st.shadow[:0]
-		for rake, cs := range c.segs {
-			st.shadow = append(st.shadow, wire.RelayShadowEntry{Rake: rake, Seq: cs.seq})
+		st.rows = st.rows[:0]
+		for _, cs := range c.segs {
+			st.rows = append(st.rows, cs)
 		}
 		// The shadow is wire-visible request bytes: map order would
 		// make two identically-cached relays send different requests.
-		slices.SortFunc(st.shadow, func(a, b wire.RelayShadowEntry) int {
-			return cmp.Compare(a.Rake, b.Rake)
+		slices.SortFunc(st.rows, func(a, b wire.Segment) int {
+			return cmp.Compare(a.Key, b.Key)
 		})
-		req.Shadow = st.shadow
+		req.Shadow = st.rows
 	}
 	st.buf = wire.AppendRelayFrameRequest(st.buf[:0], req)
 	raw, err := r.upcall(ctx, st, wire.ProcFrameRelay, st.buf)
@@ -404,17 +395,16 @@ func (r *Relay) fetchRound(ctx *dlib.Ctx, st *session, update []byte, needSegs b
 	if rep.HasDir {
 		// Rebuild the segment cache from the directory: entries not in
 		// it belong to removed rakes and are dropped.
-		segs := make(map[int32]cachedSeg, len(rep.Dir))
+		segs := make(map[int32]wire.Segment, len(rep.Dir))
 		for _, e := range rep.Dir {
-			if e.Inline {
-				segs[e.Rake] = cachedSeg{seq: e.Seq, seg: append([]byte(nil), e.Seg...)}
-				continue
+			if e.Bytes != nil {
+				e.Bytes = append([]byte(nil), e.Bytes...)
+			} else if cs, ok := c.segs[e.Key]; ok && cs.Seq == e.Seq {
+				e = cs
+			} else {
+				return nil, fmt.Errorf("relay: upstream %d referenced segment (%d, %d) not in cache", st.idx, e.Key, e.Seq)
 			}
-			cs, ok := c.segs[e.Rake]
-			if !ok || cs.seq != e.Seq {
-				return nil, fmt.Errorf("relay: upstream %d referenced segment (%d, %d) not in cache", st.idx, e.Rake, e.Seq)
-			}
-			segs[e.Rake] = cs
+			segs[e.Key] = e
 		}
 		c.segs = segs
 		c.segsRound = rep.Round
@@ -441,34 +431,12 @@ func (r *Relay) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	if !v2 {
 		reply = c.frame
 	} else {
-		if st.enc == nil || !c.haveMeta || c.segsRound != c.round {
-			return nil, fmt.Errorf("relay: v2 session %d has no segment directory for round %d", st.id, c.round) //vw:allow hotpath -- error path, frame already lost
+		// handleHello2 built st.enc when it recorded the v2 codec.
+		rows, err := st.roundRows(c, nil)
+		if err != nil {
+			return nil, err
 		}
-		st.seqs = st.seqs[:0]
-		st.segs = st.segs[:0]
-		for _, g := range c.meta.Geometry {
-			cs, ok := c.segs[g.Rake]
-			if !ok {
-				return nil, fmt.Errorf("relay: no cached segment for rake %d", g.Rake) //vw:allow hotpath -- error path, frame already lost
-			}
-			st.seqs = append(st.seqs, cs.seq)
-			st.segs = append(st.segs, cs.seg)
-		}
-		// Shared-tool segments live in the same cache under negative
-		// keys (-kind); rake ids are always >= 1, so no collision.
-		st.toolSeqs = st.toolSeqs[:0]
-		st.toolSegs = st.toolSegs[:0]
-		if c.meta.Tools != nil {
-			for _, g := range c.meta.Tools.Geoms {
-				cs, ok := c.segs[-int32(g.Tool)]
-				if !ok {
-					return nil, fmt.Errorf("relay: no cached segment for tool %d", g.Tool) //vw:allow hotpath -- error path, frame already lost
-				}
-				st.toolSeqs = append(st.toolSeqs, cs.seq)
-				st.toolSegs = append(st.toolSegs, cs.seg)
-			}
-		}
-		st.buf = st.enc.AppendFrame(st.buf[:0], c.meta, st.seqs, st.segs, st.toolSeqs, st.toolSegs)
+		st.buf = st.enc.AppendFrame(st.buf[:0], c.meta, rows)
 		reply = st.buf
 	}
 	r.mu.Lock()
@@ -479,6 +447,42 @@ func (r *Relay) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	}
 	r.mu.Unlock()
 	return reply, nil
+}
+
+// roundRows walks the cached round once — the frame's geometry list,
+// then its tool geometry under the directory's -kind keys — into one
+// row per source from the segment cache, failing if the origin's
+// directory omitted a source its frame lists. For a workstation
+// (child == nil) every row carries its segment and the session encoder
+// picks the references; for a chained relay the rows the child's
+// shadow already holds become references. The rows alias the session
+// scratch and the cache.
+func (st *session) roundRows(c *upCache, child *wire.RelayFrameRequest) ([]wire.Segment, error) {
+	if !c.haveMeta || c.segsRound != c.round {
+		return nil, fmt.Errorf("relay: no segment directory for round %d", c.round)
+	}
+	nRakes, nTools := len(c.meta.Geometry), 0
+	if c.meta.Tools != nil {
+		nTools = len(c.meta.Tools.Geoms)
+	}
+	st.rows = st.rows[:0]
+	for i := 0; i < nRakes+nTools; i++ {
+		var key int32
+		if i < nRakes {
+			key = c.meta.Geometry[i].Rake
+		} else {
+			key = -int32(c.meta.Tools.Geoms[i-nRakes].Tool)
+		}
+		row, ok := c.segs[key]
+		if !ok {
+			return nil, fmt.Errorf("relay: round %d lists source %d but its directory has no segment for it", c.round, key)
+		}
+		if child != nil && child.ShadowHas(key, row.Seq) {
+			row.Bytes = nil
+		}
+		st.rows = append(st.rows, row)
+	}
+	return st.rows, nil
 }
 
 // handleFrameRelay serves a chained (child) relay: refresh our cache
@@ -504,33 +508,10 @@ func (r *Relay) handleFrameRelay(ctx *dlib.Ctx, payload []byte) ([]byte, error) 
 	} else {
 		rep := wire.RelayFrameReply{Full: true, Round: c.round, Frame: c.frame}
 		if req.WantSegs {
-			if !c.haveMeta || c.segsRound != c.round {
-				return nil, fmt.Errorf("relay: no segment directory for chained round %d", c.round)
-			}
-			st.dir = st.dir[:0]
-			for _, g := range c.meta.Geometry {
-				cs := c.segs[g.Rake]
-				e := wire.RelaySegment{Rake: g.Rake, Seq: cs.seq}
-				if !req.ShadowHas(g.Rake, cs.seq) {
-					e.Inline = true
-					e.Seg = cs.seg
-				}
-				st.dir = append(st.dir, e)
-			}
-			if c.meta.Tools != nil {
-				for _, g := range c.meta.Tools.Geoms {
-					key := -int32(g.Tool)
-					cs := c.segs[key]
-					e := wire.RelaySegment{Rake: key, Seq: cs.seq}
-					if !req.ShadowHas(key, cs.seq) {
-						e.Inline = true
-						e.Seg = cs.seg
-					}
-					st.dir = append(st.dir, e)
-				}
-			}
 			rep.HasDir = true
-			rep.Dir = st.dir
+			if rep.Dir, err = st.roundRows(c, &req); err != nil {
+				return nil, err
+			}
 		}
 		// The frame and the request alias distinct buffers (c.frame vs
 		// payload), so encoding into st.buf is safe: fetchRound's use of

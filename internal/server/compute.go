@@ -24,12 +24,41 @@ import (
 	"repro/internal/wire"
 )
 
+// segCache is what every geometry source — a rake or a shared tool —
+// hands the round: its codec-v2 identity, its encode-once segment, and
+// its share of the round's totals. Both memo types embed it, so the
+// session layer serves rakes and tools from one list without knowing
+// which is which.
+type segCache struct {
+	// key names the source in relay directories: the rake id, or -kind
+	// for a shared tool.
+	key int32
+	// seq numbers the source's geometry content: it changes exactly
+	// when a recompute rewrites the geometry, so a session (or relay)
+	// whose shadow holds (key, seq) can be sent a reference instead of
+	// the points. seg caches the encoded v2 segment for the current seq
+	// (segSeq tracks which); it is built lazily on the first v2 consumer
+	// and shared by every session that needs the full geometry.
+	seq    uint64
+	seg    []byte
+	segSeq uint64
+
+	points int64 // points in the cached geometry
+	// fullU is the source's full-fidelity work this round and actualU
+	// the work its cached geometry was computed at. A rake memo hit
+	// requires them equal; a valid-but-shed entry is an upgrade
+	// candidate the governor re-admits when load drops, and the gap
+	// feeds the frame's degradation byte.
+	fullU, actualU int64
+}
+
 // rakeGeom memoizes one rake's geometry and the inputs it was computed
 // from. Streamlines and particle paths are pure functions of (rake
 // version, timestep, time), so matching inputs mean the cached
 // wire.Geometry is the answer; streaklines always advance and are
 // never memoized. The line buffers are recycled on recompute.
 type rakeGeom struct {
+	segCache
 	haveGeo bool
 	version uint64  // rake mutation counter at compute time
 	step    int     // timestep the field came from
@@ -39,26 +68,8 @@ type rakeGeom struct {
 	seedsVersion uint64
 	haveSeeds    bool
 
-	geo    wire.Geometry
-	points int64  // cached geo.NumPoints()
-	touch  uint64 // last round this rake was seen, for sweeping
-
-	// shedSeeds/shedSteps record the fidelity the cached geometry was
-	// computed at. A memo hit requires full fidelity; a valid-but-shed
-	// entry is an upgrade candidate the governor re-admits when load
-	// drops, and its gap feeds the frame's degradation byte.
-	shedSeeds int
-	shedSteps int
-
-	// seq numbers this rake's geometry content for codec v2: it
-	// changes exactly when computeRake rewrites geo, so a session
-	// whose shadow holds (rake, seq) can be sent a reference instead
-	// of the points. seg caches the encoded v2 segment for the current
-	// seq (segSeq tracks which); it is built lazily on the first v2
-	// consumer and shared by every session that needs the full rake.
-	seq    uint64
-	seg    []byte
-	segSeq uint64
+	geo   wire.Geometry
+	touch uint64 // last round this rake was seen, for sweeping
 }
 
 // rakeJob is one dirty rake queued for recomputation, carrying the
@@ -83,10 +94,11 @@ type rakeJob struct {
 	units int64
 }
 
-// recomputeLocked advances time, loads the needed timestep, computes
-// geometry for every rake whose inputs changed (reusing memoized
-// geometry for the rest), and encodes the shared reply into the
-// recycled round buffer. Caller holds s.mu.
+// recomputeLocked runs one round, stage by stage: load the timestep,
+// collect the scene and plan the dirty rakes, compute rakes then tools,
+// number what was rewritten, and encode the shared reply into the
+// recycled round buffer. Each stage is a plain function; what one hands
+// the next is in its signature. Caller holds s.mu.
 //
 //vw:hotpath
 func (s *Server) recomputeLocked() error {
@@ -97,27 +109,95 @@ func (s *Server) recomputeLocked() error {
 	// Whole-frame memo: if nothing observable changed and no
 	// streakline needs advancing, the previous round's bytes are this
 	// round's bytes — the round buffer is served again (same Round on
-	// the wire, so clients can tell the scene held still). This is
-	// also what makes identical frames encode byte-identically. A
-	// degraded frame is never frozen this way: the round must rerun so
-	// the governor can admit upgrades and restore full fidelity.
+	// the wire, so clients can tell the scene held still) and the round
+	// list stands as it is. This is also what makes identical frames
+	// encode byte-identically. A degraded frame is never frozen this
+	// way: the round must rerun so the governor can admit upgrades and
+	// restore full fidelity.
 	if s.fb != nil && version == s.lastVersion &&
 		step == s.curStep && len(s.streaks) == 0 && s.lastDegraded == 0 {
-		clear(s.consumedBy)
-		s.stats.Frames++
-		s.stats.FramesReused++
-		s.stats.Points += s.lastPoints
-		s.stats.ToolPoints += s.lastToolPoints
-		s.rec.Observe(obs.FrameSample{
-			FrameReused: true,
-			RakesReused: len(s.geoCache),
-			ToolPoints:  s.lastToolPoints,
-			Points:      s.lastPoints,
-			Bytes:       int64(len(s.fb.buf)),
-		})
+		s.reuseRoundLocked()
 		return nil
 	}
 
+	step, loadTime, err := s.loadRoundStepLocked(ts, step)
+	if err != nil {
+		return err
+	}
+
+	computeStart := s.clock.Now()
+	g := s.st.Grid()
+	s.round++
+	reused := s.collectLocked(g, ts, step)
+	predicted := s.planJobsLocked()
+	s.runJobsLocked(compute.SteadyBatch{F: s.cur, G: g}, g, ts, step)
+	toolsC, toolsR := s.stats.ToolsComputed, s.stats.ToolsReused
+	toolUnits := s.computeToolsLocked(g, step)
+	computeTime := s.clock.Now().Sub(computeStart)
+
+	computed, jobUnits := s.numberJobsLocked()
+	s.gov.observe(computeTime, jobUnits+toolUnits)
+	reused += len(s.jobs) - computed
+	tot := s.encodeRoundLocked(ts, loadTime, computeTime)
+
+	clear(s.consumedBy)
+	s.lastVersion = version
+	s.lastPoints = tot.points
+	s.lastToolPoints = tot.toolPoints
+	s.lastDegraded = tot.degraded
+
+	s.stats.Frames++
+	s.stats.FramesEncoded++
+	s.stats.Points += tot.points
+	s.stats.ToolPoints += tot.toolPoints
+	s.stats.ComputeTime += computeTime
+	s.stats.LoadTime += loadTime
+	s.stats.EncodeTime += tot.encodeTime
+	s.stats.RakesComputed += int64(computed)
+	s.stats.RakesReused += int64(reused)
+	s.stats.PredictedTime += predicted
+	if tot.degraded > 0 {
+		s.stats.FramesShed++
+	}
+	s.rec.Observe(obs.FrameSample{
+		Load:          loadTime,
+		Integrate:     computeTime,
+		Encode:        tot.encodeTime,
+		RakesComputed: computed,
+		RakesReused:   reused,
+		ToolsComputed: int(s.stats.ToolsComputed - toolsC),
+		ToolsReused:   int(s.stats.ToolsReused - toolsR),
+		ToolPoints:    tot.toolPoints,
+		Points:        tot.points,
+		Bytes:         int64(len(s.fb.buf)),
+		Predicted:     predicted,
+		Budget:        s.gov.budget,
+		Shed:          tot.shedFrac,
+	})
+	return nil
+}
+
+// reuseRoundLocked books a round served whole from the previous
+// encode: every session may consume the standing buffer again.
+func (s *Server) reuseRoundLocked() {
+	clear(s.consumedBy)
+	s.stats.Frames++
+	s.stats.FramesReused++
+	s.stats.Points += s.lastPoints
+	s.stats.ToolPoints += s.lastToolPoints
+	s.rec.Observe(obs.FrameSample{
+		FrameReused: true,
+		RakesReused: len(s.geoCache),
+		ToolPoints:  s.lastToolPoints,
+		Points:      s.lastPoints,
+		Bytes:       int64(len(s.fb.buf)),
+	})
+}
+
+// loadRoundStepLocked is the load stage: it makes the round's timestep
+// resident as s.cur and returns the step actually served (a live ring
+// clamps to its window) and the time spent waiting for it.
+func (s *Server) loadRoundStepLocked(ts env.TimeState, step int) (int, time.Duration, error) {
 	// In-situ mode: the requested step must fall in the ring's resident
 	// window (behind it the solver's output is recycled; ahead of it
 	// the load below drives on-demand production).
@@ -132,7 +212,7 @@ func (s *Server) recomputeLocked() error {
 	if s.cur == nil || step != s.curStep {
 		f, err := s.loadStep(step)
 		if err != nil {
-			return fmt.Errorf("server: load step %d: %w", step, err) //vw:allow hotpath -- error path, frame already lost
+			return 0, 0, fmt.Errorf("server: load step %d: %w", step, err)
 		}
 		if s.liveRing != nil {
 			// Pin before unpinning the previous step so the window never
@@ -176,12 +256,14 @@ func (s *Server) recomputeLocked() error {
 			s.prefetcher.Prefetch(next)
 		}
 	}
+	return step, loadTime, nil
+}
 
-	computeStart := s.clock.Now()
-	g := s.st.Grid()
-	batch := compute.SteadyBatch{F: s.cur, G: g}
-	s.round++
-
+// collectLocked is the collect stage: it snapshots users, rakes, and
+// tools into the wire scratch, refreshes seed caches, starts the round
+// list with every rake that has geometry, and splits those rakes into
+// memo hits (returned as a count) and s.jobs for the planner.
+func (s *Server) collectLocked(g *grid.Grid, ts env.TimeState, step int) (reused int) {
 	// Snapshot the shared tools once per round; the planner and the
 	// tool pass both read this copy so they cannot disagree.
 	s.toolSnap = s.env.Tools()
@@ -194,14 +276,11 @@ func (s *Server) recomputeLocked() error {
 		})
 	}
 
-	// Pass 1 (serial): snapshot rakes, refresh seed caches, and split
-	// rakes into memo hits and recompute jobs.
 	s.rakeScratch = s.env.AppendRakes(s.rakeScratch[:0])
 	s.rakesWire = s.rakesWire[:0]
 	s.geomWire = s.geomWire[:0]
-	s.geomGC = s.geomGC[:0]
+	s.roundSegs = s.roundSegs[:0]
 	s.jobs = s.jobs[:0]
-	reused := 0
 	for _, snap := range s.rakeScratch {
 		rake := snap.Rake
 		s.rakesWire = append(s.rakesWire, wire.RakeState{
@@ -213,7 +292,7 @@ func (s *Server) recomputeLocked() error {
 		})
 		gc := s.geoCache[rake.ID]
 		if gc == nil {
-			gc = &rakeGeom{}
+			gc = &rakeGeom{segCache: segCache{key: rake.ID}}
 			s.geoCache[rake.ID] = gc
 		}
 		gc.touch = s.round
@@ -225,13 +304,15 @@ func (s *Server) recomputeLocked() error {
 		if len(gc.seeds) == 0 {
 			continue
 		}
+		// Memo hits and held-last skips serve gc.geo as it stands;
+		// numberJobsLocked refreshes the entries a job rewrites.
 		idx := len(s.geomWire)
-		s.geomWire = append(s.geomWire, wire.Geometry{})
-		s.geomGC = append(s.geomGC, gc)
+		s.geomWire = append(s.geomWire, gc.geo)
+		s.roundSegs = append(s.roundSegs, &gc.segCache)
+		gc.fullU = int64(len(gc.seeds)) * int64(s.cfg.Options.MaxSteps)
 		memoValid := rake.Tool != integrate.ToolStreakline && gc.haveGeo &&
 			gc.version == snap.Version && gc.step == step && gc.timeKey == ts.Current
-		if memoValid && gc.shedSeeds == len(gc.seeds) && gc.shedSteps == s.cfg.Options.MaxSteps {
-			s.geomWire[idx] = gc.geo
+		if memoValid && gc.actualU == gc.fullU {
 			reused++
 			continue
 		}
@@ -257,65 +338,58 @@ func (s *Server) recomputeLocked() error {
 			}
 		}
 	}
+	return reused
+}
 
-	// Plan: price every job in §5.3 units and decide this round's shed
-	// levels before any integration runs.
-	predicted := s.planJobsLocked()
-	computed := 0
+// numberJobsLocked assigns codec-v2 sequence numbers to the rakes this
+// round recomputed, in job order: serial, deterministic, and bumped
+// exactly when a rake's geometry was rewritten. Delta encoders key
+// their shadows on these. Tool geometry took its numbers first, inside
+// computeToolsLocked in fixed tool order — the order is on the wire, so
+// it is not the round list's. Returns the recomputed count and the
+// §5.3 work the jobs measured, for the governor's EWMA.
+func (s *Server) numberJobsLocked() (computed int, units int64) {
 	for i := range s.jobs {
-		if s.jobs[i].skip {
-			reused++
-		} else {
-			computed++
+		j := &s.jobs[i]
+		if j.skip {
+			continue
 		}
+		s.geoSeq++
+		j.gc.seq = s.geoSeq
+		s.geomWire[j.idx] = j.gc.geo
+		computed++
+		units += j.units
 	}
+	return computed, units
+}
 
-	// Pass 2: recompute dirty rakes, concurrently when there are
-	// several — independent rakes are the paper's natural parallel
-	// unit above the per-seed fan-out inside the engines.
-	s.runJobsLocked(batch, g, ts, step)
+// roundTotals is what the encode stage hands back for the books.
+type roundTotals struct {
+	points, toolPoints int64
+	degraded           uint8
+	shedFrac           float64
+	encodeTime         time.Duration
+}
 
-	// Pass 3 (serial): the shared tools, at the stride the planner
-	// chose. Runs inside the measured compute stage so the EWMA learns
-	// their cost too.
-	toolsCBefore, toolsRBefore := s.stats.ToolsComputed, s.stats.ToolsReused
-	toolUnits, toolFullU, toolActualU, toolPoints := s.computeToolsLocked(g, step)
-	computeTime := s.clock.Now().Sub(computeStart)
-
-	// Assign codec-v2 geometry sequence numbers in job order: serial,
-	// deterministic, and bumped exactly when a rake's geometry was
-	// recomputed this round. Delta encoders key their shadows on these.
-	// (Tool geometry took its numbers inside computeToolsLocked, in
-	// fixed tool order — equally deterministic.)
-	for i := range s.jobs {
-		if !s.jobs[i].skip {
-			s.geoSeq++
-			s.jobs[i].gc.seq = s.geoSeq
-		}
-	}
-
-	// Calibrate the EWMA from what the integrate stage actually cost
-	// per unit of work it actually did.
-	var jobUnits int64
-	for i := range s.jobs {
-		if !s.jobs[i].skip {
-			jobUnits += s.jobs[i].units
-		}
-	}
-	s.gov.observe(computeTime, jobUnits+toolUnits)
-
-	var totalPoints int64
+// encodeRoundLocked is the encode stage: it totals the round list,
+// derives the degradation byte, and encodes the shared codec-v1 reply
+// once into a buffer no in-flight send still references.
+func (s *Server) encodeRoundLocked(ts env.TimeState, loadTime, computeTime time.Duration) roundTotals {
+	var tot roundTotals
 	var fullU, actualU int64
-	fullSteps := int64(s.cfg.Options.MaxSteps)
-	for i, gc := range s.geomGC {
-		s.geomWire[i] = gc.geo
-		totalPoints += gc.points
-		fullU += int64(len(gc.seeds)) * fullSteps
-		actualU += int64(gc.shedSeeds) * int64(gc.shedSteps)
+	for i, sc := range s.roundSegs {
+		if i < len(s.geomWire) {
+			tot.points += sc.points
+		} else {
+			tot.toolPoints += sc.points
+		}
+		fullU += sc.fullU
+		actualU += sc.actualU
 	}
-	fullU += toolFullU
-	actualU += toolActualU
-	degraded := degradedByte(actualU, fullU)
+	tot.degraded = degradedByte(actualU, fullU)
+	if fullU > 0 {
+		tot.shedFrac = 1 - float64(actualU)/float64(fullU)
+	}
 
 	encodeStart := s.clock.Now()
 	reply := wire.FrameReply{
@@ -332,63 +406,23 @@ func (s *Server) recomputeLocked() error {
 		ComputeNanos: computeTime.Nanoseconds(),
 		LoadNanos:    loadTime.Nanoseconds(),
 		Round:        s.round,
-		Degraded:     degraded,
+		Degraded:     tot.degraded,
 	}
 	if s.haveTools {
 		reply.Tools = &s.toolsMeta
 	}
-	// Encode once into a buffer no in-flight send still references:
-	// the current buffer in place when its references have drained
+	// The current buffer in place when its references have drained
 	// (steady state), a recycled drained buffer otherwise.
 	fb := s.acquireEncodeBufLocked()
 	fb.buf = wire.AppendFrameReply(fb.buf[:0], reply)
 	s.fb = fb
 	// Shared round payload for codec-v2 sessions: the header fields
-	// without geometry. Each v2 session marries it to the cached
-	// per-rake segments through its own delta shadow.
+	// without geometry. Each v2 session marries it to the round list's
+	// cached segments through its own delta shadow.
 	s.lastMeta = reply
 	s.lastMeta.Geometry = nil
-	encodeTime := s.clock.Now().Sub(encodeStart)
-
-	clear(s.consumedBy)
-	s.lastVersion = version
-	s.lastPoints = totalPoints
-	s.lastToolPoints = toolPoints
-	s.lastDegraded = degraded
-
-	s.stats.Frames++
-	s.stats.FramesEncoded++
-	s.stats.Points += totalPoints
-	s.stats.ToolPoints += toolPoints
-	s.stats.ComputeTime += computeTime
-	s.stats.LoadTime += loadTime
-	s.stats.EncodeTime += encodeTime
-	s.stats.RakesComputed += int64(computed)
-	s.stats.RakesReused += int64(reused)
-	s.stats.PredictedTime += predicted
-	if degraded > 0 {
-		s.stats.FramesShed++
-	}
-	var shedFrac float64
-	if fullU > 0 {
-		shedFrac = 1 - float64(actualU)/float64(fullU)
-	}
-	s.rec.Observe(obs.FrameSample{
-		Load:          loadTime,
-		Integrate:     computeTime,
-		Encode:        encodeTime,
-		RakesComputed: computed,
-		RakesReused:   reused,
-		ToolsComputed: int(s.stats.ToolsComputed - toolsCBefore),
-		ToolsReused:   int(s.stats.ToolsReused - toolsRBefore),
-		ToolPoints:    toolPoints,
-		Points:        totalPoints,
-		Bytes:         int64(len(fb.buf)),
-		Predicted:     predicted,
-		Budget:        s.gov.budget,
-		Shed:          shedFrac,
-	})
-	return nil
+	tot.encodeTime = s.clock.Now().Sub(encodeStart)
+	return tot
 }
 
 // planJobsLocked runs the governor over this round's jobs: it prices
@@ -437,7 +471,7 @@ func (s *Server) planJobsLocked() time.Duration {
 		s.lvlScratch = make([]shedLevel, len(s.reqScratch))
 	}
 	lvls := s.lvlScratch[:len(s.reqScratch)]
-	predicted, shed := s.gov.planWith(s.reqScratch, lvls, s.toolReserve)
+	predicted, shed := s.gov.plan(s.reqScratch, lvls, s.toolReserve)
 	var plannedUnits int64
 	for k, i := range s.reqJobs {
 		j := &s.jobs[i]
@@ -592,8 +626,7 @@ func (s *Server) computeRake(j *rakeJob, batch compute.SteadyBatch, g *grid.Grid
 	gc.version = j.snap.Version
 	gc.step = step
 	gc.timeKey = ts.Current
-	gc.shedSeeds = len(seeds)
-	gc.shedSteps = opts.MaxSteps
+	gc.actualU = int64(len(seeds)) * int64(opts.MaxSteps)
 }
 
 // loadStep fetches a timestep through the prefetcher when present.
@@ -688,8 +721,4 @@ func toPhysicalLinesInto(g *grid.Grid, lines, prev [][]vmath.Vec3) [][]vmath.Vec
 		out[i] = integrate.ToPhysicalInto(g, out[i], l)
 	}
 	return out
-}
-
-func toPhysicalLines(g *grid.Grid, lines [][]vmath.Vec3) [][]vmath.Vec3 {
-	return toPhysicalLinesInto(g, lines, nil)
 }

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/compute"
-	"repro/internal/netsim"
 )
 
 // minShedSteps is the per-path step floor: shedding never truncates a
@@ -62,7 +61,6 @@ type shedLevel struct {
 // mutated only under the server mutex; a zero budget disables it.
 type governor struct {
 	budget time.Duration
-	clock  netsim.Clock
 
 	// unitNanos is the EWMA of measured integrate nanoseconds per work
 	// unit; 0 means uncalibrated, and an uncalibrated governor never
@@ -87,10 +85,9 @@ type governor struct {
 
 // newGovernor builds a governor for the given budget (0 = disabled)
 // and worker count.
-func newGovernor(budget time.Duration, clock netsim.Clock, workers int) *governor {
+func newGovernor(budget time.Duration, workers int) *governor {
 	return &governor{
 		budget:   budget,
-		clock:    clock,
 		parallel: compute.Parallel{NumWorkers: workers},
 		vector:   compute.Vector{},
 		hybrid:   compute.Hybrid{NumWorkers: workers},
@@ -163,21 +160,15 @@ func (g *governor) effectiveBudget() time.Duration {
 
 // plan decides this frame's shed levels. It writes one shedLevel per
 // request into dst (which must be len(reqs)) and returns the predicted
-// full-fidelity cost and whether any shedding is active. The plan is a
-// pure function of (reqs, effective budget, unitNanos): deterministic across
-// runs, monotone in the budget (a tighter budget never allows more
-// seeds or steps), and floor-bounded (never below one seed, never
-// below minShedSteps steps).
-func (g *governor) plan(reqs []shedRequest, dst []shedLevel) (predicted time.Duration, shed bool) {
-	return g.planWith(reqs, dst, 0)
-}
-
-// planWith is plan with part of the effective budget reserved for
-// work the rake planner does not control — the shared tools' slice of
-// the frame. plan(reqs, dst) is planWith(reqs, dst, 0), so every
-// property above holds per reserve value; monotonicity extends to the
-// reserve (a larger reserve never allows more seeds or steps).
-func (g *governor) planWith(reqs []shedRequest, dst []shedLevel, reserve time.Duration) (predicted time.Duration, shed bool) {
+// full-fidelity cost and whether any shedding is active. reserve is the
+// part of the effective budget held back for work the rake planner does
+// not control — the shared tools' slice of the frame. The plan is a
+// pure function of (reqs, effective budget, reserve, unitNanos):
+// deterministic across runs, monotone in the budget and the reserve (a
+// tighter budget or a larger reserve never allows more seeds or steps),
+// and floor-bounded (never below one seed, never below minShedSteps
+// steps).
+func (g *governor) plan(reqs []shedRequest, dst []shedLevel, reserve time.Duration) (predicted time.Duration, shed bool) {
 	var total int64
 	for _, r := range reqs {
 		total += r.Units

@@ -16,7 +16,7 @@ import (
 // calibratedGovernor returns a governor with a hand-set ns/unit rate,
 // so plan behavior is a pure function of the inputs (no wall clock).
 func calibratedGovernor(budget time.Duration, unitNanos float64) *governor {
-	g := newGovernor(budget, netsim.NewManualClock(), 4)
+	g := newGovernor(budget, 4)
 	g.unitNanos = unitNanos
 	return g
 }
@@ -49,10 +49,10 @@ func TestPlanUncalibratedOrDisabledNeverSheds(t *testing.T) {
 	reqs := planReqs(4, 0, 64, 200)
 	for name, g := range map[string]*governor{
 		"disabled":     calibratedGovernor(0, 100),
-		"uncalibrated": newGovernor(time.Millisecond, netsim.NewManualClock(), 4),
+		"uncalibrated": newGovernor(time.Millisecond, 4),
 	} {
 		lvls := make([]shedLevel, len(reqs))
-		_, shed := g.plan(reqs, lvls)
+		_, shed := g.plan(reqs, lvls, 0)
 		if shed {
 			t.Errorf("%s governor shed", name)
 		}
@@ -70,7 +70,7 @@ func TestPlanUnderBudgetIsFullFidelity(t *testing.T) {
 	g := calibratedGovernor(100*time.Millisecond, 1)
 	reqs := planReqs(4, 2, 64, 200)
 	lvls := make([]shedLevel, len(reqs))
-	predicted, shed := g.plan(reqs, lvls)
+	predicted, shed := g.plan(reqs, lvls, 0)
 	if shed {
 		t.Error("under-budget plan shed")
 	}
@@ -101,7 +101,7 @@ func TestPlanMonotoneInBudget(t *testing.T) {
 				for bi, b := range budgets {
 					g := calibratedGovernor(b, 50)
 					lvls := make([]shedLevel, nRakes)
-					g.plan(reqs, lvls)
+					g.plan(reqs, lvls, 0)
 					total := plannedUnits(lvls)
 					if total < prevTotal {
 						t.Errorf("budget %v planned %d units, tighter budget %v planned %d",
@@ -129,7 +129,7 @@ func TestPlanNeverStarves(t *testing.T) {
 		g := calibratedGovernor(1, 1000) // 1ns budget, expensive units
 		reqs := planReqs(16, 3, 64, steps)
 		lvls := make([]shedLevel, len(reqs))
-		_, shed := g.plan(reqs, lvls)
+		_, shed := g.plan(reqs, lvls, 0)
 		if !shed {
 			t.Fatalf("steps=%d: hopeless budget did not shed", steps)
 		}
@@ -156,8 +156,8 @@ func TestPlanDeterministic(t *testing.T) {
 	b := make([]shedLevel, len(reqs))
 	g1 := calibratedGovernor(500*time.Microsecond, 37.5)
 	g2 := calibratedGovernor(500*time.Microsecond, 37.5)
-	p1, s1 := g1.plan(reqs, a)
-	p2, s2 := g2.plan(reqs, b)
+	p1, s1 := g1.plan(reqs, a, 0)
+	p2, s2 := g2.plan(reqs, b, 0)
 	if p1 != p2 || s1 != s2 {
 		t.Fatalf("plan outcomes differ: (%v,%v) vs (%v,%v)", p1, s1, p2, s2)
 	}
@@ -180,7 +180,7 @@ func TestPlanHeldRakesDegradeLast(t *testing.T) {
 	for b := time.Duration(1); b < 20*time.Millisecond; b *= 3 {
 		g := calibratedGovernor(b, 10)
 		lvls := make([]shedLevel, len(reqs))
-		g.plan(reqs, lvls)
+		g.plan(reqs, lvls, 0)
 		heldShed := false
 		for i, r := range reqs {
 			if r.Held && lvls[i] != full {
@@ -202,7 +202,7 @@ func TestPlanHeldRakesDegradeLast(t *testing.T) {
 	for b := time.Duration(1); b < 20*time.Millisecond; b *= 2 {
 		g := calibratedGovernor(b, 10)
 		lvls := make([]shedLevel, len(reqs))
-		_, shed := g.plan(reqs, lvls)
+		_, shed := g.plan(reqs, lvls, 0)
 		heldFull := lvls[0] == full && lvls[1] == full
 		freeShed := false
 		for i := 2; i < len(lvls); i++ {
@@ -226,7 +226,7 @@ func TestPlanFixedNeverClamped(t *testing.T) {
 	reqs := planReqs(3, 0, 64, 200)
 	reqs[1].Fixed = true
 	lvls := make([]shedLevel, len(reqs))
-	g.plan(reqs, lvls)
+	g.plan(reqs, lvls, 0)
 	if lvls[1].Seeds != 64 || lvls[1].Steps != 200 {
 		t.Errorf("fixed request clamped to %+v", lvls[1])
 	}

@@ -248,26 +248,27 @@ type Server struct {
 	lastMeta wire.FrameReply // Geometry nil; slices alias the wire scratch
 	geoSeq   uint64
 
-	seqScratch []uint64
-	segScratch [][]byte
-	// dirScratch is the relay exchange's geometry-directory scratch;
-	// its entries are valid only until the reply encode that follows.
-	dirScratch []wire.RelaySegment
+	// roundSegs is the round list: the segment-cache record of every
+	// geometry source in the current round — rakes aligned with
+	// geomWire, then enabled tools aligned with toolGeomWire. It stands
+	// across reused rounds. segScratch holds the wire rows built from it
+	// per reply, valid only until the reply encode that follows.
+	roundSegs  []*segCache
+	segScratch []wire.Segment
 
 	userScratch []env.UserSnapshot
 	rakeScratch []env.RakeSnapshot
 	usersWire   []wire.UserState
 	rakesWire   []wire.RakeState
 	geomWire    []wire.Geometry
-	geomGC      []*rakeGeom // aligned with geomWire, for point totals
 	jobs        []rakeJob
 
 	// Shared-tool round state (tools.go): the snapshot the round was
 	// planned from, the per-tool geometry memos (iso, plane, vortex),
 	// the derived-scalar cache, the planned stride and its budget
 	// reserve, and the assembled tool section (toolsMeta.Geoms aliases
-	// toolGeomWire; toolGC is aligned with it). haveTools gates the
-	// section: a never-touched environment ships no tool bytes.
+	// toolGeomWire). haveTools gates the section: a never-touched
+	// environment ships no tool bytes.
 	toolSnap       env.ToolsState
 	toolGeos       [3]toolGeom
 	toolScal       toolScalars
@@ -276,9 +277,6 @@ type Server struct {
 	haveTools      bool
 	toolsMeta      wire.ToolsReply
 	toolGeomWire   []wire.ToolGeom
-	toolGC         []*toolGeom
-	toolSeqScratch []uint64
-	toolSegScratch [][]byte
 	lastToolPoints int64
 
 	// Governor state: the planner itself plus recycled scratch for its
@@ -332,7 +330,7 @@ func New(cfg Config) (*Server, error) {
 		st:         cfg.Store,
 		env:        env.New(cfg.Store.NumSteps()),
 		clock:      cfg.Clock,
-		gov:        newGovernor(cfg.Budget, cfg.Clock, govWorkers),
+		gov:        newGovernor(cfg.Budget, govWorkers),
 		streaks:    make(map[int32]*integrate.Streak),
 		geoCache:   make(map[int32]*rakeGeom),
 		consumedBy: make(map[int64]bool),
@@ -340,10 +338,11 @@ func New(cfg Config) (*Server, error) {
 		quant:      wire.Quantizer{Min: cfg.Store.Grid().Bounds().Min, Max: cfg.Store.Grid().Bounds().Max},
 		codecs:     make(map[int64]*sessionState),
 	}
-	// Frame replies opt out of copy-under-dispatch via the per-send
-	// reference on the round buffer (Ctx.ReplyDone); the flag still
-	// covers any handler that recycles buffers without registering a
-	// release hook.
+	// Every handler here returns either a pooled buffer with a release
+	// hook (frames and relay replies, via Ctx.ReplyDone — those opt out
+	// of copy-under-dispatch) or a freshly allocated one (hellos,
+	// whoami, steer), so nothing relies on the copy today; the flag
+	// stays on as the safe default for a handler added without a hook.
 	s.d.CopyReplies = true
 	if mem, ok := cfg.Store.(*store.Memory); ok {
 		s.unsteady = mem.Unsteady()

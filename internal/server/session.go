@@ -207,36 +207,20 @@ func (s *Server) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 
 // serveFrameV2Locked assembles this session's codec-v2 reply from the
 // shared round payload: the round's header fields (lastMeta) plus, per
-// rake, either the shared cached segment (encoded once per geometry
-// version, for every session) or — when the session's shadow already
-// holds the rake's current sequence — a few-byte reference record.
-// The reply lands in a pooled per-session buffer released by the same
-// ReplyDone mechanism as round buffers. Caller holds s.mu.
+// rake and tool on the round list, either the shared cached segment
+// (encoded once per geometry version, for every session) or — when the
+// session's shadow already holds the source's current sequence — a
+// few-byte reference record. The reply lands in a pooled per-session
+// buffer released by the same ReplyDone mechanism as round buffers.
+// Caller holds s.mu.
 func (s *Server) serveFrameV2Locked(ctx *dlib.Ctx, st *sessionState) ([]byte, error) {
 	if st.enc == nil {
 		st.enc = wire.NewFrameEncoder(s.quant)
 	}
-	s.seqScratch = s.seqScratch[:0]
-	s.segScratch = s.segScratch[:0]
-	for _, gc := range s.geomGC {
-		s.encodeSegLocked(gc)
-		s.seqScratch = append(s.seqScratch, gc.seq)
-		s.segScratch = append(s.segScratch, gc.seg)
-	}
-	// Tool geometry rides the same encode-once segment cache, keyed by
-	// the shared geometry sequence space, so every v2 session (and every
-	// relay) ships identical quantized bytes for a given tool version.
-	s.toolSeqScratch = s.toolSeqScratch[:0]
-	s.toolSegScratch = s.toolSegScratch[:0]
-	for _, tg := range s.toolGC {
-		s.encodeToolSegLocked(tg)
-		s.toolSeqScratch = append(s.toolSeqScratch, tg.seq)
-		s.toolSegScratch = append(s.toolSegScratch, tg.seg)
-	}
 	reply := s.lastMeta
 	reply.Geometry = s.geomWire
 	fb := s.acquireSessionBufLocked()
-	fb.buf = st.enc.AppendFrame(fb.buf[:0], reply, s.seqScratch, s.segScratch, s.toolSeqScratch, s.toolSegScratch)
+	fb.buf = st.enc.AppendFrame(fb.buf[:0], reply, s.roundRowsLocked(nil))
 	fb.refs++
 	ctx.ReplyDone(fb.release)
 	s.stats.FramesShipped++
@@ -248,16 +232,43 @@ func (s *Server) serveFrameV2Locked(ctx *dlib.Ctx, st *sessionState) ([]byte, er
 	return fb.buf, nil
 }
 
-// encodeSegLocked ensures gc.seg holds the codec-v2 segment for the
-// rake's current geometry sequence — encode-once, v2 edition: the
-// segment is built the first time any v2 session (or relay) needs this
-// geometry version and reused until the rake recomputes. Caller holds
-// s.mu.
-func (s *Server) encodeSegLocked(gc *rakeGeom) {
-	if gc.segSeq != gc.seq {
-		gc.seg = wire.AppendGeomV2(gc.seg[:0], gc.geo, s.quant)
-		gc.segSeq = gc.seq
+// roundRowsLocked walks the round list — rakes, then tools, aligned
+// with geomWire followed by toolGeomWire — into one wire.Segment row
+// per source. For a v2 session (relay == nil) every row carries its
+// segment and the session's encoder picks the references; for a relay
+// the rows its request's shadow already holds stay references and are
+// never encoded. The rows alias the segment cache and the scratch, so
+// they are valid only until the reply encode that follows. Caller
+// holds s.mu.
+func (s *Server) roundRowsLocked(relay *wire.RelayFrameRequest) []wire.Segment {
+	s.segScratch = s.segScratch[:0]
+	for i, sc := range s.roundSegs {
+		row := wire.Segment{Key: sc.key, Seq: sc.seq}
+		if relay == nil || !relay.ShadowHas(sc.key, sc.seq) {
+			s.encodeSegLocked(i)
+			row.Bytes = sc.seg
+		}
+		s.segScratch = append(s.segScratch, row)
 	}
+	return s.segScratch
+}
+
+// encodeSegLocked ensures round-list entry i holds the codec-v2
+// segment for its current geometry sequence — encode-once, v2 edition:
+// the segment is built the first time any v2 session (or relay) needs
+// this geometry version and reused until the source recomputes, so
+// every consumer ships identical quantized bytes. Caller holds s.mu.
+func (s *Server) encodeSegLocked(i int) {
+	sc := s.roundSegs[i]
+	if sc.segSeq == sc.seq {
+		return
+	}
+	if n := len(s.geomWire); i < n {
+		sc.seg = wire.AppendGeomV2(sc.seg[:0], s.geomWire[i], s.quant)
+	} else {
+		sc.seg = wire.AppendToolGeomV2(sc.seg[:0], s.toolGeomWire[i-n], s.quant)
+	}
+	sc.segSeq = sc.seq
 }
 
 // handleFrameRelay is the cluster tier's upstream frame exchange: one
@@ -303,30 +314,8 @@ func (s *Server) handleFrameRelay(ctx *dlib.Ctx, payload []byte) ([]byte, error)
 	} else {
 		rep := wire.RelayFrameReply{Full: true, Round: round, Frame: s.fb.buf}
 		if req.WantSegs {
-			s.dirScratch = s.dirScratch[:0]
-			for _, gc := range s.geomGC {
-				seg := wire.RelaySegment{Rake: gc.geo.Rake, Seq: gc.seq}
-				if !req.ShadowHas(gc.geo.Rake, gc.seq) {
-					s.encodeSegLocked(gc)
-					seg.Inline = true
-					seg.Seg = gc.seg
-				}
-				s.dirScratch = append(s.dirScratch, seg)
-			}
-			// Tool segments share the directory under negative keys
-			// (rake ids are always >= 1, so -kind can never collide).
-			for _, tg := range s.toolGC {
-				key := -int32(tg.geo.Tool)
-				seg := wire.RelaySegment{Rake: key, Seq: tg.seq}
-				if !req.ShadowHas(key, tg.seq) {
-					s.encodeToolSegLocked(tg)
-					seg.Inline = true
-					seg.Seg = tg.seg
-				}
-				s.dirScratch = append(s.dirScratch, seg)
-			}
 			rep.HasDir = true
-			rep.Dir = s.dirScratch
+			rep.Dir = s.roundRowsLocked(&req)
 		}
 		fb.buf = wire.AppendRelayFrameReply(fb.buf[:0], rep)
 		s.stats.RelayFulls++

@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/env"
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/isosurf"
@@ -37,20 +38,68 @@ var toolStrides = [...]int{1, 2, 4}
 
 // toolGeom memoizes one shared tool's geometry and the inputs it was
 // computed from, mirroring rakeGeom: matching (version, step, stride)
-// means the cached wire.ToolGeom is the answer. seq/seg/segSeq play
-// the same codec-v2 encode-once roles as on rakeGeom.
+// means the cached wire.ToolGeom is the answer.
 type toolGeom struct {
+	segCache
 	have    bool
 	version uint64
 	step    int
 	stride  int
 
-	geo    wire.ToolGeom
-	points int64
+	geo wire.ToolGeom
+}
 
-	seq    uint64
-	seg    []byte
-	segSeq uint64
+// toolRow is one line of the shared-tool table: what ships (state),
+// what the memo keys on (version), what the tool costs at a stride in
+// the governor's §5.3 work units, and how its geometry is extracted.
+// units and extract are static function values, so laying the table
+// out allocates nothing.
+type toolRow struct {
+	kind    uint8
+	state   wire.ToolState
+	version uint64
+	units   func(g *grid.Grid, st wire.ToolState, stride int) int64
+	extract func(s *Server, dst []vmath.Vec3, g *grid.Grid, st wire.ToolState, stride int) []vmath.Vec3
+}
+
+// toolTable lays a tool snapshot out in the fixed iso -> plane ->
+// vortex order that tool sections, sequence numbers, and relay
+// directories all depend on.
+func toolTable(t env.ToolsState) [3]toolRow {
+	return [3]toolRow{
+		{wire.ToolKindIso, wire.ToolState{
+			Enabled: t.Iso.Params.Enabled, Value: t.Iso.Params.Level, Holder: t.Iso.Holder,
+		}, t.Iso.Version, marchUnits, (*Server).extractIsoLocked},
+		{wire.ToolKindPlane, wire.ToolState{
+			Enabled: t.Plane.Params.Enabled, Axis: t.Plane.Params.Axis,
+			Value: t.Plane.Params.Frac, Holder: t.Plane.Holder,
+		}, t.Plane.Version, planeUnits, (*Server).extractPlaneLocked},
+		{wire.ToolKindVortex, wire.ToolState{
+			Enabled: t.Vortex.Params.Enabled, Value: t.Vortex.Params.Threshold, Holder: t.Vortex.Holder,
+		}, t.Vortex.Version, marchUnits, (*Server).extractVortexLocked},
+	}
+}
+
+func marchUnits(g *grid.Grid, _ wire.ToolState, stride int) int64 {
+	return marchCells(g, stride) * toolUnitsPerCell
+}
+
+func planeUnits(g *grid.Grid, st wire.ToolState, stride int) int64 {
+	return sliceNodes(g, st.Axis, stride) * planeUnitsPerNode
+}
+
+// The extractors emit empty geometry rather than failing the frame
+// when a derived field is unavailable (nil). Caller holds s.mu.
+func (s *Server) extractIsoLocked(dst []vmath.Vec3, g *grid.Grid, st wire.ToolState, stride int) []vmath.Vec3 {
+	return appendExtract(dst, g, s.toolScal.speedField(g, s.cur), st.Value, stride, s.toolWorkers())
+}
+
+func (s *Server) extractPlaneLocked(dst []vmath.Vec3, g *grid.Grid, st wire.ToolState, stride int) []vmath.Vec3 {
+	return appendPlaneHedgehog(dst, g, s.toolScal.physical(g, s.cur), st.Axis, st.Value, stride)
+}
+
+func (s *Server) extractVortexLocked(dst []vmath.Vec3, g *grid.Grid, st wire.ToolState, stride int) []vmath.Vec3 {
+	return appendExtract(dst, g, s.toolScal.qField(g, s.cur), st.Value, stride, s.toolWorkers())
 }
 
 // toolScalars caches the per-timestep derived fields the tools share:
@@ -144,14 +193,10 @@ func sliceNodes(g *grid.Grid, axis uint8, stride int) int64 {
 // the governor's §5.3 work units.
 func (s *Server) toolUnitsAtLocked(g *grid.Grid, stride int) int64 {
 	var u int64
-	if s.toolSnap.Iso.Params.Enabled {
-		u += marchCells(g, stride) * toolUnitsPerCell
-	}
-	if s.toolSnap.Vortex.Params.Enabled {
-		u += marchCells(g, stride) * toolUnitsPerCell
-	}
-	if s.toolSnap.Plane.Params.Enabled {
-		u += sliceNodes(g, s.toolSnap.Plane.Params.Axis, stride) * planeUnitsPerNode
+	for _, t := range toolTable(s.toolSnap) {
+		if t.state.Enabled {
+			u += t.units(g, t.state, stride)
+		}
 	}
 	return u
 }
@@ -187,124 +232,43 @@ func (s *Server) planToolsLocked(g *grid.Grid, rakeUnits int64) (stride int, res
 }
 
 // computeToolsLocked recomputes every enabled tool whose inputs
-// changed, reusing memoized geometry for the rest, and assembles the
-// round's tool section. It returns the work actually done (for the
-// governor's EWMA), the full/actual unit totals (for the degradation
-// byte), and the points shipped. Caller holds s.mu.
-func (s *Server) computeToolsLocked(g *grid.Grid, step int) (unitsDone, fullU, actualU, points int64) {
+// changed, reusing memoized geometry for the rest, assembles the
+// round's tool section, and appends the tools to the round list after
+// the rakes. A recomputed tool takes the next geometry sequence number
+// here, in table order. Returns the work actually done, for the
+// governor's EWMA. Caller holds s.mu.
+func (s *Server) computeToolsLocked(g *grid.Grid, step int) (unitsDone int64) {
 	s.haveTools = s.toolSnap.Active()
 	s.toolGeomWire = s.toolGeomWire[:0]
-	s.toolGC = s.toolGC[:0]
 	if !s.haveTools {
-		return 0, 0, 0, 0
+		return 0
 	}
-	snap := s.toolSnap
-	s.toolsMeta = wire.ToolsReply{
-		Iso: wire.ToolState{
-			Enabled: snap.Iso.Params.Enabled, Value: snap.Iso.Params.Level,
-			Holder: snap.Iso.Holder,
-		},
-		Plane: wire.ToolState{
-			Enabled: snap.Plane.Params.Enabled, Axis: snap.Plane.Params.Axis,
-			Value: snap.Plane.Params.Frac, Holder: snap.Plane.Holder,
-		},
-		Vortex: wire.ToolState{
-			Enabled: snap.Vortex.Params.Enabled, Value: snap.Vortex.Params.Threshold,
-			Holder: snap.Vortex.Holder,
-		},
-	}
+	table := toolTable(s.toolSnap)
+	s.toolsMeta = wire.ToolsReply{Iso: table[0].state, Plane: table[1].state, Vortex: table[2].state}
 	s.toolScal.invalidate(s.cur, step)
-	stride := s.toolStride
-	if stride < 1 {
-		stride = 1
-	}
-
-	// Fixed iso -> plane -> vortex order: tool sections, sequence
-	// numbers, and relay directories all depend on it.
-	if snap.Iso.Params.Enabled {
-		cost := marchCells(g, stride) * toolUnitsPerCell
-		fullU += marchCells(g, 1) * toolUnitsPerCell
-		actualU += cost
-		tg := &s.toolGeos[0]
-		if !(tg.have && tg.version == snap.Iso.Version && tg.step == step && tg.stride == stride) {
-			pts := tg.geo.Points[:0]
-			if scal := s.toolScal.speedField(g, s.cur); scal != nil {
-				pts = appendExtract(pts, g, scal, snap.Iso.Params.Level, stride, s.toolWorkers())
-			}
-			s.finishToolLocked(tg, wire.ToolKindIso, pts, snap.Iso.Version, step, stride)
-			unitsDone += cost
-		} else {
+	stride := max(s.toolStride, 1)
+	for i, t := range table {
+		if !t.state.Enabled {
+			continue
+		}
+		tg := &s.toolGeos[i]
+		tg.fullU, tg.actualU = t.units(g, t.state, 1), t.units(g, t.state, stride)
+		if tg.have && tg.version == t.version && tg.step == step && tg.stride == stride {
 			s.stats.ToolsReused++
+		} else {
+			tg.geo = wire.ToolGeom{Tool: t.kind, Points: t.extract(s, tg.geo.Points[:0], g, t.state, stride)}
+			tg.key, tg.points = -int32(t.kind), int64(len(tg.geo.Points))
+			tg.have, tg.version, tg.step, tg.stride = true, t.version, step, stride
+			s.geoSeq++
+			tg.seq = s.geoSeq
+			s.stats.ToolsComputed++
+			unitsDone += tg.actualU
 		}
 		s.toolGeomWire = append(s.toolGeomWire, tg.geo)
-		s.toolGC = append(s.toolGC, tg)
-		points += tg.points
-	}
-	if snap.Plane.Params.Enabled {
-		cost := sliceNodes(g, snap.Plane.Params.Axis, stride) * planeUnitsPerNode
-		fullU += sliceNodes(g, snap.Plane.Params.Axis, 1) * planeUnitsPerNode
-		actualU += cost
-		tg := &s.toolGeos[1]
-		if !(tg.have && tg.version == snap.Plane.Version && tg.step == step && tg.stride == stride) {
-			pts := tg.geo.Points[:0]
-			if phys := s.toolScal.physical(g, s.cur); phys != nil {
-				pts = appendPlaneHedgehog(pts, g, phys, snap.Plane.Params.Axis, snap.Plane.Params.Frac, stride)
-			}
-			s.finishToolLocked(tg, wire.ToolKindPlane, pts, snap.Plane.Version, step, stride)
-			unitsDone += cost
-		} else {
-			s.stats.ToolsReused++
-		}
-		s.toolGeomWire = append(s.toolGeomWire, tg.geo)
-		s.toolGC = append(s.toolGC, tg)
-		points += tg.points
-	}
-	if snap.Vortex.Params.Enabled {
-		cost := marchCells(g, stride) * toolUnitsPerCell
-		fullU += marchCells(g, 1) * toolUnitsPerCell
-		actualU += cost
-		tg := &s.toolGeos[2]
-		if !(tg.have && tg.version == snap.Vortex.Version && tg.step == step && tg.stride == stride) {
-			pts := tg.geo.Points[:0]
-			if scal := s.toolScal.qField(g, s.cur); scal != nil {
-				pts = appendExtract(pts, g, scal, snap.Vortex.Params.Threshold, stride, s.toolWorkers())
-			}
-			s.finishToolLocked(tg, wire.ToolKindVortex, pts, snap.Vortex.Version, step, stride)
-			unitsDone += cost
-		} else {
-			s.stats.ToolsReused++
-		}
-		s.toolGeomWire = append(s.toolGeomWire, tg.geo)
-		s.toolGC = append(s.toolGC, tg)
-		points += tg.points
+		s.roundSegs = append(s.roundSegs, &tg.segCache)
 	}
 	s.toolsMeta.Geoms = s.toolGeomWire
-	return unitsDone, fullU, actualU, points
-}
-
-// finishToolLocked commits one recomputed tool geometry to its memo
-// entry and assigns it the next geometry sequence number. Caller holds
-// s.mu.
-func (s *Server) finishToolLocked(tg *toolGeom, kind uint8, pts []vmath.Vec3, version uint64, step, stride int) {
-	tg.geo = wire.ToolGeom{Tool: kind, Points: pts}
-	tg.points = int64(len(pts))
-	tg.have = true
-	tg.version = version
-	tg.step = step
-	tg.stride = stride
-	s.geoSeq++
-	tg.seq = s.geoSeq
-	s.stats.ToolsComputed++
-}
-
-// encodeToolSegLocked ensures tg.seg holds the codec-v2 segment for
-// the tool's current geometry sequence — encode-once, tool edition.
-// Caller holds s.mu.
-func (s *Server) encodeToolSegLocked(tg *toolGeom) {
-	if tg.segSeq != tg.seq {
-		tg.seg = wire.AppendToolGeomV2(tg.seg[:0], tg.geo, s.quant)
-		tg.segSeq = tg.seq
-	}
+	return unitsDone
 }
 
 // toolWorkers returns the worker count surface extraction parallelizes
@@ -321,6 +285,9 @@ func (s *Server) toolWorkers() int {
 // pinned (see isosurf.ExtractParallel), so two servers at the same
 // (scalar, level, stride) append identical point streams.
 func appendExtract(dst []vmath.Vec3, g *grid.Grid, scalar []float32, level float32, stride, workers int) []vmath.Vec3 {
+	if scalar == nil {
+		return dst
+	}
 	tris, err := isosurf.ExtractParallel(g, scalar, level, stride, workers)
 	if err != nil {
 		return dst
@@ -339,6 +306,9 @@ const hedgehogScale = 1.0
 // one (root, root + v·scale) pair per strided node of the slice at
 // frac along axis — in pinned node order.
 func appendPlaneHedgehog(dst []vmath.Vec3, g *grid.Grid, phys *field.Field, axis uint8, frac float32, stride int) []vmath.Vec3 {
+	if phys == nil {
+		return dst
+	}
 	if stride < 1 {
 		stride = 1
 	}

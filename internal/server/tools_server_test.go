@@ -17,25 +17,6 @@ import (
 // pinned by the golden corpus; these tests pin the internal contracts
 // the corpus rests on.
 
-// TestPlanWithReserveDelegatesAtZero: plan(reqs, dst) and
-// planWith(reqs, dst, 0) are the same function.
-func TestPlanWithReserveDelegatesAtZero(t *testing.T) {
-	g := calibratedGovernor(time.Millisecond, 50)
-	reqs := planReqs(4, 1, 64, 200)
-	a := make([]shedLevel, len(reqs))
-	b := make([]shedLevel, len(reqs))
-	pa, sa := g.plan(reqs, a)
-	pb, sb := g.planWith(reqs, b, 0)
-	if pa != pb || sa != sb {
-		t.Fatalf("plan (%v, %v) != planWith reserve 0 (%v, %v)", pa, sa, pb, sb)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("level %d: plan %+v != planWith %+v", i, a[i], b[i])
-		}
-	}
-}
-
 // TestPlanWithReserveMonotone: a larger reserve never allows more
 // planned work — the tools' slice of the budget really comes out of
 // the rakes' allowance.
@@ -50,7 +31,7 @@ func TestPlanWithReserveMonotone(t *testing.T) {
 	prev := int64(-1)
 	for i := len(reserves) - 1; i >= 0; i-- {
 		lvls := make([]shedLevel, len(reqs))
-		g.planWith(reqs, lvls, reserves[i])
+		g.plan(reqs, lvls, reserves[i])
 		total := plannedUnits(lvls)
 		if prev >= 0 && total < prev {
 			t.Fatalf("reserve %v planned %d units, larger reserve %v planned %d",
@@ -68,7 +49,7 @@ func TestPlanWithReserveExceedingBudgetFloors(t *testing.T) {
 	g := calibratedGovernor(time.Millisecond, 50)
 	reqs := planReqs(3, 0, 64, 200)
 	lvls := make([]shedLevel, len(reqs))
-	_, shed := g.planWith(reqs, lvls, time.Hour)
+	_, shed := g.plan(reqs, lvls, time.Hour)
 	if !shed {
 		t.Fatal("reserve beyond the budget did not shed")
 	}

@@ -227,6 +227,58 @@ func (d *decoder) uvarintCount(max, elemBytes int) int {
 
 // --- geometry segments -----------------------------------------------
 
+// Segment is one geometry source's row in a codec-v2 frame or a relay
+// directory: a rake's polylines or a shared tool's point soup, encoded
+// once per content version and shipped inline or by reference.
+type Segment struct {
+	// Key names the source in a relay directory: the rake id, or -kind
+	// for a shared tool (rake ids are >= 1, so the two never collide).
+	// AppendFrame ignores it and keys each entry from the frame itself.
+	Key int32
+	// Seq changes exactly when the source's content changes; a peer
+	// that holds (source, Seq) can be sent a reference. Zero disables
+	// delta tracking for the entry, which then always ships inline.
+	Seq uint64
+	// Bytes is the encoded segment (AppendGeomV2 / AppendToolGeomV2).
+	// Nil means "encode fresh" to AppendFrame and "reference" in a
+	// relay directory.
+	Bytes []byte
+}
+
+// quantPoints appends a varint point count and 6 quantized bytes per
+// point — the payload shared by rake lines and tool geometry.
+func (e *encoder) quantPoints(pts []vmath.Vec3, q Quantizer) {
+	e.uvarint(uint64(len(pts)))
+	for _, p := range pts {
+		x, y, z := q.Quant(p)
+		e.buf = binary.LittleEndian.AppendUint16(e.buf, x)
+		e.buf = binary.LittleEndian.AppendUint16(e.buf, y)
+		e.buf = binary.LittleEndian.AppendUint16(e.buf, z)
+	}
+}
+
+// quantPoints is the inverse of the encoder's, refusing counts beyond
+// the caller's remaining point budget.
+func (d *decoder) quantPoints(q Quantizer, budget int) []vmath.Vec3 {
+	n := d.uvarintCount(maxPoints, QuantBytes)
+	if d.err == nil && n > budget {
+		d.errf("too many total points")
+	}
+	b := d.take(n * QuantBytes)
+	if d.err != nil {
+		return nil
+	}
+	pts := make([]vmath.Vec3, n)
+	for p := range pts {
+		pts[p] = q.Dequant(
+			binary.LittleEndian.Uint16(b[0:]),
+			binary.LittleEndian.Uint16(b[2:]),
+			binary.LittleEndian.Uint16(b[4:]))
+		b = b[QuantBytes:]
+	}
+	return pts
+}
+
 // AppendGeomV2 appends one rake's geometry as a codec-v2 segment:
 // tool byte, varint line count, then per line a varint point count and
 // 6 quantized bytes per point. The rake id lives in the enclosing
@@ -238,15 +290,7 @@ func AppendGeomV2(dst []byte, g Geometry, q Quantizer) []byte {
 	e.u8(g.Tool)
 	e.uvarint(uint64(len(g.Lines)))
 	for _, line := range g.Lines {
-		e.uvarint(uint64(len(line)))
-		for _, p := range line {
-			x, y, z := q.Quant(p)
-			var b [QuantBytes]byte
-			binary.LittleEndian.PutUint16(b[0:], x)
-			binary.LittleEndian.PutUint16(b[2:], y)
-			binary.LittleEndian.PutUint16(b[4:], z)
-			e.buf = append(e.buf, b[:]...)
-		}
+		e.quantPoints(line, q)
 	}
 	return e.buf
 }
@@ -255,8 +299,7 @@ func AppendGeomV2(dst []byte, g Geometry, q Quantizer) []byte {
 // decoded points against the caller's remaining point budget.
 func decodeGeomV2(buf []byte, rake int32, q Quantizer, budget int) (Geometry, int, error) {
 	d := decoder{buf: buf}
-	g := Geometry{Rake: rake}
-	g.Tool = d.u8()
+	g := Geometry{Rake: rake, Tool: d.u8()}
 	nLines := d.uvarintCount(maxEntities, 1)
 	if d.err != nil {
 		return Geometry{}, 0, d.err
@@ -264,26 +307,11 @@ func decodeGeomV2(buf []byte, rake int32, q Quantizer, budget int) (Geometry, in
 	g.Lines = make([][]vmath.Vec3, nLines)
 	var total int
 	for l := range g.Lines {
-		nPts := d.uvarintCount(maxPoints, QuantBytes)
+		g.Lines[l] = d.quantPoints(q, budget-total)
 		if d.err != nil {
 			return Geometry{}, 0, d.err
 		}
-		total += nPts
-		if total > budget {
-			return Geometry{}, 0, d.errf("too many total points")
-		}
-		line := make([]vmath.Vec3, nPts)
-		for p := range line {
-			b := d.take(QuantBytes)
-			if b == nil {
-				return Geometry{}, 0, d.err
-			}
-			line[p] = q.Dequant(
-				binary.LittleEndian.Uint16(b[0:]),
-				binary.LittleEndian.Uint16(b[2:]),
-				binary.LittleEndian.Uint16(b[4:]))
-		}
-		g.Lines[l] = line
+		total += len(g.Lines[l])
 	}
 	if len(d.buf) != 0 {
 		return Geometry{}, 0, fmt.Errorf("wire: %d trailing bytes in geometry segment", len(d.buf))
@@ -296,15 +324,7 @@ func decodeGeomV2(buf []byte, rake int32, q Quantizer, budget int) (Geometry, in
 func AppendToolGeomV2(dst []byte, g ToolGeom, q Quantizer) []byte {
 	e := encoder{buf: dst}
 	e.u8(g.Tool)
-	e.uvarint(uint64(len(g.Points)))
-	for _, p := range g.Points {
-		x, y, z := q.Quant(p)
-		var b [QuantBytes]byte
-		binary.LittleEndian.PutUint16(b[0:], x)
-		binary.LittleEndian.PutUint16(b[2:], y)
-		binary.LittleEndian.PutUint16(b[4:], z)
-		e.buf = append(e.buf, b[:]...)
-	}
+	e.quantPoints(g.Points, q)
 	return e.buf
 }
 
@@ -312,52 +332,88 @@ func AppendToolGeomV2(dst []byte, g ToolGeom, q Quantizer) []byte {
 // against the caller's remaining point budget.
 func decodeToolGeomV2(buf []byte, q Quantizer, budget int) (ToolGeom, int, error) {
 	d := decoder{buf: buf}
-	var g ToolGeom
-	g.Tool = d.u8()
-	nPts := d.uvarintCount(maxPoints, QuantBytes)
+	g := ToolGeom{Tool: d.u8()}
+	g.Points = d.quantPoints(q, budget)
 	if d.err != nil {
 		return ToolGeom{}, 0, d.err
 	}
-	if nPts > budget {
-		return ToolGeom{}, 0, d.errf("too many tool points")
-	}
-	pts := make([]vmath.Vec3, nPts)
-	for p := range pts {
-		b := d.take(QuantBytes)
-		if b == nil {
-			return ToolGeom{}, 0, d.err
-		}
-		pts[p] = q.Dequant(
-			binary.LittleEndian.Uint16(b[0:]),
-			binary.LittleEndian.Uint16(b[2:]),
-			binary.LittleEndian.Uint16(b[4:]))
-	}
-	g.Points = pts
 	if len(d.buf) != 0 {
 		return ToolGeom{}, 0, fmt.Errorf("wire: %d trailing bytes in tool segment", len(d.buf))
 	}
-	return g, nPts, nil
+	return g, len(g.Points), nil
+}
+
+// --- session shadows -------------------------------------------------
+
+// Geometry shadow keys. One map per encoder (and per decoder) shadows
+// both directory sections, so the key carries the section: rake ids
+// map onto [0, 2^32) and tool kinds onto the negatives. A decoder must
+// accept any int32 rake id off the wire; tagging by section rather
+// than by value is what keeps a hostile rake entry from ever
+// satisfying a tool reference.
+func rakeKey(id int32) int64   { return int64(uint32(id)) }
+func toolKey(kind uint8) int64 { return ^int64(kind) }
+
+func isRakeKey(k int64) bool { return k >= 0 }
+func isToolKey(k int64) bool { return k < 0 }
+func anyKey[K any](K) bool   { return true }
+
+func userKey(u *UserState) int64      { return u.ID }
+func rakeStateKey(r *RakeState) int32 { return r.ID }
+func geomKey(g *Geometry) int64       { return rakeKey(g.Rake) }
+func toolGeomKey(g *ToolGeom) int64   { return toolKey(g.Tool) }
+
+// pruneShadow drops the shadow entries of one section (the keys owns
+// accepts) that name nothing in the frame's items. Encoder and decoder
+// prune by this one rule, section by section, so a departed-then-
+// returned user, rake, or tool cannot be wrongly referenced. A section
+// holding no more entries than the frame lists is left alone: on the
+// server's streams, where every listed entry is shadowed, it then
+// holds exactly the frame's keys. Counts are small; the linear
+// membership scan beats allocating a set.
+func pruneShadow[K comparable, V, T any](shadow map[K]V, items []T, key func(*T) K, owns func(K) bool) {
+	if len(shadow) <= len(items) {
+		return // the whole map is that small: no need to count the section
+	}
+	held := 0
+	for k := range shadow {
+		if owns(k) {
+			held++
+		}
+	}
+	if held <= len(items) {
+		return
+	}
+	for k := range shadow {
+		found := !owns(k)
+		for i := 0; i < len(items) && !found; i++ {
+			found = key(&items[i]) == k
+		}
+		if !found {
+			delete(shadow, k)
+		}
+	}
 }
 
 // --- frame encoder ---------------------------------------------------
 
 // FrameEncoder encodes codec-v2 frames for one session. It shadows
-// which (rake, sequence) pairs the peer holds — every geometry it has
-// inlined since the last Reset — and replaces unchanged rakes with
-// reference records. One encoder must serve exactly one ordered frame
-// stream; a reconnecting peer gets a fresh encoder (server sessions
-// die with their connection), which forces a full keyframe.
+// which (source, sequence) pairs the peer holds — every rake and tool
+// geometry it has inlined since the last Reset — and replaces unchanged
+// ones with reference records. One encoder must serve exactly one
+// ordered frame stream; a reconnecting peer gets a fresh encoder
+// (server sessions die with their connection), which forces a full
+// keyframe.
 type FrameEncoder struct {
 	// Q quantizes points; both ends must build it from the same hello
 	// bounds.
 	Q Quantizer
 
-	// LastInline and LastRef report the geometry directory composition
-	// of the most recent AppendFrame, for stats.
+	// LastInline and LastRef report the directory composition (rake and
+	// tool entries alike) of the most recent AppendFrame, for stats.
 	LastInline, LastRef int
 
-	shadow  map[int32]uint64
-	tools   map[uint8]uint64
+	shadow  map[int64]uint64
 	users   map[int64]UserState
 	rakes   map[int32]RakeState
 	scratch []byte
@@ -367,8 +423,7 @@ type FrameEncoder struct {
 func NewFrameEncoder(q Quantizer) *FrameEncoder {
 	return &FrameEncoder{
 		Q:      q,
-		shadow: make(map[int32]uint64),
-		tools:  make(map[uint8]uint64),
+		shadow: make(map[int64]uint64),
 		users:  make(map[int64]UserState),
 		rakes:  make(map[int32]RakeState),
 	}
@@ -377,20 +432,16 @@ func NewFrameEncoder(q Quantizer) *FrameEncoder {
 // Reset forgets the peer's shadow; the next frame is a full keyframe.
 func (e *FrameEncoder) Reset() {
 	clear(e.shadow)
-	clear(e.tools)
 	clear(e.users)
 	clear(e.rakes)
 }
 
 // AppendFrame appends the codec-v2 encoding of r for this session.
-// seqs is aligned with r.Geometry: seqs[i] must change exactly when
-// that rake's geometry content changes (a zero seq disables delta
-// tracking for the entry and always inlines it). segs, when non-nil,
-// supplies pre-encoded segment bytes aligned with r.Geometry — the
-// server's encode-once segment cache; nil entries are encoded fresh.
-// toolSeqs and toolSegs play the same roles for r.Tools.Geoms when the
-// frame carries a tool section.
-func (e *FrameEncoder) AppendFrame(dst []byte, r FrameReply, seqs []uint64, segs [][]byte, toolSeqs []uint64, toolSegs [][]byte) []byte {
+// segs is aligned with r.Geometry followed by r.Tools.Geoms (when the
+// frame carries a tool section) — the server's encode-once segment
+// cache. A nil segs is all-zero rows: every entry encoded fresh and
+// none shadowed.
+func (e *FrameEncoder) AppendFrame(dst []byte, r FrameReply, segs []Segment) []byte {
 	e.LastInline, e.LastRef = 0, 0
 	enc := encoder{buf: dst}
 	enc.u8(CodecV2)
@@ -417,7 +468,7 @@ func (e *FrameEncoder) AppendFrame(dst []byte, r FrameReply, seqs []uint64, segs
 		enc.u8(u.Gesture)
 		e.users[u.ID] = u
 	}
-	pruneUsers(e.users, r.Users)
+	pruneShadow(e.users, r.Users, userKey, anyKey[int64])
 	enc.uvarint(uint64(len(r.Rakes)))
 	for _, rk := range r.Rakes {
 		enc.i32(rk.ID)
@@ -434,46 +485,28 @@ func (e *FrameEncoder) AppendFrame(dst []byte, r FrameReply, seqs []uint64, segs
 		enc.u8(rk.Grab)
 		e.rakes[rk.ID] = rk
 	}
-	pruneRakes(e.rakes, r.Rakes)
+	pruneShadow(e.rakes, r.Rakes, rakeStateKey, anyKey[int32])
 
+	// Each section writes its own key encoding (varint rake id, one-byte
+	// tool kind); the record after the key is shared.
 	enc.uvarint(uint64(len(r.Geometry)))
 	for i := range r.Geometry {
 		g := &r.Geometry[i]
-		var seq uint64
-		if seqs != nil {
-			seq = seqs[i]
-		}
 		enc.uvarint(uint64(uint32(g.Rake)))
-		if seq != 0 && e.shadow[g.Rake] == seq {
-			enc.u8(geomRef)
-			enc.uvarint(seq)
-			e.LastRef++
-			continue
+		if s := segAt(segs, i); e.entry(&enc, rakeKey(g.Rake), s.Seq) {
+			if s.Bytes == nil {
+				e.scratch = AppendGeomV2(e.scratch[:0], *g, e.Q)
+				s.Bytes = e.scratch
+			}
+			enc.segment(s.Bytes)
 		}
-		enc.u8(geomInline)
-		enc.uvarint(seq)
-		var seg []byte
-		if segs != nil && segs[i] != nil {
-			seg = segs[i]
-		} else {
-			e.scratch = AppendGeomV2(e.scratch[:0], *g, e.Q)
-			seg = e.scratch
-		}
-		enc.uvarint(uint64(len(seg)))
-		enc.buf = append(enc.buf, seg...)
-		if seq != 0 {
-			e.shadow[g.Rake] = seq
-		} else {
-			delete(e.shadow, g.Rake)
-		}
-		e.LastInline++
 	}
-	pruneShadow(e.shadow, r.Geometry)
+	pruneShadow(e.shadow, r.Geometry, geomKey, isRakeKey)
 
 	// Optional trailing tool section, mirroring codec v1: presence is
 	// "bytes remain after the geometry directory". Tool states are
 	// small and always inline; tool geometry deltas exactly like rake
-	// geometry, shadowed by tool kind.
+	// geometry. A frame without the section leaves the tool shadow be.
 	if r.Tools != nil {
 		enc.toolState(r.Tools.Iso)
 		enc.toolState(r.Tools.Plane)
@@ -481,128 +514,66 @@ func (e *FrameEncoder) AppendFrame(dst []byte, r FrameReply, seqs []uint64, segs
 		enc.uvarint(uint64(len(r.Tools.Geoms)))
 		for i := range r.Tools.Geoms {
 			g := &r.Tools.Geoms[i]
-			var seq uint64
-			if toolSeqs != nil {
-				seq = toolSeqs[i]
-			}
 			enc.u8(g.Tool)
-			if seq != 0 && e.tools[g.Tool] == seq {
-				enc.u8(geomRef)
-				enc.uvarint(seq)
-				e.LastRef++
-				continue
+			if s := segAt(segs, len(r.Geometry)+i); e.entry(&enc, toolKey(g.Tool), s.Seq) {
+				if s.Bytes == nil {
+					e.scratch = AppendToolGeomV2(e.scratch[:0], *g, e.Q)
+					s.Bytes = e.scratch
+				}
+				enc.segment(s.Bytes)
 			}
-			enc.u8(geomInline)
-			enc.uvarint(seq)
-			var seg []byte
-			if toolSegs != nil && toolSegs[i] != nil {
-				seg = toolSegs[i]
-			} else {
-				e.scratch = AppendToolGeomV2(e.scratch[:0], *g, e.Q)
-				seg = e.scratch
-			}
-			enc.uvarint(uint64(len(seg)))
-			enc.buf = append(enc.buf, seg...)
-			if seq != 0 {
-				e.tools[g.Tool] = seq
-			} else {
-				delete(e.tools, g.Tool)
-			}
-			e.LastInline++
 		}
-		pruneToolShadow(e.tools, r.Tools.Geoms)
+		pruneShadow(e.shadow, r.Tools.Geoms, toolGeomKey, isToolKey)
 	}
 	return enc.buf
 }
 
-// pruneToolShadow is pruneShadow for the tool-geometry shadow.
-func pruneToolShadow[V any](shadow map[uint8]V, geoms []ToolGeom) {
-	if len(shadow) <= len(geoms) {
-		return
+// segAt returns row i of an AppendFrame segment list (nil = zero rows).
+func segAt(segs []Segment, i int) Segment {
+	if segs == nil {
+		return Segment{}
 	}
-	for id := range shadow {
-		found := false
-		for i := range geoms {
-			if geoms[i].Tool == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			delete(shadow, id)
-		}
-	}
+	return segs[i]
 }
 
-// pruneUsers drops user-shadow entries for users absent from the
-// frame, mirroring pruneShadow: both ends prune identically, so a
-// departed-then-returned user cannot be wrongly referenced.
-func pruneUsers[V any](shadow map[int64]V, users []UserState) {
-	if len(shadow) <= len(users) {
-		return
+// entry writes the directory record that follows an entry's key — a
+// reference when the peer's shadow holds (key, seq), otherwise an
+// inline header — updates the shadow, and reports whether the caller
+// must append the segment.
+func (e *FrameEncoder) entry(enc *encoder, key int64, seq uint64) (inline bool) {
+	if seq != 0 && e.shadow[key] == seq {
+		enc.u8(geomRef)
+		enc.uvarint(seq)
+		e.LastRef++
+		return false
 	}
-	for id := range shadow {
-		found := false
-		for i := range users {
-			if users[i].ID == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			delete(shadow, id)
-		}
+	enc.u8(geomInline)
+	enc.uvarint(seq)
+	if seq != 0 {
+		e.shadow[key] = seq
+	} else {
+		delete(e.shadow, key)
 	}
+	e.LastInline++
+	return true
 }
 
-// pruneRakes is pruneUsers for the rake-state shadow.
-func pruneRakes[V any](shadow map[int32]V, rakes []RakeState) {
-	if len(shadow) <= len(rakes) {
-		return
-	}
-	for id := range shadow {
-		found := false
-		for i := range rakes {
-			if rakes[i].ID == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			delete(shadow, id)
-		}
-	}
-}
-
-// pruneShadow drops shadow entries for rakes absent from the frame:
-// the peer prunes identically, so a removed-then-readded rake cannot
-// be wrongly referenced. Rake counts are small; the linear membership
-// scan beats allocating a set.
-func pruneShadow[V any](shadow map[int32]V, geoms []Geometry) {
-	if len(shadow) <= len(geoms) {
-		return
-	}
-	for id := range shadow {
-		found := false
-		for i := range geoms {
-			if geoms[i].Rake == id {
-				found = true
-				break
-			}
-		}
-		if !found {
-			delete(shadow, id)
-		}
-	}
+// segment appends a length-prefixed encoded segment.
+func (e *encoder) segment(seg []byte) {
+	e.uvarint(uint64(len(seg)))
+	e.buf = append(e.buf, seg...)
 }
 
 // --- frame decoder ---------------------------------------------------
 
 // decodedGeom is one shadow entry: the sequence number the geometry
-// was inlined under and the decoded result.
+// was inlined under, its point count, and the decoded result — geo for
+// a rake-section entry, tool for a tool-section one.
 type decodedGeom struct {
-	seq uint64
-	geo Geometry
+	seq    uint64
+	points int
+	geo    Geometry
+	tool   ToolGeom
 }
 
 // FrameDecoder reassembles full FrameReply values from one session's
@@ -615,24 +586,16 @@ type FrameDecoder struct {
 	// hello bounds.
 	Q Quantizer
 
-	shadow map[int32]decodedGeom
-	tools  map[uint8]decodedToolGeom
+	shadow map[int64]decodedGeom
 	users  map[int64]UserState
 	rakes  map[int32]RakeState
-}
-
-// decodedToolGeom is one tool-shadow entry.
-type decodedToolGeom struct {
-	seq uint64
-	geo ToolGeom
 }
 
 // NewFrameDecoder returns a decoder with an empty shadow.
 func NewFrameDecoder(q Quantizer) *FrameDecoder {
 	return &FrameDecoder{
 		Q:      q,
-		shadow: make(map[int32]decodedGeom),
-		tools:  make(map[uint8]decodedToolGeom),
+		shadow: make(map[int64]decodedGeom),
 		users:  make(map[int64]UserState),
 		rakes:  make(map[int32]RakeState),
 	}
@@ -641,7 +604,6 @@ func NewFrameDecoder(q Quantizer) *FrameDecoder {
 // Reset forgets all shadowed state (reconnect resync).
 func (d *FrameDecoder) Reset() {
 	clear(d.shadow)
-	clear(d.tools)
 	clear(d.users)
 	clear(d.rakes)
 }
@@ -693,7 +655,7 @@ func (d *FrameDecoder) Decode(buf []byte) (FrameReply, error) {
 			return FrameReply{}, fmt.Errorf("wire: unknown user record kind %d", kind)
 		}
 	}
-	pruneUsers(d.users, r.Users)
+	pruneShadow(d.users, r.Users, userKey, anyKey[int64])
 	nRakes := dec.uvarintCount(maxEntities, 5) // id + kind minimum
 	if dec.err != nil {
 		return FrameReply{}, dec.err
@@ -726,126 +688,104 @@ func (d *FrameDecoder) Decode(buf []byte) (FrameReply, error) {
 			return FrameReply{}, fmt.Errorf("wire: unknown rake record kind %d", kind)
 		}
 	}
-	pruneRakes(d.rakes, r.Rakes)
+	pruneShadow(d.rakes, r.Rakes, rakeStateKey, anyKey[int32])
 
 	nGeom := dec.uvarintCount(maxEntities, 3) // rake + kind + seq minimum
 	if dec.err != nil {
 		return FrameReply{}, dec.err
 	}
 	r.Geometry = make([]Geometry, 0, nGeom)
-	var total int
+	budget := maxPoints
 	for i := 0; i < nGeom; i++ {
 		rake := int32(uint32(dec.uvarint()))
-		kind := dec.u8()
-		seq := dec.uvarint()
-		if dec.err != nil {
-			return FrameReply{}, dec.err
-		}
-		switch kind {
-		case geomRef:
-			cg, ok := d.shadow[rake]
-			if !ok || cg.seq != seq {
-				return FrameReply{}, fmt.Errorf(
-					"wire: reference to unknown geometry (rake %d seq %d)", rake, seq)
-			}
-			total += cg.geo.NumPoints()
-			if total > maxPoints {
-				return FrameReply{}, fmt.Errorf("wire: too many total points")
-			}
-			r.Geometry = append(r.Geometry, cg.geo)
-		case geomInline:
-			segLen := dec.uvarintCount(len(dec.buf), 1)
-			seg := dec.take(segLen)
-			if dec.err != nil {
-				return FrameReply{}, dec.err
-			}
-			g, pts, err := decodeGeomV2(seg, rake, d.Q, maxPoints-total)
-			if err != nil {
-				return FrameReply{}, err
-			}
-			total += pts
-			if seq != 0 {
-				d.shadow[rake] = decodedGeom{seq: seq, geo: g}
-			} else {
-				delete(d.shadow, rake)
-			}
-			r.Geometry = append(r.Geometry, g)
-		default:
-			return FrameReply{}, fmt.Errorf("wire: unknown geometry record kind %d", kind)
-		}
-	}
-	if len(dec.buf) != 0 {
-		// Bytes after the geometry directory are the optional tool
-		// section (mirroring codec v1's presence-by-remaining-bytes).
-		t, err := d.decodeToolSection(&dec, maxPoints-total)
+		cg, err := d.entry(&dec, rake, false, budget)
 		if err != nil {
 			return FrameReply{}, err
 		}
-		r.Tools = t
+		budget -= cg.points
+		r.Geometry = append(r.Geometry, cg.geo)
+	}
+	pruneShadow(d.shadow, r.Geometry, geomKey, isRakeKey)
+	if len(dec.buf) != 0 {
+		// Bytes after the geometry directory are the optional tool
+		// section (mirroring codec v1's presence-by-remaining-bytes).
+		var t ToolsReply
+		t.Iso = dec.toolState()
+		t.Plane = dec.toolState()
+		t.Vortex = dec.toolState()
+		nGeoms := dec.uvarintCount(maxToolGeoms, 3) // tool + kind + seq minimum
+		if dec.err != nil {
+			return FrameReply{}, dec.err
+		}
+		t.Geoms = make([]ToolGeom, 0, nGeoms)
+		for i := 0; i < nGeoms; i++ {
+			cg, err := d.entry(&dec, int32(dec.u8()), true, budget)
+			if err != nil {
+				return FrameReply{}, err
+			}
+			budget -= cg.points
+			t.Geoms = append(t.Geoms, cg.tool)
+		}
+		pruneShadow(d.shadow, t.Geoms, toolGeomKey, isToolKey)
+		r.Tools = &t
 	}
 	if len(dec.buf) != 0 {
 		return FrameReply{}, fmt.Errorf("wire: %d trailing bytes in frame", len(dec.buf))
 	}
-	pruneShadow(d.shadow, r.Geometry)
 	return r, dec.err
 }
 
-// decodeToolSection parses the codec-v2 tool section, resolving
-// geometry references against the tool shadow.
-func (d *FrameDecoder) decodeToolSection(dec *decoder, budget int) (*ToolsReply, error) {
-	var t ToolsReply
-	t.Iso = dec.toolState()
-	t.Plane = dec.toolState()
-	t.Vortex = dec.toolState()
-	nGeoms := dec.uvarintCount(maxToolGeoms, 3) // tool + kind + seq minimum
+// entry reads the directory record that follows an entry's key (id: a
+// rake id, or a tool kind in the tool section) and returns the
+// geometry it denotes: the shadow's copy for a reference, the decoded
+// inline segment — folded into the shadow — otherwise. Either way the
+// entry's points must fit the frame's remaining point budget.
+func (d *FrameDecoder) entry(dec *decoder, id int32, tools bool, budget int) (decodedGeom, error) {
+	key, what, unit := rakeKey(id), "geometry", "rake"
+	if tools {
+		key, what, unit = toolKey(uint8(id)), "tool geometry", "tool"
+	}
+	kind := dec.u8()
+	seq := dec.uvarint()
 	if dec.err != nil {
-		return nil, dec.err
+		return decodedGeom{}, dec.err
 	}
-	t.Geoms = make([]ToolGeom, 0, nGeoms)
-	var total int
-	for i := 0; i < nGeoms; i++ {
-		tool := dec.u8()
-		kind := dec.u8()
-		seq := dec.uvarint()
+	switch kind {
+	case geomRef:
+		cg, ok := d.shadow[key]
+		if !ok || cg.seq != seq {
+			return decodedGeom{}, fmt.Errorf("wire: reference to unknown %s (%s %d seq %d)", what, unit, id, seq)
+		}
+		if cg.points > budget {
+			return decodedGeom{}, fmt.Errorf("wire: too many total points")
+		}
+		return cg, nil
+	case geomInline:
+		segLen := dec.uvarintCount(len(dec.buf), 1)
+		seg := dec.take(segLen)
 		if dec.err != nil {
-			return nil, dec.err
+			return decodedGeom{}, dec.err
 		}
-		switch kind {
-		case geomRef:
-			cg, ok := d.tools[tool]
-			if !ok || cg.seq != seq {
-				return nil, fmt.Errorf(
-					"wire: reference to unknown tool geometry (tool %d seq %d)", tool, seq)
+		cg := decodedGeom{seq: seq}
+		var err error
+		if tools {
+			cg.tool, cg.points, err = decodeToolGeomV2(seg, d.Q, budget)
+			if err == nil && cg.tool.Tool != uint8(id) {
+				err = fmt.Errorf("wire: tool segment kind %d under directory entry %d", cg.tool.Tool, id)
 			}
-			total += len(cg.geo.Points)
-			if total > budget {
-				return nil, fmt.Errorf("wire: too many tool points")
-			}
-			t.Geoms = append(t.Geoms, cg.geo)
-		case geomInline:
-			segLen := dec.uvarintCount(len(dec.buf), 1)
-			seg := dec.take(segLen)
-			if dec.err != nil {
-				return nil, dec.err
-			}
-			g, pts, err := decodeToolGeomV2(seg, d.Q, budget-total)
-			if err != nil {
-				return nil, err
-			}
-			if g.Tool != tool {
-				return nil, fmt.Errorf("wire: tool segment kind %d under directory entry %d", g.Tool, tool)
-			}
-			total += pts
-			if seq != 0 {
-				d.tools[tool] = decodedToolGeom{seq: seq, geo: g}
-			} else {
-				delete(d.tools, tool)
-			}
-			t.Geoms = append(t.Geoms, g)
-		default:
-			return nil, fmt.Errorf("wire: unknown tool record kind %d", kind)
+		} else {
+			cg.geo, cg.points, err = decodeGeomV2(seg, id, d.Q, budget)
 		}
+		if err != nil {
+			return decodedGeom{}, err
+		}
+		if seq != 0 {
+			d.shadow[key] = cg
+		} else {
+			delete(d.shadow, key)
+		}
+		return cg, nil
+	default:
+		return decodedGeom{}, fmt.Errorf("wire: unknown %s record kind %d", what, kind)
 	}
-	pruneToolShadow(d.tools, t.Geoms)
-	return &t, nil
 }

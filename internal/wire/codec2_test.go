@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/vmath"
@@ -253,7 +254,7 @@ func TestDeltaEncodeDecodeIdentity(t *testing.T) {
 				}
 			}
 
-			buf := enc.AppendFrame(nil, r, seqs, nil, nil, nil)
+			buf := enc.AppendFrame(nil, r, seqRows(seqs...))
 			got, err := dec.Decode(buf)
 			if err != nil {
 				t.Fatalf("trial %d round %d: decode: %v", trial, round, err)
@@ -293,11 +294,11 @@ func TestDeltaSteadyFramesAreRefs(t *testing.T) {
 		r.Geometry = append(r.Geometry, g)
 	}
 	seqs := []uint64{1, 2, 3}
-	key := enc.AppendFrame(nil, r, seqs, nil, nil, nil)
+	key := enc.AppendFrame(nil, r, seqRows(seqs...))
 	if enc.LastInline != 3 || enc.LastRef != 0 {
 		t.Fatalf("keyframe: inline=%d ref=%d", enc.LastInline, enc.LastRef)
 	}
-	steady := enc.AppendFrame(nil, r, seqs, nil, nil, nil)
+	steady := enc.AppendFrame(nil, r, seqRows(seqs...))
 	if enc.LastInline != 0 || enc.LastRef != 3 {
 		t.Fatalf("steady: inline=%d ref=%d", enc.LastInline, enc.LastRef)
 	}
@@ -325,8 +326,8 @@ func TestDecodeRefToUnknownRake(t *testing.T) {
 	r := FrameReply{Geometry: []Geometry{{Rake: 7, Lines: [][]vmath.Vec3{{{X: 0.5}}}}}}
 	// Teach the encoder the rake, then ask a *fresh* decoder to resolve
 	// the resulting reference.
-	enc.AppendFrame(nil, r, []uint64{9}, nil, nil, nil)
-	refFrame := enc.AppendFrame(nil, r, []uint64{9}, nil, nil, nil)
+	enc.AppendFrame(nil, r, seqRows(9))
+	refFrame := enc.AppendFrame(nil, r, seqRows(9))
 	dec := NewFrameDecoder(q)
 	if _, err := dec.Decode(refFrame); err == nil {
 		t.Fatal("reference to never-sent rake decoded silently")
@@ -334,7 +335,7 @@ func TestDecodeRefToUnknownRake(t *testing.T) {
 	// Same rake, wrong sequence: also an error.
 	dec2 := NewFrameDecoder(q)
 	enc2 := NewFrameEncoder(q)
-	key := enc2.AppendFrame(nil, r, []uint64{8}, nil, nil, nil)
+	key := enc2.AppendFrame(nil, r, seqRows(8))
 	if _, err := dec2.Decode(key); err != nil {
 		t.Fatal(err)
 	}
@@ -353,14 +354,14 @@ func TestDeltaRemovedRakePrunes(t *testing.T) {
 	full := FrameReply{Geometry: []Geometry{g}}
 	empty := FrameReply{}
 
-	if _, err := dec.Decode(enc.AppendFrame(nil, full, []uint64{1}, nil, nil, nil)); err != nil {
+	if _, err := dec.Decode(enc.AppendFrame(nil, full, seqRows(1))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Decode(enc.AppendFrame(nil, empty, nil, nil, nil, nil)); err != nil {
+	if _, err := dec.Decode(enc.AppendFrame(nil, empty, nil)); err != nil {
 		t.Fatal(err)
 	}
 	// Rake 1 returns with new content: must inline, and decode fine.
-	buf := enc.AppendFrame(nil, full, []uint64{2}, nil, nil, nil)
+	buf := enc.AppendFrame(nil, full, seqRows(2))
 	if enc.LastInline != 1 {
 		t.Fatalf("re-added rake not inlined (inline=%d ref=%d)", enc.LastInline, enc.LastRef)
 	}
@@ -382,7 +383,7 @@ func TestFrameV2MetaRoundTrip(t *testing.T) {
 	}
 	enc := NewFrameEncoder(q)
 	dec := NewFrameDecoder(q)
-	got, err := dec.Decode(enc.AppendFrame(nil, r, nil, nil, nil, nil))
+	got, err := dec.Decode(enc.AppendFrame(nil, r, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,13 +408,12 @@ func TestFrameV2CachedSegmentsMatchFresh(t *testing.T) {
 	r := FrameReply{Geometry: []Geometry{
 		randGeometry(rng, 1, q), randGeometry(rng, 2, q),
 	}}
-	seqs := []uint64{5, 6}
-	segs := [][]byte{
-		AppendGeomV2(nil, r.Geometry[0], q),
-		AppendGeomV2(nil, r.Geometry[1], q),
+	segs := []Segment{
+		{Seq: 5, Bytes: AppendGeomV2(nil, r.Geometry[0], q)},
+		{Seq: 6, Bytes: AppendGeomV2(nil, r.Geometry[1], q)},
 	}
-	fresh := NewFrameEncoder(q).AppendFrame(nil, r, seqs, nil, nil, nil)
-	cached := NewFrameEncoder(q).AppendFrame(nil, r, seqs, segs, nil, nil)
+	fresh := NewFrameEncoder(q).AppendFrame(nil, r, seqRows(5, 6))
+	cached := NewFrameEncoder(q).AppendFrame(nil, r, segs)
 	if !bytes.Equal(fresh, cached) {
 		t.Error("cached-segment encode differs from fresh encode")
 	}
@@ -453,6 +453,50 @@ func TestDecodeFrameV2HostileCounts(t *testing.T) {
 	}
 }
 
+// aliasFrame hand-builds the frame a hostile peer would send to make
+// one shadow serve both sections: a rake directory entry whose key is
+// 0xFFFFFFFF — rake id -1, the relay directory's key for tool kind 1 —
+// inlined at seq 7, then a tool section referencing kind 1 at seq 7.
+func aliasFrame() []byte {
+	e := encoder{}
+	e.u8(CodecV2)
+	e.f32(0)
+	e.f32(0)
+	e.bool(false)
+	e.bool(false)
+	e.u32(0)
+	e.i64(0)
+	e.i64(0)
+	e.u64(0)
+	e.u8(0)
+	e.uvarint(0) // users
+	e.uvarint(0) // rakes
+	e.uvarint(1) // one geometry entry
+	e.uvarint(0xFFFFFFFF)
+	e.u8(geomInline)
+	e.uvarint(7)
+	e.segment([]byte{ToolKindIso, 0}) // decodes as either section's segment
+	for i := 0; i < 3; i++ {
+		e.toolState(ToolState{})
+	}
+	e.uvarint(1) // one tool geometry entry
+	e.u8(ToolKindIso)
+	e.u8(geomRef)
+	e.uvarint(7)
+	return e.buf
+}
+
+// TestDecodeToolRefCannotAliasRake: the decoder takes any int32 rake
+// id off the wire, negatives included, and holds both sections in one
+// shadow — so the shadow key must carry the section. A rake entry
+// never satisfies a tool reference, whatever its id.
+func TestDecodeToolRefCannotAliasRake(t *testing.T) {
+	_, err := NewFrameDecoder(Quantizer{Max: vmath.V3(1, 1, 1)}).Decode(aliasFrame())
+	if err == nil || !strings.Contains(err.Error(), "unknown tool geometry") {
+		t.Fatalf("tool reference against a rake-section entry: err = %v, want unknown tool geometry", err)
+	}
+}
+
 // TestAppendGeomV2Layout pins the segment byte layout so the format
 // cannot drift silently: tool, varint counts, little-endian u16
 // triples.
@@ -467,4 +511,14 @@ func TestAppendGeomV2Layout(t *testing.T) {
 	if !bytes.Equal(seg, want) {
 		t.Errorf("segment = %x, want %x", seg, want)
 	}
+}
+
+// seqRows builds AppendFrame rows that carry only sequence numbers:
+// every segment encoded fresh, shadowed under the given seq.
+func seqRows(seqs ...uint64) []Segment {
+	rows := make([]Segment, len(seqs))
+	for i, seq := range seqs {
+		rows[i].Seq = seq
+	}
+	return rows
 }

@@ -78,10 +78,10 @@ func FuzzDecodeFrameV2(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{CodecV2})
 	enc := NewFrameEncoder(q)
-	f.Add(enc.AppendFrame(nil, frame, []uint64{7}, nil, nil, nil)) // keyframe
-	f.Add(enc.AppendFrame(nil, frame, []uint64{7}, nil, nil, nil)) // all-ref frame: on a fresh decoder, a never-sent reference
+	f.Add(enc.AppendFrame(nil, frame, seqRows(7))) // keyframe
+	f.Add(enc.AppendFrame(nil, frame, seqRows(7))) // all-ref frame: on a fresh decoder, a never-sent reference
 	// Truncated varint: a keyframe cut mid-count.
-	key := NewFrameEncoder(q).AppendFrame(nil, frame, []uint64{7}, nil, nil, nil)
+	key := NewFrameEncoder(q).AppendFrame(nil, frame, seqRows(7))
 	f.Add(key[:len(key)-7])
 	// Extreme quantized coordinates (0xFFFF everywhere past the header).
 	hostile := append([]byte{}, key...)
@@ -103,9 +103,9 @@ func FuzzDecodeFrameV2(f *testing.F) {
 		},
 	}
 	tenc := NewFrameEncoder(q)
-	f.Add(tenc.AppendFrame(nil, toolFrame, []uint64{7}, nil, []uint64{11, 12}, nil))
-	f.Add(tenc.AppendFrame(nil, toolFrame, []uint64{7}, nil, []uint64{11, 12}, nil))
-	tkey := NewFrameEncoder(q).AppendFrame(nil, toolFrame, []uint64{7}, nil, []uint64{11, 12}, nil)
+	f.Add(tenc.AppendFrame(nil, toolFrame, seqRows(7, 11, 12)))
+	f.Add(tenc.AppendFrame(nil, toolFrame, seqRows(7, 11, 12)))
+	tkey := NewFrameEncoder(q).AppendFrame(nil, toolFrame, seqRows(7, 11, 12))
 	f.Add(tkey[:len(tkey)-5]) // tool segment cut mid-record
 	// Hostile tool bytes: 0xFF over the trailing segment — huge vertex
 	// counts, unknown tool kinds, out-of-range quantized points.
@@ -114,6 +114,7 @@ func FuzzDecodeFrameV2(f *testing.F) {
 		thostile[i] = 0xff
 	}
 	f.Add(thostile)
+	f.Add(aliasFrame())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewFrameDecoder(q)
 		for pass := 0; pass < 2; pass++ {

@@ -41,13 +41,6 @@ const (
 // relayWantSegs is the request flag asking for the geometry directory.
 const relayWantSegs = 1
 
-// RelayShadowEntry is one (rake, sequence) pair the relay's segment
-// cache holds.
-type RelayShadowEntry struct {
-	Rake int32
-	Seq  uint64
-}
-
 // RelayFrameRequest is one downstream workstation's frame call as the
 // relay forwards it upstream.
 type RelayFrameRequest struct {
@@ -59,31 +52,21 @@ type RelayFrameRequest struct {
 	LastRound uint64
 	// Update is the workstation's encoded ClientUpdate, verbatim.
 	Update []byte
-	// Shadow lists the codec-v2 segments the relay holds; the origin
-	// replaces matching directory entries with references.
-	Shadow []RelayShadowEntry
+	// Shadow lists the codec-v2 segments the relay holds (Key and Seq
+	// travel; Bytes stay home); the origin replaces matching directory
+	// entries with references.
+	Shadow []Segment
 }
 
-// ShadowHas reports whether the request's shadow holds (rake, seq).
+// ShadowHas reports whether the request's shadow holds (key, seq).
 // Shadows are a handful of entries; the linear scan beats a map.
-func (r *RelayFrameRequest) ShadowHas(rake int32, seq uint64) bool {
+func (r *RelayFrameRequest) ShadowHas(key int32, seq uint64) bool {
 	for _, e := range r.Shadow {
-		if e.Rake == rake && e.Seq == seq {
+		if e.Key == key && e.Seq == seq {
 			return true
 		}
 	}
 	return false
-}
-
-// RelaySegment is one geometry-directory entry of a full relay reply,
-// aligned with the round's FrameReply.Geometry.
-type RelaySegment struct {
-	Rake int32
-	Seq  uint64
-	// Inline carries the quantized segment bytes; a non-inline entry
-	// references a segment the request's shadow proved the relay holds.
-	Inline bool
-	Seg    []byte
 }
 
 // RelayFrameReply is the upstream answer: a marker when the relay's
@@ -94,9 +77,13 @@ type RelayFrameReply struct {
 	// Frame is the origin's codec-v1 round buffer, verbatim (full
 	// replies only).
 	Frame []byte
-	// HasDir marks a geometry directory (requests with WantSegs).
+	// HasDir marks a geometry directory (requests with WantSegs): one
+	// row per entry of the frame's geometry list, then one per tool
+	// geometry. A row with Bytes carries the origin's quantized segment;
+	// a row without references a segment the request's shadow proved
+	// the relay holds.
 	HasDir bool
-	Dir    []RelaySegment
+	Dir    []Segment
 }
 
 // AppendRelayFrameRequest appends the wire encoding of req.
@@ -112,7 +99,7 @@ func AppendRelayFrameRequest(dst []byte, req RelayFrameRequest) []byte {
 	e.buf = append(e.buf, req.Update...)
 	e.uvarint(uint64(len(req.Shadow)))
 	for _, s := range req.Shadow {
-		e.uvarint(uint64(uint32(s.Rake)))
+		e.uvarint(uint64(uint32(s.Key)))
 		e.uvarint(s.Seq)
 	}
 	return e.buf
@@ -132,9 +119,9 @@ func DecodeRelayFrameRequest(buf []byte) (RelayFrameRequest, error) {
 	if d.err != nil {
 		return RelayFrameRequest{}, d.err
 	}
-	req.Shadow = make([]RelayShadowEntry, nShadow)
+	req.Shadow = make([]Segment, nShadow)
 	for i := range req.Shadow {
-		req.Shadow[i].Rake = int32(uint32(d.uvarint()))
+		req.Shadow[i].Key = int32(uint32(d.uvarint()))
 		req.Shadow[i].Seq = d.uvarint()
 	}
 	if d.err != nil {
@@ -174,15 +161,14 @@ func AppendRelayFrameReply(dst []byte, rep RelayFrameReply) []byte {
 	e.u8(1)
 	e.uvarint(uint64(len(rep.Dir)))
 	for _, s := range rep.Dir {
-		e.uvarint(uint64(uint32(s.Rake)))
+		e.uvarint(uint64(uint32(s.Key)))
 		e.uvarint(s.Seq)
-		if !s.Inline {
+		if s.Bytes == nil {
 			e.u8(geomRef)
 			continue
 		}
 		e.u8(geomInline)
-		e.uvarint(uint64(len(s.Seg)))
-		e.buf = append(e.buf, s.Seg...)
+		e.segment(s.Bytes)
 	}
 	return e.buf
 }
@@ -225,19 +211,23 @@ func DecodeRelayFrameReply(buf []byte) (RelayFrameReply, error) {
 	if d.err != nil {
 		return RelayFrameReply{}, d.err
 	}
-	rep.Dir = make([]RelaySegment, nDir)
+	rep.Dir = make([]Segment, nDir)
 	for i := range rep.Dir {
 		s := &rep.Dir[i]
-		s.Rake = int32(uint32(d.uvarint()))
+		s.Key = int32(uint32(d.uvarint()))
 		s.Seq = d.uvarint()
 		switch k := d.u8(); {
 		case d.err != nil:
 			return RelayFrameReply{}, d.err
 		case k == geomRef:
 		case k == geomInline:
-			s.Inline = true
+			// Every segment has at least a tool byte and a count, so
+			// "no bytes" can only ever mean a reference.
 			segLen := d.uvarintCount(len(d.buf), 1)
-			s.Seg = d.take(segLen)
+			s.Bytes = d.take(segLen)
+			if d.err == nil && segLen == 0 {
+				d.errf("empty inline relay segment")
+			}
 			if d.err != nil {
 				return RelayFrameReply{}, d.err
 			}

@@ -15,10 +15,10 @@ var relayRequests = []RelayFrameRequest{
 		WantSegs:  true,
 		LastRound: 41,
 		Update:    bytes.Repeat([]byte{0xab}, 64),
-		Shadow: []RelayShadowEntry{
-			{Rake: 1, Seq: 9},
-			{Rake: 12, Seq: 1},
-			{Rake: -3, Seq: 1 << 40}, // hostile-ish ids must survive the trip
+		Shadow: []Segment{
+			{Key: 1, Seq: 9},
+			{Key: 12, Seq: 1},
+			{Key: -3, Seq: 1 << 40}, // tool keys (and hostile ids) must survive the trip
 		},
 	},
 }
@@ -41,7 +41,7 @@ func TestRelayFrameRequestRoundTrip(t *testing.T) {
 			t.Fatalf("request %d: %d shadow entries, want %d", i, len(got.Shadow), len(req.Shadow))
 		}
 		for j, e := range req.Shadow {
-			if got.Shadow[j] != e {
+			if got.Shadow[j].Key != e.Key || got.Shadow[j].Seq != e.Seq {
 				t.Errorf("request %d shadow %d = %+v, want %+v", i, j, got.Shadow[j], e)
 			}
 		}
@@ -49,7 +49,7 @@ func TestRelayFrameRequestRoundTrip(t *testing.T) {
 }
 
 func TestRelayShadowHas(t *testing.T) {
-	req := RelayFrameRequest{Shadow: []RelayShadowEntry{{Rake: 1, Seq: 9}, {Rake: 2, Seq: 4}}}
+	req := RelayFrameRequest{Shadow: []Segment{{Key: 1, Seq: 9}, {Key: 2, Seq: 4}}}
 	if !req.ShadowHas(1, 9) || !req.ShadowHas(2, 4) {
 		t.Error("held entries not found")
 	}
@@ -71,10 +71,10 @@ var relayReplies = []RelayFrameReply{
 		Round:  10,
 		Frame:  bytes.Repeat([]byte{0x5c}, 48),
 		HasDir: true,
-		Dir: []RelaySegment{
-			{Rake: 1, Seq: 4, Inline: true, Seg: []byte{9, 9, 9}},
-			{Rake: 2, Seq: 17}, // reference: the shadow already holds it
-			{Rake: 5, Seq: 1, Inline: true, Seg: nil},
+		Dir: []Segment{
+			{Key: 1, Seq: 4, Bytes: []byte{9, 9, 9}},
+			{Key: 2, Seq: 17},                      // reference: the shadow already holds it
+			{Key: -1, Seq: 1, Bytes: []byte{1, 0}}, // the smallest segment: a tool byte and a zero count
 		},
 	},
 }
@@ -98,7 +98,7 @@ func TestRelayFrameReplyRoundTrip(t *testing.T) {
 		}
 		for j, e := range rep.Dir {
 			g := got.Dir[j]
-			if g.Rake != e.Rake || g.Seq != e.Seq || g.Inline != e.Inline || !bytes.Equal(g.Seg, e.Seg) {
+			if g.Key != e.Key || g.Seq != e.Seq || (g.Bytes == nil) != (e.Bytes == nil) || !bytes.Equal(g.Bytes, e.Bytes) {
 				t.Errorf("reply %d dir %d = %+v, want %+v", i, j, g, e)
 			}
 		}
@@ -175,6 +175,22 @@ func TestRelayDecodeHostileInput(t *testing.T) {
 	bad[bytes.Index(bad, []byte{9, 9, 9})-2] = 0x7e
 	if _, err := DecodeRelayFrameReply(bad); err == nil {
 		t.Error("unknown segment kind accepted")
+	}
+
+	// An inline entry with no bytes would read back as a reference; the
+	// decoder refuses it (a real segment is never shorter than 2 bytes).
+	e := encoder{}
+	e.u8(relayFull)
+	e.u64(1)
+	e.uvarint(0) // empty frame
+	e.u8(1)      // has directory
+	e.uvarint(1) // one entry
+	e.uvarint(1) // key
+	e.uvarint(1) // seq
+	e.u8(geomInline)
+	e.uvarint(0) // zero-length segment
+	if _, err := DecodeRelayFrameReply(e.buf); err == nil || !strings.Contains(err.Error(), "empty inline") {
+		t.Errorf("empty inline segment: err = %v", err)
 	}
 }
 
