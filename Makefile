@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-stats chaos fuzz fuzz-server fuzz-wire ci bench bench-smoke bench-check bench-module loc load load-relay relay soak live tools
+.PHONY: all build test race vet lint lint-stats chaos fuzz fuzz-server fuzz-wire ci bench bench-module loc load load-relay relay soak live tools
 
 all: build test
 
@@ -86,21 +86,10 @@ tools:
 	$(GO) test -race -count=1 -run xxx -fuzz FuzzToolCommand -fuzztime 5s ./internal/server/
 
 # The gate a change must pass before merging.
-ci: vet lint race relay live tools bench-check bench-module fuzz-wire load-relay
+ci: vet lint race relay live tools bench-module fuzz-wire load-relay
 
 bench:
 	$(GO) test -bench . -benchmem ./...
-
-# One fast pass over the frame-pipeline benchmark, so ci notices an
-# allocation or latency regression without the full bench suite.
-bench-smoke:
-	$(GO) test -run xxx -bench BenchmarkServerMultiRakeFrame -benchmem -benchtime 200x .
-
-# Bench-regression tripwire: run the frame-pipeline and fan-out
-# benchmarks and fail on >2x ns/op or allocs/op versus the checked-in
-# baseline. After an intentional perf change:  go run ./cmd/benchcheck -update
-bench-check:
-	$(GO) run ./cmd/benchcheck
 
 # The nested benchmark/ module builds against this module's internal
 # packages through a replace directive, so `go build ./...` here never

@@ -759,9 +759,8 @@ func BenchmarkAblationEncoding(b *testing.B) {
 // ends of the Wire 2.0 cost spectrum on a ~12,800-point scene:
 // "keyframe" resets the session shadow each op so every rake is
 // inlined and quantized, "steady" keeps the shadow warm so every rake
-// collapses to a reference record. benchcheck pins both so a lost
-// delta (steady frames silently re-inlining) or a quantizer slowdown
-// fails the gate.
+// collapses to a reference record. wire.TestAppendFrameAllocs pins
+// both at zero allocations.
 func BenchmarkFrameEncodeV2(b *testing.B) {
 	q := wire.Quantizer{Min: vmath.V3(0, 0, 0), Max: vmath.V3(24, 32, 10)}
 	const nRakes, nLines, nPts = 8, 16, 100

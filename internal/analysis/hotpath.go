@@ -7,8 +7,8 @@ import (
 
 // HotPath flags allocation sources inside functions marked
 // //vw:hotpath — the per-frame code (recompute, rake integration,
-// wire encode) whose allocs/frame budget the bench tripwire guards.
-// The analyzer catches the cause before benchcheck catches the
+// wire encode) whose allocs/frame budget the steady-frame alloc
+// tests guard. The analyzer catches the cause before they catch the
 // symptom. Five things are flagged:
 //
 //   - make and new

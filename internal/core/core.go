@@ -48,9 +48,6 @@ type Options struct {
 	// MaxSeedsPerRake caps client-requested seed counts server-side;
 	// zero uses the server default.
 	MaxSeedsPerRake int
-	// RakeWorkers bounds concurrent per-rake recomputation server-side;
-	// zero uses GOMAXPROCS.
-	RakeWorkers int
 	// CacheSteps / CacheBytes budget the shared timestep cache between
 	// the server and an I/O-backed store; both zero disables it.
 	CacheSteps int
@@ -102,7 +99,6 @@ func LaunchLocal(dataset *field.Unsteady, opts Options) (*Session, error) {
 		Options:         opts.Integration,
 		Prefetch:        opts.Prefetch,
 		MaxSeedsPerRake: opts.MaxSeedsPerRake,
-		RakeWorkers:     opts.RakeWorkers,
 		Budget:          opts.Budget,
 		MaxCodec:        opts.MaxCodec,
 		Iso:             opts.Iso,
@@ -126,7 +122,6 @@ func Serve(ln net.Listener, st store.Store, opts Options) (*server.Server, error
 		Options:         opts.Integration,
 		Prefetch:        opts.Prefetch,
 		MaxSeedsPerRake: opts.MaxSeedsPerRake,
-		RakeWorkers:     opts.RakeWorkers,
 		CacheSteps:      opts.CacheSteps,
 		CacheBytes:      opts.CacheBytes,
 		Budget:          opts.Budget,
@@ -168,7 +163,6 @@ func ServeLive(ln net.Listener, lv *datasets.Live, opts Options) (*server.Server
 		Engine:          opts.Engine,
 		Options:         opts.Integration,
 		MaxSeedsPerRake: opts.MaxSeedsPerRake,
-		RakeWorkers:     opts.RakeWorkers,
 		Budget:          opts.Budget,
 		MaxCodec:        opts.MaxCodec,
 		Iso:             opts.Iso,

@@ -11,11 +11,9 @@ import (
 // TestReplyDoneHookFiresAfterWrite pins the zero-copy reply contract:
 // a handler that registers ReplyDone gets exactly one callback per
 // call, after the reply has shipped, and the bytes the client receives
-// are the handler's (no CopyReplies interference even when the flag is
-// set).
+// are the handler's.
 func TestReplyDoneHookFiresAfterWrite(t *testing.T) {
 	srv := NewServer()
-	srv.CopyReplies = true
 	buf := []byte("shared-round-buffer")
 	var released atomic.Int64
 	srv.Register("frame", func(ctx *Ctx, _ []byte) ([]byte, error) {

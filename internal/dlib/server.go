@@ -28,6 +28,17 @@ func (e *RemoteError) Error() string {
 // Handler executes one procedure. ctx carries the calling session and
 // the server's persistent state. The returned bytes travel back to the
 // caller.
+//
+// The reply is written after the serial dispatch lock is released (a
+// slow client must not stall dispatch) and is never copied, so the
+// returned buffer must stay untouched until that write completes. A
+// handler meets that one of three ways: the buffer is fresh (allocated
+// for this reply and never written again); it is session-owned (only
+// this session's later calls rewrite it — the connection loop finishes
+// writing each reply before it reads the next call); or the handler
+// registered a Ctx.ReplyDone hook and keeps the buffer valid until the
+// hook fires, typically by ref-counting a buffer shared across
+// sessions.
 type Handler func(ctx *Ctx, payload []byte) ([]byte, error)
 
 // Ctx is passed to every handler invocation.
@@ -71,8 +82,7 @@ func (c *Ctx) takeHangup() bool {
 // needs the bytes the current handler is about to return — after the
 // reply write completes (or fails), or immediately if the call errors.
 // A handler that registers a hook promises its buffer stays valid
-// until the hook fires; in exchange the server skips the CopyReplies
-// memcpy for this reply, so one encoded buffer can fan out to many
+// until the hook fires, so one encoded buffer can fan out to many
 // sessions with zero per-session copies (ref-counted by the caller).
 // The registration is consumed by the current call; it does not
 // persist to later calls on the session.
@@ -146,19 +156,6 @@ type Server struct {
 	// uses the wall clock. Tests inject a netsim.ManualClock so
 	// timeout behavior is driven deterministically. Set before Serve.
 	Clock netsim.Clock
-
-	// CopyReplies copies each handler's reply into a per-connection
-	// scratch buffer before the serial dispatch lock is released.
-	// Reply writes happen outside that lock (a slow client must not
-	// stall dispatch), so without the copy a handler may not reuse a
-	// returned buffer — the previous reply could still be in flight on
-	// another connection. With it, handlers are free to encode every
-	// reply into one recycled buffer. Costs one memcpy per reply.
-	//
-	// A handler that registers a Ctx.ReplyDone hook opts out of the
-	// copy for that reply: it keeps the buffer valid until the hook
-	// fires, typically by ref-counting, and the reply ships zero-copy.
-	CopyReplies bool
 
 	reaped atomic.Int64
 
@@ -267,7 +264,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	var writeMu sync.Mutex
-	var replyScratch []byte // CopyReplies destination, reused per call
 	ctx := &Ctx{Session: sess, Server: s}
 	for {
 		if s.IdleTimeout > 0 {
@@ -293,7 +289,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		reply, done, hangup := s.dispatch(ctx, f, &replyScratch)
+		reply, done, hangup := s.dispatch(ctx, f)
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout)) //vw:allow wallclock -- net.Conn deadline
 		}
@@ -324,20 +320,17 @@ func (s *Server) serveConn(conn net.Conn) {
 // disconnected.
 func (s *Server) ReapedSessions() int64 { return s.reaped.Load() }
 
-// dispatch runs one call under the global serial lock. scratch is the
-// connection-owned reply buffer used when CopyReplies is set; the copy
-// into it must happen before the dispatch lock is released (see
-// CopyReplies). Per-connection reuse of scratch is safe because the
-// connection loop fully writes each reply before reading the next
-// call.
+// dispatch runs one call under the global serial lock and returns the
+// reply frame to write once the lock is released (see Handler for what
+// that asks of the reply buffer).
 //
 // The second return value is the handler's pending ReplyDone hook when
-// the reply ships zero-copy: the caller must invoke it once the reply
-// bytes are no longer needed. In every other outcome (error, copy,
-// timeout) dispatch settles the hook itself and returns nil. The third
-// return value reports a handler Hangup request: the caller closes the
-// connection after writing this reply.
-func (s *Server) dispatch(ctx *Ctx, f frame, scratch *[]byte) (frame, func(), bool) {
+// a reply ships: the caller must invoke it once the reply bytes are no
+// longer needed. In every other outcome (error, timeout) dispatch
+// settles the hook itself and returns nil. The third return value
+// reports a handler Hangup request: the caller closes the connection
+// after writing this reply.
+func (s *Server) dispatch(ctx *Ctx, f frame) (frame, func(), bool) {
 	s.mu.Lock()
 	h, ok := s.handlers[f.proc]
 	s.mu.Unlock()
@@ -349,78 +342,52 @@ func (s *Server) dispatch(ctx *Ctx, f frame, scratch *[]byte) (frame, func(), bo
 	s.calls.Add(1)
 	start := clk.Now()
 
+	var out []byte
+	var err error
 	if s.HandlerTimeout <= 0 {
-		out, err := safeCall(h, ctx, f.payload)
-		s.metrics.record(f.proc, clk.Now().Sub(start), len(f.payload), len(out), err != nil)
-		cb := ctx.takeReplyDone()
-		hang := ctx.takeHangup()
-		if err != nil {
-			// The reply buffer is never used; settle the hook now.
-			if cb != nil {
-				cb()
-			}
-			s.dispatchMu.Unlock()
-			return frame{kind: frameError, id: f.id, payload: []byte(err.Error())}, nil, hang
-		}
-		if cb == nil && s.CopyReplies {
-			*scratch = append((*scratch)[:0], out...)
-			out = *scratch
-		}
-		s.dispatchMu.Unlock()
-		return frame{kind: frameReply, id: f.id, payload: out}, cb, hang
-	}
-
-	// Bounded execution: run the handler aside and wait at most
-	// HandlerTimeout. On expiry the caller gets an error reply now; the
-	// goroutine releases the dispatch lock whenever the handler truly
-	// finishes, preserving the serial-execution invariant.
-	type result struct {
-		out []byte
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		out, err := safeCall(h, ctx, f.payload)
-		done <- result{out, err}
-	}()
-	select {
-	case res := <-done:
-		s.metrics.record(f.proc, clk.Now().Sub(start), len(f.payload), len(res.out), res.err != nil)
-		cb := ctx.takeReplyDone()
-		hang := ctx.takeHangup()
-		if res.err != nil {
-			if cb != nil {
-				cb()
-			}
-			s.dispatchMu.Unlock()
-			return frame{kind: frameError, id: f.id, payload: []byte(res.err.Error())}, nil, hang
-		}
-		if cb == nil && s.CopyReplies {
-			*scratch = append((*scratch)[:0], res.out...)
-			res.out = *scratch
-		}
-		s.dispatchMu.Unlock()
-		return frame{kind: frameReply, id: f.id, payload: res.out}, cb, hang
-	case <-clk.After(s.HandlerTimeout):
-		s.metrics.record(f.proc, clk.Now().Sub(start), len(f.payload), 0, true)
-		if s.Logf != nil {
-			s.Logf("dlib: %s exceeded handler timeout %v", f.proc, s.HandlerTimeout)
-		}
+		out, err = safeCall(h, ctx, f.payload)
+	} else {
+		// Bounded execution: run the handler aside and wait at most
+		// HandlerTimeout. On expiry the caller gets an error reply now;
+		// the goroutine releases the dispatch lock whenever the handler
+		// truly finishes, preserving the serial-execution invariant.
+		done := make(chan struct{})
 		go func() {
-			<-done // wait out the straggler, then free serial dispatch
-			// The caller already got an error frame; the straggler's
-			// reply buffer is discarded, so settle its hook (and any
-			// hangup request) here while still holding the dispatch
-			// lock.
-			if cb := ctx.takeReplyDone(); cb != nil {
-				cb()
-			}
-			ctx.takeHangup()
-			s.dispatchMu.Unlock()
+			out, err = safeCall(h, ctx, f.payload)
+			close(done)
 		}()
-		return frame{kind: frameError, id: f.id,
-			payload: []byte(fmt.Sprintf("%s timed out after %v", f.proc, s.HandlerTimeout))}, nil, false
+		select {
+		case <-done:
+		case <-clk.After(s.HandlerTimeout):
+			s.metrics.record(f.proc, clk.Now().Sub(start), len(f.payload), 0, true)
+			if s.Logf != nil {
+				s.Logf("dlib: %s exceeded handler timeout %v", f.proc, s.HandlerTimeout)
+			}
+			go func() {
+				<-done // wait out the straggler, then free serial dispatch
+				// The caller already got an error frame; the straggler's
+				// reply buffer is discarded, so settle its hook (and any
+				// hangup request) here while still holding the dispatch
+				// lock.
+				ctx.FinishReply()
+				ctx.takeHangup()
+				s.dispatchMu.Unlock()
+			}()
+			return frame{kind: frameError, id: f.id,
+				payload: []byte(fmt.Sprintf("%s timed out after %v", f.proc, s.HandlerTimeout))}, nil, false
+		}
 	}
+	s.metrics.record(f.proc, clk.Now().Sub(start), len(f.payload), len(out), err != nil)
+	hang := ctx.takeHangup()
+	if err != nil {
+		// The reply buffer is never used; settle the hook now.
+		ctx.FinishReply()
+		s.dispatchMu.Unlock()
+		return frame{kind: frameError, id: f.id, payload: []byte(err.Error())}, nil, hang
+	}
+	cb := ctx.takeReplyDone()
+	s.dispatchMu.Unlock()
+	return frame{kind: frameReply, id: f.id, payload: out}, cb, hang
 }
 
 // clock returns the injected Clock, defaulting to the wall clock.

@@ -103,8 +103,10 @@ func (s Stats) HitRate() float64 {
 // serial, so handlers access it without extra locking.
 type upCache struct {
 	round uint64
-	// frame is the origin's codec-v1 round buffer, verbatim; meta is
-	// its decoded form (haveMeta guards the zero value).
+	// frame is the origin's codec-v1 round buffer, verbatim — replaced
+	// by each new round, never rewritten in place, because v1 replies
+	// still being written reference the old one; meta is its decoded
+	// form (haveMeta guards the zero value).
 	frame    []byte
 	meta     wire.FrameReply
 	haveMeta bool
@@ -173,10 +175,12 @@ func New(cfg Config) (*Relay, error) {
 	for i := range r.caches {
 		r.caches[i] = &upCache{segs: make(map[int32]wire.Segment)}
 	}
-	// Replies are assembled in recycled per-session scratch and cache
-	// buffers that later rounds overwrite; copy-under-dispatch gives
-	// them to the writer safely without per-reply hooks.
-	r.d.CopyReplies = true
+	// Every reply meets dlib.Handler's buffer contract without a hook:
+	// proxied calls return the upstream client's freshly read reply; a v1
+	// frame is upCache.frame, which a new round replaces and never
+	// rewrites in place; v2 and chained frames are assembled in the
+	// calling session's own st.buf, which only that session's next call
+	// rewrites.
 	r.d.Register(wire.ProcHello, r.handleHello)
 	r.d.Register(wire.ProcHello2, r.handleHello2)
 	r.d.Register(wire.ProcWhoAmI, r.handleWhoAmI)

@@ -9,7 +9,6 @@ package server
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -23,6 +22,9 @@ import (
 	"repro/internal/vmath"
 	"repro/internal/wire"
 )
+
+// maxStreakParticles bounds each streakline rake's particle count.
+const maxStreakParticles = 20000
 
 // segCache is what every geometry source — a rake or a shared tool —
 // hands the round: its codec-v2 identity, its encode-once segment, and
@@ -72,22 +74,21 @@ type rakeGeom struct {
 	touch uint64 // last round this rake was seen, for sweeping
 }
 
-// rakeJob is one dirty rake queued for recomputation, carrying the
-// governor's per-rake decision for the round.
+// rakeJob is one dirty rake queued for recomputation.
 type rakeJob struct {
 	idx    int // index into geomWire
 	snap   env.RakeSnapshot
 	gc     *rakeGeom
 	streak *integrate.Streak // non-nil for streakline rakes
 
-	// upgrade marks a rake whose memo is valid but was computed at
-	// shed fidelity; the planner either re-admits it to full fidelity
-	// or sets skip to keep serving the clamped memo.
+	// upgrade marks a rake whose memo is valid but was computed at shed
+	// fidelity; the governor either re-admits it to full fidelity or
+	// leaves it on the clamped memo.
 	upgrade bool
-	skip    bool
-	// level is the planned fidelity; engine overrides cfg.Engine for
-	// shed batches (nil = configured engine).
-	level  shedLevel
+	// plan is the job's row of the governor's ladder for this round: the
+	// level to integrate at, or skip to keep serving the memo. engine
+	// overrides cfg.Engine for shed batches (nil = configured engine).
+	plan   *demand
 	engine compute.Engine
 	// units is the measured §5.3 work the job actually did, written by
 	// computeRake and folded into the governor's EWMA.
@@ -320,7 +321,7 @@ func (s *Server) collectLocked(g *grid.Grid, ts env.TimeState, step int) (reused
 		if rake.Tool == integrate.ToolStreakline {
 			streak = s.streaks[rake.ID]
 			if streak == nil {
-				streak = integrate.NewStreak(s.cfg.MaxStreakParticles)
+				streak = integrate.NewStreak(maxStreakParticles)
 				s.streaks[rake.ID] = streak
 			}
 		}
@@ -351,7 +352,7 @@ func (s *Server) collectLocked(g *grid.Grid, ts env.TimeState, step int) (reused
 func (s *Server) numberJobsLocked() (computed int, units int64) {
 	for i := range s.jobs {
 		j := &s.jobs[i]
-		if j.skip {
+		if j.plan.skip {
 			continue
 		}
 		s.geoSeq++
@@ -425,109 +426,59 @@ func (s *Server) encodeRoundLocked(ts env.TimeState, loadTime, computeTime time.
 	return tot
 }
 
-// planJobsLocked runs the governor over this round's jobs: it prices
-// each mandatory (dirty) job, reserves the shared tools' slice of the
-// budget (tools coarsen before any rake sheds), asks the planner for
-// shed levels, then greedily re-admits upgrade candidates — valid
-// memos computed at shed fidelity — back to full fidelity in rake
-// order while the predicted frame stays under budget. Caller holds
-// s.mu.
+// planJobsLocked is the plan stage: it lays the round's sources out as
+// the governor's ladder — the shared tools in table order, then one row
+// per job — and lets the governor decide every stride and level in one
+// pass. computeRake and computeToolsLocked read the decisions from the
+// rows. Caller holds s.mu.
 func (s *Server) planJobsLocked() time.Duration {
+	g := s.st.Grid()
+	s.rows = s.rows[:0]
+	for _, t := range toolTable(s.toolSnap) {
+		d := demand{class: classTool}
+		if t.state.Enabled {
+			// Enabled tools are charged whether or not their memo will
+			// hit: the stride is chosen before the memo is consulted.
+			for k, stride := range toolStrides {
+				d.rungs[k] = t.units(g, t.state, stride)
+			}
+			d.units = d.rungs[0]
+		}
+		s.rows = append(s.rows, d)
+	}
 	upp := compute.UnitsPerPoint(s.cfg.Options.Method)
-	fullSteps := s.cfg.Options.MaxSteps
-	s.reqScratch = s.reqScratch[:0]
-	s.reqJobs = s.reqJobs[:0]
 	for i := range s.jobs {
 		j := &s.jobs[i]
-		j.level = shedLevel{Seeds: len(j.gc.seeds), Steps: fullSteps}
-		j.engine = nil
-		j.skip = false
-		j.units = 0
-		if j.upgrade {
-			continue
+		d := demand{
+			class: classFree, upgrade: j.upgrade,
+			seeds: len(j.gc.seeds), steps: s.cfg.Options.MaxSteps, perPoint: upp,
 		}
-		req := shedRequest{Seeds: len(j.gc.seeds), Steps: fullSteps}
+		d.units = int64(d.seeds) * int64(d.steps) * upp
 		if j.streak != nil {
 			// Streaklines advance existing particles plus one emission
-			// per seed; they are priced but never clamped.
-			req.Fixed = true
-			req.Units = (int64(len(j.streak.Particles)) + int64(req.Seeds)) * upp
-		} else {
-			req.Units = int64(req.Seeds) * int64(req.Steps) * upp
-			req.Held = j.snap.Holder != 0
+			// per seed; they are priced but never clamped. Never an
+			// upgrade candidate: collectLocked's memoValid excludes them.
+			d.class = classFixed
+			d.units = (int64(len(j.streak.Particles)) + int64(d.seeds)) * upp
+		} else if j.snap.Holder != 0 {
+			d.class = classHeld
 		}
-		s.reqScratch = append(s.reqScratch, req)
-		s.reqJobs = append(s.reqJobs, i)
+		s.rows = append(s.rows, d)
 	}
-	// Shared tools plan first: pick the stride whose cost fits beside
-	// the rakes' full demand, and reserve that slice of the budget so
-	// the rake planner sheds around it.
-	var rakeUnits int64
-	for _, r := range s.reqScratch {
-		rakeUnits += r.Units
-	}
-	s.toolStride, s.toolReserve = s.planToolsLocked(s.st.Grid(), rakeUnits)
-	if cap(s.lvlScratch) < len(s.reqScratch) {
-		s.lvlScratch = make([]shedLevel, len(s.reqScratch))
-	}
-	lvls := s.lvlScratch[:len(s.reqScratch)]
-	predicted, shed := s.gov.plan(s.reqScratch, lvls, s.toolReserve)
-	var plannedUnits int64
-	for k, i := range s.reqJobs {
+	predicted, shed := s.gov.plan(s.rows)
+	var planned int64
+	for i := range s.jobs {
 		j := &s.jobs[i]
-		j.level = lvls[k]
-		if s.reqScratch[k].Fixed {
-			plannedUnits += s.reqScratch[k].Units
-		} else {
-			plannedUnits += int64(lvls[k].Seeds) * int64(lvls[k].Steps) * upp
-		}
-		if shed && j.streak == nil {
+		j.plan = &s.rows[numTools+i]
+		planned += j.plan.planned
+		if shed && j.streak == nil && !j.plan.skip {
 			// Only shed rounds switch engines, so an ungoverned (or
 			// under-budget) server stays byte-identical to the
 			// configured engine's output.
-			j.engine = s.gov.engineFor(j.level.Seeds)
+			j.engine = s.gov.engineFor(j.plan.level.Seeds)
 		}
 	}
-	for i := range s.jobs {
-		j := &s.jobs[i]
-		if !j.upgrade {
-			continue
-		}
-		units := int64(len(j.gc.seeds)) * int64(fullSteps) * upp
-		cost := s.gov.predict(units)
-		if shed || (s.gov.enabled() && s.gov.calibrated() &&
-			predicted+cost > s.gov.effectiveBudget()-s.toolReserve) {
-			j.skip = true
-			continue
-		}
-		predicted += cost
-		plannedUnits += units
-	}
-	// Guarantee progress on idle rounds: when no rake is dirty and the
-	// budget admitted nothing (a single rake's full cost can exceed
-	// the budget), restore the first candidate anyway — otherwise a
-	// paused, degraded scene would stay degraded forever.
-	if len(s.reqScratch) == 0 {
-		admitted := false
-		for i := range s.jobs {
-			if s.jobs[i].upgrade && !s.jobs[i].skip {
-				admitted = true
-				break
-			}
-		}
-		if !admitted {
-			for i := range s.jobs {
-				if s.jobs[i].upgrade {
-					s.jobs[i].skip = false
-					units := int64(len(s.jobs[i].gc.seeds)) * int64(fullSteps) * upp
-					predicted += s.gov.predict(units)
-					plannedUnits += units
-					break
-				}
-			}
-		}
-	}
-	s.stats.PlannedTime += s.gov.predict(plannedUnits)
+	s.stats.PlannedTime += s.gov.predict(planned)
 	return predicted
 }
 
@@ -538,13 +489,7 @@ func (s *Server) planJobsLocked() time.Duration {
 // round and the parent blocks on the WaitGroup, so worker reads of
 // s.jobs race with nothing.
 func (s *Server) runJobsLocked(batch compute.SteadyBatch, g *grid.Grid, ts env.TimeState, step int) {
-	workers := s.cfg.RakeWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(s.jobs) {
-		workers = len(s.jobs)
-	}
+	workers := min(s.cfg.RakeWorkers, len(s.jobs))
 	if workers <= 1 {
 		for i := range s.jobs {
 			s.computeRake(&s.jobs[i], batch, g, ts, step)
@@ -576,8 +521,8 @@ func (s *Server) runJobsLocked(batch compute.SteadyBatch, g *grid.Grid, ts env.T
 //
 //vw:hotpath
 func (s *Server) computeRake(j *rakeJob, batch compute.SteadyBatch, g *grid.Grid, ts env.TimeState, step int) {
-	if j.skip {
-		// The planner kept this rake's shed-fidelity memo; the round
+	if j.plan.skip {
+		// The governor kept this rake's shed-fidelity memo; the round
 		// serves gc.geo verbatim.
 		return
 	}
@@ -588,11 +533,12 @@ func (s *Server) computeRake(j *rakeJob, batch compute.SteadyBatch, g *grid.Grid
 	if j.streak == nil {
 		// Shed levels: a prefix of the seed row and a truncated step
 		// bound, so a tighter budget strictly shrinks the output.
-		if j.level.Seeds > 0 && j.level.Seeds < len(seeds) {
-			seeds = seeds[:j.level.Seeds]
+		lv := j.plan.level
+		if lv.Seeds > 0 && lv.Seeds < len(seeds) {
+			seeds = seeds[:lv.Seeds]
 		}
-		if j.level.Steps > 0 && j.level.Steps < opts.MaxSteps {
-			opts.MaxSteps = j.level.Steps
+		if lv.Steps > 0 && lv.Steps < opts.MaxSteps {
+			opts.MaxSteps = lv.Steps
 		}
 	}
 	eng := s.cfg.Engine

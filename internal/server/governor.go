@@ -2,20 +2,23 @@
 // Table 3) is that integration throughput bounds how many path points
 // fit in a 0.1 s frame: the Convex served however many particles fit
 // the budget, no more. The governor reproduces that behavior
-// adaptively: it prices every dirty rake in the §5.3 work units the
-// CostModel counts (compute.UnitsPerPoint x seeds x steps), converts
-// units to predicted time with a live EWMA of measured ns/unit, and —
-// when the prediction exceeds the configured budget — sheds load
-// deterministically before the frame runs, instead of blowing the
-// deadline and discovering it afterwards.
+// adaptively: it prices every source of the frame — each dirty rake
+// (compute.UnitsPerPoint x seeds x steps) and each enabled shared tool
+// (cells marched at a stride) — in the §5.3 work units the CostModel
+// counts, converts units to predicted time with a live EWMA of measured
+// ns/unit, and — when the prediction exceeds the configured budget —
+// sheds load deterministically before the frame runs, instead of
+// blowing the deadline and discovering it afterwards.
 //
-// Shedding is ordered by the paper's conflict-resolution priority:
-// free rakes degrade first, FCFS-grabbed rakes (someone is actively
-// holding them) degrade last. Within a rake, steps shed before seeds —
-// shorter paths first, fewer paths only under heavy pressure — and no
-// rake is ever starved below one seed and a small step floor.
-// Streaklines carry cross-frame particle state, so they are priced but
-// never clamped (clamping would corrupt the §2.1 smoke history).
+// Shedding walks one fidelity ladder (plan): shared tools coarsen first
+// (cell stride 1, 2, 4 — coarsened, never dropped), then free rakes
+// degrade, and FCFS-grabbed rakes (someone is actively holding them)
+// degrade last — the paper's conflict-resolution priority. Within a
+// rake, steps shed before seeds — shorter paths first, fewer paths only
+// under heavy pressure — and no rake is ever starved below one seed and
+// a small step floor. Streaklines carry cross-frame particle state, so
+// they are priced but never clamped (clamping would corrupt the §2.1
+// smoke history).
 //
 // All time flows through the injected netsim.Clock: the EWMA is
 // calibrated from clock-measured integrate stages, so a ManualClock
@@ -38,23 +41,57 @@ const minShedSteps = 8
 // moves the ns/unit estimate 20% of the way to the new sample.
 const ewmaAlpha = 0.2
 
-// shedRequest prices one dirty rake for the planner.
-type shedRequest struct {
-	// Units is the full-fidelity predicted work in §5.3 units.
-	Units int64
-	// Seeds and Steps are the full-fidelity clamp inputs.
-	Seeds, Steps int
-	// Held marks FCFS-grabbed rakes, which degrade last.
-	Held bool
-	// Fixed marks stateful rakes (streaklines) that are priced but
-	// never clamped.
-	Fixed bool
-}
+// shedClass orders the fidelity ladder: under pressure the classes give
+// up work in this order, and a class only starts shedding once every
+// class below it has nothing left to give.
+type shedClass uint8
 
-// shedLevel is the planner's per-rake decision: the seed and step
-// counts the rake may compute this frame.
+const (
+	// classTool is a shared field tool. Tools coarsen first, along
+	// toolStrides, and are never dropped.
+	classTool shedClass = iota
+	// classFree is a rake nobody holds: steps shed first, then seeds.
+	classFree
+	// classHeld is an FCFS-grabbed rake, which degrades only once the
+	// free class is at its floor.
+	classHeld
+	// classFixed is a stateful rake (streakline): priced, never clamped.
+	classFixed
+	numClasses
+)
+
+// shedLevel is a rake's rung on the ladder: the seed and step counts it
+// may compute this frame.
 type shedLevel struct {
 	Seeds, Steps int
+}
+
+// demand is one row of the ladder — what one geometry source, a rake or
+// a shared tool, asks of this frame — and, once plan has run, what it
+// was granted. The compute stage reads the decision straight from the
+// row.
+type demand struct {
+	class shedClass
+	// upgrade marks a rake whose memo is valid but was computed at shed
+	// fidelity. It asks for nothing: plan either re-admits it at full
+	// fidelity or sets skip, and the round keeps serving the memo.
+	upgrade bool
+	// units is the full-fidelity work in §5.3 units. A tool's units fall
+	// along rungs, one entry per toolStrides stride (rungs[0] == units);
+	// a rake's fall as seeds x steps x perPoint, steps first. A fixed
+	// row prices its particle state in units and has no rungs.
+	units        int64
+	rungs        [len(toolStrides)]int64
+	seeds, steps int
+	perPoint     int64
+
+	// The decision: the stride a tool marches at, the level a rake
+	// integrates at, skip for an upgrade candidate left on its memo, and
+	// the units the granted rung costs (0 when skipped).
+	stride  int
+	level   shedLevel
+	skip    bool
+	planned int64
 }
 
 // governor holds the frame-budget state. It is owned by the Server and
@@ -93,13 +130,6 @@ func newGovernor(budget time.Duration, workers int) *governor {
 		hybrid:   compute.Hybrid{NumWorkers: workers},
 	}
 }
-
-// enabled reports whether a budget is configured.
-func (g *governor) enabled() bool { return g.budget > 0 }
-
-// calibrated reports whether at least one frame has established a
-// ns/unit rate.
-func (g *governor) calibrated() bool { return g.unitNanos > 0 }
 
 // predict converts work units to modeled time at the current EWMA
 // rate.
@@ -151,130 +181,146 @@ func (g *governor) effectiveBudget() time.Duration {
 	if g.budget <= 0 || g.pressure <= 0 {
 		return g.budget
 	}
-	eff := g.budget - time.Duration(g.pressure)
-	if floor := g.budget / 4; eff < floor {
-		eff = floor
-	}
-	return eff
+	return max(g.budget-time.Duration(g.pressure), g.budget/4)
 }
 
-// plan decides this frame's shed levels. It writes one shedLevel per
-// request into dst (which must be len(reqs)) and returns the predicted
-// full-fidelity cost and whether any shedding is active. reserve is the
-// part of the effective budget held back for work the rake planner does
-// not control — the shared tools' slice of the frame. The plan is a
-// pure function of (reqs, effective budget, reserve, unitNanos):
-// deterministic across runs, monotone in the budget and the reserve (a
-// tighter budget or a larger reserve never allows more seeds or steps),
-// and floor-bounded (never below one seed, never below minShedSteps
-// steps).
-func (g *governor) plan(reqs []shedRequest, dst []shedLevel, reserve time.Duration) (predicted time.Duration, shed bool) {
-	var total int64
-	for _, r := range reqs {
-		total += r.Units
-	}
-	predicted = g.predict(total)
-	full := func() {
-		for i, r := range reqs {
-			dst[i] = shedLevel{Seeds: r.Seeds, Steps: r.Steps}
-		}
-	}
-	budget := g.effectiveBudget() - reserve
-	if budget < 0 {
-		budget = 0
-	}
-	if !g.enabled() || !g.calibrated() || predicted <= budget {
-		full()
-		return predicted, false
-	}
-
-	// Units the budget affords at the current rate, minus the work we
-	// cannot shed (streakline state advances and per-rake floors).
-	allowed := float64(budget.Nanoseconds()) / g.unitNanos
-	var fixed float64
-	var heldFull, freeFull float64
-	for _, r := range reqs {
-		if r.Fixed {
-			fixed += float64(r.Units)
+// plan walks the fidelity ladder once over every source of the frame,
+// writes each row's decision back into it, and returns the predicted
+// full-fidelity cost of the rake work it admitted to consider (dirty
+// rakes plus re-admitted upgrades; tools are charged to the budget but
+// not to this number) and whether any rake was clamped.
+//
+// Classes shed in order — tools coarsen, then free rakes, then held
+// rakes, fixed rows never — and each class is allowed what the
+// effective budget leaves after the planned units of the classes below
+// it and the full units of the classes above it. The plan is a pure
+// function of (rows, effective budget, unitNanos): deterministic across
+// runs, monotone in the budget (a tighter budget never allows a finer
+// stride, more seeds, or more steps), and floor-bounded (never past the
+// last stride, never below one seed or minShedSteps steps). A disabled
+// or uncalibrated governor grants every row full fidelity.
+func (g *governor) plan(rows []demand) (predicted time.Duration, shed bool) {
+	// Full-fidelity demand: the tools' units at each stride, the dirty
+	// rakes' by class. Upgrade candidates ask for nothing.
+	var toolAt [len(toolStrides)]int64
+	var full [numClasses]int64
+	dirtyRakes := 0
+	for i := range rows {
+		d := &rows[i]
+		d.stride, d.level, d.skip, d.planned = toolStrides[0], shedLevel{d.seeds, d.steps}, false, d.units
+		if d.upgrade {
 			continue
 		}
-		if r.Held {
-			heldFull += float64(r.Units)
-		} else {
-			freeFull += float64(r.Units)
-		}
-	}
-	remaining := allowed - fixed
-	if remaining < 0 {
-		remaining = 0
-	}
-
-	// Free rakes absorb the deficit first; held rakes only degrade
-	// once the free class is already at its floor.
-	fracFor := func(classFull, classAllowed float64) float64 {
-		if classFull <= 0 {
-			return 1
-		}
-		f := classAllowed / classFull
-		if f > 1 {
-			f = 1
-		}
-		if f < 0 {
-			f = 0
-		}
-		return f
-	}
-	var fHeld, fFree float64
-	if remaining >= heldFull {
-		fHeld = 1
-		fFree = fracFor(freeFull, remaining-heldFull)
-	} else {
-		fFree = 0
-		fHeld = fracFor(heldFull, remaining)
-	}
-
-	for i, r := range reqs {
-		if r.Fixed {
-			dst[i] = shedLevel{Seeds: r.Seeds, Steps: r.Steps}
+		if d.class == classTool {
+			for k, u := range d.rungs {
+				toolAt[k] += u
+			}
 			continue
 		}
-		f := fFree
-		if r.Held {
-			f = fHeld
+		full[d.class] += d.units
+		dirtyRakes++
+	}
+	rakeUnits := full[classFree] + full[classHeld] + full[classFixed]
+	predicted = g.predict(rakeUnits)
+	// A zero budget disables the governor, and until a frame has
+	// established a ns/unit rate it never sheds.
+	governed := g.budget > 0 && g.unitNanos > 0
+
+	// Tools: the first stride whose cost fits beside the rakes' full
+	// demand, else the floor stride — coarsened, never dropped. What
+	// that stride costs comes out of the rakes' budget.
+	left := g.effectiveBudget()
+	if governed && toolAt[0] > 0 {
+		k := len(toolStrides) - 1
+		for c := range toolStrides {
+			if g.predict(rakeUnits+toolAt[c]) <= left {
+				k = c
+				break
+			}
 		}
-		dst[i] = shedOne(r.Seeds, r.Steps, f)
-		if dst[i] != (shedLevel{Seeds: r.Seeds, Steps: r.Steps}) {
-			shed = true
+		for i := range rows {
+			if d := &rows[i]; d.class == classTool {
+				d.stride, d.planned = toolStrides[k], d.rungs[k]
+			}
 		}
+		left -= g.predict(toolAt[k])
+	}
+
+	// Rakes: the units the rest of the budget affords at the current
+	// rate, minus the work that cannot shed. Held rakes claim it first,
+	// so free rakes absorb the deficit and the held class only degrades
+	// once the free class has nothing left.
+	if budget := max(left, 0); governed && predicted > budget {
+		allowed := float64(budget.Nanoseconds()) / g.unitNanos
+		remaining := max(allowed-float64(full[classFixed]), 0)
+		heldFull, freeFull := float64(full[classHeld]), float64(full[classFree])
+		frac := [numClasses]float64{
+			classHeld: fracOf(heldFull, remaining),
+			classFree: fracOf(freeFull, remaining-heldFull),
+		}
+		for i := range rows {
+			d := &rows[i]
+			if d.upgrade || d.class == classTool || d.class == classFixed {
+				continue
+			}
+			if lv := shedOne(d.seeds, d.steps, frac[d.class]); lv != d.level {
+				d.level, d.planned = lv, int64(lv.Seeds)*int64(lv.Steps)*d.perPoint
+				shed = true
+			}
+		}
+	}
+
+	// Upgrade candidates are re-admitted to full fidelity in row order
+	// while the predicted frame stays inside what the tools left, and
+	// never on a round that is itself shedding. An idle round (no dirty
+	// rake) that admitted none restores the first candidate anyway — a
+	// single rake's full cost can exceed the budget, and a paused,
+	// degraded scene must not stay degraded forever.
+	first, admitted := -1, false
+	for i := range rows {
+		d := &rows[i]
+		if !d.upgrade {
+			continue
+		}
+		if first < 0 {
+			first = i
+		}
+		cost := g.predict(d.units)
+		if shed || (governed && predicted+cost > left) {
+			d.skip, d.planned = true, 0
+			continue
+		}
+		predicted += cost
+		admitted = true
+	}
+	if dirtyRakes == 0 && !admitted && first >= 0 {
+		d := &rows[first]
+		d.skip, d.planned = false, d.units
+		predicted += g.predict(d.units)
 	}
 	return predicted, shed
+}
+
+// fracOf is the share of a class's full units the budget allows it,
+// clamped to [0, 1]; an empty class is unconstrained.
+func fracOf(classFull, classAllowed float64) float64 {
+	if classFull <= 0 {
+		return 1
+	}
+	return min(max(classAllowed/classFull, 0), 1)
 }
 
 // shedOne clamps one rake to fraction f of its full work: steps shed
 // first down to the step floor, then seeds down to one.
 func shedOne(seeds, steps int, f float64) shedLevel {
-	floor := minShedSteps
-	if steps < floor {
-		floor = steps
-	}
+	floor := min(minShedSteps, steps)
 	target := f * float64(steps)
 	if int(target) >= floor {
-		s := int(target)
-		if s > steps {
-			s = steps
-		}
-		return shedLevel{Seeds: seeds, Steps: s}
+		return shedLevel{Seeds: seeds, Steps: min(int(target), steps)}
 	}
 	// Steps are at the floor; shed seeds to hold the same unit target.
-	lv := shedLevel{Steps: floor}
-	lv.Seeds = int(float64(seeds) * target / float64(floor))
-	if lv.Seeds < 1 {
-		lv.Seeds = 1
-	}
-	if lv.Seeds > seeds {
-		lv.Seeds = seeds
-	}
-	return lv
+	n := int(float64(seeds) * target / float64(floor))
+	return shedLevel{Seeds: min(max(n, 1), seeds), Steps: floor}
 }
 
 // engineFor picks the integration engine for a shed batch by shape,
@@ -302,9 +348,5 @@ func degradedByte(actual, full int64) uint8 {
 		return 0
 	}
 	frac := 1 - float64(actual)/float64(full)
-	b := 1 + int(frac*254)
-	if b > 255 {
-		b = 255
-	}
-	return uint8(b)
+	return uint8(min(1+int(frac*254), 255))
 }

@@ -21,44 +21,61 @@ func calibratedGovernor(budget time.Duration, unitNanos float64) *governor {
 	return g
 }
 
-// planReqs builds n streamline requests of the given shape; the first
-// nHeld are marked held.
-func planReqs(n, nHeld, seeds, steps int) []shedRequest {
-	reqs := make([]shedRequest, n)
-	for i := range reqs {
-		reqs[i] = shedRequest{
-			Units: int64(seeds) * int64(steps) * 9, // RK2 units/point
-			Seeds: seeds,
-			Steps: steps,
-			Held:  i < nHeld,
+// planRows builds n streamline rows of the given shape; the first
+// nHeld are held, the rest free.
+func planRows(n, nHeld, seeds, steps int) []demand {
+	rows := make([]demand, n)
+	for i := range rows {
+		rows[i] = rakeRow(classFree, seeds, steps)
+		if i < nHeld {
+			rows[i].class = classHeld
 		}
 	}
-	return reqs
+	return rows
 }
 
-// plannedUnits sums seeds x steps over the planned levels.
-func plannedUnits(lvls []shedLevel) int64 {
+// rakeRow is one rake's row at RK2's 9 units/point.
+func rakeRow(class shedClass, seeds, steps int) demand {
+	return demand{
+		class: class, seeds: seeds, steps: steps, perPoint: 9,
+		units: int64(seeds) * int64(steps) * 9,
+	}
+}
+
+// toolDemand is one shared tool's row: units at strides 1, 2, 4.
+func toolDemand(u1, u2, u4 int64) demand {
+	return demand{class: classTool, units: u1, rungs: [len(toolStrides)]int64{u1, u2, u4}}
+}
+
+// plannedUnits sums seeds x steps over the planned rake levels.
+func plannedUnits(rows []demand) int64 {
 	var u int64
-	for _, l := range lvls {
-		u += int64(l.Seeds) * int64(l.Steps)
+	for _, d := range rows {
+		if d.class != classTool {
+			u += int64(d.level.Seeds) * int64(d.level.Steps)
+		}
 	}
 	return u
 }
 
+// isFull reports whether the row was granted its full fidelity.
+func isFull(d demand) bool {
+	return d.stride == 1 && d.level == shedLevel{d.seeds, d.steps} && !d.skip
+}
+
 func TestPlanUncalibratedOrDisabledNeverSheds(t *testing.T) {
-	reqs := planReqs(4, 0, 64, 200)
 	for name, g := range map[string]*governor{
 		"disabled":     calibratedGovernor(0, 100),
 		"uncalibrated": newGovernor(time.Millisecond, 4),
 	} {
-		lvls := make([]shedLevel, len(reqs))
-		_, shed := g.plan(reqs, lvls, 0)
+		rows := append(planRows(4, 0, 64, 200), toolDemand(1e9, 1e8, 1e7))
+		_, shed := g.plan(rows)
 		if shed {
 			t.Errorf("%s governor shed", name)
 		}
-		for i, l := range lvls {
-			if l.Seeds != reqs[i].Seeds || l.Steps != reqs[i].Steps {
-				t.Errorf("%s governor clamped req %d to %+v", name, i, l)
+		for i, d := range rows {
+			if !isFull(d) {
+				t.Errorf("%s governor clamped row %d to stride %d level %+v", name, i, d.stride, d.level)
 			}
 		}
 	}
@@ -66,27 +83,28 @@ func TestPlanUncalibratedOrDisabledNeverSheds(t *testing.T) {
 
 func TestPlanUnderBudgetIsFullFidelity(t *testing.T) {
 	// 4 rakes x 64 seeds x 200 steps x 9 units at 1ns/unit = ~0.46ms
-	// predicted; a 100ms budget must pass everything through.
+	// predicted, plus a 1ms tool; a 100ms budget must pass everything
+	// through.
 	g := calibratedGovernor(100*time.Millisecond, 1)
-	reqs := planReqs(4, 2, 64, 200)
-	lvls := make([]shedLevel, len(reqs))
-	predicted, shed := g.plan(reqs, lvls, 0)
+	rows := append(planRows(4, 2, 64, 200), toolDemand(1e6, 1e5, 1e4))
+	predicted, shed := g.plan(rows)
 	if shed {
 		t.Error("under-budget plan shed")
 	}
 	if predicted <= 0 {
 		t.Errorf("predicted = %v, want > 0", predicted)
 	}
-	for i, l := range lvls {
-		if l.Seeds != 64 || l.Steps != 200 {
-			t.Errorf("level %d = %+v, want full", i, l)
+	for i, d := range rows {
+		if !isFull(d) {
+			t.Errorf("row %d = stride %d level %+v, want full", i, d.stride, d.level)
 		}
 	}
 }
 
 // TestPlanMonotoneInBudget is the core shedding property: over a
-// budget x rake-count table, a tighter budget never yields more
-// planned work, per rake or in total.
+// budget x rake-count table, with and without a shared tool in the
+// frame, a tighter budget never yields more planned work — per rake, in
+// total, or as a finer tool stride.
 func TestPlanMonotoneInBudget(t *testing.T) {
 	budgets := []time.Duration{
 		10 * time.Microsecond, 50 * time.Microsecond, 200 * time.Microsecond,
@@ -95,27 +113,33 @@ func TestPlanMonotoneInBudget(t *testing.T) {
 	for _, nRakes := range []int{1, 2, 4, 8, 16} {
 		for _, nHeld := range []int{0, 1, nRakes / 2} {
 			t.Run(fmt.Sprintf("rakes=%d held=%d", nRakes, nHeld), func(t *testing.T) {
-				reqs := planReqs(nRakes, nHeld, 64, 200)
-				var prevTotal int64 = -1
-				prev := make([]shedLevel, nRakes)
-				for bi, b := range budgets {
-					g := calibratedGovernor(b, 50)
-					lvls := make([]shedLevel, nRakes)
-					g.plan(reqs, lvls, 0)
-					total := plannedUnits(lvls)
-					if total < prevTotal {
-						t.Errorf("budget %v planned %d units, tighter budget %v planned %d",
-							b, total, budgets[bi-1], prevTotal)
-					}
-					for i := range lvls {
-						if bi > 0 && int64(lvls[i].Seeds)*int64(lvls[i].Steps) <
-							int64(prev[i].Seeds)*int64(prev[i].Steps) {
-							t.Errorf("budget %v rake %d = %+v, below tighter budget's %+v",
-								b, i, lvls[i], prev[i])
+				for _, tool := range []bool{false, true} {
+					var prevTotal int64 = -1
+					var prev []demand
+					for bi, b := range budgets {
+						g := calibratedGovernor(b, 50)
+						rows := planRows(nRakes, nHeld, 64, 200)
+						if tool {
+							rows = append(rows, toolDemand(40000, 5000, 700))
 						}
+						g.plan(rows)
+						total := plannedUnits(rows)
+						if total < prevTotal {
+							t.Errorf("tool=%v: budget %v planned %d units, tighter budget %v planned %d",
+								tool, b, total, budgets[bi-1], prevTotal)
+						}
+						for i, d := range rows {
+							if bi == 0 {
+								break
+							}
+							if int64(d.level.Seeds)*int64(d.level.Steps) <
+								int64(prev[i].level.Seeds)*int64(prev[i].level.Steps) || d.stride > prev[i].stride {
+								t.Errorf("tool=%v: budget %v row %d = stride %d %+v, below tighter budget's stride %d %+v",
+									tool, b, i, d.stride, d.level, prev[i].stride, prev[i].level)
+							}
+						}
+						prevTotal, prev = total, rows
 					}
-					prevTotal = total
-					copy(prev, lvls)
 				}
 			})
 		}
@@ -123,26 +147,29 @@ func TestPlanMonotoneInBudget(t *testing.T) {
 }
 
 // TestPlanNeverStarves pins the floors: even a hopeless budget leaves
-// every rake at least one seed and the step floor.
+// every rake at least one seed and the step floor, and every tool on
+// the ladder's last stride rather than off it.
 func TestPlanNeverStarves(t *testing.T) {
 	for _, steps := range []int{200, 8, 5} {
 		g := calibratedGovernor(1, 1000) // 1ns budget, expensive units
-		reqs := planReqs(16, 3, 64, steps)
-		lvls := make([]shedLevel, len(reqs))
-		_, shed := g.plan(reqs, lvls, 0)
+		rows := append(planRows(16, 3, 64, steps), toolDemand(4000, 500, 70))
+		_, shed := g.plan(rows)
 		if !shed {
 			t.Fatalf("steps=%d: hopeless budget did not shed", steps)
 		}
-		wantSteps := minShedSteps
-		if steps < wantSteps {
-			wantSteps = steps
-		}
-		for i, l := range lvls {
-			if l.Seeds < 1 {
-				t.Errorf("steps=%d rake %d starved to %d seeds", steps, i, l.Seeds)
+		wantSteps := min(minShedSteps, steps)
+		for i, d := range rows {
+			if d.class == classTool {
+				if d.stride != toolStrides[len(toolStrides)-1] || d.planned != 70 {
+					t.Errorf("steps=%d tool at stride %d (%d units), want the floor stride", steps, d.stride, d.planned)
+				}
+				continue
 			}
-			if l.Steps < wantSteps {
-				t.Errorf("steps=%d rake %d below step floor: %d", steps, i, l.Steps)
+			if d.level.Seeds < 1 {
+				t.Errorf("steps=%d rake %d starved to %d seeds", steps, i, d.level.Seeds)
+			}
+			if d.level.Steps < wantSteps {
+				t.Errorf("steps=%d rake %d below step floor: %d", steps, i, d.level.Steps)
 			}
 		}
 	}
@@ -151,19 +178,24 @@ func TestPlanNeverStarves(t *testing.T) {
 // TestPlanDeterministic: identical inputs, identical plan — across
 // repeated calls and across separately constructed governors.
 func TestPlanDeterministic(t *testing.T) {
-	reqs := planReqs(8, 2, 48, 150)
-	a := make([]shedLevel, len(reqs))
-	b := make([]shedLevel, len(reqs))
+	mk := func() []demand {
+		rows := append(planRows(8, 2, 48, 150), toolDemand(9000, 1200, 160))
+		up := rakeRow(classFree, 48, 150)
+		up.upgrade = true
+		return append(rows, up)
+	}
+	a, b := mk(), mk()
 	g1 := calibratedGovernor(500*time.Microsecond, 37.5)
 	g2 := calibratedGovernor(500*time.Microsecond, 37.5)
-	p1, s1 := g1.plan(reqs, a, 0)
-	p2, s2 := g2.plan(reqs, b, 0)
+	p1, s1 := g1.plan(a)
+	p2, s2 := g2.plan(b)
+	g1.plan(a) // replanning the same rows changes nothing
 	if p1 != p2 || s1 != s2 {
 		t.Fatalf("plan outcomes differ: (%v,%v) vs (%v,%v)", p1, s1, p2, s2)
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("level %d differs: %+v vs %+v", i, a[i], b[i])
+			t.Fatalf("row %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }
@@ -171,27 +203,25 @@ func TestPlanDeterministic(t *testing.T) {
 // TestPlanHeldRakesDegradeLast pins the FCFS priority: if any held
 // rake lost fidelity, every free rake must already be at its floor.
 func TestPlanHeldRakesDegradeLast(t *testing.T) {
-	reqs := planReqs(6, 2, 64, 200)
 	floor := shedOne(64, 200, 0)
 	full := shedLevel{Seeds: 64, Steps: 200}
 	// Sweep budgets from hopeless to roomy and check the invariant at
 	// every point. (Full cost here is ~6.9ms at 10ns/unit; the held
 	// class alone is ~2.3ms, so the sweep crosses every regime.)
 	for b := time.Duration(1); b < 20*time.Millisecond; b *= 3 {
-		g := calibratedGovernor(b, 10)
-		lvls := make([]shedLevel, len(reqs))
-		g.plan(reqs, lvls, 0)
+		rows := planRows(6, 2, 64, 200)
+		calibratedGovernor(b, 10).plan(rows)
 		heldShed := false
-		for i, r := range reqs {
-			if r.Held && lvls[i] != full {
+		for _, d := range rows {
+			if d.class == classHeld && d.level != full {
 				heldShed = true
 			}
 		}
 		if heldShed {
-			for i, r := range reqs {
-				if !r.Held && lvls[i] != floor {
+			for i, d := range rows {
+				if d.class == classFree && d.level != floor {
 					t.Errorf("budget %v: held rake shed while free rake %d sits at %+v (floor %+v)",
-						b, i, lvls[i], floor)
+						b, i, d.level, floor)
 				}
 			}
 		}
@@ -200,13 +230,12 @@ func TestPlanHeldRakesDegradeLast(t *testing.T) {
 	// rakes keep full fidelity.
 	seen := false
 	for b := time.Duration(1); b < 20*time.Millisecond; b *= 2 {
-		g := calibratedGovernor(b, 10)
-		lvls := make([]shedLevel, len(reqs))
-		_, shed := g.plan(reqs, lvls, 0)
-		heldFull := lvls[0] == full && lvls[1] == full
+		rows := planRows(6, 2, 64, 200)
+		_, shed := calibratedGovernor(b, 10).plan(rows)
+		heldFull := rows[0].level == full && rows[1].level == full
 		freeShed := false
-		for i := 2; i < len(lvls); i++ {
-			if lvls[i] != full {
+		for _, d := range rows[2:] {
+			if d.level != full {
 				freeShed = true
 			}
 		}
@@ -220,15 +249,61 @@ func TestPlanHeldRakesDegradeLast(t *testing.T) {
 }
 
 // TestPlanFixedNeverClamped pins the streakline contract: stateful
-// requests are priced but never shed, at any budget.
+// rows are priced but never shed, at any budget.
 func TestPlanFixedNeverClamped(t *testing.T) {
 	g := calibratedGovernor(1, 1000)
-	reqs := planReqs(3, 0, 64, 200)
-	reqs[1].Fixed = true
-	lvls := make([]shedLevel, len(reqs))
-	g.plan(reqs, lvls, 0)
-	if lvls[1].Seeds != 64 || lvls[1].Steps != 200 {
-		t.Errorf("fixed request clamped to %+v", lvls[1])
+	rows := planRows(3, 0, 64, 200)
+	rows[1].class = classFixed
+	g.plan(rows)
+	if d := rows[1]; !isFull(d) || d.planned != d.units {
+		t.Errorf("fixed row clamped to %+v (%d of %d units)", d.level, d.planned, d.units)
+	}
+}
+
+// TestPlanUpgradeCandidates pins what the ladder does with valid memos
+// computed at shed fidelity: re-admitted in row order while the frame
+// stays in budget, never on a shedding round, and one forced through on
+// an idle round so a paused scene always recovers.
+func TestPlanUpgradeCandidates(t *testing.T) {
+	up := func() demand {
+		d := rakeRow(classFree, 64, 200) // 115200 units: 1.152ms at 10ns/unit
+		d.upgrade = true
+		return d
+	}
+	cases := []struct {
+		name     string
+		budget   time.Duration
+		dirty    int
+		ups      int
+		wantSkip []bool
+	}{
+		{"room for all", 10 * time.Millisecond, 1, 2, []bool{false, false}},
+		{"room for one beside the dirty rake", 3 * time.Millisecond, 1, 2, []bool{false, true}},
+		{"shedding round admits none", time.Millisecond, 1, 2, []bool{true, true}},
+		{"idle round forces the first", time.Millisecond, 0, 3, []bool{false, true, true}},
+		{"idle round with room admits in order", 3 * time.Millisecond, 0, 3, []bool{false, false, true}},
+	}
+	for _, c := range cases {
+		rows := planRows(c.dirty, 0, 64, 200)
+		for i := 0; i < c.ups; i++ {
+			rows = append(rows, up())
+		}
+		predicted, _ := calibratedGovernor(c.budget, 10).plan(rows)
+		var wantPredicted time.Duration
+		for i, d := range rows {
+			if d.upgrade && d.skip != c.wantSkip[i-c.dirty] {
+				t.Errorf("%s: candidate %d skip=%v, want %v", c.name, i-c.dirty, d.skip, c.wantSkip[i-c.dirty])
+			}
+			if !d.skip {
+				wantPredicted += 1152 * time.Microsecond
+			}
+			if d.skip != (d.planned == 0) {
+				t.Errorf("%s: row %d skip=%v but planned %d units", c.name, i, d.skip, d.planned)
+			}
+		}
+		if predicted != wantPredicted {
+			t.Errorf("%s: predicted %v, want %v (dirty rakes plus admitted candidates)", c.name, predicted, wantPredicted)
+		}
 	}
 }
 

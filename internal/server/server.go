@@ -65,9 +65,6 @@ type Config struct {
 	// Options sets integration parameters; zero value uses
 	// integrate.DefaultOptions (RK2, 200-point paths).
 	Options integrate.Options
-	// MaxStreakParticles bounds each streakline rake's particle count;
-	// 0 means 20,000.
-	MaxStreakParticles int
 	// MaxSeedsPerRake clamps client-requested seed counts: one hostile
 	// ClientUpdate must not be able to request an unbounded integration
 	// workload. 0 means 4096.
@@ -265,26 +262,21 @@ type Server struct {
 
 	// Shared-tool round state (tools.go): the snapshot the round was
 	// planned from, the per-tool geometry memos (iso, plane, vortex),
-	// the derived-scalar cache, the planned stride and its budget
-	// reserve, and the assembled tool section (toolsMeta.Geoms aliases
-	// toolGeomWire). haveTools gates the section: a never-touched
-	// environment ships no tool bytes.
+	// the derived-scalar cache, and the assembled tool section
+	// (toolsMeta.Geoms aliases toolGeomWire). haveTools gates the
+	// section: a never-touched environment ships no tool bytes.
 	toolSnap       env.ToolsState
-	toolGeos       [3]toolGeom
+	toolGeos       [numTools]toolGeom
 	toolScal       toolScalars
-	toolStride     int
-	toolReserve    time.Duration
 	haveTools      bool
 	toolsMeta      wire.ToolsReply
 	toolGeomWire   []wire.ToolGeom
 	lastToolPoints int64
 
-	// Governor state: the planner itself plus recycled scratch for its
-	// per-frame request/level/job-index triples.
-	gov        *governor
-	reqScratch []shedRequest
-	reqJobs    []int
-	lvlScratch []shedLevel
+	// Governor state: the planner itself and the round's ladder — one
+	// row per shared tool, then one per job — recycled across rounds.
+	gov  *governor
+	rows []demand
 
 	stats Stats
 }
@@ -304,9 +296,6 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.Options.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MaxStreakParticles == 0 {
-		cfg.MaxStreakParticles = 20000
-	}
 	if cfg.MaxSeedsPerRake == 0 {
 		cfg.MaxSeedsPerRake = 4096
 	}
@@ -320,9 +309,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: MaxCodec %d outside [%d, %d]",
 			cfg.MaxCodec, wire.CodecV1, wire.MaxCodec)
 	}
-	govWorkers := cfg.RakeWorkers
-	if govWorkers <= 0 {
-		govWorkers = runtime.GOMAXPROCS(0)
+	if cfg.RakeWorkers <= 0 {
+		cfg.RakeWorkers = runtime.GOMAXPROCS(0)
 	}
 	s := &Server{
 		d:          dlib.NewServer(),
@@ -330,7 +318,7 @@ func New(cfg Config) (*Server, error) {
 		st:         cfg.Store,
 		env:        env.New(cfg.Store.NumSteps()),
 		clock:      cfg.Clock,
-		gov:        newGovernor(cfg.Budget, govWorkers),
+		gov:        newGovernor(cfg.Budget, cfg.RakeWorkers),
 		streaks:    make(map[int32]*integrate.Streak),
 		geoCache:   make(map[int32]*rakeGeom),
 		consumedBy: make(map[int64]bool),
@@ -338,12 +326,10 @@ func New(cfg Config) (*Server, error) {
 		quant:      wire.Quantizer{Min: cfg.Store.Grid().Bounds().Min, Max: cfg.Store.Grid().Bounds().Max},
 		codecs:     make(map[int64]*sessionState),
 	}
-	// Every handler here returns either a pooled buffer with a release
-	// hook (frames and relay replies, via Ctx.ReplyDone — those opt out
-	// of copy-under-dispatch) or a freshly allocated one (hellos,
-	// whoami, steer), so nothing relies on the copy today; the flag
-	// stays on as the safe default for a handler added without a hook.
-	s.d.CopyReplies = true
+	// Every handler registered below returns either a pooled buffer with
+	// a release hook (frames and relay replies, via Ctx.ReplyDone) or a
+	// freshly allocated one (hellos, whoami, steer) — dlib.Handler's
+	// reply-buffer contract.
 	if mem, ok := cfg.Store.(*store.Memory); ok {
 		s.unsteady = mem.Unsteady()
 	}

@@ -2,18 +2,16 @@ package server
 
 // Shared field-diagnostic tools on the compute path. Isosurfaces,
 // cutting planes, and vortex cores are whole-field products — their
-// cost scales with the grid, not with a rake's seed row — so they get
-// their own governor axis: a cell stride. Under pressure the governor
-// coarsens the march (stride 2, then 4) before any held rake sheds a
-// seed; a tool is coarsened, never dropped. Geometry is memoized per
+// cost scales with the grid, not with a rake's seed row — so their
+// rungs on the governor's ladder are cell strides. Under pressure the
+// governor coarsens the march (stride 2, then 4) before any rake sheds
+// a step; a tool is coarsened, never dropped. Geometry is memoized per
 // (tool version, timestep, stride) exactly like per-rake geometry, and
 // numbered by the same sequence counter so codec-v2 sessions and
 // relays can delta it.
 
 import (
 	"math"
-	"runtime"
-	"time"
 
 	"repro/internal/env"
 	"repro/internal/field"
@@ -31,10 +29,14 @@ const (
 	planeUnitsPerNode = 2
 )
 
-// toolStrides is the fidelity ladder the governor sheds shared tools
-// along: full resolution, half, quarter. The last entry is the floor —
-// a tool at stride 4 still renders, just coarser.
+// toolStrides is the rungs the governor sheds shared tools along: full
+// resolution, half, quarter. The last entry is the floor — a tool at
+// stride 4 still renders, just coarser.
 var toolStrides = [...]int{1, 2, 4}
+
+// numTools is the length of the shared-tool table; the first numTools
+// rows of the governor's ladder are the tools, in table order.
+const numTools = 3
 
 // toolGeom memoizes one shared tool's geometry and the inputs it was
 // computed from, mirroring rakeGeom: matching (version, step, stride)
@@ -65,8 +67,8 @@ type toolRow struct {
 // toolTable lays a tool snapshot out in the fixed iso -> plane ->
 // vortex order that tool sections, sequence numbers, and relay
 // directories all depend on.
-func toolTable(t env.ToolsState) [3]toolRow {
-	return [3]toolRow{
+func toolTable(t env.ToolsState) [numTools]toolRow {
+	return [numTools]toolRow{
 		{wire.ToolKindIso, wire.ToolState{
 			Enabled: t.Iso.Params.Enabled, Value: t.Iso.Params.Level, Holder: t.Iso.Holder,
 		}, t.Iso.Version, marchUnits, (*Server).extractIsoLocked},
@@ -91,7 +93,7 @@ func planeUnits(g *grid.Grid, st wire.ToolState, stride int) int64 {
 // The extractors emit empty geometry rather than failing the frame
 // when a derived field is unavailable (nil). Caller holds s.mu.
 func (s *Server) extractIsoLocked(dst []vmath.Vec3, g *grid.Grid, st wire.ToolState, stride int) []vmath.Vec3 {
-	return appendExtract(dst, g, s.toolScal.speedField(g, s.cur), st.Value, stride, s.toolWorkers())
+	return appendExtract(dst, g, s.toolScal.speedField(g, s.cur), st.Value, stride, s.cfg.RakeWorkers)
 }
 
 func (s *Server) extractPlaneLocked(dst []vmath.Vec3, g *grid.Grid, st wire.ToolState, stride int) []vmath.Vec3 {
@@ -99,7 +101,7 @@ func (s *Server) extractPlaneLocked(dst []vmath.Vec3, g *grid.Grid, st wire.Tool
 }
 
 func (s *Server) extractVortexLocked(dst []vmath.Vec3, g *grid.Grid, st wire.ToolState, stride int) []vmath.Vec3 {
-	return appendExtract(dst, g, s.toolScal.qField(g, s.cur), st.Value, stride, s.toolWorkers())
+	return appendExtract(dst, g, s.toolScal.qField(g, s.cur), st.Value, stride, s.cfg.RakeWorkers)
 }
 
 // toolScalars caches the per-timestep derived fields the tools share:
@@ -189,54 +191,13 @@ func sliceNodes(g *grid.Grid, axis uint8, stride int) int64 {
 	}
 }
 
-// toolUnitsAtLocked prices one frame's enabled tools at the given stride, in
-// the governor's §5.3 work units.
-func (s *Server) toolUnitsAtLocked(g *grid.Grid, stride int) int64 {
-	var u int64
-	for _, t := range toolTable(s.toolSnap) {
-		if t.state.Enabled {
-			u += t.units(g, t.state, stride)
-		}
-	}
-	return u
-}
-
-// planToolsLocked picks this round's tool stride and the slice of the
-// frame budget the tools reserve. Tools shed before any rake: the
-// first stride whose cost fits the budget alongside the rakes'
-// full-fidelity demand wins, and if none fits the floor stride is
-// taken anyway (tools coarsen, never disappear) — the rake planner
-// then sheds under the reduced budget. Ungoverned and uncalibrated
-// servers always march at stride 1, keeping their frames byte-
-// identical to a toolless build's behavior. Caller holds s.mu.
-func (s *Server) planToolsLocked(g *grid.Grid, rakeUnits int64) (stride int, reserve time.Duration) {
-	if !s.toolSnap.Active() {
-		return 1, 0
-	}
-	if !s.gov.enabled() || !s.gov.calibrated() {
-		return 1, 0
-	}
-	full := s.toolUnitsAtLocked(g, 1)
-	if full == 0 {
-		return 1, 0
-	}
-	budget := s.gov.effectiveBudget()
-	stride = toolStrides[len(toolStrides)-1]
-	for _, cand := range toolStrides {
-		if s.gov.predict(rakeUnits+s.toolUnitsAtLocked(g, cand)) <= budget {
-			stride = cand
-			break
-		}
-	}
-	return stride, s.gov.predict(s.toolUnitsAtLocked(g, stride))
-}
-
-// computeToolsLocked recomputes every enabled tool whose inputs
-// changed, reusing memoized geometry for the rest, assembles the
-// round's tool section, and appends the tools to the round list after
-// the rakes. A recomputed tool takes the next geometry sequence number
-// here, in table order. Returns the work actually done, for the
-// governor's EWMA. Caller holds s.mu.
+// computeToolsLocked recomputes every enabled tool whose inputs —
+// the stride the governor planned among them — changed, reusing
+// memoized geometry for the rest, assembles the round's tool section,
+// and appends the tools to the round list after the rakes. A recomputed
+// tool takes the next geometry sequence number here, in table order.
+// Returns the work actually done, for the governor's EWMA. Caller holds
+// s.mu.
 func (s *Server) computeToolsLocked(g *grid.Grid, step int) (unitsDone int64) {
 	s.haveTools = s.toolSnap.Active()
 	s.toolGeomWire = s.toolGeomWire[:0]
@@ -246,13 +207,12 @@ func (s *Server) computeToolsLocked(g *grid.Grid, step int) (unitsDone int64) {
 	table := toolTable(s.toolSnap)
 	s.toolsMeta = wire.ToolsReply{Iso: table[0].state, Plane: table[1].state, Vortex: table[2].state}
 	s.toolScal.invalidate(s.cur, step)
-	stride := max(s.toolStride, 1)
 	for i, t := range table {
 		if !t.state.Enabled {
 			continue
 		}
-		tg := &s.toolGeos[i]
-		tg.fullU, tg.actualU = t.units(g, t.state, 1), t.units(g, t.state, stride)
+		tg, stride := &s.toolGeos[i], s.rows[i].stride
+		tg.fullU, tg.actualU = s.rows[i].units, s.rows[i].planned
 		if tg.have && tg.version == t.version && tg.step == step && tg.stride == stride {
 			s.stats.ToolsReused++
 		} else {
@@ -269,15 +229,6 @@ func (s *Server) computeToolsLocked(g *grid.Grid, step int) (unitsDone int64) {
 	}
 	s.toolsMeta.Geoms = s.toolGeomWire
 	return unitsDone
-}
-
-// toolWorkers returns the worker count surface extraction parallelizes
-// over, matching the rake pool's bound.
-func (s *Server) toolWorkers() int {
-	if s.cfg.RakeWorkers > 0 {
-		return s.cfg.RakeWorkers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // appendExtract marches the iso-valued surface of scalar and appends

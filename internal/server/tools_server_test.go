@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,52 +12,56 @@ import (
 	"repro/internal/wire"
 )
 
-// Unit coverage for the shared-tool planning half of the server: the
-// governor's reserve-aware planner, the tool stride ladder, and the
-// (version, step, stride) geometry memo. The wire-visible behavior is
-// pinned by the golden corpus; these tests pin the internal contracts
-// the corpus rests on.
+// Unit coverage for the shared-tool half of the server: the tool rungs
+// of the governor's ladder and the (version, step, stride) geometry
+// memo. The wire-visible behavior is pinned by the golden corpus; these
+// tests pin the internal contracts the corpus rests on.
 
-// TestPlanWithReserveMonotone: a larger reserve never allows more
-// planned work — the tools' slice of the budget really comes out of
-// the rakes' allowance.
+// TestPlanWithReserveMonotone: what the tools' planned stride costs
+// really comes out of the rakes' allowance — a costlier tool never
+// allows more planned rake work — and it is the planned stride, not the
+// full one, that is charged: no rake sheds a step while the tool still
+// has a coarser stride to fall to.
 func TestPlanWithReserveMonotone(t *testing.T) {
 	g := calibratedGovernor(time.Millisecond, 50)
-	reqs := planReqs(4, 1, 64, 200)
-	reserves := []time.Duration{
-		0, 50 * time.Microsecond, 200 * time.Microsecond,
-		500 * time.Microsecond, 900 * time.Microsecond,
-		time.Millisecond, 10 * time.Millisecond, // >= the whole budget
-	}
+	// Floor-stride costs at 50ns/unit: 0, 50us, 200us, 500us, 900us,
+	// the whole 1ms budget, and ten times it.
+	floors := []int64{0, 1000, 4000, 10000, 18000, 20000, 200000}
 	prev := int64(-1)
-	for i := len(reserves) - 1; i >= 0; i-- {
-		lvls := make([]shedLevel, len(reqs))
-		g.plan(reqs, lvls, reserves[i])
-		total := plannedUnits(lvls)
+	for i := len(floors) - 1; i >= 0; i-- {
+		rows := append(planRows(4, 1, 64, 200), toolDemand(floors[i]*16, floors[i]*4, floors[i]))
+		_, shed := g.plan(rows)
+		if tool := rows[4]; shed && floors[i] > 0 && tool.stride != toolStrides[len(toolStrides)-1] {
+			t.Fatalf("floor cost %d: a rake shed while the tool still marched at stride %d", floors[i], tool.stride)
+		}
+		total := plannedUnits(rows)
 		if prev >= 0 && total < prev {
-			t.Fatalf("reserve %v planned %d units, larger reserve %v planned %d",
-				reserves[i], total, reserves[i+1], prev)
+			t.Fatalf("tool floor cost %d planned %d rake units, costlier tool (%d) planned %d",
+				floors[i], total, floors[i+1], prev)
 		}
 		prev = total
 	}
 }
 
-// TestPlanWithReserveExceedingBudgetFloors: when the reserve swallows
-// the whole effective budget the rake budget clamps to zero, not
-// negative — every rake lands on the floor (one seed, minShedSteps)
-// instead of underflowing.
+// TestPlanWithReserveExceedingBudgetFloors: when the tools' floor stride
+// alone swallows the whole effective budget the rake budget clamps to
+// zero, not negative — every rake lands on the floor (one seed,
+// minShedSteps) instead of underflowing, and the tool still marches.
 func TestPlanWithReserveExceedingBudgetFloors(t *testing.T) {
 	g := calibratedGovernor(time.Millisecond, 50)
-	reqs := planReqs(3, 0, 64, 200)
-	lvls := make([]shedLevel, len(reqs))
-	_, shed := g.plan(reqs, lvls, time.Hour)
+	hour := int64(time.Hour) / 50
+	rows := append(planRows(3, 0, 64, 200), toolDemand(hour*16, hour*4, hour))
+	_, shed := g.plan(rows)
 	if !shed {
-		t.Fatal("reserve beyond the budget did not shed")
+		t.Fatal("a tool beyond the budget did not shed the rakes")
 	}
-	for i, l := range lvls {
-		if l.Seeds != 1 || l.Steps != minShedSteps {
-			t.Fatalf("level %d = %+v, want the floor {1 %d}", i, l, minShedSteps)
+	for i, d := range rows[:3] {
+		if d.level.Seeds != 1 || d.level.Steps != minShedSteps {
+			t.Fatalf("level %d = %+v, want the floor {1 %d}", i, d.level, minShedSteps)
 		}
+	}
+	if d := rows[3]; d.stride != 4 || d.planned != hour {
+		t.Fatalf("tool planned stride %d (%d units), want the floor stride", d.stride, d.planned)
 	}
 }
 
@@ -81,55 +86,49 @@ func toolPlanServer(t *testing.T, budget time.Duration, unitNanos float64) *Serv
 	return s
 }
 
-// TestPlanToolsStrideLadder: the tool planner walks the {1, 2, 4}
-// ladder — full fidelity when the budget fits everything, coarser as
-// it tightens, and the stride-4 floor (with a nonzero reserve) when
-// nothing fits. Ungoverned and uncalibrated servers always plan
-// stride 1 with no reserve, which is what keeps their frames
-// byte-identical to the ungoverned corpus.
-func TestPlanToolsStrideLadder(t *testing.T) {
-	const rakeUnits = 1000
+// planToolRows runs the plan stage beside one small free rake and
+// returns the three tool rows of the ladder.
+func planToolRows(s *Server) []demand {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.jobs = append(s.jobs[:0], rakeJob{gc: &rakeGeom{seeds: make([]vmath.Vec3, 4)}})
+	s.planJobsLocked()
+	return s.rows[:numTools]
+}
 
-	// Ungoverned and uncalibrated: stride 1, nothing reserved.
+// TestPlanToolsStrideLadder: through the plan stage, the tools walk
+// the {1, 2, 4} ladder — full fidelity when the budget fits everything,
+// coarser as it tightens, and the stride-4 floor when nothing fits —
+// with every tool on the same stride and charged exactly that stride's
+// units. Ungoverned and uncalibrated servers always plan stride 1,
+// which is what keeps their frames byte-identical to the ungoverned
+// corpus.
+func TestPlanToolsStrideLadder(t *testing.T) {
+	// Ungoverned and uncalibrated: stride 1, full units.
 	for name, s := range map[string]*Server{
 		"ungoverned":   toolPlanServer(t, 0, 0),
 		"uncalibrated": toolPlanServer(t, time.Millisecond, 0),
+		"generous":     toolPlanServer(t, time.Hour, 100),
 	} {
-		s.mu.Lock()
-		stride, reserve := s.planToolsLocked(s.st.Grid(), rakeUnits)
-		s.mu.Unlock()
-		if stride != 1 || reserve != 0 {
-			t.Fatalf("%s: stride=%d reserve=%v, want 1, 0", name, stride, reserve)
+		for i, d := range planToolRows(s) {
+			if d.stride != 1 || d.planned != d.units || d.units <= 0 {
+				t.Fatalf("%s: tool %d stride=%d planned=%d of %d units, want stride 1 at full",
+					name, i, d.stride, d.planned, d.units)
+			}
 		}
 	}
 
 	// Inactive tools cost nothing even under a governor.
-	idle := goldenToolServer(t, time.Millisecond, 100)
-	idle.mu.Lock()
-	stride, reserve := idle.planToolsLocked(idle.st.Grid(), rakeUnits)
-	idle.mu.Unlock()
-	if stride != 1 || reserve != 0 {
-		t.Fatalf("inactive tools: stride=%d reserve=%v, want 1, 0", stride, reserve)
-	}
-
-	// Generous budget: full fidelity, and the reserve is exactly the
-	// priced cost of the stride-1 march.
-	rich := toolPlanServer(t, time.Hour, 100)
-	rich.mu.Lock()
-	stride, reserve = rich.planToolsLocked(rich.st.Grid(), rakeUnits)
-	wantReserve := rich.gov.predict(rich.toolUnitsAtLocked(rich.st.Grid(), 1))
-	rich.mu.Unlock()
-	if stride != 1 {
-		t.Fatalf("generous budget coarsened to stride %d", stride)
-	}
-	if reserve != wantReserve || reserve <= 0 {
-		t.Fatalf("reserve = %v, want %v", reserve, wantReserve)
+	for i, d := range planToolRows(goldenToolServer(t, time.Millisecond, 100)) {
+		if d.stride != 1 || d.units != 0 || d.planned != 0 {
+			t.Fatalf("inactive tool %d: stride=%d units=%d planned=%d, want 1, 0, 0", i, d.stride, d.units, d.planned)
+		}
 	}
 
 	// Sweep budgets from generous to hopeless: the stride must be
 	// monotone (tighter budget never marches finer) and must reach the
 	// stride-4 floor — never zero, never off the ladder — with the
-	// reserve tracking the chosen stride's cost.
+	// charge tracking the chosen stride's cost.
 	prevStride := 0
 	sawFloor := false
 	for _, budget := range []time.Duration{
@@ -137,30 +136,49 @@ func TestPlanToolsStrideLadder(t *testing.T) {
 		100 * time.Microsecond, time.Microsecond,
 	} {
 		s := toolPlanServer(t, budget, 100)
-		s.mu.Lock()
-		stride, reserve := s.planToolsLocked(s.st.Grid(), rakeUnits)
-		wantReserve := s.gov.predict(s.toolUnitsAtLocked(s.st.Grid(), stride))
-		s.mu.Unlock()
-		ok := false
-		for _, cand := range toolStrides {
-			ok = ok || stride == cand
-		}
-		if !ok {
+		rows := planToolRows(s)
+		stride := rows[0].stride
+		k := slices.Index(toolStrides[:], stride)
+		if k < 0 {
 			t.Fatalf("budget %v planned stride %d, off the ladder", budget, stride)
 		}
 		if stride < prevStride {
 			t.Fatalf("budget %v planned stride %d, finer than a looser budget's %d",
 				budget, stride, prevStride)
 		}
-		if reserve != wantReserve {
-			t.Fatalf("budget %v: reserve %v does not price stride %d (%v)",
-				budget, reserve, stride, wantReserve)
+		for i, tool := range toolTable(s.toolSnap) {
+			want := tool.units(s.st.Grid(), tool.state, stride)
+			if d := rows[i]; d.stride != stride || d.planned != want || d.rungs[k] != want {
+				t.Fatalf("budget %v: tool %d stride %d charged %d units, want stride %d at %d",
+					budget, i, d.stride, d.planned, stride, want)
+			}
 		}
 		prevStride = stride
 		sawFloor = sawFloor || stride == toolStrides[len(toolStrides)-1]
 	}
 	if !sawFloor {
 		t.Fatal("no budget in the sweep reached the stride floor")
+	}
+}
+
+// TestPlanToolCoarsensBeforeRakeSheds sweeps one frame — a tool beside
+// free and held rakes — from ample to starved and checks the ladder's
+// class order at every point: while any coarser stride remains the
+// rakes stay at full fidelity, and somewhere in the sweep the tool is
+// coarsened with every rake still full.
+func TestPlanToolCoarsensBeforeRakeSheds(t *testing.T) {
+	coarsenedAlone := false
+	for b := 40 * time.Millisecond; b > 0; b = b * 9 / 10 {
+		rows := append(planRows(4, 1, 64, 200), toolDemand(160000, 40000, 10000))
+		_, shed := calibratedGovernor(b, 10).plan(rows)
+		tool := rows[4]
+		if shed && tool.stride != toolStrides[len(toolStrides)-1] {
+			t.Fatalf("budget %v: a rake shed while the tool marched at stride %d", b, tool.stride)
+		}
+		coarsenedAlone = coarsenedAlone || (!shed && tool.stride > 1)
+	}
+	if !coarsenedAlone {
+		t.Error("no budget coarsened the tool while every rake kept full fidelity")
 	}
 }
 

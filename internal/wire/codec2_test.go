@@ -318,6 +318,38 @@ func TestDeltaSteadyFramesAreRefs(t *testing.T) {
 	}
 }
 
+// TestAppendFrameAllocs pins the per-session encode at zero
+// allocations once its buffers are warm, at both ends of the delta
+// spectrum: a keyframe (shadow reset, every cached segment inlined) and
+// a steady frame (every source a reference). This is the session-side
+// half of the server's TestSteadyFrameAllocs budget.
+func TestAppendFrameAllocs(t *testing.T) {
+	q := Quantizer{Min: vmath.V3(0, 0, 0), Max: vmath.V3(10, 10, 10)}
+	rng := rand.New(rand.NewSource(9))
+	var r FrameReply
+	var segs []Segment
+	for i := int32(1); i <= 8; i++ {
+		g := randGeometry(rng, i, q)
+		r.Rakes = append(r.Rakes, RakeState{ID: i, NumSeeds: uint32(len(g.Lines))})
+		r.Geometry = append(r.Geometry, g)
+		// Pre-encoded segments, as the server's encode-once cache holds.
+		segs = append(segs, Segment{Key: i, Seq: uint64(i), Bytes: AppendGeomV2(nil, g, q)})
+	}
+	enc := NewFrameEncoder(q)
+	buf := enc.AppendFrame(nil, r, segs)
+	if got := testing.AllocsPerRun(100, func() {
+		enc.Reset()
+		buf = enc.AppendFrame(buf[:0], r, segs)
+	}); got != 0 || enc.LastInline != len(segs) {
+		t.Errorf("keyframe: %.0f allocs with %d of %d inlined, want 0 with all", got, enc.LastInline, len(segs))
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		buf = enc.AppendFrame(buf[:0], r, segs)
+	}); got != 0 || enc.LastRef != len(segs) {
+		t.Errorf("steady: %.0f allocs with %d of %d referenced, want 0 with all", got, enc.LastRef, len(segs))
+	}
+}
+
 // TestDecodeRefToUnknownRake: a reference record for geometry the
 // decoder never received is a hard error, not a panic or silent skip.
 func TestDecodeRefToUnknownRake(t *testing.T) {
