@@ -48,6 +48,7 @@ var PackageClasses = map[string]Class{
 	"repro/internal/env":      {Deterministic: true},
 	"repro/internal/netsim":   {Deterministic: true},
 	"repro/internal/relay":    {Deterministic: true, WireFacing: true},
+	"repro/internal/render":   {Deterministic: true},
 	"repro/internal/server":   {Deterministic: true, WireFacing: true},
 	"repro/internal/store":    {Deterministic: true},
 	"repro/internal/vr":       {Deterministic: true},

@@ -512,8 +512,9 @@ func (w *Workstation) RenderFrame(head vmath.Mat4) error {
 		w.renderFrames.Add(1)
 		return nil
 	}
+	self := w.SelfID()
 	err := w.rig.RenderAnaglyph(w.fb, head, func(r *render.Renderer) {
-		drawScene(r, state, w.SelfID())
+		drawScene(r, state, self)
 	})
 	if err != nil {
 		return err
@@ -609,9 +610,8 @@ func drawTools(r *render.Renderer, t *wire.ToolsReply) {
 			continue
 		}
 		for i := 0; i+2 < len(p); i += 3 {
-			r.Line(p[i], p[i+1], c)
-			r.Line(p[i+1], p[i+2], c)
-			r.Line(p[i+2], p[i], c)
+			tri := [4]vmath.Vec3{p[i], p[i+1], p[i+2], p[i]}
+			r.Polyline(tri[:], c)
 		}
 	}
 }
@@ -620,15 +620,14 @@ func drawTools(r *render.Renderer, t *wire.ToolsReply) {
 // nose line showing gaze direction) at the user's head matrix.
 func drawHead(r *render.Renderer, head vmath.Mat4, c render.Color) {
 	const s = 0.15
-	corners := [4]vmath.Vec3{
+	plate := [5]vmath.Vec3{
 		head.TransformPoint(vmath.V3(-s, -s, 0)),
 		head.TransformPoint(vmath.V3(s, -s, 0)),
 		head.TransformPoint(vmath.V3(s, s, 0)),
 		head.TransformPoint(vmath.V3(-s, s, 0)),
 	}
-	for i := range corners {
-		r.Line(corners[i], corners[(i+1)%4], c)
-	}
+	plate[4] = plate[0]
+	r.Polyline(plate[:], c)
 	// Gaze: the head looks down its local -Z.
 	center := head.TransformPoint(vmath.Vec3{})
 	nose := head.TransformPoint(vmath.V3(0, 0, -2*s))

@@ -1,7 +1,9 @@
 package client
 
 import (
+	"math"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -110,6 +112,49 @@ func TestRenderFrameDrawsGeometry(t *testing.T) {
 	}
 	if lit := w.Framebuffer().CountLit(10); lit < 20 {
 		t.Errorf("rendered frame has %d lit pixels", lit)
+	}
+}
+
+// TestRenderFrameAllocs pins what a RenderFrame allocates: the scene
+// closure, a Renderer per row band and the second band's goroutine —
+// a handful of objects however much geometry the frame holds, nothing
+// per segment, per vertex or per eye.
+func TestRenderFrameAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // the two-band path
+	head := vmath.Translate(0, 0, 12)
+	perFrame := func(seeds int) float64 {
+		w := connect(t, startSystem(t, 4))
+		w.Queue(wire.Command{
+			Kind: wire.CmdAddRake,
+			P0:   vmath.V3(-3, -2, 0), P1: vmath.V3(-3, 2, 0),
+			NumSeeds: uint32(seeds), Tool: uint8(integrate.ToolStreamline),
+		})
+		if err := w.NetStep(vr.Pose{Head: vmath.Identity()}); err != nil {
+			t.Fatal(err)
+		}
+		const frames = 50
+		var before, after runtime.MemStats
+		for i := -5; i < frames; i++ { // five frames to warm the goroutine pool
+			if i == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			if err := w.RenderFrame(head); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if state, _ := w.Latest(); state.TotalPoints() < 10*seeds {
+			t.Fatalf("%d seeds drew only %d points", seeds, state.TotalPoints())
+		}
+		return float64(after.Mallocs-before.Mallocs) / frames
+	}
+	small, large := perFrame(4), perFrame(64)
+	t.Logf("allocs/frame: %.2f at 4 seeds, %.2f at 64", small, large)
+	if small > 8 || large > 8 {
+		t.Errorf("RenderFrame allocates %.1f (4 seeds) / %.1f (64 seeds) objects a frame, want <= 8", small, large)
+	}
+	if math.Abs(large-small) >= 2 { // a stray background allocation is not growth
+		t.Errorf("allocations grow with geometry: %.1f a frame at 4 seeds, %.1f at 64", small, large)
 	}
 }
 

@@ -22,11 +22,8 @@ func (r *Renderer) EnableDepthCue(floor float32) {
 // DisableDepthCue turns depth cueing off.
 func (r *Renderer) DisableDepthCue() { r.cueOn = false }
 
-// cue attenuates c by NDC depth z in [-1, 1].
-func (r *Renderer) cue(c Color, z float32) Color {
-	if !r.cueOn {
-		return c
-	}
+// shade attenuates the ink for NDC depth z in [-1, 1].
+func (k *ink) shade(z float32) {
 	// t = 0 at near, 1 at far.
 	t := (z + 1) / 2
 	if t < 0 {
@@ -35,10 +32,8 @@ func (r *Renderer) cue(c Color, z float32) Color {
 	if t > 1 {
 		t = 1
 	}
-	f := 1 - t*(1-r.cueFloor)
-	return Color{
-		R: uint8(float32(c.R) * f),
-		G: uint8(float32(c.G) * f),
-		B: uint8(float32(c.B) * f),
+	f := 1 - t*k.cue
+	for j, v := range k.base {
+		k.val[j] = uint8(float32(v) * f)
 	}
 }

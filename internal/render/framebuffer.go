@@ -4,6 +4,11 @@
 // describes — left eye in shades of pure red, right eye in shades of
 // pure blue drawn under a writemask that protects the red bit planes,
 // with the z-buffer (but not the color planes) cleared between eyes.
+//
+// A frame is a pure function of the scene and the head pose: the
+// golden framebuffer hashes (golden_test.go) hold it to that.
+//
+//vw:deterministic
 package render
 
 import (
@@ -35,20 +40,39 @@ func NewFramebuffer(w, h int) (*Framebuffer, error) {
 }
 
 // Clear fills the color planes and resets depth.
-func (f *Framebuffer) Clear(r, g, b uint8) {
-	for i := 0; i < len(f.Pix); i += 3 {
-		f.Pix[i], f.Pix[i+1], f.Pix[i+2] = r, g, b
-	}
-	f.ClearZ()
-}
+func (f *Framebuffer) Clear(r, g, b uint8) { f.clearRows(0, f.H, r, g, b) }
 
 // ClearZ resets only the z-buffer — "the Z-buffer bit planes are
 // cleared between the drawing of the left- and right-eye images, but
 // the color (red) bit planes are not" (§3).
-func (f *Framebuffer) ClearZ() {
-	inf := float32(math.Inf(1))
-	for i := range f.Z {
-		f.Z[i] = inf
+func (f *Framebuffer) ClearZ() { f.clearZRows(0, f.H) }
+
+// clearRows is Clear for rows [y0, y1).
+func (f *Framebuffer) clearRows(y0, y1 int, r, g, b uint8) {
+	pix := f.Pix[y0*f.W*3 : y1*f.W*3]
+	if r|g|b == 0 {
+		clear(pix)
+	} else if len(pix) > 0 {
+		pix[0], pix[1], pix[2] = r, g, b
+		fill(pix, 3)
+	}
+	f.clearZRows(y0, y1)
+}
+
+// clearZRows is ClearZ for rows [y0, y1).
+func (f *Framebuffer) clearZRows(y0, y1 int) {
+	if z := f.Z[y0*f.W : y1*f.W]; len(z) > 0 {
+		z[0] = float32(math.Inf(1))
+		fill(z, 1)
+	}
+}
+
+// fill repeats the first n elements of s through the rest of it,
+// doubling the copied run each pass: a few large memmoves instead of a
+// store per element.
+func fill[T any](s []T, n int) {
+	for n < len(s) {
+		n += copy(s[n:], s[:n])
 	}
 }
 
@@ -67,41 +91,6 @@ const (
 // Color is an RGB intensity.
 type Color struct {
 	R, G, B uint8
-}
-
-// setPixel writes a depth-tested pixel under the mask. Additive draws
-// saturate-add into the surviving channels instead of replacing them,
-// which is how smoke accumulates.
-func (f *Framebuffer) setPixel(x, y int, z float32, c Color, mask ChannelMask, additive bool) {
-	if x < 0 || x >= f.W || y < 0 || y >= f.H {
-		return
-	}
-	zi := y*f.W + x
-	if z > f.Z[zi] {
-		return
-	}
-	f.Z[zi] = z
-	pi := zi * 3
-	if mask&MaskR != 0 {
-		f.Pix[pi] = blend(f.Pix[pi], c.R, additive)
-	}
-	if mask&MaskG != 0 {
-		f.Pix[pi+1] = blend(f.Pix[pi+1], c.G, additive)
-	}
-	if mask&MaskB != 0 {
-		f.Pix[pi+2] = blend(f.Pix[pi+2], c.B, additive)
-	}
-}
-
-func blend(dst, src uint8, additive bool) uint8 {
-	if !additive {
-		return src
-	}
-	sum := int(dst) + int(src)
-	if sum > 255 {
-		return 255
-	}
-	return uint8(sum)
 }
 
 // At returns the pixel color at (x, y).

@@ -301,8 +301,8 @@ func TestEnableDepthCueClampsFloor(t *testing.T) {
 	r := NewRenderer(fb)
 	r.EnableDepthCue(-1)
 	r.EnableDepthCue(2) // must not panic or produce >1 floors
-	c := r.cue(Color{100, 100, 100}, 1)
-	if c.R > 100 {
-		t.Errorf("cue brightened: %d", c.R)
+	k := r.ink(Color{100, 100, 100})
+	if k.shade(1); k.val[0] > 100 || k.val[0] == 0 {
+		t.Errorf("far-plane cue of 100 = %d, want in (0, 100]", k.val[0])
 	}
 }

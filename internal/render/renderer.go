@@ -7,9 +7,12 @@ import (
 // Renderer rasterizes 3-D lines and points into a framebuffer through
 // a model-view-projection transform.
 type Renderer struct {
-	FB   *Framebuffer
-	mask ChannelMask
-	mvp  vmath.Mat4
+	FB *Framebuffer
+	// y0, y1 bound the rows this renderer writes, [y0, y1): the whole
+	// framebuffer, or one of RenderAnaglyph's bands.
+	y0, y1 int
+	mask   ChannelMask
+	mvp    vmath.Mat4
 	// Additive selects saturating-add blending (smoke) instead of
 	// replace.
 	Additive bool
@@ -22,7 +25,7 @@ type Renderer struct {
 // NewRenderer wraps a framebuffer with an identity transform and full
 // write mask.
 func NewRenderer(fb *Framebuffer) *Renderer {
-	return &Renderer{FB: fb, mask: MaskAll, mvp: vmath.Identity()}
+	return &Renderer{FB: fb, y1: fb.H, mask: MaskAll, mvp: vmath.Identity()}
 }
 
 // SetCamera sets the transform as projection * view.
@@ -36,10 +39,64 @@ func (r *Renderer) SetMVP(m vmath.Mat4) { r.mvp = m }
 // SetMask sets the channel writemask for subsequent draws.
 func (r *Renderer) SetMask(m ChannelMask) { r.mask = m }
 
-// clipVert is a transformed vertex in homogeneous clip space.
-type clipVert struct {
-	p vmath.Vec3
-	w float32
+// ink is what one draw call writes per pixel, resolved once from the
+// color, the writemask, the blend mode and the depth cue instead of
+// per pixel. Byte j of a pixel, for j in [lo, hi), becomes
+// min(old&keep[j] + val[j], 255): an additive draw (smoke) keeps every
+// bit and saturate-adds, a replacing draw keeps none, and a channel the
+// mask protects inside the range keeps every bit and adds nothing.
+type ink struct {
+	lo, hi    int
+	keep, val [3]uint8
+	// base is val before depth cueing, which rescales val per pixel
+	// (depthcue.go); cue is the intensity lost between the near and
+	// far planes, 0 when cueing is off.
+	base [3]uint8
+	cue  float32
+}
+
+func (r *Renderer) ink(c Color) ink {
+	k := ink{lo: 3, keep: [3]uint8{0xFF, 0xFF, 0xFF}}
+	if r.cueOn {
+		k.cue = 1 - r.cueFloor
+	}
+	for j, v := range [3]uint8{c.R, c.G, c.B} {
+		if r.mask&(1<<j) != 0 {
+			k.lo, k.hi = min(k.lo, j), j+1
+			k.val[j], k.base[j] = v, v
+			if !r.Additive {
+				k.keep[j] = 0
+			}
+		}
+	}
+	return k
+}
+
+// write puts the ink on the pixel whose bytes start at pix[p].
+func (k *ink) write(pix []uint8, p int) {
+	for j := k.lo; j < k.hi; j++ {
+		b := &pix[p+j]
+		*b = uint8(min(uint(*b&k.keep[j])+uint(k.val[j]), 255))
+	}
+}
+
+// vert is a vertex after the perspective divide, meaningful when it
+// lies in front of the near plane (w >= nearEps). (Four fields, so the
+// compiler keeps it in registers.)
+type vert struct {
+	ndc    vmath.Vec3
+	w      float32
+	sx, sy float32 // pixels, before truncation
+}
+
+func (r *Renderer) divide(p vmath.Vec3, w float32) vert {
+	x, y, z := p.X/w, p.Y/w, p.Z/w
+	return vert{
+		ndc: vmath.Vec3{X: x, Y: y, Z: z},
+		w:   w,
+		sx:  (x + 1) / 2 * float32(r.FB.W-1),
+		sy:  (1 - y) / 2 * float32(r.FB.H-1),
+	}
 }
 
 const nearEps = 1e-5
@@ -55,8 +112,22 @@ func (r *Renderer) Point(p vmath.Vec3, c Color) {
 	if x < -1 || x > 1 || y < -1 || y > 1 || z < -1 || z > 1 {
 		return
 	}
-	sx, sy := r.toScreen(x, y)
-	r.FB.setPixel(sx, sy, z, r.cue(c, z), r.mask, r.Additive)
+	fb := r.FB
+	px := int((x + 1) / 2 * float32(fb.W-1))
+	py := int((1 - y) / 2 * float32(fb.H-1))
+	// A NaN coordinate passes the comparisons above; its truncation is
+	// out of range (or 0) on every GOARCH.
+	if px < 0 || px >= fb.W || py < r.y0 || py >= r.y1 {
+		return
+	}
+	if i := py*fb.W + px; !(z > fb.Z[i]) {
+		fb.Z[i] = z
+		k := r.ink(c)
+		if k.cue != 0 {
+			k.shade(z)
+		}
+		k.write(fb.Pix, 3*i)
+	}
 }
 
 // Points draws many points.
@@ -66,75 +137,141 @@ func (r *Renderer) Points(pts []vmath.Vec3, c Color) {
 	}
 }
 
-// Polyline draws connected line segments through pts.
+// Polyline draws connected line segments through pts. Each vertex is
+// transformed and divided once, whichever segments share it; a segment
+// that crosses the near plane w = nearEps is cut there first.
+//
+//vw:hotpath
 func (r *Renderer) Polyline(pts []vmath.Vec3, c Color) {
-	for i := 1; i < len(pts); i++ {
-		r.Line(pts[i-1], pts[i], c)
+	k := r.ink(c)
+	var a vert
+	for i, p := range pts {
+		b := r.divide(r.mvp.TransformPointW(p))
+		switch {
+		case i == 0 || (a.w < nearEps && b.w < nearEps):
+		case a.w < nearEps:
+			r.segment(r.clipToNear(p, pts[i-1]), b, &k)
+		case b.w < nearEps:
+			r.segment(a, r.clipToNear(pts[i-1], p), &k)
+		default:
+			r.segment(a, b, &k)
+		}
+		a = b
 	}
 }
 
-// Line draws one 3-D line segment with near-plane clipping and
-// z-buffered DDA rasterization.
+// Line draws one 3-D line segment.
 func (r *Renderer) Line(a, b vmath.Vec3, c Color) {
-	pa, wa := r.mvp.TransformPointW(a)
-	pb, wb := r.mvp.TransformPointW(b)
-	va := clipVert{pa, wa}
-	vb := clipVert{pb, wb}
+	pts := [2]vmath.Vec3{a, b}
+	r.Polyline(pts[:], c)
+}
 
-	// Clip against the near plane w > nearEps.
-	if va.w < nearEps && vb.w < nearEps {
-		return
-	}
-	if va.w < nearEps {
-		va = clipToNear(vb, va)
-	} else if vb.w < nearEps {
-		vb = clipToNear(va, vb)
-	}
+// clipToNear returns where the segment from inside (w >= nearEps) to
+// outside meets the near plane.
+func (r *Renderer) clipToNear(inside, outside vmath.Vec3) vert {
+	pi, wi := r.mvp.TransformPointW(inside)
+	po, wo := r.mvp.TransformPointW(outside)
+	t := (wi - nearEps) / (wi - wo)
+	return r.divide(pi.Lerp(po, t), nearEps)
+}
 
-	// Perspective divide.
-	ax, ay, az := va.p.X/va.w, va.p.Y/va.w, va.p.Z/va.w
-	bx, by, bz := vb.p.X/vb.w, vb.p.Y/vb.w, vb.p.Z/vb.w
+// maxExtent bounds a segment's projected length in pixels. Anything
+// longer — or NaN, or infinite — is dropped: its step count would not
+// fit an int64, which no GOARCH converts the same way. (A segment
+// clipped at the near plane beside the eye reaches ~10^9; one at this
+// bound would have taken the per-step walk this replaced a century.)
+const maxExtent = 1 << 62
 
+// segment rasterises the segment between two vertices in front of the
+// near plane: a z-buffered float DDA over the steps that land on this
+// renderer's rows. The step arithmetic — t = s/steps, truncation by
+// int(), ascending s — is what every pinned framebuffer was drawn
+// with; only steps that cannot write are skipped.
+//
+//vw:hotpath
+func (r *Renderer) segment(a, b vert, k *ink) {
 	// Trivial reject when both ends share an outside half-space.
-	if (ax < -1 && bx < -1) || (ax > 1 && bx > 1) ||
-		(ay < -1 && by < -1) || (ay > 1 && by > 1) ||
-		(az < -1 && bz < -1) || (az > 1 && bz > 1) {
+	if (a.ndc.X < -1 && b.ndc.X < -1) || (a.ndc.X > 1 && b.ndc.X > 1) ||
+		(a.ndc.Y < -1 && b.ndc.Y < -1) || (a.ndc.Y > 1 && b.ndc.Y > 1) ||
+		(a.ndc.Z < -1 && b.ndc.Z < -1) || (a.ndc.Z > 1 && b.ndc.Z > 1) {
 		return
 	}
 
-	x0, y0 := r.toScreenF(ax, ay)
-	x1, y1 := r.toScreenF(bx, by)
-	dx, dy := x1-x0, y1-y0
-	steps := int(maxf(absf(dx), absf(dy))) + 1
-	for s := 0; s <= steps; s++ {
-		t := float32(s) / float32(steps)
-		x := x0 + t*dx
-		y := y0 + t*dy
-		z := az + t*(bz-az)
+	// Rows and columns of the first and last step (t is exactly 0 and
+	// 1 there); every step between lies between them (see span).
+	fb := r.FB
+	x0, y0, z0 := a.sx, a.sy, a.ndc.Z
+	dx, dy, dz := b.sx-x0, b.sy-y0, b.ndc.Z-z0
+	ya, yb := int64(y0), int64(y0+dy)
+	y0b, y1b := int64(r.y0), int64(r.y1)
+	if (ya < y0b && yb < y0b) || (ya >= y1b && yb >= y1b) {
+		return // another band's
+	}
+	if !(absf(dx)+absf(dy) < maxExtent) {
+		return
+	}
+	steps := int64(max(absf(dx), absf(dy))) + 1
+	fsteps := float32(steps)
+	lo, hi := int64(0), steps
+	if xa, xb, w := int64(x0), int64(x0+dx), int64(fb.W); ya < y0b || yb < y0b || ya >= y1b || yb >= y1b ||
+		xa < 0 || xb < 0 || xa >= w || xb >= w {
+		// An end is off this band or off the screen: find the steps
+		// that are on both.
+		lo, hi = span(lo, hi, fsteps, y0, dy, y0b, y1b)
+		lo, hi = span(lo, hi, fsteps, x0, dx, 0, w)
+	}
+	zb, pix, w := fb.Z, fb.Pix, fb.W
+	for s := lo; s <= hi; s++ {
+		t := float32(s) / fsteps
+		z := z0 + t*dz
 		if z < -1 || z > 1 {
 			continue
 		}
-		r.FB.setPixel(int(x), int(y), z, r.cue(c, z), r.mask, r.Additive)
+		i := int(y0+t*dy)*w + int(x0+t*dx)
+		if z > zb[i] {
+			continue
+		}
+		zb[i] = z
+		if k.cue != 0 {
+			k.shade(z)
+		}
+		k.write(pix, 3*i)
 	}
 }
 
-// clipToNear returns the intersection of segment inside->outside with
-// the near plane, keeping the inside vertex fixed.
-func clipToNear(inside, outside clipVert) clipVert {
-	t := (inside.w - nearEps) / (inside.w - outside.w)
-	return clipVert{
-		p: inside.p.Lerp(outside.p, t),
-		w: nearEps,
+// span narrows steps [lo, hi] to those whose coordinate v0 + s/steps*dv
+// truncates into [from, to). coord is the float32 expression the raster
+// loop itself evaluates, and each operation in it is monotone in s under
+// IEEE rounding, so the steps that land inside are one interval and two
+// binary searches find it exactly: the loop needs no per-pixel bounds
+// test, and a segment that projects to 10^7 pixels costs ~50 probes, not
+// a walk.
+func span(lo, hi int64, steps, v0, dv float32, from, to int64) (int64, int64) {
+	// Orient so the truncated coordinate g(s) = sign*coord(s) does not
+	// decrease with s; from <= c < to becomes 1-to <= -c < 1-from.
+	sign := int64(1)
+	if dv < 0 {
+		sign, from, to = -1, 1-to, 1-from
 	}
+	// first returns the least s in [l, hi] with g(s) >= bound, or hi+1.
+	first := func(l, bound int64) int64 {
+		for h := hi; l <= h; {
+			if m := l + (h-l)/2; sign*coord(m, steps, v0, dv) >= bound {
+				h = m - 1
+			} else {
+				l = m + 1
+			}
+		}
+		return l
+	}
+	lo = first(lo, from)
+	return lo, first(lo, to) - 1
 }
 
-func (r *Renderer) toScreen(x, y float32) (int, int) {
-	fx, fy := r.toScreenF(x, y)
-	return int(fx), int(fy)
-}
-
-func (r *Renderer) toScreenF(x, y float32) (float32, float32) {
-	return (x + 1) / 2 * float32(r.FB.W-1), (1 - y) / 2 * float32(r.FB.H-1)
+// coord is the pixel coordinate of step s along one axis.
+func coord(s int64, steps, v0, dv float32) int64 {
+	t := float32(s) / steps
+	return int64(v0 + t*dv)
 }
 
 func absf(f float32) float32 {
@@ -142,11 +279,4 @@ func absf(f float32) float32 {
 		return -f
 	}
 	return f
-}
-
-func maxf(a, b float32) float32 {
-	if a > b {
-		return a
-	}
-	return b
 }

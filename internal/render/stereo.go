@@ -1,6 +1,9 @@
 package render
 
 import (
+	"runtime"
+	"sync"
+
 	"repro/internal/vmath"
 )
 
@@ -23,6 +26,12 @@ type StereoRig struct {
 // with the eye's camera and mask, and issues Line/Point calls. The
 // intensity channel of the colors it draws is taken from the red
 // channel; stereo remaps it per eye.
+//
+// RenderAnaglyph invokes it once per eye per row band, the bands
+// concurrently, each with its own Renderer (whose settings carry from
+// the left-eye call to the right-eye call, nothing else). It must draw
+// the same thing every time and must not write state that another
+// invocation reads.
 type Scene func(r *Renderer)
 
 // RenderAnaglyph draws the scene from both eyes of the head pose into
@@ -30,25 +39,49 @@ type Scene func(r *Renderer)
 // planes; where the images overlap, both survive — "the end result is
 // separately Z-buffered left- and right-eye images, in red and blue
 // respectively, on the screen at the same time".
+//
+// The framebuffer is split into two bands of rows, each drawn by its
+// own goroutine (one band when there is one processor to run them). A
+// band's bytes are written by nobody else and see the writes a single
+// renderer would make, in the same order, so the frame is the same
+// bytes however the bands are scheduled.
 func (s StereoRig) RenderAnaglyph(fb *Framebuffer, head vmath.Mat4, scene Scene) error {
-	fb.Clear(0, 0, 0)
-	r := NewRenderer(fb)
+	return s.renderBands(fb, head, scene, min(2, runtime.GOMAXPROCS(0)))
+}
 
+func (s StereoRig) renderBands(fb *Framebuffer, head vmath.Mat4, scene Scene, bands int) error {
 	leftView, rightView, err := EyeViews(head, s.IPD)
 	if err != nil {
+		fb.Clear(0, 0, 0)
 		return err
 	}
+	left, right := s.Proj.Mul(leftView), s.Proj.Mul(rightView)
+	var wg sync.WaitGroup
+	for i := 0; i < bands; i++ {
+		r := NewRenderer(fb)
+		r.y0, r.y1 = i*fb.H/bands, (i+1)*fb.H/bands
+		band := func() {
+			defer wg.Done()
+			// Left eye: pure red, full depth test.
+			fb.clearRows(r.y0, r.y1, 0, 0, 0)
+			r.SetMVP(left)
+			r.SetMask(MaskR)
+			scene(r)
 
-	// Left eye: pure red, full depth test.
-	r.SetCamera(leftView, s.Proj)
-	r.SetMask(MaskR)
-	scene(r)
-
-	// Right eye: clear only Z, protect the red planes, draw blue.
-	fb.ClearZ()
-	r.SetCamera(rightView, s.Proj)
-	r.SetMask(MaskB)
-	scene(r)
+			// Right eye: clear only Z, protect the red planes, draw blue.
+			fb.clearZRows(r.y0, r.y1)
+			r.SetMVP(right)
+			r.SetMask(MaskB)
+			scene(r)
+		}
+		wg.Add(1)
+		if i < bands-1 {
+			go band()
+		} else {
+			band()
+		}
+	}
+	wg.Wait()
 	return nil
 }
 
