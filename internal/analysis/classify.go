@@ -42,17 +42,19 @@ func Classify(d *Directives) Class {
 // unlisted package — is fine: fixtures and new packages opt in
 // locally first.)
 var PackageClasses = map[string]Class{
-	"repro/internal/client":   {WireFacing: true},
-	"repro/internal/datasets": {Deterministic: true},
-	"repro/internal/dlib":     {Deterministic: true, WireFacing: true},
-	"repro/internal/env":      {Deterministic: true},
-	"repro/internal/netsim":   {Deterministic: true},
-	"repro/internal/relay":    {Deterministic: true, WireFacing: true},
-	"repro/internal/render":   {Deterministic: true},
-	"repro/internal/server":   {Deterministic: true, WireFacing: true},
-	"repro/internal/store":    {Deterministic: true},
-	"repro/internal/vr":       {Deterministic: true},
-	"repro/internal/wire":     {Deterministic: true, WireFacing: true},
+	"repro/internal/client":    {WireFacing: true},
+	"repro/internal/compute":   {Deterministic: true},
+	"repro/internal/datasets":  {Deterministic: true},
+	"repro/internal/dlib":      {Deterministic: true, WireFacing: true},
+	"repro/internal/env":       {Deterministic: true},
+	"repro/internal/integrate": {Deterministic: true},
+	"repro/internal/netsim":    {Deterministic: true},
+	"repro/internal/relay":     {Deterministic: true, WireFacing: true},
+	"repro/internal/render":    {Deterministic: true},
+	"repro/internal/server":    {Deterministic: true, WireFacing: true},
+	"repro/internal/store":     {Deterministic: true},
+	"repro/internal/vr":        {Deterministic: true},
+	"repro/internal/wire":      {Deterministic: true, WireFacing: true},
 }
 
 // WireFacingPath reports whether the import path names a wire-facing

@@ -12,12 +12,15 @@
 // those counts onto 1992 processors, reproducing the paper's absolute
 // benchmark times; Go wall-clock numbers for the same engines are the
 // modern ablation.
+//
+//vw:deterministic
 package compute
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/integrate"
 	"repro/internal/vmath"
@@ -97,6 +100,61 @@ type Engine interface {
 	ParticlePaths(s integrate.Sampler, seeds []vmath.Vec3, t0, maxTime float32, o integrate.Options) ([][]vmath.Vec3, Stats)
 }
 
+// tracer appends one seed's path to dst — integrate.AppendStreamline or
+// AppendParticlePath with an engine call's arguments bound.
+type tracer func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3
+
+func streamlineTracer(s integrate.Sampler, t float32, o integrate.Options) tracer {
+	return func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3 {
+		return integrate.AppendStreamline(dst, s, seed, t, o)
+	}
+}
+
+func particlePathTracer(s integrate.Sampler, t0, maxTime float32, o integrate.Options) tracer {
+	return func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3 {
+		return integrate.AppendParticlePath(dst, s, seed, t0, maxTime, o)
+	}
+}
+
+// traceRange traces seeds[i] into paths[i] on the calling goroutine and
+// returns the points produced after the seeds. Lines are carved front
+// to back out of a few arena chunks the range owns, each line capped at
+// its own length (buf[a:b:b]) so appending to one reallocates instead
+// of running into its neighbour. The first chunk has room for a few
+// full lines, enough to see what the lines here are like; a later one
+// is sized for the rest of the range at the mean length so far plus an
+// eighth, at least double its predecessor (a misleading start costs a
+// logarithmic number of chunks) and never more than the rest of the
+// range could fill. Allocation so follows the points produced, not
+// seeds x MaxSteps, and the chunk count does not grow with the seeds.
+func traceRange(paths [][]vmath.Vec3, seeds []vmath.Vec3, one tracer, o integrate.Options) (points int64) {
+	maxLine := o.MaxSteps + 1
+	var buf []vmath.Vec3
+	produced := 0 // points in the lines traced so far, seeds included
+	for i, seed := range seeds {
+		if cap(buf)-len(buf) < maxLine {
+			left := len(seeds) - i
+			need := min(left, firstChunkLines) * maxLine
+			if i > 0 {
+				need = maxLine + left*(produced/i+1)*9/8
+			}
+			buf = make([]vmath.Vec3, 0, min(max(need, 2*cap(buf)), left*maxLine))
+		}
+		start := len(buf)
+		buf = one(buf, seed)
+		paths[i] = buf[start:len(buf):len(buf)]
+		if n := len(buf) - start; n > 0 {
+			produced += n
+			points += int64(n - 1)
+		}
+	}
+	return points
+}
+
+// firstChunkLines is how many full-length lines a range's first arena
+// chunk has room for.
+const firstChunkLines = 8
+
 // Scalar is the sequential baseline: optimized scalar code, one
 // processor.
 type Scalar struct{}
@@ -110,32 +168,20 @@ func (Scalar) Workers() int { return 1 }
 // Streamlines implements Engine.
 func (Scalar) Streamlines(s integrate.Sampler, seeds []vmath.Vec3, t float32, o integrate.Options) ([][]vmath.Vec3, Stats) {
 	paths := make([][]vmath.Vec3, len(seeds))
-	var points int64
-	for i, seed := range seeds {
-		paths[i] = integrate.Streamline(s, seed, t, o)
-		if n := len(paths[i]); n > 0 {
-			points += int64(n - 1)
-		}
-	}
-	return paths, statsFor(points, o.Method)
+	return paths, statsFor(traceRange(paths, seeds, streamlineTracer(s, t, o), o), o.Method)
 }
 
 // ParticlePaths implements Engine.
 func (Scalar) ParticlePaths(s integrate.Sampler, seeds []vmath.Vec3, t0, maxTime float32, o integrate.Options) ([][]vmath.Vec3, Stats) {
 	paths := make([][]vmath.Vec3, len(seeds))
-	var points int64
-	for i, seed := range seeds {
-		paths[i] = integrate.ParticlePath(s, seed, t0, maxTime, o)
-		if n := len(paths[i]); n > 0 {
-			points += int64(n - 1)
-		}
-	}
-	return paths, statsFor(points, o.Method)
+	return paths, statsFor(traceRange(paths, seeds, particlePathTracer(s, t0, maxTime, o), o), o.Method)
 }
 
 // Parallel distributes whole streamlines across a pool of workers —
 // "This code successfully parallelizes across the four processors of
 // the Convex by distributing the streamlines among the processors."
+// Each worker takes one contiguous range of the seeds; the calling
+// goroutine is the first worker.
 type Parallel struct {
 	// NumWorkers is the logical processor count; 0 uses GOMAXPROCS.
 	NumWorkers int
@@ -156,50 +202,41 @@ func (p Parallel) workers() int {
 
 // Streamlines implements Engine.
 func (p Parallel) Streamlines(s integrate.Sampler, seeds []vmath.Vec3, t float32, o integrate.Options) ([][]vmath.Vec3, Stats) {
-	return p.fanOut(seeds, func(seed vmath.Vec3) []vmath.Vec3 {
-		return integrate.Streamline(s, seed, t, o)
-	}, o)
+	return p.fanOut(seeds, streamlineTracer(s, t, o), o)
 }
 
 // ParticlePaths implements Engine.
 func (p Parallel) ParticlePaths(s integrate.Sampler, seeds []vmath.Vec3, t0, maxTime float32, o integrate.Options) ([][]vmath.Vec3, Stats) {
-	return p.fanOut(seeds, func(seed vmath.Vec3) []vmath.Vec3 {
-		return integrate.ParticlePath(s, seed, t0, maxTime, o)
-	}, o)
+	return p.fanOut(seeds, particlePathTracer(s, t0, maxTime, o), o)
 }
 
-func (p Parallel) fanOut(seeds []vmath.Vec3, one func(vmath.Vec3) []vmath.Vec3, o integrate.Options) ([][]vmath.Vec3, Stats) {
+// minSeedsPerWorker is the smallest range worth a goroutine of its own:
+// starting and joining one costs about what a few short lines do.
+const minSeedsPerWorker = 4
+
+// rangeWorkers is how many ranges n seeds split into for at most limit
+// workers: every range gets minSeedsPerWorker seeds or more, so a small
+// rake (or an empty one) runs on the caller alone.
+func rangeWorkers(n, limit int) int {
+	return max(1, min(limit, n/minSeedsPerWorker))
+}
+
+func (p Parallel) fanOut(seeds []vmath.Vec3, one tracer, o integrate.Options) ([][]vmath.Vec3, Stats) {
 	paths := make([][]vmath.Vec3, len(seeds))
-	workers := p.workers()
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := rangeWorkers(len(seeds), p.workers())
+	per := (len(seeds) + workers - 1) / workers
+	var points atomic.Int64
 	var wg sync.WaitGroup
-	next := make(chan int, len(seeds))
-	for i := range seeds {
-		next <- i
-	}
-	close(next)
-	counts := make([]int64, workers)
-	for w := 0; w < workers; w++ {
+	for lo := per; lo < len(seeds); lo += per {
+		hi := min(lo+per, len(seeds))
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := range next {
-				paths[i] = one(seeds[i])
-				if n := len(paths[i]); n > 0 {
-					counts[w] += int64(n - 1)
-				}
-			}
-		}(w)
+			points.Add(traceRange(paths[lo:hi], seeds[lo:hi], one, o))
+		}()
 	}
+	first := min(per, len(seeds))
+	points.Add(traceRange(paths[:first], seeds[:first], one, o))
 	wg.Wait()
-	var points int64
-	for _, c := range counts {
-		points += c
-	}
-	return paths, statsFor(points, o.Method)
+	return paths, statsFor(points.Load(), o.Method)
 }

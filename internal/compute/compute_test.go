@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/datasets"
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/integrate"
@@ -283,6 +284,86 @@ func benchEngine(b *testing.B, e Engine) {
 		paths, _ := e.Streamlines(w.Sampler, w.Seeds, w.Time, w.Options)
 		if len(paths) != BenchStreamlines {
 			b.Fatal("wrong path count")
+		}
+	}
+}
+
+// BenchmarkEngineRake is one engine call on the benchmark's `heavy`
+// shape: a 256-seed streamline rake across the wake of the small
+// tapered-cylinder dataset, default options. ns/point is per path point
+// after the seeds; allocs/op is the arena contract (a handful of chunks,
+// not a line per seed).
+func BenchmarkEngineRake(b *testing.B) {
+	u, err := datasets.Analytic(datasets.Spec{NI: 32, NJ: 48, NK: 12, NumSteps: 2, DT: 0.6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := integrate.Rake{P0: vmath.V3(-3, 0.6, 1), P1: vmath.V3(-3, 0.6, 14), NumSeeds: 256}
+	seeds := r.SeedsGrid(u.Grid)
+	s := SteadyBatch{F: u.Steps[0], G: u.Grid}
+	o := integrate.DefaultOptions()
+	for _, e := range []Engine{Scalar{}, Parallel{}, Vector{}} {
+		b.Run(e.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			var points int64
+			for i := 0; i < b.N; i++ {
+				_, st := e.Streamlines(s, seeds, 0, o)
+				points += st.Points
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
+		})
+	}
+}
+
+// TestRangeWorkers pins when Parallel starts a goroutine: the caller is
+// the first worker, every worker gets minSeedsPerWorker seeds or more,
+// and an empty rake starts none.
+func TestRangeWorkers(t *testing.T) {
+	for _, c := range []struct{ seeds, limit, want int }{
+		{0, 8, 1}, {1, 8, 1}, {minSeedsPerWorker, 8, 1}, {2*minSeedsPerWorker - 1, 8, 1},
+		{2 * minSeedsPerWorker, 8, 2}, {256, 2, 2}, {256, 8, 8}, {12, 8, 3},
+	} {
+		if got := rangeWorkers(c.seeds, c.limit); got != c.want {
+			t.Errorf("rangeWorkers(%d seeds, limit %d) = %d, want %d", c.seeds, c.limit, got, c.want)
+		}
+	}
+	// One worker is the caller: fanOut's go statement sits in a loop over
+	// the ranges after the first, so no seeds means no goroutine — and no
+	// hang on a zero range size.
+	for _, e := range []Engine{Scalar{}, Parallel{}, Parallel{NumWorkers: 8}} {
+		paths, st := e.Streamlines(swirlField(t), nil, 0, integrate.DefaultOptions())
+		if len(paths) != 0 || st != (Stats{}) {
+			t.Errorf("%s on no seeds: %d paths, stats %+v", e.Name(), len(paths), st)
+		}
+	}
+}
+
+// TestLinesDoNotShareCapacity is the buf[a:b:b] contract: lines are
+// carved from shared chunks, so each must be capped at its own length —
+// appending to one reallocates it instead of overwriting the next.
+func TestLinesDoNotShareCapacity(t *testing.T) {
+	s := swirlField(t)
+	seeds := benchSeeds(40)
+	o := integrate.Options{Method: integrate.RK2, StepSize: 0.5, MaxSteps: 30, MinSpeed: 1e-9}
+	for _, e := range []Engine{Scalar{}, Parallel{NumWorkers: 3}} {
+		for name, run := range map[string]func() [][]vmath.Vec3{
+			"streamlines": func() [][]vmath.Vec3 { p, _ := e.Streamlines(s, seeds, 0, o); return p },
+			"paths":       func() [][]vmath.Vec3 { p, _ := e.ParticlePaths(s, seeds, 0, 1000, o); return p },
+		} {
+			want, got := run(), run()
+			for i := range got {
+				if cap(got[i]) != len(got[i]) {
+					t.Fatalf("%s %s: line %d has len %d cap %d", e.Name(), name, i, len(got[i]), cap(got[i]))
+				}
+				_ = append(got[i], vmath.V3(-1, -1, -1))
+			}
+			for i := range want {
+				for p := range want[i] {
+					if got[i][p] != want[i][p] {
+						t.Fatalf("%s %s: appending to a neighbour overwrote line %d point %d", e.Name(), name, i, p)
+					}
+				}
+			}
 		}
 	}
 }

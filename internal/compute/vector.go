@@ -64,6 +64,14 @@ func (s SteadyBatch) SampleVelocity(gc vmath.Vec3, _ float32) vmath.Vec3 {
 // Grid implements integrate.Sampler.
 func (s SteadyBatch) Grid() *grid.Grid { return s.G }
 
+// NumLevels implements integrate.LevelSource: one steady level, which
+// puts the fused kernel under every engine that integrates a
+// SteadyBatch seed by seed.
+func (s SteadyBatch) NumLevels() int { return 1 }
+
+// Level implements integrate.LevelSource.
+func (s SteadyBatch) Level(int) *field.Field { return s.F }
+
 // Batch implements BatchSampler.
 func (s SteadyBatch) Batch() (*grid.Grid, []float32, []float32, []float32) {
 	return s.G, s.F.U, s.F.V, s.F.W

@@ -85,11 +85,15 @@ func (f *Field) SetAt(i, j, k int, v vmath.Vec3) {
 // Sample returns the velocity at grid coordinate gc by trilinear
 // interpolation over g, which must share the field's dimensions.
 func (f *Field) Sample(g *grid.Grid, gc vmath.Vec3) vmath.Vec3 {
-	return vmath.Vec3{
-		X: g.Trilerp(f.U, gc),
-		Y: g.Trilerp(f.V, gc),
-		Z: g.Trilerp(f.W, gc),
-	}
+	return f.SampleCell(g, g.Locate(gc))
+}
+
+// SampleCell interpolates all three components at an already located
+// cell, so a caller sampling several timesteps at one position locates
+// once.
+func (f *Field) SampleCell(g *grid.Grid, c grid.Cell) vmath.Vec3 {
+	x, y, z := g.Interp3(f.U, f.V, f.W, c)
+	return vmath.Vec3{X: x, Y: y, Z: z}
 }
 
 // MatchesGrid reports whether the field's dimensions equal the grid's.

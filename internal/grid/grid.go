@@ -14,7 +14,6 @@ package grid
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/vmath"
 )
@@ -88,18 +87,34 @@ func clamp(v, lo, hi float32) float32 {
 	return v
 }
 
-// cellOf splits a grid coordinate into a cell origin (i0, j0, k0) and
-// fractional offsets in [0, 1]. Coordinates on the high boundary fold
-// into the last cell so interpolation stays in range.
-func (g *Grid) cellOf(gc vmath.Vec3) (i0, j0, k0 int, fx, fy, fz float32) {
-	i0, fx = splitCoord(gc.X, g.NI)
-	j0, fy = splitCoord(gc.Y, g.NJ)
-	k0, fz = splitCoord(gc.Z, g.NK)
-	return
+// Cell is a located trilinear stencil: the linear index of a cell's
+// origin node and the fractional offsets inside it. Locating is the
+// clamp / split work a sample does once; every node-indexed array
+// sharing the grid's dimensions — the three position components, the
+// three velocity components of any timestep — interpolates from the
+// same Cell.
+type Cell struct {
+	Base       int
+	FX, FY, FZ float32
 }
 
+// Locate clamps gc into the computational domain and splits it into
+// its cell. Coordinates on the high boundary fold into the last cell
+// (origin n-2, fraction 1) so interpolation stays in range; a NaN
+// coordinate lands in cell 0 with a NaN fraction.
+func (g *Grid) Locate(gc vmath.Vec3) Cell {
+	i0, fx := splitCoord(gc.X, g.NI)
+	j0, fy := splitCoord(gc.Y, g.NJ)
+	k0, fz := splitCoord(gc.Z, g.NK)
+	return Cell{Base: (k0*g.NJ+j0)*g.NI + i0, FX: fx, FY: fy, FZ: fz}
+}
+
+// splitCoord clamps c to [0, n-1] and splits it into a cell origin and
+// a fraction. The clamped coordinate is non-negative (or NaN), so the
+// integer conversion truncating toward zero is its floor.
 func splitCoord(c float32, n int) (int, float32) {
-	i := int(math.Floor(float64(c)))
+	c = clamp(c, 0, float32(n-1))
+	i := int(c)
 	if i < 0 {
 		i = 0
 	}
@@ -113,50 +128,42 @@ func splitCoord(c float32, n int) (int, float32) {
 // coordinate gc, by trilinear interpolation of node positions. gc is
 // clamped to the computational domain.
 func (g *Grid) PhysAt(gc vmath.Vec3) vmath.Vec3 {
-	gc = g.ClampToBounds(gc)
-	i0, j0, k0, fx, fy, fz := g.cellOf(gc)
-	return vmath.Vec3{
-		X: g.trilerp(g.X, i0, j0, k0, fx, fy, fz),
-		Y: g.trilerp(g.Y, i0, j0, k0, fx, fy, fz),
-		Z: g.trilerp(g.Z, i0, j0, k0, fx, fy, fz),
-	}
+	x, y, z := g.Interp3(g.X, g.Y, g.Z, g.Locate(gc))
+	return vmath.Vec3{X: x, Y: y, Z: z}
 }
 
-// trilerp performs trilinear interpolation of scalar array a at the
-// cell with origin (i0, j0, k0) and fractions (fx, fy, fz). This is
-// the "eight floating point loads plus a trilinear interpolation"
-// the paper counts per component per point (§5.3).
-func (g *Grid) trilerp(a []float32, i0, j0, k0 int, fx, fy, fz float32) float32 {
-	base := g.Index(i0, j0, k0)
+// Interp3 performs trilinear interpolation of three node-indexed scalar
+// arrays (len == NumNodes each) at one located cell: the components of
+// a position or of a velocity. Per array this is the "eight floating
+// point loads plus a trilinear interpolation" the paper counts per
+// component per point (§5.3); the stencil's indices are worked out once
+// for all three.
+func (g *Grid) Interp3(u, v, w []float32, c Cell) (x, y, z float32) {
 	ni := g.NI
 	slab := g.NI * g.NJ
+	i000 := c.Base
+	i100, i010, i110 := i000+1, i000+ni, i000+ni+1
+	i001, i101, i011, i111 := i000+slab, i000+slab+1, i000+slab+ni, i000+slab+ni+1
+	interp := func(a []float32) float32 {
+		_ = a[i111] // the stencil's highest index
+		c00 := a[i000] + c.FX*(a[i100]-a[i000])
+		c10 := a[i010] + c.FX*(a[i110]-a[i010])
+		c01 := a[i001] + c.FX*(a[i101]-a[i001])
+		c11 := a[i011] + c.FX*(a[i111]-a[i011])
 
-	c000 := a[base]
-	c100 := a[base+1]
-	c010 := a[base+ni]
-	c110 := a[base+ni+1]
-	c001 := a[base+slab]
-	c101 := a[base+slab+1]
-	c011 := a[base+slab+ni]
-	c111 := a[base+slab+ni+1]
-
-	c00 := c000 + fx*(c100-c000)
-	c10 := c010 + fx*(c110-c010)
-	c01 := c001 + fx*(c101-c001)
-	c11 := c011 + fx*(c111-c011)
-
-	c0 := c00 + fy*(c10-c00)
-	c1 := c01 + fy*(c11-c01)
-	return c0 + fz*(c1-c0)
+		c0 := c00 + c.FY*(c10-c00)
+		c1 := c01 + c.FY*(c11-c01)
+		return c0 + c.FZ*(c1-c0)
+	}
+	return interp(u), interp(v), interp(w)
 }
 
-// Trilerp exposes trilinear interpolation of an arbitrary node-indexed
-// scalar array (len == NumNodes) at grid coordinate gc. Field sampling
-// uses it to interpolate velocity components stored outside the grid.
+// Trilerp interpolates one node-indexed scalar array (len == NumNodes)
+// at grid coordinate gc. Callers sampling several arrays at one
+// coordinate Locate once and use Interp3.
 func (g *Grid) Trilerp(a []float32, gc vmath.Vec3) float32 {
-	gc = g.ClampToBounds(gc)
-	i0, j0, k0, fx, fy, fz := g.cellOf(gc)
-	return g.trilerp(a, i0, j0, k0, fx, fy, fz)
+	x, _, _ := g.Interp3(a, a, a, g.Locate(gc))
+	return x
 }
 
 // Bounds returns the physical axis-aligned bounding box of all nodes.

@@ -7,6 +7,8 @@
 // flow-time unit, so each step is pure array arithmetic. Results are
 // converted back to physical coordinates by direct trilinear lookup of
 // node positions.
+//
+//vw:deterministic
 package integrate
 
 import (
@@ -146,13 +148,30 @@ func (o Options) Validate() error {
 // The path includes the seed and stops at the domain boundary, at
 // stagnation, or after MaxSteps points.
 func Streamline(s Sampler, seed vmath.Vec3, t float32, o Options) []vmath.Vec3 {
+	return AppendStreamline(make([]vmath.Vec3, 0, o.MaxSteps+1), s, seed, t, o)
+}
+
+// AppendStreamline is Streamline appending the path to dst, so a caller
+// tracing many seeds can carve its lines out of one buffer: with
+// MaxSteps+1 points of spare capacity in dst it allocates nothing. A
+// seed outside the domain appends nothing.
+func AppendStreamline(dst []vmath.Vec3, s Sampler, seed vmath.Vec3, t float32, o Options) []vmath.Vec3 {
+	if k, ok := fusedFor(s, o.Method); ok {
+		return k.streamline(dst, seed, t, o)
+	}
+	return streamlineOver(dst, s, seed, t, o)
+}
+
+// streamlineOver is the streamline loop over any Sampler: one
+// SampleVelocity per stage through Step, plus one for the stagnation
+// test. The fused kernel is checked against it bit for bit.
+func streamlineOver(dst []vmath.Vec3, s Sampler, seed vmath.Vec3, t float32, o Options) []vmath.Vec3 {
 	g := s.Grid()
-	path := make([]vmath.Vec3, 0, o.MaxSteps+1)
 	gc := seed
 	if !g.InBounds(gc) {
-		return path
+		return dst
 	}
-	path = append(path, gc)
+	dst = append(dst, gc)
 	for n := 0; n < o.MaxSteps; n++ {
 		if s.SampleVelocity(gc, t).Len() < o.EffectiveMinSpeed() {
 			break
@@ -161,24 +180,38 @@ func Streamline(s Sampler, seed vmath.Vec3, t float32, o Options) []vmath.Vec3 {
 		if !g.InBounds(next) || !next.IsFinite() {
 			break
 		}
-		path = append(path, next)
+		dst = append(dst, next)
 		gc = next
 	}
-	return path
+	return dst
 }
 
 // ParticlePath integrates through time from the seed starting at time
 // t0, incrementing time by StepSize each step — a "time exposure
 // photograph" of one particle. The path stops at the domain boundary,
-// at the dataset's time bounds, or after MaxSteps points.
+// at the dataset's time bounds, after MaxSteps points, or where a
+// LevelSource cannot supply a time level it needs.
 func ParticlePath(s Sampler, seed vmath.Vec3, t0 float32, maxTime float32, o Options) []vmath.Vec3 {
+	return AppendParticlePath(make([]vmath.Vec3, 0, o.MaxSteps+1), s, seed, t0, maxTime, o)
+}
+
+// AppendParticlePath is ParticlePath appending the path to dst, under
+// AppendStreamline's contract.
+func AppendParticlePath(dst []vmath.Vec3, s Sampler, seed vmath.Vec3, t0, maxTime float32, o Options) []vmath.Vec3 {
+	if k, ok := fusedFor(s, o.Method); ok {
+		return k.particlePath(dst, seed, t0, maxTime, o)
+	}
+	return particlePathOver(dst, s, seed, t0, maxTime, o)
+}
+
+// particlePathOver is the particle-path loop over any Sampler.
+func particlePathOver(dst []vmath.Vec3, s Sampler, seed vmath.Vec3, t0, maxTime float32, o Options) []vmath.Vec3 {
 	g := s.Grid()
-	path := make([]vmath.Vec3, 0, o.MaxSteps+1)
 	gc := seed
 	if !g.InBounds(gc) {
-		return path
+		return dst
 	}
-	path = append(path, gc)
+	dst = append(dst, gc)
 	t := t0
 	for n := 0; n < o.MaxSteps; n++ {
 		tNext := t + o.StepSize
@@ -192,11 +225,11 @@ func ParticlePath(s Sampler, seed vmath.Vec3, t0 float32, maxTime float32, o Opt
 		if !g.InBounds(next) || !next.IsFinite() {
 			break
 		}
-		path = append(path, next)
+		dst = append(dst, next)
 		gc = next
 		t = tNext
 	}
-	return path
+	return dst
 }
 
 // ToPhysical converts a grid-coordinate path to physical coordinates

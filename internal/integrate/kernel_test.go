@@ -1,0 +1,374 @@
+package integrate
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/datasets"
+	"repro/internal/field"
+	"repro/internal/grid"
+	"repro/internal/vmath"
+)
+
+// stepOnly hides a sampler's LevelSource methods (embedding the
+// interface promotes SampleVelocity and Grid only), which routes it to
+// Step over SampleVelocity: the oracle the fused kernel is held to.
+type stepOnly struct{ Sampler }
+
+// lazySource models the server's store-backed sampler: levels are
+// fetched on first use into a locked cache, and SampleVelocity is
+// written out sample by sample the way the server's generic path is.
+type lazySource struct {
+	u     *field.Unsteady
+	mu    sync.Mutex
+	cache map[int]*field.Field
+	loads int
+}
+
+func (l *lazySource) Grid() *grid.Grid { return l.u.Grid }
+func (l *lazySource) NumLevels() int   { return len(l.u.Steps) }
+
+func (l *lazySource) Level(i int) *field.Field {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	f, ok := l.cache[i]
+	if !ok {
+		f = l.u.Steps[i]
+		l.cache[i] = f
+		l.loads++
+	}
+	return f
+}
+
+func (l *lazySource) SampleVelocity(gc vmath.Vec3, t float32) vmath.Vec3 {
+	last := l.NumLevels() - 1
+	if t <= 0 {
+		return l.Level(0).Sample(l.u.Grid, gc)
+	}
+	if t >= float32(last) {
+		return l.Level(last).Sample(l.u.Grid, gc)
+	}
+	t0 := int(t)
+	a := l.Level(t0).Sample(l.u.Grid, gc)
+	b := l.Level(t0+1).Sample(l.u.Grid, gc)
+	return a.Lerp(b, t-float32(t0))
+}
+
+// hostileUnsteady builds a small unsteady field with everything the
+// kernel must agree with Step on: ordinary random cells, a stagnant
+// block (exact zeros), and a block of near-MaxFloat32 velocities of
+// mixed sign whose midpoints, blends and RK4 sums overflow to Inf and
+// from there to NaN.
+func hostileUnsteady(t testing.TB, rng *rand.Rand, levels int) *field.Unsteady {
+	t.Helper()
+	const ni, nj, nk = 7, 6, 5
+	g, err := grid.NewCartesian(ni, nj, nk, vmath.AABB{Max: vmath.V3(ni-1, nj-1, nk-1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := make([]*field.Field, levels)
+	for s := range steps {
+		f := field.NewField(ni, nj, nk, field.GridCoords)
+		for k := 0; k < nk; k++ {
+			for j := 0; j < nj; j++ {
+				for i := 0; i < ni; i++ {
+					v := vmath.V3(rng.Float32()-0.3, rng.Float32()-0.5, rng.Float32()-0.5)
+					switch {
+					case i <= 1 && j <= 1:
+						v = vmath.Vec3{} // stagnant
+					case i >= ni-2 && k >= nk-2:
+						v = v.Scale(3e38) // overflows within a step
+					}
+					f.SetAt(i, j, k, v)
+				}
+			}
+		}
+		steps[s] = f
+	}
+	u, err := field.NewUnsteady(g, steps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// hostileSeeds covers the interior, every face and corner (the high
+// faces fold into cell n-2 at fraction 1), the stagnant and overflowing
+// blocks, and seeds the domain rejects.
+func hostileSeeds(rng *rand.Rand, g *grid.Grid) []vmath.Vec3 {
+	hi := vmath.V3(float32(g.NI-1), float32(g.NJ-1), float32(g.NK-1))
+	nan := float32(math.NaN())
+	seeds := []vmath.Vec3{
+		{}, hi, {X: hi.X}, {Y: hi.Y}, {Z: hi.Z}, {X: hi.X, Y: hi.Y},
+		{X: hi.X - 1, Y: hi.Y - 1, Z: hi.Z - 1},                // origin of the last cell
+		{X: 0.5, Y: 0.5, Z: 2},                                 // stagnant block
+		{X: hi.X - 0.5, Y: 2, Z: hi.Z - 0.5},                   // overflowing block
+		{X: hi.X - 1.5, Y: 2, Z: hi.Z - 1.5},                   // its edge: finite blends of huge and small
+		{X: -0.001, Y: 1, Z: 1}, {X: 1, Y: hi.Y + 0.001, Z: 1}, // just outside
+		{X: nan, Y: 1, Z: 1}, {X: 1, Y: 1, Z: float32(math.Inf(1))},
+	}
+	for i := 0; i < 24; i++ {
+		seeds = append(seeds, vmath.V3(rng.Float32()*hi.X, rng.Float32()*hi.Y, rng.Float32()*hi.Z))
+	}
+	return seeds
+}
+
+func requireSamePath(t *testing.T, what string, got, want []vmath.Vec3) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: kernel path has %d points, Step path %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].BitsEqual(want[i]) {
+			t.Fatalf("%s: point %d = %v, Step path has %v (bits differ)", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestKernelBitIdenticalToStep is the kernel's contract: over every
+// sampler that exposes its arrays, every method, both directions and a
+// hostile field, Streamline / ParticlePath / Streak.Advance return
+// exactly the bits the Step-over-Sampler path returns.
+func TestKernelBitIdenticalToStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	const levels = 4
+	u := hostileUnsteady(t, rng, levels)
+	seeds := hostileSeeds(rng, u.Grid)
+	sources := []struct {
+		name string
+		s    Sampler
+	}{
+		{"steady", SteadySampler{F: u.Steps[1], G: u.Grid}},
+		{"unsteady", UnsteadySampler{U: u}},
+		{"store", &lazySource{u: u, cache: map[int]*field.Field{}}},
+	}
+	// Times at and beyond both clamps, inside a bracket, and on a level.
+	times := []float32{-1, 0, 0.3, 1, float32(levels-1) - 0.1, levels - 1, levels + 1}
+	var points, stagnant, nonFinite int
+	for _, src := range sources {
+		if _, fused := fusedFor(src.s, RK2); !fused {
+			t.Fatalf("%s: not a LevelSource, the test would compare Step with itself", src.name)
+		}
+		if _, fused := fusedFor(stepOnly{src.s}, RK2); fused {
+			t.Fatalf("%s: stepOnly still exposes LevelSource", src.name)
+		}
+		for _, m := range []Method{Euler, RK2, RK4} {
+			for _, h := range []float32{0.25, -0.25, 0.7, 4} {
+				o := Options{Method: m, StepSize: h, MaxSteps: 40}
+				for _, t0 := range times {
+					what := fmt.Sprintf("%s %v h=%g t=%g", src.name, m, h, t0)
+					for i, seed := range seeds {
+						got := Streamline(src.s, seed, t0, o)
+						want := Streamline(stepOnly{src.s}, seed, t0, o)
+						requireSamePath(t, fmt.Sprintf("streamline %s seed %d", what, i), got, want)
+						points += len(got)
+						if n := len(got); n > 0 && src.s.SampleVelocity(got[n-1], t0).Len() < o.EffectiveMinSpeed() {
+							stagnant++
+						}
+
+						got = ParticlePath(src.s, seed, t0, levels-1, o)
+						want = ParticlePath(stepOnly{src.s}, seed, t0, levels-1, o)
+						requireSamePath(t, fmt.Sprintf("particle path %s seed %d", what, i), got, want)
+						points += len(got)
+					}
+
+					fused, oracle := NewStreak(500), NewStreak(500)
+					for frame := 0; frame < 6; frame++ {
+						tf := t0 + float32(frame)*h
+						fused.Advance(src.s, seeds, tf, h, m)
+						oracle.Advance(stepOnly{src.s}, seeds, tf, h, m)
+						if len(fused.Particles) != len(oracle.Particles) {
+							t.Fatalf("streak %s frame %d: %d particles, Step path %d",
+								what, frame, len(fused.Particles), len(oracle.Particles))
+						}
+						for i, p := range fused.Particles {
+							q := oracle.Particles[i]
+							if !p.Pos.BitsEqual(q.Pos) || p.Seed != q.Seed || p.Age != q.Age {
+								t.Fatalf("streak %s frame %d particle %d = %+v, Step path %+v", what, frame, i, p, q)
+							}
+						}
+						points += len(fused.Particles)
+					}
+				}
+			}
+		}
+	}
+	// The overflow block must really have been reached: a sample there
+	// at h=4 leaves float32 range.
+	for _, m := range []Method{Euler, RK2, RK4} {
+		next := Step(m, sources[0].s, seeds[8], 0, 4)
+		if !next.IsFinite() {
+			nonFinite++
+		}
+	}
+	if points < 100000 || stagnant == 0 || nonFinite == 0 {
+		t.Errorf("corpus too tame: %d points, %d stagnated paths, %d non-finite steps", points, stagnant, nonFinite)
+	}
+	t.Logf("%d points compared bit for bit", points)
+}
+
+// TestKernelResolvesLevelsPerBracket pins what takes the lock off the
+// per-sample path: a particle path asks its source for a level when the
+// time bracket changes, not once per sample.
+func TestKernelResolvesLevelsPerBracket(t *testing.T) {
+	u := hostileUnsteady(t, rand.New(rand.NewSource(1)), 4)
+	for _, s := range u.Steps { // a slow uniform drift: the path runs its full length
+		for i := range s.U {
+			s.U[i], s.V[i], s.W[i] = 0.01, 0, 0
+		}
+	}
+	src := &lazySource{u: u, cache: map[int]*field.Field{}}
+	calls := &countingSource{LevelSource: src}
+	o := Options{Method: RK2, StepSize: 0.125, MaxSteps: 200}
+	path := ParticlePath(calls, vmath.V3(1, 2, 2), 0, 3, o)
+	if len(path) != 25 { // 24 steps reach t = 3
+		t.Fatalf("path has %d points, want 25", len(path))
+	}
+	// 48 samples cross brackets (0,1), (1,2), (2,3) and start on the
+	// t <= 0 clamp: 1 + 3*2 level requests.
+	if calls.n != 7 {
+		t.Errorf("%d Level calls for a 48-sample path over 3 brackets, want 7", calls.n)
+	}
+}
+
+type countingSource struct {
+	LevelSource
+	n int
+}
+
+func (c *countingSource) Level(i int) *field.Field {
+	c.n++
+	return c.LevelSource.Level(i)
+}
+
+// failingSource cannot supply levels at or above failFrom.
+type failingSource struct {
+	LevelSource
+	failFrom int
+}
+
+func (f failingSource) Level(i int) *field.Field {
+	if i >= f.failFrom {
+		return nil
+	}
+	return f.LevelSource.Level(i)
+}
+
+// TestKernelStopsWhereALevelIsMissing: a path ends at the last point
+// whose samples all had their levels — it neither panics nor repeats a
+// point up to MaxSteps.
+func TestKernelStopsWhereALevelIsMissing(t *testing.T) {
+	u := hostileUnsteady(t, rand.New(rand.NewSource(2)), 4)
+	for _, s := range u.Steps {
+		for i := range s.U {
+			s.U[i], s.V[i], s.W[i] = 0.01, 0, 0
+		}
+	}
+	src := failingSource{LevelSource: UnsteadySampler{U: u}, failFrom: 2}
+	o := Options{Method: RK2, StepSize: 0.25, MaxSteps: 200}
+	path := ParticlePath(src, vmath.V3(1, 2, 2), 0, 3, o)
+	// The steps from t = 0, 0.25, 0.5 and 0.75 sample at or below
+	// t = 0.875, inside bracket (0,1); the step from t = 1 needs level 2.
+	if len(path) != 5 {
+		t.Fatalf("path has %d points, want 5 (the seed + 4 steps inside bracket (0,1))", len(path))
+	}
+	for i := 1; i < len(path); i++ {
+		if path[i] == path[i-1] {
+			t.Fatalf("point %d repeats its predecessor %v", i, path[i])
+		}
+	}
+	if got := Streamline(src, vmath.V3(1, 2, 2), 2.5, o); len(got) != 1 {
+		t.Errorf("streamline inside a missing bracket has %d points, want the seed alone", len(got))
+	}
+	st := NewStreak(10)
+	st.Advance(src, []vmath.Vec3{{X: 1, Y: 2, Z: 2}}, 2.5, 0.25, RK2)
+	if len(st.Particles) != 0 {
+		t.Errorf("streak kept %d particles it could not move", len(st.Particles))
+	}
+}
+
+// benchScene is heavy's shape: the benchmark's small tapered-cylinder
+// dataset and one 256-seed rake across the wake.
+func benchScene(b *testing.B) (*field.Unsteady, []vmath.Vec3) {
+	b.Helper()
+	u, err := datasets.Analytic(datasets.Spec{NI: 32, NJ: 48, NK: 12, NumSteps: 6, DT: 0.6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := Rake{P0: vmath.V3(-3, 0.6, 1), P1: vmath.V3(-3, 0.6, 14), NumSeeds: 256}
+	seeds := r.SeedsGrid(u.Grid)
+	if len(seeds) < 200 {
+		b.Fatalf("only %d of 256 seeds landed in the grid", len(seeds))
+	}
+	return u, seeds
+}
+
+// benchPaths runs one engine-shaped pass per iteration — every seed's
+// line carved from one buffer — over the fused kernel and over the
+// Step path, and reports ns per path point.
+func benchPaths(b *testing.B, s Sampler, seeds []vmath.Vec3, trace func(dst []vmath.Vec3, s Sampler, seed vmath.Vec3) []vmath.Vec3) {
+	for _, c := range []struct {
+		name string
+		s    Sampler
+	}{{"fused", s}, {"step", stepOnly{s}}} {
+		b.Run(c.name, func(b *testing.B) {
+			buf := make([]vmath.Vec3, 0, len(seeds)*(DefaultOptions().MaxSteps+1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			points := 0
+			for i := 0; i < b.N; i++ {
+				buf = buf[:0]
+				for _, seed := range seeds {
+					buf = trace(buf, c.s, seed)
+				}
+				points += len(buf) - len(seeds)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
+		})
+	}
+}
+
+func BenchmarkKernelSteady(b *testing.B) {
+	u, seeds := benchScene(b)
+	o := DefaultOptions()
+	benchPaths(b, SteadySampler{F: u.Steps[0], G: u.Grid}, seeds,
+		func(dst []vmath.Vec3, s Sampler, seed vmath.Vec3) []vmath.Vec3 {
+			return AppendStreamline(dst, s, seed, 0, o)
+		})
+}
+
+func BenchmarkKernelUnsteady(b *testing.B) {
+	u, seeds := benchScene(b)
+	o := DefaultOptions()
+	benchPaths(b, &lazySource{u: u, cache: map[int]*field.Field{}}, seeds,
+		func(dst []vmath.Vec3, s Sampler, seed vmath.Vec3) []vmath.Vec3 {
+			return AppendParticlePath(dst, s, seed, 0.5, float32(len(u.Steps)-1), o)
+		})
+}
+
+func BenchmarkKernelStreak(b *testing.B) {
+	u, seeds := benchScene(b)
+	o := DefaultOptions()
+	for _, c := range []struct {
+		name string
+		s    Sampler
+	}{{"fused", SteadySampler{F: u.Steps[0], G: u.Grid}}, {"step", stepOnly{SteadySampler{F: u.Steps[0], G: u.Grid}}}} {
+		b.Run(c.name, func(b *testing.B) {
+			st := NewStreak(20000)
+			for i := 0; i < 100; i++ { // fill the wake with smoke
+				st.Advance(c.s, seeds, 0, o.StepSize, o.Method)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			points := 0
+			for i := 0; i < b.N; i++ {
+				st.Advance(c.s, seeds, 0, o.StepSize, o.Method)
+				points += len(st.Particles)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
+		})
+	}
+}

@@ -86,10 +86,8 @@ type rakeJob struct {
 	// leaves it on the clamped memo.
 	upgrade bool
 	// plan is the job's row of the governor's ladder for this round: the
-	// level to integrate at, or skip to keep serving the memo. engine
-	// overrides cfg.Engine for shed batches (nil = configured engine).
-	plan   *demand
-	engine compute.Engine
+	// level to integrate at, or skip to keep serving the memo.
+	plan *demand
 	// units is the measured §5.3 work the job actually did, written by
 	// computeRake and folded into the governor's EWMA.
 	units int64
@@ -465,18 +463,12 @@ func (s *Server) planJobsLocked() time.Duration {
 		}
 		s.rows = append(s.rows, d)
 	}
-	predicted, shed := s.gov.plan(s.rows)
+	predicted, _ := s.gov.plan(s.rows)
 	var planned int64
 	for i := range s.jobs {
 		j := &s.jobs[i]
 		j.plan = &s.rows[numTools+i]
 		planned += j.plan.planned
-		if shed && j.streak == nil && !j.plan.skip {
-			// Only shed rounds switch engines, so an ungoverned (or
-			// under-budget) server stays byte-identical to the
-			// configured engine's output.
-			j.engine = s.gov.engineFor(j.plan.level.Seeds)
-		}
 	}
 	s.stats.PlannedTime += s.gov.predict(planned)
 	return predicted
@@ -489,10 +481,21 @@ func (s *Server) planJobsLocked() time.Duration {
 // round and the parent blocks on the WaitGroup, so worker reads of
 // s.jobs race with nothing.
 func (s *Server) runJobsLocked(batch compute.SteadyBatch, g *grid.Grid, ts env.TimeState, step int) {
+	// One time sampler per round, shared by every particle-path rake:
+	// the window slides once and a level two rakes both need loads once.
+	var paths integrate.Sampler
+	for i := range s.jobs {
+		if j := &s.jobs[i]; j.snap.Rake.Tool == integrate.ToolParticlePath && !j.plan.skip {
+			paths = s.timeSamplerLocked(step)
+			break
+		}
+	}
+	defer s.bookPathLoadsLocked()
+
 	workers := min(s.cfg.RakeWorkers, len(s.jobs))
 	if workers <= 1 {
 		for i := range s.jobs {
-			s.computeRake(&s.jobs[i], batch, g, ts, step)
+			s.computeRake(&s.jobs[i], batch, paths, g, ts, step)
 		}
 		return
 	}
@@ -507,7 +510,7 @@ func (s *Server) runJobsLocked(batch compute.SteadyBatch, g *grid.Grid, ts env.T
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				s.computeRake(&s.jobs[i], batch, g, ts, step) //vw:allow lockdiscipline -- jobs are frozen for the round; parent holds mu and blocks on wg
+				s.computeRake(&s.jobs[i], batch, paths, g, ts, step) //vw:allow lockdiscipline -- jobs are frozen for the round; parent holds mu and blocks on wg
 			}
 		}()
 	}
@@ -520,7 +523,7 @@ func (s *Server) runJobsLocked(batch compute.SteadyBatch, g *grid.Grid, ts env.T
 // the job's own entries.
 //
 //vw:hotpath
-func (s *Server) computeRake(j *rakeJob, batch compute.SteadyBatch, g *grid.Grid, ts env.TimeState, step int) {
+func (s *Server) computeRake(j *rakeJob, batch compute.SteadyBatch, paths integrate.Sampler, g *grid.Grid, ts env.TimeState, step int) {
 	if j.plan.skip {
 		// The governor kept this rake's shed-fidelity memo; the round
 		// serves gc.geo verbatim.
@@ -542,18 +545,13 @@ func (s *Server) computeRake(j *rakeJob, batch compute.SteadyBatch, g *grid.Grid
 		}
 	}
 	eng := s.cfg.Engine
-	if j.engine != nil {
-		eng = j.engine
-	}
 	var lines [][]vmath.Vec3
 	var st compute.Stats
 	switch rake.Tool {
 	case integrate.ToolStreamline:
 		lines, st = eng.Streamlines(batch, seeds, ts.Current, opts) //vw:allow hotpath -- one box per dirty rake, not per point
 	case integrate.ToolParticlePath:
-		sampler := s.timeSampler(step)
-		lines, st = eng.ParticlePaths(sampler, seeds, ts.Current,
-			float32(ts.NumSteps-1), opts)
+		lines, st = eng.ParticlePaths(paths, seeds, ts.Current, float32(ts.NumSteps-1), opts)
 	case integrate.ToolStreakline:
 		j.streak.Advance(batch, seeds, ts.Current, opts.StepSize, opts.Method) //vw:allow hotpath -- one box per dirty rake, not per point
 		lines = j.streak.PolylineBySeed(rake.NumSeeds)
@@ -583,12 +581,12 @@ func (s *Server) loadStep(step int) (*field.Field, error) {
 	return s.st.LoadStep(step)
 }
 
-// timeSampler returns an unsteady sampler for particle paths starting
-// at timestep. With a resident dataset it samples with time
+// timeSamplerLocked returns the round's unsteady sampler for particle
+// paths starting at step. With a resident dataset it samples with time
 // interpolation; for I/O-backed stores it slides the resident window
-// over [step, step+MaxSteps] first (§5.1's strategy), then samples
-// through it.
-func (s *Server) timeSampler(step int) integrate.Sampler {
+// over [step, step+MaxSteps] first (§5.1's strategy), then hands out
+// the server's storeSampler, emptied of the previous round's levels.
+func (s *Server) timeSamplerLocked(step int) integrate.Sampler {
 	if s.unsteady != nil {
 		return integrate.UnsteadySampler{U: s.unsteady}
 	}
@@ -599,55 +597,95 @@ func (s *Server) timeSampler(step int) integrate.Sampler {
 		_ = s.window.SetBase(step)
 		src = s.window
 	}
-	return &storeSampler{st: src, cache: make(map[int]*field.Field)}
+	s.pathLevels.reset(src)
+	return &s.pathLevels
+}
+
+// bookPathLoadsLocked moves the round's failed-load count from the
+// store sampler into the stats, once the workers are done with it.
+func (s *Server) bookPathLoadsLocked() {
+	s.stats.PathLoadFailures += s.pathLevels.failed
+	s.pathLevels.failed = 0
 }
 
 // storeSampler samples an I/O-backed store with linear time
-// interpolation, caching loaded steps for the duration of one
-// computation (particle paths revisit the same bracketing steps for
-// every seed).
+// interpolation, caching loaded levels for the duration of one round
+// (particle paths revisit the same bracketing steps for every seed of
+// every rake). It is an integrate.LevelSource, so the fused kernel asks
+// it for a level per bracket change and the lock stays off the
+// per-sample path; SampleVelocity is the sample-at-a-time form for an
+// engine that integrates over the Sampler interface alone.
 type storeSampler struct {
-	st    store.Store
+	st store.Store
+	// mu guards the fields below: the parallel engines resolve levels
+	// from several goroutines.
+	mu sync.Mutex
+	// cache holds the levels loaded this round; a nil entry is a load
+	// that failed, remembered so it is attempted once.
 	cache map[int]*field.Field
-	mu    sync.Mutex
+	// failed counts the nil levels handed out: one per path the kernel
+	// stopped for want of a timestep.
+	failed int64
+}
+
+// reset points the sampler at src and forgets the previous round's
+// levels: a cache or ring may have recycled them since.
+func (ss *storeSampler) reset(src store.Store) {
+	ss.st = src
+	if ss.cache == nil {
+		ss.cache = make(map[int]*field.Field)
+	}
+	clear(ss.cache)
 }
 
 // Grid implements integrate.Sampler.
 func (ss *storeSampler) Grid() *grid.Grid { return ss.st.Grid() }
 
-// SampleVelocity implements integrate.Sampler.
+// NumLevels implements integrate.LevelSource.
+func (ss *storeSampler) NumLevels() int { return ss.st.NumSteps() }
+
+// Level implements integrate.LevelSource: it loads (and caches)
+// timestep t, or returns nil if the load fails — the kernel ends the
+// path there rather than crashing the frame.
+func (ss *storeSampler) Level(t int) *field.Field {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	f, ok := ss.cache[t]
+	if !ok {
+		var err error
+		if f, err = ss.st.LoadStep(t); err != nil {
+			f = nil
+		}
+		ss.cache[t] = f
+	}
+	if f == nil {
+		ss.failed++
+	}
+	return f
+}
+
+// SampleVelocity implements integrate.Sampler; a level that failed to
+// load samples as still fluid.
 func (ss *storeSampler) SampleVelocity(gc vmath.Vec3, t float32) vmath.Vec3 {
 	last := ss.st.NumSteps() - 1
 	if t <= 0 {
-		return ss.step(0).Sample(ss.st.Grid(), gc)
+		return ss.sampleLevel(0, gc)
 	}
 	if t >= float32(last) {
-		return ss.step(last).Sample(ss.st.Grid(), gc)
+		return ss.sampleLevel(last, gc)
 	}
 	t0 := int(t)
 	frac := t - float32(t0)
-	a := ss.step(t0).Sample(ss.st.Grid(), gc)
-	b := ss.step(t0+1).Sample(ss.st.Grid(), gc)
+	a := ss.sampleLevel(t0, gc)
+	b := ss.sampleLevel(t0+1, gc)
 	return a.Lerp(b, frac)
 }
 
-// step loads (and caches) timestep t; on load failure it returns an
-// empty field, terminating paths at stagnation rather than crashing
-// the frame. The cache is locked because the parallel engines sample
-// from several goroutines.
-func (ss *storeSampler) step(t int) *field.Field {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if f, ok := ss.cache[t]; ok {
-		return f
+func (ss *storeSampler) sampleLevel(t int, gc vmath.Vec3) vmath.Vec3 {
+	if f := ss.Level(t); f != nil {
+		return f.Sample(ss.st.Grid(), gc)
 	}
-	f, err := ss.st.LoadStep(t)
-	if err != nil {
-		g := ss.st.Grid()
-		f = field.NewField(g.NI, g.NJ, g.NK, field.GridCoords)
-	}
-	ss.cache[t] = f
-	return f
+	return vmath.Vec3{}
 }
 
 // toPhysicalLinesInto converts grid-coordinate lines to physical

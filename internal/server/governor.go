@@ -26,11 +26,7 @@
 // replayable shed plans.
 package server
 
-import (
-	"time"
-
-	"repro/internal/compute"
-)
+import "time"
 
 // minShedSteps is the per-path step floor: shedding never truncates a
 // path below this many steps (or the configured MaxSteps, if smaller),
@@ -112,23 +108,6 @@ type governor struct {
 	// samples (cache hits, ManualClock) decay the pressure instead of
 	// being ignored, so a recovered producer releases the squeeze.
 	pressure float64
-
-	// Pre-built engines for shed batches, chosen per batch shape so
-	// interface boxing never happens on the frame path.
-	parallel compute.Engine
-	vector   compute.Engine
-	hybrid   compute.Engine
-}
-
-// newGovernor builds a governor for the given budget (0 = disabled)
-// and worker count.
-func newGovernor(budget time.Duration, workers int) *governor {
-	return &governor{
-		budget:   budget,
-		parallel: compute.Parallel{NumWorkers: workers},
-		vector:   compute.Vector{},
-		hybrid:   compute.Hybrid{NumWorkers: workers},
-	}
 }
 
 // predict converts work units to modeled time at the current EWMA
@@ -321,21 +300,6 @@ func shedOne(seeds, steps int, f float64) shedLevel {
 	// Steps are at the floor; shed seeds to hold the same unit target.
 	n := int(float64(seeds) * target / float64(floor))
 	return shedLevel{Seeds: min(max(n, 1), seeds), Steps: floor}
-}
-
-// engineFor picks the integration engine for a shed batch by shape,
-// mirroring §5.3's scalar-vs-vector trade: small batches stay on the
-// per-seed parallel engine, mid-size batches fill the SoA vector unit,
-// and large batches run the hybrid (groups x vector) decomposition.
-func (g *governor) engineFor(seeds int) compute.Engine {
-	switch {
-	case seeds < 32:
-		return g.parallel
-	case seeds < 128:
-		return g.vector
-	default:
-		return g.hybrid
-	}
 }
 
 // degradedByte encodes the frame's fidelity for the wire: 0 at full

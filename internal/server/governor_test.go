@@ -16,9 +16,7 @@ import (
 // calibratedGovernor returns a governor with a hand-set ns/unit rate,
 // so plan behavior is a pure function of the inputs (no wall clock).
 func calibratedGovernor(budget time.Duration, unitNanos float64) *governor {
-	g := newGovernor(budget, 4)
-	g.unitNanos = unitNanos
-	return g
+	return &governor{budget: budget, unitNanos: unitNanos}
 }
 
 // planRows builds n streamline rows of the given shape; the first
@@ -66,7 +64,7 @@ func isFull(d demand) bool {
 func TestPlanUncalibratedOrDisabledNeverSheds(t *testing.T) {
 	for name, g := range map[string]*governor{
 		"disabled":     calibratedGovernor(0, 100),
-		"uncalibrated": newGovernor(time.Millisecond, 4),
+		"uncalibrated": {budget: time.Millisecond},
 	} {
 		rows := append(planRows(4, 0, 64, 200), toolDemand(1e9, 1e8, 1e7))
 		_, shed := g.plan(rows)

@@ -378,6 +378,43 @@ func TestSteadyFrameAllocs(t *testing.T) {
 	}
 }
 
+// TestEngineRakeAllocs pins the arena contract of the engine the frame
+// path runs: one Parallel call on a wide rake allocates a small
+// constant number of times — the path table, the tracer, and a few
+// arena chunks per worker — and the count does not grow with the seed
+// count the way a line per seed did.
+func TestEngineRakeAllocs(t *testing.T) {
+	mem := testDataset(t, 4)
+	g := mem.Grid()
+	u := mem.Unsteady()
+	steady := compute.SteadyBatch{F: u.Steps[0], G: g}
+	unsteady := integrate.UnsteadySampler{U: u}
+	o := integrate.DefaultOptions()
+	eng := compute.Parallel{NumWorkers: 2}
+	const budget = 12
+	for _, n := range []int{256, 1024} {
+		rake := integrate.Rake{P0: vmath.V3(1, 1, 1), P1: vmath.V3(3, 14, 6), NumSeeds: n}
+		seeds := rake.SeedsGrid(g)
+		if len(seeds) != n {
+			t.Fatalf("%d of %d seeds landed in the grid", len(seeds), n)
+		}
+		var points int64
+		streamlines := testing.AllocsPerRun(20, func() {
+			_, st := eng.Streamlines(steady, seeds, 0, o)
+			points = st.Points
+		})
+		paths := testing.AllocsPerRun(20, func() { eng.ParticlePaths(unsteady, seeds, 0, 3, o) })
+		if points < int64(20*n) {
+			t.Fatalf("%d seeds produced %d points: lines too short to exercise the arenas", n, points)
+		}
+		t.Logf("%d seeds: %d points, %.0f / %.0f allocs", n, points, streamlines, paths)
+		if streamlines > budget || paths > budget {
+			t.Errorf("%d seeds: Streamlines allocates %.0f times, ParticlePaths %.0f, budget %d each",
+				n, streamlines, paths, budget)
+		}
+	}
+}
+
 // TestConcurrentFramesAndStats is the -race regression for the
 // parallel rake pipeline: several clients hammer multi-rake frames
 // (forcing concurrent recomputes) while other goroutines read Stats

@@ -21,8 +21,8 @@ import (
 // of testdata/plan_vectors.json is a round's sources (grid, enabled
 // tools, rakes by class), the governor's state (budget, pressure,
 // ns/unit), and what the plan stage decided — tool stride, every rake's
-// level / skip / engine, the predicted demand, and the PlannedTime the
-// round booked. They were generated through the three-site planner this
+// level / skip, the predicted demand, and the PlannedTime the round
+// booked. They were generated through the three-site planner this
 // ladder replaced and must reproduce exactly; a deliberate change to the
 // ladder rewrites their want fields with the golden corpus's -update.
 
@@ -34,9 +34,13 @@ type planRake struct {
 	Streak  int   `json:"streak"` // live particles; -1 = not a streakline
 	Upgrade bool  `json:"upgrade,omitempty"`
 
-	WantSeeds  int    `json:"want_seeds"`
-	WantSteps  int    `json:"want_steps"`
-	WantSkip   bool   `json:"want_skip,omitempty"`
+	WantSeeds int  `json:"want_seeds"`
+	WantSteps int  `json:"want_steps"`
+	WantSkip  bool `json:"want_skip,omitempty"`
+	// WantEngine is a retired column: shed rounds used to switch engines
+	// by batch shape, now every round runs the configured engine. The
+	// vectors keep the field so the file's bytes stand; it is carried
+	// through unread.
 	WantEngine string `json:"want_engine,omitempty"`
 }
 
@@ -78,10 +82,9 @@ func planCaseServer(t *testing.T, c planCase) *Server {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		Store:       store.NewMemory(u),
-		Budget:      time.Duration(c.Budget),
-		Clock:       netsim.NewManualClock(),
-		RakeWorkers: 2, // the engine names in the vectors carry the worker count
+		Store:  store.NewMemory(u),
+		Budget: time.Duration(c.Budget),
+		Clock:  netsim.NewManualClock(),
 		Options: integrate.Options{
 			Method: integrate.Method(c.Method), StepSize: 0.25, MaxSteps: c.MaxSteps, MinSpeed: 1e-6,
 		},
@@ -125,10 +128,6 @@ func runPlanCase(t *testing.T, c planCase) planCase {
 	for i, j := range s.jobs {
 		r := &c.Rakes[i]
 		r.WantSeeds, r.WantSteps, r.WantSkip = j.plan.level.Seeds, j.plan.level.Steps, j.plan.skip
-		r.WantEngine = ""
-		if j.engine != nil {
-			r.WantEngine = j.engine.Name()
-		}
 	}
 	return c
 }

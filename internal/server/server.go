@@ -181,6 +181,9 @@ type Stats struct {
 	ToolsComputed int64
 	ToolsReused   int64
 	ToolPoints    int64
+	// PathLoadFailures counts particle paths that ended early because a
+	// timestep they needed failed to load.
+	PathLoadFailures int64
 }
 
 // Server is the remote-host application layered on a dlib server.
@@ -201,6 +204,10 @@ type Server struct {
 	// I/O-backed stores (§5.1: "the current timestep plus the maximum
 	// particle path length").
 	window *store.Window
+	// pathLevels is the store-backed time sampler every particle-path
+	// rake of a round shares; timeSamplerLocked resets it per round and
+	// the pool workers reach its cache through its own lock.
+	pathLevels storeSampler
 	// unsteady is non-nil when the store is fully resident. Immutable
 	// after New, so pool workers may read it without the lock.
 	unsteady *field.Unsteady
@@ -318,7 +325,7 @@ func New(cfg Config) (*Server, error) {
 		st:         cfg.Store,
 		env:        env.New(cfg.Store.NumSteps()),
 		clock:      cfg.Clock,
-		gov:        newGovernor(cfg.Budget, cfg.RakeWorkers),
+		gov:        &governor{budget: cfg.Budget},
 		streaks:    make(map[int32]*integrate.Streak),
 		geoCache:   make(map[int32]*rakeGeom),
 		consumedBy: make(map[int64]bool),

@@ -96,6 +96,16 @@ func isFinite(f float32) bool {
 	return !math.IsNaN(f64) && !math.IsInf(f64, 0)
 }
 
+// BitsEqual reports whether v and w hold the same three IEEE 754 bit
+// patterns — the equality the bit-identical geometry contracts mean: it
+// tells -0 from 0 and calls two NaNs equal only when their payloads
+// match, where == does neither.
+func (v Vec3) BitsEqual(w Vec3) bool {
+	return math.Float32bits(v.X) == math.Float32bits(w.X) &&
+		math.Float32bits(v.Y) == math.Float32bits(w.Y) &&
+		math.Float32bits(v.Z) == math.Float32bits(w.Z)
+}
+
 // String implements fmt.Stringer.
 func (v Vec3) String() string {
 	return fmt.Sprintf("(%g, %g, %g)", v.X, v.Y, v.Z)

@@ -30,6 +30,20 @@ func TestVec3Basic(t *testing.T) {
 	}
 }
 
+func TestVec3BitsEqual(t *testing.T) {
+	nan := float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	if !V3(1, nan, negZero).BitsEqual(V3(1, nan, negZero)) {
+		t.Error("identical bit patterns (NaN and -0 included) must be BitsEqual")
+	}
+	if V3(0, 0, 0).BitsEqual(V3(0, 0, negZero)) {
+		t.Error("-0 and 0 compare == but are different bits")
+	}
+	if V3(1, 2, 3).BitsEqual(V3(1, 2, math.Nextafter32(3, 4))) {
+		t.Error("one ulp apart must not be BitsEqual")
+	}
+}
+
 func TestVec3Cross(t *testing.T) {
 	x, y, z := V3(1, 0, 0), V3(0, 1, 0), V3(0, 0, 1)
 	if got := x.Cross(y); got != z {
