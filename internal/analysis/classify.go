@@ -47,7 +47,10 @@ var PackageClasses = map[string]Class{
 	"repro/internal/datasets":  {Deterministic: true},
 	"repro/internal/dlib":      {Deterministic: true, WireFacing: true},
 	"repro/internal/env":       {Deterministic: true},
+	"repro/internal/field":     {Deterministic: true},
+	"repro/internal/grid":      {Deterministic: true},
 	"repro/internal/integrate": {Deterministic: true},
+	"repro/internal/isosurf":   {Deterministic: true},
 	"repro/internal/netsim":    {Deterministic: true},
 	"repro/internal/relay":     {Deterministic: true, WireFacing: true},
 	"repro/internal/render":    {Deterministic: true},

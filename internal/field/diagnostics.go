@@ -48,10 +48,10 @@ func minInt(a, b int) int {
 
 // physicalGradients returns the physical-space gradient rows
 // (du/dx, du/dy, du/dz) for each velocity component at node (i, j, k):
-// grad_x u = J^-T grad_xi u, where J is the grid Jacobian.
-func physicalGradients(g *grid.Grid, f *Field, i, j, k int) (gu, gv, gw vmath.Vec3, ok bool) {
-	gc := vmath.Vec3{X: float32(i), Y: float32(j), Z: float32(k)}
-	cols := g.Jacobian(gc) // d(phys)/d(xi), columns per computational axis
+// grad_x u = J^-T grad_xi u, where J is the grid Jacobian, read from
+// the grid's node metric m.
+func physicalGradients(g *grid.Grid, m grid.Metric, f *Field, i, j, k int) (gu, gv, gw vmath.Vec3, ok bool) {
+	cols := m[g.Index(i, j, k)] // d(phys)/d(xi), columns per computational axis
 	inv, invOK := invert3(cols)
 	if !invOK {
 		return vmath.Vec3{}, vmath.Vec3{}, vmath.Vec3{}, false
@@ -94,10 +94,11 @@ func Vorticity(g *grid.Grid, f *Field) (*Field, error) {
 		return nil, fmt.Errorf("field: dims do not match grid")
 	}
 	out := NewField(f.NI, f.NJ, f.NK, Physical)
+	m := g.Metric()
 	for k := 0; k < f.NK; k++ {
 		for j := 0; j < f.NJ; j++ {
 			for i := 0; i < f.NI; i++ {
-				gu, gv, gw, ok := physicalGradients(g, f, i, j, k)
+				gu, gv, gw, ok := physicalGradients(g, m, f, i, j, k)
 				if !ok {
 					continue
 				}
@@ -127,20 +128,32 @@ func QCriterion(g *grid.Grid, f *Field) ([]float32, error) {
 		return nil, fmt.Errorf("field: dims do not match grid")
 	}
 	out := make([]float32, f.NumNodes())
-	for k := 0; k < f.NK; k++ {
+	QCriterionInto(out, g, f, 0, f.NK)
+	return out, nil
+}
+
+// QCriterionInto is QCriterion's loop over the k-planes [k0, k1),
+// writing every node of those planes (zero where the cell is
+// degenerate) into dst: the form a caller that recycles dst across
+// timesteps, or splits the planes over workers, uses. f is a
+// physical-coordinate field matching g and is read beyond the range
+// (central differences); disjoint plane ranges may run concurrently.
+//
+//vw:hotpath
+func QCriterionInto(dst []float32, g *grid.Grid, f *Field, k0, k1 int) {
+	m := g.Metric()
+	for k := k0; k < k1; k++ {
 		for j := 0; j < f.NJ; j++ {
 			for i := 0; i < f.NI; i++ {
-				gu, gv, gw, ok := physicalGradients(g, f, i, j, k)
-				if !ok {
-					continue
+				var q float32
+				if gu, gv, gw, ok := physicalGradients(g, m, f, i, j, k); ok {
+					q = -0.5*(gu.X*gu.X+gv.Y*gv.Y+gw.Z*gw.Z) -
+						(gu.Y*gv.X + gu.Z*gw.X + gv.Z*gw.Y)
 				}
-				q := -0.5*(gu.X*gu.X+gv.Y*gv.Y+gw.Z*gw.Z) -
-					(gu.Y*gv.X + gu.Z*gw.X + gv.Z*gw.Y)
-				out[g.Index(i, j, k)] = q
+				dst[g.Index(i, j, k)] = q
 			}
 		}
 	}
-	return out, nil
 }
 
 // DivergenceStats returns the mean and max absolute divergence of a
@@ -154,10 +167,11 @@ func DivergenceStats(g *grid.Grid, f *Field) (mean, max float64, err error) {
 	}
 	var sum float64
 	var n int
+	m := g.Metric()
 	for k := 0; k < f.NK; k++ {
 		for j := 0; j < f.NJ; j++ {
 			for i := 0; i < f.NI; i++ {
-				gu, gv, gw, ok := physicalGradients(g, f, i, j, k)
+				gu, gv, gw, ok := physicalGradients(g, m, f, i, j, k)
 				if !ok {
 					continue
 				}

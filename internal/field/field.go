@@ -6,6 +6,8 @@
 // Velocities may be stored in physical coordinates (as a solver
 // produces them) or pre-converted to grid coordinates (as the
 // windtunnel integrates them, §2.1).
+//
+//vw:deterministic
 package field
 
 import (
@@ -143,7 +145,9 @@ func (f *Field) MaxSpeed() float32 {
 // ToGridCoords converts a physical-coordinate field to grid
 // coordinates by applying the inverse grid Jacobian at every node:
 // u_grid = J^-1 u_phys. This is the paper's §2.1 preprocessing step
-// that lets all integration happen with pure array lookups.
+// that lets all integration happen with pure array lookups. The
+// Jacobians come from g.Metric, computed once per grid, so a dataset's
+// timesteps (or a live solver's snapshots) pay only the 3x3 solve.
 func ToGridCoords(f *Field, g *grid.Grid) (*Field, error) {
 	if f.Coords == GridCoords {
 		return nil, fmt.Errorf("field: already in grid coordinates")
@@ -153,21 +157,15 @@ func ToGridCoords(f *Field, g *grid.Grid) (*Field, error) {
 			f.NI, f.NJ, f.NK, g.NI, g.NJ, g.NK)
 	}
 	out := NewField(f.NI, f.NJ, f.NK, GridCoords)
-	for k := 0; k < f.NK; k++ {
-		for j := 0; j < f.NJ; j++ {
-			for i := 0; i < f.NI; i++ {
-				gc := vmath.Vec3{X: float32(i), Y: float32(j), Z: float32(k)}
-				cols := g.Jacobian(gc)
-				ugrid, ok := solveJacobian(cols, f.At(i, j, k))
-				if !ok {
-					// Degenerate cell (e.g. collapsed pole line):
-					// leave the velocity zero rather than poisoning
-					// paths with huge values.
-					continue
-				}
-				out.SetAt(i, j, k, ugrid)
-			}
+	for idx, cols := range g.Metric() {
+		ugrid, ok := solveJacobian(cols, vmath.Vec3{X: f.U[idx], Y: f.V[idx], Z: f.W[idx]})
+		if !ok {
+			// Degenerate cell (e.g. collapsed pole line): leave the
+			// velocity zero rather than poisoning paths with huge
+			// values.
+			continue
 		}
+		out.U[idx], out.V[idx], out.W[idx] = ugrid.X, ugrid.Y, ugrid.Z
 	}
 	return out, nil
 }
@@ -186,21 +184,26 @@ func ToPhysicalVelocity(f *Field, g *grid.Grid) (*Field, error) {
 			f.NI, f.NJ, f.NK, g.NI, g.NJ, g.NK)
 	}
 	out := NewField(f.NI, f.NJ, f.NK, Physical)
-	for k := 0; k < f.NK; k++ {
-		for j := 0; j < f.NJ; j++ {
-			for i := 0; i < f.NI; i++ {
-				gc := vmath.Vec3{X: float32(i), Y: float32(j), Z: float32(k)}
-				cols := g.Jacobian(gc)
-				u := f.At(i, j, k)
-				out.SetAt(i, j, k, vmath.Vec3{
-					X: cols[0].X*u.X + cols[1].X*u.Y + cols[2].X*u.Z,
-					Y: cols[0].Y*u.X + cols[1].Y*u.Y + cols[2].Y*u.Z,
-					Z: cols[0].Z*u.X + cols[1].Z*u.Y + cols[2].Z*u.Z,
-				})
-			}
-		}
-	}
+	PhysicalVelocityInto(out, f, g.Metric(), 0, f.NK)
 	return out, nil
+}
+
+// PhysicalVelocityInto is ToPhysicalVelocity's loop over the k-planes
+// [k0, k1), writing into dst's arrays: the form a caller that recycles
+// dst across timesteps, or splits the planes over workers, uses. dst
+// and f share dimensions with the grid m was taken from; disjoint
+// plane ranges may run concurrently.
+//
+//vw:hotpath
+func PhysicalVelocityInto(dst, f *Field, m grid.Metric, k0, k1 int) {
+	plane := f.NI * f.NJ
+	for idx := k0 * plane; idx < k1*plane; idx++ {
+		cols := &m[idx]
+		ux, uy, uz := f.U[idx], f.V[idx], f.W[idx]
+		dst.U[idx] = cols[0].X*ux + cols[1].X*uy + cols[2].X*uz
+		dst.V[idx] = cols[0].Y*ux + cols[1].Y*uy + cols[2].Y*uz
+		dst.W[idx] = cols[0].Z*ux + cols[1].Z*uy + cols[2].Z*uz
+	}
 }
 
 func solveJacobian(cols [3]vmath.Vec3, b vmath.Vec3) (vmath.Vec3, bool) {

@@ -9,11 +9,15 @@
 // the curvilinear grid. Paths are converted back to physical
 // coordinates by direct lookup of node positions with trilinear
 // interpolation.
+//
+//vw:deterministic
 package grid
 
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/vmath"
 )
@@ -21,9 +25,17 @@ import (
 // Grid is a structured curvilinear grid of NI x NJ x NK nodes. Node
 // (i, j, k) has physical position (X[idx], Y[idx], Z[idx]) with
 // idx = (k*NJ + j)*NI + i; i varies fastest, matching PLOT3D ordering.
+//
+// A grid is built once (New, then SetAt or writes through X, Y, Z) and
+// then shared read-only: Metric memoizes a table derived from the node
+// positions, so a position written through the slices after the first
+// Metric call leaves that table stale. SetAt drops it.
 type Grid struct {
 	NI, NJ, NK int
 	X, Y, Z    []float32
+
+	metric   atomic.Pointer[Metric]
+	metricMu sync.Mutex // serializes the one build
 }
 
 // New allocates an empty grid of the given dimensions. Each dimension
@@ -54,10 +66,15 @@ func (g *Grid) At(i, j, k int) vmath.Vec3 {
 	return vmath.Vec3{X: g.X[idx], Y: g.Y[idx], Z: g.Z[idx]}
 }
 
-// SetAt sets the physical position of node (i, j, k).
+// SetAt sets the physical position of node (i, j, k) and drops the
+// memoized metric, which the next Metric call rebuilds. It must not run
+// concurrently with readers of the grid.
 func (g *Grid) SetAt(i, j, k int, p vmath.Vec3) {
 	idx := g.Index(i, j, k)
 	g.X[idx], g.Y[idx], g.Z[idx] = p.X, p.Y, p.Z
+	if g.metric.Load() != nil {
+		g.metric.Store(nil)
+	}
 }
 
 // InBounds reports whether the grid coordinate gc lies inside the
@@ -210,6 +227,39 @@ func (g *Grid) Jacobian(gc vmath.Vec3) (cols [3]vmath.Vec3) {
 		cols[axis] = g.PhysAt(hi).Sub(g.PhysAt(lo)).Scale(1 / span)
 	}
 	return cols
+}
+
+// Metric is the grid's Jacobian at every node, indexed like X, Y, Z:
+// Metric[idx] holds the three columns Jacobian returns at node idx's
+// integer coordinate. It depends on the grid alone, so the per-node
+// conversions between physical and grid-coordinate velocities (§2.1's
+// "once per dataset") and the physical-space gradients read it instead
+// of re-deriving six interpolated positions per node per timestep.
+type Metric [][3]vmath.Vec3
+
+// Metric returns the grid's node metric, building it on the first call
+// (one Jacobian per node, so every entry is bit-for-bit what Jacobian
+// returns there) and memoizing it on the grid. Safe for concurrent use;
+// the returned table is shared and must not be written.
+func (g *Grid) Metric() Metric {
+	if m := g.metric.Load(); m != nil {
+		return *m
+	}
+	g.metricMu.Lock()
+	defer g.metricMu.Unlock()
+	if m := g.metric.Load(); m != nil {
+		return *m
+	}
+	m := make(Metric, g.NumNodes())
+	for k := 0; k < g.NK; k++ {
+		for j := 0; j < g.NJ; j++ {
+			for i := 0; i < g.NI; i++ {
+				m[g.Index(i, j, k)] = g.Jacobian(vmath.Vec3{X: float32(i), Y: float32(j), Z: float32(k)})
+			}
+		}
+	}
+	g.metric.Store(&m)
+	return m
 }
 
 // ErrNotFound is returned by PhysToGrid when the physical point cannot

@@ -2,9 +2,15 @@
 // curvilinear grids by marching tetrahedra. The paper rules
 // isosurfaces out of the interactive toolset — "interactive
 // isosurfaces, which require computationally intensive algorithms such
-// as marching cubes, can not [be used]" (§1.2) — so the windtunnel
-// offers this as an offline tool, and the benchmark harness uses it to
-// quantify exactly how far outside the 1/8-second budget it falls.
+// as marching cubes, can not [be used]" (§1.2) — an exclusion VFIVE
+// (Ohno et al., PAPERS.md) later lifted and this windtunnel lifts too:
+// the server's shared isosurface and vortex-core tools march through a
+// Plan on the round's worker pool every time their level or timestep
+// changes, under the frame-budget governor's stride ladder. Extract is
+// the one-shot form, which EXPERIMENTS.md times at the paper's grid
+// scale against the 1/8-second budget.
+//
+//vw:deterministic
 package isosurf
 
 import (
@@ -32,9 +38,21 @@ var tets = [6][4]int{
 	{0, 6, 4, 7},
 }
 
-// cornerOffset maps a corner index to (di, dj, dk).
-func cornerOffset(c int) (int, int, int) {
-	return c & 1, (c >> 1) & 1, (c >> 2) & 1
+// tetEdges lists, per inside-mask of a tetrahedron's four corners (bit
+// n = tet-local corner n at or above the level), the edges whose
+// crossings are the emitted points, as (a, b) corner pairs, three pairs
+// a triangle. The 14 non-trivial masks reduce to 7 by complement: one
+// corner isolated -> one triangle; two-and-two -> a quad a, b, c, d cut
+// into (a, b, c) and (a, c, d). Counting and filling both read this
+// table, so they cannot disagree about what a cell emits.
+var tetEdges = [16][]uint8{
+	0x1: {0, 1, 0, 2, 0, 3}, 0xE: {0, 1, 0, 2, 0, 3},
+	0x2: {1, 0, 1, 3, 1, 2}, 0xD: {1, 0, 1, 3, 1, 2},
+	0x4: {2, 0, 2, 1, 2, 3}, 0xB: {2, 0, 2, 1, 2, 3},
+	0x8: {3, 0, 3, 2, 3, 1}, 0x7: {3, 0, 3, 2, 3, 1},
+	0x3: {0, 2, 0, 3, 1, 3, 0, 2, 1, 3, 1, 2}, 0xC: {0, 2, 0, 3, 1, 3, 0, 2, 1, 3, 1, 2},
+	0x5: {0, 1, 0, 3, 2, 3, 0, 1, 2, 3, 2, 1}, 0xA: {0, 1, 0, 3, 2, 3, 0, 1, 2, 3, 2, 1},
+	0x6: {1, 0, 1, 3, 2, 3, 1, 0, 2, 3, 2, 0}, 0x9: {1, 0, 1, 3, 2, 3, 1, 0, 2, 3, 2, 0},
 }
 
 // Extract returns the triangles of the iso-valued surface of the
@@ -56,181 +74,227 @@ func Extract(g *grid.Grid, scalar []float32, iso float32) ([]Triangle, error) {
 // what lets tool geometry bytes be compared across servers and shipped
 // through relays verbatim.
 func ExtractStride(g *grid.Grid, scalar []float32, iso float32, stride int) ([]Triangle, error) {
-	if err := checkExtract(g, scalar, stride); err != nil {
-		return nil, err
-	}
-	return extractSlab(nil, g, scalar, iso, stride, 0, g.NK-1), nil
+	return ExtractParallel(g, scalar, iso, stride, 1)
 }
 
-// ExtractParallel is ExtractStride with the k-slabs marched by worker
-// goroutines. Workers claim slabs from a shared counter, so which
-// goroutine marches which slab is scheduler-dependent — the merge
-// therefore concatenates per-slab outputs in ascending slab order,
-// pinning the emitted stream to exactly the serial order. (The naive
-// merge — append as workers finish — emits triangles in completion
-// order and two runs of the same server diverge; the cross-server
-// determinism tests in internal/isosurf and internal/server pin the
-// fix.)
+// ExtractParallel is ExtractStride with the k-slabs marched by up to
+// workers goroutines (the caller is one of them). It runs a Plan: every
+// slab is counted, the counts fix each slab's range of the output, and
+// the slabs then march into their own ranges — so the emitted stream is
+// the serial order whichever goroutine marches which slab, with no
+// per-slab pieces to merge.
 func ExtractParallel(g *grid.Grid, scalar []float32, iso float32, stride, workers int) ([]Triangle, error) {
-	if err := checkExtract(g, scalar, stride); err != nil {
+	var p Plan
+	if err := p.Reset(g, scalar, iso, stride, workers); err != nil {
 		return nil, err
 	}
-	// Slab boundaries: contiguous runs of strided k values.
-	var starts []int
-	for k := 0; k < g.NK-1; k += stride {
-		starts = append(starts, k)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	slabK := len(starts)/workers + 1
-	var slabs [][2]int
-	for s := 0; s < len(starts); s += slabK {
-		end := g.NK - 1
-		if s+slabK < len(starts) {
-			end = starts[s+slabK]
-		}
-		slabs = append(slabs, [2]int{starts[s], end})
-	}
-	parts := make([][]Triangle, len(slabs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers && w < len(slabs); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= len(slabs) {
-					return
-				}
-				parts[s] = extractSlab(nil, g, scalar, iso, stride, slabs[s][0], slabs[s][1])
-			}
-		}()
-	}
-	wg.Wait()
-	var out []Triangle
-	for _, p := range parts {
-		out = append(out, p...)
+	workers = min(workers, p.Slabs())
+	eachSlab(&p, workers, (*Plan).Count)
+	pts := make([]vmath.Vec3, p.Layout())
+	eachSlab(&p, workers, func(p *Plan, s int) { p.Fill(s, pts) })
+	out := make([]Triangle, len(pts)/3)
+	for i := range out {
+		out[i] = Triangle{pts[3*i], pts[3*i+1], pts[3*i+2]}
 	}
 	return out, nil
 }
 
-func checkExtract(g *grid.Grid, scalar []float32, stride int) error {
+// eachSlab calls do for every slab of p from workers goroutines that
+// claim slab numbers from a shared counter, and returns when all are
+// done. The caller is worker 0; one worker starts no goroutine.
+func eachSlab(p *Plan, workers int, do func(*Plan, int)) {
+	var next atomic.Int64
+	claim := func() {
+		for s := int(next.Add(1)) - 1; s < p.Slabs(); s = int(next.Add(1)) - 1 {
+			do(p, s)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
+}
+
+// Plan is one extraction split into k-slabs that independent workers
+// march straight into one shared point buffer: Reset, Count every slab,
+// Layout, size the buffer, Fill every slab. Count and Fill of distinct
+// slabs may run concurrently; Layout runs between the two passes, alone.
+// A Plan is recycled across extractions and allocates only when the
+// slab count grows.
+type Plan struct {
+	g      *grid.Grid
+	scalar []float32
+	iso    float32
+	stride int
+	slabs  []slab
+}
+
+// slab is the strided k-rows [k0, k1) of one extraction, the points
+// they emit, and where those points start in the output.
+type slab struct {
+	k0, k1      int
+	points, off int
+}
+
+// Reset plans the extraction of scalar's iso surface on g at the given
+// cell stride, split into at most parts slabs of whole strided k-rows.
+func (p *Plan) Reset(g *grid.Grid, scalar []float32, iso float32, stride, parts int) error {
 	if len(scalar) != g.NumNodes() {
 		return fmt.Errorf("isosurf: scalar has %d values for %d nodes", len(scalar), g.NumNodes())
 	}
 	if stride < 1 {
 		return fmt.Errorf("isosurf: stride %d < 1", stride)
 	}
+	p.g, p.scalar, p.iso, p.stride = g, scalar, iso, stride
+	p.slabs = p.slabs[:0]
+	rows := (g.NK-2)/stride + 1 // strided k values below NK-1
+	per := (rows + max(parts, 1) - 1) / max(parts, 1)
+	for r := 0; r < rows; r += per {
+		p.slabs = append(p.slabs, slab{k0: r * stride, k1: min((r+per)*stride, g.NK-1)})
+	}
 	return nil
 }
 
-// extractSlab marches the strided cells whose low-k corner lies in
-// [k0, k1), appending to out in pinned k/j/i order.
-func extractSlab(out []Triangle, g *grid.Grid, scalar []float32, iso float32, stride, k0, k1 int) []Triangle {
+// Slabs returns how many slabs the plan was split into.
+func (p *Plan) Slabs() int { return len(p.slabs) }
+
+// Count records how many points slab s emits.
+func (p *Plan) Count(s int) {
+	sl := &p.slabs[s]
+	sl.points = p.march(sl.k0, sl.k1, nil)
+}
+
+// Layout places the counted slabs end to end in ascending k — the
+// serial emission order — and returns the total point count (three per
+// triangle).
+func (p *Plan) Layout() int {
+	total := 0
+	for s := range p.slabs {
+		p.slabs[s].off = total
+		total += p.slabs[s].points
+	}
+	return total
+}
+
+// Fill marches slab s into its range [lo, hi) of dst, which holds at
+// least Layout's total.
+func (p *Plan) Fill(s int, dst []vmath.Vec3) (lo, hi int) {
+	sl := &p.slabs[s]
+	lo, hi = sl.off, sl.off+sl.points
+	if lo < hi {
+		p.march(sl.k0, sl.k1, dst[lo:hi])
+	}
+	return lo, hi
+}
+
+// march visits the strided cells whose low-k corner lies in [k0, k1) in
+// pinned k/j/i order and returns the number of points they emit; with a
+// non-nil dst it also writes them there. Along a row the four corners at
+// a cell's high-i face are the next cell's low-i face, so each cell
+// loads and classifies four scalars; positions are gathered only where
+// the surface crosses.
+//
+//vw:hotpath
+func (p *Plan) march(k0, k1 int, dst []vmath.Vec3) int {
+	g, scalar, iso, stride := p.g, p.scalar, p.iso, p.stride
 	var vals [8]float32
 	var pos [8]vmath.Vec3
-	clamp := func(n, limit int) int {
-		if n > limit {
-			return limit
-		}
-		return n
-	}
-	for k := k0; k < k1 && k < g.NK-1; k += stride {
-		kHi := clamp(k+stride, g.NK-1)
+	n := 0
+	for k := k0; k < k1; k += stride {
+		dk := (min(k+stride, g.NK-1) - k) * g.NI * g.NJ
 		for j := 0; j < g.NJ-1; j += stride {
-			jHi := clamp(j+stride, g.NJ-1)
+			dj := (min(j+stride, g.NJ-1) - j) * g.NI
+			// rows holds the node index of the cell's four i-edges at
+			// i = 0, in corner order: (j, k), (j+, k), (j, k+), (j+, k+).
+			r0 := g.Index(0, j, k)
+			rows := [4]int{r0, r0 + dj, r0 + dk, r0 + dj + dk}
+			for e, r := range rows {
+				vals[2*e+1] = scalar[r]
+			}
+			hiMask := faceMask(&vals, iso)
 			for i := 0; i < g.NI-1; i += stride {
-				iHi := clamp(i+stride, g.NI-1)
-				// Gather the cell's corners once.
-				inside := 0
-				for c := 0; c < 8; c++ {
-					di, dj, dk := cornerOffset(c)
-					ci, cj, ck := i, j, k
-					if di != 0 {
-						ci = iHi
-					}
-					if dj != 0 {
-						cj = jHi
-					}
-					if dk != 0 {
-						ck = kHi
-					}
-					idx := g.Index(ci, cj, ck)
-					vals[c] = scalar[idx]
-					pos[c] = vmath.Vec3{X: g.X[idx], Y: g.Y[idx], Z: g.Z[idx]}
-					if vals[c] >= iso {
-						inside++
-					}
+				iHi := min(i+stride, g.NI-1)
+				mask := hiMask >> 1 // the last cell's high face is this one's low face
+				for e, r := range rows {
+					vals[2*e] = vals[2*e+1]
+					vals[2*e+1] = scalar[r+iHi]
 				}
-				if inside == 0 || inside == 8 {
+				hiMask = faceMask(&vals, iso)
+				mask |= hiMask
+				if mask == 0 || mask == 0xFF {
 					continue // cell entirely on one side
 				}
-				for _, tet := range tets {
-					out = marchTet(out, &vals, &pos, tet, iso)
+				if dst != nil {
+					for e, r := range rows {
+						lo, hi := r+i, r+iHi
+						pos[2*e] = vmath.Vec3{X: g.X[lo], Y: g.Y[lo], Z: g.Z[lo]}
+						pos[2*e+1] = vmath.Vec3{X: g.X[hi], Y: g.Y[hi], Z: g.Z[hi]}
+					}
+				}
+				for t := range tets {
+					tet := &tets[t]
+					edges := tetEdges[mask>>tet[0]&1|mask>>tet[1]&1<<1|mask>>tet[2]&1<<2|mask>>tet[3]&1<<3]
+					if dst != nil {
+						for e := 0; e < len(edges); e += 2 {
+							dst[n+e/2] = crossing(&vals, &pos, tet[edges[e]], tet[edges[e+1]], iso)
+						}
+					}
+					n += len(edges) / 2
 				}
 			}
 		}
 	}
-	return out
+	return n
 }
 
-// marchTet emits 0-2 triangles for one tetrahedron.
-func marchTet(out []Triangle, vals *[8]float32, pos *[8]vmath.Vec3, tet [4]int, iso float32) []Triangle {
-	var mask int
-	for n, c := range tet {
+// faceMask classifies the four high-i corners of a cell (the odd
+// entries of vals) against the level, as their bits of the cell's
+// corner mask.
+func faceMask(vals *[8]float32, iso float32) int {
+	var m int
+	for c := 1; c < 8; c += 2 {
 		if vals[c] >= iso {
-			mask |= 1 << n
+			m |= 1 << c
 		}
 	}
-	if mask == 0 || mask == 0xF {
-		return out
+	return m
+}
+
+// crossing interpolates the point where the level crosses the cell edge
+// between corners a and b.
+func crossing(vals *[8]float32, pos *[8]vmath.Vec3, a, b int, iso float32) vmath.Vec3 {
+	va, vb := vals[a], vals[b]
+	t := float32(0.5)
+	if va != vb {
+		t = (iso - va) / (vb - va)
 	}
-	// Edge interpolation helper between tet-local corners a, b.
-	edge := func(a, b int) vmath.Vec3 {
-		ca, cb := tet[a], tet[b]
-		va, vb := vals[ca], vals[cb]
-		t := float32(0.5)
-		if va != vb {
-			t = (iso - va) / (vb - va)
-		}
-		return pos[ca].Lerp(pos[cb], t)
-	}
-	// The 14 non-trivial cases reduce to 8 by symmetry: one corner
-	// isolated (4 cases + complements) -> 1 triangle; two-and-two
-	// (3 cases + complements) -> 2 triangles.
-	switch mask {
-	case 0x1, 0xE: // corner 0 isolated
-		out = append(out, Triangle{edge(0, 1), edge(0, 2), edge(0, 3)})
-	case 0x2, 0xD: // corner 1
-		out = append(out, Triangle{edge(1, 0), edge(1, 3), edge(1, 2)})
-	case 0x4, 0xB: // corner 2
-		out = append(out, Triangle{edge(2, 0), edge(2, 1), edge(2, 3)})
-	case 0x8, 0x7: // corner 3
-		out = append(out, Triangle{edge(3, 0), edge(3, 2), edge(3, 1)})
-	case 0x3, 0xC: // corners {0,1} vs {2,3}
-		a, b, c, d := edge(0, 2), edge(0, 3), edge(1, 3), edge(1, 2)
-		out = append(out, Triangle{a, b, c}, Triangle{a, c, d})
-	case 0x5, 0xA: // corners {0,2} vs {1,3}
-		a, b, c, d := edge(0, 1), edge(0, 3), edge(2, 3), edge(2, 1)
-		out = append(out, Triangle{a, b, c}, Triangle{a, c, d})
-	case 0x6, 0x9: // corners {1,2} vs {0,3}
-		a, b, c, d := edge(1, 0), edge(1, 3), edge(2, 3), edge(2, 0)
-		out = append(out, Triangle{a, b, c}, Triangle{a, c, d})
-	}
-	return out
+	return pos[a].Lerp(pos[b], t)
 }
 
 // SpeedField returns the node-indexed velocity magnitude of a field —
 // the scalar whose isosurfaces bound recirculation and jet regions.
 func SpeedField(f *field.Field) []float32 {
 	out := make([]float32, f.NumNodes())
-	for i := range out {
-		v := vmath.Vec3{X: f.U[i], Y: f.V[i], Z: f.W[i]}
-		out[i] = v.Len()
-	}
+	SpeedInto(out, f, 0, len(out))
 	return out
+}
+
+// SpeedInto is SpeedField's loop over the nodes [lo, hi), writing into
+// dst: the form a caller that recycles dst across timesteps, or splits
+// the nodes over workers, uses.
+//
+//vw:hotpath
+func SpeedInto(dst []float32, f *field.Field, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		v := vmath.Vec3{X: f.U[i], Y: f.V[i], Z: f.W[i]}
+		dst[i] = v.Len()
+	}
 }
 
 // Area returns the total surface area of the triangle set, a cheap

@@ -169,43 +169,6 @@ func BenchmarkExtractSphere(b *testing.B) {
 	}
 }
 
-// TestExtractParallelMatchesSerial pins the shared-tool determinism
-// contract: ExtractParallel must produce the exact serial triangle
-// sequence — same triangles, same order — for every worker count, or
-// the server's memoized tool geometry would differ between otherwise
-// identical servers and break frame byte-identity.
-func TestExtractParallelMatchesSerial(t *testing.T) {
-	g, err := grid.NewCartesian(21, 19, 17, vmath.AABB{
-		Min: vmath.V3(-2, -2, -2), Max: vmath.V3(2, 2, 2),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sphereScalar(g, vmath.V3(0.3, -0.2, 0.1))
-	for _, stride := range []int{1, 2, 4} {
-		want, err := ExtractStride(g, s, 1.1, stride)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for workers := 1; workers <= 9; workers++ {
-			got, err := ExtractParallel(g, s, 1.1, stride, workers)
-			if err != nil {
-				t.Fatalf("stride %d workers %d: %v", stride, workers, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("stride %d workers %d: %d triangles, serial %d",
-					stride, workers, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("stride %d workers %d: triangle %d = %v, serial %v",
-						stride, workers, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // TestExtractStrideCoarsens: larger strides march fewer, larger cells
 // — the governor's tool shed ladder. The coarse surface must stay
 // non-empty and on the iso surface, with fewer triangles than stride 1.

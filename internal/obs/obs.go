@@ -24,7 +24,10 @@ type FrameSample struct {
 	Load time.Duration
 	// Integrate is the visualization computation across all rakes.
 	Integrate time.Duration
-	// Encode is the wire-encoding of the reply.
+	// Encode is wire-encoding time spent inside the round itself. The
+	// server encodes its shared codec-v1 reply when a consumer first
+	// asks for it and books that through ObserveEncode, so its samples
+	// leave this zero.
 	Encode time.Duration
 	// RakesComputed counts rakes whose geometry was recomputed this
 	// round; RakesReused counts rakes served from the dirty-rake memo.
@@ -39,8 +42,11 @@ type FrameSample struct {
 	// FrameReused marks a round served whole from the previous encode
 	// (environment version unchanged).
 	FrameReused bool
-	// Points is the geometry point count shipped in the reply;
-	// Bytes is the encoded reply size.
+	// Points is the geometry point count shipped in the reply. Bytes is
+	// the size of whatever reply the round itself encoded; like Encode,
+	// the server books its codec-v1 reply through ObserveEncode, at the
+	// size it had when it was encoded, and a round no v1 consumer asked
+	// for adds none.
 	Points int64
 	Bytes  int64
 	// Predicted is the frame-budget governor's pre-frame cost
@@ -183,6 +189,16 @@ func (r *Recorder) Observe(f FrameSample) {
 		r.s.FramesShed++
 		r.s.ShedSum += f.Shed
 	}
+}
+
+// ObserveEncode records one encode of a round's shared reply outside
+// Observe: the time it took and the encoded size. Snapshot.EncodeTime
+// and Snapshot.Bytes sum these with whatever the samples carried.
+func (r *Recorder) ObserveEncode(d time.Duration, bytes int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.s.EncodeTime += d
+	r.s.Bytes += bytes
 }
 
 // ObserveShip records one per-session reply send of the given encoded

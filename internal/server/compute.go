@@ -1,11 +1,13 @@
 package server
 
 // The compute layer: timestep loading, dirty-rake planning under the
-// frame-budget governor, streamline/path/streak integration on the
-// bounded worker pool, and the encode of the shared round buffer. It
-// is driven only through recomputeLocked and knows nothing about
-// sessions, codecs, or relays — the session layer (session.go) decides
-// when a round advances and how its bytes reach each consumer.
+// frame-budget governor, and the round's one worker pool (pool.go),
+// which runs streamline/path/streak integration and the shared tools'
+// derive and march side by side, each producer finishing with its own
+// codec-v2 segment. It is driven only through recomputeLocked and knows
+// nothing about sessions or relays — the session layer (session.go)
+// decides when a round advances and how its bytes reach each consumer,
+// and encodes the shared codec-v1 reply the first time one asks.
 
 import (
 	"fmt"
@@ -38,12 +40,16 @@ type segCache struct {
 	// seq numbers the source's geometry content: it changes exactly
 	// when a recompute rewrites the geometry, so a session (or relay)
 	// whose shadow holds (key, seq) can be sent a reference instead of
-	// the points. seg caches the encoded v2 segment for the current seq
-	// (segSeq tracks which); it is built lazily on the first v2 consumer
-	// and shared by every session that needs the full geometry.
+	// the points. seg caches the encoded v2 segment for sequence segSeq,
+	// shared by every session that needs the full geometry. The pool job
+	// that rewrites the geometry writes it too once the server has seen a
+	// v2 consumer (sealed, until numberLocked gives the geometry its
+	// sequence); otherwise encodeSegLocked builds it for the first
+	// consumer to ask.
 	seq    uint64
 	seg    []byte
 	segSeq uint64
+	sealed bool
 
 	points int64 // points in the cached geometry
 	// fullU is the source's full-fidelity work this round and actualU
@@ -94,10 +100,11 @@ type rakeJob struct {
 }
 
 // recomputeLocked runs one round, stage by stage: load the timestep,
-// collect the scene and plan the dirty rakes, compute rakes then tools,
-// number what was rewritten, and encode the shared reply into the
-// recycled round buffer. Each stage is a plain function; what one hands
-// the next is in its signature. Caller holds s.mu.
+// collect the scene and plan the dirty rakes and tools, run every
+// producer on the round's pool, number what was rewritten (tools in
+// table order, then jobs in job order), and total the round for the
+// books. Each stage is a plain function; what one hands the next is in
+// its signature. Caller holds s.mu.
 //
 //vw:hotpath
 func (s *Server) recomputeLocked() error {
@@ -129,15 +136,16 @@ func (s *Server) recomputeLocked() error {
 	s.round++
 	reused := s.collectLocked(g, ts, step)
 	predicted := s.planJobsLocked()
-	s.runJobsLocked(compute.SteadyBatch{F: s.cur, G: g}, g, ts, step)
 	toolsC, toolsR := s.stats.ToolsComputed, s.stats.ToolsReused
-	toolUnits := s.computeToolsLocked(g, step)
+	s.collectToolsLocked(g, step)
+	s.runJobsLocked(g, ts, step)
 	computeTime := s.clock.Now().Sub(computeStart)
 
+	toolUnits := s.numberToolsLocked()
 	computed, jobUnits := s.numberJobsLocked()
 	s.gov.observe(computeTime, jobUnits+toolUnits)
 	reused += len(s.jobs) - computed
-	tot := s.encodeRoundLocked(ts, loadTime, computeTime)
+	tot := s.totalRoundLocked(ts, loadTime, computeTime)
 
 	clear(s.consumedBy)
 	s.lastVersion = version
@@ -151,7 +159,6 @@ func (s *Server) recomputeLocked() error {
 	s.stats.ToolPoints += tot.toolPoints
 	s.stats.ComputeTime += computeTime
 	s.stats.LoadTime += loadTime
-	s.stats.EncodeTime += tot.encodeTime
 	s.stats.RakesComputed += int64(computed)
 	s.stats.RakesReused += int64(reused)
 	s.stats.PredictedTime += predicted
@@ -161,14 +168,12 @@ func (s *Server) recomputeLocked() error {
 	s.rec.Observe(obs.FrameSample{
 		Load:          loadTime,
 		Integrate:     computeTime,
-		Encode:        tot.encodeTime,
 		RakesComputed: computed,
 		RakesReused:   reused,
 		ToolsComputed: int(s.stats.ToolsComputed - toolsC),
 		ToolsReused:   int(s.stats.ToolsReused - toolsR),
 		ToolPoints:    tot.toolPoints,
 		Points:        tot.points,
-		Bytes:         int64(len(s.fb.buf)),
 		Predicted:     predicted,
 		Budget:        s.gov.budget,
 		Shed:          tot.shedFrac,
@@ -176,8 +181,10 @@ func (s *Server) recomputeLocked() error {
 	return nil
 }
 
-// reuseRoundLocked books a round served whole from the previous
-// encode: every session may consume the standing buffer again.
+// reuseRoundLocked books a round served whole from the previous one:
+// every session may consume the standing round again — its cached
+// segments, and its codec-v1 reply if one was ever asked for (if not,
+// the wire scratch it encodes from still stands).
 func (s *Server) reuseRoundLocked() {
 	clear(s.consumedBy)
 	s.stats.Frames++
@@ -189,7 +196,6 @@ func (s *Server) reuseRoundLocked() {
 		RakesReused: len(s.geoCache),
 		ToolPoints:  s.lastToolPoints,
 		Points:      s.lastPoints,
-		Bytes:       int64(len(s.fb.buf)),
 	})
 }
 
@@ -343,18 +349,17 @@ func (s *Server) collectLocked(g *grid.Grid, ts env.TimeState, step int) (reused
 // numberJobsLocked assigns codec-v2 sequence numbers to the rakes this
 // round recomputed, in job order: serial, deterministic, and bumped
 // exactly when a rake's geometry was rewritten. Delta encoders key
-// their shadows on these. Tool geometry took its numbers first, inside
-// computeToolsLocked in fixed tool order — the order is on the wire, so
-// it is not the round list's. Returns the recomputed count and the
-// §5.3 work the jobs measured, for the governor's EWMA.
+// their shadows on these. Tool geometry took its numbers first, in
+// numberToolsLocked in fixed tool order — the order is on the wire, so
+// it is neither the round list's nor the pool's. Returns the recomputed
+// count and the §5.3 work the jobs measured, for the governor's EWMA.
 func (s *Server) numberJobsLocked() (computed int, units int64) {
 	for i := range s.jobs {
 		j := &s.jobs[i]
 		if j.plan.skip {
 			continue
 		}
-		s.geoSeq++
-		j.gc.seq = s.geoSeq
+		s.numberLocked(&j.gc.segCache)
 		s.geomWire[j.idx] = j.gc.geo
 		computed++
 		units += j.units
@@ -362,18 +367,32 @@ func (s *Server) numberJobsLocked() (computed int, units int64) {
 	return computed, units
 }
 
-// roundTotals is what the encode stage hands back for the books.
+// numberLocked takes the next geometry sequence number for a source a
+// pool job rewrote; a segment the job wrote with it (sealed) is the
+// segment of that sequence from the start.
+func (s *Server) numberLocked(sc *segCache) {
+	s.geoSeq++
+	sc.seq = s.geoSeq
+	if sc.sealed {
+		sc.segSeq, sc.sealed = sc.seq, false
+		s.stats.SegmentsEncoded++
+	}
+}
+
+// roundTotals is what the totalling stage hands back for the books.
 type roundTotals struct {
 	points, toolPoints int64
 	degraded           uint8
 	shedFrac           float64
-	encodeTime         time.Duration
 }
 
-// encodeRoundLocked is the encode stage: it totals the round list,
-// derives the degradation byte, and encodes the shared codec-v1 reply
-// once into a buffer no in-flight send still references.
-func (s *Server) encodeRoundLocked(ts env.TimeState, loadTime, computeTime time.Duration) roundTotals {
+// totalRoundLocked closes the round: it totals the round list, derives
+// the degradation byte, fixes the round's header fields (lastMeta — the
+// shared payload every codec-v2 session marries to the cached segments
+// through its own delta shadow) and claims a buffer no in-flight send
+// still references for the shared codec-v1 reply. The reply itself is
+// encoded by v1ReplyLocked, the first time a consumer asks for it.
+func (s *Server) totalRoundLocked(ts env.TimeState, loadTime, computeTime time.Duration) roundTotals {
 	var tot roundTotals
 	var fullU, actualU int64
 	for i, sc := range s.roundSegs {
@@ -390,8 +409,7 @@ func (s *Server) encodeRoundLocked(ts env.TimeState, loadTime, computeTime time.
 		tot.shedFrac = 1 - float64(actualU)/float64(fullU)
 	}
 
-	encodeStart := s.clock.Now()
-	reply := wire.FrameReply{
+	s.lastMeta = wire.FrameReply{
 		Time: wire.TimeStatus{
 			Current:  ts.Current,
 			Speed:    ts.Speed,
@@ -401,26 +419,18 @@ func (s *Server) encodeRoundLocked(ts env.TimeState, loadTime, computeTime time.
 		},
 		Users:        s.usersWire,
 		Rakes:        s.rakesWire,
-		Geometry:     s.geomWire,
 		ComputeNanos: computeTime.Nanoseconds(),
 		LoadNanos:    loadTime.Nanoseconds(),
 		Round:        s.round,
 		Degraded:     tot.degraded,
 	}
 	if s.haveTools {
-		reply.Tools = &s.toolsMeta
+		s.lastMeta.Tools = &s.toolsMeta
 	}
 	// The current buffer in place when its references have drained
 	// (steady state), a recycled drained buffer otherwise.
-	fb := s.acquireEncodeBufLocked()
-	fb.buf = wire.AppendFrameReply(fb.buf[:0], reply)
-	s.fb = fb
-	// Shared round payload for codec-v2 sessions: the header fields
-	// without geometry. Each v2 session marries it to the round list's
-	// cached segments through its own delta shadow.
-	s.lastMeta = reply
-	s.lastMeta.Geometry = nil
-	tot.encodeTime = s.clock.Now().Sub(encodeStart)
+	s.fb = s.acquireEncodeBufLocked()
+	s.v1Ready = false
 	return tot
 }
 
@@ -474,56 +484,15 @@ func (s *Server) planJobsLocked() time.Duration {
 	return predicted
 }
 
-// runJobsLocked executes the round's recompute jobs on a bounded
-// worker pool. Each job touches only its own rakeGeom (and streak), so
-// jobs are independent; shared inputs (field, grid, options) are
-// read-only. Caller holds s.mu; the job slice is frozen for the whole
-// round and the parent blocks on the WaitGroup, so worker reads of
-// s.jobs race with nothing.
-func (s *Server) runJobsLocked(batch compute.SteadyBatch, g *grid.Grid, ts env.TimeState, step int) {
-	// One time sampler per round, shared by every particle-path rake:
-	// the window slides once and a level two rakes both need loads once.
-	var paths integrate.Sampler
-	for i := range s.jobs {
-		if j := &s.jobs[i]; j.snap.Rake.Tool == integrate.ToolParticlePath && !j.plan.skip {
-			paths = s.timeSamplerLocked(step)
-			break
-		}
-	}
-	defer s.bookPathLoadsLocked()
-
-	workers := min(s.cfg.RakeWorkers, len(s.jobs))
-	if workers <= 1 {
-		for i := range s.jobs {
-			s.computeRake(&s.jobs[i], batch, paths, g, ts, step)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, len(s.jobs))
-	for i := range s.jobs {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				s.computeRake(&s.jobs[i], batch, paths, g, ts, step) //vw:allow lockdiscipline -- jobs are frozen for the round; parent holds mu and blocks on wg
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // computeRake recomputes one rake's geometry into its memo entry at
 // the planned fidelity, recycling the previous round's physical-line
-// buffers. Runs on pool workers; must not touch server state beyond
-// the job's own entries.
+// buffers, and — once the server has seen a codec-v2 consumer — writes
+// the geometry's v2 segment while the points are still in cache. Runs
+// on pool workers; touches nothing beyond the job's own entries.
 //
 //vw:hotpath
-func (s *Server) computeRake(j *rakeJob, batch compute.SteadyBatch, paths integrate.Sampler, g *grid.Grid, ts env.TimeState, step int) {
+func (rc *roundCtx) computeRake(j *rakeJob) {
+	batch, paths, g, ts, step := rc.batch, rc.paths, rc.g, rc.ts, rc.step
 	if j.plan.skip {
 		// The governor kept this rake's shed-fidelity memo; the round
 		// serves gc.geo verbatim.
@@ -532,7 +501,7 @@ func (s *Server) computeRake(j *rakeJob, batch compute.SteadyBatch, paths integr
 	rake := j.snap.Rake
 	gc := j.gc
 	seeds := gc.seeds
-	opts := s.cfg.Options
+	opts := rc.opts
 	if j.streak == nil {
 		// Shed levels: a prefix of the seed row and a truncated step
 		// bound, so a tighter budget strictly shrinks the output.
@@ -544,7 +513,7 @@ func (s *Server) computeRake(j *rakeJob, batch compute.SteadyBatch, paths integr
 			opts.MaxSteps = lv.Steps
 		}
 	}
-	eng := s.cfg.Engine
+	eng := rc.eng
 	var lines [][]vmath.Vec3
 	var st compute.Stats
 	switch rake.Tool {
@@ -571,6 +540,10 @@ func (s *Server) computeRake(j *rakeJob, batch compute.SteadyBatch, paths integr
 	gc.step = step
 	gc.timeKey = ts.Current
 	gc.actualU = int64(len(seeds)) * int64(opts.MaxSteps)
+	if rc.seal {
+		gc.seg = wire.AppendGeomV2(gc.seg[:0], gc.geo, rc.quant)
+		gc.sealed = true
+	}
 }
 
 // loadStep fetches a timestep through the prefetcher when present.

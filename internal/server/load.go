@@ -142,7 +142,7 @@ type LoadReport struct {
 	// Server-side deltas over the run.
 	Rounds        int64 // computation rounds (incl. whole-frame memo)
 	FramesReused  int64 // rounds served whole from the memo
-	FramesEncoded int64 // rounds actually wire-encoded
+	FramesEncoded int64 // rounds recomputed: each produced its shared payload once
 	FramesShipped int64 // per-session sends
 	BytesShipped  int64
 	Points        int64

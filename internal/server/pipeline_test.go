@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/compute"
+	"repro/internal/datasets"
 	"repro/internal/dlib"
+	"repro/internal/env"
 	"repro/internal/integrate"
+	"repro/internal/store"
 	"repro/internal/vmath"
 	"repro/internal/vr"
 	"repro/internal/wire"
@@ -375,6 +378,164 @@ func TestSteadyFrameAllocs(t *testing.T) {
 		}
 	}); got > 16 {
 		t.Errorf("head-tracked frame allocates %.0f times, budget 16", got)
+	}
+}
+
+// TestToolRelevelAllocs pins the recycling contract of the tools' half
+// of the round: once warm, re-levelling the isosurface on a new
+// timestep — derive the physical velocity and speed, count, fill, write
+// the segment, assemble the reply — allocates a small constant, and the
+// constant does not grow with the surface. (It used to cost a Field, a
+// speed array, per-slab triangle parts and their concatenation: the
+// more triangles, the more garbage.)
+func TestToolRelevelAllocs(t *testing.T) {
+	for _, codec := range []uint8{wire.CodecV1, wire.CodecV2} {
+		s, err := New(Config{Store: toolDataset(t, 4), RakeWorkers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &dlib.Ctx{Session: &dlib.Session{ID: 1}}
+		if codec == wire.CodecV2 {
+			if _, err := s.handleHello2(ctx, wire.EncodeHelloRequest(codec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call := func(payload []byte) {
+			if _, err := s.handleFrame(ctx, payload); err != nil {
+				t.Fatal(err)
+			}
+			ctx.FinishReply()
+		}
+		call(wire.EncodeClientUpdate(wire.ClientUpdate{Commands: []wire.Command{{Kind: wire.CmdIsoGrab}}}))
+		// relevel alternates between two timesteps and two levels of
+		// about the same surface size, so every call derives and marches.
+		relevel := func(levels [2]float32) (allocs float64, triangles int64) {
+			var payloads [2][]byte
+			for i, level := range levels {
+				payloads[i] = wire.EncodeClientUpdate(wire.ClientUpdate{Commands: []wire.Command{
+					{Kind: wire.CmdSeek, Value: float32(i)},
+					{Kind: wire.CmdIsoSet, Flag: 1, Value: level},
+				}})
+			}
+			n := 0
+			step := func() { call(payloads[n%2]); n++ }
+			for i := 0; i < 4; i++ {
+				step()
+			}
+			before := s.Stats()
+			allocs = testing.AllocsPerRun(20, step)
+			after := s.Stats()
+			if got := after.ToolsComputed - before.ToolsComputed; got != 21 {
+				t.Fatalf("codec %d: %d relevels in 21 calls", codec, got)
+			}
+			return allocs, (after.ToolPoints - before.ToolPoints) / 3 / 21
+		}
+		small, smallTris := relevel([2]float32{1.42, 1.44})
+		large, largeTris := relevel([2]float32{0.9, 0.95})
+		t.Logf("codec %d: %.0f allocs at %d triangles, %.0f at %d", codec, small, smallTris, large, largeTris)
+		if smallTris == 0 || largeTris < 4*smallTris {
+			t.Fatalf("codec %d: surfaces of %d and %d triangles do not tell small from large", codec, smallTris, largeTris)
+		}
+		const budget = 8
+		if small > budget || large > budget {
+			t.Errorf("codec %d: a relevel allocates %.0f times at %d triangles and %.0f at %d, budget %d",
+				codec, small, smallTris, large, largeTris, budget)
+		}
+	}
+}
+
+// BenchmarkToolRelevel times the tools' half of a heavy round on the
+// benchmark's small dataset grid (32x48x12, benchmark/workloads.go): the
+// isosurface re-levelled on a new timestep — physical velocity and
+// speed derived, the surface counted and filled, its v2 segment written
+// — as one recompute with no rake dirty and no reply assembled.
+func BenchmarkToolRelevel(b *testing.B) {
+	u, err := datasets.Analytic(datasets.Spec{NI: 32, NJ: 48, NK: 12, NumSteps: 2, DT: 0.6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(Config{Store: store.NewMemory(u)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.wantSegs = true
+	s.env.GrabIso(1)
+	relevel := func(i int) {
+		s.env.SeekTime(float32(i % 2))
+		s.env.SetIso(1, env.IsoParams{Enabled: true, Level: 0.7 + 0.08*float32(i%8)})
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if err := s.recomputeLocked(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		relevel(i)
+	}
+	before := s.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		relevel(i)
+	}
+	b.StopTimer()
+	after := s.Stats()
+	if got := after.SegmentsEncoded - before.SegmentsEncoded; got != int64(b.N) {
+		b.Fatalf("%d segments written in %d relevels", got, b.N)
+	}
+	b.ReportMetric(float64(after.ToolPoints-before.ToolPoints)/3/float64(b.N), "triangles/op")
+}
+
+// TestPoolStartsNoGoroutineItCannotFeed: the round's pool starts a
+// worker only while there is a unit for it, so a round with one dirty
+// rake, or none, runs on the caller alone — it allocates exactly what it
+// does on a one-worker server, where no goroutine can be started at all.
+func TestPoolStartsNoGoroutineItCannotFeed(t *testing.T) {
+	perRound := func(workers int) (oneDirty, noneDirty float64) {
+		s, err := New(Config{Store: testDataset(t, 4), Engine: compute.Scalar{}, RakeWorkers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &dlib.Ctx{Session: &dlib.Session{ID: 1}}
+		call := func(payload []byte) {
+			if _, err := s.handleFrame(ctx, payload); err != nil {
+				t.Fatal(err)
+			}
+			ctx.FinishReply()
+		}
+		call(wire.EncodeClientUpdate(wire.ClientUpdate{Commands: []wire.Command{
+			addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 12, 4), 8, integrate.ToolStreamline),
+			addRakeCmd(vmath.V3(2, 4, 4), vmath.V3(2, 12, 4), 8, integrate.ToolStreamline),
+			{Kind: wire.CmdGrab, Rake: 1, Grab: uint8(integrate.GrabCenter)},
+		}}))
+		var moves, poses [2][]byte
+		for i := range moves {
+			moves[i] = wire.EncodeClientUpdate(wire.ClientUpdate{Commands: []wire.Command{
+				{Kind: wire.CmdMove, Rake: 1, Pos: vmath.V3(1.5+float32(i), 8, 4)},
+			}})
+			poses[i] = wire.EncodeClientUpdate(wire.ClientUpdate{Hand: vmath.V3(float32(i), 0, 0)})
+		}
+		n := 0
+		measure := func(payloads [2][]byte, wantComputed int64) float64 {
+			step := func() { call(payloads[n%2]); n++ }
+			for i := 0; i < 4; i++ {
+				step()
+			}
+			before := s.Stats().RakesComputed
+			allocs := testing.AllocsPerRun(50, step)
+			if got := s.Stats().RakesComputed - before; got != 51*wantComputed {
+				t.Fatalf("%d workers: %d rakes recomputed in 51 rounds, want %d a round", workers, got, wantComputed)
+			}
+			return allocs
+		}
+		return measure(moves, 1), measure(poses, 0)
+	}
+	one, none := perRound(1)
+	wideOne, wideNone := perRound(8)
+	t.Logf("allocs per round: one dirty rake %.0f (1 worker) / %.0f (8), none dirty %.0f / %.0f", one, wideOne, none, wideNone)
+	if wideOne != one || wideNone != none {
+		t.Errorf("an 8-worker pool allocates %.0f / %.0f times for one / no dirty rake, a 1-worker pool %.0f / %.0f",
+			wideOne, wideNone, one, none)
 	}
 }
 

@@ -22,11 +22,12 @@
 // are recomputed; independent dirty rakes recompute concurrently on a
 // bounded worker pool.
 //
-// Frames fan out encode-once: each round is wire-encoded exactly one
-// time into a ref-counted buffer shared by every session served within
-// that round — a session's reply holds a reference until dlib finishes
-// writing it (Ctx.ReplyDone), and buffers whose references drain
-// recycle into a small free list. Adding workstations therefore adds
+// Frames fan out encode-once: each round's codec-v1 reply is
+// wire-encoded at most one time — when the first v1 session or relay
+// asks for it — into a ref-counted buffer shared by every session served
+// within that round; a session's reply holds a reference until dlib
+// finishes writing it (Ctx.ReplyDone), and buffers whose references
+// drain recycle into a small free list. Adding workstations therefore adds
 // sends, not encodes: frames-encoded per round is independent of the
 // session count, and steady-state frames do near-zero allocation. An
 // optional shared timestep cache (store.Cache) sits under the
@@ -122,9 +123,10 @@ type Stats struct {
 	// summed per round — the §5.3 quantity Table 1 prices. Every tool
 	// counts identically: exactly the points that go on the wire.
 	Points int64
-	// ComputeTime is cumulative visualization compute (integrate
-	// stage, all rakes); LoadTime is cumulative timestep load wait;
-	// EncodeTime is cumulative wire-encoding time.
+	// ComputeTime is cumulative visualization compute (the round's pool:
+	// every dirty rake and tool, codec-v2 segments included); LoadTime
+	// is cumulative timestep load wait; EncodeTime is cumulative encoding
+	// time of the shared codec-v1 reply (see V1Encodes).
 	ComputeTime time.Duration
 	LoadTime    time.Duration
 	EncodeTime  time.Duration
@@ -138,12 +140,20 @@ type Stats struct {
 	RakesComputed int64
 	RakesReused   int64
 	FramesReused  int64
-	// FramesEncoded counts wire encodes of a round buffer;
-	// FramesShipped counts per-session reply sends. Encode-once means
-	// FramesEncoded tracks rounds (not sessions) while FramesShipped
-	// grows with the number of attached workstations.
-	FramesEncoded int64
-	FramesShipped int64
+	// FramesEncoded counts recomputed rounds — each produces the round's
+	// shared payload exactly once, whatever the session count — while
+	// FramesShipped counts per-session reply sends and grows with the
+	// number of attached workstations. V1Encodes counts the rounds whose
+	// shared codec-v1 reply was actually encoded: that happens the first
+	// time a v1 session or a relay asks for the round, so a round only
+	// codec-v2 sessions consume never pays for it. SegmentsEncoded counts
+	// codec-v2 segment encodes, by the producing pool job or on a
+	// consumer's first request; a server that never saw a v2 session or
+	// a relay directory request encodes none.
+	FramesEncoded   int64
+	FramesShipped   int64
+	V1Encodes       int64
+	SegmentsEncoded int64
 	// FramesShed counts encoded rounds that went out with a non-zero
 	// degradation byte — rounds where the governor clamped work, or
 	// was still serving clamped geometry from an earlier clamp.
@@ -227,11 +237,14 @@ type Server struct {
 	geoCache map[int32]*rakeGeom
 	round    uint64 // recompute round counter, for cache sweeping
 
-	// Current round: the ref-counted encode-once buffer (nil = no
-	// round yet), the env version and point count it was computed at,
-	// and which sessions have consumed it. free holds drained buffers
-	// for reuse. All buffers below recycle across rounds.
+	// Current round: the ref-counted encode-once buffer of its shared
+	// codec-v1 reply (nil = no round yet; v1Ready once a consumer asked
+	// and the reply was encoded into it), the env version and point
+	// count it was computed at, and which sessions have consumed it. free
+	// holds drained buffers for reuse. All buffers below recycle across
+	// rounds.
 	fb           *frameBuf
+	v1Ready      bool
 	free         []*frameBuf
 	consumedBy   map[int64]bool
 	lastVersion  uint64
@@ -249,6 +262,11 @@ type Server struct {
 	maxCodec uint8
 	quant    wire.Quantizer
 	codecs   map[int64]*sessionState
+	// wantSegs is set, for good, the first time a session negotiates
+	// codec v2 or a relay asks for a segment directory: from then on the
+	// pool job that rewrites a source's geometry writes its segment too,
+	// instead of leaving it to the first consumer on the serial path.
+	wantSegs bool
 	lastMeta wire.FrameReply // Geometry nil; slices alias the wire scratch
 	geoSeq   uint64
 
@@ -266,6 +284,11 @@ type Server struct {
 	rakesWire   []wire.RakeState
 	geomWire    []wire.Geometry
 	jobs        []rakeJob
+
+	// The round's worker pool (pool.go): the unit list the jobs and the
+	// dirty tools are laid out on, and the inputs its workers share.
+	pool     roundPool
+	roundCtx roundCtx
 
 	// Shared-tool round state (tools.go): the snapshot the round was
 	// planned from, the per-tool geometry memos (iso, plane, vortex),

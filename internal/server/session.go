@@ -131,6 +131,9 @@ func (s *Server) handleHello2(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 		s.codecs[ctx.Session.ID] = st
 	}
 	st.codec = codec
+	if codec >= wire.CodecV2 {
+		s.wantSegs = true
+	}
 	if st.enc != nil {
 		st.enc.Reset()
 	}
@@ -196,13 +199,35 @@ func (s *Server) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	// Encode-once fan-out: hand this session a reference to the shared
 	// round buffer; dlib writes it zero-copy and the release hook
 	// drops the reference when the send is done.
-	fb := s.fb
+	fb := s.v1ReplyLocked()
 	fb.refs++
 	ctx.ReplyDone(fb.release)
 	s.stats.FramesShipped++
 	s.stats.BytesShipped += int64(len(fb.buf))
 	s.rec.ObserveShip(int64(len(fb.buf)))
 	return fb.buf, nil
+}
+
+// v1ReplyLocked returns the round's shared codec-v1 reply, encoding it
+// on the round's first request: from lastMeta and the wire scratch,
+// which stand until the next recompute (a round re-served by
+// reuseRoundLocked included), into the drained buffer totalRoundLocked
+// claimed — nothing references it before it is encoded. The bytes are
+// the ones an encode inside the round would have produced. Caller holds
+// s.mu.
+func (s *Server) v1ReplyLocked() *frameBuf {
+	if !s.v1Ready {
+		start := s.clock.Now()
+		reply := s.lastMeta
+		reply.Geometry = s.geomWire
+		s.fb.buf = wire.AppendFrameReply(s.fb.buf[:0], reply)
+		s.v1Ready = true
+		d := s.clock.Now().Sub(start)
+		s.stats.V1Encodes++
+		s.stats.EncodeTime += d
+		s.rec.ObserveEncode(d, int64(len(s.fb.buf)))
+	}
+	return s.fb
 }
 
 // serveFrameV2Locked assembles this session's codec-v2 reply from the
@@ -255,14 +280,17 @@ func (s *Server) roundRowsLocked(relay *wire.RelayFrameRequest) []wire.Segment {
 
 // encodeSegLocked ensures round-list entry i holds the codec-v2
 // segment for its current geometry sequence — encode-once, v2 edition:
-// the segment is built the first time any v2 session (or relay) needs
-// this geometry version and reused until the source recomputes, so
-// every consumer ships identical quantized bytes. Caller holds s.mu.
+// normally the pool job that computed the geometry wrote it; this is
+// the same encode's second call site, for geometry computed before the
+// server saw its first v2 consumer. Either way the segment is reused
+// until the source recomputes, so every consumer ships identical
+// quantized bytes. Caller holds s.mu.
 func (s *Server) encodeSegLocked(i int) {
 	sc := s.roundSegs[i]
 	if sc.segSeq == sc.seq {
 		return
 	}
+	s.stats.SegmentsEncoded++
 	if n := len(s.geomWire); i < n {
 		sc.seg = wire.AppendGeomV2(sc.seg[:0], s.geomWire[i], s.quant)
 	} else {
@@ -312,8 +340,9 @@ func (s *Server) handleFrameRelay(ctx *dlib.Ctx, payload []byte) ([]byte, error)
 		fb.buf = wire.AppendRelayMarker(fb.buf[:0], round)
 		s.stats.RelayMarkers++
 	} else {
-		rep := wire.RelayFrameReply{Full: true, Round: round, Frame: s.fb.buf}
+		rep := wire.RelayFrameReply{Full: true, Round: round, Frame: s.v1ReplyLocked().buf}
 		if req.WantSegs {
+			s.wantSegs = true
 			rep.HasDir = true
 			rep.Dir = s.roundRowsLocked(&req)
 		}

@@ -8,7 +8,9 @@ package server
 // a step; a tool is coarsened, never dropped. Geometry is memoized per
 // (tool version, timestep, stride) exactly like per-rake geometry, and
 // numbered by the same sequence counter so codec-v2 sessions and
-// relays can delta it.
+// relays can delta it. A tool whose memo misses is recomputed on the
+// round's pool (pool.go) beside the dirty rakes; this file decides what
+// must be recomputed and holds the pieces the pool's units run.
 
 import (
 	"math"
@@ -49,19 +51,40 @@ type toolGeom struct {
 	stride  int
 
 	geo wire.ToolGeom
+
+	// This round's recompute, when the memo missed: the parameters the
+	// pool units read, the derived field they extract from, the marching
+	// plan whose slabs they count and fill, and where the point records
+	// start in the segment the fills write into.
+	dirty    bool
+	state    wire.ToolState
+	from     toolField
+	plan     isosurf.Plan
+	segFirst int
 }
+
+// toolField names a per-timestep derived field of toolScalars: what a
+// tool is extracted from.
+type toolField uint8
+
+const (
+	fieldPhys  toolField = 1 << iota // physical velocity (cutting plane)
+	fieldSpeed                       // its magnitude (isosurface scalar)
+	fieldQ                           // its Q-criterion (vortex scalar)
+)
 
 // toolRow is one line of the shared-tool table: what ships (state),
 // what the memo keys on (version), what the tool costs at a stride in
-// the governor's §5.3 work units, and how its geometry is extracted.
-// units and extract are static function values, so laying the table
+// the governor's §5.3 work units, and the derived field its geometry is
+// extracted from — marched as an isosurface, or, for fieldPhys, sampled
+// as a hedgehog. units is a static function value, so laying the table
 // out allocates nothing.
 type toolRow struct {
 	kind    uint8
 	state   wire.ToolState
 	version uint64
 	units   func(g *grid.Grid, st wire.ToolState, stride int) int64
-	extract func(s *Server, dst []vmath.Vec3, g *grid.Grid, st wire.ToolState, stride int) []vmath.Vec3
+	from    toolField
 }
 
 // toolTable lays a tool snapshot out in the fixed iso -> plane ->
@@ -71,14 +94,14 @@ func toolTable(t env.ToolsState) [numTools]toolRow {
 	return [numTools]toolRow{
 		{wire.ToolKindIso, wire.ToolState{
 			Enabled: t.Iso.Params.Enabled, Value: t.Iso.Params.Level, Holder: t.Iso.Holder,
-		}, t.Iso.Version, marchUnits, (*Server).extractIsoLocked},
+		}, t.Iso.Version, marchUnits, fieldSpeed},
 		{wire.ToolKindPlane, wire.ToolState{
 			Enabled: t.Plane.Params.Enabled, Axis: t.Plane.Params.Axis,
 			Value: t.Plane.Params.Frac, Holder: t.Plane.Holder,
-		}, t.Plane.Version, planeUnits, (*Server).extractPlaneLocked},
+		}, t.Plane.Version, planeUnits, fieldPhys},
 		{wire.ToolKindVortex, wire.ToolState{
 			Enabled: t.Vortex.Params.Enabled, Value: t.Vortex.Params.Threshold, Holder: t.Vortex.Holder,
-		}, t.Vortex.Version, marchUnits, (*Server).extractVortexLocked},
+		}, t.Vortex.Version, marchUnits, fieldQ},
 	}
 }
 
@@ -90,76 +113,78 @@ func planeUnits(g *grid.Grid, st wire.ToolState, stride int) int64 {
 	return sliceNodes(g, st.Axis, stride) * planeUnitsPerNode
 }
 
-// The extractors emit empty geometry rather than failing the frame
-// when a derived field is unavailable (nil). Caller holds s.mu.
-func (s *Server) extractIsoLocked(dst []vmath.Vec3, g *grid.Grid, st wire.ToolState, stride int) []vmath.Vec3 {
-	return appendExtract(dst, g, s.toolScal.speedField(g, s.cur), st.Value, stride, s.cfg.RakeWorkers)
-}
-
-func (s *Server) extractPlaneLocked(dst []vmath.Vec3, g *grid.Grid, st wire.ToolState, stride int) []vmath.Vec3 {
-	return appendPlaneHedgehog(dst, g, s.toolScal.physical(g, s.cur), st.Axis, st.Value, stride)
-}
-
-func (s *Server) extractVortexLocked(dst []vmath.Vec3, g *grid.Grid, st wire.ToolState, stride int) []vmath.Vec3 {
-	return appendExtract(dst, g, s.toolScal.qField(g, s.cur), st.Value, stride, s.cfg.RakeWorkers)
-}
-
 // toolScalars caches the per-timestep derived fields the tools share:
 // the physical-velocity conversion of the loaded step, its speed
-// magnitude (isosurface scalar), and its Q-criterion (vortex scalar).
-// Keyed by the loaded field's identity and step so a step change — or
-// a live ring regenerating in place under a new pointer — invalidates
-// everything at once.
+// magnitude (isosurface scalar), and its Q-criterion (vortex scalar),
+// each in a buffer recycled from step to step. Keyed by the loaded
+// field's identity and step so a step change — or a live ring
+// regenerating in place under a new pointer — invalidates everything at
+// once. have says which buffers hold the current step; todo which ones
+// this round's pool is deriving.
 type toolScalars struct {
 	src   *field.Field
 	step  int
 	phys  *field.Field
 	speed []float32
 	q     []float32
+
+	have, todo toolField
 }
 
-// invalidate drops the cache if the loaded step changed.
+// invalidate forgets the derived fields if the loaded step changed.
 func (tc *toolScalars) invalidate(cur *field.Field, step int) {
 	if tc.src != cur || tc.step != step {
 		tc.src, tc.step = cur, step
-		tc.phys, tc.speed, tc.q = nil, nil, nil
+		tc.have = 0
 	}
 }
 
-// physical returns the physical-velocity field for the loaded step,
-// converting once per step. A degenerate conversion yields nil and
-// the tools emit empty geometry rather than failing the frame.
-func (tc *toolScalars) physical(g *grid.Grid, cur *field.Field) *field.Field {
-	if tc.phys == nil && cur != nil {
-		if p, err := field.ToPhysicalVelocity(cur, g); err == nil {
-			tc.phys = p
-		}
-	}
-	return tc.phys
+// derivable reports whether the loaded step can be converted to
+// physical velocities on g at all; when it cannot, the tools emit empty
+// geometry rather than failing the frame.
+func (tc *toolScalars) derivable(g *grid.Grid) bool {
+	return tc.src != nil && tc.src.Coords == field.GridCoords && tc.src.MatchesGrid(g)
 }
 
-// speedField returns the cached node speed scalar, building it on
-// first use per step.
-func (tc *toolScalars) speedField(g *grid.Grid, cur *field.Field) []float32 {
-	if tc.speed == nil {
-		if p := tc.physical(g, cur); p != nil {
-			tc.speed = isosurf.SpeedField(p)
-		}
+// want schedules the derivation of the fields in need that the current
+// step does not hold yet (speed and Q are derived from the physical
+// velocity, so they pull it in), sizing their buffers on first use.
+func (tc *toolScalars) want(g *grid.Grid, need toolField) {
+	if need&(fieldSpeed|fieldQ) != 0 {
+		need |= fieldPhys
+	}
+	tc.todo = need &^ tc.have
+	n := g.NumNodes()
+	if tc.todo&fieldPhys != 0 && (tc.phys == nil || !tc.phys.MatchesGrid(g)) {
+		tc.phys = field.NewField(g.NI, g.NJ, g.NK, field.Physical)
+	}
+	if tc.todo&fieldSpeed != 0 && len(tc.speed) != n {
+		tc.speed = make([]float32, n)
+	}
+	if tc.todo&fieldQ != 0 && len(tc.q) != n {
+		tc.q = make([]float32, n)
+	}
+}
+
+// derivePlanes converts the k-planes [k0, k1) of the loaded step to
+// physical velocity and speed, as scheduled. Runs on pool workers over
+// disjoint plane ranges.
+func (tc *toolScalars) derivePlanes(g *grid.Grid, k0, k1 int) {
+	if tc.todo&fieldPhys != 0 {
+		field.PhysicalVelocityInto(tc.phys, tc.src, g.Metric(), k0, k1)
+	}
+	if tc.todo&fieldSpeed != 0 {
+		plane := g.NI * g.NJ
+		isosurf.SpeedInto(tc.speed, tc.phys, k0*plane, k1*plane)
+	}
+}
+
+// scalar returns the derived scalar a marching tool extracts from.
+func (tc *toolScalars) scalar(from toolField) []float32 {
+	if from == fieldQ {
+		return tc.q
 	}
 	return tc.speed
-}
-
-// qField returns the cached node Q-criterion scalar, building it on
-// first use per step.
-func (tc *toolScalars) qField(g *grid.Grid, cur *field.Field) []float32 {
-	if tc.q == nil {
-		if p := tc.physical(g, cur); p != nil {
-			if q, err := field.QCriterion(g, p); err == nil {
-				tc.q = q
-			}
-		}
-	}
-	return tc.q
 }
 
 // marchCells counts the strided cells a surface extraction visits.
@@ -191,23 +216,22 @@ func sliceNodes(g *grid.Grid, axis uint8, stride int) int64 {
 	}
 }
 
-// computeToolsLocked recomputes every enabled tool whose inputs —
-// the stride the governor planned among them — changed, reusing
-// memoized geometry for the rest, assembles the round's tool section,
-// and appends the tools to the round list after the rakes. A recomputed
-// tool takes the next geometry sequence number here, in table order.
-// Returns the work actually done, for the governor's EWMA. Caller holds
-// s.mu.
-func (s *Server) computeToolsLocked(g *grid.Grid, step int) (unitsDone int64) {
+// collectToolsLocked is the tools' half of the collect stage: it checks
+// every enabled tool's memo against the stride the governor planned,
+// marks the misses dirty for the pool, and schedules the derived fields
+// they are extracted from. Caller holds s.mu.
+func (s *Server) collectToolsLocked(g *grid.Grid, step int) {
 	s.haveTools = s.toolSnap.Active()
-	s.toolGeomWire = s.toolGeomWire[:0]
-	if !s.haveTools {
-		return 0
+	s.toolScal.todo = 0
+	for i := range s.toolGeos {
+		s.toolGeos[i].dirty = false
 	}
-	table := toolTable(s.toolSnap)
-	s.toolsMeta = wire.ToolsReply{Iso: table[0].state, Plane: table[1].state, Vortex: table[2].state}
+	if !s.haveTools {
+		return
+	}
 	s.toolScal.invalidate(s.cur, step)
-	for i, t := range table {
+	var need toolField
+	for i, t := range toolTable(s.toolSnap) {
 		if !t.state.Enabled {
 			continue
 		}
@@ -215,12 +239,40 @@ func (s *Server) computeToolsLocked(g *grid.Grid, step int) (unitsDone int64) {
 		tg.fullU, tg.actualU = s.rows[i].units, s.rows[i].planned
 		if tg.have && tg.version == t.version && tg.step == step && tg.stride == stride {
 			s.stats.ToolsReused++
-		} else {
-			tg.geo = wire.ToolGeom{Tool: t.kind, Points: t.extract(s, tg.geo.Points[:0], g, t.state, stride)}
-			tg.key, tg.points = -int32(t.kind), int64(len(tg.geo.Points))
-			tg.have, tg.version, tg.step, tg.stride = true, t.version, step, stride
-			s.geoSeq++
-			tg.seq = s.geoSeq
+			continue
+		}
+		tg.dirty, tg.state, tg.from = true, t.state, t.from
+		tg.geo = wire.ToolGeom{Tool: t.kind, Points: tg.geo.Points[:0]}
+		tg.key, tg.sealed = -int32(t.kind), false
+		tg.have, tg.version, tg.step, tg.stride = true, t.version, step, stride
+		need |= t.from
+	}
+	if s.toolScal.derivable(g) {
+		s.toolScal.want(g, need)
+	}
+}
+
+// numberToolsLocked closes the tools' round once the pool is done: every
+// recomputed tool takes the next geometry sequence number, in table
+// order, and the enabled tools are assembled into the round's tool
+// section and appended to the round list after the rakes. Returns the
+// work actually done, for the governor's EWMA. Caller holds s.mu.
+func (s *Server) numberToolsLocked() (unitsDone int64) {
+	s.toolGeomWire = s.toolGeomWire[:0]
+	if !s.haveTools {
+		return 0
+	}
+	table := toolTable(s.toolSnap)
+	s.toolsMeta = wire.ToolsReply{Iso: table[0].state, Plane: table[1].state, Vortex: table[2].state}
+	s.toolScal.have |= s.toolScal.todo
+	for i, t := range table {
+		if !t.state.Enabled {
+			continue
+		}
+		tg := &s.toolGeos[i]
+		if tg.dirty {
+			tg.points = int64(len(tg.geo.Points))
+			s.numberLocked(&tg.segCache)
 			s.stats.ToolsComputed++
 			unitsDone += tg.actualU
 		}
@@ -229,24 +281,6 @@ func (s *Server) computeToolsLocked(g *grid.Grid, step int) (unitsDone int64) {
 	}
 	s.toolsMeta.Geoms = s.toolGeomWire
 	return unitsDone
-}
-
-// appendExtract marches the iso-valued surface of scalar and appends
-// the triangle soup to dst as flat points. The extraction order is
-// pinned (see isosurf.ExtractParallel), so two servers at the same
-// (scalar, level, stride) append identical point streams.
-func appendExtract(dst []vmath.Vec3, g *grid.Grid, scalar []float32, level float32, stride, workers int) []vmath.Vec3 {
-	if scalar == nil {
-		return dst
-	}
-	tris, err := isosurf.ExtractParallel(g, scalar, level, stride, workers)
-	if err != nil {
-		return dst
-	}
-	for _, t := range tris {
-		dst = append(dst, t[0], t[1], t[2])
-	}
-	return dst
 }
 
 // hedgehogScale scales a node's physical velocity into its hedgehog

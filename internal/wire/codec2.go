@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/vmath"
 )
@@ -248,12 +249,29 @@ type Segment struct {
 // quantPoints appends a varint point count and 6 quantized bytes per
 // point — the payload shared by rake lines and tool geometry.
 func (e *encoder) quantPoints(pts []vmath.Vec3, q Quantizer) {
-	e.uvarint(uint64(len(pts)))
-	for _, p := range pts {
+	first := e.quantRecords(len(pts))
+	PutQuantPoints(e.buf[first:], pts, q)
+}
+
+// quantRecords appends a varint point count and room for that many
+// 6-byte records, and returns the offset of the first.
+func (e *encoder) quantRecords(n int) (first int) {
+	e.uvarint(uint64(n))
+	first = len(e.buf)
+	e.buf = slices.Grow(e.buf, n*QuantBytes)[:first+n*QuantBytes]
+	return first
+}
+
+// PutQuantPoints writes the 6-byte quantized record of every point into
+// dst, which holds at least QuantBytes per point. Disjoint ranges of one
+// segment's records (BeginToolGeomV2) may be written concurrently.
+func PutQuantPoints(dst []byte, pts []vmath.Vec3, q Quantizer) {
+	for i, p := range pts {
 		x, y, z := q.Quant(p)
-		e.buf = binary.LittleEndian.AppendUint16(e.buf, x)
-		e.buf = binary.LittleEndian.AppendUint16(e.buf, y)
-		e.buf = binary.LittleEndian.AppendUint16(e.buf, z)
+		rec := dst[i*QuantBytes : (i+1)*QuantBytes]
+		binary.LittleEndian.PutUint16(rec[0:], x)
+		binary.LittleEndian.PutUint16(rec[2:], y)
+		binary.LittleEndian.PutUint16(rec[4:], z)
 	}
 }
 
@@ -322,10 +340,21 @@ func decodeGeomV2(buf []byte, rake int32, q Quantizer, budget int) (Geometry, in
 // AppendToolGeomV2 appends one shared tool's geometry as a codec-v2
 // segment: tool byte, varint point count, 6 quantized bytes per point.
 func AppendToolGeomV2(dst []byte, g ToolGeom, q Quantizer) []byte {
+	seg, first := BeginToolGeomV2(dst, g.Tool, len(g.Points))
+	PutQuantPoints(seg[first:], g.Points, q)
+	return seg
+}
+
+// BeginToolGeomV2 is AppendToolGeomV2 for a producer that writes the
+// points piecewise: it appends the segment for a tool geometry of n
+// points with the point records left unwritten, and returns it with the
+// offset of the first record. The segment is complete once
+// PutQuantPoints has filled in every record, in any order.
+func BeginToolGeomV2(dst []byte, tool uint8, n int) (seg []byte, first int) {
 	e := encoder{buf: dst}
-	e.u8(g.Tool)
-	e.quantPoints(g.Points, q)
-	return e.buf
+	e.u8(tool)
+	first = e.quantRecords(n)
+	return e.buf, first
 }
 
 // decodeToolGeomV2 parses one tool segment, counting decoded points
