@@ -131,7 +131,7 @@ func BenchmarkTable3Engines(b *testing.B) {
 	engines := []compute.Engine{
 		compute.Scalar{},
 		compute.Parallel{NumWorkers: 4},
-		compute.Vector{},
+		compute.Parallel{NumWorkers: 3},
 		compute.Parallel{NumWorkers: 8},
 	}
 	for _, e := range engines {
@@ -180,7 +180,7 @@ func BenchmarkFigure23Streamlines(b *testing.B) {
 	sampler := compute.SteadyBatch{F: u.Steps[0], G: u.Grid}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		paths, _ := compute.Vector{}.Streamlines(sampler, seeds, 0, o)
+		paths, _ := compute.Parallel{}.Streamlines(sampler, seeds, 0, o)
 		if len(paths) == 0 {
 			b.Fatal("no paths")
 		}

@@ -169,7 +169,6 @@ func (r *runner) bench(name string) {
 		r.print(bench.AblationGridCoords(r.data(), 1000))
 		r.print(bench.AblationEncoding(10000), nil)
 		r.print(bench.AblationIsosurface())
-		r.print(bench.AblationVectorLength())
 	default:
 		log.Fatalf("unknown bench %q", name)
 	}

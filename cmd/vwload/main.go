@@ -187,7 +187,7 @@ func main() {
 			srv.Stats().LiveClamps, stc.Version,
 			stc.Params.InflowU, stc.Params.Reynolds, stc.Params.Taper)
 	}
-	fmt.Printf("pipeline: %s\n", srv.Recorder().Snapshot())
+	fmt.Printf("pipeline: %s\n", srv.Stats())
 	if rep.Errors > 0 {
 		os.Exit(1)
 	}

@@ -39,8 +39,7 @@ func main() {
 		resident = flag.Bool("resident", true, "load the whole dataset into memory (the 1 GB Convex mode); false streams from disk")
 		diskBW   = flag.Int64("diskbw", 0, "simulated disk bandwidth in MB/s when streaming (0 = unthrottled; the Convex measured 30-50)")
 		prefetch = flag.Bool("prefetch", true, "overlap next-timestep loads with computation when streaming")
-		workers  = flag.Int("workers", 0, "computation worker count (0 = GOMAXPROCS)")
-		vector   = flag.Bool("vector", false, "use the vectorized (SoA batch) engine")
+		workers  = flag.Int("workers", 0, "computation worker count: parallel engine, round pool and live solver (0 = GOMAXPROCS)")
 		maxSeeds = flag.Int("maxseeds", 0, "per-rake seed count cap enforced on client commands (0 = default 4096)")
 		cacheN   = flag.Int("cachesteps", 0, "shared timestep cache capacity in steps when streaming (0 with -cachemb 0 = no cache)")
 		cacheMB  = flag.Int64("cachemb", 0, "shared timestep cache budget in MB when streaming (0 with -cachesteps 0 = no cache)")
@@ -87,12 +86,7 @@ func main() {
 		toolVortex = env.VortexParams{Enabled: true, Threshold: float32(*vortexQ)}
 	}
 
-	var engine compute.Engine
-	if *vector {
-		engine = compute.Vector{}
-	} else {
-		engine = compute.Parallel{NumWorkers: *workers}
-	}
+	engine := compute.Parallel{NumWorkers: *workers}.Name() // what core builds from Workers
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -113,7 +107,7 @@ func main() {
 			log.Fatal(err)
 		}
 		srv, err = core.ServeLive(ln, lv, core.Options{
-			Engine:          engine,
+			Workers:         *workers,
 			MaxSeedsPerRake: *maxSeeds,
 			Budget:          *budget,
 			MaxCodec:        *codec,
@@ -125,7 +119,7 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("serving live solver on %s (engine %s, window %d, horizon %d)",
-			ln.Addr(), engine.Name(), *liveWindow, *liveSteps)
+			ln.Addr(), engine, *liveWindow, *liveSteps)
 	} else {
 		disk, err := store.OpenDisk(*data, store.DiskOptions{BandwidthBytesPerSec: *diskBW << 20})
 		if err != nil {
@@ -147,7 +141,7 @@ func main() {
 			st = store.NewMemory(u)
 		}
 		srv, err = core.Serve(ln, st, core.Options{
-			Engine:          engine,
+			Workers:         *workers,
 			Prefetch:        !*resident && *prefetch,
 			MaxSeedsPerRake: *maxSeeds,
 			CacheSteps:      *cacheN,
@@ -162,21 +156,11 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("serving %d-step dataset on %s (engine %s, resident=%v)",
-			st.NumSteps(), ln.Addr(), engine.Name(), *resident)
+			st.NumSteps(), ln.Addr(), engine, *resident)
 	}
 
 	if *debug != "" {
-		obs.Publish("vwserver.frames", srv.Recorder())
-		// The cluster-tier counters: full round payloads vs cheap markers
-		// answered to downstream vwrelay nodes.
-		obs.PublishFunc("vwserver.relay", func() any {
-			st := srv.Stats()
-			return map[string]int64{
-				"Fulls":   st.RelayFulls,
-				"Markers": st.RelayMarkers,
-				"Bytes":   st.RelayBytes,
-			}
-		})
+		obs.PublishFunc("vwserver.frames", func() any { return srv.Stats() })
 		if _, ok := srv.CacheStats(); ok {
 			obs.PublishFunc("vwserver.cache", func() any {
 				cs, _ := srv.CacheStats()
@@ -215,13 +199,7 @@ func main() {
 			if s.Frames == 0 {
 				continue
 			}
-			log.Printf("frames=%d points=%d avg_compute=%v avg_load=%v shipped=%.1fMB sessions=%d shed=%d",
-				s.Frames, s.Points,
-				(s.ComputeTime / time.Duration(s.Frames)).Round(time.Microsecond),
-				(s.LoadTime / time.Duration(s.Frames)).Round(time.Microsecond),
-				float64(s.BytesShipped)/(1<<20),
-				srv.Dlib().NumSessions(), s.FramesShed)
-			log.Printf("  pipeline: %s", srv.Recorder().Snapshot())
+			log.Printf("%s sessions=%d", s, srv.Dlib().NumSessions())
 			if cs, ok := srv.CacheStats(); ok {
 				log.Printf("  cache: %s", cs)
 			}
@@ -231,8 +209,9 @@ func main() {
 					rs.Produced, rs.Recycled, rs.Deferred, rs.Clamped,
 					st.Version, st.Params.InflowU, st.Params.Reynolds, st.Params.Taper)
 			}
+			procs := srv.Dlib().ProcStats()
 			for _, proc := range srv.Dlib().ProcNames() {
-				ps := srv.Dlib().ProcStats()[proc]
+				ps := procs[proc]
 				log.Printf("  %-12s calls=%d mean=%v max=%v out=%.1fMB errs=%d",
 					proc, ps.Calls, ps.Mean().Round(time.Microsecond),
 					ps.MaxService.Round(time.Microsecond),

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/compute"
 	"repro/internal/field"
 	"repro/internal/flow"
 	"repro/internal/grid"
@@ -166,40 +165,6 @@ func AblationEncoding(points int) *Table {
 			mbps(float64(frame)*10))
 	}
 	return t
-}
-
-// AblationVectorLength sweeps the batch width of the vectorized
-// engine. The Convex's vector registers held 128 entries — the reason
-// the paper's vectorization processed streamlines in groups of up to
-// 128; on modern hardware the same parameter trades loop overhead
-// against cache residency.
-func AblationVectorLength() (*Table, error) {
-	w, err := compute.BenchmarkWorkload()
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Ablation: vector batch width (the Convex register length was 128)",
-		Note:   "Sec 5.3 workload, wall time on this host, best of 3",
-		Header: []string{"batch width", "wall time", "points"},
-	}
-	for _, vl := range []int{1, 8, 32, 128, 512} {
-		e := compute.Vector{VectorLength: vl}
-		var best compute.Result
-		for i := 0; i < 3; i++ {
-			r := compute.RunBenchmark(e, w, compute.CostModel{})
-			if i == 0 || r.Wall < best.Wall {
-				best = r
-			}
-		}
-		if !best.Complete {
-			return nil, fmt.Errorf("bench: batch width %d truncated paths", vl)
-		}
-		t.AddRow(fmt.Sprintf("%d", vl),
-			best.Wall.Round(10*time.Microsecond).String(),
-			fmt.Sprintf("%d", best.Points))
-	}
-	return t, nil
 }
 
 // MultiblockBench measures the Sec 7 block-hopping integrator against

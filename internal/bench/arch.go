@@ -12,7 +12,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/integrate"
 	"repro/internal/netsim"
-	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/vmath"
 )
@@ -32,7 +32,7 @@ func Fig8Pipeline(u *field.Unsteady, diskBW int64, frames int) (*Table, error) {
 	}
 	t := &Table{
 		Title: "Figure 8: remote pipeline — synchronous load vs prefetch overlap",
-		Note: fmt.Sprintf("disk throttled to %d MB/s, %d frames of playback, timestep %d bytes; per-stage means from the server's frame recorder",
+		Note: fmt.Sprintf("disk throttled to %d MB/s, %d frames of playback, timestep %d bytes; per-stage means from the server's round counters",
 			diskBW/(1<<20), frames, u.Steps[0].SizeBytes()),
 		Header: []string{"configuration", "mean frame time", "achieved fps", "load", "integrate", "encode"},
 	}
@@ -47,30 +47,30 @@ func Fig8Pipeline(u *field.Unsteady, diskBW int64, frames int) (*Table, error) {
 		}
 		t.AddRow(name, mean.Round(100*time.Microsecond).String(),
 			fmt.Sprintf("%.1f", 1/mean.Seconds()),
-			stages.AvgLoad().Round(10*time.Microsecond).String(),
-			stages.AvgIntegrate().Round(10*time.Microsecond).String(),
-			stages.AvgEncode().Round(10*time.Microsecond).String())
+			stages.PerRound(stages.LoadTime).Round(10*time.Microsecond).String(),
+			stages.PerRound(stages.ComputeTime).Round(10*time.Microsecond).String(),
+			stages.PerRound(stages.EncodeTime).Round(10*time.Microsecond).String())
 	}
 	return t, nil
 }
 
-func runPipeline(dir string, diskBW int64, frames int, prefetch bool) (time.Duration, obs.Snapshot, error) {
+func runPipeline(dir string, diskBW int64, frames int, prefetch bool) (time.Duration, server.Stats, error) {
 	disk, err := store.OpenDisk(dir, store.DiskOptions{BandwidthBytesPerSec: diskBW})
 	if err != nil {
-		return 0, obs.Snapshot{}, err
+		return 0, server.Stats{}, err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return 0, obs.Snapshot{}, err
+		return 0, server.Stats{}, err
 	}
 	srv, err := core.Serve(ln, disk, core.Options{Prefetch: prefetch})
 	if err != nil {
-		return 0, obs.Snapshot{}, err
+		return 0, server.Stats{}, err
 	}
 	defer srv.Dlib().Close()
 	sess, err := core.Connect(ln.Addr().String(), nil, core.Options{FrameW: 64, FrameH: 64})
 	if err != nil {
-		return 0, obs.Snapshot{}, err
+		return 0, server.Stats{}, err
 	}
 	defer sess.Close()
 	// A heavy rake makes the visualization computation comparable to
@@ -80,27 +80,22 @@ func runPipeline(dir string, diskBW int64, frames int, prefetch bool) (time.Dura
 	sess.Play(1)
 	// Warmup frame creates the rake and primes the pipeline.
 	if _, err := sess.Frame(); err != nil {
-		return 0, obs.Snapshot{}, err
+		return 0, server.Stats{}, err
 	}
-	before := srv.Recorder().Snapshot()
+	before := srv.Stats()
 	start := time.Now()
 	for i := 0; i < frames; i++ {
 		if _, err := sess.Frame(); err != nil {
-			return 0, obs.Snapshot{}, err
+			return 0, server.Stats{}, err
 		}
 	}
 	mean := time.Since(start) / time.Duration(frames)
-	after := srv.Recorder().Snapshot()
-	stages := obs.Snapshot{
-		Frames:        after.Frames - before.Frames,
-		FramesReused:  after.FramesReused - before.FramesReused,
-		LoadTime:      after.LoadTime - before.LoadTime,
-		IntegrateTime: after.IntegrateTime - before.IntegrateTime,
-		EncodeTime:    after.EncodeTime - before.EncodeTime,
-		RakesComputed: after.RakesComputed - before.RakesComputed,
-		RakesReused:   after.RakesReused - before.RakesReused,
-		Points:        after.Points - before.Points,
-		Bytes:         after.Bytes - before.Bytes,
+	after := srv.Stats()
+	stages := server.Stats{
+		Frames:      after.Frames - before.Frames,
+		LoadTime:    after.LoadTime - before.LoadTime,
+		ComputeTime: after.ComputeTime - before.ComputeTime,
+		EncodeTime:  after.EncodeTime - before.EncodeTime,
 	}
 	return mean, stages, nil
 }

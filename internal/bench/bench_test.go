@@ -327,21 +327,6 @@ func TestAblationIsosurfaceReproducesExclusion(t *testing.T) {
 	}
 }
 
-func TestAblationVectorLength(t *testing.T) {
-	tab, err := AblationVectorLength()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 5 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if row[2] != "20000" {
-			t.Errorf("batch %s produced %s points, want 20000", row[0], row[2])
-		}
-	}
-}
-
 func TestMultiblockBench(t *testing.T) {
 	tab, err := MultiblockBench()
 	if err != nil {

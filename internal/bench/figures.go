@@ -144,7 +144,7 @@ func streamlineLines(u *field.Unsteady, step int) [][]vmath.Vec3 {
 	rake := wakeRake(12)
 	seeds := rake.SeedsGrid(u.Grid)
 	o := integrate.Options{Method: integrate.RK2, StepSize: 0.4, MaxSteps: 300, MinSpeed: 1e-7}
-	paths, _ := compute.Vector{}.Streamlines(
+	paths, _ := compute.Parallel{}.Streamlines(
 		compute.SteadyBatch{F: u.Step(step), G: u.Grid}, seeds, float32(step), o)
 	out := make([][]vmath.Vec3, 0, len(paths))
 	for _, p := range paths {

@@ -35,10 +35,11 @@ func AblationIsosurface() (*Table, error) {
 	}
 	seeds := rake.SeedsGrid(g)
 	o := integrate.Options{Method: integrate.RK2, StepSize: 0.4, MaxSteps: 200, MinSpeed: 1e-7}
+	model := compute.ConvexVector3
 	start := time.Now()
-	_, stats := compute.Vector{}.Streamlines(compute.SteadyBatch{F: f, G: g}, seeds, 0, o)
+	_, stats := compute.Parallel{NumWorkers: model.Workers}.Streamlines(compute.SteadyBatch{F: f, G: g}, seeds, 0, o)
 	streamWall := time.Since(start)
-	streamModeled := compute.ConvexVector3.ModeledTime(stats)
+	streamModeled := model.ModeledTime(stats)
 
 	// Isosurface frame: |u| surface bounding the wake deficit.
 	speed := isosurf.SpeedField(f)
@@ -63,7 +64,7 @@ func AblationIsosurface() (*Table, error) {
 	// unit = 3-component access) + 3 units per triangle vertex.
 	cells := int64(g.NI-1) * int64(g.NJ-1) * int64(g.NK-1)
 	isoUnits := cells*8/3 + int64(len(tris))*9
-	isoModeled := compute.ConvexVector3.ModeledTime(compute.Stats{SampleUnits: isoUnits})
+	isoModeled := model.ModeledTime(compute.Stats{SampleUnits: isoUnits})
 
 	t := &Table{
 		Title: "Ablation: streamlines vs isosurface against the 1/8 s budget (Sec 1.2)",

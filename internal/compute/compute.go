@@ -1,9 +1,9 @@
 // Package compute implements the visualization computation engines of
-// §5.3: the scalar code path parallelized across streamlines (the
-// Convex ran it on 4 processors, the SGI workstation on 8), and the
-// "vectorized" path that processes batches of streamlines in
-// structure-of-arrays form, the way the Convex's 128-entry vector
-// registers consumed them.
+// §5.3: the scalar code path, sequential or parallelized across
+// streamlines (the Convex ran it on 4 processors, the SGI workstation on
+// 8). The paper's vectorized code and the vector-parallel hybrid it
+// proposed are cost models here (ConvexVector3, ConvexHybrid4), priced
+// over the same work units.
 //
 // Engines do the real integration work and also count the field
 // accesses the paper counts (§5.3: RK2 is "two accesses of the vector
@@ -22,6 +22,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/field"
+	"repro/internal/grid"
 	"repro/internal/integrate"
 	"repro/internal/vmath"
 )
@@ -99,6 +101,28 @@ type Engine interface {
 	// ParticlePaths integrates one particle path per seed from t0.
 	ParticlePaths(s integrate.Sampler, seeds []vmath.Vec3, t0, maxTime float32, o integrate.Options) ([][]vmath.Vec3, Stats)
 }
+
+// SteadyBatch samples a single timestep at every time t.
+type SteadyBatch struct {
+	F *field.Field
+	G *grid.Grid
+}
+
+// SampleVelocity implements integrate.Sampler.
+func (s SteadyBatch) SampleVelocity(gc vmath.Vec3, _ float32) vmath.Vec3 {
+	return s.F.Sample(s.G, gc)
+}
+
+// Grid implements integrate.Sampler.
+func (s SteadyBatch) Grid() *grid.Grid { return s.G }
+
+// NumLevels implements integrate.LevelSource: one steady level, which
+// puts the fused kernel under every engine that integrates a
+// SteadyBatch.
+func (s SteadyBatch) NumLevels() int { return 1 }
+
+// Level implements integrate.LevelSource.
+func (s SteadyBatch) Level(int) *field.Field { return s.F }
 
 // tracer appends one seed's path to dst — integrate.AppendStreamline or
 // AppendParticlePath with an engine call's arguments bound.

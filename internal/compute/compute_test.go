@@ -47,8 +47,7 @@ func engines() []Engine {
 	return []Engine{
 		Scalar{},
 		Parallel{NumWorkers: 4},
-		Vector{},
-		Vector{VectorLength: 7}, // odd chunk exercises remainder handling
+		Parallel{NumWorkers: 7}, // 37 seeds over 7 workers leaves a short last range
 	}
 }
 
@@ -85,7 +84,7 @@ func TestEnginesAgreeOnEuler(t *testing.T) {
 	seeds := benchSeeds(10)
 	o := integrate.Options{Method: integrate.Euler, StepSize: 0.5, MaxSteps: 50, MinSpeed: 1e-9}
 	ref, _ := Scalar{}.Streamlines(s, seeds, 0, o)
-	paths, _ := Vector{}.Streamlines(s, seeds, 0, o)
+	paths, _ := Parallel{NumWorkers: 3}.Streamlines(s, seeds, 0, o)
 	for i := range ref {
 		if len(paths[i]) != len(ref[i]) {
 			t.Fatalf("path %d: %d vs %d points", i, len(paths[i]), len(ref[i]))
@@ -98,7 +97,7 @@ func TestEnginesAgreeOnEuler(t *testing.T) {
 	}
 }
 
-func TestVectorHandlesOutOfBoundsSeeds(t *testing.T) {
+func TestOutOfBoundsSeedsYieldEmptyPaths(t *testing.T) {
 	s := swirlField(t)
 	seeds := []vmath.Vec3{
 		vmath.V3(-5, 0, 0),  // outside
@@ -106,18 +105,20 @@ func TestVectorHandlesOutOfBoundsSeeds(t *testing.T) {
 		vmath.V3(99, 0, 0),  // outside
 	}
 	o := integrate.Options{Method: integrate.RK2, StepSize: 0.5, MaxSteps: 20, MinSpeed: 1e-9}
-	paths, _ := Vector{}.Streamlines(s, seeds, 0, o)
-	if len(paths[0]) != 0 || len(paths[2]) != 0 {
-		t.Error("out-of-bounds seeds produced points")
-	}
-	if len(paths[1]) < 2 {
-		t.Error("in-bounds seed produced no path")
+	for _, e := range engines() {
+		paths, _ := e.Streamlines(s, seeds, 0, o)
+		if len(paths[0]) != 0 || len(paths[2]) != 0 {
+			t.Errorf("%s: out-of-bounds seeds produced points", e.Name())
+		}
+		if len(paths[1]) < 2 {
+			t.Errorf("%s: in-bounds seed produced no path", e.Name())
+		}
 	}
 }
 
-func TestVectorLaneCompaction(t *testing.T) {
+func TestStaggeredExits(t *testing.T) {
 	// A uniform field marches all particles out the +X face; seeds at
-	// staggered x die at different steps, exercising compaction.
+	// staggered x leave at different steps.
 	g, _ := grid.NewCartesian(16, 8, 8, vmath.AABB{
 		Min: vmath.V3(0, 0, 0), Max: vmath.V3(15, 7, 7),
 	})
@@ -130,19 +131,13 @@ func TestVectorLaneCompaction(t *testing.T) {
 		vmath.V3(14, 4, 4), vmath.V3(10, 4, 4), vmath.V3(2, 4, 4),
 	}
 	o := integrate.Options{Method: integrate.Euler, StepSize: 1, MaxSteps: 100, MinSpeed: 1e-9}
-	paths, _ := Vector{}.Streamlines(s, seeds, 0, o)
 	wantLens := []int{2, 6, 14} // 1 seed point + steps until x > 15
-	for i, want := range wantLens {
-		if len(paths[i]) != want {
-			t.Errorf("path %d length = %d, want %d", i, len(paths[i]), want)
-		}
-	}
-	// Scalar must agree exactly.
-	ref, _ := Scalar{}.Streamlines(s, seeds, 0, o)
-	for i := range ref {
-		if len(ref[i]) != len(paths[i]) {
-			t.Errorf("scalar path %d length %d differs from vector %d",
-				i, len(ref[i]), len(paths[i]))
+	for _, e := range engines() {
+		paths, _ := e.Streamlines(s, seeds, 0, o)
+		for i, want := range wantLens {
+			if len(paths[i]) != want {
+				t.Errorf("%s: path %d length = %d, want %d", e.Name(), i, len(paths[i]), want)
+			}
 		}
 	}
 }
@@ -152,7 +147,7 @@ func TestParticlePathsEnginesAgree(t *testing.T) {
 	seeds := benchSeeds(10)
 	o := integrate.Options{Method: integrate.RK2, StepSize: 1, MaxSteps: 30, MinSpeed: 1e-9}
 	ref, _ := Scalar{}.ParticlePaths(s, seeds, 0, 100, o)
-	for _, e := range []Engine{Parallel{NumWorkers: 3}, Vector{}} {
+	for _, e := range []Engine{Parallel{NumWorkers: 3}, Parallel{}} {
 		paths, _ := e.ParticlePaths(s, seeds, 0, 100, o)
 		for i := range ref {
 			if len(paths[i]) != len(ref[i]) {
@@ -272,7 +267,6 @@ func TestBenchTransferBytesMatchesPaper(t *testing.T) {
 
 func BenchmarkEngineScalar(b *testing.B)    { benchEngine(b, Scalar{}) }
 func BenchmarkEngineParallel4(b *testing.B) { benchEngine(b, Parallel{NumWorkers: 4}) }
-func BenchmarkEngineVector(b *testing.B)    { benchEngine(b, Vector{}) }
 
 func benchEngine(b *testing.B, e Engine) {
 	w, err := BenchmarkWorkload()
@@ -302,7 +296,7 @@ func BenchmarkEngineRake(b *testing.B) {
 	seeds := r.SeedsGrid(u.Grid)
 	s := SteadyBatch{F: u.Steps[0], G: u.Grid}
 	o := integrate.DefaultOptions()
-	for _, e := range []Engine{Scalar{}, Parallel{}, Vector{}} {
+	for _, e := range []Engine{Scalar{}, Parallel{}} {
 		b.Run(e.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			var points int64
@@ -364,47 +358,6 @@ func TestLinesDoNotShareCapacity(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-func TestHybridAgreesWithScalar(t *testing.T) {
-	s := swirlField(t)
-	seeds := benchSeeds(41)
-	o := integrate.Options{Method: integrate.RK2, StepSize: 0.5, MaxSteps: 80, MinSpeed: 1e-9}
-	ref, refStats := Scalar{}.Streamlines(s, seeds, 0, o)
-	for _, h := range []Hybrid{{}, {NumWorkers: 2, VectorLength: 5}, {NumWorkers: 16}} {
-		paths, stats := h.Streamlines(s, seeds, 0, o)
-		if len(paths) != len(ref) {
-			t.Fatalf("%s: path count %d", h.Name(), len(paths))
-		}
-		for i := range ref {
-			if len(paths[i]) != len(ref[i]) {
-				t.Fatalf("%s: path %d length %d vs %d", h.Name(), i, len(paths[i]), len(ref[i]))
-			}
-			for p := range ref[i] {
-				if !paths[i][p].ApproxEqual(ref[i][p], 1e-4) {
-					t.Fatalf("%s: path %d point %d differs", h.Name(), i, p)
-				}
-			}
-		}
-		if stats.Points != refStats.Points {
-			t.Errorf("%s: stats.Points = %d, want %d", h.Name(), stats.Points, refStats.Points)
-		}
-	}
-}
-
-func TestHybridFallsBackWithoutBatchSampler(t *testing.T) {
-	// A plain sampler (not batchable) must still work via fallback.
-	s := swirlField(t)
-	plain := integrate.SteadySampler{F: s.F, G: s.G}
-	seeds := benchSeeds(7)
-	o := integrate.Options{Method: integrate.RK2, StepSize: 0.5, MaxSteps: 20, MinSpeed: 1e-9}
-	paths, _ := Hybrid{}.Streamlines(plain, seeds, 0, o)
-	ref, _ := Scalar{}.Streamlines(plain, seeds, 0, o)
-	for i := range ref {
-		if len(paths[i]) != len(ref[i]) {
-			t.Fatalf("fallback path %d length %d vs %d", i, len(paths[i]), len(ref[i]))
 		}
 	}
 }

@@ -37,9 +37,10 @@ const TargetFrameRate = 10
 
 // Options configures a windtunnel.
 type Options struct {
-	// Engine selects the visualization computation engine; nil uses
-	// the parallel engine.
-	Engine compute.Engine
+	// Workers is the server's computation worker count: the width of
+	// the parallel engine and of the round's pool (rakes, tool derive,
+	// march, fill). Zero uses GOMAXPROCS.
+	Workers int
 	// Integration sets path computation parameters; the zero value
 	// uses RK2 with 200-point paths.
 	Integration integrate.Options
@@ -88,23 +89,35 @@ type Session struct {
 	srv  *server.Server // non-nil for local sessions
 }
 
-// LaunchLocal runs the stand-alone windtunnel: server and workstation
-// in one process over an in-memory pipe. The same code paths run as in
-// the distributed case — the paper kept the two builds from one source
-// tree for exactly this reason (§5.1).
-func LaunchLocal(dataset *field.Unsteady, opts Options) (*Session, error) {
-	srv, err := server.New(server.Config{
-		Store:           store.NewMemory(dataset),
-		Engine:          opts.Engine,
+// serverConfig maps Options onto a server's configuration for every
+// launch path (the server itself ignores the cache for a resident store
+// and cache and prefetch for a live ring). Workers sets both widths a
+// round's computation has: the engine's, and the pool's that runs dirty
+// rakes and tools side by side.
+func serverConfig(st store.Store, opts Options) server.Config {
+	return server.Config{
+		Store:           st,
+		Engine:          compute.Parallel{NumWorkers: opts.Workers},
+		RakeWorkers:     opts.Workers,
 		Options:         opts.Integration,
 		Prefetch:        opts.Prefetch,
 		MaxSeedsPerRake: opts.MaxSeedsPerRake,
+		CacheSteps:      opts.CacheSteps,
+		CacheBytes:      opts.CacheBytes,
 		Budget:          opts.Budget,
 		MaxCodec:        opts.MaxCodec,
 		Iso:             opts.Iso,
 		Plane:           opts.Plane,
 		Vortex:          opts.Vortex,
-	})
+	}
+}
+
+// LaunchLocal runs the stand-alone windtunnel: server and workstation
+// in one process over an in-memory pipe. The same code paths run as in
+// the distributed case — the paper kept the two builds from one source
+// tree for exactly this reason (§5.1).
+func LaunchLocal(dataset *field.Unsteady, opts Options) (*Session, error) {
+	srv, err := server.New(serverConfig(store.NewMemory(dataset), opts))
 	if err != nil {
 		return nil, err
 	}
@@ -116,20 +129,7 @@ func LaunchLocal(dataset *field.Unsteady, opts Options) (*Session, error) {
 // Serve starts a distributed windtunnel server on the listener and
 // returns immediately; close the returned server's Dlib() to stop.
 func Serve(ln net.Listener, st store.Store, opts Options) (*server.Server, error) {
-	srv, err := server.New(server.Config{
-		Store:           st,
-		Engine:          opts.Engine,
-		Options:         opts.Integration,
-		Prefetch:        opts.Prefetch,
-		MaxSeedsPerRake: opts.MaxSeedsPerRake,
-		CacheSteps:      opts.CacheSteps,
-		CacheBytes:      opts.CacheBytes,
-		Budget:          opts.Budget,
-		MaxCodec:        opts.MaxCodec,
-		Iso:             opts.Iso,
-		Plane:           opts.Plane,
-		Vortex:          opts.Vortex,
-	})
+	srv, err := server.New(serverConfig(st, opts))
 	if err != nil {
 		return nil, err
 	}
@@ -158,22 +158,13 @@ func LiveSteerSource(e *env.Environment) datasets.SteerSource {
 // producer. Close the returned server's Dlib() to stop.
 func ServeLive(ln net.Listener, lv *datasets.Live, opts Options) (*server.Server, error) {
 	def := datasets.DefaultSteer()
-	srv, err := server.New(server.Config{
-		Store:           lv.Ring(),
-		Engine:          opts.Engine,
-		Options:         opts.Integration,
-		MaxSeedsPerRake: opts.MaxSeedsPerRake,
-		Budget:          opts.Budget,
-		MaxCodec:        opts.MaxCodec,
-		Iso:             opts.Iso,
-		Plane:           opts.Plane,
-		Vortex:          opts.Vortex,
-		Steer: env.SteerParams{
-			InflowU:  def.InflowU,
-			Reynolds: def.Reynolds,
-			Taper:    def.Taper,
-		},
-	})
+	cfg := serverConfig(lv.Ring(), opts)
+	cfg.Steer = env.SteerParams{
+		InflowU:  def.InflowU,
+		Reynolds: def.Reynolds,
+		Taper:    def.Taper,
+	}
+	srv, err := server.New(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -249,5 +250,53 @@ func TestLateJoinSeesExistingEnvironment(t *testing.T) {
 	state, _ = late.WS.Latest()
 	if state.Rakes[0].Holder == 0 {
 		t.Error("late joiner could not grab")
+	}
+}
+
+// TestWorkersSetsEngineAndPoolWidth pins what Options.Workers reaches:
+// both widths a round's computation has. One worker means a parallel-1
+// engine (compute.TestRangeWorkers: a single range runs on the caller)
+// and a one-worker pool (server.runJobsLocked starts a goroutine per
+// worker after the first), so a round with several dirty rakes and a
+// dirty tool runs on the handler's goroutine alone — and, pool width
+// never showing on the wire, produces the geometry any width does.
+func TestWorkersSetsEngineAndPoolWidth(t *testing.T) {
+	u := smallDataset(t, 2)
+	cfg := serverConfig(store.NewMemory(u), Options{Workers: 1})
+	if got := cfg.Engine.Name(); got != "parallel-1" || cfg.RakeWorkers != 1 {
+		t.Errorf("Workers 1: engine %s, pool width %d; want parallel-1 and 1", got, cfg.RakeWorkers)
+	}
+	cfg = serverConfig(store.NewMemory(u), Options{Workers: 3})
+	if got := cfg.Engine.Name(); got != "parallel-3" || cfg.RakeWorkers != 3 {
+		t.Errorf("Workers 3: engine %s, pool width %d; want parallel-3 and 3", got, cfg.RakeWorkers)
+	}
+
+	round := func(workers int) wire.FrameReply {
+		sess, err := LaunchLocal(u, Options{Workers: workers, FrameW: 64, FrameH: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		for y := float32(-3); y <= 3; y += 3 {
+			sess.AddRake(vmath.V3(-4, y, 2), vmath.V3(-4, y, 4), 6, integrate.ToolStreamline)
+		}
+		sess.WS.Queue(wire.Command{Kind: wire.CmdIsoGrab})
+		sess.WS.Queue(wire.Command{Kind: wire.CmdIsoSet, Flag: 1, Value: 0.8})
+		if _, err := sess.Frame(); err != nil {
+			t.Fatal(err)
+		}
+		if st := sess.Server().Stats(); st.RakesComputed != 3 || st.ToolsComputed != 1 {
+			t.Fatalf("%d workers: round computed %d rakes and %d tools, want 3 and 1",
+				workers, st.RakesComputed, st.ToolsComputed)
+		}
+		reply, _ := sess.WS.Latest()
+		return reply
+	}
+	one, three := round(1), round(3)
+	if one.TotalPoints() == 0 || one.Tools == nil || one.Tools.TotalPoints() == 0 {
+		t.Fatalf("one-worker round shipped %d rake points, tools %+v", one.TotalPoints(), one.Tools)
+	}
+	if !reflect.DeepEqual(one.Geometry, three.Geometry) || !reflect.DeepEqual(one.Tools, three.Tools) {
+		t.Error("one-worker round's geometry differs from the three-worker round's")
 	}
 }

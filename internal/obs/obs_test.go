@@ -7,41 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 )
-
-func TestRecorderAccumulates(t *testing.T) {
-	var r Recorder
-	r.Observe(FrameSample{
-		Load: 2 * time.Millisecond, Integrate: 6 * time.Millisecond,
-		Encode: 1 * time.Millisecond, RakesComputed: 2, RakesReused: 6,
-		Points: 100, Bytes: 1200,
-	})
-	r.Observe(FrameSample{FrameReused: true, RakesReused: 8, Points: 100, Bytes: 1200})
-	s := r.Snapshot()
-	if s.Frames != 2 || s.FramesReused != 1 {
-		t.Errorf("frames = %d reused = %d", s.Frames, s.FramesReused)
-	}
-	if s.AvgLoad() != time.Millisecond || s.AvgIntegrate() != 3*time.Millisecond {
-		t.Errorf("averages: load=%v integrate=%v", s.AvgLoad(), s.AvgIntegrate())
-	}
-	if got, want := s.ReuseRatio(), 14.0/16.0; got != want {
-		t.Errorf("reuse ratio = %v, want %v", got, want)
-	}
-	if s.Points != 200 || s.Bytes != 2400 {
-		t.Errorf("points=%d bytes=%d", s.Points, s.Bytes)
-	}
-	if !strings.Contains(s.String(), "frames=2") {
-		t.Errorf("String() = %q", s.String())
-	}
-}
-
-func TestZeroSnapshotAverages(t *testing.T) {
-	var s Snapshot
-	if s.AvgLoad() != 0 || s.AvgEncode() != 0 || s.ReuseRatio() != 0 {
-		t.Error("zero snapshot divides by zero frames")
-	}
-}
 
 func TestDebugServerServesVars(t *testing.T) {
 	d, err := ServeDebug("127.0.0.1:0")
@@ -68,34 +34,6 @@ func TestDebugServerServesVars(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Errorf("pprof status %d", resp.StatusCode)
-	}
-}
-
-// TestPublishExportsSnapshot covers the expvar surface vwserver's
-// -debug mode relies on: Publish renders the recorder's live snapshot
-// as JSON under the published name.
-func TestPublishExportsSnapshot(t *testing.T) {
-	var r Recorder
-	Publish("obs_test.frames", &r)
-	r.Observe(FrameSample{Points: 7, Bytes: 21})
-	v := expvar.Get("obs_test.frames")
-	if v == nil {
-		t.Fatal("Publish did not register the var")
-	}
-	var got Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &got); err != nil {
-		t.Fatalf("published value is not JSON: %v", err)
-	}
-	if got.Frames != 1 || got.Points != 7 || got.Bytes != 21 {
-		t.Errorf("published snapshot = %+v", got)
-	}
-	// The var is live, not a copy made at Publish time.
-	r.Observe(FrameSample{Points: 3})
-	if err := json.Unmarshal([]byte(v.String()), &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Frames != 2 || got.Points != 10 {
-		t.Errorf("published snapshot did not track the recorder: %+v", got)
 	}
 }
 

@@ -98,6 +98,18 @@ func (s Stats) HitRate() float64 {
 	return float64(s.UpMarkers) / float64(total)
 }
 
+// Add accumulates other into s — a tier of nodes counted as one.
+func (s *Stats) Add(other Stats) {
+	s.Sessions += other.Sessions
+	s.UpFulls += other.UpFulls
+	s.UpMarkers += other.UpMarkers
+	s.UpBytes += other.UpBytes
+	s.DownFrames += other.DownFrames
+	s.DownBytes += other.DownBytes
+	s.V2Frames += other.V2Frames
+	s.Hangups += other.Hangups
+}
+
 // upCache is the shared round cache for one upstream: the last full
 // payload fetched by any session pinned there. dlib dispatch is
 // serial, so handlers access it without extra locking.

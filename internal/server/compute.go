@@ -19,7 +19,6 @@ import (
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/integrate"
-	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/vmath"
 	"repro/internal/wire"
@@ -136,7 +135,6 @@ func (s *Server) recomputeLocked() error {
 	s.round++
 	reused := s.collectLocked(g, ts, step)
 	predicted := s.planJobsLocked()
-	toolsC, toolsR := s.stats.ToolsComputed, s.stats.ToolsReused
 	s.collectToolsLocked(g, step)
 	s.runJobsLocked(g, ts, step)
 	computeTime := s.clock.Now().Sub(computeStart)
@@ -162,22 +160,10 @@ func (s *Server) recomputeLocked() error {
 	s.stats.RakesComputed += int64(computed)
 	s.stats.RakesReused += int64(reused)
 	s.stats.PredictedTime += predicted
+	s.stats.ShedSum += tot.shedFrac
 	if tot.degraded > 0 {
 		s.stats.FramesShed++
 	}
-	s.rec.Observe(obs.FrameSample{
-		Load:          loadTime,
-		Integrate:     computeTime,
-		RakesComputed: computed,
-		RakesReused:   reused,
-		ToolsComputed: int(s.stats.ToolsComputed - toolsC),
-		ToolsReused:   int(s.stats.ToolsReused - toolsR),
-		ToolPoints:    tot.toolPoints,
-		Points:        tot.points,
-		Predicted:     predicted,
-		Budget:        s.gov.budget,
-		Shed:          tot.shedFrac,
-	})
 	return nil
 }
 
@@ -191,12 +177,6 @@ func (s *Server) reuseRoundLocked() {
 	s.stats.FramesReused++
 	s.stats.Points += s.lastPoints
 	s.stats.ToolPoints += s.lastToolPoints
-	s.rec.Observe(obs.FrameSample{
-		FrameReused: true,
-		RakesReused: len(s.geoCache),
-		ToolPoints:  s.lastToolPoints,
-		Points:      s.lastPoints,
-	})
 }
 
 // loadRoundStepLocked is the load stage: it makes the round's timestep

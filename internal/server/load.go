@@ -92,28 +92,9 @@ type LoadOptions struct {
 type TierStats struct {
 	Name  string // "leaf" (closest to workstations) or "mid"
 	Nodes int
-
-	// Downstream deliveries by this tier's nodes.
-	DownFrames int64
-	DownBytes  int64
-	// Upstream fetches: full round payloads vs round-unchanged
-	// markers, and the bytes both cost.
-	UpFulls   int64
-	UpMarkers int64
-	UpBytes   int64
-	// Hangups counts downstream connections dropped because the
-	// node's upstream leg died.
-	Hangups int64
-}
-
-// HitRate is the fraction of this tier's upstream exchanges answered
-// by a marker instead of a full round payload.
-func (t TierStats) HitRate() float64 {
-	total := t.UpFulls + t.UpMarkers
-	if total == 0 {
-		return 0
-	}
-	return float64(t.UpMarkers) / float64(total)
+	// Stats sums the tier's nodes: downstream deliveries, upstream fulls
+	// vs markers and their bytes, hangups, and the marker HitRate.
+	relay.Stats
 }
 
 // Amplification is frames delivered downstream per full round payload
@@ -542,23 +523,11 @@ func RunLoad(s *Server, opts LoadOptions) (LoadReport, error) {
 		report.OriginRelayBytes = after.RelayBytes - before.RelayBytes
 		leafT := TierStats{Name: "leaf", Nodes: len(leaves)}
 		for _, rn := range leaves {
-			st := rn.Stats()
-			leafT.DownFrames += st.DownFrames
-			leafT.DownBytes += st.DownBytes
-			leafT.UpFulls += st.UpFulls
-			leafT.UpMarkers += st.UpMarkers
-			leafT.UpBytes += st.UpBytes
-			leafT.Hangups += st.Hangups
+			leafT.Add(rn.Stats())
 		}
 		report.Tiers = append(report.Tiers, leafT)
 		if mid != nil {
-			st := mid.Stats()
-			report.Tiers = append(report.Tiers, TierStats{
-				Name: "mid", Nodes: 1,
-				DownFrames: st.DownFrames, DownBytes: st.DownBytes,
-				UpFulls: st.UpFulls, UpMarkers: st.UpMarkers,
-				UpBytes: st.UpBytes, Hangups: st.Hangups,
-			})
+			report.Tiers = append(report.Tiers, TierStats{Name: "mid", Nodes: 1, Stats: mid.Stats()})
 		}
 	}
 	if cs, ok := s.CacheStats(); ok {

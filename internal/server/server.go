@@ -50,7 +50,6 @@ import (
 	"repro/internal/field"
 	"repro/internal/integrate"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -154,10 +153,18 @@ type Stats struct {
 	FramesShipped   int64
 	V1Encodes       int64
 	SegmentsEncoded int64
+	// V1Bytes sums the encoded sizes of the codec-v1 replies V1Encodes
+	// counts; a round no v1 consumer asked for adds none.
+	V1Bytes int64
 	// FramesShed counts encoded rounds that went out with a non-zero
 	// degradation byte — rounds where the governor clamped work, or
-	// was still serving clamped geometry from an earlier clamp.
+	// was still serving clamped geometry from an earlier clamp. ShedSum
+	// sums the fraction of resident integration work each round shed
+	// (0 = full fidelity), and Budget is the configured frame budget
+	// (zero when the governor is disabled).
 	FramesShed int64
+	ShedSum    float64
+	Budget     time.Duration
 	// PredictedTime is the cumulative governor cost prediction over
 	// encoded rounds (zero until the EWMA calibrates).
 	PredictedTime time.Duration
@@ -196,12 +203,54 @@ type Stats struct {
 	PathLoadFailures int64
 }
 
+// PerRound returns d — one of the cumulative durations above — averaged
+// over the rounds in Frames.
+func (s Stats) PerRound(d time.Duration) time.Duration {
+	if s.Frames == 0 {
+		return 0
+	}
+	return d / time.Duration(s.Frames)
+}
+
+// ReuseRatio returns the fraction of rake geometries in recomputed
+// rounds served from the dirty-rake memo rather than recomputed.
+func (s Stats) ReuseRatio() float64 {
+	total := s.RakesComputed + s.RakesReused
+	if total == 0 {
+		return 0
+	}
+	return float64(s.RakesReused) / float64(total)
+}
+
+// String summarizes the counters for logs and reports. The tool column
+// appears only once a shared tool has run and the governor column only
+// when a budget is set, so toolless and ungoverned servers log neither.
+func (s Stats) String() string {
+	out := fmt.Sprintf(
+		"frames=%d (reused %d, shipped %d) load=%v compute=%v encode=%v rakes computed=%d reused=%d (%.0f%%) points=%d v1bytes=%d shipped=%.1fMB",
+		s.Frames, s.FramesReused, s.FramesShipped,
+		s.PerRound(s.LoadTime).Round(time.Microsecond),
+		s.PerRound(s.ComputeTime).Round(time.Microsecond),
+		s.PerRound(s.EncodeTime).Round(time.Microsecond),
+		s.RakesComputed, s.RakesReused, 100*s.ReuseRatio(),
+		s.Points, s.V1Bytes, float64(s.BytesShipped)/(1<<20))
+	if s.ToolsComputed > 0 || s.ToolsReused > 0 {
+		out += fmt.Sprintf(" tools computed=%d reused=%d points=%d",
+			s.ToolsComputed, s.ToolsReused, s.ToolPoints)
+	}
+	if s.Budget > 0 {
+		out += fmt.Sprintf(" budget=%v predicted=%v shed frames=%d avg=%.1f%%",
+			s.Budget, s.PerRound(s.PredictedTime).Round(time.Microsecond),
+			s.FramesShed, 100*s.ShedSum/float64(max(s.Frames, 1)))
+	}
+	return out
+}
+
 // Server is the remote-host application layered on a dlib server.
 type Server struct {
 	d     *dlib.Server
 	cfg   Config
 	env   *env.Environment
-	rec   obs.Recorder
 	clock netsim.Clock
 
 	// st is the effective store: cfg.Store, optionally wrapped by the
@@ -349,6 +398,7 @@ func New(cfg Config) (*Server, error) {
 		env:        env.New(cfg.Store.NumSteps()),
 		clock:      cfg.Clock,
 		gov:        &governor{budget: cfg.Budget},
+		stats:      Stats{Budget: cfg.Budget},
 		streaks:    make(map[int32]*integrate.Streak),
 		geoCache:   make(map[int32]*rakeGeom),
 		consumedBy: make(map[int64]bool),
@@ -439,10 +489,6 @@ func (s *Server) Stats() Stats {
 	defer s.mu.Unlock()
 	return s.stats
 }
-
-// Recorder returns the per-stage frame recorder, for expvar export and
-// benchmark reporting.
-func (s *Server) Recorder() *obs.Recorder { return &s.rec }
 
 // CacheStats reports the shared timestep cache's counters; ok is false
 // when no cache is configured (memory-resident store or zero budgets).

@@ -204,7 +204,6 @@ func (s *Server) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	ctx.ReplyDone(fb.release)
 	s.stats.FramesShipped++
 	s.stats.BytesShipped += int64(len(fb.buf))
-	s.rec.ObserveShip(int64(len(fb.buf)))
 	return fb.buf, nil
 }
 
@@ -225,7 +224,7 @@ func (s *Server) v1ReplyLocked() *frameBuf {
 		d := s.clock.Now().Sub(start)
 		s.stats.V1Encodes++
 		s.stats.EncodeTime += d
-		s.rec.ObserveEncode(d, int64(len(s.fb.buf)))
+		s.stats.V1Bytes += int64(len(s.fb.buf))
 	}
 	return s.fb
 }
@@ -253,7 +252,6 @@ func (s *Server) serveFrameV2Locked(ctx *dlib.Ctx, st *sessionState) ([]byte, er
 	s.stats.V2RakesInline += int64(st.enc.LastInline)
 	s.stats.V2RakesRef += int64(st.enc.LastRef)
 	s.stats.BytesShipped += int64(len(fb.buf))
-	s.rec.ObserveShip(int64(len(fb.buf)))
 	return fb.buf, nil
 }
 
