@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-stats chaos fuzz fuzz-server fuzz-wire ci bench bench-module loc load load-relay relay soak live tools
+.PHONY: all build test race vet lint lint-stats chaos fuzz fuzz-server fuzz-wire fuzz-render ci bench bench-module loc load load-relay relay soak live tools
 
 all: build test
 
@@ -63,6 +63,12 @@ fuzz-server:
 fuzz-wire:
 	$(GO) test -fuzz FuzzDecodeFrameV2 -fuzztime 10s ./internal/wire/
 
+# Short fuzz pass over the renderer: segments whose coordinates are raw
+# float32 bit patterns, drawn immediately inside a row band and through
+# RenderAnaglyph at one and two band workers.
+fuzz-render:
+	$(GO) test -fuzz FuzzLine -fuzztime 10s ./internal/render/
+
 # The cluster-tier battery: relay golden replays (one and two hops,
 # both codecs), chaos (upstream loss, partition, cross-hop lock
 # release), the relay wire codec, the relay node's own suite, and the
@@ -86,7 +92,7 @@ tools:
 	$(GO) test -race -count=1 -run xxx -fuzz FuzzToolCommand -fuzztime 5s ./internal/server/
 
 # The gate a change must pass before merging.
-ci: vet lint race relay live tools bench-module fuzz-wire load-relay
+ci: vet lint race relay live tools bench-module fuzz-wire fuzz-render load-relay
 
 bench:
 	$(GO) test -bench . -benchmem ./...

@@ -137,6 +137,7 @@ func newWorkstation(cfg Config) (*Workstation, error) {
 		rig: render.StereoRig{
 			IPD:  cfg.IPD,
 			Proj: vmath.Perspective(cfg.FOV, aspect, 0.05, 500),
+			List: new(render.DisplayList),
 		},
 	}, nil
 }
@@ -609,10 +610,7 @@ func drawTools(r *render.Renderer, t *wire.ToolsReply) {
 			}
 			continue
 		}
-		for i := 0; i+2 < len(p); i += 3 {
-			tri := [4]vmath.Vec3{p[i], p[i+1], p[i+2], p[i]}
-			r.Polyline(tri[:], c)
-		}
+		r.Triangles(p, c)
 	}
 }
 

@@ -116,9 +116,10 @@ func TestRenderFrameDrawsGeometry(t *testing.T) {
 }
 
 // TestRenderFrameAllocs pins what a RenderFrame allocates: the scene
-// closure, a Renderer per row band and the second band's goroutine —
+// closure, the second band's goroutine and what the two bands share —
 // a handful of objects however much geometry the frame holds, nothing
-// per segment, per vertex or per eye.
+// per segment, per vertex or per eye. (The display list and its ring
+// are the workstation's and grow only until they fit the scene.)
 func TestRenderFrameAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // the two-band path
 	head := vmath.Translate(0, 0, 12)

@@ -20,6 +20,12 @@ type Renderer struct {
 	// depth cueing state (see depthcue.go).
 	cueOn    bool
 	cueFloor float32
+
+	// list, when set, makes this the Renderer a Scene records through:
+	// draw calls go on the list instead of the framebuffer, under
+	// transform mvpIdx (see run.mvp).
+	list   *DisplayList
+	mvpIdx int32
 }
 
 // NewRenderer wraps a framebuffer with an identity transform and full
@@ -29,12 +35,16 @@ func NewRenderer(fb *Framebuffer) *Renderer {
 }
 
 // SetCamera sets the transform as projection * view.
-func (r *Renderer) SetCamera(view, proj vmath.Mat4) {
-	r.mvp = proj.Mul(view)
-}
+func (r *Renderer) SetCamera(view, proj vmath.Mat4) { r.SetMVP(proj.Mul(view)) }
 
 // SetMVP sets the full transform directly.
-func (r *Renderer) SetMVP(m vmath.Mat4) { r.mvp = m }
+func (r *Renderer) SetMVP(m vmath.Mat4) {
+	r.mvp = m
+	if r.list != nil {
+		r.list.mvps = append(r.list.mvps, m)
+		r.mvpIdx = int32(len(r.list.mvps))
+	}
+}
 
 // SetMask sets the channel writemask for subsequent draws.
 func (r *Renderer) SetMask(m ChannelMask) { r.mask = m }
@@ -90,7 +100,11 @@ type vert struct {
 }
 
 func (r *Renderer) divide(p vmath.Vec3, w float32) vert {
-	x, y, z := p.X/w, p.Y/w, p.Z/w
+	return r.onScreen(p.X/w, p.Y/w, p.Z/w, w)
+}
+
+// onScreen is the vertex at NDC (x, y, z).
+func (r *Renderer) onScreen(x, y, z, w float32) vert {
 	return vert{
 		ndc: vmath.Vec3{X: x, Y: y, Z: z},
 		w:   w,
@@ -103,18 +117,48 @@ const nearEps = 1e-5
 
 // Point draws a single 3-D point.
 func (r *Renderer) Point(p vmath.Vec3, c Color) {
-	v, w := r.mvp.TransformPointW(p)
-	if w < nearEps {
+	if r.list != nil {
+		r.list.add(r, kindPoints, r.list.keep(p), c)
 		return
 	}
+	k := r.ink(c)
+	v := r.pointVert(p)
+	r.plot(&v, &k)
+}
+
+// Points draws many points.
+func (r *Renderer) Points(pts []vmath.Vec3, c Color) {
+	if r.list != nil {
+		r.list.add(r, kindPoints, pts, c)
+		return
+	}
+	k := r.ink(c)
+	for _, p := range pts {
+		v := r.pointVert(p)
+		r.plot(&v, &k)
+	}
+}
+
+// pointVert transforms a point. (Points multiply by 1/w where line
+// vertices divide by w; the pinned frames hold both roundings.)
+func (r *Renderer) pointVert(p vmath.Vec3) vert {
+	v, w := r.mvp.TransformPointW(p)
+	if w < nearEps {
+		return vert{w: w}
+	}
 	inv := 1 / w
-	x, y, z := v.X*inv, v.Y*inv, v.Z*inv
-	if x < -1 || x > 1 || y < -1 || y > 1 || z < -1 || z > 1 {
+	return r.onScreen(v.X*inv, v.Y*inv, v.Z*inv, w)
+}
+
+// plot draws a transformed point if it is in view, on r's rows and not
+// behind what is already there.
+func (r *Renderer) plot(v *vert, k *ink) {
+	x, y, z := v.ndc.X, v.ndc.Y, v.ndc.Z
+	if v.w < nearEps || x < -1 || x > 1 || y < -1 || y > 1 || z < -1 || z > 1 {
 		return
 	}
 	fb := r.FB
-	px := int((x + 1) / 2 * float32(fb.W-1))
-	py := int((1 - y) / 2 * float32(fb.H-1))
+	px, py := int(v.sx), int(v.sy)
 	// A NaN coordinate passes the comparisons above; its truncation is
 	// out of range (or 0) on every GOARCH.
 	if px < 0 || px >= fb.W || py < r.y0 || py >= r.y1 {
@@ -122,7 +166,6 @@ func (r *Renderer) Point(p vmath.Vec3, c Color) {
 	}
 	if i := py*fb.W + px; !(z > fb.Z[i]) {
 		fb.Z[i] = z
-		k := r.ink(c)
 		if k.cue != 0 {
 			k.shade(z)
 		}
@@ -130,31 +173,28 @@ func (r *Renderer) Point(p vmath.Vec3, c Color) {
 	}
 }
 
-// Points draws many points.
-func (r *Renderer) Points(pts []vmath.Vec3, c Color) {
-	for _, p := range pts {
-		r.Point(p, c)
-	}
-}
-
 // Polyline draws connected line segments through pts. Each vertex is
 // transformed and divided once, whichever segments share it; a segment
 // that crosses the near plane w = nearEps is cut there first.
+func (r *Renderer) Polyline(pts []vmath.Vec3, c Color) {
+	if r.list != nil {
+		r.list.add(r, kindPolyline, pts, c)
+		return
+	}
+	r.polyline(pts, c)
+}
+
+// polyline is Polyline drawn now, the vertex two segments share carried
+// from one to the next.
 //
 //vw:hotpath
-func (r *Renderer) Polyline(pts []vmath.Vec3, c Color) {
+func (r *Renderer) polyline(pts []vmath.Vec3, c Color) {
 	k := r.ink(c)
 	var a vert
-	for i, p := range pts {
-		b := r.divide(r.mvp.TransformPointW(p))
-		switch {
-		case i == 0 || (a.w < nearEps && b.w < nearEps):
-		case a.w < nearEps:
-			r.segment(r.clipToNear(p, pts[i-1]), b, &k)
-		case b.w < nearEps:
-			r.segment(a, r.clipToNear(pts[i-1], p), &k)
-		default:
-			r.segment(a, b, &k)
+	for i := range pts {
+		b := r.divide(r.mvp.TransformPointW(pts[i]))
+		if i > 0 {
+			r.edge(&a, &b, &pts[i-1], &pts[i], &k)
 		}
 		a = b
 	}
@@ -162,8 +202,42 @@ func (r *Renderer) Polyline(pts []vmath.Vec3, c Color) {
 
 // Line draws one 3-D line segment.
 func (r *Renderer) Line(a, b vmath.Vec3, c Color) {
+	if r.list != nil {
+		r.list.add(r, kindPolyline, r.list.keep(a, b), c)
+		return
+	}
 	pts := [2]vmath.Vec3{a, b}
-	r.Polyline(pts[:], c)
+	r.polyline(pts[:], c)
+}
+
+// Triangles draws a wireframe triangle soup: three vertices per
+// triangle, edges 0-1, 1-2, 2-0 in that order — what Polyline draws
+// through the closed path p0 p1 p2 p0. Vertices past the last whole
+// triangle are ignored.
+func (r *Renderer) Triangles(pts []vmath.Vec3, c Color) {
+	if r.list != nil {
+		r.list.add(r, kindTriangles, pts, c)
+		return
+	}
+	for i := 0; i+2 < len(pts); i += 3 {
+		tri := [4]vmath.Vec3{pts[i], pts[i+1], pts[i+2], pts[i]}
+		r.polyline(tri[:], c)
+	}
+}
+
+// edge draws the segment between two transformed vertices, pa and pb
+// before the transform: all of it, the part in front of the near
+// plane, or nothing.
+func (r *Renderer) edge(a, b *vert, pa, pb *vmath.Vec3, k *ink) {
+	switch {
+	case a.w < nearEps && b.w < nearEps:
+	case a.w < nearEps:
+		r.segment(r.clipToNear(*pb, *pa), *b, k)
+	case b.w < nearEps:
+		r.segment(*a, r.clipToNear(*pa, *pb), k)
+	default:
+		r.segment(*a, *b, k)
+	}
 }
 
 // clipToNear returns where the segment from inside (w >= nearEps) to

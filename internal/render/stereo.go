@@ -2,7 +2,6 @@ package render
 
 import (
 	"runtime"
-	"sync"
 
 	"repro/internal/vmath"
 )
@@ -20,18 +19,21 @@ type StereoRig struct {
 	// Proj is the shared projection (the BOOM's wide-field LEEP
 	// optics).
 	Proj vmath.Mat4
+	// List is the display list frames are drawn through. A rig that
+	// draws frame after frame sets one, so its buffers are reused; nil
+	// draws each frame through a list of its own.
+	List *DisplayList
 }
 
-// Scene is a draw callback: it receives a renderer already configured
-// with the eye's camera and mask, and issues Line/Point calls. The
-// intensity channel of the colors it draws is taken from the red
-// channel; stereo remaps it per eye.
+// Scene is a draw callback: it receives a renderer and issues
+// Polyline/Line/Triangles/Points calls. The intensity channel of the
+// colors it draws is taken from the red channel; stereo remaps it per
+// eye.
 //
-// RenderAnaglyph invokes it once per eye per row band, the bands
-// concurrently, each with its own Renderer (whose settings carry from
-// the left-eye call to the right-eye call, nothing else). It must draw
-// the same thing every time and must not write state that another
-// invocation reads.
+// RenderAnaglyph calls it once per frame and records what it draws;
+// both eyes and every row band are drawn from the recording. The
+// slices it hands to Polyline, Triangles and Points are read until
+// RenderAnaglyph returns and must not change before then.
 type Scene func(r *Renderer)
 
 // RenderAnaglyph draws the scene from both eyes of the head pose into
@@ -55,33 +57,16 @@ func (s StereoRig) renderBands(fb *Framebuffer, head vmath.Mat4, scene Scene, ba
 		fb.Clear(0, 0, 0)
 		return err
 	}
-	left, right := s.Proj.Mul(leftView), s.Proj.Mul(rightView)
-	var wg sync.WaitGroup
-	for i := 0; i < bands; i++ {
-		r := NewRenderer(fb)
-		r.y0, r.y1 = i*fb.H/bands, (i+1)*fb.H/bands
-		band := func() {
-			defer wg.Done()
-			// Left eye: pure red, full depth test.
-			fb.clearRows(r.y0, r.y1, 0, 0, 0)
-			r.SetMVP(left)
-			r.SetMask(MaskR)
-			scene(r)
-
-			// Right eye: clear only Z, protect the red planes, draw blue.
-			fb.clearZRows(r.y0, r.y1)
-			r.SetMVP(right)
-			r.SetMask(MaskB)
-			scene(r)
-		}
-		wg.Add(1)
-		if i < bands-1 {
-			go band()
-		} else {
-			band()
-		}
+	dl := s.List
+	if dl == nil {
+		dl = new(DisplayList)
 	}
-	wg.Wait()
+	defer dl.reset()
+	dl.record(fb, scene)
+	// Left eye pure red; right eye blue under a writemask that protects
+	// the red planes.
+	eyes := [2]eye{{s.Proj.Mul(leftView), MaskR}, {s.Proj.Mul(rightView), MaskB}}
+	dl.draw(fb, &eyes, bands)
 	return nil
 }
 
