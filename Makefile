@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-stats chaos fuzz fuzz-server fuzz-wire fuzz-render ci bench bench-module loc load load-relay relay soak live tools
+.PHONY: all build test race vet lint lint-stats chaos fuzz fuzz-server fuzz-wire fuzz-render fuzz-field ci bench bench-module loc load load-relay relay soak live tools
 
 all: build test
 
@@ -69,6 +69,13 @@ fuzz-wire:
 fuzz-render:
 	$(GO) test -fuzz FuzzLine -fuzztime 10s ./internal/render/
 
+# Short fuzz pass over the timestep file reader: corrupt header fields,
+# truncations and headers that announce terabytes; ReadField must
+# answer with an error or exactly the field the bytes hold, allocating
+# in proportion to its input.
+fuzz-field:
+	$(GO) test -fuzz FuzzReadField -fuzztime 10s ./internal/field/
+
 # The cluster-tier battery: relay golden replays (one and two hops,
 # both codecs), chaos (upstream loss, partition, cross-hop lock
 # release), the relay wire codec, the relay node's own suite, and the
@@ -92,7 +99,7 @@ tools:
 	$(GO) test -race -count=1 -run xxx -fuzz FuzzToolCommand -fuzztime 5s ./internal/server/
 
 # The gate a change must pass before merging.
-ci: vet lint race relay live tools bench-module fuzz-wire fuzz-render load-relay
+ci: vet lint race relay live tools bench-module fuzz-wire fuzz-render fuzz-field load-relay
 
 bench:
 	$(GO) test -bench . -benchmem ./...

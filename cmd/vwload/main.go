@@ -175,10 +175,7 @@ func main() {
 			rep.ToolsComputed, rep.ToolsReused, rep.ToolPoints)
 	}
 	if rep.HasCache {
-		c := rep.Cache
-		fmt.Printf("timestep cache: hits=%d misses=%d coalesced=%d evictions=%d resident=%d steps (%.1f MB) hit rate %.1f%%\n",
-			c.Hits, c.Misses, c.Coalesced, c.Evictions,
-			c.ResidentSteps, float64(c.ResidentBytes)/(1<<20), 100*c.HitRate())
+		fmt.Printf("timestep cache: %s\n", rep.Cache)
 	}
 	if rs, ok := srv.LiveStats(); ok {
 		stc := srv.Env().Steer()

@@ -38,11 +38,11 @@ func main() {
 		listen   = flag.String("listen", "127.0.0.1:9040", "listen address")
 		resident = flag.Bool("resident", true, "load the whole dataset into memory (the 1 GB Convex mode); false streams from disk")
 		diskBW   = flag.Int64("diskbw", 0, "simulated disk bandwidth in MB/s when streaming (0 = unthrottled; the Convex measured 30-50)")
-		prefetch = flag.Bool("prefetch", true, "overlap next-timestep loads with computation when streaming")
+		prefetch = flag.Bool("prefetch", true, "read the timesteps the play touches next in the background while rounds compute, when streaming")
 		workers  = flag.Int("workers", 0, "computation worker count: parallel engine, round pool and live solver (0 = GOMAXPROCS)")
 		maxSeeds = flag.Int("maxseeds", 0, "per-rake seed count cap enforced on client commands (0 = default 4096)")
-		cacheN   = flag.Int("cachesteps", 0, "shared timestep cache capacity in steps when streaming (0 with -cachemb 0 = no cache)")
-		cacheMB  = flag.Int64("cachemb", 0, "shared timestep cache budget in MB when streaming (0 with -cachesteps 0 = no cache)")
+		cacheN   = flag.Int("cachesteps", 0, "timesteps kept resident when streaming, the particle-path window included (0 with -cachemb 0 = that window only; the window is kept even over this)")
+		cacheMB  = flag.Int64("cachemb", 0, "resident timestep budget in MB when streaming, the particle-path window included (0 with -cachesteps 0 = that window only; the window is kept even over this)")
 		budget   = flag.Duration("budget", 100*time.Millisecond, "per-frame integration budget; the governor sheds load to hold it (0 = disabled, frames run unbounded)")
 		codec    = flag.Int("codec", 2, "highest frame codec to negotiate: 1 = classic full frames only, 2 = allow delta/quantized (v1 clients still served byte-for-byte)")
 		debug    = flag.String("debug", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) on this address, e.g. localhost:6060 (empty = disabled)")
@@ -201,6 +201,8 @@ func main() {
 			}
 			log.Printf("%s sessions=%d", s, srv.Dlib().NumSessions())
 			if cs, ok := srv.CacheStats(); ok {
+				// wanted= is the §5.1 window, pinned over -cachesteps /
+				// -cachemb: why resident= (and RSS) can exceed them.
 				log.Printf("  cache: %s", cs)
 			}
 			if rs, ok := srv.LiveStats(); ok {

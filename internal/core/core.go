@@ -44,13 +44,15 @@ type Options struct {
 	// Integration sets path computation parameters; the zero value
 	// uses RK2 with 200-point paths.
 	Integration integrate.Options
-	// Prefetch enables timestep prefetching for I/O-backed stores.
+	// Prefetch reads the timesteps the play touches next in the
+	// background, for I/O-backed stores.
 	Prefetch bool
 	// MaxSeedsPerRake caps client-requested seed counts server-side;
 	// zero uses the server default.
 	MaxSeedsPerRake int
-	// CacheSteps / CacheBytes budget the shared timestep cache between
-	// the server and an I/O-backed store; both zero disables it.
+	// CacheSteps / CacheBytes budget the timesteps an I/O-backed
+	// server keeps resident; both zero keeps the particle-path window
+	// and nothing else. The window is never evicted to meet them.
 	CacheSteps int
 	CacheBytes int64
 	// Budget is the server's per-frame integration budget: when the

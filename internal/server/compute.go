@@ -11,6 +11,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -193,9 +194,15 @@ func (s *Server) loadRoundStepLocked(ts env.TimeState, step int) (int, time.Dura
 		}
 	}
 
+	// Overlap (figure 8's right-hand process): the resident set learns
+	// where the play stands before the round asks for its step, so the
+	// steps the play touches next are read while this round computes
+	// and the step asked for below is, in steady play, already there.
+	s.followPlayLocked(ts, step)
+
 	loadStart := s.clock.Now()
 	if s.cur == nil || step != s.curStep {
-		f, err := s.loadStep(step)
+		f, err := s.st.LoadStep(step)
 		if err != nil {
 			return 0, 0, fmt.Errorf("server: load step %d: %w", step, err)
 		}
@@ -220,28 +227,30 @@ func (s *Server) loadRoundStepLocked(ts env.TimeState, step int) (int, time.Dura
 		// effective budget so integration sheds to make room.
 		s.gov.notePressure(loadTime)
 	}
-
-	// Overlap: kick off the prefetch of the next step along the
-	// playback direction while this frame computes (figure 8's
-	// right-hand process). At a non-looping dataset boundary there is
-	// no next step — skip rather than asking the prefetcher for an
-	// out-of-range load.
-	if s.prefetcher != nil {
-		next := step + 1
-		if ts.Speed < 0 {
-			next = step - 1
-		}
-		if ts.Loop && next >= s.st.NumSteps() {
-			next = 0
-		}
-		if ts.Loop && next < 0 {
-			next = s.st.NumSteps() - 1
-		}
-		if next >= 0 && next < s.st.NumSteps() {
-			s.prefetcher.Prefetch(next)
-		}
-	}
 	return step, loadTime, nil
+}
+
+// followPlayLocked tells an I/O-backed store's resident set where the
+// play stands: the playhead, which way and whether around the ends time
+// runs, and how many levels past the playhead particle paths have been
+// seen to reach (§5.1: "the current timestep plus the maximum particle
+// path length"). With prefetching on, the steps of that window not yet
+// resident start loading in the background; the call never waits.
+func (s *Server) followPlayLocked(ts env.TimeState, step int) {
+	if s.cache == nil {
+		return
+	}
+	play := store.Play{Step: step, Reverse: ts.Speed < 0, Loop: ts.Loop, Reach: s.pathReach}
+	if s.pathReach > 0 {
+		// Particle paths start at ts.Current: a level below the step
+		// when that was rounded up.
+		play.Step = min(step, int(ts.Current))
+	}
+	if s.prefetcher != nil {
+		s.prefetcher.Prefetch(play)
+	} else {
+		s.cache.Follow(play)
+	}
 }
 
 // collectLocked is the collect stage: it snapshots users, rakes, and
@@ -526,39 +535,30 @@ func (rc *roundCtx) computeRake(j *rakeJob) {
 	}
 }
 
-// loadStep fetches a timestep through the prefetcher when present.
-func (s *Server) loadStep(step int) (*field.Field, error) {
-	if s.prefetcher != nil {
-		return s.prefetcher.LoadStep(step)
-	}
-	return s.st.LoadStep(step)
-}
-
 // timeSamplerLocked returns the round's unsteady sampler for particle
-// paths starting at step. With a resident dataset it samples with time
-// interpolation; for I/O-backed stores it slides the resident window
-// over [step, step+MaxSteps] first (§5.1's strategy), then hands out
-// the server's storeSampler, emptied of the previous round's levels.
-func (s *Server) timeSamplerLocked(step int) integrate.Sampler {
+// paths. With a resident dataset it samples with time interpolation;
+// an I/O-backed store gets the server's storeSampler, emptied of the
+// previous round's levels — in steady play it finds them in the
+// resident set's wanted run (§5.1's strategy).
+func (s *Server) timeSamplerLocked() integrate.Sampler {
 	if s.unsteady != nil {
 		return integrate.UnsteadySampler{U: s.unsteady}
 	}
-	src := s.st
-	if s.window != nil {
-		// A failed slide degrades to on-demand loads; the sampler
-		// still works.
-		_ = s.window.SetBase(step)
-		src = s.window
-	}
-	s.pathLevels.reset(src)
+	s.pathLevels.reset(s.st)
 	return &s.pathLevels
 }
 
-// bookPathLoadsLocked moves the round's failed-load count from the
-// store sampler into the stats, once the workers are done with it.
+// bookPathLoadsLocked closes the round's books on the store sampler,
+// once the workers are done with it: its failed-load count moves into
+// the stats, and the number of levels it held widens the reach of the
+// resident window — never past the levels MaxSteps steps of StepSize
+// can span.
 func (s *Server) bookPathLoadsLocked() {
 	s.stats.PathLoadFailures += s.pathLevels.failed
 	s.pathLevels.failed = 0
+	o := s.cfg.Options
+	span := math.Ceil(float64(o.MaxSteps)*math.Abs(float64(o.StepSize))) + 2
+	s.pathReach = max(s.pathReach, min(len(s.pathLevels.cache), int(span)))
 }
 
 // storeSampler samples an I/O-backed store with linear time

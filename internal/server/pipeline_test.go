@@ -258,7 +258,8 @@ func TestSeedCountClamped(t *testing.T) {
 // TestPrefetchSkipsAtBoundary pins the boundary fix: non-loop playback
 // sitting at the last timestep must not issue out-of-range prefetches.
 func TestPrefetchSkipsAtBoundary(t *testing.T) {
-	s, c, _ := startTestServer(t, Config{Store: testDataset(t, 3), Prefetch: true})
+	st := &playStore{Store: testDataset(t, 3)}
+	s, c, _ := startTestServer(t, Config{Store: st, Prefetch: true})
 	frame(t, c, wire.ClientUpdate{Commands: []wire.Command{
 		addRakeCmd(vmath.V3(1, 8, 4), vmath.V3(1, 10, 4), 2, integrate.ToolStreamline),
 		{Kind: wire.CmdSetPlaying, Flag: 1},
@@ -273,18 +274,21 @@ func TestPrefetchSkipsAtBoundary(t *testing.T) {
 	if want := float32(2); r.Time.Current != want {
 		t.Fatalf("time = %v, want clamped at %v", r.Time.Current, want)
 	}
-	issued := s.prefetcher.Stats().Issued
+	s.prefetcher.Wait()
+	fg, bg := st.take()
 	// More boundary frames, forced to recompute (pose changes) so the
 	// prefetch branch actually runs with next == NumSteps.
 	for i := 0; i < 4; i++ {
 		frame(t, c, wire.ClientUpdate{Hand: vmath.V3(float32(i), 0, 0)})
 	}
-	if got := s.prefetcher.Stats().Issued; got != issued {
-		t.Errorf("boundary frames issued %d prefetches", got-issued)
+	s.prefetcher.Wait()
+	if fg2, bg2 := st.take(); fg2+bg2 != 0 {
+		t.Errorf("boundary frames read %d+%d steps", fg2, bg2)
 	}
-	// All issued prefetches were in range.
-	if issued > 3 {
-		t.Errorf("issued %d prefetches for a 3-step dataset", issued)
+	// At the boundary the play wants its last step and nothing after
+	// it, and the dataset was read at most once on the way there.
+	if cs, _ := s.CacheStats(); cs.WantedSteps != 1 || fg+bg > 3 {
+		t.Errorf("%d steps wanted at the last step, %d+%d read of a 3-step dataset", cs.WantedSteps, fg, bg)
 	}
 }
 

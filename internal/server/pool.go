@@ -203,10 +203,10 @@ func (s *Server) runJobsLocked(g *grid.Grid, ts env.TimeState, step int) {
 		jobs: s.jobs, tools: &s.toolGeos, scal: &s.toolScal, pool: &s.pool,
 	}
 	// One time sampler per round, shared by every particle-path rake:
-	// the window slides once and a level two rakes both need loads once.
+	// a level two rakes both need is looked up once.
 	for i := range s.jobs {
 		if j := &s.jobs[i]; j.snap.Rake.Tool == integrate.ToolParticlePath && !j.plan.skip {
-			rc.paths = s.timeSamplerLocked(step)
+			rc.paths = s.timeSamplerLocked()
 			break
 		}
 	}

@@ -29,10 +29,11 @@
 // finishes writing it (Ctx.ReplyDone), and buffers whose references
 // drain recycle into a small free list. Adding workstations therefore adds
 // sends, not encodes: frames-encoded per round is independent of the
-// session count, and steady-state frames do near-zero allocation. An
-// optional shared timestep cache (store.Cache) sits under the
-// prefetcher so the sessions' overlapping playback positions hit
-// memory instead of re-reading mass storage.
+// session count, and steady-state frames do near-zero allocation. Over
+// an I/O-backed store every timestep the server holds is an entry of
+// one store.Cache: the steps the play touches next, read ahead in the
+// background, and the sessions' recently used steps under the
+// configured budget.
 //
 //vw:deterministic
 //vw:wire
@@ -56,8 +57,11 @@ import (
 
 // Config assembles a windtunnel server.
 type Config struct {
-	// Store supplies the dataset. Wrap a Disk store in a Prefetcher to
-	// get the paper's overlapped-load pipeline.
+	// Store supplies the dataset. A store.Memory is sampled where it
+	// lies and a store.Ring (in-situ mode) through its pin protocol;
+	// any other Store is I/O-backed and is read through one store.Cache,
+	// which keeps §5.1's window — the steps the play and its particle
+	// paths touch next — resident whatever the budget below.
 	Store store.Store
 	// Engine computes visualization geometry; nil uses the parallel
 	// engine with GOMAXPROCS workers.
@@ -72,15 +76,18 @@ type Config struct {
 	// RakeWorkers bounds how many dirty rakes recompute concurrently;
 	// 0 means GOMAXPROCS.
 	RakeWorkers int
-	// Prefetch enables next-timestep prefetching when Store is (or
-	// wraps) I/O-bound storage.
+	// Prefetch reads the missing steps of that window in the
+	// background, in play order, while rounds compute (figure 8); off,
+	// an I/O-backed Store is read on demand, on the goroutine that
+	// needs the step.
 	Prefetch bool
-	// CacheSteps / CacheBytes enable the shared timestep LRU between
-	// the server and an I/O-backed Store: CacheSteps bounds resident
-	// timesteps, CacheBytes bounds their total size (either may be
-	// zero for "no bound on that axis"; both zero disables the cache).
-	// Fully resident stores (store.Memory) are never wrapped — they
-	// are already the cache.
+	// CacheSteps / CacheBytes budget the timesteps an I/O-backed
+	// server keeps beyond that window, least recently used first out:
+	// CacheSteps bounds resident timesteps, CacheBytes their total size
+	// (either may be zero for "no bound on that axis"; both zero keeps
+	// the window and nothing else). The window counts toward the budget
+	// and is never evicted to meet it. Fully resident stores
+	// (store.Memory) are never wrapped — they are already the cache.
 	CacheSteps int
 	CacheBytes int64
 	// Budget is the per-frame integration budget the governor holds
@@ -253,20 +260,21 @@ type Server struct {
 	env   *env.Environment
 	clock netsim.Clock
 
-	// st is the effective store: cfg.Store, optionally wrapped by the
-	// shared timestep cache. All dataset access goes through it.
-	st    store.Store
-	cache *store.Cache
-
+	// st is the effective store: cfg.Store, wrapped by cache when it
+	// is I/O-backed. All dataset access goes through it.
+	st store.Store
+	// cache is the resident set of an I/O-backed store (nil otherwise)
+	// and prefetcher its background reader when cfg.Prefetch is set;
+	// each round tells them where the play stands (followPlayLocked).
+	cache      *store.Cache
 	prefetcher *store.Prefetcher
-	// window keeps the particle-path timestep range resident for
-	// I/O-backed stores (§5.1: "the current timestep plus the maximum
-	// particle path length").
-	window *store.Window
 	// pathLevels is the store-backed time sampler every particle-path
 	// rake of a round shares; timeSamplerLocked resets it per round and
-	// the pool workers reach its cache through its own lock.
+	// the pool workers reach its levels through its own lock. pathReach
+	// is the most levels it has held after any round: how far past the
+	// playhead §5.1's window must reach.
 	pathLevels storeSampler
+	pathReach  int
 	// unsteady is non-nil when the store is fully resident. Immutable
 	// after New, so pool workers may read it without the lock.
 	unsteady *field.Unsteady
@@ -416,37 +424,30 @@ func New(cfg Config) (*Server, error) {
 	s.livePinned = -1
 	if ring, ok := cfg.Store.(*store.Ring); ok {
 		// In-situ mode: the live ring recycles step buffers, so the
-		// Cache/Window/Prefetcher wrappers — which all hold bare field
-		// pointers across rounds — must never sit on top of it (the
-		// eviction-while-integrating hazard; the ring's pin protocol is
-		// the only safe residency contract). The ring is memory-backed
-		// anyway, so the wrappers would buy nothing.
+		// Cache — which holds bare field pointers across rounds — must
+		// never sit on top of it (the eviction-while-integrating
+		// hazard; the ring's pin protocol is the only safe residency
+		// contract). The ring is memory-backed anyway, so the cache
+		// would buy nothing.
 		s.liveRing = ring
 	}
-	if (cfg.CacheSteps > 0 || cfg.CacheBytes > 0) && s.unsteady == nil && s.liveRing == nil {
-		// Shared timestep LRU between the pipeline and mass storage.
-		// Layering: prefetcher / window -> cache -> disk, so prefetched
-		// and windowed loads fill the cache every session benefits from.
-		c, err := store.NewCache(cfg.Store, store.CacheOptions{
-			MaxSteps: cfg.CacheSteps,
-			MaxBytes: cfg.CacheBytes,
-		})
+	if s.unsteady == nil && s.liveRing == nil {
+		// I/O-backed store: one resident set between the pipeline and
+		// mass storage. With no budget configured it holds the wanted
+		// run and nothing else.
+		opts := store.CacheOptions{MaxSteps: cfg.CacheSteps, MaxBytes: cfg.CacheBytes}
+		if opts == (store.CacheOptions{}) {
+			opts.MaxSteps = 1
+		}
+		c, err := store.NewCache(cfg.Store, opts)
 		if err != nil {
 			return nil, err
 		}
 		s.cache = c
 		s.st = c
-	}
-	if cfg.Prefetch && s.liveRing == nil {
-		s.prefetcher = store.NewPrefetcher(s.st)
-	}
-	if s.unsteady == nil && s.liveRing == nil {
-		// I/O-backed store: keep a particle-path window resident.
-		w, err := store.NewWindow(s.st, cfg.Options.MaxSteps+1)
-		if err != nil {
-			return nil, err
+		if cfg.Prefetch {
+			s.prefetcher = store.NewPrefetcher(c)
 		}
-		s.window = w
 	}
 	if cfg.Steer != (env.SteerParams{}) {
 		s.env.InitSteer(cfg.Steer)
@@ -490,8 +491,8 @@ func (s *Server) Stats() Stats {
 	return s.stats
 }
 
-// CacheStats reports the shared timestep cache's counters; ok is false
-// when no cache is configured (memory-resident store or zero budgets).
+// CacheStats reports the timestep cache's counters; ok is false when
+// the store is not I/O-backed (memory-resident, or a live ring).
 func (s *Server) CacheStats() (stats store.CacheStats, ok bool) {
 	if s.cache == nil {
 		return store.CacheStats{}, false

@@ -3,6 +3,7 @@ package store
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,35 +21,52 @@ type CacheOptions struct {
 	MaxBytes int64
 }
 
-// Cache keeps recently used timesteps resident under a memory budget,
+// Cache is the one resident set of an I/O-backed server: every
+// timestep the server holds, whoever asked for it, is an entry here,
+// and every read of the source goes through its single-flight table.
+// It keeps two kinds of step resident.
+//
+// The wanted run is §5.1's window — "the current timestep plus the
+// maximum particle path length" — laid out along the play: Follow is
+// told where the playhead is and the cache derives the steps the play
+// touches next, in the order it touches them (Play). Those are pinned
+// whatever the budget says; a Prefetcher reads the missing ones in that
+// order in the background (figure 8's second buffer is the run of a
+// scene without particle paths: the step in use and the next).
+//
+// Everything else is recently used steps under the CacheOptions budget,
 // shared by every session of the server. In the disk regime the paper's
 // remote host pays one mass-storage read per timestep per playback
 // pass; with many workstations attached, the sessions' overlapping
-// time positions make most loads repeats, so a shared LRU in front of
-// the disk turns them into memory hits. The cache is a Store, layered
-// under the Prefetcher (figure 8): prefetched loads fill it, and both
-// foreground and background loads of the same step are coalesced into
-// a single underlying read.
+// time positions make most loads repeats, so an LRU in front of the
+// disk turns them into memory hits.
 //
 // At least one timestep stays resident regardless of budget — a cache
 // that cannot hold the step it just loaded would re-read every call.
+// The cache never calls its source with mu held, and no call but a
+// LoadStep of a step that is not resident waits for a read.
 type Cache struct {
 	src  Store
 	opts CacheOptions
 
-	mu       sync.Mutex
+	hits, misses, coalesced, evictions atomic.Int64
+
+	mu       sync.Mutex            // guards everything below
 	entries  map[int]*list.Element // timestep -> lru element
 	lru      *list.List            // of *cacheEntry; front = most recent
 	bytes    int64
 	inflight map[int]*cacheFlight
-
-	hits, misses, coalesced, evictions atomic.Int64
+	// run is the wanted run in play order; its resident entries are
+	// the pinned ones. filling is set while a Prefetcher's fill runs.
+	run     []int
+	filling bool
 }
 
 type cacheEntry struct {
-	t    int
-	f    *field.Field
-	size int64
+	t      int
+	f      *field.Field
+	size   int64
+	pinned bool // t is in the wanted run
 }
 
 // cacheFlight is one in-progress underlying load; concurrent callers
@@ -87,8 +105,9 @@ func (c *Cache) DT() float32 { return c.src.DT() }
 func (c *Cache) Close() error { return c.src.Close() }
 
 // LoadStep implements Store. Resident steps return immediately; a step
-// already being loaded is joined rather than re-read; anything else
-// reads from the source and becomes resident, evicting least-recently
+// already being loaded — by a fill or by another caller — is joined
+// rather than re-read; anything else reads from the source on the
+// caller's goroutine and becomes resident, evicting least-recently
 // used steps past the budget.
 func (c *Cache) LoadStep(t int) (*field.Field, error) {
 	if t < 0 || t >= c.src.NumSteps() {
@@ -125,25 +144,28 @@ func (c *Cache) LoadStep(t int) (*field.Field, error) {
 	return f, err
 }
 
-// insertLocked makes timestep t resident and evicts over budget. The
-// most recent entry is never evicted.
+// insertLocked makes timestep t resident and evicts over budget. Only
+// the owner of t's flight gets here, so t is not resident yet.
 func (c *Cache) insertLocked(t int, f *field.Field) {
-	if el, ok := c.entries[t]; ok {
-		// A racing load of the same step can beat us here only via
-		// Invalidate windows; keep the existing entry fresh.
-		c.lru.MoveToFront(el)
-		return
-	}
-	e := &cacheEntry{t: t, f: f, size: f.SizeBytes()}
+	e := &cacheEntry{t: t, f: f, size: f.SizeBytes(), pinned: slices.Contains(c.run, t)}
 	c.entries[t] = c.lru.PushFront(e)
 	c.bytes += e.size
-	for c.lru.Len() > 1 && c.overBudgetLocked() {
-		back := c.lru.Back()
-		victim := back.Value.(*cacheEntry)
-		c.lru.Remove(back)
-		delete(c.entries, victim.t)
-		c.bytes -= victim.size
-		c.evictions.Add(1)
+	c.evictLocked()
+}
+
+// evictLocked drops least-recently-used steps while the cache is over
+// budget, never a pinned one and never the last one resident — with no
+// wanted run that is the most recent entry.
+func (c *Cache) evictLocked() {
+	for el := c.lru.Back(); el != nil && c.lru.Len() > 1 && c.overBudgetLocked(); {
+		victim, prev := el.Value.(*cacheEntry), el.Prev()
+		if !victim.pinned {
+			c.lru.Remove(el)
+			delete(c.entries, victim.t)
+			c.bytes -= victim.size
+			c.evictions.Add(1)
+		}
+		el = prev
 	}
 }
 
@@ -165,13 +187,173 @@ func (c *Cache) Resident(t int) bool {
 	return ok
 }
 
+// Play is where the playback stands, as the server tells the cache
+// each round.
+type Play struct {
+	// Step is the playhead: the timestep the round computes from.
+	Step int
+	// Reverse is set when time runs backward.
+	Reverse bool
+	// Loop is set when the play wraps at the ends of the dataset.
+	Loop bool
+	// Reach is how many time levels a round's particle paths have been
+	// seen to touch, 0 for a scene without them: the playhead's path
+	// window is [Step, Step+Reach].
+	Reach int
+}
+
+// appendRun appends the wanted run of a dataset of n steps to dst: the
+// first Reach+2 distinct steps the play touches — the playhead's path
+// window ascending, then what the next playhead's window adds, and so
+// on. Forward that is [Step, Step+Reach+2), wrapping to 0, 1, ... on
+// Loop; in reverse [Step, Step+Reach] and then Step-1, Step-2, ...,
+// wrapping to n-1 on Loop. Without Loop the run ends where the play
+// does.
+func (p Play) appendRun(dst []int, n int) []int {
+	if n < 1 {
+		return dst
+	}
+	s := min(max(p.Step, 0), n-1)
+	reach := min(max(p.Reach, 0), n)
+	want := min(reach+2, n)
+	if !p.Reverse {
+		for i := 0; i < want; i++ {
+			t := s + i
+			if t >= n {
+				if !p.Loop {
+					break
+				}
+				t -= n
+			}
+			dst = append(dst, t)
+		}
+		return dst
+	}
+	from := len(dst)
+	for t := s; t <= min(s+reach, n-1); t++ {
+		dst = append(dst, t)
+	}
+	for t := s - 1; len(dst)-from < want; t-- {
+		if t < 0 {
+			if !p.Loop {
+				break
+			}
+			t = n - 1
+		}
+		dst = append(dst, t)
+	}
+	return dst
+}
+
+// Follow moves the playhead: the wanted run becomes p's, its resident
+// steps are pinned and the previous run's become ordinary entries
+// again, evicted if the budget says so. It reads nothing and waits for
+// nothing: a missing step is read by the Prefetcher's fill, or by the
+// LoadStep that needs it.
+func (c *Cache) Follow(p Play) {
+	n := c.src.NumSteps()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.pinRunLocked(false)
+	c.run = p.appendRun(c.run[:0], n)
+	c.pinRunLocked(true)
+	c.evictLocked()
+}
+
+func (c *Cache) pinRunLocked(pinned bool) {
+	for _, t := range c.run {
+		if el, ok := c.entries[t]; ok {
+			el.Value.(*cacheEntry).pinned = pinned
+		}
+	}
+}
+
+// claimFill makes the caller the cache's one running fill if there is
+// a wanted step to read and no fill is running; the fill is over when
+// nextFill says so.
+func (c *Cache) claimFill() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, missing := c.firstMissingLocked(); c.filling || !missing {
+		return false
+	}
+	c.filling = true
+	return true
+}
+
+// nextFill hands the running fill its next read: the first step of the
+// wanted run, as it stands now, that is neither resident nor being
+// read. With none left the fill is over, as it is after a read that
+// failed (last != nil): the next round's Prefetch tries that step
+// again.
+func (c *Cache) nextFill(last error) (t int, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t, ok = c.firstMissingLocked(); !ok || last != nil {
+		c.filling = false
+		return 0, false
+	}
+	return t, true
+}
+
+func (c *Cache) firstMissingLocked() (int, bool) {
+	for _, t := range c.run {
+		_, resident := c.entries[t]
+		_, reading := c.inflight[t]
+		if !resident && !reading {
+			return t, true
+		}
+	}
+	return 0, false
+}
+
+// Prefetcher overlaps timestep loading with computation, the paper's
+// figure-8 architecture: "The timestep required for the next
+// computation is loaded into a buffer" while the current one is used.
+// It owns the goroutine that fills the cache's wanted run.
+type Prefetcher struct {
+	c     *Cache
+	fills sync.WaitGroup
+}
+
+// NewPrefetcher returns the background reader of c's wanted run.
+func NewPrefetcher(c *Cache) *Prefetcher { return &Prefetcher{c: c} }
+
+// Prefetch moves the cache's playhead to play and, if that leaves
+// wanted steps to read and no fill is running, starts one: a goroutine
+// that reads the first missing step of the wanted run — the run as it
+// stands at each read, so a seek redirects it — until none is missing.
+// Prefetch itself never waits for a read.
+func (p *Prefetcher) Prefetch(play Play) {
+	p.c.Follow(play)
+	if !p.c.claimFill() {
+		return
+	}
+	p.fills.Add(1)
+	go func() {
+		defer p.fills.Done()
+		var err error
+		for {
+			t, ok := p.c.nextFill(err)
+			if !ok {
+				return
+			}
+			_, err = p.c.LoadStep(t)
+		}
+	}()
+}
+
+// Wait returns once no fill is running.
+func (p *Prefetcher) Wait() { p.fills.Wait() }
+
 // CacheStats counts cache activity. Hits were served from resident
 // steps, Coalesced joined an in-flight load (no second read issued),
 // Misses paid an underlying read, Evictions counts steps dropped to
-// stay within budget.
+// stay within budget. WantedSteps is the length of the wanted run:
+// ResidentSteps exceeds the budget by no more than that.
 type CacheStats struct {
 	Hits, Misses, Coalesced, Evictions int64
-	ResidentSteps                      int
+	WantedSteps, ResidentSteps         int
 	ResidentBytes                      int64
 }
 
@@ -189,14 +371,15 @@ func (s CacheStats) HitRate() float64 {
 // ticker logs.
 func (s CacheStats) String() string {
 	return fmt.Sprintf(
-		"hits=%d misses=%d coalesced=%d evictions=%d resident=%d (%.1fMB) hit=%.0f%%",
+		"hits=%d misses=%d coalesced=%d evictions=%d wanted=%d resident=%d (%.1fMB) hit=%.0f%%",
 		s.Hits, s.Misses, s.Coalesced, s.Evictions,
-		s.ResidentSteps, float64(s.ResidentBytes)/(1<<20), 100*s.HitRate())
+		s.WantedSteps, s.ResidentSteps, float64(s.ResidentBytes)/(1<<20), 100*s.HitRate())
 }
 
 // Stats reports cumulative cache statistics.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
+	wanted := len(c.run)
 	resident := c.lru.Len()
 	bytes := c.bytes
 	c.mu.Unlock()
@@ -205,6 +388,7 @@ func (c *Cache) Stats() CacheStats {
 		Misses:        c.misses.Load(),
 		Coalesced:     c.coalesced.Load(),
 		Evictions:     c.evictions.Load(),
+		WantedSteps:   wanted,
 		ResidentSteps: resident,
 		ResidentBytes: bytes,
 	}

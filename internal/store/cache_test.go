@@ -207,24 +207,20 @@ func TestCacheUnderPrefetcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPrefetcher(c)
-	p.Prefetch(2)
-	// Drain the prefetch through the cache; the foreground load joins
-	// or follows it, and either way the step is resident after.
-	f, err := p.LoadStep(2)
-	if err != nil {
-		t.Fatal(err)
+	p.Prefetch(Play{Step: 2})
+	p.Wait()
+	// The fill read the playhead's step and the next into the cache.
+	if !c.Resident(2) || !c.Resident(3) {
+		t.Error("prefetched steps did not fill the shared cache")
 	}
-	checkStep(t, f, 2)
-	if !c.Resident(2) {
-		t.Error("prefetched step did not fill the shared cache")
-	}
-	// A later load of the same step — e.g. another session's playback
-	// position — is a cache hit, not a second read.
+	// A later load of the same step — the round's own, or another
+	// session's playback position — is a cache hit, not a second read.
+	checkStep(t, mustLoad(t, c, 2), 2)
 	mustLoad(t, c, 2)
-	if got := src.loads.Load(); got != 1 {
-		t.Fatalf("underlying loads = %d, want 1", got)
+	if got := src.loads.Load(); got != 2 {
+		t.Fatalf("underlying loads = %d, want 2 (steps 2 and 3, once each)", got)
 	}
-	if s := c.Stats(); s.Hits != 1 {
+	if s := c.Stats(); s.Hits != 2 || s.Misses != 2 {
 		t.Fatalf("stats = %+v", s)
 	}
 }
@@ -307,10 +303,10 @@ func TestCacheMetadataPassthrough(t *testing.T) {
 func TestCacheStatsString(t *testing.T) {
 	s := CacheStats{
 		Hits: 9, Misses: 2, Coalesced: 1, Evictions: 3,
-		ResidentSteps: 4, ResidentBytes: 3 << 20,
+		WantedSteps: 6, ResidentSteps: 4, ResidentBytes: 3 << 20,
 	}
 	got := s.String()
-	want := "hits=9 misses=2 coalesced=1 evictions=3 resident=4 (3.0MB) hit=83%"
+	want := "hits=9 misses=2 coalesced=1 evictions=3 wanted=6 resident=4 (3.0MB) hit=83%"
 	if got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -120,7 +119,9 @@ func (d *Disk) DT() float32 { return d.dt }
 func (d *Disk) Close() error { return nil }
 
 // LoadStep implements Store, reading the step file and applying the
-// bandwidth throttle.
+// bandwidth throttle. A file that is not a timestep of this dataset —
+// other dimensions than the grid's, or a length that is not its
+// header's — is refused by name before its samples are read.
 func (d *Disk) LoadStep(t int) (*field.Field, error) {
 	if t < 0 || t >= d.numSteps {
 		return nil, fmt.Errorf("store: timestep %d out of range [0, %d)", t, d.numSteps)
@@ -131,10 +132,23 @@ func (d *Disk) LoadStep(t int) (*field.Field, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open step %d: %w", t, err)
 	}
-	f, err := field.ReadField(sf)
-	sf.Close()
+	defer sf.Close()
+	f, err := field.ReadFieldHeader(sf)
 	if err != nil {
-		return nil, fmt.Errorf("store: read step %d: %w", t, err)
+		return nil, fmt.Errorf("store: read step %d (%s): %w", t, path, err)
+	}
+	if !f.MatchesGrid(d.g) {
+		return nil, fmt.Errorf("store: step %d (%s) is %dx%dx%d, the grid %dx%dx%d",
+			t, path, f.NI, f.NJ, f.NK, d.g.NI, d.g.NJ, d.g.NK)
+	}
+	if info, err := sf.Stat(); err != nil {
+		return nil, fmt.Errorf("store: stat step %d: %w", t, err)
+	} else if info.Size() != f.FileSize() {
+		return nil, fmt.Errorf("store: step %d (%s) is %d bytes, want %d",
+			t, path, info.Size(), f.FileSize())
+	}
+	if err := field.ReadFieldPayload(sf, f); err != nil {
+		return nil, fmt.Errorf("store: read step %d (%s): %w", t, path, err)
 	}
 	n := f.SizeBytes()
 	if bw := d.opts.BandwidthBytesPerSec; bw > 0 {
@@ -154,96 +168,4 @@ func (d *Disk) LoadStep(t int) (*field.Field, error) {
 // Stats reports cumulative load statistics.
 func (d *Disk) Stats() (loads int64, bytesRead int64, totalTime time.Duration) {
 	return d.loads.Load(), d.bytesRead.Load(), time.Duration(d.loadNanos.Load())
-}
-
-// Prefetcher overlaps timestep loading with computation, the paper's
-// figure-8 architecture: "The timestep required for the next
-// computation is loaded into a buffer" while the current one is used.
-// It prefetches a single step ahead along a caller-provided stride
-// (time can run backward in the windtunnel).
-type Prefetcher struct {
-	src Store
-
-	mu      sync.Mutex
-	pending map[int]chan prefetchResult
-
-	hits, misses, issued atomic.Int64
-}
-
-type prefetchResult struct {
-	f   *field.Field
-	err error
-}
-
-// NewPrefetcher wraps src.
-func NewPrefetcher(src Store) *Prefetcher {
-	return &Prefetcher{src: src, pending: make(map[int]chan prefetchResult)}
-}
-
-// Grid implements Store.
-func (p *Prefetcher) Grid() *grid.Grid { return p.src.Grid() }
-
-// NumSteps implements Store.
-func (p *Prefetcher) NumSteps() int { return p.src.NumSteps() }
-
-// DT implements Store.
-func (p *Prefetcher) DT() float32 { return p.src.DT() }
-
-// Close implements Store.
-func (p *Prefetcher) Close() error { return p.src.Close() }
-
-// Prefetch starts loading timestep t in the background if it is in
-// range and not already in flight.
-func (p *Prefetcher) Prefetch(t int) {
-	if t < 0 || t >= p.src.NumSteps() {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.pending[t]; ok {
-		return
-	}
-	ch := make(chan prefetchResult, 1)
-	p.pending[t] = ch
-	p.issued.Add(1)
-	go func() {
-		f, err := p.src.LoadStep(t)
-		ch <- prefetchResult{f, err}
-	}()
-}
-
-// LoadStep implements Store: a previously prefetched step is awaited
-// (usually already done — that is the overlap win); anything else
-// loads synchronously.
-func (p *Prefetcher) LoadStep(t int) (*field.Field, error) {
-	p.mu.Lock()
-	ch, ok := p.pending[t]
-	if ok {
-		delete(p.pending, t)
-	}
-	p.mu.Unlock()
-	if ok {
-		p.hits.Add(1)
-		res := <-ch
-		return res.f, res.err
-	}
-	p.misses.Add(1)
-	return p.src.LoadStep(t)
-}
-
-// PrefetchStats counts prefetcher activity: Issued background loads
-// started, Hits loads served from a completed or in-flight prefetch,
-// Misses loads that fell through to a synchronous read.
-type PrefetchStats struct {
-	Hits, Misses, Issued int64
-}
-
-// Stats reports how many background loads were issued and how many
-// foreground loads were served from prefetch vs synchronously.
-func (p *Prefetcher) Stats() PrefetchStats {
-	return PrefetchStats{
-		Hits:   p.hits.Load(),
-		Misses: p.misses.Load(),
-		Issued: p.issued.Load(),
-	}
 }

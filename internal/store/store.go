@@ -1,16 +1,16 @@
 // Package store manages access to unsteady flowfield timesteps,
 // reproducing §5.1's data-management strategies: datasets fully
 // resident in (the remote host's large) memory, datasets streamed from
-// disk with a bandwidth budget, double-buffered prefetching so disk
-// I/O overlaps computation (figure 8), and the in-memory window of
-// future timesteps that particle paths require.
+// disk with a bandwidth budget, and over those one resident set
+// (Cache) holding the window of future timesteps that particle paths
+// require, read ahead along the play so disk I/O overlaps computation
+// (figure 8's double buffer is its two-step case).
 //
 //vw:deterministic
 package store
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/field"
 	"repro/internal/grid"
@@ -64,84 +64,3 @@ func (m *Memory) Close() error { return nil }
 
 // Unsteady returns the underlying dataset.
 func (m *Memory) Unsteady() *field.Unsteady { return m.u }
-
-// Window keeps a contiguous window of timesteps resident, backed by
-// any Store. Particle paths "require a different timestep for every
-// point in the path", so the windtunnel keeps the current timestep
-// plus the maximum particle path length in memory (§5.1).
-type Window struct {
-	src  Store
-	size int
-
-	mu    sync.Mutex
-	base  int
-	steps map[int]*field.Field
-}
-
-// NewWindow wraps src with a resident window of size timesteps.
-func NewWindow(src Store, size int) (*Window, error) {
-	if size < 1 {
-		return nil, fmt.Errorf("store: window size %d < 1", size)
-	}
-	return &Window{src: src, size: size, steps: make(map[int]*field.Field)}, nil
-}
-
-// Grid implements Store.
-func (w *Window) Grid() *grid.Grid { return w.src.Grid() }
-
-// NumSteps implements Store.
-func (w *Window) NumSteps() int { return w.src.NumSteps() }
-
-// DT implements Store.
-func (w *Window) DT() float32 { return w.src.DT() }
-
-// Close implements Store.
-func (w *Window) Close() error { return w.src.Close() }
-
-// SetBase slides the window so it covers [base, base+size), evicting
-// steps that fell out and loading steps that entered.
-func (w *Window) SetBase(base int) error {
-	if base < 0 {
-		base = 0
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for t := range w.steps {
-		if t < base || t >= base+w.size {
-			delete(w.steps, t)
-		}
-	}
-	w.base = base
-	hi := min(base+w.size, w.src.NumSteps())
-	for t := base; t < hi; t++ {
-		if _, ok := w.steps[t]; ok {
-			continue
-		}
-		f, err := w.src.LoadStep(t)
-		if err != nil {
-			return fmt.Errorf("store: window load step %d: %w", t, err)
-		}
-		w.steps[t] = f
-	}
-	return nil
-}
-
-// LoadStep implements Store: resident steps return immediately, other
-// steps fall through to the source.
-func (w *Window) LoadStep(t int) (*field.Field, error) {
-	w.mu.Lock()
-	f, ok := w.steps[t]
-	w.mu.Unlock()
-	if ok {
-		return f, nil
-	}
-	return w.src.LoadStep(t)
-}
-
-// Resident reports whether timestep t is in the window.
-func (w *Window) Resident(t int) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, ok := w.steps[t]
-	return ok
-}

@@ -3,7 +3,6 @@ package store
 import (
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -137,136 +136,6 @@ func TestDiskBandwidthThrottle(t *testing.T) {
 	}
 }
 
-func TestWindowResidency(t *testing.T) {
-	m := NewMemory(makeDataset(t, 10))
-	w, err := NewWindow(m, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SetBase(2); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		step int
-		want bool
-	}{{1, false}, {2, true}, {3, true}, {4, true}, {5, false}} {
-		if got := w.Resident(tc.step); got != tc.want {
-			t.Errorf("Resident(%d) = %v, want %v", tc.step, got, tc.want)
-		}
-	}
-	// Sliding forward evicts and loads.
-	if err := w.SetBase(4); err != nil {
-		t.Fatal(err)
-	}
-	if w.Resident(2) || !w.Resident(6) {
-		t.Error("window did not slide")
-	}
-	// Non-resident steps still load through.
-	f, err := w.LoadStep(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStep(t, f, 0)
-}
-
-func TestWindowClampsEnd(t *testing.T) {
-	m := NewMemory(makeDataset(t, 4))
-	w, _ := NewWindow(m, 10)
-	if err := w.SetBase(2); err != nil {
-		t.Fatal(err)
-	}
-	if !w.Resident(3) || w.Resident(4) {
-		t.Error("window end clamping wrong")
-	}
-}
-
-func TestNewWindowValidation(t *testing.T) {
-	m := NewMemory(makeDataset(t, 2))
-	if _, err := NewWindow(m, 0); err == nil {
-		t.Error("zero window accepted")
-	}
-}
-
-// slowStore wraps Memory with a fixed delay, to observe prefetch
-// overlap deterministically.
-type slowStore struct {
-	*Memory
-	delay time.Duration
-}
-
-func (s slowStore) LoadStep(t int) (*field.Field, error) {
-	time.Sleep(s.delay)
-	return s.Memory.LoadStep(t)
-}
-
-func TestPrefetcherOverlapsLoads(t *testing.T) {
-	src := slowStore{NewMemory(makeDataset(t, 10)), 30 * time.Millisecond}
-	p := NewPrefetcher(src)
-	p.Prefetch(1)
-	time.Sleep(40 * time.Millisecond) // let the background load finish
-	start := time.Now()
-	f, err := p.LoadStep(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStep(t, f, 1)
-	if elapsed := time.Since(start); elapsed > 15*time.Millisecond {
-		t.Errorf("prefetched load took %v, want ~0", elapsed)
-	}
-	if st := p.Stats(); st.Hits != 1 || st.Misses != 0 || st.Issued != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestPrefetcherMissFallsThrough(t *testing.T) {
-	p := NewPrefetcher(NewMemory(makeDataset(t, 5)))
-	f, err := p.LoadStep(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkStep(t, f, 2)
-	if st := p.Stats(); st.Hits != 0 || st.Misses != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
-func TestPrefetcherIgnoresOutOfRange(t *testing.T) {
-	p := NewPrefetcher(NewMemory(makeDataset(t, 3)))
-	p.Prefetch(-1)
-	p.Prefetch(3)
-	if st := p.Stats(); st.Issued != 0 {
-		t.Errorf("out-of-range prefetches issued loads: %+v", st)
-	}
-	// Must not leave pending entries that a LoadStep would wait on.
-	if _, err := p.LoadStep(0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPrefetcherConcurrentAccess(t *testing.T) {
-	p := NewPrefetcher(NewMemory(makeDataset(t, 20)))
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for s := 0; s < 20; s++ {
-				p.Prefetch(s)
-				f, err := p.LoadStep(s)
-				if err != nil {
-					t.Errorf("worker %d step %d: %v", w, s, err)
-					return
-				}
-				if f.U[0] != float32(s) {
-					t.Errorf("worker %d step %d wrong payload", w, s)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 func absf(f float32) float32 {
 	if f < 0 {
 		return -f
@@ -334,40 +203,6 @@ func TestDiskMissingStepFile(t *testing.T) {
 	}
 	if _, err := d.LoadStep(0); err != nil {
 		t.Errorf("intact step failed: %v", err)
-	}
-}
-
-func TestWindowPropagatesLoadError(t *testing.T) {
-	dir := t.TempDir()
-	if err := WriteDataset(dir, makeDataset(t, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "step_000002.vwt")); err != nil {
-		t.Fatal(err)
-	}
-	d, err := OpenDisk(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := NewWindow(d, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SetBase(1); err == nil {
-		t.Error("window slide over missing step succeeded")
-	}
-}
-
-func TestWindowNegativeBaseClamps(t *testing.T) {
-	w, err := NewWindow(NewMemory(makeDataset(t, 5)), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SetBase(-7); err != nil {
-		t.Fatal(err)
-	}
-	if !w.Resident(0) {
-		t.Error("clamped base did not load step 0")
 	}
 }
 
