@@ -56,12 +56,15 @@ fuzz-server:
 	$(GO) test -fuzz FuzzSteerCommand -fuzztime 30s ./internal/server/
 	$(GO) test -fuzz FuzzToolCommand -fuzztime 30s ./internal/server/
 
-# Short fuzz pass over the codec-v2 frame decoder: hostile counts,
+# Short fuzz passes over the frame decoders. Codec v2: hostile counts,
 # truncations, and ref-to-unknown records against a stateful decoder.
-# The 10s budget keeps it ci-sized; run `make fuzz` for the longer
-# framing passes.
+# Codec v1, differentially: the skim a relay hop runs and the full
+# decode fail together or agree on everything but the points, and the
+# full decode allocates in proportion to its input. The 10s budgets
+# keep it ci-sized; run `make fuzz` for the longer framing passes.
 fuzz-wire:
 	$(GO) test -fuzz FuzzDecodeFrameV2 -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz 'FuzzDecodeFrameReply$$' -fuzztime 10s ./internal/wire/
 
 # Short fuzz pass over the renderer: segments whose coordinates are raw
 # float32 bit patterns, drawn immediately inside a row band and through

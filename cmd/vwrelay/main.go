@@ -5,7 +5,9 @@
 // identity and FCFS rake locks behave exactly as on a direct
 // connection; frame content crosses the upstream link once per round
 // per relay and is re-fanned locally, byte-identical per (client,
-// round) for both codecs.
+// round) for both codecs. A node forwards what it does not parse: it
+// skims each round's frame once for the header, user, rake and tool
+// state and never decodes a point.
 //
 // Usage:
 //

@@ -117,8 +117,9 @@ type upCache struct {
 	round uint64
 	// frame is the origin's codec-v1 round buffer, verbatim — replaced
 	// by each new round, never rewritten in place, because v1 replies
-	// still being written reference the old one; meta is its decoded
-	// form (haveMeta guards the zero value).
+	// still being written reference the old one; meta is what a skim of
+	// it reads — header, users, rakes, source keys, tool states, never a
+	// point (haveMeta guards the zero value).
 	frame    []byte
 	meta     wire.FrameReply
 	haveMeta bool
@@ -397,21 +398,20 @@ func (r *Relay) fetchRound(ctx *dlib.Ctx, st *session, update []byte, needSegs b
 		}
 		return c, nil
 	}
-	// Install the round. The frame adopts the reply allocation (dlib
-	// replies are freshly read per call); segment bytes are copied so
-	// carried-over refs never pin old reply buffers.
-	meta, err := wire.DecodeFrameReply(rep.Frame)
+	// Skim the frame — the relay forwards its bytes and reads only what
+	// they say about the round — and build the new segment set, before
+	// anything is installed: a reply refused here leaves the cache on
+	// the round it held, whole.
+	meta, err := wire.SkimFrameReply(rep.Frame)
 	if err != nil {
 		return nil, fmt.Errorf("relay: upstream %d frame: %w", st.idx, err)
 	}
-	c.round = rep.Round
-	c.frame = rep.Frame
-	c.meta = meta
-	c.haveMeta = true
+	segs, segsRound := c.segs, c.segsRound
 	if rep.HasDir {
 		// Rebuild the segment cache from the directory: entries not in
-		// it belong to removed rakes and are dropped.
-		segs := make(map[int32]wire.Segment, len(rep.Dir))
+		// it belong to removed rakes and are dropped. Segment bytes are
+		// copied so carried-over refs never pin old reply buffers.
+		segs, segsRound = make(map[int32]wire.Segment, len(rep.Dir)), rep.Round
 		for _, e := range rep.Dir {
 			if e.Bytes != nil {
 				e.Bytes = append([]byte(nil), e.Bytes...)
@@ -422,9 +422,11 @@ func (r *Relay) fetchRound(ctx *dlib.Ctx, st *session, update []byte, needSegs b
 			}
 			segs[e.Key] = e
 		}
-		c.segs = segs
-		c.segsRound = rep.Round
 	}
+	// Install the round, all of it together. The frame adopts the reply
+	// allocation (dlib replies are freshly read per call).
+	c.round, c.frame, c.meta, c.haveMeta = rep.Round, rep.Frame, meta, true
+	c.segs, c.segsRound = segs, segsRound
 	return c, nil
 }
 
@@ -469,10 +471,11 @@ func (r *Relay) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 // then its tool geometry under the directory's -kind keys — into one
 // row per source from the segment cache, failing if the origin's
 // directory omitted a source its frame lists. For a workstation
-// (child == nil) every row carries its segment and the session encoder
-// picks the references; for a chained relay the rows the child's
-// shadow already holds become references. The rows alias the session
-// scratch and the cache.
+// (child == nil) every row carries its segment — a row without bytes is
+// an error too: the skimmed meta has no points AppendFrame could encode
+// it from — and the session encoder picks the references; for a chained
+// relay the rows the child's shadow already holds become references.
+// The rows alias the session scratch and the cache.
 func (st *session) roundRows(c *upCache, child *wire.RelayFrameRequest) ([]wire.Segment, error) {
 	if !c.haveMeta || c.segsRound != c.round {
 		return nil, fmt.Errorf("relay: no segment directory for round %d", c.round)
@@ -492,6 +495,9 @@ func (st *session) roundRows(c *upCache, child *wire.RelayFrameRequest) ([]wire.
 		row, ok := c.segs[key]
 		if !ok {
 			return nil, fmt.Errorf("relay: round %d lists source %d but its directory has no segment for it", c.round, key)
+		}
+		if child == nil && row.Bytes == nil {
+			return nil, fmt.Errorf("relay: round %d source %d has no segment bytes for a workstation", c.round, key)
 		}
 		if child != nil && child.ShadowHas(key, row.Seq) {
 			row.Bytes = nil

@@ -3,6 +3,7 @@ package relay
 import (
 	"bytes"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,15 +86,20 @@ func fakeUpstream(dir ...int32) *dlib.Server {
 	return d
 }
 
-// dialRelay builds a relay over the fake upstream and returns a client
-// session on it.
-func dialRelay(t *testing.T, up *dlib.Server) *dlib.Client {
+// newRelay builds a relay over the fake upstream.
+func newRelay(t *testing.T, up *dlib.Server) *Relay {
 	t.Helper()
 	r, err := New(Config{Upstreams: []dlib.DialFunc{pipeTo(up, netsim.Link{})}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
+	return r
+}
+
+// dial returns a new client session on r.
+func dial(t *testing.T, r *Relay) *dlib.Client {
+	t.Helper()
 	conn, err := pipeTo(r.Dlib(), netsim.Link{})()
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +107,13 @@ func dialRelay(t *testing.T, up *dlib.Server) *dlib.Client {
 	c := dlib.NewClient(conn)
 	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// dialRelay builds a relay over the fake upstream and returns a client
+// session on it.
+func dialRelay(t *testing.T, up *dlib.Server) *dlib.Client {
+	t.Helper()
+	return dial(t, newRelay(t, up))
 }
 
 var emptyUpdate = wire.EncodeClientUpdate(wire.ClientUpdate{Head: vmath.Identity()})
@@ -337,4 +350,168 @@ func TestRelayRepliesSurviveRoundAdvance(t *testing.T) {
 	watchers.Wait()
 	close(stop)
 	<-moverDone
+}
+
+// TestRelaySkimsTheRound: the relay forwards the round's bytes and keeps
+// of them only what a skim reads. Its cached meta names every source and
+// holds no point, so a workstation row must bring its segment bytes —
+// there is nothing to encode it afresh from — while a chained child may
+// still be sent the same row as a reference.
+func TestRelaySkimsTheRound(t *testing.T) {
+	r := newRelay(t, fakeUpstream(1, -wire.ToolKindIso))
+	if _, err := workstationFrame(t, dial(t, r)); err != nil {
+		t.Fatal(err)
+	}
+	c := r.caches[0]
+	want := testRound(1)
+	if !c.haveMeta || c.meta.Round != 1 || len(c.meta.Rakes) != 1 || c.meta.Tools == nil || c.meta.Tools.Iso != want.Tools.Iso {
+		t.Fatalf("cached meta = %+v", c.meta)
+	}
+	if g := c.meta.Geometry; len(g) != 1 || g[0].Rake != 1 || g[0].Lines != nil {
+		t.Errorf("cached geometry = %+v, want rake 1 and no lines", g)
+	}
+	if g := c.meta.Tools.Geoms; len(g) != 1 || g[0].Tool != wire.ToolKindIso || g[0].Points != nil {
+		t.Errorf("cached tool geometry = %+v, want the isosurface and no points", g)
+	}
+
+	st := &session{}
+	if rows, err := st.roundRows(c, nil); err != nil || len(rows) != 2 {
+		t.Fatalf("rows for a workstation: %d, %v", len(rows), err)
+	}
+	seg := c.segs[1]
+	c.segs[1] = wire.Segment{Key: 1, Seq: seg.Seq}
+	if _, err := st.roundRows(c, nil); err == nil || !strings.Contains(err.Error(), "no segment bytes") {
+		t.Errorf("workstation row without bytes: err = %v", err)
+	}
+	child := &wire.RelayFrameRequest{Shadow: []wire.Segment{{Key: 1, Seq: seg.Seq}}}
+	if rows, err := st.roundRows(c, child); err != nil || rows[0].Bytes != nil || rows[1].Bytes == nil {
+		t.Errorf("rows for a child holding (1, %d): %+v, %v", seg.Seq, rows, err)
+	}
+}
+
+// TestRelayRefusedReplyLeavesCacheWhole: the second full reply references
+// a (key, seq) the relay never held. The call fails, and nothing of that
+// reply may have been installed: the next exchange still announces round
+// 1 upstream, and on its marker a v1 session is served round 1's bytes
+// and the v2 session round 1's assembly, as references to what it holds.
+func TestRelayRefusedReplyLeavesCacheWhole(t *testing.T) {
+	round1 := testRound(1)
+	rows1 := []wire.Segment{
+		{Key: 1, Seq: 11, Bytes: wire.AppendGeomV2(nil, round1.Geometry[0], testQuant)},
+		{Key: -wire.ToolKindIso, Seq: 9, Bytes: wire.AppendToolGeomV2(nil, round1.Tools.Geoms[0], testQuant)},
+	}
+	up := dlib.NewServer()
+	up.Register(wire.ProcHello2, helloV2)
+	var calls int // handlers run under serial dispatch
+	var lastRounds []uint64
+	up.Register(wire.ProcFrameRelay, func(_ *dlib.Ctx, payload []byte) ([]byte, error) {
+		req, err := wire.DecodeRelayFrameRequest(payload)
+		if err != nil {
+			return nil, err
+		}
+		lastRounds = append(lastRounds, req.LastRound)
+		calls++
+		switch calls {
+		case 1:
+			return wire.AppendRelayFrameReply(nil, wire.RelayFrameReply{
+				Full: true, Round: 1, Frame: wire.EncodeFrameReply(round1), HasDir: true, Dir: rows1,
+			}), nil
+		case 2:
+			return wire.AppendRelayFrameReply(nil, wire.RelayFrameReply{
+				Full: true, Round: 2, Frame: wire.EncodeFrameReply(testRound(2)), HasDir: true,
+				Dir: []wire.Segment{{Key: 1, Seq: 99}, rows1[1]},
+			}), nil
+		}
+		return wire.AppendRelayMarker(nil, req.LastRound), nil // "what you hold is current"
+	})
+
+	r := newRelay(t, up)
+	v2, v1 := dial(t, r), dial(t, r)
+	key, err := workstationFrame(t, v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v2.Call(wire.ProcFrame, emptyUpdate); err == nil || !strings.Contains(err.Error(), "not in cache") {
+		t.Fatalf("reply referencing an unheld segment: err = %v", err)
+	}
+
+	raw, err := v1.Call(wire.ProcFrame, emptyUpdate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, wire.EncodeFrameReply(round1)) {
+		t.Error("v1 session after the refused reply: bytes are not round 1's")
+	}
+	raw, err = v2.Call(wire.ProcFrame, emptyUpdate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, err := wire.SkimFrameReply(wire.EncodeFrameReply(round1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := wire.NewFrameEncoder(testQuant)
+	if !bytes.Equal(key, mirror.AppendFrame(nil, meta, rows1)) {
+		t.Error("v2 keyframe is not round 1's assembly")
+	}
+	if !bytes.Equal(raw, mirror.AppendFrame(nil, meta, rows1)) || mirror.LastRef != 2 {
+		t.Error("v2 session after the refused reply: not round 1 by reference")
+	}
+	if want := []uint64{0, 1, 1, 1}; !slices.Equal(lastRounds, want) {
+		t.Errorf("rounds announced upstream = %v, want %v", lastRounds, want)
+	}
+	if c := r.caches[0]; c.round != 1 || c.segsRound != 1 || c.meta.Round != 1 || c.segs[1].Seq != 11 {
+		t.Errorf("cache after the refused reply: round %d, meta round %d, segments of round %d, rake at seq %d",
+			c.round, c.meta.Round, c.segsRound, c.segs[1].Seq)
+	}
+}
+
+// TestRelayFullFetchAllocsIndependentOfLines: a hop that skims does the
+// same number of allocations for a one-line round and a 256-line one,
+// for both codecs (a full decode makes one per line).
+func TestRelayFullFetchAllocsIndependentOfLines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("counts allocations over a live relay")
+	}
+	measure := func(nLines int, codec uint8) float64 {
+		g := wire.Geometry{Rake: 1}
+		for l := 0; l < nLines; l++ {
+			g.Lines = append(g.Lines, []vmath.Vec3{vmath.V3(1, 2, float32(l%10)), vmath.V3(4, 5, 6)})
+		}
+		round := wire.FrameReply{
+			Time: wire.TimeStatus{NumSteps: 4}, Rakes: []wire.RakeState{{ID: 1, NumSeeds: uint32(nLines)}},
+			Geometry: []wire.Geometry{g},
+		}
+		seg := wire.AppendGeomV2(nil, g, testQuant)
+		up := dlib.NewServer()
+		up.Register(wire.ProcHello2, helloV2)
+		// Two allocations a reply whatever the round holds, and a new
+		// round — a full fetch — on every exchange.
+		up.Register(wire.ProcFrameRelay, func(_ *dlib.Ctx, payload []byte) ([]byte, error) {
+			round.Round++
+			rep := wire.RelayFrameReply{Full: true, Round: round.Round, Frame: wire.EncodeFrameReply(round)}
+			if codec >= wire.CodecV2 {
+				rep.HasDir, rep.Dir = true, []wire.Segment{{Key: 1, Seq: round.Round, Bytes: seg}}
+			}
+			return wire.AppendRelayFrameReply(make([]byte, 0, len(rep.Frame)+len(seg)+64), rep), nil
+		})
+		c := dialRelay(t, up)
+		if codec >= wire.CodecV2 {
+			if _, err := c.Call(wire.ProcHello2, wire.EncodeHelloRequest(codec)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := c.Call(wire.ProcFrame, emptyUpdate); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, codec := range []uint8{wire.CodecV1, wire.CodecV2} {
+		one, many := measure(1, codec), measure(256, codec)
+		t.Logf("codec v%d: %.0f allocations an exchange at 1 line, %.0f at 256", codec, one, many)
+		if many > one+8 {
+			t.Errorf("codec v%d: allocations grow with the line count: %.0f at 1 line, %.0f at 256", codec, one, many)
+		}
+	}
 }

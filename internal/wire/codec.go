@@ -1,19 +1,63 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/vmath"
 )
 
+// hostLittleEndian reports whether this machine lays a float32 out in
+// memory the way the wire does, so a point array and its encoding are
+// the same bytes. A big-endian host takes the per-value path.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// A Vec3 is three float32s and no padding: the paper's 12-byte point.
+var _ [PointBytes]byte = [unsafe.Sizeof(vmath.Vec3{})]byte{}
+
+// pointMemory is pts's memory as bytes: on a little-endian host,
+// exactly its wire encoding.
+func pointMemory(pts []vmath.Vec3) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(pts))), PointBytes*len(pts))
+}
+
 // EncodePoints appends pts at 12 bytes/point to dst and returns the
-// extended slice.
+// extended slice: on a little-endian host the slice's own memory in
+// one append, elsewhere a value at a time.
 func EncodePoints(dst []byte, pts []vmath.Vec3) []byte {
+	if hostLittleEndian {
+		return append(dst, pointMemory(pts)...)
+	}
+	return encodePointsPortable(dst, pts)
+}
+
+// encodePointsPortable is EncodePoints for a host of any byte order.
+func encodePointsPortable(dst []byte, pts []vmath.Vec3) []byte {
 	e := encoder{buf: dst}
 	for _, p := range pts {
 		e.vec3(p)
 	}
 	return e.buf
+}
+
+// readPoints fills pts from the PointBytes*len(pts) bytes of b — one
+// copy on a little-endian host. Every bit pattern is a point, so it
+// cannot fail.
+func readPoints(pts []vmath.Vec3, b []byte) {
+	if hostLittleEndian {
+		copy(pointMemory(pts), b[:PointBytes*len(pts)])
+		return
+	}
+	readPointsPortable(pts, b)
+}
+
+// readPointsPortable is readPoints for a host of any byte order.
+func readPointsPortable(pts []vmath.Vec3, b []byte) {
+	d := decoder{buf: b}
+	for i := range pts {
+		pts[i] = d.vec3()
+	}
 }
 
 // DecodePoints parses n points from buf. n is validated against the
@@ -23,12 +67,9 @@ func DecodePoints(buf []byte, n int) ([]vmath.Vec3, error) {
 	if n < 0 || n > len(buf)/PointBytes {
 		return nil, fmt.Errorf("wire: point count %d exceeds %d-byte buffer", n, len(buf))
 	}
-	d := decoder{buf: buf}
 	out := make([]vmath.Vec3, n)
-	for i := range out {
-		out[i] = d.vec3()
-	}
-	return out, d.err
+	readPoints(out, buf)
+	return out, nil
 }
 
 // EncodeClientUpdate marshals a ClientUpdate.
@@ -139,9 +180,26 @@ func AppendFrameReply(dst []byte, r FrameReply) []byte {
 	return e.buf
 }
 
-// DecodeFrameReply unmarshals a FrameReply.
+// DecodeFrameReply unmarshals a FrameReply. Its lines (and tool points)
+// are cut from one array no larger than the message.
 func DecodeFrameReply(buf []byte) (FrameReply, error) {
-	d := decoder{buf: buf}
+	return decodeFrameReply(buf, false)
+}
+
+// SkimFrameReply is DecodeFrameReply for a reader that forwards the
+// frame's bytes and needs only what they say about the round — a relay
+// hop, a load harness. It makes every check the full decode makes and
+// errs on exactly the inputs the full decode errs on (a point's 12
+// bytes have no invalid encoding), but steps over the points: each
+// Geometry comes back as {Rake, Tool} with nil Lines, each ToolGeom as
+// {Tool} with nil Points.
+func SkimFrameReply(buf []byte) (FrameReply, error) {
+	return decodeFrameReply(buf, true)
+}
+
+// decodeFrameReply is the one walk over a codec-v1 frame.
+func decodeFrameReply(buf []byte, skim bool) (FrameReply, error) {
+	d := decoder{buf: buf, skim: skim}
 	var r FrameReply
 	r.Time.Current = d.f32()
 	r.Time.Speed = d.f32()
@@ -196,8 +254,10 @@ func DecodeFrameReply(buf []byte) (FrameReply, error) {
 		if d.err != nil {
 			return FrameReply{}, d.err
 		}
-		g.Lines = make([][]vmath.Vec3, nLines)
-		for l := range g.Lines {
+		if !skim {
+			g.Lines = make([][]vmath.Vec3, nLines)
+		}
+		for l := 0; l < nLines; l++ {
 			nPts := d.countSized(maxPoints, PointBytes)
 			if d.err != nil {
 				return FrameReply{}, d.err
@@ -206,22 +266,19 @@ func DecodeFrameReply(buf []byte) (FrameReply, error) {
 			if totalPoints > maxPoints {
 				return FrameReply{}, d.errf("too many total points")
 			}
-			line := make([]vmath.Vec3, nPts)
-			for p := range line {
-				line[p] = d.vec3()
+			if line := d.points(nPts); !skim {
+				g.Lines[l] = line
 			}
-			g.Lines[l] = line
 		}
 	}
 	if d.err == nil && len(d.buf) > 0 {
-		t, err := decodeToolsReply(d.buf, maxPoints-totalPoints)
-		if err != nil {
-			return FrameReply{}, err
-		}
-		d.buf = nil
+		t := decodeToolsReply(&d, maxPoints-totalPoints)
 		r.Tools = &t
 	}
-	return r, d.err
+	if d.err != nil {
+		return FrameReply{}, d.err
+	}
+	return r, nil
 }
 
 // EncodeDatasetInfo marshals a DatasetInfo.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/vmath"
@@ -36,6 +37,10 @@ func FuzzDecodeClientUpdate(f *testing.F) {
 	})
 }
 
+// FuzzDecodeFrameReply is differential: on every input the skim and the
+// full decode fail together or agree on everything but the points
+// (checkSkimAgrees), and the full decode allocates in proportion to its
+// input, never to a count the input claims.
 func FuzzDecodeFrameReply(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(EncodeFrameReply(FrameReply{
@@ -47,8 +52,34 @@ func FuzzDecodeFrameReply(f *testing.F) {
 		}},
 	}))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	// Small on purpose: the engine minimizes what it finds interesting a
+	// byte at a time, out of the same ten seconds.
+	f.Add(EncodeFrameReply(FrameReply{
+		Users: []UserState{{ID: 3, Head: vmath.Identity()}},
+		Geometry: []Geometry{
+			{Rake: 1, Lines: [][]vmath.Vec3{{}, awkwardPoints(rand.New(rand.NewSource(23)), 2)}},
+			{Rake: 2},
+		},
+		Tools: &ToolsReply{
+			Iso:   ToolState{Enabled: true, Value: 0.8, Holder: 3},
+			Geoms: []ToolGeom{{Tool: ToolKindIso, Points: make([]vmath.Vec3, 3)}},
+		},
+	}))
+	hostile := frameHeader(1)
+	hostile.i32(1)
+	hostile.u8(0)
+	hostile.u32(1)
+	hostile.u32(maxPoints)
+	f.Add(append(hostile.buf, make([]byte, 40)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := DecodeFrameReply(data)
+		grew := allocatedBy(func() { _, _ = DecodeFrameReply(data) })
+		// A 4-byte line count becomes a 24-byte slice header, the widest
+		// ratio in the format; the fuzzing engine's own goroutines
+		// allocate too, hence the megabyte of slack.
+		if limit := uint64(8*len(data)) + 1<<20; grew > limit {
+			t.Fatalf("%d bytes of input, %d allocated", len(data), grew)
+		}
+		r, err := checkSkimAgrees(t, data)
 		if err != nil {
 			return
 		}

@@ -18,7 +18,8 @@ package wire
 //
 // A full payload carries the origin's encoded codec-v1 round buffer
 // verbatim (relays fan those bytes out to v1 workstations untouched,
-// and decode them once for the round's header/user/rake state) plus,
+// and skim them once — SkimFrameReply: the round's header, user, rake
+// and tool state and each geometry's key, never a point) plus,
 // when the relay asked for them, a geometry directory aligned with the
 // frame's geometry list: per rake the codec-v2 sequence number and
 // either a reference (the relay already holds that segment) or the

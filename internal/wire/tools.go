@@ -10,11 +10,7 @@ package wire
 // trailing-bytes check, so a server that never activates a tool emits
 // frames byte-identical to builds that predate tools.
 
-import (
-	"fmt"
-
-	"repro/internal/vmath"
-)
+import "repro/internal/vmath"
 
 // Tool kind bytes, shared by v1 and v2 tool records. They mirror
 // env.ToolID.
@@ -108,13 +104,12 @@ func appendToolsReply(dst []byte, t *ToolsReply) []byte {
 	return e.buf
 }
 
-// decodeToolsReply parses a codec-v1 tool section, counting decoded
-// points against the caller's remaining point budget. The section is
-// the tail of the frame, so trailing bytes are an error.
-func decodeToolsReply(buf []byte, budget int) (ToolsReply, error) {
-	d := decoder{buf: buf}
-	if v := d.u8(); d.err == nil && v != toolSectionV1 {
-		return ToolsReply{}, fmt.Errorf("wire: tool section version %d, want %d", v, toolSectionV1)
+// decodeToolsReply parses the codec-v1 tool section that is the rest of
+// d's frame — trailing bytes are an error — counting its points against
+// the caller's remaining point budget. Errors land in d.err.
+func decodeToolsReply(d *decoder, budget int) ToolsReply {
+	if v := d.u8(); v != toolSectionV1 {
+		d.errf("tool section version %d, want %d", v, toolSectionV1)
 	}
 	var t ToolsReply
 	t.Iso = d.toolState()
@@ -122,7 +117,7 @@ func decodeToolsReply(buf []byte, budget int) (ToolsReply, error) {
 	t.Vortex = d.toolState()
 	nGeoms := d.countSized(maxToolGeoms, 5) // tool + point count minimum
 	if d.err != nil {
-		return ToolsReply{}, d.err
+		return ToolsReply{}
 	}
 	t.Geoms = make([]ToolGeom, nGeoms)
 	var total int
@@ -131,20 +126,17 @@ func decodeToolsReply(buf []byte, budget int) (ToolsReply, error) {
 		g.Tool = d.u8()
 		nPts := d.countSized(maxPoints, PointBytes)
 		if d.err != nil {
-			return ToolsReply{}, d.err
+			return ToolsReply{}
 		}
 		total += nPts
 		if total > budget {
-			return ToolsReply{}, d.errf("too many tool points")
+			d.errf("too many tool points")
+			return ToolsReply{}
 		}
-		pts := make([]vmath.Vec3, nPts)
-		for p := range pts {
-			pts[p] = d.vec3()
-		}
-		g.Points = pts
+		g.Points = d.points(nPts)
 	}
-	if d.err == nil && len(d.buf) != 0 {
-		return ToolsReply{}, fmt.Errorf("wire: %d trailing bytes in tool section", len(d.buf))
+	if len(d.buf) != 0 {
+		d.errf("%d trailing bytes in tool section", len(d.buf))
 	}
-	return t, d.err
+	return t
 }

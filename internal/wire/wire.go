@@ -239,6 +239,10 @@ func (e *encoder) bool(b bool) {
 type decoder struct {
 	buf []byte
 	err error
+	// skim makes points step over its bytes; arena is what is left of
+	// the one array a frame's points are cut from (decoder.points).
+	skim  bool
+	arena []vmath.Vec3
 }
 
 func (d *decoder) take(n int) []byte {
@@ -287,6 +291,26 @@ func (d *decoder) i64() int64 { return int64(d.u64()) }
 
 func (d *decoder) vec3() vmath.Vec3 {
 	return vmath.Vec3{X: d.f32(), Y: d.f32(), Z: d.f32()}
+}
+
+// points reads n points, n already checked against the bytes that
+// remain (countSized). The first call sizes the arena by those bytes —
+// so a message allocates no more point memory than its own length —
+// and each result is cut from it with its capacity clipped: appending
+// to one line never writes into the next. A skimming decoder makes the
+// same bounds check and returns nil.
+func (d *decoder) points(n int) []vmath.Vec3 {
+	b := d.take(n * PointBytes)
+	if d.err != nil || d.skim {
+		return nil
+	}
+	if d.arena == nil {
+		d.arena = make([]vmath.Vec3, (len(b)+len(d.buf))/PointBytes)
+	}
+	pts := d.arena[:n:n]
+	d.arena = d.arena[n:]
+	readPoints(pts, b)
+	return pts
 }
 
 func (d *decoder) mat4() vmath.Mat4 {
