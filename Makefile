@@ -60,11 +60,15 @@ fuzz-server:
 # truncations, and ref-to-unknown records against a stateful decoder.
 # Codec v1, differentially: the skim a relay hop runs and the full
 # decode fail together or agree on everything but the points, and the
-# full decode allocates in proportion to its input. The 10s budgets
-# keep it ci-sized; run `make fuzz` for the longer framing passes.
+# full decode allocates in proportion to its input. The quantizer,
+# differentially: raw float32 bits for a coordinate and its box, and a
+# raw 16-bit value, through codec v2's arithmetic and the divide-and-
+# math.Round reference, both directions. The 10s budgets keep it
+# ci-sized; run `make fuzz` for the longer framing passes.
 fuzz-wire:
 	$(GO) test -fuzz FuzzDecodeFrameV2 -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeFrameReply$$' -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz FuzzQuantAgrees -fuzztime 10s ./internal/wire/
 
 # Short fuzz pass over the renderer: segments whose coordinates are raw
 # float32 bit patterns, drawn immediately inside a row band and through

@@ -29,8 +29,8 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/vmath"
 )
@@ -124,63 +124,102 @@ func (i DatasetInfo) Quantizer() Quantizer {
 	return Quantizer{Min: i.BoundsMin, Max: i.BoundsMax}
 }
 
-// quant1 maps v into [0, quantSteps] against [lo, hi]. The arithmetic
-// runs in float64 so the forward map is exact enough that the
-// round-trip error stays within half a quantization step.
-func quant1(v, lo, hi float32) uint16 {
-	span := float64(hi) - float64(lo)
-	if span <= 0 {
-		return 0
-	}
-	t := (float64(v) - float64(lo)) / span
-	if t <= 0 {
+// axis is one coordinate of a Quantizer resolved for arithmetic: the
+// box minimum and extent in float64, built once per call rather than
+// once per coordinate. It is the only definition of either direction.
+type axis struct{ lo, span float64 }
+
+// axes resolves the box. Three values, not an array: the point loops
+// keep them in registers.
+func (q Quantizer) axes() (x, y, z axis) {
+	return axis{float64(q.Min.X), float64(q.Max.X) - float64(q.Min.X)},
+		axis{float64(q.Min.Y), float64(q.Max.Y) - float64(q.Min.Y)},
+		axis{float64(q.Min.Z), float64(q.Max.Z) - float64(q.Min.Z)}
+}
+
+// quant maps v into [0, quantSteps]. The arithmetic runs in float64 so
+// the round-trip error stays within half a quantization step. The lower
+// clamp is written !(t > 0) so a NaN coordinate quantizes to 0 on every
+// platform; a flat or inverted axis quantizes to 0.
+func (a axis) quant(v float32) uint16 {
+	t := (float64(v) - a.lo) / a.span
+	if !(t > 0) || a.span <= 0 {
 		return 0
 	}
 	if t >= 1 {
 		return quantSteps
 	}
-	return uint16(math.Round(t * quantSteps))
+	return roundSteps(t * quantSteps)
 }
 
-// dequant1 is the inverse map onto the box.
-func dequant1(q uint16, lo, hi float32) float32 {
-	span := float64(hi) - float64(lo)
-	if span <= 0 {
-		return lo
+// roundSteps rounds y, 0 <= y < quantSteps+0.5, half away from zero: the
+// math package's Round without the call, which is pure Go on amd64.
+// From 0.5 up the sum y+0.5 is exact unless it crosses into the next
+// binade, where no integer lies within the half-ulp it can gain, so
+// truncating it rounds as Round does; below 0.5 the sum can round up
+// to 1, hence the guard.
+func roundSteps(y float64) uint16 {
+	if y < 0.5 {
+		return 0
 	}
-	return float32(float64(lo) + float64(q)/quantSteps*span)
+	return uint16(y + 0.5)
+}
+
+// unitTable holds float64(q)/quantSteps for every q: the divide of the
+// inverse map is a function of a 16-bit integer. Only a decoding
+// process builds it (512 KB); a server or a skimming relay never does.
+var (
+	unitOnce  sync.Once
+	unitTable [quantSteps + 1]float64
+)
+
+// units returns the built table; callers fetch it once per call, not
+// per coordinate.
+func units() *[quantSteps + 1]float64 {
+	unitOnce.Do(func() {
+		for q := range unitTable {
+			unitTable[q] = float64(q) / quantSteps
+		}
+	})
+	return &unitTable
+}
+
+// dequant is the inverse map onto the box; a flat or inverted axis
+// returns its minimum exactly.
+func (a axis) dequant(unit *[quantSteps + 1]float64, q uint16) float32 {
+	if a.span <= 0 {
+		return float32(a.lo)
+	}
+	return float32(a.lo + unit[q]*a.span)
 }
 
 // Quant maps a physical point to its quantized triple.
 func (q Quantizer) Quant(p vmath.Vec3) (x, y, z uint16) {
-	return quant1(p.X, q.Min.X, q.Max.X),
-		quant1(p.Y, q.Min.Y, q.Max.Y),
-		quant1(p.Z, q.Min.Z, q.Max.Z)
+	ax, ay, az := q.axes()
+	return ax.quant(p.X), ay.quant(p.Y), az.quant(p.Z)
 }
 
 // Dequant maps a quantized triple back to physical coordinates.
 func (q Quantizer) Dequant(x, y, z uint16) vmath.Vec3 {
-	return vmath.Vec3{
-		X: dequant1(x, q.Min.X, q.Max.X),
-		Y: dequant1(y, q.Min.Y, q.Max.Y),
-		Z: dequant1(z, q.Min.Z, q.Max.Z),
-	}
+	ax, ay, az := q.axes()
+	unit := units()
+	return vmath.Vec3{X: ax.dequant(unit, x), Y: ay.dequant(unit, y), Z: az.dequant(unit, z)}
 }
 
 // RoundTrip returns Dequant(Quant(p)) — what the peer will see for p.
 func (q Quantizer) RoundTrip(p vmath.Vec3) vmath.Vec3 {
-	x, y, z := q.Quant(p)
-	return q.Dequant(x, y, z)
+	return q.Dequant(q.Quant(p))
 }
 
 // MaxError returns the per-axis worst-case round-trip error for points
 // inside the box: half a quantization step, extent/131070. Tests pin
 // this against half a grid cell.
 func (q Quantizer) MaxError() vmath.Vec3 {
+	ax, ay, az := q.axes()
 	return vmath.Vec3{
-		X: float32((float64(q.Max.X) - float64(q.Min.X)) / (2 * quantSteps)),
-		Y: float32((float64(q.Max.Y) - float64(q.Min.Y)) / (2 * quantSteps)),
-		Z: float32((float64(q.Max.Z) - float64(q.Min.Z)) / (2 * quantSteps)),
+		X: float32(ax.span / (2 * quantSteps)),
+		Y: float32(ay.span / (2 * quantSteps)),
+		Z: float32(az.span / (2 * quantSteps)),
 	}
 }
 
@@ -265,13 +304,15 @@ func (e *encoder) quantRecords(n int) (first int) {
 // PutQuantPoints writes the 6-byte quantized record of every point into
 // dst, which holds at least QuantBytes per point. Disjoint ranges of one
 // segment's records (BeginToolGeomV2) may be written concurrently.
+//
+//vw:hotpath
 func PutQuantPoints(dst []byte, pts []vmath.Vec3, q Quantizer) {
+	ax, ay, az := q.axes()
 	for i, p := range pts {
-		x, y, z := q.Quant(p)
 		rec := dst[i*QuantBytes : (i+1)*QuantBytes]
-		binary.LittleEndian.PutUint16(rec[0:], x)
-		binary.LittleEndian.PutUint16(rec[2:], y)
-		binary.LittleEndian.PutUint16(rec[4:], z)
+		binary.LittleEndian.PutUint16(rec[0:], ax.quant(p.X))
+		binary.LittleEndian.PutUint16(rec[2:], ay.quant(p.Y))
+		binary.LittleEndian.PutUint16(rec[4:], az.quant(p.Z))
 	}
 }
 
@@ -287,12 +328,15 @@ func (d *decoder) quantPoints(q Quantizer, budget int) []vmath.Vec3 {
 		return nil
 	}
 	pts := make([]vmath.Vec3, n)
+	ax, ay, az := q.axes()
+	unit := units()
 	for p := range pts {
-		pts[p] = q.Dequant(
-			binary.LittleEndian.Uint16(b[0:]),
-			binary.LittleEndian.Uint16(b[2:]),
-			binary.LittleEndian.Uint16(b[4:]))
-		b = b[QuantBytes:]
+		rec := b[p*QuantBytes:][:QuantBytes]
+		pts[p] = vmath.Vec3{
+			X: ax.dequant(unit, binary.LittleEndian.Uint16(rec[0:])),
+			Y: ay.dequant(unit, binary.LittleEndian.Uint16(rec[2:])),
+			Z: az.dequant(unit, binary.LittleEndian.Uint16(rec[4:])),
+		}
 	}
 	return pts
 }
