@@ -14,8 +14,8 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific invariant analyzers (wallclock, lockdiscipline,
-# hotpath, replyownership, maporder, pinownership, codecparity,
-# hostilecount) over the whole module. Fails on any finding not
+# hotpath, maporder, pinownership, codecparity, hostilecount) over
+# the whole module. Fails on any finding not
 # annotated with a //vw:allow directive, on malformed //vw: directives,
 # and on classified packages (internal/analysis.PackageClasses) that
 # lost their //vw:deterministic or //vw:wire opt-in. Also usable

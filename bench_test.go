@@ -324,7 +324,8 @@ func wireFloats(dst []byte, a []float32) []byte {
 // looking), "move-one" drags a single rake while the other 7 stay
 // still (the interaction regime). Run with -benchmem: steady-state
 // frames should do near-zero allocation once the server memoizes
-// unchanged rakes and reuses its encode buffers.
+// unchanged rakes and re-serves the round's reply; a recomputed round
+// allocates its one new codec-v1 reply.
 func BenchmarkServerMultiRakeFrame(b *testing.B) {
 	u := benchDataset(b)
 	setup := func(b *testing.B) (*dlib.Client, []int32) {
@@ -412,7 +413,7 @@ func BenchmarkServerMultiRakeFrame(b *testing.B) {
 // BenchmarkServerFanoutFrame measures the encode-once fan-out across a
 // fleet: one op is one round — the lead session moves its hand (forcing
 // a fresh encode) and the rest of the fleet joins the round, each
-// receiving the shared ref-counted buffer. ns/op therefore scales with
+// receiving the round's one shared reply. ns/op therefore scales with
 // the fleet while the reported encodes/op stays ~1 regardless of
 // session count — the scale-out claim in miniature.
 func BenchmarkServerFanoutFrame(b *testing.B) {

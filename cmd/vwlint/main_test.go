@@ -117,7 +117,7 @@ func TestRunStats(t *testing.T) {
 	got := out.String()
 	// Every analyzer is listed even at zero so trends diff cleanly.
 	for _, name := range []string{
-		"wallclock", "lockdiscipline", "hotpath", "replyownership",
+		"wallclock", "lockdiscipline", "hotpath",
 		"maporder", "pinownership", "codecparity", "hostilecount", "total",
 	} {
 		if !strings.Contains(got, name) {

@@ -29,10 +29,6 @@ func TestHotPath(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.HotPath, "hotpath")
 }
 
-func TestReplyOwnership(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.ReplyOwnership, "replyownership")
-}
-
 func TestMapOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.MapOrder, "maporder")
 }

@@ -10,8 +10,7 @@ import (
 // (store.Ring). The ring recycles timestep buffers as the producer
 // advances; a step a consumer is still reading must be pinned, and
 // every Pin must be balanced or the barrier leaks and eviction stalls
-// forever. Mirroring replyownership's escape analysis, a scope that
-// calls Ring.Pin must, on some later path, either
+// forever. A scope that calls Ring.Pin must, on some later path, either
 //
 //   - call Ring.Unpin on the same receiver (directly or deferred), or
 //   - store the pinned step into a struct field — the ownership

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -274,19 +275,26 @@ func TestAblationIntegrators(t *testing.T) {
 	}
 }
 
+// TestAblationGridCoordsFaster compares each strategy's best of five
+// runs: one single-shot timing against another flakes on a shared host,
+// where either run can lose the CPU.
 func TestAblationGridCoordsFaster(t *testing.T) {
 	u := buildSmall(t)
-	tab, err := AblationGridCoords(u, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gridT, err := time.ParseDuration(tab.Rows[0][1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	physT, err := time.ParseDuration(tab.Rows[1][1])
-	if err != nil {
-		t.Fatal(err)
+	gridT, physT := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for range 5 {
+		tab, err := AblationGridCoords(u, 500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := time.ParseDuration(tab.Rows[0][1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := time.ParseDuration(tab.Rows[1][1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		gridT, physT = min(gridT, g), min(physT, p)
 	}
 	if gridT*2 > physT {
 		t.Errorf("grid-coord integration (%v) not clearly faster than point location (%v)",

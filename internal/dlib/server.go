@@ -32,13 +32,12 @@ func (e *RemoteError) Error() string {
 // The reply is written after the serial dispatch lock is released (a
 // slow client must not stall dispatch) and is never copied, so the
 // returned buffer must stay untouched until that write completes. A
-// handler meets that one of three ways: the buffer is fresh (allocated
-// for this reply and never written again); it is session-owned (only
-// this session's later calls rewrite it — the connection loop finishes
-// writing each reply before it reads the next call); or the handler
-// registered a Ctx.ReplyDone hook and keeps the buffer valid until the
-// hook fires, typically by ref-counting a buffer shared across
-// sessions.
+// handler meets that one of two ways: the buffer is fresh (allocated
+// for this reply and never written again — a buffer shared across
+// sessions counts, as long as it is replaced rather than rewritten when
+// its content changes); or it is session-owned (only this session's
+// later calls rewrite it — the connection loop finishes writing each
+// reply before it reads the next call).
 type Handler func(ctx *Ctx, payload []byte) ([]byte, error)
 
 // Ctx is passed to every handler invocation.
@@ -50,15 +49,9 @@ type Ctx struct {
 	// state and memory segments.
 	Server *Server
 
-	// replyDone, when set by the current handler via ReplyDone, runs
-	// exactly once after the server is finished with the returned
-	// reply buffer. Accessed only under the serial dispatch lock or by
-	// the one goroutine that took ownership of the pending hook.
-	replyDone func()
-
 	// hangup, when set by the current handler via Hangup, closes the
-	// connection after this call's reply (or error) is written. Same
-	// access discipline as replyDone.
+	// connection after this call's reply (or error) is written.
+	// Accessed only under the serial dispatch lock.
 	hangup bool
 }
 
@@ -76,35 +69,6 @@ func (c *Ctx) takeHangup() bool {
 	h := c.hangup
 	c.hangup = false
 	return h
-}
-
-// ReplyDone registers fn to run exactly once when the server no longer
-// needs the bytes the current handler is about to return — after the
-// reply write completes (or fails), or immediately if the call errors.
-// A handler that registers a hook promises its buffer stays valid
-// until the hook fires, so one encoded buffer can fan out to many
-// sessions with zero per-session copies (ref-counted by the caller).
-// The registration is consumed by the current call; it does not
-// persist to later calls on the session.
-func (c *Ctx) ReplyDone(fn func()) { c.replyDone = fn }
-
-// FinishReply invokes and clears a registered reply hook. The server
-// calls this internally; tests and benchmarks that invoke a Handler
-// directly must call it after consuming the returned payload, or
-// buffers the handler ref-counted for the reply will never be
-// released.
-func (c *Ctx) FinishReply() {
-	if fn := c.replyDone; fn != nil {
-		c.replyDone = nil
-		fn()
-	}
-}
-
-// takeReplyDone removes and returns the pending hook (nil if none).
-func (c *Ctx) takeReplyDone() func() {
-	fn := c.replyDone
-	c.replyDone = nil
-	return fn
 }
 
 // Session is the per-connection environment.
@@ -289,18 +253,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		reply, done, hangup := s.dispatch(ctx, f)
+		reply, hangup := s.dispatch(ctx, f)
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout)) //vw:allow wallclock -- net.Conn deadline
 		}
 		writeMu.Lock()
 		err = writeFrame(conn, reply)
 		writeMu.Unlock()
-		if done != nil {
-			// The reply bytes are out of our hands (written or write
-			// failed); release the handler's buffer either way.
-			done()
-		}
 		if err != nil {
 			if s.Logf != nil {
 				s.Logf("dlib: session %d write: %v", sess.ID, err)
@@ -322,20 +281,15 @@ func (s *Server) ReapedSessions() int64 { return s.reaped.Load() }
 
 // dispatch runs one call under the global serial lock and returns the
 // reply frame to write once the lock is released (see Handler for what
-// that asks of the reply buffer).
-//
-// The second return value is the handler's pending ReplyDone hook when
-// a reply ships: the caller must invoke it once the reply bytes are no
-// longer needed. In every other outcome (error, timeout) dispatch
-// settles the hook itself and returns nil. The third return value
-// reports a handler Hangup request: the caller closes the connection
-// after writing this reply.
-func (s *Server) dispatch(ctx *Ctx, f frame) (frame, func(), bool) {
+// that asks of the reply buffer). The second return value reports a
+// handler Hangup request: the caller closes the connection after
+// writing this reply.
+func (s *Server) dispatch(ctx *Ctx, f frame) (frame, bool) {
 	s.mu.Lock()
 	h, ok := s.handlers[f.proc]
 	s.mu.Unlock()
 	if !ok {
-		return frame{kind: frameError, id: f.id, payload: []byte("unknown procedure " + f.proc)}, nil, false
+		return frame{kind: frameError, id: f.id, payload: []byte("unknown procedure " + f.proc)}, false
 	}
 	clk := s.clock()
 	s.dispatchMu.Lock()
@@ -366,28 +320,22 @@ func (s *Server) dispatch(ctx *Ctx, f frame) (frame, func(), bool) {
 			go func() {
 				<-done // wait out the straggler, then free serial dispatch
 				// The caller already got an error frame; the straggler's
-				// reply buffer is discarded, so settle its hook (and any
-				// hangup request) here while still holding the dispatch
-				// lock.
-				ctx.FinishReply()
+				// reply is discarded, so drop any hangup request here
+				// while still holding the dispatch lock.
 				ctx.takeHangup()
 				s.dispatchMu.Unlock()
 			}()
 			return frame{kind: frameError, id: f.id,
-				payload: []byte(fmt.Sprintf("%s timed out after %v", f.proc, s.HandlerTimeout))}, nil, false
+				payload: []byte(fmt.Sprintf("%s timed out after %v", f.proc, s.HandlerTimeout))}, false
 		}
 	}
 	s.metrics.record(f.proc, clk.Now().Sub(start), len(f.payload), len(out), err != nil)
 	hang := ctx.takeHangup()
-	if err != nil {
-		// The reply buffer is never used; settle the hook now.
-		ctx.FinishReply()
-		s.dispatchMu.Unlock()
-		return frame{kind: frameError, id: f.id, payload: []byte(err.Error())}, nil, hang
-	}
-	cb := ctx.takeReplyDone()
 	s.dispatchMu.Unlock()
-	return frame{kind: frameReply, id: f.id, payload: out}, cb, hang
+	if err != nil {
+		return frame{kind: frameError, id: f.id, payload: []byte(err.Error())}, hang
+	}
+	return frame{kind: frameReply, id: f.id, payload: out}, hang
 }
 
 // clock returns the injected Clock, defaulting to the wall clock.

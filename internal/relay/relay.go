@@ -21,9 +21,9 @@
 // exchange carrying the workstation's update verbatim plus the relay's
 // cache state; the origin answers a few-byte marker when the relay
 // already holds the current round, or a full payload otherwise. This
-// generalizes the server's encode-once ref-counted frameBuf across the
-// network: the expensive leg (origin to relay) carries each round's
-// bytes once, and the relay re-fans them to its local workstations.
+// generalizes the server's encode-once round reply across the network:
+// the expensive leg (origin to relay) carries each round's bytes once,
+// and the relay re-fans them to its local workstations.
 //
 // Byte identity. Relay-delivered frames are byte-identical per
 // (client, round) to direct connection. Codec v1 is the origin's round

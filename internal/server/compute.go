@@ -120,7 +120,7 @@ func (s *Server) recomputeLocked() error {
 	// encode byte-identically. A degraded frame is never frozen this
 	// way: the round must rerun so the governor can admit upgrades and
 	// restore full fidelity.
-	if s.fb != nil && version == s.lastVersion &&
+	if s.round != 0 && version == s.lastVersion &&
 		step == s.curStep && len(s.streaks) == 0 && s.lastDegraded == 0 {
 		s.reuseRoundLocked()
 		return nil
@@ -378,9 +378,9 @@ type roundTotals struct {
 // totalRoundLocked closes the round: it totals the round list, derives
 // the degradation byte, fixes the round's header fields (lastMeta — the
 // shared payload every codec-v2 session marries to the cached segments
-// through its own delta shadow) and claims a buffer no in-flight send
-// still references for the shared codec-v1 reply. The reply itself is
-// encoded by v1ReplyLocked, the first time a consumer asks for it.
+// through its own delta shadow) and marks the shared codec-v1 reply
+// stale. The reply itself is encoded by v1ReplyLocked, the first time a
+// consumer asks for it.
 func (s *Server) totalRoundLocked(ts env.TimeState, loadTime, computeTime time.Duration) roundTotals {
 	var tot roundTotals
 	var fullU, actualU int64
@@ -416,9 +416,6 @@ func (s *Server) totalRoundLocked(ts env.TimeState, loadTime, computeTime time.D
 	if s.haveTools {
 		s.lastMeta.Tools = &s.toolsMeta
 	}
-	// The current buffer in place when its references have drained
-	// (steady state), a recycled drained buffer otherwise.
-	s.fb = s.acquireEncodeBufLocked()
 	s.v1Ready = false
 	return tot
 }

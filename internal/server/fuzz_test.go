@@ -58,7 +58,6 @@ func fuzzServer(t *testing.T) (*Server, *dlib.Ctx) {
 func frameNoPanic(t *testing.T, s *Server, ctx *dlib.Ctx, payload []byte) {
 	t.Helper()
 	out, err := s.handleFrame(ctx, payload)
-	ctx.FinishReply()
 	if err != nil {
 		return
 	}

@@ -336,7 +336,7 @@ func TestDegradedByte(t *testing.T) {
 }
 
 // directSession wraps the no-transport handleFrame pattern: call the
-// handler with a fixed session ctx and settle the reply hook.
+// handler with a fixed session ctx.
 type directSession struct {
 	t   *testing.T
 	s   *Server
@@ -350,7 +350,6 @@ func newDirectSession(t *testing.T, s *Server, id int64) *directSession {
 func (d *directSession) frame(u wire.ClientUpdate) wire.FrameReply {
 	d.t.Helper()
 	out, err := d.s.handleFrame(d.ctx, wire.EncodeClientUpdate(u))
-	d.ctx.FinishReply()
 	if err != nil {
 		d.t.Fatal(err)
 	}
@@ -364,7 +363,6 @@ func (d *directSession) frame(u wire.ClientUpdate) wire.FrameReply {
 func (d *directSession) rawFrame(u wire.ClientUpdate) []byte {
 	d.t.Helper()
 	out, err := d.s.handleFrame(d.ctx, wire.EncodeClientUpdate(u))
-	d.ctx.FinishReply()
 	if err != nil {
 		d.t.Fatal(err)
 	}

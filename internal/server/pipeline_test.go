@@ -326,12 +326,8 @@ func TestSteadyFrameAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &dlib.Ctx{Session: &dlib.Session{ID: 1}}
-	// Calling handleFrame directly (no dlib dispatch) takes on the
-	// transport's obligation: settle the reply-release hook after
-	// "sending", or round buffers pile up references and never recycle.
 	call := func(payload []byte) error {
 		_, err := s.handleFrame(ctx, payload)
-		ctx.FinishReply()
 		return err
 	}
 	add := wire.EncodeClientUpdate(wire.ClientUpdate{Commands: []wire.Command{
@@ -408,7 +404,6 @@ func TestToolRelevelAllocs(t *testing.T) {
 			if _, err := s.handleFrame(ctx, payload); err != nil {
 				t.Fatal(err)
 			}
-			ctx.FinishReply()
 		}
 		call(wire.EncodeClientUpdate(wire.ClientUpdate{Commands: []wire.Command{{Kind: wire.CmdIsoGrab}}}))
 		// relevel alternates between two timesteps and two levels of
@@ -505,7 +500,6 @@ func TestPoolStartsNoGoroutineItCannotFeed(t *testing.T) {
 			if _, err := s.handleFrame(ctx, payload); err != nil {
 				t.Fatal(err)
 			}
-			ctx.FinishReply()
 		}
 		call(wire.EncodeClientUpdate(wire.ClientUpdate{Commands: []wire.Command{
 			addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 12, 4), 8, integrate.ToolStreamline),

@@ -161,9 +161,6 @@ func TestRoundAccounting(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d (%s): %v", i, step.name, err)
 				}
-				// Direct handler calls stand in for the transport, so they
-				// take on its release obligation.
-				ctx.FinishReply()
 				r, err := wire.DecodeFrameReply(out)
 				if err != nil {
 					t.Fatalf("step %d (%s): decode: %v", i, step.name, err)

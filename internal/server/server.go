@@ -24,16 +24,15 @@
 //
 // Frames fan out encode-once: each round's codec-v1 reply is
 // wire-encoded at most one time — when the first v1 session or relay
-// asks for it — into a ref-counted buffer shared by every session served
-// within that round; a session's reply holds a reference until dlib
-// finishes writing it (Ctx.ReplyDone), and buffers whose references
-// drain recycle into a small free list. Adding workstations therefore adds
-// sends, not encodes: frames-encoded per round is independent of the
-// session count, and steady-state frames do near-zero allocation. Over
-// an I/O-backed store every timestep the server holds is an entry of
-// one store.Cache: the steps the play touches next, read ahead in the
-// background, and the sessions' recently used steps under the
-// configured budget.
+// asks for it — into a new buffer every session served within that
+// round is handed, and that nothing rewrites; codec-v2 and relay
+// replies are assembled in a buffer each session owns. Adding
+// workstations therefore adds sends, not encodes: frames-encoded per
+// round is independent of the session count, and steady-state frames
+// do near-zero allocation. Over an I/O-backed store every timestep the
+// server holds is an entry of one store.Cache: the steps the play
+// touches next, read ahead in the background, and the sessions'
+// recently used steps under the configured budget.
 //
 //vw:deterministic
 //vw:wire
@@ -294,15 +293,12 @@ type Server struct {
 	geoCache map[int32]*rakeGeom
 	round    uint64 // recompute round counter, for cache sweeping
 
-	// Current round: the ref-counted encode-once buffer of its shared
-	// codec-v1 reply (nil = no round yet; v1Ready once a consumer asked
-	// and the reply was encoded into it), the env version and point
-	// count it was computed at, and which sessions have consumed it. free
-	// holds drained buffers for reuse. All buffers below recycle across
-	// rounds.
-	fb           *frameBuf
+	// Current round (none while round is 0): its shared codec-v1 reply
+	// (v1Ready once a consumer asked and v1 holds it; never rewritten,
+	// the next round's encode replaces it), the env version and point
+	// count it was computed at, and which sessions have consumed it.
+	v1           []byte
 	v1Ready      bool
-	free         []*frameBuf
 	consumedBy   map[int64]bool
 	lastVersion  uint64
 	lastPoints   int64
@@ -414,10 +410,10 @@ func New(cfg Config) (*Server, error) {
 		quant:      wire.Quantizer{Min: cfg.Store.Grid().Bounds().Min, Max: cfg.Store.Grid().Bounds().Max},
 		codecs:     make(map[int64]*sessionState),
 	}
-	// Every handler registered below returns either a pooled buffer with
-	// a release hook (frames and relay replies, via Ctx.ReplyDone) or a
-	// freshly allocated one (hellos, whoami, steer) — dlib.Handler's
-	// reply-buffer contract.
+	// Every handler registered below returns a fresh buffer (hellos,
+	// whoami, steer, the round's codec-v1 reply) or a session-owned one
+	// (codec-v2 frames and relay replies, sessionState.buf) —
+	// dlib.Handler's reply-buffer contract.
 	if mem, ok := cfg.Store.(*store.Memory); ok {
 		s.unsteady = mem.Unsteady()
 	}
@@ -466,9 +462,10 @@ func New(cfg Config) (*Server, error) {
 		s.env.ReleaseAll(id)
 		// Round accounting must not leak: a departed session's
 		// consumed-mark would otherwise sit in the map forever (and a
-		// reconnecting session gets a fresh id anyway). The codec state
-		// dies with the session too — that is what guarantees a
-		// reconnecting v2 workstation restarts from a keyframe.
+		// reconnecting session gets a fresh id anyway). The session state
+		// — codec shadow and reply buffer — dies with the session too;
+		// that is what guarantees a reconnecting v2 workstation restarts
+		// from a keyframe.
 		s.mu.Lock()
 		delete(s.consumedBy, id)
 		delete(s.codecs, id)

@@ -55,7 +55,6 @@ func relayFull(t *testing.T, d *directSession, wantSegs bool) []byte {
 		Update:   wire.EncodeClientUpdate(wire.ClientUpdate{Head: vmath.Identity()}),
 	})
 	out, err := d.s.handleFrameRelay(d.ctx, req)
-	d.ctx.FinishReply()
 	if err != nil {
 		t.Fatal(err)
 	}

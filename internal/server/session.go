@@ -2,7 +2,7 @@ package server
 
 // The session layer: everything between a dlib connection and the
 // compute core. It owns codec negotiation, per-session delta-shadow
-// state, the ref-counted encode-once round buffers, command
+// state and reply buffers, the encode-once round reply, command
 // validation, and the relay exchange that lets cluster-tier nodes
 // (internal/relay) fan one round out to many workstations. The
 // compute layer (compute.go) never sees a session; this file never
@@ -21,76 +21,28 @@ import (
 )
 
 // sessionState is the per-session wire state: the codec accepted at
-// hello and, for v2 sessions, the delta-shadow encoder tracking which
-// geometry sequence numbers the workstation already holds. Guarded by
-// Server.mu; it dies with the session (disconnect), which is what
-// forces a full keyframe on reconnect.
+// hello, for v2 sessions the delta-shadow encoder tracking which
+// geometry sequence numbers the workstation already holds, and buf, in
+// which every codec-v2 and relay reply to the session is assembled —
+// session-owned in dlib.Handler's sense, since only this session's next
+// call rewrites it. Guarded by Server.mu; it dies with the session
+// (disconnect), which is what forces a full keyframe on reconnect.
 type sessionState struct {
 	codec uint8
 	enc   *wire.FrameEncoder
+	buf   []byte
 }
 
-// frameBuf is one round's encoded reply, shared zero-copy by every
-// session served within the round. refs counts in-flight sends (dlib
-// writes that have not yet completed); it is guarded by Server.mu. The
-// release closure is allocated once per buffer so handing a reference
-// back per send costs nothing.
-type frameBuf struct {
-	buf     []byte
-	refs    int
-	release func()
-}
-
-// maxFreeFrameBufs caps the drained-buffer free list. Buffers beyond
-// the cap are dropped to the GC; in steady state one or two buffers
-// circulate (one being written to slow clients, one being encoded).
-const maxFreeFrameBufs = 8
-
-// newFrameBuf allocates a buffer whose release returns it to the
-// server's free list once its last in-flight send completes — unless
-// it is still the current round buffer, which stays put for in-place
-// reuse.
-func (s *Server) newFrameBuf() *frameBuf {
-	fb := &frameBuf{}
-	fb.release = func() {
-		s.mu.Lock()
-		fb.refs--
-		if fb.refs == 0 && s.fb != fb && len(s.free) < maxFreeFrameBufs {
-			s.free = append(s.free, fb)
-		}
-		s.mu.Unlock()
+// sessionLocked returns id's session state, creating it on the first
+// call that needs one: a hello2, or a relay's first frame exchange.
+// Caller holds s.mu.
+func (s *Server) sessionLocked(id int64) *sessionState {
+	st := s.codecs[id]
+	if st == nil {
+		st = &sessionState{}
+		s.codecs[id] = st
 	}
-	return fb
-}
-
-// acquireEncodeBufLocked returns the buffer the next encode may write
-// into: the current round buffer when no sends still reference it
-// (in-place reuse, the steady-state path), otherwise a drained buffer
-// from the free list or a fresh one. Caller holds s.mu.
-func (s *Server) acquireEncodeBufLocked() *frameBuf {
-	if fb := s.fb; fb != nil && fb.refs == 0 {
-		return fb
-	}
-	if n := len(s.free); n > 0 {
-		fb := s.free[n-1]
-		s.free = s.free[:n-1]
-		return fb
-	}
-	return s.newFrameBuf()
-}
-
-// acquireSessionBufLocked returns a buffer for a per-session assembly
-// (codec-v2 frames, relay replies). Unlike the round buffer it is
-// never reused in place — it is referenced exactly once, by the send
-// it was built for, and its release hook returns it to the same free
-// list. Caller holds s.mu.
-func (s *Server) acquireSessionBufLocked() *frameBuf {
-	if n := len(s.free); n > 0 {
-		fb := s.free[n-1]
-		s.free = s.free[:n-1]
-		return fb
-	}
-	return s.newFrameBuf()
+	return st
 }
 
 // datasetInfo describes the dataset for both hello variants. The
@@ -125,11 +77,7 @@ func (s *Server) handleHello2(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	}
 	s.mu.Lock()
 	codec := wire.NegotiateCodec(req, s.maxCodec)
-	st := s.codecs[ctx.Session.ID]
-	if st == nil {
-		st = &sessionState{}
-		s.codecs[ctx.Session.ID] = st
-	}
+	st := s.sessionLocked(ctx.Session.ID)
 	st.codec = codec
 	if codec >= wire.CodecV2 {
 		s.wantSegs = true
@@ -165,9 +113,7 @@ func (s *Server) applyUpdate(user int64, u wire.ClientUpdate) {
 
 // handleFrame is the once-per-frame exchange. dlib guarantees serial
 // execution, so handler-side state needs no extra locking against
-// other calls — the mutex protects against Stats() readers and frame
-// buffer releases, which fire from connection goroutines after their
-// writes complete.
+// other calls — the mutex protects against Stats() readers.
 //
 //vw:hotpath
 func (s *Server) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
@@ -184,7 +130,7 @@ func (s *Server) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	// current one, or when it just issued commands — the user must see
 	// the effect of their own interaction within this frame (§1.2's
 	// 1/8-second command-to-display loop).
-	if s.fb == nil || s.consumedBy[user] || len(u.Commands) > 0 {
+	if s.round == 0 || s.consumedBy[user] || len(u.Commands) > 0 {
 		if err := s.recomputeLocked(); err != nil {
 			return nil, err
 		}
@@ -194,39 +140,37 @@ func (s *Server) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	// payload (header meta + cached per-rake segments) filtered through
 	// this session's delta shadow.
 	if st := s.codecs[user]; st != nil && st.codec >= wire.CodecV2 {
-		return s.serveFrameV2Locked(ctx, st)
+		return s.serveFrameV2Locked(st), nil
 	}
-	// Encode-once fan-out: hand this session a reference to the shared
-	// round buffer; dlib writes it zero-copy and the release hook
-	// drops the reference when the send is done.
-	fb := s.v1ReplyLocked()
-	fb.refs++
-	ctx.ReplyDone(fb.release)
+	// Encode-once fan-out: every v1 session of the round is handed the
+	// same bytes, which dlib writes zero-copy.
+	reply := s.v1ReplyLocked()
 	s.stats.FramesShipped++
-	s.stats.BytesShipped += int64(len(fb.buf))
-	return fb.buf, nil
+	s.stats.BytesShipped += int64(len(reply))
+	return reply, nil
 }
 
 // v1ReplyLocked returns the round's shared codec-v1 reply, encoding it
-// on the round's first request: from lastMeta and the wire scratch,
+// on the round's first request from lastMeta and the wire scratch,
 // which stand until the next recompute (a round re-served by
-// reuseRoundLocked included), into the drained buffer totalRoundLocked
-// claimed — nothing references it before it is encoded. The bytes are
-// the ones an encode inside the round would have produced. Caller holds
-// s.mu.
-func (s *Server) v1ReplyLocked() *frameBuf {
+// reuseRoundLocked included). The encode goes into a new buffer, sized
+// by the last one: a reply handed out is never rewritten, so it stays
+// valid for every write still in flight, and a re-served round hands
+// out the same bytes again. They are the ones an encode inside the
+// round would have produced. Caller holds s.mu.
+func (s *Server) v1ReplyLocked() []byte {
 	if !s.v1Ready {
 		start := s.clock.Now()
 		reply := s.lastMeta
 		reply.Geometry = s.geomWire
-		s.fb.buf = wire.AppendFrameReply(s.fb.buf[:0], reply)
+		s.v1 = wire.AppendFrameReply(make([]byte, 0, len(s.v1)), reply)
 		s.v1Ready = true
 		d := s.clock.Now().Sub(start)
 		s.stats.V1Encodes++
 		s.stats.EncodeTime += d
-		s.stats.V1Bytes += int64(len(s.fb.buf))
+		s.stats.V1Bytes += int64(len(s.v1))
 	}
-	return s.fb
+	return s.v1
 }
 
 // serveFrameV2Locked assembles this session's codec-v2 reply from the
@@ -234,25 +178,21 @@ func (s *Server) v1ReplyLocked() *frameBuf {
 // rake and tool on the round list, either the shared cached segment
 // (encoded once per geometry version, for every session) or — when the
 // session's shadow already holds the source's current sequence — a
-// few-byte reference record. The reply lands in a pooled per-session
-// buffer released by the same ReplyDone mechanism as round buffers.
+// few-byte reference record. The reply lands in the session's own buf.
 // Caller holds s.mu.
-func (s *Server) serveFrameV2Locked(ctx *dlib.Ctx, st *sessionState) ([]byte, error) {
+func (s *Server) serveFrameV2Locked(st *sessionState) []byte {
 	if st.enc == nil {
 		st.enc = wire.NewFrameEncoder(s.quant)
 	}
 	reply := s.lastMeta
 	reply.Geometry = s.geomWire
-	fb := s.acquireSessionBufLocked()
-	fb.buf = st.enc.AppendFrame(fb.buf[:0], reply, s.roundRowsLocked(nil))
-	fb.refs++
-	ctx.ReplyDone(fb.release)
+	st.buf = st.enc.AppendFrame(st.buf[:0], reply, s.roundRowsLocked(nil))
 	s.stats.FramesShipped++
 	s.stats.V2Frames++
 	s.stats.V2RakesInline += int64(st.enc.LastInline)
 	s.stats.V2RakesRef += int64(st.enc.LastRef)
-	s.stats.BytesShipped += int64(len(fb.buf))
-	return fb.buf, nil
+	s.stats.BytesShipped += int64(len(st.buf))
+	return st.buf
 }
 
 // roundRowsLocked walks the round list — rakes, then tools, aligned
@@ -324,7 +264,7 @@ func (s *Server) handleFrameRelay(ctx *dlib.Ctx, payload []byte) ([]byte, error)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.fb == nil || s.consumedBy[user] || len(u.Commands) > 0 {
+	if s.round == 0 || s.consumedBy[user] || len(u.Commands) > 0 {
 		if err := s.recomputeLocked(); err != nil {
 			return nil, err
 		}
@@ -332,25 +272,23 @@ func (s *Server) handleFrameRelay(ctx *dlib.Ctx, payload []byte) ([]byte, error)
 	s.consumedBy[user] = true
 
 	round := s.lastMeta.Round
-	fb := s.acquireSessionBufLocked()
+	st := s.sessionLocked(user)
 	if req.LastRound == round {
 		// The relay already holds this round's payload; ship 9 bytes.
-		fb.buf = wire.AppendRelayMarker(fb.buf[:0], round)
+		st.buf = wire.AppendRelayMarker(st.buf[:0], round)
 		s.stats.RelayMarkers++
 	} else {
-		rep := wire.RelayFrameReply{Full: true, Round: round, Frame: s.v1ReplyLocked().buf}
+		rep := wire.RelayFrameReply{Full: true, Round: round, Frame: s.v1ReplyLocked()}
 		if req.WantSegs {
 			s.wantSegs = true
 			rep.HasDir = true
 			rep.Dir = s.roundRowsLocked(&req)
 		}
-		fb.buf = wire.AppendRelayFrameReply(fb.buf[:0], rep)
+		st.buf = wire.AppendRelayFrameReply(st.buf[:0], rep)
 		s.stats.RelayFulls++
 	}
-	fb.refs++
-	ctx.ReplyDone(fb.release)
-	s.stats.RelayBytes += int64(len(fb.buf))
-	return fb.buf, nil
+	s.stats.RelayBytes += int64(len(st.buf))
+	return st.buf, nil
 }
 
 // finiteVec3 reports whether every component is a finite number.
