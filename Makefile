@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-stats chaos fuzz fuzz-server fuzz-wire fuzz-render fuzz-field ci bench bench-module loc load load-relay relay soak live tools
+.PHONY: all build test race vet lint lint-stats chaos fuzz fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate ci bench bench-module loc load load-relay relay soak live tools
 
 all: build test
 
@@ -83,6 +83,14 @@ fuzz-render:
 fuzz-field:
 	$(GO) test -fuzz FuzzReadField -fuzztime 10s ./internal/field/
 
+# Short fuzz pass over the integration kernel: raw float32 bit patterns
+# for up to four seeds, the step and the times, every method, a few
+# MaxSteps, steady and two-level sources with levels missing. A
+# lock-step group must give each seed the Step path's line bit for bit
+# and count one missing level per path stopped.
+fuzz-integrate:
+	$(GO) test -fuzz FuzzKernelAgrees -fuzztime 10s ./internal/integrate/
+
 # The cluster-tier battery: relay golden replays (one and two hops,
 # both codecs), chaos (upstream loss, partition, cross-hop lock
 # release), the relay wire codec, the relay node's own suite, and the
@@ -106,7 +114,7 @@ tools:
 	$(GO) test -race -count=1 -run xxx -fuzz FuzzToolCommand -fuzztime 5s ./internal/server/
 
 # The gate a change must pass before merging.
-ci: vet lint race relay live tools bench-module fuzz-wire fuzz-render fuzz-field load-relay
+ci: vet lint race relay live tools bench-module fuzz-wire fuzz-render fuzz-field fuzz-integrate load-relay
 
 bench:
 	$(GO) test -bench . -benchmem ./...

@@ -149,7 +149,7 @@ func streamlineLines(u *field.Unsteady, step int) [][]vmath.Vec3 {
 	out := make([][]vmath.Vec3, 0, len(paths))
 	for _, p := range paths {
 		if len(p) >= 2 {
-			out = append(out, integrate.ToPhysical(u.Grid, p))
+			out = append(out, p)
 		}
 	}
 	return out

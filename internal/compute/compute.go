@@ -94,11 +94,12 @@ type Engine interface {
 	Name() string
 	// Workers returns the logical processor count the engine models.
 	Workers() int
-	// Streamlines integrates one streamline per seed at fixed time t,
-	// returning grid-coordinate paths (parallel to seeds; a seed
-	// outside the domain yields an empty path).
+	// Streamlines integrates one streamline per seed (grid coordinates)
+	// at fixed time t, returning physical-coordinate paths (parallel to
+	// seeds; a seed outside the domain yields an empty path).
 	Streamlines(s integrate.Sampler, seeds []vmath.Vec3, t float32, o integrate.Options) ([][]vmath.Vec3, Stats)
-	// ParticlePaths integrates one particle path per seed from t0.
+	// ParticlePaths integrates one particle path per seed from t0, under
+	// Streamlines' contract.
 	ParticlePaths(s integrate.Sampler, seeds []vmath.Vec3, t0, maxTime float32, o integrate.Options) ([][]vmath.Vec3, Stats)
 }
 
@@ -124,52 +125,61 @@ func (s SteadyBatch) NumLevels() int { return 1 }
 // Level implements integrate.LevelSource.
 func (s SteadyBatch) Level(int) *field.Field { return s.F }
 
-// tracer appends one seed's path to dst — integrate.AppendStreamline or
-// AppendParticlePath with an engine call's arguments bound.
-type tracer func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3
+// tracer appends the paths of up to integrate.Lanes seeds to dst and
+// returns their lengths — integrate.AppendStreamlines or
+// AppendParticlePaths with an engine call's arguments bound.
+type tracer func(dst, seeds []vmath.Vec3) ([]vmath.Vec3, [integrate.Lanes]int)
 
 func streamlineTracer(s integrate.Sampler, t float32, o integrate.Options) tracer {
-	return func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3 {
-		return integrate.AppendStreamline(dst, s, seed, t, o)
+	return func(dst, seeds []vmath.Vec3) ([]vmath.Vec3, [integrate.Lanes]int) {
+		return integrate.AppendStreamlines(dst, s, seeds, t, o)
 	}
 }
 
 func particlePathTracer(s integrate.Sampler, t0, maxTime float32, o integrate.Options) tracer {
-	return func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3 {
-		return integrate.AppendParticlePath(dst, s, seed, t0, maxTime, o)
+	return func(dst, seeds []vmath.Vec3) ([]vmath.Vec3, [integrate.Lanes]int) {
+		return integrate.AppendParticlePaths(dst, s, seeds, t0, maxTime, o)
 	}
 }
 
-// traceRange traces seeds[i] into paths[i] on the calling goroutine and
-// returns the points produced after the seeds. Lines are carved front
-// to back out of a few arena chunks the range owns, each line capped at
-// its own length (buf[a:b:b]) so appending to one reallocates instead
-// of running into its neighbour. The first chunk has room for a few
-// full lines, enough to see what the lines here are like; a later one
-// is sized for the rest of the range at the mean length so far plus an
-// eighth, at least double its predecessor (a misleading start costs a
-// logarithmic number of chunks) and never more than the rest of the
-// range could fill. Allocation so follows the points produced, not
-// seeds x MaxSteps, and the chunk count does not grow with the seeds.
-func traceRange(paths [][]vmath.Vec3, seeds []vmath.Vec3, one tracer, o integrate.Options) (points int64) {
+// traceRange traces seeds[i] into paths[i] on the calling goroutine,
+// integrate.Lanes seeds at a time, and returns the points produced
+// after the seeds. Lines are carved front to back out of a few arena
+// chunks the range owns, each line capped at its own length
+// (buf[a:b:b]) so appending to one reallocates instead of running into
+// its neighbour. A group is traced into the chunk only when the chunk
+// has room for every line of it at full length. The first chunk has
+// room for a few full lines, enough to see what the lines here are
+// like; a later one is sized for the rest of the range at the mean
+// length so far plus an eighth, at least double its predecessor (a
+// misleading start costs a logarithmic number of chunks) and never more
+// than the rest of the range could fill. Allocation so follows the
+// points produced, not seeds x MaxSteps, and the chunk count does not
+// grow with the seeds.
+func traceRange(paths [][]vmath.Vec3, seeds []vmath.Vec3, trace tracer, o integrate.Options) (points int64) {
 	maxLine := o.MaxSteps + 1
 	var buf []vmath.Vec3
 	produced := 0 // points in the lines traced so far, seeds included
-	for i, seed := range seeds {
-		if cap(buf)-len(buf) < maxLine {
+	for i := 0; i < len(seeds); i += integrate.Lanes {
+		group := seeds[i:min(i+integrate.Lanes, len(seeds))]
+		if cap(buf)-len(buf) < len(group)*maxLine {
 			left := len(seeds) - i
 			need := min(left, firstChunkLines) * maxLine
 			if i > 0 {
-				need = maxLine + left*(produced/i+1)*9/8
+				need = len(group)*maxLine + left*(produced/i+1)*9/8
 			}
 			buf = make([]vmath.Vec3, 0, min(max(need, 2*cap(buf)), left*maxLine))
 		}
 		start := len(buf)
-		buf = one(buf, seed)
-		paths[i] = buf[start:len(buf):len(buf)]
-		if n := len(buf) - start; n > 0 {
-			produced += n
-			points += int64(n - 1)
+		var lens [integrate.Lanes]int
+		buf, lens = trace(buf, group)
+		for j, n := range lens[:len(group)] {
+			paths[i+j] = buf[start : start+n : start+n]
+			start += n
+			if n > 0 {
+				produced += n
+				points += int64(n - 1)
+			}
 		}
 	}
 	return points

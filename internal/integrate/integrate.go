@@ -4,9 +4,10 @@
 //
 // All integration happens in grid coordinates (the paper's key
 // optimization): a Sampler returns velocity in units of grid cells per
-// flow-time unit, so each step is pure array arithmetic. Results are
-// converted back to physical coordinates by direct trilinear lookup of
-// node positions.
+// flow-time unit, so each step is pure array arithmetic. Streamlines
+// and particle paths come back in physical coordinates, each point
+// converted by direct trilinear lookup of node positions; streakline
+// particles stay in grid coordinates, since they move again next frame.
 //
 //vw:deterministic
 package integrate
@@ -144,34 +145,52 @@ func (o Options) Validate() error {
 }
 
 // Streamline integrates the instantaneous field at fixed time t from
-// the seed (grid coordinates), returning the path in grid coordinates.
-// The path includes the seed and stops at the domain boundary, at
-// stagnation, or after MaxSteps points.
+// the seed (grid coordinates), returning the path in physical
+// coordinates. The path includes the seed and stops at the domain
+// boundary, at stagnation, or after MaxSteps points.
 func Streamline(s Sampler, seed vmath.Vec3, t float32, o Options) []vmath.Vec3 {
-	return AppendStreamline(make([]vmath.Vec3, 0, o.MaxSteps+1), s, seed, t, o)
+	path, _ := AppendStreamlines(make([]vmath.Vec3, 0, o.MaxSteps+1), s, []vmath.Vec3{seed}, t, o)
+	return path
 }
 
-// AppendStreamline is Streamline appending the path to dst, so a caller
-// tracing many seeds can carve its lines out of one buffer: with
-// MaxSteps+1 points of spare capacity in dst it allocates nothing. A
-// seed outside the domain appends nothing.
-func AppendStreamline(dst []vmath.Vec3, s Sampler, seed vmath.Vec3, t float32, o Options) []vmath.Vec3 {
+// AppendStreamlines is Streamline for up to Lanes seeds, traced in lock
+// step: it appends their paths to dst one after another, in seed order,
+// and returns each path's length (0 for a seed outside the domain). A
+// caller tracing many seeds so carves its lines out of one buffer: with
+// len(seeds)*(MaxSteps+1) points of spare capacity in dst it allocates
+// nothing.
+func AppendStreamlines(dst []vmath.Vec3, s Sampler, seeds []vmath.Vec3, t float32, o Options) ([]vmath.Vec3, [Lanes]int) {
 	if k, ok := fusedFor(s, o.Method); ok {
-		return k.streamline(dst, seed, t, o)
+		return k.streamlines(dst, seeds, t, o)
 	}
-	return streamlineOver(dst, s, seed, t, o)
+	return eachSeed(dst, seeds, func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3 {
+		return streamlineOver(dst, s, seed, t, o)
+	})
+}
+
+// eachSeed is a lock-step call's contract over a one-seed loop: the
+// Step path's way of filling a group.
+func eachSeed(dst, seeds []vmath.Vec3, one func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3) ([]vmath.Vec3, [Lanes]int) {
+	var n [Lanes]int
+	for i, seed := range seeds {
+		start := len(dst)
+		dst = one(dst, seed)
+		n[i] = len(dst) - start
+	}
+	return dst, n
 }
 
 // streamlineOver is the streamline loop over any Sampler: one
 // SampleVelocity per stage through Step, plus one for the stagnation
-// test. The fused kernel is checked against it bit for bit.
+// test, and each point converted on its own. The fused kernel is
+// checked against it bit for bit.
 func streamlineOver(dst []vmath.Vec3, s Sampler, seed vmath.Vec3, t float32, o Options) []vmath.Vec3 {
 	g := s.Grid()
 	gc := seed
 	if !g.InBounds(gc) {
 		return dst
 	}
-	dst = append(dst, gc)
+	dst = append(dst, g.PhysAt(gc))
 	for n := 0; n < o.MaxSteps; n++ {
 		if s.SampleVelocity(gc, t).Len() < o.EffectiveMinSpeed() {
 			break
@@ -180,28 +199,32 @@ func streamlineOver(dst []vmath.Vec3, s Sampler, seed vmath.Vec3, t float32, o O
 		if !g.InBounds(next) || !next.IsFinite() {
 			break
 		}
-		dst = append(dst, next)
+		dst = append(dst, g.PhysAt(next))
 		gc = next
 	}
 	return dst
 }
 
-// ParticlePath integrates through time from the seed starting at time
-// t0, incrementing time by StepSize each step — a "time exposure
-// photograph" of one particle. The path stops at the domain boundary,
-// at the dataset's time bounds, after MaxSteps points, or where a
-// LevelSource cannot supply a time level it needs.
+// ParticlePath integrates through time from the seed (grid
+// coordinates) starting at time t0, incrementing time by StepSize each
+// step — a "time exposure photograph" of one particle — and returns
+// the path in physical coordinates. The path stops at the domain
+// boundary, at the dataset's time bounds, after MaxSteps points, or
+// where a LevelSource cannot supply a time level it needs.
 func ParticlePath(s Sampler, seed vmath.Vec3, t0 float32, maxTime float32, o Options) []vmath.Vec3 {
-	return AppendParticlePath(make([]vmath.Vec3, 0, o.MaxSteps+1), s, seed, t0, maxTime, o)
+	path, _ := AppendParticlePaths(make([]vmath.Vec3, 0, o.MaxSteps+1), s, []vmath.Vec3{seed}, t0, maxTime, o)
+	return path
 }
 
-// AppendParticlePath is ParticlePath appending the path to dst, under
-// AppendStreamline's contract.
-func AppendParticlePath(dst []vmath.Vec3, s Sampler, seed vmath.Vec3, t0, maxTime float32, o Options) []vmath.Vec3 {
+// AppendParticlePaths is ParticlePath for up to Lanes seeds, traced in
+// lock step, under AppendStreamlines' contract.
+func AppendParticlePaths(dst []vmath.Vec3, s Sampler, seeds []vmath.Vec3, t0, maxTime float32, o Options) ([]vmath.Vec3, [Lanes]int) {
 	if k, ok := fusedFor(s, o.Method); ok {
-		return k.particlePath(dst, seed, t0, maxTime, o)
+		return k.particlePaths(dst, seeds, t0, maxTime, o)
 	}
-	return particlePathOver(dst, s, seed, t0, maxTime, o)
+	return eachSeed(dst, seeds, func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3 {
+		return particlePathOver(dst, s, seed, t0, maxTime, o)
+	})
 }
 
 // particlePathOver is the particle-path loop over any Sampler.
@@ -211,7 +234,7 @@ func particlePathOver(dst []vmath.Vec3, s Sampler, seed vmath.Vec3, t0, maxTime 
 	if !g.InBounds(gc) {
 		return dst
 	}
-	dst = append(dst, gc)
+	dst = append(dst, g.PhysAt(gc))
 	t := t0
 	for n := 0; n < o.MaxSteps; n++ {
 		tNext := t + o.StepSize
@@ -225,16 +248,16 @@ func particlePathOver(dst []vmath.Vec3, s Sampler, seed vmath.Vec3, t0, maxTime 
 		if !g.InBounds(next) || !next.IsFinite() {
 			break
 		}
-		dst = append(dst, next)
+		dst = append(dst, g.PhysAt(next))
 		gc = next
 		t = tNext
 	}
 	return dst
 }
 
-// ToPhysical converts a grid-coordinate path to physical coordinates
-// using direct trilinear lookup — the cheap reverse conversion the
-// paper relies on.
+// ToPhysical converts a grid-coordinate path (a streakline's particles)
+// to physical coordinates using direct trilinear lookup — the cheap
+// reverse conversion the paper relies on.
 func ToPhysical(g *grid.Grid, path []vmath.Vec3) []vmath.Vec3 {
 	return ToPhysicalInto(g, nil, path)
 }

@@ -2,6 +2,8 @@ package integrate
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/field"
 	"repro/internal/grid"
@@ -28,7 +30,9 @@ type LevelSource interface {
 	NumLevels() int
 	// Level returns time level i, 0 <= i < NumLevels, or nil when it
 	// cannot be had (a failed load). The kernel ends a path at the first
-	// sample whose bracket is missing a level.
+	// sample whose bracket is missing a level, and asks for that level
+	// once per path it ends there, so a source counting the nils it
+	// hands out counts the paths stopped.
 	Level(i int) *field.Field
 }
 
@@ -44,6 +48,12 @@ func (s UnsteadySampler) NumLevels() int { return len(s.U.Steps) }
 // Level implements LevelSource.
 func (s UnsteadySampler) Level(i int) *field.Field { return s.U.Steps[i] }
 
+// Lanes is how many paths the kernel traces in lock step. Every lane
+// runs the serial arithmetic; the lanes only hand the CPU independent
+// dependency chains to overlap. The lanes of one call share the time,
+// so one bracket serves them all at each stage.
+const Lanes = 4
+
 // fusedFor returns the kernel for s when s exposes its arrays and m is
 // a method the kernel implements; unknown methods stay on Step, which
 // panics on them.
@@ -52,17 +62,13 @@ func fusedFor(s Sampler, m Method) (kernel, bool) {
 	if !ok || m > RK4 {
 		return kernel{}, false
 	}
-	k := kernel{g: src.Grid(), src: src, last: src.NumLevels() - 1, key: noBracket}
-	if k.last == 0 {
-		k.a = src.Level(0)
-	}
-	return k, true
+	return kernel{g: src.Grid(), src: src, last: src.NumLevels() - 1, key: noBracket}, true
 }
 
-// kernel is the fused integrator's per-path state: the grid, the
+// kernel is the fused integrator's per-call state: the grid, the
 // source, and the time bracket currently resolved into field pointers.
-// It lives on the caller's stack for one path (or one streak advance);
-// nothing in it is shared between goroutines.
+// It lives on the caller's stack for one group of paths (or one streak
+// advance); nothing in it is shared between goroutines.
 type kernel struct {
 	g    *grid.Grid
 	src  LevelSource
@@ -70,9 +76,11 @@ type kernel struct {
 
 	// key names the resolved bracket: i >= 0 is the pair (i, i+1), ^i is
 	// level i alone (time clamped to an end). a is nil when the bracket
-	// failed to load; b is nil for a lone level.
-	key  int
-	a, b *field.Field
+	// failed to load; b is nil for a lone level. missing is the level
+	// that came back nil.
+	key     int
+	a, b    *field.Field
+	missing int
 }
 
 // noBracket is a key no time maps to: ^i for a level index no dataset
@@ -84,12 +92,9 @@ const noBracket = math.MinInt
 //
 //vw:hotpath
 func (k *kernel) bracket(t float32) (frac float32, ok bool) {
-	if k.last == 0 {
-		return 0, k.a != nil
-	}
 	var key int
 	switch {
-	case t <= 0:
+	case k.last == 0 || t <= 0:
 		key = ^0
 	case t >= float32(k.last):
 		key = ^k.last
@@ -100,132 +105,292 @@ func (k *kernel) bracket(t float32) (frac float32, ok bool) {
 	if key != k.key {
 		k.key = key
 		k.a, k.b = nil, nil
+		lo := key
 		if key < 0 {
-			k.a = k.src.Level(^key)
-		} else if k.a = k.src.Level(key); k.a != nil {
-			// One missing level ends the path; the source is asked for
-			// (and counts) the first one only.
-			k.b = k.src.Level(key + 1)
+			lo = ^key
+		}
+		// One missing level ends the path; the source is asked for the
+		// first one only.
+		if k.a = k.src.Level(lo); k.a == nil {
+			k.missing = lo
+		} else if key >= 0 {
+			if k.b = k.src.Level(key + 1); k.b == nil {
+				k.missing = key + 1
+			}
 		}
 	}
 	return frac, k.a != nil && (key < 0 || k.b != nil)
 }
 
-// sample is the source's velocity at (gc, t): one locate, then every
+// velocity is the resolved bracket's velocity at a located cell: every
 // component of every level in the bracket from that one cell.
 //
 //vw:hotpath
-func (k *kernel) sample(gc vmath.Vec3, t float32) (vmath.Vec3, bool) {
-	frac, ok := k.bracket(t)
-	if !ok {
-		return vmath.Vec3{}, false
-	}
-	c := k.g.Locate(gc)
+func (k *kernel) velocity(c grid.Cell, frac float32) vmath.Vec3 {
 	v := k.a.SampleCell(k.g, c)
 	if k.b != nil {
 		v = v.Lerp(k.b.SampleCell(k.g, c), frac)
 	}
-	return v, true
+	return v
 }
 
-// step is Step with the first stage already sampled: k1 is the
-// velocity at (gc, t). Every expression is Step's, in Step's order.
+// group is the lock-step state of up to Lanes paths or particles. Bit i
+// of live is set while lane i moves; gc is where each lane stands (grid
+// coordinates), k1..k4 its stage velocities, mid the position a stage
+// samples at, next where the step takes it, and at the index in the
+// call's output its next point goes to.
+type group struct {
+	live           uint8
+	gc, mid, next  [Lanes]vmath.Vec3
+	k1, k2, k3, k4 [Lanes]vmath.Vec3
+	at             [Lanes]int
+}
+
+// stage samples every live lane at pos and time t into v: one locate
+// per lane, one bracket for all. It returns false, sampling nothing,
+// when the bracket is missing a level.
 //
 //vw:hotpath
-func (k *kernel) step(m Method, gc, k1 vmath.Vec3, t, h float32) (vmath.Vec3, bool) {
+func (k *kernel) stage(v, pos *[Lanes]vmath.Vec3, live uint8, t float32) bool {
+	frac, ok := k.bracket(t)
+	if !ok {
+		return false
+	}
+	for i := range Lanes {
+		if live&(1<<i) != 0 {
+			v[i] = k.velocity(k.g.Locate(pos[i]), frac)
+		}
+	}
+	return true
+}
+
+// probe samples every live lane at gc + d*s and time t into v, by
+// stage; the position is Step's expression for it.
+//
+//vw:hotpath
+func (k *kernel) probe(l *group, v, d *[Lanes]vmath.Vec3, s, t float32) bool {
+	for i := range Lanes {
+		l.mid[i] = l.gc[i].Add(d[i].Scale(s))
+	}
+	return k.stage(v, &l.mid, l.live, t)
+}
+
+// step takes every live lane one step of method m from gc, its first
+// stage already in k1, into next. Every expression is Step's, in Step's
+// order; the arithmetic runs on every lane, the sampling on live ones.
+// The lanes share t, so a stage's missing level stops them all: false.
+//
+//vw:hotpath
+func (k *kernel) step(l *group, m Method, t, h float32) bool {
 	switch m {
 	case Euler:
-		return gc.Add(k1.Scale(h)), true
+		for i := range Lanes {
+			l.next[i] = l.gc[i].Add(l.k1[i].Scale(h))
+		}
 	case RK2:
-		mid := gc.Add(k1.Scale(h / 2))
-		k2, ok := k.sample(mid, t+h/2)
-		return gc.Add(k2.Scale(h)), ok
+		if !k.probe(l, &l.k2, &l.k1, h/2, t+h/2) {
+			return false
+		}
+		for i := range Lanes {
+			l.next[i] = l.gc[i].Add(l.k2[i].Scale(h))
+		}
 	default: // RK4: fusedFor admits nothing above it
-		k2, ok2 := k.sample(gc.Add(k1.Scale(h/2)), t+h/2)
-		k3, ok3 := k.sample(gc.Add(k2.Scale(h/2)), t+h/2)
-		k4, ok4 := k.sample(gc.Add(k3.Scale(h)), t+h)
-		sum := k1.Add(k2.Scale(2)).Add(k3.Scale(2)).Add(k4)
-		return gc.Add(sum.Scale(h / 6)), ok2 && ok3 && ok4
+		if !k.probe(l, &l.k2, &l.k1, h/2, t+h/2) ||
+			!k.probe(l, &l.k3, &l.k2, h/2, t+h/2) ||
+			!k.probe(l, &l.k4, &l.k3, h, t+h) {
+			return false
+		}
+		for i := range Lanes {
+			sum := l.k1[i].Add(l.k2[i].Scale(2)).Add(l.k3[i].Scale(2)).Add(l.k4[i])
+			l.next[i] = l.gc[i].Add(sum.Scale(h / 6))
+		}
+	}
+	return true
+}
+
+// move takes every live lane to next, ending the lanes whose next
+// position left the domain or is not finite.
+//
+//vw:hotpath
+func (l *group) move(g *grid.Grid) {
+	for i := range Lanes {
+		if l.live&(1<<i) == 0 {
+			continue
+		}
+		if next := l.next[i]; g.InBounds(next) && next.IsFinite() {
+			l.gc[i] = next
+		} else {
+			l.live &^= 1 << i
+		}
 	}
 }
 
-// streamline is streamlineOver on the fused kernel: the stagnation test
-// reads k1 instead of sampling the same position twice.
+// start lays a group over seeds: lane i stands at seeds[i] when that is
+// inside the domain, and its points go to out[i*stride:], out being the
+// len(seeds)*stride points after dst's length. dst is grown to hold
+// them when its spare capacity is short.
 //
 //vw:hotpath
-func (k *kernel) streamline(dst []vmath.Vec3, seed vmath.Vec3, t float32, o Options) []vmath.Vec3 {
-	if !k.g.InBounds(seed) {
-		return dst
+func (l *group) start(g *grid.Grid, dst, seeds []vmath.Vec3, stride int) (grown, out []vmath.Vec3) {
+	n := len(seeds) * stride
+	grown = slices.Grow(dst, n) //vw:allow hotpath -- allocates only when the caller left too little spare capacity; engines never do
+	out = grown[len(dst) : len(dst)+n]
+	for i, seed := range seeds {
+		l.at[i] = i * stride
+		if g.InBounds(seed) {
+			l.gc[i] = seed
+			l.live |= 1 << i
+		}
 	}
-	dst = append(dst, seed)
+	return grown, out
+}
+
+// finish packs the group's lines one after another behind dst's length
+// and returns dst and each line's length.
+//
+//vw:hotpath
+func (l *group) finish(dst, out []vmath.Vec3, lanes, stride int) ([]vmath.Vec3, [Lanes]int) {
+	var n [Lanes]int
+	end := 0
+	for i := range lanes {
+		n[i] = l.at[i] - i*stride
+		end += copy(out[end:], out[i*stride:l.at[i]])
+	}
+	return dst[:len(dst)+end], n
+}
+
+// emit writes every live lane's point to its line in physical
+// coordinates and, when sample is set, the lane's first stage at time t
+// to k1 from the same cell: a point is located once for both. It
+// reports whether k1 was sampled — false when sample is unset or the
+// bracket is missing a level.
+//
+//vw:hotpath
+func (k *kernel) emit(l *group, out []vmath.Vec3, t float32, sample bool) bool {
+	var frac float32
+	ok := false
+	if sample {
+		frac, ok = k.bracket(t)
+	}
+	g := k.g
+	for i := range Lanes {
+		if l.live&(1<<i) == 0 {
+			continue
+		}
+		c := g.Locate(l.gc[i])
+		x, y, z := g.Interp3(g.X, g.Y, g.Z, c)
+		out[l.at[i]] = vmath.Vec3{X: x, Y: y, Z: z}
+		l.at[i]++
+		if ok {
+			l.k1[i] = k.velocity(c, frac)
+		}
+	}
+	return ok
+}
+
+// stop accounts for the group's live paths ending at the missing level
+// the bracket just met. The source was asked for it once; it is asked
+// once more for every further path, so it is asked once per path
+// stopped.
+//
+//vw:hotpath
+func (k *kernel) stop(l *group) {
+	for range bits.OnesCount8(l.live) - 1 {
+		k.src.Level(k.missing)
+	}
+}
+
+// streamlines is streamlineOver on the fused kernel, for up to Lanes
+// seeds in lock step: the stagnation test reads k1 instead of sampling
+// the same position twice.
+//
+//vw:hotpath
+func (k *kernel) streamlines(dst, seeds []vmath.Vec3, t float32, o Options) ([]vmath.Vec3, [Lanes]int) {
+	var l group
+	dst, out := l.start(k.g, dst, seeds, o.MaxSteps+1)
 	minSpeed := o.EffectiveMinSpeed()
-	gc := seed
-	for n := 0; n < o.MaxSteps; n++ {
-		k1, ok := k.sample(gc, t)
-		if !ok || k1.Len() < minSpeed {
+	for n := 0; l.live != 0; n++ {
+		more := n < o.MaxSteps
+		if !k.emit(&l, out, t, more) {
+			if more {
+				k.stop(&l)
+			}
 			break
 		}
-		next, ok := k.step(o.Method, gc, k1, t, o.StepSize)
-		if !ok || !k.g.InBounds(next) || !next.IsFinite() {
+		for i := range Lanes {
+			if l.k1[i].Len() < minSpeed {
+				l.live &^= 1 << i
+			}
+		}
+		if l.live == 0 {
 			break
 		}
-		dst = append(dst, next)
-		gc = next
+		if !k.step(&l, o.Method, t, o.StepSize) {
+			k.stop(&l)
+			break
+		}
+		l.move(k.g)
 	}
-	return dst
+	return l.finish(dst, out, len(seeds), o.MaxSteps+1)
 }
 
-// particlePath is particlePathOver on the fused kernel.
+// particlePaths is particlePathOver on the fused kernel, for up to
+// Lanes seeds in lock step.
 //
 //vw:hotpath
-func (k *kernel) particlePath(dst []vmath.Vec3, seed vmath.Vec3, t0, maxTime float32, o Options) []vmath.Vec3 {
-	if !k.g.InBounds(seed) {
-		return dst
+func (k *kernel) particlePaths(dst, seeds []vmath.Vec3, t0, maxTime float32, o Options) ([]vmath.Vec3, [Lanes]int) {
+	var l group
+	dst, out := l.start(k.g, dst, seeds, o.MaxSteps+1)
+	h := o.StepSize
+	t := t0
+	for n := 0; l.live != 0; n++ {
+		tNext := t + h
+		more := n < o.MaxSteps && !(h > 0 && tNext > maxTime) && !(h < 0 && tNext < 0)
+		if !k.emit(&l, out, t, more) {
+			if more {
+				k.stop(&l)
+			}
+			break
+		}
+		if !k.step(&l, o.Method, t, h) {
+			k.stop(&l)
+			break
+		}
+		l.move(k.g)
+		t = tNext
 	}
-	dst = append(dst, seed)
-	gc, t := seed, t0
-	for n := 0; n < o.MaxSteps; n++ {
-		tNext := t + o.StepSize
-		if o.StepSize > 0 && tNext > maxTime {
-			break
-		}
-		if o.StepSize < 0 && tNext < 0 {
-			break
-		}
-		k1, ok := k.sample(gc, t)
-		if !ok {
-			break
-		}
-		next, ok := k.step(o.Method, gc, k1, t, o.StepSize)
-		if !ok || !k.g.InBounds(next) || !next.IsFinite() {
-			break
-		}
-		dst = append(dst, next)
-		gc, t = next, tNext
-	}
-	return dst
+	return l.finish(dst, out, len(seeds), o.MaxSteps+1)
 }
 
-// advance moves every particle one step in place and returns the
-// survivors, compacted to the front of ps. A particle whose bracket is
-// missing a level is dropped like one that left the domain.
+// advance moves every particle one step in place, Lanes at a time, and
+// returns the survivors, compacted to the front of ps. A particle whose
+// bracket is missing a level is dropped like one that left the domain.
 //
 //vw:hotpath
 func (k *kernel) advance(ps []StreakParticle, t, h float32, m Method) []StreakParticle {
 	live := 0
-	for _, p := range ps {
-		k1, ok := k.sample(p.Pos, t)
-		if !ok {
+	var l group
+	for lo := 0; lo < len(ps); lo += Lanes {
+		grp := ps[lo:min(lo+Lanes, len(ps))]
+		l.live = 0
+		for i, p := range grp {
+			l.gc[i] = p.Pos
+			l.live |= 1 << i
+		}
+		if !k.stage(&l.k1, &l.gc, l.live, t) || !k.step(&l, m, t, h) {
 			continue
 		}
-		next, ok := k.step(m, p.Pos, k1, t, h)
-		if !ok || !k.g.InBounds(next) || !next.IsFinite() {
-			continue
+		l.move(k.g)
+		// ps[live] is at or before grp[i]: a survivor never overwrites a
+		// particle not yet read.
+		for i, p := range grp {
+			if l.live&(1<<i) != 0 {
+				p.Pos = l.gc[i]
+				p.Age++
+				ps[live] = p
+				live++
+			}
 		}
-		p.Pos = next
-		p.Age++
-		ps[live] = p
-		live++
 	}
 	return ps[:live]
 }

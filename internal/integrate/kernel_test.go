@@ -1,6 +1,7 @@
 package integrate
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -306,10 +307,10 @@ func benchScene(b *testing.B) (*field.Unsteady, []vmath.Vec3) {
 	return u, seeds
 }
 
-// benchPaths runs one engine-shaped pass per iteration — every seed's
-// line carved from one buffer — over the fused kernel and over the
-// Step path, and reports ns per path point.
-func benchPaths(b *testing.B, s Sampler, seeds []vmath.Vec3, trace func(dst []vmath.Vec3, s Sampler, seed vmath.Vec3) []vmath.Vec3) {
+// benchPaths runs one engine-shaped pass per iteration — the seeds
+// traced Lanes at a time, every line carved from one buffer — over the
+// fused kernel and over the Step path, and reports ns per path point.
+func benchPaths(b *testing.B, s Sampler, seeds []vmath.Vec3, trace func(dst []vmath.Vec3, s Sampler, seeds []vmath.Vec3) []vmath.Vec3) {
 	for _, c := range []struct {
 		name string
 		s    Sampler
@@ -321,8 +322,8 @@ func benchPaths(b *testing.B, s Sampler, seeds []vmath.Vec3, trace func(dst []vm
 			points := 0
 			for i := 0; i < b.N; i++ {
 				buf = buf[:0]
-				for _, seed := range seeds {
-					buf = trace(buf, c.s, seed)
+				for lo := 0; lo < len(seeds); lo += Lanes {
+					buf = trace(buf, c.s, seeds[lo:min(lo+Lanes, len(seeds))])
 				}
 				points += len(buf) - len(seeds)
 			}
@@ -335,8 +336,9 @@ func BenchmarkKernelSteady(b *testing.B) {
 	u, seeds := benchScene(b)
 	o := DefaultOptions()
 	benchPaths(b, SteadySampler{F: u.Steps[0], G: u.Grid}, seeds,
-		func(dst []vmath.Vec3, s Sampler, seed vmath.Vec3) []vmath.Vec3 {
-			return AppendStreamline(dst, s, seed, 0, o)
+		func(dst []vmath.Vec3, s Sampler, seeds []vmath.Vec3) []vmath.Vec3 {
+			dst, _ = AppendStreamlines(dst, s, seeds, 0, o)
+			return dst
 		})
 }
 
@@ -344,8 +346,9 @@ func BenchmarkKernelUnsteady(b *testing.B) {
 	u, seeds := benchScene(b)
 	o := DefaultOptions()
 	benchPaths(b, &lazySource{u: u, cache: map[int]*field.Field{}}, seeds,
-		func(dst []vmath.Vec3, s Sampler, seed vmath.Vec3) []vmath.Vec3 {
-			return AppendParticlePath(dst, s, seed, 0.5, float32(len(u.Steps)-1), o)
+		func(dst []vmath.Vec3, s Sampler, seeds []vmath.Vec3) []vmath.Vec3 {
+			dst, _ = AppendParticlePaths(dst, s, seeds, 0.5, float32(len(u.Steps)-1), o)
+			return dst
 		})
 }
 
@@ -371,4 +374,179 @@ func BenchmarkKernelStreak(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
 		})
 	}
+}
+
+// maskedSource is a LevelSource some of whose levels cannot be had:
+// Level hands out nil for them, counting each nil, and SampleVelocity —
+// the Step path's view — is NaN wherever the bracket needs one, so the
+// Step path's line ends at its last good point, where the kernel ends
+// it.
+type maskedSource struct {
+	LevelSource
+	missing uint8 // bit i set: level i cannot be had
+	nils    *int
+}
+
+func (m maskedSource) Level(i int) *field.Field {
+	if m.missing&(1<<i) != 0 {
+		*m.nils++
+		return nil
+	}
+	return m.LevelSource.Level(i)
+}
+
+func (m maskedSource) SampleVelocity(gc vmath.Vec3, t float32) vmath.Vec3 {
+	lo, hi := 0, 0
+	if last := m.NumLevels() - 1; last > 0 && t > 0 {
+		if t >= float32(last) {
+			lo, hi = last, last
+		} else {
+			lo = int(t)
+			hi = lo + 1
+		}
+	}
+	if m.missing&(1<<lo|1<<hi) != 0 {
+		nan := float32(math.NaN())
+		return vmath.Vec3{X: nan, Y: nan, Z: nan}
+	}
+	return m.LevelSource.SampleVelocity(gc, t)
+}
+
+// warpedUnsteady is hostileUnsteady's two levels on a curvilinear grid
+// of the same dimensions, so converting a point to physical coordinates
+// is real arithmetic rather than the identity.
+func warpedUnsteady(t testing.TB) *field.Unsteady {
+	t.Helper()
+	h := hostileUnsteady(t, rand.New(rand.NewSource(26)), 2)
+	g, err := grid.New(h.Grid.NI, h.Grid.NJ, h.Grid.NK)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < g.NK; k++ {
+		for j := 0; j < g.NJ; j++ {
+			for i := 0; i < g.NI; i++ {
+				fi, fj, fk := float32(i), float32(j), float32(k)
+				g.SetAt(i, j, k, vmath.V3(fi*1.3+0.2*fj*fj, fj*0.7-0.15*fi*fk, fk*2.1+0.05*fi*fj))
+			}
+		}
+	}
+	u, err := field.NewUnsteady(g, h.Steps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// FuzzKernelAgrees generates what TestKernelBitIdenticalToStep
+// enumerates: raw float32 bit patterns for up to Lanes seeds, the step,
+// t0 and maxTime; Euler, RK2 or RK4; MaxSteps 0, 1, 2 or 200; a group
+// of 1 to Lanes seeds; a steady or a two-level source with any levels
+// missing. One lock-step call must give every seed, bit for bit, the
+// line the Step path gives it alone — streamlines and particle paths —
+// and must ask the source for as many missing levels as the seeds' own
+// one-lane calls do between them: one per path stopped. One streak
+// advance of the group's seeds must match the Step path's too.
+func FuzzKernelAgrees(f *testing.F) {
+	u := warpedUnsteady(f)
+	bits := math.Float32bits
+	seedBytes := func(coords ...float32) []byte {
+		b := make([]byte, 0, 4*len(coords))
+		for _, c := range coords {
+			b = binary.LittleEndian.AppendUint32(b, bits(c))
+		}
+		return b
+	}
+	interior := seedBytes(1, 1, 1, 2.5, 3, 2, 5.5, 2, 3.5, 0, 0, 0)
+	f.Add(interior, bits(0.25), bits(0.3), bits(1), uint8(RK2), uint8(3), uint8(3), uint8(1))
+	f.Add(interior, bits(-0.7), bits(1), bits(1), uint8(RK4), uint8(3), uint8(3), uint8(0))
+	f.Add(interior, bits(0.25), bits(0.6), bits(1), uint8(Euler), uint8(3), uint8(2), uint8(1|4<<1))
+	f.Add(seedBytes(5.5, 2, 3.5, 0.5, 0.5, 2), bits(4), bits(0), bits(1), uint8(RK2), uint8(2), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seedBits []byte, hBits, t0Bits, maxBits uint32, method, steps, lanes, source uint8) {
+		var raw [3 * Lanes * 4]byte
+		copy(raw[:], seedBits)
+		seeds := make([]vmath.Vec3, 1+int(lanes)%Lanes)
+		for i := range seeds {
+			c := func(j int) float32 {
+				return math.Float32frombits(binary.LittleEndian.Uint32(raw[4*(3*i+j):]))
+			}
+			seeds[i] = vmath.V3(c(0), c(1), c(2))
+		}
+		h, t0, maxTime := math.Float32frombits(hBits), math.Float32frombits(t0Bits), math.Float32frombits(maxBits)
+		o := Options{Method: Method(method % 3), StepSize: h, MaxSteps: []int{0, 1, 2, 200}[steps%4]}
+
+		var nils int
+		src := maskedSource{nils: &nils, missing: source >> 1 & 3}
+		if source&1 == 0 {
+			src.LevelSource = SteadySampler{F: u.Steps[1], G: u.Grid}
+			src.missing &= 1
+		} else {
+			// Step samples a two-level field at NaN time by indexing level
+			// int(NaN), and t0 = ±Inf against the opposite infinite step
+			// makes a NaN time: those have no Step path to agree with.
+			if t0-t0 != 0 || h != h {
+				t.Skip()
+			}
+			src.LevelSource = UnsteadySampler{U: u}
+		}
+
+		for _, kind := range []struct {
+			name  string
+			group func(dst []vmath.Vec3) ([]vmath.Vec3, [Lanes]int)
+			one   func(s Sampler, seed vmath.Vec3) []vmath.Vec3
+		}{
+			{"streamline",
+				func(dst []vmath.Vec3) ([]vmath.Vec3, [Lanes]int) { return AppendStreamlines(dst, src, seeds, t0, o) },
+				func(s Sampler, seed vmath.Vec3) []vmath.Vec3 { return Streamline(s, seed, t0, o) }},
+			{"particle path",
+				func(dst []vmath.Vec3) ([]vmath.Vec3, [Lanes]int) {
+					return AppendParticlePaths(dst, src, seeds, t0, maxTime, o)
+				},
+				func(s Sampler, seed vmath.Vec3) []vmath.Vec3 { return ParticlePath(s, seed, t0, maxTime, o) }},
+		} {
+			// One point of capacity, taken: the call must grow dst and keep it.
+			sentinel := vmath.V3(-7, -7, -7)
+			nils = 0
+			got, lens := kind.group([]vmath.Vec3{sentinel})
+			groupNils := nils
+			if !got[0].BitsEqual(sentinel) {
+				t.Fatalf("%s: the point already in dst was overwritten", kind.name)
+			}
+			got = got[1:]
+			nils = 0
+			for i, seed := range seeds {
+				want := kind.one(stepOnly{src}, seed)
+				if lens[i] > len(got) {
+					t.Fatalf("%s seed %d: length %d, only %d points left", kind.name, i, lens[i], len(got))
+				}
+				requireSamePath(t, fmt.Sprintf("%s seed %d of %d", kind.name, i, len(seeds)), got[:lens[i]], want)
+				got = got[lens[i]:]
+				kind.one(src, seed) // counts its own missing levels
+			}
+			if len(got) != 0 {
+				t.Fatalf("%s: %d points beyond the lines", kind.name, len(got))
+			}
+			for i := len(seeds); i < Lanes; i++ {
+				if lens[i] != 0 {
+					t.Fatalf("%s: lane %d has no seed but a length %d", kind.name, i, lens[i])
+				}
+			}
+			if groupNils != nils {
+				t.Fatalf("%s: the group asked for %d missing levels, its seeds alone %d", kind.name, groupNils, nils)
+			}
+		}
+
+		fused, oracle := NewStreak(100), NewStreak(100)
+		for frame := 0; frame < 2; frame++ {
+			fused.Advance(src, seeds, t0, h, o.Method)
+			oracle.Advance(stepOnly{src}, seeds, t0, h, o.Method)
+		}
+		if len(fused.Particles) != len(oracle.Particles) {
+			t.Fatalf("streak: %d particles, Step path %d", len(fused.Particles), len(oracle.Particles))
+		}
+		for i, p := range fused.Particles {
+			if q := oracle.Particles[i]; !p.Pos.BitsEqual(q.Pos) || p.Seed != q.Seed || p.Age != q.Age {
+				t.Fatalf("streak particle %d = %+v, Step path %+v", i, p, q)
+			}
+		}
+	})
 }

@@ -189,13 +189,12 @@ func TestMultiStreamlineSingleBlockMatchesStreamline(t *testing.T) {
 		t.Fatal(err)
 	}
 	single := Streamline(SteadySampler{F: f, G: g}, vmath.V3(1, 1, 4), 0, o)
-	singlePhys := ToPhysical(g, single)
-	if len(multi.Points) != len(singlePhys) {
-		t.Fatalf("lengths %d vs %d", len(multi.Points), len(singlePhys))
+	if len(multi.Points) != len(single) {
+		t.Fatalf("lengths %d vs %d", len(multi.Points), len(single))
 	}
-	for i := range singlePhys {
-		if !multi.Points[i].ApproxEqual(singlePhys[i], 1e-3) {
-			t.Fatalf("point %d: %v vs %v", i, multi.Points[i], singlePhys[i])
+	for i := range single {
+		if !multi.Points[i].ApproxEqual(single[i], 1e-3) {
+			t.Fatalf("point %d: %v vs %v", i, multi.Points[i], single[i])
 		}
 	}
 }

@@ -471,8 +471,9 @@ func (s *Server) planJobsLocked() time.Duration {
 }
 
 // computeRake recomputes one rake's geometry into its memo entry at
-// the planned fidelity, recycling the previous round's physical-line
-// buffers, and — once the server has seen a codec-v2 consumer — writes
+// the planned fidelity — the engine's physical lines as they come, a
+// streakline's particles converted into the previous round's line
+// buffers — and, once the server has seen a codec-v2 consumer, writes
 // the geometry's v2 segment while the points are still in cache. Runs
 // on pool workers; touches nothing beyond the job's own entries.
 //
@@ -509,7 +510,7 @@ func (rc *roundCtx) computeRake(j *rakeJob) {
 		lines, st = eng.ParticlePaths(paths, seeds, ts.Current, float32(ts.NumSteps-1), opts)
 	case integrate.ToolStreakline:
 		j.streak.Advance(batch, seeds, ts.Current, opts.StepSize, opts.Method) //vw:allow hotpath -- one box per dirty rake, not per point
-		lines = j.streak.PolylineBySeed(rake.NumSeeds)
+		lines = toPhysicalLinesInto(g, j.streak.PolylineBySeed(rake.NumSeeds), gc.geo.Lines)
 		st = compute.Stats{Points: int64(len(j.streak.Particles))}
 		st.SampleUnits = st.Points * (compute.UnitsPerPoint(opts.Method) - 3)
 		st.ConvertUnits = st.Points * 3
@@ -518,7 +519,7 @@ func (rc *roundCtx) computeRake(j *rakeJob) {
 	gc.geo = wire.Geometry{
 		Rake:  rake.ID,
 		Tool:  uint8(rake.Tool),
-		Lines: toPhysicalLinesInto(g, lines, gc.geo.Lines),
+		Lines: lines,
 	}
 	gc.points = int64(gc.geo.NumPoints())
 	gc.haveGeo = true
@@ -638,9 +639,9 @@ func (ss *storeSampler) sampleLevel(t int, gc vmath.Vec3) vmath.Vec3 {
 	return vmath.Vec3{}
 }
 
-// toPhysicalLinesInto converts grid-coordinate lines to physical
-// coordinates, recycling prev's buffers (typically the same rake's
-// previous round) where capacity allows.
+// toPhysicalLinesInto converts a streakline's grid-coordinate lines to
+// physical coordinates, recycling prev's buffers (typically the same
+// rake's previous round) where capacity allows.
 //
 //vw:hotpath
 func toPhysicalLinesInto(g *grid.Grid, lines, prev [][]vmath.Vec3) [][]vmath.Vec3 {

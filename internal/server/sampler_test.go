@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/compute"
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/integrate"
@@ -138,5 +139,22 @@ func TestFailedLoadEndsPathsAndIsCounted(t *testing.T) {
 	frame(t, c, wire.ClientUpdate{})
 	if got := s.Stats().PathLoadFailures; got != 4 {
 		t.Errorf("PathLoadFailures = %d after a memoized frame, want 4", got)
+	}
+
+	// The kernel traces integrate.Lanes paths in lock step and they share
+	// one bracket, not one count: five seeds are a full group plus one,
+	// every path inside the domain stops and counts, and the seed outside
+	// it counts nothing.
+	var ss storeSampler
+	ss.reset(st)
+	seeds := []vmath.Vec3{{X: 1, Y: 8, Z: 4}, {X: 1, Y: 9, Z: 4}, {X: -1, Y: 8, Z: 4}, {X: 1, Y: 5, Z: 4}, {X: 1, Y: 6, Z: 4}}
+	paths, _ := compute.Scalar{}.ParticlePaths(&ss, seeds, 0, 19, integrate.DefaultOptions())
+	for i, p := range paths {
+		if want := map[bool]int{true: 0, false: 9}[i == 2]; len(p) != want {
+			t.Errorf("seed %d: path has %d points, want %d", i, len(p), want)
+		}
+	}
+	if ss.failed != 4 {
+		t.Errorf("five seeds, one outside the domain: %d paths counted as stopped, want 4", ss.failed)
 	}
 }

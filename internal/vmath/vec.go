@@ -91,9 +91,10 @@ func (v Vec3) IsFinite() bool {
 	return isFinite(v.X) && isFinite(v.Y) && isFinite(v.Z)
 }
 
+// isFinite is f-f == 0: a finite f gives +0, and ±Inf or NaN give NaN,
+// which compares unequal to everything.
 func isFinite(f float32) bool {
-	f64 := float64(f)
-	return !math.IsNaN(f64) && !math.IsInf(f64, 0)
+	return f-f == 0
 }
 
 // BitsEqual reports whether v and w hold the same three IEEE 754 bit

@@ -115,6 +115,34 @@ func TestVec3IsFinite(t *testing.T) {
 	}
 }
 
+// TestIsFiniteMatchesIsNaNIsInf holds the subtraction test to the
+// definition it replaced on every float32 with exponent 0xFF (both
+// infinities, every NaN payload of both signs), on ±0, every subnormal,
+// ±MaxFloat32, and a strided sweep of all 2^32 bit patterns.
+func TestIsFiniteMatchesIsNaNIsInf(t *testing.T) {
+	want := func(f float32) bool {
+		f64 := float64(f)
+		return !math.IsNaN(f64) && !math.IsInf(f64, 0)
+	}
+	check := func(b uint32) {
+		if f := math.Float32frombits(b); isFinite(f) != want(f) {
+			t.Fatalf("isFinite(%#08x) = %v, want %v", b, isFinite(f), want(f))
+		}
+	}
+	const mantissa = 1<<23 - 1
+	for _, sign := range []uint32{0, 1 << 31} {
+		for m := uint32(0); m <= mantissa; m++ {
+			check(sign | 0xFF<<23 | m) // exponent 0xFF: Inf and NaNs
+			check(sign | m)            // exponent 0: ±0 and subnormals
+		}
+		check(sign | math.Float32bits(math.MaxFloat32))
+	}
+	const stride = 4093 // prime: every exponent and sign, many mantissas
+	for b := uint64(0); b < 1<<32; b += stride {
+		check(uint32(b))
+	}
+}
+
 func TestAABB(t *testing.T) {
 	b := NewAABB(V3(0, 0, 0), V3(2, 3, 4), V3(-1, 1, 1))
 	if b.Min != V3(-1, 0, 0) || b.Max != V3(2, 3, 4) {
