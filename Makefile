@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-stats chaos fuzz fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate ci bench bench-module loc load load-relay relay soak live tools
+.PHONY: all build test race vet lint lint-stats deps chaos fuzz fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate ci bench bench-module loc load load-relay relay soak live tools
 
 all: build test
 
@@ -93,10 +93,16 @@ fuzz-integrate:
 
 # The cluster-tier battery: relay golden replays (one and two hops,
 # both codecs), chaos (upstream loss, partition, cross-hop lock
-# release), the relay wire codec, the relay node's own suite, and the
-# relayed load harness.
+# release), the relay wire codec, the relay node's own suite, and
+# vwload's relayed fleet runs.
 relay:
-	$(GO) test -race -count=1 -run 'Relay' ./internal/server/ ./internal/wire/ ./internal/relay/
+	$(GO) test -race -count=1 -run 'Relay' ./internal/server/ ./internal/wire/ ./internal/relay/ ./cmd/vwload/
+
+# The server does not link the relay tier: relays and the load harness
+# sit on top of it, never inside it.
+deps:
+	@if $(GO) list -deps ./internal/server | grep -qx 'repro/internal/relay'; then \
+		echo 'internal/server depends on internal/relay'; exit 1; fi
 
 # The in-situ battery: the solver-vs-replay differential, the live
 # golden corpus entries, steering chaos on both ends of the wire, and
@@ -114,7 +120,7 @@ tools:
 	$(GO) test -race -count=1 -run xxx -fuzz FuzzToolCommand -fuzztime 5s ./internal/server/
 
 # The gate a change must pass before merging.
-ci: vet lint race relay live tools bench-module fuzz-wire fuzz-render fuzz-field fuzz-integrate load-relay
+ci: vet lint deps race relay live tools bench-module fuzz-wire fuzz-render fuzz-field fuzz-integrate load-relay
 
 bench:
 	$(GO) test -bench . -benchmem ./...

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -635,6 +636,111 @@ func TestConcurrentFramesAndStats(t *testing.T) {
 	readers.Wait()
 	if st := s.Stats(); st.Frames == 0 || st.RakesComputed == 0 {
 		t.Errorf("stats did not accumulate: %+v", st)
+	}
+}
+
+// TestConcurrentSessionsRakeLocksAndEviction is the -race regression
+// for the fan-out + cache combination: >= 8 concurrent sessions
+// grabbing, moving, and releasing FCFS rake locks every frame while
+// looping playback churns a capacity-2 cache underneath.
+func TestConcurrentSessionsRakeLocksAndEviction(t *testing.T) {
+	s, err := New(Config{
+		Store:       testDiskStore(t, 4, store.DiskOptions{}),
+		CacheSteps:  2,
+		RakeWorkers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Dlib().Close()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Dlib().Serve(ln)
+	addr := ln.Addr().String()
+
+	// One session builds the scene: a rake per pair of contenders plus
+	// looping playback so cache eviction runs under the contention.
+	c0, err := dlib.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c0.Close()
+	setup := wire.ClientUpdate{Commands: []wire.Command{
+		addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 6, 4), 2, integrate.ToolStreamline),
+		addRakeCmd(vmath.V3(1, 7, 4), vmath.V3(1, 9, 4), 2, integrate.ToolStreamline),
+		addRakeCmd(vmath.V3(1, 10, 4), vmath.V3(1, 12, 4), 2, integrate.ToolStreamline),
+		addRakeCmd(vmath.V3(1, 12, 4), vmath.V3(1, 14, 4), 2, integrate.ToolStreamline),
+		{Kind: wire.CmdSetLoop, Flag: 1},
+		{Kind: wire.CmdSetSpeed, Value: 1},
+		{Kind: wire.CmdSetPlaying, Flag: 1},
+	}}
+	r := frame(t, c0, setup)
+	if len(r.Rakes) != 4 {
+		t.Fatalf("setup rakes = %d", len(r.Rakes))
+	}
+	rakeIDs := make([]int32, len(r.Rakes))
+	for i, rk := range r.Rakes {
+		rakeIDs[i] = rk.ID
+	}
+
+	const sessions = 8
+	const frames = 12
+	var wg sync.WaitGroup
+	for g := 0; g < sessions; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c, err := dlib.Dial(addr)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			rake := rakeIDs[g%len(rakeIDs)]
+			for f := 0; f < frames; f++ {
+				var cmds []wire.Command
+				switch f % 3 {
+				case 0:
+					cmds = []wire.Command{{Kind: wire.CmdGrab, Rake: rake,
+						Grab: uint8(integrate.GrabCenter)}}
+				case 1:
+					cmds = []wire.Command{{Kind: wire.CmdMove, Rake: rake,
+						Pos: vmath.V3(2+float32(g)*0.1, 8+float32(f)*0.1, 4)}}
+				default:
+					cmds = []wire.Command{{Kind: wire.CmdRelease, Rake: rake}}
+				}
+				u := wire.ClientUpdate{
+					Hand:     vmath.V3(float32(g), float32(f), 0),
+					Commands: cmds,
+				}
+				out, err := c.Call(wire.ProcFrame, wire.EncodeClientUpdate(u))
+				if err != nil {
+					t.Errorf("session %d frame %d: %v", g, f, err)
+					return
+				}
+				if _, err := wire.DecodeFrameReply(out); err != nil {
+					t.Errorf("session %d frame %d decode: %v", g, f, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	// The environment survived the contention: every rake is still
+	// present and grabbable, and the cache stayed within budget.
+	r = frame(t, c0, wire.ClientUpdate{})
+	if len(r.Rakes) != 4 {
+		t.Errorf("rakes after churn = %d, want 4", len(r.Rakes))
+	}
+	if cs, ok := s.CacheStats(); !ok || cs.ResidentSteps > 2 {
+		t.Errorf("cache state after churn: %+v ok=%v", cs, ok)
+	}
+	if st := s.Stats(); st.FramesShipped < sessions*frames {
+		t.Errorf("shipped %d < %d calls", st.FramesShipped, sessions*frames)
 	}
 }
 

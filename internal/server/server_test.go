@@ -38,6 +38,22 @@ func testDataset(t testing.TB, numSteps int) *store.Memory {
 	return store.NewMemory(u)
 }
 
+// testDiskStore writes the standard test dataset to a temp directory
+// and opens it as an I/O-backed store.
+func testDiskStore(t testing.TB, numSteps int, opts store.DiskOptions) *store.Disk {
+	t.Helper()
+	dir := t.TempDir()
+	mem := testDataset(t, numSteps)
+	if err := store.WriteDataset(dir, mem.Unsteady()); err != nil {
+		t.Fatal(err)
+	}
+	d, err := store.OpenDisk(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // startTestServer wires a Server to loopback TCP and returns a
 // connected dlib client.
 func startTestServer(t *testing.T, cfg Config) (*Server, *dlib.Client, string) {

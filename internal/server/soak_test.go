@@ -69,10 +69,11 @@ func soakRounds(t *testing.T, s *Server, fleet []*directSession, n int) []time.D
 	return computeTimes
 }
 
+// durQuantile returns the nearest-rank q-quantile of samples.
 func durQuantile(samples []time.Duration, q float64) time.Duration {
 	sorted := append([]time.Duration(nil), samples...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	return quantile(sorted, q)
+	return sorted[int(q*float64(len(sorted)-1)+0.5)]
 }
 
 func TestSoakGovernedBudget(t *testing.T) {
