@@ -99,10 +99,13 @@ relay:
 	$(GO) test -race -count=1 -run 'Relay' ./internal/server/ ./internal/wire/ ./internal/relay/ ./cmd/vwload/
 
 # The server does not link the relay tier: relays and the load harness
-# sit on top of it, never inside it.
+# sit on top of it, never inside it. The renderer's tests do not link
+# the server: the paper's figures are regenerated by cmd/vwbench.
 deps:
 	@if $(GO) list -deps ./internal/server | grep -qx 'repro/internal/relay'; then \
 		echo 'internal/server depends on internal/relay'; exit 1; fi
+	@if $(GO) list -test -deps ./internal/render | grep -qx 'repro/internal/server'; then \
+		echo 'internal/render tests depend on internal/server'; exit 1; fi
 
 # The in-situ battery: the solver-vs-replay differential, the live
 # golden corpus entries, steering chaos on both ends of the wire, and

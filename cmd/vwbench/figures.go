@@ -1,51 +1,74 @@
-package bench
+package main
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 
 	"repro/internal/compute"
+	"repro/internal/datasets"
 	"repro/internal/field"
-	"repro/internal/flow"
-	"repro/internal/grid"
 	"repro/internal/integrate"
 	"repro/internal/isosurf"
 	"repro/internal/render"
 	"repro/internal/vmath"
 )
 
-// DatasetSpec sizes the synthetic tapered-cylinder dataset used by the
-// figures.
-type DatasetSpec struct {
-	NI, NJ, NK int
-	NumSteps   int
-	DT         float32
+// figureSpec is laptop-sized: big enough for recognizable shedding
+// structure, small enough to build in seconds.
+var figureSpec = datasets.Spec{NI: 32, NJ: 48, NK: 12, NumSteps: 24, DT: 0.6}
+
+// figureFiles names figures 1-4 as checked in under figures/.
+var figureFiles = [4]string{
+	"fig1_streaklines.ppm",
+	"fig2_streamlines_t0.ppm",
+	"fig3_streamlines_t1.ppm",
+	"fig4_isosurface_bonus.ppm",
 }
 
-// DefaultDatasetSpec is laptop-sized: big enough for recognizable
-// shedding structure, small enough to build in seconds.
-func DefaultDatasetSpec() DatasetSpec {
-	return DatasetSpec{NI: 32, NJ: 48, NK: 12, NumSteps: 24, DT: 0.6}
+// writeFigures renders figures 1-4 of the figureSpec dataset into dir
+// and captions each on out.
+func writeFigures(out io.Writer, dir string) error {
+	u, err := datasets.Analytic(figureSpec)
+	if err != nil {
+		return err
+	}
+	path := func(n int) string { return filepath.Join(dir, figureFiles[n-1]) }
+	f1, err := figure1(u, path(1))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "\nfigure 1 (streaklines as smoke): %s\n  %d filaments, %d particles, %d lit pixels\n",
+		figureFiles[0], f1.lines, f1.points, f1.lit)
+	f2, err := figure2(u, path(2))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "\nfigure 2 (streamlines, early time): %s\n  %d streamlines, %d points, %d lit pixels\n",
+		figureFiles[1], f2.lines, f2.points, f2.lit)
+	f3, div, err := figure3(u, path(3))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "\nfigure 3 (same seeds, later time): %s\n  %d streamlines, %d points, %d lit pixels\n",
+		figureFiles[2], f3.lines, f3.points, f3.lit)
+	fmt.Fprintf(out, "  mean path divergence vs figure 2: %.3f units (unsteadiness)\n", div)
+	f4, err := figure4(u, path(4))
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(out, "\nbonus figure (offline isosurface tool): %s\n  %d triangles, %d lit pixels\n",
+		figureFiles[3], f4.lines, f4.lit)
+	return err
 }
 
-// BuildDataset synthesizes the tapered-cylinder dataset in grid
-// coordinates: the O-grid of Jespersen-Levit geometry with the
-// analytic shedding flow sampled onto it.
-func BuildDataset(spec DatasetSpec) (*field.Unsteady, error) {
-	g, err := grid.NewTaperedCylinder(grid.TaperedCylinderSpec{
-		NI: spec.NI, NJ: spec.NJ, NK: spec.NK,
-		R0: 1, R1: 0.5, Router: 12, Span: 16, Stretch: 2,
-	})
-	if err != nil {
-		return nil, err
-	}
-	phys, err := flow.SampleUnsteady(flow.DefaultTaperedCylinder(), g, spec.NumSteps, 0, spec.DT)
-	if err != nil {
-		return nil, err
-	}
-	return phys.ToGridCoords()
+// figureResult reports what a figure drew.
+type figureResult struct {
+	lit    int
+	lines  int
+	points int
 }
 
 // figureCamera looks at the cylinder wake from above and upstream.
@@ -55,14 +78,6 @@ func figureCamera() vmath.Mat4 {
 	view := vmath.LookAt(vmath.V3(-6, 14, 24), vmath.V3(4, 0, 8), vmath.V3(0, 1, 0))
 	head, _ := view.Inverted()
 	return head
-}
-
-// FigureResult reports what a figure run produced.
-type FigureResult struct {
-	Path      string
-	LitPixels int
-	Lines     int
-	Points    int
 }
 
 // wakeRake returns a rake crossing the near-wake region, seeds along
@@ -75,10 +90,10 @@ func wakeRake(numSeeds int) *integrate.Rake {
 
 // renderLines draws polylines (physical coordinates) into a stereo
 // anaglyph PPM at outPath.
-func renderLines(lines [][]vmath.Vec3, smoke bool, outPath string) (FigureResult, error) {
+func renderLines(lines [][]vmath.Vec3, smoke bool, outPath string) (figureResult, error) {
 	fb, err := render.NewFramebuffer(640, 512)
 	if err != nil {
-		return FigureResult{}, err
+		return figureResult{}, err
 	}
 	rig := render.StereoRig{IPD: 0.5, Proj: vmath.Perspective(1.0, 640.0/512.0, 0.1, 200)}
 	scene := render.LineScene(lines)
@@ -86,46 +101,39 @@ func renderLines(lines [][]vmath.Vec3, smoke bool, outPath string) (FigureResult
 		scene = render.SmokeScene(lines, 70)
 	}
 	if err := rig.RenderAnaglyph(fb, figureCamera(), scene); err != nil {
-		return FigureResult{}, err
+		return figureResult{}, err
 	}
 	if err := os.MkdirAll(filepath.Dir(outPath), 0o755); err != nil {
-		return FigureResult{}, err
+		return figureResult{}, err
 	}
 	f, err := os.Create(outPath)
 	if err != nil {
-		return FigureResult{}, err
+		return figureResult{}, err
 	}
 	if err := fb.WritePPM(f); err != nil {
 		f.Close()
-		return FigureResult{}, err
+		return figureResult{}, err
 	}
 	if err := f.Close(); err != nil {
-		return FigureResult{}, err
+		return figureResult{}, err
 	}
 	var points int
 	for _, l := range lines {
 		points += len(l)
 	}
-	return FigureResult{
-		Path:      outPath,
-		LitPixels: fb.CountLit(5),
-		Lines:     len(lines),
-		Points:    points,
-	}, nil
+	return figureResult{lit: fb.CountLit(5), lines: len(lines), points: points}, nil
 }
 
-// Figure1 regenerates figure 1: streaklines of the flow around the
+// figure1 regenerates figure 1: streaklines of the flow around the
 // tapered cylinder rendered as smoke. Smoke is advected over many
 // frames of playback before the snapshot.
-func Figure1(u *field.Unsteady, outPath string) (FigureResult, error) {
-	rake := wakeRake(10)
-	seeds := rake.SeedsGrid(u.Grid)
+func figure1(u *field.Unsteady, outPath string) (figureResult, error) {
+	seeds := wakeRake(10).SeedsGrid(u.Grid)
 	if len(seeds) == 0 {
-		return FigureResult{}, fmt.Errorf("bench: figure 1 rake has no in-grid seeds")
+		return figureResult{}, fmt.Errorf("figure 1 rake has no in-grid seeds")
 	}
 	streak := integrate.NewStreak(40000)
-	frames := 3 * u.NumSteps()
-	for f := 0; f < frames; f++ {
+	for f := 0; f < 3*u.NumSteps(); f++ {
 		step := f % u.NumSteps()
 		sampler := compute.SteadyBatch{F: u.Steps[step], G: u.Grid}
 		streak.Advance(sampler, seeds, float32(step), 0.5, integrate.RK2)
@@ -141,8 +149,7 @@ func Figure1(u *field.Unsteady, outPath string) (FigureResult, error) {
 // streamlineLines computes the figure 2/3 streamline set at a given
 // timestep.
 func streamlineLines(u *field.Unsteady, step int) [][]vmath.Vec3 {
-	rake := wakeRake(12)
-	seeds := rake.SeedsGrid(u.Grid)
+	seeds := wakeRake(12).SeedsGrid(u.Grid)
 	o := integrate.Options{Method: integrate.RK2, StepSize: 0.4, MaxSteps: 300, MinSpeed: 1e-7}
 	paths, _ := compute.Parallel{}.Streamlines(
 		compute.SteadyBatch{F: u.Step(step), G: u.Grid}, seeds, float32(step), o)
@@ -155,22 +162,21 @@ func streamlineLines(u *field.Unsteady, step int) [][]vmath.Vec3 {
 	return out
 }
 
-// Figure2 regenerates figure 2: streamlines at an early timestep.
-func Figure2(u *field.Unsteady, outPath string) (FigureResult, error) {
+// figure2 regenerates figure 2: streamlines at an early timestep.
+func figure2(u *field.Unsteady, outPath string) (figureResult, error) {
 	return renderLines(streamlineLines(u, 0), false, outPath)
 }
 
-// Figure3 regenerates figure 3: streamlines "from the same seedpoints
+// figure3 regenerates figure 3: streamlines "from the same seedpoints
 // as in figure 2, but at a later time". It also returns the mean
 // pointwise divergence between the two path sets — the unsteadiness
 // the figure pair demonstrates.
-func Figure3(u *field.Unsteady, outPath string) (FigureResult, float64, error) {
+func figure3(u *field.Unsteady, outPath string) (figureResult, float64, error) {
 	early := streamlineLines(u, 0)
-	lateStep := u.NumSteps() / 2
-	late := streamlineLines(u, lateStep)
+	late := streamlineLines(u, u.NumSteps()/2)
 	res, err := renderLines(late, false, outPath)
 	if err != nil {
-		return FigureResult{}, 0, err
+		return figureResult{}, 0, err
 	}
 	return res, meanPathDivergence(early, late), nil
 }
@@ -180,16 +186,8 @@ func Figure3(u *field.Unsteady, outPath string) (FigureResult, float64, error) {
 func meanPathDivergence(a, b [][]vmath.Vec3) float64 {
 	var sum float64
 	var n int
-	lines := len(a)
-	if len(b) < lines {
-		lines = len(b)
-	}
-	for i := 0; i < lines; i++ {
-		pts := len(a[i])
-		if len(b[i]) < pts {
-			pts = len(b[i])
-		}
-		for p := 0; p < pts; p++ {
+	for i := 0; i < min(len(a), len(b)); i++ {
+		for p := 0; p < min(len(a[i]), len(b[i])); p++ {
 			sum += float64(a[i][p].Dist(b[i][p]))
 			n++
 		}
@@ -200,22 +198,16 @@ func meanPathDivergence(a, b [][]vmath.Vec3) float64 {
 	return sum / float64(n)
 }
 
-// FigureIsosurface is not a paper figure — it renders the offline
-// isosurface tool's output (wireframe |u| surface over the tapered
-// cylinder) as a bonus image, since the paper could only describe why
-// such surfaces were excluded from the interactive toolset.
-func FigureIsosurface(u *field.Unsteady, outPath string) (FigureResult, error) {
+// figure4 is not a paper figure — it renders the offline isosurface
+// tool's output (wireframe |u| surface over the tapered cylinder) as a
+// bonus image, since the paper could only describe why such surfaces
+// were excluded from the interactive toolset.
+func figure4(u *field.Unsteady, outPath string) (figureResult, error) {
 	speed := isosurf.SpeedField(u.Steps[0])
-	// Pick an iso value bracketing the wake: 40% of max speed.
-	var maxSpeed float32
-	for _, s := range speed {
-		if s > maxSpeed {
-			maxSpeed = s
-		}
-	}
-	tris, err := isosurf.Extract(u.Grid, speed, 0.4*maxSpeed)
+	// An iso value bracketing the wake: 40% of max speed.
+	tris, err := isosurf.Extract(u.Grid, speed, 0.4*maxOf(speed))
 	if err != nil {
-		return FigureResult{}, err
+		return figureResult{}, err
 	}
 	lines := make([][]vmath.Vec3, 0, len(tris))
 	for _, t := range tris {

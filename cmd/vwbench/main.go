@@ -1,175 +1,75 @@
-// Command vwbench regenerates every table and figure in the paper's
-// evaluation, plus the architecture measurements and ablations
-// DESIGN.md calls out.
+// Command vwbench regenerates the paper's evaluation: the arithmetic of
+// Tables 1-3, the §5.3 benchmark priced by the calibrated 1992 cost
+// models, §1.2's isosurface exclusion, and figures 1-3 plus a bonus
+// isosurface figure. Every number it prints and every byte it writes is
+// a function of the code alone, so its test pins the whole output;
+// what this host measures is the benchmark's job (benchmark/run.sh).
 //
 // Usage:
 //
-//	vwbench                  # everything
-//	vwbench -table 1         # just Table 1 (arithmetic + measured)
-//	vwbench -table 3
-//	vwbench -figure 2        # writes figures/fig2_streamlines_t0.ppm
-//	vwbench -bench engines   # the Sec 5.3 engine benchmark
-//	vwbench -bench pipeline  # figure 8
-//	vwbench -bench client    # figure 9
-//	vwbench -bench dlibio    # figures 6/7
-//	vwbench -bench ablations
+//	vwbench                  # tables to stdout, figures into ./figures
+//	vwbench -figdir DIR      # figures into DIR
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"path/filepath"
-	"time"
-
-	"repro/internal/bench"
-	"repro/internal/field"
+	"strings"
+	"text/tabwriter"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("vwbench: ")
-
-	var (
-		table   = flag.Int("table", 0, "regenerate one table (1-3), 0 = per other flags")
-		figure  = flag.Int("figure", 0, "regenerate one figure (1-3)")
-		name    = flag.String("bench", "", "run one bench: engines | pipeline | client | dlibio | multiblock | ablations")
-		figDir  = flag.String("figdir", "figures", "output directory for figure PPMs")
-		measure = flag.Bool("measure", true, "include measured (not just arithmetic) variants")
-		all     = flag.Bool("all", false, "run everything")
-	)
+	figDir := flag.String("figdir", "figures", "output directory for figure PPMs")
 	flag.Parse()
-	if *table == 0 && *figure == 0 && *name == "" {
-		*all = true
-	}
-
-	r := runner{figDir: *figDir, measure: *measure}
-	switch {
-	case *all:
-		r.tables(1, 2, 3)
-		r.figures(1, 2, 3, 4)
-		r.bench("engines")
-		r.bench("pipeline")
-		r.bench("client")
-		r.bench("dlibio")
-		r.bench("multiblock")
-		r.bench("ablations")
-	default:
-		if *table != 0 {
-			r.tables(*table)
-		}
-		if *figure != 0 {
-			r.figures(*figure)
-		}
-		if *name != "" {
-			r.bench(*name)
-		}
+	if err := run(os.Stdout, *figDir); err != nil {
+		log.Fatal(err)
 	}
 }
 
-type runner struct {
-	figDir  string
-	measure bool
-	dataset *field.Unsteady
-}
-
-func (r *runner) data() *field.Unsteady {
-	if r.dataset == nil {
-		log.Printf("building synthetic tapered-cylinder dataset")
-		u, err := bench.BuildDataset(bench.DefaultDatasetSpec())
-		if err != nil {
-			log.Fatal(err)
-		}
-		r.dataset = u
-	}
-	return r.dataset
-}
-
-func (r *runner) print(t *bench.Table, err error) {
+// run prints the tables to out and writes the figures into figDir,
+// captioning each on out.
+func run(out io.Writer, figDir string) error {
+	engines, err := engineTable()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := t.Fprint(os.Stdout); err != nil {
-		log.Fatal(err)
+	iso, err := isoTable()
+	if err != nil {
+		return err
 	}
-}
-
-func (r *runner) tables(nums ...int) {
-	for _, n := range nums {
-		switch n {
-		case 1:
-			r.print(bench.Table1(), nil)
-			if r.measure {
-				r.print(bench.Table1Measured(5))
-			}
-		case 2:
-			r.print(bench.Table2(), nil)
-		case 3:
-			r.print(bench.Table3(), nil)
-		default:
-			log.Fatalf("no table %d (paper has tables 1-3)", n)
+	for _, t := range []*table{table1(), table2(), table3(), engines, iso} {
+		if err := t.fprint(out); err != nil {
+			return err
 		}
 	}
+	return writeFigures(out, figDir)
 }
 
-func (r *runner) figures(nums ...int) {
-	u := r.data()
-	for _, n := range nums {
-		switch n {
-		case 1:
-			res, err := bench.Figure1(u, filepath.Join(r.figDir, "fig1_streaklines.ppm"))
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("\nfigure 1 (streaklines as smoke): %s\n  %d filaments, %d particles, %d lit pixels\n",
-				res.Path, res.Lines, res.Points, res.LitPixels)
-		case 2:
-			res, err := bench.Figure2(u, filepath.Join(r.figDir, "fig2_streamlines_t0.ppm"))
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("\nfigure 2 (streamlines, early time): %s\n  %d streamlines, %d points, %d lit pixels\n",
-				res.Path, res.Lines, res.Points, res.LitPixels)
-		case 3:
-			res, div, err := bench.Figure3(u, filepath.Join(r.figDir, "fig3_streamlines_t1.ppm"))
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("\nfigure 3 (same seeds, later time): %s\n  %d streamlines, %d points, %d lit pixels\n",
-				res.Path, res.Lines, res.Points, res.LitPixels)
-			fmt.Printf("  mean path divergence vs figure 2: %.3f units (unsteadiness)\n", div)
-		case 4:
-			res, err := bench.FigureIsosurface(u, filepath.Join(r.figDir, "fig4_isosurface_bonus.ppm"))
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("\nbonus figure (offline isosurface tool): %s\n  %d triangles, %d lit pixels\n",
-				res.Path, res.Lines, res.LitPixels)
-		default:
-			log.Fatalf("no figure %d (1-3 from the paper, 4 = bonus isosurface)", n)
-		}
-	}
+// table is a printable experiment result.
+type table struct {
+	title  string
+	note   string
+	header []string
+	rows   [][]string
 }
 
-func (r *runner) bench(name string) {
-	switch name {
-	case "engines":
-		r.print(bench.EngineBench())
-	case "pipeline":
-		r.print(bench.Fig8Pipeline(r.data(), 30<<20, 20))
-	case "client":
-		r.print(bench.Fig9Client(r.data(), 20*time.Millisecond, 10))
-	case "dlibio":
-		r.print(bench.Fig67DlibIO(r.data()))
-	case "multiblock":
-		r.print(bench.MultiblockBench())
-	case "ablations":
-		r.print(bench.AblationIntegrators())
-		r.print(bench.AblationGridCoords(r.data(), 1000))
-		r.print(bench.AblationEncoding(10000), nil)
-		r.print(bench.AblationIsosurface())
-	default:
-		log.Fatalf("unknown bench %q", name)
+func (t *table) addRow(cells ...string) {
+	t.rows = append(t.rows, cells)
+}
+
+func (t *table) fprint(w io.Writer) error {
+	if _, err := fmt.Fprintf(w, "\n== %s ==\n%s\n", t.title, t.note); err != nil {
+		return err
 	}
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, strings.Join(t.header, "\t"))
+	for _, row := range t.rows {
+		fmt.Fprintln(tw, strings.Join(row, "\t"))
+	}
+	return tw.Flush()
 }

@@ -15,18 +15,17 @@ import (
 	"net"
 
 	"repro/internal/core"
+	"repro/internal/datasets"
 	"repro/internal/integrate"
 	"repro/internal/store"
 	"repro/internal/vmath"
 	"repro/internal/wire"
-
-	"repro/internal/bench"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	dataset, err := bench.BuildDataset(bench.DatasetSpec{
+	dataset, err := datasets.Analytic(datasets.Spec{
 		NI: 24, NJ: 32, NK: 10, NumSteps: 8, DT: 0.6,
 	})
 	if err != nil {

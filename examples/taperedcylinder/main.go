@@ -12,8 +12,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/datasets"
 	"repro/internal/integrate"
 	"repro/internal/vmath"
 )
@@ -21,7 +21,7 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	dataset, err := bench.BuildDataset(bench.DatasetSpec{
+	dataset, err := datasets.Analytic(datasets.Spec{
 		NI: 32, NJ: 48, NK: 12, NumSteps: 16, DT: 0.6,
 	})
 	if err != nil {

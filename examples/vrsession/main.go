@@ -11,8 +11,8 @@ import (
 	"log"
 	"net"
 
-	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/datasets"
 	"repro/internal/integrate"
 	"repro/internal/netsim"
 	"repro/internal/store"
@@ -23,7 +23,7 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	dataset, err := bench.BuildDataset(bench.DatasetSpec{
+	dataset, err := datasets.Analytic(datasets.Spec{
 		NI: 24, NJ: 32, NK: 10, NumSteps: 10, DT: 0.6,
 	})
 	if err != nil {

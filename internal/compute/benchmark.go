@@ -84,7 +84,6 @@ func BenchmarkWorkload() (*Workload, error) {
 type Result struct {
 	Engine   string
 	Workers  int
-	Wall     time.Duration // measured on this host
 	Stats    Stats
 	Modeled  time.Duration // on the given CostModel, 0 if none applied
 	Model    string
@@ -92,12 +91,10 @@ type Result struct {
 	Complete bool // every streamline reached full length
 }
 
-// RunBenchmark executes the workload on the engine, timing it, and
-// maps the work onto model (model.Workers of 0 skips modeling).
+// RunBenchmark executes the workload on the engine and maps the work
+// onto model (model.Workers of 0 skips modeling).
 func RunBenchmark(e Engine, w *Workload, model CostModel) Result {
-	start := time.Now() //vw:allow wallclock -- Table 3's Go column is this host's wall time by design
 	paths, stats := e.Streamlines(w.Sampler, w.Seeds, w.Time, w.Options)
-	wall := time.Since(start) //vw:allow wallclock -- Table 3's Go column is this host's wall time by design
 	complete := true
 	for _, p := range paths {
 		if len(p) != w.Options.MaxSteps+1 {
@@ -108,7 +105,6 @@ func RunBenchmark(e Engine, w *Workload, model CostModel) Result {
 	r := Result{
 		Engine:   e.Name(),
 		Workers:  e.Workers(),
-		Wall:     wall,
 		Stats:    stats,
 		Points:   stats.Points + int64(len(paths)), // include seeds
 		Complete: complete,
@@ -122,8 +118,8 @@ func RunBenchmark(e Engine, w *Workload, model CostModel) Result {
 
 // String formats a result row.
 func (r Result) String() string {
-	s := fmt.Sprintf("%-16s workers=%d wall=%-12v points=%d units=%d",
-		r.Engine, r.Workers, r.Wall, r.Points, r.Stats.Units())
+	s := fmt.Sprintf("%-16s workers=%d points=%d units=%d",
+		r.Engine, r.Workers, r.Points, r.Stats.Units())
 	if r.Model != "" {
 		s += fmt.Sprintf(" modeled(%s)=%v", r.Model, r.Modeled)
 	}

@@ -10,8 +10,8 @@
 // field data ... per component per point", plus one conversion access
 // per component to return to physical coordinates). A CostModel maps
 // those counts onto 1992 processors, reproducing the paper's absolute
-// benchmark times; Go wall-clock numbers for the same engines are the
-// modern ablation.
+// benchmark times; what the same engines cost on a modern host is
+// BenchmarkEngineRake's and the benchmark's to measure.
 //
 //vw:deterministic
 package compute

@@ -94,6 +94,55 @@ func TestRK2MoreAccurateThanEulerOnRotation(t *testing.T) {
 	}
 }
 
+// TestSchemeDriftOnRankineVortex backs the paper's choice of RK2: one
+// revolution around a Rankine vortex sampled on a grid, where the exact
+// path is a closed circle, leaves Euler far off the circle and RK4 no
+// closer than RK2 at an interactive step size.
+func TestSchemeDriftOnRankineVortex(t *testing.T) {
+	// Identity Cartesian grid so grid coords == physical coords.
+	n := 65
+	g, err := grid.NewCartesian(n, n, 5, vmath.AABB{
+		Min: vmath.V3(0, 0, 0), Max: vmath.V3(float32(n-1), float32(n-1), 4),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	center := vmath.V3(32, 32, 0)
+	f := field.NewField(n, n, 5, field.GridCoords)
+	rank := flow.Rankine{Gamma: 2 * math.Pi * 4, Core: 2}
+	for k := 0; k < 5; k++ {
+		for j := 0; j < n; j++ {
+			for i := 0; i < n; i++ {
+				p := vmath.V3(float32(i), float32(j), 0).Sub(center)
+				f.SetAt(i, j, k, rank.VelocityAt(p, 0))
+			}
+		}
+	}
+	sampler := SteadySampler{F: f, G: g}
+
+	const radius = 12.0
+	seed := center.Add(vmath.V3(radius, 0, 2))
+	// Angular speed at r=12: v = Gamma/(2 pi r) = 4/12; period = 2 pi r / v.
+	period := 2 * math.Pi * radius / (4.0 / radius)
+	h := float32(0.5)
+	steps := int(period / float64(h))
+
+	drift := func(m Method) float64 {
+		gc := seed
+		for s := 0; s < steps; s++ {
+			gc = Step(m, sampler, gc, 0, h)
+		}
+		return math.Abs(float64(gc.Sub(center).Len()) - radius)
+	}
+	euler, rk2, rk4 := drift(Euler), drift(RK2), drift(RK4)
+	if rk2 >= euler {
+		t.Errorf("RK2 drift %v not better than Euler %v", rk2, euler)
+	}
+	if rk4 > rk2 {
+		t.Errorf("RK4 drift %v worse than RK2 %v", rk4, rk2)
+	}
+}
+
 func TestStreamlineConstFieldStraightLine(t *testing.T) {
 	g := identityGrid(t, 16)
 	s := constSampler{g, vmath.V3(1, 0, 0)}

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/render"
 	"repro/internal/vmath"
 )
@@ -324,7 +323,7 @@ func checkGolden(t *testing.T, name, got string) {
 		}
 		sort.Strings(names)
 		var buf bytes.Buffer
-		buf.WriteString("# FNV-64a of Pix then Z (figures: of the PPM file); see golden_test.go\n")
+		buf.WriteString("# FNV-64a of Pix then Z; see golden_test.go\n")
 		for _, n := range names {
 			fmt.Fprintf(&buf, "%s %s\n", n, pinned[n])
 		}
@@ -360,46 +359,6 @@ func TestGoldenFramebuffers(t *testing.T) {
 			}
 			checkGolden(t, sc.name, hashFramebuffer(fb))
 		})
-	}
-}
-
-// TestGoldenFigures regenerates the paper's figures 1-3 the way
-// `vwbench -figure N` does and requires the files to be the checked-in
-// figures/*.ppm byte for byte, with their hashes pinned beside the
-// scene hashes (so a damaged checked-in file cannot pass by being
-// regenerated from a wrong renderer).
-func TestGoldenFigures(t *testing.T) {
-	u, err := bench.BuildDataset(bench.DefaultDatasetSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	figs := []struct {
-		file string
-		gen  func(path string) error
-	}{
-		{"fig1_streaklines.ppm", func(p string) error { _, err := bench.Figure1(u, p); return err }},
-		{"fig2_streamlines_t0.ppm", func(p string) error { _, err := bench.Figure2(u, p); return err }},
-		{"fig3_streamlines_t1.ppm", func(p string) error { _, _, err := bench.Figure3(u, p); return err }},
-	}
-	for _, f := range figs {
-		if err := f.gen(filepath.Join(dir, f.file)); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(dir, f.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := fnv.New64a()
-		h.Write(got)
-		checkGolden(t, f.file, fmt.Sprintf("%016x", h.Sum64()))
-		checkedIn, err := os.ReadFile(filepath.Join("..", "..", "figures", f.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, checkedIn) {
-			t.Errorf("regenerated %s differs from figures/%s (%d vs %d bytes)", f.file, f.file, len(got), len(checkedIn))
-		}
 	}
 }
 
