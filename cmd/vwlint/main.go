@@ -1,6 +1,6 @@
 // Command vwlint runs the project's invariant analyzers (wallclock,
-// lockdiscipline, hotpath, maporder, pinownership, codecparity,
-// hostilecount — see internal/analysis) over the repo.
+// lockdiscipline, hotpath, maporder, codecparity, hostilecount — see
+// internal/analysis) over the repo.
 // It has two faces:
 //
 // Standalone, the way `make lint` uses it:

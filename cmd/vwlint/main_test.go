@@ -118,7 +118,7 @@ func TestRunStats(t *testing.T) {
 	// Every analyzer is listed even at zero so trends diff cleanly.
 	for _, name := range []string{
 		"wallclock", "lockdiscipline", "hotpath",
-		"maporder", "pinownership", "codecparity", "hostilecount", "total",
+		"maporder", "codecparity", "hostilecount", "total",
 	} {
 		if !strings.Contains(got, name) {
 			t.Errorf("stats output missing %q:\n%s", name, got)
@@ -153,7 +153,7 @@ func TestRunVersionHandshake(t *testing.T) {
 	}
 }
 
-// vetProbeSrc trips all four second-generation analyzers once each and
+// vetProbeSrc trips the three second-generation analyzers once each and
 // suppresses a second maporder site, so one module proves both that
 // findings flow through a driver and that //vw:allow survives the trip.
 const vetProbeSrc = `// Package probe exercises the v2 analyzers end to end.
@@ -180,16 +180,6 @@ func NamesAllowed(m map[string]int) []string {
 	return out
 }
 
-type Ring struct{}
-
-func (r *Ring) Pin(step uint64)          {}
-func (r *Ring) Unpin(step uint64)        {}
-func (r *Ring) LoadStep(step uint64) int { return 0 }
-
-func Leak(r *Ring) {
-	r.Pin(7)
-}
-
 type Blip struct{ A uint32 }
 
 func EncodeBlip(dst []byte, b Blip) []byte {
@@ -204,8 +194,8 @@ func Grow(buf []byte) []byte {
 
 // TestDriversRoundTrip builds the real binary and runs the same module
 // through both faces — `go vet -vettool` and standalone — asserting
-// each of the four new analyzers reports and the //vw:allow suppresses
-// in both.
+// each of the three analyzers reports and the //vw:allow suppresses in
+// both.
 func TestDriversRoundTrip(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -222,7 +212,7 @@ func TestDriversRoundTrip(t *testing.T) {
 
 	check := func(t *testing.T, stderr string) {
 		t.Helper()
-		for _, tag := range []string{"[maporder]", "[pinownership]", "[codecparity]", "[hostilecount]"} {
+		for _, tag := range []string{"[maporder]", "[codecparity]", "[hostilecount]"} {
 			if n := strings.Count(stderr, tag); n != 1 {
 				t.Errorf("%s findings = %d, want exactly 1 (the //vw:allow site must be suppressed):\n%s", tag, n, stderr)
 			}

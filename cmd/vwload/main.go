@@ -25,6 +25,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/env"
 	"repro/internal/field"
@@ -161,15 +162,7 @@ func (c config) run(out io.Writer) error {
 	}
 	defer srv.Dlib().Close()
 	if lv != nil {
-		e := srv.Env()
-		lv.SetSteerSource(func() (datasets.Steering, uint64) {
-			s := e.Steer()
-			return datasets.Steering{
-				InflowU:  s.Params.InflowU,
-				Reynolds: s.Params.Reynolds,
-				Taper:    s.Params.Taper,
-			}, s.Version
-		})
+		lv.SetSteerSource(core.LiveSteerSource(srv.Env()))
 	}
 
 	g := st.Grid()
@@ -215,11 +208,10 @@ func (c config) run(out io.Writer) error {
 	if rep.HasCache {
 		fmt.Fprintf(out, "timestep cache: %s\n", rep.Cache)
 	}
-	if rs, ok := srv.LiveStats(); ok {
-		stc := srv.Env().Steer()
-		fmt.Fprintf(out, "live producer: produced=%d recycled=%d deferred=%d clamped=%d liveclamps=%d steer changes=%d (U=%.2f Re=%.0f taper=%.2f)\n",
-			rs.Produced, rs.Recycled, rs.Deferred, rs.Clamped,
-			srv.Stats().LiveClamps, stc.Version,
+	if lv != nil {
+		rs, stc := lv.Ring().Stats(), srv.Env().Steer()
+		fmt.Fprintf(out, "live producer: produced=%d recycled=%d deferred=%d clamped=%d steer changes=%d (U=%.2f Re=%.0f taper=%.2f)\n",
+			rs.Produced, rs.Recycled, rs.Deferred, rs.Clamped, stc.Version,
 			stc.Params.InflowU, stc.Params.Reynolds, stc.Params.Taper)
 	}
 	fmt.Fprintf(out, "pipeline: %s\n", srv.Stats())

@@ -93,7 +93,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var srv *server.Server
+	var (
+		srv  *server.Server
+		ring *store.Ring // the live solver's, in in-situ mode
+	)
 	if *live {
 		log.Printf("spinning up live solver (resolution %d)", *liveRes)
 		lv, err := datasets.NewLive(datasets.Spec{
@@ -106,6 +109,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		ring = lv.Ring()
 		srv, err = core.ServeLive(ln, lv, core.Options{
 			Workers:         *workers,
 			MaxSeedsPerRake: *maxSeeds,
@@ -167,9 +171,9 @@ func main() {
 				return cs
 			})
 		}
-		if _, ok := srv.LiveStats(); ok {
+		if ring != nil {
 			obs.PublishFunc("vwserver.live", func() any {
-				rs, _ := srv.LiveStats()
+				rs := ring.Stats()
 				return map[string]int64{
 					"Produced": rs.Produced,
 					"Recycled": rs.Recycled,
@@ -205,8 +209,8 @@ func main() {
 				// -cachemb: why resident= (and RSS) can exceed them.
 				log.Printf("  cache: %s", cs)
 			}
-			if rs, ok := srv.LiveStats(); ok {
-				st := srv.Env().Steer()
+			if ring != nil {
+				rs, st := ring.Stats(), srv.Env().Steer()
 				log.Printf("  live: produced=%d recycled=%d deferred=%d clamped=%d steer=v%d(U=%.2f Re=%.0f taper=%.2f)",
 					rs.Produced, rs.Recycled, rs.Deferred, rs.Clamped,
 					st.Version, st.Params.InflowU, st.Params.Reynolds, st.Params.Taper)

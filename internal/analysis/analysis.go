@@ -1,12 +1,11 @@
 // Package analysis is vwlint's in-tree static-analysis framework: a
 // zero-dependency go/parser + go/types driver in the style of
-// golang.org/x/tools/go/analysis, carrying the seven project-specific
+// golang.org/x/tools/go/analysis, carrying the six project-specific
 // analyzers (wallclock, lockdiscipline, hotpath, maporder,
-// pinownership, codecparity, hostilecount) that turn the frame
-// pipeline's conventions — injected clocks, *Locked mutex discipline,
-// allocation-free hot paths, byte-deterministic iteration, ring pin
-// barriers, v1/v2 codec parity, hostile-count bounds — into
-// compile-time checks.
+// codecparity, hostilecount) that turn the frame pipeline's
+// conventions — injected clocks, *Locked mutex discipline,
+// allocation-free hot paths, byte-deterministic iteration, v1/v2 codec
+// parity, hostile-count bounds — into compile-time checks.
 //
 // The framework is deliberately small: an Analyzer is a named Run
 // function over a typechecked package (Pass), diagnostics are
@@ -84,11 +83,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// All returns the seven vwlint analyzers in reporting order.
+// All returns the six vwlint analyzers in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Wallclock, LockDiscipline, HotPath,
-		MapOrder, PinOwnership, CodecParity, HostileCount,
+		MapOrder, CodecParity, HostileCount,
 	}
 }
 

@@ -33,10 +33,6 @@ func TestMapOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.MapOrder, "maporder")
 }
 
-func TestPinOwnership(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.PinOwnership, "pinownership")
-}
-
 func TestCodecParity(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.CodecParity, "codecparity")
 }

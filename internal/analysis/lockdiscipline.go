@@ -26,7 +26,7 @@ import (
 // branch that exits (return/break/continue) does not end the region
 // for code after that branch — the early-unlock-and-return idiom.
 // Construction is exempt: accesses through a variable created inside
-// the same function (s := &Server{...}; s.livePinned = ...) are not
+// the same function (s := &Server{...}; s.round = ...) are not
 // flagged, since the value is not shared yet.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",

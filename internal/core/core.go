@@ -92,8 +92,10 @@ type Session struct {
 }
 
 // serverConfig maps Options onto a server's configuration for every
-// launch path (the server itself ignores the cache for a resident store
-// and cache and prefetch for a live ring). Workers sets both widths a
+// launch path (the cache and prefetch options only shape the cache the
+// server puts under a store that is not a store.Source, such as a
+// store.Disk; a resident dataset or a live ring keeps its own
+// residency). Workers sets both widths a
 // round's computation has: the engine's, and the pool's that runs dirty
 // rakes and tools side by side.
 func serverConfig(st store.Store, opts Options) server.Config {

@@ -132,7 +132,7 @@ func (s *Server) recomputeLocked() error {
 	}
 
 	computeStart := s.clock.Now()
-	g := s.st.Grid()
+	g := s.src.Grid()
 	s.round++
 	reused := s.collectLocked(g, ts, step)
 	predicted := s.planJobsLocked()
@@ -180,77 +180,35 @@ func (s *Server) reuseRoundLocked() {
 	s.stats.ToolPoints += s.lastToolPoints
 }
 
-// loadRoundStepLocked is the load stage: it makes the round's timestep
-// resident as s.cur and returns the step actually served (a live ring
-// clamps to its window) and the time spent waiting for it.
+// loadRoundStepLocked is the load stage: it tells the source where the
+// play stands — the step, the level particle paths start in (ts.Current
+// rounded down: one below the step when that was rounded up), which way
+// and whether around the ends time runs, and how many levels past that
+// paths have been seen to reach (§5.1: "the current timestep plus the
+// maximum particle path length"). The source keeps those levels
+// resident until the next round and may start reading the ones the
+// play touches next while this round computes (figure 8). The stage
+// then makes the step the source serves resident as s.cur, and returns
+// that step and the time spent waiting for it. The wait is also the
+// governor's backpressure: a round that stalled on a disk read or on a
+// live solver producing its step sheds integration to make room.
 func (s *Server) loadRoundStepLocked(ts env.TimeState, step int) (int, time.Duration, error) {
-	// In-situ mode: the requested step must fall in the ring's resident
-	// window (behind it the solver's output is recycled; ahead of it
-	// the load below drives on-demand production).
-	if s.liveRing != nil {
-		if c := s.liveRing.Clamp(step); c != step {
-			step = c
-			s.stats.LiveClamps++
-		}
-	}
-
-	// Overlap (figure 8's right-hand process): the resident set learns
-	// where the play stands before the round asks for its step, so the
-	// steps the play touches next are read while this round computes
-	// and the step asked for below is, in steady play, already there.
-	s.followPlayLocked(ts, step)
-
+	step = s.src.Follow(store.Play{
+		Step: step, First: min(step, int(ts.Current)),
+		Reverse: ts.Speed < 0, Loop: ts.Loop, Reach: s.pathReach,
+	})
 	loadStart := s.clock.Now()
 	if s.cur == nil || step != s.curStep {
-		f, err := s.st.LoadStep(step)
+		f, err := s.src.LoadStep(step)
 		if err != nil {
 			return 0, 0, fmt.Errorf("server: load step %d: %w", step, err)
-		}
-		if s.liveRing != nil {
-			// Pin before unpinning the previous step so the window never
-			// momentarily collapses: the pin holds this step AND all later
-			// steps resident while particle paths integrate forward from
-			// it — the eviction-while-integrating guard.
-			s.liveRing.Pin(step)
-			if s.livePinned >= 0 {
-				s.liveRing.Unpin(s.livePinned)
-			}
-			s.livePinned = step
 		}
 		s.cur = f
 		s.curStep = step
 	}
 	loadTime := s.clock.Now().Sub(loadStart)
-	if s.liveRing != nil {
-		// Backpressure: load waits in live mode are solver compute the
-		// frame pipeline stalled on; fold them into the governor's
-		// effective budget so integration sheds to make room.
-		s.gov.notePressure(loadTime)
-	}
+	s.gov.notePressure(loadTime)
 	return step, loadTime, nil
-}
-
-// followPlayLocked tells an I/O-backed store's resident set where the
-// play stands: the playhead, which way and whether around the ends time
-// runs, and how many levels past the playhead particle paths have been
-// seen to reach (§5.1: "the current timestep plus the maximum particle
-// path length"). With prefetching on, the steps of that window not yet
-// resident start loading in the background; the call never waits.
-func (s *Server) followPlayLocked(ts env.TimeState, step int) {
-	if s.cache == nil {
-		return
-	}
-	play := store.Play{Step: step, Reverse: ts.Speed < 0, Loop: ts.Loop, Reach: s.pathReach}
-	if s.pathReach > 0 {
-		// Particle paths start at ts.Current: a level below the step
-		// when that was rounded up.
-		play.Step = min(step, int(ts.Current))
-	}
-	if s.prefetcher != nil {
-		s.prefetcher.Prefetch(play)
-	} else {
-		s.cache.Follow(play)
-	}
 }
 
 // collectLocked is the collect stage: it snapshots users, rakes, and
@@ -426,7 +384,7 @@ func (s *Server) totalRoundLocked(ts env.TimeState, loadTime, computeTime time.D
 // pass. computeRake and computeToolsLocked read the decisions from the
 // rows. Caller holds s.mu.
 func (s *Server) planJobsLocked() time.Duration {
-	g := s.st.Grid()
+	g := s.src.Grid()
 	s.rows = s.rows[:0]
 	for _, t := range toolTable(s.toolSnap) {
 		d := demand{class: classTool}
@@ -533,19 +491,6 @@ func (rc *roundCtx) computeRake(j *rakeJob) {
 	}
 }
 
-// timeSamplerLocked returns the round's unsteady sampler for particle
-// paths. With a resident dataset it samples with time interpolation;
-// an I/O-backed store gets the server's storeSampler, emptied of the
-// previous round's levels — in steady play it finds them in the
-// resident set's wanted run (§5.1's strategy).
-func (s *Server) timeSamplerLocked() integrate.Sampler {
-	if s.unsteady != nil {
-		return integrate.UnsteadySampler{U: s.unsteady}
-	}
-	s.pathLevels.reset(s.st)
-	return &s.pathLevels
-}
-
 // bookPathLoadsLocked closes the round's books on the store sampler,
 // once the workers are done with it: its failed-load count moves into
 // the stats, and the number of levels it held widens the reach of the
@@ -559,7 +504,7 @@ func (s *Server) bookPathLoadsLocked() {
 	s.pathReach = max(s.pathReach, min(len(s.pathLevels.cache), int(span)))
 }
 
-// storeSampler samples an I/O-backed store with linear time
+// storeSampler samples the server's source with linear time
 // interpolation, caching loaded levels for the duration of one round
 // (particle paths revisit the same bracketing steps for every seed of
 // every rake). It is an integrate.LevelSource, so the fused kernel asks
@@ -580,7 +525,7 @@ type storeSampler struct {
 }
 
 // reset points the sampler at src and forgets the previous round's
-// levels: a cache or ring may have recycled them since.
+// levels: src held them only until this round's Follow.
 func (ss *storeSampler) reset(src store.Store) {
 	ss.st = src
 	if ss.cache == nil {

@@ -52,7 +52,7 @@ var goldenLiveScenarios = []struct {
 		goldenScenario: goldenScenario{
 			name: "live-steady",
 			run: func(t *testing.T, s *Server) [][]byte {
-				g := s.st.Grid()
+				g := s.src.Grid()
 				return runSession(t, s, 1, []wire.ClientUpdate{
 					{Commands: []wire.Command{
 						addRakeCmd(boundsAt(g, 0.6, 0.35, 0.5), boundsAt(g, 0.6, 0.55, 0.5), 3, integrate.ToolStreamline),
@@ -75,7 +75,7 @@ var goldenLiveScenarios = []struct {
 		goldenScenario: goldenScenario{
 			name: "steer-keyframe",
 			run: func(t *testing.T, s *Server) [][]byte {
-				g := s.st.Grid()
+				g := s.src.Grid()
 				d := newV2Session(t, s, 1)
 				updates := []wire.ClientUpdate{
 					{Commands: []wire.Command{

@@ -118,7 +118,7 @@ func TestLiveDifferentialReplay(t *testing.T) {
 		live, lv := liveServer(t, spec, sopts, spec.NumSteps, Config{})
 		dr := newDirectSession(t, replay, 1)
 		dl := newDirectSession(t, live, 1)
-		for i, u := range liveScenario(replay.st.Grid(), 9) {
+		for i, u := range liveScenario(replay.src.Grid(), 9) {
 			want := dr.rawFrame(u)
 			got := dl.rawFrame(u)
 			if !bytes.Equal(want, got) {
@@ -140,7 +140,7 @@ func TestLiveDifferentialReplay(t *testing.T) {
 		if vr.info != vl.info {
 			t.Fatalf("dataset info diverges: %+v vs %+v", vl.info, vr.info)
 		}
-		for i, u := range liveScenario(replay.st.Grid(), 9) {
+		for i, u := range liveScenario(replay.src.Grid(), 9) {
 			want := vr.rawFrame(u)
 			got := vl.rawFrame(u)
 			if !bytes.Equal(want, got) {
@@ -159,12 +159,54 @@ func TestLiveDifferentialReplay(t *testing.T) {
 	})
 }
 
+// TestLiveRingHoldsPathStartLevel: particle paths start sampling at
+// level int(Current), one below the served step whenever playback
+// rounded time up (speed 1.5 does every other round). A tight live ring
+// must hold that level while the paths drive production past its
+// window: every frame equals the replay's byte for byte, and under
+// -race no Publish recycles a buffer a pool worker's kernel is reading.
+func TestLiveRingHoldsPathStartLevel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the solver twice")
+	}
+	spec, sopts := liveSpec()
+	spec.NumSteps = 40
+	opts := integrate.DefaultOptions()
+	opts.MaxSteps = 20
+	cfg := Config{Options: opts, RakeWorkers: 2}
+	replay := replayServer(t, spec, sopts, cfg)
+	live, lv := liveServer(t, spec, sopts, 2, cfg)
+	g := replay.src.Grid()
+	updates := []wire.ClientUpdate{{Commands: []wire.Command{
+		addRakeCmd(boundsAt(g, 0.55, 0.3, 0.4), boundsAt(g, 0.55, 0.7, 0.4), 16, integrate.ToolParticlePath),
+		addRakeCmd(boundsAt(g, 0.6, 0.3, 0.6), boundsAt(g, 0.6, 0.7, 0.6), 16, integrate.ToolParticlePath),
+		{Kind: wire.CmdSetSpeed, Value: 1.5},
+		{Kind: wire.CmdSetPlaying, Flag: 1},
+	}}}
+	for len(updates) < 20 {
+		updates = append(updates, wire.ClientUpdate{})
+	}
+	dr, dl := newDirectSession(t, replay, 1), newDirectSession(t, live, 1)
+	for i, u := range updates {
+		want, got := dr.rawFrame(u), dl.rawFrame(u)
+		if !bytes.Equal(want, got) {
+			t.Fatalf("frame %d: live bytes diverge from replay (%d vs %d bytes)", i, len(got), len(want))
+		}
+	}
+	if rs := lv.Ring().Stats(); rs.Recycled == 0 || rs.Clamped != 0 {
+		t.Errorf("ring %+v: want buffers recycled and no step clamped", rs)
+	}
+	if n := live.Stats().PathLoadFailures; n != 0 {
+		t.Errorf("%d paths stopped for a recycled level", n)
+	}
+}
+
 // TestLiveServerBypassesCache pins the wiring audit from the store
 // refactor: a ring-backed server must not wrap the ring in the shared
-// timestep cache, the sliding window, or the prefetcher — all three
-// hold bare field pointers that the ring's buffer recycling would
-// corrupt. The observable contract: cache stats report absent even
-// when a cache was requested, and live stats report present.
+// timestep cache or its prefetcher — both hold bare field pointers that
+// the ring's buffer recycling would corrupt. The observable contract:
+// cache stats report absent even when a cache was requested, and every
+// round reads the ring itself.
 func TestLiveServerBypassesCache(t *testing.T) {
 	g, err := grid.NewCartesian(8, 8, 4, vmath.AABB{
 		Min: vmath.V3(0, 0, 0), Max: vmath.V3(7, 7, 3),
@@ -183,14 +225,11 @@ func TestLiveServerBypassesCache(t *testing.T) {
 	if _, ok := s.CacheStats(); ok {
 		t.Error("ring-backed server built a timestep cache over recycled buffers")
 	}
-	if _, ok := s.LiveStats(); !ok {
-		t.Error("ring-backed server reports no live stats")
+	if s.src != store.Source(ring) {
+		t.Errorf("ring-backed server reads through %T", s.src)
 	}
-	if _, ok := s.LiveStats(); ok {
-		rs, _ := s.LiveStats()
-		if rs.Produced != 0 {
-			t.Errorf("fresh ring reports %d produced steps", rs.Produced)
-		}
+	if _, err := store.NewCache(ring, store.CacheOptions{}); err == nil {
+		t.Error("a cache accepted a live ring as its source")
 	}
 }
 
@@ -206,7 +245,7 @@ func TestLiveSteeringChangesFlow(t *testing.T) {
 	run := func(steer bool) ([][]byte, *datasets.Live) {
 		s, lv := liveServer(t, spec, sopts, spec.NumSteps, Config{})
 		d := newDirectSession(t, s, 1)
-		b := s.st.Grid().Bounds()
+		b := s.src.Grid().Bounds()
 		p0 := b.Min.Lerp(b.Max, 0.4)
 		p1 := b.Min.Lerp(b.Max, 0.6)
 		var frames [][]byte

@@ -275,14 +275,14 @@ func TestPrefetchSkipsAtBoundary(t *testing.T) {
 	if want := float32(2); r.Time.Current != want {
 		t.Fatalf("time = %v, want clamped at %v", r.Time.Current, want)
 	}
-	s.prefetcher.Wait()
+	s.src.(*store.Cache).Wait()
 	fg, bg := st.take()
 	// More boundary frames, forced to recompute (pose changes) so the
 	// prefetch branch actually runs with next == NumSteps.
 	for i := 0; i < 4; i++ {
 		frame(t, c, wire.ClientUpdate{Hand: vmath.V3(float32(i), 0, 0)})
 	}
-	s.prefetcher.Wait()
+	s.src.(*store.Cache).Wait()
 	if fg2, bg2 := st.take(); fg2+bg2 != 0 {
 		t.Errorf("boundary frames read %d+%d steps", fg2, bg2)
 	}

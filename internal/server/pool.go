@@ -206,7 +206,8 @@ func (s *Server) runJobsLocked(g *grid.Grid, ts env.TimeState, step int) {
 	// a level two rakes both need is looked up once.
 	for i := range s.jobs {
 		if j := &s.jobs[i]; j.snap.Rake.Tool == integrate.ToolParticlePath && !j.plan.skip {
-			rc.paths = s.timeSamplerLocked()
+			s.pathLevels.reset(s.src)
+			rc.paths = &s.pathLevels
 			break
 		}
 	}

@@ -18,8 +18,8 @@ import (
 // playStore counts the reads that reach the dataset, apart by where
 // they run: on a goroutine store.Prefetcher started (background — no
 // round is waiting yet) or anywhere else (a handler or one of its pool
-// workers: a frame is held up). It is not a *store.Memory, so the
-// server takes its I/O-backed path.
+// workers: a frame is held up). It is not a store.Source, so the
+// server reads it through a store.Cache.
 type playStore struct {
 	store.Store
 	mu     sync.Mutex
@@ -116,9 +116,7 @@ func TestPlaybackFromOneResidentSet(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("round %d: reply differs from the resident dataset's (%d vs %d bytes)", i, len(got), len(want))
 				}
-				if s.prefetcher != nil {
-					s.prefetcher.Wait() // the next round begins with this round's reads done
-				}
+				s.src.(*store.Cache).Wait() // the next round begins with this round's reads done
 				fg, bg := st.take()
 				r, err := wire.DecodeFrameReply(got)
 				if err != nil {

@@ -83,7 +83,7 @@ func TestStoreSamplerKernelBitIdentical(t *testing.T) {
 }
 
 // failingStore loads steps below failFrom and fails the rest. It is not
-// a *store.Memory, so the server takes its I/O-backed path.
+// a store.Source, so the server reads it through a store.Cache.
 type failingStore struct {
 	store.Store
 	failFrom int

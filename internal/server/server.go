@@ -1,9 +1,9 @@
 // Package server implements the distributed windtunnel's remote host —
-// the role the Convex C3240 plays in the paper. It owns the dataset
-// (in memory or streamed from disk with prefetch), the authoritative
-// shared virtual environment, and the visualization computation; it
-// accepts user commands over dlib and returns environment state plus
-// computed geometry (figure 8).
+// the role the Convex C3240 plays in the paper. It owns the dataset (a
+// store.Source: resident, streamed with prefetch, or live), the
+// authoritative shared virtual environment, and the visualization
+// computation; it accepts user commands over dlib and returns
+// environment state plus computed geometry (figure 8).
 //
 // The package is split along the cluster-tier seam. This file holds
 // configuration, counters, and assembly; session.go is the session
@@ -29,10 +29,9 @@
 // replies are assembled in a buffer each session owns. Adding
 // workstations therefore adds sends, not encodes: frames-encoded per
 // round is independent of the session count, and steady-state frames
-// do near-zero allocation. Over an I/O-backed store every timestep the
-// server holds is an entry of one store.Cache: the steps the play
-// touches next, read ahead in the background, and the sessions'
-// recently used steps under the configured budget.
+// do near-zero allocation. Which timesteps stay resident is the
+// source's decision: each round tells it where the play stands, and
+// the server reads every step and path level through it.
 //
 //vw:deterministic
 //vw:wire
@@ -56,11 +55,11 @@ import (
 
 // Config assembles a windtunnel server.
 type Config struct {
-	// Store supplies the dataset. A store.Memory is sampled where it
-	// lies and a store.Ring (in-situ mode) through its pin protocol;
-	// any other Store is I/O-backed and is read through one store.Cache,
-	// which keeps §5.1's window — the steps the play and its particle
-	// paths touch next — resident whatever the budget below.
+	// Store supplies the dataset. A store.Source keeps what each round
+	// reads resident itself; any other Store is I/O-backed and is read
+	// through one store.Cache, which keeps §5.1's window — the steps the
+	// play and its particle paths touch next — resident whatever the
+	// budget below.
 	Store store.Store
 	// Engine computes visualization geometry; nil uses the parallel
 	// engine with GOMAXPROCS workers.
@@ -85,8 +84,8 @@ type Config struct {
 	// CacheSteps bounds resident timesteps, CacheBytes their total size
 	// (either may be zero for "no bound on that axis"; both zero keeps
 	// the window and nothing else). The window counts toward the budget
-	// and is never evicted to meet it. Fully resident stores
-	// (store.Memory) are never wrapped — they are already the cache.
+	// and is never evicted to meet it. A store.Source is never wrapped:
+	// it is its own resident set.
 	CacheSteps int
 	CacheBytes int64
 	// Budget is the per-frame integration budget the governor holds
@@ -193,10 +192,6 @@ type Stats struct {
 	RelayFulls   int64
 	RelayMarkers int64
 	RelayBytes   int64
-	// LiveClamps counts frames whose requested timestep fell outside
-	// the live ring's resident window and had to be clamped — in-situ
-	// mode's ring-starvation pressure gauge.
-	LiveClamps int64
 	// ToolsComputed / ToolsReused count shared-tool geometry
 	// recomputations vs memo hits; ToolPoints counts tool-section
 	// points shipped per round (kept apart from Points, which remains
@@ -259,30 +254,17 @@ type Server struct {
 	env   *env.Environment
 	clock netsim.Clock
 
-	// st is the effective store: cfg.Store, wrapped by cache when it
-	// is I/O-backed. All dataset access goes through it.
-	st store.Store
-	// cache is the resident set of an I/O-backed store (nil otherwise)
-	// and prefetcher its background reader when cfg.Prefetch is set;
-	// each round tells them where the play stands (followPlayLocked).
-	cache      *store.Cache
-	prefetcher *store.Prefetcher
-	// pathLevels is the store-backed time sampler every particle-path
-	// rake of a round shares; timeSamplerLocked resets it per round and
-	// the pool workers reach its levels through its own lock. pathReach
-	// is the most levels it has held after any round: how far past the
-	// playhead §5.1's window must reach.
+	// src is the dataset: cfg.Store, wrapped in a store.Cache when it
+	// is not a store.Source. All dataset access goes through it, and
+	// each round tells it where the play stands (loadRoundStepLocked).
+	src store.Source
+	// pathLevels is the time sampler every particle-path rake of a round
+	// shares; runJobsLocked resets it per round and the pool workers
+	// reach its levels through its own lock. pathReach is the most
+	// levels it has held after any round: how far past the playhead
+	// §5.1's window must reach.
 	pathLevels storeSampler
 	pathReach  int
-	// unsteady is non-nil when the store is fully resident. Immutable
-	// after New, so pool workers may read it without the lock.
-	unsteady *field.Unsteady
-	// liveRing is non-nil when the store is an in-situ solver ring; the
-	// compute layer clamps to its resident window and pins the step it
-	// integrates from. livePinned is the currently pinned step (-1 =
-	// none), guarded by mu with the rest of the round state.
-	liveRing   *store.Ring
-	livePinned int
 
 	mu sync.Mutex // guards everything below
 	// cur is the loaded timestep backing streamline/streak
@@ -395,10 +377,25 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RakeWorkers <= 0 {
 		cfg.RakeWorkers = runtime.GOMAXPROCS(0)
 	}
+	src, ok := cfg.Store.(store.Source)
+	if !ok {
+		// An I/O-backed store: one resident set between the pipeline and
+		// mass storage. With no budget configured it holds the wanted
+		// run and nothing else.
+		opts := store.CacheOptions{MaxSteps: cfg.CacheSteps, MaxBytes: cfg.CacheBytes, Prefetch: cfg.Prefetch}
+		if opts.MaxSteps == 0 && opts.MaxBytes == 0 {
+			opts.MaxSteps = 1
+		}
+		c, err := store.NewCache(cfg.Store, opts)
+		if err != nil {
+			return nil, err
+		}
+		src = c
+	}
 	s := &Server{
 		d:          dlib.NewServer(),
 		cfg:        cfg,
-		st:         cfg.Store,
+		src:        src,
 		env:        env.New(cfg.Store.NumSteps()),
 		clock:      cfg.Clock,
 		gov:        &governor{budget: cfg.Budget},
@@ -414,37 +411,6 @@ func New(cfg Config) (*Server, error) {
 	// whoami, steer, the round's codec-v1 reply) or a session-owned one
 	// (codec-v2 frames and relay replies, sessionState.buf) —
 	// dlib.Handler's reply-buffer contract.
-	if mem, ok := cfg.Store.(*store.Memory); ok {
-		s.unsteady = mem.Unsteady()
-	}
-	s.livePinned = -1
-	if ring, ok := cfg.Store.(*store.Ring); ok {
-		// In-situ mode: the live ring recycles step buffers, so the
-		// Cache — which holds bare field pointers across rounds — must
-		// never sit on top of it (the eviction-while-integrating
-		// hazard; the ring's pin protocol is the only safe residency
-		// contract). The ring is memory-backed anyway, so the cache
-		// would buy nothing.
-		s.liveRing = ring
-	}
-	if s.unsteady == nil && s.liveRing == nil {
-		// I/O-backed store: one resident set between the pipeline and
-		// mass storage. With no budget configured it holds the wanted
-		// run and nothing else.
-		opts := store.CacheOptions{MaxSteps: cfg.CacheSteps, MaxBytes: cfg.CacheBytes}
-		if opts == (store.CacheOptions{}) {
-			opts.MaxSteps = 1
-		}
-		c, err := store.NewCache(cfg.Store, opts)
-		if err != nil {
-			return nil, err
-		}
-		s.cache = c
-		s.st = c
-		if cfg.Prefetch {
-			s.prefetcher = store.NewPrefetcher(c)
-		}
-	}
 	if cfg.Steer != (env.SteerParams{}) {
 		s.env.InitSteer(cfg.Steer)
 	}
@@ -489,19 +455,12 @@ func (s *Server) Stats() Stats {
 }
 
 // CacheStats reports the timestep cache's counters; ok is false when
-// the store is not I/O-backed (memory-resident, or a live ring).
+// the server reads through no store.Cache (its store was a Source that
+// is not one: a resident dataset, or a live ring).
 func (s *Server) CacheStats() (stats store.CacheStats, ok bool) {
-	if s.cache == nil {
+	c, ok := s.src.(*store.Cache)
+	if !ok {
 		return store.CacheStats{}, false
 	}
-	return s.cache.Stats(), true
-}
-
-// LiveStats reports the live ring's producer/recycling counters; ok is
-// false when the server is not in in-situ mode.
-func (s *Server) LiveStats() (stats store.RingStats, ok bool) {
-	if s.liveRing == nil {
-		return store.RingStats{}, false
-	}
-	return s.liveRing.Stats(), true
+	return c.Stats(), true
 }

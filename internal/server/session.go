@@ -49,12 +49,12 @@ func (s *Server) sessionLocked(id int64) *sessionState {
 // bounds double as the codec-v2 quantization box, so they must match
 // s.quant exactly.
 func (s *Server) datasetInfo() wire.DatasetInfo {
-	g := s.st.Grid()
+	g := s.src.Grid()
 	b := g.Bounds()
 	return wire.DatasetInfo{
 		NI: uint32(g.NI), NJ: uint32(g.NJ), NK: uint32(g.NK),
-		NumSteps:  uint32(s.st.NumSteps()),
-		DT:        s.st.DT(),
+		NumSteps:  uint32(s.src.NumSteps()),
+		DT:        s.src.DT(),
 		BoundsMin: b.Min,
 		BoundsMax: b.Max,
 	}

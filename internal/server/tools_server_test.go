@@ -147,7 +147,7 @@ func TestPlanToolsStrideLadder(t *testing.T) {
 				budget, stride, prevStride)
 		}
 		for i, tool := range toolTable(s.toolSnap) {
-			want := tool.units(s.st.Grid(), tool.state, stride)
+			want := tool.units(s.src.Grid(), tool.state, stride)
 			if d := rows[i]; d.stride != stride || d.planned != want || d.rungs[k] != want {
 				t.Fatalf("budget %v: tool %d stride %d charged %d units, want stride %d at %d",
 					budget, i, d.stride, d.planned, stride, want)

@@ -19,6 +19,9 @@ type CacheOptions struct {
 	// MaxBytes bounds the total resident field bytes. Zero means no
 	// byte bound.
 	MaxBytes int64
+	// Prefetch reads the wanted run's missing steps in the background,
+	// in play order; off, each is read by the LoadStep that needs it.
+	Prefetch bool
 }
 
 // Cache is the one resident set of an I/O-backed server: every
@@ -30,9 +33,10 @@ type CacheOptions struct {
 // maximum particle path length" — laid out along the play: Follow is
 // told where the playhead is and the cache derives the steps the play
 // touches next, in the order it touches them (Play). Those are pinned
-// whatever the budget says; a Prefetcher reads the missing ones in that
-// order in the background (figure 8's second buffer is the run of a
-// scene without particle paths: the step in use and the next).
+// whatever the budget says; with CacheOptions.Prefetch its Prefetcher
+// reads the missing ones in that order in the background (figure 8's
+// second buffer is the run of a scene without particle paths: the step
+// in use and the next).
 //
 // Everything else is recently used steps under the CacheOptions budget,
 // shared by every session of the server. In the disk regime the paper's
@@ -44,10 +48,13 @@ type CacheOptions struct {
 // At least one timestep stays resident regardless of budget — a cache
 // that cannot hold the step it just loaded would re-read every call.
 // The cache never calls its source with mu held, and no call but a
-// LoadStep of a step that is not resident waits for a read.
+// LoadStep of a step that is not resident waits for a read. It never
+// rewrites a field it handed out: eviction drops the cache's reference
+// and nothing else, so what a round loaded stays valid.
 type Cache struct {
 	src  Store
 	opts CacheOptions
+	pf   *Prefetcher // nil unless opts.Prefetch
 
 	hits, misses, coalesced, evictions atomic.Int64
 
@@ -77,19 +84,27 @@ type cacheFlight struct {
 	err  error
 }
 
-// NewCache wraps src with a shared LRU under the given budget.
+// NewCache wraps src with a shared LRU under the given budget. A Ring
+// is refused: it recycles the fields the cache would hold.
 func NewCache(src Store, opts CacheOptions) (*Cache, error) {
 	if opts.MaxSteps < 0 || opts.MaxBytes < 0 {
 		return nil, fmt.Errorf("store: negative cache budget (steps=%d bytes=%d)",
 			opts.MaxSteps, opts.MaxBytes)
 	}
-	return &Cache{
+	if _, ok := src.(*Ring); ok {
+		return nil, fmt.Errorf("store: a live ring keeps its own residency and recycles its fields; it cannot sit under a cache")
+	}
+	c := &Cache{
 		src:      src,
 		opts:     opts,
 		entries:  make(map[int]*list.Element),
 		lru:      list.New(),
 		inflight: make(map[int]*cacheFlight),
-	}, nil
+	}
+	if opts.Prefetch {
+		c.pf = &Prefetcher{c: c}
+	}
+	return c, nil
 }
 
 // Grid implements Store.
@@ -187,33 +202,23 @@ func (c *Cache) Resident(t int) bool {
 	return ok
 }
 
-// Play is where the playback stands, as the server tells the cache
-// each round.
-type Play struct {
-	// Step is the playhead: the timestep the round computes from.
-	Step int
-	// Reverse is set when time runs backward.
-	Reverse bool
-	// Loop is set when the play wraps at the ends of the dataset.
-	Loop bool
-	// Reach is how many time levels a round's particle paths have been
-	// seen to touch, 0 for a scene without them: the playhead's path
-	// window is [Step, Step+Reach].
-	Reach int
-}
-
 // appendRun appends the wanted run of a dataset of n steps to dst: the
-// first Reach+2 distinct steps the play touches — the playhead's path
-// window ascending, then what the next playhead's window adds, and so
-// on. Forward that is [Step, Step+Reach+2), wrapping to 0, 1, ... on
-// Loop; in reverse [Step, Step+Reach] and then Step-1, Step-2, ...,
+// first Reach+2 distinct steps the play touches from its playhead s —
+// the playhead's path window ascending, then what the next playhead's
+// window adds, and so on. Forward that is [s, s+Reach+2), wrapping to
+// 0, 1, ... on Loop; in reverse [s, s+Reach] and then s-1, s-2, ...,
 // wrapping to n-1 on Loop. Without Loop the run ends where the play
-// does.
+// does. The playhead is First, or Step if that is lower; a scene
+// without particle paths (Reach 0) reads nothing below Step, so there
+// it is Step.
 func (p Play) appendRun(dst []int, n int) []int {
 	if n < 1 {
 		return dst
 	}
 	s := min(max(p.Step, 0), n-1)
+	if p.Reach > 0 {
+		s = min(max(p.First, 0), s)
+	}
 	reach := min(max(p.Reach, 0), n)
 	want := min(reach+2, n)
 	if !p.Reverse {
@@ -245,19 +250,31 @@ func (p Play) appendRun(dst []int, n int) []int {
 	return dst
 }
 
-// Follow moves the playhead: the wanted run becomes p's, its resident
+// Follow implements Source. The wanted run becomes p's: its resident
 // steps are pinned and the previous run's become ordinary entries
-// again, evicted if the budget says so. It reads nothing and waits for
-// nothing: a missing step is read by the Prefetcher's fill, or by the
-// LoadStep that needs it.
-func (c *Cache) Follow(p Play) {
+// again, evicted if the budget says so. With prefetching on, a fill
+// starts reading the run's missing steps; otherwise each is read by
+// the LoadStep that needs it. Follow itself waits for no read, and the
+// cache serves every step, so it returns p.Step.
+func (c *Cache) Follow(p Play) int {
 	n := c.src.NumSteps()
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.pinRunLocked(false)
 	c.run = p.appendRun(c.run[:0], n)
 	c.pinRunLocked(true)
 	c.evictLocked()
+	c.mu.Unlock()
+	if c.pf != nil {
+		c.pf.Prefetch()
+	}
+	return p.Step
+}
+
+// Wait returns once no background fill is running.
+func (c *Cache) Wait() {
+	if c.pf != nil {
+		c.pf.fills.Wait()
+	}
 }
 
 func (c *Cache) pinRunLocked(pinned bool) {
@@ -310,22 +327,20 @@ func (c *Cache) firstMissingLocked() (int, bool) {
 // Prefetcher overlaps timestep loading with computation, the paper's
 // figure-8 architecture: "The timestep required for the next
 // computation is loaded into a buffer" while the current one is used.
-// It owns the goroutine that fills the cache's wanted run.
+// It owns the goroutine that fills a prefetching Cache's wanted run;
+// only NewCache makes one.
 type Prefetcher struct {
 	c     *Cache
 	fills sync.WaitGroup
 }
 
-// NewPrefetcher returns the background reader of c's wanted run.
-func NewPrefetcher(c *Cache) *Prefetcher { return &Prefetcher{c: c} }
-
-// Prefetch moves the cache's playhead to play and, if that leaves
-// wanted steps to read and no fill is running, starts one: a goroutine
-// that reads the first missing step of the wanted run — the run as it
-// stands at each read, so a seek redirects it — until none is missing.
-// Prefetch itself never waits for a read.
-func (p *Prefetcher) Prefetch(play Play) {
-	p.c.Follow(play)
+// Prefetch starts a fill if the wanted run has steps to read and no
+// fill is running: a goroutine that reads the first missing step of the
+// run — the run as it stands at each read, so a seek redirects it —
+// until none is missing. Prefetch itself never waits for a read. Every
+// fill goroutine starts from this frame, which is how a stack tells a
+// background read from one a round is waiting for.
+func (p *Prefetcher) Prefetch() {
 	if !p.c.claimFill() {
 		return
 	}
@@ -342,9 +357,6 @@ func (p *Prefetcher) Prefetch(play Play) {
 		}
 	}()
 }
-
-// Wait returns once no fill is running.
-func (p *Prefetcher) Wait() { p.fills.Wait() }
 
 // CacheStats counts cache activity. Hits were served from resident
 // steps, Coalesced joined an in-flight load (no second read issued),

@@ -202,13 +202,12 @@ func TestCacheErrorNotCached(t *testing.T) {
 
 func TestCacheUnderPrefetcher(t *testing.T) {
 	src := &gatedStore{Store: NewMemory(makeDataset(t, 4))}
-	c, err := NewCache(src, CacheOptions{MaxSteps: 4})
+	c, err := NewCache(src, CacheOptions{MaxSteps: 4, Prefetch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPrefetcher(c)
-	p.Prefetch(Play{Step: 2})
-	p.Wait()
+	c.Follow(Play{Step: 2})
+	c.Wait()
 	// The fill read the playhead's step and the next into the cache.
 	if !c.Resident(2) || !c.Resident(3) {
 		t.Error("prefetched steps did not fill the shared cache")

@@ -78,14 +78,15 @@ var wantedRuns = []struct {
 
 func TestWantedRunTable(t *testing.T) {
 	for _, tc := range wantedRuns {
-		p := Play{Step: tc.step, Reverse: tc.reverse, Loop: tc.loop, Reach: tc.reach}
+		p := Play{Step: tc.step, First: tc.step, Reverse: tc.reverse, Loop: tc.loop, Reach: tc.reach}
 		if got := p.appendRun(nil, 8); !slices.Equal(got, tc.want) {
 			t.Errorf("%+v: run %v, want %v", p, got, tc.want)
 		}
 	}
 }
 
-// playedRun derives the wanted run the long way: it moves a playhead
+// playedRun derives the wanted run the long way: it moves a playhead —
+// starting where the paths do, or at the step in a scene without them —
 // along the play and collects each playhead's path window, ascending,
 // until reach+2 distinct steps are in hand or the play ends.
 func playedRun(p Play, n int) []int {
@@ -93,6 +94,9 @@ func playedRun(p Play, n int) []int {
 	want := min(reach+2, n)
 	var run []int
 	head := min(max(p.Step, 0), n-1)
+	if reach > 0 {
+		head = min(max(p.First, 0), head)
+	}
 	for moves := 0; moves <= 2*n; moves++ {
 		for t := head; t <= min(head+reach, n-1); t++ {
 			if !slices.Contains(run, t) {
@@ -117,14 +121,15 @@ func playedRun(p Play, n int) []int {
 }
 
 // TestWantedRunIsThePlay sweeps datasets, playheads and reaches
-// (out-of-range ones included) and compares appendRun with the play
-// walked a playhead at a time.
+// (out-of-range ones included), paths starting at the step or a level
+// below it, and compares appendRun with the play walked a playhead at a
+// time.
 func TestWantedRunIsThePlay(t *testing.T) {
 	for n := 1; n <= 9; n++ {
 		for step := -2; step <= n+1; step++ {
 			for reach := -1; reach <= n+2; reach++ {
-				for flags := 0; flags < 4; flags++ {
-					p := Play{Step: step, Reverse: flags&1 != 0, Loop: flags&2 != 0, Reach: reach}
+				for flags := 0; flags < 8; flags++ {
+					p := Play{Step: step, First: step - flags>>2, Reverse: flags&1 != 0, Loop: flags&2 != 0, Reach: reach}
 					got, want := p.appendRun(nil, n), playedRun(p, n)
 					if !slices.Equal(got, want) {
 						t.Fatalf("n=%d %+v: run %v, the play touches %v", n, p, got, want)
@@ -150,19 +155,18 @@ func residentSteps(c *Cache) []int {
 }
 
 func TestWindowResidency(t *testing.T) {
-	c, err := NewCache(NewMemory(makeDataset(t, 10)), CacheOptions{MaxSteps: 1})
+	c, err := NewCache(NewMemory(makeDataset(t, 10)), CacheOptions{MaxSteps: 1, Prefetch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPrefetcher(c)
-	p.Prefetch(Play{Step: 2, Reach: 1})
-	p.Wait()
+	c.Follow(Play{Step: 2, First: 2, Reach: 1})
+	c.Wait()
 	if got := residentSteps(c); !slices.Equal(got, []int{2, 3, 4}) {
 		t.Errorf("resident %v, want the wanted run 2 3 4", got)
 	}
 	// Sliding forward sheds what fell out and reads what entered.
-	p.Prefetch(Play{Step: 4, Reach: 1})
-	p.Wait()
+	c.Follow(Play{Step: 4, First: 4, Reach: 1})
+	c.Wait()
 	if got := residentSteps(c); !slices.Equal(got, []int{4, 5, 6}) {
 		t.Errorf("resident %v after the slide, want 4 5 6", got)
 	}
@@ -177,10 +181,9 @@ func TestWindowResidency(t *testing.T) {
 }
 
 func TestWindowClampsEnd(t *testing.T) {
-	c, _ := NewCache(NewMemory(makeDataset(t, 4)), CacheOptions{MaxSteps: 1})
-	p := NewPrefetcher(c)
-	p.Prefetch(Play{Step: 2, Reach: 10})
-	p.Wait()
+	c, _ := NewCache(NewMemory(makeDataset(t, 4)), CacheOptions{MaxSteps: 1, Prefetch: true})
+	c.Follow(Play{Step: 2, First: 2, Reach: 10})
+	c.Wait()
 	if got := residentSteps(c); !slices.Equal(got, []int{2, 3}) {
 		t.Errorf("resident %v, want 2 3: a play that stops at the end wants nothing past it", got)
 	}
@@ -190,10 +193,9 @@ func TestWindowClampsEnd(t *testing.T) {
 }
 
 func TestWindowNegativeBaseClamps(t *testing.T) {
-	c, _ := NewCache(NewMemory(makeDataset(t, 5)), CacheOptions{MaxSteps: 1})
-	p := NewPrefetcher(c)
-	p.Prefetch(Play{Step: -7})
-	p.Wait()
+	c, _ := NewCache(NewMemory(makeDataset(t, 5)), CacheOptions{MaxSteps: 1, Prefetch: true})
+	c.Follow(Play{Step: -7})
+	c.Wait()
 	if !c.Resident(0) {
 		t.Error("clamped playhead did not load step 0")
 	}
@@ -215,10 +217,9 @@ func TestWindowPropagatesLoadError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := NewCache(d, CacheOptions{MaxSteps: 1})
-	p := NewPrefetcher(c)
-	p.Prefetch(Play{Step: 1, Reach: 2})
-	p.Wait()
+	c, _ := NewCache(d, CacheOptions{MaxSteps: 1, Prefetch: true})
+	c.Follow(Play{Step: 1, First: 1, Reach: 2})
+	c.Wait()
 	if got := residentSteps(c); !slices.Equal(got, []int{1}) {
 		t.Errorf("resident %v, want 1: the fill stops at the unreadable step", got)
 	}
@@ -228,8 +229,8 @@ func TestWindowPropagatesLoadError(t *testing.T) {
 	if _, err := c.LoadStep(2); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("LoadStep(2) = %v, want the missing file's error", err)
 	}
-	p.Prefetch(Play{Step: 1, Reach: 2})
-	p.Wait()
+	c.Follow(Play{Step: 1, First: 1, Reach: 2})
+	c.Wait()
 	if got := c.Stats().Misses; got != 4 {
 		t.Errorf("%d reads attempted after the second round, want 4: the fill tries step 2 once more", got)
 	}
@@ -249,14 +250,13 @@ func (s slowStore) LoadStep(t int) (*field.Field, error) {
 
 func TestPrefetcherOverlapsLoads(t *testing.T) {
 	src := slowStore{NewMemory(makeDataset(t, 10)), 30 * time.Millisecond}
-	c, _ := NewCache(src, CacheOptions{MaxSteps: 1})
-	p := NewPrefetcher(c)
+	c, _ := NewCache(src, CacheOptions{MaxSteps: 1, Prefetch: true})
 	start := time.Now()
-	p.Prefetch(Play{Step: 0})
+	c.Follow(Play{Step: 0})
 	if elapsed := time.Since(start); elapsed > 15*time.Millisecond {
 		t.Errorf("Prefetch took %v: it waited for a read", elapsed)
 	}
-	p.Wait() // the round computes meanwhile
+	c.Wait() // the round computes meanwhile
 	start = time.Now()
 	checkStep(t, mustLoad(t, c, 1), 1)
 	if elapsed := time.Since(start); elapsed > 15*time.Millisecond {
@@ -269,8 +269,7 @@ func TestPrefetcherOverlapsLoads(t *testing.T) {
 
 func TestPrefetcherMissFallsThrough(t *testing.T) {
 	src := &gatedStore{Store: NewMemory(makeDataset(t, 5))}
-	c, _ := NewCache(src, CacheOptions{MaxSteps: 1})
-	NewPrefetcher(c)
+	c, _ := NewCache(src, CacheOptions{MaxSteps: 1, Prefetch: true})
 	// Nothing was prefetched: the load reads on the caller's goroutine.
 	checkStep(t, mustLoad(t, c, 2), 2)
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 || src.loads.Load() != 1 {
@@ -280,16 +279,15 @@ func TestPrefetcherMissFallsThrough(t *testing.T) {
 
 func TestPrefetcherIgnoresOutOfRange(t *testing.T) {
 	src := &gatedStore{Store: NewMemory(makeDataset(t, 3)), enter: make(chan int, 16)}
-	c, _ := NewCache(src, CacheOptions{MaxSteps: 1})
-	p := NewPrefetcher(c)
+	c, _ := NewCache(src, CacheOptions{MaxSteps: 1, Prefetch: true})
 	// A playhead outside the dataset clamps into it, and a play that
 	// stops at the last step has no next step to read.
-	p.Prefetch(Play{Step: -1})
-	p.Wait()
-	p.Prefetch(Play{Step: 3})
-	p.Wait()
-	p.Prefetch(Play{Step: 2, Reach: 7})
-	p.Wait()
+	c.Follow(Play{Step: -1})
+	c.Wait()
+	c.Follow(Play{Step: 3})
+	c.Wait()
+	c.Follow(Play{Step: 2, First: 2, Reach: 7})
+	c.Wait()
 	close(src.enter)
 	for step := range src.enter {
 		if step < 0 || step > 2 {
@@ -302,15 +300,14 @@ func TestPrefetcherIgnoresOutOfRange(t *testing.T) {
 }
 
 func TestPrefetcherConcurrentAccess(t *testing.T) {
-	c, _ := NewCache(NewMemory(makeDataset(t, 20)), CacheOptions{MaxSteps: 2})
-	p := NewPrefetcher(c)
+	c, _ := NewCache(NewMemory(makeDataset(t, 20)), CacheOptions{MaxSteps: 2, Prefetch: true})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for s := 0; s < 20; s++ {
-				p.Prefetch(Play{Step: s, Reverse: w%2 == 1, Loop: w%4 < 2, Reach: w})
+				c.Follow(Play{Step: s, First: s, Reverse: w%2 == 1, Loop: w%4 < 2, Reach: w})
 				f, err := c.LoadStep(s)
 				if err != nil {
 					t.Errorf("worker %d step %d: %v", w, s, err)
@@ -324,7 +321,7 @@ func TestPrefetcherConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	p.Wait()
+	c.Wait()
 }
 
 // TestPinsSurviveAnyBudget: the wanted run stays resident under a
@@ -348,7 +345,7 @@ func TestPinsSurviveAnyBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Follow(Play{Step: 3, Reach: 3})
+		c.Follow(Play{Step: 3, First: 3, Reach: 3})
 		// Reads inside and outside the run, in an order that would
 		// evict the run first were it not pinned; 0 is the most recent.
 		for _, s := range []int{3, 4, 5, 6, 7, 9, 10, 11, 0} {
@@ -382,19 +379,18 @@ func TestFillAndForegroundShareOneRead(t *testing.T) {
 		gate:  make(chan struct{}),
 		enter: make(chan int, 8),
 	}
-	c, _ := NewCache(src, CacheOptions{MaxSteps: 1})
-	p := NewPrefetcher(c)
+	c, _ := NewCache(src, CacheOptions{MaxSteps: 1, Prefetch: true})
 
-	p.Prefetch(Play{Step: 2, Reach: 1}) // returns: the gate is still shut
+	c.Follow(Play{Step: 2, First: 2, Reach: 1}) // returns: the gate is still shut
 	if step := <-src.enter; step != 2 {
 		t.Fatalf("the fill began with step %d, want the playhead's", step)
 	}
 	// More rounds arrive while the read is stuck; none waits, none
 	// starts a second fill.
 	for i := 0; i < 3; i++ {
-		p.Prefetch(Play{Step: 2, Reach: 1})
+		c.Follow(Play{Step: 2, First: 2, Reach: 1})
 	}
-	c.Follow(Play{Step: 2, Reach: 1})
+	c.Follow(Play{Step: 2, First: 2, Reach: 1})
 	if c.Resident(2) {
 		t.Fatal("step resident before its read finished")
 	}
@@ -413,7 +409,7 @@ func TestFillAndForegroundShareOneRead(t *testing.T) {
 	}
 	close(src.gate)
 	checkStep(t, <-got, 2)
-	p.Wait()
+	c.Wait()
 	if loads := src.loads.Load(); loads != 3 {
 		t.Errorf("underlying loads = %d, want 3 (steps 2, 3, 4 once each)", loads)
 	}
@@ -441,11 +437,10 @@ func TestSeekStormLeavesNothingBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 8
-	c, err := NewCache(d, CacheOptions{MaxSteps: budget})
+	c, err := NewCache(d, CacheOptions{MaxSteps: budget, Prefetch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPrefetcher(c)
 	goroutines := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < 200; i++ {
@@ -455,7 +450,9 @@ func TestSeekStormLeavesNothingBehind(t *testing.T) {
 			Loop:    rng.Intn(2) == 0,
 			Reach:   rng.Intn(24),
 		}
-		p.Prefetch(play)
+		// Paths start at the step or, when time was rounded up, one below.
+		play.First = max(play.Step-rng.Intn(2), 0)
+		c.Follow(play)
 		// The round's own step, and now and then a few rounds of play
 		// from where the seek landed.
 		checkStep(t, mustLoad(t, c, play.Step), float32(play.Step))
@@ -465,11 +462,12 @@ func TestSeekStormLeavesNothingBehind(t *testing.T) {
 			} else {
 				play.Step = min(play.Step+1, 63)
 			}
-			p.Prefetch(play)
+			play.First = play.Step
+			c.Follow(play)
 			checkStep(t, mustLoad(t, c, play.Step), float32(play.Step))
 		}
 	}
-	p.Wait()
+	c.Wait()
 	for tries := 0; runtime.NumGoroutine() > goroutines && tries < 100; tries++ {
 		time.Sleep(time.Millisecond) // exiting goroutines are counted until they are gone
 	}

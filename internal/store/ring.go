@@ -8,19 +8,19 @@
 // step.
 //
 // The ring recycles evicted steps' field buffers into later steps, so
-// eviction is a write hazard: a step an in-flight tracer is still
-// sampling must never be reclaimed. Pins are the guard — the tail never
-// advances past the lowest pinned step, so a pinned step (and every
-// step after it, which is what a forward-integrating tracer can reach)
-// stays resident until the pin drops. Eviction deferred by a pin is
-// counted, not forced.
+// eviction is a write hazard: a level an in-flight tracer is still
+// sampling must never be reclaimed. The ring's one pin is the guard.
+// Follow moves it to the first level the round reads, and the tail
+// never advances past it, so that level and every later one (all a
+// forward-integrating tracer can reach) stay resident until the next
+// Follow. Eviction deferred by the pin is counted, not forced. The pin
+// is private: a consumer holds levels only through Follow.
 //
-// Layering rule: a Ring must NOT be wrapped in the shared timestep
-// Cache, the Window, or the Prefetcher. All three hold bare *Field
-// pointers across rounds, which the ring's buffer recycling would
-// silently overwrite; the ring is already memory-resident, so the
-// wrappers have nothing to add and everything to corrupt. The server
-// enforces this when it detects a live store.
+// Layering rule: a Ring cannot sit under a Cache (NewCache refuses
+// one). The cache holds bare *Field pointers across rounds, which the
+// ring's buffer recycling would silently overwrite; the ring is already
+// memory-resident, so a cache would have nothing to add and everything
+// to corrupt.
 package store
 
 import (
@@ -41,16 +41,10 @@ type RingStats struct {
 	// Deferred counts evictions postponed because the step (or one
 	// before it) was pinned by an in-flight computation.
 	Deferred int64
-	// Clamped counts Clamp calls that had to move the requested step
-	// back inside the resident window — the consumer asked for history
-	// the ring has already recycled ("ring starvation" pressure).
+	// Clamped counts Follow calls whose step had to move back inside the
+	// resident window — the consumer asked for history the ring has
+	// already recycled ("ring starvation" pressure).
 	Clamped int64
-}
-
-// ringSlot is one resident sealed step.
-type ringSlot struct {
-	f    *field.Field
-	pins int
 }
 
 // Ring is a Store over a live, bounded window of solver-produced
@@ -72,9 +66,10 @@ type Ring struct {
 	produce func(upto int) error
 
 	mu     sync.Mutex
-	slots  map[int]*ringSlot
+	slots  map[int]*field.Field
 	head   int // newest sealed step, -1 before the first Publish
 	tail   int // oldest resident step
+	pinned int // the pin: the tail never passes it; -1 before the first Follow
 	free   []*field.Field
 	stats  RingStats
 	closed bool
@@ -100,8 +95,9 @@ func NewRing(g *grid.Grid, dt float32, window, horizon int) (*Ring, error) {
 	}
 	return &Ring{
 		g: g, dt: dt, window: window, horizon: horizon,
-		slots: make(map[int]*ringSlot),
-		head:  -1,
+		slots:  make(map[int]*field.Field),
+		head:   -1,
+		pinned: -1,
 	}, nil
 }
 
@@ -129,7 +125,7 @@ func (r *Ring) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.closed = true
-	r.slots = make(map[int]*ringSlot)
+	r.slots = make(map[int]*field.Field)
 	r.free = nil
 	return nil
 }
@@ -183,7 +179,7 @@ func (r *Ring) Publish(src *field.Field) (int, error) {
 	copy(f.U, src.U)
 	copy(f.V, src.V)
 	copy(f.W, src.W)
-	r.slots[step] = &ringSlot{f: f}
+	r.slots[step] = f
 	r.head = step
 	r.stats.Produced++
 	r.evictLocked()
@@ -191,79 +187,57 @@ func (r *Ring) Publish(src *field.Field) (int, error) {
 }
 
 // evictLocked slides the tail up to head-window+1, stopping at the
-// lowest pinned step: a pin holds its step AND everything after it
-// resident (forward-integrating tracers only ever reach later steps).
+// pin: it holds its step AND everything after it resident
+// (forward-integrating tracers only ever reach later steps).
 func (r *Ring) evictLocked() {
 	limit := r.head - r.window + 1
 	if limit <= r.tail {
 		return
 	}
 	barrier := limit
-	for t, slot := range r.slots {
-		if slot.pins > 0 && t < barrier {
-			barrier = t
-		}
-	}
-	if barrier < limit {
+	if r.pinned >= 0 && r.pinned < barrier {
+		barrier = r.pinned
 		r.stats.Deferred += int64(limit - barrier)
 	}
 	for t := r.tail; t < barrier; t++ {
-		if slot, ok := r.slots[t]; ok {
-			r.free = append(r.free, slot.f)
+		if f, ok := r.slots[t]; ok {
+			r.free = append(r.free, f)
 			delete(r.slots, t)
 		}
 	}
-	if barrier > r.tail {
-		r.tail = barrier
-	}
+	r.tail = max(r.tail, barrier)
 }
 
-// Pin marks step t referenced by an in-flight computation: until the
-// matching Unpin, neither t nor any later step will be recycled. It
-// reports whether t was resident (an evicted or unsealed step cannot
-// be pinned).
-func (r *Ring) Pin(t int) bool {
+// Follow implements Source: it clamps p.Step into what the ring can
+// serve and moves the pin to the first level the round reads — p.First,
+// or the served step if that is lower. Both happen under one lock, so
+// no Publish slips between them.
+func (r *Ring) Follow(p Play) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	slot, ok := r.slots[t]
-	if !ok {
-		return false
-	}
-	slot.pins++
-	return true
+	served := r.clampLocked(p.Step)
+	r.pinLocked(min(p.First, served))
+	return served
 }
 
-// Unpin drops one pin from step t. Eviction deferred by the pin
-// happens on the next Publish.
-func (r *Ring) Unpin(t int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if slot, ok := r.slots[t]; ok && slot.pins > 0 {
-		slot.pins--
-	}
+// pinLocked moves the pin to step t, or to the tail if t was already
+// recycled. Until it moves again no Publish recycles that step or any
+// later one; eviction it deferred happens on the first Publish after
+// it moves up.
+func (r *Ring) pinLocked(t int) {
+	r.pinned = max(t, r.tail)
 }
 
-// Clamp bounds a requested step to what the ring can serve: at least
-// the tail (older history is recycled) and, when no producer is
-// attached, at most the head. Out-of-window requests are counted as
-// starvation pressure.
-func (r *Ring) Clamp(step int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	clamped := step
-	if clamped < r.tail {
-		clamped = r.tail
+// clampLocked bounds a requested step to what the ring can serve: at
+// least the tail (older history is recycled), at most the horizon's
+// last step and, once a step is sealed and no producer is attached,
+// the head. Out-of-window requests are counted as starvation pressure.
+func (r *Ring) clampLocked(step int) int {
+	clamped := max(step, r.tail)
+	if r.produce == nil && r.head >= 0 {
+		clamped = min(clamped, r.head)
 	}
-	if r.produce == nil {
-		if max := r.head; max < 0 {
-			max = 0
-		} else if clamped > max {
-			clamped = max
-		}
-	}
-	if clamped >= r.horizon {
-		clamped = r.horizon - 1
-	}
+	clamped = min(clamped, r.horizon-1)
 	if clamped != step {
 		r.stats.Clamped++
 	}
@@ -273,8 +247,9 @@ func (r *Ring) Clamp(step int) int {
 // LoadStep implements Store. Steps in [Tail, Head] return immediately;
 // steps beyond the head drive the attached producer until sealed
 // (in-situ mode's on-demand computation); steps before the tail are
-// gone — the caller is expected to Clamp first, and the error path
-// degrades to stagnation in the samplers rather than crashing a frame.
+// gone — the caller is expected to Follow first, and the error path
+// ends the particle paths that needed them rather than crashing a
+// frame.
 func (r *Ring) LoadStep(t int) (*field.Field, error) {
 	if t < 0 || t >= r.horizon {
 		return nil, fmt.Errorf("store: timestep %d out of range [0, %d)", t, r.horizon)
@@ -285,8 +260,7 @@ func (r *Ring) LoadStep(t int) (*field.Field, error) {
 			r.mu.Unlock()
 			return nil, fmt.Errorf("store: ring closed")
 		}
-		if slot, ok := r.slots[t]; ok {
-			f := slot.f
+		if f, ok := r.slots[t]; ok {
 			r.mu.Unlock()
 			return f, nil
 		}

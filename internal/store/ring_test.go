@@ -22,6 +22,21 @@ func ringGrid(t testing.TB) *grid.Grid {
 	return g
 }
 
+// clamp and pin run the ring's unexported clamp and pin under its
+// lock, as Follow does; pin returns where the pin landed.
+func clamp(r *Ring, step int) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.clampLocked(step)
+}
+
+func pin(r *Ring, t int) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.pinLocked(t)
+	return r.pinned
+}
+
 // stepField builds a source field whose U is constant t, so resident
 // steps are verifiable after recycling.
 func stepField(g *grid.Grid, t int) *field.Field {
@@ -132,13 +147,13 @@ func TestRingClamp(t *testing.T) {
 	}
 	// Window is [3, 5]. Below the tail clamps up; with no producer,
 	// above the head clamps down; the horizon always bounds.
-	if got := r.Clamp(1); got != 3 {
+	if got := clamp(r, 1); got != 3 {
 		t.Fatalf("Clamp(1) = %d, want 3", got)
 	}
-	if got := r.Clamp(8); got != 5 {
+	if got := clamp(r, 8); got != 5 {
 		t.Fatalf("Clamp(8) = %d, want 5", got)
 	}
-	if got := r.Clamp(4); got != 4 {
+	if got := clamp(r, 4); got != 4 {
 		t.Fatalf("Clamp(4) = %d, want 4", got)
 	}
 	if got := r.Stats().Clamped; got != 2 {
@@ -147,10 +162,10 @@ func TestRingClamp(t *testing.T) {
 	// With a producer attached, future steps are reachable — only the
 	// horizon clamps from above.
 	r.SetProducer(func(int) error { return nil })
-	if got := r.Clamp(8); got != 8 {
+	if got := clamp(r, 8); got != 8 {
 		t.Fatalf("Clamp(8) with producer = %d, want 8", got)
 	}
-	if got := r.Clamp(99); got != 9 {
+	if got := clamp(r, 99); got != 9 {
 		t.Fatalf("Clamp(99) = %d, want horizon-1 = 9", got)
 	}
 }
@@ -171,12 +186,13 @@ func TestRingPinBlocksRecycle(t *testing.T) {
 		}
 	}
 	// Window 2, head 2: steps 1..2 resident. Pin 1 (the tracer's
-	// current step), then produce far past the window.
-	if !r.Pin(1) {
-		t.Fatal("pinning a resident step failed")
+	// first level), then produce far past the window. A recycled step
+	// cannot be held: pinning it lands on the tail.
+	if got := pin(r, 1); got != 1 {
+		t.Fatalf("pinning resident step 1 landed on %d", got)
 	}
-	if r.Pin(0) {
-		t.Fatal("pinning an evicted step succeeded")
+	if got := pin(r, 0); got != 1 {
+		t.Fatalf("pinning recycled step 0 landed on %d, want the tail 1", got)
 	}
 	pinned, err := r.LoadStep(1)
 	if err != nil {
@@ -209,10 +225,10 @@ func TestRingPinBlocksRecycle(t *testing.T) {
 		t.Fatal("deferred-eviction counter never moved")
 	}
 
-	// Unpin: the next publish slides the tail and recycles — and the
-	// reclaimed buffer is reused for a later step (pointer identity
-	// proves the recycle path ran).
-	r.Unpin(1)
+	// Moving the pin up releases step 1: the next publish slides the
+	// tail and recycles — and the reclaimed buffer is reused for a later
+	// step (pointer identity proves the recycle path ran).
+	pin(r, 9)
 	if _, err := r.Publish(stepField(g, 10)); err != nil {
 		t.Fatal(err)
 	}
@@ -237,9 +253,9 @@ func TestRingPinBlocksRecycle(t *testing.T) {
 }
 
 // TestRingPinUnderConcurrentProduction hammers the pin/publish race
-// directly: a producer goroutine publishes while a consumer pins,
-// reads, and verifies its step. Run with -race this is the
-// eviction-while-integrating audit in miniature.
+// directly: a producer goroutine publishes while a consumer moves the
+// pin to the head, reads, and verifies its step. Run with -race this
+// is the eviction-while-integrating audit in miniature.
 func TestRingPinUnderConcurrentProduction(t *testing.T) {
 	g := ringGrid(t)
 	r, err := NewRing(g, 0.1, 2, 512)
@@ -266,8 +282,8 @@ func TestRingPinUnderConcurrentProduction(t *testing.T) {
 		if head < 0 {
 			continue
 		}
-		if !r.Pin(head) {
-			continue // already evicted between Head and Pin; try again
+		if pin(r, head) != head {
+			continue // already evicted between Head and pin; try again
 		}
 		f, err := r.LoadStep(head)
 		if err == nil {
@@ -276,7 +292,6 @@ func TestRingPinUnderConcurrentProduction(t *testing.T) {
 			}
 			reads++
 		}
-		r.Unpin(head)
 	}
 	wg.Wait()
 	if reads == 0 {
