@@ -7,9 +7,9 @@ package render
 // (NDC z = -1) to CueFloor at the far plane (NDC z = +1).
 
 // EnableDepthCue turns depth cueing on with the given floor intensity
-// fraction in [0, 1).
+// fraction in [0, 1). A NaN floor is no floor.
 func (r *Renderer) EnableDepthCue(floor float32) {
-	if floor < 0 {
+	if !(floor >= 0) {
 		floor = 0
 	}
 	if floor >= 1 {
@@ -22,11 +22,13 @@ func (r *Renderer) EnableDepthCue(floor float32) {
 // DisableDepthCue turns depth cueing off.
 func (r *Renderer) DisableDepthCue() { r.cueOn = false }
 
-// shade attenuates the ink for NDC depth z in [-1, 1].
+// shade attenuates the ink for NDC depth z in [-1, 1]. A NaN depth,
+// which the raster loop's range test lets through, shades as the near
+// plane: converting NaN to uint8 is left to the implementation.
 func (k *ink) shade(z float32) {
 	// t = 0 at near, 1 at far.
 	t := (z + 1) / 2
-	if t < 0 {
+	if !(t >= 0) {
 		t = 0
 	}
 	if t > 1 {

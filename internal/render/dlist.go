@@ -181,7 +181,7 @@ func (dl *DisplayList) band(w, bands int, fb *Framebuffer, eyes *[2]eye) {
 	for cur := int64(0); cur < 2*per; {
 		if g := dl.next.Load(); g < 2*per && g < cur+lookahead && dl.drawn(g-slots) &&
 			(dl.mayClaim == nil || dl.mayClaim(w, g)) && dl.next.CompareAndSwap(g, g+1) {
-			dl.transform(&r, &eyes[g/per], g%per, dl.slot(g%slots))
+			dl.transform(r.viewport(), &eyes[g/per], g%per, dl.slot(g%slots))
 			dl.ready[g%slots].Store(g + 1)
 			continue
 		}
@@ -217,12 +217,17 @@ func (dl *DisplayList) slot(i int64) []vert {
 	return dl.ring[i]
 }
 
+// mvp is the transform run rn draws under for eye e.
+func (dl *DisplayList) mvp(rn *run, e *eye) *vmath.Mat4 {
+	if rn.mvp != 0 {
+		return &dl.mvps[rn.mvp-1]
+	}
+	return &e.mvp
+}
+
 // load puts the state run rn was recorded under, for eye e, on r.
 func (dl *DisplayList) load(r *Renderer, rn *run, e *eye) {
-	r.mvp, r.mask = e.mvp, e.mask
-	if rn.mvp != 0 {
-		r.mvp = dl.mvps[rn.mvp-1]
-	}
+	r.mvp, r.mask = *dl.mvp(rn, e), e.mask
 	if rn.mask != maskEye {
 		r.mask = rn.mask
 	}
@@ -238,24 +243,27 @@ func (dl *DisplayList) slabRuns(s int64) []run {
 	return dl.runs[first:dl.slabs[s]]
 }
 
-// transform fills v with the vertices of slab s as eye e sees them.
+// transform fills v with the vertices of slab s as eye e sees them. A
+// run's matrix and the viewport are locals: the stores into v could
+// alias anything behind a pointer, so read through one they would be
+// reloaded for every vertex.
 //
 //vw:hotpath
-func (dl *DisplayList) transform(r *Renderer, e *eye, s int64, v []vert) {
+func (dl *DisplayList) transform(vp viewport, e *eye, s int64, v []vert) {
 	runs := dl.slabRuns(s)
 	for i := range runs {
 		rn := &runs[i]
-		dl.load(r, rn, e)
+		m := *dl.mvp(rn, e)
 		out := v[:len(rn.pts)]
 		v = v[len(rn.pts):]
 		if rn.kind == kindPoints {
 			for j, p := range rn.pts {
-				out[j] = r.pointVert(p)
+				out[j] = vp.pointVert(m.TransformPointW(p))
 			}
 			continue
 		}
 		for j, p := range rn.pts {
-			out[j] = r.divide(r.mvp.TransformPointW(p))
+			out[j] = vp.divide(m.TransformPointW(p))
 		}
 	}
 }

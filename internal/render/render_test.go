@@ -296,6 +296,39 @@ func TestDepthCueAttenuatesFarGeometry(t *testing.T) {
 	}
 }
 
+// TestDepthCueNaN: a NaN floor is no floor, and a NaN depth, which the
+// raster loop's range test lets through, shades as the near plane.
+// Unclamped, either one reaches uint8(float32(v) * NaN), whose value the
+// Go spec leaves to the implementation.
+func TestDepthCueNaN(t *testing.T) {
+	nan := float32(math.NaN())
+	fb, _ := NewFramebuffer(32, 32)
+	r := NewRenderer(fb)
+	r.EnableDepthCue(nan)
+	// Identity transform: z = 0 is halfway to the far plane, where no
+	// floor leaves half the ink.
+	r.Point(vmath.V3(0, 0, 0), Color{200, 100, 50})
+	if c := fb.At(15, 15); c != (Color{100, 50, 25}) {
+		t.Errorf("NaN floor: point at mid depth = %+v, want {100 50 25}", c)
+	}
+
+	// Both ends' depths are finite, but the first step's z0 + t*dz is
+	// -3e38 + 0*Inf: NaN, at pixel (7, 7).
+	fb.Clear(0, 0, 0)
+	r.EnableDepthCue(0.5)
+	r.Line(vmath.V3(-0.5, 0.5, -3e38), vmath.V3(0.5, 0, 3e38), Color{200, 100, 50})
+	if z := fb.Z[7*fb.W+7]; z == z {
+		t.Fatalf("first step's depth = %v, want NaN", z)
+	}
+	if c := fb.At(7, 7); c != (Color{200, 100, 50}) {
+		t.Errorf("NaN depth: pixel = %+v, want the uncued {200 100 50}", c)
+	}
+	k := r.ink(Color{200, 100, 50})
+	if k.shade(nan); k.val != k.base {
+		t.Errorf("shade(NaN) = %v, want %v", k.val, k.base)
+	}
+}
+
 func TestEnableDepthCueClampsFloor(t *testing.T) {
 	fb, _ := NewFramebuffer(4, 4)
 	r := NewRenderer(fb)

@@ -63,6 +63,11 @@ type ink struct {
 	// far planes, 0 when cueing is off.
 	base [3]uint8
 	cue  float32
+	// store marks an ink whose byte does not depend on the pixel it
+	// lands on: one channel, replaced, uncued — each anaglyph eye of a
+	// non-additive draw. The raster loop stores val[lo] without loading
+	// the byte it overwrites.
+	store bool
 }
 
 func (r *Renderer) ink(c Color) ink {
@@ -79,6 +84,7 @@ func (r *Renderer) ink(c Color) ink {
 			}
 		}
 	}
+	k.store = k.hi == k.lo+1 && k.keep[k.lo] == 0 && k.cue == 0
 	return k
 }
 
@@ -99,18 +105,40 @@ type vert struct {
 	sx, sy float32 // pixels, before truncation
 }
 
-func (r *Renderer) divide(p vmath.Vec3, w float32) vert {
-	return r.onScreen(p.X/w, p.Y/w, p.Z/w, w)
+// viewport is the scale from NDC to a framebuffer's pixels,
+// float32(W-1) by float32(H-1), converted once per draw call or slab
+// and held in registers rather than reloaded through the Renderer for
+// every vertex.
+type viewport struct{ w, h float32 }
+
+func (r *Renderer) viewport() viewport {
+	return viewport{float32(r.FB.W - 1), float32(r.FB.H - 1)}
 }
 
-// onScreen is the vertex at NDC (x, y, z).
-func (r *Renderer) onScreen(x, y, z, w float32) vert {
+// onScreen is the vertex at NDC (x, y, z): the one place the
+// NDC-to-pixel arithmetic lives.
+func (vp viewport) onScreen(x, y, z, w float32) vert {
 	return vert{
 		ndc: vmath.Vec3{X: x, Y: y, Z: z},
 		w:   w,
-		sx:  (x + 1) / 2 * float32(r.FB.W-1),
-		sy:  (1 - y) / 2 * float32(r.FB.H-1),
+		sx:  (x + 1) / 2 * vp.w,
+		sy:  (1 - y) / 2 * vp.h,
 	}
+}
+
+// divide is a line vertex: the transformed point p, w divided by w.
+func (vp viewport) divide(p vmath.Vec3, w float32) vert {
+	return vp.onScreen(p.X/w, p.Y/w, p.Z/w, w)
+}
+
+// pointVert is a point's vertex. (Points multiply by 1/w where line
+// vertices divide by w; the pinned frames hold both roundings.)
+func (vp viewport) pointVert(p vmath.Vec3, w float32) vert {
+	if w < nearEps {
+		return vert{w: w}
+	}
+	inv := 1 / w
+	return vp.onScreen(p.X*inv, p.Y*inv, p.Z*inv, w)
 }
 
 const nearEps = 1e-5
@@ -122,7 +150,7 @@ func (r *Renderer) Point(p vmath.Vec3, c Color) {
 		return
 	}
 	k := r.ink(c)
-	v := r.pointVert(p)
+	v := r.viewport().pointVert(r.mvp.TransformPointW(p))
 	r.plot(&v, &k)
 }
 
@@ -132,22 +160,11 @@ func (r *Renderer) Points(pts []vmath.Vec3, c Color) {
 		r.list.add(r, kindPoints, pts, c)
 		return
 	}
-	k := r.ink(c)
+	k, vp := r.ink(c), r.viewport()
 	for _, p := range pts {
-		v := r.pointVert(p)
+		v := vp.pointVert(r.mvp.TransformPointW(p))
 		r.plot(&v, &k)
 	}
-}
-
-// pointVert transforms a point. (Points multiply by 1/w where line
-// vertices divide by w; the pinned frames hold both roundings.)
-func (r *Renderer) pointVert(p vmath.Vec3) vert {
-	v, w := r.mvp.TransformPointW(p)
-	if w < nearEps {
-		return vert{w: w}
-	}
-	inv := 1 / w
-	return r.onScreen(v.X*inv, v.Y*inv, v.Z*inv, w)
 }
 
 // plot draws a transformed point if it is in view, on r's rows and not
@@ -189,10 +206,10 @@ func (r *Renderer) Polyline(pts []vmath.Vec3, c Color) {
 //
 //vw:hotpath
 func (r *Renderer) polyline(pts []vmath.Vec3, c Color) {
-	k := r.ink(c)
+	k, vp := r.ink(c), r.viewport()
 	var a vert
 	for i := range pts {
-		b := r.divide(r.mvp.TransformPointW(pts[i]))
+		b := vp.divide(r.mvp.TransformPointW(pts[i]))
 		if i > 0 {
 			r.edge(&a, &b, &pts[i-1], &pts[i], &k)
 		}
@@ -246,7 +263,7 @@ func (r *Renderer) clipToNear(inside, outside vmath.Vec3) vert {
 	pi, wi := r.mvp.TransformPointW(inside)
 	po, wo := r.mvp.TransformPointW(outside)
 	t := (wi - nearEps) / (wi - wo)
-	return r.divide(pi.Lerp(po, t), nearEps)
+	return r.viewport().divide(pi.Lerp(po, t), nearEps)
 }
 
 // maxExtent bounds a segment's projected length in pixels. Anything
@@ -260,7 +277,8 @@ const maxExtent = 1 << 62
 // near plane: a z-buffered float DDA over the steps that land on this
 // renderer's rows. The step arithmetic — t = s/steps, truncation by
 // int(), ascending s — is what every pinned framebuffer was drawn
-// with; only steps that cannot write are skipped.
+// with; only steps that cannot write are skipped, and only an ink that
+// keeps bits reads the pixel it writes.
 //
 //vw:hotpath
 func (r *Renderer) segment(a, b vert, k *ink) {
@@ -295,6 +313,11 @@ func (r *Renderer) segment(a, b vert, k *ink) {
 		lo, hi = span(lo, hi, fsteps, x0, dx, 0, w)
 	}
 	zb, pix, w := fb.Z, fb.Pix, fb.W
+	// A store ink's one byte and its place in the pixel (see ink.store).
+	store, ch, v := k.store, k.lo, uint8(0)
+	if store {
+		v = k.val[ch]
+	}
 	for s := lo; s <= hi; s++ {
 		t := float32(s) / fsteps
 		z := z0 + t*dz
@@ -306,6 +329,10 @@ func (r *Renderer) segment(a, b vert, k *ink) {
 			continue
 		}
 		zb[i] = z
+		if store {
+			pix[3*i+ch] = v
+			continue
+		}
 		if k.cue != 0 {
 			k.shade(z)
 		}
