@@ -1,9 +1,6 @@
 // Command vwlint runs the project's invariant analyzers (wallclock,
 // lockdiscipline, hotpath, maporder, codecparity, hostilecount — see
-// internal/analysis) over the repo.
-// It has two faces:
-//
-// Standalone, the way `make lint` uses it:
+// internal/analysis) over the repo, the way `make lint` uses it:
 //
 //	go run ./cmd/vwlint ./...
 //	go run ./cmd/vwlint ./internal/server
@@ -18,14 +15,6 @@
 // emits every finding — suppressed ones included, with an "allowed"
 // flag — as a JSON array so CI tooling can diff lint results across
 // PRs; -stats prints the //vw:allow count per analyzer.
-//
-// As a vet tool, for editor/CI integration on top of go vet's
-// incremental action graph:
-//
-//	go vet -vettool=$(pwd)/bin/vwlint ./...
-//
-// where it speaks the -V=full / -flags / pkg.cfg protocol and reads
-// the gc export data the go command hands it.
 package main
 
 import (
@@ -43,27 +32,6 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	// The go vet driver handshake: version identity, then flag
-	// discovery, then one "vetFlags... pkg.cfg" invocation per
-	// package.
-	for _, a := range args {
-		if strings.HasPrefix(a, "-V=") || a == "-V" {
-			// Three fields with f[1]=="version"; the third names a
-			// release so cmd/go can use the line as a cache key.
-			fmt.Fprintln(stdout, "vwlint version v2")
-			return 0
-		}
-	}
-	for _, a := range args {
-		if a == "-flags" {
-			fmt.Fprintln(stdout, "[]") // no tool-specific flags
-			return 0
-		}
-	}
-	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
-		return runVetTool(args[n-1], stderr)
-	}
-
 	var jsonMode, statsMode bool
 	var patterns []string
 	for _, a := range args {

@@ -142,21 +142,11 @@ func TestRunStats(t *testing.T) {
 	}
 }
 
-func TestRunVersionHandshake(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	if code := run([]string{"-V=full"}, &out, &errBuf); code != 0 {
-		t.Fatalf("-V=full exit = %d, want 0", code)
-	}
-	f := strings.Fields(out.String())
-	if len(f) != 3 || f[1] != "version" {
-		t.Fatalf("-V=full output %q: cmd/go requires three fields with f[1]==version", out.String())
-	}
-}
-
-// vetProbeSrc trips the three second-generation analyzers once each and
+// probeSrc trips the three second-generation analyzers once each and
 // suppresses a second maporder site, so one module proves both that
-// findings flow through a driver and that //vw:allow survives the trip.
-const vetProbeSrc = `// Package probe exercises the v2 analyzers end to end.
+// findings flow through the driver and that //vw:allow survives the
+// trip.
+const probeSrc = `// Package probe exercises the v2 analyzers end to end.
 //
 //vw:deterministic
 //vw:wire
@@ -192,10 +182,9 @@ func Grow(buf []byte) []byte {
 }
 `
 
-// TestDriversRoundTrip builds the real binary and runs the same module
-// through both faces — `go vet -vettool` and standalone — asserting
-// each of the three analyzers reports and the //vw:allow suppresses in
-// both.
+// TestDriversRoundTrip builds the real binary and runs it over the
+// module, asserting each of the three analyzers reports once and the
+// //vw:allow suppresses.
 func TestDriversRoundTrip(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -207,26 +196,7 @@ func TestDriversRoundTrip(t *testing.T) {
 	}
 	mod := writeModule(t, map[string]string{
 		"go.mod":         "module tmpmod\n\ngo 1.22\n",
-		"probe/probe.go": vetProbeSrc,
-	})
-
-	check := func(t *testing.T, stderr string) {
-		t.Helper()
-		for _, tag := range []string{"[maporder]", "[codecparity]", "[hostilecount]"} {
-			if n := strings.Count(stderr, tag); n != 1 {
-				t.Errorf("%s findings = %d, want exactly 1 (the //vw:allow site must be suppressed):\n%s", tag, n, stderr)
-			}
-		}
-	}
-
-	t.Run("vet", func(t *testing.T) {
-		cmd := exec.Command(goTool, "vet", "-vettool="+bin, "./...")
-		cmd.Dir = mod
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Fatalf("go vet -vettool succeeded, want findings:\n%s", out)
-		}
-		check(t, string(out))
+		"probe/probe.go": probeSrc,
 	})
 
 	t.Run("standalone", func(t *testing.T) {
@@ -239,6 +209,10 @@ func TestDriversRoundTrip(t *testing.T) {
 		if !ok || ee.ExitCode() != 1 {
 			t.Fatalf("standalone exit = %v, want 1; stderr:\n%s", err, stderr.String())
 		}
-		check(t, stderr.String())
+		for _, tag := range []string{"[maporder]", "[codecparity]", "[hostilecount]"} {
+			if n := strings.Count(stderr.String(), tag); n != 1 {
+				t.Errorf("%s findings = %d, want exactly 1 (the //vw:allow site must be suppressed):\n%s", tag, n, stderr.String())
+			}
+		}
 	})
 }

@@ -160,16 +160,6 @@ func Run(a *Analyzer, pkg *Package) []Diagnostic {
 	return out
 }
 
-// RunAll applies every analyzer in as to pkg and returns the merged
-// surviving diagnostics.
-func RunAll(as []*Analyzer, pkg *Package) []Diagnostic {
-	var out []Diagnostic
-	for _, a := range as {
-		out = append(out, Run(a, pkg)...)
-	}
-	return out
-}
-
 // RunAllFindings applies every analyzer in as to pkg and returns the
 // merged findings, suppressed ones included.
 func RunAllFindings(as []*Analyzer, pkg *Package) []Finding {

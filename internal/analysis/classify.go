@@ -25,8 +25,8 @@ type Class struct {
 // Classify derives a package's class from its parsed directives. The
 // directives in the source are the single source of truth — the
 // PackageClasses registry below only pins which packages must carry
-// them — so the vet -vettool driver and the analysistest fixtures see
-// exactly the same classification as the standalone driver.
+// them — so the analysistest fixtures see exactly the same
+// classification as the driver.
 func Classify(d *Directives) Class {
 	return Class{
 		Deterministic: d.Deterministic,

@@ -22,8 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/field"
-	"repro/internal/grid"
 	"repro/internal/integrate"
 	"repro/internal/vmath"
 )
@@ -103,27 +101,9 @@ type Engine interface {
 	ParticlePaths(s integrate.Sampler, seeds []vmath.Vec3, t0, maxTime float32, o integrate.Options) ([][]vmath.Vec3, Stats)
 }
 
-// SteadyBatch samples a single timestep at every time t.
-type SteadyBatch struct {
-	F *field.Field
-	G *grid.Grid
-}
-
-// SampleVelocity implements integrate.Sampler.
-func (s SteadyBatch) SampleVelocity(gc vmath.Vec3, _ float32) vmath.Vec3 {
-	return s.F.Sample(s.G, gc)
-}
-
-// Grid implements integrate.Sampler.
-func (s SteadyBatch) Grid() *grid.Grid { return s.G }
-
-// NumLevels implements integrate.LevelSource: one steady level, which
-// puts the fused kernel under every engine that integrates a
-// SteadyBatch.
-func (s SteadyBatch) NumLevels() int { return 1 }
-
-// Level implements integrate.LevelSource.
-func (s SteadyBatch) Level(int) *field.Field { return s.F }
+// SteadyBatch samples a single timestep at every time t: the steady
+// sampler the engines' streamline callers hand them.
+type SteadyBatch = integrate.SteadySampler
 
 // tracer appends the paths of up to integrate.Lanes seeds to dst and
 // returns their lengths — integrate.AppendStreamlines or

@@ -15,9 +15,10 @@ import (
 // the Scalar reference — identical Stats counts and bit-identical
 // coordinates — on randomized (but seeded, hence reproducible) rake/grid
 // configurations, not just the handful of hand-built fields above. The
-// engines share one per-particle kernel, and Scalar over a sampler that
-// hides its levels runs integrate's Step-over-SampleVelocity path, the
-// oracle that kernel is held to.
+// engines share integrate's kernel, and Scalar is held to each seed
+// traced alone through integrate's one-lane calls: the engines' lock-step
+// groups and line arenas change no bit. (integrate holds the kernel
+// itself to its Step-over-SampleVelocity oracle.)
 
 // randomBatch builds a random smooth field on a random grid. Velocity
 // components stay in ~[0.2, 1.0], far above MinSpeed, so paths run long.
@@ -67,14 +68,14 @@ func randomSeeds(rng *rand.Rand, g *grid.Grid, n int) []vmath.Vec3 {
 	return seeds
 }
 
-// stepOnly hides a SteadyBatch's levels, so integrate falls back to Step
-// over SampleVelocity.
-type stepOnly struct{ b SteadyBatch }
-
-func (s stepOnly) SampleVelocity(gc vmath.Vec3, t float32) vmath.Vec3 {
-	return s.b.SampleVelocity(gc, t)
+// oneByOne traces each seed alone.
+func oneByOne(seeds []vmath.Vec3, trace func(seed vmath.Vec3) []vmath.Vec3) [][]vmath.Vec3 {
+	paths := make([][]vmath.Vec3, len(seeds))
+	for i, seed := range seeds {
+		paths[i] = trace(seed)
+	}
+	return paths
 }
-func (s stepOnly) Grid() *grid.Grid { return s.b.G }
 
 // differentialEngines are held to Scalar in every case: one worker (the
 // caller alone), and two counts that split most rakes unevenly.
@@ -122,8 +123,9 @@ func TestDifferentialEnginesRandomized(t *testing.T) {
 		rng.Intn(29)
 		t.Run(fmt.Sprintf("case%02d", c), func(t *testing.T) {
 			ref, refStats := Scalar{}.Streamlines(batch, seeds, 0, o)
-			oracle, _ := Scalar{}.Streamlines(stepOnly{batch}, seeds, 0, o)
-			comparePaths(t, "step oracle", oracle, ref)
+			comparePaths(t, "one seed at a time", oneByOne(seeds, func(seed vmath.Vec3) []vmath.Vec3 {
+				return integrate.Streamline(batch, seed, 0, o)
+			}), ref)
 			for _, e := range differentialEngines {
 				paths, stats := e.Streamlines(batch, seeds, 0, o)
 				if stats != refStats {
@@ -153,8 +155,9 @@ func TestDifferentialParticlePathsRandomized(t *testing.T) {
 		rng.Intn(8) // as above: keeps the 8 cases the ones always checked
 		t.Run(fmt.Sprintf("case%02d", c), func(t *testing.T) {
 			ref, refStats := Scalar{}.ParticlePaths(batch, seeds, 0, 1000, o)
-			oracle, _ := Scalar{}.ParticlePaths(stepOnly{batch}, seeds, 0, 1000, o)
-			comparePaths(t, "step oracle", oracle, ref)
+			comparePaths(t, "one seed at a time", oneByOne(seeds, func(seed vmath.Vec3) []vmath.Vec3 {
+				return integrate.ParticlePath(batch, seed, 0, 1000, o)
+			}), ref)
 			for _, e := range differentialEngines {
 				paths, stats := e.ParticlePaths(batch, seeds, 0, 1000, o)
 				if stats != refStats {

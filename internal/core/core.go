@@ -95,14 +95,12 @@ type Session struct {
 // launch path (the cache and prefetch options only shape the cache the
 // server puts under a store that is not a store.Source, such as a
 // store.Disk; a resident dataset or a live ring keeps its own
-// residency). Workers sets both widths a
-// round's computation has: the engine's, and the pool's that runs dirty
-// rakes and tools side by side.
+// residency). Workers sets the engine's width, which is also the width
+// of the server's round pool.
 func serverConfig(st store.Store, opts Options) server.Config {
 	return server.Config{
 		Store:           st,
 		Engine:          compute.Parallel{NumWorkers: opts.Workers},
-		RakeWorkers:     opts.Workers,
 		Options:         opts.Integration,
 		Prefetch:        opts.Prefetch,
 		MaxSeedsPerRake: opts.MaxSeedsPerRake,

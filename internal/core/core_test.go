@@ -263,12 +263,12 @@ func TestLateJoinSeesExistingEnvironment(t *testing.T) {
 func TestWorkersSetsEngineAndPoolWidth(t *testing.T) {
 	u := smallDataset(t, 2)
 	cfg := serverConfig(store.NewMemory(u), Options{Workers: 1})
-	if got := cfg.Engine.Name(); got != "parallel-1" || cfg.RakeWorkers != 1 {
-		t.Errorf("Workers 1: engine %s, pool width %d; want parallel-1 and 1", got, cfg.RakeWorkers)
+	if got := cfg.Engine.Name(); got != "parallel-1" || cfg.Engine.Workers() != 1 {
+		t.Errorf("Workers 1: engine %s, pool width %d; want parallel-1 and 1", got, cfg.Engine.Workers())
 	}
 	cfg = serverConfig(store.NewMemory(u), Options{Workers: 3})
-	if got := cfg.Engine.Name(); got != "parallel-3" || cfg.RakeWorkers != 3 {
-		t.Errorf("Workers 3: engine %s, pool width %d; want parallel-3 and 3", got, cfg.RakeWorkers)
+	if got := cfg.Engine.Name(); got != "parallel-3" || cfg.Engine.Workers() != 3 {
+		t.Errorf("Workers 3: engine %s, pool width %d; want parallel-3 and 3", got, cfg.Engine.Workers())
 	}
 
 	round := func(workers int) wire.FrameReply {

@@ -3,8 +3,8 @@
 // plus the seed-point rakes that control them.
 //
 // All integration happens in grid coordinates (the paper's key
-// optimization): a Sampler returns velocity in units of grid cells per
-// flow-time unit, so each step is pure array arithmetic. Streamlines
+// optimization): a Sampler's levels hold velocity in units of grid cells
+// per flow-time unit, so each step is pure array arithmetic. Streamlines
 // and particle paths come back in physical coordinates, each point
 // converted by direct trilinear lookup of node positions; streakline
 // particles stay in grid coordinates, since they move again next frame.
@@ -20,12 +20,26 @@ import (
 	"repro/internal/vmath"
 )
 
-// Sampler supplies grid-coordinate velocity at a grid coordinate and a
-// continuous time index (in timesteps).
+// Sampler hands the integration kernel the arrays its samples read: the
+// grid and, per time level (timestep), one grid-coordinate velocity
+// field. The velocity it stands for at (gc, t) is the one
+// field.Unsteady.SampleAtTime defines: level 0 alone for t <= 0, the
+// last level alone for t >= NumLevels-1, else levels int(t) and int(t)+1
+// blended by Vec3.Lerp at t - int(t). The kernel asks for a level only
+// when the bracket changes, never per sample, so Level may take a lock
+// or touch a cache.
 type Sampler interface {
-	SampleVelocity(gc vmath.Vec3, t float32) vmath.Vec3
 	// Grid returns the grid defining the computational domain.
 	Grid() *grid.Grid
+	// NumLevels is the number of time levels, at least 1. One level is a
+	// steady field: time is ignored.
+	NumLevels() int
+	// Level returns time level i, 0 <= i < NumLevels, or nil when it
+	// cannot be had (a failed load). The kernel ends a path at the first
+	// sample whose bracket is missing a level, and asks for that level
+	// once per path it ends there, so a source counting the nils it hands
+	// out counts the paths stopped.
+	Level(i int) *field.Field
 }
 
 // SteadySampler samples a single timestep; time is ignored. Streamline
@@ -36,13 +50,19 @@ type SteadySampler struct {
 	G *grid.Grid
 }
 
-// SampleVelocity implements Sampler.
+// SampleVelocity is the velocity at one point, for Step.
 func (s SteadySampler) SampleVelocity(gc vmath.Vec3, _ float32) vmath.Vec3 {
 	return s.F.Sample(s.G, gc)
 }
 
 // Grid implements Sampler.
 func (s SteadySampler) Grid() *grid.Grid { return s.G }
+
+// NumLevels implements Sampler.
+func (s SteadySampler) NumLevels() int { return 1 }
+
+// Level implements Sampler.
+func (s SteadySampler) Level(int) *field.Field { return s.F }
 
 // UnsteadySampler samples an unsteady dataset with linear time
 // interpolation. Particle paths use it: "incrementing the timestep
@@ -51,13 +71,19 @@ type UnsteadySampler struct {
 	U *field.Unsteady
 }
 
-// SampleVelocity implements Sampler.
+// SampleVelocity is the velocity at one point and time, for Step.
 func (s UnsteadySampler) SampleVelocity(gc vmath.Vec3, t float32) vmath.Vec3 {
 	return s.U.SampleAtTime(gc, t)
 }
 
 // Grid implements Sampler.
 func (s UnsteadySampler) Grid() *grid.Grid { return s.U.Grid }
+
+// NumLevels implements Sampler.
+func (s UnsteadySampler) NumLevels() int { return len(s.U.Steps) }
+
+// Level implements Sampler.
+func (s UnsteadySampler) Level(i int) *field.Field { return s.U.Steps[i] }
 
 // Method selects the integration scheme.
 type Method uint8
@@ -86,9 +112,14 @@ func (m Method) String() string {
 }
 
 // Step advances one particle at grid coordinate gc by time step h
-// (flow-time units expressed in timestep counts) using the method. The
-// returned position is NOT bounds checked; callers decide termination.
-func Step(m Method, s Sampler, gc vmath.Vec3, t, h float32) vmath.Vec3 {
+// (flow-time units expressed in timestep counts) using the method,
+// sampling s once per stage. The returned position is NOT bounds
+// checked; callers decide termination. The kernel takes every step in
+// Step's arithmetic; MultiStreamline, which hops between blocks, calls
+// Step itself.
+func Step(m Method, s interface {
+	SampleVelocity(gc vmath.Vec3, t float32) vmath.Vec3
+}, gc vmath.Vec3, t, h float32) vmath.Vec3 {
 	switch m {
 	case Euler:
 		return gc.Add(s.SampleVelocity(gc, t).Scale(h))
@@ -160,49 +191,8 @@ func Streamline(s Sampler, seed vmath.Vec3, t float32, o Options) []vmath.Vec3 {
 // len(seeds)*(MaxSteps+1) points of spare capacity in dst it allocates
 // nothing.
 func AppendStreamlines(dst []vmath.Vec3, s Sampler, seeds []vmath.Vec3, t float32, o Options) ([]vmath.Vec3, [Lanes]int) {
-	if k, ok := fusedFor(s, o.Method); ok {
-		return k.streamlines(dst, seeds, t, o)
-	}
-	return eachSeed(dst, seeds, func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3 {
-		return streamlineOver(dst, s, seed, t, o)
-	})
-}
-
-// eachSeed is a lock-step call's contract over a one-seed loop: the
-// Step path's way of filling a group.
-func eachSeed(dst, seeds []vmath.Vec3, one func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3) ([]vmath.Vec3, [Lanes]int) {
-	var n [Lanes]int
-	for i, seed := range seeds {
-		start := len(dst)
-		dst = one(dst, seed)
-		n[i] = len(dst) - start
-	}
-	return dst, n
-}
-
-// streamlineOver is the streamline loop over any Sampler: one
-// SampleVelocity per stage through Step, plus one for the stagnation
-// test, and each point converted on its own. The fused kernel is
-// checked against it bit for bit.
-func streamlineOver(dst []vmath.Vec3, s Sampler, seed vmath.Vec3, t float32, o Options) []vmath.Vec3 {
-	g := s.Grid()
-	gc := seed
-	if !g.InBounds(gc) {
-		return dst
-	}
-	dst = append(dst, g.PhysAt(gc))
-	for n := 0; n < o.MaxSteps; n++ {
-		if s.SampleVelocity(gc, t).Len() < o.EffectiveMinSpeed() {
-			break
-		}
-		next := Step(o.Method, s, gc, t, o.StepSize)
-		if !g.InBounds(next) || !next.IsFinite() {
-			break
-		}
-		dst = append(dst, g.PhysAt(next))
-		gc = next
-	}
-	return dst
+	k := newKernel(s, o.Method)
+	return k.streamlines(dst, seeds, t, o)
 }
 
 // ParticlePath integrates through time from the seed (grid
@@ -210,7 +200,7 @@ func streamlineOver(dst []vmath.Vec3, s Sampler, seed vmath.Vec3, t float32, o O
 // step — a "time exposure photograph" of one particle — and returns
 // the path in physical coordinates. The path stops at the domain
 // boundary, at the dataset's time bounds, after MaxSteps points, or
-// where a LevelSource cannot supply a time level it needs.
+// where the Sampler cannot supply a time level it needs.
 func ParticlePath(s Sampler, seed vmath.Vec3, t0 float32, maxTime float32, o Options) []vmath.Vec3 {
 	path, _ := AppendParticlePaths(make([]vmath.Vec3, 0, o.MaxSteps+1), s, []vmath.Vec3{seed}, t0, maxTime, o)
 	return path
@@ -219,40 +209,8 @@ func ParticlePath(s Sampler, seed vmath.Vec3, t0 float32, maxTime float32, o Opt
 // AppendParticlePaths is ParticlePath for up to Lanes seeds, traced in
 // lock step, under AppendStreamlines' contract.
 func AppendParticlePaths(dst []vmath.Vec3, s Sampler, seeds []vmath.Vec3, t0, maxTime float32, o Options) ([]vmath.Vec3, [Lanes]int) {
-	if k, ok := fusedFor(s, o.Method); ok {
-		return k.particlePaths(dst, seeds, t0, maxTime, o)
-	}
-	return eachSeed(dst, seeds, func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3 {
-		return particlePathOver(dst, s, seed, t0, maxTime, o)
-	})
-}
-
-// particlePathOver is the particle-path loop over any Sampler.
-func particlePathOver(dst []vmath.Vec3, s Sampler, seed vmath.Vec3, t0, maxTime float32, o Options) []vmath.Vec3 {
-	g := s.Grid()
-	gc := seed
-	if !g.InBounds(gc) {
-		return dst
-	}
-	dst = append(dst, g.PhysAt(gc))
-	t := t0
-	for n := 0; n < o.MaxSteps; n++ {
-		tNext := t + o.StepSize
-		if o.StepSize > 0 && tNext > maxTime {
-			break
-		}
-		if o.StepSize < 0 && tNext < 0 {
-			break
-		}
-		next := Step(o.Method, s, gc, t, o.StepSize)
-		if !g.InBounds(next) || !next.IsFinite() {
-			break
-		}
-		dst = append(dst, g.PhysAt(next))
-		gc = next
-		t = tNext
-	}
-	return dst
+	k := newKernel(s, o.Method)
+	return k.particlePaths(dst, seeds, t0, maxTime, o)
 }
 
 // ToPhysical converts a grid-coordinate path (a streakline's particles)

@@ -26,31 +26,28 @@ func identityGrid(t testing.TB, n int) *grid.Grid {
 	return g
 }
 
-// constSampler returns a fixed velocity everywhere.
-type constSampler struct {
-	g *grid.Grid
-	v vmath.Vec3
+// uniform is a steady field with velocity v at every node: a sample
+// anywhere is exactly v.
+func uniform(g *grid.Grid, v vmath.Vec3) SteadySampler {
+	f := field.NewField(g.NI, g.NJ, g.NK, field.GridCoords)
+	for i := range f.U {
+		f.U[i], f.V[i], f.W[i] = v.X, v.Y, v.Z
+	}
+	return SteadySampler{F: f, G: g}
 }
-
-func (c constSampler) SampleVelocity(vmath.Vec3, float32) vmath.Vec3 { return c.v }
-func (c constSampler) Grid() *grid.Grid                              { return c.g }
 
 // circularSampler rotates around the center of the grid in the XY
 // plane with unit angular velocity: v = omega x (p - center).
-type circularSampler struct {
-	g      *grid.Grid
-	center vmath.Vec3
-}
+type circularSampler struct{ center vmath.Vec3 }
 
 func (c circularSampler) SampleVelocity(gc vmath.Vec3, _ float32) vmath.Vec3 {
 	d := gc.Sub(c.center)
 	return vmath.V3(-d.Y, d.X, 0)
 }
-func (c circularSampler) Grid() *grid.Grid { return c.g }
 
 func TestStepEulerConstField(t *testing.T) {
 	g := identityGrid(t, 8)
-	s := constSampler{g, vmath.V3(1, 2, 0)}
+	s := uniform(g, vmath.V3(1, 2, 0))
 	got := Step(Euler, s, vmath.V3(1, 1, 1), 0, 0.5)
 	if !got.ApproxEqual(vmath.V3(1.5, 2, 1), 1e-6) {
 		t.Errorf("Euler step = %v", got)
@@ -60,7 +57,7 @@ func TestStepEulerConstField(t *testing.T) {
 func TestStepOrdersAgreeOnConstField(t *testing.T) {
 	// On a constant field every scheme is exact and identical.
 	g := identityGrid(t, 8)
-	s := constSampler{g, vmath.V3(0.3, -0.2, 0.1)}
+	s := uniform(g, vmath.V3(0.3, -0.2, 0.1))
 	start := vmath.V3(3, 3, 3)
 	e := Step(Euler, s, start, 0, 1)
 	r2 := Step(RK2, s, start, 0, 1)
@@ -71,9 +68,8 @@ func TestStepOrdersAgreeOnConstField(t *testing.T) {
 }
 
 func TestRK2MoreAccurateThanEulerOnRotation(t *testing.T) {
-	g := identityGrid(t, 33)
 	center := vmath.V3(16, 16, 16)
-	s := circularSampler{g, center}
+	s := circularSampler{center}
 	start := vmath.V3(20, 16, 16) // radius 4
 	h := float32(0.1)
 	steps := int(2 * math.Pi / float64(h)) // one revolution
@@ -145,7 +141,7 @@ func TestSchemeDriftOnRankineVortex(t *testing.T) {
 
 func TestStreamlineConstFieldStraightLine(t *testing.T) {
 	g := identityGrid(t, 16)
-	s := constSampler{g, vmath.V3(1, 0, 0)}
+	s := uniform(g, vmath.V3(1, 0, 0))
 	o := Options{Method: RK2, StepSize: 1, MaxSteps: 100}
 	path := Streamline(s, vmath.V3(2, 8, 8), 0, o)
 	// Starts at x=2, exits the domain at x=15: points at x=2..15.
@@ -162,7 +158,7 @@ func TestStreamlineConstFieldStraightLine(t *testing.T) {
 
 func TestStreamlineMaxStepsRespected(t *testing.T) {
 	g := identityGrid(t, 64)
-	s := circularSampler{g, vmath.V3(32, 32, 32)}
+	s := uniform(g, vmath.V3(0.01, 0, 0))
 	o := Options{Method: RK2, StepSize: 0.05, MaxSteps: 200}
 	path := Streamline(s, vmath.V3(40, 32, 32), 0, o)
 	if len(path) != 201 { // seed + MaxSteps
@@ -172,7 +168,7 @@ func TestStreamlineMaxStepsRespected(t *testing.T) {
 
 func TestStreamlineStagnationStops(t *testing.T) {
 	g := identityGrid(t, 8)
-	s := constSampler{g, vmath.Vec3{}}
+	s := uniform(g, vmath.Vec3{})
 	o := DefaultOptions()
 	path := Streamline(s, vmath.V3(4, 4, 4), 0, o)
 	if len(path) != 1 {
@@ -182,7 +178,7 @@ func TestStreamlineStagnationStops(t *testing.T) {
 
 func TestStreamlineSeedOutOfBounds(t *testing.T) {
 	g := identityGrid(t, 8)
-	s := constSampler{g, vmath.V3(1, 0, 0)}
+	s := uniform(g, vmath.V3(1, 0, 0))
 	path := Streamline(s, vmath.V3(-5, 0, 0), 0, DefaultOptions())
 	if len(path) != 0 {
 		t.Errorf("out-of-bounds seed produced %d points", len(path))
@@ -191,7 +187,7 @@ func TestStreamlineSeedOutOfBounds(t *testing.T) {
 
 func TestStreamlineBackward(t *testing.T) {
 	g := identityGrid(t, 16)
-	s := constSampler{g, vmath.V3(1, 0, 0)}
+	s := uniform(g, vmath.V3(1, 0, 0))
 	o := Options{Method: RK2, StepSize: -1, MaxSteps: 100}
 	path := Streamline(s, vmath.V3(10, 8, 8), 0, o)
 	if len(path) < 2 {
@@ -202,18 +198,24 @@ func TestStreamlineBackward(t *testing.T) {
 	}
 }
 
-// timeRampSampler has velocity (t, 0, 0): particle paths accelerate,
+// timeRamp is an unsteady field whose velocity at time t is exactly
+// (t, 0, 0) for t in [0, levels-1]: particle paths accelerate,
 // streamlines at fixed t are straight with speed t.
-type timeRampSampler struct{ g *grid.Grid }
-
-func (r timeRampSampler) SampleVelocity(_ vmath.Vec3, t float32) vmath.Vec3 {
-	return vmath.V3(t, 0, 0)
+func timeRamp(t *testing.T, g *grid.Grid, levels int) UnsteadySampler {
+	steps := make([]*field.Field, levels)
+	for l := range steps {
+		steps[l] = uniform(g, vmath.V3(float32(l), 0, 0)).F
+	}
+	u, err := field.NewUnsteady(g, steps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return UnsteadySampler{U: u}
 }
-func (r timeRampSampler) Grid() *grid.Grid { return r.g }
 
 func TestParticlePathUsesTime(t *testing.T) {
 	g := identityGrid(t, 64)
-	s := timeRampSampler{g}
+	s := timeRamp(t, g, 8)
 	o := Options{Method: RK2, StepSize: 1, MaxSteps: 5}
 	path := ParticlePath(s, vmath.V3(1, 32, 32), 0, 100, o)
 	// x(t) = 1 + t^2/2 exactly; RK2 midpoint is exact for linear-in-t.
@@ -230,7 +232,7 @@ func TestParticlePathUsesTime(t *testing.T) {
 
 func TestParticlePathStopsAtMaxTime(t *testing.T) {
 	g := identityGrid(t, 16)
-	s := constSampler{g, vmath.V3(0.1, 0, 0)}
+	s := uniform(g, vmath.V3(0.1, 0, 0))
 	o := Options{Method: Euler, StepSize: 1, MaxSteps: 1000}
 	path := ParticlePath(s, vmath.V3(2, 8, 8), 0, 5, o)
 	if len(path) != 6 { // t = 0..5
@@ -242,7 +244,7 @@ func TestParticlePathDiffersFromStreamlineInUnsteadyFlow(t *testing.T) {
 	// Core physics: in an unsteady flow, particle paths and
 	// streamlines from the same seed diverge.
 	g := identityGrid(t, 32)
-	s := timeRampSampler{g}
+	s := timeRamp(t, g, 16)
 	seed := vmath.V3(2, 16, 16)
 	o := Options{Method: RK2, StepSize: 1, MaxSteps: 4}
 	stream := Streamline(s, seed, 1, o)  // speed frozen at t=1
@@ -280,7 +282,7 @@ func TestOptionsValidate(t *testing.T) {
 
 func TestStreakInjectionAndAdvection(t *testing.T) {
 	g := identityGrid(t, 32)
-	s := constSampler{g, vmath.V3(1, 0, 0)}
+	s := uniform(g, vmath.V3(1, 0, 0))
 	st := NewStreak(1000)
 	seeds := []vmath.Vec3{vmath.V3(2, 16, 16), vmath.V3(2, 20, 16)}
 	for frame := 0; frame < 5; frame++ {
@@ -306,7 +308,7 @@ func TestStreakInjectionAndAdvection(t *testing.T) {
 
 func TestStreakDropsExitingParticles(t *testing.T) {
 	g := identityGrid(t, 8)
-	s := constSampler{g, vmath.V3(3, 0, 0)}
+	s := uniform(g, vmath.V3(3, 0, 0))
 	st := NewStreak(1000)
 	seeds := []vmath.Vec3{vmath.V3(1, 4, 4)}
 	for frame := 0; frame < 20; frame++ {
@@ -321,7 +323,7 @@ func TestStreakDropsExitingParticles(t *testing.T) {
 
 func TestStreakMaxParticlesBound(t *testing.T) {
 	g := identityGrid(t, 64)
-	s := constSampler{g, vmath.V3(0.1, 0, 0)}
+	s := uniform(g, vmath.V3(0.1, 0, 0))
 	st := NewStreak(7)
 	seeds := []vmath.Vec3{vmath.V3(2, 32, 32)}
 	for frame := 0; frame < 50; frame++ {
@@ -340,7 +342,7 @@ func TestStreakMaxParticlesBound(t *testing.T) {
 
 func TestStreakPolylineBySeed(t *testing.T) {
 	g := identityGrid(t, 32)
-	s := constSampler{g, vmath.V3(1, 0, 0)}
+	s := uniform(g, vmath.V3(1, 0, 0))
 	st := NewStreak(1000)
 	seeds := []vmath.Vec3{vmath.V3(2, 10, 16), vmath.V3(2, 20, 16)}
 	for frame := 0; frame < 4; frame++ {
@@ -360,7 +362,7 @@ func TestStreakPolylineBySeed(t *testing.T) {
 func TestStreakReset(t *testing.T) {
 	g := identityGrid(t, 8)
 	st := NewStreak(100)
-	st.Advance(constSampler{g, vmath.V3(0.1, 0, 0)}, []vmath.Vec3{vmath.V3(4, 4, 4)}, 0, 1, Euler)
+	st.Advance(uniform(g, vmath.V3(0.1, 0, 0)), []vmath.Vec3{vmath.V3(4, 4, 4)}, 0, 1, Euler)
 	if len(st.Particles) == 0 {
 		t.Fatal("no particles after advance")
 	}
@@ -512,7 +514,7 @@ func TestStreakParticleCountBoundProperty(t *testing.T) {
 	// Property: after F frames with S in-bounds seeds and cap C, the
 	// particle count is min(C, F*S) when no particle exits the domain.
 	g := identityGrid(t, 64)
-	sampler := constSampler{g, vmath.V3(0.01, 0, 0)} // slow: nothing exits
+	sampler := uniform(g, vmath.V3(0.01, 0, 0)) // slow: nothing exits
 	f := func(nSeeds, frames, cap8 uint8) bool {
 		s := int(nSeeds%5) + 1
 		fr := int(frames%20) + 1

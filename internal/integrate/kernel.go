@@ -1,6 +1,7 @@
 package integrate
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -10,43 +11,10 @@ import (
 	"repro/internal/vmath"
 )
 
-// LevelSource is a Sampler that can hand over the arrays its samples
-// read: the grid and, per time level (timestep), one grid-coordinate
-// velocity field. Streamline, ParticlePath and Streak.Advance run the
-// fused kernel below over any sampler that implements it and fall back
-// to Step over SampleVelocity for the ones that cannot (multiblock,
-// analytic test fields) — the two paths produce the same bits.
-//
-// The velocity a LevelSource stands for at (gc, t) is the one
-// field.Unsteady.SampleAtTime defines: level 0 alone for t <= 0, the
-// last level alone for t >= NumLevels-1, else levels int(t) and
-// int(t)+1 blended by Vec3.Lerp at t - int(t). The kernel asks for a
-// level only when the bracket changes, never per sample, so Level may
-// take a lock or touch a cache.
-type LevelSource interface {
-	Sampler
-	// NumLevels is the number of time levels, at least 1. One level is
-	// a steady field: time is ignored.
-	NumLevels() int
-	// Level returns time level i, 0 <= i < NumLevels, or nil when it
-	// cannot be had (a failed load). The kernel ends a path at the first
-	// sample whose bracket is missing a level, and asks for that level
-	// once per path it ends there, so a source counting the nils it
-	// hands out counts the paths stopped.
-	Level(i int) *field.Field
-}
-
-// NumLevels implements LevelSource.
-func (s SteadySampler) NumLevels() int { return 1 }
-
-// Level implements LevelSource.
-func (s SteadySampler) Level(int) *field.Field { return s.F }
-
-// NumLevels implements LevelSource.
-func (s UnsteadySampler) NumLevels() int { return len(s.U.Steps) }
-
-// Level implements LevelSource.
-func (s UnsteadySampler) Level(i int) *field.Field { return s.U.Steps[i] }
+// The integration kernel: Streamline, ParticlePath and Streak.Advance
+// all run it over a Sampler's levels, and it takes every step in Step's
+// arithmetic — the kernel's tests hold it to a Step-over-SampleVelocity
+// oracle bit for bit.
 
 // Lanes is how many paths the kernel traces in lock step. Every lane
 // runs the serial arithmetic; the lanes only hand the CPU independent
@@ -54,15 +22,13 @@ func (s UnsteadySampler) Level(i int) *field.Field { return s.U.Steps[i] }
 // so one bracket serves them all at each stage.
 const Lanes = 4
 
-// fusedFor returns the kernel for s when s exposes its arrays and m is
-// a method the kernel implements; unknown methods stay on Step, which
-// panics on them.
-func fusedFor(s Sampler, m Method) (kernel, bool) {
-	src, ok := s.(LevelSource)
-	if !ok || m > RK4 {
-		return kernel{}, false
+// newKernel returns the kernel for s; a method above RK4 panics, as
+// Step does.
+func newKernel(s Sampler, m Method) kernel {
+	if m > RK4 {
+		panic(fmt.Sprintf("integrate: unknown method %d", m))
 	}
-	return kernel{g: src.Grid(), src: src, last: src.NumLevels() - 1, key: noBracket}, true
+	return kernel{g: s.Grid(), src: s, last: s.NumLevels() - 1, key: noBracket}
 }
 
 // kernel is the fused integrator's per-call state: the grid, the
@@ -71,7 +37,7 @@ func fusedFor(s Sampler, m Method) (kernel, bool) {
 // advance); nothing in it is shared between goroutines.
 type kernel struct {
 	g    *grid.Grid
-	src  LevelSource
+	src  Sampler
 	last int // NumLevels-1; 0 = steady
 
 	// key names the resolved bracket: i >= 0 is the pair (i, i+1), ^i is
@@ -194,7 +160,7 @@ func (k *kernel) step(l *group, m Method, t, h float32) bool {
 		for i := range Lanes {
 			l.next[i] = l.gc[i].Add(l.k2[i].Scale(h))
 		}
-	default: // RK4: fusedFor admits nothing above it
+	default: // RK4: newKernel admits nothing above it
 		if !k.probe(l, &l.k2, &l.k1, h/2, t+h/2) ||
 			!k.probe(l, &l.k3, &l.k2, h/2, t+h/2) ||
 			!k.probe(l, &l.k4, &l.k3, h, t+h) {
@@ -300,9 +266,8 @@ func (k *kernel) stop(l *group) {
 	}
 }
 
-// streamlines is streamlineOver on the fused kernel, for up to Lanes
-// seeds in lock step: the stagnation test reads k1 instead of sampling
-// the same position twice.
+// streamlines traces up to Lanes streamlines in lock step: the
+// stagnation test reads k1 instead of sampling the same position twice.
 //
 //vw:hotpath
 func (k *kernel) streamlines(dst, seeds []vmath.Vec3, t float32, o Options) ([]vmath.Vec3, [Lanes]int) {
@@ -334,8 +299,7 @@ func (k *kernel) streamlines(dst, seeds []vmath.Vec3, t float32, o Options) ([]v
 	return l.finish(dst, out, len(seeds), o.MaxSteps+1)
 }
 
-// particlePaths is particlePathOver on the fused kernel, for up to
-// Lanes seeds in lock step.
+// particlePaths traces up to Lanes particle paths in lock step.
 //
 //vw:hotpath
 func (k *kernel) particlePaths(dst, seeds []vmath.Vec3, t0, maxTime float32, o Options) ([]vmath.Vec3, [Lanes]int) {

@@ -14,10 +14,87 @@ import (
 	"repro/internal/vmath"
 )
 
-// stepOnly hides a sampler's LevelSource methods (embedding the
-// interface promotes SampleVelocity and Grid only), which routes it to
-// Step over SampleVelocity: the oracle the fused kernel is held to.
-type stepOnly struct{ Sampler }
+// The kernel's oracle: each path traced alone through Step — one
+// SampleVelocity per stage, plus one for the stagnation test — and each
+// point converted on its own. The kernel is held to it bit for bit.
+
+// stepSource is what the oracle reads: a Sampler that also samples one
+// velocity at a time.
+type stepSource interface {
+	Sampler
+	SampleVelocity(gc vmath.Vec3, t float32) vmath.Vec3
+}
+
+// streamlineOver appends one seed's streamline to dst.
+func streamlineOver(dst []vmath.Vec3, s stepSource, seed vmath.Vec3, t float32, o Options) []vmath.Vec3 {
+	g := s.Grid()
+	gc := seed
+	if !g.InBounds(gc) {
+		return dst
+	}
+	dst = append(dst, g.PhysAt(gc))
+	for n := 0; n < o.MaxSteps; n++ {
+		if s.SampleVelocity(gc, t).Len() < o.EffectiveMinSpeed() {
+			break
+		}
+		next := Step(o.Method, s, gc, t, o.StepSize)
+		if !g.InBounds(next) || !next.IsFinite() {
+			break
+		}
+		dst = append(dst, g.PhysAt(next))
+		gc = next
+	}
+	return dst
+}
+
+// particlePathOver appends one seed's particle path to dst.
+func particlePathOver(dst []vmath.Vec3, s stepSource, seed vmath.Vec3, t0, maxTime float32, o Options) []vmath.Vec3 {
+	g := s.Grid()
+	gc := seed
+	if !g.InBounds(gc) {
+		return dst
+	}
+	dst = append(dst, g.PhysAt(gc))
+	t := t0
+	for n := 0; n < o.MaxSteps; n++ {
+		tNext := t + o.StepSize
+		if o.StepSize > 0 && tNext > maxTime {
+			break
+		}
+		if o.StepSize < 0 && tNext < 0 {
+			break
+		}
+		next := Step(o.Method, s, gc, t, o.StepSize)
+		if !g.InBounds(next) || !next.IsFinite() {
+			break
+		}
+		dst = append(dst, g.PhysAt(next))
+		gc = next
+		t = tNext
+	}
+	return dst
+}
+
+// advanceOver is Streak.Advance with every particle moved one Step.
+func advanceOver(st *Streak, s stepSource, seeds []vmath.Vec3, t, h float32, m Method) {
+	g := s.Grid()
+	for i, seed := range seeds {
+		if g.InBounds(seed) {
+			st.Particles = append(st.Particles, StreakParticle{Pos: seed, Seed: int32(i)})
+		}
+	}
+	live := st.Particles[:0]
+	for _, p := range st.Particles {
+		next := Step(m, s, p.Pos, t, h)
+		if !g.InBounds(next) || !next.IsFinite() {
+			continue
+		}
+		p.Pos = next
+		p.Age++
+		live = append(live, p)
+	}
+	st.Particles = live[max(0, len(live)-st.MaxParticles):]
+}
 
 // lazySource models the server's store-backed sampler: levels are
 // fetched on first use into a locked cache, and SampleVelocity is
@@ -129,10 +206,10 @@ func requireSamePath(t *testing.T, what string, got, want []vmath.Vec3) {
 	}
 }
 
-// TestKernelBitIdenticalToStep is the kernel's contract: over every
-// sampler that exposes its arrays, every method, both directions and a
-// hostile field, Streamline / ParticlePath / Streak.Advance return
-// exactly the bits the Step-over-Sampler path returns.
+// TestKernelBitIdenticalToStep is the kernel's contract: over steady,
+// unsteady and lazily loaded samplers, every method, both directions and
+// a hostile field, Streamline / ParticlePath / Streak.Advance return
+// exactly the bits the oracle returns.
 func TestKernelBitIdenticalToStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	const levels = 4
@@ -140,7 +217,7 @@ func TestKernelBitIdenticalToStep(t *testing.T) {
 	seeds := hostileSeeds(rng, u.Grid)
 	sources := []struct {
 		name string
-		s    Sampler
+		s    stepSource
 	}{
 		{"steady", SteadySampler{F: u.Steps[1], G: u.Grid}},
 		{"unsteady", UnsteadySampler{U: u}},
@@ -150,12 +227,6 @@ func TestKernelBitIdenticalToStep(t *testing.T) {
 	times := []float32{-1, 0, 0.3, 1, float32(levels-1) - 0.1, levels - 1, levels + 1}
 	var points, stagnant, nonFinite int
 	for _, src := range sources {
-		if _, fused := fusedFor(src.s, RK2); !fused {
-			t.Fatalf("%s: not a LevelSource, the test would compare Step with itself", src.name)
-		}
-		if _, fused := fusedFor(stepOnly{src.s}, RK2); fused {
-			t.Fatalf("%s: stepOnly still exposes LevelSource", src.name)
-		}
 		for _, m := range []Method{Euler, RK2, RK4} {
 			for _, h := range []float32{0.25, -0.25, 0.7, 4} {
 				o := Options{Method: m, StepSize: h, MaxSteps: 40}
@@ -163,7 +234,7 @@ func TestKernelBitIdenticalToStep(t *testing.T) {
 					what := fmt.Sprintf("%s %v h=%g t=%g", src.name, m, h, t0)
 					for i, seed := range seeds {
 						got := Streamline(src.s, seed, t0, o)
-						want := Streamline(stepOnly{src.s}, seed, t0, o)
+						want := streamlineOver(nil, src.s, seed, t0, o)
 						requireSamePath(t, fmt.Sprintf("streamline %s seed %d", what, i), got, want)
 						points += len(got)
 						if n := len(got); n > 0 && src.s.SampleVelocity(got[n-1], t0).Len() < o.EffectiveMinSpeed() {
@@ -171,7 +242,7 @@ func TestKernelBitIdenticalToStep(t *testing.T) {
 						}
 
 						got = ParticlePath(src.s, seed, t0, levels-1, o)
-						want = ParticlePath(stepOnly{src.s}, seed, t0, levels-1, o)
+						want = particlePathOver(nil, src.s, seed, t0, levels-1, o)
 						requireSamePath(t, fmt.Sprintf("particle path %s seed %d", what, i), got, want)
 						points += len(got)
 					}
@@ -180,7 +251,7 @@ func TestKernelBitIdenticalToStep(t *testing.T) {
 					for frame := 0; frame < 6; frame++ {
 						tf := t0 + float32(frame)*h
 						fused.Advance(src.s, seeds, tf, h, m)
-						oracle.Advance(stepOnly{src.s}, seeds, tf, h, m)
+						advanceOver(oracle, src.s, seeds, tf, h, m)
 						if len(fused.Particles) != len(oracle.Particles) {
 							t.Fatalf("streak %s frame %d: %d particles, Step path %d",
 								what, frame, len(fused.Particles), len(oracle.Particles))
@@ -222,7 +293,7 @@ func TestKernelResolvesLevelsPerBracket(t *testing.T) {
 		}
 	}
 	src := &lazySource{u: u, cache: map[int]*field.Field{}}
-	calls := &countingSource{LevelSource: src}
+	calls := &countingSource{Sampler: src}
 	o := Options{Method: RK2, StepSize: 0.125, MaxSteps: 200}
 	path := ParticlePath(calls, vmath.V3(1, 2, 2), 0, 3, o)
 	if len(path) != 25 { // 24 steps reach t = 3
@@ -236,18 +307,18 @@ func TestKernelResolvesLevelsPerBracket(t *testing.T) {
 }
 
 type countingSource struct {
-	LevelSource
+	Sampler
 	n int
 }
 
 func (c *countingSource) Level(i int) *field.Field {
 	c.n++
-	return c.LevelSource.Level(i)
+	return c.Sampler.Level(i)
 }
 
 // failingSource cannot supply levels at or above failFrom.
 type failingSource struct {
-	LevelSource
+	Sampler
 	failFrom int
 }
 
@@ -255,7 +326,7 @@ func (f failingSource) Level(i int) *field.Field {
 	if i >= f.failFrom {
 		return nil
 	}
-	return f.LevelSource.Level(i)
+	return f.Sampler.Level(i)
 }
 
 // TestKernelStopsWhereALevelIsMissing: a path ends at the last point
@@ -268,7 +339,7 @@ func TestKernelStopsWhereALevelIsMissing(t *testing.T) {
 			s.U[i], s.V[i], s.W[i] = 0.01, 0, 0
 		}
 	}
-	src := failingSource{LevelSource: UnsteadySampler{U: u}, failFrom: 2}
+	src := failingSource{Sampler: UnsteadySampler{U: u}, failFrom: 2}
 	o := Options{Method: RK2, StepSize: 0.25, MaxSteps: 200}
 	path := ParticlePath(src, vmath.V3(1, 2, 2), 0, 3, o)
 	// The steps from t = 0, 0.25, 0.5 and 0.75 sample at or below
@@ -308,13 +379,19 @@ func benchScene(b *testing.B) (*field.Unsteady, []vmath.Vec3) {
 }
 
 // benchPaths runs one engine-shaped pass per iteration — the seeds
-// traced Lanes at a time, every line carved from one buffer — over the
-// fused kernel and over the Step path, and reports ns per path point.
-func benchPaths(b *testing.B, s Sampler, seeds []vmath.Vec3, trace func(dst []vmath.Vec3, s Sampler, seeds []vmath.Vec3) []vmath.Vec3) {
+// traced Lanes at a time, every line carved from one buffer — through
+// the kernel and through the oracle, one seed at a time, and reports ns
+// per path point.
+func benchPaths(b *testing.B, seeds []vmath.Vec3, kernel func(dst, seeds []vmath.Vec3) []vmath.Vec3, oracle func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3) {
 	for _, c := range []struct {
-		name string
-		s    Sampler
-	}{{"fused", s}, {"step", stepOnly{s}}} {
+		name  string
+		trace func(dst, seeds []vmath.Vec3) []vmath.Vec3
+	}{{"fused", kernel}, {"step", func(dst, seeds []vmath.Vec3) []vmath.Vec3 {
+		for _, seed := range seeds {
+			dst = oracle(dst, seed)
+		}
+		return dst
+	}}} {
 		b.Run(c.name, func(b *testing.B) {
 			buf := make([]vmath.Vec3, 0, len(seeds)*(DefaultOptions().MaxSteps+1))
 			b.ReportAllocs()
@@ -323,7 +400,7 @@ func benchPaths(b *testing.B, s Sampler, seeds []vmath.Vec3, trace func(dst []vm
 			for i := 0; i < b.N; i++ {
 				buf = buf[:0]
 				for lo := 0; lo < len(seeds); lo += Lanes {
-					buf = trace(buf, c.s, seeds[lo:min(lo+Lanes, len(seeds))])
+					buf = c.trace(buf, seeds[lo:min(lo+Lanes, len(seeds))])
 				}
 				points += len(buf) - len(seeds)
 			}
@@ -335,40 +412,51 @@ func benchPaths(b *testing.B, s Sampler, seeds []vmath.Vec3, trace func(dst []vm
 func BenchmarkKernelSteady(b *testing.B) {
 	u, seeds := benchScene(b)
 	o := DefaultOptions()
-	benchPaths(b, SteadySampler{F: u.Steps[0], G: u.Grid}, seeds,
-		func(dst []vmath.Vec3, s Sampler, seeds []vmath.Vec3) []vmath.Vec3 {
+	s := SteadySampler{F: u.Steps[0], G: u.Grid}
+	benchPaths(b, seeds,
+		func(dst, seeds []vmath.Vec3) []vmath.Vec3 {
 			dst, _ = AppendStreamlines(dst, s, seeds, 0, o)
 			return dst
-		})
+		},
+		func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3 { return streamlineOver(dst, s, seed, 0, o) })
 }
 
 func BenchmarkKernelUnsteady(b *testing.B) {
 	u, seeds := benchScene(b)
 	o := DefaultOptions()
-	benchPaths(b, &lazySource{u: u, cache: map[int]*field.Field{}}, seeds,
-		func(dst []vmath.Vec3, s Sampler, seeds []vmath.Vec3) []vmath.Vec3 {
-			dst, _ = AppendParticlePaths(dst, s, seeds, 0.5, float32(len(u.Steps)-1), o)
+	s := &lazySource{u: u, cache: map[int]*field.Field{}}
+	maxTime := float32(len(u.Steps) - 1)
+	benchPaths(b, seeds,
+		func(dst, seeds []vmath.Vec3) []vmath.Vec3 {
+			dst, _ = AppendParticlePaths(dst, s, seeds, 0.5, maxTime, o)
 			return dst
+		},
+		func(dst []vmath.Vec3, seed vmath.Vec3) []vmath.Vec3 {
+			return particlePathOver(dst, s, seed, 0.5, maxTime, o)
 		})
 }
 
 func BenchmarkKernelStreak(b *testing.B) {
 	u, seeds := benchScene(b)
 	o := DefaultOptions()
+	s := SteadySampler{F: u.Steps[0], G: u.Grid}
 	for _, c := range []struct {
-		name string
-		s    Sampler
-	}{{"fused", SteadySampler{F: u.Steps[0], G: u.Grid}}, {"step", stepOnly{SteadySampler{F: u.Steps[0], G: u.Grid}}}} {
+		name    string
+		advance func(st *Streak)
+	}{
+		{"fused", func(st *Streak) { st.Advance(s, seeds, 0, o.StepSize, o.Method) }},
+		{"step", func(st *Streak) { advanceOver(st, s, seeds, 0, o.StepSize, o.Method) }},
+	} {
 		b.Run(c.name, func(b *testing.B) {
 			st := NewStreak(20000)
 			for i := 0; i < 100; i++ { // fill the wake with smoke
-				st.Advance(c.s, seeds, 0, o.StepSize, o.Method)
+				c.advance(st)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			points := 0
 			for i := 0; i < b.N; i++ {
-				st.Advance(c.s, seeds, 0, o.StepSize, o.Method)
+				c.advance(st)
 				points += len(st.Particles)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
@@ -376,13 +464,12 @@ func BenchmarkKernelStreak(b *testing.B) {
 	}
 }
 
-// maskedSource is a LevelSource some of whose levels cannot be had:
-// Level hands out nil for them, counting each nil, and SampleVelocity —
-// the Step path's view — is NaN wherever the bracket needs one, so the
-// Step path's line ends at its last good point, where the kernel ends
-// it.
+// maskedSource is a source some of whose levels cannot be had: Level
+// hands out nil for them, counting each nil, and SampleVelocity — the
+// oracle's view — is NaN wherever the bracket needs one, so the oracle's
+// line ends at its last good point, where the kernel ends it.
 type maskedSource struct {
-	LevelSource
+	stepSource
 	missing uint8 // bit i set: level i cannot be had
 	nils    *int
 }
@@ -392,7 +479,7 @@ func (m maskedSource) Level(i int) *field.Field {
 		*m.nils++
 		return nil
 	}
-	return m.LevelSource.Level(i)
+	return m.stepSource.Level(i)
 }
 
 func (m maskedSource) SampleVelocity(gc vmath.Vec3, t float32) vmath.Vec3 {
@@ -409,7 +496,7 @@ func (m maskedSource) SampleVelocity(gc vmath.Vec3, t float32) vmath.Vec3 {
 		nan := float32(math.NaN())
 		return vmath.Vec3{X: nan, Y: nan, Z: nan}
 	}
-	return m.LevelSource.SampleVelocity(gc, t)
+	return m.stepSource.SampleVelocity(gc, t)
 }
 
 // warpedUnsteady is hostileUnsteady's two levels on a curvilinear grid
@@ -442,10 +529,10 @@ func warpedUnsteady(t testing.TB) *field.Unsteady {
 // t0 and maxTime; Euler, RK2 or RK4; MaxSteps 0, 1, 2 or 200; a group
 // of 1 to Lanes seeds; a steady or a two-level source with any levels
 // missing. One lock-step call must give every seed, bit for bit, the
-// line the Step path gives it alone — streamlines and particle paths —
+// line the oracle gives it alone — streamlines and particle paths —
 // and must ask the source for as many missing levels as the seeds' own
 // one-lane calls do between them: one per path stopped. One streak
-// advance of the group's seeds must match the Step path's too.
+// advance of the group's seeds must match the oracle's too.
 func FuzzKernelAgrees(f *testing.F) {
 	u := warpedUnsteady(f)
 	bits := math.Float32bits
@@ -477,31 +564,34 @@ func FuzzKernelAgrees(f *testing.F) {
 		var nils int
 		src := maskedSource{nils: &nils, missing: source >> 1 & 3}
 		if source&1 == 0 {
-			src.LevelSource = SteadySampler{F: u.Steps[1], G: u.Grid}
+			src.stepSource = SteadySampler{F: u.Steps[1], G: u.Grid}
 			src.missing &= 1
 		} else {
 			// Step samples a two-level field at NaN time by indexing level
 			// int(NaN), and t0 = ±Inf against the opposite infinite step
-			// makes a NaN time: those have no Step path to agree with.
+			// makes a NaN time: those have no oracle line to agree with.
 			if t0-t0 != 0 || h != h {
 				t.Skip()
 			}
-			src.LevelSource = UnsteadySampler{U: u}
+			src.stepSource = UnsteadySampler{U: u}
 		}
 
 		for _, kind := range []struct {
-			name  string
-			group func(dst []vmath.Vec3) ([]vmath.Vec3, [Lanes]int)
-			one   func(s Sampler, seed vmath.Vec3) []vmath.Vec3
+			name   string
+			group  func(dst []vmath.Vec3) ([]vmath.Vec3, [Lanes]int)
+			one    func(seed vmath.Vec3) []vmath.Vec3
+			oracle func(seed vmath.Vec3) []vmath.Vec3
 		}{
 			{"streamline",
 				func(dst []vmath.Vec3) ([]vmath.Vec3, [Lanes]int) { return AppendStreamlines(dst, src, seeds, t0, o) },
-				func(s Sampler, seed vmath.Vec3) []vmath.Vec3 { return Streamline(s, seed, t0, o) }},
+				func(seed vmath.Vec3) []vmath.Vec3 { return Streamline(src, seed, t0, o) },
+				func(seed vmath.Vec3) []vmath.Vec3 { return streamlineOver(nil, src, seed, t0, o) }},
 			{"particle path",
 				func(dst []vmath.Vec3) ([]vmath.Vec3, [Lanes]int) {
 					return AppendParticlePaths(dst, src, seeds, t0, maxTime, o)
 				},
-				func(s Sampler, seed vmath.Vec3) []vmath.Vec3 { return ParticlePath(s, seed, t0, maxTime, o) }},
+				func(seed vmath.Vec3) []vmath.Vec3 { return ParticlePath(src, seed, t0, maxTime, o) },
+				func(seed vmath.Vec3) []vmath.Vec3 { return particlePathOver(nil, src, seed, t0, maxTime, o) }},
 		} {
 			// One point of capacity, taken: the call must grow dst and keep it.
 			sentinel := vmath.V3(-7, -7, -7)
@@ -514,13 +604,13 @@ func FuzzKernelAgrees(f *testing.F) {
 			got = got[1:]
 			nils = 0
 			for i, seed := range seeds {
-				want := kind.one(stepOnly{src}, seed)
+				want := kind.oracle(seed)
 				if lens[i] > len(got) {
 					t.Fatalf("%s seed %d: length %d, only %d points left", kind.name, i, lens[i], len(got))
 				}
 				requireSamePath(t, fmt.Sprintf("%s seed %d of %d", kind.name, i, len(seeds)), got[:lens[i]], want)
 				got = got[lens[i]:]
-				kind.one(src, seed) // counts its own missing levels
+				kind.one(seed) // counts its own missing levels
 			}
 			if len(got) != 0 {
 				t.Fatalf("%s: %d points beyond the lines", kind.name, len(got))
@@ -538,7 +628,7 @@ func FuzzKernelAgrees(f *testing.F) {
 		fused, oracle := NewStreak(100), NewStreak(100)
 		for frame := 0; frame < 2; frame++ {
 			fused.Advance(src, seeds, t0, h, o.Method)
-			oracle.Advance(stepOnly{src}, seeds, t0, h, o.Method)
+			advanceOver(oracle, src, seeds, t0, h, o.Method)
 		}
 		if len(fused.Particles) != len(oracle.Particles) {
 			t.Fatalf("streak: %d particles, Step path %d", len(fused.Particles), len(oracle.Particles))

@@ -49,33 +49,13 @@ func (s *Streak) Advance(sampler Sampler, seeds []vmath.Vec3, t, h float32, m Me
 			s.Particles = append(s.Particles, StreakParticle{Pos: seed, Seed: int32(i)})
 		}
 	}
-	if k, ok := fusedFor(sampler, m); ok {
-		s.Particles = k.advance(s.Particles, t, h, m)
-	} else {
-		s.Particles = advanceOver(sampler, s.Particles, t, h, m)
-	}
+	k := newKernel(sampler, m)
+	s.Particles = k.advance(s.Particles, t, h, m)
 	if len(s.Particles) > s.MaxParticles {
 		// Drop the oldest particles (largest Age). Particles are
 		// appended in injection order, so the oldest sit at the front.
 		s.Particles = s.Particles[len(s.Particles)-s.MaxParticles:]
 	}
-}
-
-// advanceOver moves every particle one Step over any Sampler and
-// returns the survivors, compacted to the front of ps.
-func advanceOver(s Sampler, ps []StreakParticle, t, h float32, m Method) []StreakParticle {
-	g := s.Grid()
-	live := ps[:0]
-	for _, p := range ps {
-		next := Step(m, s, p.Pos, t, h)
-		if !g.InBounds(next) || !next.IsFinite() {
-			continue
-		}
-		p.Pos = next
-		p.Age++
-		live = append(live, p)
-	}
-	return live
 }
 
 // Positions returns the current particle positions in grid

@@ -507,10 +507,8 @@ func (s *Server) bookPathLoadsLocked() {
 // storeSampler samples the server's source with linear time
 // interpolation, caching loaded levels for the duration of one round
 // (particle paths revisit the same bracketing steps for every seed of
-// every rake). It is an integrate.LevelSource, so the fused kernel asks
-// it for a level per bracket change and the lock stays off the
-// per-sample path; SampleVelocity is the sample-at-a-time form for an
-// engine that integrates over the Sampler interface alone.
+// every rake). It is an integrate.Sampler: the kernel asks it for a
+// level per bracket change, so the lock stays off the per-sample path.
 type storeSampler struct {
 	st store.Store
 	// mu guards the fields below: the parallel engines resolve levels
@@ -537,10 +535,10 @@ func (ss *storeSampler) reset(src store.Store) {
 // Grid implements integrate.Sampler.
 func (ss *storeSampler) Grid() *grid.Grid { return ss.st.Grid() }
 
-// NumLevels implements integrate.LevelSource.
+// NumLevels implements integrate.Sampler.
 func (ss *storeSampler) NumLevels() int { return ss.st.NumSteps() }
 
-// Level implements integrate.LevelSource: it loads (and caches)
+// Level implements integrate.Sampler: it loads (and caches)
 // timestep t, or returns nil if the load fails — the kernel ends the
 // path there rather than crashing the frame.
 func (ss *storeSampler) Level(t int) *field.Field {
@@ -558,30 +556,6 @@ func (ss *storeSampler) Level(t int) *field.Field {
 		ss.failed++
 	}
 	return f
-}
-
-// SampleVelocity implements integrate.Sampler; a level that failed to
-// load samples as still fluid.
-func (ss *storeSampler) SampleVelocity(gc vmath.Vec3, t float32) vmath.Vec3 {
-	last := ss.st.NumSteps() - 1
-	if t <= 0 {
-		return ss.sampleLevel(0, gc)
-	}
-	if t >= float32(last) {
-		return ss.sampleLevel(last, gc)
-	}
-	t0 := int(t)
-	frac := t - float32(t0)
-	a := ss.sampleLevel(t0, gc)
-	b := ss.sampleLevel(t0+1, gc)
-	return a.Lerp(b, frac)
-}
-
-func (ss *storeSampler) sampleLevel(t int, gc vmath.Vec3) vmath.Vec3 {
-	if f := ss.Level(t); f != nil {
-		return f.Sample(ss.st.Grid(), gc)
-	}
-	return vmath.Vec3{}
 }
 
 // toPhysicalLinesInto converts a streakline's grid-coordinate lines to

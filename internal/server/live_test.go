@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/compute"
 	"repro/internal/datasets"
 	"repro/internal/env"
 	"repro/internal/grid"
@@ -20,6 +21,13 @@ import (
 func liveSpec() (datasets.Spec, datasets.SolverOptions) {
 	return datasets.Spec{NI: 12, NJ: 12, NK: 6, NumSteps: 6, DT: 0.2},
 		datasets.SolverOptions{Resolution: 16, SpinupSteps: 6, Workers: 2}
+}
+
+// boundsAt maps box fractions to a point in the grid's physical bounds:
+// rake endpoints for grids whose extent depends on the Spec.
+func boundsAt(g *grid.Grid, fx, fy, fz float32) vmath.Vec3 {
+	b := g.Bounds()
+	return b.Min.Add(b.Max.Sub(b.Min).Mul(vmath.V3(fx, fy, fz)))
 }
 
 // replayServer runs the offline pipeline: solve the full dataset, spill
@@ -173,7 +181,7 @@ func TestLiveRingHoldsPathStartLevel(t *testing.T) {
 	spec.NumSteps = 40
 	opts := integrate.DefaultOptions()
 	opts.MaxSteps = 20
-	cfg := Config{Options: opts, RakeWorkers: 2}
+	cfg := Config{Options: opts, Engine: compute.Parallel{NumWorkers: 2}}
 	replay := replayServer(t, spec, sopts, cfg)
 	live, lv := liveServer(t, spec, sopts, 2, cfg)
 	g := replay.src.Grid()

@@ -391,7 +391,7 @@ func TestSteadyFrameAllocs(t *testing.T) {
 // more triangles, the more garbage.)
 func TestToolRelevelAllocs(t *testing.T) {
 	for _, codec := range []uint8{wire.CodecV1, wire.CodecV2} {
-		s, err := New(Config{Store: toolDataset(t, 4), RakeWorkers: 2})
+		s, err := New(Config{Store: toolDataset(t, 4), Engine: compute.Parallel{NumWorkers: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -492,7 +492,7 @@ func BenchmarkToolRelevel(b *testing.B) {
 // does on a one-worker server, where no goroutine can be started at all.
 func TestPoolStartsNoGoroutineItCannotFeed(t *testing.T) {
 	perRound := func(workers int) (oneDirty, noneDirty float64) {
-		s, err := New(Config{Store: testDataset(t, 4), Engine: compute.Scalar{}, RakeWorkers: workers})
+		s, err := New(Config{Store: testDataset(t, 4), Engine: compute.Parallel{NumWorkers: workers}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -502,9 +502,11 @@ func TestPoolStartsNoGoroutineItCannotFeed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// Three-seed rakes: too few for the engine to split, so only the
+		// pool could start a goroutine.
 		call(wire.EncodeClientUpdate(wire.ClientUpdate{Commands: []wire.Command{
-			addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 12, 4), 8, integrate.ToolStreamline),
-			addRakeCmd(vmath.V3(2, 4, 4), vmath.V3(2, 12, 4), 8, integrate.ToolStreamline),
+			addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 12, 4), 3, integrate.ToolStreamline),
+			addRakeCmd(vmath.V3(2, 4, 4), vmath.V3(2, 12, 4), 3, integrate.ToolStreamline),
 			{Kind: wire.CmdGrab, Rake: 1, Grab: uint8(integrate.GrabCenter)},
 		}}))
 		var moves, poses [2][]byte
@@ -579,7 +581,7 @@ func TestEngineRakeAllocs(t *testing.T) {
 // parallel rake pipeline: several clients hammer multi-rake frames
 // (forcing concurrent recomputes) while other goroutines read Stats.
 func TestConcurrentFramesAndStats(t *testing.T) {
-	s, c0, addr := startTestServer(t, Config{Store: testDataset(t, 6), RakeWorkers: 4})
+	s, c0, addr := startTestServer(t, Config{Store: testDataset(t, 6), Engine: compute.Parallel{NumWorkers: 4}})
 	frame(t, c0, wire.ClientUpdate{Commands: []wire.Command{
 		addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 6, 4), 4, integrate.ToolStreamline),
 		addRakeCmd(vmath.V3(1, 7, 4), vmath.V3(1, 9, 4), 4, integrate.ToolStreamline),
@@ -645,9 +647,9 @@ func TestConcurrentFramesAndStats(t *testing.T) {
 // looping playback churns a capacity-2 cache underneath.
 func TestConcurrentSessionsRakeLocksAndEviction(t *testing.T) {
 	s, err := New(Config{
-		Store:       testDiskStore(t, 4, store.DiskOptions{}),
-		CacheSteps:  2,
-		RakeWorkers: 2,
+		Store:      testDiskStore(t, 4, store.DiskOptions{}),
+		CacheSteps: 2,
+		Engine:     compute.Parallel{NumWorkers: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

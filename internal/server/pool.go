@@ -146,7 +146,7 @@ func (s *Server) layoutUnitsLocked(g *grid.Grid) {
 	if !tc.derivable(g) {
 		return // dirty tools keep the empty geometry collectToolsLocked left
 	}
-	workers := s.cfg.RakeWorkers
+	workers := s.cfg.Engine.Workers()
 	if tc.todo&(fieldPhys|fieldSpeed) != 0 {
 		p.addPlanes(unitDerive, g.NK, workers, phaseNone, phaseDerive)
 	}
@@ -214,7 +214,7 @@ func (s *Server) runJobsLocked(g *grid.Grid, ts env.TimeState, step int) {
 	defer s.bookPathLoadsLocked()
 
 	var wg sync.WaitGroup
-	for w := 1; w < min(s.cfg.RakeWorkers, len(s.pool.units)); w++ {
+	for w := 1; w < min(s.cfg.Engine.Workers(), len(s.pool.units)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

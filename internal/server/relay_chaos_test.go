@@ -3,17 +3,14 @@ package server
 // Cluster-tier chaos: what the relay promises when connections die.
 // An upstream (relay to origin) loss hangs up the affected downstream
 // sessions — the workstation keeps its last-good geometry, redials,
-// and resyncs from a keyframe. A downstream loss closes that session's
-// upstream leg, releasing the user's FCFS rake locks at the origin
-// across the router hop. Sessions pinned to other upstreams ride
-// through a partition untouched.
+// and resyncs from a keyframe. Sessions pinned to other upstreams ride
+// through a partition untouched. (A downstream loss releasing the
+// user's locks at the origin is the lock table's relay column.)
 
 import (
-	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dlib"
 	"repro/internal/integrate"
@@ -59,18 +56,13 @@ func (k *killableDial) kill() {
 // the pre-crash scene — the origin outlived the partition, so the rake
 // and its streamlines are unchanged.
 func TestRelayUpstreamLossResync(t *testing.T) {
-	origin := goldenServer(t, 0, 0)
+	origin := plainData.server(t, 0, 0)
 	up := &killableDial{}
 	r, dial := startRelayNode(t, up.dial(origin.Dlib(), netsim.Link{}))
 
-	connect := func() (*dlib.Client, *wire.FrameDecoder) {
+	join := func() (*dlib.Client, *wire.FrameDecoder) {
 		t.Helper()
-		conn, err := dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := dlib.NewClient(conn)
-		t.Cleanup(func() { c.Close() })
+		c := connect(t, dial)
 		if _, err := c.Call(wire.ProcHello2, wire.EncodeHelloRequest(wire.CodecV2)); err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +81,7 @@ func TestRelayUpstreamLossResync(t *testing.T) {
 		return rep
 	}
 
-	c, dec := connect()
+	c, dec := join()
 	exchange(c, dec, wire.ClientUpdate{Commands: []wire.Command{
 		addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 9, 4), 4, integrate.ToolStreamline),
 	}})
@@ -113,7 +105,7 @@ func TestRelayUpstreamLossResync(t *testing.T) {
 	// decodes on a brand-new decoder — which only a keyframe can (a
 	// delta's segment references against an empty shadow are an error) —
 	// and reproduces the pre-crash scene exactly.
-	c2, dec2 := connect()
+	c2, dec2 := join()
 	resynced := exchange(c2, dec2, wire.ClientUpdate{})
 	if len(resynced.Geometry) != len(lastGood.Geometry) {
 		t.Fatalf("resync sees %d geometries, last-good had %d",
@@ -145,22 +137,12 @@ func TestRelayUpstreamLossResync(t *testing.T) {
 // uninterrupted, and a fresh session re-pins to the partitioned
 // upstream once it is reachable again.
 func TestRelayPartitionIsolation(t *testing.T) {
-	a := goldenServer(t, 0, 0)
-	b := goldenServer(t, 0, 0)
+	a := plainData.server(t, 0, 0)
+	b := plainData.server(t, 0, 0)
 	upA := &killableDial{}
 	r, dial := startRelayNode(t,
 		upA.dial(a.Dlib(), netsim.Link{}), serveDial(b.Dlib(), netsim.Link{}))
 
-	connect := func() *dlib.Client {
-		t.Helper()
-		conn, err := dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := dlib.NewClient(conn)
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
 	frame := func(c *dlib.Client, u wire.ClientUpdate) (wire.FrameReply, error) {
 		t.Helper()
 		out, err := c.Call(wire.ProcFrame, wire.EncodeClientUpdate(u))
@@ -174,7 +156,7 @@ func TestRelayPartitionIsolation(t *testing.T) {
 		return rep, nil
 	}
 
-	cA, cB := connect(), connect() // pinned round-robin: cA → a, cB → b
+	cA, cB := connect(t, dial), connect(t, dial) // pinned round-robin: cA → a, cB → b
 	if _, err := frame(cA, wire.ClientUpdate{Commands: []wire.Command{
 		addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 8, 4), 3, integrate.ToolStreamline),
 	}}); err != nil {
@@ -205,89 +187,12 @@ func TestRelayPartitionIsolation(t *testing.T) {
 
 	// Upstream a is reachable again (it never died — the link did). The
 	// next session round-robins back onto it and finds the scene intact.
-	cA2 := connect()
+	cA2 := connect(t, dial)
 	got, err = frame(cA2, wire.ClientUpdate{})
 	if err != nil {
 		t.Fatalf("re-pinned session failed: %v", err)
 	}
 	if len(got.Rakes) != 1 {
 		t.Fatalf("re-pinned session sees %d rakes, want the surviving scene", len(got.Rakes))
-	}
-}
-
-// TestRelayLockReleaseAcrossHop pins FCFS lock release across the
-// router hop: a workstation grabs a rake through the relay, its
-// connection dies, and the lock must free at the origin — the relay's
-// per-session upstream leg closing is what carries the disconnect
-// across — so a contending workstation's grab eventually wins.
-func TestRelayLockReleaseAcrossHop(t *testing.T) {
-	origin := goldenServer(t, 0, 0)
-	_, dial := startRelayNode(t, serveDial(origin.Dlib(), netsim.Link{}))
-
-	connect := func() *dlib.Client {
-		t.Helper()
-		conn, err := dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := dlib.NewClient(conn)
-		t.Cleanup(func() { c.Close() })
-		return c
-	}
-	whoami := func(c *dlib.Client) int64 {
-		t.Helper()
-		out, err := c.Call(wire.ProcWhoAmI, nil)
-		if err != nil || len(out) != 8 {
-			t.Fatalf("whoami: %v (%d bytes)", err, len(out))
-		}
-		return int64(binary.LittleEndian.Uint64(out))
-	}
-	frame := func(c *dlib.Client, u wire.ClientUpdate) wire.FrameReply {
-		t.Helper()
-		out, err := c.Call(wire.ProcFrame, wire.EncodeClientUpdate(u))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := wire.DecodeFrameReply(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-
-	cA, cB := connect(), connect()
-	idA, idB := whoami(cA), whoami(cB)
-	if idA == idB {
-		t.Fatalf("both sessions share origin id %d", idA)
-	}
-	grab := wire.ClientUpdate{Commands: []wire.Command{
-		{Kind: wire.CmdGrab, Rake: 1, Grab: uint8(integrate.GrabCenter)},
-	}}
-
-	frame(cA, wire.ClientUpdate{Commands: []wire.Command{
-		addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 8, 4), 3, integrate.ToolStreamline),
-	}})
-	if rep := frame(cA, grab); rep.Rakes[0].Holder != idA {
-		t.Fatalf("grab through relay: holder %d, want %d", rep.Rakes[0].Holder, idA)
-	}
-	// First come, first served: B's contending grab is refused while A
-	// holds — origin ids, not relay ids, arbitrate.
-	if rep := frame(cB, grab); rep.Rakes[0].Holder != idA {
-		t.Fatalf("contending grab stole the lock: holder %d", rep.Rakes[0].Holder)
-	}
-
-	// A's workstation dies. The relay's OnDisconnect closes A's upstream
-	// leg; the origin's OnDisconnect releases A's locks. The chain is
-	// asynchronous (two conn teardowns), so B polls its grab.
-	cA.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if rep := frame(cB, grab); rep.Rakes[0].Holder == idB {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("rake lock never released across the router hop")
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

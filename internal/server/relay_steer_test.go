@@ -19,7 +19,7 @@ import (
 // relay hops: the poll must reach the origin on the session's pinned
 // upstream leg and report the accepted parameters and a live holder.
 func TestRelaySteerStatus(t *testing.T) {
-	origin := goldenServer(t, 0, 0)
+	origin := plainData.server(t, 0, 0)
 	_, midDial := startRelayNode(t, serveDial(origin.Dlib(), netsim.Link{}))
 	_, leafDial := startRelayNode(t, midDial)
 

@@ -1,16 +1,12 @@
 package server
 
-// Cluster-tier correctness: frames delivered through internal/relay
-// must be byte-identical per (client, round) to a direct connection.
-// The golden corpus is the reference — the same scripts that pinned
-// direct-connect bytes are replayed through one and two relay hops
-// against the committed files (corpus extended to the relay path, not
-// regenerated).
+// Cluster-tier behaviour beyond byte identity, which the golden corpus
+// pins through one and two relay hops (corpus_test.go): encode-once
+// fan-out, mixed-codec fleets, and routing across several upstreams.
 
 import (
 	"bytes"
 	"net"
-	"os"
 	"testing"
 
 	"repro/internal/dlib"
@@ -43,213 +39,6 @@ func startRelayNode(t *testing.T, upstreams ...dlib.DialFunc) (*relay.Relay, dli
 	return r, serveDial(r.Dlib(), netsim.Link{})
 }
 
-// relayExchange is one scripted frame exchange: sessions are numbered
-// in order of first use, and a session's connection (plus its hello2,
-// for v2 scripts) is created exactly at its first exchange — which is
-// what aligns origin-side session ids with the direct-session golden
-// scripts.
-type relayExchange struct {
-	sess int
-	u    wire.ClientUpdate
-}
-
-// relayGoldenScripts re-scripts the golden corpus scenarios
-// (golden_test.go / golden_v2_test.go) as data so they can be driven
-// through real connections. The exchange sequences must match the
-// originals exactly — the committed corpus is the expected output.
-var relayGoldenScripts = []struct {
-	name   string
-	v2     bool
-	script []relayExchange
-}{
-	{
-		name: "steady-streamlines",
-		script: []relayExchange{
-			{1, wire.ClientUpdate{Commands: []wire.Command{
-				addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 8, 4), 5, integrate.ToolStreamline),
-				addRakeCmd(vmath.V3(2, 9, 3), vmath.V3(2, 13, 3), 4, integrate.ToolStreamline),
-			}}},
-			{1, wire.ClientUpdate{}},
-			{1, wire.ClientUpdate{}},
-			{1, wire.ClientUpdate{Hand: vmath.V3(3, 2, 1)}},
-		},
-	},
-	{
-		name: "streakline-seek",
-		script: []relayExchange{
-			{1, wire.ClientUpdate{Commands: []wire.Command{
-				addRakeCmd(vmath.V3(1, 6, 4), vmath.V3(1, 10, 4), 3, integrate.ToolStreakline),
-				{Kind: wire.CmdSetLoop, Flag: 1},
-				{Kind: wire.CmdSetSpeed, Value: 1},
-				{Kind: wire.CmdSetPlaying, Flag: 1},
-			}}},
-			{1, wire.ClientUpdate{}},
-			{1, wire.ClientUpdate{}},
-			{1, wire.ClientUpdate{Commands: []wire.Command{{Kind: wire.CmdSeek, Value: 0.5}}}},
-			{1, wire.ClientUpdate{}},
-			{1, wire.ClientUpdate{}},
-		},
-	},
-	{
-		name: "multiuser-grab",
-		script: []relayExchange{
-			{1, wire.ClientUpdate{Commands: []wire.Command{
-				addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 9, 4), 4, integrate.ToolStreamline),
-			}}},
-			{2, wire.ClientUpdate{Hand: vmath.V3(1, 6, 4)}},
-			{2, wire.ClientUpdate{Commands: []wire.Command{
-				{Kind: wire.CmdGrab, Rake: 1, Grab: uint8(integrate.GrabCenter)},
-			}}},
-			{1, wire.ClientUpdate{}},
-			{2, wire.ClientUpdate{Commands: []wire.Command{
-				{Kind: wire.CmdMove, Rake: 1, Pos: vmath.V3(4, 7, 4)},
-			}}},
-			{1, wire.ClientUpdate{}},
-			{2, wire.ClientUpdate{Commands: []wire.Command{
-				{Kind: wire.CmdRelease, Rake: 1},
-			}}},
-			{1, wire.ClientUpdate{}},
-		},
-	},
-	{
-		name: "v2-steady-delta",
-		v2:   true,
-		script: []relayExchange{
-			{1, wire.ClientUpdate{Commands: []wire.Command{
-				addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 8, 4), 5, integrate.ToolStreamline),
-				addRakeCmd(vmath.V3(2, 9, 3), vmath.V3(2, 13, 3), 4, integrate.ToolStreamline),
-			}}},
-			{1, wire.ClientUpdate{}},
-			{1, wire.ClientUpdate{}},
-			{1, wire.ClientUpdate{Hand: vmath.V3(3, 2, 1)}},
-		},
-	},
-	{
-		name: "v2-grab-keyframe",
-		v2:   true,
-		script: []relayExchange{
-			{1, wire.ClientUpdate{Commands: []wire.Command{
-				addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 9, 4), 4, integrate.ToolStreamline),
-				addRakeCmd(vmath.V3(2, 10, 3), vmath.V3(2, 13, 3), 3, integrate.ToolStreamline),
-			}}},
-			{2, wire.ClientUpdate{Hand: vmath.V3(1, 6, 4)}},
-			{2, wire.ClientUpdate{Commands: []wire.Command{
-				{Kind: wire.CmdGrab, Rake: 1, Grab: uint8(integrate.GrabCenter)},
-			}}},
-			{1, wire.ClientUpdate{}},
-			{2, wire.ClientUpdate{Commands: []wire.Command{
-				{Kind: wire.CmdMove, Rake: 1, Pos: vmath.V3(4, 7, 4)},
-			}}},
-			{1, wire.ClientUpdate{}},
-			{2, wire.ClientUpdate{Commands: []wire.Command{
-				{Kind: wire.CmdRelease, Rake: 1},
-			}}},
-			{1, wire.ClientUpdate{}},
-		},
-	},
-	{
-		name: "v2-streak-varint",
-		v2:   true,
-		script: []relayExchange{
-			{1, wire.ClientUpdate{Commands: []wire.Command{
-				addRakeCmd(vmath.V3(1, 6, 4), vmath.V3(1, 10, 4), 3, integrate.ToolStreakline),
-				{Kind: wire.CmdSetLoop, Flag: 1},
-				{Kind: wire.CmdSetSpeed, Value: 1},
-				{Kind: wire.CmdSetPlaying, Flag: 1},
-			}}},
-			{1, wire.ClientUpdate{}},
-			{1, wire.ClientUpdate{}},
-			{1, wire.ClientUpdate{Commands: []wire.Command{{Kind: wire.CmdSeek, Value: 0.5}}}},
-			{1, wire.ClientUpdate{}},
-			{1, wire.ClientUpdate{}},
-		},
-	},
-}
-
-// runRelayScript drives a golden script through dial, creating each
-// session's connection (and hello2 handshake for v2 scripts) at its
-// first exchange, and returns the raw reply bytes in exchange order.
-func runRelayScript(t *testing.T, dial dlib.DialFunc, v2 bool, script []relayExchange) [][]byte {
-	t.Helper()
-	clients := make(map[int]*dlib.Client)
-	var frames [][]byte
-	for _, ex := range script {
-		c := clients[ex.sess]
-		if c == nil {
-			conn, err := dial()
-			if err != nil {
-				t.Fatal(err)
-			}
-			c = dlib.NewClient(conn)
-			clients[ex.sess] = c
-			t.Cleanup(func() { c.Close() })
-			if v2 {
-				rep, err := c.Call(wire.ProcHello2, wire.EncodeHelloRequest(wire.CodecV2))
-				if err != nil {
-					t.Fatal(err)
-				}
-				codec, _, err := wire.DecodeHelloReply(rep)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if codec != wire.CodecV2 {
-					t.Fatalf("negotiated codec %d, want %d", codec, wire.CodecV2)
-				}
-			}
-		}
-		out, err := c.Call(wire.ProcFrame, wire.EncodeClientUpdate(ex.u))
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, bytes.Clone(out))
-	}
-	return frames
-}
-
-// loadGolden reads a committed corpus file.
-func loadGolden(t *testing.T, name string) [][]byte {
-	t.Helper()
-	data, err := os.ReadFile(goldenPath(name))
-	if err != nil {
-		t.Fatalf("%v (generate with the golden tests' -update first)", err)
-	}
-	golden, err := decodeFrames(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return golden
-}
-
-// TestRelayGoldenFrames replays every golden scenario through one
-// relay hop: the bytes each workstation receives must equal the
-// committed direct-connect corpus frame for frame — both codecs,
-// including the v2 delta streams.
-func TestRelayGoldenFrames(t *testing.T) {
-	for _, sc := range relayGoldenScripts {
-		t.Run(sc.name, func(t *testing.T) {
-			origin := goldenServer(t, 0, 0)
-			_, dial := startRelayNode(t, serveDial(origin.Dlib(), netsim.Link{}))
-			frames := runRelayScript(t, dial, sc.v2, sc.script)
-			compareFrames(t, "relayed", frames, loadGolden(t, sc.name))
-		})
-	}
-}
-
-// TestRelayChainedGoldenFrames stacks two relay tiers — workstation →
-// leaf relay → mid relay → origin — and requires the same byte
-// identity: the relay protocol must compose.
-func TestRelayChainedGoldenFrames(t *testing.T) {
-	for _, sc := range relayGoldenScripts {
-		t.Run(sc.name, func(t *testing.T) {
-			origin := goldenServer(t, 0, 0)
-			_, midDial := startRelayNode(t, serveDial(origin.Dlib(), netsim.Link{}))
-			_, leafDial := startRelayNode(t, midDial)
-			frames := runRelayScript(t, leafDial, sc.v2, sc.script)
-			compareFrames(t, "chained", frames, loadGolden(t, sc.name))
-		})
-	}
-}
-
 // TestRelayEncodeOnceFanOut pins the cluster-tier scaling claim: with
 // many workstations behind one relay, the origin encodes each round
 // once and ships its bytes across the relay link once — every further
@@ -257,41 +46,27 @@ func TestRelayChainedGoldenFrames(t *testing.T) {
 // exchange.
 func TestRelayEncodeOnceFanOut(t *testing.T) {
 	const sessions = 8
-	origin := goldenServer(t, 0, 0)
+	origin := plainData.server(t, 0, 0)
 	r, dial := startRelayNode(t, serveDial(origin.Dlib(), netsim.Link{}))
 
 	clients := make([]*dlib.Client, sessions)
 	for i := range clients {
-		conn, err := dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients[i] = dlib.NewClient(conn)
-		c := clients[i]
-		t.Cleanup(func() { c.Close() })
-	}
-	exchange := func(c *dlib.Client, u wire.ClientUpdate) []byte {
-		t.Helper()
-		out, err := c.Call(wire.ProcFrame, wire.EncodeClientUpdate(u))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
+		clients[i] = connect(t, dial)
 	}
 	// Session 0 builds the scene; then every session frames once. Each
 	// join adds a user to the environment (a version bump, so a fresh
 	// round) — that churn is the warmup, not the claim.
-	exchange(clients[0], wire.ClientUpdate{Commands: []wire.Command{
+	rawFrame(t, clients[0], wire.ClientUpdate{Commands: []wire.Command{
 		addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 10, 4), 6, integrate.ToolStreamline),
 	}})
 	for _, c := range clients[1:] {
-		exchange(c, wire.ClientUpdate{})
+		rawFrame(t, c, wire.ClientUpdate{})
 	}
 	// The last joins' user adds are pending until the next recompute
 	// (a join itself serves the current round); one more sweep settles
 	// every session on the final round before measuring.
 	for _, c := range clients {
-		exchange(c, wire.ClientUpdate{})
+		rawFrame(t, c, wire.ClientUpdate{})
 	}
 	warm := origin.Stats()
 	warmRelay := r.Stats()
@@ -299,11 +74,11 @@ func TestRelayEncodeOnceFanOut(t *testing.T) {
 	// Steady phase: everyone holds still. The whole-frame memo keeps
 	// the round stable, so every exchange must be a marker serving the
 	// identical cached bytes.
-	ref := exchange(clients[0], wire.ClientUpdate{})
+	ref := rawFrame(t, clients[0], wire.ClientUpdate{})
 	const rounds = 5
 	for round := 0; round < rounds; round++ {
 		for i, c := range clients {
-			got := exchange(c, wire.ClientUpdate{})
+			got := rawFrame(t, c, wire.ClientUpdate{})
 			if !bytes.Equal(got, ref) {
 				t.Fatalf("round %d session %d: frame differs from the shared round", round, i)
 			}
@@ -348,25 +123,15 @@ func TestRelayEncodeOnceFanOut(t *testing.T) {
 // buffer verbatim) while each v2 stream decodes through its own
 // stateful decoder with geometry matching the v1 frames.
 func TestRelayMixedCodecFleet(t *testing.T) {
-	origin := goldenServer(t, 0, 0)
+	origin := plainData.server(t, 0, 0)
 	_, dial := startRelayNode(t, serveDial(origin.Dlib(), netsim.Link{}))
 
-	connect := func(v2 bool) *dlib.Client {
-		t.Helper()
-		conn, err := dial()
-		if err != nil {
+	v1a, v2a, v2b := connect(t, dial), connect(t, dial), connect(t, dial)
+	for _, c := range []*dlib.Client{v2a, v2b} {
+		if _, err := c.Call(wire.ProcHello2, wire.EncodeHelloRequest(wire.CodecV2)); err != nil {
 			t.Fatal(err)
 		}
-		c := dlib.NewClient(conn)
-		t.Cleanup(func() { c.Close() })
-		if v2 {
-			if _, err := c.Call(wire.ProcHello2, wire.EncodeHelloRequest(wire.CodecV2)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return c
 	}
-	v1a, v2a, v2b := connect(false), connect(true), connect(true)
 	dec := map[*dlib.Client]*wire.FrameDecoder{
 		v2a: wire.NewFrameDecoder(quantizerOf(t)),
 		v2b: wire.NewFrameDecoder(quantizerOf(t)),
@@ -441,38 +206,21 @@ func TestRelayMixedCodecFleet(t *testing.T) {
 // upstream for its whole life, and the upstreams' environments stay
 // independent.
 func TestRelayPartition(t *testing.T) {
-	a := goldenServer(t, 0, 0)
-	b := goldenServer(t, 0, 0)
+	a := plainData.server(t, 0, 0)
+	b := plainData.server(t, 0, 0)
 	_, dial := startRelayNode(t,
 		serveDial(a.Dlib(), netsim.Link{}), serveDial(b.Dlib(), netsim.Link{}))
 
 	var clients [4]*dlib.Client
 	for i := range clients {
-		conn, err := dial()
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients[i] = dlib.NewClient(conn)
-		c := clients[i]
-		t.Cleanup(func() { c.Close() })
+		clients[i] = connect(t, dial)
 		// First contact pins the session: 0,2 → a; 1,3 → b.
 		if _, err := clients[i].Call(wire.ProcHello, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rake := func(c *dlib.Client, y float32) wire.FrameReply {
-		t.Helper()
-		out, err := c.Call(wire.ProcFrame, wire.EncodeClientUpdate(wire.ClientUpdate{
-			Commands: []wire.Command{addRakeCmd(vmath.V3(1, y, 4), vmath.V3(1, y+2, 4), 3, integrate.ToolStreamline)},
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := wire.DecodeFrameReply(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
+		return frame(t, c, update(addRakeCmd(vmath.V3(1, y, 4), vmath.V3(1, y+2, 4), 3, integrate.ToolStreamline)))
 	}
 	ra := rake(clients[0], 4)
 	rb := rake(clients[1], 8)
@@ -483,15 +231,46 @@ func TestRelayPartition(t *testing.T) {
 		t.Fatalf("both partitions see the same rake")
 	}
 	// Peers on the same partition share its environment.
-	out, err := clients[2].Call(wire.ProcFrame, wire.EncodeClientUpdate(wire.ClientUpdate{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := wire.DecodeFrameReply(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r2.Rakes) != 1 || r2.Rakes[0].P0 != ra.Rakes[0].P0 {
+	if r2 := frame(t, clients[2], wire.ClientUpdate{}); len(r2.Rakes) != 1 || r2.Rakes[0].P0 != ra.Rakes[0].P0 {
 		t.Fatalf("partition peer does not share the environment")
+	}
+}
+
+// TestRelayToolFanOut pins the encode-once property for tool-bearing
+// rounds: with several workstations holding still behind one relay and
+// all three tools enabled, steady-phase frames must be served from the
+// relay cache byte-identically.
+func TestRelayToolFanOut(t *testing.T) {
+	origin := toolData.server(t, 0, 0)
+	_, dial := startRelayNode(t, serveDial(origin.Dlib(), netsim.Link{}))
+	clients := make([]*dlib.Client, 4)
+	for i := range clients {
+		clients[i] = connect(t, dial)
+	}
+	rawFrame(t, clients[0], update(
+		wire.Command{Kind: wire.CmdIsoSet, Flag: 1, Value: 0.8},
+		wire.Command{Kind: wire.CmdPlaneMove, Flag: 1, Grab: 0, Value: 0.5},
+		wire.Command{Kind: wire.CmdVortexToggle, Flag: 1, Value: 0.01}))
+	// Settle the join churn (each connect bumps the user list), then
+	// require byte-stable fan-out of the tool-bearing round.
+	for range 2 {
+		for _, c := range clients {
+			rawFrame(t, c, wire.ClientUpdate{})
+		}
+	}
+	ref := bytes.Clone(rawFrame(t, clients[0], wire.ClientUpdate{}))
+	r, err := wire.DecodeFrameReply(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Tools == nil || r.Tools.TotalPoints() == 0 {
+		t.Fatal("steady round carries no tool geometry")
+	}
+	for round := 0; round < 3; round++ {
+		for i, c := range clients {
+			if got := rawFrame(t, c, wire.ClientUpdate{}); !bytes.Equal(got, ref) {
+				t.Fatalf("round %d session %d: tool-bearing frame differs from the shared round", round, i)
+			}
+		}
 	}
 }

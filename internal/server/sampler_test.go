@@ -14,11 +14,6 @@ import (
 	"repro/internal/wire"
 )
 
-// sampleOnly hides the storeSampler's LevelSource methods, so integrate
-// walks it one SampleVelocity at a time: the path the fused kernel took
-// over, kept as its oracle.
-type sampleOnly struct{ integrate.Sampler }
-
 // variedDataset is testDataset with a different random field per step,
 // so time interpolation and the bracket a sample lands in both show up
 // in the bits.
@@ -44,14 +39,16 @@ func variedDataset(t testing.TB, numSteps int) *store.Memory {
 	return store.NewMemory(u)
 }
 
-// TestStoreSamplerKernelBitIdentical: the store-backed sampler reaches
-// the fused kernel through Level and must produce exactly what walking
-// its SampleVelocity produces — every method, both directions, starts
-// before, inside and beyond the dataset's time range.
+// TestStoreSamplerKernelBitIdentical: the kernel over the store-backed
+// sampler must produce exactly what it produces over the same resident
+// field.Unsteady — every method, both directions, starts before, inside
+// and beyond the dataset's time range. (integrate's own tests hold the
+// kernel to its Step-over-SampleVelocity oracle.)
 func TestStoreSamplerKernelBitIdentical(t *testing.T) {
 	mem := variedDataset(t, 9)
 	var ss storeSampler
 	ss.reset(mem)
+	resident := integrate.UnsteadySampler{U: mem.Unsteady()}
 	seeds := []vmath.Vec3{{X: 1, Y: 4, Z: 2}, {X: 0, Y: 0, Z: 0}, {X: 11, Y: 9, Z: 5}, {X: 5.5, Y: 2.25, Z: 4.75}, {X: -1, Y: 2, Z: 2}}
 	points := 0
 	for _, m := range []integrate.Method{integrate.Euler, integrate.RK2, integrate.RK4} {
@@ -60,9 +57,9 @@ func TestStoreSamplerKernelBitIdentical(t *testing.T) {
 			for _, t0 := range []float32{-0.5, 0, 0.4, 2, 7.9, 8, 10} {
 				for _, seed := range seeds {
 					got := integrate.ParticlePath(&ss, seed, t0, 8, o)
-					want := integrate.ParticlePath(sampleOnly{&ss}, seed, t0, 8, o)
+					want := integrate.ParticlePath(resident, seed, t0, 8, o)
 					if len(got) != len(want) {
-						t.Fatalf("%v h=%g t0=%g seed %v: kernel path has %d points, SampleVelocity path %d", m, h, t0, seed, len(got), len(want))
+						t.Fatalf("%v h=%g t0=%g seed %v: store path has %d points, resident path %d", m, h, t0, seed, len(got), len(want))
 					}
 					for i := range want {
 						if !got[i].BitsEqual(want[i]) {

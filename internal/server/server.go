@@ -39,7 +39,6 @@ package server
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -62,7 +61,8 @@ type Config struct {
 	// budget below.
 	Store store.Store
 	// Engine computes visualization geometry; nil uses the parallel
-	// engine with GOMAXPROCS workers.
+	// engine with GOMAXPROCS workers. Its Workers() is also the width of
+	// the round's pool, which runs dirty rakes and tools side by side.
 	Engine compute.Engine
 	// Options sets integration parameters; zero value uses
 	// integrate.DefaultOptions (RK2, 200-point paths).
@@ -71,9 +71,6 @@ type Config struct {
 	// ClientUpdate must not be able to request an unbounded integration
 	// workload. 0 means 4096.
 	MaxSeedsPerRake int
-	// RakeWorkers bounds how many dirty rakes recompute concurrently;
-	// 0 means GOMAXPROCS.
-	RakeWorkers int
 	// Prefetch reads the missing steps of that window in the
 	// background, in play order, while rounds compute (figure 8); off,
 	// an I/O-backed Store is read on demand, on the goroutine that
@@ -373,9 +370,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxCodec < wire.CodecV1 || cfg.MaxCodec > wire.MaxCodec {
 		return nil, fmt.Errorf("server: MaxCodec %d outside [%d, %d]",
 			cfg.MaxCodec, wire.CodecV1, wire.MaxCodec)
-	}
-	if cfg.RakeWorkers <= 0 {
-		cfg.RakeWorkers = runtime.GOMAXPROCS(0)
 	}
 	src, ok := cfg.Store.(store.Source)
 	if !ok {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"net"
 	"testing"
 
@@ -36,6 +37,32 @@ func testDataset(t testing.TB, numSteps int) *store.Memory {
 		t.Fatal(err)
 	}
 	return store.NewMemory(u)
+}
+
+// toolDataset is testDataset's grid and bounds (so the same quantizer)
+// with a field the shared tools can extract: a vertical shear plus a
+// Gaussian swirl around the grid center whose amplitude grows per
+// timestep, so iso and vortex geometry is non-empty and playback changes
+// it.
+func toolDataset(t testing.TB, numSteps int) *store.Memory {
+	t.Helper()
+	mem := testDataset(t, numSteps)
+	for s, f := range mem.Unsteady().Steps {
+		amp := 1 + 0.1*float64(s)
+		for k := 0; k < 8; k++ {
+			for j := 0; j < 16; j++ {
+				for i := 0; i < 16; i++ {
+					dx, dy := float64(i)-7.5, float64(j)-7.5
+					swirl := amp * 0.4 * math.Exp(-(dx*dx+dy*dy)/18)
+					n := f.Index(i, j, k)
+					f.U[n] = float32(0.1*float64(j) - dy*swirl)
+					f.V[n] = float32(dx * swirl)
+					f.W[n] = 0.05
+				}
+			}
+		}
+	}
+	return mem
 }
 
 // testDiskStore writes the standard test dataset to a temp directory
@@ -79,13 +106,10 @@ func startTestServer(t *testing.T, cfg Config) (*Server, *dlib.Client, string) {
 	return s, c, addr
 }
 
+// frame is rawFrame decoded as codec v1.
 func frame(t *testing.T, c *dlib.Client, u wire.ClientUpdate) wire.FrameReply {
 	t.Helper()
-	out, err := c.Call(wire.ProcFrame, wire.EncodeClientUpdate(u))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := wire.DecodeFrameReply(out)
+	r, err := wire.DecodeFrameReply(rawFrame(t, c, u))
 	if err != nil {
 		t.Fatal(err)
 	}

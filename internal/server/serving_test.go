@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/compute"
 	"repro/internal/integrate"
 	"repro/internal/netsim"
 	"repro/internal/vmath"
@@ -39,7 +40,7 @@ func busyScene() []wire.Command {
 
 func servingServer(t *testing.T, workers int) *Server {
 	t.Helper()
-	s, err := New(Config{Store: toolDataset(t, 4), Clock: netsim.NewManualClock(), RakeWorkers: workers})
+	s, err := New(Config{Store: toolDataset(t, 4), Clock: netsim.NewManualClock(), Engine: compute.Parallel{NumWorkers: workers}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestPlanWithReserveExceedingBudgetFloors(t *testing.T) {
 // refreshed, without running a frame.
 func toolPlanServer(t *testing.T, budget time.Duration, unitNanos float64) *Server {
 	t.Helper()
-	s := goldenToolServer(t, budget, unitNanos)
+	s := toolData.server(t, budget, unitNanos)
 	if err := s.Env().SetIso(1, env.IsoParams{Enabled: true, Level: 0.8}); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestPlanToolsStrideLadder(t *testing.T) {
 	}
 
 	// Inactive tools cost nothing even under a governor.
-	for i, d := range planToolRows(goldenToolServer(t, time.Millisecond, 100)) {
+	for i, d := range planToolRows(toolData.server(t, time.Millisecond, 100)) {
 		if d.stride != 1 || d.units != 0 || d.planned != 0 {
 			t.Fatalf("inactive tool %d: stride=%d units=%d planned=%d, want 1, 0, 0", i, d.stride, d.units, d.planned)
 		}
@@ -187,7 +187,7 @@ func TestPlanToolCoarsensBeforeRakeSheds(t *testing.T) {
 // recomputes only the isosurface — the untouched vortex tool is a
 // memo hit — and the stats ledger counts both sides.
 func TestToolMemoStats(t *testing.T) {
-	s := goldenToolServer(t, 0, 0)
+	s := toolData.server(t, 0, 0)
 	d := newDirectSession(t, s, 1)
 
 	d.rawFrame(wire.ClientUpdate{Commands: []wire.Command{
@@ -257,7 +257,7 @@ func TestToolFramesDeterministicUnderShed(t *testing.T) {
 			run := func() [][]byte {
 				// Price integration expensively so the governor sheds;
 				// the ManualClock freezes the EWMA for the whole run.
-				s := goldenToolServer(t, 5*time.Millisecond, 50000)
+				s := toolData.server(t, 5*time.Millisecond, 50000)
 				var frames [][]byte
 				if v2 {
 					d := newV2Session(t, s, 1)
@@ -282,7 +282,7 @@ func TestToolFramesDeterministicUnderShed(t *testing.T) {
 			// The script must have produced at least one degraded round
 			// and shipped tool geometry in at least one frame.
 			degraded, toolPoints := false, false
-			dec := wire.NewFrameDecoder(toolQuantizerOf(t))
+			dec := wire.NewFrameDecoder(quantizerOf(t))
 			for _, raw := range a {
 				var r wire.FrameReply
 				var err error
