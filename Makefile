@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-stats deps chaos fuzz fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate ci bench bench-module loc load load-relay relay soak live tools
+.PHONY: all build test race vet lint lint-stats deps chaos fuzz-dlib fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate ci bench bench-module loc load load-relay relay soak live tools
 
 all: build test
 
@@ -14,13 +14,10 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific invariant analyzers (wallclock, lockdiscipline,
-# hotpath, maporder, codecparity, hostilecount) over the whole
-# module. Fails on any finding not
+# hotpath, maporder) over the whole module. Fails on any finding not
 # annotated with a //vw:allow directive, on malformed //vw: directives,
 # and on classified packages (internal/analysis.PackageClasses) that
-# lost their //vw:deterministic or //vw:wire opt-in. Machine-readable
-# output for CI diffing:
-#   go run ./cmd/vwlint -json ./...
+# lost their //vw:deterministic or //vw:wire opt-in.
 lint:
 	$(GO) run ./cmd/vwlint ./...
 
@@ -39,10 +36,14 @@ race:
 chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|Redial|Resilien' ./...
 
-# Short fuzz passes over the wire framing and the client read path.
-fuzz:
-	$(GO) test -fuzz FuzzReadFrame -fuzztime 30s ./internal/dlib/
-	$(GO) test -fuzz FuzzClientRead -fuzztime 30s ./internal/dlib/
+# Short fuzz passes over dlib's bytes from outside: the call/reply
+# framing, a client's read path against a lying server, and the memory
+# procedures called outside safeCall's recover, so an offset that wraps
+# or a size that was never bounded fails the pass.
+fuzz-dlib:
+	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s ./internal/dlib/
+	$(GO) test -fuzz FuzzClientRead -fuzztime 10s ./internal/dlib/
+	$(GO) test -fuzz FuzzSegmentProcs -fuzztime 10s ./internal/dlib/
 
 # Short fuzz passes over the server frame/command surfaces with
 # hostile numeric payloads, plus the live-steering command surface
@@ -55,19 +56,25 @@ fuzz-server:
 	$(GO) test -fuzz FuzzSteerCommand -fuzztime 30s ./internal/server/
 	$(GO) test -fuzz FuzzToolCommand -fuzztime 30s ./internal/server/
 
-# Short fuzz passes over the frame decoders. Codec v2: hostile counts,
+# Short fuzz passes over every wire decoder. Codec v2: hostile counts,
 # truncations, and ref-to-unknown records against a stateful decoder.
 # Codec v1, differentially: the skim a relay hop runs and the full
 # decode fail together or agree on everything but the points, and the
 # full decode allocates in proportion to its input. The quantizer,
 # differentially: raw float32 bits for a coordinate and its box, and a
 # raw 16-bit value, through codec v2's arithmetic and the divide-and-
-# math.Round reference, both directions. The 10s budgets keep it
-# ci-sized; run `make fuzz` for the longer framing passes.
+# math.Round reference, both directions. Then the client update, both
+# relay messages and the dataset info: a count the bytes cannot back
+# is refused before it sizes anything. The 10s budgets keep it
+# ci-sized.
 fuzz-wire:
 	$(GO) test -fuzz FuzzDecodeFrameV2 -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeFrameReply$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzQuantAgrees -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz FuzzDecodeClientUpdate -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz FuzzDecodeRelayFrameRequest -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz FuzzDecodeRelayFrameReply -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz FuzzDecodeDatasetInfo -fuzztime 10s ./internal/wire/
 
 # Short fuzz passes over the renderer: segments whose coordinates are raw
 # float32 bit patterns, drawn immediately inside a row band and through
@@ -133,7 +140,7 @@ tools:
 	$(GO) test -race -count=1 -run xxx -fuzz FuzzToolCommand -fuzztime 5s ./internal/server/
 
 # The gate a change must pass before merging.
-ci: vet lint deps race relay live tools bench-module fuzz-wire fuzz-render fuzz-field fuzz-integrate load-relay
+ci: vet lint deps race relay live tools bench-module fuzz-dlib fuzz-wire fuzz-render fuzz-field fuzz-integrate load-relay
 
 bench:
 	$(GO) test -bench . -benchmem ./...

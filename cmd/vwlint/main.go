@@ -1,24 +1,20 @@
 // Command vwlint runs the project's invariant analyzers (wallclock,
-// lockdiscipline, hotpath, maporder, codecparity, hostilecount — see
-// internal/analysis) over the repo, the way `make lint` uses it:
+// lockdiscipline, hotpath, maporder — see internal/analysis) over the
+// repo, the way `make lint` uses it:
 //
 //	go run ./cmd/vwlint ./...
 //	go run ./cmd/vwlint ./internal/server
-//	go run ./cmd/vwlint -json ./...
 //	go run ./cmd/vwlint -stats ./...
 //
 // walks the module, typechecks every non-test package with the
 // source importer, and prints findings as file:line:col: message
 // [analyzer], exiting 1 if anything (including a malformed //vw:
 // directive or a classified package that lost its //vw:deterministic
-// or //vw:wire opt-in) survives the //vw:allow annotations. -json
-// emits every finding — suppressed ones included, with an "allowed"
-// flag — as a JSON array so CI tooling can diff lint results across
-// PRs; -stats prints the //vw:allow count per analyzer.
+// or //vw:wire opt-in) survives the //vw:allow annotations. -stats
+// prints the //vw:allow count per analyzer.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -32,36 +28,20 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	var jsonMode, statsMode bool
+	var statsMode bool
 	var patterns []string
 	for _, a := range args {
 		switch a {
-		case "-json", "--json":
-			jsonMode = true
 		case "-stats", "--stats":
 			statsMode = true
 		default:
+			if strings.HasPrefix(a, "-") {
+				return fail(stderr, fmt.Errorf("unknown flag %s", a))
+			}
 			patterns = append(patterns, a)
 		}
 	}
-	return runStandalone(patterns, jsonMode, statsMode, stdout, stderr)
-}
 
-// A jsonFinding is the machine-readable shape of one finding, for
-// `vwlint -json`. Suppressed findings ship too, with Allowed=true, so
-// tooling can diff the full lint surface (and the suppression debt)
-// across PRs.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	Allowed  bool   `json:"allowed"`
-}
-
-// runStandalone loads packages from the module tree and reports.
-func runStandalone(patterns []string, jsonMode, statsMode bool, stdout, stderr io.Writer) int {
 	cwd, err := os.Getwd()
 	if err != nil {
 		return fail(stderr, err)
@@ -77,8 +57,7 @@ func runStandalone(patterns []string, jsonMode, statsMode bool, stdout, stderr i
 
 	loader := analysis.NewLoader()
 	analyzers := analysis.All()
-	var findings []analysis.Finding
-	var bad []analysis.Diagnostic
+	var findings, bad []analysis.Diagnostic
 	classes := make(map[string]analysis.Class) // import path -> directive-derived class
 	allowCounts := make(map[string]int)
 	for _, rel := range dirs {
@@ -98,7 +77,9 @@ func runStandalone(patterns []string, jsonMode, statsMode bool, stdout, stderr i
 			allowCounts[name] += n
 		}
 		bad = append(bad, pkg.Directives.Bad...)
-		findings = append(findings, analysis.RunAllFindings(analyzers, pkg)...)
+		for _, a := range analyzers {
+			findings = append(findings, analysis.Run(a, pkg)...)
+		}
 	}
 
 	if statsMode {
@@ -125,52 +106,8 @@ func runStandalone(patterns []string, jsonMode, statsMode bool, stdout, stderr i
 		}
 	}
 
-	if jsonMode {
-		out := make([]jsonFinding, 0, len(findings)+len(bad))
-		for _, d := range bad {
-			out = append(out, jsonFinding{
-				File: relPath(cwd, d.Position.Filename), Line: d.Position.Line, Col: d.Position.Column,
-				Analyzer: d.Analyzer, Message: d.Message,
-			})
-		}
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				File: relPath(cwd, f.Position.Filename), Line: f.Position.Line, Col: f.Position.Column,
-				Analyzer: f.Analyzer, Message: f.Message, Allowed: f.Allowed,
-			})
-		}
-		sort.Slice(out, func(i, j int) bool {
-			a, b := out[i], out[j]
-			if a.File != b.File {
-				return a.File < b.File
-			}
-			if a.Line != b.Line {
-				return a.Line < b.Line
-			}
-			return a.Col < b.Col
-		})
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			return fail(stderr, err)
-		}
-		for _, f := range out {
-			if !f.Allowed {
-				exit = 1
-			}
-		}
-		return exit
-	}
-
-	for _, d := range bad {
+	for _, d := range append(bad, findings...) {
 		fmt.Fprintln(stderr, relPosition(cwd, d))
-		exit = 1
-	}
-	for _, f := range findings {
-		if f.Allowed {
-			continue
-		}
-		fmt.Fprintln(stderr, relPosition(cwd, f.Diagnostic))
 		exit = 1
 	}
 	return exit
@@ -242,13 +179,6 @@ func selectDirs(root, cwd string, patterns []string) ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-func relPath(cwd, name string) string {
-	if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
-		return rel
-	}
-	return name
 }
 
 func relPosition(cwd string, d analysis.Diagnostic) string {

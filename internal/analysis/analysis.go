@@ -1,11 +1,11 @@
 // Package analysis is vwlint's in-tree static-analysis framework: a
 // zero-dependency go/parser + go/types driver in the style of
-// golang.org/x/tools/go/analysis, carrying the six project-specific
-// analyzers (wallclock, lockdiscipline, hotpath, maporder,
-// codecparity, hostilecount) that turn the frame pipeline's
-// conventions — injected clocks, *Locked mutex discipline,
-// allocation-free hot paths, byte-deterministic iteration, v1/v2 codec
-// parity, hostile-count bounds — into compile-time checks.
+// golang.org/x/tools/go/analysis, carrying the four project-specific
+// analyzers (wallclock, lockdiscipline, hotpath, maporder) that turn
+// the frame pipeline's conventions — injected clocks, *Locked mutex
+// discipline, allocation-free hot paths, byte-deterministic iteration —
+// into compile-time checks. Each is kept for a defect no test catches;
+// its fixture carries that defect.
 //
 // The framework is deliberately small: an Analyzer is a named Run
 // function over a typechecked package (Pass), diagnostics are
@@ -43,11 +43,7 @@ type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Files    []*ast.File
-	Pkg      *types.Package
 	Info     *types.Info
-	// Path is the package's import path (or the fixture directory name
-	// under analysistest).
-	Path string
 	// Directives holds the parsed //vw: comments for the package.
 	Directives *Directives
 	// Class is the package's classification, derived once from the
@@ -83,57 +79,38 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// All returns the six vwlint analyzers in reporting order.
+// All returns the four vwlint analyzers in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{
-		Wallclock, LockDiscipline, HotPath,
-		MapOrder, CodecParity, HostileCount,
-	}
+	return []*Analyzer{Wallclock, LockDiscipline, HotPath, MapOrder}
 }
 
 // A Package is one loaded, typechecked package ready to be analyzed.
 type Package struct {
 	Fset       *token.FileSet
 	Files      []*ast.File
-	Pkg        *types.Package
 	Info       *types.Info
-	Path       string
 	Directives *Directives
 }
 
-// A Finding is one diagnostic plus whether an //vw:allow directive
-// suppressed it. The -json driver mode reports both kinds so CI
-// tooling can diff the full lint surface across PRs.
-type Finding struct {
-	Diagnostic
-	Allowed bool
-}
-
-// RunFindings applies one analyzer to a loaded package and returns
-// every finding, suppressed or not, sorted by position. Findings in
-// _test.go files are dropped entirely: tests legitimately use wall
-// clocks, raw allocation, and direct handler calls.
-func RunFindings(a *Analyzer, pkg *Package) []Finding {
+// Run applies one analyzer to a loaded package and returns the
+// diagnostics that survive directive suppression, sorted by position.
+// Findings in _test.go files are dropped entirely: tests legitimately
+// use wall clocks, raw allocation, and direct handler calls.
+func Run(a *Analyzer, pkg *Package) []Diagnostic {
 	pass := &Pass{
 		Analyzer:   a,
 		Fset:       pkg.Fset,
 		Files:      pkg.Files,
-		Pkg:        pkg.Pkg,
 		Info:       pkg.Info,
-		Path:       pkg.Path,
 		Directives: pkg.Directives,
 		Class:      Classify(pkg.Directives),
 	}
 	a.Run(pass)
-	var out []Finding
+	var out []Diagnostic
 	for _, d := range pass.diags {
-		if isTestFile(d.Position.Filename) {
-			continue
+		if !isTestFile(d.Position.Filename) && !pkg.Directives.Allowed(a.Name, d.Position) {
+			out = append(out, d)
 		}
-		out = append(out, Finding{
-			Diagnostic: d,
-			Allowed:    pkg.Directives.Allowed(a.Name, d.Position),
-		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Position, out[j].Position
@@ -145,28 +122,6 @@ func RunFindings(a *Analyzer, pkg *Package) []Finding {
 		}
 		return a.Column < b.Column
 	})
-	return out
-}
-
-// Run applies one analyzer to a loaded package and returns the
-// diagnostics that survive directive suppression, sorted by position.
-func Run(a *Analyzer, pkg *Package) []Diagnostic {
-	var out []Diagnostic
-	for _, f := range RunFindings(a, pkg) {
-		if !f.Allowed {
-			out = append(out, f.Diagnostic)
-		}
-	}
-	return out
-}
-
-// RunAllFindings applies every analyzer in as to pkg and returns the
-// merged findings, suppressed ones included.
-func RunAllFindings(as []*Analyzer, pkg *Package) []Finding {
-	var out []Finding
-	for _, a := range as {
-		out = append(out, RunFindings(a, pkg)...)
-	}
 	return out
 }
 

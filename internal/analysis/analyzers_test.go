@@ -33,14 +33,6 @@ func TestMapOrder(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.MapOrder, "maporder")
 }
 
-func TestCodecParity(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.CodecParity, "codecparity")
-}
-
-func TestHostileCount(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.HostileCount, "hostilecount")
-}
-
 // TestAnalyzerFixtures is the tripwire for untested analyzers: every
 // analyzer in All() must ship a fixture package under testdata/src/
 // with at least one flagged case (a "// want" marker) and at least

@@ -10,16 +10,15 @@ package analysis
 //     wallclock analyzer bans wall-clock/global-RNG reads and the
 //     maporder analyzer bans map-iteration order leaking into output.
 //   - WireFacing packages encode, decode, or route protocol bytes:
-//     maporder, codecparity, and hostilecount all apply.
-//   - HotPath marks packages containing //vw:hotpath functions; the
-//     hotpath analyzer scopes itself to those functions.
+//     maporder applies to them too.
+//
+// The hotpath analyzer needs no class: it scopes itself to the
+// functions marked //vw:hotpath.
 type Class struct {
 	// Deterministic is set by the //vw:deterministic package directive.
 	Deterministic bool
 	// WireFacing is set by the //vw:wire package directive.
 	WireFacing bool
-	// HotPath reports whether any function carries //vw:hotpath.
-	HotPath bool
 }
 
 // Classify derives a package's class from its parsed directives. The
@@ -31,7 +30,6 @@ func Classify(d *Directives) Class {
 	return Class{
 		Deterministic: d.Deterministic,
 		WireFacing:    d.Wire,
-		HotPath:       len(d.hotpath) > 0,
 	}
 }
 
@@ -59,9 +57,3 @@ var PackageClasses = map[string]Class{
 	"repro/internal/vr":        {Deterministic: true},
 	"repro/internal/wire":      {Deterministic: true, WireFacing: true},
 }
-
-// WireFacingPath reports whether the import path names a wire-facing
-// package per the registry. Analyzers use it to classify foreign
-// packages (for example the declaring package of a switch tag's type)
-// where only this package's directives are in scope.
-func WireFacingPath(path string) bool { return PackageClasses[path].WireFacing }

@@ -22,8 +22,7 @@ import (
 //
 //	//vw:wire
 //	    Package-level opt-in: the package encodes, decodes, or routes
-//	    protocol bytes, so the maporder, codecparity, and hostilecount
-//	    analyzers apply.
+//	    protocol bytes, so the maporder analyzer applies.
 //
 //	//vw:allow <name>[,<name>...] [-- reason]
 //	    Suppresses the named analyzers' findings on the same line and
@@ -46,7 +45,7 @@ type Directives struct {
 	// //vw:deterministic.
 	Deterministic bool
 	// Wire reports whether the package opted in to the wire-facing
-	// analyzers (maporder, codecparity, hostilecount) via //vw:wire.
+	// analyzer (maporder) via //vw:wire.
 	Wire bool
 
 	hotpath []*ast.FuncDecl

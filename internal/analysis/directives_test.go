@@ -69,8 +69,8 @@ package p
 		t.Error("//vw:deterministic stacked under //vw:wire not detected")
 	}
 	c := Classify(d)
-	if !c.WireFacing || !c.Deterministic || c.HotPath {
-		t.Errorf("Classify = %+v, want WireFacing+Deterministic only", c)
+	if !c.WireFacing || !c.Deterministic {
+		t.Errorf("Classify = %+v, want WireFacing+Deterministic", c)
 	}
 }
 

@@ -39,10 +39,8 @@ func NewLoader() *Loader {
 	}
 }
 
-// LoadDir parses and typechecks the single package in dir. The
-// returned Package carries importPath as its path (used in
-// diagnostics and for the deterministic-set check). Directories with
-// no non-test Go files return (nil, nil).
+// LoadDir parses and typechecks the single package in dir as
+// importPath. Directories with no non-test Go files return (nil, nil).
 //
 // Only non-test files are loaded: _test.go files may not typecheck
 // against the bare package, and the analyzers' invariants are about
@@ -77,16 +75,13 @@ func (l *Loader) check(importPath string, files []*ast.File) (*Package, error) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	conf := types.Config{Importer: l.imp}
-	pkg, err := conf.Check(importPath, l.Fset, files, info)
-	if err != nil {
+	if _, err := conf.Check(importPath, l.Fset, files, info); err != nil {
 		return nil, fmt.Errorf("analysis: typecheck %s: %w", importPath, err)
 	}
 	return &Package{
 		Fset:       l.Fset,
 		Files:      files,
-		Pkg:        pkg,
 		Info:       info,
-		Path:       importPath,
 		Directives: ParseDirectives(l.Fset, files),
 	}, nil
 }

@@ -12,6 +12,7 @@ type S struct {
 
 	count int
 	items []int
+	cache map[int]int
 }
 
 // bumpLocked runs with s.mu held by contract; its own field access is
@@ -100,6 +101,13 @@ func (s *S) Goroutine() {
 		s.count++ // want `s\.count is guarded by s\.mu`
 	}()
 	s.mu.Unlock()
+}
+
+// BadRemove is CmdRemoveRake dropping its cache entry without s.mu.
+// Only this analyzer catches it: dlib runs handlers one at a time, so
+// the race detector never sees the write meet a Stats reader.
+func (s *S) BadRemove(k int) {
+	delete(s.cache, k) // want `s\.cache is guarded by s\.mu`
 }
 
 func (s *S) Allowed() {

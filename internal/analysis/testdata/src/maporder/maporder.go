@@ -9,7 +9,9 @@ package maporder
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -41,12 +43,33 @@ func badFprintf(m map[string]int, buf *bytes.Buffer) {
 	}
 }
 
-func badFieldAppend(m map[int32]uint64) {
-	var st struct{ shadow []uint64 }
-	for _, seq := range m {
-		st.shadow = append(st.shadow, seq) // want `map iteration order leaks into slice st`
+type segment struct {
+	key int32
+	seq uint64
+}
+
+type session struct{ rows []segment }
+
+// badShadow is the relay's fetchRound without its sort: the shadow
+// goes on the wire in map order, so two relays holding the same cache
+// send different request bytes. Only this analyzer catches it: every
+// relay, server and load test passes, as each relay's requests agree
+// with its own shadow.
+func badShadow(st *session, segs map[int32]segment) []segment {
+	st.rows = st.rows[:0]
+	for _, cs := range segs {
+		st.rows = append(st.rows, cs) // want `map iteration order leaks into slice st`
 	}
-	_ = st
+	return st.rows
+}
+
+func goodShadow(st *session, segs map[int32]segment) []segment {
+	st.rows = st.rows[:0]
+	for _, cs := range segs {
+		st.rows = append(st.rows, cs)
+	}
+	slices.SortFunc(st.rows, func(a, b segment) int { return cmp.Compare(a.key, b.key) })
+	return st.rows
 }
 
 func goodSorted(m map[int]string) []string {

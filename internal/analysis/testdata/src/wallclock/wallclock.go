@@ -58,6 +58,16 @@ func good(c clock, r *rand.Rand) {
 	_ = s.RealClock.Now()
 }
 
+// encodeTimer reads the v1 encode timer off the wall clock. Only this
+// analyzer catches it: EncodeTime never reaches the wire, so no golden
+// frame moves (the compute and load timers do, and the corpus pins
+// those).
+func encodeTimer(c clock, total *time.Duration) {
+	start := c.Now()
+	*total += time.Since(start) // want `time\.Since reads the wall clock`
+	*total += c.Now().Sub(start)
+}
+
 func allowed() {
 	_ = time.Now() //vw:allow wallclock -- fixture: obs-only timing
 	//vw:allow wallclock -- fixture: the line-above form

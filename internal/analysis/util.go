@@ -101,18 +101,6 @@ func inspectScope(body *ast.BlockStmt, fn func(ast.Node) bool) {
 	})
 }
 
-// namedType peels pointers off t and returns the named type, or nil.
-func namedType(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	return n
-}
-
 // recvName returns the name of a method's receiver variable, or ""
 // for functions, unnamed receivers, and blank receivers.
 func recvName(fn *ast.FuncDecl) string {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -320,6 +321,17 @@ func TestMemorySegments(t *testing.T) {
 	}
 	if _, err := c.ReadSegment(h, 60, 10); err == nil {
 		t.Error("overflow read accepted")
+	}
+	// Offsets whose sum with the length wraps past 2^64. Checked as
+	// off+n, the read's sum wrapped to 0 and the handler asked for a
+	// 64 GiB buffer, an out-of-memory fatal error that kills the process
+	// past safeCall's recover; the write panicked slicing. Both must be
+	// refused as out of the segment.
+	if _, err := c.ReadSegment(h, 1<<64-1<<36, 1<<36); err == nil || !strings.Contains(err.Error(), "exceed segment") {
+		t.Errorf("wrapping read: %v, want refused as out of the segment", err)
+	}
+	if err := c.WriteSegment(h, 1<<64-1, []byte("ab")); err == nil || !strings.Contains(err.Error(), "exceed segment") {
+		t.Errorf("wrapping write: %v, want refused as out of the segment", err)
 	}
 	if err := c.Free(h); err != nil {
 		t.Fatal(err)

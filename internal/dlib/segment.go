@@ -9,8 +9,10 @@ import (
 // Remote memory segments: "dlib is able to coordinate allocation and
 // use of remote memory segments" (§4). Segments are server-global so
 // one client can populate a dataset that every participant's calls
-// then reference by handle. The windtunnel uses them to stage large
-// arrays (e.g. seed tables) without resending them each call.
+// then reference by handle. Every dlib.Server registers the
+// procedures, but no windtunnel path calls them: the frame protocol
+// resends what it needs. Offsets and lengths come off the wire, so a
+// bounds check never adds them: off+n can wrap past 2^64.
 
 type segmentTable struct {
 	mu   sync.Mutex
@@ -99,9 +101,8 @@ func procWrite(ctx *Ctx, payload []byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("write: unknown handle %d", h)
 	}
-	if off+uint64(len(data)) > uint64(len(seg)) {
-		return nil, fmt.Errorf("write: [%d, %d) exceeds segment of %d bytes",
-			off, off+uint64(len(data)), len(seg))
+	if off > uint64(len(seg)) || uint64(len(data)) > uint64(len(seg))-off {
+		return nil, fmt.Errorf("write: %d bytes at %d exceed segment of %d bytes", len(data), off, len(seg))
 	}
 	copy(seg[off:], data)
 	return nil, nil
@@ -122,8 +123,8 @@ func procRead(ctx *Ctx, payload []byte) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("read: unknown handle %d", h)
 	}
-	if off+n > uint64(len(seg)) {
-		return nil, fmt.Errorf("read: [%d, %d) exceeds segment of %d bytes", off, off+n, len(seg))
+	if off > uint64(len(seg)) || n > uint64(len(seg))-off {
+		return nil, fmt.Errorf("read: %d bytes at %d exceed segment of %d bytes", n, off, len(seg))
 	}
 	out := make([]byte, n)
 	copy(out, seg[off:off+n])

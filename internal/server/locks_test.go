@@ -3,12 +3,13 @@ package server
 // The lock table: the paper's first-come-first-served rule for every
 // lock a wire command can take — a rake, the isosurface, the cutting
 // plane and the steering parameters (the rows) — under every way a
-// holder can go away (the columns, lockFaults). Every cell asserts the
-// same four invariants: the lock has one holder; its parameters are the
-// defaults or exactly the record that was sent, never a mix; it comes
-// free once the holder is gone; and a fresh session takes it. The vortex
-// tool takes no lock (SetVortex never grabs one), so it rides along in
-// the reset column only, for its torn-record check.
+// holder can let go or go away (the columns, lockFaults). Every cell
+// asserts the same four invariants: the lock has one holder; its
+// parameters are the defaults or exactly the record that was sent, never
+// a mix; it comes free once the holder lets go or is gone; and a fresh
+// session takes it. The vortex tool takes no lock (SetVortex never grabs
+// one), so it rides along in the reset column only, for its torn-record
+// check.
 
 import (
 	"encoding/binary"
@@ -52,6 +53,7 @@ type lockRow struct {
 	// record in one ClientUpdate.
 	records [3]any
 	update  func(record any) wire.ClientUpdate
+	release wire.Command
 	held    func(s *Server) (holder int64, params any)
 }
 
@@ -69,6 +71,7 @@ var rakeLock = lockRow{
 		return update(wire.Command{Kind: wire.CmdGrab, Rake: 1, Grab: uint8(integrate.GrabEnd0)},
 			wire.Command{Kind: wire.CmdMove, Rake: 1, Pos: rec.(vmath.Vec3)})
 	},
+	release: wire.Command{Kind: wire.CmdRelease, Rake: 1},
 	held: func(s *Server) (int64, any) {
 		r, _ := s.Env().Rake(1)
 		return r.Holder, r.Rake.P0
@@ -83,6 +86,7 @@ var isoLock = lockRow{
 		return update(wire.Command{Kind: wire.CmdIsoGrab},
 			wire.Command{Kind: wire.CmdIsoSet, Flag: 1, Value: rec.(env.IsoParams).Level})
 	},
+	release: wire.Command{Kind: wire.CmdIsoRelease},
 	held: func(s *Server) (int64, any) {
 		iso := s.Env().Tools().Iso
 		return iso.Holder, iso.Params
@@ -99,6 +103,7 @@ var planeLock = lockRow{
 		return update(wire.Command{Kind: wire.CmdPlaneGrab},
 			wire.Command{Kind: wire.CmdPlaneMove, Flag: 1, Grab: p.Axis, Value: p.Frac})
 	},
+	release: wire.Command{Kind: wire.CmdPlaneRelease},
 	held: func(s *Server) (int64, any) {
 		plane := s.Env().Tools().Plane
 		return plane.Holder, plane.Params
@@ -123,6 +128,7 @@ var steerLock = lockRow{
 			wire.Command{Kind: wire.CmdSetSpeed, Value: 1},
 			wire.Command{Kind: wire.CmdSetPlaying, Flag: 1})
 	},
+	release: wire.Command{Kind: wire.CmdSteerRelease},
 	held: func(s *Server) (int64, any) {
 		st := s.Env().Steer()
 		return st.Holder, st.Params
@@ -132,12 +138,20 @@ var steerLock = lockRow{
 // lockFaults are the table's columns. Each connects the holder as the
 // cell server's first session (dlib numbers sessions from 1, and a relay
 // opens its upstream leg at a session's first call), has it take the
-// lock at records[0] and makes it go away its own way; freed then
-// checks what is left.
+// lock at records[0] and makes it let go or go away its own way; freed
+// then checks what is left.
 var lockFaults = []struct {
 	name string
 	run  func(t *testing.T, row lockRow)
 }{
+	{"released", func(t *testing.T, row lockRow) {
+		// The holder sends the row's release command and stays connected.
+		c := row.cell(t)
+		h := c.grab(t, 0)
+		c.holds(t)
+		rawFrame(t, h, update(c.release))
+		c.freed(t)
+	}},
 	{"killed", func(t *testing.T, row lockRow) {
 		// The socket is torn down, no goodbye.
 		c := row.cell(t)

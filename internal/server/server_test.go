@@ -417,11 +417,15 @@ func TestSetToolCommand(t *testing.T) {
 		NumSeeds: 2, Tool: uint8(integrate.ToolStreamline),
 	}}})
 	id := r.Rakes[0].ID
-	r = frame(t, c, wire.ClientUpdate{Commands: []wire.Command{{
-		Kind: wire.CmdSetTool, Rake: id, Tool: uint8(integrate.ToolStreakline),
-	}}})
+	r = frame(t, c, wire.ClientUpdate{Commands: []wire.Command{
+		{Kind: wire.CmdSetTool, Rake: id, Tool: uint8(integrate.ToolStreakline)},
+		{Kind: wire.CmdSetSeeds, Rake: id, NumSeeds: 3},
+	}})
 	if r.Rakes[0].Tool != uint8(integrate.ToolStreakline) {
 		t.Errorf("tool = %d after CmdSetTool", r.Rakes[0].Tool)
+	}
+	if r.Rakes[0].NumSeeds != 3 || len(r.Geometry[0].Lines) != 3 {
+		t.Errorf("seeds = %d, %d lines after CmdSetSeeds 3", r.Rakes[0].NumSeeds, len(r.Geometry[0].Lines))
 	}
 	if r.Geometry[0].Tool != uint8(integrate.ToolStreakline) {
 		t.Errorf("geometry tool = %d", r.Geometry[0].Tool)

@@ -345,8 +345,6 @@ func (d *decoder) quantPoints(q Quantizer, budget int) []vmath.Vec3 {
 // tool byte, varint line count, then per line a varint point count and
 // 6 quantized bytes per point. The rake id lives in the enclosing
 // frame's directory, not the segment.
-//
-//vw:allow codecparity -- Geometry.Rake rides the frame directory, not the segment; decodeGeomV2 takes it as a parameter
 func AppendGeomV2(dst []byte, g Geometry, q Quantizer) []byte {
 	e := encoder{buf: dst}
 	e.u8(g.Tool)

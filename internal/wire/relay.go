@@ -135,8 +135,6 @@ func DecodeRelayFrameRequest(buf []byte) (RelayFrameRequest, error) {
 }
 
 // AppendRelayMarker appends a round-unchanged marker reply.
-//
-//vw:allow codecparity -- markers are one arm of the reply union; DecodeRelayFrameReply decodes them
 func AppendRelayMarker(dst []byte, round uint64) []byte {
 	e := encoder{buf: dst}
 	e.u8(relayMarker)
