@@ -53,13 +53,13 @@ func main() {
 		float64(spec.NI*spec.NJ*spec.NK*12)/(1<<20))
 
 	start := time.Now()
-	var phys *field.Unsteady
+	var u *field.Unsteady
 	var err error
 	switch *source {
 	case "analytic":
-		phys, err = datasets.AnalyticPhysical(spec)
+		u, err = datasets.AnalyticPhysical(spec)
 	case "solver":
-		phys, err = datasets.SolverPhysical(spec, datasets.SolverOptions{
+		u, err = datasets.SolverPhysical(spec, datasets.SolverOptions{
 			Resolution: *res,
 			Workers:    runtime.GOMAXPROCS(0),
 			Progress: func(step, total int) {
@@ -72,28 +72,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("generated %d physical timesteps in %v", phys.NumSteps(),
+	log.Printf("generated %d physical timesteps in %v", u.NumSteps(),
 		time.Since(start).Round(time.Millisecond))
 
-	u, err := phys.ToGridCoords()
-	if err != nil {
+	if *plot3d != "" {
+		// PLOT3D consumers expect physical velocities, so the export
+		// runs before the in-place conversion below.
+		if err := exportPLOT3D(*plot3d, u); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("exported PLOT3D files to %s\n", *plot3d)
+	}
+
+	if err := u.ToGridCoords(); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("converted to grid coordinates (Sec 2.1 preprocessing)")
+	log.Printf("converted to grid coordinates in place (Sec 2.1 preprocessing)")
 
 	if err := store.WriteDataset(*out, u); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %d timesteps (%d bytes total) to %s\n",
 		u.NumSteps(), u.SizeBytes(), *out)
-
-	if *plot3d != "" {
-		// PLOT3D consumers expect physical velocities.
-		if err := exportPLOT3D(*plot3d, phys); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("exported PLOT3D files to %s\n", *plot3d)
-	}
 }
 
 // exportPLOT3D writes the dataset in PLOT3D whole format for interop

@@ -224,11 +224,7 @@ func openStore(dir string, steps int, resident bool, diskMBps int64) (store.Stor
 	noop := func() {}
 	if dir == "" {
 		spec := datasets.Spec{NI: 24, NJ: 32, NK: 8, NumSteps: steps, DT: 0.6}
-		phys, err := datasets.AnalyticPhysical(spec)
-		if err != nil {
-			return nil, noop, err
-		}
-		u, err := phys.ToGridCoords()
+		u, err := datasets.Analytic(spec)
 		if err != nil {
 			return nil, noop, err
 		}

@@ -47,12 +47,10 @@ func main() {
 	fl := blended{}
 	fields := make([]*field.Field, m.NumBlocks())
 	for i, g := range m.Blocks {
-		phys := flow.Sample(fl, g, 0)
-		conv, err := field.ToGridCoords(phys, g)
-		if err != nil {
+		fields[i] = flow.Sample(fl, g, 0)
+		if err := field.ToGridCoords(fields[i], g); err != nil {
 			log.Fatal(err)
 		}
-		fields[i] = conv
 	}
 	mf, err := integrate.NewMultiField(m, fields)
 	if err != nil {

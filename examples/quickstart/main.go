@@ -30,12 +30,11 @@ func main() {
 	// 2. Sample the unsteady shedding flow onto it and convert the
 	// velocities to grid coordinates (the paper's Sec 2.1 trick that
 	// makes interactive integration possible).
-	phys, err := flow.SampleUnsteady(flow.DefaultTaperedCylinder(), g, 12, 0, 0.6)
+	dataset, err := flow.SampleUnsteady(flow.DefaultTaperedCylinder(), g, 12, 0, 0.6)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dataset, err := phys.ToGridCoords()
-	if err != nil {
+	if err := dataset.ToGridCoords(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("dataset: %d timesteps x %.2f MB\n",

@@ -25,12 +25,11 @@ func smallDataset(t testing.TB, numSteps int) *field.Unsteady {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phys, err := flow.SampleUnsteady(flow.DefaultTaperedCylinder(), g, numSteps, 0, 0.5)
+	u, err := flow.SampleUnsteady(flow.DefaultTaperedCylinder(), g, numSteps, 0, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := phys.ToGridCoords()
-	if err != nil {
+	if err := u.ToGridCoords(); err != nil {
 		t.Fatal(err)
 	}
 	return u

@@ -61,14 +61,18 @@ func AnalyticPhysical(s Spec) (*field.Unsteady, error) {
 	return flow.SampleUnsteady(flow.DefaultTaperedCylinder(), g, s.NumSteps, 0, s.DT)
 }
 
-// Analytic builds the analytic dataset pre-converted to grid
-// coordinates, ready for the server.
+// Analytic builds the analytic dataset converted to grid coordinates,
+// ready for the server. Steps are sampled and converted on every core,
+// and the conversion is in place, so the dataset is held once.
 func Analytic(s Spec) (*field.Unsteady, error) {
-	phys, err := AnalyticPhysical(s)
+	u, err := AnalyticPhysical(s)
 	if err != nil {
 		return nil, err
 	}
-	return phys.ToGridCoords()
+	if err := u.ToGridCoords(); err != nil {
+		return nil, err
+	}
+	return u, nil
 }
 
 // SolverOptions tunes the Navier-Stokes generator.
@@ -87,13 +91,16 @@ type SolverOptions struct {
 
 // Solver builds the dataset by integrating the Navier-Stokes equations
 // around an immersed tapered cylinder and sampling snapshots onto the
-// curvilinear grid, pre-converted to grid coordinates.
+// curvilinear grid, converted to grid coordinates in place.
 func Solver(s Spec, opts SolverOptions) (*field.Unsteady, error) {
-	phys, err := SolverPhysical(s, opts)
+	u, err := SolverPhysical(s, opts)
 	if err != nil {
 		return nil, err
 	}
-	return phys.ToGridCoords()
+	if err := u.ToGridCoords(); err != nil {
+		return nil, err
+	}
+	return u, nil
 }
 
 // SolverPhysical is Solver without the grid-coordinate conversion.

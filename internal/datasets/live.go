@@ -66,7 +66,6 @@ type Live struct {
 	sim     *solver.Solver
 	shifted *grid.Grid
 	offset  vmath.Vec3
-	snap    *field.Field // reusable grid-coordinate scratch
 
 	steer        SteerSource
 	steerVersion uint64
@@ -205,11 +204,11 @@ func (l *Live) produceTo(upto int) error {
 		if err := snap.Validate(); err != nil {
 			return fmt.Errorf("datasets: live snapshot %d: %w", l.ring.Head()+1, err)
 		}
-		gc, err := field.ToGridCoords(snap, l.g)
-		if err != nil {
+		// Convert in place: Publish copies the snapshot into a ring slot.
+		if err := field.ToGridCoords(snap, l.g); err != nil {
 			return fmt.Errorf("datasets: live snapshot %d: %w", l.ring.Head()+1, err)
 		}
-		if _, err := l.ring.Publish(gc); err != nil {
+		if _, err := l.ring.Publish(snap); err != nil {
 			return err
 		}
 	}

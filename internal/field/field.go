@@ -143,31 +143,30 @@ func (f *Field) MaxSpeed() float32 {
 }
 
 // ToGridCoords converts a physical-coordinate field to grid
-// coordinates by applying the inverse grid Jacobian at every node:
-// u_grid = J^-1 u_phys. This is the paper's §2.1 preprocessing step
-// that lets all integration happen with pure array lookups. The
+// coordinates in place by applying the inverse grid Jacobian at every
+// node: u_grid = J^-1 u_phys. This is the paper's §2.1 preprocessing
+// step that lets all integration happen with pure array lookups. Each
+// node's result reads only that node's velocity and metric, so the
+// in-place form is exact and a dataset is never held twice. The
 // Jacobians come from g.Metric, computed once per grid, so a dataset's
 // timesteps (or a live solver's snapshots) pay only the 3x3 solve.
-func ToGridCoords(f *Field, g *grid.Grid) (*Field, error) {
+func ToGridCoords(f *Field, g *grid.Grid) error {
 	if f.Coords == GridCoords {
-		return nil, fmt.Errorf("field: already in grid coordinates")
+		return fmt.Errorf("field: already in grid coordinates")
 	}
 	if !f.MatchesGrid(g) {
-		return nil, fmt.Errorf("field: dims %dx%dx%d do not match grid %dx%dx%d",
+		return fmt.Errorf("field: dims %dx%dx%d do not match grid %dx%dx%d",
 			f.NI, f.NJ, f.NK, g.NI, g.NJ, g.NK)
 	}
-	out := NewField(f.NI, f.NJ, f.NK, GridCoords)
 	for idx, cols := range g.Metric() {
-		ugrid, ok := solveJacobian(cols, vmath.Vec3{X: f.U[idx], Y: f.V[idx], Z: f.W[idx]})
-		if !ok {
-			// Degenerate cell (e.g. collapsed pole line): leave the
-			// velocity zero rather than poisoning paths with huge
-			// values.
-			continue
-		}
-		out.U[idx], out.V[idx], out.W[idx] = ugrid.X, ugrid.Y, ugrid.Z
+		// A degenerate cell (e.g. a collapsed pole line) gets +0 rather
+		// than huge values that would poison paths: solveJacobian
+		// returns the zero vector there.
+		ugrid, _ := solveJacobian(cols, vmath.Vec3{X: f.U[idx], Y: f.V[idx], Z: f.W[idx]})
+		f.U[idx], f.V[idx], f.W[idx] = ugrid.X, ugrid.Y, ugrid.Z
 	}
-	return out, nil
+	f.Coords = GridCoords
+	return nil
 }
 
 // ToPhysicalVelocity converts a grid-coordinate field back to

@@ -2,8 +2,11 @@ package field
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -120,16 +123,15 @@ func TestToGridCoordsCartesianSpacing(t *testing.T) {
 	for i := range f.U {
 		f.U[i], f.V[i], f.W[i] = 2, 4, -6
 	}
-	conv, err := ToGridCoords(f, g)
-	if err != nil {
+	if err := ToGridCoords(f, g); err != nil {
 		t.Fatal(err)
 	}
-	if conv.Coords != GridCoords {
+	if f.Coords != GridCoords {
 		t.Error("converted field not marked GridCoords")
 	}
 	want := vmath.V3(1, 2, -3)
 	for _, node := range [][3]int{{1, 1, 1}, {4, 5, 6}, {6, 6, 6}} {
-		got := conv.At(node[0], node[1], node[2])
+		got := f.At(node[0], node[1], node[2])
 		if !got.ApproxEqual(want, 1e-3) {
 			t.Errorf("node %v converted velocity %v, want %v", node, got, want)
 		}
@@ -139,11 +141,11 @@ func TestToGridCoordsCartesianSpacing(t *testing.T) {
 func TestToGridCoordsRejects(t *testing.T) {
 	g := testGrid(t)
 	f := NewField(4, 4, 4, Physical)
-	if _, err := ToGridCoords(f, g); err == nil {
+	if err := ToGridCoords(f, g); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 	f2 := NewField(8, 8, 8, GridCoords)
-	if _, err := ToGridCoords(f2, g); err == nil {
+	if err := ToGridCoords(f2, g); err == nil {
 		t.Error("double conversion accepted")
 	}
 }
@@ -167,6 +169,75 @@ func TestUnsteadyValidation(t *testing.T) {
 	bad := []*Field{randomField(8, 8, 8, 7), randomField(4, 4, 4, 8)}
 	if _, err := NewUnsteady(g, bad, 0.1); err == nil {
 		t.Error("mismatched timestep accepted")
+	}
+}
+
+// TestForEachStepRunsEveryStepOnceAndReportsTheLowestError runs the
+// step pool at several worker counts: every step runs exactly once, and
+// of several failing steps the lowest-numbered one's error comes back
+// whatever order the workers finished in.
+func TestForEachStepRunsEveryStepOnceAndReportsTheLowestError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 7} {
+		runtime.GOMAXPROCS(procs)
+		const n = 40
+		var runs [n]atomic.Int32
+		err := ForEachStep(n, func(s int) error {
+			runs[s].Add(1)
+			if s == 9 || s == 17 || s == 33 {
+				return fmt.Errorf("step %d", s)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "step 9" {
+			t.Errorf("procs=%d: error %v, want step 9", procs, err)
+		}
+		for s := range runs {
+			if got := runs[s].Load(); got != 1 {
+				t.Fatalf("procs=%d: step %d ran %d times", procs, s, got)
+			}
+		}
+		if err := ForEachStep(0, func(int) error { return fmt.Errorf("ran") }); err != nil {
+			t.Errorf("procs=%d: empty range: %v", procs, err)
+		}
+	}
+}
+
+// TestUnsteadyToGridCoordsInPlace converts a dataset in place: every
+// step is the per-field conversion of its physical input, bit for bit,
+// and a second conversion names timestep 0 at any worker count.
+func TestUnsteadyToGridCoordsInPlace(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	g := testGrid(t)
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		var steps, want []*Field
+		for s := int64(0); s < 6; s++ {
+			f := randomField(8, 8, 8, 20+s)
+			steps = append(steps, f)
+			w := f.Clone()
+			if err := ToGridCoords(w, g); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, w)
+		}
+		u, err := NewUnsteady(g, steps, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := u.ToGridCoords(); err != nil {
+			t.Fatal(err)
+		}
+		for s := range steps {
+			if u.Steps[s] != steps[s] {
+				t.Fatalf("procs=%d: step %d was replaced, not converted in place", procs, s)
+			}
+			sameFieldBits(t, fmt.Sprintf("step %d", s), u.Steps[s], want[s])
+		}
+		err = u.ToGridCoords()
+		if err == nil || err.Error() != "field: timestep 0: field: already in grid coordinates" {
+			t.Errorf("procs=%d: second conversion: %v", procs, err)
+		}
 	}
 }
 

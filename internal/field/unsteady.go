@@ -2,6 +2,9 @@ package field
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/grid"
 	"repro/internal/vmath"
@@ -80,15 +83,45 @@ func (u *Unsteady) SampleAtTime(gc vmath.Vec3, t float32) vmath.Vec3 {
 	return a.Lerp(b, frac)
 }
 
-// ToGridCoords converts every timestep to grid coordinates.
-func (u *Unsteady) ToGridCoords() (*Unsteady, error) {
-	steps := make([]*Field, len(u.Steps))
-	for i, s := range u.Steps {
-		conv, err := ToGridCoords(s, u.Grid)
-		if err != nil {
-			return nil, fmt.Errorf("field: timestep %d: %w", i, err)
+// ToGridCoords converts every timestep to grid coordinates in place,
+// the steps spread over ForEachStep's workers. The dataset is never
+// held twice. On error some steps may already be converted.
+func (u *Unsteady) ToGridCoords() error {
+	return ForEachStep(len(u.Steps), func(t int) error {
+		if err := ToGridCoords(u.Steps[t], u.Grid); err != nil {
+			return fmt.Errorf("field: timestep %d: %w", t, err)
 		}
-		steps[i] = conv
+		return nil
+	})
+}
+
+// ForEachStep calls fn(t) once for every t in [0, n). Workers claim
+// whole steps from an atomic counter, runtime.GOMAXPROCS(0) of them with
+// the caller being one, so fn must be safe for concurrent use on
+// distinct steps. Every step runs even if one fails; the error returned
+// is the lowest-numbered step's, so it does not depend on scheduling.
+func ForEachStep(n int, fn func(t int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	work := func() {
+		for t := int(next.Add(1)) - 1; t < n; t = int(next.Add(1)) - 1 {
+			errs[t] = fn(t)
+		}
 	}
-	return &Unsteady{Grid: u.Grid, Steps: steps, DT: u.DT}, nil
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -18,7 +18,8 @@ import (
 )
 
 // Flow is an analytic time-dependent velocity field in physical
-// coordinates.
+// coordinates. VelocityAt must be safe for concurrent use: SampleUnsteady
+// calls it from several goroutines. Every flow here is a plain value.
 type Flow interface {
 	// VelocityAt returns the physical velocity at point p and time t.
 	VelocityAt(p vmath.Vec3, t float32) vmath.Vec3
@@ -41,15 +42,17 @@ func Sample(f Flow, g *grid.Grid, t float32) *field.Field {
 }
 
 // SampleUnsteady samples numSteps timesteps separated by dt flow-time
-// units, starting at t0.
+// units, starting at t0, the steps spread over field.ForEachStep's
+// workers.
 func SampleUnsteady(f Flow, g *grid.Grid, numSteps int, t0, dt float32) (*field.Unsteady, error) {
 	if numSteps < 1 {
 		return nil, fmt.Errorf("flow: need at least one timestep, got %d", numSteps)
 	}
 	steps := make([]*field.Field, numSteps)
-	for s := range steps {
+	_ = field.ForEachStep(numSteps, func(s int) error { // Sample cannot fail
 		steps[s] = Sample(f, g, t0+float32(s)*dt)
-	}
+		return nil
+	})
 	return field.NewUnsteady(g, steps, dt)
 }
 

@@ -463,9 +463,8 @@ func TestStreamlineOnRealFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phys := flow.Sample(flow.DefaultTaperedCylinder(), g, 0)
-	fld, err := field.ToGridCoords(phys, g)
-	if err != nil {
+	fld := flow.Sample(flow.DefaultTaperedCylinder(), g, 0)
+	if err := field.ToGridCoords(fld, g); err != nil {
 		t.Fatal(err)
 	}
 	s := SteadySampler{F: fld, G: g}
