@@ -37,13 +37,10 @@ chaos:
 	$(GO) test -race -count=1 -run 'Chaos|Fault|Redial|Resilien' ./...
 
 # Short fuzz passes over dlib's bytes from outside: the call/reply
-# framing, a client's read path against a lying server, and the memory
-# procedures called outside safeCall's recover, so an offset that wraps
-# or a size that was never bounded fails the pass.
+# framing and a client's read path against a lying server.
 fuzz-dlib:
 	$(GO) test -fuzz FuzzReadFrame -fuzztime 10s ./internal/dlib/
 	$(GO) test -fuzz FuzzClientRead -fuzztime 10s ./internal/dlib/
-	$(GO) test -fuzz FuzzSegmentProcs -fuzztime 10s ./internal/dlib/
 
 # Short fuzz passes over the server frame/command surfaces with
 # hostile numeric payloads, plus the live-steering command surface
@@ -114,7 +111,10 @@ relay:
 # the server: the paper's figures are regenerated by cmd/vwbench. The
 # server does not know store kinds: residency is decided behind
 # store.Source, so its non-test code names no concrete store and no
-# sampler of one.
+# sampler of one. Every procedure a dlib server answers is one the
+# windtunnel calls: each Register names a wire.Proc constant, the origin
+# and the relay register every constant, and internal/client or
+# internal/relay calls each one.
 deps:
 	@if $(GO) list -deps ./internal/server | grep -qx 'repro/internal/relay'; then \
 		echo 'internal/server depends on internal/relay'; exit 1; fi
@@ -122,6 +122,20 @@ deps:
 		echo 'internal/render tests depend on internal/server'; exit 1; fi
 	@if grep -nE 'store\.(Memory|Ring|Disk)|UnsteadySampler' $$(ls internal/server/*.go | grep -v _test.go); then \
 		echo 'internal/server names a store kind; residency belongs behind store.Source'; exit 1; fi
+	@regs=$$(grep -nE '\bRegister\(' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*') | \
+		grep -vE 'func \(|\.Register\(wire\.Proc[A-Za-z0-9]+,'); \
+	if [ -n "$$regs" ]; then echo "$$regs"; \
+		echo 'dlib procedures registered under a name that is not a wire.Proc constant'; exit 1; fi
+	@procs=$$(grep -hoE '^\s*(const\s+)?Proc[A-Za-z0-9]+\s*=' $$(ls internal/wire/*.go | grep -v _test.go) | grep -oE 'Proc[A-Za-z0-9]+'); \
+	[ -n "$$procs" ] || { echo 'internal/wire declares no Proc constant'; exit 1; }; \
+	fail=0; for p in $$procs; do \
+		for pkg in server relay; do \
+			grep -qE "\.Register\(wire\.$$p," $$(ls internal/$$pkg/*.go | grep -v _test.go) || \
+				{ echo "wire.$$p is not registered in internal/$$pkg"; fail=1; }; \
+		done; \
+		grep -hE "wire\.$$p\b" $$(ls internal/client/*.go internal/relay/*.go | grep -v _test.go) | grep -qv 'Register(' || \
+			{ echo "wire.$$p is called from neither internal/client nor internal/relay"; fail=1; }; \
+	done; exit $$fail
 
 # The in-situ battery: the solver-vs-replay differential, the live
 # golden corpus entries (direct and relayed), the lock table's steering

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/compute"
 )
 
 func TestTable1MatchesPaperExactly(t *testing.T) {
@@ -136,5 +138,109 @@ func TestAblationIsosurfaceReproducesExclusion(t *testing.T) {
 	}
 	if got := tab.rows[1][2]; got != "no" {
 		t.Errorf("isosurface fit = %q, want no", got)
+	}
+}
+
+func TestBenchmarkWorkloadShape(t *testing.T) {
+	w, err := BenchmarkWorkload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(w.Seeds) != BenchStreamlines {
+		t.Fatalf("seeds = %d", len(w.Seeds))
+	}
+	r := RunBenchmark(compute.Scalar{}, w, CostModel{})
+	if !r.Complete {
+		t.Error("benchmark streamlines terminated early; workload must yield full 200-point lines")
+	}
+	if r.Points != BenchTotalPoints {
+		t.Errorf("points = %d, want %d", r.Points, BenchTotalPoints)
+	}
+	if r.Stats.Units() != int64(BenchTotalWorkUnits)-int64(BenchStreamlines)*9 {
+		// 199 integration steps per line: seeds are free.
+		t.Errorf("units = %d, want %d", r.Stats.Units(), BenchTotalWorkUnits-BenchStreamlines*9)
+	}
+}
+
+func TestCostModelReproducesPaperTimes(t *testing.T) {
+	// With the full 20,000-point accounting (the paper counts every
+	// point, including seeds), the three calibrated models must land
+	// on the paper's §5.3 benchmark times.
+	stats := compute.Stats{
+		Points:       BenchTotalPoints,
+		SampleUnits:  BenchTotalPoints * 6, // RK2: 2 samples x 3 components
+		ConvertUnits: BenchTotalPoints * 3,
+	}
+	cases := []struct {
+		model CostModel
+		want  time.Duration
+		tol   time.Duration
+	}{
+		{ConvexScalar4, 240 * time.Millisecond, 2 * time.Millisecond},
+		{ConvexVector3, 190 * time.Millisecond, 2 * time.Millisecond},
+		{SGI380GT8, 135 * time.Millisecond, 2 * time.Millisecond},
+	}
+	for _, c := range cases {
+		got := c.model.ModeledTime(stats)
+		diff := got - c.want
+		if diff < 0 {
+			diff = -diff
+		}
+		if diff > c.tol {
+			t.Errorf("%s modeled %v, want %v +- %v", c.model.Name, got, c.want, c.tol)
+		}
+	}
+	// And the ordering the paper found: workstation-8 < vector-3 <
+	// scalar-4.
+	if !(SGI380GT8.ModeledTime(stats) < ConvexVector3.ModeledTime(stats) &&
+		ConvexVector3.ModeledTime(stats) < ConvexScalar4.ModeledTime(stats)) {
+		t.Error("modeled engine ordering does not match the paper")
+	}
+}
+
+func TestMaxParticlesTable3(t *testing.T) {
+	// Table 3 rows: benchmark seconds -> max particles at 10 fps.
+	frame := 100 * time.Millisecond
+	cases := []struct {
+		bench time.Duration
+		want  int
+	}{
+		{250 * time.Millisecond, 8000},
+		{190 * time.Millisecond, 10526},
+		{130 * time.Millisecond, 15384},
+		{100 * time.Millisecond, 20000},
+		{50 * time.Millisecond, 40000},
+	}
+	for _, c := range cases {
+		got := MaxParticlesAt(c.bench, BenchTotalPoints, frame)
+		if got != c.want {
+			t.Errorf("MaxParticlesAt(%v) = %d, want %d", c.bench, got, c.want)
+		}
+	}
+	if MaxParticlesAt(0, BenchTotalPoints, frame) != 0 {
+		t.Error("zero bench time should yield 0")
+	}
+}
+
+func TestBenchTransferBytesMatchesPaper(t *testing.T) {
+	if BenchTransferBytes != 240000 {
+		t.Errorf("BenchTransferBytes = %d, want 240000", BenchTransferBytes)
+	}
+}
+
+func BenchmarkEngineScalar(b *testing.B)    { benchEngine(b, compute.Scalar{}) }
+func BenchmarkEngineParallel4(b *testing.B) { benchEngine(b, compute.Parallel{NumWorkers: 4}) }
+
+func benchEngine(b *testing.B, e compute.Engine) {
+	w, err := BenchmarkWorkload()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		paths, _ := e.Streamlines(w.Sampler, w.Seeds, w.Time, w.Options)
+		if len(paths) != BenchStreamlines {
+			b.Fatal("wrong path count")
+		}
 	}
 }

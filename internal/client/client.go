@@ -661,9 +661,9 @@ func (w *Workstation) Stats() Stats {
 }
 
 // RunDecoupled drives the two processes concurrently for netFrames
-// network rounds with a scripted user: the render loop spins freely
-// until the network loop finishes. Returns achieved rates in frames
-// per second of wall time.
+// network rounds with a scripted user: the render loop draws at least
+// once, then spins freely until the network loop finishes. Returns
+// achieved rates in frames per second of wall time.
 func (w *Workstation) RunDecoupled(user *vr.ScriptedUser, netFrames int) (netHz, renderHz float64, err error) {
 	start := w.clock.Now()
 	done := make(chan struct{})
@@ -695,6 +695,16 @@ func (w *Workstation) RunDecoupled(user *vr.ScriptedUser, netFrames int) (netHz,
 	}()
 	var renders int64
 	for {
+		// Draw before looking at done: a network loop that finishes
+		// before this goroutine is first scheduled must not leave the
+		// run without a frame.
+		poseMu.Lock()
+		h := head
+		poseMu.Unlock()
+		if e := w.RenderFrame(h); e != nil {
+			return 0, 0, e
+		}
+		renders++
 		select {
 		case <-done:
 			elapsed := w.clock.Now().Sub(start).Seconds()
@@ -703,13 +713,6 @@ func (w *Workstation) RunDecoupled(user *vr.ScriptedUser, netFrames int) (netHz,
 			}
 			return float64(netFrames) / elapsed, float64(renders) / elapsed, nil
 		default:
-			poseMu.Lock()
-			h := head
-			poseMu.Unlock()
-			if e := w.RenderFrame(h); e != nil {
-				return 0, 0, e
-			}
-			renders++
 		}
 	}
 }

@@ -1,17 +1,17 @@
 // Package compute implements the visualization computation engines of
-// §5.3: the scalar code path, sequential or parallelized across
-// streamlines (the Convex ran it on 4 processors, the SGI workstation on
-// 8). The paper's vectorized code and the vector-parallel hybrid it
-// proposed are cost models here (ConvexVector3, ConvexHybrid4), priced
-// over the same work units.
+// §5.3 that the server runs: the scalar code path, sequential or
+// parallelized across streamlines (the Convex ran it on 4 processors,
+// the SGI workstation on 8).
 //
 // Engines do the real integration work and also count the field
 // accesses the paper counts (§5.3: RK2 is "two accesses of the vector
 // field data ... per component per point", plus one conversion access
-// per component to return to physical coordinates). A CostModel maps
-// those counts onto 1992 processors, reproducing the paper's absolute
-// benchmark times; what the same engines cost on a modern host is
-// BenchmarkEngineRake's and the benchmark's to measure.
+// per component to return to physical coordinates). The server's
+// governor prices a rake in those units (UnitsPerPoint); cmd/vwbench's
+// cost models map them onto 1992 processors, the paper's vectorized
+// code and proposed vector-parallel hybrid among them, reproducing its
+// absolute benchmark times. What the same engines cost on a modern host
+// is BenchmarkEngineRake's and the benchmark's to measure.
 //
 //vw:deterministic
 package compute
@@ -65,11 +65,11 @@ func samplesPerStep(m integrate.Method) int64 {
 }
 
 // UnitsPerPoint returns the work units one path point costs under
-// method m — the §5.3 accounting the CostModel prices: samplesPerStep
-// field accesses per component plus one conversion access per
-// component, three components each. This is the constant the server's
-// frame-budget governor multiplies into seeds x steps to predict a
-// rake's integration cost before running it.
+// method m — the §5.3 accounting cmd/vwbench's cost models price:
+// samplesPerStep field accesses per component plus one conversion
+// access per component, three components each. This is the constant
+// the server's frame-budget governor multiplies into seeds x steps to
+// predict a rake's integration cost before running it.
 func UnitsPerPoint(m integrate.Method) int64 {
 	return samplesPerStep(m)*3 + 3
 }

@@ -2,7 +2,6 @@ package dlib
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -161,14 +160,16 @@ func (c *Client) GoContext(ctx context.Context, proc string, payload []byte) fun
 
 func (c *Client) start(proc string, payload []byte) (uint64, chan frame, error) {
 	c.mu.Lock()
+	// Closed first: once its owner closes the client the read loop
+	// records the dying connection too, and a call must not see that.
+	if c.closed {
+		c.mu.Unlock()
+		return 0, nil, ErrClientClosed
+	}
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
 		return 0, nil, err
-	}
-	if c.closed {
-		c.mu.Unlock()
-		return 0, nil, ErrClientClosed
 	}
 	c.nextID++
 	id := c.nextID
@@ -247,56 +248,4 @@ func (c *Client) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	return c.conn.Close()
-}
-
-// Remote memory segment convenience wrappers.
-
-// Alloc allocates a remote segment of size bytes and returns its
-// handle.
-func (c *Client) Alloc(size uint64) (uint64, error) {
-	out, err := c.Call(ProcAlloc, binary.LittleEndian.AppendUint64(nil, size))
-	if err != nil {
-		return 0, err
-	}
-	if len(out) != 8 {
-		return 0, fmt.Errorf("dlib: alloc reply of %d bytes", len(out))
-	}
-	return binary.LittleEndian.Uint64(out), nil
-}
-
-// Free releases a remote segment.
-func (c *Client) Free(handle uint64) error {
-	_, err := c.Call(ProcFree, binary.LittleEndian.AppendUint64(nil, handle))
-	return err
-}
-
-// WriteSegment writes data at offset into the remote segment.
-func (c *Client) WriteSegment(handle, offset uint64, data []byte) error {
-	req := make([]byte, 0, 16+len(data))
-	req = binary.LittleEndian.AppendUint64(req, handle)
-	req = binary.LittleEndian.AppendUint64(req, offset)
-	req = append(req, data...)
-	_, err := c.Call(ProcWrite, req)
-	return err
-}
-
-// ReadSegment reads n bytes at offset from the remote segment.
-func (c *Client) ReadSegment(handle, offset, n uint64) ([]byte, error) {
-	req := make([]byte, 0, 24)
-	req = binary.LittleEndian.AppendUint64(req, handle)
-	req = binary.LittleEndian.AppendUint64(req, offset)
-	req = binary.LittleEndian.AppendUint64(req, n)
-	return c.Call(ProcRead, req)
-}
-
-// SegmentSize returns the size of the remote segment.
-func (c *Client) SegmentSize(handle uint64) (uint64, error) {
-	out, err := c.Call(ProcSegmentStat, binary.LittleEndian.AppendUint64(nil, handle))
-	if err != nil {
-		return 0, err
-	}
-	if len(out) != 8 {
-		return 0, fmt.Errorf("dlib: stat reply of %d bytes", len(out))
-	}
-	return binary.LittleEndian.Uint64(out), nil
 }

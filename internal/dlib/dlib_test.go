@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -293,87 +292,6 @@ func TestClientFailsAfterServerGone(t *testing.T) {
 	c.conn.Close()
 	if _, err := c.Call("echo", nil); err == nil {
 		t.Error("call succeeded after connection closed")
-	}
-}
-
-func TestMemorySegments(t *testing.T) {
-	_, c := startServer(t)
-	h, err := c.Alloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size, err := c.SegmentSize(h); err != nil || size != 64 {
-		t.Fatalf("SegmentSize = %d, %v", size, err)
-	}
-	if err := c.WriteSegment(h, 8, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	out, err := c.ReadSegment(h, 8, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "hello" {
-		t.Errorf("segment read = %q", out)
-	}
-	// Bounds violations fail.
-	if err := c.WriteSegment(h, 62, []byte("xyz")); err == nil {
-		t.Error("overflow write accepted")
-	}
-	if _, err := c.ReadSegment(h, 60, 10); err == nil {
-		t.Error("overflow read accepted")
-	}
-	// Offsets whose sum with the length wraps past 2^64. Checked as
-	// off+n, the read's sum wrapped to 0 and the handler asked for a
-	// 64 GiB buffer, an out-of-memory fatal error that kills the process
-	// past safeCall's recover; the write panicked slicing. Both must be
-	// refused as out of the segment.
-	if _, err := c.ReadSegment(h, 1<<64-1<<36, 1<<36); err == nil || !strings.Contains(err.Error(), "exceed segment") {
-		t.Errorf("wrapping read: %v, want refused as out of the segment", err)
-	}
-	if err := c.WriteSegment(h, 1<<64-1, []byte("ab")); err == nil || !strings.Contains(err.Error(), "exceed segment") {
-		t.Errorf("wrapping write: %v, want refused as out of the segment", err)
-	}
-	if err := c.Free(h); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ReadSegment(h, 0, 1); err == nil {
-		t.Error("read after free accepted")
-	}
-	if err := c.Free(h); err == nil {
-		t.Error("double free accepted")
-	}
-}
-
-func TestSegmentsSharedBetweenSessions(t *testing.T) {
-	_, c1, addr := startServerAddr(t)
-	c2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	h, err := c1.Alloc(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.WriteSegment(h, 0, []byte("shared data!")); err != nil {
-		t.Fatal(err)
-	}
-	out, err := c2.ReadSegment(h, 0, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "shared data!" {
-		t.Errorf("cross-session read = %q", out)
-	}
-}
-
-func TestAllocValidation(t *testing.T) {
-	_, c := startServer(t)
-	if _, err := c.Alloc(0); err == nil {
-		t.Error("zero alloc accepted")
-	}
-	if _, err := c.Alloc(uint64(maxSegment) + 1); err == nil {
-		t.Error("oversized alloc accepted")
 	}
 }
 

@@ -2,7 +2,6 @@ package dlib
 
 import (
 	"bytes"
-	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -78,62 +77,6 @@ func FuzzClientRead(f *testing.F) {
 		case <-done:
 		case <-time.After(5 * time.Second):
 			t.Fatal("client call hung on fuzzed reply bytes")
-		}
-	})
-}
-
-// segRequest lays out a memory procedure payload: little-endian
-// uint64 words, then data.
-func segRequest(data []byte, words ...uint64) []byte {
-	var p []byte
-	for _, w := range words {
-		p = binary.LittleEndian.AppendUint64(p, w)
-	}
-	return append(p, data...)
-}
-
-// FuzzSegmentProcs calls the memory procedures directly, outside
-// safeCall's recover, so a panic fails the target as surely as an
-// absurd allocation does: every handle, offset and length comes off
-// the wire. Each input runs on a fresh server holding one 64-byte
-// segment at handle 1 whose byte i is i; a read that succeeds returns
-// exactly the bytes asked for, a write that succeeds lands exactly
-// where it was aimed.
-func FuzzSegmentProcs(f *testing.F) {
-	const size = 64
-	procs := []Handler{procAlloc, procFree, procWrite, procRead, procStat}
-	f.Add(uint8(3), segRequest(nil, 1, 8, 5))
-	f.Add(uint8(2), segRequest([]byte("hello"), 1, size-5))
-	f.Add(uint8(3), segRequest(nil, 1, 1<<64-1<<36, 1<<36)) // off+n wraps to 0
-	f.Add(uint8(2), segRequest([]byte("ab"), 1, 1<<64-1))   // off+len wraps to 1
-	f.Add(uint8(0), segRequest(nil, maxSegment+1))
-	f.Add(uint8(1), segRequest(nil, 2))
-	f.Add(uint8(4), segRequest(nil, 1))
-	f.Fuzz(func(t *testing.T, proc uint8, payload []byte) {
-		ctx := &Ctx{Server: NewServer()}
-		if _, err := procAlloc(ctx, segRequest(nil, size)); err != nil {
-			t.Fatal(err)
-		}
-		seg := ctx.Server.SegmentBytes(1)
-		for i := range seg {
-			seg[i] = byte(i)
-		}
-		p := int(proc) % len(procs)
-		out, err := procs[p](ctx, payload)
-		if err != nil {
-			return
-		}
-		switch p {
-		case 2: // procWrite
-			off, data := binary.LittleEndian.Uint64(payload[8:]), payload[16:]
-			if !bytes.Equal(seg[off:off+uint64(len(data))], data) {
-				t.Fatalf("write at %d did not land", off)
-			}
-		case 3: // procRead
-			off, n := binary.LittleEndian.Uint64(payload[8:]), binary.LittleEndian.Uint64(payload[16:])
-			if !bytes.Equal(out, seg[off:off+n]) {
-				t.Fatalf("read of %d at %d returned %d other bytes", n, off, len(out))
-			}
 		}
 	})
 }

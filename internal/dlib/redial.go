@@ -48,8 +48,8 @@ type RedialOptions struct {
 	// connection and retries.
 	OnConnect func(*Client) error
 	// Idempotent reports whether a proc is safe to retry on a transport
-	// failure (the call may have executed on the server). Nil allows
-	// dlib's read-only segment procs only.
+	// failure (the call may have executed on the server). Nil retries
+	// nothing.
 	Idempotent func(proc string) bool
 	// Clock paces the reconnect backoff; nil uses the wall clock.
 	// Chaos tests inject a netsim.ManualClock so backoff schedules are
@@ -68,20 +68,10 @@ func (o RedialOptions) withDefaults() RedialOptions {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 8
 	}
-	if o.Idempotent == nil {
-		o.Idempotent = readOnlyProc
-	}
 	if o.Clock == nil {
 		o.Clock = netsim.RealClock
 	}
 	return o
-}
-
-// readOnlyProc marks dlib's built-in side-effect-free procedures:
-// segment reads and stats can retry after a reconnect without
-// corrupting server state.
-func readOnlyProc(proc string) bool {
-	return proc == ProcRead || proc == ProcSegmentStat
 }
 
 // RedialClient is a dlib client that survives connection loss: when
@@ -253,10 +243,10 @@ func (r *RedialClient) CallContext(ctx context.Context, proc string, payload []b
 
 // CallIdempotent invokes proc and, when proc is registered idempotent,
 // retries across reconnects on transport failures until ctx expires or
-// the redialer gives up. Remote errors never retry: they prove the
-// server executed the call.
+// the redialer gives up or r is closed. Remote errors never retry:
+// they prove the server executed the call.
 func (r *RedialClient) CallIdempotent(ctx context.Context, proc string, payload []byte) ([]byte, error) {
-	if !r.opts.Idempotent(proc) {
+	if r.opts.Idempotent == nil || !r.opts.Idempotent(proc) {
 		return r.CallContext(ctx, proc, payload)
 	}
 	var lastErr error
@@ -266,7 +256,12 @@ func (r *RedialClient) CallIdempotent(ctx context.Context, proc string, payload 
 			return out, err
 		}
 		lastErr = err
-		if ctx.Err() != nil || errors.Is(err, ErrClientClosed) {
+		// An inner client's ErrClientClosed is no reason to stop: drop
+		// closes the client it discards, maybe under this very call.
+		r.mu.Lock()
+		closed := r.closed
+		r.mu.Unlock()
+		if ctx.Err() != nil || closed {
 			return nil, lastErr
 		}
 		// Loop: CallContext already dropped the dead connection, so the

@@ -166,6 +166,37 @@ func TestRedialReconnects(t *testing.T) {
 	}
 }
 
+// TestRedialRetriesPastAClosedInnerClient closes the inner client r
+// hands the call before the call starts, as drop does when another
+// caller's call fails on the same connection. That ErrClientClosed is
+// the inner client's, not r's: the call redials and returns the reply.
+func TestRedialRetriesPastAClosedInnerClient(t *testing.T) {
+	s, _, addr := startServerAddr(t)
+	s.Register("echo", func(_ *Ctx, p []byte) ([]byte, error) { return p, nil })
+	var connects atomic.Int64
+	r := NewRedialClient(func() (net.Conn, error) {
+		return net.Dial("tcp", addr)
+	}, RedialOptions{
+		BaseBackoff: time.Millisecond,
+		CallTimeout: time.Second,
+		Idempotent:  func(string) bool { return true },
+		OnConnect: func(c *Client) error {
+			if connects.Add(1) == 1 {
+				c.Close() // becomes r's current client, closed
+			}
+			return nil
+		},
+	})
+	defer r.Close()
+	out, err := r.CallIdempotent(context.Background(), "echo", []byte("x"))
+	if err != nil || string(out) != "x" {
+		t.Fatalf("call on a closed inner client: %q, %v; want a redial and the reply", out, err)
+	}
+	if got := connects.Load(); got != 2 {
+		t.Errorf("OnConnect ran %d times, want 2", got)
+	}
+}
+
 func TestRedialGivesUpAfterMaxAttempts(t *testing.T) {
 	var attempts atomic.Int64
 	r := NewRedialClient(func() (net.Conn, error) {

@@ -46,7 +46,7 @@ type Ctx struct {
 	// to call for the life of the connection.
 	Session *Session
 	// Server is the owning server, giving handlers access to shared
-	// state and memory segments.
+	// state.
 	Server *Server
 
 	// hangup, when set by the current handler via Hangup, closes the
@@ -81,8 +81,7 @@ type Session struct {
 }
 
 // Server is a dlib server: a registry of procedures, a single serial
-// dispatch queue, per-session state, shared state, and remote memory
-// segments.
+// dispatch queue, per-session state and shared state.
 //
 // Dispatch is deliberately serial across ALL clients, matching the
 // paper: "The dlib calls are executed by the server in a single
@@ -128,8 +127,7 @@ type Server struct {
 	// serial dispatch makes that safe.
 	Shared map[string]any
 
-	segments segmentTable
-	metrics  procMetrics
+	metrics procMetrics
 
 	calls atomic.Int64
 
@@ -143,16 +141,14 @@ type Server struct {
 	OnDisconnect func(sessionID int64)
 }
 
-// NewServer returns an empty server with the built-in memory-segment
-// procedures registered.
+// NewServer returns a server with no procedures registered: it answers
+// exactly the ones its application registers.
 func NewServer() *Server {
-	s := &Server{
+	return &Server{
 		handlers: make(map[string]Handler),
 		sessions: make(map[int64]*Session),
 		Shared:   make(map[string]any),
 	}
-	s.registerMemoryProcs()
-	return s
 }
 
 // Register installs a handler for proc. Registering after Serve has

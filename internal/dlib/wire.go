@@ -2,9 +2,10 @@
 // (Gerald-Yamasaki, RNR-90-008): a remote-procedure-call system whose
 // server process keeps persistent state across calls — "dlib more
 // closely resembles the extension of the process environment to
-// include the server process" — including remote memory segments, and
-// which serves multiple clients by executing their calls serially "in
-// a single process environment as though there were only one client."
+// include the server process" — and which serves multiple clients by
+// executing their calls serially "in a single process environment as
+// though there were only one client." §4's remote memory segments are
+// not reproduced: the windtunnel's frame protocol resends what it needs.
 //
 //vw:deterministic
 //vw:wire

@@ -4,11 +4,11 @@
 // the budget, no more. The governor reproduces that behavior
 // adaptively: it prices every source of the frame — each dirty rake
 // (compute.UnitsPerPoint x seeds x steps) and each enabled shared tool
-// (cells marched at a stride) — in the §5.3 work units the CostModel
-// counts, converts units to predicted time with a live EWMA of measured
-// ns/unit, and — when the prediction exceeds the configured budget —
-// sheds load deterministically before the frame runs, instead of
-// blowing the deadline and discovering it afterwards.
+// (cells marched at a stride) — in the §5.3 work units cmd/vwbench's
+// cost models price, converts units to predicted time with a live EWMA
+// of measured ns/unit, and — when the prediction exceeds the configured
+// budget — sheds load deterministically before the frame runs, instead
+// of blowing the deadline and discovering it afterwards.
 //
 // Shedding walks one fidelity ladder (plan): shared tools coarsen first
 // (cell stride 1, 2, 4 — coarsened, never dropped), then free rakes
