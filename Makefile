@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-stats deps chaos fuzz-dlib fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate ci bench bench-module loc load load-relay relay soak live tools
+.PHONY: all build test race vet cross lint lint-stats deps chaos fuzz-dlib fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate ci bench bench-module loc load load-relay relay soak live tools
 
 all: build test
 
@@ -12,6 +12,14 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# The portable build: internal/grid's Interp3x4 is SSE2 assembly on
+# amd64 and a Go loop over Interp3 on every other GOARCH, so the
+# non-amd64 side must build and vet too. Cross-compiling needs nothing
+# from the network.
+cross:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/grid ./internal/integrate
 
 # Project-specific invariant analyzers (wallclock, lockdiscipline,
 # hotpath, maporder) over the whole module. Fails on any finding not
@@ -154,7 +162,7 @@ tools:
 	$(GO) test -race -count=1 -run xxx -fuzz FuzzToolCommand -fuzztime 5s ./internal/server/
 
 # The gate a change must pass before merging.
-ci: vet lint deps race relay live tools bench-module fuzz-dlib fuzz-wire fuzz-render fuzz-field fuzz-integrate load-relay
+ci: vet cross lint deps race relay live tools bench-module fuzz-dlib fuzz-wire fuzz-render fuzz-field fuzz-integrate load-relay
 
 bench:
 	$(GO) test -bench . -benchmem ./...

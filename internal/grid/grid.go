@@ -154,7 +154,8 @@ func (g *Grid) PhysAt(gc vmath.Vec3) vmath.Vec3 {
 // a position or of a velocity. Per array this is the "eight floating
 // point loads plus a trilinear interpolation" the paper counts per
 // component per point (§5.3); the stencil's indices are worked out once
-// for all three.
+// for all three. Interp3x4 is Interp3 at four cells at once, and
+// Interp3 is the reference it is tested against.
 func (g *Grid) Interp3(u, v, w []float32, c Cell) (x, y, z float32) {
 	ni := g.NI
 	slab := g.NI * g.NJ

@@ -17,9 +17,10 @@ import (
 // oracle bit for bit.
 
 // Lanes is how many paths the kernel traces in lock step. Every lane
-// runs the serial arithmetic; the lanes only hand the CPU independent
-// dependency chains to overlap. The lanes of one call share the time,
-// so one bracket serves them all at each stage.
+// runs the serial arithmetic; the samples of all four are one
+// grid.Interp3x4, the lanes of an SSE2 vector on amd64. The lanes of
+// one call share the time, so one bracket serves them all at each
+// stage.
 const Lanes = 4
 
 // newKernel returns the kernel for s; a method above RK4 panics, as
@@ -88,16 +89,24 @@ func (k *kernel) bracket(t float32) (frac float32, ok bool) {
 	return frac, k.a != nil && (key < 0 || k.b != nil)
 }
 
-// velocity is the resolved bracket's velocity at a located cell: every
-// component of every level in the bracket from that one cell.
+// sample is the resolved bracket's velocity at four located cells
+// into v: one Interp3x4 per level in the bracket, blended by Vec3.Lerp.
 //
 //vw:hotpath
-func (k *kernel) velocity(c grid.Cell, frac float32) vmath.Vec3 {
-	v := k.a.SampleCell(k.g, c)
-	if k.b != nil {
-		v = v.Lerp(k.b.SampleCell(k.g, c), frac)
+func (k *kernel) sample(v *[Lanes]vmath.Vec3, c *grid.Cells4, frac float32) {
+	var a [3][Lanes]float32
+	grid.Interp3x4(k.a.U, k.a.V, k.a.W, c, &a)
+	if k.b == nil {
+		for i := range Lanes {
+			v[i] = vmath.Vec3{X: a[0][i], Y: a[1][i], Z: a[2][i]}
+		}
+		return
 	}
-	return v
+	var b [3][Lanes]float32
+	grid.Interp3x4(k.b.U, k.b.V, k.b.W, c, &b)
+	for i := range Lanes {
+		v[i] = vmath.Vec3{X: a[0][i], Y: a[1][i], Z: a[2][i]}.Lerp(vmath.Vec3{X: b[0][i], Y: b[1][i], Z: b[2][i]}, frac)
+	}
 }
 
 // group is the lock-step state of up to Lanes paths or particles. Bit i
@@ -112,25 +121,24 @@ type group struct {
 	at             [Lanes]int
 }
 
-// stage samples every live lane at pos and time t into v: one locate
-// per lane, one bracket for all. It returns false, sampling nothing,
-// when the bracket is missing a level.
+// stage samples every lane at pos and time t into v: one Locate4 and
+// one bracket for all. Dead lanes are sampled too, at clamped
+// positions, and never read. It returns false, sampling nothing, when
+// the bracket is missing a level.
 //
 //vw:hotpath
-func (k *kernel) stage(v, pos *[Lanes]vmath.Vec3, live uint8, t float32) bool {
+func (k *kernel) stage(v, pos *[Lanes]vmath.Vec3, t float32) bool {
 	frac, ok := k.bracket(t)
 	if !ok {
 		return false
 	}
-	for i := range Lanes {
-		if live&(1<<i) != 0 {
-			v[i] = k.velocity(k.g.Locate(pos[i]), frac)
-		}
-	}
+	var c grid.Cells4
+	k.g.Locate4(pos, &c)
+	k.sample(v, &c, frac)
 	return true
 }
 
-// probe samples every live lane at gc + d*s and time t into v, by
+// probe samples every lane at gc + d*s and time t into v, by
 // stage; the position is Step's expression for it.
 //
 //vw:hotpath
@@ -138,13 +146,14 @@ func (k *kernel) probe(l *group, v, d *[Lanes]vmath.Vec3, s, t float32) bool {
 	for i := range Lanes {
 		l.mid[i] = l.gc[i].Add(d[i].Scale(s))
 	}
-	return k.stage(v, &l.mid, l.live, t)
+	return k.stage(v, &l.mid, t)
 }
 
 // step takes every live lane one step of method m from gc, its first
 // stage already in k1, into next. Every expression is Step's, in Step's
-// order; the arithmetic runs on every lane, the sampling on live ones.
-// The lanes share t, so a stage's missing level stops them all: false.
+// order; the arithmetic and the sampling run on every lane, and only
+// live lanes' results are read. The lanes share t, so a stage's missing
+// level stops them all: false.
 //
 //vw:hotpath
 func (k *kernel) step(l *group, m Method, t, h float32) bool {
@@ -226,8 +235,8 @@ func (l *group) finish(dst, out []vmath.Vec3, lanes, stride int) ([]vmath.Vec3, 
 }
 
 // emit writes every live lane's point to its line in physical
-// coordinates and, when sample is set, the lane's first stage at time t
-// to k1 from the same cell: a point is located once for both. It
+// coordinates and, when sample is set, every lane's first stage at time
+// t to k1 from the same cells: the lanes are located once for both. It
 // reports whether k1 was sampled — false when sample is unset or the
 // bracket is missing a level.
 //
@@ -239,17 +248,18 @@ func (k *kernel) emit(l *group, out []vmath.Vec3, t float32, sample bool) bool {
 		frac, ok = k.bracket(t)
 	}
 	g := k.g
+	var c grid.Cells4
+	var p [3][Lanes]float32
+	g.Locate4(&l.gc, &c)
+	grid.Interp3x4(g.X, g.Y, g.Z, &c, &p)
 	for i := range Lanes {
-		if l.live&(1<<i) == 0 {
-			continue
+		if l.live&(1<<i) != 0 {
+			out[l.at[i]] = vmath.Vec3{X: p[0][i], Y: p[1][i], Z: p[2][i]}
+			l.at[i]++
 		}
-		c := g.Locate(l.gc[i])
-		x, y, z := g.Interp3(g.X, g.Y, g.Z, c)
-		out[l.at[i]] = vmath.Vec3{X: x, Y: y, Z: z}
-		l.at[i]++
-		if ok {
-			l.k1[i] = k.velocity(c, frac)
-		}
+	}
+	if ok {
+		k.sample(&l.k1, &c, frac)
 	}
 	return ok
 }
@@ -341,7 +351,7 @@ func (k *kernel) advance(ps []StreakParticle, t, h float32, m Method) []StreakPa
 			l.gc[i] = p.Pos
 			l.live |= 1 << i
 		}
-		if !k.stage(&l.k1, &l.gc, l.live, t) || !k.step(&l, m, t, h) {
+		if !k.stage(&l.k1, &l.gc, t) || !k.step(&l, m, t, h) {
 			continue
 		}
 		l.move(k.g)
