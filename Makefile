@@ -147,18 +147,20 @@ deps:
 
 # The in-situ battery: the solver-vs-replay differential, the live
 # golden corpus entries (direct and relayed), the lock table's steering
-# row and the client's steering chaos, and the ring's pin/eviction unit
-# suite, all under the race detector.
+# row and the client's steering chaos, the ring's pin/eviction unit
+# suite, and env's random-ops property test (steering among every
+# lock), all under the race detector.
 live:
-	$(GO) test -race -count=1 -run 'Live|Steer|Ring' ./internal/server/ ./internal/client/ ./internal/store/ ./internal/datasets/ ./internal/env/ ./internal/wire/
+	$(GO) test -race -count=1 -run 'Live|Steer|Ring|RandomOpsInvariants' ./internal/server/ ./internal/client/ ./internal/store/ ./internal/datasets/ ./internal/env/ ./internal/wire/
 
 # The shared-tool battery: the golden corpus's tool entries (direct and
 # relayed), cross-server determinism under a degrading governor, relay
 # fan-out, the lock table's iso and plane rows, the FuzzToolCommand and
 # FuzzDecodeFrameV2 tool seed corpora (seed corpora run as regular
-# tests), and the env/wire/field/isosurf unit suites.
+# tests), the env/wire/field/isosurf unit suites, and env's random-ops
+# property test (the tools among every lock).
 tools:
-	$(GO) test -race -count=1 -run 'Tool|Iso|Plane|Vortex|Extract|QCriterion' ./internal/server/ ./internal/env/ ./internal/wire/ ./internal/field/ ./internal/isosurf/ ./internal/client/
+	$(GO) test -race -count=1 -run 'Tool|Iso|Plane|Vortex|Extract|QCriterion|RandomOpsInvariants' ./internal/server/ ./internal/env/ ./internal/wire/ ./internal/field/ ./internal/isosurf/ ./internal/client/
 	$(GO) test -race -count=1 -run xxx -fuzz FuzzToolCommand -fuzztime 5s ./internal/server/
 
 # The gate a change must pass before merging.

@@ -67,23 +67,21 @@ func main() {
 	if *codec < 1 || *codec > 2 {
 		log.Fatalf("-codec %d: must be 1 or 2", *codec)
 	}
-	var toolIso env.IsoParams
+	// The shared-tool seeds; server.New holds each to the bounds a tool
+	// command is held to.
+	var tools [env.NumTools]env.ToolParams
 	if *isoLevel > 0 {
-		toolIso = env.IsoParams{Enabled: true, Level: float32(*isoLevel)}
+		tools[env.ToolIso-1] = env.ToolParams{Enabled: true, Value: float32(*isoLevel)}
 	}
-	var toolPlane env.PlaneParams
 	if *planeFrac >= 0 {
+		// Checked here, before the uint8 conversion would wrap it.
 		if *planeAxis < 0 || *planeAxis > 2 {
 			log.Fatalf("-planeaxis %d: must be 0, 1, or 2", *planeAxis)
 		}
-		if *planeFrac > 1 {
-			log.Fatalf("-planefrac %v: must be in [0,1]", *planeFrac)
-		}
-		toolPlane = env.PlaneParams{Enabled: true, Axis: uint8(*planeAxis), Frac: float32(*planeFrac)}
+		tools[env.ToolPlane-1] = env.ToolParams{Enabled: true, Axis: uint8(*planeAxis), Value: float32(*planeFrac)}
 	}
-	var toolVortex env.VortexParams
 	if *vortexQ != 0 {
-		toolVortex = env.VortexParams{Enabled: true, Threshold: float32(*vortexQ)}
+		tools[env.ToolVortex-1] = env.ToolParams{Enabled: true, Value: float32(*vortexQ)}
 	}
 
 	engine := compute.Parallel{NumWorkers: *workers}.Name() // what core builds from Workers
@@ -115,9 +113,7 @@ func main() {
 			MaxSeedsPerRake: *maxSeeds,
 			Budget:          *budget,
 			MaxCodec:        *codec,
-			Iso:             toolIso,
-			Plane:           toolPlane,
-			Vortex:          toolVortex,
+			Tools:           tools,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -152,9 +148,7 @@ func main() {
 			CacheBytes:      *cacheMB << 20,
 			Budget:          *budget,
 			MaxCodec:        *codec,
-			Iso:             toolIso,
-			Plane:           toolPlane,
-			Vortex:          toolVortex,
+			Tools:           tools,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -321,57 +321,6 @@ func (w *Workstation) Steer(inflowU, reynolds, taper float32) {
 	w.Queue(wire.Command{Kind: wire.CmdSteer, P0: vmath.V3(inflowU, reynolds, taper)})
 }
 
-// GrabIso queues a grab of the shared isosurface tool's FCFS lock.
-func (w *Workstation) GrabIso() {
-	w.Queue(wire.Command{Kind: wire.CmdIsoGrab})
-}
-
-// ReleaseIso queues a release of the isosurface lock.
-func (w *Workstation) ReleaseIso() {
-	w.Queue(wire.Command{Kind: wire.CmdIsoRelease})
-}
-
-// SetIso queues an isosurface parameter change: enable/disable plus
-// the speed iso-level, as one atomic command. Requires holding the iso
-// lock (or it being free — the server grabs FCFS on first touch).
-func (w *Workstation) SetIso(enabled bool, level float32) {
-	var f uint8
-	if enabled {
-		f = 1
-	}
-	w.Queue(wire.Command{Kind: wire.CmdIsoSet, Flag: f, Value: level})
-}
-
-// GrabPlane queues a grab of the shared cutting plane's FCFS lock.
-func (w *Workstation) GrabPlane() {
-	w.Queue(wire.Command{Kind: wire.CmdPlaneGrab})
-}
-
-// ReleasePlane queues a release of the cutting-plane lock.
-func (w *Workstation) ReleasePlane() {
-	w.Queue(wire.Command{Kind: wire.CmdPlaneRelease})
-}
-
-// MovePlane queues a cutting-plane move: the slicing axis (0/1/2) and
-// the fractional position along it, plus the enable bit, atomically.
-func (w *Workstation) MovePlane(enabled bool, axis uint8, frac float32) {
-	var f uint8
-	if enabled {
-		f = 1
-	}
-	w.Queue(wire.Command{Kind: wire.CmdPlaneMove, Flag: f, Grab: axis, Value: frac})
-}
-
-// ToggleVortex queues a vortex-core extractor change: enable/disable
-// plus the Q-criterion threshold.
-func (w *Workstation) ToggleVortex(enabled bool, threshold float32) {
-	var f uint8
-	if enabled {
-		f = 1
-	}
-	w.Queue(wire.Command{Kind: wire.CmdVortexToggle, Flag: f, Value: threshold})
-}
-
 // SteerStatus fetches the server's current steering state: parameters,
 // lock holder, and change counter.
 func (w *Workstation) SteerStatus() (wire.SteerStatus, error) {

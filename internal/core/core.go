@@ -70,13 +70,11 @@ type Options struct {
 	// wire.CodecV1 runs the legacy v1 exchange, wire.CodecV2 asks for
 	// delta/quantized frames (falling back to v1 against old servers).
 	Codec uint8
-	// Iso, Plane, Vortex seed the shared visualization tools
-	// server-side (isosurface level, cutting plane, Q-criterion vortex
-	// cores). All three zero leaves the tool subsystem untouched and
-	// frames byte-identical to pre-tool builds.
-	Iso    env.IsoParams
-	Plane  env.PlaneParams
-	Vortex env.VortexParams
+	// Tools seeds the shared visualization tools server-side
+	// (isosurface level, cutting plane, Q-criterion vortex cores),
+	// indexed by env.ToolID-1. All zero leaves the tool subsystem
+	// untouched and frames byte-identical to pre-tool builds.
+	Tools [env.NumTools]env.ToolParams
 }
 
 // Session is a connected windtunnel: a workstation (always) and, for
@@ -108,9 +106,7 @@ func serverConfig(st store.Store, opts Options) server.Config {
 		CacheBytes:      opts.CacheBytes,
 		Budget:          opts.Budget,
 		MaxCodec:        opts.MaxCodec,
-		Iso:             opts.Iso,
-		Plane:           opts.Plane,
-		Vortex:          opts.Vortex,
+		Tools:           opts.Tools,
 	}
 }
 

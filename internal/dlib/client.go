@@ -23,7 +23,7 @@ var errAborted = errors.New("dlib: call aborted")
 type Client struct {
 	conn net.Conn
 
-	// Timeout, when non-zero, bounds every Call/Go that is not already
+	// Timeout, when non-zero, bounds every Call that is not already
 	// carrying a context deadline. §1.2 demands the full command loop
 	// complete in 1/8 s; a client that can block forever on a stalled
 	// link (the UltraNet of §5.1) can never meet that.
@@ -130,32 +130,6 @@ func (c *Client) CallContext(ctx context.Context, proc string, payload []byte) (
 		return nil, err
 	}
 	return c.wait(ctx, proc, id, ch)
-}
-
-// Go starts a call and returns a function that blocks for its result,
-// letting callers overlap computation with network time (the paper's
-// figure 8/9 pipelines).
-func (c *Client) Go(proc string, payload []byte) func() ([]byte, error) {
-	return c.GoContext(context.Background(), proc, payload)
-}
-
-// GoContext is Go with a context bounding the eventual wait.
-func (c *Client) GoContext(ctx context.Context, proc string, payload []byte) func() ([]byte, error) {
-	id, ch, err := c.start(proc, payload)
-	if err != nil {
-		return func() ([]byte, error) { return nil, err }
-	}
-	var once sync.Once
-	var out []byte
-	var resErr error
-	return func() ([]byte, error) {
-		once.Do(func() {
-			wctx, cancel := c.callCtx(ctx)
-			defer cancel()
-			out, resErr = c.wait(wctx, proc, id, ch)
-		})
-		return out, resErr
-	}
 }
 
 func (c *Client) start(proc string, payload []byte) (uint64, chan frame, error) {

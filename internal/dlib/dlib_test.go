@@ -121,79 +121,6 @@ func TestHandlerPanicIsContained(t *testing.T) {
 	}
 }
 
-func TestSessionStatePersistsAcrossCalls(t *testing.T) {
-	// The defining dlib property: "a conversation of arbitrary length
-	// within a single context" with state persisting call to call.
-	s, c := startServer(t)
-	s.Register("incr", func(ctx *Ctx, _ []byte) ([]byte, error) {
-		n, _ := ctx.Session.Values["count"].(int)
-		n++
-		ctx.Session.Values["count"] = n
-		return binary.LittleEndian.AppendUint64(nil, uint64(n)), nil
-	})
-	for want := 1; want <= 5; want++ {
-		out, err := c.Call("incr", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := binary.LittleEndian.Uint64(out); got != uint64(want) {
-			t.Fatalf("call %d returned %d", want, got)
-		}
-	}
-}
-
-func TestSessionsAreIsolated(t *testing.T) {
-	s, c1, addr := startServerAddr(t)
-	c2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	s.Register("incr", func(ctx *Ctx, _ []byte) ([]byte, error) {
-		n, _ := ctx.Session.Values["count"].(int)
-		n++
-		ctx.Session.Values["count"] = n
-		return binary.LittleEndian.AppendUint64(nil, uint64(n)), nil
-	})
-	for i := 0; i < 3; i++ {
-		if _, err := c1.Call("incr", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out, err := c2.Call("incr", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint64(out); got != 1 {
-		t.Errorf("second session count = %d, want 1 (leaked state)", got)
-	}
-}
-
-func TestSharedStateAcrossSessions(t *testing.T) {
-	s, c1, addr := startServerAddr(t)
-	c2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	s.Register("shared.incr", func(ctx *Ctx, _ []byte) ([]byte, error) {
-		n, _ := ctx.Server.Shared["count"].(int)
-		n++
-		ctx.Server.Shared["count"] = n
-		return binary.LittleEndian.AppendUint64(nil, uint64(n)), nil
-	})
-	if _, err := c1.Call("shared.incr", nil); err != nil {
-		t.Fatal(err)
-	}
-	out, err := c2.Call("shared.incr", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint64(out); got != 2 {
-		t.Errorf("shared count from session 2 = %d, want 2", got)
-	}
-}
-
 func TestSerialDispatchOrder(t *testing.T) {
 	// Calls from multiple clients execute one at a time: a slow call
 	// must fully finish before the next begins.
@@ -260,26 +187,6 @@ func TestConcurrentCallsOneClient(t *testing.T) {
 		}(uint64(i))
 	}
 	wg.Wait()
-}
-
-func TestGoOverlapsCalls(t *testing.T) {
-	s, c := startServer(t)
-	s.Register("sleepy", func(*Ctx, []byte) ([]byte, error) {
-		time.Sleep(20 * time.Millisecond)
-		return []byte("z"), nil
-	})
-	start := time.Now()
-	wait := c.Go("sleepy", nil)
-	// Do "local work" while the remote call is in flight.
-	time.Sleep(15 * time.Millisecond)
-	out, err := wait()
-	if err != nil || string(out) != "z" {
-		t.Fatalf("async result: %v %q", err, out)
-	}
-	// Total should be ~20ms (overlapped), not ~35ms.
-	if elapsed := time.Since(start); elapsed > 33*time.Millisecond {
-		t.Errorf("no overlap: elapsed %v", elapsed)
-	}
 }
 
 func TestClientFailsAfterServerGone(t *testing.T) {

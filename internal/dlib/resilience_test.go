@@ -109,22 +109,6 @@ func TestLateReplyAfterTimeoutIsDropped(t *testing.T) {
 	}
 }
 
-func TestGoContextDeadline(t *testing.T) {
-	s, c := startServer(t)
-	release := make(chan struct{})
-	s.Register("stuck", func(*Ctx, []byte) ([]byte, error) {
-		<-release
-		return nil, nil
-	})
-	defer close(release)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	wait := c.GoContext(ctx, "stuck", nil)
-	if _, err := wait(); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-}
-
 func TestRedialReconnects(t *testing.T) {
 	s, _, addr := startServerAddr(t)
 	s.Register("echo", func(_ *Ctx, p []byte) ([]byte, error) { return p, nil })

@@ -75,13 +75,10 @@ func (c *Ctx) takeHangup() bool {
 type Session struct {
 	// ID identifies the connection (dense, starting at 1).
 	ID int64
-	// Values is arbitrary per-session handler state. Handlers run
-	// serially so no locking is needed.
-	Values map[string]any
 }
 
-// Server is a dlib server: a registry of procedures, a single serial
-// dispatch queue, per-session state and shared state.
+// Server is a dlib server: a registry of procedures, its sessions and a
+// single serial dispatch queue.
 //
 // Dispatch is deliberately serial across ALL clients, matching the
 // paper: "The dlib calls are executed by the server in a single
@@ -122,11 +119,6 @@ type Server struct {
 
 	reaped atomic.Int64
 
-	// Shared is server-global state available to handlers (the shared
-	// virtual environment lives here). Access it only from handlers;
-	// serial dispatch makes that safe.
-	Shared map[string]any
-
 	metrics procMetrics
 
 	calls atomic.Int64
@@ -147,7 +139,6 @@ func NewServer() *Server {
 	return &Server{
 		handlers: make(map[string]Handler),
 		sessions: make(map[int64]*Session),
-		Shared:   make(map[string]any),
 	}
 }
 
@@ -210,7 +201,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	s.mu.Lock()
 	s.nextSess++
-	sess := &Session{ID: s.nextSess, Values: make(map[string]any)}
+	sess := &Session{ID: s.nextSess}
 	s.sessions[sess.ID] = sess
 	s.mu.Unlock()
 	defer func() {

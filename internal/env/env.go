@@ -32,16 +32,30 @@ type UserPose struct {
 	Gesture uint8
 }
 
-// ErrLocked is returned when a user tries to act on a rake another
-// user holds.
+// ErrLocked is returned when a user tries to act on a rake, the
+// steering or a shared tool another user holds.
 type ErrLocked struct {
-	RakeID int32
+	Object string // "rake 3", "steering", "iso tool"
 	Holder int64
 }
 
 // Error implements error.
 func (e *ErrLocked) Error() string {
-	return fmt.Sprintf("env: rake %d held by user %d", e.RakeID, e.Holder)
+	return fmt.Sprintf("env: %s held by user %d", e.Object, e.Holder)
+}
+
+// checkHolder is the FCFS rule every lock shares: a user may act on a
+// free object or on one they hold; anyone else gets ErrLocked naming
+// the holder. rake is the object's rake id (ids start at 1), or 0 for
+// the singletons; the name is formatted only on refusal.
+func checkHolder(holder, user int64, object string, rake int32) error {
+	if holder == 0 || holder == user {
+		return nil
+	}
+	if rake != 0 {
+		object = fmt.Sprintf("%s %d", object, rake)
+	}
+	return &ErrLocked{Object: object, Holder: holder}
 }
 
 // rakeState pairs a rake with its lock.
@@ -62,21 +76,10 @@ type Environment struct {
 	nextRake int32
 	users    map[int64]UserPose
 	time     TimeState
-	// Live-steering state (see steer.go): the flow parameters, their
-	// FCFS lock, and a change counter the in-situ producer applies
-	// against. steerVersion starts at 0 = "never steered".
-	steer        SteerParams
-	steerHolder  int64
-	steerVersion uint64
-	// Shared tool state (see tools.go): the isosurface, cutting-plane,
-	// and vortex-core parameters with their FCFS locks and per-tool
-	// version counters. Tool versions start at 0 = "never touched".
-	iso        IsoParams
-	isoLock    toolLock
-	plane      PlaneParams
-	planeLock  toolLock
-	vortex     VortexParams
-	vortexLock toolLock
+	// Live-steering state (see steer.go) and the shared tool table
+	// (see tools.go): parameters, FCFS holder and change counter each.
+	steer SteerState
+	tools ToolsState
 	// version counts every observable state change (rakes, locks,
 	// poses, time). A frame computed at version V can be replayed
 	// verbatim while the version holds — the server's whole-frame
@@ -123,17 +126,23 @@ func (e *Environment) AddRake(p0, p1 vmath.Vec3, numSeeds int, tool integrate.To
 	return r.ID, nil
 }
 
+// rakeFor returns rake id once the FCFS rule lets user act on it.
+// Caller holds e.mu.
+func (e *Environment) rakeFor(user int64, id int32) (*rakeState, error) {
+	rs, ok := e.rakes[id]
+	if !ok {
+		return nil, fmt.Errorf("env: no rake %d", id)
+	}
+	return rs, checkHolder(rs.holder, user, "rake", id)
+}
+
 // RemoveRake deletes a rake; only the holder (or anyone, if free) may
 // remove it.
 func (e *Environment) RemoveRake(user int64, id int32) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rs, ok := e.rakes[id]
-	if !ok {
-		return fmt.Errorf("env: no rake %d", id)
-	}
-	if rs.holder != 0 && rs.holder != user {
-		return &ErrLocked{RakeID: id, Holder: rs.holder}
+	if _, err := e.rakeFor(user, id); err != nil {
+		return err
 	}
 	delete(e.rakes, id)
 	e.version++
@@ -149,12 +158,9 @@ func (e *Environment) GrabRake(user int64, id int32, gp integrate.GrabPoint) err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rs, ok := e.rakes[id]
-	if !ok {
-		return fmt.Errorf("env: no rake %d", id)
-	}
-	if rs.holder != 0 && rs.holder != user {
-		return &ErrLocked{RakeID: id, Holder: rs.holder}
+	rs, err := e.rakeFor(user, id)
+	if err != nil {
+		return err
 	}
 	if rs.holder != user || rs.grab != gp {
 		e.version++
@@ -168,9 +174,9 @@ func (e *Environment) GrabRake(user int64, id int32, gp integrate.GrabPoint) err
 func (e *Environment) ReleaseRake(user int64, id int32) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rs, ok := e.rakes[id]
-	if !ok {
-		return fmt.Errorf("env: no rake %d", id)
+	rs, err := e.rakeFor(user, id)
+	if err != nil {
+		return err
 	}
 	if rs.holder != user {
 		return fmt.Errorf("env: user %d does not hold rake %d", user, id)
@@ -195,13 +201,13 @@ func (e *Environment) ReleaseAll(user int64) {
 			changed = true
 		}
 	}
-	if e.steerHolder == user {
-		e.steerHolder = 0
+	if e.steer.Holder == user {
+		e.steer.Holder = 0
 	}
 	// Tool holders ship in frames, so freeing one is a visible change.
-	for _, l := range []*toolLock{&e.isoLock, &e.planeLock, &e.vortexLock} {
-		if l.holder == user {
-			l.holder = 0
+	for i := range e.tools {
+		if e.tools[i].Holder == user {
+			e.tools[i].Holder = 0
 			changed = true
 		}
 	}
@@ -218,15 +224,12 @@ func (e *Environment) ReleaseAll(user int64) {
 func (e *Environment) MoveRake(user int64, id int32, to vmath.Vec3) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rs, ok := e.rakes[id]
-	if !ok {
-		return fmt.Errorf("env: no rake %d", id)
+	rs, err := e.rakeFor(user, id)
+	if err != nil {
+		return err
 	}
 	if rs.holder != user {
-		if rs.holder == 0 {
-			return fmt.Errorf("env: rake %d not grabbed", id)
-		}
-		return &ErrLocked{RakeID: id, Holder: rs.holder}
+		return fmt.Errorf("env: rake %d not grabbed", id)
 	}
 	if err := rs.rake.MoveGrab(rs.grab, to); err != nil {
 		return err
@@ -244,12 +247,9 @@ func (e *Environment) SetRakeSeeds(user int64, id int32, numSeeds int) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rs, ok := e.rakes[id]
-	if !ok {
-		return fmt.Errorf("env: no rake %d", id)
-	}
-	if rs.holder != 0 && rs.holder != user {
-		return &ErrLocked{RakeID: id, Holder: rs.holder}
+	rs, err := e.rakeFor(user, id)
+	if err != nil {
+		return err
 	}
 	if rs.rake.NumSeeds != numSeeds {
 		rs.rake.NumSeeds = numSeeds
@@ -269,12 +269,9 @@ func (e *Environment) SetRakeTool(user int64, id int32, tool integrate.ToolKind)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rs, ok := e.rakes[id]
-	if !ok {
-		return fmt.Errorf("env: no rake %d", id)
-	}
-	if rs.holder != 0 && rs.holder != user {
-		return &ErrLocked{RakeID: id, Holder: rs.holder}
+	rs, err := e.rakeFor(user, id)
+	if err != nil {
+		return err
 	}
 	if rs.rake.Tool != tool {
 		rs.rake.Tool = tool

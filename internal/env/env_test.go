@@ -59,7 +59,7 @@ func TestFirstComeFirstServedLocking(t *testing.T) {
 	}
 	err := e.GrabRake(2, r1, integrate.GrabCenter)
 	var locked *ErrLocked
-	if !errors.As(err, &locked) || locked.Holder != 1 {
+	if !errors.As(err, &locked) || locked.Holder != 1 || locked.Object != "rake 1" {
 		t.Fatalf("second grab: %v", err)
 	}
 	// User 2 can still use the other rake.

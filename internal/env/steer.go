@@ -12,20 +12,9 @@ type SteerParams struct {
 	Taper    float32
 }
 
-// ErrSteerLocked is returned when a user tries to steer while another
-// user holds the steering lock.
-type ErrSteerLocked struct {
-	Holder int64
-}
-
-// Error implements error.
-func (e *ErrSteerLocked) Error() string {
-	return fmt.Sprintf("env: steering held by user %d", e.Holder)
-}
-
 // SteerState is an immutable snapshot of the steering parameters, the
 // lock holder (0 = free), and the change counter the live producer
-// applies against.
+// applies against (0 = "never steered").
 type SteerState struct {
 	Params  SteerParams
 	Holder  int64
@@ -38,14 +27,14 @@ type SteerState struct {
 func (e *Environment) InitSteer(p SteerParams) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.steer = p
+	e.steer.Params = p
 }
 
 // Steer returns a snapshot of the steering state.
 func (e *Environment) Steer() SteerState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return SteerState{Params: e.steer, Holder: e.steerHolder, Version: e.steerVersion}
+	return e.steer
 }
 
 // GrabSteer locks steering to a user, first come first served — the
@@ -55,10 +44,10 @@ func (e *Environment) Steer() SteerState {
 func (e *Environment) GrabSteer(user int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.steerHolder != 0 && e.steerHolder != user {
-		return &ErrSteerLocked{Holder: e.steerHolder}
+	if err := checkHolder(e.steer.Holder, user, "steering", 0); err != nil {
+		return err
 	}
-	e.steerHolder = user
+	e.steer.Holder = user
 	return nil
 }
 
@@ -66,10 +55,10 @@ func (e *Environment) GrabSteer(user int64) error {
 func (e *Environment) ReleaseSteer(user int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.steerHolder != user {
+	if e.steer.Holder != user {
 		return fmt.Errorf("env: user %d does not hold steering", user)
 	}
-	e.steerHolder = 0
+	e.steer.Holder = 0
 	return nil
 }
 
@@ -82,12 +71,12 @@ func (e *Environment) ReleaseSteer(user int64) error {
 func (e *Environment) SetSteer(user int64, p SteerParams) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.steerHolder != 0 && e.steerHolder != user {
-		return &ErrSteerLocked{Holder: e.steerHolder}
+	if err := checkHolder(e.steer.Holder, user, "steering", 0); err != nil {
+		return err
 	}
-	if e.steer != p {
-		e.steer = p
-		e.steerVersion++
+	if e.steer.Params != p {
+		e.steer.Params = p
+		e.steer.Version++
 		e.version++
 	}
 	return nil

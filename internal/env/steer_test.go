@@ -20,9 +20,9 @@ func TestSteerFCFSLock(t *testing.T) {
 	}
 	// FCFS: the second user bounces with the holder identified.
 	err := e.GrabSteer(2)
-	var locked *ErrSteerLocked
-	if !errors.As(err, &locked) || locked.Holder != 1 {
-		t.Fatalf("second grab: %v, want ErrSteerLocked{Holder:1}", err)
+	var locked *ErrLocked
+	if !errors.As(err, &locked) || locked.Holder != 1 || locked.Object != "steering" {
+		t.Fatalf("second grab: %v, want ErrLocked{steering, 1}", err)
 	}
 	// Re-grabbing your own lock is fine.
 	if err := e.GrabSteer(1); err != nil {

@@ -12,7 +12,7 @@ import "fmt"
 // frame-observable — the holder and parameters ship in every frame's
 // tool section — so holder changes bump the whole-environment version
 // too, or the server's whole-frame memo would serve stale holder
-// bytes.
+// bytes. The tools are one table indexed by ToolID-1.
 
 // ToolID names one shared tool; the values match the wire protocol's
 // tool kinds.
@@ -24,221 +24,134 @@ const (
 	ToolVortex ToolID = 3
 )
 
+// NumTools is the length of the tool table.
+const NumTools = 3
+
 // String implements fmt.Stringer for error text.
 func (t ToolID) String() string {
 	switch t {
 	case ToolIso:
-		return "iso"
+		return "iso tool"
 	case ToolPlane:
-		return "plane"
+		return "plane tool"
 	case ToolVortex:
-		return "vortex"
+		return "vortex tool"
 	}
 	return fmt.Sprintf("tool(%d)", uint8(t))
 }
 
-// IsoParams are the isosurface tool's inputs: whether it renders and
-// the speed level it extracts.
-type IsoParams struct {
-	Enabled bool
-	Level   float32
-}
-
-// PlaneParams are the cutting-plane tool's inputs: whether it renders,
-// the computational axis it cuts across (0=i, 1=j, 2=k), and the
-// fractional position along that axis in [0,1].
-type PlaneParams struct {
+// ToolParams are one tool's inputs: whether it renders, the
+// computational axis a cutting plane cuts across (0=i, 1=j, 2=k; 0 for
+// the other tools), and its value — the isosurface's speed level, the
+// plane's fractional position along its axis in [0,1], or the vortex
+// core's Q-criterion threshold.
+type ToolParams struct {
 	Enabled bool
 	Axis    uint8
-	Frac    float32
+	Value   float32
 }
 
-// VortexParams are the vortex-core tool's inputs: whether it renders
-// and the Q-criterion threshold the core surface is extracted at.
-type VortexParams struct {
-	Enabled   bool
-	Threshold float32
-}
-
-// ErrToolLocked is returned when a user tries to act on a tool another
-// user holds.
-type ErrToolLocked struct {
-	Tool   ToolID
-	Holder int64
-}
-
-// Error implements error.
-func (e *ErrToolLocked) Error() string {
-	return fmt.Sprintf("env: %v tool held by user %d", e.Tool, e.Holder)
-}
-
-// toolLock is the per-tool FCFS holder and mutation counter. The
-// version counts parameter changes only (the geometry memo key); the
-// holder is versioned by the whole-environment counter instead.
-type toolLock struct {
-	holder  int64
-	version uint64
-}
-
-// IsoState is an immutable snapshot of the isosurface tool.
-type IsoState struct {
-	Params  IsoParams
+// ToolState is an immutable snapshot of one tool. Version counts
+// parameter changes only (the geometry memo key); the holder is
+// versioned by the whole-environment counter instead. Versions start at
+// 0 = "never touched".
+type ToolState struct {
+	Params  ToolParams
 	Holder  int64
 	Version uint64
 }
 
-// PlaneState is an immutable snapshot of the cutting-plane tool.
-type PlaneState struct {
-	Params  PlaneParams
-	Holder  int64
-	Version uint64
-}
-
-// VortexState is an immutable snapshot of the vortex-core tool.
-type VortexState struct {
-	Params  VortexParams
-	Holder  int64
-	Version uint64
-}
-
-// ToolsState snapshots all three shared tools at once.
-type ToolsState struct {
-	Iso    IsoState
-	Plane  PlaneState
-	Vortex VortexState
-}
+// ToolsState snapshots every shared tool, indexed by ToolID-1.
+type ToolsState [NumTools]ToolState
 
 // Active reports whether any tool would appear in a frame: enabled,
 // held, or ever touched. A freshly seeded-off environment is inactive,
 // which keeps legacy frame bytes identical.
 func (s ToolsState) Active() bool {
-	return s.Iso.Params.Enabled || s.Plane.Params.Enabled || s.Vortex.Params.Enabled ||
-		s.Iso.Holder != 0 || s.Plane.Holder != 0 || s.Vortex.Holder != 0 ||
-		s.Iso.Version != 0 || s.Plane.Version != 0 || s.Vortex.Version != 0
+	for _, t := range s {
+		if t.Params.Enabled || t.Holder != 0 || t.Version != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // InitTools seeds the tool parameters without counting a change, like
 // InitSteer: versions stay 0 so a seeded server's first frame is a
 // pure function of the seed.
-func (e *Environment) InitTools(iso IsoParams, plane PlaneParams, vortex VortexParams) {
+func (e *Environment) InitTools(p [NumTools]ToolParams) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.iso = iso
-	e.plane = plane
-	e.vortex = vortex
+	for i := range e.tools {
+		e.tools[i].Params = p[i]
+	}
 }
 
-// Tools returns a snapshot of all three shared tools.
+// Tools returns a snapshot of every shared tool.
 func (e *Environment) Tools() ToolsState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return ToolsState{
-		Iso:    IsoState{Params: e.iso, Holder: e.isoLock.holder, Version: e.isoLock.version},
-		Plane:  PlaneState{Params: e.plane, Holder: e.planeLock.holder, Version: e.planeLock.version},
-		Vortex: VortexState{Params: e.vortex, Holder: e.vortexLock.holder, Version: e.vortexLock.version},
-	}
+	return e.tools
 }
 
-// grabToolLocked locks a tool to a user, first come first served.
+// toolFor returns id's table entry once the FCFS rule lets user act on
+// it. Caller holds e.mu.
+func (e *Environment) toolFor(user int64, id ToolID) (*ToolState, error) {
+	if id == 0 || id > NumTools {
+		return nil, fmt.Errorf("env: unknown %v", id)
+	}
+	t := &e.tools[id-1]
+	return t, checkHolder(t.Holder, user, id.String(), 0)
+}
+
+// GrabTool locks a tool to a user, first come first served.
 // Re-grabbing your own lock is a no-op; taking a free lock is
 // frame-observable (the holder ships in the tool section) so it bumps
 // the environment version.
-func (e *Environment) grabToolLocked(id ToolID, l *toolLock, user int64) error {
-	if l.holder != 0 && l.holder != user {
-		return &ErrToolLocked{Tool: id, Holder: l.holder}
+func (e *Environment) GrabTool(user int64, id ToolID) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	t, err := e.toolFor(user, id)
+	if err != nil {
+		return err
 	}
-	if l.holder != user {
-		l.holder = user
+	if t.Holder != user {
+		t.Holder = user
 		e.version++
 	}
 	return nil
 }
 
-// releaseToolLocked frees a tool lock the user holds.
-func (e *Environment) releaseToolLocked(id ToolID, l *toolLock, user int64) error {
-	if l.holder != user {
-		return fmt.Errorf("env: user %d does not hold %v tool", user, id)
+// ReleaseTool frees a tool lock the user holds.
+func (e *Environment) ReleaseTool(user int64, id ToolID) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	t, err := e.toolFor(user, id)
+	if err != nil {
+		return err
 	}
-	l.holder = 0
+	if t.Holder != user {
+		return fmt.Errorf("env: user %d does not hold the %v", user, id)
+	}
+	t.Holder = 0
 	e.version++
 	return nil
 }
 
-// GrabIso locks the isosurface tool to a user.
-func (e *Environment) GrabIso(user int64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.grabToolLocked(ToolIso, &e.isoLock, user)
-}
-
-// ReleaseIso frees the isosurface lock the user holds.
-func (e *Environment) ReleaseIso(user int64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.releaseToolLocked(ToolIso, &e.isoLock, user)
-}
-
-// SetIso changes the isosurface parameters atomically; a free lock is
+// SetTool changes a tool's parameters atomically; a free lock is
 // implicitly grabbed-for-the-call (matching free-rake edits and
 // SetSteer). A real change bumps the tool version (the geometry memo
 // key) and the environment version.
-func (e *Environment) SetIso(user int64, p IsoParams) error {
+func (e *Environment) SetTool(user int64, id ToolID, p ToolParams) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.isoLock.holder != 0 && e.isoLock.holder != user {
-		return &ErrToolLocked{Tool: ToolIso, Holder: e.isoLock.holder}
+	t, err := e.toolFor(user, id)
+	if err != nil {
+		return err
 	}
-	if e.iso != p {
-		e.iso = p
-		e.isoLock.version++
-		e.version++
-	}
-	return nil
-}
-
-// GrabPlane locks the cutting-plane tool to a user.
-func (e *Environment) GrabPlane(user int64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.grabToolLocked(ToolPlane, &e.planeLock, user)
-}
-
-// ReleasePlane frees the cutting-plane lock the user holds.
-func (e *Environment) ReleasePlane(user int64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.releaseToolLocked(ToolPlane, &e.planeLock, user)
-}
-
-// SetPlane moves the cutting plane (axis, fraction, visibility)
-// atomically with implicit grab-for-call on a free lock.
-func (e *Environment) SetPlane(user int64, p PlaneParams) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.planeLock.holder != 0 && e.planeLock.holder != user {
-		return &ErrToolLocked{Tool: ToolPlane, Holder: e.planeLock.holder}
-	}
-	if e.plane != p {
-		e.plane = p
-		e.planeLock.version++
-		e.version++
-	}
-	return nil
-}
-
-// SetVortex toggles the vortex-core extractor with implicit
-// grab-for-call on a free lock. The vortex tool has no explicit grab
-// command on the wire — toggles are one-shot — but the lock still
-// exists so the FCFS contract is uniform across tools.
-func (e *Environment) SetVortex(user int64, p VortexParams) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.vortexLock.holder != 0 && e.vortexLock.holder != user {
-		return &ErrToolLocked{Tool: ToolVortex, Holder: e.vortexLock.holder}
-	}
-	if e.vortex != p {
-		e.vortex = p
-		e.vortexLock.version++
+	if t.Params != p {
+		t.Params = p
+		t.Version++
 		e.version++
 	}
 	return nil

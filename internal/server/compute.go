@@ -386,13 +386,13 @@ func (s *Server) totalRoundLocked(ts env.TimeState, loadTime, computeTime time.D
 func (s *Server) planJobsLocked() time.Duration {
 	g := s.src.Grid()
 	s.rows = s.rows[:0]
-	for _, t := range toolTable(s.toolSnap) {
+	for i, t := range s.toolSnap {
 		d := demand{class: classTool}
-		if t.state.Enabled {
+		if t.Params.Enabled {
 			// Enabled tools are charged whether or not their memo will
 			// hit: the stride is chosen before the memo is consulted.
 			for k, stride := range toolStrides {
-				d.rungs[k] = t.units(g, t.state, stride)
+				d.rungs[k] = toolKinds[i].units(g, t.Params, stride)
 			}
 			d.units = d.rungs[0]
 		}
@@ -421,7 +421,7 @@ func (s *Server) planJobsLocked() time.Duration {
 	var planned int64
 	for i := range s.jobs {
 		j := &s.jobs[i]
-		j.plan = &s.rows[numTools+i]
+		j.plan = &s.rows[env.NumTools+i]
 		planned += j.plan.planned
 	}
 	s.stats.PlannedTime += s.gov.predict(planned)

@@ -46,7 +46,7 @@ func FuzzSteerCommand(f *testing.F) {
 		frameNoPanic(t, s, ctx, wire.EncodeClientUpdate(wire.ClientUpdate{Commands: cmds}))
 
 		st := s.Env().Steer()
-		if st.Params != before.Params && !validSteerParams(st.Params.InflowU, st.Params.Reynolds, st.Params.Taper) {
+		if st.Params != before.Params && !validSteerParams(st.Params) {
 			t.Fatalf("hostile steer landed out-of-envelope params: %+v", st.Params)
 		}
 		if st.Version < before.Version {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/env"
 	"repro/internal/vmath"
 	"repro/internal/wire"
 )
@@ -62,24 +63,13 @@ func FuzzToolCommand(f *testing.F) {
 		}
 		frameNoPanic(t, s, ctx, wire.EncodeClientUpdate(wire.ClientUpdate{Commands: cmds}))
 
-		ts := s.Env().Tools()
-		if ts.Iso.Params != before.Iso.Params && !validIsoLevel(ts.Iso.Params.Level) {
-			t.Fatalf("hostile iso level landed: %+v", ts.Iso.Params)
-		}
-		if p := ts.Plane.Params; p != before.Plane.Params &&
-			(p.Axis > 2 || !finite32(p.Frac) || p.Frac < 0 || p.Frac > 1) {
-			t.Fatalf("hostile plane params landed: %+v", p)
-		}
-		if ts.Vortex.Params != before.Vortex.Params && !validVortexThreshold(ts.Vortex.Params.Threshold) {
-			t.Fatalf("hostile vortex threshold landed: %+v", ts.Vortex.Params)
-		}
-		for _, pair := range [][2]uint64{
-			{before.Iso.Version, ts.Iso.Version},
-			{before.Plane.Version, ts.Plane.Version},
-			{before.Vortex.Version, ts.Vortex.Version},
-		} {
-			if pair[1] < pair[0] {
-				t.Fatalf("tool version went backwards: %d -> %d", pair[0], pair[1])
+		for i, tool := range s.Env().Tools() {
+			id, was := env.ToolID(i+1), before[i]
+			if tool.Params != was.Params && !validToolParams(id, tool.Params) {
+				t.Fatalf("hostile %v params landed: %+v", id, tool.Params)
+			}
+			if tool.Version < was.Version {
+				t.Fatalf("%v version went backwards: %d -> %d", id, was.Version, tool.Version)
 			}
 		}
 

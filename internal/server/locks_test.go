@@ -7,9 +7,9 @@ package server
 // asserts the same four invariants: the lock has one holder; its
 // parameters are the defaults or exactly the record that was sent, never
 // a mix; it comes free once the holder lets go or is gone; and a fresh
-// session takes it. The vortex tool takes no lock (SetVortex never grabs
-// one), so it rides along in the reset column only, for its torn-record
-// check.
+// session takes it. No wire command grabs the vortex tool's lock (its
+// toggle is one-shot), so it rides along in the reset column only, for
+// its torn-record check.
 
 import (
 	"encoding/binary"
@@ -80,32 +80,32 @@ var rakeLock = lockRow{
 
 var isoLock = lockRow{
 	server:   func(t *testing.T) (*Server, *datasets.Live) { return toolData.server(t, 0, 0), nil },
-	defaults: env.IsoParams{},
-	records:  [3]any{env.IsoParams{Enabled: true, Level: 0.8}, env.IsoParams{Enabled: true, Level: 0.3}, env.IsoParams{Enabled: true, Level: 0.6}},
+	defaults: env.ToolParams{},
+	records:  [3]any{env.ToolParams{Enabled: true, Value: 0.8}, env.ToolParams{Enabled: true, Value: 0.3}, env.ToolParams{Enabled: true, Value: 0.6}},
 	update: func(rec any) wire.ClientUpdate {
 		return update(wire.Command{Kind: wire.CmdIsoGrab},
-			wire.Command{Kind: wire.CmdIsoSet, Flag: 1, Value: rec.(env.IsoParams).Level})
+			wire.Command{Kind: wire.CmdIsoSet, Flag: 1, Value: rec.(env.ToolParams).Value})
 	},
 	release: wire.Command{Kind: wire.CmdIsoRelease},
 	held: func(s *Server) (int64, any) {
-		iso := s.Env().Tools().Iso
+		iso := s.Env().Tools()[env.ToolIso-1]
 		return iso.Holder, iso.Params
 	},
 }
 
 var planeLock = lockRow{
 	server:   func(t *testing.T) (*Server, *datasets.Live) { return toolData.server(t, 0, 0), nil },
-	defaults: env.PlaneParams{},
-	records: [3]any{env.PlaneParams{Enabled: true, Axis: 1, Frac: 0.25}, env.PlaneParams{Enabled: true, Axis: 2, Frac: 0.9},
-		env.PlaneParams{Enabled: true, Axis: 0, Frac: 0.75}},
+	defaults: env.ToolParams{},
+	records: [3]any{env.ToolParams{Enabled: true, Axis: 1, Value: 0.25}, env.ToolParams{Enabled: true, Axis: 2, Value: 0.9},
+		env.ToolParams{Enabled: true, Axis: 0, Value: 0.75}},
 	update: func(rec any) wire.ClientUpdate {
-		p := rec.(env.PlaneParams)
+		p := rec.(env.ToolParams)
 		return update(wire.Command{Kind: wire.CmdPlaneGrab},
-			wire.Command{Kind: wire.CmdPlaneMove, Flag: 1, Grab: p.Axis, Value: p.Frac})
+			wire.Command{Kind: wire.CmdPlaneMove, Flag: 1, Grab: p.Axis, Value: p.Value})
 	},
 	release: wire.Command{Kind: wire.CmdPlaneRelease},
 	held: func(s *Server) (int64, any) {
-		plane := s.Env().Tools().Plane
+		plane := s.Env().Tools()[env.ToolPlane-1]
 		return plane.Holder, plane.Params
 	},
 }
@@ -176,7 +176,7 @@ var lockFaults = []struct {
 		// The server side serves the grabbing call in five ops (three
 		// reads, two writes) and waits for the next on the sixth: a reset
 		// at each of ops 1-8 may land before, inside or after the update.
-		vortex := env.VortexParams{Enabled: true, Threshold: 0.01}
+		vortex := env.ToolParams{Enabled: true, Value: 0.01}
 		for atOp := 1; atOp <= 8; atOp++ {
 			t.Run(fmt.Sprintf("op%d", atOp), func(t *testing.T) {
 				c := row.cell(t)
@@ -186,10 +186,10 @@ var lockFaults = []struct {
 				h := dlib.NewClient(a)
 				h.Timeout = 2 * time.Second
 				u := c.update(c.records[0])
-				u.Commands = append(u.Commands, wire.Command{Kind: wire.CmdVortexToggle, Flag: 1, Value: vortex.Threshold})
+				u.Commands = append(u.Commands, wire.Command{Kind: wire.CmdVortexToggle, Flag: 1, Value: vortex.Value})
 				h.Call(wire.ProcFrame, wire.EncodeClientUpdate(u)) // either outcome is legal
 				h.Close()
-				if p := c.s.Env().Tools().Vortex.Params; p != (env.VortexParams{}) && p != vortex {
+				if p := c.s.Env().Tools()[env.ToolVortex-1].Params; p != (env.ToolParams{}) && p != vortex {
 					t.Fatalf("torn vortex parameters %+v", p)
 				}
 				c.freed(t)

@@ -459,10 +459,10 @@ func BenchmarkToolRelevel(b *testing.B) {
 		b.Fatal(err)
 	}
 	s.wantSegs = true
-	s.env.GrabIso(1)
+	s.env.GrabTool(1, env.ToolIso)
 	relevel := func(i int) {
 		s.env.SeekTime(float32(i % 2))
-		s.env.SetIso(1, env.IsoParams{Enabled: true, Level: 0.7 + 0.08*float32(i%8)})
+		s.env.SetTool(1, env.ToolIso, env.ToolParams{Enabled: true, Value: 0.7 + 0.08*float32(i%8)})
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if err := s.recomputeLocked(); err != nil {

@@ -93,9 +93,11 @@ func planCaseServer(t *testing.T, c planCase) *Server {
 		t.Fatal(err)
 	}
 	s.gov.unitNanos, s.gov.pressure = c.UnitNanos, c.Pressure
-	s.toolSnap.Iso = env.IsoState{Params: env.IsoParams{Enabled: c.Iso, Level: 0.5}, Holder: c.ToolHolder}
-	s.toolSnap.Plane.Params = env.PlaneParams{Enabled: c.Plane, Axis: c.PlaneAxis, Frac: 0.5}
-	s.toolSnap.Vortex.Params = env.VortexParams{Enabled: c.Vortex, Threshold: 0.01}
+	s.toolSnap = env.ToolsState{
+		{Params: env.ToolParams{Enabled: c.Iso, Value: 0.5}, Holder: c.ToolHolder},
+		{Params: env.ToolParams{Enabled: c.Plane, Axis: c.PlaneAxis, Value: 0.5}},
+		{Params: env.ToolParams{Enabled: c.Vortex, Value: 0.01}},
+	}
 	for _, r := range c.Rakes {
 		j := rakeJob{
 			gc:      &rakeGeom{seeds: make([]vmath.Vec3, r.Seeds)},
@@ -119,8 +121,8 @@ func runPlanCase(t *testing.T, c planCase) planCase {
 	c.WantPredicted = int64(s.planJobsLocked())
 	c.WantPlanned = int64(s.stats.PlannedTime)
 	c.WantStride = 1
-	for i, tool := range toolTable(s.toolSnap) {
-		if tool.state.Enabled {
+	for i, tool := range s.toolSnap {
+		if tool.Params.Enabled {
 			c.WantStride = s.rows[i].stride
 		}
 	}

@@ -46,7 +46,7 @@ type roundCtx struct {
 	quant wire.Quantizer
 
 	jobs  []rakeJob
-	tools *[numTools]toolGeom
+	tools *[env.NumTools]toolGeom
 	scal  *toolScalars
 	pool  *roundPool
 }
@@ -83,8 +83,8 @@ const (
 	// phaseCount + tool index: every slab of the tool's plan is counted;
 	// phaseLayout + tool index: the plan is laid out.
 	phaseCount
-	phaseLayout = phaseCount + numTools
-	numPhases   = phaseLayout + numTools
+	phaseLayout = phaseCount + env.NumTools
+	numPhases   = phaseLayout + env.NumTools
 )
 
 // poolUnit is one claimable piece of a round's work.
@@ -169,7 +169,7 @@ func (s *Server) layoutUnitsLocked(g *grid.Grid) {
 			}
 			// Reset cannot fail: the scalar is sized to this grid and
 			// every ladder stride is >= 1.
-			_ = tg.plan.Reset(g, tc.scalar(tg.from), tg.state.Value, tg.stride, workers)
+			_ = tg.plan.Reset(g, tc.scalar(tg.from), tg.params.Value, tg.stride, workers)
 			for sl := 0; sl < tg.plan.Slabs(); sl++ {
 				p.add(poolUnit{kind: unitCount, a: i, b: sl, after: after, phase: counted})
 			}
@@ -267,7 +267,7 @@ func (rc *roundCtx) runUnit(u *poolUnit) {
 		}
 	case unitPlane:
 		tg := &rc.tools[u.a]
-		tg.geo.Points = appendPlaneHedgehog(tg.geo.Points[:0], rc.g, rc.scal.phys, tg.state.Axis, tg.state.Value, tg.stride)
+		tg.geo.Points = appendPlaneHedgehog(tg.geo.Points[:0], rc.g, rc.scal.phys, tg.params.Axis, tg.params.Value, tg.stride)
 		if rc.seal {
 			tg.seg = wire.AppendToolGeomV2(tg.seg[:0], tg.geo, rc.quant)
 			tg.sealed = true

@@ -104,15 +104,15 @@ type Config struct {
 	// Steer seeds the environment's live-steering parameters (in-situ
 	// mode). The zero value leaves steering unseeded; either way the
 	// vw.steer procedure is served and steering commands are accepted —
-	// they only have a producer to act on when Store is a live ring.
+	// they only have a producer to act on when Store is a live ring. A
+	// seed outside the envelope a steering command is held to fails New.
 	Steer env.SteerParams
-	// Iso / Plane / Vortex seed the shared field-diagnostic tools. All
-	// three zero leaves the tools untouched — frames carry no tool
-	// section and stay byte-identical to pre-tool builds until a tool
-	// command arrives.
-	Iso    env.IsoParams
-	Plane  env.PlaneParams
-	Vortex env.VortexParams
+	// Tools seeds the shared field-diagnostic tools, indexed by
+	// env.ToolID-1. All zero leaves the tools untouched — frames carry
+	// no tool section and stay byte-identical to pre-tool builds until a
+	// tool command arrives. A seed outside the bounds a tool command is
+	// held to fails New.
+	Tools [env.NumTools]env.ToolParams
 }
 
 // Stats is a snapshot of server-side performance counters.
@@ -328,7 +328,7 @@ type Server struct {
 	// (toolsMeta.Geoms aliases toolGeomWire). haveTools gates the
 	// section: a never-touched environment ships no tool bytes.
 	toolSnap       env.ToolsState
-	toolGeos       [numTools]toolGeom
+	toolGeos       [env.NumTools]toolGeom
 	toolScal       toolScalars
 	haveTools      bool
 	toolsMeta      wire.ToolsReply
@@ -371,6 +371,14 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: MaxCodec %d outside [%d, %d]",
 			cfg.MaxCodec, wire.CodecV1, wire.MaxCodec)
 	}
+	if cfg.Steer != (env.SteerParams{}) && !validSteerParams(cfg.Steer) {
+		return nil, fmt.Errorf("server: steer seed %+v outside the steering envelope", cfg.Steer)
+	}
+	for i, p := range cfg.Tools {
+		if id := env.ToolID(i + 1); !validToolParams(id, p) {
+			return nil, fmt.Errorf("server: %v seed %+v out of bounds", id, p)
+		}
+	}
 	src, ok := cfg.Store.(store.Source)
 	if !ok {
 		// An I/O-backed store: one resident set between the pipeline and
@@ -405,13 +413,8 @@ func New(cfg Config) (*Server, error) {
 	// whoami, steer, the round's codec-v1 reply) or a session-owned one
 	// (codec-v2 frames and relay replies, sessionState.buf) —
 	// dlib.Handler's reply-buffer contract.
-	if cfg.Steer != (env.SteerParams{}) {
-		s.env.InitSteer(cfg.Steer)
-	}
-	if cfg.Iso != (env.IsoParams{}) || cfg.Plane != (env.PlaneParams{}) ||
-		cfg.Vortex != (env.VortexParams{}) {
-		s.env.InitTools(cfg.Iso, cfg.Plane, cfg.Vortex)
-	}
+	s.env.InitSteer(cfg.Steer)
+	s.env.InitTools(cfg.Tools)
 	s.d.Register(wire.ProcHello, s.handleHello)
 	s.d.Register(wire.ProcHello2, s.handleHello2)
 	s.d.Register(wire.ProcFrame, s.handleFrame)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dlib"
+	"repro/internal/env"
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/integrate"
@@ -125,6 +126,67 @@ func TestNewValidation(t *testing.T) {
 		Options: integrate.Options{StepSize: 0, MaxSteps: 5},
 	}); err == nil {
 		t.Error("invalid options accepted")
+	}
+}
+
+// TestNewHoldsSeedsToCommandBounds: a tool or steering seed is held to
+// the bounds applyCommand holds a client's command to. New refuses a
+// seed the command path would drop — it would otherwise boot a server
+// with, say, a NaN vortex threshold — and an accepted seed lands in the
+// environment as given, uncounted.
+func TestNewHoldsSeedsToCommandBounds(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	tool := func(id env.ToolID, axis uint8, v float32) (seeds [env.NumTools]env.ToolParams) {
+		seeds[id-1] = env.ToolParams{Enabled: true, Axis: axis, Value: v}
+		return seeds
+	}
+	steer := func(u, re, taper float32) env.SteerParams {
+		return env.SteerParams{InflowU: u, Reynolds: re, Taper: taper}
+	}
+	for _, c := range []struct {
+		name  string
+		steer env.SteerParams
+		tools [env.NumTools]env.ToolParams
+		ok    bool
+	}{
+		{name: "unseeded", ok: true},
+		{name: "iso 0.8", tools: tool(env.ToolIso, 0, 0.8), ok: true},
+		{name: "iso 1e6", tools: tool(env.ToolIso, 0, 1e6), ok: true},
+		{name: "iso 1e9", tools: tool(env.ToolIso, 0, 1e9)},
+		{name: "iso -0.1", tools: tool(env.ToolIso, 0, -0.1)},
+		{name: "iso NaN", tools: tool(env.ToolIso, 0, nan)},
+		{name: "iso with an axis", tools: tool(env.ToolIso, 1, 0.8)},
+		{name: "plane k 1", tools: tool(env.ToolPlane, 2, 1), ok: true},
+		{name: "plane axis 3", tools: tool(env.ToolPlane, 3, 0.5)},
+		{name: "plane 1.5", tools: tool(env.ToolPlane, 0, 1.5)},
+		{name: "plane NaN", tools: tool(env.ToolPlane, 0, nan)},
+		{name: "vortex -1e6", tools: tool(env.ToolVortex, 0, -1e6), ok: true},
+		{name: "vortex NaN", tools: tool(env.ToolVortex, 0, nan)},
+		{name: "vortex Inf", tools: tool(env.ToolVortex, 0, inf)},
+		{name: "vortex -2e6", tools: tool(env.ToolVortex, 0, -2e6)},
+		{name: "steer", steer: steer(1, 400, 0.5), ok: true},
+		{name: "steer Re NaN", steer: steer(1, nan, 0.5)},
+		{name: "steer Re 0", steer: steer(1, 0, 0.5)},
+		{name: "steer inflow 0", steer: steer(0, 400, 0.5)},
+		{name: "steer inflow Inf", steer: steer(inf, 400, 0.5)},
+		{name: "steer taper 3", steer: steer(1, 400, 3)},
+	} {
+		s, err := New(Config{Store: testDataset(t, 2), Steer: c.steer, Tools: c.tools})
+		if (err == nil) != c.ok {
+			t.Errorf("%s: New returned %v, want ok=%v", c.name, err, c.ok)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		if st := s.Env().Steer(); st != (env.SteerState{Params: c.steer}) {
+			t.Errorf("%s: steering seeded as %+v", c.name, st)
+		}
+		for i, got := range s.Env().Tools() {
+			if got != (env.ToolState{Params: c.tools[i]}) {
+				t.Errorf("%s: tool %d seeded as %+v, want %+v", c.name, i, got, c.tools[i])
+			}
+		}
 	}
 }
 

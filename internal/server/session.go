@@ -392,44 +392,40 @@ func (s *Server) applyCommand(user int64, c wire.Command) {
 		// P0 carries (inlet velocity, Reynolds, taper) as one atomic
 		// triple. Hostile values — NaN Reynolds, negative velocity,
 		// absurd taper — are dropped before they can reach the solver.
-		if !validSteerParams(c.P0.X, c.P0.Y, c.P0.Z) {
-			return
+		p := env.SteerParams{InflowU: c.P0.X, Reynolds: c.P0.Y, Taper: c.P0.Z}
+		if validSteerParams(p) {
+			s.env.SetSteer(user, p)
 		}
-		s.env.SetSteer(user, env.SteerParams{
-			InflowU:  c.P0.X,
-			Reynolds: c.P0.Y,
-			Taper:    c.P0.Z,
-		})
-	case wire.CmdIsoGrab:
-		s.env.GrabIso(user)
-	case wire.CmdIsoRelease:
-		s.env.ReleaseIso(user)
-	case wire.CmdIsoSet:
-		// Flag toggles the surface, Value is the iso level in speed
-		// units. A NaN/Inf or out-of-envelope level is dropped before it
-		// can poison the marching pass or bump the tool version.
-		if !validIsoLevel(c.Value) {
-			return
+	case wire.CmdIsoGrab, wire.CmdPlaneGrab:
+		s.env.GrabTool(user, toolOf(c.Kind))
+	case wire.CmdIsoRelease, wire.CmdPlaneRelease:
+		s.env.ReleaseTool(user, toolOf(c.Kind))
+	case wire.CmdIsoSet, wire.CmdPlaneMove, wire.CmdVortexToggle:
+		// Flag toggles the tool and Value is its level, fraction or
+		// threshold; Grab carries the cutting plane's axis. Hostile
+		// values — NaN/Inf, out of the tool's envelope, a bad axis — are
+		// dropped before they can poison an extraction or bump the tool
+		// version.
+		id := toolOf(c.Kind)
+		p := env.ToolParams{Enabled: c.Flag != 0, Value: c.Value}
+		if id == env.ToolPlane {
+			p.Axis = c.Grab
 		}
-		s.env.SetIso(user, env.IsoParams{Enabled: c.Flag != 0, Level: c.Value})
-	case wire.CmdPlaneGrab:
-		s.env.GrabPlane(user)
-	case wire.CmdPlaneRelease:
-		s.env.ReleasePlane(user)
-	case wire.CmdPlaneMove:
-		// Grab carries the slicing axis (0/1/2), Value the fractional
-		// position along it. Out-of-range axes and non-finite or
-		// out-of-[0,1] fractions are hostile input: drop the command.
-		if c.Grab > 2 || !finite32(c.Value) || c.Value < 0 || c.Value > 1 {
-			return
+		if validToolParams(id, p) {
+			s.env.SetTool(user, id, p)
 		}
-		s.env.SetPlane(user, env.PlaneParams{Enabled: c.Flag != 0, Axis: c.Grab, Frac: c.Value})
-	case wire.CmdVortexToggle:
-		if !validVortexThreshold(c.Value) {
-			return
-		}
-		s.env.SetVortex(user, env.VortexParams{Enabled: c.Flag != 0, Threshold: c.Value})
 	}
+}
+
+// toolOf names the shared tool a tool command acts on.
+func toolOf(k wire.CmdKind) env.ToolID {
+	switch k {
+	case wire.CmdIsoGrab, wire.CmdIsoSet, wire.CmdIsoRelease:
+		return env.ToolIso
+	case wire.CmdPlaneGrab, wire.CmdPlaneMove, wire.CmdPlaneRelease:
+		return env.ToolPlane
+	}
+	return env.ToolVortex
 }
 
 // validSteerParams bounds the live flow parameters to a physically
@@ -438,13 +434,13 @@ func (s *Server) applyCommand(user int64, c wire.Command) {
 // the cylinder tip nor doubles the base. finite32 screens NaN/Inf
 // before the comparisons (NaN fails every bound anyway, but be
 // explicit).
-func validSteerParams(inflow, reynolds, taper float32) bool {
-	if !finite32(inflow) || !finite32(reynolds) || !finite32(taper) {
+func validSteerParams(p env.SteerParams) bool {
+	if !finite32(p.InflowU) || !finite32(p.Reynolds) || !finite32(p.Taper) {
 		return false
 	}
-	return inflow > 0 && inflow <= 100 &&
-		reynolds >= 1 && reynolds <= 1e6 &&
-		taper >= 0.05 && taper <= 2
+	return p.InflowU > 0 && p.InflowU <= 100 &&
+		p.Reynolds >= 1 && p.Reynolds <= 1e6 &&
+		p.Taper >= 0.05 && p.Taper <= 2
 }
 
 // handleSteer returns the current steering status: the live flow

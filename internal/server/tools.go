@@ -36,10 +36,6 @@ const (
 // stride 4 still renders, just coarser.
 var toolStrides = [...]int{1, 2, 4}
 
-// numTools is the length of the shared-tool table; the first numTools
-// rows of the governor's ladder are the tools, in table order.
-const numTools = 3
-
 // toolGeom memoizes one shared tool's geometry and the inputs it was
 // computed from, mirroring rakeGeom: matching (version, step, stride)
 // means the cached wire.ToolGeom is the answer.
@@ -57,7 +53,7 @@ type toolGeom struct {
 	// plan whose slabs they count and fill, and where the point records
 	// start in the segment the fills write into.
 	dirty    bool
-	state    wire.ToolState
+	params   env.ToolParams
 	from     toolField
 	plan     isosurf.Plan
 	segFirst int
@@ -73,44 +69,33 @@ const (
 	fieldQ                           // its Q-criterion (vortex scalar)
 )
 
-// toolRow is one line of the shared-tool table: what ships (state),
-// what the memo keys on (version), what the tool costs at a stride in
-// the governor's §5.3 work units, and the derived field its geometry is
-// extracted from — marched as an isosurface, or, for fieldPhys, sampled
-// as a hedgehog. units is a static function value, so laying the table
-// out allocates nothing.
-type toolRow struct {
-	kind    uint8
-	state   wire.ToolState
-	version uint64
-	units   func(g *grid.Grid, st wire.ToolState, stride int) int64
-	from    toolField
+// toolKinds is the static half of the shared-tool table, read beside
+// the environment's snapshot (env.ToolsState) and indexed like it, in
+// the fixed iso -> plane -> vortex order that tool sections, sequence
+// numbers, relay directories and the governor's first ladder rows all
+// depend on: what a tool costs at a stride in the governor's §5.3 work
+// units, and the derived field its geometry is extracted from —
+// marched as an isosurface, or, for fieldPhys, sampled as a hedgehog.
+var toolKinds = [env.NumTools]struct {
+	units func(g *grid.Grid, p env.ToolParams, stride int) int64
+	from  toolField
+}{
+	{marchUnits, fieldSpeed},
+	{planeUnits, fieldPhys},
+	{marchUnits, fieldQ},
 }
 
-// toolTable lays a tool snapshot out in the fixed iso -> plane ->
-// vortex order that tool sections, sequence numbers, and relay
-// directories all depend on.
-func toolTable(t env.ToolsState) [numTools]toolRow {
-	return [numTools]toolRow{
-		{wire.ToolKindIso, wire.ToolState{
-			Enabled: t.Iso.Params.Enabled, Value: t.Iso.Params.Level, Holder: t.Iso.Holder,
-		}, t.Iso.Version, marchUnits, fieldSpeed},
-		{wire.ToolKindPlane, wire.ToolState{
-			Enabled: t.Plane.Params.Enabled, Axis: t.Plane.Params.Axis,
-			Value: t.Plane.Params.Frac, Holder: t.Plane.Holder,
-		}, t.Plane.Version, planeUnits, fieldPhys},
-		{wire.ToolKindVortex, wire.ToolState{
-			Enabled: t.Vortex.Params.Enabled, Value: t.Vortex.Params.Threshold, Holder: t.Vortex.Holder,
-		}, t.Vortex.Version, marchUnits, fieldQ},
-	}
+// wireTool is a tool's frame-visible state.
+func wireTool(t env.ToolState) wire.ToolState {
+	return wire.ToolState{Enabled: t.Params.Enabled, Axis: t.Params.Axis, Value: t.Params.Value, Holder: t.Holder}
 }
 
-func marchUnits(g *grid.Grid, _ wire.ToolState, stride int) int64 {
+func marchUnits(g *grid.Grid, _ env.ToolParams, stride int) int64 {
 	return marchCells(g, stride) * toolUnitsPerCell
 }
 
-func planeUnits(g *grid.Grid, st wire.ToolState, stride int) int64 {
-	return sliceNodes(g, st.Axis, stride) * planeUnitsPerNode
+func planeUnits(g *grid.Grid, p env.ToolParams, stride int) int64 {
+	return sliceNodes(g, p.Axis, stride) * planeUnitsPerNode
 }
 
 // toolScalars caches the per-timestep derived fields the tools share:
@@ -231,21 +216,21 @@ func (s *Server) collectToolsLocked(g *grid.Grid, step int) {
 	}
 	s.toolScal.invalidate(s.cur, step)
 	var need toolField
-	for i, t := range toolTable(s.toolSnap) {
-		if !t.state.Enabled {
+	for i, t := range s.toolSnap {
+		if !t.Params.Enabled {
 			continue
 		}
-		tg, stride := &s.toolGeos[i], s.rows[i].stride
+		tg, stride, kind := &s.toolGeos[i], s.rows[i].stride, uint8(i+1)
 		tg.fullU, tg.actualU = s.rows[i].units, s.rows[i].planned
-		if tg.have && tg.version == t.version && tg.step == step && tg.stride == stride {
+		if tg.have && tg.version == t.Version && tg.step == step && tg.stride == stride {
 			s.stats.ToolsReused++
 			continue
 		}
-		tg.dirty, tg.state, tg.from = true, t.state, t.from
-		tg.geo = wire.ToolGeom{Tool: t.kind, Points: tg.geo.Points[:0]}
-		tg.key, tg.sealed = -int32(t.kind), false
-		tg.have, tg.version, tg.step, tg.stride = true, t.version, step, stride
-		need |= t.from
+		tg.dirty, tg.params, tg.from = true, t.Params, toolKinds[i].from
+		tg.geo = wire.ToolGeom{Tool: kind, Points: tg.geo.Points[:0]}
+		tg.key, tg.sealed = -int32(kind), false
+		tg.have, tg.version, tg.step, tg.stride = true, t.Version, step, stride
+		need |= tg.from
 	}
 	if s.toolScal.derivable(g) {
 		s.toolScal.want(g, need)
@@ -262,11 +247,11 @@ func (s *Server) numberToolsLocked() (unitsDone int64) {
 	if !s.haveTools {
 		return 0
 	}
-	table := toolTable(s.toolSnap)
-	s.toolsMeta = wire.ToolsReply{Iso: table[0].state, Plane: table[1].state, Vortex: table[2].state}
+	t := &s.toolSnap
+	s.toolsMeta = wire.ToolsReply{Iso: wireTool(t[0]), Plane: wireTool(t[1]), Vortex: wireTool(t[2])}
 	s.toolScal.have |= s.toolScal.todo
-	for i, t := range table {
-		if !t.state.Enabled {
+	for i := range t {
+		if !t[i].Params.Enabled {
 			continue
 		}
 		tg := &s.toolGeos[i]
@@ -345,14 +330,22 @@ func appendPlaneHedgehog(dst []vmath.Vec3, g *grid.Grid, phys *field.Field, axis
 	return dst
 }
 
-// validIsoLevel bounds a client-supplied iso level: speed magnitudes
-// are non-negative and a sane dataset stays far below the cap.
-func validIsoLevel(v float32) bool {
-	return finite32(v) && v >= 0 && v <= 1e6
-}
-
-// validVortexThreshold bounds a client-supplied Q threshold.
-// Q-criterion values are signed; the cap only screens absurdity.
-func validVortexThreshold(v float32) bool {
-	return finite32(v) && v >= -1e6 && v <= 1e6
+// validToolParams bounds a tool's parameters, from a client command or
+// a seed: a finite value inside the tool's envelope — an iso level is a
+// non-negative speed a sane dataset stays far below 1e6 of, a plane's
+// fraction lies in [0,1], a Q threshold is signed and only screened for
+// absurdity — and an axis only on the cutting plane, one of 0/1/2.
+func validToolParams(id env.ToolID, p env.ToolParams) bool {
+	if !finite32(p.Value) {
+		return false
+	}
+	switch id {
+	case env.ToolIso:
+		return p.Axis == 0 && p.Value >= 0 && p.Value <= 1e6
+	case env.ToolPlane:
+		return p.Axis <= 2 && p.Value >= 0 && p.Value <= 1
+	case env.ToolVortex:
+		return p.Axis == 0 && p.Value >= -1e6 && p.Value <= 1e6
+	}
+	return false
 }

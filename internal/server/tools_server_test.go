@@ -71,14 +71,12 @@ func TestPlanWithReserveExceedingBudgetFloors(t *testing.T) {
 func toolPlanServer(t *testing.T, budget time.Duration, unitNanos float64) *Server {
 	t.Helper()
 	s := toolData.server(t, budget, unitNanos)
-	if err := s.Env().SetIso(1, env.IsoParams{Enabled: true, Level: 0.8}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Env().SetPlane(1, env.PlaneParams{Enabled: true, Axis: 2, Frac: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Env().SetVortex(1, env.VortexParams{Enabled: true, Threshold: 0.01}); err != nil {
-		t.Fatal(err)
+	for i, p := range [env.NumTools]env.ToolParams{
+		{Enabled: true, Value: 0.8}, {Enabled: true, Axis: 2, Value: 0.5}, {Enabled: true, Value: 0.01},
+	} {
+		if err := s.Env().SetTool(1, env.ToolID(i+1), p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s.mu.Lock()
 	s.toolSnap = s.env.Tools()
@@ -93,7 +91,7 @@ func planToolRows(s *Server) []demand {
 	defer s.mu.Unlock()
 	s.jobs = append(s.jobs[:0], rakeJob{gc: &rakeGeom{seeds: make([]vmath.Vec3, 4)}})
 	s.planJobsLocked()
-	return s.rows[:numTools]
+	return s.rows[:env.NumTools]
 }
 
 // TestPlanToolsStrideLadder: through the plan stage, the tools walk
@@ -146,8 +144,8 @@ func TestPlanToolsStrideLadder(t *testing.T) {
 			t.Fatalf("budget %v planned stride %d, finer than a looser budget's %d",
 				budget, stride, prevStride)
 		}
-		for i, tool := range toolTable(s.toolSnap) {
-			want := tool.units(s.src.Grid(), tool.state, stride)
+		for i, tool := range s.toolSnap {
+			want := toolKinds[i].units(s.src.Grid(), tool.Params, stride)
 			if d := rows[i]; d.stride != stride || d.planned != want || d.rungs[k] != want {
 				t.Fatalf("budget %v: tool %d stride %d charged %d units, want stride %d at %d",
 					budget, i, d.stride, d.planned, stride, want)
