@@ -54,12 +54,13 @@ fuzz-dlib:
 # hostile numeric payloads, plus the live-steering command surface
 # (NaN Reynolds, negative inlet velocity, absurd tapers) and the
 # shared-tool command surface (NaN iso levels, out-of-range plane
-# axes, unknown tool kinds).
+# axes, unknown tool kinds). FuzzHandleFrame drives the round-advance
+# rule both frame procedures share. The 10s budgets keep it ci-sized.
 fuzz-server:
-	$(GO) test -fuzz FuzzHandleFrame -fuzztime 30s ./internal/server/
-	$(GO) test -fuzz FuzzApplyCommand -fuzztime 30s ./internal/server/
-	$(GO) test -fuzz FuzzSteerCommand -fuzztime 30s ./internal/server/
-	$(GO) test -fuzz FuzzToolCommand -fuzztime 30s ./internal/server/
+	$(GO) test -fuzz FuzzHandleFrame -fuzztime 10s ./internal/server/
+	$(GO) test -fuzz FuzzApplyCommand -fuzztime 10s ./internal/server/
+	$(GO) test -fuzz FuzzSteerCommand -fuzztime 10s ./internal/server/
+	$(GO) test -fuzz FuzzToolCommand -fuzztime 10s ./internal/server/
 
 # Short fuzz passes over every wire decoder. Codec v2: hostile counts,
 # truncations, and ref-to-unknown records against a stateful decoder.
@@ -164,7 +165,7 @@ tools:
 	$(GO) test -race -count=1 -run xxx -fuzz FuzzToolCommand -fuzztime 5s ./internal/server/
 
 # The gate a change must pass before merging.
-ci: vet cross lint deps race relay live tools bench-module fuzz-dlib fuzz-wire fuzz-render fuzz-field fuzz-integrate load-relay
+ci: vet cross lint deps race relay live tools bench-module fuzz-dlib fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate load-relay
 
 bench:
 	$(GO) test -bench . -benchmem ./...

@@ -85,6 +85,18 @@ func main() {
 	}
 
 	engine := compute.Parallel{NumWorkers: *workers}.Name() // what core builds from Workers
+	// One set of options for both modes; the cache settings matter only
+	// to a dataset read from disk (a live ring is its own resident set).
+	opts := core.Options{
+		Workers:         *workers,
+		Prefetch:        !*resident && *prefetch,
+		MaxSeedsPerRake: *maxSeeds,
+		CacheSteps:      *cacheN,
+		CacheBytes:      *cacheMB << 20,
+		Budget:          *budget,
+		MaxCodec:        *codec,
+		Tools:           tools,
+	}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -108,13 +120,7 @@ func main() {
 			log.Fatal(err)
 		}
 		ring = lv.Ring()
-		srv, err = core.ServeLive(ln, lv, core.Options{
-			Workers:         *workers,
-			MaxSeedsPerRake: *maxSeeds,
-			Budget:          *budget,
-			MaxCodec:        *codec,
-			Tools:           tools,
-		})
+		srv, err = core.ServeLive(ln, lv, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -140,16 +146,7 @@ func main() {
 			}
 			st = store.NewMemory(u)
 		}
-		srv, err = core.Serve(ln, st, core.Options{
-			Workers:         *workers,
-			Prefetch:        !*resident && *prefetch,
-			MaxSeedsPerRake: *maxSeeds,
-			CacheSteps:      *cacheN,
-			CacheBytes:      *cacheMB << 20,
-			Budget:          *budget,
-			MaxCodec:        *codec,
-			Tools:           tools,
-		})
+		srv, err = core.Serve(ln, st, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -439,15 +439,7 @@ func (w *Workstation) resyncCodec() error {
 	if err != nil {
 		return err
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.info = info
-	w.codec = codec
-	if codec >= wire.CodecV2 {
-		w.dec = wire.NewFrameDecoder(info.Quantizer())
-	} else {
-		w.dec = nil
-	}
+	w.adoptConnection(info, codec, w.SelfID())
 	return nil
 }
 

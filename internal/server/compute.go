@@ -82,7 +82,7 @@ type rakeGeom struct {
 
 // rakeJob is one dirty rake queued for recomputation.
 type rakeJob struct {
-	idx    int // index into geomWire
+	idx    int // index into the round's meta.Geometry
 	snap   env.RakeSnapshot
 	gc     *rakeGeom
 	streak *integrate.Streak // non-nil for streakline rakes
@@ -99,85 +99,79 @@ type rakeJob struct {
 	units int64
 }
 
-// recomputeLocked runs one round, stage by stage: load the timestep,
-// collect the scene and plan the dirty rakes and tools, run every
-// producer on the round's pool, number what was rewritten (tools in
-// table order, then jobs in job order), and total the round for the
-// books. Each stage is a plain function; what one hands the next is in
-// its signature. Caller holds s.mu.
+// recomputeLocked advances the round. Whole-frame memo: if nothing
+// observable changed and no streakline needs advancing, the previous
+// round's bytes are this round's bytes — the round is served again (same
+// Round on the wire, so clients can tell the scene held still) with its
+// round list as it stands, and its codec-v1 reply if one was ever asked
+// for. This is also what makes identical frames encode byte-identically.
+// A degraded frame is never frozen this way: the round must rerun so the
+// governor can admit upgrades and restore full fidelity. Otherwise
+// computeRoundLocked fills a fresh round. Either way every session may
+// consume the round again, and it is booked. Caller holds s.mu.
 //
 //vw:hotpath
 func (s *Server) recomputeLocked() error {
 	ts := s.env.AdvanceTime()
 	version := s.env.Version()
 	step := ts.Step()
-
-	// Whole-frame memo: if nothing observable changed and no
-	// streakline needs advancing, the previous round's bytes are this
-	// round's bytes — the round buffer is served again (same Round on
-	// the wire, so clients can tell the scene held still) and the round
-	// list stands as it is. This is also what makes identical frames
-	// encode byte-identically. A degraded frame is never frozen this
-	// way: the round must rerun so the governor can admit upgrades and
-	// restore full fidelity.
-	if s.round != 0 && version == s.lastVersion &&
-		step == s.curStep && len(s.streaks) == 0 && s.lastDegraded == 0 {
-		s.reuseRoundLocked()
-		return nil
+	r := &s.round
+	if r.meta.Round != 0 && version == r.version &&
+		step == s.curStep && len(s.streaks) == 0 && r.meta.Degraded == 0 {
+		s.stats.FramesReused++
+	} else if err := s.computeRoundLocked(ts, version, step); err != nil {
+		return err
 	}
+	clear(r.consumedBy)
+	s.stats.Frames++
+	s.stats.Points += r.points
+	s.stats.ToolPoints += r.toolPoints
+	return nil
+}
 
+// computeRoundLocked fills a fresh round, stage by stage: load the
+// timestep, collect the scene and plan the dirty rakes and tools, run
+// every producer on the round's pool, number what was rewritten (tools
+// in table order, then jobs in job order), and total the round. Each
+// stage is a plain function that fills its part of s.round; what else
+// one hands the next is in its signature. A failed load leaves the
+// round as it was. Caller holds s.mu.
+//
+//vw:hotpath
+func (s *Server) computeRoundLocked(ts env.TimeState, version uint64, step int) error {
 	step, loadTime, err := s.loadRoundStepLocked(ts, step)
 	if err != nil {
 		return err
 	}
 
-	computeStart := s.clock.Now()
+	computeStart := s.cfg.Clock.Now()
 	g := s.src.Grid()
-	s.round++
+	r := &s.round
+	r.meta.Round++
 	reused := s.collectLocked(g, ts, step)
 	predicted := s.planJobsLocked()
 	s.collectToolsLocked(g, step)
 	s.runJobsLocked(g, ts, step)
-	computeTime := s.clock.Now().Sub(computeStart)
+	computeTime := s.cfg.Clock.Now().Sub(computeStart)
 
 	toolUnits := s.numberToolsLocked()
 	computed, jobUnits := s.numberJobsLocked()
 	s.gov.observe(computeTime, jobUnits+toolUnits)
 	reused += len(s.jobs) - computed
-	tot := s.totalRoundLocked(ts, loadTime, computeTime)
+	shedFrac := s.totalRoundLocked(ts, loadTime, computeTime)
+	r.version = version
 
-	clear(s.consumedBy)
-	s.lastVersion = version
-	s.lastPoints = tot.points
-	s.lastToolPoints = tot.toolPoints
-	s.lastDegraded = tot.degraded
-
-	s.stats.Frames++
 	s.stats.FramesEncoded++
-	s.stats.Points += tot.points
-	s.stats.ToolPoints += tot.toolPoints
 	s.stats.ComputeTime += computeTime
 	s.stats.LoadTime += loadTime
 	s.stats.RakesComputed += int64(computed)
 	s.stats.RakesReused += int64(reused)
 	s.stats.PredictedTime += predicted
-	s.stats.ShedSum += tot.shedFrac
-	if tot.degraded > 0 {
+	s.stats.ShedSum += shedFrac
+	if r.meta.Degraded > 0 {
 		s.stats.FramesShed++
 	}
 	return nil
-}
-
-// reuseRoundLocked books a round served whole from the previous one:
-// every session may consume the standing round again — its cached
-// segments, and its codec-v1 reply if one was ever asked for (if not,
-// the wire scratch it encodes from still stands).
-func (s *Server) reuseRoundLocked() {
-	clear(s.consumedBy)
-	s.stats.Frames++
-	s.stats.FramesReused++
-	s.stats.Points += s.lastPoints
-	s.stats.ToolPoints += s.lastToolPoints
 }
 
 // loadRoundStepLocked is the load stage: it tells the source where the
@@ -197,7 +191,7 @@ func (s *Server) loadRoundStepLocked(ts env.TimeState, step int) (int, time.Dura
 		Step: step, First: min(step, int(ts.Current)),
 		Reverse: ts.Speed < 0, Loop: ts.Loop, Reach: s.pathReach,
 	})
-	loadStart := s.clock.Now()
+	loadStart := s.cfg.Clock.Now()
 	if s.cur == nil || step != s.curStep {
 		f, err := s.src.LoadStep(step)
 		if err != nil {
@@ -206,36 +200,37 @@ func (s *Server) loadRoundStepLocked(ts env.TimeState, step int) (int, time.Dura
 		s.cur = f
 		s.curStep = step
 	}
-	loadTime := s.clock.Now().Sub(loadStart)
+	loadTime := s.cfg.Clock.Now().Sub(loadStart)
 	s.gov.notePressure(loadTime)
 	return step, loadTime, nil
 }
 
 // collectLocked is the collect stage: it snapshots users, rakes, and
-// tools into the wire scratch, refreshes seed caches, starts the round
+// tools into the round's header, refreshes seed caches, starts the round
 // list with every rake that has geometry, and splits those rakes into
 // memo hits (returned as a count) and s.jobs for the planner.
 func (s *Server) collectLocked(g *grid.Grid, ts env.TimeState, step int) (reused int) {
 	// Snapshot the shared tools once per round; the planner and the
 	// tool pass both read this copy so they cannot disagree.
 	s.toolSnap = s.env.Tools()
+	r := &s.round
 
 	s.userScratch = s.env.AppendUsers(s.userScratch[:0])
-	s.usersWire = s.usersWire[:0]
+	r.meta.Users = r.meta.Users[:0]
 	for _, u := range s.userScratch {
-		s.usersWire = append(s.usersWire, wire.UserState{
+		r.meta.Users = append(r.meta.Users, wire.UserState{
 			ID: u.ID, Head: u.Pose.Head, Hand: u.Pose.Hand, Gesture: u.Pose.Gesture,
 		})
 	}
 
 	s.rakeScratch = s.env.AppendRakes(s.rakeScratch[:0])
-	s.rakesWire = s.rakesWire[:0]
-	s.geomWire = s.geomWire[:0]
-	s.roundSegs = s.roundSegs[:0]
+	r.meta.Rakes = r.meta.Rakes[:0]
+	r.meta.Geometry = r.meta.Geometry[:0]
+	r.segs = r.segs[:0]
 	s.jobs = s.jobs[:0]
 	for _, snap := range s.rakeScratch {
 		rake := snap.Rake
-		s.rakesWire = append(s.rakesWire, wire.RakeState{
+		r.meta.Rakes = append(r.meta.Rakes, wire.RakeState{
 			ID: rake.ID, P0: rake.P0, P1: rake.P1,
 			NumSeeds: uint32(rake.NumSeeds),
 			Tool:     uint8(rake.Tool),
@@ -247,7 +242,7 @@ func (s *Server) collectLocked(g *grid.Grid, ts env.TimeState, step int) (reused
 			gc = &rakeGeom{segCache: segCache{key: rake.ID}}
 			s.geoCache[rake.ID] = gc
 		}
-		gc.touch = s.round
+		gc.touch = r.meta.Round
 		if !gc.haveSeeds || gc.seedsVersion != snap.Version {
 			gc.seeds = rake.SeedsGrid(g)
 			gc.seedsVersion = snap.Version
@@ -258,9 +253,9 @@ func (s *Server) collectLocked(g *grid.Grid, ts env.TimeState, step int) (reused
 		}
 		// Memo hits and held-last skips serve gc.geo as it stands;
 		// numberJobsLocked refreshes the entries a job rewrites.
-		idx := len(s.geomWire)
-		s.geomWire = append(s.geomWire, gc.geo)
-		s.roundSegs = append(s.roundSegs, &gc.segCache)
+		idx := len(r.meta.Geometry)
+		r.meta.Geometry = append(r.meta.Geometry, gc.geo)
+		r.segs = append(r.segs, &gc.segCache)
 		gc.fullU = int64(len(gc.seeds)) * int64(s.cfg.Options.MaxSteps)
 		memoValid := rake.Tool != integrate.ToolStreakline && gc.haveGeo &&
 			gc.version == snap.Version && gc.step == step && gc.timeKey == ts.Current
@@ -285,7 +280,7 @@ func (s *Server) collectLocked(g *grid.Grid, ts env.TimeState, step int) (reused
 		// Rakes removed outside CmdRemoveRake (direct env use): sweep
 		// cache entries not seen this round.
 		for id, gc := range s.geoCache {
-			if gc.touch != s.round {
+			if gc.touch != r.meta.Round {
 				delete(s.geoCache, id)
 			}
 		}
@@ -307,7 +302,7 @@ func (s *Server) numberJobsLocked() (computed int, units int64) {
 			continue
 		}
 		s.numberLocked(&j.gc.segCache)
-		s.geomWire[j.idx] = j.gc.geo
+		s.round.meta.Geometry[j.idx] = j.gc.geo
 		computed++
 		units += j.units
 	}
@@ -326,56 +321,40 @@ func (s *Server) numberLocked(sc *segCache) {
 	}
 }
 
-// roundTotals is what the totalling stage hands back for the books.
-type roundTotals struct {
-	points, toolPoints int64
-	degraded           uint8
-	shedFrac           float64
-}
-
 // totalRoundLocked closes the round: it totals the round list, derives
-// the degradation byte, fixes the round's header fields (lastMeta — the
-// shared payload every codec-v2 session marries to the cached segments
-// through its own delta shadow) and marks the shared codec-v1 reply
-// stale. The reply itself is encoded by v1ReplyLocked, the first time a
-// consumer asks for it.
-func (s *Server) totalRoundLocked(ts env.TimeState, loadTime, computeTime time.Duration) roundTotals {
-	var tot roundTotals
+// the degradation byte, fixes the rest of the round's header (the shared
+// payload every codec-v2 session marries to the cached segments through
+// its own delta shadow) and marks the shared codec-v1 reply stale. The
+// reply itself is encoded by v1ReplyLocked, the first time a consumer
+// asks for it. Returns the fraction of the round's work shed.
+func (s *Server) totalRoundLocked(ts env.TimeState, loadTime, computeTime time.Duration) (shedFrac float64) {
+	r := &s.round
 	var fullU, actualU int64
-	for i, sc := range s.roundSegs {
-		if i < len(s.geomWire) {
-			tot.points += sc.points
+	r.points, r.toolPoints = 0, 0
+	for i, sc := range r.segs {
+		if i < len(r.meta.Geometry) {
+			r.points += sc.points
 		} else {
-			tot.toolPoints += sc.points
+			r.toolPoints += sc.points
 		}
 		fullU += sc.fullU
 		actualU += sc.actualU
 	}
-	tot.degraded = degradedByte(actualU, fullU)
+	r.meta.Degraded = degradedByte(actualU, fullU)
 	if fullU > 0 {
-		tot.shedFrac = 1 - float64(actualU)/float64(fullU)
+		shedFrac = 1 - float64(actualU)/float64(fullU)
 	}
-
-	s.lastMeta = wire.FrameReply{
-		Time: wire.TimeStatus{
-			Current:  ts.Current,
-			Speed:    ts.Speed,
-			Playing:  ts.Playing,
-			Loop:     ts.Loop,
-			NumSteps: uint32(ts.NumSteps),
-		},
-		Users:        s.usersWire,
-		Rakes:        s.rakesWire,
-		ComputeNanos: computeTime.Nanoseconds(),
-		LoadNanos:    loadTime.Nanoseconds(),
-		Round:        s.round,
-		Degraded:     tot.degraded,
+	r.meta.Time = wire.TimeStatus{
+		Current:  ts.Current,
+		Speed:    ts.Speed,
+		Playing:  ts.Playing,
+		Loop:     ts.Loop,
+		NumSteps: uint32(ts.NumSteps),
 	}
-	if s.haveTools {
-		s.lastMeta.Tools = &s.toolsMeta
-	}
-	s.v1Ready = false
-	return tot
+	r.meta.ComputeNanos = computeTime.Nanoseconds()
+	r.meta.LoadNanos = loadTime.Nanoseconds()
+	r.v1Ready = false
+	return shedFrac
 }
 
 // planJobsLocked is the plan stage: it lays the round's sources out as

@@ -300,6 +300,7 @@ func (e corpusEntry) replay(t *testing.T, origin *Server, hops int) [][]byte {
 	}
 	clients := map[int64]*dlib.Client{}
 	var frames [][]byte
+	var mark roundMark
 	for _, ex := range e.script(origin.src.Grid()) {
 		c := clients[ex.user]
 		if c == nil {
@@ -319,9 +320,81 @@ func (e corpusEntry) replay(t *testing.T, origin *Server, hops int) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkRound(t, origin, &mark)
 		frames = append(frames, bytes.Clone(out))
 	}
 	return frames
+}
+
+// roundMark is what checkRound carries from one step to the next: the
+// round then standing and the fresh rounds computed up to it.
+type roundMark struct {
+	round   uint64
+	encoded int64
+}
+
+// checkRound holds the origin's round value to its invariants after a
+// step: the round list is the geometry, then the tool geometry, each row
+// keyed like its source and counting its points, and the round's totals
+// are the list's; the tool section is there exactly while a tool is
+// active (a disabled tool stays active: its state still ships) and
+// mirrors the environment's tools, one geometry per enabled tool; and
+// the round moves by one per fresh round, so it never falls and holds
+// on a memo-reused one.
+func checkRound(t *testing.T, s *Server, prev *roundMark) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := &s.round
+	n := len(r.meta.Geometry)
+	if len(r.segs) != n+len(r.tools.Geoms) {
+		t.Fatalf("round %d: %d round-list rows for %d geometries and %d tool geometries", r.meta.Round, len(r.segs), n, len(r.tools.Geoms))
+	}
+	var points, toolPoints int64
+	for i, sc := range r.segs {
+		key, pts := int32(0), 0
+		if i < n {
+			key, pts = r.meta.Geometry[i].Rake, r.meta.Geometry[i].NumPoints()
+			points += sc.points
+		} else {
+			g := r.tools.Geoms[i-n]
+			key, pts = -int32(g.Tool), len(g.Points)
+			toolPoints += sc.points
+		}
+		if sc.key != key || sc.points != int64(pts) {
+			t.Fatalf("round %d, row %d: key %d with %d points, its geometry is %d with %d", r.meta.Round, i, sc.key, sc.points, key, pts)
+		}
+	}
+	if r.points != points || r.toolPoints != toolPoints {
+		t.Fatalf("round %d: totals %d+%d points, round list sums %d+%d", r.meta.Round, r.points, r.toolPoints, points, toolPoints)
+	}
+	tools := s.env.Tools()
+	if (r.meta.Tools != nil) != tools.Active() {
+		t.Fatalf("round %d: tool section %v with tools active %v", r.meta.Round, r.meta.Tools != nil, tools.Active())
+	}
+	if r.meta.Tools != nil {
+		want := wire.ToolsReply{Iso: wireTool(tools[0]), Plane: wireTool(tools[1]), Vortex: wireTool(tools[2])}
+		var enabled []uint8
+		for i, tl := range tools {
+			if tl.Params.Enabled {
+				enabled = append(enabled, uint8(i+1))
+			}
+		}
+		got := *r.meta.Tools
+		kinds := make([]uint8, len(got.Geoms))
+		for i, g := range got.Geoms {
+			kinds[i] = g.Tool
+		}
+		if got.Iso != want.Iso || got.Plane != want.Plane || got.Vortex != want.Vortex || !bytes.Equal(kinds, enabled) {
+			t.Fatalf("round %d: tool section %+v %+v %+v with geometry for tools %v; the environment has %+v %+v %+v, tools %v enabled",
+				r.meta.Round, got.Iso, got.Plane, got.Vortex, kinds, want.Iso, want.Plane, want.Vortex, enabled)
+		}
+	}
+	fresh := s.stats.FramesEncoded - prev.encoded
+	if r.meta.Round != prev.round+uint64(fresh) {
+		t.Fatalf("round %d after round %d and %d fresh rounds", r.meta.Round, prev.round, fresh)
+	}
+	*prev = roundMark{r.meta.Round, s.stats.FramesEncoded}
 }
 
 // decode decodes frames as each user's workstation would — codec v2

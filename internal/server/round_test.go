@@ -228,7 +228,7 @@ func TestRoundConsumedByDisconnect(t *testing.T) {
 	entries := func() int {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.consumedBy)
+		return len(s.round.consumedBy)
 	}
 	if got := entries(); got == 0 {
 		t.Fatal("no consumed-round marks after two sessions framed")

@@ -244,12 +244,36 @@ func (s Stats) String() string {
 	return out
 }
 
+// round is the current round: the one value every stage of a recompute
+// fills and every session is served from until the next. meta is its
+// header, and its Users, Rakes and Geometry are the recycled wire scratch
+// itself; meta.Tools points at tools (the tool section, Geoms aligned with
+// the enabled tools) only while a tool is active. segs is the round list:
+// the segment-cache record of every geometry source — rakes aligned with
+// meta.Geometry, then enabled tools aligned with tools.Geoms. version is
+// the env version the round was computed at, points and toolPoints its
+// totals. v1 is its shared codec-v1 reply (v1Ready once a consumer asked
+// and v1 holds it; never rewritten, the next round's encode replaces
+// it), and consumedBy the sessions that have consumed it. There is no
+// round while meta.Round is 0.
+type round struct {
+	meta  wire.FrameReply
+	tools wire.ToolsReply
+	segs  []*segCache
+
+	version            uint64
+	points, toolPoints int64
+
+	v1         []byte
+	v1Ready    bool
+	consumedBy map[int64]bool
+}
+
 // Server is the remote-host application layered on a dlib server.
 type Server struct {
-	d     *dlib.Server
-	cfg   Config
-	env   *env.Environment
-	clock netsim.Clock
+	d   *dlib.Server
+	cfg Config
+	env *env.Environment
 
 	// src is the dataset: cfg.Store, wrapped in a store.Cache when it
 	// is not a store.Source. All dataset access goes through it, and
@@ -270,51 +294,30 @@ type Server struct {
 	curStep  int
 	streaks  map[int32]*integrate.Streak
 	geoCache map[int32]*rakeGeom
-	round    uint64 // recompute round counter, for cache sweeping
-
-	// Current round (none while round is 0): its shared codec-v1 reply
-	// (v1Ready once a consumer asked and v1 holds it; never rewritten,
-	// the next round's encode replaces it), the env version and point
-	// count it was computed at, and which sessions have consumed it.
-	v1           []byte
-	v1Ready      bool
-	consumedBy   map[int64]bool
-	lastVersion  uint64
-	lastPoints   int64
-	lastDegraded uint8
+	round    round
 
 	// Wire 2.0 state. The round layer splits into a shared payload —
-	// lastMeta (the round's header fields) plus the per-rake encoded
-	// segments cached on each rakeGeom — and a per-session part: the
-	// codec negotiated at hello and the delta-shadow FrameEncoder that
-	// decides, per rake, whether this session gets the shared segment
-	// or a reference record. geoSeq numbers geometry content: it is
-	// bumped once per rake recompute, in job order, so segments (and
-	// therefore frames) stay deterministic per (client, round).
-	maxCodec uint8
-	quant    wire.Quantizer
-	codecs   map[int64]*sessionState
+	// the round's header plus the per-source encoded segments cached on
+	// its round list — and a per-session part: the codec negotiated at
+	// hello and the delta-shadow FrameEncoder that decides, per source,
+	// whether this session gets the shared segment or a reference
+	// record. geoSeq numbers geometry content: it is bumped once per
+	// source recompute, tools then jobs, so segments (and therefore
+	// frames) stay deterministic per (client, round).
+	quant  wire.Quantizer
+	codecs map[int64]*sessionState
 	// wantSegs is set, for good, the first time a session negotiates
 	// codec v2 or a relay asks for a segment directory: from then on the
 	// pool job that rewrites a source's geometry writes its segment too,
 	// instead of leaving it to the first consumer on the serial path.
 	wantSegs bool
-	lastMeta wire.FrameReply // Geometry nil; slices alias the wire scratch
 	geoSeq   uint64
-
-	// roundSegs is the round list: the segment-cache record of every
-	// geometry source in the current round — rakes aligned with
-	// geomWire, then enabled tools aligned with toolGeomWire. It stands
-	// across reused rounds. segScratch holds the wire rows built from it
-	// per reply, valid only until the reply encode that follows.
-	roundSegs  []*segCache
+	// segScratch holds the wire rows built from the round list per
+	// reply, valid only until the reply encode that follows.
 	segScratch []wire.Segment
 
 	userScratch []env.UserSnapshot
 	rakeScratch []env.RakeSnapshot
-	usersWire   []wire.UserState
-	rakesWire   []wire.RakeState
-	geomWire    []wire.Geometry
 	jobs        []rakeJob
 
 	// The round's worker pool (pool.go): the unit list the jobs and the
@@ -323,17 +326,11 @@ type Server struct {
 	roundCtx roundCtx
 
 	// Shared-tool round state (tools.go): the snapshot the round was
-	// planned from, the per-tool geometry memos (iso, plane, vortex),
-	// the derived-scalar cache, and the assembled tool section
-	// (toolsMeta.Geoms aliases toolGeomWire). haveTools gates the
-	// section: a never-touched environment ships no tool bytes.
-	toolSnap       env.ToolsState
-	toolGeos       [env.NumTools]toolGeom
-	toolScal       toolScalars
-	haveTools      bool
-	toolsMeta      wire.ToolsReply
-	toolGeomWire   []wire.ToolGeom
-	lastToolPoints int64
+	// planned from, the per-tool geometry memos (iso, plane, vortex) and
+	// the derived-scalar cache.
+	toolSnap env.ToolsState
+	toolGeos [env.NumTools]toolGeom
+	toolScal toolScalars
 
 	// Governor state: the planner itself and the round's ladder — one
 	// row per shared tool, then one per job — recycled across rounds.
@@ -395,19 +392,17 @@ func New(cfg Config) (*Server, error) {
 		src = c
 	}
 	s := &Server{
-		d:          dlib.NewServer(),
-		cfg:        cfg,
-		src:        src,
-		env:        env.New(cfg.Store.NumSteps()),
-		clock:      cfg.Clock,
-		gov:        &governor{budget: cfg.Budget},
-		stats:      Stats{Budget: cfg.Budget},
-		streaks:    make(map[int32]*integrate.Streak),
-		geoCache:   make(map[int32]*rakeGeom),
-		consumedBy: make(map[int64]bool),
-		maxCodec:   uint8(cfg.MaxCodec),
-		quant:      wire.Quantizer{Min: cfg.Store.Grid().Bounds().Min, Max: cfg.Store.Grid().Bounds().Max},
-		codecs:     make(map[int64]*sessionState),
+		d:        dlib.NewServer(),
+		cfg:      cfg,
+		src:      src,
+		env:      env.New(cfg.Store.NumSteps()),
+		gov:      &governor{budget: cfg.Budget},
+		stats:    Stats{Budget: cfg.Budget},
+		streaks:  make(map[int32]*integrate.Streak),
+		geoCache: make(map[int32]*rakeGeom),
+		round:    round{consumedBy: make(map[int64]bool)},
+		quant:    wire.Quantizer{Min: cfg.Store.Grid().Bounds().Min, Max: cfg.Store.Grid().Bounds().Max},
+		codecs:   make(map[int64]*sessionState),
 	}
 	// Every handler registered below returns a fresh buffer (hellos,
 	// whoami, steer, the round's codec-v1 reply) or a session-owned one
@@ -430,7 +425,7 @@ func New(cfg Config) (*Server, error) {
 		// that is what guarantees a reconnecting v2 workstation restarts
 		// from a keyframe.
 		s.mu.Lock()
-		delete(s.consumedBy, id)
+		delete(s.round.consumedBy, id)
 		delete(s.codecs, id)
 		s.mu.Unlock()
 	}

@@ -179,7 +179,7 @@ func TestV2JoinerGetsTheInJobSegments(t *testing.T) {
 		before := s.Stats().SegmentsEncoded
 		joiner = newV2Session(t, s, 2).rawFrame(wire.ClientUpdate{Head: vmath.Identity()})
 		encodedOnJoin := s.Stats().SegmentsEncoded - before
-		sources := int64(len(s.roundSegs))
+		sources := int64(len(s.round.segs))
 		if sources != 5 {
 			t.Fatalf("round list holds %d sources, want 2 rakes + 3 tools", sources)
 		}
@@ -198,12 +198,12 @@ func TestV2JoinerGetsTheInJobSegments(t *testing.T) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, sc := range s.roundSegs {
+	for i, sc := range s.round.segs {
 		var fresh []byte
-		if n := len(s.geomWire); i < n {
-			fresh = wire.AppendGeomV2(nil, s.geomWire[i], s.quant)
+		if n := len(s.round.meta.Geometry); i < n {
+			fresh = wire.AppendGeomV2(nil, s.round.meta.Geometry[i], s.quant)
 		} else {
-			fresh = wire.AppendToolGeomV2(nil, s.toolGeomWire[i-n], s.quant)
+			fresh = wire.AppendToolGeomV2(nil, s.round.tools.Geoms[i-n], s.quant)
 		}
 		if sc.segSeq != sc.seq || sc.sealed {
 			t.Errorf("source %d: segment for seq %d (sealed %v), geometry at seq %d", sc.key, sc.segSeq, sc.sealed, sc.seq)

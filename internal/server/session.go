@@ -76,7 +76,7 @@ func (s *Server) handleHello2(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	codec := wire.NegotiateCodec(req, s.maxCodec)
+	codec := wire.NegotiateCodec(req, uint8(s.cfg.MaxCodec))
 	st := s.sessionLocked(ctx.Session.ID)
 	st.codec = codec
 	if codec >= wire.CodecV2 {
@@ -126,16 +126,9 @@ func (s *Server) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// A new round is computed when this session has already seen the
-	// current one, or when it just issued commands — the user must see
-	// the effect of their own interaction within this frame (§1.2's
-	// 1/8-second command-to-display loop).
-	if s.round == 0 || s.consumedBy[user] || len(u.Commands) > 0 {
-		if err := s.recomputeLocked(); err != nil {
-			return nil, err
-		}
+	if err := s.advanceLocked(user, u.Commands); err != nil {
+		return nil, err
 	}
-	s.consumedBy[user] = true
 	// Codec v2 sessions get a per-session assembly: the shared round
 	// payload (header meta + cached per-rake segments) filtered through
 	// this session's delta shadow.
@@ -150,43 +143,58 @@ func (s *Server) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	return reply, nil
 }
 
+// advanceLocked is the round-advance rule both frame procedures share:
+// a new round is computed when user has already consumed the current
+// one, or when it just issued commands — the user must see the effect of
+// their own interaction within this frame (§1.2's 1/8-second
+// command-to-display loop). Either way user has now consumed the round.
+// Caller holds s.mu.
+//
+//vw:hotpath
+func (s *Server) advanceLocked(user int64, commands []wire.Command) error {
+	r := &s.round
+	if r.meta.Round == 0 || r.consumedBy[user] || len(commands) > 0 {
+		if err := s.recomputeLocked(); err != nil {
+			return err
+		}
+	}
+	r.consumedBy[user] = true
+	return nil
+}
+
 // v1ReplyLocked returns the round's shared codec-v1 reply, encoding it
-// on the round's first request from lastMeta and the wire scratch,
-// which stand until the next recompute (a round re-served by
-// reuseRoundLocked included). The encode goes into a new buffer, sized
-// by the last one: a reply handed out is never rewritten, so it stays
-// valid for every write still in flight, and a re-served round hands
-// out the same bytes again. They are the ones an encode inside the
-// round would have produced. Caller holds s.mu.
+// on the round's first request from the round's header, which stands
+// until the next fresh round (a round the whole-frame memo re-serves
+// included). The encode goes into a new buffer, sized by the last one:
+// a reply handed out is never rewritten, so it stays valid for every
+// write still in flight, and a re-served round hands out the same bytes
+// again. They are the ones an encode inside the round would have
+// produced. Caller holds s.mu.
 func (s *Server) v1ReplyLocked() []byte {
-	if !s.v1Ready {
-		start := s.clock.Now()
-		reply := s.lastMeta
-		reply.Geometry = s.geomWire
-		s.v1 = wire.AppendFrameReply(make([]byte, 0, len(s.v1)), reply)
-		s.v1Ready = true
-		d := s.clock.Now().Sub(start)
+	r := &s.round
+	if !r.v1Ready {
+		start := s.cfg.Clock.Now()
+		r.v1 = wire.AppendFrameReply(make([]byte, 0, len(r.v1)), r.meta)
+		r.v1Ready = true
+		d := s.cfg.Clock.Now().Sub(start)
 		s.stats.V1Encodes++
 		s.stats.EncodeTime += d
-		s.stats.V1Bytes += int64(len(s.v1))
+		s.stats.V1Bytes += int64(len(r.v1))
 	}
-	return s.v1
+	return r.v1
 }
 
 // serveFrameV2Locked assembles this session's codec-v2 reply from the
-// shared round payload: the round's header fields (lastMeta) plus, per
-// rake and tool on the round list, either the shared cached segment
-// (encoded once per geometry version, for every session) or — when the
-// session's shadow already holds the source's current sequence — a
-// few-byte reference record. The reply lands in the session's own buf.
-// Caller holds s.mu.
+// shared round payload: the round's header plus, per rake and tool on
+// the round list, either the shared cached segment (encoded once per
+// geometry version, for every session) or — when the session's shadow
+// already holds the source's current sequence — a few-byte reference
+// record. The reply lands in the session's own buf. Caller holds s.mu.
 func (s *Server) serveFrameV2Locked(st *sessionState) []byte {
 	if st.enc == nil {
 		st.enc = wire.NewFrameEncoder(s.quant)
 	}
-	reply := s.lastMeta
-	reply.Geometry = s.geomWire
-	st.buf = st.enc.AppendFrame(st.buf[:0], reply, s.roundRowsLocked(nil))
+	st.buf = st.enc.AppendFrame(st.buf[:0], s.round.meta, s.roundRowsLocked(nil))
 	s.stats.FramesShipped++
 	s.stats.V2Frames++
 	s.stats.V2RakesInline += int64(st.enc.LastInline)
@@ -196,16 +204,16 @@ func (s *Server) serveFrameV2Locked(st *sessionState) []byte {
 }
 
 // roundRowsLocked walks the round list — rakes, then tools, aligned
-// with geomWire followed by toolGeomWire — into one wire.Segment row
-// per source. For a v2 session (relay == nil) every row carries its
-// segment and the session's encoder picks the references; for a relay
-// the rows its request's shadow already holds stay references and are
-// never encoded. The rows alias the segment cache and the scratch, so
-// they are valid only until the reply encode that follows. Caller
-// holds s.mu.
+// with the round's geometry followed by its tool geometry — into one
+// wire.Segment row per source. For a v2 session (relay == nil) every
+// row carries its segment and the session's encoder picks the
+// references; for a relay the rows its request's shadow already holds
+// stay references and are never encoded. The rows alias the segment
+// cache and the scratch, so they are valid only until the reply encode
+// that follows. Caller holds s.mu.
 func (s *Server) roundRowsLocked(relay *wire.RelayFrameRequest) []wire.Segment {
 	s.segScratch = s.segScratch[:0]
-	for i, sc := range s.roundSegs {
+	for i, sc := range s.round.segs {
 		row := wire.Segment{Key: sc.key, Seq: sc.seq}
 		if relay == nil || !relay.ShadowHas(sc.key, sc.seq) {
 			s.encodeSegLocked(i)
@@ -224,15 +232,16 @@ func (s *Server) roundRowsLocked(relay *wire.RelayFrameRequest) []wire.Segment {
 // until the source recomputes, so every consumer ships identical
 // quantized bytes. Caller holds s.mu.
 func (s *Server) encodeSegLocked(i int) {
-	sc := s.roundSegs[i]
+	r := &s.round
+	sc := r.segs[i]
 	if sc.segSeq == sc.seq {
 		return
 	}
 	s.stats.SegmentsEncoded++
-	if n := len(s.geomWire); i < n {
-		sc.seg = wire.AppendGeomV2(sc.seg[:0], s.geomWire[i], s.quant)
+	if n := len(r.meta.Geometry); i < n {
+		sc.seg = wire.AppendGeomV2(sc.seg[:0], r.meta.Geometry[i], s.quant)
 	} else {
-		sc.seg = wire.AppendToolGeomV2(sc.seg[:0], s.toolGeomWire[i-n], s.quant)
+		sc.seg = wire.AppendToolGeomV2(sc.seg[:0], r.tools.Geoms[i-n], s.quant)
 	}
 	sc.segSeq = sc.seq
 }
@@ -240,9 +249,10 @@ func (s *Server) encodeSegLocked(i int) {
 // handleFrameRelay is the cluster tier's upstream frame exchange: one
 // downstream workstation's frame call, forwarded by a relay node with
 // its cache state attached. The pose/command application and the
-// round-advance rule are identical to handleFrame — the relay holds
-// one upstream session per downstream workstation, so identity, FCFS
-// lock ownership, and round accounting are untouched by the hop. Only
+// round-advance rule are handleFrame's (applyUpdate, advanceLocked) —
+// the relay holds one upstream session per downstream workstation, so
+// identity, FCFS lock ownership, and round accounting are untouched by
+// the hop. Only
 // the reply differs: a marker when the relay's cached round is still
 // current, otherwise the encoded v1 round buffer verbatim plus (when
 // asked) the geometry directory delta-encoded against the relay's
@@ -264,21 +274,18 @@ func (s *Server) handleFrameRelay(ctx *dlib.Ctx, payload []byte) ([]byte, error)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.round == 0 || s.consumedBy[user] || len(u.Commands) > 0 {
-		if err := s.recomputeLocked(); err != nil {
-			return nil, err
-		}
+	if err := s.advanceLocked(user, u.Commands); err != nil {
+		return nil, err
 	}
-	s.consumedBy[user] = true
 
-	round := s.lastMeta.Round
+	cur := s.round.meta.Round
 	st := s.sessionLocked(user)
-	if req.LastRound == round {
+	if req.LastRound == cur {
 		// The relay already holds this round's payload; ship 9 bytes.
-		st.buf = wire.AppendRelayMarker(st.buf[:0], round)
+		st.buf = wire.AppendRelayMarker(st.buf[:0], cur)
 		s.stats.RelayMarkers++
 	} else {
-		rep := wire.RelayFrameReply{Full: true, Round: round, Frame: s.v1ReplyLocked()}
+		rep := wire.RelayFrameReply{Full: true, Round: cur, Frame: s.v1ReplyLocked()}
 		if req.WantSegs {
 			s.wantSegs = true
 			rep.HasDir = true

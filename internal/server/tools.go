@@ -201,19 +201,22 @@ func sliceNodes(g *grid.Grid, axis uint8, stride int) int64 {
 	}
 }
 
-// collectToolsLocked is the tools' half of the collect stage: it checks
-// every enabled tool's memo against the stride the governor planned,
-// marks the misses dirty for the pool, and schedules the derived fields
-// they are extracted from. Caller holds s.mu.
+// collectToolsLocked is the tools' half of the collect stage: it gives
+// the round a tool section when a tool is active (a never-touched
+// environment ships no tool bytes), checks every enabled tool's memo
+// against the stride the governor planned, marks the misses dirty for
+// the pool, and schedules the derived fields they are extracted from.
+// Caller holds s.mu.
 func (s *Server) collectToolsLocked(g *grid.Grid, step int) {
-	s.haveTools = s.toolSnap.Active()
 	s.toolScal.todo = 0
 	for i := range s.toolGeos {
 		s.toolGeos[i].dirty = false
 	}
-	if !s.haveTools {
+	s.round.meta.Tools = nil
+	if !s.toolSnap.Active() {
 		return
 	}
+	s.round.meta.Tools = &s.round.tools
 	s.toolScal.invalidate(s.cur, step)
 	var need toolField
 	for i, t := range s.toolSnap {
@@ -243,12 +246,13 @@ func (s *Server) collectToolsLocked(g *grid.Grid, step int) {
 // section and appended to the round list after the rakes. Returns the
 // work actually done, for the governor's EWMA. Caller holds s.mu.
 func (s *Server) numberToolsLocked() (unitsDone int64) {
-	s.toolGeomWire = s.toolGeomWire[:0]
-	if !s.haveTools {
+	r := &s.round
+	r.tools.Geoms = r.tools.Geoms[:0]
+	if r.meta.Tools == nil {
 		return 0
 	}
 	t := &s.toolSnap
-	s.toolsMeta = wire.ToolsReply{Iso: wireTool(t[0]), Plane: wireTool(t[1]), Vortex: wireTool(t[2])}
+	r.tools.Iso, r.tools.Plane, r.tools.Vortex = wireTool(t[0]), wireTool(t[1]), wireTool(t[2])
 	s.toolScal.have |= s.toolScal.todo
 	for i := range t {
 		if !t[i].Params.Enabled {
@@ -261,10 +265,9 @@ func (s *Server) numberToolsLocked() (unitsDone int64) {
 			s.stats.ToolsComputed++
 			unitsDone += tg.actualU
 		}
-		s.toolGeomWire = append(s.toolGeomWire, tg.geo)
-		s.roundSegs = append(s.roundSegs, &tg.segCache)
+		r.tools.Geoms = append(r.tools.Geoms, tg.geo)
+		r.segs = append(r.segs, &tg.segCache)
 	}
-	s.toolsMeta.Geoms = s.toolGeomWire
 	return unitsDone
 }
 
