@@ -13,13 +13,13 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The portable build: internal/grid's Interp3x4 is SSE2 assembly on
-# amd64 and a Go loop over Interp3 on every other GOARCH, so the
-# non-amd64 side must build and vet too. Cross-compiling needs nothing
-# from the network.
+# The portable build: internal/grid's Interp3x4 and internal/render's
+# display-list transform are SSE2 assembly on amd64 and Go loops over
+# the scalar code on every other GOARCH, so the non-amd64 side must
+# build and vet too. Cross-compiling needs nothing from the network.
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/grid ./internal/integrate
+	GOARCH=arm64 $(GO) vet ./internal/grid ./internal/integrate ./internal/render
 
 # Project-specific invariant analyzers (wallclock, lockdiscipline,
 # hotpath, maporder) over the whole module. Fails on any finding not
@@ -88,10 +88,13 @@ fuzz-wire:
 # same kind of draws under every ink (writemask subset, replace or
 # additive, depth cue at a raw-bit floor) through the display list and
 # immediately against a copy of the raster arithmetic that reads every
-# byte it blends into.
+# byte it blends into; and the list's vertex transform, a raw-bit
+# matrix, viewport and points through the amd64 vector pass against the
+# scalar loop, every field's bits.
 fuzz-render:
 	$(GO) test -fuzz FuzzLine -fuzztime 10s ./internal/render/
 	$(GO) test -fuzz FuzzRasterAgrees -fuzztime 10s ./internal/render/
+	$(GO) test -fuzz FuzzTransformAgrees -fuzztime 10s ./internal/render/
 
 # Short fuzz pass over the timestep file reader: corrupt header fields,
 # truncations and headers that announce terabytes; ReadField must

@@ -222,15 +222,28 @@ func ToPhysical(g *grid.Grid, path []vmath.Vec3) []vmath.Vec3 {
 
 // ToPhysicalInto is ToPhysical appending into dst's capacity, so
 // per-frame callers can recycle the previous frame's path buffers
-// instead of reallocating TotalPoints vectors every round.
+// instead of reallocating TotalPoints vectors every round. It converts
+// Lanes points at a time with one Locate4 and one Interp3x4 over the
+// node positions, the rest one at a time with PhysAt: the same
+// arithmetic, so the same bits at every finite point.
 func ToPhysicalInto(g *grid.Grid, dst []vmath.Vec3, path []vmath.Vec3) []vmath.Vec3 {
 	if cap(dst) >= len(path) {
 		dst = dst[:len(path)]
 	} else {
 		dst = make([]vmath.Vec3, len(path))
 	}
-	for i, gc := range path {
-		dst[i] = g.PhysAt(gc)
+	var c grid.Cells4
+	var p [3][Lanes]float32
+	i := 0
+	for ; i+Lanes <= len(path); i += Lanes {
+		g.Locate4((*[Lanes]vmath.Vec3)(path[i:i+Lanes]), &c)
+		grid.Interp3x4(g.X, g.Y, g.Z, &c, &p)
+		for l := range Lanes {
+			dst[i+l] = vmath.Vec3{X: p[0][l], Y: p[1][l], Z: p[2][l]}
+		}
+	}
+	for ; i < len(path); i++ {
+		dst[i] = g.PhysAt(path[i])
 	}
 	return dst
 }

@@ -2,6 +2,7 @@ package integrate
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -264,6 +265,51 @@ func TestToPhysicalIdentityGrid(t *testing.T) {
 	for i := range path {
 		if !phys[i].ApproxEqual(path[i], 1e-5) {
 			t.Errorf("point %d: %v -> %v", i, path[i], phys[i])
+		}
+	}
+}
+
+// TestToPhysicalMatchesPhysAt holds ToPhysicalInto, which converts four
+// points per Locate4 and Interp3x4, to PhysAt point by point, by
+// Float32bits, on the tapered cylinder's curvilinear grid: paths of
+// every length from 0 to 13 (whole groups of four and remainders),
+// points inside the domain, on its nodes and boundaries, and outside it
+// where both clamp. Only finite points are compared: a NaN coordinate
+// can come back with another NaN payload, because which of two NaNs
+// survives a lerp is the compiler's choice in Interp3 (see grid's
+// TestInterp3x4MatchesInterp3). A streak particle is never NaN: the
+// kernel ends a lane whose position is not finite.
+func TestToPhysicalMatchesPhysAt(t *testing.T) {
+	g, err := grid.NewTaperedCylinder(grid.DefaultTaperedCylinder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(40))
+	coord := func(n int) float32 {
+		switch rng.Intn(6) {
+		case 0:
+			return float32(rng.Intn(n)) // a node
+		case 1:
+			return float32(n - 1) // the high boundary
+		case 2:
+			return rng.Float32()*4*float32(n) - 2*float32(n) // mostly outside
+		default:
+			return rng.Float32() * float32(n-1)
+		}
+	}
+	var dst []vmath.Vec3
+	for trial := range 2000 {
+		path := make([]vmath.Vec3, trial%14)
+		for i := range path {
+			path[i] = vmath.V3(coord(g.NI), coord(g.NJ), coord(g.NK))
+		}
+		dst = ToPhysicalInto(g, dst[:0], path)
+		for i, gc := range path {
+			want := g.PhysAt(gc)
+			if got := dst[i]; math.Float32bits(got.X) != math.Float32bits(want.X) ||
+				math.Float32bits(got.Y) != math.Float32bits(want.Y) || math.Float32bits(got.Z) != math.Float32bits(want.Z) {
+				t.Fatalf("trial %d point %d of %d at %v: ToPhysicalInto %v, PhysAt %v", trial, i, len(path), gc, got, want)
+			}
 		}
 	}
 }

@@ -243,28 +243,27 @@ func (dl *DisplayList) slabRuns(s int64) []run {
 	return dl.runs[first:dl.slabs[s]]
 }
 
-// transform fills v with the vertices of slab s as eye e sees them. A
-// run's matrix and the viewport are locals: the stores into v could
-// alias anything behind a pointer, so read through one they would be
-// reloaded for every vertex.
+// transform fills v with the vertices of slab s as eye e sees them:
+// line and triangle runs through transformVerts, points through
+// pointVert. A points run's matrix and the viewport are locals: the
+// stores into v could alias anything behind a pointer, so read through
+// one they would be reloaded for every vertex.
 //
 //vw:hotpath
 func (dl *DisplayList) transform(vp viewport, e *eye, s int64, v []vert) {
 	runs := dl.slabRuns(s)
 	for i := range runs {
 		rn := &runs[i]
-		m := *dl.mvp(rn, e)
 		out := v[:len(rn.pts)]
 		v = v[len(rn.pts):]
 		if rn.kind == kindPoints {
+			m := *dl.mvp(rn, e)
 			for j, p := range rn.pts {
 				out[j] = vp.pointVert(m.TransformPointW(p))
 			}
 			continue
 		}
-		for j, p := range rn.pts {
-			out[j] = vp.divide(m.TransformPointW(p))
-		}
+		transformVerts(dl.mvp(rn, e), vp, rn.pts, out)
 	}
 }
 
