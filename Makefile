@@ -22,10 +22,14 @@ cross:
 	GOARCH=arm64 $(GO) vet ./internal/grid ./internal/integrate ./internal/render
 
 # Project-specific invariant analyzers (wallclock, lockdiscipline,
-# hotpath, maporder) over the whole module. Fails on any finding not
-# annotated with a //vw:allow directive, on malformed //vw: directives,
-# and on classified packages (internal/analysis.PackageClasses) that
-# lost their //vw:deterministic or //vw:wire opt-in.
+# hotpath, maporder) over the whole module, and the reachability pass:
+# every exported func, method, type, const and var under internal/ is
+# used by another package's non-test code (cmd/, examples/ and
+# benchmark/ count), implements an interface, or is marked
+# //vw:testonly. Fails on any finding not annotated with a //vw:allow
+# directive, on malformed //vw: directives, and on classified packages
+# (internal/analysis.PackageClasses) that lost their //vw:deterministic
+# or //vw:wire opt-in.
 lint:
 	$(GO) run ./cmd/vwlint ./...
 
@@ -85,21 +89,21 @@ fuzz-wire:
 # Short fuzz passes over the renderer: segments whose coordinates are raw
 # float32 bit patterns, drawn immediately inside a row band and through
 # RenderAnaglyph at one and two band workers; and, differentially, the
-# same kind of draws under every ink (writemask subset, replace or
-# additive, depth cue at a raw-bit floor) through the display list and
-# immediately against a copy of the raster arithmetic that reads every
-# byte it blends into; and the list's vertex transform, a raw-bit
-# matrix, viewport and points through the amd64 vector pass against the
-# scalar loop, every field's bits.
+# same kind of draws for either eye, replace or additive, through the
+# display list and immediately against a copy of the raster arithmetic
+# that reads every byte it blends into; and the list's vertex
+# transform, a raw-bit matrix, viewport and points through the amd64
+# vector pass against the scalar loop, every field's bits.
 fuzz-render:
 	$(GO) test -fuzz FuzzLine -fuzztime 10s ./internal/render/
 	$(GO) test -fuzz FuzzRasterAgrees -fuzztime 10s ./internal/render/
 	$(GO) test -fuzz FuzzTransformAgrees -fuzztime 10s ./internal/render/
 
 # Short fuzz pass over the timestep file reader: corrupt header fields,
-# truncations and headers that announce terabytes; ReadField must
-# answer with an error or exactly the field the bytes hold, allocating
-# in proportion to its input.
+# truncations and headers that announce terabytes, read as store.Disk
+# reads a step (ReadFieldHeader, the file's length, ReadFieldPayload);
+# the read must answer with an error or exactly the field the bytes
+# hold, allocating in proportion to its input.
 fuzz-field:
 	$(GO) test -fuzz FuzzReadField -fuzztime 10s ./internal/field/
 
@@ -182,9 +186,8 @@ bench-module:
 	$(GO) -C benchmark test ./...
 
 # Non-blank, non-comment lines of non-test Go, so every simplicity PR
-# quotes the same numbers: first the three packages the "one geometry
-# pipeline" ROADMAP item counts, then the whole module outside
-# benchmark/.
+# quotes the same numbers: first the server, wire and relay packages
+# together, then the whole module outside benchmark/.
 loc:
 	@ls internal/server/*.go internal/wire/*.go internal/relay/*.go | grep -v _test | xargs cat | grep -vcE '^\s*(//|$$)'
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | grep -vcE '^\s*(//|$$)'

@@ -97,7 +97,13 @@ func main() {
 	for i := 0; i < *frames; i++ {
 		r, err := sess.Frame()
 		if err != nil {
-			log.Fatal(err)
+			// Connected by address, the workstation redials on a later
+			// frame; over a shaped link it cannot.
+			if *bwMBs > 0 {
+				log.Fatal(err)
+			}
+			log.Printf("frame %d: %v", i+1, err)
+			continue
 		}
 		results = append(results, r)
 		if *dump != "" && i%10 == 0 {
@@ -113,6 +119,12 @@ func main() {
 	fmt.Println(core.Summarize(results))
 	fmt.Printf("downstream: %.2f MB over %d net frames\n",
 		float64(stats.BytesDown)/(1<<20), stats.NetFrames)
+	if n := sess.WS.Reconnects(); n > 0 {
+		fmt.Printf("network: %d reconnects\n", n)
+	}
+	if err := sess.WS.LastNetError(); err != nil {
+		fmt.Printf("network: the last frame failed: %v\n", err)
+	}
 	if stats.ToolFrames > 0 {
 		fmt.Printf("shared tools: %d frames carried a tool section, %d tool points in the last\n",
 			stats.ToolFrames, stats.LastToolPoints)

@@ -10,8 +10,12 @@
 // source importer, and prints findings as file:line:col: message
 // [analyzer], exiting 1 if anything (including a malformed //vw:
 // directive or a classified package that lost its //vw:deterministic
-// or //vw:wire opt-in) survives the //vw:allow annotations. -stats
-// prints the //vw:allow count per analyzer.
+// or //vw:wire opt-in) survives the //vw:allow annotations. Run over
+// the whole module, it also runs the reachability pass
+// (analysis.Unreachable): every exported name under internal/ has a
+// caller in another package's non-test code, cmd/, examples/ and
+// benchmark/ included, or is marked //vw:testonly. -stats prints the
+// //vw:allow count per analyzer.
 package main
 
 import (
@@ -50,14 +54,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	dirs, err := selectDirs(root, cwd, patterns)
+	dirs, whole, err := selectDirs(root, cwd, patterns)
 	if err != nil {
 		return fail(stderr, err)
 	}
 
-	loader := analysis.NewLoader()
+	loader := analysis.NewLoader(root, modPath)
 	analyzers := analysis.All()
 	var findings, bad []analysis.Diagnostic
+	var pkgs []*analysis.Package
 	classes := make(map[string]analysis.Class) // import path -> directive-derived class
 	allowCounts := make(map[string]int)
 	for _, rel := range dirs {
@@ -72,6 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if pkg == nil {
 			continue
 		}
+		pkgs = append(pkgs, pkg)
 		classes[importPath] = analysis.Classify(pkg.Directives)
 		for name, n := range pkg.Directives.AllowCounts() {
 			allowCounts[name] += n
@@ -85,6 +91,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if statsMode {
 		printStats(stdout, allowCounts)
 		return 0
+	}
+	// Reachability is a property of the whole program: a run over part
+	// of it would miss the callers outside that part.
+	if whole {
+		findings = append(findings, analysis.Unreachable(pkgs, modPath+"/internal")...)
 	}
 
 	// The invariant nets must not rot: every package the registry
@@ -133,16 +144,17 @@ func sortedKeys(m map[string]analysis.Class) []string {
 	return out
 }
 
-// selectDirs maps package patterns onto module-relative directories.
+// selectDirs maps package patterns onto module-relative directories,
+// and reports whether they are every package of the module.
 // Supported: "./..." (everything), "dir/..." (subtree), and plain
 // directories.
-func selectDirs(root, cwd string, patterns []string) ([]string, error) {
+func selectDirs(root, cwd string, patterns []string) ([]string, bool, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	all, err := analysis.PackageDirs(root)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	var out []string
 	seen := make(map[string]bool)
@@ -167,7 +179,7 @@ func selectDirs(root, cwd string, patterns []string) ([]string, error) {
 		}
 		base, err := filepath.Rel(root, abs)
 		if err != nil || strings.HasPrefix(base, "..") {
-			return nil, fmt.Errorf("vwlint: pattern %q is outside the module", pat)
+			return nil, false, fmt.Errorf("vwlint: pattern %q is outside the module", pat)
 		}
 		for _, rel := range all {
 			switch {
@@ -178,7 +190,7 @@ func selectDirs(root, cwd string, patterns []string) ([]string, error) {
 			}
 		}
 	}
-	return out, nil
+	return out, len(out) == len(all), nil
 }
 
 func relPosition(cwd string, d analysis.Diagnostic) string {

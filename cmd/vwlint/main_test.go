@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -154,4 +155,105 @@ func TestDriversRoundTrip(t *testing.T) {
 			}
 		}
 	})
+}
+
+// reachMod is a module for the reachability pass: one package under
+// internal/ whose exported names meet each rule, and the callers that
+// do or do not count for them.
+var reachMod = map[string]string{
+	"go.mod": "module tmpmod\n\ngo 1.22\n",
+	"internal/lib/lib.go": `// Package lib holds one case per reachability rule.
+package lib
+
+func Orphan() {}
+
+func Local() int { return 1 }
+
+func helper() int { return Local() }
+
+// ForTests is exported for another package's tests.
+//
+//vw:testonly
+func ForTests() {}
+
+// Stale claims to be for tests, but cmd/tool calls it.
+//
+//vw:testonly
+func Stale() {}
+
+func FromCmd() {}
+
+func FromBench() {}
+
+func FromTest() {}
+
+type T struct{}
+
+func NewT() T { return T{} }
+
+func (T) String() string { return "t" }
+
+func (T) Unused() {}
+`,
+	"internal/other/other.go":      "package other\n",
+	"internal/other/other_test.go": "package other\n\nimport (\n\t\"testing\"\n\n\t\"tmpmod/internal/lib\"\n)\n\nfunc TestUse(t *testing.T) { lib.FromTest(); lib.ForTests() }\n",
+	"cmd/tool/main.go":             "package main\n\nimport (\n\t\"fmt\"\n\n\t\"tmpmod/internal/lib\"\n)\n\nfunc main() { lib.FromCmd(); lib.Stale(); fmt.Println(lib.NewT()) }\n",
+	"benchmark/bench.go":           "package bench\n\nimport \"tmpmod/internal/lib\"\n\nfunc Run() { lib.FromBench() }\n",
+}
+
+// TestReachability runs vwlint over reachMod: each row names a
+// declaration in internal/lib/lib.go and the finding it must draw at
+// its file:line, or "" for none.
+func TestReachability(t *testing.T) {
+	chdir(t, writeModule(t, reachMod))
+	var out, errBuf bytes.Buffer
+	if code := run([]string{"./..."}, &out, &errBuf); code != 1 {
+		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, errBuf.String())
+	}
+	got := errBuf.String()
+	src := strings.Split(reachMod["internal/lib/lib.go"], "\n")
+	wanted := 0
+	for _, row := range []struct {
+		name, decl, want string
+	}{
+		{"no caller", "func Orphan(", "func Orphan has no product caller"},
+		{"own package only", "func Local(", "func Local is used only inside its own package"},
+		{"testonly exempts", "func ForTests(", ""},
+		{"testonly with a product caller", "func Stale(", "func Stale is marked //vw:testonly but another package's non-test code uses it"},
+		{"cmd caller counts", "func FromCmd(", ""},
+		{"benchmark caller counts", "func FromBench(", ""},
+		{"test caller does not count", "func FromTest(", "func FromTest has no product caller"},
+		{"type in a used signature", "type T ", ""},
+		{"interface method exempts", "func (T) String(", ""},
+		{"method with no caller", "func (T) Unused(", "method T.Unused has no product caller"},
+	} {
+		line := 0
+		for i, l := range src {
+			if strings.HasPrefix(l, row.decl) {
+				line = i + 1
+			}
+		}
+		if line == 0 {
+			t.Fatalf("%s: no %q in the fixture", row.name, row.decl)
+		}
+		if row.want != "" {
+			wanted++
+		}
+		at := fmt.Sprintf("internal/lib/lib.go:%d:", line)
+		var findings []string
+		for _, l := range strings.Split(got, "\n") {
+			if strings.HasPrefix(l, at) {
+				findings = append(findings, l)
+			}
+		}
+		switch {
+		case row.want == "" && len(findings) > 0:
+			t.Errorf("%s: want no finding at %s, got %q", row.name, at, findings)
+		case row.want != "" && (len(findings) != 1 || !strings.Contains(findings[0], row.want+" [reachable]")):
+			t.Errorf("%s: want %q at %s, got %q", row.name, row.want, at, findings)
+		}
+	}
+	if n := strings.Count(got, "[reachable]"); n != wanted {
+		t.Errorf("%d reachability findings, want %d:\n%s", n, wanted, got)
+	}
 }

@@ -5,7 +5,9 @@
 // the frame pipeline's conventions — injected clocks, *Locked mutex
 // discipline, allocation-free hot paths, byte-deterministic iteration —
 // into compile-time checks. Each is kept for a defect no test catches;
-// its fixture carries that defect.
+// its fixture carries that defect. Beside them, Unreachable checks the
+// whole program at once: an exported name under internal/ that no
+// other package's product code uses is a finding.
 //
 // The framework is deliberately small: an Analyzer is a named Run
 // function over a typechecked package (Pass), diagnostics are
@@ -68,9 +70,9 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s [%s]", d.Position, d.Message, d.Analyzer)
 }
 
-// Reportf records a diagnostic at pos. Suppression by //vw:allow and
+// reportf records a diagnostic at pos. Suppression by //vw:allow and
 // the test-file filter happen later, in Run.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
 		Pos:      pos,
 		Position: p.Fset.Position(pos),
@@ -81,11 +83,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the four vwlint analyzers in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Wallclock, LockDiscipline, HotPath, MapOrder}
+	return []*Analyzer{wallclock, lockDiscipline, hotPath, mapOrder}
 }
 
 // A Package is one loaded, typechecked package ready to be analyzed.
 type Package struct {
+	Types      *types.Package
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Info       *types.Info
@@ -108,10 +111,16 @@ func Run(a *Analyzer, pkg *Package) []Diagnostic {
 	a.Run(pass)
 	var out []Diagnostic
 	for _, d := range pass.diags {
-		if !isTestFile(d.Position.Filename) && !pkg.Directives.Allowed(a.Name, d.Position) {
+		if !isTestFile(d.Position.Filename) && !pkg.Directives.allowed(a.Name, d.Position) {
 			out = append(out, d)
 		}
 	}
+	sortDiagnostics(out)
+	return out
+}
+
+// sortDiagnostics orders diagnostics by position.
+func sortDiagnostics(out []Diagnostic) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Position, out[j].Position
 		if a.Filename != b.Filename {
@@ -122,7 +131,6 @@ func Run(a *Analyzer, pkg *Package) []Diagnostic {
 		}
 		return a.Column < b.Column
 	})
-	return out
 }
 
 func isTestFile(name string) bool {

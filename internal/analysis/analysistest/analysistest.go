@@ -24,10 +24,12 @@ import (
 
 // Run loads testdata/src/<pkg>, applies the analyzer, and compares
 // surviving diagnostics against the fixture's want comments.
+//
+//vw:testonly
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkg string) {
 	t.Helper()
 	dir := filepath.Join(testdata, "src", pkg)
-	loader := analysis.NewLoader()
+	loader := analysis.NewLoader("", "")
 	p, err := loader.LoadDir(dir, pkg)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", pkg, err)

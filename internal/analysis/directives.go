@@ -24,6 +24,13 @@ import (
 //	    Package-level opt-in: the package encodes, decodes, or routes
 //	    protocol bytes, so the maporder analyzer applies.
 //
+//	//vw:testonly
+//	    On a declaration's doc comment (a func, a type, a const or var
+//	    group or one spec of it): the exported names it declares are
+//	    test infrastructure, exempt from the reachability pass
+//	    (Unreachable), which instead requires that no other package's
+//	    non-test code uses them.
+//
 //	//vw:allow <name>[,<name>...] [-- reason]
 //	    Suppresses the named analyzers' findings on the same line and
 //	    the line below. On a function's doc comment it suppresses the
@@ -36,6 +43,7 @@ const (
 	dirHotpath       = "hotpath"
 	dirDeterministic = "deterministic"
 	dirWire          = "wire"
+	dirTestonly      = "testonly"
 )
 
 // Directives is the parsed //vw: state for one package.
@@ -48,8 +56,9 @@ type Directives struct {
 	// analyzer (maporder) via //vw:wire.
 	Wire bool
 
-	hotpath []*ast.FuncDecl
-	allows  map[string][]allowSite
+	hotpath  []*ast.FuncDecl
+	allows   map[string][]allowSite
+	testonly map[token.Pos]bool // the name idents of //vw:testonly declarations
 
 	// Bad holds malformed //vw: comments (unknown verb, empty allow
 	// list); the driver reports them so typos cannot silently disable
@@ -66,20 +75,33 @@ type allowSite struct {
 	endLine int // 0 for a plain line-site
 }
 
-// ParseDirectives scans every comment in files and returns the
+// parseDirectives scans every comment in files and returns the
 // package's directive state.
-func ParseDirectives(fset *token.FileSet, files []*ast.File) *Directives {
-	d := &Directives{allows: make(map[string][]allowSite)}
+func parseDirectives(fset *token.FileSet, files []*ast.File) *Directives {
+	d := &Directives{allows: make(map[string][]allowSite), testonly: make(map[token.Pos]bool)}
 	for _, f := range files {
 		// Function-doc directives get body-wide scope.
 		fnDoc := make(map[*ast.Comment]*ast.FuncDecl)
+		declDoc := make(map[*ast.Comment][]*ast.Ident) // the names a doc comment's declaration declares
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Doc == nil {
-				continue
-			}
-			for _, c := range fn.Doc.List {
-				fnDoc[c] = fn
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				for _, c := range commentList(decl.Doc) {
+					fnDoc[c] = decl
+					declDoc[c] = []*ast.Ident{decl.Name}
+				}
+			case *ast.GenDecl:
+				var all []*ast.Ident
+				for _, spec := range decl.Specs {
+					names, doc := specNames(spec)
+					all = append(all, names...)
+					for _, c := range commentList(doc) {
+						declDoc[c] = names
+					}
+				}
+				for _, c := range commentList(decl.Doc) {
+					declDoc[c] = all
+				}
 			}
 		}
 		for _, cg := range f.Comments {
@@ -95,6 +117,14 @@ func ParseDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 					d.Deterministic = true
 				case dirWire:
 					d.Wire = true
+				case dirTestonly:
+					names := declDoc[c]
+					if len(names) == 0 {
+						d.bad(c, pos, "//vw:testonly must be part of a declaration's doc comment")
+					}
+					for _, id := range names {
+						d.testonly[id.Pos()] = true
+					}
 				case dirHotpath:
 					if fn := fnDoc[c]; fn != nil {
 						d.hotpath = append(d.hotpath, fn)
@@ -125,6 +155,25 @@ func ParseDirectives(fset *token.FileSet, files []*ast.File) *Directives {
 		}
 	}
 	return d
+}
+
+func commentList(cg *ast.CommentGroup) []*ast.Comment {
+	if cg == nil {
+		return nil
+	}
+	return cg.List
+}
+
+// specNames returns the names a const, var or type spec declares and
+// its own doc comment.
+func specNames(spec ast.Spec) ([]*ast.Ident, *ast.CommentGroup) {
+	switch spec := spec.(type) {
+	case *ast.ValueSpec:
+		return spec.Names, spec.Doc
+	case *ast.TypeSpec:
+		return []*ast.Ident{spec.Name}, spec.Doc
+	}
+	return nil, nil
 }
 
 func (d *Directives) bad(c *ast.Comment, pos token.Position, format string, args ...any) {
@@ -172,13 +221,13 @@ func (d *Directives) AllowCounts() map[string]int {
 	return out
 }
 
-// HotpathFuncs returns the functions marked //vw:hotpath.
-func (d *Directives) HotpathFuncs() []*ast.FuncDecl { return d.hotpath }
+// hotpathFuncs returns the functions marked //vw:hotpath.
+func (d *Directives) hotpathFuncs() []*ast.FuncDecl { return d.hotpath }
 
-// Allowed reports whether an //vw:allow for analyzer name covers the
+// allowed reports whether an //vw:allow for analyzer name covers the
 // diagnostic position: same line, directly above it, or anywhere in a
 // function whose doc carries the allow.
-func (d *Directives) Allowed(name string, pos token.Position) bool {
+func (d *Directives) allowed(name string, pos token.Position) bool {
 	for _, s := range d.allows[name] {
 		if s.file != pos.Filename {
 			continue

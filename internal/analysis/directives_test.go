@@ -15,7 +15,7 @@ func parseOne(t *testing.T, src string) (*token.FileSet, *Directives) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fset, ParseDirectives(fset, []*ast.File{f})
+	return fset, parseDirectives(fset, []*ast.File{f})
 }
 
 func TestDirectiveParsing(t *testing.T) {
@@ -33,23 +33,23 @@ func hot() {
 	if !d.Deterministic {
 		t.Error("//vw:deterministic in package doc not detected")
 	}
-	if len(d.HotpathFuncs()) != 1 || d.HotpathFuncs()[0].Name.Name != "hot" {
-		t.Errorf("hotpath funcs = %v, want [hot]", d.HotpathFuncs())
+	if len(d.hotpathFuncs()) != 1 || d.hotpathFuncs()[0].Name.Name != "hot" {
+		t.Errorf("hotpath funcs = %v, want [hot]", d.hotpathFuncs())
 	}
 	if len(d.Bad) != 0 {
 		t.Errorf("unexpected bad directives: %v", d.Bad)
 	}
 	pos := token.Position{Filename: "dir.go", Line: 8}
 	for _, name := range []string{"wallclock", "hotpath"} {
-		if !d.Allowed(name, pos) {
+		if !d.allowed(name, pos) {
 			t.Errorf("line 8 should be allowed for %s", name)
 		}
 	}
-	if d.Allowed("lockdiscipline", pos) {
+	if d.allowed("lockdiscipline", pos) {
 		t.Error("unlisted analyzer must not be allowed")
 	}
 	// The line-above form covers the next line only.
-	if d.Allowed("wallclock", token.Position{Filename: "dir.go", Line: 10}) {
+	if d.allowed("wallclock", token.Position{Filename: "dir.go", Line: 10}) {
 		t.Error("allow must not leak past the next line")
 	}
 }
@@ -92,7 +92,7 @@ func f() {
 		t.Errorf("bad[0] = %q, want unknown-analyzer message", d.Bad[0].Message)
 	}
 	// The typo'd name must not register as an active allow site.
-	if d.Allowed("maporderr", token.Position{Filename: "dir.go", Line: 4}) {
+	if d.allowed("maporderr", token.Position{Filename: "dir.go", Line: 4}) {
 		t.Error("unknown analyzer name must not create an allow site")
 	}
 	// A mixed list keeps the valid names and reports only the bogus one.
@@ -107,7 +107,7 @@ func g() {
 		t.Fatalf("bad = %v, want exactly one complaint about %q", d2.Bad, "bogus")
 	}
 	pos := token.Position{Filename: "dir.go", Line: 4}
-	if !d2.Allowed("wallclock", pos) || !d2.Allowed("maporder", pos) {
+	if !d2.allowed("wallclock", pos) || !d2.allowed("maporder", pos) {
 		t.Error("valid names in a mixed list must still suppress")
 	}
 }
@@ -148,5 +148,58 @@ var notAFunc = 1
 		if !strings.Contains(d.Bad[i].Message, want) {
 			t.Errorf("bad[%d] = %q, want substring %q", i, d.Bad[i].Message, want)
 		}
+	}
+}
+
+// TestDirectiveTestonly: //vw:testonly exempts the names its
+// declaration declares, a whole group's or one spec's, and anywhere
+// else it is a malformed directive.
+func TestDirectiveTestonly(t *testing.T) {
+	src := `package p
+
+//vw:testonly
+func F() {}
+
+// G is a group's doc.
+//
+//vw:testonly
+const (
+	A = 1
+	B = 2
+)
+
+var (
+	// C is one spec's doc.
+	//
+	//vw:testonly
+	C = 3
+	D = 4
+)
+
+func g() {
+	//vw:testonly
+	_ = 1
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "dir.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := parseDirectives(fset, []*ast.File{f})
+	exempt := make(map[string]bool)
+	ast.Inspect(f, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && d.testonly[id.Pos()] {
+			exempt[id.Name] = true
+		}
+		return true
+	})
+	for name, want := range map[string]bool{"F": true, "A": true, "B": true, "C": true, "D": false, "g": false} {
+		if exempt[name] != want {
+			t.Errorf("%s exempt = %v, want %v", name, exempt[name], want)
+		}
+	}
+	if len(d.Bad) != 1 || !strings.Contains(d.Bad[0].Message, "//vw:testonly must be part of a declaration's doc comment") {
+		t.Errorf("bad directives = %v, want the one inside g", d.Bad)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// HotPath flags allocation sources inside functions marked
+// hotPath flags allocation sources inside functions marked
 // //vw:hotpath — the per-frame code (recompute, rake integration,
 // wire encode) whose allocs/frame budget the steady-frame alloc
 // tests guard. The analyzer catches the cause before they catch the
@@ -25,14 +25,14 @@ import (
 // Amortized growth sites (the one make that reallocs a recycled
 // buffer when capacity is finally exceeded) carry //vw:allow hotpath
 // line annotations.
-var HotPath = &Analyzer{
+var hotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "flag make/append-growth/fmt/interface-boxing/closure-captures in //vw:hotpath functions",
 	Run:  runHotPath,
 }
 
 func runHotPath(pass *Pass) {
-	for _, fn := range pass.Directives.HotpathFuncs() {
+	for _, fn := range pass.Directives.hotpathFuncs() {
 		checkHotFunc(pass, fn)
 	}
 }
@@ -60,7 +60,7 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			if capturesEnclosing(info, n) {
-				pass.Reportf(n.Pos(), "closure captures enclosing variables in hot path (allocates); hoist it or pass state explicitly")
+				pass.reportf(n.Pos(), "closure captures enclosing variables in hot path (allocates); hoist it or pass state explicitly")
 			} else {
 				// Non-capturing literals (e.g. sort comparators) are
 				// hoisted by the compiler; still scan their bodies.
@@ -81,7 +81,7 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, localObj func(*ast.Ident) bool
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		if types.IsInterface(tv.Type) && len(call.Args) == 1 {
 			if at, ok := info.Types[call.Args[0]]; ok && boxes(at.Type, tv.Type) {
-				pass.Reportf(call.Pos(), "conversion to interface %s boxes a %s in hot path", tv.Type, at.Type)
+				pass.reportf(call.Pos(), "conversion to interface %s boxes a %s in hot path", tv.Type, at.Type)
 			}
 		}
 		return
@@ -91,9 +91,9 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, localObj func(*ast.Ident) bool
 	case *types.Builtin:
 		switch obj.Name() {
 		case "make":
-			pass.Reportf(call.Pos(), "make allocates in hot path; use a recycled buffer")
+			pass.reportf(call.Pos(), "make allocates in hot path; use a recycled buffer")
 		case "new":
-			pass.Reportf(call.Pos(), "new allocates in hot path; use a recycled buffer")
+			pass.reportf(call.Pos(), "new allocates in hot path; use a recycled buffer")
 		case "append":
 			if len(call.Args) == 0 {
 				return
@@ -104,13 +104,13 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, localObj func(*ast.Ident) bool
 				dst = sl.X
 			}
 			if id, ok := dst.(*ast.Ident); ok && localObj(id) {
-				pass.Reportf(call.Pos(), "append grows function-local slice %s in hot path; append into a recycled buffer or caller-provided slice", id.Name)
+				pass.reportf(call.Pos(), "append grows function-local slice %s in hot path; append into a recycled buffer or caller-provided slice", id.Name)
 			}
 		}
 		return
 	case *types.Func:
 		if pkg := obj.Pkg(); pkg != nil && pkg.Path() == "fmt" {
-			pass.Reportf(call.Pos(), "fmt.%s allocates in hot path; move formatting to a cold path", obj.Name())
+			pass.reportf(call.Pos(), "fmt.%s allocates in hot path; move formatting to a cold path", obj.Name())
 			return
 		}
 		sig, ok := obj.Type().(*types.Signature)
@@ -150,7 +150,7 @@ func checkBoxing(pass *Pass, call *ast.CallExpr, sig *types.Signature) {
 			continue // constants are materialized at compile time
 		}
 		if boxes(at.Type, pt) {
-			pass.Reportf(arg.Pos(), "passing %s to interface parameter boxes it in hot path", at.Type)
+			pass.reportf(arg.Pos(), "passing %s to interface parameter boxes it in hot path", at.Type)
 		}
 	}
 }

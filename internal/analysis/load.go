@@ -19,33 +19,76 @@ import (
 // syntax, and go/types with the source importer for type information.
 // One Loader shares a FileSet and importer across packages, so
 // dependencies (including the standard library) are typechecked once.
+// A package of the module being linted is typechecked once too, by
+// LoadDir, whether vwlint asks for it or another package imports
+// it: every package sees the one object a declaration has, which is
+// what lets Unreachable match a use to its declaration.
 type Loader struct {
-	Fset *token.FileSet
-	ctxt build.Context
-	imp  types.Importer
+	Fset          *token.FileSet
+	ctxt          build.Context
+	imp           types.Importer
+	root, modPath string
+	pkgs          map[string]*Package // by import path
 }
 
-// NewLoader returns a Loader rooted in the current build context. Cgo
-// is disabled: the source importer cannot run cgo, and this repo (and
-// its analysis targets) are pure Go.
-func NewLoader() *Loader {
+// NewLoader returns a Loader rooted in the current build context for
+// the module modPath at directory root; with modPath empty every
+// import goes through the source importer. Cgo is disabled: the source
+// importer cannot run cgo, and this repo (and its analysis targets)
+// are pure Go.
+func NewLoader(root, modPath string) *Loader {
 	ctxt := build.Default
 	ctxt.CgoEnabled = false
 	fset := token.NewFileSet()
 	return &Loader{
-		Fset: fset,
-		ctxt: ctxt,
-		imp:  importer.ForCompiler(fset, "source", nil),
+		Fset:    fset,
+		ctxt:    ctxt,
+		imp:     importer.ForCompiler(fset, "source", nil),
+		root:    root,
+		modPath: modPath,
+		pkgs:    make(map[string]*Package),
 	}
 }
 
+// Import resolves an import for the typechecker: a package of the
+// module through LoadDir, anything else through the source importer.
+func (l *Loader) Import(path string) (*types.Package, error) {
+	rel, ok := strings.CutPrefix(path, l.modPath+"/")
+	if path == l.modPath {
+		rel, ok = ".", true
+	}
+	if l.modPath == "" || !ok {
+		return l.imp.Import(path)
+	}
+	p, err := l.LoadDir(filepath.Join(l.root, filepath.FromSlash(rel)), path)
+	if err == nil && p == nil {
+		err = fmt.Errorf("analysis: %s has no Go files", path)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return p.Types, nil
+}
+
 // LoadDir parses and typechecks the single package in dir as
-// importPath. Directories with no non-test Go files return (nil, nil).
+// importPath, once: a second call returns the first one's Package.
+// Directories with no non-test Go files return (nil, nil).
 //
 // Only non-test files are loaded: _test.go files may not typecheck
 // against the bare package, and the analyzers' invariants are about
 // production code.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
+	if p, ok := l.pkgs[importPath]; ok {
+		return p, nil
+	}
+	p, err := l.loadDir(dir, importPath)
+	if err == nil {
+		l.pkgs[importPath] = p
+	}
+	return p, err
+}
+
+func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
 	bp, err := l.ctxt.ImportDir(dir, 0)
 	if err != nil {
 		if _, ok := err.(*build.NoGoError); ok {
@@ -74,15 +117,17 @@ func (l *Loader) check(importPath string, files []*ast.File) (*Package, error) {
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	conf := types.Config{Importer: l.imp}
-	if _, err := conf.Check(importPath, l.Fset, files, info); err != nil {
+	conf := types.Config{Importer: l}
+	tp, err := conf.Check(importPath, l.Fset, files, info)
+	if err != nil {
 		return nil, fmt.Errorf("analysis: typecheck %s: %w", importPath, err)
 	}
 	return &Package{
+		Types:      tp,
 		Fset:       l.Fset,
 		Files:      files,
 		Info:       info,
-		Directives: ParseDirectives(l.Fset, files),
+		Directives: parseDirectives(l.Fset, files),
 	}, nil
 }
 

@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// LockDiscipline mechanically checks the repo's two locking
+// lockDiscipline mechanically checks the repo's two locking
 // conventions:
 //
 //  1. Methods named fooLocked are called only while the receiver's mu
@@ -28,7 +28,7 @@ import (
 // Construction is exempt: accesses through a variable created inside
 // the same function (s := &Server{...}; s.round = ...) are not
 // flagged, since the value is not shared yet.
-var LockDiscipline = &Analyzer{
+var lockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
 	Doc:  "check *Locked call sites and \"guards everything below\" field access against mutex state",
 	Run:  runLockDiscipline,
@@ -200,7 +200,7 @@ func checkLockScope(pass *Pass, sc funcScope, guarded map[types.Object]guardedFi
 				return true
 			}
 			if !ok(owner, n.Pos(), "mu") {
-				pass.Reportf(n.Pos(), "%s.%s called without holding %s.mu", owner, sel.Sel.Name, owner)
+				pass.reportf(n.Pos(), "%s.%s called without holding %s.mu", owner, sel.Sel.Name, owner)
 			}
 		case *ast.SelectorExpr:
 			obj := pass.Info.Uses[n.Sel]
@@ -213,7 +213,7 @@ func checkLockScope(pass *Pass, sc funcScope, guarded map[types.Object]guardedFi
 				return true
 			}
 			if !ok(owner, n.Pos(), g.mutex) {
-				pass.Reportf(n.Pos(), "%s.%s is guarded by %s.%s (\"%s\") but accessed without the lock",
+				pass.reportf(n.Pos(), "%s.%s is guarded by %s.%s (\"%s\") but accessed without the lock",
 					owner, n.Sel.Name, owner, g.mutex, guardPhrase)
 			}
 		}

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// MapOrder forbids map iteration whose body feeds byte-deterministic
+// mapOrder forbids map iteration whose body feeds byte-deterministic
 // output in //vw:deterministic or //vw:wire packages. Go randomizes
 // map iteration order per run, so a `for k := range m` that appends
 // to a slice bound for an encoder, concatenates into a string, or
@@ -19,7 +19,7 @@ import (
 // map updates have commutative effects. A slice that is sorted after
 // the loop in the same function is also legal — collect-then-sort is
 // the idiomatic fix.
-var MapOrder = &Analyzer{
+var mapOrder = &Analyzer{
 	Name: "maporder",
 	Doc:  "forbid map-iteration order leaking into slices, strings, or writers in deterministic/wire-facing packages",
 	Run:  runMapOrder,
@@ -65,7 +65,7 @@ func runMapOrderScope(pass *Pass, sc funcScope) {
 			if sink.obj != nil && sortedAfter(pass, sc, rng, sink.obj) {
 				continue
 			}
-			pass.Reportf(sink.pos,
+			pass.reportf(sink.pos,
 				"map iteration order leaks into %s; iterate sorted keys or sort the result before it reaches any byte-deterministic path", sink.what)
 		}
 		return true

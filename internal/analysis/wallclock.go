@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// Wallclock forbids direct wall-clock and global-RNG use in packages
+// wallclock forbids direct wall-clock and global-RNG use in packages
 // marked //vw:deterministic. The frame pipeline's byte-identity
 // guarantee (same inputs → same frame bytes) and the netsim-based
 // chaos suites both depend on time flowing only through the injected
@@ -16,7 +16,7 @@ import (
 // Sites that genuinely need wall time — observability stage timers,
 // net.Conn deadlines, the real Clock implementation itself — carry
 // //vw:allow wallclock annotations.
-var Wallclock = &Analyzer{
+var wallclock = &Analyzer{
 	Name: "wallclock",
 	Doc:  "forbid time.Now/Sleep/After and global math/rand in //vw:deterministic packages",
 	Run:  runWallclock,
@@ -70,7 +70,7 @@ func runWallclock(pass *Pass) {
 				// method call syntactically, but it reads the wall
 				// clock while dodging injection.
 				if wallclockTimeFuncs[fn.Name()] && isRealClockVar(pass.Info, call) {
-					pass.Reportf(call.Pos(),
+					pass.reportf(call.Pos(),
 						"%s on RealClock bypasses clock injection in a deterministic package; accept a netsim.Clock instead", fn.Name())
 				}
 				return true // methods on time.Time etc. are pure
@@ -78,12 +78,12 @@ func runWallclock(pass *Pass) {
 			switch fn.Pkg().Path() {
 			case "time":
 				if wallclockTimeFuncs[fn.Name()] {
-					pass.Reportf(call.Pos(),
+					pass.reportf(call.Pos(),
 						"time.%s reads the wall clock in a deterministic package; use the injected netsim.Clock", fn.Name())
 				}
 			case "math/rand", "math/rand/v2":
 				if !wallclockRandExempt[fn.Name()] {
-					pass.Reportf(call.Pos(),
+					pass.reportf(call.Pos(),
 						"global %s.%s is nondeterministic; use a seeded *rand.Rand", pathBase(fn.Pkg().Path()), fn.Name())
 				}
 			}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/integrate"
 	"repro/internal/netsim"
 	"repro/internal/server"
+	"repro/internal/vmath"
 	"repro/internal/vr"
 	"repro/internal/wire"
 )
@@ -98,19 +99,19 @@ func TestChaosV2SteerReconnectResync(t *testing.T) {
 
 	// Frame 1: scene plus a steering change, playback on so the
 	// producer runs.
-	b := lv.Grid().Bounds()
+	b := lv.Ring().Grid().Bounds()
 	mid := b.Min.Lerp(b.Max, 0.5)
 	w.Queue(wire.Command{Kind: wire.CmdAddRake,
 		P0: b.Min.Lerp(b.Max, 0.4), P1: mid,
 		NumSeeds: 4, Tool: uint8(integrate.ToolStreamline)})
 	w.Queue(wire.Command{Kind: wire.CmdSetSpeed, Value: 1})
 	w.Queue(wire.Command{Kind: wire.CmdSetPlaying, Flag: 1})
-	w.GrabSteer()
-	w.Steer(2, 300, 0.8)
+	w.Queue(wire.Command{Kind: wire.CmdSteerGrab})
+	w.Queue(wire.Command{Kind: wire.CmdSteer, P0: vmath.V3(2, 300, 0.8)})
 	if err := w.NetStep(user.Step()); err != nil {
 		t.Fatalf("frame 1: %v", err)
 	}
-	id1 := w.SelfID()
+	id1 := w.sessionID()
 	if st := srv.Env().Steer(); st.Params.InflowU != 2 || st.Holder != id1 {
 		t.Fatalf("steer did not take before the fault: %+v", st)
 	}
@@ -160,8 +161,8 @@ func TestChaosV2SteerReconnectResync(t *testing.T) {
 
 	// (c) The new session re-steers FCFS and the change reaches the
 	// solver as a complete triple.
-	w.GrabSteer()
-	w.Steer(1.5, 500, 0.6)
+	w.Queue(wire.Command{Kind: wire.CmdSteerGrab})
+	w.Queue(wire.Command{Kind: wire.CmdSteer, P0: vmath.V3(1.5, 500, 0.6)})
 	if err := w.NetStep(user.Step()); err != nil {
 		t.Fatalf("re-steer frame: %v", err)
 	}
@@ -177,7 +178,11 @@ func TestChaosV2SteerReconnectResync(t *testing.T) {
 			t.Fatalf("solver applied a torn triple: %+v", ap)
 		}
 	}
-	status, err := w.SteerStatus()
+	out, err := w.c.Call(wire.ProcSteer, nil)
+	if err != nil {
+		t.Fatalf("steer call: %v", err)
+	}
+	status, err := wire.DecodeSteerStatus(out)
 	if err != nil {
 		t.Fatalf("steer status: %v", err)
 	}

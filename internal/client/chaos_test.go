@@ -86,7 +86,7 @@ func TestChaosPartitionDuringTimestepStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id1 := w.SelfID()
+	id1 := w.sessionID()
 	user, err := vr.NewScriptedUser(42)
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestChaosPartitionDuringTimestepStream(t *testing.T) {
 	if got := dials.Load(); got != 2 {
 		t.Errorf("dials = %d, want 2", got)
 	}
-	if w.SelfID() == id1 {
+	if w.sessionID() == id1 {
 		t.Errorf("session id did not resync after reconnect")
 	}
 	if st := w.Stats(); st.NetErrors == 0 {

@@ -91,7 +91,7 @@ type Workstation struct {
 	netNanos     atomic.Int64
 	bytesDown    atomic.Int64
 
-	interact Interactor
+	interact interactor
 
 	mu      sync.Mutex // guards everything below
 	info    wire.DatasetInfo
@@ -253,6 +253,10 @@ func NewResilient(dial dlib.DialFunc, cfg Config, ropts dlib.RedialOptions) (*Wo
 	return w, nil
 }
 
+// Close closes the workstation's connection; a resilient workstation
+// stops redialing.
+func (w *Workstation) Close() error { return w.c.Close() }
+
 // Info returns the dataset description received at connect time.
 func (w *Workstation) Info() wire.DatasetInfo {
 	w.mu.Lock()
@@ -260,9 +264,9 @@ func (w *Workstation) Info() wire.DatasetInfo {
 	return w.info
 }
 
-// SelfID returns our session id on the server; it changes after a
+// sessionID returns our session id on the server; it changes after a
 // reconnect (sessions are per-connection).
-func (w *Workstation) SelfID() int64 {
+func (w *Workstation) sessionID() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.selfID
@@ -302,35 +306,6 @@ func (w *Workstation) Queue(cmd wire.Command) {
 	w.pending = append(w.pending, cmd)
 }
 
-// GrabSteer queues a grab of the live-steering lock (FCFS-arbitrated
-// on the server, like rake grabs).
-func (w *Workstation) GrabSteer() {
-	w.Queue(wire.Command{Kind: wire.CmdSteerGrab})
-}
-
-// ReleaseSteer queues a release of the live-steering lock.
-func (w *Workstation) ReleaseSteer() {
-	w.Queue(wire.Command{Kind: wire.CmdSteerRelease})
-}
-
-// Steer queues an atomic change of all three live flow parameters:
-// inlet velocity, Reynolds number, and cylinder taper ratio. The
-// triple rides one command, so a connection dying mid-steer can lose
-// the change but never half-apply it.
-func (w *Workstation) Steer(inflowU, reynolds, taper float32) {
-	w.Queue(wire.Command{Kind: wire.CmdSteer, P0: vmath.V3(inflowU, reynolds, taper)})
-}
-
-// SteerStatus fetches the server's current steering state: parameters,
-// lock holder, and change counter.
-func (w *Workstation) SteerStatus() (wire.SteerStatus, error) {
-	out, err := w.c.Call(wire.ProcSteer, nil)
-	if err != nil {
-		return wire.SteerStatus{}, fmt.Errorf("client: steer call: %w", err)
-	}
-	return wire.DecodeSteerStatus(out)
-}
-
 // Latest returns the most recent environment state (zero value before
 // the first exchange).
 func (w *Workstation) Latest() (wire.FrameReply, bool) {
@@ -351,7 +326,7 @@ func (w *Workstation) NetStep(pose vr.Pose) error {
 	// Gesture-driven interaction synthesizes grab/move/release
 	// commands from the hand state and the last known rake set.
 	if latest, ok := w.Latest(); ok {
-		cmds = append(cmds, w.interact.Commands(pose, latest.Rakes)...)
+		cmds = append(cmds, w.interact.commands(pose, latest.Rakes)...)
 	}
 
 	payload := wire.EncodeClientUpdate(wire.ClientUpdate{
@@ -439,7 +414,7 @@ func (w *Workstation) resyncCodec() error {
 	if err != nil {
 		return err
 	}
-	w.adoptConnection(info, codec, w.SelfID())
+	w.adoptConnection(info, codec, w.sessionID())
 	return nil
 }
 
@@ -454,7 +429,7 @@ func (w *Workstation) RenderFrame(head vmath.Mat4) error {
 		w.renderFrames.Add(1)
 		return nil
 	}
-	self := w.SelfID()
+	self := w.sessionID()
 	err := w.rig.RenderAnaglyph(w.fb, head, func(r *render.Renderer) {
 		drawScene(r, state, self)
 	})

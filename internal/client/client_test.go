@@ -198,16 +198,16 @@ func TestDecoupledRatesWithSlowNetwork(t *testing.T) {
 }
 
 func TestInteractorGrabDragRelease(t *testing.T) {
-	var in Interactor
+	var in interactor
 	rakes := []wire.RakeState{{ID: 7, P0: vmath.V3(0, 0, 0), P1: vmath.V3(2, 0, 0)}}
 
 	// Approach with open hand: nothing.
-	cmds := in.Commands(vr.Pose{Hand: vmath.V3(0.1, 0.1, 0), Gesture: vr.GestureOpen}, rakes)
+	cmds := in.commands(vr.Pose{Hand: vmath.V3(0.1, 0.1, 0), Gesture: vr.GestureOpen}, rakes)
 	if len(cmds) != 0 {
 		t.Fatalf("open hand produced %v", cmds)
 	}
 	// Fist near P0: grab at end0 + initial move.
-	cmds = in.Commands(vr.Pose{Hand: vmath.V3(0.1, 0.1, 0), Gesture: vr.GestureFist}, rakes)
+	cmds = in.commands(vr.Pose{Hand: vmath.V3(0.1, 0.1, 0), Gesture: vr.GestureFist}, rakes)
 	if len(cmds) != 2 || cmds[0].Kind != wire.CmdGrab || cmds[0].Rake != 7 {
 		t.Fatalf("grab cmds = %+v", cmds)
 	}
@@ -215,32 +215,32 @@ func TestInteractorGrabDragRelease(t *testing.T) {
 		t.Errorf("grabbed %d, want end0", cmds[0].Grab)
 	}
 	// Held fist: drag.
-	cmds = in.Commands(vr.Pose{Hand: vmath.V3(1, 1, 0), Gesture: vr.GestureFist}, rakes)
+	cmds = in.commands(vr.Pose{Hand: vmath.V3(1, 1, 0), Gesture: vr.GestureFist}, rakes)
 	if len(cmds) != 1 || cmds[0].Kind != wire.CmdMove || cmds[0].Pos != vmath.V3(1, 1, 0) {
 		t.Fatalf("drag cmds = %+v", cmds)
 	}
 	// Open: release.
-	cmds = in.Commands(vr.Pose{Hand: vmath.V3(1, 1, 0), Gesture: vr.GestureOpen}, rakes)
+	cmds = in.commands(vr.Pose{Hand: vmath.V3(1, 1, 0), Gesture: vr.GestureOpen}, rakes)
 	if len(cmds) != 1 || cmds[0].Kind != wire.CmdRelease {
 		t.Fatalf("release cmds = %+v", cmds)
 	}
-	if _, holding := in.Holding(); holding {
+	if in.holding {
 		t.Error("still holding after release")
 	}
 }
 
 func TestInteractorIgnoresFarGrabs(t *testing.T) {
-	var in Interactor
+	var in interactor
 	rakes := []wire.RakeState{{ID: 1, P0: vmath.V3(0, 0, 0), P1: vmath.V3(1, 0, 0)}}
-	cmds := in.Commands(vr.Pose{Hand: vmath.V3(50, 50, 50), Gesture: vr.GestureFist}, rakes)
+	cmds := in.commands(vr.Pose{Hand: vmath.V3(50, 50, 50), Gesture: vr.GestureFist}, rakes)
 	if len(cmds) != 0 {
 		t.Errorf("distant fist grabbed: %v", cmds)
 	}
 }
 
 func TestInteractorNoRakes(t *testing.T) {
-	var in Interactor
-	cmds := in.Commands(vr.Pose{Gesture: vr.GestureFist}, nil)
+	var in interactor
+	cmds := in.commands(vr.Pose{Gesture: vr.GestureFist}, nil)
 	if len(cmds) != 0 {
 		t.Errorf("grab with no rakes: %v", cmds)
 	}

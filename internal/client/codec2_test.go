@@ -157,7 +157,7 @@ func TestCodecV2DecodeErrorResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.c = &corruptingCaller{Caller: c, corruptAt: 2}
-	id := w.SelfID()
+	id := w.sessionID()
 	user, err := vr.NewScriptedUser(11)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestCodecV2DecodeErrorResync(t *testing.T) {
 		t.Fatalf("post-resync geometry: %d points, want %d",
 			after.TotalPoints(), before.TotalPoints())
 	}
-	if w.SelfID() != id {
+	if w.sessionID() != id {
 		t.Fatal("resync redialed: session id changed on a live connection")
 	}
 	if w.Codec() != wire.CodecV2 {
@@ -301,7 +301,7 @@ func TestCodecV2ReconnectKeyframeResync(t *testing.T) {
 	if got := w.Codec(); got != wire.CodecV2 {
 		t.Fatalf("negotiated codec %d, want %d", got, wire.CodecV2)
 	}
-	id1 := w.SelfID()
+	id1 := w.sessionID()
 	user, err := vr.NewScriptedUser(42)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestCodecV2ReconnectKeyframeResync(t *testing.T) {
 	if w.Reconnects() == 0 || dials.Load() < 2 {
 		t.Fatalf("no redial happened (reconnects=%d dials=%d)", w.Reconnects(), dials.Load())
 	}
-	if w.SelfID() == id1 {
+	if w.sessionID() == id1 {
 		t.Fatal("session id survived the reconnect; server state should have died")
 	}
 	if w.Codec() != wire.CodecV2 {

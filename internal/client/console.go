@@ -31,8 +31,8 @@ import (
 //	seek T
 //	loop on|off
 
-// ParseCommand parses one console line into a wire command.
-func ParseCommand(line string) (wire.Command, error) {
+// parseCommand parses one console line into a wire command.
+func parseCommand(line string) (wire.Command, error) {
 	fields := strings.Fields(line)
 	if len(fields) == 0 {
 		return wire.Command{}, fmt.Errorf("client: empty command")
@@ -250,7 +250,7 @@ func ParseScript(r io.Reader) ([]wire.Command, error) {
 		if line == "" {
 			continue
 		}
-		cmd, err := ParseCommand(line)
+		cmd, err := parseCommand(line)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}

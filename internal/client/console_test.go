@@ -11,7 +11,7 @@ import (
 )
 
 func TestParseRakeAdd(t *testing.T) {
-	cmd, err := ParseCommand("rake add -3,0.6,1 -3,0.6,14 10 streamline")
+	cmd, err := parseCommand("rake add -3,0.6,1 -3,0.6,14 10 streamline")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestParseToolAliases(t *testing.T) {
 		{"streak", integrate.ToolStreakline},
 		{"smoke", integrate.ToolStreakline},
 	} {
-		cmd, err := ParseCommand("rake add 0,0,0 1,0,0 5 " + tc.name)
+		cmd, err := parseCommand("rake add 0,0,0 1,0,0 5 " + tc.name)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -49,21 +49,21 @@ func TestParseToolAliases(t *testing.T) {
 }
 
 func TestParseGrabReleaseMove(t *testing.T) {
-	cmd, err := ParseCommand("grab 3 end1")
+	cmd, err := parseCommand("grab 3 end1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cmd.Kind != wire.CmdGrab || cmd.Rake != 3 || cmd.Grab != uint8(integrate.GrabEnd1) {
 		t.Errorf("grab = %+v", cmd)
 	}
-	cmd, err = ParseCommand("release 3")
+	cmd, err = parseCommand("release 3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cmd.Kind != wire.CmdRelease || cmd.Rake != 3 {
 		t.Errorf("release = %+v", cmd)
 	}
-	cmd, err = ParseCommand("move 3 1,2,3")
+	cmd, err = parseCommand("move 3 1,2,3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,28 +73,28 @@ func TestParseGrabReleaseMove(t *testing.T) {
 }
 
 func TestParseTimeControl(t *testing.T) {
-	cmd, err := ParseCommand("play -2.5")
+	cmd, err := parseCommand("play -2.5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cmd.Kind != wire.CmdSetSpeed || cmd.Value != -2.5 {
 		t.Errorf("play = %+v", cmd)
 	}
-	cmd, err = ParseCommand("stop")
+	cmd, err = parseCommand("stop")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cmd.Kind != wire.CmdSetPlaying || cmd.Flag != 0 {
 		t.Errorf("stop = %+v", cmd)
 	}
-	cmd, err = ParseCommand("seek 42")
+	cmd, err = parseCommand("seek 42")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cmd.Kind != wire.CmdSeek || cmd.Value != 42 {
 		t.Errorf("seek = %+v", cmd)
 	}
-	cmd, err = ParseCommand("loop off")
+	cmd, err = parseCommand("loop off")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestParseErrors(t *testing.T) {
 		"rake seeds 1 zero",
 	}
 	for _, line := range bad {
-		if _, err := ParseCommand(line); err == nil {
+		if _, err := parseCommand(line); err == nil {
 			t.Errorf("%q accepted", line)
 		}
 	}
@@ -167,7 +167,7 @@ func TestParseCommandErrorTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseCommand(tc.line)
+			_, err := parseCommand(tc.line)
 			if err == nil {
 				t.Fatalf("%q accepted", tc.line)
 			}
@@ -260,14 +260,14 @@ play 1
 }
 
 func TestParseRakeTool(t *testing.T) {
-	cmd, err := ParseCommand("rake tool 2 smoke")
+	cmd, err := parseCommand("rake tool 2 smoke")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cmd.Kind != wire.CmdSetTool || cmd.Rake != 2 || cmd.Tool != uint8(integrate.ToolStreakline) {
 		t.Errorf("cmd = %+v", cmd)
 	}
-	if _, err := ParseCommand("rake tool 2 warp"); err == nil {
+	if _, err := parseCommand("rake tool 2 warp"); err == nil {
 		t.Error("bad tool accepted")
 	}
 }

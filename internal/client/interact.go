@@ -7,12 +7,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Interactor turns glove state into rake commands: making a fist near
+// interactor turns glove state into rake commands: making a fist near
 // a rake grabs it at the nearest grab point (center or either end),
 // holding the fist drags the grabbed point with the hand, opening the
 // hand releases. The server still arbitrates conflicts; this only
 // decides what this user is trying to do.
-type Interactor struct {
+type interactor struct {
 	// GrabRadius is how close the hand must be to a grab point.
 	// Zero uses 1.0 world units.
 	GrabRadius float32
@@ -22,16 +22,16 @@ type Interactor struct {
 	wasFist  bool
 }
 
-func (in *Interactor) radius() float32 {
+func (in *interactor) radius() float32 {
 	if in.GrabRadius > 0 {
 		return in.GrabRadius
 	}
 	return 1.0
 }
 
-// Commands returns the commands implied by this frame's pose given the
+// commands returns the commands implied by this frame's pose given the
 // latest known rake set.
-func (in *Interactor) Commands(pose vr.Pose, rakes []wire.RakeState) []wire.Command {
+func (in *interactor) commands(pose vr.Pose, rakes []wire.RakeState) []wire.Command {
 	fist := pose.Gesture == vr.GestureFist
 	defer func() { in.wasFist = fist }()
 
@@ -61,9 +61,6 @@ func (in *Interactor) Commands(pose vr.Pose, rakes []wire.RakeState) []wire.Comm
 		return nil
 	}
 }
-
-// Holding reports whether the interactor believes it holds a rake.
-func (in *Interactor) Holding() (int32, bool) { return in.heldRake, in.holding }
 
 // nearestGrab finds the closest grab point across all rakes.
 func nearestGrab(hand vmath.Vec3, rakes []wire.RakeState) (int32, integrate.GrabPoint, float32) {

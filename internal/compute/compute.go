@@ -39,13 +39,6 @@ type Stats struct {
 	ConvertUnits int64
 }
 
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.Points += other.Points
-	s.SampleUnits += other.SampleUnits
-	s.ConvertUnits += other.ConvertUnits
-}
-
 // Units returns total work units.
 func (s Stats) Units() int64 { return s.SampleUnits + s.ConvertUnits }
 

@@ -31,10 +31,6 @@ import (
 // scene in stereo to the user in less than 1/8th of a second."
 const FrameBudget = time.Second / 8
 
-// TargetFrameRate is the desired update rate: "Ten frames/second will
-// be taken as the desired frame rate."
-const TargetFrameRate = 10
-
 // Options configures a windtunnel.
 type Options struct {
 	// Workers is the server's computation worker count: the width of
@@ -57,8 +53,8 @@ type Options struct {
 	CacheBytes int64
 	// Budget is the server's per-frame integration budget: when the
 	// governor predicts a frame will exceed it, load is shed to hold
-	// TargetFrameRate instead of blowing the §1.2 deadline. Zero
-	// disables the governor.
+	// the paper's ten frames a second instead of blowing the §1.2
+	// deadline. Zero disables the governor.
 	Budget time.Duration
 	// FrameW, FrameH size the workstation display; zero uses 640x512.
 	FrameW, FrameH int
@@ -85,8 +81,7 @@ type Session struct {
 	// User provides scripted head/hand input.
 	User *vr.ScriptedUser
 
-	conn *dlib.Client
-	srv  *server.Server // non-nil for local sessions
+	srv *server.Server // non-nil for local sessions
 }
 
 // serverConfig maps Options onto a server's configuration for every
@@ -173,41 +168,51 @@ func ServeLive(ln net.Listener, lv *datasets.Live, opts Options) (*server.Server
 
 // Connect attaches a workstation to a remote windtunnel server, either
 // by address or through a pre-established connection (e.g. a netsim
-// link); pass exactly one.
+// link); pass exactly one. A workstation connected by address survives
+// the loss of its connection: it redials the address with backoff and
+// replays the handshake while the display keeps the last frame's
+// geometry (client.NewResilient).
 func Connect(addr string, conn net.Conn, opts Options) (*Session, error) {
-	var c *dlib.Client
 	switch {
 	case conn != nil:
-		c = dlib.NewClient(conn)
+		return newSession(dlib.NewClient(conn), nil, opts)
 	case addr != "":
-		var err error
-		c, err = dlib.Dial(addr)
+		dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
+		ws, err := client.NewResilient(dial, workstationConfig(opts), dlib.RedialOptions{})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: connect %s: %w", addr, err)
 		}
-	default:
-		return nil, fmt.Errorf("core: Connect needs an address or a connection")
+		return withUser(ws, nil)
 	}
-	return newSession(c, nil, opts)
+	return nil, fmt.Errorf("core: Connect needs an address or a connection")
+}
+
+func workstationConfig(opts Options) client.Config {
+	return client.Config{FrameW: opts.FrameW, FrameH: opts.FrameH, Codec: opts.Codec}
 }
 
 func newSession(c *dlib.Client, srv *server.Server, opts Options) (*Session, error) {
-	ws, err := client.New(c, client.Config{FrameW: opts.FrameW, FrameH: opts.FrameH, Codec: opts.Codec})
+	ws, err := client.New(c, workstationConfig(opts))
 	if err != nil {
 		c.Close()
 		return nil, err
 	}
+	return withUser(ws, srv)
+}
+
+// withUser completes a session around a connected workstation.
+func withUser(ws *client.Workstation, srv *server.Server) (*Session, error) {
 	user, err := vr.NewScriptedUser(1)
 	if err != nil {
-		c.Close()
+		ws.Close()
 		return nil, err
 	}
-	return &Session{WS: ws, User: user, conn: c, srv: srv}, nil
+	return &Session{WS: ws, User: user, srv: srv}, nil
 }
 
 // Close tears the session down (and the server, for local sessions).
 func (s *Session) Close() error {
-	err := s.conn.Close()
+	err := s.WS.Close()
 	if s.srv != nil {
 		if e := s.srv.Dlib().Close(); err == nil {
 			err = e
@@ -270,17 +275,4 @@ func (s *Session) Frame() (FrameResult, error) {
 		WithinBudget: total <= FrameBudget,
 		Points:       state.TotalPoints(),
 	}, nil
-}
-
-// RunFrames runs n frames and returns the per-frame results.
-func (s *Session) RunFrames(n int) ([]FrameResult, error) {
-	out := make([]FrameResult, 0, n)
-	for i := 0; i < n; i++ {
-		r, err := s.Frame()
-		if err != nil {
-			return out, fmt.Errorf("core: frame %d: %w", i, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

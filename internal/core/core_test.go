@@ -35,6 +35,19 @@ func smallDataset(t testing.TB, numSteps int) *field.Unsteady {
 	return u
 }
 
+// runFrames runs n frames and returns the per-frame results.
+func runFrames(s *Session, n int) ([]FrameResult, error) {
+	out := make([]FrameResult, 0, n)
+	for range n {
+		r, err := s.Frame()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
 func TestLocalSessionFullLoop(t *testing.T) {
 	sess, err := LaunchLocal(smallDataset(t, 4), Options{FrameW: 64, FrameH: 64})
 	if err != nil {
@@ -44,7 +57,7 @@ func TestLocalSessionFullLoop(t *testing.T) {
 
 	sess.AddRake(vmath.V3(-4, -3, 2), vmath.V3(-4, 3, 2), 5, integrate.ToolStreamline)
 	sess.Play(1)
-	results, err := sess.RunFrames(5)
+	results, err := runFrames(sess, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +91,7 @@ func TestLocalFrameWithinBudget(t *testing.T) {
 	defer sess.Close()
 	sess.AddRake(vmath.V3(-4, -3, 2), vmath.V3(-4, 3, 2), 10, integrate.ToolStreamline)
 	// Warm up, then measure.
-	if _, err := sess.RunFrames(2); err != nil {
+	if _, err := runFrames(sess, 2); err != nil {
 		t.Fatal(err)
 	}
 	r, err := sess.Frame()
@@ -108,7 +121,7 @@ func TestDistributedSession(t *testing.T) {
 	defer sess.Close()
 	sess.AddRake(vmath.V3(-4, 0, 2), vmath.V3(4, 0, 2), 4, integrate.ToolStreakline)
 	sess.Play(0.5)
-	if _, err := sess.RunFrames(3); err != nil {
+	if _, err := runFrames(sess, 3); err != nil {
 		t.Fatal(err)
 	}
 	state, ok := sess.WS.Latest()
@@ -216,7 +229,7 @@ func TestLateJoinSeesExistingEnvironment(t *testing.T) {
 	defer first.Close()
 	first.AddRake(vmath.V3(-4, 0, 2), vmath.V3(4, 0, 2), 4, integrate.ToolStreamline)
 	first.Play(1)
-	if _, err := first.RunFrames(5); err != nil {
+	if _, err := runFrames(first, 5); err != nil {
 		t.Fatal(err)
 	}
 	stateBefore, _ := first.WS.Latest()

@@ -92,6 +92,8 @@ type SolverOptions struct {
 // Solver builds the dataset by integrating the Navier-Stokes equations
 // around an immersed tapered cylinder and sampling snapshots onto the
 // curvilinear grid, converted to grid coordinates in place.
+//
+//vw:testonly
 func Solver(s Spec, opts SolverOptions) (*field.Unsteady, error) {
 	u, err := SolverPhysical(s, opts)
 	if err != nil {

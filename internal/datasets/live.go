@@ -138,9 +138,6 @@ func NewLive(s Spec, opts LiveOptions) (*Live, error) {
 // Ring returns the live store to hand to the server.
 func (l *Live) Ring() *store.Ring { return l.ring }
 
-// Grid returns the dataset grid.
-func (l *Live) Grid() *grid.Grid { return l.g }
-
 // SetSteerSource attaches the steering parameter source the producer
 // polls before each timestep.
 func (l *Live) SetSteerSource(src SteerSource) {
@@ -153,6 +150,8 @@ func (l *Live) SetSteerSource(src SteerSource) {
 // far, in application order. The chaos battery uses it to check a
 // change is never torn: every entry must be a complete triple some
 // client sent, never a mix of two.
+//
+//vw:testonly
 func (l *Live) AppliedSteer() []Steering {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -198,14 +198,13 @@ func TestChaosRedialSurvivesReset(t *testing.T) {
 	}, RedialOptions{
 		BaseBackoff: time.Millisecond,
 		CallTimeout: 500 * time.Millisecond,
-		Idempotent:  func(string) bool { return true },
 	})
 	defer r.Close()
 
 	deadline := time.Now().Add(10 * time.Second)
 	var ok int
 	for i := 0; i < 10 && time.Now().Before(deadline); i++ {
-		out, err := r.CallIdempotent(context.Background(), "echo", []byte("n"))
+		out, err := callRetrying(context.Background(), r, "echo", []byte("n"))
 		if err == nil && string(out) == "n" {
 			ok++
 		}
@@ -252,7 +251,6 @@ func TestChaosSeededSweep(t *testing.T) {
 		BaseBackoff: time.Millisecond,
 		MaxAttempts: 16,
 		CallTimeout: 100 * time.Millisecond,
-		Idempotent:  func(string) bool { return true },
 	})
 	defer r.Close()
 
@@ -260,7 +258,7 @@ func TestChaosSeededSweep(t *testing.T) {
 	for i := 0; i < calls; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		start := time.Now()
-		out, err := r.CallIdempotent(ctx, "echo", []byte{byte(i)})
+		out, err := callRetrying(ctx, r, "echo", []byte{byte(i)})
 		cancel()
 		if elapsed := time.Since(start); elapsed > 5*time.Second+chaosSlack {
 			t.Fatalf("call %d ran %v, unbounded under chaos", i, elapsed)

@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// ErrClientClosed is returned by calls started after Close.
-var ErrClientClosed = errors.New("dlib: client closed")
+// errClientClosed is returned by calls started after Close.
+var errClientClosed = errors.New("dlib: client closed")
 
 // errAborted is the fallback when a call dies without a recorded
 // transport error (should not happen in practice).
@@ -39,6 +39,8 @@ type Client struct {
 }
 
 // Dial connects to a dlib server at addr over TCP.
+//
+//vw:testonly
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -87,17 +89,17 @@ func (c *Client) fail(err error) {
 	}
 }
 
-// Err returns the terminal transport error, or nil while the
+// terminalErr returns the terminal transport error, or nil while the
 // connection is healthy. A non-nil result means every future call will
 // fail; redial-capable callers use this to decide to reconnect.
-func (c *Client) Err() error {
+func (c *Client) terminalErr() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
 		return c.err
 	}
 	if c.closed {
-		return ErrClientClosed
+		return errClientClosed
 	}
 	return nil
 }
@@ -138,7 +140,7 @@ func (c *Client) start(proc string, payload []byte) (uint64, chan frame, error) 
 	// records the dying connection too, and a call must not see that.
 	if c.closed {
 		c.mu.Unlock()
-		return 0, nil, ErrClientClosed
+		return 0, nil, errClientClosed
 	}
 	if c.err != nil {
 		err := c.err

@@ -39,18 +39,13 @@ type RedialOptions struct {
 	// means 8. When exhausted the triggering call fails, but a later
 	// call starts a fresh reconnect cycle.
 	MaxAttempts int
-	// CallTimeout is applied to every call without its own deadline,
-	// and bounds each attempt of CallIdempotent.
+	// CallTimeout is applied to every call without its own deadline.
 	CallTimeout time.Duration
 	// OnConnect runs after every successful (re)dial, re-establishing
 	// session state — dlib sessions are per-connection, so handshakes
 	// (hello, whoami) must be replayed. A non-nil error discards the
 	// connection and retries.
 	OnConnect func(*Client) error
-	// Idempotent reports whether a proc is safe to retry on a transport
-	// failure (the call may have executed on the server). Nil retries
-	// nothing.
-	Idempotent func(proc string) bool
 	// Clock paces the reconnect backoff; nil uses the wall clock.
 	// Chaos tests inject a netsim.ManualClock so backoff schedules are
 	// replayable.
@@ -120,9 +115,9 @@ func (r *RedialClient) client(ctx context.Context) (*Client, int, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return nil, 0, ErrClientClosed
+		return nil, 0, errClientClosed
 	}
-	if r.cur != nil && r.cur.Err() == nil {
+	if r.cur != nil && r.cur.terminalErr() == nil {
 		c, gen := r.cur, r.gen
 		r.mu.Unlock()
 		return c, gen, nil
@@ -140,9 +135,9 @@ func (r *RedialClient) reconnect(ctx context.Context) (*Client, int, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return nil, 0, ErrClientClosed
+		return nil, 0, errClientClosed
 	}
-	if r.cur != nil && r.cur.Err() == nil {
+	if r.cur != nil && r.cur.terminalErr() == nil {
 		c, gen := r.cur, r.gen
 		r.mu.Unlock()
 		return c, gen, nil
@@ -185,7 +180,7 @@ func (r *RedialClient) reconnect(ctx context.Context) (*Client, int, error) {
 		if r.closed {
 			r.mu.Unlock()
 			c.Close()
-			return nil, 0, ErrClientClosed
+			return nil, 0, errClientClosed
 		}
 		r.cur = c
 		r.gen++
@@ -220,7 +215,7 @@ func (r *RedialClient) drop(gen int) {
 
 // Call invokes proc on the current connection, dialing first if
 // needed. It does NOT retry a call that failed in flight — the server
-// may have executed it; use CallIdempotent for read-only procs.
+// may have executed it; the next call redials.
 func (r *RedialClient) Call(proc string, payload []byte) ([]byte, error) {
 	return r.CallContext(context.Background(), proc, payload)
 }
@@ -232,49 +227,14 @@ func (r *RedialClient) CallContext(ctx context.Context, proc string, payload []b
 		return nil, err
 	}
 	out, err := c.CallContext(ctx, proc, payload)
-	if err != nil && !isRemote(err) {
+	var remote *RemoteError
+	if err != nil && !errors.As(err, &remote) {
 		// Transport-level failure: this connection is suspect even if
 		// only the deadline fired (a stalled link looks like that).
 		// Drop it so the next call redials.
 		r.drop(gen)
 	}
 	return out, err
-}
-
-// CallIdempotent invokes proc and, when proc is registered idempotent,
-// retries across reconnects on transport failures until ctx expires or
-// the redialer gives up or r is closed. Remote errors never retry:
-// they prove the server executed the call.
-func (r *RedialClient) CallIdempotent(ctx context.Context, proc string, payload []byte) ([]byte, error) {
-	if r.opts.Idempotent == nil || !r.opts.Idempotent(proc) {
-		return r.CallContext(ctx, proc, payload)
-	}
-	var lastErr error
-	for attempt := 0; attempt < r.opts.MaxAttempts; attempt++ {
-		out, err := r.CallContext(ctx, proc, payload)
-		if err == nil || isRemote(err) {
-			return out, err
-		}
-		lastErr = err
-		// An inner client's ErrClientClosed is no reason to stop: drop
-		// closes the client it discards, maybe under this very call.
-		r.mu.Lock()
-		closed := r.closed
-		r.mu.Unlock()
-		if ctx.Err() != nil || closed {
-			return nil, lastErr
-		}
-		// Loop: CallContext already dropped the dead connection, so the
-		// next iteration reconnects with backoff.
-	}
-	return nil, fmt.Errorf("dlib: %s retries exhausted: %w", proc, lastErr)
-}
-
-// isRemote reports whether err came from the remote handler (the call
-// reached the server and ran).
-func isRemote(err error) bool {
-	var re *RemoteError
-	return errors.As(err, &re)
 }
 
 // Close shuts down the current connection and stops future redials.

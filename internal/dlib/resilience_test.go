@@ -39,7 +39,7 @@ func TestWaitReturnsStoredErrorOnClosedChannel(t *testing.T) {
 		if !strings.Contains(err.Error(), "connection lost") {
 			t.Errorf("call error = %v, want the stored connection error", err)
 		}
-		if stored := c.Err(); stored == nil || err.Error() != stored.Error() {
+		if stored := c.terminalErr(); stored == nil || err.Error() != stored.Error() {
 			t.Errorf("call error %q != stored client error %q", err, stored)
 		}
 	case <-time.After(5 * time.Second):
@@ -109,6 +109,23 @@ func TestLateReplyAfterTimeoutIsDropped(t *testing.T) {
 	}
 }
 
+// callRetrying is the retry a caller writes for a proc it knows is safe
+// to repeat: a transport failure dropped the dead connection, so each
+// attempt redials, until a reply, a remote error, ctx's end or
+// MaxAttempts attempts.
+func callRetrying(ctx context.Context, r *RedialClient, proc string, payload []byte) ([]byte, error) {
+	var err error
+	for range r.opts.MaxAttempts {
+		var out []byte
+		out, err = r.CallContext(ctx, proc, payload)
+		var remote *RemoteError
+		if err == nil || errors.As(err, &remote) || ctx.Err() != nil {
+			return out, err
+		}
+	}
+	return nil, err
+}
+
 func TestRedialReconnects(t *testing.T) {
 	s, _, addr := startServerAddr(t)
 	s.Register("echo", func(_ *Ctx, p []byte) ([]byte, error) { return p, nil })
@@ -119,7 +136,6 @@ func TestRedialReconnects(t *testing.T) {
 	}, RedialOptions{
 		BaseBackoff: time.Millisecond,
 		CallTimeout: time.Second,
-		Idempotent:  func(string) bool { return true }, // echo is read-only here
 		OnConnect: func(*Client) error {
 			connects.Add(1)
 			return nil
@@ -137,8 +153,8 @@ func TestRedialReconnects(t *testing.T) {
 	r.mu.Unlock()
 
 	// A plain Call may lose the race with the dying read loop once;
-	// the idempotent path retries across the reconnect.
-	out, err = r.CallIdempotent(context.Background(), "echo", []byte("two"))
+	// the retry crosses the reconnect.
+	out, err = callRetrying(context.Background(), r, "echo", []byte("two"))
 	if err != nil || string(out) != "two" {
 		t.Fatalf("post-kill call: %q, %v", out, err)
 	}
@@ -163,7 +179,6 @@ func TestRedialRetriesPastAClosedInnerClient(t *testing.T) {
 	}, RedialOptions{
 		BaseBackoff: time.Millisecond,
 		CallTimeout: time.Second,
-		Idempotent:  func(string) bool { return true },
 		OnConnect: func(c *Client) error {
 			if connects.Add(1) == 1 {
 				c.Close() // becomes r's current client, closed
@@ -172,7 +187,7 @@ func TestRedialRetriesPastAClosedInnerClient(t *testing.T) {
 		},
 	})
 	defer r.Close()
-	out, err := r.CallIdempotent(context.Background(), "echo", []byte("x"))
+	out, err := callRetrying(context.Background(), r, "echo", []byte("x"))
 	if err != nil || string(out) != "x" {
 		t.Fatalf("call on a closed inner client: %q, %v; want a redial and the reply", out, err)
 	}
@@ -198,8 +213,8 @@ func TestRedialGivesUpAfterMaxAttempts(t *testing.T) {
 }
 
 func TestRedialDoesNotRetryNonIdempotent(t *testing.T) {
-	// A transport failure on a proc with side effects must surface, not
-	// silently re-execute.
+	// A transport failure must surface, not silently re-execute: the
+	// call may have run on the server, so RedialClient never retries it.
 	var dials atomic.Int64
 	r := NewRedialClient(func() (net.Conn, error) {
 		dials.Add(1)
@@ -215,7 +230,7 @@ func TestRedialDoesNotRetryNonIdempotent(t *testing.T) {
 		return a, nil
 	}, RedialOptions{BaseBackoff: time.Microsecond, CallTimeout: time.Second})
 	defer r.Close()
-	_, err := r.CallIdempotent(context.Background(), "mutate.state", nil)
+	_, err := r.CallContext(context.Background(), "mutate.state", nil)
 	if err == nil {
 		t.Fatal("non-idempotent call silently retried to success")
 	}
@@ -336,7 +351,7 @@ func TestCloseIsIdempotent(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Errorf("second close: %v", err)
 	}
-	if _, err := c.Call("x", nil); !errors.Is(err, ErrClientClosed) {
+	if _, err := c.Call("x", nil); !errors.Is(err, errClientClosed) {
 		t.Errorf("call after close: %v", err)
 	}
 }

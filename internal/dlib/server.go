@@ -264,6 +264,8 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // ReapedSessions returns how many sessions the idle timeout has
 // disconnected.
+//
+//vw:testonly
 func (s *Server) ReapedSessions() int64 { return s.reaped.Load() }
 
 // dispatch runs one call under the global serial lock and returns the

@@ -32,20 +32,20 @@ type UserPose struct {
 	Gesture uint8
 }
 
-// ErrLocked is returned when a user tries to act on a rake, the
+// errLocked is returned when a user tries to act on a rake, the
 // steering or a shared tool another user holds.
-type ErrLocked struct {
+type errLocked struct {
 	Object string // "rake 3", "steering", "iso tool"
 	Holder int64
 }
 
 // Error implements error.
-func (e *ErrLocked) Error() string {
+func (e *errLocked) Error() string {
 	return fmt.Sprintf("env: %s held by user %d", e.Object, e.Holder)
 }
 
 // checkHolder is the FCFS rule every lock shares: a user may act on a
-// free object or on one they hold; anyone else gets ErrLocked naming
+// free object or on one they hold; anyone else gets errLocked naming
 // the holder. rake is the object's rake id (ids start at 1), or 0 for
 // the singletons; the name is formatted only on refusal.
 func checkHolder(holder, user int64, object string, rake int32) error {
@@ -55,7 +55,7 @@ func checkHolder(holder, user int64, object string, rake int32) error {
 	if rake != 0 {
 		object = fmt.Sprintf("%s %d", object, rake)
 	}
-	return &ErrLocked{Object: object, Holder: holder}
+	return &errLocked{Object: object, Holder: holder}
 }
 
 // rakeState pairs a rake with its lock.
@@ -315,6 +315,8 @@ func (e *Environment) AppendRakes(dst []RakeSnapshot) []RakeSnapshot {
 }
 
 // Rake returns a snapshot of one rake.
+//
+//vw:testonly
 func (e *Environment) Rake(id int32) (RakeSnapshot, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -343,15 +345,10 @@ type UserSnapshot struct {
 	Pose UserPose
 }
 
-// Users returns the poses of all users, ordered by session id —
-// sorted, like Rakes, so that two snapshots of the same state are
-// identical and frames built from them encode byte-identically.
-func (e *Environment) Users() []UserSnapshot {
-	return e.AppendUsers(nil)
-}
-
 // AppendUsers appends a snapshot of every user to dst, ordered by
-// session id, and returns the extended slice.
+// session id, and returns the extended slice. Sorted, like Rakes, so
+// that frames built from two snapshots of the same state encode
+// byte-identically.
 func (e *Environment) AppendUsers(dst []UserSnapshot) []UserSnapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -58,7 +58,7 @@ func TestFirstComeFirstServedLocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := e.GrabRake(2, r1, integrate.GrabCenter)
-	var locked *ErrLocked
+	var locked *errLocked
 	if !errors.As(err, &locked) || locked.Holder != 1 || locked.Object != "rake 1" {
 		t.Fatalf("second grab: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestReleaseAllOnDisconnect(t *testing.T) {
 	if err := e.GrabRake(2, r2, integrate.GrabCenter); err != nil {
 		t.Errorf("rake still locked after ReleaseAll: %v", err)
 	}
-	for _, u := range e.Users() {
+	for _, u := range e.AppendUsers(nil) {
 		if u.ID == 1 {
 			t.Error("pose survives ReleaseAll")
 		}
@@ -185,7 +185,7 @@ func TestUserPoses(t *testing.T) {
 	e := New(10)
 	e.SetUserPose(1, UserPose{Hand: vmath.V3(1, 0, 0)})
 	e.SetUserPose(2, UserPose{Hand: vmath.V3(2, 0, 0)})
-	users := e.Users()
+	users := e.AppendUsers(nil)
 	if len(users) != 2 {
 		t.Fatalf("users = %d", len(users))
 	}
@@ -352,4 +352,11 @@ func TestSetRakeTool(t *testing.T) {
 	if err := e.SetRakeTool(1, id, integrate.ToolStreamline); err == nil {
 		t.Error("non-holder changed tool of held rake")
 	}
+}
+
+// Time returns the current playback state.
+func (e *Environment) Time() TimeState {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.time
 }

@@ -20,7 +20,7 @@ func TestSteerFCFSLock(t *testing.T) {
 	}
 	// FCFS: the second user bounces with the holder identified.
 	err := e.GrabSteer(2)
-	var locked *ErrLocked
+	var locked *errLocked
 	if !errors.As(err, &locked) || locked.Holder != 1 || locked.Object != "steering" {
 		t.Fatalf("second grab: %v, want ErrLocked{steering, 1}", err)
 	}

@@ -31,13 +31,6 @@ func (t TimeState) Step() int {
 	return s
 }
 
-// Time returns the current playback state.
-func (e *Environment) Time() TimeState {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.time
-}
-
 // SetSpeed sets playback speed in timesteps per frame (negative for
 // reverse).
 func (e *Environment) SetSpeed(speed float32) {

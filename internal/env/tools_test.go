@@ -16,7 +16,7 @@ func TestToolGrabFCFS(t *testing.T) {
 	}
 	// A rival bounces with a typed error naming the holder.
 	err := e.GrabTool(2, ToolIso)
-	var locked *ErrLocked
+	var locked *errLocked
 	if !errors.As(err, &locked) || locked.Holder != 1 || locked.Object != "iso tool" {
 		t.Fatalf("rival grab: %v", err)
 	}

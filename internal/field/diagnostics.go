@@ -1,8 +1,6 @@
 package field
 
 import (
-	"fmt"
-
 	"repro/internal/grid"
 	"repro/internal/vmath"
 )
@@ -83,61 +81,17 @@ func invert3(cols [3]vmath.Vec3) ([3]vmath.Vec3, bool) {
 	return [3]vmath.Vec3{r0, r1, r2}, true
 }
 
-// Vorticity returns the curl of a physical-coordinate velocity field
-// at every node: (dw/dy - dv/dz, du/dz - dw/dx, dv/dx - du/dy).
-// Degenerate cells produce zero vorticity rather than an error.
-func Vorticity(g *grid.Grid, f *Field) (*Field, error) {
-	if f.Coords != Physical {
-		return nil, fmt.Errorf("field: vorticity needs physical-coordinate velocities")
-	}
-	if !f.MatchesGrid(g) {
-		return nil, fmt.Errorf("field: dims do not match grid")
-	}
-	out := NewField(f.NI, f.NJ, f.NK, Physical)
-	m := g.Metric()
-	for k := 0; k < f.NK; k++ {
-		for j := 0; j < f.NJ; j++ {
-			for i := 0; i < f.NI; i++ {
-				gu, gv, gw, ok := physicalGradients(g, m, f, i, j, k)
-				if !ok {
-					continue
-				}
-				out.SetAt(i, j, k, vmath.Vec3{
-					X: gw.Y - gv.Z,
-					Y: gu.Z - gw.X,
-					Z: gv.X - gu.Y,
-				})
-			}
-		}
-	}
-	return out, nil
-}
-
-// QCriterion returns the node-indexed Q-criterion of a
-// physical-coordinate velocity field: Q = ½(‖Ω‖² − ‖S‖²) where S and
-// Ω are the symmetric and antisymmetric parts of the velocity-gradient
-// tensor. Q > 0 marks rotation-dominated regions, so the vortex-core
-// tool extracts the isosurface of this scalar at a small positive
-// threshold. Expanding the norms, Q = −½ ∂u_i/∂x_j ∂u_j/∂x_i.
-// Degenerate cells produce Q = 0 rather than an error.
-func QCriterion(g *grid.Grid, f *Field) ([]float32, error) {
-	if f.Coords != Physical {
-		return nil, fmt.Errorf("field: Q-criterion needs physical-coordinate velocities")
-	}
-	if !f.MatchesGrid(g) {
-		return nil, fmt.Errorf("field: dims do not match grid")
-	}
-	out := make([]float32, f.NumNodes())
-	QCriterionInto(out, g, f, 0, f.NK)
-	return out, nil
-}
-
-// QCriterionInto is QCriterion's loop over the k-planes [k0, k1),
-// writing every node of those planes (zero where the cell is
-// degenerate) into dst: the form a caller that recycles dst across
-// timesteps, or splits the planes over workers, uses. f is a
-// physical-coordinate field matching g and is read beyond the range
-// (central differences); disjoint plane ranges may run concurrently.
+// QCriterionInto writes the node-indexed Q-criterion of the k-planes
+// [k0, k1) of a physical-coordinate velocity field into dst: Q =
+// ½(‖Ω‖² − ‖S‖²) where S and Ω are the symmetric and antisymmetric
+// parts of the velocity-gradient tensor. Q > 0 marks rotation-dominated
+// regions, so the vortex-core tool extracts the isosurface of this
+// scalar at a small positive threshold. Expanding the norms, Q = −½
+// ∂u_i/∂x_j ∂u_j/∂x_i. Every node of those planes is written, zero
+// where the cell is degenerate, so a caller may recycle dst across
+// timesteps or split the planes over workers. f matches g and is read
+// beyond the range (central differences); disjoint plane ranges may
+// run concurrently.
 //
 //vw:hotpath
 func QCriterionInto(dst []float32, g *grid.Grid, f *Field, k0, k1 int) {
@@ -154,41 +108,4 @@ func QCriterionInto(dst []float32, g *grid.Grid, f *Field, k0, k1 int) {
 			}
 		}
 	}
-}
-
-// DivergenceStats returns the mean and max absolute divergence of a
-// physical-coordinate field — the incompressibility diagnostic.
-func DivergenceStats(g *grid.Grid, f *Field) (mean, max float64, err error) {
-	if f.Coords != Physical {
-		return 0, 0, fmt.Errorf("field: divergence needs physical-coordinate velocities")
-	}
-	if !f.MatchesGrid(g) {
-		return 0, 0, fmt.Errorf("field: dims do not match grid")
-	}
-	var sum float64
-	var n int
-	m := g.Metric()
-	for k := 0; k < f.NK; k++ {
-		for j := 0; j < f.NJ; j++ {
-			for i := 0; i < f.NI; i++ {
-				gu, gv, gw, ok := physicalGradients(g, m, f, i, j, k)
-				if !ok {
-					continue
-				}
-				div := float64(gu.X + gv.Y + gw.Z)
-				if div < 0 {
-					div = -div
-				}
-				sum += div
-				if div > max {
-					max = div
-				}
-				n++
-			}
-		}
-	}
-	if n == 0 {
-		return 0, 0, fmt.Errorf("field: no valid cells")
-	}
-	return sum / float64(n), max, nil
 }

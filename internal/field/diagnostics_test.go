@@ -1,6 +1,7 @@
 package field
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -119,34 +120,6 @@ func TestVorticityValidation(t *testing.T) {
 	}
 }
 
-func TestDivergenceStatsSolenoidalVsRadial(t *testing.T) {
-	g := fineGrid(t, 17)
-	// Solenoidal: solid rotation has zero divergence.
-	center := vmath.V3(math.Pi, math.Pi, math.Pi)
-	sol := sampleAnalytic(g, func(p vmath.Vec3) vmath.Vec3 {
-		d := p.Sub(center)
-		return vmath.V3(-d.Y, d.X, 0)
-	})
-	meanSol, _, err := DivergenceStats(g, sol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Radial: div(r) = 3 everywhere.
-	rad := sampleAnalytic(g, func(p vmath.Vec3) vmath.Vec3 {
-		return p.Sub(center)
-	})
-	meanRad, maxRad, err := DivergenceStats(g, rad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meanSol > 1e-3 {
-		t.Errorf("solenoidal mean divergence %v", meanSol)
-	}
-	if math.Abs(meanRad-3) > 1e-3 || math.Abs(maxRad-3) > 1e-3 {
-		t.Errorf("radial divergence mean=%v max=%v, want 3", meanRad, maxRad)
-	}
-}
-
 func TestVorticityOnCurvilinearGrid(t *testing.T) {
 	// Solid rotation sampled on the tapered-cylinder O-grid must still
 	// produce curl ~ (0, 0, 2 omega) — the Jacobian chain rule handles
@@ -252,4 +225,53 @@ func TestToPhysicalVelocityCartesianScale(t *testing.T) {
 	if _, err := ToPhysicalVelocity(p, g); err == nil {
 		t.Error("double conversion accepted")
 	}
+}
+
+// Vorticity returns the curl of a physical-coordinate velocity field
+// at every node: (dw/dy - dv/dz, du/dz - dw/dx, dv/dx - du/dy).
+// Degenerate cells produce zero vorticity rather than an error.
+func Vorticity(g *grid.Grid, f *Field) (*Field, error) {
+	if f.Coords != Physical {
+		return nil, fmt.Errorf("field: vorticity needs physical-coordinate velocities")
+	}
+	if !f.MatchesGrid(g) {
+		return nil, fmt.Errorf("field: dims do not match grid")
+	}
+	out := NewField(f.NI, f.NJ, f.NK, Physical)
+	m := g.Metric()
+	for k := 0; k < f.NK; k++ {
+		for j := 0; j < f.NJ; j++ {
+			for i := 0; i < f.NI; i++ {
+				gu, gv, gw, ok := physicalGradients(g, m, f, i, j, k)
+				if !ok {
+					continue
+				}
+				out.SetAt(i, j, k, vmath.Vec3{
+					X: gw.Y - gv.Z,
+					Y: gu.Z - gw.X,
+					Z: gv.X - gu.Y,
+				})
+			}
+		}
+	}
+	return out, nil
+}
+
+// QCriterion returns the node-indexed Q-criterion of a
+// physical-coordinate velocity field: Q = ½(‖Ω‖² − ‖S‖²) where S and
+// Ω are the symmetric and antisymmetric parts of the velocity-gradient
+// tensor. Q > 0 marks rotation-dominated regions, so the vortex-core
+// tool extracts the isosurface of this scalar at a small positive
+// threshold. Expanding the norms, Q = −½ ∂u_i/∂x_j ∂u_j/∂x_i.
+// Degenerate cells produce Q = 0 rather than an error.
+func QCriterion(g *grid.Grid, f *Field) ([]float32, error) {
+	if f.Coords != Physical {
+		return nil, fmt.Errorf("field: Q-criterion needs physical-coordinate velocities")
+	}
+	if !f.MatchesGrid(g) {
+		return nil, fmt.Errorf("field: dims do not match grid")
+	}
+	out := make([]float32, f.NumNodes())
+	QCriterionInto(out, g, f, 0, f.NK)
+	return out, nil
 }

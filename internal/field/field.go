@@ -12,7 +12,6 @@ package field
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/grid"
 	"repro/internal/vmath"
@@ -70,6 +69,8 @@ func (f *Field) NumNodes() int { return f.NI * f.NJ * f.NK }
 func (f *Field) SizeBytes() int64 { return int64(f.NumNodes()) * 12 }
 
 // Index returns the linear index of node (i, j, k).
+//
+//vw:testonly
 func (f *Field) Index(i, j, k int) int { return (k*f.NJ+j)*f.NI + i }
 
 // At returns the velocity at node (i, j, k).
@@ -87,13 +88,13 @@ func (f *Field) SetAt(i, j, k int, v vmath.Vec3) {
 // Sample returns the velocity at grid coordinate gc by trilinear
 // interpolation over g, which must share the field's dimensions.
 func (f *Field) Sample(g *grid.Grid, gc vmath.Vec3) vmath.Vec3 {
-	return f.SampleCell(g, g.Locate(gc))
+	return f.sampleCell(g, g.Locate(gc))
 }
 
-// SampleCell interpolates all three components at an already located
+// sampleCell interpolates all three components at an already located
 // cell, so a caller sampling several timesteps at one position locates
 // once.
-func (f *Field) SampleCell(g *grid.Grid, c grid.Cell) vmath.Vec3 {
+func (f *Field) sampleCell(g *grid.Grid, c grid.Cell) vmath.Vec3 {
 	x, y, z := g.Interp3(f.U, f.V, f.W, c)
 	return vmath.Vec3{X: x, Y: y, Z: z}
 }
@@ -118,28 +119,6 @@ func (f *Field) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Clone returns a deep copy of f.
-func (f *Field) Clone() *Field {
-	c := NewField(f.NI, f.NJ, f.NK, f.Coords)
-	copy(c.U, f.U)
-	copy(c.V, f.V)
-	copy(c.W, f.W)
-	return c
-}
-
-// MaxSpeed returns the largest velocity magnitude in the field, used
-// to pick stable integration step sizes.
-func (f *Field) MaxSpeed() float32 {
-	var maxSq float32
-	for i := range f.U {
-		sq := f.U[i]*f.U[i] + f.V[i]*f.V[i] + f.W[i]*f.W[i]
-		if sq > maxSq {
-			maxSq = sq
-		}
-	}
-	return float32(math.Sqrt(float64(maxSq)))
 }
 
 // ToGridCoords converts a physical-coordinate field to grid

@@ -1,8 +1,11 @@
 package field
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -302,7 +305,7 @@ func TestFieldRoundTrip(t *testing.T) {
 	if err := WriteField(&buf, f); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadField(&buf)
+	got, err := readField(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +326,7 @@ func TestFieldRoundTripProperty(t *testing.T) {
 		if err := WriteField(&buf, orig); err != nil {
 			return false
 		}
-		got, err := ReadField(&buf)
+		got, err := readField(&buf)
 		if err != nil {
 			return false
 		}
@@ -371,7 +374,7 @@ func TestReadFieldRejectsGarbage(t *testing.T) {
 		bytes.Repeat([]byte{0xff}, 64),
 	}
 	for i, c := range cases {
-		if _, err := ReadField(bytes.NewReader(c)); err == nil {
+		if _, err := readField(bytes.NewReader(c)); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
 		}
 		if _, err := ReadGrid(bytes.NewReader(c)); err == nil {
@@ -389,7 +392,7 @@ func TestReadFieldRejectsHugeDims(t *testing.T) {
 	b := buf.Bytes()
 	// Corrupt NI to an absurd value.
 	b[4], b[5], b[6], b[7] = 0xff, 0xff, 0xff, 0x7f
-	if _, err := ReadField(bytes.NewReader(b)); err == nil {
+	if _, err := readField(bytes.NewReader(b)); err == nil {
 		t.Error("huge dims accepted")
 	}
 }
@@ -400,7 +403,7 @@ func TestReadFieldTruncatedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
-	if _, err := ReadField(bytes.NewReader(b[:len(b)/2])); err == nil {
+	if _, err := readField(bytes.NewReader(b[:len(b)/2])); err == nil {
 		t.Error("truncated payload accepted")
 	}
 }
@@ -503,4 +506,73 @@ func TestPLOT3DRejectsGarbage(t *testing.T) {
 	if _, err := ReadPLOT3DFunction(&buf); err == nil {
 		t.Error("5-variable function accepted as velocity")
 	}
+}
+
+// Clone returns a deep copy of f.
+func (f *Field) Clone() *Field {
+	c := NewField(f.NI, f.NJ, f.NK, f.Coords)
+	copy(c.U, f.U)
+	copy(c.V, f.V)
+	copy(c.W, f.W)
+	return c
+}
+
+// MaxSpeed returns the largest velocity magnitude in the field, used
+// to pick stable integration step sizes.
+func (f *Field) MaxSpeed() float32 {
+	var maxSq float32
+	for i := range f.U {
+		sq := f.U[i]*f.U[i] + f.V[i]*f.V[i] + f.W[i]*f.W[i]
+		if sq > maxSq {
+			maxSq = sq
+		}
+	}
+	return float32(math.Sqrt(float64(maxSq)))
+}
+
+// ReadPLOT3DGrid reads a PLOT3D XYZ file.
+func ReadPLOT3DGrid(r io.Reader) (*grid.Grid, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var hdr [3]int32
+	if err := binary.Read(br, binary.LittleEndian, hdr[:]); err != nil {
+		return nil, fmt.Errorf("field: plot3d grid header: %w", err)
+	}
+	ni, nj, nk := int(hdr[0]), int(hdr[1]), int(hdr[2])
+	if err := checkDims(ni, nj, nk); err != nil {
+		return nil, err
+	}
+	g, err := grid.New(ni, nj, nk)
+	if err != nil {
+		return nil, err
+	}
+	for _, comp := range [][]float32{g.X, g.Y, g.Z} {
+		if err := readFloats(br, comp); err != nil {
+			return nil, fmt.Errorf("field: plot3d grid payload: %w", err)
+		}
+	}
+	return g, nil
+}
+
+// ReadPLOT3DFunction reads a 3-variable PLOT3D function file as a
+// physical-coordinate velocity field.
+func ReadPLOT3DFunction(r io.Reader) (*Field, error) {
+	br := bufio.NewReaderSize(r, 1<<16)
+	var hdr [4]int32
+	if err := binary.Read(br, binary.LittleEndian, hdr[:]); err != nil {
+		return nil, fmt.Errorf("field: plot3d function header: %w", err)
+	}
+	ni, nj, nk, nvar := int(hdr[0]), int(hdr[1]), int(hdr[2]), int(hdr[3])
+	if err := checkDims(ni, nj, nk); err != nil {
+		return nil, err
+	}
+	if nvar != 3 {
+		return nil, fmt.Errorf("field: plot3d function has %d variables, want 3 (u, v, w)", nvar)
+	}
+	f := NewField(ni, nj, nk, Physical)
+	for _, comp := range [][]float32{f.U, f.V, f.W} {
+		if err := readFloats(br, comp); err != nil {
+			return nil, fmt.Errorf("field: plot3d function payload: %w", err)
+		}
+	}
+	return f, nil
 }

@@ -67,18 +67,6 @@ func WriteField(w io.Writer, f *Field) error {
 	return bw.Flush()
 }
 
-// ReadField reads a timestep written by WriteField.
-func ReadField(r io.Reader) (*Field, error) {
-	f, err := ReadFieldHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := ReadFieldPayload(r, f); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // ReadFieldHeader reads and checks the header of a timestep file and
 // returns the field it announces with no samples yet: NI, NJ, NK,
 // Coords, and so MatchesGrid and SizeBytes, are the file's. A caller

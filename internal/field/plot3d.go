@@ -35,29 +35,6 @@ func WritePLOT3DGrid(w io.Writer, g *grid.Grid) error {
 	return bw.Flush()
 }
 
-// ReadPLOT3DGrid reads a PLOT3D XYZ file.
-func ReadPLOT3DGrid(r io.Reader) (*grid.Grid, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [3]int32
-	if err := binary.Read(br, binary.LittleEndian, hdr[:]); err != nil {
-		return nil, fmt.Errorf("field: plot3d grid header: %w", err)
-	}
-	ni, nj, nk := int(hdr[0]), int(hdr[1]), int(hdr[2])
-	if err := checkDims(ni, nj, nk); err != nil {
-		return nil, err
-	}
-	g, err := grid.New(ni, nj, nk)
-	if err != nil {
-		return nil, err
-	}
-	for _, comp := range [][]float32{g.X, g.Y, g.Z} {
-		if err := readFloats(br, comp); err != nil {
-			return nil, fmt.Errorf("field: plot3d grid payload: %w", err)
-		}
-	}
-	return g, nil
-}
-
 // WritePLOT3DFunction writes f's velocity as a 3-variable PLOT3D
 // function file.
 func WritePLOT3DFunction(w io.Writer, f *Field) error {
@@ -72,28 +49,4 @@ func WritePLOT3DFunction(w io.Writer, f *Field) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadPLOT3DFunction reads a 3-variable PLOT3D function file as a
-// physical-coordinate velocity field.
-func ReadPLOT3DFunction(r io.Reader) (*Field, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [4]int32
-	if err := binary.Read(br, binary.LittleEndian, hdr[:]); err != nil {
-		return nil, fmt.Errorf("field: plot3d function header: %w", err)
-	}
-	ni, nj, nk, nvar := int(hdr[0]), int(hdr[1]), int(hdr[2]), int(hdr[3])
-	if err := checkDims(ni, nj, nk); err != nil {
-		return nil, err
-	}
-	if nvar != 3 {
-		return nil, fmt.Errorf("field: plot3d function has %d variables, want 3 (u, v, w)", nvar)
-	}
-	f := NewField(ni, nj, nk, Physical)
-	for _, comp := range [][]float32{f.U, f.V, f.W} {
-		if err := readFloats(br, comp); err != nil {
-			return nil, fmt.Errorf("field: plot3d function payload: %w", err)
-		}
-	}
-	return f, nil
 }

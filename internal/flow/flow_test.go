@@ -221,3 +221,34 @@ func BenchmarkSampleTimestep(b *testing.B) {
 		Sample(tc, g, float32(i))
 	}
 }
+
+// Uniform is a constant free-stream flow.
+type Uniform struct {
+	Velocity vmath.Vec3
+}
+
+// VelocityAt implements Flow.
+func (u Uniform) VelocityAt(vmath.Vec3, float32) vmath.Vec3 { return u.Velocity }
+
+// Name implements Flow.
+func (u Uniform) Name() string { return "uniform" }
+
+// TaylorGreen is the decaying Taylor-Green vortex, an exact
+// Navier-Stokes solution used to validate the solver substrate.
+type TaylorGreen struct {
+	Nu float32 // kinematic viscosity
+}
+
+// Name implements Flow.
+func (f TaylorGreen) Name() string { return "taylor-green" }
+
+// VelocityAt implements Flow. The 2-D (x, y) Taylor-Green field
+// extended uniformly in z, with viscous decay exp(-2 nu t).
+func (f TaylorGreen) VelocityAt(p vmath.Vec3, t float32) vmath.Vec3 {
+	decay := math.Exp(-2 * float64(f.Nu) * float64(t))
+	x, y := float64(p.X), float64(p.Y)
+	return vmath.Vec3{
+		X: float32(math.Cos(x) * math.Sin(y) * decay),
+		Y: float32(-math.Sin(x) * math.Cos(y) * decay),
+	}
+}

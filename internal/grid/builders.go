@@ -46,6 +46,8 @@ type TaperedCylinderSpec struct {
 
 // DefaultTaperedCylinder is a laptop-scale stand-in for the paper's
 // 131,072-point (64x64x32) tapered cylinder grid.
+//
+//vw:testonly
 func DefaultTaperedCylinder() TaperedCylinderSpec {
 	return TaperedCylinderSpec{
 		NI: 64, NJ: 64, NK: 32,
@@ -87,35 +89,6 @@ func NewTaperedCylinder(spec TaperedCylinderSpec) (*Grid, error) {
 					X: r * float32(c),
 					Y: r * float32(s),
 					Z: z,
-				})
-			}
-		}
-	}
-	return g, nil
-}
-
-// NewStretchedBox returns a Cartesian-topology grid over box whose
-// nodes are clustered toward the low-X face with the given exponent,
-// useful for exercising non-uniform Jacobians in tests.
-func NewStretchedBox(ni, nj, nk int, box vmath.AABB, exponent float64) (*Grid, error) {
-	if exponent <= 0 {
-		return nil, fmt.Errorf("grid: stretch exponent %g <= 0", exponent)
-	}
-	g, err := New(ni, nj, nk)
-	if err != nil {
-		return nil, err
-	}
-	size := box.Size()
-	for k := 0; k < nk; k++ {
-		fz := float32(k) / float32(nk-1)
-		for j := 0; j < nj; j++ {
-			fy := float32(j) / float32(nj-1)
-			for i := 0; i < ni; i++ {
-				fx := float32(math.Pow(float64(i)/float64(ni-1), exponent))
-				g.SetAt(i, j, k, vmath.Vec3{
-					X: box.Min.X + fx*size.X,
-					Y: box.Min.Y + fy*size.Y,
-					Z: box.Min.Z + fz*size.Z,
 				})
 			}
 		}

@@ -69,6 +69,8 @@ func (g *Grid) At(i, j, k int) vmath.Vec3 {
 // SetAt sets the physical position of node (i, j, k) and drops the
 // memoized metric, which the next Metric call rebuilds. It must not run
 // concurrently with readers of the grid.
+//
+//vw:testonly
 func (g *Grid) SetAt(i, j, k int, p vmath.Vec3) {
 	idx := g.Index(i, j, k)
 	g.X[idx], g.Y[idx], g.Z[idx] = p.X, p.Y, p.Z
@@ -176,14 +178,6 @@ func (g *Grid) Interp3(u, v, w []float32, c Cell) (x, y, z float32) {
 	return interp(u), interp(v), interp(w)
 }
 
-// Trilerp interpolates one node-indexed scalar array (len == NumNodes)
-// at grid coordinate gc. Callers sampling several arrays at one
-// coordinate Locate once and use Interp3.
-func (g *Grid) Trilerp(a []float32, gc vmath.Vec3) float32 {
-	x, _, _ := g.Interp3(a, a, a, g.Locate(gc))
-	return x
-}
-
 // Bounds returns the physical axis-aligned bounding box of all nodes.
 func (g *Grid) Bounds() vmath.AABB {
 	b := vmath.NewAABB()
@@ -196,6 +190,8 @@ func (g *Grid) Bounds() vmath.AABB {
 // Jacobian returns the 3x3 Jacobian d(phys)/d(grid) at grid coordinate
 // gc, estimated by central differences of the trilinear position map.
 // Columns are the physical-space derivatives along i, j, k.
+//
+//vw:testonly
 func (g *Grid) Jacobian(gc vmath.Vec3) (cols [3]vmath.Vec3) {
 	const h = 0.25
 	for axis := 0; axis < 3; axis++ {
@@ -263,9 +259,9 @@ func (g *Grid) Metric() Metric {
 	return m
 }
 
-// ErrNotFound is returned by PhysToGrid when the physical point cannot
+// errNotFound is returned by PhysToGrid when the physical point cannot
 // be located inside the grid.
-var ErrNotFound = errors.New("grid: physical point outside grid")
+var errNotFound = errors.New("grid: physical point outside grid")
 
 // PhysToGrid locates the grid coordinate whose physical image is p,
 // starting the search from the guess coordinate (pass the previous
@@ -287,7 +283,7 @@ func (g *Grid) PhysToGrid(p vmath.Vec3, guess vmath.Vec3) (vmath.Vec3, error) {
 		cols := g.Jacobian(gc)
 		step, ok := solve3(cols, resid)
 		if !ok {
-			return vmath.Vec3{}, ErrNotFound
+			return vmath.Vec3{}, errNotFound
 		}
 		// Damp large steps so the walk cannot jump over thin cells.
 		const maxStep = 2.0
@@ -300,7 +296,7 @@ func (g *Grid) PhysToGrid(p vmath.Vec3, guess vmath.Vec3) (vmath.Vec3, error) {
 	if g.PhysAt(gc).Dist(p) < 1e-3 {
 		return gc, nil
 	}
-	return vmath.Vec3{}, ErrNotFound
+	return vmath.Vec3{}, errNotFound
 }
 
 // solve3 solves the 3x3 system [c0 c1 c2] x = b by Cramer's rule.
@@ -323,9 +319,9 @@ func absf(f float32) float32 {
 	return f
 }
 
-// Validate checks structural invariants: coordinate array lengths match
+// validate checks structural invariants: coordinate array lengths match
 // the dimensions and all node positions are finite.
-func (g *Grid) Validate() error {
+func (g *Grid) validate() error {
 	n := g.NumNodes()
 	if len(g.X) != n || len(g.Y) != n || len(g.Z) != n {
 		return fmt.Errorf("grid: coordinate arrays have %d/%d/%d entries, want %d",

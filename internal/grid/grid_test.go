@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,7 +37,7 @@ func TestCartesianNodePositions(t *testing.T) {
 	if got := g.At(2, 2, 2); !got.ApproxEqual(vmath.V3(0, 0, 0), 1e-6) {
 		t.Errorf("center = %v", got)
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
 }
@@ -177,7 +178,7 @@ func TestTaperedCylinderGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Inner wall nodes (i = 0) must sit on the tapered radius.
@@ -230,12 +231,12 @@ func TestBounds(t *testing.T) {
 func TestValidateCatchesCorruption(t *testing.T) {
 	g, _ := NewCartesian(3, 3, 3, unitBox())
 	g.X[5] = float32(math.NaN())
-	if err := g.Validate(); err == nil {
+	if err := g.validate(); err == nil {
 		t.Error("Validate accepted NaN node")
 	}
 	g2, _ := NewCartesian(3, 3, 3, unitBox())
 	g2.Y = g2.Y[:10]
-	if err := g2.Validate(); err == nil {
+	if err := g2.validate(); err == nil {
 		t.Error("Validate accepted short coordinate array")
 	}
 }
@@ -367,4 +368,41 @@ func TestMultiblockLocateBadGuessBlock(t *testing.T) {
 	if err != nil || bc.Block != 0 {
 		t.Errorf("locate with bad guess: %v %v", bc, err)
 	}
+}
+
+// Trilerp interpolates one node-indexed scalar array (len == NumNodes)
+// at grid coordinate gc. Callers sampling several arrays at one
+// coordinate Locate once and use Interp3.
+func (g *Grid) Trilerp(a []float32, gc vmath.Vec3) float32 {
+	x, _, _ := g.Interp3(a, a, a, g.Locate(gc))
+	return x
+}
+
+// NewStretchedBox returns a Cartesian-topology grid over box whose
+// nodes are clustered toward the low-X face with the given exponent,
+// useful for exercising non-uniform Jacobians in tests.
+func NewStretchedBox(ni, nj, nk int, box vmath.AABB, exponent float64) (*Grid, error) {
+	if exponent <= 0 {
+		return nil, fmt.Errorf("grid: stretch exponent %g <= 0", exponent)
+	}
+	g, err := New(ni, nj, nk)
+	if err != nil {
+		return nil, err
+	}
+	size := box.Size()
+	for k := 0; k < nk; k++ {
+		fz := float32(k) / float32(nk-1)
+		for j := 0; j < nj; j++ {
+			fy := float32(j) / float32(nj-1)
+			for i := 0; i < ni; i++ {
+				fx := float32(math.Pow(float64(i)/float64(ni-1), exponent))
+				g.SetAt(i, j, k, vmath.Vec3{
+					X: box.Min.X + fx*size.X,
+					Y: box.Min.Y + fy*size.Y,
+					Z: box.Min.Z + fz*size.Z,
+				})
+			}
+		}
+	}
+	return g, nil
 }

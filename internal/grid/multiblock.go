@@ -29,7 +29,7 @@ func NewMultiblock(blocks ...*Grid) (*Multiblock, error) {
 	}
 	m := &Multiblock{Blocks: blocks, bounds: make([]vmath.AABB, len(blocks))}
 	for i, b := range blocks {
-		if err := b.Validate(); err != nil {
+		if err := b.validate(); err != nil {
 			return nil, fmt.Errorf("grid: block %d: %w", i, err)
 		}
 		m.bounds[i] = b.Bounds()
@@ -63,7 +63,7 @@ func (m *Multiblock) PhysAt(bc BlockCoord) vmath.Vec3 {
 
 // Locate finds the block containing physical point p, preferring the
 // guess block (particles usually stay where they were last frame, so
-// the common case is one Newton solve). Returns ErrNotFound when no
+// the common case is one Newton solve). Returns errNotFound when no
 // block contains p.
 func (m *Multiblock) Locate(p vmath.Vec3, guess BlockCoord) (BlockCoord, error) {
 	// Try the guess block first with the guess coordinate.
@@ -99,7 +99,7 @@ func (m *Multiblock) Locate(p vmath.Vec3, guess BlockCoord) (BlockCoord, error) 
 			return BlockCoord{Block: bi, GC: gc}, nil
 		}
 	}
-	return BlockCoord{}, ErrNotFound
+	return BlockCoord{}, errNotFound
 }
 
 // Transfer attempts to continue a path that left block bc.Block at
@@ -127,5 +127,5 @@ func (m *Multiblock) Transfer(p vmath.Vec3, from int) (BlockCoord, error) {
 			return BlockCoord{Block: bi, GC: gc}, nil
 		}
 	}
-	return BlockCoord{}, ErrNotFound
+	return BlockCoord{}, errNotFound
 }

@@ -67,6 +67,8 @@ func (s SteadySampler) Level(int) *field.Field { return s.F }
 // UnsteadySampler samples an unsteady dataset with linear time
 // interpolation. Particle paths use it: "incrementing the timestep
 // with each integration".
+//
+//vw:testonly
 type UnsteadySampler struct {
 	U *field.Unsteady
 }
@@ -111,13 +113,13 @@ func (m Method) String() string {
 	}
 }
 
-// Step advances one particle at grid coordinate gc by time step h
+// step advances one particle at grid coordinate gc by time step h
 // (flow-time units expressed in timestep counts) using the method,
 // sampling s once per stage. The returned position is NOT bounds
 // checked; callers decide termination. The kernel takes every step in
-// Step's arithmetic; MultiStreamline, which hops between blocks, calls
-// Step itself.
-func Step(m Method, s interface {
+// step's arithmetic; MultiStreamline, which hops between blocks, calls
+// step itself.
+func step(m Method, s interface {
 	SampleVelocity(gc vmath.Vec3, t float32) vmath.Vec3
 }, gc vmath.Vec3, t, h float32) vmath.Vec3 {
 	switch m {
@@ -156,8 +158,8 @@ func DefaultOptions() Options {
 	return Options{Method: RK2, StepSize: 0.25, MaxSteps: 200, MinSpeed: 1e-6}
 }
 
-// EffectiveMinSpeed returns MinSpeed or its small default.
-func (o Options) EffectiveMinSpeed() float32 {
+// effectiveMinSpeed returns MinSpeed or its small default.
+func (o Options) effectiveMinSpeed() float32 {
 	if o.MinSpeed > 0 {
 		return o.MinSpeed
 	}
@@ -201,6 +203,8 @@ func AppendStreamlines(dst []vmath.Vec3, s Sampler, seeds []vmath.Vec3, t float3
 // the path in physical coordinates. The path stops at the domain
 // boundary, at the dataset's time bounds, after MaxSteps points, or
 // where the Sampler cannot supply a time level it needs.
+//
+//vw:testonly
 func ParticlePath(s Sampler, seed vmath.Vec3, t0 float32, maxTime float32, o Options) []vmath.Vec3 {
 	path, _ := AppendParticlePaths(make([]vmath.Vec3, 0, o.MaxSteps+1), s, []vmath.Vec3{seed}, t0, maxTime, o)
 	return path

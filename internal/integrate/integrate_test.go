@@ -49,7 +49,7 @@ func (c circularSampler) SampleVelocity(gc vmath.Vec3, _ float32) vmath.Vec3 {
 func TestStepEulerConstField(t *testing.T) {
 	g := identityGrid(t, 8)
 	s := uniform(g, vmath.V3(1, 2, 0))
-	got := Step(Euler, s, vmath.V3(1, 1, 1), 0, 0.5)
+	got := step(Euler, s, vmath.V3(1, 1, 1), 0, 0.5)
 	if !got.ApproxEqual(vmath.V3(1.5, 2, 1), 1e-6) {
 		t.Errorf("Euler step = %v", got)
 	}
@@ -60,9 +60,9 @@ func TestStepOrdersAgreeOnConstField(t *testing.T) {
 	g := identityGrid(t, 8)
 	s := uniform(g, vmath.V3(0.3, -0.2, 0.1))
 	start := vmath.V3(3, 3, 3)
-	e := Step(Euler, s, start, 0, 1)
-	r2 := Step(RK2, s, start, 0, 1)
-	r4 := Step(RK4, s, start, 0, 1)
+	e := step(Euler, s, start, 0, 1)
+	r2 := step(RK2, s, start, 0, 1)
+	r4 := step(RK4, s, start, 0, 1)
 	if !e.ApproxEqual(r2, 1e-6) || !e.ApproxEqual(r4, 1e-6) {
 		t.Errorf("schemes disagree on constant field: %v %v %v", e, r2, r4)
 	}
@@ -78,7 +78,7 @@ func TestRK2MoreAccurateThanEulerOnRotation(t *testing.T) {
 	radiusErr := func(m Method) float32 {
 		gc := start
 		for i := 0; i < steps; i++ {
-			gc = Step(m, s, gc, 0, h)
+			gc = step(m, s, gc, 0, h)
 		}
 		return absf(gc.Sub(center).Len() - 4)
 	}
@@ -127,7 +127,7 @@ func TestSchemeDriftOnRankineVortex(t *testing.T) {
 	drift := func(m Method) float64 {
 		gc := seed
 		for s := 0; s < steps; s++ {
-			gc = Step(m, sampler, gc, 0, h)
+			gc = step(m, sampler, gc, 0, h)
 		}
 		return math.Abs(float64(gc.Sub(center).Len()) - radius)
 	}
@@ -423,7 +423,7 @@ func TestRakeSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := r.Seeds()
+	seeds := r.seeds()
 	if len(seeds) != 10 {
 		t.Fatalf("seeds = %d", len(seeds))
 	}
@@ -437,7 +437,7 @@ func TestRakeSeeds(t *testing.T) {
 
 func TestRakeSingleSeed(t *testing.T) {
 	r, _ := NewRake(1, vmath.V3(0, 0, 0), vmath.V3(2, 0, 0), 1, ToolStreakline)
-	seeds := r.Seeds()
+	seeds := r.seeds()
 	if len(seeds) != 1 || !seeds[0].ApproxEqual(vmath.V3(1, 0, 0), 1e-5) {
 		t.Errorf("single seed = %v", seeds)
 	}
@@ -582,3 +582,7 @@ func TestStreakParticleCountBoundProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Reset drops all particles, used when the user moves a rake so stale
+// smoke does not linger.
+func (s *Streak) Reset() { s.Particles = s.Particles[:0] }

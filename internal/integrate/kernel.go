@@ -283,7 +283,7 @@ func (k *kernel) stop(l *group) {
 func (k *kernel) streamlines(dst, seeds []vmath.Vec3, t float32, o Options) ([]vmath.Vec3, [Lanes]int) {
 	var l group
 	dst, out := l.start(k.g, dst, seeds, o.MaxSteps+1)
-	minSpeed := o.EffectiveMinSpeed()
+	minSpeed := o.effectiveMinSpeed()
 	for n := 0; l.live != 0; n++ {
 		more := n < o.MaxSteps
 		if !k.emit(&l, out, t, more) {

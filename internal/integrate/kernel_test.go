@@ -34,10 +34,10 @@ func streamlineOver(dst []vmath.Vec3, s stepSource, seed vmath.Vec3, t float32, 
 	}
 	dst = append(dst, g.PhysAt(gc))
 	for n := 0; n < o.MaxSteps; n++ {
-		if s.SampleVelocity(gc, t).Len() < o.EffectiveMinSpeed() {
+		if s.SampleVelocity(gc, t).Len() < o.effectiveMinSpeed() {
 			break
 		}
-		next := Step(o.Method, s, gc, t, o.StepSize)
+		next := step(o.Method, s, gc, t, o.StepSize)
 		if !g.InBounds(next) || !next.IsFinite() {
 			break
 		}
@@ -64,7 +64,7 @@ func particlePathOver(dst []vmath.Vec3, s stepSource, seed vmath.Vec3, t0, maxTi
 		if o.StepSize < 0 && tNext < 0 {
 			break
 		}
-		next := Step(o.Method, s, gc, t, o.StepSize)
+		next := step(o.Method, s, gc, t, o.StepSize)
 		if !g.InBounds(next) || !next.IsFinite() {
 			break
 		}
@@ -85,7 +85,7 @@ func advanceOver(st *Streak, s stepSource, seeds []vmath.Vec3, t, h float32, m M
 	}
 	live := st.Particles[:0]
 	for _, p := range st.Particles {
-		next := Step(m, s, p.Pos, t, h)
+		next := step(m, s, p.Pos, t, h)
 		if !g.InBounds(next) || !next.IsFinite() {
 			continue
 		}
@@ -237,7 +237,7 @@ func TestKernelBitIdenticalToStep(t *testing.T) {
 						want := streamlineOver(nil, src.s, seed, t0, o)
 						requireSamePath(t, fmt.Sprintf("streamline %s seed %d", what, i), got, want)
 						points += len(got)
-						if n := len(got); n > 0 && src.s.SampleVelocity(got[n-1], t0).Len() < o.EffectiveMinSpeed() {
+						if n := len(got); n > 0 && src.s.SampleVelocity(got[n-1], t0).Len() < o.effectiveMinSpeed() {
 							stagnant++
 						}
 
@@ -271,7 +271,7 @@ func TestKernelBitIdenticalToStep(t *testing.T) {
 	// The overflow block must really have been reached: a sample there
 	// at h=4 leaves float32 range.
 	for _, m := range []Method{Euler, RK2, RK4} {
-		next := Step(m, sources[0].s, seeds[8], 0, 4)
+		next := step(m, sources[0].s, seeds[8], 0, 4)
 		if !next.IsFinite() {
 			nonFinite++
 		}

@@ -34,11 +34,6 @@ func NewMultiField(m *grid.Multiblock, fields []*field.Field) (*MultiField, erro
 	return &MultiField{M: m, Fields: fields}, nil
 }
 
-// Velocity samples the grid-coordinate velocity at a block coordinate.
-func (mf *MultiField) Velocity(bc grid.BlockCoord) vmath.Vec3 {
-	return mf.Fields[bc.Block].Sample(mf.M.Blocks[bc.Block], bc.GC)
-}
-
 // MultiPath is the result of a multiblock integration: the path in
 // physical coordinates (grid coordinates are block-local and
 // meaningless across a hop) plus the sequence of blocks visited.
@@ -70,10 +65,10 @@ func MultiStreamline(mf *MultiField, seedPhys vmath.Vec3, o Options) (MultiPath,
 		g := mf.M.Blocks[bc.Block]
 		f := mf.Fields[bc.Block]
 		sampler := SteadySampler{F: f, G: g}
-		if sampler.SampleVelocity(bc.GC, 0).Len() < o.EffectiveMinSpeed() {
+		if sampler.SampleVelocity(bc.GC, 0).Len() < o.effectiveMinSpeed() {
 			break
 		}
-		next := Step(o.Method, sampler, bc.GC, 0, o.StepSize)
+		next := step(o.Method, sampler, bc.GC, 0, o.StepSize)
 		if !next.IsFinite() {
 			break
 		}

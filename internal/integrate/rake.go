@@ -81,9 +81,9 @@ func NewRake(id int32, p0, p1 vmath.Vec3, numSeeds int, tool ToolKind) (*Rake, e
 	return &Rake{ID: id, P0: p0, P1: p1, NumSeeds: numSeeds, Tool: tool}, nil
 }
 
-// Seeds returns the physical-space seed points, evenly spaced from P0
+// seeds returns the physical-space seed points, evenly spaced from P0
 // to P1 inclusive. A single-seed rake seeds at the midpoint.
-func (r *Rake) Seeds() []vmath.Vec3 {
+func (r *Rake) seeds() []vmath.Vec3 {
 	out := make([]vmath.Vec3, r.NumSeeds)
 	if r.NumSeeds == 1 {
 		out[0] = r.P0.Lerp(r.P1, 0.5)
@@ -96,6 +96,8 @@ func (r *Rake) Seeds() []vmath.Vec3 {
 }
 
 // Center returns the rake midpoint.
+//
+//vw:testonly
 func (r *Rake) Center() vmath.Vec3 { return r.P0.Lerp(r.P1, 0.5) }
 
 // NearestGrab returns which grab point is closest to hand position p
@@ -139,7 +141,7 @@ func (r *Rake) MoveGrab(gp GrabPoint, to vmath.Vec3) error {
 // dropping seeds that fall outside the grid. Conversion walks from the
 // previous seed's location so coherent rakes locate quickly.
 func (r *Rake) SeedsGrid(g *grid.Grid) []vmath.Vec3 {
-	phys := r.Seeds()
+	phys := r.seeds()
 	out := make([]vmath.Vec3, 0, len(phys))
 	guess := vmath.V3(float32(g.NI-1)/2, float32(g.NJ-1)/2, float32(g.NK-1)/2)
 	for _, p := range phys {

@@ -58,16 +58,6 @@ func (s *Streak) Advance(sampler Sampler, seeds []vmath.Vec3, t, h float32, m Me
 	}
 }
 
-// Positions returns the current particle positions in grid
-// coordinates, in storage order.
-func (s *Streak) Positions() []vmath.Vec3 {
-	out := make([]vmath.Vec3, len(s.Particles))
-	for i, p := range s.Particles {
-		out[i] = p.Pos
-	}
-	return out
-}
-
 // PolylineBySeed groups particle positions by originating seed,
 // ordered oldest to newest, for rendering as connected "smoke"
 // filaments rather than individual points.
@@ -84,7 +74,3 @@ func (s *Streak) PolylineBySeed(numSeeds int) [][]vmath.Vec3 {
 	}
 	return lines
 }
-
-// Reset drops all particles, used when the user moves a rake so stale
-// smoke does not linger.
-func (s *Streak) Reset() { s.Particles = s.Particles[:0] }

@@ -59,10 +59,10 @@ var tetEdges = [16][]uint8{
 // node-indexed scalar array on grid g. The scalar must have one value
 // per grid node.
 func Extract(g *grid.Grid, scalar []float32, iso float32) ([]Triangle, error) {
-	return ExtractStride(g, scalar, iso, 1)
+	return extractStride(g, scalar, iso, 1)
 }
 
-// ExtractStride marches coarsened cells: each cell spans stride nodes
+// extractStride marches coarsened cells: each cell spans stride nodes
 // per axis (clamped at the far boundary), so stride 2 visits ~1/8 the
 // cells of stride 1. This is the fidelity axis the frame-budget
 // governor sheds shared tools along — a coarser surface, never a
@@ -73,11 +73,11 @@ func Extract(g *grid.Grid, scalar []float32, iso float32) ([]Triangle, error) {
 // same (scalar, iso, stride) emit identical triangle streams, which is
 // what lets tool geometry bytes be compared across servers and shipped
 // through relays verbatim.
-func ExtractStride(g *grid.Grid, scalar []float32, iso float32, stride int) ([]Triangle, error) {
+func extractStride(g *grid.Grid, scalar []float32, iso float32, stride int) ([]Triangle, error) {
 	return ExtractParallel(g, scalar, iso, stride, 1)
 }
 
-// ExtractParallel is ExtractStride with the k-slabs marched by up to
+// ExtractParallel is extractStride with the k-slabs marched by up to
 // workers goroutines (the caller is one of them). It runs a Plan: every
 // slab is counted, the counts fix each slab's range of the output, and
 // the slabs then march into their own ranges — so the emitted stream is
@@ -295,16 +295,4 @@ func SpeedInto(dst []float32, f *field.Field, lo, hi int) {
 		v := vmath.Vec3{X: f.U[i], Y: f.V[i], Z: f.W[i]}
 		dst[i] = v.Len()
 	}
-}
-
-// Area returns the total surface area of the triangle set, a cheap
-// scalar for validating extractions against analytic surfaces.
-func Area(tris []Triangle) float64 {
-	var sum float64
-	for _, t := range tris {
-		e1 := t[1].Sub(t[0])
-		e2 := t[2].Sub(t[0])
-		sum += 0.5 * float64(e1.Cross(e2).Len())
-	}
-	return sum
 }

@@ -181,13 +181,13 @@ func TestExtractStrideCoarsens(t *testing.T) {
 	}
 	center := vmath.V3(0, 0, 0)
 	s := sphereScalar(g, center)
-	fine, err := ExtractStride(g, s, 1.3, 1)
+	fine, err := extractStride(g, s, 1.3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := len(fine)
 	for _, stride := range []int{2, 4} {
-		coarse, err := ExtractStride(g, s, 1.3, stride)
+		coarse, err := extractStride(g, s, 1.3, stride)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,19 @@ func TestExtractStrideCoarsens(t *testing.T) {
 		prev = len(coarse)
 	}
 	// An invalid stride is rejected, not clamped silently.
-	if _, err := ExtractStride(g, s, 1.3, 0); err == nil {
+	if _, err := extractStride(g, s, 1.3, 0); err == nil {
 		t.Error("stride 0 accepted")
 	}
+}
+
+// Area returns the total surface area of the triangle set, a cheap
+// scalar for validating extractions against analytic surfaces.
+func Area(tris []Triangle) float64 {
+	var sum float64
+	for _, t := range tris {
+		e1 := t[1].Sub(t[0])
+		e2 := t[2].Sub(t[0])
+		sum += 0.5 * float64(e1.Cross(e2).Len())
+	}
+	return sum
 }

@@ -162,7 +162,7 @@ func TestExtractParallelMatchesSerial(t *testing.T) {
 				if len(want) == 0 {
 					t.Fatalf("stride %d: oracle found no surface", stride)
 				}
-				serial, err := ExtractStride(c.g, c.scalar, c.iso, stride)
+				serial, err := extractStride(c.g, c.scalar, c.iso, stride)
 				if err != nil {
 					t.Fatal(err)
 				}

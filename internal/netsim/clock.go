@@ -33,6 +33,8 @@ var RealClock Clock = realClock{}
 
 // ManualClock is a deterministic clock: time only moves when Advance
 // is called. Safe for concurrent use.
+//
+//vw:testonly
 type ManualClock struct {
 	mu      sync.Mutex
 	now     time.Duration // elapsed virtual time since construction
@@ -45,6 +47,8 @@ type manualWaiter struct {
 }
 
 // NewManualClock returns a clock frozen at virtual time zero.
+//
+//vw:testonly
 func NewManualClock() *ManualClock { return &ManualClock{} }
 
 // After implements Clock: the returned channel fires when Advance has
@@ -71,6 +75,8 @@ func (c *ManualClock) Now() time.Time {
 
 // Advance moves virtual time forward, firing every waiter whose
 // deadline has passed.
+//
+//vw:testonly
 func (c *ManualClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -86,15 +92,10 @@ func (c *ManualClock) Advance(d time.Duration) {
 	c.waiters = kept
 }
 
-// Elapsed returns the current virtual time.
-func (c *ManualClock) Elapsed() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
 // Waiters returns how many After channels are pending — tests spin on
 // this to know a stalled operation has parked before advancing time.
+//
+//vw:testonly
 func (c *ManualClock) Waiters() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -21,6 +21,9 @@ import (
 // FaultKind selects a failure mode.
 type FaultKind uint8
 
+// The fault kinds, which only tests' plans schedule.
+//
+//vw:testonly
 const (
 	// FaultStallRead blocks the triggering Read for Duration (or until
 	// the connection closes when Duration is zero).
@@ -75,9 +78,9 @@ type Fault struct {
 	KeepBytes int
 }
 
-// ErrReset is the terminal error surfaced by FaultReset and
+// errReset is the terminal error surfaced by FaultReset and
 // FaultTruncateWrite, and by any operation after one fired.
-var ErrReset = errors.New("netsim: connection reset by fault plan")
+var errReset = errors.New("netsim: connection reset by fault plan")
 
 // errClosed is returned when a blocked operation is released by Close.
 var errClosed = errors.New("netsim: connection closed during injected fault")
@@ -101,6 +104,8 @@ func (p *FaultPlan) clock() Clock {
 
 // FiredFault records one fault that actually triggered, for
 // determinism assertions.
+//
+//vw:testonly
 type FiredFault struct {
 	Kind FaultKind
 	Op   int // value of the fault's counter when it fired
@@ -146,12 +151,16 @@ func (p *FaultPlan) Wrap(c net.Conn) *FaultConn {
 
 // FaultPipe returns an in-memory pair with the plan applied to the
 // first end; the second end is the well-behaved peer.
+//
+//vw:testonly
 func FaultPipe(p *FaultPlan) (*FaultConn, net.Conn) {
 	a, b := net.Pipe()
 	return p.Wrap(a), b
 }
 
 // Fired returns the faults that have triggered so far, in order.
+//
+//vw:testonly
 func (c *FaultConn) Fired() []FiredFault {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -258,7 +267,7 @@ func (c *FaultConn) Read(p []byte) (int, error) {
 			}
 		case FaultReset:
 			c.doReset()
-			return 0, ErrReset
+			return 0, errReset
 		case FaultDropRead:
 			c.mu.Lock()
 			c.dropRead = true
@@ -267,7 +276,7 @@ func (c *FaultConn) Read(p []byte) (int, error) {
 	}
 	reset, dropRead, _, rdl, _ := c.state()
 	if reset {
-		return 0, ErrReset
+		return 0, errReset
 	}
 	if dropRead {
 		// Partitioned inbound: bytes never arrive. Block until the
@@ -291,7 +300,7 @@ func (c *FaultConn) Write(p []byte) (int, error) {
 			}
 		case FaultReset:
 			c.doReset()
-			return 0, ErrReset
+			return 0, errReset
 		case FaultTruncateWrite:
 			keep := f.KeepBytes
 			if keep > len(p) {
@@ -302,7 +311,7 @@ func (c *FaultConn) Write(p []byte) (int, error) {
 				n, _ = c.Conn.Write(p[:keep])
 			}
 			c.doReset()
-			return n, ErrReset
+			return n, errReset
 		case FaultDropWrite:
 			c.mu.Lock()
 			c.dropWrite = true
@@ -311,7 +320,7 @@ func (c *FaultConn) Write(p []byte) (int, error) {
 	}
 	reset, _, dropWrite, _, _ := c.state()
 	if reset {
-		return 0, ErrReset
+		return 0, errReset
 	}
 	if dropWrite {
 		// Partitioned outbound: the write "succeeds" but the bytes
@@ -375,6 +384,8 @@ func (c *FaultConn) Close() error {
 // scheduled across the first span operations. kinds restricts the
 // failure modes; empty means all of them. Two calls with equal
 // arguments return identical plans.
+//
+//vw:testonly
 func Chaos(seed int64, n, span int, kinds ...FaultKind) *FaultPlan {
 	if len(kinds) == 0 {
 		kinds = []FaultKind{

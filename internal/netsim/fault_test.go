@@ -14,14 +14,14 @@ func TestFaultResetOnWrite(t *testing.T) {
 	plan := &FaultPlan{Faults: []Fault{{Kind: FaultReset, AtOp: 1}}}
 	fc, peer := FaultPipe(plan)
 	defer peer.Close()
-	if _, err := fc.Write([]byte("doomed")); !errors.Is(err, ErrReset) {
+	if _, err := fc.Write([]byte("doomed")); !errors.Is(err, errReset) {
 		t.Fatalf("write err = %v, want ErrReset", err)
 	}
 	// The connection is dead for every later operation.
-	if _, err := fc.Write([]byte("x")); !errors.Is(err, ErrReset) {
+	if _, err := fc.Write([]byte("x")); !errors.Is(err, errReset) {
 		t.Errorf("post-reset write err = %v", err)
 	}
-	if _, err := fc.Read(make([]byte, 1)); !errors.Is(err, ErrReset) {
+	if _, err := fc.Read(make([]byte, 1)); !errors.Is(err, errReset) {
 		t.Errorf("post-reset read err = %v", err)
 	}
 	// The peer observes the closed pipe.
@@ -45,7 +45,7 @@ func TestFaultResetCountsBothDirections(t *testing.T) {
 	if _, err := fc.Write([]byte("ok")); err != nil { // op 2
 		t.Fatal(err)
 	}
-	if _, err := fc.Write([]byte("boom")); !errors.Is(err, ErrReset) { // op 3
+	if _, err := fc.Write([]byte("boom")); !errors.Is(err, errReset) { // op 3
 		t.Fatalf("third op err = %v, want ErrReset", err)
 	}
 	fired := fc.Fired()
@@ -142,7 +142,7 @@ func TestTruncateWrite(t *testing.T) {
 	if string(buf) != "abc" {
 		t.Errorf("kept bytes = %q", buf)
 	}
-	if err := <-writeErr; !errors.Is(err, ErrReset) {
+	if err := <-writeErr; !errors.Is(err, errReset) {
 		t.Errorf("truncated write err = %v", err)
 	}
 	// The rest never arrives: the pipe is closed.

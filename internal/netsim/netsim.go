@@ -17,12 +17,16 @@ import (
 // Well-known link budgets from §5.1 of the paper, in bytes/second.
 const (
 	// UltraNetRated is the network's 100 megabyte/s rating.
+	//
+	//vw:testonly
 	UltraNetRated int64 = 100 << 20
 	// UltraNetVME is the 13 MB/s delivered through the workstation's
 	// VME interface.
 	UltraNetVME int64 = 13 << 20
 	// UltraNetActual is the 1 MB/s achieved "as of this writing" due
 	// to software bugs and the missing Convex HIPPI interface.
+	//
+	//vw:testonly
 	UltraNetActual int64 = 1 << 20
 )
 

@@ -21,34 +21,26 @@ const (
 	lookahead = 6
 )
 
-// maskEye in a run's mask means "the mask of the eye being drawn".
-const maskEye ChannelMask = 1 << 7
-
 type runKind uint8
 
 const (
 	kindPolyline  runKind = iota // segments between consecutive vertices
 	kindTriangles                // three vertices a triangle, edges 0-1, 1-2, 2-0
-	kindPoints
 )
 
 // run is one recorded draw call — or the part of one that fits in a
-// slab — with every piece of Renderer state the draw reads.
+// slab — with the one piece of Renderer state a scene sets: the blend.
 type run struct {
 	pts      []vmath.Vec3 // the caller's slice, or a piece of DisplayList.pts
 	kind     runKind
 	c        Color
-	mask     ChannelMask
 	additive bool
-	cueOn    bool
-	cueFloor float32
-	mvp      int32 // 0: the eye's transform; else 1 + index into DisplayList.mvps
 }
 
 // eye is what differs between the two images of a frame.
 type eye struct {
 	mvp  vmath.Mat4
-	mask ChannelMask
+	mask channelMask
 }
 
 // DisplayList is the workstation's geometry stage: a frame's draw
@@ -63,8 +55,7 @@ type DisplayList struct {
 	runs     []run
 	slabs    []int32      // slab s is runs[slabs[s-1]:slabs[s]], at most slabVerts vertices
 	fill     int          // vertices in the slab being recorded
-	pts      []vmath.Vec3 // points passed by value (Line, Point)
-	mvps     []vmath.Mat4 // transforms set inside the scene
+	pts      []vmath.Vec3 // points passed by value (Line)
 
 	// A frame is the slab sequence twice, left eye then right. Slab g
 	// lives in slot g%slots from the moment a worker claims it (next)
@@ -81,7 +72,7 @@ type DisplayList struct {
 
 // record runs the scene against the recording Renderer.
 func (dl *DisplayList) record(fb *Framebuffer, scene Scene) {
-	dl.recorder = Renderer{FB: fb, y1: fb.H, mask: maskEye, list: dl}
+	dl.recorder = Renderer{FB: fb, y1: fb.H, list: dl}
 	scene(&dl.recorder)
 	if dl.fill > 0 {
 		dl.closeSlab()
@@ -92,7 +83,7 @@ func (dl *DisplayList) record(fb *Framebuffer, scene Scene) {
 func (dl *DisplayList) reset() {
 	clear(dl.runs)
 	dl.recorder = Renderer{}
-	dl.runs, dl.slabs, dl.pts, dl.mvps, dl.fill = dl.runs[:0], dl.slabs[:0], dl.pts[:0], dl.mvps[:0], 0
+	dl.runs, dl.slabs, dl.pts, dl.fill = dl.runs[:0], dl.slabs[:0], dl.pts[:0], 0
 }
 
 func (dl *DisplayList) closeSlab() {
@@ -111,14 +102,11 @@ func (dl *DisplayList) keep(p ...vmath.Vec3) []vmath.Vec3 {
 // slab fills: a polyline repeats the vertex it is cut at, a soup is cut
 // between triangles.
 func (dl *DisplayList) add(r *Renderer, kind runKind, pts []vmath.Vec3, c Color) {
-	least, shared := 1, 0 // the fewest vertices that draw anything; those a cut repeats
-	switch kind {
-	case kindPolyline:
-		least, shared = 2, 1
-	case kindTriangles:
-		least = 3
+	least, shared := 2, 1 // the fewest vertices that draw anything; those a cut repeats
+	if kind == kindTriangles {
+		least, shared = 3, 0
 	}
-	rn := run{kind: kind, c: c, mask: r.mask, additive: r.Additive, cueOn: r.cueOn, cueFloor: r.cueFloor, mvp: r.mvpIdx}
+	rn := run{kind: kind, c: c, additive: r.Additive}
 	for len(pts) >= least {
 		n := min(len(pts), slabVerts-dl.fill)
 		if kind == kindTriangles {
@@ -189,10 +177,13 @@ func (dl *DisplayList) band(w, bands int, fb *Framebuffer, eyes *[2]eye) {
 			runtime.Gosched()
 			continue
 		}
-		if cur == per {
-			fb.clearZRows(r.y0, r.y1) // right eye: depth only, red survives
+		if cur%per == 0 {
+			if cur == per {
+				fb.clearZRows(r.y0, r.y1) // right eye: depth only, red survives
+			}
+			r.mvp, r.mask = eyes[cur/per].mvp, eyes[cur/per].mask
 		}
-		dl.raster(&r, &eyes[cur/per], cur%per, dl.ring[cur%slots])
+		dl.raster(&r, cur%per, dl.ring[cur%slots])
 		cur++
 		dl.cursors[w].Store(cur)
 	}
@@ -217,23 +208,6 @@ func (dl *DisplayList) slot(i int64) []vert {
 	return dl.ring[i]
 }
 
-// mvp is the transform run rn draws under for eye e.
-func (dl *DisplayList) mvp(rn *run, e *eye) *vmath.Mat4 {
-	if rn.mvp != 0 {
-		return &dl.mvps[rn.mvp-1]
-	}
-	return &e.mvp
-}
-
-// load puts the state run rn was recorded under, for eye e, on r.
-func (dl *DisplayList) load(r *Renderer, rn *run, e *eye) {
-	r.mvp, r.mask = *dl.mvp(rn, e), e.mask
-	if rn.mask != maskEye {
-		r.mask = rn.mask
-	}
-	r.Additive, r.cueOn, r.cueFloor = rn.additive, rn.cueOn, rn.cueFloor
-}
-
 // slabRuns returns the runs of slab s.
 func (dl *DisplayList) slabRuns(s int64) []run {
 	first := int32(0)
@@ -243,39 +217,25 @@ func (dl *DisplayList) slabRuns(s int64) []run {
 	return dl.runs[first:dl.slabs[s]]
 }
 
-// transform fills v with the vertices of slab s as eye e sees them:
-// line and triangle runs through transformVerts, points through
-// pointVert. A points run's matrix and the viewport are locals: the
-// stores into v could alias anything behind a pointer, so read through
-// one they would be reloaded for every vertex.
+// transform fills v with the vertices of slab s as eye e sees them.
 //
 //vw:hotpath
 func (dl *DisplayList) transform(vp viewport, e *eye, s int64, v []vert) {
-	runs := dl.slabRuns(s)
-	for i := range runs {
-		rn := &runs[i]
-		out := v[:len(rn.pts)]
+	for _, rn := range dl.slabRuns(s) {
+		transformVerts(&e.mvp, vp, rn.pts, v[:len(rn.pts)])
 		v = v[len(rn.pts):]
-		if rn.kind == kindPoints {
-			m := *dl.mvp(rn, e)
-			for j, p := range rn.pts {
-				out[j] = vp.pointVert(m.TransformPointW(p))
-			}
-			continue
-		}
-		transformVerts(dl.mvp(rn, e), vp, rn.pts, out)
 	}
 }
 
-// raster draws slab s, transformed into v for eye e, onto r's rows.
+// raster draws slab s, transformed into v, onto r's rows under the
+// eye r holds.
 //
 //vw:hotpath
-func (dl *DisplayList) raster(r *Renderer, e *eye, s int64, v []vert) {
+func (dl *DisplayList) raster(r *Renderer, s int64, v []vert) {
 	runs := dl.slabRuns(s)
 	for i := range runs {
 		rn := &runs[i]
-		dl.load(r, rn, e)
-		// This worker's own ink: the depth cue rewrites it per pixel.
+		r.Additive = rn.additive
 		k := r.ink(rn.c)
 		pts, vs := rn.pts, v[:len(rn.pts)]
 		v = v[len(rn.pts):]
@@ -289,10 +249,6 @@ func (dl *DisplayList) raster(r *Renderer, e *eye, s int64, v []vert) {
 				r.edge(&vs[j], &vs[j+1], &pts[j], &pts[j+1], &k)
 				r.edge(&vs[j+1], &vs[j+2], &pts[j+1], &pts[j+2], &k)
 				r.edge(&vs[j+2], &vs[j], &pts[j+2], &pts[j], &k)
-			}
-		case kindPoints:
-			for j := range vs {
-				r.plot(&vs[j], &k)
 			}
 		}
 	}

@@ -2,6 +2,10 @@ package render
 
 import "repro/internal/vmath"
 
+// EyeViews is the rig's per-eye view matrices, for the package's
+// external benchmarks.
+var EyeViews = eyeViews
+
 // TransformLines is the display list's line transform for the
 // package's external benchmarks: the returned func transforms pts under
 // m for a w x h framebuffer, a slab at a time into a slab of its own,

@@ -1,5 +1,5 @@
 // Package render is the software rendering substrate standing in for
-// the SGI VGX pipeline: a z-buffered line/point rasterizer over a
+// the SGI VGX pipeline: a z-buffered line rasterizer over a
 // framebuffer, with the exact red/blue writemask anaglyph scheme §3
 // describes — left eye in shades of pure red, right eye in shades of
 // pure blue drawn under a writemask that protects the red bit planes,
@@ -35,17 +35,12 @@ func NewFramebuffer(w, h int) (*Framebuffer, error) {
 		return nil, fmt.Errorf("render: bad framebuffer size %dx%d", w, h)
 	}
 	f := &Framebuffer{W: w, H: h, Pix: make([]uint8, w*h*3), Z: make([]float32, w*h)}
-	f.ClearZ()
+	f.clearZRows(0, h)
 	return f, nil
 }
 
 // Clear fills the color planes and resets depth.
 func (f *Framebuffer) Clear(r, g, b uint8) { f.clearRows(0, f.H, r, g, b) }
-
-// ClearZ resets only the z-buffer — "the Z-buffer bit planes are
-// cleared between the drawing of the left- and right-eye images, but
-// the color (red) bit planes are not" (§3).
-func (f *Framebuffer) ClearZ() { f.clearZRows(0, f.H) }
 
 // clearRows is Clear for rows [y0, y1).
 func (f *Framebuffer) clearRows(y0, y1 int, r, g, b uint8) {
@@ -59,7 +54,9 @@ func (f *Framebuffer) clearRows(y0, y1 int, r, g, b uint8) {
 	f.clearZRows(y0, y1)
 }
 
-// clearZRows is ClearZ for rows [y0, y1).
+// clearZRows resets only the z-buffer of rows [y0, y1) — "the Z-buffer
+// bit planes are cleared between the drawing of the left- and right-eye
+// images, but the color (red) bit planes are not" (§3).
 func (f *Framebuffer) clearZRows(y0, y1 int) {
 	if z := f.Z[y0*f.W : y1*f.W]; len(z) > 0 {
 		z[0] = float32(math.Inf(1))
@@ -76,27 +73,18 @@ func fill[T any](s []T, n int) {
 	}
 }
 
-// ChannelMask selects which color planes a draw may write — the VGX
-// "writemask".
-type ChannelMask uint8
+// channelMask selects the color plane an eye may write — the VGX
+// "writemask" that keeps the right eye's blue off the left eye's red.
+type channelMask uint8
 
-// Mask bits.
 const (
-	MaskR ChannelMask = 1 << iota
-	MaskG
-	MaskB
-	MaskAll = MaskR | MaskG | MaskB
+	maskR channelMask = 1 << 0
+	maskB channelMask = 1 << 2
 )
 
 // Color is an RGB intensity.
 type Color struct {
 	R, G, B uint8
-}
-
-// At returns the pixel color at (x, y).
-func (f *Framebuffer) At(x, y int) Color {
-	pi := (y*f.W + x) * 3
-	return Color{f.Pix[pi], f.Pix[pi+1], f.Pix[pi+2]}
 }
 
 // CountLit returns how many pixels have any channel above the

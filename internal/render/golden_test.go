@@ -133,53 +133,6 @@ var goldenScenes = []goldenScene{
 			render.SmokeScene(lines[:6], 200)(r)
 		})
 	}},
-	{"depth-cue-anaglyph", func(fb *render.Framebuffer) error {
-		lines := wakeLines(4, 6, 10, 60)
-		return workstationRig().RenderAnaglyph(fb, wakeHead(), func(r *render.Renderer) {
-			r.EnableDepthCue(0.25)
-			render.LineScene(lines)(r)
-			r.DisableDepthCue()
-			render.LineScene(lines[:10])(r)
-		})
-	}},
-	{"depth-cue-mono", func(fb *render.Framebuffer) error {
-		// Unequal channels, so a cue applied to the wrong one shows.
-		fb.Clear(0, 0, 0)
-		r := render.NewRenderer(fb)
-		view, _ := wakeHead().Inverted()
-		r.SetCamera(view, workstationRig().Proj)
-		r.EnableDepthCue(0.1)
-		for _, l := range wakeLines(5, 4, 10, 60) {
-			r.Polyline(l, render.Color{R: 250, G: 130, B: 60})
-		}
-		r.Additive = true
-		for _, l := range wakeLines(6, 2, 10, 60) {
-			r.Polyline(l, render.Color{R: 90, G: 60, B: 30})
-		}
-		return nil
-	}},
-	{"maskall-nonblack", func(fb *render.Framebuffer) error {
-		fb.Clear(10, 20, 30)
-		r := render.NewRenderer(fb)
-		view, _ := wakeHead().Inverted()
-		r.SetCamera(view, workstationRig().Proj)
-		lines := wakeLines(7, 6, 8, 60)
-		for i, l := range lines {
-			switch i % 4 {
-			case 0:
-				r.SetMask(render.MaskAll)
-			case 1:
-				r.SetMask(render.MaskG)
-			case 2:
-				r.SetMask(render.MaskR | render.MaskB)
-			case 3:
-				r.SetMask(0)
-			}
-			r.Additive = i%3 == 0
-			r.Polyline(l, render.Color{R: 200, G: 100, B: 50})
-		}
-		return nil
-	}},
 	{"near-plane-crossers", func(fb *render.Framebuffer) error {
 		head := wakeHead()
 		segs := nearCrossers(8, head, 6)
@@ -243,30 +196,35 @@ var goldenScenes = []goldenScene{
 			// Ends exactly on the boundary rows.
 			r.Line(ndc(10, mid, 0), ndc(630, mid, 0), render.Color{R: 120, G: 120, B: 120})
 			r.Line(ndc(10, mid-1, 0), ndc(630, mid-1, 0), render.Color{R: 130, G: 130, B: 130})
-			r.Points([]vmath.Vec3{ndc(5, mid, 0), ndc(5, mid-1, 0), ndc(5, mid-0.5, 0), ndc(5, mid+0.5, 0)}, white)
+			for _, p := range []vmath.Vec3{ndc(5, mid, 0), ndc(5, mid-1, 0), ndc(5, mid-0.5, 0), ndc(5, mid+0.5, 0)} {
+				r.Line(p, p, white)
+			}
 		})
 	}},
 	{"points", func(fb *render.Framebuffer) error {
+		// Points as zero-length segments, each lighting the one pixel
+		// its vertex truncates to, through a rig whose eyes coincide so
+		// that world coordinates are NDC for both: a cloud reaching past
+		// every face of the NDC cube, replaced and additive, then the
+		// corners of NDC and just past them.
 		rng := rand.New(rand.NewSource(10))
 		pts := make([]vmath.Vec3, 4000)
 		for i := range pts {
-			// A box around the wake, reaching behind the eye and past the
-			// frustum on every side.
-			pts[i] = vmath.V3(-20+50*rng.Float32(), -15+40*rng.Float32(), -10+50*rng.Float32())
+			pts[i] = vmath.V3(2.4*rng.Float32()-1.2, 2.4*rng.Float32()-1.2, 2.4*rng.Float32()-1.2)
 		}
-		return workstationRig().RenderAnaglyph(fb, wakeHead(), func(r *render.Renderer) {
-			r.Points(pts[:2000], render.Color{R: 220, G: 220, B: 220})
-			r.EnableDepthCue(0.3)
+		rig := render.StereoRig{Proj: vmath.Identity()}
+		return rig.RenderAnaglyph(fb, vmath.Identity(), func(r *render.Renderer) {
+			for _, p := range pts[:2000] {
+				r.Line(p, p, render.Color{R: 220, G: 220, B: 220})
+			}
 			r.Additive = true
-			r.Points(pts[2000:], render.Color{R: 150, G: 150, B: 150})
+			for _, p := range pts[2000:] {
+				r.Line(p, p, render.Color{R: 60, G: 60, B: 60})
+			}
 			r.Additive = false
-			r.DisableDepthCue()
-			r.Point(pts[0], white)
-			// The corners of NDC and just past them.
 			for _, e := range []float32{1, 1.0001, 0.9999} {
 				for _, p := range []vmath.Vec3{{X: e, Y: e}, {X: -e, Y: e}, {X: e, Y: -e}, {X: -e, Y: -e}} {
-					r.SetMVP(vmath.Identity())
-					r.Point(p, white)
+					r.Line(p, p, white)
 				}
 			}
 		})

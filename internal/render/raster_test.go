@@ -8,11 +8,12 @@ import (
 )
 
 // refRenderer is the raster arithmetic before the store path and the
-// viewport helper: segment, ink.write, ink.shade, divide, onScreen and
-// pointVert as they stood then, with the edge, clipToNear and plot glue
-// that calls them. The one change is shade's NaN clamp. Inks come from
-// Renderer.ink; this copy ignores ink.store, so it loads every byte it
-// blends into. FuzzRasterAgrees holds the renderer to it.
+// viewport helper: segment, ink.write, divide and onScreen as they
+// stood then, with the edge and clipToNear glue that calls them. Inks
+// come from Renderer.ink, and this copy blends each one through the
+// bit mask an ink kept then (every bit under an additive draw, none
+// under a replacing one), so it loads every byte it blends into.
+// FuzzRasterAgrees holds the renderer to it.
 type refRenderer struct {
 	FB     *Framebuffer
 	y0, y1 int
@@ -20,24 +21,12 @@ type refRenderer struct {
 }
 
 func refWrite(k *ink, pix []uint8, p int) {
-	for j := k.lo; j < k.hi; j++ {
-		b := &pix[p+j]
-		*b = uint8(min(uint(*b&k.keep[j])+uint(k.val[j]), 255))
+	keep := uint8(0)
+	if k.add {
+		keep = 0xFF
 	}
-}
-
-func refShade(k *ink, z float32) {
-	t := (z + 1) / 2
-	if !(t >= 0) {
-		t = 0
-	}
-	if t > 1 {
-		t = 1
-	}
-	f := 1 - t*k.cue
-	for j, v := range k.base {
-		k.val[j] = uint8(float32(v) * f)
-	}
+	b := &pix[p+k.ch]
+	*b = uint8(min(uint(*b&keep)+uint(k.val), 255))
 }
 
 func (r *refRenderer) divide(p vmath.Vec3, w float32) vert {
@@ -50,37 +39,6 @@ func (r *refRenderer) onScreen(x, y, z, w float32) vert {
 		w:   w,
 		sx:  (x + 1) / 2 * float32(r.FB.W-1),
 		sy:  (1 - y) / 2 * float32(r.FB.H-1),
-	}
-}
-
-func (r *refRenderer) pointVert(p vmath.Vec3) vert {
-	v, w := r.mvp.TransformPointW(p)
-	if w < nearEps {
-		return vert{w: w}
-	}
-	inv := 1 / w
-	return r.onScreen(v.X*inv, v.Y*inv, v.Z*inv, w)
-}
-
-func (r *refRenderer) points(pts []vmath.Vec3, k ink) {
-	for _, p := range pts {
-		v := r.pointVert(p)
-		x, y, z := v.ndc.X, v.ndc.Y, v.ndc.Z
-		if v.w < nearEps || x < -1 || x > 1 || y < -1 || y > 1 || z < -1 || z > 1 {
-			continue
-		}
-		fb := r.FB
-		px, py := int(v.sx), int(v.sy)
-		if px < 0 || px >= fb.W || py < r.y0 || py >= r.y1 {
-			continue
-		}
-		if i := py*fb.W + px; !(z > fb.Z[i]) {
-			fb.Z[i] = z
-			if k.cue != 0 {
-				refShade(&k, z)
-			}
-			refWrite(&k, fb.Pix, 3*i)
-		}
 	}
 }
 
@@ -147,40 +105,41 @@ func (r *refRenderer) segment(a, b vert, k *ink) {
 			continue
 		}
 		zb[i] = z
-		if k.cue != 0 {
-			refShade(k, z)
-		}
 		refWrite(k, pix, 3*i)
 	}
 }
 
-// FuzzRasterAgrees draws a polyline and its points — raw float32 bit
-// patterns for two of its vertices, any colour, every writemask subset
-// (a protected channel inside the range among them), replace or
-// additive, the depth cue off or at a raw-bit floor, confined to any
-// band of rows — three ways over framebuffers cleared to a colour that
-// an additive ink shows on: through the display list's transform and
-// raster, immediately, and through refRenderer. Colour bytes and depth
-// bits must agree.
+// FuzzRasterAgrees draws a polyline — raw float32 bit patterns for two
+// of its vertices, any color, either eye, replace or additive,
+// confined to any band of rows — three ways over framebuffers cleared
+// to a color that an additive ink shows on: through the display list's
+// transform and raster, immediately, and through refRenderer. Color
+// bytes and depth bits must agree.
 func FuzzRasterAgrees(f *testing.F) {
 	bits := func(v float64) uint32 { return math.Float32bits(float32(v)) }
 	nan := math.Float32bits(float32(math.NaN()))
-	add := func(a, b [3]uint32, c Color, mask uint8, additive, cue bool, floor uint32, y0, y1 uint8, perspective bool) {
-		f.Add(a[0], a[1], a[2], b[0], b[1], b[2], c.R, c.G, c.B, mask, additive, cue, floor, y0, y1, perspective)
+	add := func(a, b [3]uint32, c Color, right, additive bool, y0, y1 uint8, perspective bool) {
+		f.Add(a[0], a[1], a[2], b[0], b[1], b[2], c.R, c.G, c.B, right, additive, y0, y1, perspective)
 	}
 	a, b := [3]uint32{bits(-0.5), bits(0.2), bits(0.1)}, [3]uint32{bits(0.7), bits(-0.4), bits(-0.3)}
-	for _, mask := range []ChannelMask{MaskR, MaskB, MaskR | MaskB, MaskAll, 0} {
+	bands := [][2]uint8{{0, 48}, {5, 30}, {0, 24}, {24, 48}, {47, 48}}
+	for _, right := range []bool{false, true} {
 		for _, additive := range []bool{false, true} {
-			// The eye's mask over every row, then the same mask set
-			// inside the scene, depth cued, on a band.
-			add(a, b, Color{200, 150, 100}, uint8(mask), additive, false, bits(0), 0, 48, false)
-			add(a, b, Color{90, 250, 30}, uint8(mask|8), additive, true, bits(0.3), 5, 30, false)
+			// Every row, then bands that split the polyline, meet in
+			// the middle or hold one row.
+			for i, band := range bands {
+				c := Color{200, 150, 100}
+				if i%2 == 1 {
+					c = Color{90, 250, 30}
+				}
+				add(a, b, c, right, additive, band[0], band[1], false)
+			}
 		}
 	}
-	add(a, b, Color{200, 200, 200}, uint8(MaskR), false, true, nan, 0, 48, false)
-	add([3]uint32{a[0], a[1], nan}, [3]uint32{b[0], b[1], nan}, Color{200, 200, 200}, uint8(MaskB), false, true, bits(0.5), 0, 48, false)
-	add([3]uint32{bits(0), bits(0), bits(-3)}, [3]uint32{bits(0.1), bits(5), bits(2)}, Color{255, 255, 255}, uint8(MaskR), false, false, bits(0), 10, 20, true)
-	add([3]uint32{bits(-1e38), bits(1e38), bits(0)}, [3]uint32{bits(1e38), bits(-1e38), bits(0)}, Color{255, 0, 255}, uint8(MaskB), true, false, bits(0), 0, 48, true)
+	add([3]uint32{a[0], a[1], nan}, [3]uint32{b[0], b[1], nan}, Color{200, 200, 200}, true, false, 0, 48, false)
+	add([3]uint32{bits(0), bits(0), bits(-3)}, [3]uint32{bits(0.1), bits(5), bits(2)}, Color{255, 255, 255}, false, false, 10, 20, true)
+	add([3]uint32{bits(-1e38), bits(1e38), bits(0)}, [3]uint32{bits(1e38), bits(-1e38), bits(0)}, Color{255, 0, 255}, true, true, 0, 48, true)
+	add([3]uint32{bits(1), bits(-1), bits(0)}, [3]uint32{bits(1), bits(-1), bits(0)}, Color{255, 255, 255}, false, true, 0, 48, false)
 
 	const w, h = 64, 48
 	view := vmath.LookAt(vmath.V3(0, 0, 0), vmath.V3(0, 0, -1), vmath.V3(0, 1, 0))
@@ -194,31 +153,22 @@ func FuzzRasterAgrees(f *testing.F) {
 		fbs[i] = fb
 	}
 	slot := make([]vert, slabVerts)
-	f.Fuzz(func(t *testing.T, ax, ay, az, bx, by, bz uint32, cr, cg, cb, mask uint8, additive, cue bool, floor uint32, y0, y1 uint8, perspective bool) {
+	f.Fuzz(func(t *testing.T, ax, ay, az, bx, by, bz uint32, cr, cg, cb uint8, right, additive bool, y0, y1 uint8, perspective bool) {
 		a := vmath.V3(math.Float32frombits(ax), math.Float32frombits(ay), math.Float32frombits(az))
 		b := vmath.V3(math.Float32frombits(bx), math.Float32frombits(by), math.Float32frombits(bz))
 		pts := []vmath.Vec3{a, b, a.Lerp(b, 0.5).Add(vmath.V3(0.3, -0.2, 0.1)), a}
-		c, m := Color{cr, cg, cb}, vmath.Identity()
+		c, e := Color{cr, cg, cb}, eye{mvp: vmath.Identity(), mask: maskR}
 		if perspective {
-			m = persp
+			e.mvp = persp
+		}
+		if right {
+			e.mask = maskB
 		}
 		top := int(y0) % (h + 1)
 		bottom := top + int(y1)%(h+1-top)
-		// state puts the draw's ink on r; mask bit 3 sets the writemask
-		// inside the scene rather than leaving the eye's.
-		state := func(r *Renderer) {
-			if mask&8 != 0 {
-				r.SetMask(ChannelMask(mask) & MaskAll)
-			}
-			r.Additive = additive
-			if cue {
-				r.EnableDepthCue(math.Float32frombits(floor))
-			}
-		}
 		scene := func(r *Renderer) {
-			state(r)
+			r.Additive = additive
 			r.Polyline(pts, c)
-			r.Points(pts[:3], c)
 		}
 		for _, fb := range fbs {
 			fb.Clear(40, 90, 160)
@@ -227,22 +177,18 @@ func FuzzRasterAgrees(f *testing.F) {
 
 		var dl DisplayList
 		dl.record(list, scene)
-		e := eye{mvp: m, mask: ChannelMask(mask) & MaskAll}
-		r := Renderer{FB: list, y0: top, y1: bottom}
+		r := Renderer{FB: list, y0: top, y1: bottom, mask: e.mask, mvp: e.mvp}
 		for s := range int64(len(dl.slabs)) {
 			dl.transform(r.viewport(), &e, s, slot)
-			dl.raster(&r, &e, s, slot)
+			dl.raster(&r, s, slot)
 		}
 		dl.reset()
 
-		r = Renderer{FB: imm, y0: top, y1: bottom, mask: e.mask, mvp: m}
+		r = Renderer{FB: imm, y0: top, y1: bottom, mask: e.mask, mvp: e.mvp}
 		scene(&r)
 
-		st := Renderer{mask: e.mask}
-		state(&st)
-		rr := refRenderer{FB: ref, y0: top, y1: bottom, mvp: m}
-		rr.polyline(pts, st.ink(c))
-		rr.points(pts[:3], st.ink(c))
+		rr := refRenderer{FB: ref, y0: top, y1: bottom, mvp: e.mvp}
+		rr.polyline(pts, r.ink(c))
 
 		sameFrame(t, "display list", list, ref)
 		sameFrame(t, "immediate", imm, ref)

@@ -9,11 +9,20 @@ import (
 	"repro/internal/vmath"
 )
 
-func camera() (view, proj vmath.Mat4) {
-	view = vmath.LookAt(vmath.V3(0, 0, 5), vmath.V3(0, 0, 0), vmath.V3(0, 1, 0))
-	proj = vmath.Perspective(math.Pi/3, 1, 0.1, 100)
-	return
+// camera is a perspective eye at z = 5 looking at the origin.
+func camera() vmath.Mat4 {
+	view := vmath.LookAt(vmath.V3(0, 0, 5), vmath.V3(0, 0, 0), vmath.V3(0, 1, 0))
+	return vmath.Perspective(math.Pi/3, 1, 0.1, 100).Mul(view)
 }
+
+// at returns the pixel color at (x, y).
+func at(fb *Framebuffer, x, y int) Color {
+	pi := (y*fb.W + x) * 3
+	return Color{fb.Pix[pi], fb.Pix[pi+1], fb.Pix[pi+2]}
+}
+
+// dot draws p as a zero-length segment: the one pixel it projects to.
+func dot(r *Renderer, p vmath.Vec3, c Color) { r.Line(p, p, c) }
 
 func TestNewFramebufferValidation(t *testing.T) {
 	if _, err := NewFramebuffer(0, 10); err == nil {
@@ -31,36 +40,33 @@ func TestNewFramebufferValidation(t *testing.T) {
 func TestClearAndAt(t *testing.T) {
 	fb, _ := NewFramebuffer(8, 8)
 	fb.Clear(10, 20, 30)
-	if got := fb.At(3, 4); got != (Color{10, 20, 30}) {
-		t.Errorf("At = %+v", got)
+	if got := at(fb, 3, 4); got != (Color{10, 20, 30}) {
+		t.Errorf("at = %+v", got)
 	}
 }
 
 func TestPointProjectsToCenter(t *testing.T) {
 	fb, _ := NewFramebuffer(64, 64)
-	r := NewRenderer(fb)
-	r.SetCamera(camera())
-	r.Point(vmath.V3(0, 0, 0), Color{255, 255, 255})
-	c := fb.At(31, 31)
-	// toScreen rounds; accept the 2x2 neighborhood of the center.
+	r := Renderer{FB: fb, y1: fb.H, mask: maskR, mvp: camera()}
+	dot(&r, vmath.V3(0, 0, 0), Color{255, 255, 255})
+	// Truncation; accept the 3x3 neighborhood of the center.
 	lit := false
 	for y := 30; y <= 32; y++ {
 		for x := 30; x <= 32; x++ {
-			if fb.At(x, y).R == 255 {
+			if at(fb, x, y).R == 255 {
 				lit = true
 			}
 		}
 	}
 	if !lit {
-		t.Errorf("origin did not land near screen center; center=%+v", c)
+		t.Errorf("origin did not land near screen center; center=%+v", at(fb, 31, 31))
 	}
 }
 
 func TestPointBehindCameraCulled(t *testing.T) {
 	fb, _ := NewFramebuffer(32, 32)
-	r := NewRenderer(fb)
-	r.SetCamera(camera())
-	r.Point(vmath.V3(0, 0, 50), Color{255, 255, 255}) // behind eye at z=5
+	r := Renderer{FB: fb, y1: fb.H, mask: maskR, mvp: camera()}
+	dot(&r, vmath.V3(0, 0, 50), Color{255, 255, 255}) // behind eye at z=5
 	if fb.CountLit(0) != 0 {
 		t.Error("point behind camera rasterized")
 	}
@@ -68,15 +74,14 @@ func TestPointBehindCameraCulled(t *testing.T) {
 
 func TestLineDrawsContinuousRun(t *testing.T) {
 	fb, _ := NewFramebuffer(64, 64)
-	r := NewRenderer(fb)
-	r.SetCamera(camera())
+	r := Renderer{FB: fb, y1: fb.H, mask: maskR, mvp: camera()}
 	r.Line(vmath.V3(-1, 0, 0), vmath.V3(1, 0, 0), Color{255, 0, 0})
 	// A horizontal line through the middle: count lit pixels on the
 	// middle rows.
 	var lit int
 	for y := 29; y <= 33; y++ {
 		for x := 0; x < 64; x++ {
-			if fb.At(x, y).R > 0 {
+			if at(fb, x, y).R > 0 {
 				lit++
 			}
 		}
@@ -88,8 +93,7 @@ func TestLineDrawsContinuousRun(t *testing.T) {
 
 func TestLineClippedAtNearPlane(t *testing.T) {
 	fb, _ := NewFramebuffer(64, 64)
-	r := NewRenderer(fb)
-	r.SetCamera(camera())
+	r := Renderer{FB: fb, y1: fb.H, mask: maskR, mvp: camera()}
 	// One endpoint far behind the camera: must not panic and must
 	// still draw the visible part.
 	r.Line(vmath.V3(0, 0, 0), vmath.V3(0, 0, 100), Color{255, 255, 255})
@@ -106,57 +110,76 @@ func TestLineClippedAtNearPlane(t *testing.T) {
 
 func TestZBufferOcclusion(t *testing.T) {
 	fb, _ := NewFramebuffer(32, 32)
-	r := NewRenderer(fb)
-	r.SetCamera(camera())
+	r := Renderer{FB: fb, y1: fb.H, mask: maskR, mvp: camera()}
 	// Near point drawn first, far point after: far must lose.
-	r.Point(vmath.V3(0, 0, 1), Color{255, 0, 0})
-	r.Point(vmath.V3(0, 0, -1), Color{0, 255, 0})
-	var reds, greens int
+	dot(&r, vmath.V3(0, 0, 1), Color{255, 0, 0})
+	dot(&r, vmath.V3(0, 0, -1), Color{100, 0, 0})
+	var near, far int
 	for y := 0; y < 32; y++ {
 		for x := 0; x < 32; x++ {
-			c := fb.At(x, y)
-			if c.R == 255 {
-				reds++
-			}
-			if c.G == 255 {
-				greens++
+			switch at(fb, x, y).R {
+			case 255:
+				near++
+			case 100:
+				far++
 			}
 		}
 	}
-	if reds == 0 {
+	if near == 0 {
 		t.Error("near point missing")
 	}
-	if greens != 0 {
+	if far != 0 {
 		t.Error("far point overwrote near point")
 	}
 }
 
+// TestWritemaskProtectsChannels: the right eye's blue, drawn under the
+// writemask over the left eye's red, never changes a red byte. The red
+// planes of the anaglyph are the left eye drawn alone.
 func TestWritemaskProtectsChannels(t *testing.T) {
-	fb, _ := NewFramebuffer(16, 16)
-	r := NewRenderer(fb)
-	// Identity transform: NDC coordinates map directly.
-	r.SetMask(MaskR)
-	r.Point(vmath.V3(0, 0, 0), Color{200, 200, 200})
-	r.SetMask(MaskB)
-	fb.ClearZ()
-	r.Point(vmath.V3(0, 0, 0), Color{150, 150, 150})
-	c := fb.At(7, 7)
-	// toScreenF maps (0,0) to ((0+1)/2*15, (1-0)/2*15) = (7.5, 7.5) -> 7.
-	if c.R != 200 || c.B != 150 || c.G != 0 {
-		t.Errorf("masked draws produced %+v, want R=200 G=0 B=150", c)
+	rig := StereoRig{IPD: 0.3, Proj: vmath.Perspective(math.Pi/3, 1, 0.1, 100)}
+	head := vmath.Translate(0, 0, 5)
+	lines := [][]vmath.Vec3{
+		{vmath.V3(-1, 0, 0), vmath.V3(1, 0, 0)},
+		{vmath.V3(0, -1, -1), vmath.V3(0, 1, 1)},
+		{vmath.V3(-1, -1, 0.5), vmath.V3(1, 1, -0.5)},
+	}
+	scene := SmokeScene(lines, 150)
+	fb, _ := NewFramebuffer(48, 48)
+	if err := rig.RenderAnaglyph(fb, head, scene); err != nil {
+		t.Fatal(err)
+	}
+	left, _, err := eyeViews(head, rig.IPD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, _ := NewFramebuffer(48, 48)
+	scene(&Renderer{FB: alone, y1: alone.H, mask: maskR, mvp: rig.Proj.Mul(left)})
+	var both int
+	for i := 0; i < len(fb.Pix); i += 3 {
+		if fb.Pix[i] != alone.Pix[i] {
+			t.Fatalf("red byte of pixel %d is %d, the left eye alone drew %d", i/3, fb.Pix[i], alone.Pix[i])
+		}
+		if fb.Pix[i+1] != 0 {
+			t.Fatalf("green byte of pixel %d lit", i/3)
+		}
+		if fb.Pix[i] > 0 && fb.Pix[i+2] > 0 {
+			both++
+		}
+	}
+	if both == 0 {
+		t.Error("no pixel holds both eyes: the writemask was not exercised")
 	}
 }
 
 func TestAdditiveBlendSaturates(t *testing.T) {
 	fb, _ := NewFramebuffer(8, 8)
-	r := NewRenderer(fb)
-	r.Additive = true
+	r := Renderer{FB: fb, y1: fb.H, mask: maskR, mvp: vmath.Identity(), Additive: true}
 	for i := 0; i < 5; i++ {
-		fb.ClearZ()
-		r.Point(vmath.V3(0, 0, 0), Color{100, 0, 0})
+		fb.clearZRows(0, fb.H)
+		dot(&r, vmath.V3(0, 0, 0), Color{100, 0, 0})
 	}
-	c := fb.At(3, 3)
-	if c.R != 255 {
+	if c := at(fb, 3, 3); c.R != 255 {
 		t.Errorf("additive saturation: R = %d, want 255", c.R)
 	}
 }
@@ -172,7 +195,7 @@ func TestStereoAnaglyphChannels(t *testing.T) {
 	var redOnly, blueOnly, both int
 	for y := 0; y < 64; y++ {
 		for x := 0; x < 64; x++ {
-			c := fb.At(x, y)
+			c := at(fb, x, y)
 			switch {
 			case c.R > 0 && c.B > 0:
 				both++
@@ -198,8 +221,7 @@ func TestStereoAnaglyphChannels(t *testing.T) {
 
 func TestSmokeSceneAccumulates(t *testing.T) {
 	fb, _ := NewFramebuffer(32, 32)
-	r := NewRenderer(fb)
-	r.SetCamera(camera())
+	r := &Renderer{FB: fb, y1: fb.H, mask: maskR, mvp: camera()}
 	// Two identical faint filaments: additive blending doubles the
 	// intensity where they overlap.
 	line := []vmath.Vec3{vmath.V3(-1, 0, 0), vmath.V3(1, 0, 0)}
@@ -211,7 +233,7 @@ func TestSmokeSceneAccumulates(t *testing.T) {
 	var maxR uint8
 	for y := 0; y < 32; y++ {
 		for x := 0; x < 32; x++ {
-			if c := fb.At(x, y); c.R > maxR {
+			if c := at(fb, x, y); c.R > maxR {
 				maxR = c.R
 			}
 		}
@@ -239,8 +261,7 @@ func TestWritePPM(t *testing.T) {
 
 func BenchmarkPolyline200(b *testing.B) {
 	fb, _ := NewFramebuffer(1280, 1024) // the VGX's 1024x1280 video
-	r := NewRenderer(fb)
-	r.SetCamera(camera())
+	r := Renderer{FB: fb, y1: fb.H, mask: maskR, mvp: camera()}
 	pts := make([]vmath.Vec3, 200)
 	for i := range pts {
 		f := float32(i) / 199
@@ -249,93 +270,5 @@ func BenchmarkPolyline200(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Polyline(pts, Color{255, 0, 0})
-	}
-}
-
-func TestDepthCueAttenuatesFarGeometry(t *testing.T) {
-	fb, _ := NewFramebuffer(32, 32)
-	r := NewRenderer(fb)
-	// Identity transform: coordinates are already NDC, so z maps
-	// linearly onto the cue ramp.
-	r.EnableDepthCue(0.1)
-	r.Point(vmath.V3(-0.5, 0, -0.9), Color{200, 200, 200}) // near
-	r.Point(vmath.V3(0.5, 0, 0.9), Color{200, 200, 200})   // far
-	var nearR, farR uint8
-	for y := 0; y < 32; y++ {
-		for x := 0; x < 16; x++ {
-			if c := fb.At(x, y); c.R > nearR {
-				nearR = c.R
-			}
-		}
-		for x := 16; x < 32; x++ {
-			if c := fb.At(x, y); c.R > farR {
-				farR = c.R
-			}
-		}
-	}
-	if nearR == 0 || farR == 0 {
-		t.Fatalf("points missing: near=%d far=%d", nearR, farR)
-	}
-	if farR >= nearR {
-		t.Errorf("far point (%d) not dimmer than near (%d)", farR, nearR)
-	}
-	// Disabling restores full intensity.
-	r.DisableDepthCue()
-	fb.Clear(0, 0, 0)
-	r.Point(vmath.V3(0.5, 0, 0.9), Color{200, 200, 200})
-	var uncued uint8
-	for y := 0; y < 32; y++ {
-		for x := 0; x < 32; x++ {
-			if c := fb.At(x, y); c.R > uncued {
-				uncued = c.R
-			}
-		}
-	}
-	if uncued != 200 {
-		t.Errorf("uncued intensity = %d, want 200", uncued)
-	}
-}
-
-// TestDepthCueNaN: a NaN floor is no floor, and a NaN depth, which the
-// raster loop's range test lets through, shades as the near plane.
-// Unclamped, either one reaches uint8(float32(v) * NaN), whose value the
-// Go spec leaves to the implementation.
-func TestDepthCueNaN(t *testing.T) {
-	nan := float32(math.NaN())
-	fb, _ := NewFramebuffer(32, 32)
-	r := NewRenderer(fb)
-	r.EnableDepthCue(nan)
-	// Identity transform: z = 0 is halfway to the far plane, where no
-	// floor leaves half the ink.
-	r.Point(vmath.V3(0, 0, 0), Color{200, 100, 50})
-	if c := fb.At(15, 15); c != (Color{100, 50, 25}) {
-		t.Errorf("NaN floor: point at mid depth = %+v, want {100 50 25}", c)
-	}
-
-	// Both ends' depths are finite, but the first step's z0 + t*dz is
-	// -3e38 + 0*Inf: NaN, at pixel (7, 7).
-	fb.Clear(0, 0, 0)
-	r.EnableDepthCue(0.5)
-	r.Line(vmath.V3(-0.5, 0.5, -3e38), vmath.V3(0.5, 0, 3e38), Color{200, 100, 50})
-	if z := fb.Z[7*fb.W+7]; z == z {
-		t.Fatalf("first step's depth = %v, want NaN", z)
-	}
-	if c := fb.At(7, 7); c != (Color{200, 100, 50}) {
-		t.Errorf("NaN depth: pixel = %+v, want the uncued {200 100 50}", c)
-	}
-	k := r.ink(Color{200, 100, 50})
-	if k.shade(nan); k.val != k.base {
-		t.Errorf("shade(NaN) = %v, want %v", k.val, k.base)
-	}
-}
-
-func TestEnableDepthCueClampsFloor(t *testing.T) {
-	fb, _ := NewFramebuffer(4, 4)
-	r := NewRenderer(fb)
-	r.EnableDepthCue(-1)
-	r.EnableDepthCue(2) // must not panic or produce >1 floors
-	k := r.ink(Color{100, 100, 100})
-	if k.shade(1); k.val[0] > 100 || k.val[0] == 0 {
-		t.Errorf("far-plane cue of 100 = %d, want in (0, 100]", k.val[0])
 	}
 }

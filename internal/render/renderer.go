@@ -1,99 +1,44 @@
 package render
 
 import (
+	"math/bits"
+
 	"repro/internal/vmath"
 )
 
-// Renderer rasterizes 3-D lines and points into a framebuffer through
-// a model-view-projection transform.
+// Renderer rasterizes 3-D lines into a framebuffer through a
+// model-view-projection transform, one eye's channel at a time.
 type Renderer struct {
 	FB *Framebuffer
 	// y0, y1 bound the rows this renderer writes, [y0, y1): the whole
 	// framebuffer, or one of RenderAnaglyph's bands.
 	y0, y1 int
-	mask   ChannelMask
-	mvp    vmath.Mat4
+	// mask and mvp are the eye being drawn: its colour plane (maskR or
+	// maskB) and its transform.
+	mask channelMask
+	mvp  vmath.Mat4
 	// Additive selects saturating-add blending (smoke) instead of
 	// replace.
 	Additive bool
 
-	// depth cueing state (see depthcue.go).
-	cueOn    bool
-	cueFloor float32
-
 	// list, when set, makes this the Renderer a Scene records through:
-	// draw calls go on the list instead of the framebuffer, under
-	// transform mvpIdx (see run.mvp).
-	list   *DisplayList
-	mvpIdx int32
+	// draw calls go on the list instead of the framebuffer.
+	list *DisplayList
 }
-
-// NewRenderer wraps a framebuffer with an identity transform and full
-// write mask.
-func NewRenderer(fb *Framebuffer) *Renderer {
-	return &Renderer{FB: fb, y1: fb.H, mask: MaskAll, mvp: vmath.Identity()}
-}
-
-// SetCamera sets the transform as projection * view.
-func (r *Renderer) SetCamera(view, proj vmath.Mat4) { r.SetMVP(proj.Mul(view)) }
-
-// SetMVP sets the full transform directly.
-func (r *Renderer) SetMVP(m vmath.Mat4) {
-	r.mvp = m
-	if r.list != nil {
-		r.list.mvps = append(r.list.mvps, m)
-		r.mvpIdx = int32(len(r.list.mvps))
-	}
-}
-
-// SetMask sets the channel writemask for subsequent draws.
-func (r *Renderer) SetMask(m ChannelMask) { r.mask = m }
 
 // ink is what one draw call writes per pixel, resolved once from the
-// color, the writemask, the blend mode and the depth cue instead of
-// per pixel. Byte j of a pixel, for j in [lo, hi), becomes
-// min(old&keep[j] + val[j], 255): an additive draw (smoke) keeps every
-// bit and saturate-adds, a replacing draw keeps none, and a channel the
-// mask protects inside the range keeps every bit and adds nothing.
+// color, the eye's channel and the blend mode instead of per pixel:
+// byte ch of a pixel becomes val, or under an additive draw (smoke)
+// min(old + val, 255).
 type ink struct {
-	lo, hi    int
-	keep, val [3]uint8
-	// base is val before depth cueing, which rescales val per pixel
-	// (depthcue.go); cue is the intensity lost between the near and
-	// far planes, 0 when cueing is off.
-	base [3]uint8
-	cue  float32
-	// store marks an ink whose byte does not depend on the pixel it
-	// lands on: one channel, replaced, uncued — each anaglyph eye of a
-	// non-additive draw. The raster loop stores val[lo] without loading
-	// the byte it overwrites.
-	store bool
+	ch  int
+	val uint8
+	add bool
 }
 
 func (r *Renderer) ink(c Color) ink {
-	k := ink{lo: 3, keep: [3]uint8{0xFF, 0xFF, 0xFF}}
-	if r.cueOn {
-		k.cue = 1 - r.cueFloor
-	}
-	for j, v := range [3]uint8{c.R, c.G, c.B} {
-		if r.mask&(1<<j) != 0 {
-			k.lo, k.hi = min(k.lo, j), j+1
-			k.val[j], k.base[j] = v, v
-			if !r.Additive {
-				k.keep[j] = 0
-			}
-		}
-	}
-	k.store = k.hi == k.lo+1 && k.keep[k.lo] == 0 && k.cue == 0
-	return k
-}
-
-// write puts the ink on the pixel whose bytes start at pix[p].
-func (k *ink) write(pix []uint8, p int) {
-	for j := k.lo; j < k.hi; j++ {
-		b := &pix[p+j]
-		*b = uint8(min(uint(*b&k.keep[j])+uint(k.val[j]), 255))
-	}
+	ch := bits.TrailingZeros8(uint8(r.mask))
+	return ink{ch: ch, val: [3]uint8{c.R, c.G, c.B}[ch], add: r.Additive}
 }
 
 // vert is a vertex after the perspective divide, meaningful when it
@@ -115,9 +60,10 @@ func (r *Renderer) viewport() viewport {
 	return viewport{float32(r.FB.W - 1), float32(r.FB.H - 1)}
 }
 
-// onScreen is the vertex at NDC (x, y, z): the one place the
-// NDC-to-pixel arithmetic lives.
-func (vp viewport) onScreen(x, y, z, w float32) vert {
+// divide is a vertex: the transformed point p, w divided by w, and
+// the one place the NDC-to-pixel arithmetic lives.
+func (vp viewport) divide(p vmath.Vec3, w float32) vert {
+	x, y, z := p.X/w, p.Y/w, p.Z/w
 	return vert{
 		ndc: vmath.Vec3{X: x, Y: y, Z: z},
 		w:   w,
@@ -126,69 +72,7 @@ func (vp viewport) onScreen(x, y, z, w float32) vert {
 	}
 }
 
-// divide is a line vertex: the transformed point p, w divided by w.
-func (vp viewport) divide(p vmath.Vec3, w float32) vert {
-	return vp.onScreen(p.X/w, p.Y/w, p.Z/w, w)
-}
-
-// pointVert is a point's vertex. (Points multiply by 1/w where line
-// vertices divide by w; the pinned frames hold both roundings.)
-func (vp viewport) pointVert(p vmath.Vec3, w float32) vert {
-	if w < nearEps {
-		return vert{w: w}
-	}
-	inv := 1 / w
-	return vp.onScreen(p.X*inv, p.Y*inv, p.Z*inv, w)
-}
-
 const nearEps = 1e-5
-
-// Point draws a single 3-D point.
-func (r *Renderer) Point(p vmath.Vec3, c Color) {
-	if r.list != nil {
-		r.list.add(r, kindPoints, r.list.keep(p), c)
-		return
-	}
-	k := r.ink(c)
-	v := r.viewport().pointVert(r.mvp.TransformPointW(p))
-	r.plot(&v, &k)
-}
-
-// Points draws many points.
-func (r *Renderer) Points(pts []vmath.Vec3, c Color) {
-	if r.list != nil {
-		r.list.add(r, kindPoints, pts, c)
-		return
-	}
-	k, vp := r.ink(c), r.viewport()
-	for _, p := range pts {
-		v := vp.pointVert(r.mvp.TransformPointW(p))
-		r.plot(&v, &k)
-	}
-}
-
-// plot draws a transformed point if it is in view, on r's rows and not
-// behind what is already there.
-func (r *Renderer) plot(v *vert, k *ink) {
-	x, y, z := v.ndc.X, v.ndc.Y, v.ndc.Z
-	if v.w < nearEps || x < -1 || x > 1 || y < -1 || y > 1 || z < -1 || z > 1 {
-		return
-	}
-	fb := r.FB
-	px, py := int(v.sx), int(v.sy)
-	// A NaN coordinate passes the comparisons above; its truncation is
-	// out of range (or 0) on every GOARCH.
-	if px < 0 || px >= fb.W || py < r.y0 || py >= r.y1 {
-		return
-	}
-	if i := py*fb.W + px; !(z > fb.Z[i]) {
-		fb.Z[i] = z
-		if k.cue != 0 {
-			k.shade(z)
-		}
-		k.write(fb.Pix, 3*i)
-	}
-}
 
 // Polyline draws connected line segments through pts. Each vertex is
 // transformed and divided once, whichever segments share it; a segment
@@ -277,8 +161,8 @@ const maxExtent = 1 << 62
 // near plane: a z-buffered float DDA over the steps that land on this
 // renderer's rows. The step arithmetic — t = s/steps, truncation by
 // int(), ascending s — is what every pinned framebuffer was drawn
-// with; only steps that cannot write are skipped, and only an ink that
-// keeps bits reads the pixel it writes.
+// with; only steps that cannot write are skipped, and only an additive
+// ink reads the pixel it writes.
 //
 //vw:hotpath
 func (r *Renderer) segment(a, b vert, k *ink) {
@@ -313,11 +197,7 @@ func (r *Renderer) segment(a, b vert, k *ink) {
 		lo, hi = span(lo, hi, fsteps, x0, dx, 0, w)
 	}
 	zb, pix, w := fb.Z, fb.Pix, fb.W
-	// A store ink's one byte and its place in the pixel (see ink.store).
-	store, ch, v := k.store, k.lo, uint8(0)
-	if store {
-		v = k.val[ch]
-	}
+	ch, v, add := k.ch, k.val, k.add
 	for s := lo; s <= hi; s++ {
 		t := float32(s) / fsteps
 		z := z0 + t*dz
@@ -329,14 +209,11 @@ func (r *Renderer) segment(a, b vert, k *ink) {
 			continue
 		}
 		zb[i] = z
-		if store {
-			pix[3*i+ch] = v
-			continue
+		if b := &pix[3*i+ch]; add {
+			*b = uint8(min(uint(*b)+uint(v), 255))
+		} else {
+			*b = v
 		}
-		if k.cue != 0 {
-			k.shade(z)
-		}
-		k.write(pix, 3*i)
 	}
 }
 

@@ -50,10 +50,9 @@ func TestSpanMatchesWalk(t *testing.T) {
 // bands: more than three ring-fulls of vertices, so every slot is
 // recycled and transforming has to wait for rastering; a polyline and a
 // triangle soup longer than a slab, the polyline zigzagging through the
-// near plane at the vertices it is cut at; additive overlaps and
-// depth-cued runs across every row; draws that pass their points by
-// value; and points and lines under a transform and a writemask set
-// inside the scene.
+// near plane at the vertices it is cut at; additive overlaps across
+// every row; draws that pass their points by value, zero-length ones
+// among them; and colors whose red and blue bytes differ.
 func ringScene() Scene {
 	rng := rand.New(rand.NewSource(2))
 	walk := func(n int, step float32) []vmath.Vec3 {
@@ -86,7 +85,6 @@ func ringScene() Scene {
 	}
 	soup = append(soup, walk(2, 1)...) // not a whole triangle: ignored
 	pts := walk(30000, 0.2)
-	zoom := vmath.Perspective(0.6, 1, 0.05, 100).Mul(vmath.Translate(0.3, -0.2, 0))
 	return func(r *Renderer) {
 		r.Polyline(long, Color{255, 255, 255})
 		r.Additive = true
@@ -94,27 +92,23 @@ func ringScene() Scene {
 			r.Polyline(l, Color{90, 90, 90})
 		}
 		r.Additive = false
-		r.EnableDepthCue(0.2)
 		for _, l := range lines[400:] {
 			r.Polyline(l, Color{220, 220, 220})
 		}
 		r.Triangles(soup[:3*4000], Color{200, 200, 200})
-		r.DisableDepthCue()
 		r.Triangles(soup[3*4000:], Color{120, 170, 200})
 		for i := 0; i < 200; i++ {
 			r.Line(pts[i], pts[i+1000], Color{255, 255, 255})
-			r.Point(pts[i+2000], Color{250, 250, 250})
+			r.Line(pts[i+2000], pts[i+2000], Color{250, 250, 250})
 		}
-		r.Points(pts[:10000], Color{255, 255, 255})
+		r.Polyline(pts[:10000], Color{255, 255, 255})
 		r.Polyline(pts[:1], Color{255, 255, 255}) // draws nothing
-		r.SetMVP(zoom)
-		r.EnableDepthCue(0.5)
-		r.Points(pts[10000:], Color{180, 180, 180})
-		r.DisableDepthCue()
+		r.Additive = true
+		r.Polyline(pts[10000:], Color{180, 180, 180})
+		r.Additive = false
 		for _, l := range lines[:50] {
 			r.Polyline(l, Color{255, 255, 255})
 		}
-		r.SetMask(MaskG | MaskB)
 		for _, l := range lines[50:100] {
 			r.Polyline(l, Color{255, 200, 150})
 		}
@@ -122,27 +116,25 @@ func ringScene() Scene {
 }
 
 // oneRenderer draws a stereo frame the way §3 describes and a single
-// immediate-mode Renderer does it: the whole scene for the left eye,
-// then the whole scene for the right. It is what RenderAnaglyph's
-// display list, ring and bands must reproduce byte for byte.
+// immediate-mode Renderer (one built without a list) does it: the
+// whole scene for the left eye, then the whole scene for the right. It
+// is what RenderAnaglyph's display list, ring and bands must reproduce
+// byte for byte.
 func oneRenderer(t testing.TB, rig StereoRig, w, h int, head vmath.Mat4, scene Scene) *Framebuffer {
 	t.Helper()
 	fb, err := NewFramebuffer(w, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	left, right, err := EyeViews(head, rig.IPD)
+	left, right, err := eyeViews(head, rig.IPD)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRenderer(fb)
-	r.SetMVP(rig.Proj.Mul(left))
-	r.SetMask(MaskR)
-	scene(r)
-	fb.ClearZ()
-	r.SetMVP(rig.Proj.Mul(right))
-	r.SetMask(MaskB)
-	scene(r)
+	r := Renderer{FB: fb, y1: fb.H, mask: maskR, mvp: rig.Proj.Mul(left)}
+	scene(&r)
+	fb.clearZRows(0, fb.H)
+	r.mask, r.mvp = maskB, rig.Proj.Mul(right)
+	scene(&r)
 	return fb
 }
 
@@ -299,7 +291,7 @@ func TestListReleasesCallerSlices(t *testing.T) {
 	if cap(dl.runs) == 0 || dl.ring[0] == nil {
 		t.Fatal("list kept no buffers: nothing to check")
 	}
-	if len(dl.runs)+len(dl.slabs)+len(dl.pts)+len(dl.mvps)+dl.fill != 0 {
+	if len(dl.runs)+len(dl.slabs)+len(dl.pts)+dl.fill != 0 {
 		t.Error("list not empty after the frame")
 	}
 	for i, rn := range dl.runs[:cap(dl.runs)] {
@@ -339,15 +331,14 @@ func FuzzLine(f *testing.F) {
 		a := vmath.V3(math.Float32frombits(ax), math.Float32frombits(ay), math.Float32frombits(az))
 		b := vmath.V3(math.Float32frombits(bx), math.Float32frombits(by), math.Float32frombits(bz))
 		fb.Clear(7, 7, 7)
-		r := NewRenderer(fb)
-		r.y0, r.y1 = y0, y1
+		r := Renderer{FB: fb, y0: y0, y1: y1, mask: maskR, mvp: vmath.Identity()}
 		if perspective {
-			r.SetMVP(persp)
+			r.mvp = persp
 		}
 		start := time.Now()
 		r.Line(a, b, Color{255, 255, 255})
 		r.Polyline([]vmath.Vec3{b, a, b}, Color{200, 200, 200})
-		r.Point(a, Color{255, 255, 255})
+		r.Line(a, a, Color{255, 255, 255})
 		if d := time.Since(start); d > 100*time.Millisecond {
 			t.Errorf("drawing %v-%v took %v", a, b, d)
 		}
@@ -356,7 +347,7 @@ func FuzzLine(f *testing.F) {
 				continue
 			}
 			for x := 0; x < w; x++ {
-				if i := y*w + x; fb.At(x, y) != (Color{7, 7, 7}) || !math.IsInf(float64(fb.Z[i]), 1) {
+				if i := y*w + x; at(fb, x, y) != (Color{7, 7, 7}) || !math.IsInf(float64(fb.Z[i]), 1) {
 					t.Fatalf("drawing %v-%v wrote pixel (%d,%d), outside rows [%d,%d)", a, b, x, y, y0, y1)
 				}
 			}
@@ -370,7 +361,7 @@ func FuzzLine(f *testing.F) {
 			r.Line(a, b, Color{255, 255, 255})
 			r.Polyline([]vmath.Vec3{b, a, b}, Color{200, 200, 200})
 			r.Triangles([]vmath.Vec3{a, b, a.Lerp(b, 0.5).Add(vmath.V3(0.1, 0.2, 0))}, Color{150, 150, 150})
-			r.Point(a, Color{255, 255, 255})
+			r.Line(a, a, Color{255, 255, 255})
 		}
 		one := viaList(t, rig, w, h, vmath.Identity(), scene, 1)
 		sameFrame(t, fmt.Sprintf("drawing %v-%v with two workers", a, b), viaList(t, rig, w, h, vmath.Identity(), scene, 2), one)

@@ -26,13 +26,12 @@ type StereoRig struct {
 }
 
 // Scene is a draw callback: it receives a renderer and issues
-// Polyline/Line/Triangles/Points calls. The intensity channel of the
-// colors it draws is taken from the red channel; stereo remaps it per
-// eye.
+// Polyline/Line/Triangles calls. The left eye draws a color's red
+// byte, the right eye its blue byte.
 //
 // RenderAnaglyph calls it once per frame and records what it draws;
 // both eyes and every row band are drawn from the recording. The
-// slices it hands to Polyline, Triangles and Points are read until
+// slices it hands to Polyline and Triangles are read until
 // RenderAnaglyph returns and must not change before then.
 type Scene func(r *Renderer)
 
@@ -52,7 +51,7 @@ func (s StereoRig) RenderAnaglyph(fb *Framebuffer, head vmath.Mat4, scene Scene)
 }
 
 func (s StereoRig) renderBands(fb *Framebuffer, head vmath.Mat4, scene Scene, bands int) error {
-	leftView, rightView, err := EyeViews(head, s.IPD)
+	leftView, rightView, err := eyeViews(head, s.IPD)
 	if err != nil {
 		fb.Clear(0, 0, 0)
 		return err
@@ -65,14 +64,14 @@ func (s StereoRig) renderBands(fb *Framebuffer, head vmath.Mat4, scene Scene, ba
 	dl.record(fb, scene)
 	// Left eye pure red; right eye blue under a writemask that protects
 	// the red planes.
-	eyes := [2]eye{{s.Proj.Mul(leftView), MaskR}, {s.Proj.Mul(rightView), MaskB}}
+	eyes := [2]eye{{s.Proj.Mul(leftView), maskR}, {s.Proj.Mul(rightView), maskB}}
 	dl.draw(fb, &eyes, bands)
 	return nil
 }
 
-// EyeViews derives per-eye view matrices from a head matrix: each eye
+// eyeViews derives per-eye view matrices from a head matrix: each eye
 // sits half the IPD along the head's local X axis.
-func EyeViews(head vmath.Mat4, ipd float32) (left, right vmath.Mat4, err error) {
+func eyeViews(head vmath.Mat4, ipd float32) (left, right vmath.Mat4, err error) {
 	half := ipd / 2
 	leftHead := head.Mul(vmath.Translate(-half, 0, 0))
 	rightHead := head.Mul(vmath.Translate(half, 0, 0))

@@ -27,7 +27,8 @@ func liveSpec() (datasets.Spec, datasets.SolverOptions) {
 // rake endpoints for grids whose extent depends on the Spec.
 func boundsAt(g *grid.Grid, fx, fy, fz float32) vmath.Vec3 {
 	b := g.Bounds()
-	return b.Min.Add(b.Max.Sub(b.Min).Mul(vmath.V3(fx, fy, fz)))
+	d := b.Max.Sub(b.Min)
+	return b.Min.Add(vmath.V3(d.X*fx, d.Y*fy, d.Z*fz))
 }
 
 // replayServer runs the offline pipeline: solve the full dataset, spill
@@ -93,7 +94,8 @@ func liveServer(t *testing.T, spec datasets.Spec, sopts datasets.SolverOptions, 
 func liveScenario(g *grid.Grid, frames int) []wire.ClientUpdate {
 	b := g.Bounds()
 	at := func(fx, fy, fz float32) vmath.Vec3 {
-		return b.Min.Lerp(b.Max, 0).Add(b.Max.Sub(b.Min).Mul(vmath.V3(fx, fy, fz)))
+		d := b.Max.Sub(b.Min)
+		return b.Min.Lerp(b.Max, 0).Add(vmath.V3(d.X*fx, d.Y*fy, d.Z*fz))
 	}
 	updates := []wire.ClientUpdate{{Commands: []wire.Command{
 		addRakeCmd(at(0.6, 0.35, 0.5), at(0.6, 0.55, 0.5), 3, integrate.ToolStreamline),

@@ -201,18 +201,18 @@ type Stats struct {
 	PathLoadFailures int64
 }
 
-// PerRound returns d — one of the cumulative durations above — averaged
+// perRound returns d — one of the cumulative durations above — averaged
 // over the rounds in Frames.
-func (s Stats) PerRound(d time.Duration) time.Duration {
+func (s Stats) perRound(d time.Duration) time.Duration {
 	if s.Frames == 0 {
 		return 0
 	}
 	return d / time.Duration(s.Frames)
 }
 
-// ReuseRatio returns the fraction of rake geometries in recomputed
+// reuseRatio returns the fraction of rake geometries in recomputed
 // rounds served from the dirty-rake memo rather than recomputed.
-func (s Stats) ReuseRatio() float64 {
+func (s Stats) reuseRatio() float64 {
 	total := s.RakesComputed + s.RakesReused
 	if total == 0 {
 		return 0
@@ -227,10 +227,10 @@ func (s Stats) String() string {
 	out := fmt.Sprintf(
 		"frames=%d (reused %d, shipped %d) load=%v compute=%v encode=%v rakes computed=%d reused=%d (%.0f%%) points=%d v1bytes=%d shipped=%.1fMB",
 		s.Frames, s.FramesReused, s.FramesShipped,
-		s.PerRound(s.LoadTime).Round(time.Microsecond),
-		s.PerRound(s.ComputeTime).Round(time.Microsecond),
-		s.PerRound(s.EncodeTime).Round(time.Microsecond),
-		s.RakesComputed, s.RakesReused, 100*s.ReuseRatio(),
+		s.perRound(s.LoadTime).Round(time.Microsecond),
+		s.perRound(s.ComputeTime).Round(time.Microsecond),
+		s.perRound(s.EncodeTime).Round(time.Microsecond),
+		s.RakesComputed, s.RakesReused, 100*s.reuseRatio(),
 		s.Points, s.V1Bytes, float64(s.BytesShipped)/(1<<20))
 	if s.ToolsComputed > 0 || s.ToolsReused > 0 {
 		out += fmt.Sprintf(" tools computed=%d reused=%d points=%d",
@@ -238,7 +238,7 @@ func (s Stats) String() string {
 	}
 	if s.Budget > 0 {
 		out += fmt.Sprintf(" budget=%v predicted=%v shed frames=%d avg=%.1f%%",
-			s.Budget, s.PerRound(s.PredictedTime).Round(time.Microsecond),
+			s.Budget, s.perRound(s.PredictedTime).Round(time.Microsecond),
 			s.FramesShed, 100*s.ShedSum/float64(max(s.Frames, 1)))
 	}
 	return out

@@ -20,7 +20,7 @@ import (
 
 func TestZeroStatsAverages(t *testing.T) {
 	var zero Stats
-	if zero.PerRound(time.Second) != 0 || zero.ReuseRatio() != 0 || !strings.Contains(zero.String(), "frames=0") {
+	if zero.perRound(time.Second) != 0 || zero.reuseRatio() != 0 || !strings.Contains(zero.String(), "frames=0") {
 		t.Error("zero Stats divides by zero frames")
 	}
 	if line := (Stats{Budget: time.Millisecond}).String(); !strings.Contains(line, "shed frames=0 avg=0.0%") {
@@ -36,10 +36,10 @@ func TestStatsAveragesAndReportLine(t *testing.T) {
 		LoadTime: 2 * time.Millisecond, ComputeTime: 6 * time.Millisecond, EncodeTime: time.Millisecond,
 		RakesComputed: 2, RakesReused: 6, Points: 200, V1Bytes: 2400, BytesShipped: 3 << 20,
 	}
-	if s.PerRound(s.LoadTime) != time.Millisecond || s.PerRound(s.ComputeTime) != 3*time.Millisecond {
-		t.Errorf("averages: load=%v compute=%v", s.PerRound(s.LoadTime), s.PerRound(s.ComputeTime))
+	if s.perRound(s.LoadTime) != time.Millisecond || s.perRound(s.ComputeTime) != 3*time.Millisecond {
+		t.Errorf("averages: load=%v compute=%v", s.perRound(s.LoadTime), s.perRound(s.ComputeTime))
 	}
-	if got, want := s.ReuseRatio(), 6.0/8.0; got != want {
+	if got, want := s.reuseRatio(), 6.0/8.0; got != want {
 		t.Errorf("reuse ratio = %v, want %v", got, want)
 	}
 	line := s.String()

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"runtime"
 	"sync"
 )
 
@@ -19,11 +18,6 @@ func (s *Solver) SetWorkers(n int) {
 		n = s.NZ
 	}
 	s.workers = n
-}
-
-// AutoWorkers sets the worker count to the machine's parallelism.
-func (s *Solver) AutoWorkers() {
-	s.SetWorkers(runtime.GOMAXPROCS(0))
 }
 
 // forEachSlab runs fn over [0, NZ) split into contiguous k-slabs, in

@@ -28,9 +28,9 @@ const (
 	// WindTunnelBounds: inflow at x-min, outflow at x-max, free slip
 	// on the other four faces.
 	WindTunnelBounds Boundary = iota
-	// PeriodicBounds wraps all axes, for validation against exact
+	// periodicBounds wraps all axes, for validation against exact
 	// periodic solutions (Taylor-Green).
-	PeriodicBounds
+	periodicBounds
 )
 
 // Solver holds the simulation state on an NX x NY x NZ cell grid with
@@ -102,7 +102,7 @@ func clampi(i, lo, hi int) int {
 
 // at returns component a at cell (i, j, k) honoring the boundary mode.
 func (s *Solver) at(a []float32, i, j, k int) float32 {
-	if s.Bounds == PeriodicBounds {
+	if s.Bounds == periodicBounds {
 		return a[s.idx(wrap(i, s.NX), wrap(j, s.NY), wrap(k, s.NZ))]
 	}
 	return a[s.idx(clampi(i, 0, s.NX-1), clampi(j, 0, s.NY-1), clampi(k, 0, s.NZ-1))]
@@ -114,7 +114,7 @@ func (s *Solver) SetVelocity(f func(p vmath.Vec3) vmath.Vec3) {
 	for k := 0; k < s.NZ; k++ {
 		for j := 0; j < s.NY; j++ {
 			for i := 0; i < s.NX; i++ {
-				v := f(s.CellCenter(i, j, k))
+				v := f(s.cellCenter(i, j, k))
 				n := s.idx(i, j, k)
 				s.U[n], s.V[n], s.W[n] = v.X, v.Y, v.Z
 			}
@@ -122,8 +122,8 @@ func (s *Solver) SetVelocity(f func(p vmath.Vec3) vmath.Vec3) {
 	}
 }
 
-// CellCenter returns the physical position of cell (i, j, k).
-func (s *Solver) CellCenter(i, j, k int) vmath.Vec3 {
+// cellCenter returns the physical position of cell (i, j, k).
+func (s *Solver) cellCenter(i, j, k int) vmath.Vec3 {
 	return vmath.Vec3{
 		X: (float32(i) + 0.5) * s.H,
 		Y: (float32(j) + 0.5) * s.H,
@@ -140,12 +140,12 @@ func (s *Solver) DomainSize() vmath.Vec3 {
 	}
 }
 
-// AddSolid marks as solid every cell whose center satisfies inside.
-func (s *Solver) AddSolid(inside func(p vmath.Vec3) bool) {
+// addSolid marks as solid every cell whose center satisfies inside.
+func (s *Solver) addSolid(inside func(p vmath.Vec3) bool) {
 	for k := 0; k < s.NZ; k++ {
 		for j := 0; j < s.NY; j++ {
 			for i := 0; i < s.NX; i++ {
-				if inside(s.CellCenter(i, j, k)) {
+				if inside(s.cellCenter(i, j, k)) {
 					s.Solid[s.idx(i, j, k)] = true
 				}
 			}
@@ -157,7 +157,7 @@ func (s *Solver) AddSolid(inside func(p vmath.Vec3) bool) {
 // (cx, cy), radius tapering from r0 at z=0 to r1 at z=zmax.
 func (s *Solver) AddTaperedCylinder(cx, cy, r0, r1 float32) {
 	zmax := float32(s.NZ) * s.H
-	s.AddSolid(func(p vmath.Vec3) bool {
+	s.addSolid(func(p vmath.Vec3) bool {
 		fz := p.Z / zmax
 		r := r0 + (r1-r0)*fz
 		dx, dy := p.X-cx, p.Y-cy
@@ -177,9 +177,9 @@ func (s *Solver) SetTaperedCylinder(cx, cy, r0, r1 float32) {
 	s.AddTaperedCylinder(cx, cy, r0, r1)
 }
 
-// MaxSpeed returns the largest velocity magnitude, for CFL step
+// maxSpeed returns the largest velocity magnitude, for CFL step
 // selection.
-func (s *Solver) MaxSpeed() float32 {
+func (s *Solver) maxSpeed() float32 {
 	var m float32
 	for i := range s.U {
 		sq := s.U[i]*s.U[i] + s.V[i]*s.V[i] + s.W[i]*s.W[i]
@@ -245,7 +245,7 @@ func (s *Solver) advectSlab(dt float32, kLo, kHi int) {
 					s.u2[n], s.v2[n], s.w2[n] = 0, 0, 0
 					continue
 				}
-				p := s.CellCenter(i, j, k)
+				p := s.cellCenter(i, j, k)
 				v1 := vmath.Vec3{X: s.U[n], Y: s.V[n], Z: s.W[n]}
 				mid := p.Sub(v1.Scale(dt / 2))
 				v2 := s.sampleVel(mid)
@@ -331,9 +331,9 @@ func (s *Solver) enforceBoundaries() {
 	}
 }
 
-// Divergence fills div with the central-difference divergence and
+// divergence fills div with the central-difference divergence and
 // returns its max absolute value.
-func (s *Solver) Divergence() float32 {
+func (s *Solver) divergence() float32 {
 	var maxDiv float32
 	inv2h := 1 / (2 * s.H)
 	for k := 0; k < s.NZ; k++ {
@@ -364,7 +364,7 @@ func (s *Solver) Divergence() float32 {
 // solving lap(p) = div(u)/dt with Jacobi iteration and subtracting
 // dt*grad(p).
 func (s *Solver) project(dt float32) {
-	s.Divergence()
+	s.divergence()
 	h2 := s.H * s.H
 	for i := range s.P {
 		s.P[i] = 0
@@ -411,7 +411,7 @@ func (s *Solver) project(dt float32) {
 // minimum of the advective CFL limit and the explicit diffusion limit.
 func (s *Solver) CFLStep(cfl float32) float32 {
 	dt := float32(0.1)
-	if vmax := s.MaxSpeed(); vmax > 0 {
+	if vmax := s.maxSpeed(); vmax > 0 {
 		dt = cfl * s.H / vmax
 	}
 	if s.Nu > 0 {
@@ -421,17 +421,6 @@ func (s *Solver) CFLStep(cfl float32) float32 {
 		}
 	}
 	return dt
-}
-
-// KineticEnergy returns the total kinetic energy (0.5 sum |u|^2 h^3),
-// used by Taylor-Green validation.
-func (s *Solver) KineticEnergy() float64 {
-	var sum float64
-	for i := range s.U {
-		sum += float64(s.U[i]*s.U[i] + s.V[i]*s.V[i] + s.W[i]*s.W[i])
-	}
-	h3 := float64(s.H) * float64(s.H) * float64(s.H)
-	return 0.5 * sum * h3
 }
 
 // FieldOn samples the solver's velocity onto the nodes of a

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/grid"
@@ -21,7 +22,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestProjectionReducesDivergence(t *testing.T) {
-	s, err := New(16, 16, 16, 1.0/16, 0, PeriodicBounds)
+	s, err := New(16, 16, 16, 1.0/16, 0, periodicBounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +37,9 @@ func TestProjectionReducesDivergence(t *testing.T) {
 	s.SetVelocity(func(p vmath.Vec3) vmath.Vec3 {
 		return vmath.V3(float32(math.Sin(4*math.Pi*float64(p.X/L))), 0, 0)
 	})
-	before := s.Divergence()
+	before := s.divergence()
 	s.project(0.1)
-	after := s.Divergence()
+	after := s.divergence()
 	if after > before/4 {
 		t.Errorf("projection weak: divergence %v -> %v", before, after)
 	}
@@ -51,7 +52,7 @@ func TestTaylorGreenEnergyDecay(t *testing.T) {
 	const n = 24
 	nu := float32(0.05)
 	h := float32(2 * math.Pi / n)
-	s, err := New(n, n, n, h, nu, PeriodicBounds)
+	s, err := New(n, n, n, h, nu, periodicBounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestUniformInflowStaysBounded(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Step(s.CFLStep(0.5))
 	}
-	if m := s.MaxSpeed(); m > 2 || math.IsNaN(float64(m)) {
+	if m := s.maxSpeed(); m > 2 || math.IsNaN(float64(m)) {
 		t.Errorf("flow unstable: max speed %v", m)
 	}
 	// Interior speed should stay near the inflow speed without body.
@@ -161,7 +162,7 @@ func TestCylinderDeflectsFlow(t *testing.T) {
 }
 
 func TestCFLStepLimits(t *testing.T) {
-	s, _ := New(8, 8, 8, 0.1, 0.01, PeriodicBounds)
+	s, _ := New(8, 8, 8, 0.1, 0.01, periodicBounds)
 	s.SetVelocity(func(vmath.Vec3) vmath.Vec3 { return vmath.V3(10, 0, 0) })
 	dt := s.CFLStep(0.5)
 	if dt > 0.5*0.1/10+1e-6 {
@@ -244,9 +245,20 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 func TestSetWorkersClamps(t *testing.T) {
-	s, _ := New(8, 8, 8, 0.1, 0, PeriodicBounds)
+	s, _ := New(8, 8, 8, 0.1, 0, periodicBounds)
 	s.SetWorkers(-3)
 	s.SetWorkers(1000) // > NZ: clamped, must not panic
-	s.AutoWorkers()
+	s.SetWorkers(runtime.GOMAXPROCS(0))
 	s.Step(0.01)
+}
+
+// KineticEnergy returns the total kinetic energy (0.5 sum |u|^2 h^3),
+// used by Taylor-Green validation.
+func (s *Solver) KineticEnergy() float64 {
+	var sum float64
+	for i := range s.U {
+		sum += float64(s.U[i]*s.U[i] + s.V[i]*s.V[i] + s.W[i]*s.W[i])
+	}
+	h3 := float64(s.H) * float64(s.H) * float64(s.H)
+	return 0.5 * sum * h3
 }

@@ -194,14 +194,6 @@ func (c *Cache) overBudgetLocked() bool {
 	return false
 }
 
-// Resident reports whether timestep t is currently cached.
-func (c *Cache) Resident(t int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[t]
-	return ok
-}
-
 // appendRun appends the wanted run of a dataset of n steps to dst: the
 // first Reach+2 distinct steps the play touches from its playhead s —
 // the playhead's path window ascending, then what the next playhead's
@@ -271,6 +263,8 @@ func (c *Cache) Follow(p Play) int {
 }
 
 // Wait returns once no background fill is running.
+//
+//vw:testonly
 func (c *Cache) Wait() {
 	if c.pf != nil {
 		c.pf.fills.Wait()
@@ -328,7 +322,11 @@ func (c *Cache) firstMissingLocked() (int, bool) {
 // figure-8 architecture: "The timestep required for the next
 // computation is loaded into a buffer" while the current one is used.
 // It owns the goroutine that fills a prefetching Cache's wanted run;
-// only NewCache makes one.
+// only NewCache makes one. The type and Prefetch keep exported names
+// for the stack walks (benchmark/trace.go, the server's resident tests)
+// that find a background read by its (*Prefetcher).Prefetch frame.
+//
+//vw:testonly
 type Prefetcher struct {
 	c     *Cache
 	fills sync.WaitGroup
@@ -340,6 +338,8 @@ type Prefetcher struct {
 // until none is missing. Prefetch itself never waits for a read. Every
 // fill goroutine starts from this frame, which is how a stack tells a
 // background read from one a round is waiting for.
+//
+//vw:testonly
 func (p *Prefetcher) Prefetch() {
 	if !p.c.claimFill() {
 		return
@@ -371,6 +371,8 @@ type CacheStats struct {
 
 // HitRate returns the fraction of LoadStep calls that avoided an
 // underlying read (hits plus coalesced joins), or 0 with no traffic.
+//
+//vw:testonly
 func (s CacheStats) HitRate() float64 {
 	total := s.Hits + s.Misses + s.Coalesced
 	if total == 0 {

@@ -393,3 +393,11 @@ func TestCacheFailedCoalescedLoadAccounting(t *testing.T) {
 			st.ResidentSteps, st.ResidentBytes, f.SizeBytes())
 	}
 }
+
+// Resident reports whether timestep t is currently cached.
+func (c *Cache) Resident(t int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[t]
+	return ok
+}

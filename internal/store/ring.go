@@ -48,7 +48,7 @@ type RingStats struct {
 }
 
 // Ring is a Store over a live, bounded window of solver-produced
-// timesteps: [Tail(), Head()] are resident, steps before Tail() have
+// timesteps: [tail, Head()] are resident, steps before tail have
 // been recycled, steps after Head() do not exist yet (but a producer
 // callback can be attached to create them on demand). NumSteps()
 // reports the fixed horizon the live session is configured for, so the
@@ -135,13 +135,6 @@ func (r *Ring) Head() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.head
-}
-
-// Tail returns the oldest resident step.
-func (r *Ring) Tail() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tail
 }
 
 // Stats returns a snapshot of the ring counters.

@@ -337,3 +337,10 @@ func TestRingValidation(t *testing.T) {
 		t.Error("load after close succeeded")
 	}
 }
+
+// Tail returns the oldest resident step.
+func (r *Ring) Tail() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.tail
+}

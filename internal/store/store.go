@@ -106,4 +106,6 @@ func (m *Memory) Close() error { return nil }
 func (m *Memory) Follow(p Play) int { return p.Step }
 
 // Unsteady returns the underlying dataset.
+//
+//vw:testonly
 func (m *Memory) Unsteady() *field.Unsteady { return m.u }

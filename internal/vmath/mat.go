@@ -32,16 +32,6 @@ func Translate(x, y, z float32) Mat4 {
 	}
 }
 
-// Scale returns a non-uniform scale by (x, y, z).
-func Scale(x, y, z float32) Mat4 {
-	return Mat4{
-		x, 0, 0, 0,
-		0, y, 0, 0,
-		0, 0, z, 0,
-		0, 0, 0, 1,
-	}
-}
-
 // RotateX returns a rotation about the X axis by angle radians.
 func RotateX(angle float32) Mat4 {
 	s, c := sincos(angle)
@@ -120,27 +110,6 @@ func (m Mat4) TransformPointW(p Vec3) (Vec3, float32) {
 	return Vec3{x, y, z}, w
 }
 
-// TransformDir applies only the rotational/scale part of m to the
-// direction d (w = 0).
-func (m Mat4) TransformDir(d Vec3) Vec3 {
-	return Vec3{
-		m[0]*d.X + m[1]*d.Y + m[2]*d.Z,
-		m[4]*d.X + m[5]*d.Y + m[6]*d.Z,
-		m[8]*d.X + m[9]*d.Y + m[10]*d.Z,
-	}
-}
-
-// Transposed returns the transpose of m.
-func (m Mat4) Transposed() Mat4 {
-	var r Mat4
-	for row := 0; row < 4; row++ {
-		for col := 0; col < 4; col++ {
-			r[4*row+col] = m[4*col+row]
-		}
-	}
-	return r
-}
-
 // Inverted returns the inverse of m and whether m was invertible.
 // A general cofactor inverse; rigid transforms could use a cheaper
 // path but inversion happens once per frame, not per point.
@@ -199,8 +168,8 @@ func (m Mat4) Inverted() (Mat4, bool) {
 // LookAt returns a view matrix for an eye at eye, looking at target,
 // with the given up vector.
 func LookAt(eye, target, up Vec3) Mat4 {
-	f := target.Sub(eye).Normalized()
-	s := f.Cross(up.Normalized()).Normalized()
+	f := target.Sub(eye).normalized()
+	s := f.Cross(up.normalized()).normalized()
 	u := s.Cross(f)
 	view := Mat4{
 		s.X, s.Y, s.Z, 0,
@@ -226,6 +195,8 @@ func Perspective(fovy, aspect, near, far float32) Mat4 {
 
 // ApproxEqual reports whether m and n differ by at most eps in every
 // element.
+//
+//vw:testonly
 func (m Mat4) ApproxEqual(n Mat4, eps float32) bool {
 	for i := range m {
 		if absf(m[i]-n[i]) > eps {

@@ -4,7 +4,7 @@ import "math"
 
 // Quat is a unit quaternion (W + Xi + Yj + Zk) representing a 3-D
 // rotation. The Polhemus tracker model reports hand orientation as a
-// quaternion; the glove converts it to a Mat4 before use.
+// quaternion.
 type Quat struct {
 	W, X, Y, Z float32
 }
@@ -15,7 +15,7 @@ func QuatIdentity() Quat { return Quat{W: 1} }
 // AxisAngle returns the quaternion rotating by angle radians around
 // the given (not necessarily normalized) axis.
 func AxisAngle(axis Vec3, angle float32) Quat {
-	a := axis.Normalized()
+	a := axis.normalized()
 	s, c := sincos(angle / 2)
 	return Quat{W: c, X: a.X * s, Y: a.Y * s, Z: a.Z * s}
 }
@@ -30,9 +30,6 @@ func (q Quat) Mul(r Quat) Quat {
 	}
 }
 
-// Conj returns the conjugate (inverse for unit quaternions).
-func (q Quat) Conj() Quat { return Quat{W: q.W, X: -q.X, Y: -q.Y, Z: -q.Z} }
-
 // Normalized returns q scaled to unit length, or the identity if q is
 // zero.
 func (q Quat) Normalized() Quat {
@@ -42,53 +39,4 @@ func (q Quat) Normalized() Quat {
 	}
 	inv := 1 / n
 	return Quat{q.W * inv, q.X * inv, q.Y * inv, q.Z * inv}
-}
-
-// Rotate applies the rotation to v.
-func (q Quat) Rotate(v Vec3) Vec3 {
-	// v' = q * (0, v) * q^-1, expanded.
-	u := Vec3{q.X, q.Y, q.Z}
-	s := q.W
-	return u.Scale(2 * u.Dot(v)).
-		Add(v.Scale(s*s - u.Dot(u))).
-		Add(u.Cross(v).Scale(2 * s))
-}
-
-// Mat4 returns the rotation as a homogeneous matrix.
-func (q Quat) Mat4() Mat4 {
-	x, y, z, w := q.X, q.Y, q.Z, q.W
-	return Mat4{
-		1 - 2*(y*y+z*z), 2 * (x*y - w*z), 2 * (x*z + w*y), 0,
-		2 * (x*y + w*z), 1 - 2*(x*x+z*z), 2 * (y*z - w*x), 0,
-		2 * (x*z - w*y), 2 * (y*z + w*x), 1 - 2*(x*x+y*y), 0,
-		0, 0, 0, 1,
-	}
-}
-
-// Slerp spherically interpolates from q to r by t in [0, 1].
-func (q Quat) Slerp(r Quat, t float32) Quat {
-	cosTheta := float64(q.W*r.W + q.X*r.X + q.Y*r.Y + q.Z*r.Z)
-	if cosTheta < 0 {
-		r = Quat{-r.W, -r.X, -r.Y, -r.Z}
-		cosTheta = -cosTheta
-	}
-	if cosTheta > 0.9995 {
-		// Nearly parallel: fall back to normalized lerp.
-		return Quat{
-			q.W + t*(r.W-q.W),
-			q.X + t*(r.X-q.X),
-			q.Y + t*(r.Y-q.Y),
-			q.Z + t*(r.Z-q.Z),
-		}.Normalized()
-	}
-	theta := math.Acos(cosTheta)
-	sinTheta := math.Sin(theta)
-	wq := float32(math.Sin((1-float64(t))*theta) / sinTheta)
-	wr := float32(math.Sin(float64(t)*theta) / sinTheta)
-	return Quat{
-		wq*q.W + wr*r.W,
-		wq*q.X + wr*r.X,
-		wq*q.Y + wr*r.Y,
-		wq*q.Z + wr*r.Z,
-	}
 }

@@ -29,9 +29,6 @@ func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
 // Scale returns s*v.
 func (v Vec3) Scale(s float32) Vec3 { return Vec3{s * v.X, s * v.Y, s * v.Z} }
 
-// Mul returns the component-wise product v*w.
-func (v Vec3) Mul(w Vec3) Vec3 { return Vec3{v.X * w.X, v.Y * w.Y, v.Z * w.Z} }
-
 // Dot returns the dot product v·w.
 func (v Vec3) Dot(w Vec3) float32 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
 
@@ -49,14 +46,11 @@ func (v Vec3) Len() float32 {
 	return float32(math.Sqrt(float64(v.Dot(v))))
 }
 
-// LenSq returns the squared Euclidean norm of v.
-func (v Vec3) LenSq() float32 { return v.Dot(v) }
-
 // Dist returns the Euclidean distance between v and w.
 func (v Vec3) Dist(w Vec3) float32 { return v.Sub(w).Len() }
 
-// Normalized returns v/|v|, or the zero vector if |v| is zero.
-func (v Vec3) Normalized() Vec3 {
+// normalized returns v/|v|, or the zero vector if |v| is zero.
+func (v Vec3) normalized() Vec3 {
 	l := v.Len()
 	if l == 0 {
 		return Vec3{}
@@ -73,16 +67,13 @@ func (v Vec3) Lerp(w Vec3, t float32) Vec3 {
 	}
 }
 
-// Neg returns -v.
-func (v Vec3) Neg() Vec3 { return Vec3{-v.X, -v.Y, -v.Z} }
-
-// Min returns the component-wise minimum of v and w.
-func (v Vec3) Min(w Vec3) Vec3 {
+// min returns the component-wise minimum of v and w.
+func (v Vec3) min(w Vec3) Vec3 {
 	return Vec3{min(v.X, w.X), min(v.Y, w.Y), min(v.Z, w.Z)}
 }
 
-// Max returns the component-wise maximum of v and w.
-func (v Vec3) Max(w Vec3) Vec3 {
+// max returns the component-wise maximum of v and w.
+func (v Vec3) max(w Vec3) Vec3 {
 	return Vec3{max(v.X, w.X), max(v.Y, w.Y), max(v.Z, w.Z)}
 }
 
@@ -101,6 +92,8 @@ func isFinite(f float32) bool {
 // patterns — the equality the bit-identical geometry contracts mean: it
 // tells -0 from 0 and calls two NaNs equal only when their payloads
 // match, where == does neither.
+//
+//vw:testonly
 func (v Vec3) BitsEqual(w Vec3) bool {
 	return math.Float32bits(v.X) == math.Float32bits(w.X) &&
 		math.Float32bits(v.Y) == math.Float32bits(w.Y) &&
@@ -114,6 +107,8 @@ func (v Vec3) String() string {
 
 // ApproxEqual reports whether v and w differ by at most eps in every
 // component.
+//
+//vw:testonly
 func (v Vec3) ApproxEqual(w Vec3, eps float32) bool {
 	return absf(v.X-w.X) <= eps && absf(v.Y-w.Y) <= eps && absf(v.Z-w.Z) <= eps
 }
@@ -143,7 +138,7 @@ func NewAABB(pts ...Vec3) AABB {
 
 // Extend returns the box grown to contain p.
 func (b AABB) Extend(p Vec3) AABB {
-	return AABB{Min: b.Min.Min(p), Max: b.Max.Max(p)}
+	return AABB{Min: b.Min.min(p), Max: b.Max.max(p)}
 }
 
 // Contains reports whether p is inside the box (inclusive).
@@ -153,11 +148,5 @@ func (b AABB) Contains(p Vec3) bool {
 		p.Z >= b.Min.Z && p.Z <= b.Max.Z
 }
 
-// Center returns the box center.
-func (b AABB) Center() Vec3 { return b.Min.Add(b.Max).Scale(0.5) }
-
 // Size returns the box extents along each axis.
 func (b AABB) Size() Vec3 { return b.Max.Sub(b.Min) }
-
-// Clamp returns p clamped to lie within the box.
-func (b AABB) Clamp(p Vec3) Vec3 { return p.Max(b.Min).Min(b.Max) }

@@ -82,11 +82,11 @@ func clampf(f float32) float32 {
 }
 
 func TestVec3Normalized(t *testing.T) {
-	v := V3(3, 4, 0).Normalized()
+	v := V3(3, 4, 0).normalized()
 	if !v.ApproxEqual(V3(0.6, 0.8, 0), 1e-6) {
 		t.Errorf("Normalized = %v", v)
 	}
-	if got := (Vec3{}).Normalized(); got != (Vec3{}) {
+	if got := (Vec3{}).normalized(); got != (Vec3{}) {
 		t.Errorf("Normalized zero = %v, want zero", got)
 	}
 }
@@ -310,18 +310,6 @@ func TestQuatConjInverse(t *testing.T) {
 	}
 }
 
-func TestQuatSlerpEndpoints(t *testing.T) {
-	a := AxisAngle(V3(0, 0, 1), 0.3)
-	b := AxisAngle(V3(0, 1, 0), 1.7)
-	v := V3(1, 2, 3)
-	if got := a.Slerp(b, 0).Rotate(v); !got.ApproxEqual(a.Rotate(v), 1e-4) {
-		t.Errorf("slerp(0) = %v", got)
-	}
-	if got := a.Slerp(b, 1).Rotate(v); !got.ApproxEqual(b.Rotate(v), 1e-4) {
-		t.Errorf("slerp(1) = %v", got)
-	}
-}
-
 func BenchmarkMat4Mul(b *testing.B) {
 	m := RotateX(0.3)
 	n := Translate(1, 2, 3)
@@ -339,4 +327,71 @@ func BenchmarkMat4TransformPoint(b *testing.B) {
 		p = V3(1, 2, 3)
 	}
 	_ = p
+}
+
+// Mul returns the component-wise product v*w.
+func (v Vec3) Mul(w Vec3) Vec3 { return Vec3{v.X * w.X, v.Y * w.Y, v.Z * w.Z} }
+
+// Neg returns -v.
+func (v Vec3) Neg() Vec3 { return Vec3{-v.X, -v.Y, -v.Z} }
+
+// Center returns the box center.
+func (b AABB) Center() Vec3 { return b.Min.Add(b.Max).Scale(0.5) }
+
+// Clamp returns p clamped to lie within the box.
+func (b AABB) Clamp(p Vec3) Vec3 { return p.max(b.Min).min(b.Max) }
+
+// Scale returns a non-uniform scale by (x, y, z).
+func Scale(x, y, z float32) Mat4 {
+	return Mat4{
+		x, 0, 0, 0,
+		0, y, 0, 0,
+		0, 0, z, 0,
+		0, 0, 0, 1,
+	}
+}
+
+// TransformDir applies only the rotational/scale part of m to the
+// direction d (w = 0).
+func (m Mat4) TransformDir(d Vec3) Vec3 {
+	return Vec3{
+		m[0]*d.X + m[1]*d.Y + m[2]*d.Z,
+		m[4]*d.X + m[5]*d.Y + m[6]*d.Z,
+		m[8]*d.X + m[9]*d.Y + m[10]*d.Z,
+	}
+}
+
+// Transposed returns the transpose of m.
+func (m Mat4) Transposed() Mat4 {
+	var r Mat4
+	for row := 0; row < 4; row++ {
+		for col := 0; col < 4; col++ {
+			r[4*row+col] = m[4*col+row]
+		}
+	}
+	return r
+}
+
+// Conj returns the conjugate (inverse for unit quaternions).
+func (q Quat) Conj() Quat { return Quat{W: q.W, X: -q.X, Y: -q.Y, Z: -q.Z} }
+
+// Rotate applies the rotation to v.
+func (q Quat) Rotate(v Vec3) Vec3 {
+	// v' = q * (0, v) * q^-1, expanded.
+	u := Vec3{q.X, q.Y, q.Z}
+	s := q.W
+	return u.Scale(2 * u.Dot(v)).
+		Add(v.Scale(s*s - u.Dot(u))).
+		Add(u.Cross(v).Scale(2 * s))
+}
+
+// Mat4 returns the rotation as a homogeneous matrix.
+func (q Quat) Mat4() Mat4 {
+	x, y, z, w := q.X, q.Y, q.Z, q.W
+	return Mat4{
+		1 - 2*(y*y+z*z), 2 * (x*y - w*z), 2 * (x*z + w*y), 0,
+		2 * (x*y + w*z), 1 - 2*(x*x+z*z), 2 * (y*z - w*x), 0,
+		2 * (x*z - w*y), 2 * (y*z + w*x), 1 - 2*(x*x+y*y), 0,
+		0, 0, 0, 1,
+	}
 }

@@ -24,14 +24,14 @@ type BoomJoint int
 const (
 	// BaseYaw rotates the whole yoke about the vertical post.
 	BaseYaw BoomJoint = iota
-	// BasePitch tilts the first arm.
-	BasePitch
+	// basePitch tilts the first arm.
+	basePitch
 	// ElbowPitch bends the second arm relative to the first.
 	ElbowPitch
-	// WristYaw, WristPitch, WristRoll orient the display head.
-	WristYaw
-	WristPitch
-	WristRoll
+	// wristYaw, wristPitch, wristRoll orient the display head.
+	wristYaw
+	wristPitch
+	wristRoll
 
 	// NumBoomJoints is the joint count.
 	NumBoomJoints = 6
@@ -79,46 +79,24 @@ func (b *Boom) SetAngles(a [NumBoomJoints]float32) error {
 	return nil
 }
 
-// Angles returns the current joint angles.
-func (b *Boom) Angles() [NumBoomJoints]float32 { return b.angles }
-
-// HeadMatrix returns the display head's position/orientation as a 4x4
+// headMatrix returns the display head's position/orientation as a 4x4
 // matrix via forward kinematics: base post up, yaw, pitch, out along
 // arm 1, elbow pitch, out along arm 2, then the three wrist rotations.
-func (b *Boom) HeadMatrix() vmath.Mat4 {
+func (b *Boom) headMatrix() vmath.Mat4 {
 	a := b.angles
 	m := vmath.Translate(0, b.BaseHeight, 0)
 	m = m.Mul(vmath.RotateY(a[BaseYaw]))
-	m = m.Mul(vmath.RotateX(a[BasePitch]))
+	m = m.Mul(vmath.RotateX(a[basePitch]))
 	m = m.Mul(vmath.Translate(0, 0, -b.Arm1))
 	m = m.Mul(vmath.RotateX(a[ElbowPitch]))
 	m = m.Mul(vmath.Translate(0, 0, -b.Arm2))
-	m = m.Mul(vmath.RotateY(a[WristYaw]))
-	m = m.Mul(vmath.RotateX(a[WristPitch]))
-	m = m.Mul(vmath.RotateZ(a[WristRoll]))
+	m = m.Mul(vmath.RotateY(a[wristYaw]))
+	m = m.Mul(vmath.RotateX(a[wristPitch]))
+	m = m.Mul(vmath.RotateZ(a[wristRoll]))
 	return m
-}
-
-// ViewMatrix returns the inverse head matrix — the transform
-// concatenated onto the graphics stack so the scene renders from the
-// user's point of view (§3).
-func (b *Boom) ViewMatrix() (vmath.Mat4, error) {
-	inv, ok := b.HeadMatrix().Inverted()
-	if !ok {
-		return vmath.Mat4{}, fmt.Errorf("vr: singular head matrix")
-	}
-	return inv, nil
 }
 
 // HeadPosition returns the display head position in world space.
 func (b *Boom) HeadPosition() vmath.Vec3 {
-	return b.HeadMatrix().TransformPoint(vmath.Vec3{})
-}
-
-// EyeOffsets returns the left and right eye positions for a given
-// interpupillary distance, for stereo rendering.
-func (b *Boom) EyeOffsets(ipd float32) (left, right vmath.Vec3) {
-	m := b.HeadMatrix()
-	half := ipd / 2
-	return m.TransformPoint(vmath.V3(-half, 0, 0)), m.TransformPoint(vmath.V3(half, 0, 0))
+	return b.headMatrix().TransformPoint(vmath.Vec3{})
 }

@@ -12,14 +12,14 @@ import (
 type Gesture uint8
 
 const (
-	// GestureUnknown is anything the recognizer cannot classify.
-	GestureUnknown Gesture = iota
+	// gestureUnknown is anything the recognizer cannot classify.
+	gestureUnknown Gesture = iota
 	// GestureOpen is a flat hand: release.
 	GestureOpen
 	// GestureFist is a closed hand: grab.
 	GestureFist
-	// GesturePoint is index extended, others curled: select/menu.
-	GesturePoint
+	// gesturePoint is index extended, others curled: select/menu.
+	gesturePoint
 )
 
 func (g Gesture) String() string {
@@ -28,7 +28,7 @@ func (g Gesture) String() string {
 		return "open"
 	case GestureFist:
 		return "fist"
-	case GesturePoint:
+	case gesturePoint:
 		return "point"
 	default:
 		return "unknown"
@@ -37,18 +37,18 @@ func (g Gesture) String() string {
 
 // Fingers indexes the five digits.
 const (
-	Thumb = iota
-	Index
-	Middle
-	Ring
-	Little
-	NumFingers
+	thumb = iota
+	indexFinger
+	middleFinger
+	ringFinger
+	littleFinger
+	numFingers
 )
 
 // FingerBends holds the knuckle and middle joint bend of each finger,
 // as the DataGlove's "specially treated optical fibers" measure them
 // (radians, 0 = straight).
-type FingerBends [NumFingers][2]float32
+type FingerBends [numFingers][2]float32
 
 // Calibration maps raw fiber readings to normalized bends. "The glove
 // requires recalibration for each user" (§3): flat and fist reference
@@ -62,17 +62,17 @@ type Calibration struct {
 // every joint.
 func DefaultCalibration() Calibration {
 	var c Calibration
-	for f := 0; f < NumFingers; f++ {
+	for f := 0; f < numFingers; f++ {
 		c.Fist[f][0] = 1.6
 		c.Fist[f][1] = 1.6
 	}
 	return c
 }
 
-// Validate rejects calibrations whose fist pose does not clearly
+// validate rejects calibrations whose fist pose does not clearly
 // differ from flat.
-func (c Calibration) Validate() error {
-	for f := 0; f < NumFingers; f++ {
+func (c Calibration) validate() error {
+	for f := 0; f < numFingers; f++ {
 		for j := 0; j < 2; j++ {
 			if c.Fist[f][j]-c.Flat[f][j] < 0.2 {
 				return fmt.Errorf("vr: calibration finger %d joint %d has range %g < 0.2",
@@ -114,17 +114,17 @@ type Glove struct {
 
 // NewGlove returns a glove with the given calibration and tracker.
 func NewGlove(c Calibration, tracker *Polhemus) (*Glove, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
 	return &Glove{Calib: c, Tracker: tracker}, nil
 }
 
-// SetFiberNoise gives the fibers measurement jitter: every subsequent
+// setFiberNoise gives the fibers measurement jitter: every subsequent
 // raw reading is perturbed by N(0, std) radians. Two gloves configured
 // with the same seed and driven through the same pose sequence report
 // identical readings, so noisy glove input stays replayable.
-func (g *Glove) SetFiberNoise(std float32, seed int64) {
+func (g *Glove) setFiberNoise(std float32, seed int64) {
 	g.noiseStd = std
 	g.noise = rand.New(rand.NewSource(seed))
 }
@@ -134,7 +134,7 @@ func (g *Glove) noisy(b FingerBends) FingerBends {
 	if g.noise == nil || g.noiseStd == 0 {
 		return b
 	}
-	for f := 0; f < NumFingers; f++ {
+	for f := 0; f < numFingers; f++ {
 		for j := 0; j < 2; j++ {
 			b[f][j] += float32(g.noise.NormFloat64()) * g.noiseStd
 		}
@@ -142,11 +142,8 @@ func (g *Glove) noisy(b FingerBends) FingerBends {
 	return b
 }
 
-// SetBends records raw fiber readings.
-func (g *Glove) SetBends(b FingerBends) { g.bends = g.noisy(b) }
-
-// Bends returns the recorded (post-noise) raw readings.
-func (g *Glove) Bends() FingerBends { return g.bends }
+// setBends records raw fiber readings.
+func (g *Glove) setBends(b FingerBends) { g.bends = g.noisy(b) }
 
 // fingerCurl returns the mean normalized bend of one finger.
 func (g *Glove) fingerCurl(f int) float32 {
@@ -158,8 +155,8 @@ func (g *Glove) fingerCurl(f int) float32 {
 // DataGlove thumb readings were notoriously unreliable.
 func (g *Glove) Recognize() Gesture {
 	const curled, straight = 0.6, 0.35
-	idx := g.fingerCurl(Index)
-	others := [3]float32{g.fingerCurl(Middle), g.fingerCurl(Ring), g.fingerCurl(Little)}
+	idx := g.fingerCurl(indexFinger)
+	others := [3]float32{g.fingerCurl(middleFinger), g.fingerCurl(ringFinger), g.fingerCurl(littleFinger)}
 	allCurled := idx > curled
 	allStraight := idx < straight
 	othersCurled := true
@@ -180,24 +177,24 @@ func (g *Glove) Recognize() Gesture {
 	case allStraight:
 		return GestureOpen
 	case idx < straight && othersCurled:
-		return GesturePoint
+		return gesturePoint
 	default:
-		return GestureUnknown
+		return gestureUnknown
 	}
 }
 
 // PoseFist sets raw bends for a grab using the calibration's fist
 // reference — test and script helper.
-func (g *Glove) PoseFist() { g.SetBends(g.Calib.Fist) }
+func (g *Glove) PoseFist() { g.setBends(g.Calib.Fist) }
 
-// PoseOpen sets raw bends for an open hand.
-func (g *Glove) PoseOpen() { g.SetBends(g.Calib.Flat) }
+// poseOpen sets raw bends for an open hand.
+func (g *Glove) poseOpen() { g.setBends(g.Calib.Flat) }
 
 // PosePoint sets raw bends for a point (index flat, others fisted).
 func (g *Glove) PosePoint() {
 	b := g.Calib.Fist
-	b[Index] = g.Calib.Flat[Index]
-	g.SetBends(b)
+	b[indexFinger] = g.Calib.Flat[indexFinger]
+	g.setBends(b)
 }
 
 // Polhemus models the 3Space magnetic tracker: absolute position and
@@ -225,15 +222,15 @@ func NewPolhemus(source vmath.Vec3, rangeLimit, noiseStd float32, seed int64) *P
 	}
 }
 
-// ErrOutOfRange reports a hand outside the tracker's usable volume.
-var ErrOutOfRange = fmt.Errorf("vr: hand outside tracker range")
+// errOutOfRange reports a hand outside the tracker's usable volume.
+var errOutOfRange = fmt.Errorf("vr: hand outside tracker range")
 
-// Sense returns the sensed position and orientation for the true hand
-// pose, with distance-scaled noise, or ErrOutOfRange.
-func (p *Polhemus) Sense(truePos vmath.Vec3, trueOrient vmath.Quat) (vmath.Vec3, vmath.Quat, error) {
+// sense returns the sensed position and orientation for the true hand
+// pose, with distance-scaled noise, or errOutOfRange.
+func (p *Polhemus) sense(truePos vmath.Vec3, trueOrient vmath.Quat) (vmath.Vec3, vmath.Quat, error) {
 	d := truePos.Dist(p.Source)
 	if d > p.Range {
-		return vmath.Vec3{}, vmath.QuatIdentity(), ErrOutOfRange
+		return vmath.Vec3{}, vmath.QuatIdentity(), errOutOfRange
 	}
 	sigma := p.NoiseStd * (1 + d)
 	sensed := truePos.Add(vmath.V3(

@@ -31,7 +31,7 @@ func NewScriptedUser(seed int64) (*ScriptedUser, error) {
 	}
 	// Fiber jitter small enough never to flip a gesture threshold, on a
 	// stream decorrelated from the tracker's.
-	glove.SetFiberNoise(0.01, seed+1)
+	glove.setFiberNoise(0.01, seed+1)
 	return &ScriptedUser{
 		Boom:        NewBoom(),
 		Glove:       glove,
@@ -74,7 +74,7 @@ func (u *ScriptedUser) Step() Pose {
 	case phase < u.CyclePeriod/4: // reach, open hand
 		f := float32(phase) / float32(u.CyclePeriod/4)
 		truePos = vmath.V3(0, 1, 0).Lerp(u.GrabTarget, f)
-		u.Glove.PoseOpen()
+		u.Glove.poseOpen()
 	case phase < 3*u.CyclePeriod/4: // fist, drag in a circle
 		drag := float32(phase-u.CyclePeriod/4) * 0.05
 		truePos = u.GrabTarget.Add(vmath.V3(
@@ -85,18 +85,15 @@ func (u *ScriptedUser) Step() Pose {
 	default: // release and retreat
 		f := float32(phase-3*u.CyclePeriod/4) / float32(u.CyclePeriod/4)
 		truePos = u.GrabTarget.Lerp(vmath.V3(0, 1, 0), f)
-		u.Glove.PoseOpen()
+		u.Glove.poseOpen()
 	}
 	gesture = u.Glove.Recognize()
 
-	sensed, _, err := u.Glove.Tracker.Sense(truePos, vmath.QuatIdentity())
+	sensed, _, err := u.Glove.Tracker.sense(truePos, vmath.QuatIdentity())
 	if err != nil {
 		// Out of tracker range: the glove reports the last legal pose
 		// as real Polhemus setups effectively did; use the source.
 		sensed = u.Glove.Tracker.Source
 	}
-	return Pose{Head: u.Boom.HeadMatrix(), Hand: sensed, Gesture: gesture}
+	return Pose{Head: u.Boom.headMatrix(), Hand: sensed, Gesture: gesture}
 }
-
-// Frame returns how many frames the script has run.
-func (u *ScriptedUser) Frame() int { return u.frame }

@@ -1,6 +1,7 @@
 package vr
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,12 +14,12 @@ func TestBoomJointLimits(t *testing.T) {
 	if err := b.SetAngles(a); err != nil {
 		t.Fatalf("zero pose rejected: %v", err)
 	}
-	a[BasePitch] = 5 // far beyond the 1.2 limit
+	a[basePitch] = 5 // far beyond the 1.2 limit
 	if err := b.SetAngles(a); err == nil {
 		t.Error("out-of-limit angle accepted")
 	}
 	// A rejected set must not corrupt state.
-	if b.Angles()[BasePitch] != 0 {
+	if b.Angles()[basePitch] != 0 {
 		t.Error("failed SetAngles mutated state")
 	}
 }
@@ -51,8 +52,8 @@ func TestBoomYawSweep(t *testing.T) {
 func TestBoomHeadMatrixInvertsToView(t *testing.T) {
 	b := NewBoom()
 	var a [NumBoomJoints]float32
-	a[BaseYaw], a[BasePitch], a[ElbowPitch] = 0.4, 0.2, 0.7
-	a[WristYaw], a[WristPitch], a[WristRoll] = -0.3, 0.5, 0.2
+	a[BaseYaw], a[basePitch], a[ElbowPitch] = 0.4, 0.2, 0.7
+	a[wristYaw], a[wristPitch], a[wristRoll] = -0.3, 0.5, 0.2
 	if err := b.SetAngles(a); err != nil {
 		t.Fatal(err)
 	}
@@ -84,21 +85,21 @@ func TestGestureRecognition(t *testing.T) {
 	if got := g.Recognize(); got != GestureFist {
 		t.Errorf("fist pose = %v", got)
 	}
-	g.PoseOpen()
+	g.poseOpen()
 	if got := g.Recognize(); got != GestureOpen {
 		t.Errorf("open pose = %v", got)
 	}
 	g.PosePoint()
-	if got := g.Recognize(); got != GesturePoint {
+	if got := g.Recognize(); got != gesturePoint {
 		t.Errorf("point pose = %v", got)
 	}
 	// Half-curled everything: unknown.
 	var half FingerBends
-	for f := 0; f < NumFingers; f++ {
+	for f := 0; f < numFingers; f++ {
 		half[f][0], half[f][1] = 0.8, 0.8
 	}
-	g.SetBends(half)
-	if got := g.Recognize(); got != GestureUnknown {
+	g.setBends(half)
+	if got := g.Recognize(); got != gestureUnknown {
 		t.Errorf("ambiguous pose = %v", got)
 	}
 }
@@ -107,7 +108,7 @@ func TestCalibrationPerUser(t *testing.T) {
 	// A user whose "flat" has residual curl: raw bends that would read
 	// as half-curled with default calibration still read open.
 	var c Calibration
-	for f := 0; f < NumFingers; f++ {
+	for f := 0; f < numFingers; f++ {
 		c.Flat[f][0], c.Flat[f][1] = 0.5, 0.5
 		c.Fist[f][0], c.Fist[f][1] = 1.4, 1.4
 	}
@@ -115,11 +116,11 @@ func TestCalibrationPerUser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetBends(c.Flat)
+	g.setBends(c.Flat)
 	if got := g.Recognize(); got != GestureOpen {
 		t.Errorf("calibrated flat = %v", got)
 	}
-	g.SetBends(c.Fist)
+	g.setBends(c.Fist)
 	if got := g.Recognize(); got != GestureFist {
 		t.Errorf("calibrated fist = %v", got)
 	}
@@ -127,7 +128,7 @@ func TestCalibrationPerUser(t *testing.T) {
 
 func TestCalibrationValidate(t *testing.T) {
 	var c Calibration // fist == flat == 0
-	if err := c.Validate(); err == nil {
+	if err := c.validate(); err == nil {
 		t.Error("degenerate calibration accepted")
 	}
 	if _, err := NewGlove(c, nil); err == nil {
@@ -137,10 +138,10 @@ func TestCalibrationValidate(t *testing.T) {
 
 func TestPolhemusRangeLimit(t *testing.T) {
 	p := NewPolhemus(vmath.V3(0, 0, 0), 2, 0.001, 1)
-	if _, _, err := p.Sense(vmath.V3(5, 0, 0), vmath.QuatIdentity()); err != ErrOutOfRange {
+	if _, _, err := p.sense(vmath.V3(5, 0, 0), vmath.QuatIdentity()); err != errOutOfRange {
 		t.Errorf("far hand err = %v, want ErrOutOfRange", err)
 	}
-	if _, _, err := p.Sense(vmath.V3(1, 0, 0), vmath.QuatIdentity()); err != nil {
+	if _, _, err := p.sense(vmath.V3(1, 0, 0), vmath.QuatIdentity()); err != nil {
 		t.Errorf("near hand err = %v", err)
 	}
 }
@@ -151,8 +152,8 @@ func TestPolhemusNoiseGrowsWithDistance(t *testing.T) {
 	var nearErr, farErr float64
 	const n = 500
 	for i := 0; i < n; i++ {
-		pn, _, _ := near.Sense(vmath.V3(0.5, 0, 0), vmath.QuatIdentity())
-		pf, _, _ := far.Sense(vmath.V3(50, 0, 0), vmath.QuatIdentity())
+		pn, _, _ := near.sense(vmath.V3(0.5, 0, 0), vmath.QuatIdentity())
+		pf, _, _ := far.sense(vmath.V3(50, 0, 0), vmath.QuatIdentity())
 		nearErr += float64(pn.Dist(vmath.V3(0.5, 0, 0)))
 		farErr += float64(pf.Dist(vmath.V3(50, 0, 0)))
 	}
@@ -164,8 +165,8 @@ func TestPolhemusNoiseGrowsWithDistance(t *testing.T) {
 func TestPolhemusDeterministic(t *testing.T) {
 	a := NewPolhemus(vmath.V3(0, 0, 0), 10, 0.01, 42)
 	b := NewPolhemus(vmath.V3(0, 0, 0), 10, 0.01, 42)
-	pa, _, _ := a.Sense(vmath.V3(1, 1, 1), vmath.QuatIdentity())
-	pb, _, _ := b.Sense(vmath.V3(1, 1, 1), vmath.QuatIdentity())
+	pa, _, _ := a.sense(vmath.V3(1, 1, 1), vmath.QuatIdentity())
+	pb, _, _ := b.sense(vmath.V3(1, 1, 1), vmath.QuatIdentity())
 	if pa != pb {
 		t.Error("same seed produced different noise")
 	}
@@ -219,7 +220,7 @@ func BenchmarkBoomHeadMatrix(b *testing.B) {
 	a[BaseYaw] = 0.5
 	boom.SetAngles(a)
 	for i := 0; i < b.N; i++ {
-		_ = boom.HeadMatrix()
+		_ = boom.headMatrix()
 	}
 }
 
@@ -234,12 +235,12 @@ func TestGloveFiberNoiseDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.SetFiberNoise(0.01, seed)
+		g.setFiberNoise(0.01, seed)
 		var out []FingerBends
 		for i := 0; i < 50; i++ {
 			switch i % 3 {
 			case 0:
-				g.PoseOpen()
+				g.poseOpen()
 			case 1:
 				g.PoseFist()
 			default:
@@ -272,11 +273,39 @@ func TestGloveFiberNoiseDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.SetFiberNoise(0.01, 1)
+	g.setFiberNoise(0.01, 1)
 	for i := 0; i < 200; i++ {
 		g.PoseFist()
 		if got := g.Recognize(); got != GestureFist {
 			t.Fatalf("iteration %d: noisy fist recognized as %v", i, got)
 		}
 	}
+}
+
+// Bends returns the recorded (post-noise) raw readings.
+func (g *Glove) Bends() FingerBends { return g.bends }
+
+// Frame returns how many frames the script has run.
+func (u *ScriptedUser) Frame() int { return u.frame }
+
+// Angles returns the current joint angles.
+func (b *Boom) Angles() [NumBoomJoints]float32 { return b.angles }
+
+// ViewMatrix returns the inverse head matrix — the transform
+// concatenated onto the graphics stack so the scene renders from the
+// user's point of view (§3).
+func (b *Boom) ViewMatrix() (vmath.Mat4, error) {
+	inv, ok := b.headMatrix().Inverted()
+	if !ok {
+		return vmath.Mat4{}, fmt.Errorf("vr: singular head matrix")
+	}
+	return inv, nil
+}
+
+// EyeOffsets returns the left and right eye positions for a given
+// interpupillary distance, for stereo rendering.
+func (b *Boom) EyeOffsets(ipd float32) (left, right vmath.Vec3) {
+	m := b.headMatrix()
+	half := ipd / 2
+	return m.TransformPoint(vmath.V3(-half, 0, 0)), m.TransformPoint(vmath.V3(half, 0, 0))
 }

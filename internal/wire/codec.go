@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"fmt"
 	"unsafe"
 
 	"repro/internal/vmath"
@@ -22,17 +21,17 @@ func pointMemory(pts []vmath.Vec3) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(pts))), PointBytes*len(pts))
 }
 
-// EncodePoints appends pts at 12 bytes/point to dst and returns the
+// encodePoints appends pts at 12 bytes/point to dst and returns the
 // extended slice: on a little-endian host the slice's own memory in
 // one append, elsewhere a value at a time.
-func EncodePoints(dst []byte, pts []vmath.Vec3) []byte {
+func encodePoints(dst []byte, pts []vmath.Vec3) []byte {
 	if hostLittleEndian {
 		return append(dst, pointMemory(pts)...)
 	}
 	return encodePointsPortable(dst, pts)
 }
 
-// encodePointsPortable is EncodePoints for a host of any byte order.
+// encodePointsPortable is encodePoints for a host of any byte order.
 func encodePointsPortable(dst []byte, pts []vmath.Vec3) []byte {
 	e := encoder{buf: dst}
 	for _, p := range pts {
@@ -58,18 +57,6 @@ func readPointsPortable(pts []vmath.Vec3, b []byte) {
 	for i := range pts {
 		pts[i] = d.vec3()
 	}
-}
-
-// DecodePoints parses n points from buf. n is validated against the
-// buffer before allocating, so a hostile count cannot force a huge
-// allocation backed by a tiny message.
-func DecodePoints(buf []byte, n int) ([]vmath.Vec3, error) {
-	if n < 0 || n > len(buf)/PointBytes {
-		return nil, fmt.Errorf("wire: point count %d exceeds %d-byte buffer", n, len(buf))
-	}
-	out := make([]vmath.Vec3, n)
-	readPoints(out, buf)
-	return out, nil
 }
 
 // EncodeClientUpdate marshals a ClientUpdate.
@@ -124,6 +111,8 @@ func DecodeClientUpdate(buf []byte) (ClientUpdate, error) {
 }
 
 // EncodeFrameReply marshals a FrameReply into a fresh buffer.
+//
+//vw:testonly
 func EncodeFrameReply(r FrameReply) []byte {
 	return AppendFrameReply(make([]byte, 0, 256+r.TotalPoints()*PointBytes), r)
 }
@@ -168,7 +157,7 @@ func AppendFrameReply(dst []byte, r FrameReply) []byte {
 		e.u32(uint32(len(g.Lines)))
 		for _, line := range g.Lines {
 			e.u32(uint32(len(line)))
-			e.buf = EncodePoints(e.buf, line)
+			e.buf = encodePoints(e.buf, line)
 		}
 	}
 	// The shared-tool section is optional and trailing: v1 decoders

@@ -193,22 +193,24 @@ func (a axis) dequant(unit *[quantSteps + 1]float64, q uint16) float32 {
 	return float32(a.lo + unit[q]*a.span)
 }
 
-// Quant maps a physical point to its quantized triple.
-func (q Quantizer) Quant(p vmath.Vec3) (x, y, z uint16) {
+// quant maps a physical point to its quantized triple.
+func (q Quantizer) quant(p vmath.Vec3) (x, y, z uint16) {
 	ax, ay, az := q.axes()
 	return ax.quant(p.X), ay.quant(p.Y), az.quant(p.Z)
 }
 
-// Dequant maps a quantized triple back to physical coordinates.
-func (q Quantizer) Dequant(x, y, z uint16) vmath.Vec3 {
+// dequant maps a quantized triple back to physical coordinates.
+func (q Quantizer) dequant(x, y, z uint16) vmath.Vec3 {
 	ax, ay, az := q.axes()
 	unit := units()
 	return vmath.Vec3{X: ax.dequant(unit, x), Y: ay.dequant(unit, y), Z: az.dequant(unit, z)}
 }
 
-// RoundTrip returns Dequant(Quant(p)) — what the peer will see for p.
+// RoundTrip returns dequant(quant(p)) — what the peer will see for p.
+//
+//vw:testonly
 func (q Quantizer) RoundTrip(p vmath.Vec3) vmath.Vec3 {
-	return q.Dequant(q.Quant(p))
+	return q.dequant(q.quant(p))
 }
 
 // MaxError returns the per-axis worst-case round-trip error for points
@@ -246,7 +248,8 @@ func (d *decoder) uvarint() uint64 {
 
 // uvarintCount reads a varint element count for elements of at least
 // elemBytes each and requires the remaining buffer to be large enough
-// to hold them — the DecodePoints hostile-count guard, varint edition.
+// to hold them, so a hostile count cannot size an allocation the
+// message does not back.
 func (d *decoder) uvarintCount(max, elemBytes int) int {
 	v := d.uvarint()
 	if d.err != nil {
@@ -670,13 +673,6 @@ func NewFrameDecoder(q Quantizer) *FrameDecoder {
 		users:  make(map[int64]UserState),
 		rakes:  make(map[int32]RakeState),
 	}
-}
-
-// Reset forgets all shadowed state (reconnect resync).
-func (d *FrameDecoder) Reset() {
-	clear(d.shadow)
-	clear(d.users)
-	clear(d.rakes)
 }
 
 // Decode unmarshals one codec-v2 frame, resolving reference records

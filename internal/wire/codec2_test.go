@@ -89,8 +89,8 @@ func TestQuantizerIdempotent(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		q := randBox(rng)
 		p := inBoxPoint(rng, q)
-		x1, y1, z1 := q.Quant(p)
-		x2, y2, z2 := q.Quant(q.Dequant(x1, y1, z1))
+		x1, y1, z1 := q.quant(p)
+		x2, y2, z2 := q.quant(q.dequant(x1, y1, z1))
 		if x1 != x2 || y1 != y2 || z1 != z2 {
 			t.Fatalf("quant not idempotent: (%d,%d,%d) -> (%d,%d,%d)", x1, y1, z1, x2, y2, z2)
 		}
@@ -107,7 +107,7 @@ func TestQuantizerClampsOutOfBox(t *testing.T) {
 		t.Errorf("out-of-box round trip = %v", got)
 	}
 	for _, raw := range []uint16{0, 1, 32767, 65534, 65535} {
-		p := q.Dequant(raw, raw, raw)
+		p := q.dequant(raw, raw, raw)
 		for _, v := range []float32{p.X, p.Y, p.Z} {
 			if v < 0 || v > 10 {
 				t.Errorf("dequant(%d) = %v escapes the box", raw, p)

@@ -74,7 +74,7 @@ func checkQuantAgrees(t *testing.T, v, lo, hi float32, raw uint16) {
 	t.Helper()
 	q := Quantizer{Min: vmath.V3(lo, lo, lo), Max: vmath.V3(hi, hi, hi)}
 	want := refQuant(v, lo, hi)
-	if x, y, z := q.Quant(vmath.V3(v, v, v)); x != want || y != want || z != want {
+	if x, y, z := q.quant(vmath.V3(v, v, v)); x != want || y != want || z != want {
 		t.Fatalf("Quant(%x) in [%x, %x] = %d %d %d, reference %d",
 			math.Float32bits(v), math.Float32bits(lo), math.Float32bits(hi), x, y, z, want)
 	}
@@ -87,7 +87,7 @@ func checkQuantAgrees(t *testing.T, v, lo, hi float32, raw uint16) {
 		}
 	}
 	for _, n := range [2]uint16{want, raw} {
-		back, p := refDequant(n, lo, hi), q.Dequant(n, n, n)
+		back, p := refDequant(n, lo, hi), q.dequant(n, n, n)
 		if !sameFloat32(p.X, back) || !sameFloat32(p.Y, back) || !sameFloat32(p.Z, back) {
 			t.Fatalf("Dequant(%d) in [%x, %x] = %x %x %x, reference %x",
 				n, math.Float32bits(lo), math.Float32bits(hi),
@@ -171,13 +171,13 @@ func TestDequantTableBitIdentical(t *testing.T) {
 // decodes to its minimum with the minimum's sign of zero.
 func TestQuantNaNAndFlatAxes(t *testing.T) {
 	q := Quantizer{Min: vmath.V3(0, negZero, 5), Max: vmath.V3(10, negZero, 1)}
-	if x, y, z := q.Quant(vmath.V3(nan32, nan32, nan32)); x != 0 || y != 0 || z != 0 {
+	if x, y, z := q.quant(vmath.V3(nan32, nan32, nan32)); x != 0 || y != 0 || z != 0 {
 		t.Errorf("Quant(NaN) = %d %d %d, want zeros", x, y, z)
 	}
-	if x, y, z := q.Quant(vmath.V3(inf32, 3, -3)); x != quantSteps || y != 0 || z != 0 {
+	if x, y, z := q.quant(vmath.V3(inf32, 3, -3)); x != quantSteps || y != 0 || z != 0 {
 		t.Errorf("Quant(+Inf, flat, inverted) = %d %d %d, want %d 0 0", x, y, z, quantSteps)
 	}
-	p := q.Dequant(0, 12345, 54321)
+	p := q.dequant(0, 12345, 54321)
 	if math.Float32bits(p.Y) != math.Float32bits(negZero) || p.Z != 5 {
 		t.Errorf("Dequant on flat -0 / inverted axes = %v (Y bits %x), want -0 and 5", p, math.Float32bits(p.Y))
 	}

@@ -239,7 +239,7 @@ func TestPointPathsAgreeBitForBit(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 341, 4096} {
 		pts := awkwardPoints(rng, n)
 		prefix := []byte{0xaa, 0xbb, 0xcc} // odd length: the encoding lands unaligned
-		bulk := EncodePoints(bytes.Clone(prefix), pts)
+		bulk := encodePoints(bytes.Clone(prefix), pts)
 		portable := encodePointsPortable(bytes.Clone(prefix), pts)
 		if !bytes.Equal(bulk, portable) || len(bulk) != len(prefix)+n*PointBytes {
 			t.Fatalf("%d points: EncodePoints and the per-value path disagree", n)

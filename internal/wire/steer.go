@@ -28,6 +28,8 @@ func EncodeSteerStatus(s SteerStatus) []byte {
 }
 
 // DecodeSteerStatus unmarshals a SteerStatus.
+//
+//vw:testonly
 func DecodeSteerStatus(buf []byte) (SteerStatus, error) {
 	d := decoder{buf: buf}
 	var s SteerStatus

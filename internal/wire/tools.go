@@ -47,9 +47,6 @@ type ToolGeom struct {
 	Points []vmath.Vec3
 }
 
-// NumPoints returns the geometry's point count.
-func (g ToolGeom) NumPoints() int { return len(g.Points) }
-
 // ToolsReply is the frame's tool section: all three tool states plus
 // the geometry of every enabled tool, in iso/plane/vortex order.
 type ToolsReply struct {
@@ -99,7 +96,7 @@ func appendToolsReply(dst []byte, t *ToolsReply) []byte {
 	for _, g := range t.Geoms {
 		e.u8(g.Tool)
 		e.u32(uint32(len(g.Points)))
-		e.buf = EncodePoints(e.buf, g.Points)
+		e.buf = encodePoints(e.buf, g.Points)
 	}
 	return e.buf
 }
