@@ -129,8 +129,10 @@ relay:
 # store.Source, so its non-test code names no concrete store and no
 # sampler of one. Every procedure a dlib server answers is one the
 # windtunnel calls: each Register names a wire.Proc constant, the origin
-# and the relay register every constant, and internal/client or
-# internal/relay calls each one.
+# and the relay register every constant, internal/client calls each one
+# but wire.ProcFrameRelay, and the relay's upstream exchange
+# (Relay.fetchRound) calls that one. A relay forwarding a call upstream
+# is not a caller.
 deps:
 	@if $(GO) list -deps ./internal/server | grep -qx 'repro/internal/relay'; then \
 		echo 'internal/server depends on internal/relay'; exit 1; fi
@@ -149,8 +151,13 @@ deps:
 			grep -qE "\.Register\(wire\.$$p," $$(ls internal/$$pkg/*.go | grep -v _test.go) || \
 				{ echo "wire.$$p is not registered in internal/$$pkg"; fail=1; }; \
 		done; \
-		grep -hE "wire\.$$p\b" $$(ls internal/client/*.go internal/relay/*.go | grep -v _test.go) | grep -qv 'Register(' || \
-			{ echo "wire.$$p is called from neither internal/client nor internal/relay"; fail=1; }; \
+		if [ $$p = ProcFrameRelay ]; then \
+			awk '/^func \(r \*Relay\) fetchRound\(/,/^}/' $$(ls internal/relay/*.go | grep -v _test.go) | grep -qE 'wire\.ProcFrameRelay\b' || \
+				{ echo "wire.$$p is not called by internal/relay's upstream exchange (Relay.fetchRound)"; fail=1; }; \
+		else \
+			grep -qE "\.Call\(wire\.$$p\b" $$(ls internal/client/*.go | grep -v _test.go) || \
+				{ echo "wire.$$p is not called from internal/client"; fail=1; }; \
+		fi; \
 	done; exit $$fail
 
 # The in-situ battery: the solver-vs-replay differential, the live

@@ -44,7 +44,7 @@ func main() {
 	if *codec < 1 || *codec > 2 {
 		log.Fatalf("-codec %d: must be 1 or 2", *codec)
 	}
-	opts := core.Options{Codec: uint8(*codec)}
+	cfg := client.Config{Codec: uint8(*codec)}
 
 	var sess *core.Session
 	var err error
@@ -54,9 +54,9 @@ func main() {
 			log.Fatal(derr)
 		}
 		link := netsim.Link{BandwidthBytesPerSec: *bwMBs << 20}.Wrap(raw)
-		sess, err = core.Connect("", link, opts)
+		sess, err = core.Connect("", link, cfg)
 	} else {
-		sess, err = core.Connect(*addr, nil, opts)
+		sess, err = core.Connect(*addr, nil, cfg)
 	}
 	if err != nil {
 		log.Fatal(err)

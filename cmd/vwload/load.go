@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dlib"
 	"repro/internal/grid"
 	"repro/internal/netsim"
@@ -532,9 +533,9 @@ func RunLoad(s *server.Server, g *grid.Grid, opts LoadOptions) (LoadReport, erro
 			sum += l
 		}
 		report.Latency = LatencyStats{
-			P50:  quantile(valid, 0.50),
-			P90:  quantile(valid, 0.90),
-			P99:  quantile(valid, 0.99),
+			P50:  core.Percentile(valid, 0.50),
+			P90:  core.Percentile(valid, 0.90),
+			P99:  core.Percentile(valid, 0.99),
 			Max:  valid[len(valid)-1],
 			Mean: sum / time.Duration(len(valid)),
 		}
@@ -547,17 +548,4 @@ func RunLoad(s *server.Server, g *grid.Grid, opts LoadOptions) (LoadReport, erro
 		return report, nil
 	}
 	return report, firstErr
-}
-
-// quantile returns the q-quantile of an ascending-sorted slice by
-// nearest-rank.
-func quantile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted)-1) + 0.5)
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

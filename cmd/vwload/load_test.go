@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/field"
 	"repro/internal/grid"
@@ -462,24 +461,6 @@ func TestLoadDroppedSampleAccounting(t *testing.T) {
 		t.Fatal("run with 25%% drops and 10%% tolerance returned nil error")
 	} else if !strings.Contains(err.Error(), "tolerated") {
 		t.Errorf("threshold error does not name the tolerance: %v", err)
-	}
-}
-
-// quantile edge cases.
-func TestQuantile(t *testing.T) {
-	if got := quantile(nil, 0.5); got != 0 {
-		t.Errorf("empty quantile = %v", got)
-	}
-	one := []time.Duration{7}
-	if got := quantile(one, 0.99); got != 7 {
-		t.Errorf("singleton p99 = %v", got)
-	}
-	four := []time.Duration{1, 2, 3, 4}
-	if got := quantile(four, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := quantile(four, 1); got != 4 {
-		t.Errorf("p100 = %v", got)
 	}
 }
 

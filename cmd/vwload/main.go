@@ -27,8 +27,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datasets"
-	"repro/internal/env"
-	"repro/internal/field"
 	"repro/internal/netsim"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -125,10 +123,17 @@ func parseFlags(args []string) (config, error) {
 func (c config) run(out io.Writer) error {
 	var (
 		st      store.Store
+		srv     *server.Server
 		lv      *datasets.Live
 		cleanup = func() {}
 		err     error
 	)
+	cfg := server.Config{
+		Prefetch:   c.prefetch,
+		CacheSteps: c.cacheN,
+		CacheBytes: c.cacheMB << 20,
+		Budget:     c.budget,
+	}
 	if c.live {
 		lv, err = datasets.NewLive(
 			datasets.Spec{NI: 24, NJ: 32, NK: 8, NumSteps: c.steps * c.load.Frames, DT: 0.6},
@@ -140,30 +145,20 @@ func (c config) run(out io.Writer) error {
 			return err
 		}
 		st = lv.Ring()
+		srv, err = core.NewLive(lv, cfg)
 	} else {
 		st, cleanup, err = openStore(c.data, c.steps, c.resident, c.diskBW)
 		if err != nil {
 			return err
 		}
+		cfg.Store = st
+		srv, err = server.New(cfg)
 	}
 	defer cleanup()
-
-	def := datasets.DefaultSteer()
-	srv, err := server.New(server.Config{
-		Store:      st,
-		Prefetch:   !c.resident && c.prefetch && !c.live,
-		CacheSteps: c.cacheN,
-		CacheBytes: c.cacheMB << 20,
-		Budget:     c.budget,
-		Steer:      env.SteerParams{InflowU: def.InflowU, Reynolds: def.Reynolds, Taper: def.Taper},
-	})
 	if err != nil {
 		return err
 	}
 	defer srv.Dlib().Close()
-	if lv != nil {
-		lv.SetSteerSource(core.LiveSteerSource(srv.Env()))
-	}
 
 	g := st.Grid()
 	mode := storageMode(c.resident)
@@ -257,17 +252,11 @@ func openStore(dir string, steps int, resident bool, diskMBps int64) (store.Stor
 	if !resident {
 		return disk, noop, nil
 	}
-	stepsData := make([]*field.Field, disk.NumSteps())
-	for t := range stepsData {
-		if stepsData[t], err = disk.LoadStep(t); err != nil {
-			return nil, noop, err
-		}
-	}
-	u, err := field.NewUnsteady(disk.Grid(), stepsData, disk.DT())
+	m, err := store.LoadResident(disk)
 	if err != nil {
 		return nil, noop, err
 	}
-	return store.NewMemory(u), noop, nil
+	return m, noop, nil
 }
 
 // avgDur returns total/n rounded for display, or 0 when n is 0.

@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/env"
-	"repro/internal/field"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/store"
@@ -84,13 +83,12 @@ func main() {
 		tools[env.ToolVortex-1] = env.ToolParams{Enabled: true, Value: float32(*vortexQ)}
 	}
 
-	engine := compute.Parallel{NumWorkers: *workers}.Name() // what core builds from Workers
-	// One set of options for both modes; the cache settings matter only
+	// One configuration for both modes; the cache settings matter only
 	// to a dataset read from disk (a live ring is its own resident set).
-	opts := core.Options{
-		Workers:         *workers,
-		Prefetch:        !*resident && *prefetch,
+	cfg := server.Config{
+		Engine:          compute.Parallel{NumWorkers: *workers},
 		MaxSeedsPerRake: *maxSeeds,
+		Prefetch:        *prefetch,
 		CacheSteps:      *cacheN,
 		CacheBytes:      *cacheMB << 20,
 		Budget:          *budget,
@@ -120,38 +118,30 @@ func main() {
 			log.Fatal(err)
 		}
 		ring = lv.Ring()
-		srv, err = core.ServeLive(ln, lv, opts)
+		srv, err = core.ServeLive(ln, lv, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("serving live solver on %s (engine %s, window %d, horizon %d)",
-			ln.Addr(), engine, *liveWindow, *liveSteps)
+			ln.Addr(), cfg.Engine.Name(), *liveWindow, *liveSteps)
 	} else {
 		disk, err := store.OpenDisk(*data, store.DiskOptions{BandwidthBytesPerSec: *diskBW << 20})
 		if err != nil {
 			log.Fatal(err)
 		}
-		var st store.Store = disk
+		cfg.Store = disk
 		if *resident {
 			log.Printf("loading %d timesteps into memory", disk.NumSteps())
-			steps := make([]*field.Field, disk.NumSteps())
-			for t := range steps {
-				if steps[t], err = disk.LoadStep(t); err != nil {
-					log.Fatal(err)
-				}
-			}
-			u, err := field.NewUnsteady(disk.Grid(), steps, disk.DT())
-			if err != nil {
+			if cfg.Store, err = store.LoadResident(disk); err != nil {
 				log.Fatal(err)
 			}
-			st = store.NewMemory(u)
 		}
-		srv, err = core.Serve(ln, st, opts)
+		srv, err = core.Serve(ln, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("serving %d-step dataset on %s (engine %s, resident=%v)",
-			st.NumSteps(), ln.Addr(), engine, *resident)
+			cfg.Store.NumSteps(), ln.Addr(), cfg.Engine.Name(), *resident)
 	}
 
 	if *debug != "" {

@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/grid"
 	"repro/internal/integrate"
+	"repro/internal/server"
 	"repro/internal/vmath"
 )
 
@@ -42,7 +44,7 @@ func main() {
 
 	// 3. Launch the stand-alone windtunnel (server + workstation in
 	// one process) and add a streamline rake spanning the wake.
-	sess, err := core.LaunchLocal(dataset, core.Options{FrameW: 320, FrameH: 256})
+	sess, err := core.LaunchLocal(dataset, server.Config{}, client.Config{FrameW: 320, FrameH: 256})
 	if err != nil {
 		log.Fatal(err)
 	}

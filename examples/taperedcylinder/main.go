@@ -12,9 +12,11 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/integrate"
+	"repro/internal/server"
 	"repro/internal/vmath"
 )
 
@@ -27,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sess, err := core.LaunchLocal(dataset, core.Options{FrameW: 640, FrameH: 512})
+	sess, err := core.LaunchLocal(dataset, server.Config{}, client.Config{FrameW: 640, FrameH: 512})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,10 +11,12 @@ import (
 	"log"
 	"net"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/integrate"
 	"repro/internal/netsim"
+	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/vmath"
 	"repro/internal/vr"
@@ -53,7 +55,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := core.Serve(ln, store.NewMemory(dataset), core.Options{})
+	srv, err := core.Serve(ln, server.Config{Store: store.NewMemory(dataset)})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func main() {
 		log.Fatal(err)
 	}
 	link := netsim.Link{BandwidthBytesPerSec: netsim.UltraNetVME}.Wrap(raw)
-	sess, err := core.Connect("", link, core.Options{FrameW: 320, FrameH: 256})
+	sess, err := core.Connect("", link, client.Config{FrameW: 320, FrameH: 256})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,16 +25,19 @@ import (
 	"repro/internal/wire"
 )
 
+// The workstation's stereo optics: the eye separation in world units
+// and the vertical field of view in radians (the LEEP optics' wide
+// field).
+const (
+	ipd = 0.064
+	fov = 1.5
+)
+
 // Config sets up a workstation.
 type Config struct {
 	// FrameW, FrameH size the framebuffer; zero uses 640x512 (a
 	// quarter of the VGX's 1280x1024, laptop-friendly).
 	FrameW, FrameH int
-	// IPD is the stereo eye separation in world units.
-	IPD float32
-	// FOV is the vertical field of view in radians; zero uses 1.5
-	// (the LEEP optics' wide field).
-	FOV float32
 	// Clock times network frames and decoupled runs; nil uses the wall
 	// clock. Tests inject a netsim.ManualClock for replayable pacing.
 	Clock netsim.Clock
@@ -116,12 +119,6 @@ func newWorkstation(cfg Config) (*Workstation, error) {
 	if cfg.FrameW == 0 {
 		cfg.FrameW, cfg.FrameH = 640, 512
 	}
-	if cfg.IPD == 0 {
-		cfg.IPD = 0.064
-	}
-	if cfg.FOV == 0 {
-		cfg.FOV = 1.5
-	}
 	fb, err := render.NewFramebuffer(cfg.FrameW, cfg.FrameH)
 	if err != nil {
 		return nil, err
@@ -135,8 +132,8 @@ func newWorkstation(cfg Config) (*Workstation, error) {
 		clock: clk,
 		fb:    fb,
 		rig: render.StereoRig{
-			IPD:  cfg.IPD,
-			Proj: vmath.Perspective(cfg.FOV, aspect, 0.05, 500),
+			IPD:  ipd,
+			Proj: vmath.Perspective(fov, aspect, 0.05, 500),
 			List: new(render.DisplayList),
 		},
 	}, nil

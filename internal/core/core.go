@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/compute"
 	"repro/internal/datasets"
 	"repro/internal/dlib"
 	"repro/internal/env"
@@ -31,48 +30,6 @@ import (
 // scene in stereo to the user in less than 1/8th of a second."
 const FrameBudget = time.Second / 8
 
-// Options configures a windtunnel.
-type Options struct {
-	// Workers is the server's computation worker count: the width of
-	// the parallel engine and of the round's pool (rakes, tool derive,
-	// march, fill). Zero uses GOMAXPROCS.
-	Workers int
-	// Integration sets path computation parameters; the zero value
-	// uses RK2 with 200-point paths.
-	Integration integrate.Options
-	// Prefetch reads the timesteps the play touches next in the
-	// background, for I/O-backed stores.
-	Prefetch bool
-	// MaxSeedsPerRake caps client-requested seed counts server-side;
-	// zero uses the server default.
-	MaxSeedsPerRake int
-	// CacheSteps / CacheBytes budget the timesteps an I/O-backed
-	// server keeps resident; both zero keeps the particle-path window
-	// and nothing else. The window is never evicted to meet them.
-	CacheSteps int
-	CacheBytes int64
-	// Budget is the server's per-frame integration budget: when the
-	// governor predicts a frame will exceed it, load is shed to hold
-	// the paper's ten frames a second instead of blowing the §1.2
-	// deadline. Zero disables the governor.
-	Budget time.Duration
-	// FrameW, FrameH size the workstation display; zero uses 640x512.
-	FrameW, FrameH int
-	// MaxCodec caps the frame codec the server negotiates at hello;
-	// zero serves up to wire.MaxCodec, wire.CodecV1 pins the classic
-	// encoding for every session.
-	MaxCodec int
-	// Codec is the frame codec the workstation requests; zero or
-	// wire.CodecV1 runs the legacy v1 exchange, wire.CodecV2 asks for
-	// delta/quantized frames (falling back to v1 against old servers).
-	Codec uint8
-	// Tools seeds the shared visualization tools server-side
-	// (isosurface level, cutting plane, Q-criterion vortex cores),
-	// indexed by env.ToolID-1. All zero leaves the tool subsystem
-	// untouched and frames byte-identical to pre-tool builds.
-	Tools [env.NumTools]env.ToolParams
-}
-
 // Session is a connected windtunnel: a workstation (always) and, for
 // local sessions, the in-process server.
 type Session struct {
@@ -84,45 +41,26 @@ type Session struct {
 	srv *server.Server // non-nil for local sessions
 }
 
-// serverConfig maps Options onto a server's configuration for every
-// launch path (the cache and prefetch options only shape the cache the
-// server puts under a store that is not a store.Source, such as a
-// store.Disk; a resident dataset or a live ring keeps its own
-// residency). Workers sets the engine's width, which is also the width
-// of the server's round pool.
-func serverConfig(st store.Store, opts Options) server.Config {
-	return server.Config{
-		Store:           st,
-		Engine:          compute.Parallel{NumWorkers: opts.Workers},
-		Options:         opts.Integration,
-		Prefetch:        opts.Prefetch,
-		MaxSeedsPerRake: opts.MaxSeedsPerRake,
-		CacheSteps:      opts.CacheSteps,
-		CacheBytes:      opts.CacheBytes,
-		Budget:          opts.Budget,
-		MaxCodec:        opts.MaxCodec,
-		Tools:           opts.Tools,
-	}
-}
-
 // LaunchLocal runs the stand-alone windtunnel: server and workstation
-// in one process over an in-memory pipe. The same code paths run as in
+// in one process over an in-memory pipe, the server serving dataset
+// from memory (cfg.Store is replaced). The same code paths run as in
 // the distributed case — the paper kept the two builds from one source
 // tree for exactly this reason (§5.1).
-func LaunchLocal(dataset *field.Unsteady, opts Options) (*Session, error) {
-	srv, err := server.New(serverConfig(store.NewMemory(dataset), opts))
+func LaunchLocal(dataset *field.Unsteady, cfg server.Config, ws client.Config) (*Session, error) {
+	cfg.Store = store.NewMemory(dataset)
+	srv, err := server.New(cfg)
 	if err != nil {
 		return nil, err
 	}
 	serverSide, clientSide := net.Pipe()
 	go srv.Dlib().ServeConn(serverSide)
-	return newSession(dlib.NewClient(clientSide), srv, opts)
+	return newSession(dlib.NewClient(clientSide), srv, ws)
 }
 
 // Serve starts a distributed windtunnel server on the listener and
 // returns immediately; close the returned server's Dlib() to stop.
-func Serve(ln net.Listener, st store.Store, opts Options) (*server.Server, error) {
-	srv, err := server.New(serverConfig(st, opts))
+func Serve(ln net.Listener, cfg server.Config) (*server.Server, error) {
+	srv, err := server.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -130,38 +68,39 @@ func Serve(ln net.Listener, st store.Store, opts Options) (*server.Server, error
 	return srv, nil
 }
 
-// LiveSteerSource adapts an environment's steering state into the
-// producer-side SteerSource the live solver polls between timesteps:
-// the environment arbitrates (FCFS lock, version counter), the
-// producer applies.
-func LiveSteerSource(e *env.Environment) datasets.SteerSource {
-	return func() (datasets.Steering, uint64) {
+// NewLive builds an in-situ windtunnel server: frames are computed
+// from the live solver's timestep ring instead of stored data
+// (cfg.Store is replaced), steering starts from the solver's default
+// parameters (cfg.Steer is replaced), and the steering commands
+// workstations send are wired back into the producer — the environment
+// arbitrates (FCFS lock, version counter), the producer applies.
+func NewLive(lv *datasets.Live, cfg server.Config) (*server.Server, error) {
+	def := datasets.DefaultSteer()
+	cfg.Store = lv.Ring()
+	cfg.Steer = env.SteerParams{InflowU: def.InflowU, Reynolds: def.Reynolds, Taper: def.Taper}
+	srv, err := server.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	e := srv.Env()
+	lv.SetSteerSource(func() (datasets.Steering, uint64) {
 		st := e.Steer()
 		return datasets.Steering{
 			InflowU:  st.Params.InflowU,
 			Reynolds: st.Params.Reynolds,
 			Taper:    st.Params.Taper,
 		}, st.Version
-	}
+	})
+	return srv, nil
 }
 
-// ServeLive starts an in-situ windtunnel server: frames are computed
-// from the live solver's timestep ring instead of stored data, and the
-// steering commands workstations send are wired back into the
-// producer. Close the returned server's Dlib() to stop.
-func ServeLive(ln net.Listener, lv *datasets.Live, opts Options) (*server.Server, error) {
-	def := datasets.DefaultSteer()
-	cfg := serverConfig(lv.Ring(), opts)
-	cfg.Steer = env.SteerParams{
-		InflowU:  def.InflowU,
-		Reynolds: def.Reynolds,
-		Taper:    def.Taper,
-	}
-	srv, err := server.New(cfg)
+// ServeLive starts NewLive's in-situ server on the listener and
+// returns immediately; close the returned server's Dlib() to stop.
+func ServeLive(ln net.Listener, lv *datasets.Live, cfg server.Config) (*server.Server, error) {
+	srv, err := NewLive(lv, cfg)
 	if err != nil {
 		return nil, err
 	}
-	lv.SetSteerSource(LiveSteerSource(srv.Env()))
 	go srv.Dlib().Serve(ln)
 	return srv, nil
 }
@@ -172,13 +111,13 @@ func ServeLive(ln net.Listener, lv *datasets.Live, opts Options) (*server.Server
 // the loss of its connection: it redials the address with backoff and
 // replays the handshake while the display keeps the last frame's
 // geometry (client.NewResilient).
-func Connect(addr string, conn net.Conn, opts Options) (*Session, error) {
+func Connect(addr string, conn net.Conn, cfg client.Config) (*Session, error) {
 	switch {
 	case conn != nil:
-		return newSession(dlib.NewClient(conn), nil, opts)
+		return newSession(dlib.NewClient(conn), nil, cfg)
 	case addr != "":
 		dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
-		ws, err := client.NewResilient(dial, workstationConfig(opts), dlib.RedialOptions{})
+		ws, err := client.NewResilient(dial, cfg, dlib.RedialOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("core: connect %s: %w", addr, err)
 		}
@@ -187,12 +126,8 @@ func Connect(addr string, conn net.Conn, opts Options) (*Session, error) {
 	return nil, fmt.Errorf("core: Connect needs an address or a connection")
 }
 
-func workstationConfig(opts Options) client.Config {
-	return client.Config{FrameW: opts.FrameW, FrameH: opts.FrameH, Codec: opts.Codec}
-}
-
-func newSession(c *dlib.Client, srv *server.Server, opts Options) (*Session, error) {
-	ws, err := client.New(c, workstationConfig(opts))
+func newSession(c *dlib.Client, srv *server.Server, cfg client.Config) (*Session, error) {
+	ws, err := client.New(c, cfg)
 	if err != nil {
 		c.Close()
 		return nil, err

@@ -6,10 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
+	"repro/internal/compute"
 	"repro/internal/field"
 	"repro/internal/flow"
 	"repro/internal/grid"
 	"repro/internal/integrate"
+	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/vmath"
 	"repro/internal/wire"
@@ -49,7 +52,7 @@ func runFrames(s *Session, n int) ([]FrameResult, error) {
 }
 
 func TestLocalSessionFullLoop(t *testing.T) {
-	sess, err := LaunchLocal(smallDataset(t, 4), Options{FrameW: 64, FrameH: 64})
+	sess, err := LaunchLocal(smallDataset(t, 4), server.Config{}, client.Config{FrameW: 64, FrameH: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +87,7 @@ func TestLocalSessionFullLoop(t *testing.T) {
 func TestLocalFrameWithinBudget(t *testing.T) {
 	// A modest workload on the local pipe must meet the 1/8s budget —
 	// this is the paper's core interactivity requirement.
-	sess, err := LaunchLocal(smallDataset(t, 3), Options{FrameW: 64, FrameH: 64})
+	sess, err := LaunchLocal(smallDataset(t, 3), server.Config{}, client.Config{FrameW: 64, FrameH: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +111,13 @@ func TestDistributedSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(ln, store.NewMemory(smallDataset(t, 3)), Options{})
+	srv, err := Serve(ln, server.Config{Store: store.NewMemory(smallDataset(t, 3))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Dlib().Close()
 
-	sess, err := Connect(ln.Addr().String(), nil, Options{FrameW: 32, FrameH: 32})
+	sess, err := Connect(ln.Addr().String(), nil, client.Config{FrameW: 32, FrameH: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,18 +138,18 @@ func TestTwoUsersShareOneServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(ln, store.NewMemory(smallDataset(t, 3)), Options{})
+	srv, err := Serve(ln, server.Config{Store: store.NewMemory(smallDataset(t, 3))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Dlib().Close()
 
-	s1, err := Connect(ln.Addr().String(), nil, Options{FrameW: 32, FrameH: 32})
+	s1, err := Connect(ln.Addr().String(), nil, client.Config{FrameW: 32, FrameH: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s1.Close()
-	s2, err := Connect(ln.Addr().String(), nil, Options{FrameW: 32, FrameH: 32})
+	s2, err := Connect(ln.Addr().String(), nil, client.Config{FrameW: 32, FrameH: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +173,7 @@ func TestTwoUsersShareOneServer(t *testing.T) {
 }
 
 func TestConnectValidation(t *testing.T) {
-	if _, err := Connect("", nil, Options{}); err == nil {
+	if _, err := Connect("", nil, client.Config{}); err == nil {
 		t.Error("Connect with neither address nor conn accepted")
 	}
 }
@@ -208,6 +211,25 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestPercentile pins the percentile rule's edges: no samples, one
+// sample, and both ends of the range.
+func TestPercentile(t *testing.T) {
+	if got := Percentile(nil, 0.5); got != 0 {
+		t.Errorf("empty percentile = %v", got)
+	}
+	one := []time.Duration{7}
+	if got := Percentile(one, 0.99); got != 7 {
+		t.Errorf("singleton p99 = %v", got)
+	}
+	four := []time.Duration{1, 2, 3, 4}
+	if got := Percentile(four, 0); got != 1 {
+		t.Errorf("p0 = %v", got)
+	}
+	if got := Percentile(four, 1); got != 4 {
+		t.Errorf("p100 = %v", got)
+	}
+}
+
 func TestLateJoinSeesExistingEnvironment(t *testing.T) {
 	// Sec 5.1: "at any time during the use of the distributed virtual
 	// windtunnel another workstation ... should be able to 'sign up'
@@ -216,13 +238,13 @@ func TestLateJoinSeesExistingEnvironment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(ln, store.NewMemory(smallDataset(t, 4)), Options{})
+	srv, err := Serve(ln, server.Config{Store: store.NewMemory(smallDataset(t, 4))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Dlib().Close()
 
-	first, err := Connect(ln.Addr().String(), nil, Options{FrameW: 32, FrameH: 32})
+	first, err := Connect(ln.Addr().String(), nil, client.Config{FrameW: 32, FrameH: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +257,7 @@ func TestLateJoinSeesExistingEnvironment(t *testing.T) {
 	stateBefore, _ := first.WS.Latest()
 
 	// Sign up mid-session.
-	late, err := Connect(ln.Addr().String(), nil, Options{FrameW: 32, FrameH: 32})
+	late, err := Connect(ln.Addr().String(), nil, client.Config{FrameW: 32, FrameH: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,26 +287,19 @@ func TestLateJoinSeesExistingEnvironment(t *testing.T) {
 	}
 }
 
-// TestWorkersSetsEngineAndPoolWidth pins what Options.Workers reaches:
-// both widths a round's computation has. One worker means a parallel-1
-// engine (compute.TestRangeWorkers: a single range runs on the caller)
-// and a one-worker pool (server.runJobsLocked starts a goroutine per
-// worker after the first), so a round with several dirty rakes and a
-// dirty tool runs on the handler's goroutine alone — and, pool width
-// never showing on the wire, produces the geometry any width does.
+// TestWorkersSetsEngineAndPoolWidth pins what a parallel engine's
+// worker count reaches: both widths a round's computation has. One
+// worker means a parallel-1 engine (compute.TestRangeWorkers: a single
+// range runs on the caller) and a one-worker pool
+// (server.runJobsLocked starts a goroutine per worker after the
+// first), so a round with several dirty rakes and a dirty tool runs on
+// the handler's goroutine alone — and, pool width never showing on the
+// wire, produces the geometry any width does.
 func TestWorkersSetsEngineAndPoolWidth(t *testing.T) {
 	u := smallDataset(t, 2)
-	cfg := serverConfig(store.NewMemory(u), Options{Workers: 1})
-	if got := cfg.Engine.Name(); got != "parallel-1" || cfg.Engine.Workers() != 1 {
-		t.Errorf("Workers 1: engine %s, pool width %d; want parallel-1 and 1", got, cfg.Engine.Workers())
-	}
-	cfg = serverConfig(store.NewMemory(u), Options{Workers: 3})
-	if got := cfg.Engine.Name(); got != "parallel-3" || cfg.Engine.Workers() != 3 {
-		t.Errorf("Workers 3: engine %s, pool width %d; want parallel-3 and 3", got, cfg.Engine.Workers())
-	}
-
 	round := func(workers int) wire.FrameReply {
-		sess, err := LaunchLocal(u, Options{Workers: workers, FrameW: 64, FrameH: 64})
+		sess, err := LaunchLocal(u, server.Config{Engine: compute.Parallel{NumWorkers: workers}},
+			client.Config{FrameW: 64, FrameH: 64})
 		if err != nil {
 			t.Fatal(err)
 		}

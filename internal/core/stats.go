@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -33,20 +33,26 @@ func Summarize(results []FrameResult) Summary {
 		}
 		points += r.Points
 	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	pct := func(p float64) time.Duration {
-		idx := int(p * float64(len(times)-1))
-		return times[idx]
-	}
+	slices.Sort(times)
 	return Summary{
 		Frames:       len(results),
 		Mean:         sum / time.Duration(len(results)),
-		P50:          pct(0.50),
-		P95:          pct(0.95),
+		P50:          Percentile(times, 0.50),
+		P95:          Percentile(times, 0.95),
 		Worst:        times[len(times)-1],
 		WithinBudget: within,
 		MeanPoints:   points / len(results),
 	}
+}
+
+// Percentile returns the q-quantile (0 <= q <= 1) of an
+// ascending-sorted slice: the sample at the rank nearest q·(n−1),
+// halves rounding up, or 0 for no samples.
+func Percentile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[min(int(q*float64(len(sorted)-1)+0.5), len(sorted)-1)]
 }
 
 // String renders a one-line report.

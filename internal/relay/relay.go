@@ -199,7 +199,6 @@ func New(cfg Config) (*Relay, error) {
 	r.d.Register(wire.ProcWhoAmI, r.handleWhoAmI)
 	r.d.Register(wire.ProcFrame, r.handleFrame)
 	r.d.Register(wire.ProcFrameRelay, r.handleFrameRelay)
-	r.d.Register(wire.ProcSteer, r.handleSteer)
 	r.d.OnDisconnect = func(id int64) {
 		r.mu.Lock()
 		st := r.sessions[id]
@@ -328,18 +327,6 @@ func (r *Relay) handleWhoAmI(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	// frames carry origin ids, and the workstation matches itself by
 	// this answer.
 	return r.upcall(ctx, st, wire.ProcWhoAmI, payload)
-}
-
-// handleSteer proxies the live-steering status poll to the origin on
-// this session's pinned upstream leg, so the FCFS steering lock (held
-// by origin session id) and the SteerStatus answer survive the hop
-// exactly like rake locks do.
-func (r *Relay) handleSteer(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
-	st, err := r.ensureSession(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return r.upcall(ctx, st, wire.ProcSteer, payload)
 }
 
 // fetchRound runs one upstream frame exchange for st — the update is

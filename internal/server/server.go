@@ -102,10 +102,10 @@ type Config struct {
 	// never call ProcHello2 always speak v1, byte for byte.
 	MaxCodec int
 	// Steer seeds the environment's live-steering parameters (in-situ
-	// mode). The zero value leaves steering unseeded; either way the
-	// vw.steer procedure is served and steering commands are accepted —
-	// they only have a producer to act on when Store is a live ring. A
-	// seed outside the envelope a steering command is held to fails New.
+	// mode). The zero value leaves steering unseeded; either way
+	// steering commands are accepted — they only have a producer to act
+	// on when Store is a live ring. A seed outside the envelope a
+	// steering command is held to fails New.
 	Steer env.SteerParams
 	// Tools seeds the shared field-diagnostic tools, indexed by
 	// env.ToolID-1. All zero leaves the tools untouched — frames carry
@@ -405,7 +405,7 @@ func New(cfg Config) (*Server, error) {
 		codecs:   make(map[int64]*sessionState),
 	}
 	// Every handler registered below returns a fresh buffer (hellos,
-	// whoami, steer, the round's codec-v1 reply) or a session-owned one
+	// whoami, the round's codec-v1 reply) or a session-owned one
 	// (codec-v2 frames and relay replies, sessionState.buf) —
 	// dlib.Handler's reply-buffer contract.
 	s.env.InitSteer(cfg.Steer)
@@ -415,7 +415,6 @@ func New(cfg Config) (*Server, error) {
 	s.d.Register(wire.ProcFrame, s.handleFrame)
 	s.d.Register(wire.ProcFrameRelay, s.handleFrameRelay)
 	s.d.Register(wire.ProcWhoAmI, s.handleWhoAmI)
-	s.d.Register(wire.ProcSteer, s.handleSteer)
 	s.d.OnDisconnect = func(id int64) {
 		s.env.ReleaseAll(id)
 		// Round accounting must not leak: a departed session's

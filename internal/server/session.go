@@ -449,19 +449,3 @@ func validSteerParams(p env.SteerParams) bool {
 		p.Reynolds >= 1 && p.Reynolds <= 1e6 &&
 		p.Taper >= 0.05 && p.Taper <= 2
 }
-
-// handleSteer returns the current steering status: the live flow
-// parameters, the FCFS lock holder, and the change counter. Steering
-// state deliberately rides its own procedure instead of FrameReply so
-// frame byte streams (and the golden corpus) are untouched by the
-// in-situ subsystem.
-func (s *Server) handleSteer(_ *dlib.Ctx, _ []byte) ([]byte, error) {
-	st := s.env.Steer()
-	return wire.EncodeSteerStatus(wire.SteerStatus{
-		InflowU:  st.Params.InflowU,
-		Reynolds: st.Params.Reynolds,
-		Taper:    st.Params.Taper,
-		Holder:   st.Holder,
-		Version:  st.Version,
-	}), nil
-}

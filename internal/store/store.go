@@ -82,6 +82,23 @@ type Memory struct {
 // NewMemory wraps an in-memory dataset.
 func NewMemory(u *field.Unsteady) *Memory { return &Memory{u: u} }
 
+// LoadResident reads every step of s into memory: the resident mode
+// of a dataset stored on disk.
+func LoadResident(s Store) (*Memory, error) {
+	steps := make([]*field.Field, s.NumSteps())
+	for t := range steps {
+		var err error
+		if steps[t], err = s.LoadStep(t); err != nil {
+			return nil, err
+		}
+	}
+	u, err := field.NewUnsteady(s.Grid(), steps, s.DT())
+	if err != nil {
+		return nil, err
+	}
+	return NewMemory(u), nil
+}
+
 // Grid implements Store.
 func (m *Memory) Grid() *grid.Grid { return m.u.Grid }
 

@@ -95,6 +95,39 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadResident: the resident copy of a disk dataset serves every
+// step the disk holds, and a step that fails to load fails the copy.
+func TestLoadResident(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteDataset(dir, makeDataset(t, 3)); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDisk(dir, DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadResident(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NumSteps() != 3 || m.DT() != d.DT() || m.Grid() != d.Grid() {
+		t.Fatalf("metadata: steps=%d dt=%v", m.NumSteps(), m.DT())
+	}
+	for s := range 3 {
+		f, err := m.LoadStep(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStep(t, f, float32(s))
+	}
+	if err := os.Remove(filepath.Join(dir, stepFileName(2))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadResident(d); err == nil {
+		t.Error("dataset with a missing step file loaded resident")
+	}
+}
+
 func TestDiskRejectsMissingDataset(t *testing.T) {
 	if _, err := OpenDisk(t.TempDir(), DiskOptions{}); err == nil {
 		t.Error("empty dir accepted")
