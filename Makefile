@@ -74,9 +74,9 @@ fuzz-server:
 # differentially: raw float32 bits for a coordinate and its box, and a
 # raw 16-bit value, through codec v2's arithmetic and the divide-and-
 # math.Round reference, both directions. Then the client update, both
-# relay messages and the dataset info: a count the bytes cannot back
-# is refused before it sizes anything. The 10s budgets keep it
-# ci-sized.
+# relay messages and the hello reply every workstation and relay
+# decodes at connect: a count the bytes cannot back is refused before
+# it sizes anything. The 10s budgets keep it ci-sized.
 fuzz-wire:
 	$(GO) test -fuzz FuzzDecodeFrameV2 -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeFrameReply$$' -fuzztime 10s ./internal/wire/
@@ -84,7 +84,7 @@ fuzz-wire:
 	$(GO) test -fuzz FuzzDecodeClientUpdate -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeRelayFrameRequest -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeRelayFrameReply -fuzztime 10s ./internal/wire/
-	$(GO) test -fuzz FuzzDecodeDatasetInfo -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz FuzzDecodeHelloReply -fuzztime 10s ./internal/wire/
 
 # Short fuzz passes over the renderer: segments whose coordinates are raw
 # float32 bit patterns, drawn immediately inside a row band and through

@@ -38,7 +38,7 @@ func main() {
 		dump   = flag.String("dump", "", "directory to write every 10th frame as PPM")
 		bwMBs  = flag.Int64("bw", 0, "simulate a link of this many MB/s (0 = none)")
 		script = flag.String("script", "", "console command script to run before the frames (see internal/client.ParseScript)")
-		codec  = flag.Int("codec", 2, "frame codec to request: 1 = classic full frames, 2 = delta/quantized (falls back to 1 against old servers)")
+		codec  = flag.Int("codec", 2, "frame codec to request: 1 = classic full frames, 2 = delta/quantized (a server capped at 1 answers 1)")
 	)
 	flag.Parse()
 	if *codec < 1 || *codec > 2 {

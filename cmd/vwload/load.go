@@ -52,7 +52,7 @@ type LoadOptions struct {
 	// timestep traffic through the store (and cache, if configured).
 	Play bool
 	// Codec is the frame codec each workstation requests at hello; 0 or
-	// wire.CodecV1 runs the legacy exchange, wire.CodecV2 negotiates
+	// wire.CodecV1 asks for classic full frames, wire.CodecV2 negotiates
 	// delta/quantized frames (each session decoding through its own
 	// stateful decoder, as a real workstation would).
 	Codec uint8
@@ -388,24 +388,19 @@ func RunLoad(s *server.Server, g *grid.Grid, opts LoadOptions) (LoadReport, erro
 			}
 			c := dlib.NewClient(conn)
 			defer c.Close()
-			var dec *wire.FrameDecoder
-			if opts.Codec >= wire.CodecV2 {
-				out, err := c.Call(wire.ProcHello2, wire.EncodeHelloRequest(opts.Codec))
-				if err != nil {
-					fail(fmt.Errorf("session %d: hello2: %w", i, err))
-					return
-				}
-				codec, info, err := wire.DecodeHelloReply(out)
-				if err != nil {
-					fail(fmt.Errorf("session %d: hello2 reply: %w", i, err))
-					return
-				}
-				if codec >= wire.CodecV2 {
-					dec = wire.NewFrameDecoder(info.Quantizer())
-				}
-			} else if _, err := c.Call(wire.ProcHello, nil); err != nil {
-				fail(fmt.Errorf("session %d: hello: %w", i, err))
+			out, err := c.Call(wire.ProcHello2, wire.EncodeHelloRequest(max(opts.Codec, wire.CodecV1)))
+			if err != nil {
+				fail(fmt.Errorf("session %d: hello2: %w", i, err))
 				return
+			}
+			codec, info, err := wire.DecodeHelloReply(out)
+			if err != nil {
+				fail(fmt.Errorf("session %d: hello2 reply: %w", i, err))
+				return
+			}
+			var dec *wire.FrameDecoder
+			if codec >= wire.CodecV2 {
+				dec = wire.NewFrameDecoder(info.Quantizer())
 			}
 			active := i < opts.ActiveUsers
 			hand := vmath.V3(float32(i), 0, 0)

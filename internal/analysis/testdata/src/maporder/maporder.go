@@ -50,11 +50,11 @@ type segment struct {
 
 type session struct{ rows []segment }
 
-// badShadow is the relay's fetchRound without its sort: the shadow
-// goes on the wire in map order, so two relays holding the same cache
-// send different request bytes. Only this analyzer catches it: every
-// relay, server and load test passes, as each relay's requests agree
-// with its own shadow.
+// badShadow is a relay shadow listed from a map-keyed cache without a
+// sort: the shadow goes on the wire in map order, so two relays holding
+// the same cache send different request bytes. No relay, server or
+// load test would catch it, as each relay's requests agree with its own
+// shadow.
 func badShadow(st *session, segs map[int32]segment) []segment {
 	st.rows = st.rows[:0]
 	for _, cs := range segs {

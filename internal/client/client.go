@@ -11,7 +11,6 @@ package client
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -42,9 +41,9 @@ type Config struct {
 	// clock. Tests inject a netsim.ManualClock for replayable pacing.
 	Clock netsim.Clock
 	// Codec is the highest frame codec to request at hello. Zero or
-	// wire.CodecV1 keeps the legacy v1 exchange byte-for-byte;
-	// wire.CodecV2 negotiates delta/quantized frames, falling back to
-	// v1 against servers that predate the vw.hello2 procedure.
+	// wire.CodecV1 asks for the classic full frames; wire.CodecV2 for
+	// delta/quantized frames, which a server capped at v1 answers with
+	// v1.
 	Codec uint8
 }
 
@@ -81,8 +80,9 @@ type Workstation struct {
 	c      dlib.Caller
 	redial *dlib.RedialClient // non-nil in resilient mode
 	clock  netsim.Clock
-	// wantCodec is the Config.Codec request; the negotiated result
-	// lives under mu (it can change across reconnects).
+	// wantCodec is the Config.Codec request, at least wire.CodecV1;
+	// the negotiated result lives under mu (it can change across
+	// reconnects).
 	wantCodec uint8
 
 	fb  *render.Framebuffer
@@ -129,8 +129,9 @@ func newWorkstation(cfg Config) (*Workstation, error) {
 		clk = netsim.RealClock
 	}
 	return &Workstation{
-		clock: clk,
-		fb:    fb,
+		clock:     clk,
+		wantCodec: max(cfg.Codec, wire.CodecV1),
+		fb:        fb,
 		rig: render.StereoRig{
 			IPD:  ipd,
 			Proj: vmath.Perspective(fov, aspect, 0.05, 500),
@@ -139,39 +140,19 @@ func newWorkstation(cfg Config) (*Workstation, error) {
 	}, nil
 }
 
-// handshake runs the connect-time exchange: dataset info (with codec
-// negotiation when a v2 codec is wanted), then our session identity.
-// It reruns on every reconnect, because dlib session state — including
-// the server side of the delta shadow — dies with the connection.
+// handshake runs the connect-time exchange: the hello, which
+// negotiates the frame codec and returns the dataset info, then our
+// session identity. It reruns on every reconnect, because dlib session
+// state — including the server side of the delta shadow — dies with
+// the connection.
 func handshake(c dlib.Caller, want uint8) (wire.DatasetInfo, uint8, int64, error) {
-	var info wire.DatasetInfo
-	codec := uint8(wire.CodecV1)
-	if want >= wire.CodecV2 {
-		out, err := c.Call(wire.ProcHello2, wire.EncodeHelloRequest(want))
-		var re *dlib.RemoteError
-		switch {
-		case err == nil:
-			codec, info, err = wire.DecodeHelloReply(out)
-			if err != nil {
-				return wire.DatasetInfo{}, 0, 0, err
-			}
-		case errors.As(err, &re):
-			// A pre-v2 server has no vw.hello2: fall back to the
-			// legacy exchange and speak v1 for this connection.
-			want = wire.CodecV1
-		default:
-			return wire.DatasetInfo{}, 0, 0, fmt.Errorf("client: hello2: %w", err)
-		}
+	out, err := c.Call(wire.ProcHello2, wire.EncodeHelloRequest(want))
+	if err != nil {
+		return wire.DatasetInfo{}, 0, 0, fmt.Errorf("client: hello2: %w", err)
 	}
-	if want < wire.CodecV2 {
-		out, err := c.Call(wire.ProcHello, nil)
-		if err != nil {
-			return wire.DatasetInfo{}, 0, 0, fmt.Errorf("client: hello: %w", err)
-		}
-		info, err = wire.DecodeDatasetInfo(out)
-		if err != nil {
-			return wire.DatasetInfo{}, 0, 0, err
-		}
+	codec, info, err := wire.DecodeHelloReply(out)
+	if err != nil {
+		return wire.DatasetInfo{}, 0, 0, err
 	}
 	idBytes, err := c.Call(wire.ProcWhoAmI, nil)
 	if err != nil {
@@ -207,7 +188,6 @@ func New(c *dlib.Client, cfg Config) (*Workstation, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.wantCodec = cfg.Codec
 	info, codec, selfID, err := handshake(c, w.wantCodec)
 	if err != nil {
 		return nil, err
@@ -229,7 +209,6 @@ func NewResilient(dial dlib.DialFunc, cfg Config, ropts dlib.RedialOptions) (*Wo
 	if err != nil {
 		return nil, err
 	}
-	w.wantCodec = cfg.Codec
 	if ropts.CallTimeout <= 0 {
 		ropts.CallTimeout = 2 * time.Second
 	}

@@ -1,11 +1,10 @@
-// Codec v2 on the workstation: hello negotiation with fallback, delta
+// Codec v2 on the workstation: hello negotiation, delta
 // decode, and the reconnect resync — a redial kills both sides of the
 // delta shadow, so the first frame on the new connection must be a
 // full keyframe.
 package client
 
 import (
-	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -69,55 +68,6 @@ func TestCodecV2Negotiated(t *testing.T) {
 	steady := w.Stats().BytesDown - key
 	if steady*4 > key {
 		t.Fatalf("steady v2 frame %dB, not <1/4 of keyframe %dB", steady, key)
-	}
-}
-
-// TestCodecV2FallsBackToV1 points a v2-wanting workstation at a server
-// that predates vw.hello2 (a bare dlib server speaking only the v1
-// procedures). The RemoteError from the unknown procedure must drop
-// the session to v1, not kill it.
-func TestCodecV2FallsBackToV1(t *testing.T) {
-	old := dlib.NewServer()
-	info := wire.DatasetInfo{NI: 4, NJ: 4, NK: 4, NumSteps: 2, DT: 0.1,
-		BoundsMin: vmath.V3(0, 0, 0), BoundsMax: vmath.V3(1, 1, 1)}
-	reply := wire.EncodeFrameReply(wire.FrameReply{
-		Time:  wire.TimeStatus{NumSteps: 2},
-		Rakes: []wire.RakeState{{ID: 1, NumSeeds: 2}},
-		Geometry: []wire.Geometry{{Rake: 1,
-			Lines: [][]vmath.Vec3{{vmath.V3(0, 0, 0), vmath.V3(1, 1, 1)}}}},
-	})
-	old.Register(wire.ProcHello, func(_ *dlib.Ctx, _ []byte) ([]byte, error) {
-		return wire.EncodeDatasetInfo(info), nil
-	})
-	old.Register(wire.ProcWhoAmI, func(ctx *dlib.Ctx, _ []byte) ([]byte, error) {
-		return binary.LittleEndian.AppendUint64(nil, uint64(ctx.Session.ID)), nil
-	})
-	old.Register(wire.ProcFrame, func(_ *dlib.Ctx, _ []byte) ([]byte, error) {
-		return reply, nil
-	})
-	a, b := net.Pipe()
-	go old.ServeConn(b)
-	c := dlib.NewClient(a)
-	w, err := New(c, Config{FrameW: 64, FrameH: 64, Codec: wire.CodecV2})
-	if err != nil {
-		t.Fatalf("fallback handshake failed: %v", err)
-	}
-	if got := w.Codec(); got != wire.CodecV1 {
-		t.Fatalf("negotiated codec %d, want fallback to %d", got, wire.CodecV1)
-	}
-	if w.Info() != info {
-		t.Fatalf("info %+v, want %+v", w.Info(), info)
-	}
-	user, err := vr.NewScriptedUser(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.NetStep(user.Step()); err != nil {
-		t.Fatalf("v1 frame after fallback: %v", err)
-	}
-	latest, ok := w.Latest()
-	if !ok || latest.TotalPoints() != 2 {
-		t.Fatalf("v1 decode after fallback: %+v", latest)
 	}
 }
 

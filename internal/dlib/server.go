@@ -123,9 +123,6 @@ type Server struct {
 
 	calls atomic.Int64
 
-	// Logf, if set, receives diagnostic messages. Defaults to silent.
-	Logf func(format string, args ...any)
-
 	// OnDisconnect, if set, runs after a session's connection closes,
 	// so applications can release per-session resources (the
 	// windtunnel frees the user's rake locks here). It runs on the
@@ -226,18 +223,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				s.reaped.Add(1)
-				if s.Logf != nil {
-					s.Logf("dlib: session %d reaped after %v idle", sess.ID, s.IdleTimeout)
-				}
-			} else if s.Logf != nil && !errors.Is(err, net.ErrClosed) {
-				s.Logf("dlib: session %d read: %v", sess.ID, err)
 			}
 			return
 		}
 		if f.kind != frameCall {
-			if s.Logf != nil {
-				s.Logf("dlib: session %d sent non-call frame %d", sess.ID, f.kind)
-			}
 			return
 		}
 		reply, hangup := s.dispatch(ctx, f)
@@ -247,16 +236,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		writeMu.Lock()
 		err = writeFrame(conn, reply)
 		writeMu.Unlock()
-		if err != nil {
-			if s.Logf != nil {
-				s.Logf("dlib: session %d write: %v", sess.ID, err)
-			}
-			return
-		}
-		if hangup {
-			if s.Logf != nil {
-				s.Logf("dlib: session %d hung up by handler", sess.ID)
-			}
+		if err != nil || hangup {
 			return
 		}
 	}
@@ -303,9 +283,6 @@ func (s *Server) dispatch(ctx *Ctx, f frame) (frame, bool) {
 		case <-done:
 		case <-clk.After(s.HandlerTimeout):
 			s.metrics.record(f.proc, clk.Now().Sub(start), len(f.payload), 0, true)
-			if s.Logf != nil {
-				s.Logf("dlib: %s exceeded handler timeout %v", f.proc, s.HandlerTimeout)
-			}
 			go func() {
 				<-done // wait out the straggler, then free serial dispatch
 				// The caller already got an error frame; the straggler's

@@ -4,9 +4,9 @@
 // frames so the origin ships each round once per relay instead of once
 // per workstation.
 //
-// Session routing. Each downstream session is pinned at hello to one
-// upstream by static round-robin partition and gets its own upstream
-// dlib connection. That one-to-one mapping is what keeps the
+// Session routing. Each downstream session is pinned at its first call
+// (the hello) to one upstream by static round-robin partition and gets
+// its own upstream dlib connection. That one-to-one mapping is what keeps the
 // distributed semantics untouched by the hop: the origin sees one
 // session per workstation, so per-user identity (WhoAmI proxies the
 // origin's id), FCFS rake-lock ownership, and the per-session
@@ -39,17 +39,25 @@
 // downstream connections (dlib.Ctx.Hangup) instead of silently
 // redialing: the workstation's own resilience layer redials, replays
 // its handshake, and resyncs from a keyframe — the same recovery path
-// as losing a direct connection.
+// as losing a direct connection. The failed leg also empties that
+// upstream's round cache: a restarted origin numbers its rounds from 1
+// again, and a cached round number it happens to reach would be
+// answered with a marker for the dead process's frame. A session that
+// dials the restarted origin before any leg has seen the failure can
+// still be answered that marker; closing the window needs an origin
+// identity on the wire.
+//
+// Procedures. A relay answers what an origin answers — vw.hello2,
+// vw.whoami, vw.frame and vw.framerelay — so workstations connect to
+// either and relays chain.
 //
 //vw:deterministic
 //vw:wire
 package relay
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/dlib"
@@ -117,22 +125,22 @@ type upCache struct {
 	round uint64
 	// frame is the origin's codec-v1 round buffer, verbatim — replaced
 	// by each new round, never rewritten in place, because v1 replies
-	// still being written reference the old one; meta is what a skim of
-	// it reads — header, users, rakes, source keys, tool states, never a
-	// point (haveMeta guards the zero value).
-	frame    []byte
-	meta     wire.FrameReply
-	haveMeta bool
+	// still being written reference the old one (nil until the first
+	// full fetch); meta is what a skim of it reads — header, users,
+	// rakes, source keys, tool states, never a point.
+	frame []byte
+	meta  wire.FrameReply
 	// wantSegs turns sticky once any v2 consumer exists on this
-	// upstream, so every later full fetch refreshes the segment cache.
-	// segsRound is the round the segment cache is complete for; when it
-	// trails round (a full was fetched before wantSegs, or a marker
-	// round outlived the directory) a v2 consumer forces a full fetch.
-	// segs holds the origin-encoded codec-v2 segments by directory key
-	// (rake id, or -kind for a shared tool), bytes always present.
-	wantSegs  bool
-	segs      map[int32]wire.Segment
-	segsRound uint64
+	// upstream, so every later full fetch carries a directory. rows is
+	// the round's directory resolved at install: one row per source in
+	// frame order (rakes, then tools), each with the origin-encoded
+	// codec-v2 segment — the rows a v2 frame is assembled from, and the
+	// shadow the next request sends. haveRows is false until a full
+	// fetch with a directory installs them (a full fetched before
+	// wantSegs has none), and a v2 consumer then forces one.
+	wantSegs bool
+	rows     []wire.Segment
+	haveRows bool
 }
 
 // session is one downstream session and its pinned upstream leg.
@@ -148,9 +156,8 @@ type session struct {
 	codec uint8
 	enc   *wire.FrameEncoder
 
-	// Recycled per-session scratch: request/reply assembly, and the
-	// segment rows — first the request shadow, then, once the upstream
-	// exchange is done, the round's rows for enc or a chained reply.
+	// Recycled per-session scratch: request/reply assembly, and a
+	// chained reply's directory, copied from the cached rows.
 	buf  []byte
 	rows []wire.Segment
 }
@@ -172,9 +179,9 @@ type Relay struct {
 }
 
 // New builds a relay and registers its procedures on a fresh dlib
-// server. The downstream surface is identical to a compute server's
-// (hello, hello2, whoami, frame, framerelay), which is what lets
-// workstations connect to either interchangeably and relays chain.
+// server. The downstream surface is identical to a compute server's,
+// which is what lets workstations connect to either interchangeably
+// and relays chain.
 func New(cfg Config) (*Relay, error) {
 	if len(cfg.Upstreams) == 0 {
 		return nil, fmt.Errorf("relay: no upstreams")
@@ -186,7 +193,7 @@ func New(cfg Config) (*Relay, error) {
 		caches:   make([]*upCache, len(cfg.Upstreams)),
 	}
 	for i := range r.caches {
-		r.caches[i] = &upCache{segs: make(map[int32]wire.Segment)}
+		r.caches[i] = &upCache{}
 	}
 	// Every reply meets dlib.Handler's buffer contract without a hook:
 	// proxied calls return the upstream client's freshly read reply; a v1
@@ -194,7 +201,6 @@ func New(cfg Config) (*Relay, error) {
 	// rewrites in place; v2 and chained frames are assembled in the
 	// calling session's own st.buf, which only that session's next call
 	// rewrites.
-	r.d.Register(wire.ProcHello, r.handleHello)
 	r.d.Register(wire.ProcHello2, r.handleHello2)
 	r.d.Register(wire.ProcWhoAmI, r.handleWhoAmI)
 	r.d.Register(wire.ProcFrame, r.handleFrame)
@@ -262,7 +268,9 @@ func (r *Relay) ensureSession(ctx *dlib.Ctx) (*session, error) {
 // healthy). A transport error means the origin-side identity is gone:
 // the upstream client is closed and the downstream connection is hung
 // up after the error reply, so the workstation redials and rebuilds a
-// coherent session across both hops.
+// coherent session across both hops. The upstream's round cache goes
+// too — the origin that answers the redial may be a restarted one —
+// keeping only whether a v2 consumer wants directories.
 func (r *Relay) upcall(ctx *dlib.Ctx, st *session, proc string, payload []byte) ([]byte, error) {
 	rep, err := st.up.Call(proc, payload)
 	if err != nil {
@@ -272,20 +280,14 @@ func (r *Relay) upcall(ctx *dlib.Ctx, st *session, proc string, payload []byte) 
 		}
 		st.up.Close()
 		ctx.Hangup()
+		c := r.caches[st.idx]
+		*c = upCache{wantSegs: c.wantSegs}
 		r.mu.Lock()
 		r.stats.Hangups++
 		r.mu.Unlock()
 		return nil, fmt.Errorf("relay: upstream %d lost: %w", st.idx, err)
 	}
 	return rep, nil
-}
-
-func (r *Relay) handleHello(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
-	st, err := r.ensureSession(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return r.upcall(ctx, st, wire.ProcHello, payload)
 }
 
 // handleHello2 proxies codec negotiation to the origin — the origin's
@@ -302,14 +304,14 @@ func (r *Relay) handleHello2(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec, info, err := wire.DecodeHelloReply(rep)
+	codec, _, err := wire.DecodeHelloReply(rep)
 	if err != nil {
 		return nil, fmt.Errorf("relay: upstream hello2 reply: %w", err)
 	}
 	st.codec = codec
 	if codec >= wire.CodecV2 {
 		if st.enc == nil {
-			st.enc = wire.NewFrameEncoder(wire.Quantizer{Min: info.BoundsMin, Max: info.BoundsMax})
+			st.enc = wire.NewFrameEncoder()
 		} else {
 			st.enc.Reset()
 		}
@@ -332,8 +334,9 @@ func (r *Relay) handleWhoAmI(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 // fetchRound runs one upstream frame exchange for st — the update is
 // applied at the origin and the session's round advances per the
 // origin's rules — and brings this upstream's cache to the resulting
-// round. needSegs forces a full fetch when the segment cache does not
-// cover the cached round.
+// round. needSegs forces a full fetch when the cache holds no
+// directory for its round, and fails the exchange if it still holds
+// none.
 func (r *Relay) fetchRound(ctx *dlib.Ctx, st *session, update []byte, needSegs bool) (*upCache, error) {
 	c := r.caches[st.idx]
 	if needSegs {
@@ -344,23 +347,16 @@ func (r *Relay) fetchRound(ctx *dlib.Ctx, st *session, update []byte, needSegs b
 		LastRound: c.round,
 		Update:    update,
 	}
-	if needSegs && c.segsRound != c.round {
+	if req.WantSegs {
+		// Frame order is deterministic, so two identically-cached relays
+		// send the same request bytes.
+		req.Shadow = c.rows
+	}
+	if needSegs && !c.haveRows {
 		// The cached round predates this upstream's first v2 consumer:
 		// its directory was never fetched. Round 0 never matches a live
 		// round, so the origin must answer full.
 		req.LastRound = 0
-	}
-	if req.WantSegs {
-		st.rows = st.rows[:0]
-		for _, cs := range c.segs {
-			st.rows = append(st.rows, cs)
-		}
-		// The shadow is wire-visible request bytes: map order would
-		// make two identically-cached relays send different requests.
-		slices.SortFunc(st.rows, func(a, b wire.Segment) int {
-			return cmp.Compare(a.Key, b.Key)
-		})
-		req.Shadow = st.rows
 	}
 	st.buf = wire.AppendRelayFrameRequest(st.buf[:0], req)
 	raw, err := r.upcall(ctx, st, wire.ProcFrameRelay, st.buf)
@@ -383,38 +379,67 @@ func (r *Relay) fetchRound(ctx *dlib.Ctx, st *session, update []byte, needSegs b
 		if rep.Round != c.round || c.frame == nil {
 			return nil, fmt.Errorf("relay: upstream %d marked round %d but cache holds %d", st.idx, rep.Round, c.round)
 		}
-		return c, nil
+	} else if err := c.install(rep); err != nil {
+		return nil, fmt.Errorf("relay: upstream %d: %w", st.idx, err)
 	}
-	// Skim the frame — the relay forwards its bytes and reads only what
-	// they say about the round — and build the new segment set, before
-	// anything is installed: a reply refused here leaves the cache on
-	// the round it held, whole.
+	if needSegs && !c.haveRows {
+		return nil, fmt.Errorf("relay: no segment directory for round %d", c.round)
+	}
+	return c, nil
+}
+
+// install makes a full reply the cached round. It skims the frame —
+// the relay forwards its bytes and reads only what they say about the
+// round — and resolves the directory into rows aligned with it, before
+// anything is installed: a reply refused here leaves the cache on the
+// round it held, whole. The frame adopts the reply allocation (dlib
+// replies are freshly read per call); inline segments are copied, so
+// rows carried over by reference never pin old reply buffers.
+func (c *upCache) install(rep wire.RelayFrameReply) error {
 	meta, err := wire.SkimFrameReply(rep.Frame)
 	if err != nil {
-		return nil, fmt.Errorf("relay: upstream %d frame: %w", st.idx, err)
+		return err
 	}
-	segs, segsRound := c.segs, c.segsRound
+	var rows []wire.Segment
 	if rep.HasDir {
-		// Rebuild the segment cache from the directory: entries not in
-		// it belong to removed rakes and are dropped. Segment bytes are
-		// copied so carried-over refs never pin old reply buffers.
-		segs, segsRound = make(map[int32]wire.Segment, len(rep.Dir)), rep.Round
-		for _, e := range rep.Dir {
-			if e.Bytes != nil {
-				e.Bytes = append([]byte(nil), e.Bytes...)
-			} else if cs, ok := c.segs[e.Key]; ok && cs.Seq == e.Seq {
-				e = cs
+		nRakes, nTools := len(meta.Geometry), 0
+		if meta.Tools != nil {
+			nTools = len(meta.Tools.Geoms)
+		}
+		if len(rep.Dir) > nRakes+nTools {
+			return fmt.Errorf("round %d directory has %d rows for %d sources", rep.Round, len(rep.Dir), nRakes+nTools)
+		}
+		rows = make([]wire.Segment, nRakes+nTools)
+		for i := range rows {
+			var key int32
+			if i < nRakes {
+				key = meta.Geometry[i].Rake
 			} else {
-				return nil, fmt.Errorf("relay: upstream %d referenced segment (%d, %d) not in cache", st.idx, e.Key, e.Seq)
+				key = -int32(meta.Tools.Geoms[i-nRakes].Tool)
 			}
-			segs[e.Key] = e
+			if i >= len(rep.Dir) || rep.Dir[i].Key != key {
+				return fmt.Errorf("round %d lists source %d but its directory has no segment for it at row %d", rep.Round, key, i)
+			}
+			if rows[i] = rep.Dir[i]; rows[i].Bytes != nil {
+				rows[i].Bytes = append([]byte(nil), rows[i].Bytes...)
+			} else if rows[i], err = c.held(rows[i]); err != nil {
+				return err
+			}
 		}
 	}
-	// Install the round, all of it together. The frame adopts the reply
-	// allocation (dlib replies are freshly read per call).
-	c.round, c.frame, c.meta, c.haveMeta = rep.Round, rep.Frame, meta, true
-	c.segs, c.segsRound = segs, segsRound
-	return c, nil
+	c.round, c.frame, c.meta = rep.Round, rep.Frame, meta
+	c.rows, c.haveRows = rows, rep.HasDir
+	return nil
+}
+
+// held resolves a directory reference against the rows the cache holds.
+func (c *upCache) held(ref wire.Segment) (wire.Segment, error) {
+	for _, row := range c.rows {
+		if row.Key == ref.Key && row.Seq == ref.Seq {
+			return row, nil
+		}
+	}
+	return wire.Segment{}, fmt.Errorf("referenced segment (%d, %d) not in cache", ref.Key, ref.Seq)
 }
 
 // handleFrame serves a workstation's frame from the (refreshed) round
@@ -432,16 +457,11 @@ func (r *Relay) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var reply []byte
-	if !v2 {
-		reply = c.frame
-	} else {
-		// handleHello2 built st.enc when it recorded the v2 codec.
-		rows, err := st.roundRows(c, nil)
-		if err != nil {
-			return nil, err
-		}
-		st.buf = st.enc.AppendFrame(st.buf[:0], c.meta, rows)
+	reply := c.frame
+	if v2 {
+		// handleHello2 built st.enc when it recorded the v2 codec, and
+		// fetchRound holds the round's rows for a v2 session.
+		st.buf = st.enc.AppendFrame(st.buf[:0], c.meta, c.rows)
 		reply = st.buf
 	}
 	r.mu.Lock()
@@ -452,46 +472,6 @@ func (r *Relay) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	}
 	r.mu.Unlock()
 	return reply, nil
-}
-
-// roundRows walks the cached round once — the frame's geometry list,
-// then its tool geometry under the directory's -kind keys — into one
-// row per source from the segment cache, failing if the origin's
-// directory omitted a source its frame lists. For a workstation
-// (child == nil) every row carries its segment — a row without bytes is
-// an error too: the skimmed meta has no points AppendFrame could encode
-// it from — and the session encoder picks the references; for a chained
-// relay the rows the child's shadow already holds become references.
-// The rows alias the session scratch and the cache.
-func (st *session) roundRows(c *upCache, child *wire.RelayFrameRequest) ([]wire.Segment, error) {
-	if !c.haveMeta || c.segsRound != c.round {
-		return nil, fmt.Errorf("relay: no segment directory for round %d", c.round)
-	}
-	nRakes, nTools := len(c.meta.Geometry), 0
-	if c.meta.Tools != nil {
-		nTools = len(c.meta.Tools.Geoms)
-	}
-	st.rows = st.rows[:0]
-	for i := 0; i < nRakes+nTools; i++ {
-		var key int32
-		if i < nRakes {
-			key = c.meta.Geometry[i].Rake
-		} else {
-			key = -int32(c.meta.Tools.Geoms[i-nRakes].Tool)
-		}
-		row, ok := c.segs[key]
-		if !ok {
-			return nil, fmt.Errorf("relay: round %d lists source %d but its directory has no segment for it", c.round, key)
-		}
-		if child == nil && row.Bytes == nil {
-			return nil, fmt.Errorf("relay: round %d source %d has no segment bytes for a workstation", c.round, key)
-		}
-		if child != nil && child.ShadowHas(key, row.Seq) {
-			row.Bytes = nil
-		}
-		st.rows = append(st.rows, row)
-	}
-	return st.rows, nil
 }
 
 // handleFrameRelay serves a chained (child) relay: refresh our cache
@@ -517,10 +497,9 @@ func (r *Relay) handleFrameRelay(ctx *dlib.Ctx, payload []byte) ([]byte, error) 
 	} else {
 		rep := wire.RelayFrameReply{Full: true, Round: c.round, Frame: c.frame}
 		if req.WantSegs {
-			rep.HasDir = true
-			if rep.Dir, err = st.roundRows(c, &req); err != nil {
-				return nil, err
-			}
+			st.rows = append(st.rows[:0], c.rows...)
+			req.Directory(st.rows)
+			rep.HasDir, rep.Dir = true, st.rows
 		}
 		// The frame and the request alias distinct buffers (c.frame vs
 		// payload), so encoding into st.buf is safe: fetchRound's use of

@@ -2,6 +2,7 @@ package relay
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"slices"
 	"strings"
@@ -324,7 +325,7 @@ func TestRelayRepliesSurviveRoundAdvance(t *testing.T) {
 			t.Errorf("v2 hello: %v", err)
 			return
 		}
-		dec, mirror := wire.NewFrameDecoder(testQuant), wire.NewFrameEncoder(testQuant)
+		dec, mirror := wire.NewFrameDecoder(testQuant), wire.NewFrameEncoder()
 		for i := 0; i < 20; i++ {
 			raw, err := c.Call(wire.ProcFrame, emptyUpdate)
 			if err != nil {
@@ -354,9 +355,9 @@ func TestRelayRepliesSurviveRoundAdvance(t *testing.T) {
 
 // TestRelaySkimsTheRound: the relay forwards the round's bytes and keeps
 // of them only what a skim reads. Its cached meta names every source and
-// holds no point, so a workstation row must bring its segment bytes —
-// there is nothing to encode it afresh from — while a chained child may
-// still be sent the same row as a reference.
+// holds no point, so every cached row carries its segment bytes — there
+// is nothing to encode it afresh from — while a chained child may still
+// be sent the same row as a reference.
 func TestRelaySkimsTheRound(t *testing.T) {
 	r := newRelay(t, fakeUpstream(1, -wire.ToolKindIso))
 	if _, err := workstationFrame(t, dial(t, r)); err != nil {
@@ -364,7 +365,7 @@ func TestRelaySkimsTheRound(t *testing.T) {
 	}
 	c := r.caches[0]
 	want := testRound(1)
-	if !c.haveMeta || c.meta.Round != 1 || len(c.meta.Rakes) != 1 || c.meta.Tools == nil || c.meta.Tools.Iso != want.Tools.Iso {
+	if c.frame == nil || c.meta.Round != 1 || len(c.meta.Rakes) != 1 || c.meta.Tools == nil || c.meta.Tools.Iso != want.Tools.Iso {
 		t.Fatalf("cached meta = %+v", c.meta)
 	}
 	if g := c.meta.Geometry; len(g) != 1 || g[0].Rake != 1 || g[0].Lines != nil {
@@ -374,95 +375,178 @@ func TestRelaySkimsTheRound(t *testing.T) {
 		t.Errorf("cached tool geometry = %+v, want the isosurface and no points", g)
 	}
 
-	st := &session{}
-	if rows, err := st.roundRows(c, nil); err != nil || len(rows) != 2 {
-		t.Fatalf("rows for a workstation: %d, %v", len(rows), err)
+	if !c.haveRows || len(c.rows) != 2 {
+		t.Fatalf("cached rows: %d (have %v), want 2", len(c.rows), c.haveRows)
 	}
-	seg := c.segs[1]
-	c.segs[1] = wire.Segment{Key: 1, Seq: seg.Seq}
-	if _, err := st.roundRows(c, nil); err == nil || !strings.Contains(err.Error(), "no segment bytes") {
-		t.Errorf("workstation row without bytes: err = %v", err)
+	for i, key := range []int32{1, -wire.ToolKindIso} {
+		if row := c.rows[i]; row.Key != key || row.Bytes == nil {
+			t.Errorf("cached row %d = key %d (%d bytes), want key %d with its segment", i, row.Key, len(row.Bytes), key)
+		}
 	}
-	child := &wire.RelayFrameRequest{Shadow: []wire.Segment{{Key: 1, Seq: seg.Seq}}}
-	if rows, err := st.roundRows(c, child); err != nil || rows[0].Bytes != nil || rows[1].Bytes == nil {
-		t.Errorf("rows for a child holding (1, %d): %+v, %v", seg.Seq, rows, err)
+	rows := slices.Clone(c.rows)
+	child := &wire.RelayFrameRequest{Shadow: []wire.Segment{{Key: 1, Seq: c.rows[0].Seq}}}
+	child.Directory(rows)
+	if rows[0].Bytes != nil || rows[1].Bytes == nil {
+		t.Errorf("directory for a child holding (1, %d): %+v", c.rows[0].Seq, rows)
+	}
+	if c.rows[0].Bytes == nil {
+		t.Error("the child's directory took the cached row's bytes")
 	}
 }
 
-// TestRelayRefusedReplyLeavesCacheWhole: the second full reply references
-// a (key, seq) the relay never held. The call fails, and nothing of that
-// reply may have been installed: the next exchange still announces round
-// 1 upstream, and on its marker a v1 session is served round 1's bytes
-// and the v2 session round 1's assembly, as references to what it holds.
+// TestRelayRefusedReplyLeavesCacheWhole: the second full reply's
+// directory is bad — it references a (key, seq) the relay never held,
+// omits a source its frame lists, or lists the sources out of order.
+// The call fails, and nothing of that reply may have been installed:
+// the next exchange still announces round 1 upstream, and on its marker
+// a v1 session is served round 1's bytes and the v2 session round 1's
+// assembly, as references to what it holds.
 func TestRelayRefusedReplyLeavesCacheWhole(t *testing.T) {
-	round1 := testRound(1)
+	round1, round2 := testRound(1), testRound(2)
 	rows1 := []wire.Segment{
 		{Key: 1, Seq: 11, Bytes: wire.AppendGeomV2(nil, round1.Geometry[0], testQuant)},
 		{Key: -wire.ToolKindIso, Seq: 9, Bytes: wire.AppendToolGeomV2(nil, round1.Tools.Geoms[0], testQuant)},
 	}
-	up := dlib.NewServer()
-	up.Register(wire.ProcHello2, helloV2)
-	var calls int // handlers run under serial dispatch
-	var lastRounds []uint64
-	up.Register(wire.ProcFrameRelay, func(_ *dlib.Ctx, payload []byte) ([]byte, error) {
-		req, err := wire.DecodeRelayFrameRequest(payload)
+	for _, tc := range []struct {
+		name, err string
+		dir       []wire.Segment
+	}{
+		{"unheld reference", "not in cache", []wire.Segment{{Key: 1, Seq: 99}, rows1[1]}},
+		{"omitted tool row", "no segment", []wire.Segment{{Key: 1, Seq: 12, Bytes: rows1[0].Bytes}}},
+		{"swapped rows", "no segment", []wire.Segment{rows1[1], rows1[0]}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			up := dlib.NewServer()
+			up.Register(wire.ProcHello2, helloV2)
+			var calls int // handlers run under serial dispatch
+			var lastRounds []uint64
+			up.Register(wire.ProcFrameRelay, func(_ *dlib.Ctx, payload []byte) ([]byte, error) {
+				req, err := wire.DecodeRelayFrameRequest(payload)
+				if err != nil {
+					return nil, err
+				}
+				lastRounds = append(lastRounds, req.LastRound)
+				calls++
+				switch calls {
+				case 1:
+					return wire.AppendRelayFrameReply(nil, wire.RelayFrameReply{
+						Full: true, Round: 1, Frame: wire.EncodeFrameReply(round1), HasDir: true, Dir: rows1,
+					}), nil
+				case 2:
+					return wire.AppendRelayFrameReply(nil, wire.RelayFrameReply{
+						Full: true, Round: 2, Frame: wire.EncodeFrameReply(round2), HasDir: true, Dir: tc.dir,
+					}), nil
+				}
+				return wire.AppendRelayMarker(nil, req.LastRound), nil // "what you hold is current"
+			})
+
+			r := newRelay(t, up)
+			v2, v1 := dial(t, r), dial(t, r)
+			key, err := workstationFrame(t, v2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v2.Call(wire.ProcFrame, emptyUpdate); err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Fatalf("refused reply: err = %v, want %q", err, tc.err)
+			}
+
+			raw, err := v1.Call(wire.ProcFrame, emptyUpdate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(raw, wire.EncodeFrameReply(round1)) {
+				t.Error("v1 session after the refused reply: bytes are not round 1's")
+			}
+			raw, err = v2.Call(wire.ProcFrame, emptyUpdate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta, err := wire.SkimFrameReply(wire.EncodeFrameReply(round1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mirror := wire.NewFrameEncoder()
+			if !bytes.Equal(key, mirror.AppendFrame(nil, meta, rows1)) {
+				t.Error("v2 keyframe is not round 1's assembly")
+			}
+			if !bytes.Equal(raw, mirror.AppendFrame(nil, meta, rows1)) || mirror.LastRef != 2 {
+				t.Error("v2 session after the refused reply: not round 1 by reference")
+			}
+			if want := []uint64{0, 1, 1, 1}; !slices.Equal(lastRounds, want) {
+				t.Errorf("rounds announced upstream = %v, want %v", lastRounds, want)
+			}
+			if c := r.caches[0]; c.round != 1 || !c.haveRows || c.meta.Round != 1 || len(c.rows) != 2 || c.rows[0].Seq != 11 {
+				t.Errorf("cache after the refused reply: round %d, meta round %d, %d rows (have %v)",
+					c.round, c.meta.Round, len(c.rows), c.haveRows)
+			}
+		})
+	}
+}
+
+// TestRelayForgetsRoundOfLostUpstream: an origin restarted after a leg
+// to it failed numbers its rounds from 1 again, so it can stand on the
+// round the relay cached from the dead process. The relay must not
+// announce that round to it: the new origin would answer a marker, and
+// a workstation would be served the dead process's frame.
+func TestRelayForgetsRoundOfLostUpstream(t *testing.T) {
+	origin := func(iso float32) *dlib.Server {
+		d := dlib.NewServer()
+		d.Register(wire.ProcFrameRelay, func(_ *dlib.Ctx, payload []byte) ([]byte, error) {
+			req, err := wire.DecodeRelayFrameRequest(payload)
+			if err != nil {
+				return nil, err
+			}
+			if req.LastRound == 3 {
+				return wire.AppendRelayMarker(nil, 3), nil
+			}
+			round := testRound(3)
+			round.Tools.Iso.Value = iso
+			return wire.AppendRelayFrameReply(nil, wire.RelayFrameReply{
+				Full: true, Round: 3, Frame: wire.EncodeFrameReply(round),
+			}), nil
+		})
+		return d
+	}
+	var target atomic.Pointer[dlib.Server]
+	target.Store(origin(0.5))
+	var legs []net.Conn // the relay's upstream legs; dials run under serial dispatch
+	r, err := New(Config{Upstreams: []dlib.DialFunc{func() (net.Conn, error) {
+		conn, err := pipeTo(target.Load(), netsim.Link{})()
+		legs = append(legs, conn)
+		return conn, err
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	iso := func(c *dlib.Client) (float32, error) {
+		raw, err := c.Call(wire.ProcFrame, emptyUpdate)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		lastRounds = append(lastRounds, req.LastRound)
-		calls++
-		switch calls {
-		case 1:
-			return wire.AppendRelayFrameReply(nil, wire.RelayFrameReply{
-				Full: true, Round: 1, Frame: wire.EncodeFrameReply(round1), HasDir: true, Dir: rows1,
-			}), nil
-		case 2:
-			return wire.AppendRelayFrameReply(nil, wire.RelayFrameReply{
-				Full: true, Round: 2, Frame: wire.EncodeFrameReply(testRound(2)), HasDir: true,
-				Dir: []wire.Segment{{Key: 1, Seq: 99}, rows1[1]},
-			}), nil
+		got, err := wire.DecodeFrameReply(raw)
+		if err != nil || got.Tools == nil {
+			return 0, fmt.Errorf("frame: tools %v, %v", got.Tools, err)
 		}
-		return wire.AppendRelayMarker(nil, req.LastRound), nil // "what you hold is current"
-	})
-
-	r := newRelay(t, up)
-	v2, v1 := dial(t, r), dial(t, r)
-	key, err := workstationFrame(t, v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v2.Call(wire.ProcFrame, emptyUpdate); err == nil || !strings.Contains(err.Error(), "not in cache") {
-		t.Fatalf("reply referencing an unheld segment: err = %v", err)
+		return got.Tools.Iso.Value, nil
 	}
 
-	raw, err := v1.Call(wire.ProcFrame, emptyUpdate)
+	first := dial(t, r)
+	if got, err := iso(first); err != nil || got != 0.5 {
+		t.Fatalf("first origin: iso %v, %v", got, err)
+	}
+	// The origin dies; its restart answers the next dial.
+	target.Store(origin(0.9))
+	legs[0].Close()
+	if _, err := iso(first); err == nil {
+		t.Fatal("frame over the lost leg succeeded")
+	}
+	got, err := iso(dial(t, r))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw, wire.EncodeFrameReply(round1)) {
-		t.Error("v1 session after the refused reply: bytes are not round 1's")
-	}
-	raw, err = v2.Call(wire.ProcFrame, emptyUpdate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta, err := wire.SkimFrameReply(wire.EncodeFrameReply(round1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mirror := wire.NewFrameEncoder(testQuant)
-	if !bytes.Equal(key, mirror.AppendFrame(nil, meta, rows1)) {
-		t.Error("v2 keyframe is not round 1's assembly")
-	}
-	if !bytes.Equal(raw, mirror.AppendFrame(nil, meta, rows1)) || mirror.LastRef != 2 {
-		t.Error("v2 session after the refused reply: not round 1 by reference")
-	}
-	if want := []uint64{0, 1, 1, 1}; !slices.Equal(lastRounds, want) {
-		t.Errorf("rounds announced upstream = %v, want %v", lastRounds, want)
-	}
-	if c := r.caches[0]; c.round != 1 || c.segsRound != 1 || c.meta.Round != 1 || c.segs[1].Seq != 11 {
-		t.Errorf("cache after the refused reply: round %d, meta round %d, segments of round %d, rake at seq %d",
-			c.round, c.meta.Round, c.segsRound, c.segs[1].Seq)
+	if got != 0.9 {
+		t.Errorf("iso %v, want the new origin's 0.9", got)
 	}
 }
 

@@ -215,7 +215,7 @@ func TestRelayPartition(t *testing.T) {
 	for i := range clients {
 		clients[i] = connect(t, dial)
 		// First contact pins the session: 0,2 → a; 1,3 → b.
-		if _, err := clients[i].Call(wire.ProcHello, nil); err != nil {
+		if _, err := clients[i].Call(wire.ProcHello2, wire.EncodeHelloRequest(wire.CodecV1)); err != nil {
 			t.Fatal(err)
 		}
 	}

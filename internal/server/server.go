@@ -404,13 +404,12 @@ func New(cfg Config) (*Server, error) {
 		quant:    wire.Quantizer{Min: cfg.Store.Grid().Bounds().Min, Max: cfg.Store.Grid().Bounds().Max},
 		codecs:   make(map[int64]*sessionState),
 	}
-	// Every handler registered below returns a fresh buffer (hellos,
+	// Every handler registered below returns a fresh buffer (the hello,
 	// whoami, the round's codec-v1 reply) or a session-owned one
 	// (codec-v2 frames and relay replies, sessionState.buf) —
 	// dlib.Handler's reply-buffer contract.
 	s.env.InitSteer(cfg.Steer)
 	s.env.InitTools(cfg.Tools)
-	s.d.Register(wire.ProcHello, s.handleHello)
 	s.d.Register(wire.ProcHello2, s.handleHello2)
 	s.d.Register(wire.ProcFrame, s.handleFrame)
 	s.d.Register(wire.ProcFrameRelay, s.handleFrameRelay)

@@ -192,13 +192,16 @@ func TestNewHoldsSeedsToCommandBounds(t *testing.T) {
 
 func TestHello(t *testing.T) {
 	_, c, _ := startTestServer(t, Config{Store: testDataset(t, 4)})
-	out, err := c.Call(wire.ProcHello, nil)
+	out, err := c.Call(wire.ProcHello2, wire.EncodeHelloRequest(wire.CodecV1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, err := wire.DecodeDatasetInfo(out)
+	codec, info, err := wire.DecodeHelloReply(out)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if codec != wire.CodecV1 {
+		t.Errorf("codec = %d, want %d", codec, wire.CodecV1)
 	}
 	if info.NI != 16 || info.NK != 8 || info.NumSteps != 4 {
 		t.Errorf("info = %+v", info)

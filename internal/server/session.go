@@ -45,9 +45,8 @@ func (s *Server) sessionLocked(id int64) *sessionState {
 	return st
 }
 
-// datasetInfo describes the dataset for both hello variants. The
-// bounds double as the codec-v2 quantization box, so they must match
-// s.quant exactly.
+// datasetInfo describes the dataset for the hello. The bounds double
+// as the codec-v2 quantization box, so they must match s.quant exactly.
 func (s *Server) datasetInfo() wire.DatasetInfo {
 	g := s.src.Grid()
 	b := g.Bounds()
@@ -60,16 +59,12 @@ func (s *Server) datasetInfo() wire.DatasetInfo {
 	}
 }
 
-func (s *Server) handleHello(_ *dlib.Ctx, _ []byte) ([]byte, error) {
-	return wire.EncodeDatasetInfo(s.datasetInfo()), nil
-}
-
-// handleHello2 is the codec-negotiating hello: the client states the
-// highest codec it speaks, the server answers with the codec this
-// session will use (bounded by Config.MaxCodec) plus the dataset info.
-// Sessions that never call it stay on codec v1. Re-negotiating
-// mid-session resets the delta shadow, so the next frame is a
-// keyframe.
+// handleHello2 is the hello every session opens with: the client
+// states the highest codec it speaks, the server answers with the codec
+// this session will use (bounded by Config.MaxCodec) plus the dataset
+// info. A session that never calls it is served codec v1.
+// Re-negotiating mid-session resets the delta shadow, so the next frame
+// is a keyframe.
 func (s *Server) handleHello2(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	req, err := wire.DecodeHelloRequest(payload)
 	if err != nil {
@@ -192,9 +187,9 @@ func (s *Server) v1ReplyLocked() []byte {
 // record. The reply lands in the session's own buf. Caller holds s.mu.
 func (s *Server) serveFrameV2Locked(st *sessionState) []byte {
 	if st.enc == nil {
-		st.enc = wire.NewFrameEncoder(s.quant)
+		st.enc = wire.NewFrameEncoder()
 	}
-	st.buf = st.enc.AppendFrame(st.buf[:0], s.round.meta, s.roundRowsLocked(nil))
+	st.buf = st.enc.AppendFrame(st.buf[:0], s.round.meta, s.roundRowsLocked())
 	s.stats.FramesShipped++
 	s.stats.V2Frames++
 	s.stats.V2RakesInline += int64(st.enc.LastInline)
@@ -205,21 +200,16 @@ func (s *Server) serveFrameV2Locked(st *sessionState) []byte {
 
 // roundRowsLocked walks the round list — rakes, then tools, aligned
 // with the round's geometry followed by its tool geometry — into one
-// wire.Segment row per source. For a v2 session (relay == nil) every
-// row carries its segment and the session's encoder picks the
-// references; for a relay the rows its request's shadow already holds
-// stay references and are never encoded. The rows alias the segment
-// cache and the scratch, so they are valid only until the reply encode
-// that follows. Caller holds s.mu.
-func (s *Server) roundRowsLocked(relay *wire.RelayFrameRequest) []wire.Segment {
+// wire.Segment row per source, each carrying its segment: a v2
+// session's encoder picks the references, a relay's request turns its
+// rows into a directory (wire.RelayFrameRequest.Directory). The rows
+// alias the segment cache and the scratch, so they are valid only until
+// the reply encode that follows. Caller holds s.mu.
+func (s *Server) roundRowsLocked() []wire.Segment {
 	s.segScratch = s.segScratch[:0]
 	for i, sc := range s.round.segs {
-		row := wire.Segment{Key: sc.key, Seq: sc.seq}
-		if relay == nil || !relay.ShadowHas(sc.key, sc.seq) {
-			s.encodeSegLocked(i)
-			row.Bytes = sc.seg
-		}
-		s.segScratch = append(s.segScratch, row)
+		s.encodeSegLocked(i)
+		s.segScratch = append(s.segScratch, wire.Segment{Key: sc.key, Seq: sc.seq, Bytes: sc.seg})
 	}
 	return s.segScratch
 }
@@ -289,7 +279,8 @@ func (s *Server) handleFrameRelay(ctx *dlib.Ctx, payload []byte) ([]byte, error)
 		if req.WantSegs {
 			s.wantSegs = true
 			rep.HasDir = true
-			rep.Dir = s.roundRowsLocked(&req)
+			rep.Dir = s.roundRowsLocked()
+			req.Directory(rep.Dir)
 		}
 		st.buf = wire.AppendRelayFrameReply(st.buf[:0], rep)
 		s.stats.RelayFulls++

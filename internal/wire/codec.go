@@ -270,8 +270,8 @@ func decodeFrameReply(buf []byte, skim bool) (FrameReply, error) {
 	return r, nil
 }
 
-// EncodeDatasetInfo marshals a DatasetInfo.
-func EncodeDatasetInfo(i DatasetInfo) []byte {
+// encodeDatasetInfo marshals a DatasetInfo.
+func encodeDatasetInfo(i DatasetInfo) []byte {
 	var e encoder
 	e.u32(i.NI)
 	e.u32(i.NJ)
@@ -283,8 +283,8 @@ func EncodeDatasetInfo(i DatasetInfo) []byte {
 	return e.buf
 }
 
-// DecodeDatasetInfo unmarshals a DatasetInfo.
-func DecodeDatasetInfo(buf []byte) (DatasetInfo, error) {
+// decodeDatasetInfo unmarshals a DatasetInfo.
+func decodeDatasetInfo(buf []byte) (DatasetInfo, error) {
 	d := decoder{buf: buf}
 	var i DatasetInfo
 	i.NI = d.u32()

@@ -45,10 +45,9 @@ const (
 	MaxCodec = CodecV2
 )
 
-// ProcHello2 is the dlib procedure for the codec-negotiating hello:
-// payload is a 1-byte requested codec, reply is the accepted codec
-// followed by DatasetInfo. Servers predating codec v2 do not register
-// it; clients fall back to ProcHello (and codec v1) on a remote error.
+// ProcHello2 is the dlib procedure every session opens with: payload
+// is a 1-byte requested codec (a v1 workstation asks for CodecV1),
+// reply is the accepted codec followed by DatasetInfo.
 const ProcHello2 = "vw.hello2"
 
 // QuantBytes is codec v2's wire cost per path point: three uint16s.
@@ -79,7 +78,7 @@ func DecodeHelloRequest(buf []byte) (uint8, error) {
 
 // EncodeHelloReply marshals the accepted codec and the dataset info.
 func EncodeHelloReply(codec uint8, info DatasetInfo) []byte {
-	return append([]byte{codec}, EncodeDatasetInfo(info)...)
+	return append([]byte{codec}, encodeDatasetInfo(info)...)
 }
 
 // DecodeHelloReply unmarshals a hello reply.
@@ -87,7 +86,7 @@ func DecodeHelloReply(buf []byte) (uint8, DatasetInfo, error) {
 	if len(buf) < 1 {
 		return 0, DatasetInfo{}, fmt.Errorf("wire: empty hello reply")
 	}
-	info, err := DecodeDatasetInfo(buf[1:])
+	info, err := decodeDatasetInfo(buf[1:])
 	return buf[0], info, err
 }
 
@@ -282,8 +281,8 @@ type Segment struct {
 	// that holds (source, Seq) can be sent a reference. Zero disables
 	// delta tracking for the entry, which then always ships inline.
 	Seq uint64
-	// Bytes is the encoded segment (AppendGeomV2 / AppendToolGeomV2).
-	// Nil means "encode fresh" to AppendFrame and "reference" in a
+	// Bytes is the encoded segment (AppendGeomV2 / AppendToolGeomV2);
+	// AppendFrame needs it on every row. Nil means "reference" in a
 	// relay directory.
 	Bytes []byte
 }
@@ -479,24 +478,18 @@ func pruneShadow[K comparable, V, T any](shadow map[K]V, items []T, key func(*T)
 // (server sessions die with their connection), which forces a full
 // keyframe.
 type FrameEncoder struct {
-	// Q quantizes points; both ends must build it from the same hello
-	// bounds.
-	Q Quantizer
-
 	// LastInline and LastRef report the directory composition (rake and
 	// tool entries alike) of the most recent AppendFrame, for stats.
 	LastInline, LastRef int
 
-	shadow  map[int64]uint64
-	users   map[int64]UserState
-	rakes   map[int32]RakeState
-	scratch []byte
+	shadow map[int64]uint64
+	users  map[int64]UserState
+	rakes  map[int32]RakeState
 }
 
 // NewFrameEncoder returns an encoder with an empty shadow.
-func NewFrameEncoder(q Quantizer) *FrameEncoder {
+func NewFrameEncoder() *FrameEncoder {
 	return &FrameEncoder{
-		Q:      q,
 		shadow: make(map[int64]uint64),
 		users:  make(map[int64]UserState),
 		rakes:  make(map[int32]RakeState),
@@ -512,9 +505,10 @@ func (e *FrameEncoder) Reset() {
 
 // AppendFrame appends the codec-v2 encoding of r for this session.
 // segs is aligned with r.Geometry followed by r.Tools.Geoms (when the
-// frame carries a tool section) — the server's encode-once segment
-// cache. A nil segs is all-zero rows: every entry encoded fresh and
-// none shadowed.
+// frame carries a tool section), one row per source with its encoded
+// segment — the server's encode-once segment cache, or the rows a relay
+// holds. The encoder only picks between a row's bytes and a reference,
+// so r's lines and tool points are never read.
 func (e *FrameEncoder) AppendFrame(dst []byte, r FrameReply, segs []Segment) []byte {
 	e.LastInline, e.LastRef = 0, 0
 	enc := encoder{buf: dst}
@@ -567,11 +561,7 @@ func (e *FrameEncoder) AppendFrame(dst []byte, r FrameReply, segs []Segment) []b
 	for i := range r.Geometry {
 		g := &r.Geometry[i]
 		enc.uvarint(uint64(uint32(g.Rake)))
-		if s := segAt(segs, i); e.entry(&enc, rakeKey(g.Rake), s.Seq) {
-			if s.Bytes == nil {
-				e.scratch = AppendGeomV2(e.scratch[:0], *g, e.Q)
-				s.Bytes = e.scratch
-			}
+		if s := segs[i]; e.entry(&enc, rakeKey(g.Rake), s.Seq) {
 			enc.segment(s.Bytes)
 		}
 	}
@@ -589,25 +579,13 @@ func (e *FrameEncoder) AppendFrame(dst []byte, r FrameReply, segs []Segment) []b
 		for i := range r.Tools.Geoms {
 			g := &r.Tools.Geoms[i]
 			enc.u8(g.Tool)
-			if s := segAt(segs, len(r.Geometry)+i); e.entry(&enc, toolKey(g.Tool), s.Seq) {
-				if s.Bytes == nil {
-					e.scratch = AppendToolGeomV2(e.scratch[:0], *g, e.Q)
-					s.Bytes = e.scratch
-				}
+			if s := segs[len(r.Geometry)+i]; e.entry(&enc, toolKey(g.Tool), s.Seq) {
 				enc.segment(s.Bytes)
 			}
 		}
 		pruneShadow(e.shadow, r.Tools.Geoms, toolGeomKey, isToolKey)
 	}
 	return enc.buf
-}
-
-// segAt returns row i of an AppendFrame segment list (nil = zero rows).
-func segAt(segs []Segment, i int) Segment {
-	if segs == nil {
-		return Segment{}
-	}
-	return segs[i]
 }
 
 // entry writes the directory record that follows an entry's key — a

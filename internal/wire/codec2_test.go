@@ -213,7 +213,7 @@ func TestDeltaEncodeDecodeIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 20; trial++ {
 		q := randBox(rng)
-		enc := NewFrameEncoder(q)
+		enc := NewFrameEncoder()
 		dec := NewFrameDecoder(q)
 
 		type rakeState struct {
@@ -254,7 +254,7 @@ func TestDeltaEncodeDecodeIdentity(t *testing.T) {
 				}
 			}
 
-			buf := enc.AppendFrame(nil, r, seqRows(seqs...))
+			buf := enc.AppendFrame(nil, r, frameRows(r, q, seqs...))
 			got, err := dec.Decode(buf)
 			if err != nil {
 				t.Fatalf("trial %d round %d: decode: %v", trial, round, err)
@@ -283,7 +283,7 @@ func TestDeltaEncodeDecodeIdentity(t *testing.T) {
 // a fraction of the keyframe.
 func TestDeltaSteadyFramesAreRefs(t *testing.T) {
 	q := Quantizer{Min: vmath.V3(0, 0, 0), Max: vmath.V3(10, 10, 10)}
-	enc := NewFrameEncoder(q)
+	enc := NewFrameEncoder()
 	var r FrameReply
 	rng := rand.New(rand.NewSource(5))
 	for i := int32(1); i <= 3; i++ {
@@ -294,11 +294,11 @@ func TestDeltaSteadyFramesAreRefs(t *testing.T) {
 		r.Geometry = append(r.Geometry, g)
 	}
 	seqs := []uint64{1, 2, 3}
-	key := enc.AppendFrame(nil, r, seqRows(seqs...))
+	key := enc.AppendFrame(nil, r, frameRows(r, q, seqs...))
 	if enc.LastInline != 3 || enc.LastRef != 0 {
 		t.Fatalf("keyframe: inline=%d ref=%d", enc.LastInline, enc.LastRef)
 	}
-	steady := enc.AppendFrame(nil, r, seqRows(seqs...))
+	steady := enc.AppendFrame(nil, r, frameRows(r, q, seqs...))
 	if enc.LastInline != 0 || enc.LastRef != 3 {
 		t.Fatalf("steady: inline=%d ref=%d", enc.LastInline, enc.LastRef)
 	}
@@ -335,7 +335,7 @@ func TestAppendFrameAllocs(t *testing.T) {
 		// Pre-encoded segments, as the server's encode-once cache holds.
 		segs = append(segs, Segment{Key: i, Seq: uint64(i), Bytes: AppendGeomV2(nil, g, q)})
 	}
-	enc := NewFrameEncoder(q)
+	enc := NewFrameEncoder()
 	buf := enc.AppendFrame(nil, r, segs)
 	if got := testing.AllocsPerRun(100, func() {
 		enc.Reset()
@@ -354,20 +354,20 @@ func TestAppendFrameAllocs(t *testing.T) {
 // decoder never received is a hard error, not a panic or silent skip.
 func TestDecodeRefToUnknownRake(t *testing.T) {
 	q := Quantizer{Max: vmath.V3(1, 1, 1)}
-	enc := NewFrameEncoder(q)
+	enc := NewFrameEncoder()
 	r := FrameReply{Geometry: []Geometry{{Rake: 7, Lines: [][]vmath.Vec3{{{X: 0.5}}}}}}
 	// Teach the encoder the rake, then ask a *fresh* decoder to resolve
 	// the resulting reference.
-	enc.AppendFrame(nil, r, seqRows(9))
-	refFrame := enc.AppendFrame(nil, r, seqRows(9))
+	enc.AppendFrame(nil, r, frameRows(r, q, 9))
+	refFrame := enc.AppendFrame(nil, r, frameRows(r, q, 9))
 	dec := NewFrameDecoder(q)
 	if _, err := dec.Decode(refFrame); err == nil {
 		t.Fatal("reference to never-sent rake decoded silently")
 	}
 	// Same rake, wrong sequence: also an error.
 	dec2 := NewFrameDecoder(q)
-	enc2 := NewFrameEncoder(q)
-	key := enc2.AppendFrame(nil, r, seqRows(8))
+	enc2 := NewFrameEncoder()
+	key := enc2.AppendFrame(nil, r, frameRows(r, q, 8))
 	if _, err := dec2.Decode(key); err != nil {
 		t.Fatal(err)
 	}
@@ -380,20 +380,20 @@ func TestDecodeRefToUnknownRake(t *testing.T) {
 // prune it; re-adding the id with a new sequence re-inlines.
 func TestDeltaRemovedRakePrunes(t *testing.T) {
 	q := Quantizer{Max: vmath.V3(1, 1, 1)}
-	enc := NewFrameEncoder(q)
+	enc := NewFrameEncoder()
 	dec := NewFrameDecoder(q)
 	g := Geometry{Rake: 1, Lines: [][]vmath.Vec3{{{X: 0.25}}}}
 	full := FrameReply{Geometry: []Geometry{g}}
 	empty := FrameReply{}
 
-	if _, err := dec.Decode(enc.AppendFrame(nil, full, seqRows(1))); err != nil {
+	if _, err := dec.Decode(enc.AppendFrame(nil, full, frameRows(full, q, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dec.Decode(enc.AppendFrame(nil, empty, nil)); err != nil {
 		t.Fatal(err)
 	}
 	// Rake 1 returns with new content: must inline, and decode fine.
-	buf := enc.AppendFrame(nil, full, seqRows(2))
+	buf := enc.AppendFrame(nil, full, frameRows(full, q, 2))
 	if enc.LastInline != 1 {
 		t.Fatalf("re-added rake not inlined (inline=%d ref=%d)", enc.LastInline, enc.LastRef)
 	}
@@ -413,7 +413,7 @@ func TestFrameV2MetaRoundTrip(t *testing.T) {
 		Rakes: []RakeState{{ID: 4, P0: vmath.V3(0, 0.5, 0), P1: vmath.V3(1, 1, 1),
 			NumSeeds: 9, Tool: 1, Holder: 12, Grab: 2}},
 	}
-	enc := NewFrameEncoder(q)
+	enc := NewFrameEncoder()
 	dec := NewFrameDecoder(q)
 	got, err := dec.Decode(enc.AppendFrame(nil, r, nil))
 	if err != nil {
@@ -431,9 +431,10 @@ func TestFrameV2MetaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameV2CachedSegmentsMatchFresh: the server's segment cache path
-// (pre-encoded bytes handed to AppendFrame) must produce exactly the
-// bytes of the fresh-encode path.
+// TestFrameV2CachedSegmentsMatchFresh: a frame assembled from cached
+// segments decodes to exactly what quantizing its geometry afresh gives,
+// and its bytes do not depend on the rows' keys — AppendFrame keys each
+// entry from the frame itself.
 func TestFrameV2CachedSegmentsMatchFresh(t *testing.T) {
 	q := Quantizer{Max: vmath.V3(4, 4, 4)}
 	rng := rand.New(rand.NewSource(11))
@@ -444,10 +445,19 @@ func TestFrameV2CachedSegmentsMatchFresh(t *testing.T) {
 		{Seq: 5, Bytes: AppendGeomV2(nil, r.Geometry[0], q)},
 		{Seq: 6, Bytes: AppendGeomV2(nil, r.Geometry[1], q)},
 	}
-	fresh := NewFrameEncoder(q).AppendFrame(nil, r, seqRows(5, 6))
-	cached := NewFrameEncoder(q).AppendFrame(nil, r, segs)
-	if !bytes.Equal(fresh, cached) {
-		t.Error("cached-segment encode differs from fresh encode")
+	keyed := NewFrameEncoder().AppendFrame(nil, r, frameRows(r, q, 5, 6))
+	cached := NewFrameEncoder().AppendFrame(nil, r, segs)
+	if !bytes.Equal(keyed, cached) {
+		t.Error("the rows' keys changed the frame's bytes")
+	}
+	got, err := NewFrameDecoder(q).Decode(cached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range r.Geometry {
+		if !geometriesEqual(got.Geometry[i], quantReference(r.Geometry[i], q)) {
+			t.Errorf("rake %d does not decode to its fresh quantization", r.Geometry[i].Rake)
+		}
 	}
 }
 
@@ -545,12 +555,18 @@ func TestAppendGeomV2Layout(t *testing.T) {
 	}
 }
 
-// seqRows builds AppendFrame rows that carry only sequence numbers:
-// every segment encoded fresh, shadowed under the given seq.
-func seqRows(seqs ...uint64) []Segment {
-	rows := make([]Segment, len(seqs))
-	for i, seq := range seqs {
-		rows[i].Seq = seq
+// frameRows builds r's AppendFrame rows — its rakes, then its tools —
+// each encoded with q under the given sequence number, as the server's
+// segment cache holds them.
+func frameRows(r FrameReply, q Quantizer, seqs ...uint64) []Segment {
+	rows := make([]Segment, 0, len(seqs))
+	for i, g := range r.Geometry {
+		rows = append(rows, Segment{Key: g.Rake, Seq: seqs[i], Bytes: AppendGeomV2(nil, g, q)})
+	}
+	if r.Tools != nil {
+		for i, g := range r.Tools.Geoms {
+			rows = append(rows, Segment{Key: -int32(g.Tool), Seq: seqs[len(r.Geometry)+i], Bytes: AppendToolGeomV2(nil, g, q)})
+		}
 	}
 	return rows
 }

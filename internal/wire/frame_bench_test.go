@@ -44,7 +44,7 @@ func BenchmarkFrameEncodeV2(b *testing.B) {
 	}
 
 	b.Run("keyframe", func(b *testing.B) {
-		enc := wire.NewFrameEncoder(q)
+		enc := wire.NewFrameEncoder()
 		buf := enc.AppendFrame(nil, reply, segs)
 		b.SetBytes(int64(len(buf)))
 		b.ReportAllocs()
@@ -59,7 +59,7 @@ func BenchmarkFrameEncodeV2(b *testing.B) {
 	})
 
 	b.Run("steady", func(b *testing.B) {
-		enc := wire.NewFrameEncoder(q)
+		enc := wire.NewFrameEncoder()
 		buf := enc.AppendFrame(nil, reply, segs) // warm the shadow
 		buf = enc.AppendFrame(buf[:0], reply, segs)
 		b.SetBytes(int64(len(buf)))

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -108,11 +109,11 @@ func FuzzDecodeFrameV2(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{CodecV2})
-	enc := NewFrameEncoder(q)
-	f.Add(enc.AppendFrame(nil, frame, seqRows(7))) // keyframe
-	f.Add(enc.AppendFrame(nil, frame, seqRows(7))) // all-ref frame: on a fresh decoder, a never-sent reference
+	enc := NewFrameEncoder()
+	f.Add(enc.AppendFrame(nil, frame, frameRows(frame, q, 7))) // keyframe
+	f.Add(enc.AppendFrame(nil, frame, frameRows(frame, q, 7))) // all-ref frame: on a fresh decoder, a never-sent reference
 	// Truncated varint: a keyframe cut mid-count.
-	key := NewFrameEncoder(q).AppendFrame(nil, frame, seqRows(7))
+	key := NewFrameEncoder().AppendFrame(nil, frame, frameRows(frame, q, 7))
 	f.Add(key[:len(key)-7])
 	// Extreme quantized coordinates (0xFFFF everywhere past the header).
 	hostile := append([]byte{}, key...)
@@ -133,10 +134,10 @@ func FuzzDecodeFrameV2(f *testing.F) {
 			{Tool: 2, Points: []vmath.Vec3{vmath.V3(4, 4, 4), vmath.V3(5, 5, 5)}},
 		},
 	}
-	tenc := NewFrameEncoder(q)
-	f.Add(tenc.AppendFrame(nil, toolFrame, seqRows(7, 11, 12)))
-	f.Add(tenc.AppendFrame(nil, toolFrame, seqRows(7, 11, 12)))
-	tkey := NewFrameEncoder(q).AppendFrame(nil, toolFrame, seqRows(7, 11, 12))
+	tenc := NewFrameEncoder()
+	f.Add(tenc.AppendFrame(nil, toolFrame, frameRows(toolFrame, q, 7, 11, 12)))
+	f.Add(tenc.AppendFrame(nil, toolFrame, frameRows(toolFrame, q, 7, 11, 12)))
+	tkey := NewFrameEncoder().AppendFrame(nil, toolFrame, frameRows(toolFrame, q, 7, 11, 12))
 	f.Add(tkey[:len(tkey)-5]) // tool segment cut mid-record
 	// Hostile tool bytes: 0xFF over the trailing segment — huge vertex
 	// counts, unknown tool kinds, out-of-range quantized points.
@@ -187,12 +188,16 @@ func FuzzDecodeFrameV2(f *testing.F) {
 	})
 }
 
-func FuzzDecodeDatasetInfo(f *testing.F) {
+func FuzzDecodeHelloReply(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(EncodeDatasetInfo(DatasetInfo{NI: 64, NJ: 64, NK: 32, NumSteps: 800, DT: 0.05}))
+	f.Add(EncodeHelloReply(CodecV2, DatasetInfo{NI: 64, NJ: 64, NK: 32, NumSteps: 800, DT: 0.05}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if i, err := DecodeDatasetInfo(data); err == nil {
-			_ = EncodeDatasetInfo(i)
+		codec, info, err := DecodeHelloReply(data)
+		if err != nil {
+			return
+		}
+		if again := EncodeHelloReply(codec, info); !bytes.Equal(again, data[:len(again)]) {
+			t.Fatalf("re-encoded reply %x is not a prefix of %x", again, data)
 		}
 	})
 }

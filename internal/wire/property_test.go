@@ -13,8 +13,7 @@ import (
 // through a seeded random scene history — rakes added, recomputed,
 // removed and re-added under old and new sequence numbers; tools
 // enabled, releveled and disabled; the tool section absent, present,
-// and absent again; entries shipped unshadowed (Seq 0); segments
-// pre-encoded or left to the encoder — must reproduce every frame
+// and absent again; entries shipped unshadowed (Seq 0) — must reproduce every frame
 // within the quantizer's error bound, and a second pair fed the same
 // frames must emit the same bytes. A reference the decoder cannot
 // resolve is the symptom of the two ends pruning their shadows
@@ -109,21 +108,17 @@ func (s *frameScript) next() (FrameReply, []Segment) {
 		}
 	}
 	var rows []Segment
-	row := func(key int32, seq uint64, fresh func() []byte) {
-		seg := Segment{Key: key, Seq: seq}
+	row := func(key int32, seq uint64, seg []byte) {
 		if s.chance(10) {
-			seg.Seq = 0 // unshadowed: always inline, and forgotten by both ends
+			seq = 0 // unshadowed: always inline, and forgotten by both ends
 		}
-		if s.chance(50) {
-			seg.Bytes = fresh()
-		}
-		rows = append(rows, seg)
+		rows = append(rows, Segment{Key: key, Seq: seq, Bytes: seg})
 	}
 	for i := range s.rakes {
 		if src := &s.rakes[i]; src.live {
 			r.Rakes = append(r.Rakes, RakeState{ID: src.geo.Rake, NumSeeds: uint32(len(src.geo.Lines)), Tool: src.geo.Tool})
 			r.Geometry = append(r.Geometry, src.geo)
-			row(src.geo.Rake, src.seq, func() []byte { return AppendGeomV2(nil, src.geo, s.q) })
+			row(src.geo.Rake, src.seq, AppendGeomV2(nil, src.geo, s.q))
 		}
 	}
 	// Once a tool has been touched most frames carry the section, but
@@ -137,7 +132,7 @@ func (s *frameScript) next() (FrameReply, []Segment) {
 		for i := range s.tools {
 			if src := &s.tools[i]; src.live {
 				r.Tools.Geoms = append(r.Tools.Geoms, src.tool)
-				row(-int32(src.tool.Tool), src.seq, func() []byte { return AppendToolGeomV2(nil, src.tool, s.q) })
+				row(-int32(src.tool.Tool), src.seq, AppendToolGeomV2(nil, src.tool, s.q))
 			}
 		}
 	}
@@ -266,8 +261,8 @@ func TestFrameScriptProperty(t *testing.T) {
 	q := Quantizer{Min: vmath.V3(-4, 0, 2), Max: vmath.V3(12, 10, 2.5)}
 	for seed := int64(1); seed <= 40; seed++ {
 		script := &frameScript{rng: rand.New(rand.NewSource(seed)), q: q}
-		encA, decA := NewFrameEncoder(q), NewFrameDecoder(q)
-		encB, decB := NewFrameEncoder(q), NewFrameDecoder(q)
+		encA, decA := NewFrameEncoder(), NewFrameDecoder(q)
+		encB, decB := NewFrameEncoder(), NewFrameDecoder(q)
 		oracle := shadowOracle{rakes: map[int32]uint64{}, tools: map[int32]uint64{}}
 		sawRef, sawToolGap := false, false
 		for frame := 0; frame < 80; frame++ {

@@ -59,15 +59,20 @@ type RelayFrameRequest struct {
 	Shadow []Segment
 }
 
-// ShadowHas reports whether the request's shadow holds (key, seq).
-// Shadows are a handful of entries; the linear scan beats a map.
-func (r *RelayFrameRequest) ShadowHas(key int32, seq uint64) bool {
-	for _, e := range r.Shadow {
-		if e.Key == key && e.Seq == seq {
-			return true
+// Directory turns a round's rows, in place, into the geometry
+// directory of a full reply to r: a row whose (Key, Seq) the request's
+// shadow holds becomes a reference, every other row keeps its bytes.
+// It is the one directory rule, the origin's and a relay's. Shadows are
+// a handful of entries; the linear scan beats a map.
+func (r *RelayFrameRequest) Directory(rows []Segment) {
+	for i := range rows {
+		for _, e := range r.Shadow {
+			if e.Key == rows[i].Key && e.Seq == rows[i].Seq {
+				rows[i].Bytes = nil
+				break
+			}
 		}
 	}
-	return false
 }
 
 // RelayFrameReply is the upstream answer: a marker when the relay's

@@ -48,15 +48,22 @@ func TestRelayFrameRequestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRelayShadowHas(t *testing.T) {
+func TestRelayDirectory(t *testing.T) {
 	req := RelayFrameRequest{Shadow: []Segment{{Key: 1, Seq: 9}, {Key: 2, Seq: 4}}}
-	if !req.ShadowHas(1, 9) || !req.ShadowHas(2, 4) {
-		t.Error("held entries not found")
+	held, other := []byte{1}, []byte{2}
+	rows := []Segment{
+		{Key: 1, Seq: 9, Bytes: held},
+		{Key: 2, Seq: 4, Bytes: held},
+		// A stale sequence number must not match: the relay holds an
+		// old segment and the origin must inline the new one.
+		{Key: 1, Seq: 10, Bytes: other},
+		{Key: 3, Seq: 9, Bytes: other},
 	}
-	// A stale sequence number must not match: the relay holds an old
-	// segment and the origin must inline the new one.
-	if req.ShadowHas(1, 10) || req.ShadowHas(3, 9) {
-		t.Error("phantom shadow entry matched")
+	req.Directory(rows)
+	for i, row := range rows {
+		if held := i < 2; (row.Bytes == nil) != held {
+			t.Errorf("row %d (%d, %d): %d bytes, want a reference: %v", i, row.Key, row.Seq, len(row.Bytes), held)
+		}
 	}
 }
 

@@ -126,10 +126,10 @@ func TestToolGeomV2ShadowDelta(t *testing.T) {
 		Users: []UserState{{ID: 1, Head: vmath.Identity()}},
 		Tools: sampleToolsReply(),
 	}
-	enc := NewFrameEncoder(q)
+	enc := NewFrameEncoder()
 	dec := NewFrameDecoder(q)
 
-	first := enc.AppendFrame(nil, frame, seqRows(5, 6))
+	first := enc.AppendFrame(nil, frame, frameRows(frame, q, 5, 6))
 	if enc.LastInline != 2 || enc.LastRef != 0 {
 		t.Fatalf("first frame: inline=%d ref=%d", enc.LastInline, enc.LastRef)
 	}
@@ -143,7 +143,7 @@ func TestToolGeomV2ShadowDelta(t *testing.T) {
 
 	// Same sequence numbers: both tool geoms go by reference, and the
 	// decoder replays its shadow copies.
-	second := enc.AppendFrame(nil, frame, seqRows(5, 6))
+	second := enc.AppendFrame(nil, frame, frameRows(frame, q, 5, 6))
 	if enc.LastRef != 2 || enc.LastInline != 0 {
 		t.Fatalf("second frame: inline=%d ref=%d", enc.LastInline, enc.LastRef)
 	}
@@ -167,7 +167,7 @@ func TestToolGeomV2ShadowDelta(t *testing.T) {
 
 	// Bump one tool's sequence: that geom re-inlines, the other stays a
 	// reference.
-	third := enc.AppendFrame(nil, frame, seqRows(7, 6))
+	third := enc.AppendFrame(nil, frame, frameRows(frame, q, 7, 6))
 	if enc.LastInline != 1 || enc.LastRef != 1 {
 		t.Fatalf("third frame: inline=%d ref=%d", enc.LastInline, enc.LastRef)
 	}

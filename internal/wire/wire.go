@@ -25,9 +25,6 @@ const PointBytes = 12
 // payload ClientUpdate, reply FrameReply.
 const ProcFrame = "vw.frame"
 
-// ProcHello is the dlib procedure returning DatasetInfo.
-const ProcHello = "vw.hello"
-
 // ProcWhoAmI is the dlib procedure returning the caller's session id
 // as 8 little-endian bytes, so a workstation can filter its own
 // presence glyph out of the shared user list.

@@ -236,7 +236,7 @@ func TestDatasetInfoRoundTrip(t *testing.T) {
 		NI: 64, NJ: 64, NK: 32, NumSteps: 800, DT: 0.05,
 		BoundsMin: vmath.V3(-12, -12, 0), BoundsMax: vmath.V3(12, 12, 16),
 	}
-	got, err := DecodeDatasetInfo(EncodeDatasetInfo(i))
+	got, err := decodeDatasetInfo(encodeDatasetInfo(i))
 	if err != nil {
 		t.Fatal(err)
 	}
