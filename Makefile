@@ -127,7 +127,10 @@ relay:
 # the server: the paper's figures are regenerated by cmd/vwbench. The
 # server does not know store kinds: residency is decided behind
 # store.Source, so its non-test code names no concrete store and no
-# sampler of one. Every procedure a dlib server answers is one the
+# sampler of one. The round's work has one ledger, the governor's demand
+# rows: the server's non-test code names no compute.Stats and calls no
+# Units(), so the governor calibrates on, and grades fidelity in, the
+# units it plans. Every procedure a dlib server answers is one the
 # windtunnel calls: each Register names a wire.Proc constant, the origin
 # and the relay register every constant, internal/client calls each one
 # but wire.ProcFrameRelay, and the relay's upstream exchange
@@ -140,6 +143,8 @@ deps:
 		echo 'internal/render tests depend on internal/server'; exit 1; fi
 	@if grep -nE 'store\.(Memory|Ring|Disk)|UnsteadySampler' $$(ls internal/server/*.go | grep -v _test.go); then \
 		echo 'internal/server names a store kind; residency belongs behind store.Source'; exit 1; fi
+	@if grep -nE 'compute\.Stats|\.Units\(\)' $$(ls internal/server/*.go | grep -v _test.go); then \
+		echo 'internal/server counts work outside the demand rows; the governor books planned units'; exit 1; fi
 	@regs=$$(grep -nE '\bRegister\(' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*') | \
 		grep -vE 'func \(|\.Register\(wire\.Proc[A-Za-z0-9]+,'); \
 	if [ -n "$$regs" ]; then echo "$$regs"; \

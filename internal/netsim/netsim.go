@@ -39,16 +39,52 @@ type Link struct {
 	Latency time.Duration
 }
 
+// Pacer paces the transfers through one device — a link, a disk — so
+// that their cumulative rate never exceeds its bandwidth, however many
+// callers share it: the device moves one transfer at a time, each for
+// its size over the bandwidth, and idle time earns no burst. A nil
+// Pacer is an unlimited device and never waits.
+type Pacer struct {
+	bytesPerSec int64
+
+	mu   sync.Mutex
+	busy time.Time // when the device finishes the transfers booked so far
+}
+
+// NewPacer returns a pacer for a device moving bytesPerSec bytes a
+// second, or nil (unlimited) when bytesPerSec is not positive.
+func NewPacer(bytesPerSec int64) *Pacer {
+	if bytesPerSec <= 0 {
+		return nil
+	}
+	return &Pacer{bytesPerSec: bytesPerSec}
+}
+
+// Pay books an n-byte transfer that started at start and sleeps until
+// the device has delivered it: from start, or from the end of the
+// transfers booked before it if that is later, n over the bandwidth.
+func (p *Pacer) Pay(start time.Time, n int64) {
+	if p == nil || n <= 0 {
+		return
+	}
+	cost := time.Duration(float64(n) / float64(p.bytesPerSec) * float64(time.Second))
+	p.mu.Lock()
+	if p.busy.Before(start) {
+		p.busy = start
+	}
+	p.busy = p.busy.Add(cost)
+	done := p.busy
+	p.mu.Unlock()
+	time.Sleep(time.Until(done)) //vw:allow wallclock -- pacing burns real time by design
+}
+
 // Conn is a net.Conn with pacing and metering. Reads pass through
 // untouched (the peer's writes are already paced); writes sleep enough
 // that the cumulative rate never exceeds the link bandwidth.
 type Conn struct {
 	net.Conn
 	link Link
-
-	mu      sync.Mutex
-	debt    time.Duration // accumulated pacing debt not yet slept
-	lastTxn time.Time
+	pace *Pacer
 
 	bytesRead    atomic.Int64
 	bytesWritten atomic.Int64
@@ -56,7 +92,7 @@ type Conn struct {
 
 // Wrap wraps c with the link's behavior.
 func (l Link) Wrap(c net.Conn) *Conn {
-	return &Conn{Conn: c, link: l}
+	return &Conn{Conn: c, link: l, pace: NewPacer(l.BandwidthBytesPerSec)}
 }
 
 // Read implements net.Conn.
@@ -66,39 +102,16 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Write implements net.Conn with pacing: after the underlying write,
-// sleep so the long-run rate matches the configured bandwidth.
+// Write implements net.Conn with pacing: the write returns once the
+// link has carried its bytes at the configured bandwidth.
 func (c *Conn) Write(p []byte) (int, error) {
 	if c.link.Latency > 0 {
 		time.Sleep(c.link.Latency) //vw:allow wallclock -- link pacing burns real time by design
 	}
+	start := time.Now() //vw:allow wallclock -- link pacing burns real time by design
 	n, err := c.Conn.Write(p)
 	c.bytesWritten.Add(int64(n))
-	if bw := c.link.BandwidthBytesPerSec; bw > 0 && n > 0 {
-		cost := time.Duration(float64(n) / float64(bw) * float64(time.Second))
-		c.mu.Lock()
-		now := time.Now() //vw:allow wallclock -- bandwidth debt is paid in real time by design
-		if !c.lastTxn.IsZero() {
-			// Credit real time that passed since the last write.
-			c.debt -= now.Sub(c.lastTxn)
-			if c.debt < 0 {
-				c.debt = 0
-			}
-		}
-		c.debt += cost
-		sleep := c.debt
-		c.lastTxn = now.Add(sleep)
-		c.mu.Unlock()
-		if sleep > 0 {
-			time.Sleep(sleep) //vw:allow wallclock -- bandwidth debt is paid in real time by design
-			c.mu.Lock()
-			c.debt -= sleep
-			if c.debt < 0 {
-				c.debt = 0
-			}
-			c.mu.Unlock()
-		}
-	}
+	c.pace.Pay(start, int64(n))
 	return n, err
 }
 

@@ -52,9 +52,9 @@ type segCache struct {
 	sealed bool
 
 	points int64 // points in the cached geometry
-	// fullU is the source's full-fidelity work this round and actualU
-	// the work its cached geometry was computed at. A rake memo hit
-	// requires them equal; a valid-but-shed entry is an upgrade
+	// fullU and actualU are the units and planned units of the ladder
+	// row the cached geometry was computed from, in §5.3 units. A rake
+	// memo hit requires them equal; a valid-but-shed entry is an upgrade
 	// candidate the governor re-admits when load drops, and the gap
 	// feeds the frame's degradation byte.
 	fullU, actualU int64
@@ -94,9 +94,6 @@ type rakeJob struct {
 	// plan is the job's row of the governor's ladder for this round: the
 	// level to integrate at, or skip to keep serving the memo.
 	plan *demand
-	// units is the measured §5.3 work the job actually did, written by
-	// computeRake and folded into the governor's EWMA.
-	units int64
 }
 
 // recomputeLocked advances the round. Whole-frame memo: if nothing
@@ -256,7 +253,6 @@ func (s *Server) collectLocked(g *grid.Grid, ts env.TimeState, step int) (reused
 		idx := len(r.meta.Geometry)
 		r.meta.Geometry = append(r.meta.Geometry, gc.geo)
 		r.segs = append(r.segs, &gc.segCache)
-		gc.fullU = int64(len(gc.seeds)) * int64(s.cfg.Options.MaxSteps)
 		memoValid := rake.Tool != integrate.ToolStreakline && gc.haveGeo &&
 			gc.version == snap.Version && gc.step == step && gc.timeKey == ts.Current
 		if memoValid && gc.actualU == gc.fullU {
@@ -293,18 +289,22 @@ func (s *Server) collectLocked(g *grid.Grid, ts env.TimeState, step int) (reused
 // exactly when a rake's geometry was rewritten. Delta encoders key
 // their shadows on these. Tool geometry took its numbers first, in
 // numberToolsLocked in fixed tool order — the order is on the wire, so
-// it is neither the round list's nor the pool's. Returns the recomputed
-// count and the §5.3 work the jobs measured, for the governor's EWMA.
+// it is neither the round list's nor the pool's. Each rewritten rake
+// books its row: the full and planned §5.3 units its memo now stands
+// for. Returns the recomputed count and the planned units they booked,
+// for the governor's EWMA.
 func (s *Server) numberJobsLocked() (computed int, units int64) {
 	for i := range s.jobs {
 		j := &s.jobs[i]
 		if j.plan.skip {
 			continue
 		}
-		s.numberLocked(&j.gc.segCache)
-		s.round.meta.Geometry[j.idx] = j.gc.geo
+		gc := j.gc
+		s.numberLocked(&gc.segCache)
+		s.round.meta.Geometry[j.idx] = gc.geo
+		gc.fullU, gc.actualU = j.plan.units, j.plan.planned
 		computed++
-		units += j.units
+		units += j.plan.planned
 	}
 	return computed, units
 }
@@ -439,20 +439,15 @@ func (rc *roundCtx) computeRake(j *rakeJob) {
 	}
 	eng := rc.eng
 	var lines [][]vmath.Vec3
-	var st compute.Stats
 	switch rake.Tool {
 	case integrate.ToolStreamline:
-		lines, st = eng.Streamlines(batch, seeds, ts.Current, opts) //vw:allow hotpath -- one box per dirty rake, not per point
+		lines, _ = eng.Streamlines(batch, seeds, ts.Current, opts) //vw:allow hotpath -- one box per dirty rake, not per point
 	case integrate.ToolParticlePath:
-		lines, st = eng.ParticlePaths(paths, seeds, ts.Current, float32(ts.NumSteps-1), opts)
+		lines, _ = eng.ParticlePaths(paths, seeds, ts.Current, float32(ts.NumSteps-1), opts)
 	case integrate.ToolStreakline:
 		j.streak.Advance(batch, seeds, ts.Current, opts.StepSize, opts.Method) //vw:allow hotpath -- one box per dirty rake, not per point
 		lines = toPhysicalLinesInto(g, j.streak.PolylineBySeed(rake.NumSeeds), gc.geo.Lines)
-		st = compute.Stats{Points: int64(len(j.streak.Particles))}
-		st.SampleUnits = st.Points * (compute.UnitsPerPoint(opts.Method) - 3)
-		st.ConvertUnits = st.Points * 3
 	}
-	j.units = st.Units()
 	gc.geo = wire.Geometry{
 		Rake:  rake.ID,
 		Tool:  uint8(rake.Tool),
@@ -463,7 +458,6 @@ func (rc *roundCtx) computeRake(j *rakeJob) {
 	gc.version = j.snap.Version
 	gc.step = step
 	gc.timeKey = ts.Current
-	gc.actualU = int64(len(seeds)) * int64(opts.MaxSteps)
 	if rc.seal {
 		gc.seg = wire.AppendGeomV2(gc.seg[:0], gc.geo, rc.quant)
 		gc.sealed = true

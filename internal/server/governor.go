@@ -8,7 +8,13 @@
 // cost models price, converts units to predicted time with a live EWMA
 // of measured ns/unit, and — when the prediction exceeds the configured
 // budget — sheds load deterministically before the frame runs, instead
-// of blowing the deadline and discovering it afterwards.
+// of blowing the deadline and discovering it afterwards. The EWMA is
+// calibrated in the units the plan grants: each round's measured
+// compute stage over the planned units of the rows that ran, so the
+// rate prices exactly what plan charges (a path that leaves the domain
+// early makes the rate cheaper, not the prediction wrong). One sample
+// moves the rate at most to twice its estimate, so a single stalled
+// round cannot pin the governor into shedding.
 //
 // Shedding walks one fidelity ladder (plan): shared tools coarsen first
 // (cell stride 1, 2, 4 — coarsened, never dropped), then free rakes
@@ -36,6 +42,11 @@ const minShedSteps = 8
 // ewmaAlpha is the calibration smoothing factor: each measured frame
 // moves the ns/unit estimate 20% of the way to the new sample.
 const ewmaAlpha = 0.2
+
+// maxSampleRatio caps one calibration sample at this multiple of the
+// current estimate: a stall (a page fault, a descheduled worker) is one
+// round's news, not a new rate.
+const maxSampleRatio = 2
 
 // shedClass orders the fidelity ladder: under pressure the classes give
 // up work in this order, and a class only starts shedding once every
@@ -95,9 +106,9 @@ type demand struct {
 type governor struct {
 	budget time.Duration
 
-	// unitNanos is the EWMA of measured integrate nanoseconds per work
-	// unit; 0 means uncalibrated, and an uncalibrated governor never
-	// sheds (the first frames establish the rate).
+	// unitNanos is the EWMA of measured compute nanoseconds per planned
+	// work unit; 0 means uncalibrated, and an uncalibrated governor
+	// never sheds (the first frames establish the rate).
 	unitNanos float64
 
 	// pressure is an EWMA of measured timestep-load nanoseconds — the
@@ -116,7 +127,9 @@ func (g *governor) predict(units int64) time.Duration {
 	return time.Duration(g.unitNanos * float64(units))
 }
 
-// observe folds one measured integrate stage into the EWMA. Zero or
+// observe folds one measured compute stage into the EWMA: measured over
+// the planned units of the rows that ran. The first sample seeds the
+// estimate; later ones are capped at maxSampleRatio times it. Zero or
 // negative measurements are ignored — under a ManualClock every stage
 // measures zero, which must freeze the estimate (keeping shed plans
 // replayable), not poison it.
@@ -129,6 +142,7 @@ func (g *governor) observe(measured time.Duration, units int64) {
 		g.unitNanos = sample
 		return
 	}
+	sample = min(sample, maxSampleRatio*g.unitNanos)
 	g.unitNanos = (1-ewmaAlpha)*g.unitNanos + ewmaAlpha*sample
 }
 
@@ -304,9 +318,10 @@ func shedOne(seeds, steps int, f float64) shedLevel {
 
 // degradedByte encodes the frame's fidelity for the wire: 0 at full
 // fidelity, else 1..255 scaling with the fraction of resident work
-// shed. actual and full are unit sums over every rake served this
-// frame (memoized shed geometry counts — a frame serving clamped
-// geometry is degraded even if it recomputed nothing).
+// shed. actual and full are sums of planned and full §5.3 units over
+// every source served this frame, rakes and tools alike (memoized shed
+// geometry counts — a frame serving clamped geometry is degraded even
+// if it recomputed nothing).
 func degradedByte(actual, full int64) uint8 {
 	if full <= 0 || actual >= full {
 		return 0

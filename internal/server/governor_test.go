@@ -3,10 +3,13 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dlib"
+	"repro/internal/env"
 	"repro/internal/integrate"
 	"repro/internal/netsim"
 	"repro/internal/vmath"
@@ -537,5 +540,125 @@ func TestGovernorHeldRakeKeepsFidelity(t *testing.T) {
 	if heldPts <= freeMax {
 		t.Errorf("held rake ships %d points, free rakes up to %d — held must degrade last",
 			heldPts, freeMax)
+	}
+}
+
+// TestObserveStallCannotPinTheRate: one stalled round (a half-second
+// stall in a ~5ms round, 100 times the rate) moves the estimate at most
+// to twice the rate, so the rounds after it, each a free rake whose
+// full cost at the true rate is 75% of the budget, do not shed. An
+// uncapped sample would lift the estimate to about 20 times the rate
+// and shed all four.
+func TestObserveStallCannotPinTheRate(t *testing.T) {
+	const round = 5 * time.Millisecond
+	units := rakeRow(classFree, 64, 200).units
+	g := &governor{budget: round * 4 / 3}
+	for range 20 {
+		g.observe(round, units)
+	}
+	g.observe(100*round, units)
+	for i := range 4 {
+		rows := []demand{rakeRow(classFree, 64, 200)}
+		if _, shed := g.plan(rows); shed {
+			t.Fatalf("round %d after the stall shed: estimate %.1f ns/unit, true rate %.1f",
+				i, g.unitNanos, float64(round)/float64(units))
+		}
+		g.observe(round, units)
+	}
+}
+
+// tickClock advances a fixed tick on every Now, so each measured stage
+// lasts exactly as many ticks as it reads the clock.
+type tickClock struct {
+	mu   sync.Mutex
+	now  time.Duration
+	tick time.Duration
+}
+
+func (c *tickClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now += c.tick
+	return time.Time{}.Add(c.now)
+}
+
+func (c *tickClock) After(time.Duration) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	ch <- c.Now()
+	return ch
+}
+
+// TestPredictionMatchesComputeOnShortPaths: the governor calibrates on
+// the units it plans, so once calibrated it predicts what a round's
+// compute stage measures — here one tick a round — even when every
+// streamline leaves the domain long before MaxSteps and the engine does
+// a fraction of the planned work.
+func TestPredictionMatchesComputeOnShortPaths(t *testing.T) {
+	const tick = time.Millisecond
+	s, err := New(Config{Store: testDataset(t, 4), Clock: &tickClock{tick: tick}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newDirectSession(t, s, 1)
+	const seeds = 16
+	r := d.frame(wire.ClientUpdate{Commands: []wire.Command{
+		addRakeCmd(vmath.V3(12, 2, 4), vmath.V3(12, 13, 4), seeds, integrate.ToolStreamline),
+		{Kind: wire.CmdSetLoop, Flag: 1},
+		{Kind: wire.CmdSetSpeed, Value: 1},
+		{Kind: wire.CmdSetPlaying, Flag: 1},
+	}})
+	if full := seeds * (s.cfg.Options.MaxSteps + 1); r.TotalPoints() == 0 || 4*r.TotalPoints() > full {
+		t.Fatalf("scene ships %d points of a full %d: the paths must leave the domain early", r.TotalPoints(), full)
+	}
+	prev := s.Stats()
+	for i := range 12 {
+		d.frame(wire.ClientUpdate{})
+		st := s.Stats()
+		if st.FramesEncoded != prev.FramesEncoded+1 {
+			t.Fatalf("round %d was not recomputed", i)
+		}
+		compute, predicted := st.ComputeTime-prev.ComputeTime, st.PredictedTime-prev.PredictedTime
+		if compute != tick {
+			t.Fatalf("round %d: compute stage %v, want one tick (%v)", i, compute, tick)
+		}
+		if diff := predicted - compute; diff < -1 || diff > 1 {
+			t.Fatalf("round %d: predicted %v for a compute stage of %v", i, predicted, compute)
+		}
+		prev = st
+	}
+}
+
+// TestDegradedWeighsEverySourceInPlannedUnits: a governed round that
+// sheds a rake beside a coarsened tool grades its fidelity over every
+// source in §5.3 units — the byte is degradedByte of the planned units
+// over the full units, summed over the ladder's rows.
+func TestDegradedWeighsEverySourceInPlannedUnits(t *testing.T) {
+	// At 100ns/unit the rake's 32 x 200 x 9 units cost 5.76ms, so a 2ms
+	// budget puts the isosurface on its floor stride and sheds the rake.
+	s := toolData.server(t, 2*time.Millisecond, 100)
+	if err := s.Env().SetTool(1, env.ToolIso, env.ToolParams{Enabled: true, Value: 0.8}); err != nil {
+		t.Fatal(err)
+	}
+	d := newDirectSession(t, s, 1)
+	r := d.frame(wire.ClientUpdate{Commands: []wire.Command{
+		addRakeCmd(vmath.V3(1, 3, 4), vmath.V3(1, 12, 4), 32, integrate.ToolStreamline),
+	}})
+	s.mu.Lock()
+	rows := slices.Clone(s.rows)
+	s.mu.Unlock()
+	iso, rake := rows[env.ToolIso-1], rows[env.NumTools]
+	if iso.stride == 1 || rake.planned >= rake.units {
+		t.Fatalf("scenario does not shed: iso stride %d, rake planned %d of %d units", iso.stride, rake.planned, rake.units)
+	}
+	var planned, full int64
+	for _, row := range rows {
+		planned += row.planned
+		full += row.units
+	}
+	if want := degradedByte(planned, full); r.Degraded != want || want == 0 {
+		t.Fatalf("Degraded = %d, want %d (%d of %d units)", r.Degraded, want, planned, full)
+	}
+	if got, want := s.Stats().ShedSum, 1-float64(planned)/float64(full); got != want {
+		t.Fatalf("ShedSum = %v, want %v", got, want)
 	}
 }

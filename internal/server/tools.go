@@ -244,8 +244,9 @@ func (s *Server) collectToolsLocked(g *grid.Grid, step int) {
 // recomputed tool takes the next geometry sequence number, in table
 // order, and the enabled tools are assembled into the round's tool
 // section and appended to the round list after the rakes. Returns the
-// work actually done, for the governor's EWMA. Caller holds s.mu.
-func (s *Server) numberToolsLocked() (unitsDone int64) {
+// planned units the recomputed tools booked, for the governor's EWMA.
+// Caller holds s.mu.
+func (s *Server) numberToolsLocked() (units int64) {
 	r := &s.round
 	r.tools.Geoms = r.tools.Geoms[:0]
 	if r.meta.Tools == nil {
@@ -263,12 +264,12 @@ func (s *Server) numberToolsLocked() (unitsDone int64) {
 			tg.points = int64(len(tg.geo.Points))
 			s.numberLocked(&tg.segCache)
 			s.stats.ToolsComputed++
-			unitsDone += tg.actualU
+			units += tg.actualU
 		}
 		r.tools.Geoms = append(r.tools.Geoms, tg.geo)
 		r.segs = append(r.segs, &tg.segCache)
 	}
-	return unitsDone
+	return units
 }
 
 // hedgehogScale scales a node's physical velocity into its hedgehog

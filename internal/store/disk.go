@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/grid"
+	"repro/internal/netsim"
 )
 
 // Dataset directory layout:
@@ -73,7 +74,7 @@ type Disk struct {
 	g        *grid.Grid
 	numSteps int
 	dt       float32
-	opts     DiskOptions
+	pace     *netsim.Pacer
 
 	bytesRead atomic.Int64
 	loads     atomic.Int64
@@ -103,7 +104,7 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	if numSteps < 1 || dt <= 0 {
 		return nil, fmt.Errorf("store: bad meta: steps=%d dt=%g", numSteps, dt)
 	}
-	return &Disk{dir: dir, g: g, numSteps: numSteps, dt: dt, opts: opts}, nil
+	return &Disk{dir: dir, g: g, numSteps: numSteps, dt: dt, pace: netsim.NewPacer(opts.BandwidthBytesPerSec)}, nil
 }
 
 // Grid implements Store.
@@ -118,8 +119,10 @@ func (d *Disk) DT() float32 { return d.dt }
 // Close implements Store.
 func (d *Disk) Close() error { return nil }
 
-// LoadStep implements Store, reading the step file and applying the
-// bandwidth throttle. A file that is not a timestep of this dataset —
+// LoadStep implements Store, reading the step file and paying for it
+// through the disk's pacer: loads in flight at once share the
+// bandwidth, so none completes before the disk could have delivered it
+// after those booked ahead of it. A file that is not a timestep of this dataset —
 // other dimensions than the grid's, or a length that is not its
 // header's — is refused by name before its samples are read.
 func (d *Disk) LoadStep(t int) (*field.Field, error) {
@@ -151,14 +154,7 @@ func (d *Disk) LoadStep(t int) (*field.Field, error) {
 		return nil, fmt.Errorf("store: read step %d (%s): %w", t, path, err)
 	}
 	n := f.SizeBytes()
-	if bw := d.opts.BandwidthBytesPerSec; bw > 0 {
-		// Model a disk delivering bw bytes/sec: the load may not
-		// complete before size/bw seconds have passed.
-		budget := time.Duration(float64(n) / float64(bw) * float64(time.Second))
-		if elapsed := time.Since(start); elapsed < budget { //vw:allow wallclock -- simulated disk bandwidth throttles real time by design
-			time.Sleep(budget - elapsed) //vw:allow wallclock -- simulated disk bandwidth throttles real time by design
-		}
-	}
+	d.pace.Pay(start, n)
 	d.bytesRead.Add(n)
 	d.loads.Add(1)
 	d.loadNanos.Add(int64(time.Since(start))) //vw:allow wallclock -- obs-only load timer

@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -166,6 +167,41 @@ func TestDiskBandwidthThrottle(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
 		t.Errorf("throttled load took %v, want >= ~30ms", elapsed)
+	}
+}
+
+// TestDiskBandwidthSharedByConcurrentLoads: a disk's bandwidth is one
+// budget, however many loads are in flight — a foreground miss beside
+// the prefetcher does not read at twice the device rate. Two
+// concurrent loads of a step together take at least twice a step's
+// size over the bandwidth.
+func TestDiskBandwidthSharedByConcurrentLoads(t *testing.T) {
+	dir := t.TempDir()
+	u := makeDataset(t, 2)
+	if err := WriteDataset(dir, u); err != nil {
+		t.Fatal(err)
+	}
+	const bw = 100 * 1024
+	d, err := OpenDisk(dir, DiskOptions{BandwidthBytesPerSec: bw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for step := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := d.LoadStep(step); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	want := time.Duration(float64(2*u.Steps[0].SizeBytes()) / bw * float64(time.Second))
+	if elapsed < want {
+		t.Errorf("two concurrent throttled loads took %v, want >= %v", elapsed, want)
 	}
 }
 
