@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet cross lint lint-stats deps chaos fuzz-dlib fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate ci bench bench-module loc load load-relay relay soak live tools
+.PHONY: all build test race vet cross lint lint-stats deps refs chaos fuzz-dlib fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate ci bench bench-module loc load load-relay relay soak live tools
 
 all: build test
 
@@ -130,7 +130,10 @@ relay:
 # sampler of one. The round's work has one ledger, the governor's demand
 # rows: the server's non-test code names no compute.Stats and calls no
 # Units(), so the governor calibrates on, and grades fidelity in, the
-# units it plans. Every procedure a dlib server answers is one the
+# units it plans. Session state has one owner, the dlib.Session: the
+# server's and the relay's non-test code declare no map[int64] (a table
+# keyed by session id, pruned on disconnect, beside the record the
+# session already carries in its State). Every procedure a dlib server answers is one the
 # windtunnel calls: each Register names a wire.Proc constant, the origin
 # and the relay register every constant, internal/client calls each one
 # but wire.ProcFrameRelay, and the relay's upstream exchange
@@ -145,6 +148,8 @@ deps:
 		echo 'internal/server names a store kind; residency belongs behind store.Source'; exit 1; fi
 	@if grep -nE 'compute\.Stats|\.Units\(\)' $$(ls internal/server/*.go | grep -v _test.go); then \
 		echo 'internal/server counts work outside the demand rows; the governor books planned units'; exit 1; fi
+	@if grep -nE 'map\[int64\]' $$(ls internal/server/*.go internal/relay/*.go | grep -v _test.go); then \
+		echo 'internal/server or internal/relay keys a table by session id; session state rides dlib.Session.State'; exit 1; fi
 	@regs=$$(grep -nE '\bRegister\(' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*') | \
 		grep -vE 'func \(|\.Register\(wire\.Proc[A-Za-z0-9]+,'); \
 	if [ -n "$$regs" ]; then echo "$$regs"; \
@@ -165,6 +170,34 @@ deps:
 		fi; \
 	done; exit $$fail
 
+# Doc citations resolve: every backticked TestX, BenchmarkX or FuzzX in
+# README.md, DESIGN.md and the verify skill names a func declared in a
+# _test.go file somewhere in the repository (benchmark/ included). A *
+# stands for any run of identifier characters, so `TestRelay*GoldenFrames`
+# resolves; a name cited as since deleted goes without backticks.
+refs:
+	@defs=$$(grep -hoE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' $$(find . -name '*_test.go') | sed 's/^func //' | sort -u); \
+	awk -v defs="$$defs" ' \
+		function check(file,   s, pre, span, rest, line, tok, re, i, ok) { \
+			s = text; line = 1; \
+			while (match(s, /`[^`]*`/)) { \
+				pre = substr(s, 1, RSTART - 1); line += gsub(/\n/, "", pre); \
+				span = " " substr(s, RSTART + 1, RLENGTH - 2); s = substr(s, RSTART + RLENGTH); \
+				rest = span; \
+				while (match(rest, /[^A-Za-z0-9_](Test|Benchmark|Fuzz)[A-Z*][A-Za-z0-9_*]*/)) { \
+					tok = substr(rest, RSTART + 1, RLENGTH - 1); rest = substr(rest, RSTART + RLENGTH); \
+					re = tok; gsub(/\*/, "[A-Za-z0-9_]*", re); re = "^" re "$$"; ok = 0; \
+					for (i = 1; i <= n; i++) if (d[i] ~ re) { ok = 1; break } \
+					if (!ok) { print file ":" line ": `" tok "` names no test, benchmark or fuzz target"; bad = 1 } \
+				} \
+				line += gsub(/\n/, "", span); \
+			} \
+		} \
+		BEGIN { n = split(defs, d, " ") } \
+		FNR == 1 && NR > 1 { check(prev); text = "" } \
+		{ text = text $$0 "\n"; prev = FILENAME } \
+		END { check(prev); exit bad }' README.md DESIGN.md .claude/skills/verify/SKILL.md
+
 # The in-situ battery: the solver-vs-replay differential, the live
 # golden corpus entries (direct and relayed), the lock table's steering
 # row and the client's steering chaos, the ring's pin/eviction unit
@@ -184,7 +217,7 @@ tools:
 	$(GO) test -race -count=1 -run xxx -fuzz FuzzToolCommand -fuzztime 5s ./internal/server/
 
 # The gate a change must pass before merging.
-ci: vet cross lint deps race relay live tools bench-module fuzz-dlib fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate load-relay
+ci: vet cross lint deps refs race relay live tools bench-module fuzz-dlib fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate load-relay
 
 bench:
 	$(GO) test -bench . -benchmem ./...

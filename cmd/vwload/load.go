@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/dlib"
 	"repro/internal/grid"
@@ -16,15 +17,17 @@ import (
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/vmath"
+	"repro/internal/vr"
 	"repro/internal/wire"
 )
 
 // LoadOptions configures a multi-workstation load run against an
-// in-process server: K simulated workstations attached over netsim
-// pipes, each running the hello/whoami handshake and then the
-// once-per-frame exchange at a target rate. This is the scale-out
-// experiment the paper could not run — it had one Convex and a handful
-// of real workstations; we synthesize the fleet.
+// in-process server: K client workstations (internal/client, with a
+// one-pixel display that is never drawn) attached over netsim pipes,
+// each running the hello/whoami handshake and then one NetStep per
+// frame at a target rate. This is the scale-out experiment the paper
+// could not run — it had one Convex and a handful of real
+// workstations; we synthesize the fleet.
 //
 // Every count is taken as given: vwload's flags are the one place that
 // defaults and validates them.
@@ -146,7 +149,9 @@ type LoadReport struct {
 	ToolsReused   int64
 	ToolPoints    int64
 
-	// Latency is the distribution of per-session frame call times.
+	// Latency is the distribution of the fleet's command-to-state
+	// times: each workstation NetStep, from encoding the update through
+	// decoding the reply.
 	Latency LatencyStats
 	// Errors counts failed frame calls (the run continues past them).
 	Errors int64
@@ -388,19 +393,10 @@ func RunLoad(s *server.Server, g *grid.Grid, opts LoadOptions) (LoadReport, erro
 			}
 			c := dlib.NewClient(conn)
 			defer c.Close()
-			out, err := c.Call(wire.ProcHello2, wire.EncodeHelloRequest(max(opts.Codec, wire.CodecV1)))
+			w, err := client.New(c, client.Config{FrameW: 1, FrameH: 1, Codec: opts.Codec})
 			if err != nil {
-				fail(fmt.Errorf("session %d: hello2: %w", i, err))
+				fail(fmt.Errorf("session %d: %w", i, err))
 				return
-			}
-			codec, info, err := wire.DecodeHelloReply(out)
-			if err != nil {
-				fail(fmt.Errorf("session %d: hello2 reply: %w", i, err))
-				return
-			}
-			var dec *wire.FrameDecoder
-			if codec >= wire.CodecV2 {
-				dec = wire.NewFrameDecoder(info.Quantizer())
 			}
 			active := i < opts.ActiveUsers
 			hand := vmath.V3(float32(i), 0, 0)
@@ -420,51 +416,30 @@ func RunLoad(s *server.Server, g *grid.Grid, opts LoadOptions) (LoadReport, erro
 				if active {
 					hand = vmath.V3(float32(i), float32(f)*0.01, 0)
 				}
-				var steerCmds []wire.Command
 				if opts.SteerEvery > 0 && i == 0 && f%opts.SteerEvery == 0 {
 					// Workstation 0 steers: grab (idempotent for the
 					// holder), then a full parameter triple that wobbles
 					// with the frame number.
-					steerCmds = []wire.Command{
-						{Kind: wire.CmdSteerGrab},
-						{Kind: wire.CmdSteer, P0: vmath.V3(
-							1+0.1*float32(f%5), 400, 0.5+0.05*float32(f%3))},
-					}
+					w.Queue(wire.Command{Kind: wire.CmdSteerGrab})
+					w.Queue(wire.Command{Kind: wire.CmdSteer, P0: vmath.V3(
+						1+0.1*float32(f%5), 400, 0.5+0.05*float32(f%3))})
 				}
 				if opts.ToolsEvery > 0 && i == 0 && f%opts.ToolsEvery == 0 {
 					// Workstation 0 works the shared tools: grab both
 					// locks (idempotent for the holder) and wobble the iso
 					// level and plane position so the server recomputes
 					// tool geometry under the fleet's fan-out.
-					steerCmds = append(steerCmds,
-						wire.Command{Kind: wire.CmdIsoGrab},
-						wire.Command{Kind: wire.CmdIsoSet, Flag: 1, Value: 1 + 0.1*float32(f%4)},
-						wire.Command{Kind: wire.CmdPlaneGrab},
-						wire.Command{Kind: wire.CmdPlaneMove, Flag: 1, Grab: uint8(f % 3), Value: 0.25 + 0.1*float32(f%5)},
-					)
+					w.Queue(wire.Command{Kind: wire.CmdIsoGrab})
+					w.Queue(wire.Command{Kind: wire.CmdIsoSet, Flag: 1, Value: 1 + 0.1*float32(f%4)})
+					w.Queue(wire.Command{Kind: wire.CmdPlaneGrab})
+					w.Queue(wire.Command{Kind: wire.CmdPlaneMove, Flag: 1, Grab: uint8(f % 3), Value: 0.25 + 0.1*float32(f%5)})
 				}
-				payload := wire.EncodeClientUpdate(wire.ClientUpdate{
-					Head:     vmath.Identity(),
-					Hand:     hand,
-					Commands: steerCmds,
-				})
-				callStart := time.Now()
-				out, err := c.Call(wire.ProcFrame, payload)
-				if err != nil {
+				stepStart := time.Now()
+				if err := w.NetStep(vr.Pose{Head: vmath.Identity(), Hand: hand}); err != nil {
 					fail(fmt.Errorf("session %d frame %d: %w", i, f, err))
 					return
 				}
-				latencies[i*opts.Frames+f] = time.Since(callStart)
-				if dec != nil {
-					_, err = dec.Decode(out)
-				} else {
-					// Well-formed is all the harness asks of a v1 reply.
-					_, err = wire.SkimFrameReply(out)
-				}
-				if err != nil {
-					fail(fmt.Errorf("session %d frame %d: decode: %w", i, f, err))
-					return
-				}
+				latencies[i*opts.Frames+f] = time.Since(stepStart)
 			}
 		}(i)
 	}

@@ -77,9 +77,8 @@ type Stats struct {
 
 // Workstation is one user's machine.
 type Workstation struct {
-	c      dlib.Caller
-	redial *dlib.RedialClient // non-nil in resilient mode
-	clock  netsim.Clock
+	c     dlib.Caller // a *dlib.RedialClient in resilient mode
+	clock netsim.Clock
 	// wantCodec is the Config.Codec request, at least wire.CodecV1;
 	// the negotiated result lives under mu (it can change across
 	// reconnects).
@@ -225,7 +224,6 @@ func NewResilient(dial dlib.DialFunc, cfg Config, ropts dlib.RedialOptions) (*Wo
 		return nil, err
 	}
 	w.c = r
-	w.redial = r
 	return w, nil
 }
 
@@ -259,10 +257,10 @@ func (w *Workstation) Codec() uint8 {
 // Reconnects returns how many times the network layer has redialed
 // (always 0 for a non-resilient workstation).
 func (w *Workstation) Reconnects() int64 {
-	if w.redial == nil {
-		return 0
+	if r, ok := w.c.(*dlib.RedialClient); ok {
+		return r.Redials()
 	}
-	return w.redial.Redials()
+	return 0
 }
 
 // LastNetError returns the most recent NetStep failure, or nil.
@@ -578,7 +576,7 @@ func (w *Workstation) RunDecoupled(user *vr.ScriptedUser, netFrames int) (netHz,
 				// the redial layer heals the link on a later round
 				// while the render loop below keeps drawing the last
 				// good geometry.
-				if w.redial == nil {
+				if _, resilient := w.c.(*dlib.RedialClient); !resilient {
 					netErr = e
 					return
 				}

@@ -13,21 +13,14 @@ import (
 // hand releases. The server still arbitrates conflicts; this only
 // decides what this user is trying to do.
 type interactor struct {
-	// GrabRadius is how close the hand must be to a grab point.
-	// Zero uses 1.0 world units.
-	GrabRadius float32
-
 	holding  bool
 	heldRake int32
 	wasFist  bool
 }
 
-func (in *interactor) radius() float32 {
-	if in.GrabRadius > 0 {
-		return in.GrabRadius
-	}
-	return 1.0
-}
+// grabRadius is how close, in world units, the hand must be to a grab
+// point.
+const grabRadius = 1.0
 
 // commands returns the commands implied by this frame's pose given the
 // latest known rake set.
@@ -39,7 +32,7 @@ func (in *interactor) commands(pose vr.Pose, rakes []wire.RakeState) []wire.Comm
 	case fist && !in.wasFist && !in.holding:
 		// Fist just closed: try to grab the nearest grab point.
 		rakeID, grab, dist := nearestGrab(pose.Hand, rakes)
-		if rakeID == 0 || dist > in.radius() {
+		if rakeID == 0 || dist > grabRadius {
 			return nil
 		}
 		in.holding = true

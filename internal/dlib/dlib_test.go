@@ -225,6 +225,45 @@ func TestNumSessions(t *testing.T) {
 	}
 }
 
+// TestSessionStateReachesOnDisconnect: the record a handler keeps in
+// Session.State is the one OnDisconnect receives, Sessions lists the
+// live sessions in ID order, and a closed one leaves the list.
+func TestSessionStateReachesOnDisconnect(t *testing.T) {
+	s, c1, addr := startServerAddr(t)
+	s.Register("keep", func(ctx *Ctx, p []byte) ([]byte, error) {
+		ctx.Session.State = string(p)
+		return nil, nil
+	})
+	gone := make(chan *Session, 1)
+	s.OnDisconnect = func(sess *Session) { gone <- sess }
+	c2, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Call("keep", []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c2.Call("keep", []byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	live := s.Sessions()
+	if len(live) != 2 || live[0].ID != 1 || live[1].ID != 2 {
+		t.Fatalf("Sessions = %v, want IDs 1 and 2 in order", live)
+	}
+	c2.Close()
+	select {
+	case sess := <-gone:
+		if sess != live[1] || sess.State != "second" {
+			t.Errorf("OnDisconnect got session %d with State %v, want session 2 with %q", sess.ID, sess.State, "second")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("OnDisconnect never ran")
+	}
+	if live := s.Sessions(); len(live) != 1 || live[0].ID != 1 {
+		t.Errorf("Sessions after close = %v, want session 1 alone", live)
+	}
+}
+
 func BenchmarkCallSmall(b *testing.B) {
 	s := NewServer()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -264,7 +264,7 @@ func TestServerIdleTimeoutReapsSession(t *testing.T) {
 	s := NewServer()
 	s.IdleTimeout = 30 * time.Millisecond
 	disconnected := make(chan int64, 1)
-	s.OnDisconnect = func(id int64) { disconnected <- id }
+	s.OnDisconnect = func(sess *Session) { disconnected <- sess.ID }
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -1,11 +1,13 @@
 package dlib
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,15 +37,17 @@ func (e *RemoteError) Error() string {
 // handler meets that one of two ways: the buffer is fresh (allocated
 // for this reply and never written again — a buffer shared across
 // sessions counts, as long as it is replaced rather than rewritten when
-// its content changes); or it is session-owned (only this session's
-// later calls rewrite it — the connection loop finishes writing each
-// reply before it reads the next call).
+// its content changes); or it is session-owned, held in the record the
+// handler keeps in Session.State (only this session's later calls
+// rewrite it — the connection loop finishes writing each reply before
+// it reads the next call).
 type Handler func(ctx *Ctx, payload []byte) ([]byte, error)
 
 // Ctx is passed to every handler invocation.
 type Ctx struct {
 	// Session is per-connection persistent state, surviving from call
-	// to call for the life of the connection.
+	// to call for the life of the connection: its State is where a
+	// handler keeps its record of the session.
 	Session *Session
 	// Server is the owning server, giving handlers access to shared
 	// state.
@@ -75,6 +79,13 @@ func (c *Ctx) takeHangup() bool {
 type Session struct {
 	// ID identifies the connection (dense, starting at 1).
 	ID int64
+	// State is the application's record of the session — codec state,
+	// reply buffers, an upstream leg — set by its handlers and handed to
+	// OnDisconnect when the connection closes. dlib never reads it. Only
+	// the session's own calls, which dispatch serializes, and its
+	// OnDisconnect, which runs after the last of them, may touch it
+	// without a lock of the application's.
+	State any
 }
 
 // Server is a dlib server: a registry of procedures, its sessions and a
@@ -125,9 +136,10 @@ type Server struct {
 
 	// OnDisconnect, if set, runs after a session's connection closes,
 	// so applications can release per-session resources (the
-	// windtunnel frees the user's rake locks here). It runs on the
+	// windtunnel frees the user's rake locks here; a relay closes the
+	// upstream leg its session's State holds). It runs on the
 	// connection's goroutine, after the last call has finished.
-	OnDisconnect func(sessionID int64)
+	OnDisconnect func(sess *Session)
 }
 
 // NewServer returns a server with no procedures registered: it answers
@@ -155,6 +167,18 @@ func (s *Server) NumSessions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.sessions)
+}
+
+// Sessions returns the live sessions, in ID order.
+func (s *Server) Sessions() []*Session {
+	s.mu.Lock()
+	out := make([]*Session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		out = append(out, sess)
+	}
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Session) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
 
 // Serve accepts connections on l until Close. Each connection gets a
@@ -207,7 +231,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		hook := s.OnDisconnect
 		s.mu.Unlock()
 		if hook != nil {
-			hook(sess.ID)
+			hook(sess)
 		}
 	}()
 

@@ -6,7 +6,8 @@
 //
 // Session routing. Each downstream session is pinned at its first call
 // (the hello) to one upstream by static round-robin partition and gets
-// its own upstream dlib connection. That one-to-one mapping is what keeps the
+// its own upstream dlib connection, held in the session's record on its
+// dlib.Session. That one-to-one mapping is what keeps the
 // distributed semantics untouched by the hop: the origin sees one
 // session per workstation, so per-user identity (WhoAmI proxies the
 // origin's id), FCFS rake-lock ownership, and the per-session
@@ -143,9 +144,10 @@ type upCache struct {
 	haveRows bool
 }
 
-// session is one downstream session and its pinned upstream leg.
+// session is the relay's record of one downstream session, kept in its
+// dlib.Session.State: the pinned upstream leg and the session's codec
+// state and scratch.
 type session struct {
-	id  int64
 	idx int // upstream index
 	up  *dlib.Client
 
@@ -167,13 +169,13 @@ type Relay struct {
 	d   *dlib.Server
 	cfg Config
 
-	// mu guards sessions, nextUp, and stats against OnDisconnect (conn
-	// goroutines) and Stats() readers; handler-only state (caches,
-	// per-session scratch) is serialized by dlib dispatch.
-	mu       sync.Mutex
-	sessions map[int64]*session
-	nextUp   int
-	stats    Stats
+	// mu guards nextUp, stats and each session's State against
+	// OnDisconnect (conn goroutines), Close and Stats() readers;
+	// handler-only state (caches, per-session scratch) is serialized by
+	// dlib dispatch.
+	mu     sync.Mutex
+	nextUp int
+	stats  Stats
 
 	caches []*upCache
 }
@@ -187,10 +189,9 @@ func New(cfg Config) (*Relay, error) {
 		return nil, fmt.Errorf("relay: no upstreams")
 	}
 	r := &Relay{
-		d:        dlib.NewServer(),
-		cfg:      cfg,
-		sessions: make(map[int64]*session),
-		caches:   make([]*upCache, len(cfg.Upstreams)),
+		d:      dlib.NewServer(),
+		cfg:    cfg,
+		caches: make([]*upCache, len(cfg.Upstreams)),
 	}
 	for i := range r.caches {
 		r.caches[i] = &upCache{}
@@ -205,17 +206,9 @@ func New(cfg Config) (*Relay, error) {
 	r.d.Register(wire.ProcWhoAmI, r.handleWhoAmI)
 	r.d.Register(wire.ProcFrame, r.handleFrame)
 	r.d.Register(wire.ProcFrameRelay, r.handleFrameRelay)
-	r.d.OnDisconnect = func(id int64) {
-		r.mu.Lock()
-		st := r.sessions[id]
-		delete(r.sessions, id)
-		r.mu.Unlock()
-		if st != nil {
-			// Closing the upstream leg is what releases this user's
-			// FCFS rake locks at the origin.
-			st.up.Close()
-		}
-	}
+	// Closing the upstream leg is what releases this user's FCFS rake
+	// locks at the origin.
+	r.d.OnDisconnect = r.closeLeg
 	return r, nil
 }
 
@@ -225,40 +218,48 @@ func (r *Relay) Dlib() *dlib.Server { return r.d }
 // Stats returns a snapshot of the relay counters.
 func (r *Relay) Stats() Stats {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := r.stats
-	s.Sessions = len(r.sessions)
+	r.mu.Unlock()
+	s.Sessions = r.d.NumSessions()
 	return s
 }
 
 // Close tears down every upstream connection. Downstream connections
 // are owned by the dlib server's listener/ServeConn callers.
 func (r *Relay) Close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for id, st := range r.sessions {
-		st.up.Close()
-		delete(r.sessions, id)
+	for _, sess := range r.d.Sessions() {
+		r.closeLeg(sess)
 	}
 }
 
-// ensureSession returns the downstream session's state, dialing and
+// closeLeg closes the upstream leg of a downstream session, if it has
+// one.
+func (r *Relay) closeLeg(sess *dlib.Session) {
+	r.mu.Lock()
+	st, _ := sess.State.(*session)
+	r.mu.Unlock()
+	if st != nil {
+		st.up.Close()
+	}
+}
+
+// ensureSession returns the downstream session's record, dialing and
 // pinning its upstream leg on first contact.
 func (r *Relay) ensureSession(ctx *dlib.Ctx) (*session, error) {
-	r.mu.Lock()
-	st := r.sessions[ctx.Session.ID]
-	if st == nil {
-		idx := r.nextUp % len(r.cfg.Upstreams)
-		r.nextUp++
-		r.mu.Unlock()
-		conn, err := r.cfg.Upstreams[idx]()
-		if err != nil {
-			return nil, fmt.Errorf("relay: dial upstream %d: %w", idx, err)
-		}
-		st = &session{id: ctx.Session.ID, idx: idx, up: dlib.NewClient(conn), codec: wire.CodecV1}
-		r.mu.Lock()
-		r.sessions[ctx.Session.ID] = st
+	if st, ok := ctx.Session.State.(*session); ok {
+		return st, nil
 	}
+	r.mu.Lock()
+	idx := r.nextUp % len(r.cfg.Upstreams)
+	r.nextUp++
+	r.mu.Unlock()
+	conn, err := r.cfg.Upstreams[idx]()
+	if err != nil {
+		return nil, fmt.Errorf("relay: dial upstream %d: %w", idx, err)
+	}
+	st := &session{idx: idx, up: dlib.NewClient(conn), codec: wire.CodecV1}
+	r.mu.Lock()
+	ctx.Session.State = st
 	r.mu.Unlock()
 	return st, nil
 }

@@ -599,3 +599,33 @@ func TestRelayFullFetchAllocsIndependentOfLines(t *testing.T) {
 		}
 	}
 }
+
+// TestRelayCloseClosesEveryLeg: each downstream session's record holds
+// its upstream leg, and Close closes every one, so the origin sees all
+// of the relay's sessions end.
+func TestRelayCloseClosesEveryLeg(t *testing.T) {
+	up := fakeUpstream(1, -int32(wire.ToolKindIso))
+	r, err := New(Config{Upstreams: []dlib.DialFunc{pipeTo(up, netsim.Link{})}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		if _, err := workstationFrame(t, dial(t, r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := r.Stats().Sessions; got != 3 {
+		t.Errorf("relay reports %d sessions, want 3", got)
+	}
+	if got := up.NumSessions(); got != 3 {
+		t.Fatalf("origin holds %d sessions before Close, want 3", got)
+	}
+	r.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for up.NumSessions() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("origin still holds %d sessions after the relay closed", up.NumSessions())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

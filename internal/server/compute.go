@@ -64,7 +64,9 @@ type segCache struct {
 // from. Streamlines and particle paths are pure functions of (rake
 // version, timestep, time), so matching inputs mean the cached
 // wire.Geometry is the answer; streaklines always advance and are
-// never memoized. The line buffers are recycled on recompute.
+// never memoized, and a streakline rake's entry carries its particles
+// (streak) from round to round. The line buffers are recycled on
+// recompute.
 type rakeGeom struct {
 	segCache
 	haveGeo bool
@@ -76,8 +78,9 @@ type rakeGeom struct {
 	seedsVersion uint64
 	haveSeeds    bool
 
-	geo   wire.Geometry
-	touch uint64 // last round this rake was seen, for sweeping
+	geo    wire.Geometry
+	streak *integrate.Streak
+	touch  uint64 // last round this rake was seen, for sweeping
 }
 
 // rakeJob is one dirty rake queued for recomputation.
@@ -114,12 +117,12 @@ func (s *Server) recomputeLocked() error {
 	step := ts.Step()
 	r := &s.round
 	if r.meta.Round != 0 && version == r.version &&
-		step == s.curStep && len(s.streaks) == 0 && r.meta.Degraded == 0 {
+		step == s.curStep && !r.streaking && r.meta.Degraded == 0 {
 		s.stats.FramesReused++
 	} else if err := s.computeRoundLocked(ts, version, step); err != nil {
 		return err
 	}
-	clear(r.consumedBy)
+	r.serves++
 	s.stats.Frames++
 	s.stats.Points += r.points
 	s.stats.ToolPoints += r.toolPoints
@@ -224,6 +227,7 @@ func (s *Server) collectLocked(g *grid.Grid, ts env.TimeState, step int) (reused
 	r.meta.Rakes = r.meta.Rakes[:0]
 	r.meta.Geometry = r.meta.Geometry[:0]
 	r.segs = r.segs[:0]
+	r.streaking = false
 	s.jobs = s.jobs[:0]
 	for _, snap := range s.rakeScratch {
 		rake := snap.Rake
@@ -261,11 +265,11 @@ func (s *Server) collectLocked(g *grid.Grid, ts env.TimeState, step int) (reused
 		}
 		var streak *integrate.Streak
 		if rake.Tool == integrate.ToolStreakline {
-			streak = s.streaks[rake.ID]
-			if streak == nil {
-				streak = integrate.NewStreak(maxStreakParticles)
-				s.streaks[rake.ID] = streak
+			if gc.streak == nil {
+				gc.streak = integrate.NewStreak(maxStreakParticles)
 			}
+			streak = gc.streak
+			r.streaking = true
 		}
 		// A valid-but-shed memo is an upgrade candidate: the planner
 		// either re-admits it to full fidelity or keeps serving the

@@ -747,7 +747,8 @@ func TestConcurrentSessionsRakeLocksAndEviction(t *testing.T) {
 }
 
 // TestRemoveRakeDropsCaches pins cache hygiene: removing a rake drops
-// its geometry from subsequent frames and its memo entry.
+// its geometry from subsequent frames and its memo entry, which holds a
+// streakline's particles too.
 func TestRemoveRakeDropsCaches(t *testing.T) {
 	s, c, _ := startTestServer(t, Config{Store: testDataset(t, 4)})
 	r := frame(t, c, wire.ClientUpdate{Commands: []wire.Command{
@@ -762,9 +763,30 @@ func TestRemoveRakeDropsCaches(t *testing.T) {
 	}
 	s.mu.Lock()
 	_, haveGeo := s.geoCache[id]
-	_, haveStreak := s.streaks[id]
 	s.mu.Unlock()
-	if haveGeo || haveStreak {
-		t.Errorf("stale caches after removal: geo=%v streak=%v", haveGeo, haveStreak)
+	if haveGeo {
+		t.Errorf("stale memo entry after removal of rake %d", id)
+	}
+}
+
+// TestEnvRemovedStreakRakeFreesMemo: a streakline rake removed behind
+// the command path (Server.Env) takes its particles with its memo entry,
+// so an idle scene is served whole from the frame memo again instead of
+// being recomputed every round for a streak nobody draws.
+func TestEnvRemovedStreakRakeFreesMemo(t *testing.T) {
+	s, c, _ := startTestServer(t, Config{Store: testDataset(t, 4)})
+	r := frame(t, c, wire.ClientUpdate{Commands: []wire.Command{
+		addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 6, 4), 2, integrate.ToolStreakline),
+	}})
+	if err := s.Env().RemoveRake(0, r.Rakes[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	frame(t, c, wire.ClientUpdate{}) // the round without the rake
+	before := s.Stats().FramesReused
+	for range 5 {
+		frame(t, c, wire.ClientUpdate{})
+	}
+	if after := s.Stats().FramesReused; after-before != 5 {
+		t.Errorf("idle rounds after the streak rake left: reused %d -> %d, want all 5 reused", before, after)
 	}
 }

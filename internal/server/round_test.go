@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/dlib"
+	"repro/internal/integrate"
 	"repro/internal/vmath"
 	"repro/internal/wire"
 )
@@ -212,33 +213,42 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-// TestRoundConsumedByDisconnect pins the bookkeeping leak: a session's
-// consumed-round mark must be dropped when its connection goes away,
-// and a reconnecting workstation (new session ID) must join cleanly.
-func TestRoundConsumedByDisconnect(t *testing.T) {
+// TestSessionJoinsRoundAndReleasesOnClose: a session's round mark and
+// locks are its own. One that joins an idle scene is served the round
+// in flight without a recompute, its second frame advances the round,
+// and closing it releases a rake lock it held.
+func TestSessionJoinsRoundAndReleasesOnClose(t *testing.T) {
 	s, c, addr := startTestServer(t, Config{Store: testDataset(t, 1)})
-	frame(t, c, pose(1))
+	r := frame(t, c, wire.ClientUpdate{Commands: []wire.Command{
+		addRakeCmd(vmath.V3(1, 4, 4), vmath.V3(1, 6, 4), 2, integrate.ToolStreamline),
+	}})
+	id := r.Rakes[0].ID
 
 	c2, err := dlib.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame(t, c2, pose(2))
+	defer c2.Close()
+	before := s.Stats().Frames
+	if got := frame(t, c2, wire.ClientUpdate{}); got.Round != r.Round || s.Stats().Frames != before {
+		t.Fatalf("joiner got round %d after %d rounds, want round %d with none computed",
+			got.Round, s.Stats().Frames-before, r.Round)
+	}
+	if frame(t, c2, wire.ClientUpdate{}); s.Stats().Frames != before+1 {
+		t.Fatalf("joiner's second frame computed %d rounds, want 1", s.Stats().Frames-before)
+	}
+	held := frame(t, c2, wire.ClientUpdate{Commands: []wire.Command{
+		{Kind: wire.CmdGrab, Rake: id, Grab: uint8(integrate.GrabCenter)},
+	}})
+	if held.Rakes[0].Holder == 0 {
+		t.Fatal("grab did not take the rake")
+	}
 
-	entries := func() int {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return len(s.round.consumedBy)
-	}
-	if got := entries(); got == 0 {
-		t.Fatal("no consumed-round marks after two sessions framed")
-	}
-	before := entries()
 	c2.Close()
 	deadline := time.Now().Add(2 * time.Second)
-	for entries() >= before {
+	for frame(t, c, wire.ClientUpdate{}).Rakes[0].Holder != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("consumedBy still has %d entries after disconnect", entries())
+			t.Fatal("closed session still holds its rake")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -7,10 +7,10 @@
 //
 // The package is split along the cluster-tier seam. This file holds
 // configuration, counters, and assembly; session.go is the session
-// layer (hellos, codec state, encode-once fan-out, command validation,
-// and the relay exchange internal/relay speaks upstream); compute.go
-// is the compute layer (timestep loads, governor planning, rake
-// integration, round encode).
+// layer (hellos, the record each session keeps on its dlib.Session,
+// encode-once fan-out, command validation, and the relay exchange
+// internal/relay speaks upstream); compute.go is the compute layer
+// (timestep loads, governor planning, rake integration, round encode).
 //
 // The frame hot path is memoized at two levels. Whole-frame: when the
 // environment version is unchanged since the last round (paused
@@ -254,8 +254,11 @@ func (s Stats) String() string {
 // the env version the round was computed at, points and toolPoints its
 // totals. v1 is its shared codec-v1 reply (v1Ready once a consumer asked
 // and v1 holds it; never rewritten, the next round's encode replaces
-// it), and consumedBy the sessions that have consumed it. There is no
-// round while meta.Round is 0.
+// it). serves counts the round's serves, a fresh round or one the
+// whole-frame memo serves again: a session whose sessionState.consumed
+// equals it has consumed the current one. streaking is set when the
+// round advanced a streakline, which keeps the whole-frame memo off.
+// There is no round while meta.Round is 0.
 type round struct {
 	meta  wire.FrameReply
 	tools wire.ToolsReply
@@ -264,9 +267,10 @@ type round struct {
 	version            uint64
 	points, toolPoints int64
 
-	v1         []byte
-	v1Ready    bool
-	consumedBy map[int64]bool
+	v1        []byte
+	v1Ready   bool
+	serves    uint64
+	streaking bool
 }
 
 // Server is the remote-host application layered on a dlib server.
@@ -292,20 +296,19 @@ type Server struct {
 	// computation.
 	cur      *field.Field
 	curStep  int
-	streaks  map[int32]*integrate.Streak
 	geoCache map[int32]*rakeGeom
 	round    round
 
 	// Wire 2.0 state. The round layer splits into a shared payload —
 	// the round's header plus the per-source encoded segments cached on
-	// its round list — and a per-session part: the codec negotiated at
-	// hello and the delta-shadow FrameEncoder that decides, per source,
-	// whether this session gets the shared segment or a reference
-	// record. geoSeq numbers geometry content: it is bumped once per
-	// source recompute, tools then jobs, so segments (and therefore
-	// frames) stay deterministic per (client, round).
-	quant  wire.Quantizer
-	codecs map[int64]*sessionState
+	// its round list — and a per-session part, each session's
+	// sessionState: the codec negotiated at hello and the delta-shadow
+	// FrameEncoder that decides, per source, whether this session gets
+	// the shared segment or a reference record. geoSeq numbers geometry
+	// content: it is bumped once per source recompute, tools then jobs,
+	// so segments (and therefore frames) stay deterministic per (client,
+	// round).
+	quant wire.Quantizer
 	// wantSegs is set, for good, the first time a session negotiates
 	// codec v2 or a relay asks for a segment directory: from then on the
 	// pool job that rewrites a source's geometry writes its segment too,
@@ -398,11 +401,8 @@ func New(cfg Config) (*Server, error) {
 		env:      env.New(cfg.Store.NumSteps()),
 		gov:      &governor{budget: cfg.Budget},
 		stats:    Stats{Budget: cfg.Budget},
-		streaks:  make(map[int32]*integrate.Streak),
 		geoCache: make(map[int32]*rakeGeom),
-		round:    round{consumedBy: make(map[int64]bool)},
 		quant:    wire.Quantizer{Min: cfg.Store.Grid().Bounds().Min, Max: cfg.Store.Grid().Bounds().Max},
-		codecs:   make(map[int64]*sessionState),
 	}
 	// Every handler registered below returns a fresh buffer (the hello,
 	// whoami, the round's codec-v1 reply) or a session-owned one
@@ -414,19 +414,10 @@ func New(cfg Config) (*Server, error) {
 	s.d.Register(wire.ProcFrame, s.handleFrame)
 	s.d.Register(wire.ProcFrameRelay, s.handleFrameRelay)
 	s.d.Register(wire.ProcWhoAmI, s.handleWhoAmI)
-	s.d.OnDisconnect = func(id int64) {
-		s.env.ReleaseAll(id)
-		// Round accounting must not leak: a departed session's
-		// consumed-mark would otherwise sit in the map forever (and a
-		// reconnecting session gets a fresh id anyway). The session state
-		// — codec shadow and reply buffer — dies with the session too;
-		// that is what guarantees a reconnecting v2 workstation restarts
-		// from a keyframe.
-		s.mu.Lock()
-		delete(s.round.consumedBy, id)
-		delete(s.codecs, id)
-		s.mu.Unlock()
-	}
+	// A session's codec shadow, reply buffer and round mark die with its
+	// dlib.Session — that is what restarts a reconnecting v2 workstation
+	// from a keyframe — so disconnect only frees the user's locks.
+	s.d.OnDisconnect = func(sess *dlib.Session) { s.env.ReleaseAll(sess.ID) }
 	return s, nil
 }
 

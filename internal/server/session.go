@@ -1,8 +1,9 @@
 package server
 
 // The session layer: everything between a dlib connection and the
-// compute core. It owns codec negotiation, per-session delta-shadow
-// state and reply buffers, the encode-once round reply, command
+// compute core. It owns codec negotiation, each session's record
+// (sessionState: delta shadow, reply buffer and round mark, kept on the
+// dlib.Session), the encode-once round reply, command
 // validation, and the relay exchange that lets cluster-tier nodes
 // (internal/relay) fan one round out to many workstations. The
 // compute layer (compute.go) never sees a session; this file never
@@ -20,27 +21,29 @@ import (
 	"repro/internal/wire"
 )
 
-// sessionState is the per-session wire state: the codec accepted at
-// hello, for v2 sessions the delta-shadow encoder tracking which
-// geometry sequence numbers the workstation already holds, and buf, in
-// which every codec-v2 and relay reply to the session is assembled —
-// session-owned in dlib.Handler's sense, since only this session's next
-// call rewrites it. Guarded by Server.mu; it dies with the session
-// (disconnect), which is what forces a full keyframe on reconnect.
+// sessionState is the origin's record of one session, kept in its
+// dlib.Session.State: the codec accepted at hello, for v2 sessions the
+// delta-shadow encoder tracking which geometry sequence numbers the
+// workstation already holds, buf, in which every codec-v2 and relay
+// reply to the session is assembled — session-owned in dlib.Handler's
+// sense, since only this session's next call rewrites it — and consumed,
+// the round serve (round.serves) the session last consumed. Only the
+// session's own calls touch it, under Server.mu; it dies with the
+// session, which is what forces a full keyframe on reconnect.
 type sessionState struct {
-	codec uint8
-	enc   *wire.FrameEncoder
-	buf   []byte
+	codec    uint8
+	enc      *wire.FrameEncoder
+	buf      []byte
+	consumed uint64
 }
 
-// sessionLocked returns id's session state, creating it on the first
-// call that needs one: a hello2, or a relay's first frame exchange.
-// Caller holds s.mu.
-func (s *Server) sessionLocked(id int64) *sessionState {
-	st := s.codecs[id]
+// sessionOf returns the calling session's record, creating it on the
+// session's first call.
+func sessionOf(ctx *dlib.Ctx) *sessionState {
+	st, _ := ctx.Session.State.(*sessionState)
 	if st == nil {
 		st = &sessionState{}
-		s.codecs[id] = st
+		ctx.Session.State = st
 	}
 	return st
 }
@@ -70,9 +73,9 @@ func (s *Server) handleHello2(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	st := sessionOf(ctx)
 	s.mu.Lock()
 	codec := wire.NegotiateCodec(req, uint8(s.cfg.MaxCodec))
-	st := s.sessionLocked(ctx.Session.ID)
 	st.codec = codec
 	if codec >= wire.CodecV2 {
 		s.wantSegs = true
@@ -116,18 +119,18 @@ func (s *Server) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	user := ctx.Session.ID
-	s.applyUpdate(user, u)
+	s.applyUpdate(ctx.Session.ID, u)
 
+	st := sessionOf(ctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.advanceLocked(user, u.Commands); err != nil {
+	if err := s.advanceLocked(st, u.Commands); err != nil {
 		return nil, err
 	}
 	// Codec v2 sessions get a per-session assembly: the shared round
 	// payload (header meta + cached per-rake segments) filtered through
 	// this session's delta shadow.
-	if st := s.codecs[user]; st != nil && st.codec >= wire.CodecV2 {
+	if st.codec >= wire.CodecV2 {
 		return s.serveFrameV2Locked(st), nil
 	}
 	// Encode-once fan-out: every v1 session of the round is handed the
@@ -139,21 +142,21 @@ func (s *Server) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 }
 
 // advanceLocked is the round-advance rule both frame procedures share:
-// a new round is computed when user has already consumed the current
-// one, or when it just issued commands — the user must see the effect of
-// their own interaction within this frame (§1.2's 1/8-second
-// command-to-display loop). Either way user has now consumed the round.
-// Caller holds s.mu.
+// a new round is computed when the session has already consumed the
+// current serve of the round, or when it just issued commands — the user
+// must see the effect of their own interaction within this frame (§1.2's
+// 1/8-second command-to-display loop). Either way the session has now
+// consumed it. Caller holds s.mu.
 //
 //vw:hotpath
-func (s *Server) advanceLocked(user int64, commands []wire.Command) error {
+func (s *Server) advanceLocked(st *sessionState, commands []wire.Command) error {
 	r := &s.round
-	if r.meta.Round == 0 || r.consumedBy[user] || len(commands) > 0 {
+	if r.meta.Round == 0 || st.consumed == r.serves || len(commands) > 0 {
 		if err := s.recomputeLocked(); err != nil {
 			return err
 		}
 	}
-	r.consumedBy[user] = true
+	st.consumed = r.serves
 	return nil
 }
 
@@ -259,17 +262,16 @@ func (s *Server) handleFrameRelay(ctx *dlib.Ctx, payload []byte) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	user := ctx.Session.ID
-	s.applyUpdate(user, u)
+	s.applyUpdate(ctx.Session.ID, u)
 
+	st := sessionOf(ctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.advanceLocked(user, u.Commands); err != nil {
+	if err := s.advanceLocked(st, u.Commands); err != nil {
 		return nil, err
 	}
 
 	cur := s.round.meta.Round
-	st := s.sessionLocked(user)
 	if req.LastRound == cur {
 		// The relay already holds this round's payload; ship 9 bytes.
 		st.buf = wire.AppendRelayMarker(st.buf[:0], cur)
@@ -343,7 +345,6 @@ func (s *Server) applyCommand(user int64, c wire.Command) {
 	case wire.CmdRemoveRake:
 		if s.env.RemoveRake(user, c.Rake) == nil {
 			s.mu.Lock()
-			delete(s.streaks, c.Rake)
 			delete(s.geoCache, c.Rake)
 			s.mu.Unlock()
 		}
@@ -379,7 +380,9 @@ func (s *Server) applyCommand(user int64, c wire.Command) {
 		if s.env.SetRakeTool(user, c.Rake, integrate.ToolKind(c.Tool)) == nil {
 			// Tool changes orphan any streak state.
 			s.mu.Lock()
-			delete(s.streaks, c.Rake)
+			if gc := s.geoCache[c.Rake]; gc != nil {
+				gc.streak = nil
+			}
 			s.mu.Unlock()
 		}
 	case wire.CmdSteerGrab:
