@@ -138,7 +138,10 @@ relay:
 # and the relay register every constant, internal/client calls each one
 # but wire.ProcFrameRelay, and the relay's upstream exchange
 # (Relay.fetchRound) calls that one. A relay forwarding a call upstream
-# is not a caller.
+# is not a caller. What a session is sent is decided once: the origin
+# and the relay answer through wire.Session's AnswerFrame and
+# AnswerRelay, the only non-test callers of wire.AppendRelayFrameReply
+# and (*wire.FrameEncoder).AppendFrame.
 deps:
 	@if $(GO) list -deps ./internal/server | grep -qx 'repro/internal/relay'; then \
 		echo 'internal/server depends on internal/relay'; exit 1; fi
@@ -168,6 +171,12 @@ deps:
 			grep -qE "\.Call\(wire\.$$p\b" $$(ls internal/client/*.go | grep -v _test.go) || \
 				{ echo "wire.$$p is not called from internal/client"; fail=1; }; \
 		fi; \
+	done; exit $$fail
+	@fail=0; for f in AppendRelayFrameReply AppendFrame; do \
+		calls=$$(grep -nE "[^A-Za-z0-9_]$$f\(" $$(find . -name '*.go' -not -name '*_test.go') | \
+			grep -vE "^[^:]+:[0-9]+:\s*//|func (\([^)]*\) )?$$f\("); \
+		if [ "$$(printf '%s\n' "$$calls" | grep -c .)" != 1 ] || ! printf '%s\n' "$$calls" | grep -q '^./internal/wire/serve.go:'; then \
+			echo "$$calls"; echo "$$f has a non-test caller besides the serve rule (wire.Session's answers, internal/wire/serve.go)"; fail=1; fi; \
 	done; exit $$fail
 
 # Doc citations resolve: every backticked TestX, BenchmarkX or FuzzX in

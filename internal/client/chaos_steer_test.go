@@ -71,9 +71,9 @@ func liveDialer(srv *server.Server, faultyConn int, plan *netsim.FaultPlan) (dli
 // TestChaosV2SteerReconnectResync: a v2 workstation steering a live
 // server is reset mid-stream. The redial must (a) resync the delta
 // stream with a keyframe so post-reconnect frames decode, (b) leave
-// the steering lock free for the new session (the old session died
-// with it), and (c) leave the applied parameters a complete triple —
-// after which the new session re-steers successfully.
+// the steering lock free for the new session once the origin has seen
+// the old one close, and (c) leave the applied parameters a complete
+// triple — after which the new session re-steers successfully.
 func TestChaosV2SteerReconnectResync(t *testing.T) {
 	srv, lv := buildLiveServer(t)
 	// Reset a few ops into the stream, after the steer frame has had a
@@ -149,8 +149,13 @@ func TestChaosV2SteerReconnectResync(t *testing.T) {
 		t.Fatalf("post-resync state lost the scene: %+v", latest.Rakes)
 	}
 
-	// (b) The dead session's steering lock came free; the parameters it
-	// applied survived un-torn.
+	// (b) The dead session's steering lock comes free once the origin
+	// sees its connection close, which nothing orders before the
+	// successor's first frame; the parameters it applied survived
+	// un-torn.
+	for time.Now().Before(deadline) && srv.Env().Steer().Holder == id1 {
+		time.Sleep(time.Millisecond)
+	}
 	st := srv.Env().Steer()
 	if st.Holder == id1 {
 		t.Fatalf("dead session %d still holds steering", id1)

@@ -182,8 +182,10 @@ func (s *Server) Sessions() []*Session {
 }
 
 // Serve accepts connections on l until Close. Each connection gets a
-// session; calls from all connections funnel through one dispatch
-// lock in arrival order.
+// session, numbered and registered in accept order before its
+// goroutine starts, so "first come" is the order the server accepted
+// (§5.1's first-come-first-served); calls from all connections funnel
+// through one dispatch lock in arrival order.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -203,28 +205,34 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 			return fmt.Errorf("dlib: accept: %w", err)
 		}
+		sess := s.open()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.serveConn(conn)
+			s.serveConn(conn, sess)
 		}()
 	}
 }
 
 // ServeConn serves a single pre-established connection (used with
-// net.Pipe in tests and by in-process clients). It blocks until the
-// connection closes.
+// net.Pipe in tests and by in-process clients), numbering its session
+// on entry. It blocks until the connection closes.
 func (s *Server) ServeConn(conn net.Conn) {
-	s.serveConn(conn)
+	s.serveConn(conn, s.open())
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer conn.Close()
+// open numbers a new session and registers it.
+func (s *Server) open() *Session {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.nextSess++
 	sess := &Session{ID: s.nextSess}
 	s.sessions[sess.ID] = sess
-	s.mu.Unlock()
+	return sess
+}
+
+func (s *Server) serveConn(conn net.Conn, sess *Session) {
+	defer conn.Close()
 	defer func() {
 		s.mu.Lock()
 		delete(s.sessions, sess.ID)

@@ -27,13 +27,17 @@
 // and the relay re-fans them to its local workstations.
 //
 // Byte identity. Relay-delivered frames are byte-identical per
-// (client, round) to direct connection. Codec v1 is the origin's round
-// buffer re-shipped verbatim. Codec v2 never re-quantizes: the relay
-// caches the origin's encoded per-rake segments (shipped in the full
-// reply's geometry directory, delta'd against the relay's shadow) and
-// runs the same per-session FrameEncoder the origin would run, feeding
-// it the origin's sequence numbers and segment bytes — so the delta
-// decisions and the bytes match a direct connection exactly.
+// (client, round) to direct connection, because a relay answers with
+// the origin's serve rule: its session record is the origin's
+// (wire.Session), and its frame and chained-relay answers are the
+// origin's two functions (AnswerFrame, AnswerRelay), handed the upstream
+// cache as the round (upCache is a wire.Round). Codec v1 is the origin's
+// round buffer re-shipped verbatim. Codec v2 never re-quantizes: the
+// cache holds the origin's encoded per-rake segments (shipped in the
+// full reply's geometry directory, delta'd against the relay's shadow)
+// and the session's FrameEncoder is fed the origin's sequence numbers
+// and segment bytes — so the delta decisions and the bytes match a
+// direct connection exactly.
 //
 // Upstream failure. When the upstream connection dies, the origin-side
 // session identity is gone, so the relay hangs up the affected
@@ -145,23 +149,15 @@ type upCache struct {
 }
 
 // session is the relay's record of one downstream session, kept in its
-// dlib.Session.State: the pinned upstream leg and the session's codec
-// state and scratch.
+// dlib.Session.State: the pinned upstream leg, the codec record the
+// origin keeps for a direct connection (the codec is the origin's hello2
+// answer, proxied), and the scratch the upstream request is assembled
+// in.
 type session struct {
 	idx int // upstream index
 	up  *dlib.Client
-
-	// codec is the downstream-negotiated codec (the origin's hello2
-	// answer, proxied); enc is the per-downstream delta encoder for v2
-	// sessions — the same encoder the origin would run for a direct
-	// connection, so its shadow decisions reproduce origin bytes.
-	codec uint8
-	enc   *wire.FrameEncoder
-
-	// Recycled per-session scratch: request/reply assembly, and a
-	// chained reply's directory, copied from the cached rows.
-	buf  []byte
-	rows []wire.Segment
+	wire.Session
+	req []byte
 }
 
 // Relay is a session router + frame cache node on a dlib server.
@@ -200,7 +196,7 @@ func New(cfg Config) (*Relay, error) {
 	// proxied calls return the upstream client's freshly read reply; a v1
 	// frame is upCache.frame, which a new round replaces and never
 	// rewrites in place; v2 and chained frames are assembled in the
-	// calling session's own st.buf, which only that session's next call
+	// calling session's wire.Session, which only that session's next call
 	// rewrites.
 	r.d.Register(wire.ProcHello2, r.handleHello2)
 	r.d.Register(wire.ProcWhoAmI, r.handleWhoAmI)
@@ -257,7 +253,7 @@ func (r *Relay) ensureSession(ctx *dlib.Ctx) (*session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("relay: dial upstream %d: %w", idx, err)
 	}
-	st := &session{idx: idx, up: dlib.NewClient(conn), codec: wire.CodecV1}
+	st := &session{idx: idx, up: dlib.NewClient(conn)}
 	r.mu.Lock()
 	ctx.Session.State = st
 	r.mu.Unlock()
@@ -293,9 +289,8 @@ func (r *Relay) upcall(ctx *dlib.Ctx, st *session, proc string, payload []byte) 
 
 // handleHello2 proxies codec negotiation to the origin — the origin's
 // MaxCodec cap must bind across the hop — and records the answer so
-// the relay knows how to serve this session's frames. Re-negotiation
-// resets the delta encoder, exactly as it resets the origin's for a
-// direct connection.
+// the relay knows how to serve this session's frames: the same
+// wire.Session.Hello the origin runs for a direct connection.
 func (r *Relay) handleHello2(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	st, err := r.ensureSession(ctx)
 	if err != nil {
@@ -309,13 +304,8 @@ func (r *Relay) handleHello2(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("relay: upstream hello2 reply: %w", err)
 	}
-	st.codec = codec
+	st.Hello(codec)
 	if codec >= wire.CodecV2 {
-		if st.enc == nil {
-			st.enc = wire.NewFrameEncoder()
-		} else {
-			st.enc.Reset()
-		}
 		r.caches[st.idx].wantSegs = true
 	}
 	return rep, nil
@@ -359,8 +349,8 @@ func (r *Relay) fetchRound(ctx *dlib.Ctx, st *session, update []byte, needSegs b
 		// round, so the origin must answer full.
 		req.LastRound = 0
 	}
-	st.buf = wire.AppendRelayFrameRequest(st.buf[:0], req)
-	raw, err := r.upcall(ctx, st, wire.ProcFrameRelay, st.buf)
+	st.req = wire.AppendRelayFrameRequest(st.req[:0], req)
+	raw, err := r.upcall(ctx, st, wire.ProcFrameRelay, st.req)
 	if err != nil {
 		return nil, err
 	}
@@ -433,6 +423,14 @@ func (c *upCache) install(rep wire.RelayFrameReply) error {
 	return nil
 }
 
+// upCache is the wire.Round a relay's sessions are answered from: the
+// cached round's number, its skimmed header, the origin's v1 bytes and
+// the rows its directory resolved to.
+func (c *upCache) ID() uint64               { return c.round }
+func (c *upCache) Header() *wire.FrameReply { return &c.meta }
+func (c *upCache) V1() []byte               { return c.frame }
+func (c *upCache) Rows() []wire.Segment     { return c.rows }
+
 // held resolves a directory reference against the rows the cache holds.
 func (c *upCache) held(ref wire.Segment) (wire.Segment, error) {
 	for _, row := range c.rows {
@@ -444,73 +442,58 @@ func (c *upCache) held(ref wire.Segment) (wire.Segment, error) {
 }
 
 // handleFrame serves a workstation's frame from the (refreshed) round
-// cache: codec v1 gets the origin's round buffer verbatim, codec v2
-// gets a per-session delta assembly from the origin's cached segments.
+// cache, with the origin's frame answer: codec v1 gets the origin's
+// round buffer verbatim, codec v2 a per-session delta assembly from the
+// origin's cached segments.
 //
 //vw:hotpath
 func (r *Relay) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
-	st, err := r.ensureSession(ctx)
-	if err != nil {
-		return nil, err
-	}
-	v2 := st.codec >= wire.CodecV2
-	c, err := r.fetchRound(ctx, st, payload, v2)
-	if err != nil {
-		return nil, err
-	}
-	reply := c.frame
-	if v2 {
-		// handleHello2 built st.enc when it recorded the v2 codec, and
-		// fetchRound holds the round's rows for a v2 session.
-		st.buf = st.enc.AppendFrame(st.buf[:0], c.meta, c.rows)
-		reply = st.buf
-	}
-	r.mu.Lock()
-	r.stats.DownFrames++
-	r.stats.DownBytes += int64(len(reply))
-	if v2 {
-		r.stats.V2Frames++
-	}
-	r.mu.Unlock()
-	return reply, nil
+	return r.serve(ctx, payload, nil)
 }
 
-// handleFrameRelay serves a chained (child) relay: refresh our cache
-// through our own upstream, then answer from it with the same
-// marker/full logic the origin uses — delta'd against the child's
-// shadow, not ours.
+// handleFrameRelay serves a chained (child) relay with the origin's
+// relay answer, delta'd against the child's shadow, not ours.
 func (r *Relay) handleFrameRelay(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	req, err := wire.DecodeRelayFrameRequest(payload)
 	if err != nil {
 		return nil, err
 	}
+	return r.serve(ctx, req.Update, &req)
+}
+
+// serve is both frame procedures after their decode: the session's
+// round is fetched through its upstream leg — with its rows, for a v2
+// session or a child relay that wants segments — and the serve rule
+// answers it from the cache: a frame, or for a child's request req the
+// relay answer.
+//
+//vw:hotpath
+func (r *Relay) serve(ctx *dlib.Ctx, update []byte, req *wire.RelayFrameRequest) ([]byte, error) {
 	st, err := r.ensureSession(ctx)
 	if err != nil {
 		return nil, err
 	}
-	c, err := r.fetchRound(ctx, st, req.Update, req.WantSegs)
+	needSegs := st.Codec >= wire.CodecV2
+	if req != nil {
+		needSegs = req.WantSegs
+	}
+	c, err := r.fetchRound(ctx, st, update, needSegs)
 	if err != nil {
 		return nil, err
 	}
 	var reply []byte
-	if req.LastRound == c.round {
-		reply = wire.AppendRelayMarker(st.buf[:0], c.round)
+	var sent wire.Shipped
+	if req != nil {
+		reply, sent = st.AnswerRelay(req, c)
 	} else {
-		rep := wire.RelayFrameReply{Full: true, Round: c.round, Frame: c.frame}
-		if req.WantSegs {
-			st.rows = append(st.rows[:0], c.rows...)
-			req.Directory(st.rows)
-			rep.HasDir, rep.Dir = true, st.rows
-		}
-		// The frame and the request alias distinct buffers (c.frame vs
-		// payload), so encoding into st.buf is safe: fetchRound's use of
-		// st.buf for the upstream request is already complete.
-		reply = wire.AppendRelayFrameReply(st.buf[:0], rep)
+		reply, sent = st.AnswerFrame(c)
 	}
-	st.buf = reply
 	r.mu.Lock()
 	r.stats.DownFrames++
 	r.stats.DownBytes += int64(len(reply))
+	if sent.V2 {
+		r.stats.V2Frames++
+	}
 	r.mu.Unlock()
 	return reply, nil
 }

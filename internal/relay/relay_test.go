@@ -212,14 +212,27 @@ func movingRound(n uint64) (wire.FrameReply, wire.Segment) {
 	return r, wire.Segment{Key: 1, Seq: n, Bytes: wire.AppendGeomV2(nil, g, testQuant)}
 }
 
+// answer is an honest upstream's vw.framerelay reply to req from round
+// r, whose directory rows are rows: the origin's relay answer, run on a
+// record kept in the calling session's State.
+func answer(ctx *dlib.Ctx, req *wire.RelayFrameRequest, r wire.FrameReply, rows []wire.Segment) []byte {
+	st, _ := ctx.Session.State.(*wire.Session)
+	if st == nil {
+		st = &wire.Session{}
+		ctx.Session.State = st
+	}
+	reply, _ := st.AnswerRelay(req, &upCache{round: r.Round, frame: wire.EncodeFrameReply(r), meta: r, rows: rows})
+	return reply
+}
+
 // movingUpstream serves movingRound(n), advancing n on every exchange
-// whose update carries a command and answering a marker when the caller
-// already holds round n — the origin's rules, minus the origin.
+// whose update carries a command, through the origin's relay answer —
+// the origin's rules, minus the origin.
 func movingUpstream() *dlib.Server {
 	d := dlib.NewServer()
 	d.Register(wire.ProcHello2, helloV2)
 	round := uint64(1) // handlers run under serial dispatch
-	d.Register(wire.ProcFrameRelay, func(_ *dlib.Ctx, payload []byte) ([]byte, error) {
+	d.Register(wire.ProcFrameRelay, func(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 		req, err := wire.DecodeRelayFrameRequest(payload)
 		if err != nil {
 			return nil, err
@@ -231,15 +244,8 @@ func movingUpstream() *dlib.Server {
 		if len(u.Commands) > 0 {
 			round++
 		}
-		if req.LastRound == round {
-			return wire.AppendRelayMarker(nil, round), nil
-		}
 		r, seg := movingRound(round)
-		rep := wire.RelayFrameReply{Full: true, Round: round, Frame: wire.EncodeFrameReply(r)}
-		if req.WantSegs {
-			rep.HasDir, rep.Dir = true, []wire.Segment{seg}
-		}
-		return wire.AppendRelayFrameReply(nil, rep), nil
+		return answer(ctx, &req, r, []wire.Segment{seg}), nil
 	})
 	return d
 }
@@ -437,7 +443,7 @@ func TestRelayRefusedReplyLeavesCacheWhole(t *testing.T) {
 						Full: true, Round: 2, Frame: wire.EncodeFrameReply(round2), HasDir: true, Dir: tc.dir,
 					}), nil
 				}
-				return wire.AppendRelayMarker(nil, req.LastRound), nil // "what you hold is current"
+				return wire.AppendRelayFrameReply(nil, wire.RelayFrameReply{Round: req.LastRound}), nil // "what you hold is current"
 			})
 
 			r := newRelay(t, up)
@@ -497,7 +503,7 @@ func TestRelayForgetsRoundOfLostUpstream(t *testing.T) {
 				return nil, err
 			}
 			if req.LastRound == 3 {
-				return wire.AppendRelayMarker(nil, 3), nil
+				return wire.AppendRelayFrameReply(nil, wire.RelayFrameReply{Round: 3}), nil
 			}
 			round := testRound(3)
 			round.Tools.Iso.Value = iso
@@ -569,15 +575,14 @@ func TestRelayFullFetchAllocsIndependentOfLines(t *testing.T) {
 		seg := wire.AppendGeomV2(nil, g, testQuant)
 		up := dlib.NewServer()
 		up.Register(wire.ProcHello2, helloV2)
-		// Two allocations a reply whatever the round holds, and a new
-		// round — a full fetch — on every exchange.
-		up.Register(wire.ProcFrameRelay, func(_ *dlib.Ctx, payload []byte) ([]byte, error) {
-			round.Round++
-			rep := wire.RelayFrameReply{Full: true, Round: round.Round, Frame: wire.EncodeFrameReply(round)}
-			if codec >= wire.CodecV2 {
-				rep.HasDir, rep.Dir = true, []wire.Segment{{Key: 1, Seq: round.Round, Bytes: seg}}
+		// A new round — a full fetch — on every exchange.
+		up.Register(wire.ProcFrameRelay, func(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
+			req, err := wire.DecodeRelayFrameRequest(payload)
+			if err != nil {
+				return nil, err
 			}
-			return wire.AppendRelayFrameReply(make([]byte, 0, len(rep.Frame)+len(seg)+64), rep), nil
+			round.Round++
+			return answer(ctx, &req, round, []wire.Segment{{Key: 1, Seq: round.Round, Bytes: seg}}), nil
 		})
 		c := dialRelay(t, up)
 		if codec >= wire.CodecV2 {

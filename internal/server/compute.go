@@ -44,7 +44,7 @@ type segCache struct {
 	// shared by every session that needs the full geometry. The pool job
 	// that rewrites the geometry writes it too once the server has seen a
 	// v2 consumer (sealed, until numberLocked gives the geometry its
-	// sequence); otherwise encodeSegLocked builds it for the first
+	// sequence); otherwise roundRowsLocked builds it for the first
 	// consumer to ask.
 	seq    uint64
 	seg    []byte

@@ -406,8 +406,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	// Every handler registered below returns a fresh buffer (the hello,
 	// whoami, the round's codec-v1 reply) or a session-owned one
-	// (codec-v2 frames and relay replies, sessionState.buf) —
-	// dlib.Handler's reply-buffer contract.
+	// (codec-v2 frames and relay replies, assembled in the session's
+	// wire.Session) — dlib.Handler's reply-buffer contract.
 	s.env.InitSteer(cfg.Steer)
 	s.env.InitTools(cfg.Tools)
 	s.d.Register(wire.ProcHello2, s.handleHello2)
@@ -416,7 +416,13 @@ func New(cfg Config) (*Server, error) {
 	s.d.Register(wire.ProcWhoAmI, s.handleWhoAmI)
 	// A session's codec shadow, reply buffer and round mark die with its
 	// dlib.Session — that is what restarts a reconnecting v2 workstation
-	// from a keyframe — so disconnect only frees the user's locks.
+	// from a keyframe — so disconnect only frees the user's locks. A dead
+	// session's locks are released once the server sees its connection
+	// close, and not before: nothing orders that ahead of the first
+	// frame of a session the same workstation redialled (ordering it
+	// would need the successor to name its predecessor on the wire), so
+	// the successor may find its predecessor's locks still held for a
+	// few frames and grab them, first come first served, once released.
 	s.d.OnDisconnect = func(sess *dlib.Session) { s.env.ReleaseAll(sess.ID) }
 	return s, nil
 }

@@ -2,13 +2,16 @@ package server
 
 // The session layer: everything between a dlib connection and the
 // compute core. It owns codec negotiation, each session's record
-// (sessionState: delta shadow, reply buffer and round mark, kept on the
-// dlib.Session), the encode-once round reply, command
-// validation, and the relay exchange that lets cluster-tier nodes
-// (internal/relay) fan one round out to many workstations. The
-// compute layer (compute.go) never sees a session; this file never
-// integrates a streamline. The split is the seam the cluster tier
-// routes across.
+// (sessionState: the wire.Session codec record and the round mark, kept
+// on the dlib.Session), the encode-once round reply, command validation,
+// and the round-advance rule. What a session is sent is not decided
+// here: both frame procedures answer through the serve rule every
+// serving node shares (wire.Session's AnswerFrame and AnswerRelay),
+// handed the current round as a wire.Round (servedRound), so a relay
+// node (internal/relay) answering from its upstream cache sends the
+// bytes this server would. The compute layer (compute.go) never sees a
+// session; this file never integrates a streamline. The split is the
+// seam the cluster tier routes across.
 
 import (
 	"encoding/binary"
@@ -22,18 +25,14 @@ import (
 )
 
 // sessionState is the origin's record of one session, kept in its
-// dlib.Session.State: the codec accepted at hello, for v2 sessions the
-// delta-shadow encoder tracking which geometry sequence numbers the
-// workstation already holds, buf, in which every codec-v2 and relay
-// reply to the session is assembled — session-owned in dlib.Handler's
-// sense, since only this session's next call rewrites it — and consumed,
-// the round serve (round.serves) the session last consumed. Only the
-// session's own calls touch it, under Server.mu; it dies with the
-// session, which is what forces a full keyframe on reconnect.
+// dlib.Session.State: the codec record every serving node keeps (the
+// codec accepted at hello, a v2 session's delta shadow, the buffer its
+// replies are assembled in) and consumed, the round serve (round.serves)
+// the session last consumed. Only the session's own calls touch it,
+// under Server.mu; it dies with the session, which is what forces a full
+// keyframe on reconnect.
 type sessionState struct {
-	codec    uint8
-	enc      *wire.FrameEncoder
-	buf      []byte
+	wire.Session
 	consumed uint64
 }
 
@@ -76,12 +75,9 @@ func (s *Server) handleHello2(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	st := sessionOf(ctx)
 	s.mu.Lock()
 	codec := wire.NegotiateCodec(req, uint8(s.cfg.MaxCodec))
-	st.codec = codec
+	st.Hello(codec)
 	if codec >= wire.CodecV2 {
 		s.wantSegs = true
-	}
-	if st.enc != nil {
-		st.enc.Reset()
 	}
 	s.mu.Unlock()
 	return wire.EncodeHelloReply(codec, s.datasetInfo()), nil
@@ -115,29 +111,66 @@ func (s *Server) applyUpdate(user int64, u wire.ClientUpdate) {
 //
 //vw:hotpath
 func (s *Server) handleFrame(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
-	u, err := wire.DecodeClientUpdate(payload)
+	return s.serve(ctx, payload, nil)
+}
+
+// handleFrameRelay is the cluster tier's upstream frame exchange: one
+// downstream workstation's frame call, forwarded by a relay node with
+// its cache state attached. The pose/command application and the
+// round-advance rule are handleFrame's (serve: applyUpdate, advanceLocked) —
+// the relay holds one upstream session per downstream workstation, so
+// identity, FCFS lock ownership, and round accounting are untouched by
+// the hop. Only the answer differs (wire.Session.AnswerRelay): a marker
+// when the relay's cached round is still current, otherwise the v1
+// round buffer verbatim plus, when asked, the geometry directory
+// against the relay's segment shadow. The relay re-fans the payload to
+// its local workstations byte-identically.
+//
+//vw:hotpath
+func (s *Server) handleFrameRelay(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
+	req, err := wire.DecodeRelayFrameRequest(payload)
+	if err != nil {
+		return nil, err
+	}
+	return s.serve(ctx, req.Update, &req)
+}
+
+// serve is both frame procedures after their decode: the calling
+// session's update is applied, the round advances for it
+// (advanceLocked), and the serve rule answers it from the round — a
+// frame, or for a relay's request req the relay answer.
+//
+//vw:hotpath
+func (s *Server) serve(ctx *dlib.Ctx, update []byte, req *wire.RelayFrameRequest) ([]byte, error) {
+	u, err := wire.DecodeClientUpdate(update)
 	if err != nil {
 		return nil, err
 	}
 	s.applyUpdate(ctx.Session.ID, u)
-
 	st := sessionOf(ctx)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.advanceLocked(st, u.Commands); err != nil {
 		return nil, err
 	}
-	// Codec v2 sessions get a per-session assembly: the shared round
-	// payload (header meta + cached per-rake segments) filtered through
-	// this session's delta shadow.
-	if st.codec >= wire.CodecV2 {
-		return s.serveFrameV2Locked(st), nil
+	if req != nil {
+		reply, sent := st.AnswerRelay(req, (*servedRound)(s))
+		if sent.Full {
+			s.stats.RelayFulls++
+		} else {
+			s.stats.RelayMarkers++
+		}
+		s.stats.RelayBytes += int64(len(reply))
+		return reply, nil
 	}
-	// Encode-once fan-out: every v1 session of the round is handed the
-	// same bytes, which dlib writes zero-copy.
-	reply := s.v1ReplyLocked()
+	reply, sent := st.AnswerFrame((*servedRound)(s))
 	s.stats.FramesShipped++
 	s.stats.BytesShipped += int64(len(reply))
+	if sent.V2 {
+		s.stats.V2Frames++
+		s.stats.V2RakesInline += int64(sent.Inline)
+		s.stats.V2RakesRef += int64(sent.Ref)
+	}
 	return reply, nil
 }
 
@@ -182,23 +215,31 @@ func (s *Server) v1ReplyLocked() []byte {
 	return r.v1
 }
 
-// serveFrameV2Locked assembles this session's codec-v2 reply from the
-// shared round payload: the round's header plus, per rake and tool on
-// the round list, either the shared cached segment (encoded once per
-// geometry version, for every session) or — when the session's shadow
-// already holds the source's current sequence — a few-byte reference
-// record. The reply lands in the session's own buf. Caller holds s.mu.
-func (s *Server) serveFrameV2Locked(st *sessionState) []byte {
-	if st.enc == nil {
-		st.enc = wire.NewFrameEncoder()
-	}
-	st.buf = st.enc.AppendFrame(st.buf[:0], s.round.meta, s.roundRowsLocked())
-	s.stats.FramesShipped++
-	s.stats.V2Frames++
-	s.stats.V2RakesInline += int64(st.enc.LastInline)
-	s.stats.V2RakesRef += int64(st.enc.LastRef)
-	s.stats.BytesShipped += int64(len(st.buf))
-	return st.buf
+// servedRound is the server as the wire.Round its sessions are answered
+// from: the current round, whose codec-v1 reply (v1ReplyLocked) and
+// segment rows (roundRowsLocked) are encoded on an answer's first
+// request. Encode-once fan-out: every v1 session of the round is handed
+// the same bytes, and every v2 session the same segments, filtered
+// through its own delta shadow. Its methods run inside an answer, which
+// serve calls under s.mu: the lock analyzer cannot follow the call
+// through the interface, hence the allows.
+type servedRound Server
+
+//vw:allow lockdiscipline -- answered under s.mu
+func (v *servedRound) ID() uint64 { return v.round.meta.Round }
+
+//vw:allow lockdiscipline -- answered under s.mu
+func (v *servedRound) Header() *wire.FrameReply { return &v.round.meta }
+
+func (v *servedRound) V1() []byte { return (*Server)(v).v1ReplyLocked() }
+
+// Rows hands out the round's rows; a consumer of them also wants every
+// later round's segments written by the pool (wantSegs).
+//
+//vw:allow lockdiscipline -- answered under s.mu
+func (v *servedRound) Rows() []wire.Segment {
+	v.wantSegs = true
+	return (*Server)(v).roundRowsLocked()
 }
 
 // roundRowsLocked walks the round list — rakes, then tools, aligned
@@ -208,87 +249,27 @@ func (s *Server) serveFrameV2Locked(st *sessionState) []byte {
 // rows into a directory (wire.RelayFrameRequest.Directory). The rows
 // alias the segment cache and the scratch, so they are valid only until
 // the reply encode that follows. Caller holds s.mu.
+//
+// A row's segment is encoded once per geometry sequence, for every
+// consumer: normally the pool job that computed the geometry wrote it;
+// the encode here is the same one's second call site, for geometry
+// computed before the server saw its first v2 consumer.
 func (s *Server) roundRowsLocked() []wire.Segment {
+	r := &s.round
 	s.segScratch = s.segScratch[:0]
-	for i, sc := range s.round.segs {
-		s.encodeSegLocked(i)
+	for i, sc := range r.segs {
+		if sc.segSeq != sc.seq {
+			s.stats.SegmentsEncoded++
+			if n := len(r.meta.Geometry); i < n {
+				sc.seg = wire.AppendGeomV2(sc.seg[:0], r.meta.Geometry[i], s.quant)
+			} else {
+				sc.seg = wire.AppendToolGeomV2(sc.seg[:0], r.tools.Geoms[i-n], s.quant)
+			}
+			sc.segSeq = sc.seq
+		}
 		s.segScratch = append(s.segScratch, wire.Segment{Key: sc.key, Seq: sc.seq, Bytes: sc.seg})
 	}
 	return s.segScratch
-}
-
-// encodeSegLocked ensures round-list entry i holds the codec-v2
-// segment for its current geometry sequence — encode-once, v2 edition:
-// normally the pool job that computed the geometry wrote it; this is
-// the same encode's second call site, for geometry computed before the
-// server saw its first v2 consumer. Either way the segment is reused
-// until the source recomputes, so every consumer ships identical
-// quantized bytes. Caller holds s.mu.
-func (s *Server) encodeSegLocked(i int) {
-	r := &s.round
-	sc := r.segs[i]
-	if sc.segSeq == sc.seq {
-		return
-	}
-	s.stats.SegmentsEncoded++
-	if n := len(r.meta.Geometry); i < n {
-		sc.seg = wire.AppendGeomV2(sc.seg[:0], r.meta.Geometry[i], s.quant)
-	} else {
-		sc.seg = wire.AppendToolGeomV2(sc.seg[:0], r.tools.Geoms[i-n], s.quant)
-	}
-	sc.segSeq = sc.seq
-}
-
-// handleFrameRelay is the cluster tier's upstream frame exchange: one
-// downstream workstation's frame call, forwarded by a relay node with
-// its cache state attached. The pose/command application and the
-// round-advance rule are handleFrame's (applyUpdate, advanceLocked) —
-// the relay holds one upstream session per downstream workstation, so
-// identity, FCFS lock ownership, and round accounting are untouched by
-// the hop. Only
-// the reply differs: a marker when the relay's cached round is still
-// current, otherwise the encoded v1 round buffer verbatim plus (when
-// asked) the geometry directory delta-encoded against the relay's
-// segment shadow. The relay re-fans the payload to its local
-// workstations byte-identically.
-//
-//vw:hotpath
-func (s *Server) handleFrameRelay(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
-	req, err := wire.DecodeRelayFrameRequest(payload)
-	if err != nil {
-		return nil, err
-	}
-	u, err := wire.DecodeClientUpdate(req.Update)
-	if err != nil {
-		return nil, err
-	}
-	s.applyUpdate(ctx.Session.ID, u)
-
-	st := sessionOf(ctx)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.advanceLocked(st, u.Commands); err != nil {
-		return nil, err
-	}
-
-	cur := s.round.meta.Round
-	if req.LastRound == cur {
-		// The relay already holds this round's payload; ship 9 bytes.
-		st.buf = wire.AppendRelayMarker(st.buf[:0], cur)
-		s.stats.RelayMarkers++
-	} else {
-		rep := wire.RelayFrameReply{Full: true, Round: cur, Frame: s.v1ReplyLocked()}
-		if req.WantSegs {
-			s.wantSegs = true
-			rep.HasDir = true
-			rep.Dir = s.roundRowsLocked()
-			req.Directory(rep.Dir)
-		}
-		st.buf = wire.AppendRelayFrameReply(st.buf[:0], rep)
-		s.stats.RelayFulls++
-	}
-	s.stats.RelayBytes += int64(len(st.buf))
-	return st.buf, nil
 }
 
 // finiteVec3 reports whether every component is a finite number.

@@ -476,7 +476,10 @@ func pruneShadow[K comparable, V, T any](shadow map[K]V, items []T, key func(*T)
 // ones with reference records. One encoder must serve exactly one
 // ordered frame stream; a reconnecting peer gets a fresh encoder
 // (server sessions die with their connection), which forces a full
-// keyframe.
+// keyframe. A serving node runs it inside its Session's AnswerFrame;
+// it is exported for tests elsewhere that mirror a session's frames.
+//
+//vw:testonly
 type FrameEncoder struct {
 	// LastInline and LastRef report the directory composition (rake and
 	// tool entries alike) of the most recent AppendFrame, for stats.
@@ -488,6 +491,8 @@ type FrameEncoder struct {
 }
 
 // NewFrameEncoder returns an encoder with an empty shadow.
+//
+//vw:testonly
 func NewFrameEncoder() *FrameEncoder {
 	return &FrameEncoder{
 		shadow: make(map[int64]uint64),
@@ -497,6 +502,8 @@ func NewFrameEncoder() *FrameEncoder {
 }
 
 // Reset forgets the peer's shadow; the next frame is a full keyframe.
+//
+//vw:testonly
 func (e *FrameEncoder) Reset() {
 	clear(e.shadow)
 	clear(e.users)
@@ -509,6 +516,8 @@ func (e *FrameEncoder) Reset() {
 // segment — the server's encode-once segment cache, or the rows a relay
 // holds. The encoder only picks between a row's bytes and a reference,
 // so r's lines and tool points are never read.
+//
+//vw:testonly
 func (e *FrameEncoder) AppendFrame(dst []byte, r FrameReply, segs []Segment) []byte {
 	e.LastInline, e.LastRef = 0, 0
 	enc := encoder{buf: dst}

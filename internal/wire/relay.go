@@ -62,8 +62,10 @@ type RelayFrameRequest struct {
 // Directory turns a round's rows, in place, into the geometry
 // directory of a full reply to r: a row whose (Key, Seq) the request's
 // shadow holds becomes a reference, every other row keeps its bytes.
-// It is the one directory rule, the origin's and a relay's. Shadows are
-// a handful of entries; the linear scan beats a map.
+// It is the one directory rule, which every node's AnswerRelay runs.
+// Shadows are a handful of entries; the linear scan beats a map.
+//
+//vw:testonly
 func (r *RelayFrameRequest) Directory(rows []Segment) {
 	for i := range rows {
 		for _, e := range r.Shadow {
@@ -139,21 +141,19 @@ func DecodeRelayFrameRequest(buf []byte) (RelayFrameRequest, error) {
 	return req, nil
 }
 
-// AppendRelayMarker appends a round-unchanged marker reply.
-func AppendRelayMarker(dst []byte, round uint64) []byte {
-	e := encoder{buf: dst}
-	e.u8(relayMarker)
-	e.u64(round)
-	return e.buf
-}
-
-// AppendRelayFrameReply appends the wire encoding of rep (marker or
-// full, by rep.Full).
+// AppendRelayFrameReply appends the wire encoding of rep: a
+// round-unchanged marker, or by rep.Full the full payload. A serving
+// node answers through its Session's AnswerRelay; tests elsewhere
+// build replies with it.
+//
+//vw:testonly
 func AppendRelayFrameReply(dst []byte, rep RelayFrameReply) []byte {
-	if !rep.Full {
-		return AppendRelayMarker(dst, rep.Round)
-	}
 	e := encoder{buf: dst}
+	if !rep.Full {
+		e.u8(relayMarker)
+		e.u64(rep.Round)
+		return e.buf
+	}
 	e.u8(relayFull)
 	e.u64(rep.Round)
 	e.uvarint(uint64(len(rep.Frame)))
