@@ -180,10 +180,11 @@ deps:
 	done; exit $$fail
 
 # Doc citations resolve: every backticked TestX, BenchmarkX or FuzzX in
-# README.md, DESIGN.md and the verify skill names a func declared in a
-# _test.go file somewhere in the repository (benchmark/ included). A *
-# stands for any run of identifier characters, so `TestRelay*GoldenFrames`
-# resolves; a name cited as since deleted goes without backticks.
+# README.md, DESIGN.md, EXPERIMENTS.md and the verify skill names a func
+# declared in a _test.go file somewhere in the repository (benchmark/
+# included). A * stands for any run of identifier characters, so
+# `TestRelay*GoldenFrames` resolves; a name cited as since deleted goes
+# without backticks.
 refs:
 	@defs=$$(grep -hoE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' $$(find . -name '*_test.go') | sed 's/^func //' | sort -u); \
 	awk -v defs="$$defs" ' \
@@ -205,7 +206,7 @@ refs:
 		BEGIN { n = split(defs, d, " ") } \
 		FNR == 1 && NR > 1 { check(prev); text = "" } \
 		{ text = text $$0 "\n"; prev = FILENAME } \
-		END { check(prev); exit bad }' README.md DESIGN.md .claude/skills/verify/SKILL.md
+		END { check(prev); exit bad }' README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
 
 # The in-situ battery: the solver-vs-replay differential, the live
 # golden corpus entries (direct and relayed), the lock table's steering

@@ -195,8 +195,9 @@ func checkLockScope(pass *Pass, sc funcScope, guarded map[types.Object]guardedFi
 			if _, isFunc := pass.Info.Uses[sel.Sel].(*types.Func); !isFunc {
 				return true
 			}
-			owner, okPath := pathString(sel.X)
-			if !okPath || localRoot(sel.X) {
+			recv := unconvert(pass.Info, sel.X)
+			owner, okPath := pathString(recv)
+			if !okPath || localRoot(recv) {
 				return true
 			}
 			if !ok(owner, n.Pos(), "mu") {

@@ -110,6 +110,21 @@ func (s *S) BadRemove(k int) {
 	delete(s.cache, k) // want `s\.cache is guarded by s\.mu`
 }
 
+// view is S under another name, the shape of a server handed out as an
+// interface: a *Locked method reached through a conversion is checked
+// against the converted value.
+type view S
+
+func (v *view) BadConverted() {
+	(*S)(v).bumpLocked() // want `v\.bumpLocked called without holding v\.mu`
+}
+
+func (v *view) GoodConverted() {
+	v.mu.Lock()
+	(*S)(v).bumpLocked()
+	v.mu.Unlock()
+}
+
 func (s *S) Allowed() {
 	s.count = 9 //vw:allow lockdiscipline -- fixture: single-owner setup phase
 }

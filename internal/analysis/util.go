@@ -25,6 +25,19 @@ func pathString(e ast.Expr) (string, bool) {
 	return "", false
 }
 
+// unconvert peels type conversions off e — (*Server)(v) is v — so a
+// method called through a conversion is checked against the converted
+// value's own path.
+func unconvert(info *types.Info, e ast.Expr) ast.Expr {
+	for {
+		call, ok := ast.Unparen(e).(*ast.CallExpr)
+		if !ok || len(call.Args) != 1 || !info.Types[call.Fun].IsType() {
+			return e
+		}
+		e = call.Args[0]
+	}
+}
+
 // calleeObj resolves the object a call expression invokes: a
 // *types.Func for ordinary calls and methods, a *types.Builtin for
 // builtins, nil for indirect calls through function values.

@@ -1,6 +1,7 @@
 package datasets
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/field"
@@ -95,5 +96,45 @@ func TestSolverDataset(t *testing.T) {
 func TestSolverRejectsBadSpec(t *testing.T) {
 	if _, err := Solver(Spec{}, SolverOptions{}); err == nil {
 		t.Error("zero spec accepted")
+	}
+}
+
+// BenchmarkAnalytic times the analytic generator's two layers on the
+// benchmark's two datasets, in ns per node-step: sample is
+// AnalyticPhysical, the model at every node of every step; convert is
+// the in-place grid-coordinate conversion Analytic runs on its result,
+// the fresh grid's metric included, timed apart from the sampling.
+func BenchmarkAnalytic(b *testing.B) {
+	for _, s := range []Spec{
+		{NI: 32, NJ: 48, NK: 12, NumSteps: 24, DT: 0.6},
+		{NI: 64, NJ: 96, NK: 24, NumSteps: 32, DT: 0.6},
+	} {
+		nodeSteps := float64(s.NI * s.NJ * s.NK * s.NumSteps)
+		perNodeStep := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(nodeSteps*float64(b.N)), "ns/node-step")
+		}
+		name := fmt.Sprintf("%dx%dx%dx%d", s.NI, s.NJ, s.NK, s.NumSteps)
+		b.Run(name+"/sample", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := AnalyticPhysical(s); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perNodeStep(b)
+		})
+		b.Run(name+"/convert", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				u, err := AnalyticPhysical(s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := u.ToGridCoords(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perNodeStep(b)
+		})
 	}
 }

@@ -28,9 +28,15 @@ type Flow interface {
 }
 
 // Sample evaluates the flow at every node of g at time t, returning a
-// physical-coordinate field.
+// physical-coordinate field. A TaperedCylinder is sampled a plane at a
+// time (TaperedCylinder.sampleInto), bit for bit its VelocityAt at
+// every node; every other flow is sampled through VelocityAt.
 func Sample(f Flow, g *grid.Grid, t float32) *field.Field {
 	out := field.NewField(g.NI, g.NJ, g.NK, field.Physical)
+	if tc, ok := f.(TaperedCylinder); ok {
+		tc.sampleInto(out, g, t)
+		return out
+	}
 	for k := 0; k < g.NK; k++ {
 		for j := 0; j < g.NJ; j++ {
 			for i := 0; i < g.NI; i++ {
@@ -98,10 +104,43 @@ func (tc TaperedCylinder) radiusAt(z float32) float32 {
 
 // VelocityAt implements Flow.
 func (tc TaperedCylinder) VelocityAt(p vmath.Vec3, t float32) vmath.Vec3 {
-	r := tc.radiusAt(p.Z)
-	v := tc.potential(p, r)
-	v = v.Add(tc.street(p, r, t))
-	return v
+	var buf [streetSlots]vortex
+	a := tc.radiusAt(p.Z)
+	return tc.velocity(p, a, tc.street(buf[:0], a, t))
+}
+
+// sampleInto writes the model at time t at every node of g into out,
+// which has g's dimensions. A node's street depends on it only through
+// the local radius, so the street is resolved once per radius — once
+// per k-plane of a tapered-cylinder grid — and re-resolved whenever the
+// radius's bits change, which keeps any grid bit for bit VelocityAt.
+func (tc TaperedCylinder) sampleInto(out *field.Field, g *grid.Grid, t float32) {
+	var buf [streetSlots]vortex
+	var vs []vortex
+	var key uint32
+	for n := range g.X {
+		p := vmath.Vec3{X: g.X[n], Y: g.Y[n], Z: g.Z[n]}
+		a := tc.radiusAt(p.Z)
+		if bits := math.Float32bits(a); n == 0 || bits != key {
+			vs, key = tc.street(buf[:0], a, t), bits
+		}
+		v := tc.velocity(p, a, vs)
+		out.U[n], out.V[n], out.W[n] = v.X, v.Y, v.Z
+	}
+}
+
+// velocity is the model at p, where the local radius is a and the
+// street is vs: potential flow plus the street, which only exists
+// downstream of the body.
+func (tc TaperedCylinder) velocity(p vmath.Vec3, a float32, vs []vortex) vmath.Vec3 {
+	v := tc.potential(p, a)
+	var st vmath.Vec3
+	if !(p.X < 0) {
+		for i := range vs {
+			st = st.Add(vs[i].lambOseen(p.X, p.Y))
+		}
+	}
+	return v.Add(st)
 }
 
 // potential is 2-D potential flow around a cylinder of radius a in the
@@ -122,15 +161,25 @@ func (tc TaperedCylinder) potential(p vmath.Vec3, a float32) vmath.Vec3 {
 	return vmath.Vec3{X: float32(u), Y: float32(vv)}
 }
 
-// street adds the shed vortex street: a staggered row of counter-
-// rotating Lamb-Oseen vortices advecting downstream at ~0.85 U0. The
-// local shedding frequency f = St*U0/(2a) depends on z through the
+// streetSlots is the number of street vortices street considers: eight
+// sheddings on each of two rows.
+const streetSlots = 16
+
+// A vortex is one Lamb-Oseen vortex of the street at one (radius,
+// time): its centre and the constants lambOseen derives from its
+// signed circulation and core radius.
+type vortex struct {
+	xc, yc float32
+	g      float64 // circulation / 2π
+	rc2    float64 // core radius squared
+}
+
+// street appends to vs the shed vortex street at local radius a and
+// time t: a staggered row of counter-rotating Lamb-Oseen vortices
+// advecting downstream at ~0.85 U0, in the order velocity sums them.
+// The local shedding frequency f = St*U0/(2a) depends on z through the
 // taper, so vortex phase varies along the span.
-func (tc TaperedCylinder) street(p vmath.Vec3, a float32, t float32) vmath.Vec3 {
-	if p.X < 0 {
-		// Street only exists downstream of the body.
-		return vmath.Vec3{}
-	}
+func (tc TaperedCylinder) street(vs []vortex, a, t float32) []vortex {
 	d := 2 * a
 	freq := tc.Strouhal * tc.U0 / d
 	adv := 0.85 * tc.U0
@@ -139,11 +188,10 @@ func (tc TaperedCylinder) street(p vmath.Vec3, a float32, t float32) vmath.Vec3 
 	// cylinder at x ~ a with alternating sign every half period and
 	// advect downstream.
 	phase := float64(freq * t)
-	var vel vmath.Vec3
-	// Superpose the most recently shed vortices on each row. The
-	// street is staggered: upper-row vortices shed at integer periods,
-	// lower-row at half periods. Vortex m was shed at time m/freq and
-	// has advected to x = a + adv*(t - m/freq).
+	// The most recently shed vortices on each row. The street is
+	// staggered: upper-row vortices shed at integer periods, lower-row
+	// at half periods. Vortex m was shed at time m/freq and has
+	// advected to x = a + adv*(t - m/freq).
 	for n := -1; n <= 6; n++ {
 		for row := 0; row < 2; row++ {
 			idx := float64(n) + 0.5*float64(row)
@@ -158,27 +206,40 @@ func (tc TaperedCylinder) street(p vmath.Vec3, a float32, t float32) vmath.Vec3 
 				sign = -1
 				yc = -0.6 * a
 			}
-			vel = vel.Add(lambOseen(p.X-xc, p.Y-yc, sign*tc.Gamma, 0.5*a))
+			gamma, rc := sign*tc.Gamma, 0.5*a
+			vs = append(vs, vortex{
+				xc: xc, yc: yc,
+				g:   float64(gamma) / (2 * math.Pi),
+				rc2: float64(rc * rc),
+			})
 		}
 	}
-	return vel
+	return vs
 }
 
-// lambOseen returns the in-plane velocity of a Lamb-Oseen vortex of
-// circulation gamma and core radius rc at offset (dx, dy) from its
-// center.
-func lambOseen(dx, dy, gamma, rc float32) vmath.Vec3 {
+// lambOseen returns the in-plane velocity of the vortex at (x, y).
+func (v *vortex) lambOseen(x, y float32) vmath.Vec3 {
+	dx, dy := x-v.xc, y-v.yc
 	r2 := float64(dx*dx + dy*dy)
 	if r2 < 1e-10 {
 		return vmath.Vec3{}
 	}
-	g := float64(gamma) / (2 * math.Pi)
-	core := 1 - math.Exp(-r2/float64(rc*rc))
-	vt := g * core / r2 // tangential speed / r
+	vt := v.g * oneMinusExp(-r2/v.rc2) / r2 // tangential speed / r
 	return vmath.Vec3{
 		X: float32(-float64(dy) * vt),
 		Y: float32(float64(dx) * vt),
 	}
+}
+
+// oneMinusExp returns 1 - e^x, a Lamb-Oseen core's factor at
+// x = -r²/rc². Once x falls to -38, e^x < 2^-54 and 1 - e^x rounds to
+// exactly 1 in float64, so a saturated core skips math.Exp. A NaN fails
+// the test and takes the Exp path.
+func oneMinusExp(x float64) float64 {
+	if x <= -38 {
+		return 1
+	}
+	return 1 - math.Exp(x)
 }
 
 // ABC is the steady Arnold-Beltrami-Childress flow, a classic chaotic

@@ -159,6 +159,179 @@ func TestSampleMatchesPointwise(t *testing.T) {
 	}
 }
 
+// taperedGrid is the benchmark's small dataset grid, 32x48x12.
+func taperedGrid(t *testing.T) *grid.Grid {
+	t.Helper()
+	g, err := grid.NewTaperedCylinder(grid.TaperedCylinderSpec{
+		NI: 32, NJ: 48, NK: 12, R0: 1, R1: 0.5, Router: 12, Span: 16, Stretch: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestSampleTaperedCylinderMatchesVelocityAt holds the plane sampler to
+// the VelocityAt loop by Float32bits at every node, at the benchmark's
+// 24 step times (0.6 apart: more than a shedding period at every
+// radius, so vortices enter and leave the window).
+func TestSampleTaperedCylinderMatchesVelocityAt(t *testing.T) {
+	// jittered moves nodes off their plane's z, some out of the span, so
+	// the street is re-resolved inside a plane.
+	jittered := taperedGrid(t)
+	for n := range jittered.Z {
+		jittered.Z[n] += 0.37 * float32(n%5-2)
+	}
+	planeRadii := map[uint32]bool{}
+	tc := DefaultTaperedCylinder()
+	for n := 0; n < jittered.NI*jittered.NJ; n++ {
+		planeRadii[math.Float32bits(tc.radiusAt(jittered.Z[n+5*jittered.NI*jittered.NJ]))] = true
+	}
+	if len(planeRadii) < 2 {
+		t.Fatalf("jittered plane holds %d radii, want several", len(planeRadii))
+	}
+	unshed := DefaultTaperedCylinder()
+	unshed.Strouhal = 0 // infinite period: a vortex centre is NaN
+	for _, c := range []struct {
+		name string
+		tc   TaperedCylinder
+		g    *grid.Grid
+		nans bool
+	}{
+		{"cylinder-32x48x12", DefaultTaperedCylinder(), taperedGrid(t), false},
+		{"jittered-z", DefaultTaperedCylinder(), jittered, false},
+		{"strouhal-0", unshed, taperedGrid(t), true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			nans := 0
+			for s := 0; s < 24; s++ {
+				tt := float32(s) * 0.6
+				fld := Sample(c.tc, c.g, tt)
+				for n := range c.g.X {
+					want := c.tc.VelocityAt(vmath.Vec3{X: c.g.X[n], Y: c.g.Y[n], Z: c.g.Z[n]}, tt)
+					got := vmath.Vec3{X: fld.U[n], Y: fld.V[n], Z: fld.W[n]}
+					if !sameBits(got, want) {
+						t.Fatalf("t=%v node %d: sampled %v, VelocityAt %v", tt, n, got, want)
+					}
+					if want.X != want.X {
+						nans++
+					}
+				}
+			}
+			if (nans > 0) != c.nans {
+				t.Errorf("%d NaN nodes, want NaNs: %v", nans, c.nans)
+			}
+		})
+	}
+}
+
+// TestTaperedCylinderMatchesPointwiseStreet holds VelocityAt by
+// Float32bits to refVelocity, the model resolving its street at every
+// point and calling math.Exp for every vortex, at random points and
+// times. On the NaN paths it holds NaN for NaN: which of two NaN
+// payloads survives a multiply is the compiler's choice, and it chooses
+// differently in the two functions.
+func TestTaperedCylinderMatchesPointwiseStreet(t *testing.T) {
+	tc := DefaultTaperedCylinder()
+	unshed := tc
+	unshed.Strouhal = 0
+	nan := float32(math.NaN())
+	rng := rand.New(rand.NewSource(47))
+	for n := 0; n < 20000; n++ {
+		p := vmath.V3(rng.Float32()*26-6, rng.Float32()*8-4, rng.Float32()*18-1)
+		tt := rng.Float32() * 30
+		if n%100 == 0 {
+			p.Z = nan
+		}
+		for _, m := range []TaperedCylinder{tc, unshed} {
+			if got, want := m.VelocityAt(p, tt), refVelocity(m, p, tt); !sameBitsOrNaN(got, want) {
+				t.Fatalf("%+v at %v, t=%v: %v, want %v", m, p, tt, got, want)
+			}
+		}
+	}
+}
+
+// TestSaturatedCoreIsExact shows, on this platform, that oneMinusExp's
+// skip of math.Exp for a core at r²/rc² >= 38 changes no bit: 1 - e^-x
+// is exactly 1 for every x tested in [38, 750]. Below the cutoff, and
+// on NaN, oneMinusExp is 1 - math.Exp's bits.
+func TestSaturatedCoreIsExact(t *testing.T) {
+	check := func(x float64) {
+		want := 1 - math.Exp(-x)
+		if x >= 38 && want != 1 {
+			t.Fatalf("1 - exp(-%v) = %v, not 1", x, want)
+		}
+		if got := oneMinusExp(-x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("oneMinusExp(-%v) = %v, want %v", x, got, want)
+		}
+	}
+	for x := 0.0; x <= 750; x += 1.0 / 1024 {
+		check(x)
+	}
+	check(math.MaxFloat64)
+	check(math.Inf(1))
+	check(math.NaN())
+}
+
+// refVelocity is the tapered-cylinder model with every vortex of the
+// street resolved at the point itself and every core through math.Exp.
+func refVelocity(tc TaperedCylinder, p vmath.Vec3, t float32) vmath.Vec3 {
+	a := tc.radiusAt(p.Z)
+	v := tc.potential(p, a)
+	var vel vmath.Vec3
+	if !(p.X < 0) {
+		freq := tc.Strouhal * tc.U0 / (2 * a)
+		adv := 0.85 * tc.U0
+		spacing := tc.Wake * a
+		phase := float64(freq * t)
+		for n := -1; n <= 6; n++ {
+			for row := 0; row < 2; row++ {
+				idx := float64(n) + 0.5*float64(row)
+				m := math.Floor(phase) - idx
+				xc := a + adv*float32(float64(t)-m/float64(freq))
+				if xc < a || xc > a+8*spacing {
+					continue
+				}
+				sign := float32(1)
+				yc := 0.6 * a
+				if row == 1 {
+					sign = -1
+					yc = -0.6 * a
+				}
+				vel = vel.Add(refLambOseen(p.X-xc, p.Y-yc, sign*tc.Gamma, 0.5*a))
+			}
+		}
+	}
+	return v.Add(vel)
+}
+
+func refLambOseen(dx, dy, gamma, rc float32) vmath.Vec3 {
+	r2 := float64(dx*dx + dy*dy)
+	if r2 < 1e-10 {
+		return vmath.Vec3{}
+	}
+	g := float64(gamma) / (2 * math.Pi)
+	core := 1 - math.Exp(-r2/float64(rc*rc))
+	vt := g * core / r2
+	return vmath.Vec3{
+		X: float32(-float64(dy) * vt),
+		Y: float32(float64(dx) * vt),
+	}
+}
+
+func sameBitsOrNaN(a, b vmath.Vec3) bool {
+	same := func(x, y float32) bool {
+		return math.Float32bits(x) == math.Float32bits(y) || x != x && y != y
+	}
+	return same(a.X, b.X) && same(a.Y, b.Y) && same(a.Z, b.Z)
+}
+
+func sameBits(a, b vmath.Vec3) bool {
+	return math.Float32bits(a.X) == math.Float32bits(b.X) &&
+		math.Float32bits(a.Y) == math.Float32bits(b.Y) &&
+		math.Float32bits(a.Z) == math.Float32bits(b.Z)
+}
+
 func TestSampleUnsteady(t *testing.T) {
 	g, _ := grid.NewCartesian(4, 4, 4, vmath.AABB{
 		Min: vmath.V3(0, 0, 0), Max: vmath.V3(3, 3, 3),

@@ -231,6 +231,7 @@ func (v *servedRound) ID() uint64 { return v.round.meta.Round }
 //vw:allow lockdiscipline -- answered under s.mu
 func (v *servedRound) Header() *wire.FrameReply { return &v.round.meta }
 
+//vw:allow lockdiscipline -- answered under s.mu
 func (v *servedRound) V1() []byte { return (*Server)(v).v1ReplyLocked() }
 
 // Rows hands out the round's rows; a consumer of them also wants every
