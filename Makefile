@@ -16,10 +16,14 @@ vet:
 # The portable build: internal/grid's Interp3x4 and internal/render's
 # display-list transform are SSE2 assembly on amd64 and Go loops over
 # the scalar code on every other GOARCH, so the non-amd64 side must
-# build and vet too. Cross-compiling needs nothing from the network.
+# build and vet too; store.Disk maps timestep files on linux only, so
+# darwin and windows must build without it. Cross-compiling needs
+# nothing from the network.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/grid ./internal/integrate ./internal/render
+	GOOS=darwin $(GO) build ./...
+	GOOS=windows $(GO) build ./...
 
 # Project-specific invariant analyzers (wallclock, lockdiscipline,
 # hotpath, maporder) over the whole module, and the reachability pass:
@@ -141,7 +145,9 @@ relay:
 # is not a caller. What a session is sent is decided once: the origin
 # and the relay answer through wire.Session's AnswerFrame and
 # AnswerRelay, the only non-test callers of wire.AppendRelayFrameReply
-# and (*wire.FrameEncoder).AppendFrame.
+# and (*wire.FrameEncoder).AppendFrame. A timestep file is mapped in
+# one place, so a mapping has one release rule: syscall.Mmap and
+# syscall.Munmap each have one non-test caller, in internal/store.
 deps:
 	@if $(GO) list -deps ./internal/server | grep -qx 'repro/internal/relay'; then \
 		echo 'internal/server depends on internal/relay'; exit 1; fi
@@ -177,6 +183,11 @@ deps:
 			grep -vE "^[^:]+:[0-9]+:\s*//|func (\([^)]*\) )?$$f\("); \
 		if [ "$$(printf '%s\n' "$$calls" | grep -c .)" != 1 ] || ! printf '%s\n' "$$calls" | grep -q '^./internal/wire/serve.go:'; then \
 			echo "$$calls"; echo "$$f has a non-test caller besides the serve rule (wire.Session's answers, internal/wire/serve.go)"; fail=1; fi; \
+	done; exit $$fail
+	@fail=0; for f in Mmap Munmap; do \
+		calls=$$(grep -nE "syscall\.$$f\(" $$(find . -name '*.go' -not -name '*_test.go') | grep -vE '^[^:]+:[0-9]+:\s*//'); \
+		if [ "$$(printf '%s\n' "$$calls" | grep -c .)" != 1 ] || ! printf '%s\n' "$$calls" | grep -q '^./internal/store/'; then \
+			echo "$$calls"; echo "syscall.$$f needs exactly one non-test caller, in internal/store (store.Disk's mapping)"; fail=1; fi; \
 	done; exit $$fail
 
 # Doc citations resolve: every backticked TestX, BenchmarkX or FuzzX in

@@ -104,6 +104,7 @@ func main() {
 	var (
 		srv  *server.Server
 		ring *store.Ring // the live solver's, in in-situ mode
+		disk *store.Disk // the dataset's, otherwise
 	)
 	if *live {
 		log.Printf("spinning up live solver (resolution %d)", *liveRes)
@@ -125,7 +126,8 @@ func main() {
 		log.Printf("serving live solver on %s (engine %s, window %d, horizon %d)",
 			ln.Addr(), cfg.Engine.Name(), *liveWindow, *liveSteps)
 	} else {
-		disk, err := store.OpenDisk(*data, store.DiskOptions{BandwidthBytesPerSec: *diskBW << 20})
+		var err error
+		disk, err = store.OpenDisk(*data, store.DiskOptions{BandwidthBytesPerSec: *diskBW << 20})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -188,7 +190,11 @@ func main() {
 			if cs, ok := srv.CacheStats(); ok {
 				// wanted= is the §5.1 window, pinned over -cachesteps /
 				// -cachemb: why resident= (and RSS) can exceed them.
-				log.Printf("  cache: %s", cs)
+				// mapped= is the step files the disk has mapped and not yet
+				// released: the resident steps, any a round still holds,
+				// and dropped ones the collector has yet to find.
+				steps, bytes := disk.Mapped()
+				log.Printf("  cache: %s mapped=%d (%.1fMB)", cs, steps, float64(bytes)/(1<<20))
 			}
 			if ring != nil {
 				rs, st := ring.Stats(), srv.Env().Steer()

@@ -43,6 +43,11 @@ func (c CoordSystem) String() string {
 // Field is one timestep of velocity data on an NI x NJ x NK node grid,
 // stored as separate component arrays (structure-of-arrays) so the
 // vectorized compute engine can stream whole components.
+//
+// A component may be memory the Field owns rather than the Go heap (a
+// store.Disk step maps its file, released once the *Field is
+// unreachable): a bare U, V or W does not keep it alive, so a reader
+// holds the *Field for as long as it reads them.
 type Field struct {
 	NI, NJ, NK int
 	Coords     CoordSystem

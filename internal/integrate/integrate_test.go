@@ -3,6 +3,7 @@ package integrate
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -402,6 +403,30 @@ func TestStreakPolylineBySeed(t *testing.T) {
 		if absf(p.Y-10) > 1e-5 {
 			t.Errorf("seed-0 particle at y=%v", p.Y)
 		}
+	}
+	// Later calls reuse the lines' storage: each still groups exactly
+	// the particles of its own seeds, whatever the previous call was
+	// asked for, and once grown a call allocates nothing.
+	for frame, n := range []int{1, 3, 2} {
+		st.Advance(s, seeds, float32(4+frame), 1, RK2)
+		got := st.PolylineBySeed(n)
+		want := make([][]vmath.Vec3, n)
+		for _, p := range st.Particles {
+			if int(p.Seed) < n {
+				want[p.Seed] = append(want[p.Seed], p.Pos)
+			}
+		}
+		if len(got) != n {
+			t.Fatalf("PolylineBySeed(%d) returned %d lines", n, len(got))
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Errorf("PolylineBySeed(%d) line %d = %v, want %v", n, i, got[i], want[i])
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { st.PolylineBySeed(3) }); a != 0 {
+		t.Errorf("PolylineBySeed allocated %v times a call once grown", a)
 	}
 }
 

@@ -18,6 +18,9 @@ type Streak struct {
 	Particles []StreakParticle
 	// MaxParticles bounds memory; oldest particles are dropped first.
 	MaxParticles int
+	// lines is PolylineBySeed's result, its per-seed slices reused by
+	// the next call.
+	lines [][]vmath.Vec3
 }
 
 // StreakParticle is one smoke particle.
@@ -60,12 +63,18 @@ func (s *Streak) Advance(sampler Sampler, seeds []vmath.Vec3, t, h float32, m Me
 
 // PolylineBySeed groups particle positions by originating seed,
 // ordered oldest to newest, for rendering as connected "smoke"
-// filaments rather than individual points.
+// filaments rather than individual points. The lines are valid until
+// the next call, which reuses their storage: a caller that keeps them
+// copies them first.
 func (s *Streak) PolylineBySeed(numSeeds int) [][]vmath.Vec3 {
-	lines := make([][]vmath.Vec3, numSeeds)
-	// Storage order is injection order, so walking backward yields
-	// newest-to-oldest; build oldest-first by prepending via reverse
-	// fill.
+	for len(s.lines) < numSeeds {
+		s.lines = append(s.lines, nil)
+	}
+	lines := s.lines[:numSeeds]
+	for i := range lines {
+		lines[i] = lines[i][:0]
+	}
+	// Storage order is injection order, oldest first.
 	for _, p := range s.Particles {
 		if int(p.Seed) < 0 || int(p.Seed) >= numSeeds {
 			continue

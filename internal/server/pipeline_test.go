@@ -647,7 +647,7 @@ func TestConcurrentFramesAndStats(t *testing.T) {
 // looping playback churns a capacity-2 cache underneath.
 func TestConcurrentSessionsRakeLocksAndEviction(t *testing.T) {
 	s, err := New(Config{
-		Store:      testDiskStore(t, 4, store.DiskOptions{}),
+		Store:      testDiskStore(t, testDataset(t, 4), store.DiskOptions{}),
 		CacheSteps: 2,
 		Engine:     compute.Parallel{NumWorkers: 2},
 	})

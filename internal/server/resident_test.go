@@ -54,6 +54,28 @@ func (p *playStore) take() (fg, bg int) {
 	return fg, bg
 }
 
+// playScript is a playback session's commands, one entry a round: a
+// particle-path, a streakline and a streamline rake, time looping at
+// speed over a dataset of numSteps steps for three loops, and after the
+// second loop a seek into the middle, then one to where the path
+// window runs off the end of the dataset.
+func playScript(numSteps int, speed float32) [][]wire.Command {
+	rounds := [][]wire.Command{{
+		addRakeCmd(vmath.V3(1, 2, 2), vmath.V3(1, 7, 3), 5, integrate.ToolParticlePath),
+		addRakeCmd(vmath.V3(2, 2, 2), vmath.V3(2, 7, 3), 4, integrate.ToolStreakline),
+		addRakeCmd(vmath.V3(1, 3, 4), vmath.V3(1, 6, 4), 3, integrate.ToolStreamline),
+		{Kind: wire.CmdSetLoop, Flag: 1},
+		{Kind: wire.CmdSetSpeed, Value: speed},
+		{Kind: wire.CmdSetPlaying, Flag: 1},
+	}}
+	for i := 1; i < 3*numSteps; i++ {
+		rounds = append(rounds, nil)
+	}
+	rounds[2*numSteps+3] = []wire.Command{{Kind: wire.CmdSeek, Value: 9}}
+	rounds[2*numSteps+9] = []wire.Command{{Kind: wire.CmdSeek, Value: float32(numSteps - 3)}}
+	return rounds
+}
+
 // TestPlaybackFromOneResidentSet plays a looping dataset with a
 // particle-path rake, a streakline rake and a streamline rake through
 // the I/O-backed server and, with the same script, through a resident
@@ -68,24 +90,6 @@ func TestPlaybackFromOneResidentSet(t *testing.T) {
 	const numSteps = 24
 	opts := integrate.Options{Method: integrate.RK2, StepSize: 0.25, MaxSteps: 24}
 	const maxReach = 24/4 + 2 // what bookPathLoadsLocked caps reach at
-	script := func(speed float32) [][]wire.Command {
-		rounds := [][]wire.Command{{
-			addRakeCmd(vmath.V3(1, 2, 2), vmath.V3(1, 7, 3), 5, integrate.ToolParticlePath),
-			addRakeCmd(vmath.V3(2, 2, 2), vmath.V3(2, 7, 3), 4, integrate.ToolStreakline),
-			addRakeCmd(vmath.V3(1, 3, 4), vmath.V3(1, 6, 4), 3, integrate.ToolStreamline),
-			{Kind: wire.CmdSetLoop, Flag: 1},
-			{Kind: wire.CmdSetSpeed, Value: speed},
-			{Kind: wire.CmdSetPlaying, Flag: 1},
-		}}
-		for i := 1; i < 3*numSteps; i++ {
-			rounds = append(rounds, nil)
-		}
-		// After the second loop: a seek into the middle, then one to
-		// where the path window runs off the end of the dataset.
-		rounds[2*numSteps+3] = []wire.Command{{Kind: wire.CmdSeek, Value: 9}}
-		rounds[2*numSteps+9] = []wire.Command{{Kind: wire.CmdSeek, Value: numSteps - 3}}
-		return rounds
-	}
 	for _, tc := range []struct {
 		name     string
 		speed    float32
@@ -103,7 +107,7 @@ func TestPlaybackFromOneResidentSet(t *testing.T) {
 			s, c, _ := startTestServer(t, Config{Store: st, Options: opts, Prefetch: tc.prefetch, CacheSteps: 3, Clock: netsim.NewManualClock()})
 
 			prev, wraps, reads := -1, 0, 0
-			for i, cmds := range script(tc.speed) {
+			for i, cmds := range playScript(numSteps, tc.speed) {
 				u := wire.EncodeClientUpdate(wire.ClientUpdate{Commands: cmds})
 				want, err := ref.Call(wire.ProcFrame, u)
 				if err != nil {
@@ -187,5 +191,60 @@ func TestPlaybackFromOneResidentSet(t *testing.T) {
 				t.Errorf("cache stats %+v (ok %v), reach %d", cs, ok, s.pathReach)
 			}
 		})
+	}
+}
+
+// runFinalizers collects garbage and waits until the finalizers that
+// collection queued have run: the second sentinel is queued after the
+// first one's batch, so it runs only once that batch is done.
+func runFinalizers() {
+	for i := 0; i < 2; i++ {
+		done := make(chan struct{})
+		runtime.SetFinalizer(new([64]byte), func(*[64]byte) { close(done) })
+		runtime.GC()
+		<-done
+	}
+}
+
+// TestPlaybackFromDiskUnderGC plays TestPlaybackFromOneResidentSet's
+// script from a store.Disk, whose steps are released once the
+// collector finds their fields unreferenced (a mapped step is unmapped
+// then), collecting garbage and running finalizers between rounds.
+// Every reply must be byte-equal to the resident dataset's, with and
+// without prefetching: no round reads a step through a bare component
+// slice whose field it no longer holds.
+func TestPlaybackFromDiskUnderGC(t *testing.T) {
+	const numSteps = 24
+	opts := integrate.Options{Method: integrate.RK2, StepSize: 0.25, MaxSteps: 24}
+	for _, prefetch := range []bool{true, false} {
+		data := variedDataset(t, numSteps)
+		_, ref, _ := startTestServer(t, Config{Store: data, Options: opts, Clock: netsim.NewManualClock()})
+		disk := testDiskStore(t, data, store.DiskOptions{})
+		s, c, _ := startTestServer(t, Config{Store: disk, Options: opts, Prefetch: prefetch, CacheSteps: 3, Clock: netsim.NewManualClock()})
+		for _, speed := range []float32{1, -1} {
+			for i, cmds := range playScript(numSteps, speed) {
+				u := wire.EncodeClientUpdate(wire.ClientUpdate{Commands: cmds})
+				want, err := ref.Call(wire.ProcFrame, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := c.Call(wire.ProcFrame, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("prefetch %v, speed %v, round %d: reply differs from the resident dataset's (%d vs %d bytes)",
+						prefetch, speed, i, len(got), len(want))
+				}
+				s.src.(*store.Cache).Wait()
+				runFinalizers()
+			}
+		}
+		if loads, _, _ := disk.Stats(); loads <= numSteps {
+			t.Errorf("prefetch %v: %d loads from a %d-step dataset under a 3-step cache", prefetch, loads, numSteps)
+		}
+		if n, _ := disk.Mapped(); runtime.GOOS == "linux" && n == 0 {
+			t.Errorf("prefetch %v: no step mapped on linux", prefetch)
+		}
 	}
 }

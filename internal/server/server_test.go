@@ -66,12 +66,11 @@ func toolDataset(t testing.TB, numSteps int) *store.Memory {
 	return mem
 }
 
-// testDiskStore writes the standard test dataset to a temp directory
-// and opens it as an I/O-backed store.
-func testDiskStore(t testing.TB, numSteps int, opts store.DiskOptions) *store.Disk {
+// testDiskStore writes a resident dataset to a temp directory and
+// opens it as an I/O-backed store.
+func testDiskStore(t testing.TB, mem *store.Memory, opts store.DiskOptions) *store.Disk {
 	t.Helper()
 	dir := t.TempDir()
-	mem := testDataset(t, numSteps)
 	if err := store.WriteDataset(dir, mem.Unsteady()); err != nil {
 		t.Fatal(err)
 	}

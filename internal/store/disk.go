@@ -69,6 +69,16 @@ type DiskOptions struct {
 // Disk is a Store reading timesteps from a dataset directory, with an
 // optional bandwidth throttle and load statistics. It models §5.1's
 // "data must reside on a mass storage device" regime.
+//
+// On a little-endian linux host a step is not copied into the Go heap:
+// LoadStep maps its file read-only and pre-faulted, and the field's
+// components are slices over the mapping, which is unmapped once
+// nothing references the *field.Field (a finalizer is the release
+// point). A component slice does not keep its field alive, so a user
+// holds the field, not a bare U, V or W, for as long as it reads them.
+// A write into a served step faults, and a step file rewritten or
+// truncated while its step is served faults its reader (SIGBUS): a
+// dataset directory is not rewritten while a server reads it.
 type Disk struct {
 	dir      string
 	g        *grid.Grid
@@ -79,6 +89,10 @@ type Disk struct {
 	bytesRead atomic.Int64
 	loads     atomic.Int64
 	loadNanos atomic.Int64
+	// mappedSteps and mappedBytes count the step files mapped and not
+	// yet released.
+	mappedSteps atomic.Int64
+	mappedBytes atomic.Int64
 }
 
 // OpenDisk opens a dataset directory written by WriteDataset.
@@ -119,12 +133,14 @@ func (d *Disk) DT() float32 { return d.dt }
 // Close implements Store.
 func (d *Disk) Close() error { return nil }
 
-// LoadStep implements Store, reading the step file and paying for it
-// through the disk's pacer: loads in flight at once share the
-// bandwidth, so none completes before the disk could have delivered it
-// after those booked ahead of it. A file that is not a timestep of this dataset —
-// other dimensions than the grid's, or a length that is not its
-// header's — is refused by name before its samples are read.
+// LoadStep implements Store, reading the step file (readPayload: a
+// mapping where the host can serve the file's bytes as the field's
+// samples) and paying for it through the disk's pacer: loads in flight
+// at once share the bandwidth, so none completes before the disk could
+// have delivered it after those booked ahead of it. A file that is not
+// a timestep of this dataset — other dimensions than the grid's, or a
+// length that is not its header's — is refused by name before its
+// samples are read or mapped.
 func (d *Disk) LoadStep(t int) (*field.Field, error) {
 	if t < 0 || t >= d.numSteps {
 		return nil, fmt.Errorf("store: timestep %d out of range [0, %d)", t, d.numSteps)
@@ -150,7 +166,7 @@ func (d *Disk) LoadStep(t int) (*field.Field, error) {
 		return nil, fmt.Errorf("store: step %d (%s) is %d bytes, want %d",
 			t, path, info.Size(), f.FileSize())
 	}
-	if err := field.ReadFieldPayload(sf, f); err != nil {
+	if err := d.readPayload(sf, f); err != nil {
 		return nil, fmt.Errorf("store: read step %d (%s): %w", t, path, err)
 	}
 	n := f.SizeBytes()
@@ -164,4 +180,11 @@ func (d *Disk) LoadStep(t int) (*field.Field, error) {
 // Stats reports cumulative load statistics.
 func (d *Disk) Stats() (loads int64, bytesRead int64, totalTime time.Duration) {
 	return d.loads.Load(), d.bytesRead.Load(), time.Duration(d.loadNanos.Load())
+}
+
+// Mapped reports the step files mapped now: the steps LoadStep served
+// whose fields have not yet been released, and their mappings' bytes.
+// It reads 0 where steps are read into the heap.
+func (d *Disk) Mapped() (steps, bytes int64) {
+	return d.mappedSteps.Load(), d.mappedBytes.Load()
 }
