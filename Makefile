@@ -193,12 +193,14 @@ deps:
 # Doc citations resolve: every backticked TestX, BenchmarkX or FuzzX in
 # README.md, DESIGN.md, EXPERIMENTS.md and the verify skill names a func
 # declared in a _test.go file somewhere in the repository (benchmark/
-# included). A * stands for any run of identifier characters, so
+# included), and every backticked `make <target>` names a target of this
+# Makefile. A * stands for any run of identifier characters, so
 # `TestRelay*GoldenFrames` resolves; a name cited as since deleted goes
 # without backticks.
 refs:
 	@defs=$$(grep -hoE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' $$(find . -name '*_test.go') | sed 's/^func //' | sort -u); \
-	awk -v defs="$$defs" ' \
+	targets=$$(grep -oE '^[A-Za-z0-9_-]+:' Makefile | tr -d :); \
+	awk -v defs="$$defs" -v targets="$$targets" ' \
 		function check(file,   s, pre, span, rest, line, tok, re, i, ok) { \
 			s = text; line = 1; \
 			while (match(s, /`[^`]*`/)) { \
@@ -211,10 +213,16 @@ refs:
 					for (i = 1; i <= n; i++) if (d[i] ~ re) { ok = 1; break } \
 					if (!ok) { print file ":" line ": `" tok "` names no test, benchmark or fuzz target"; bad = 1 } \
 				} \
+				rest = span; \
+				while (match(rest, /[^A-Za-z0-9_-]make[ \t]+[A-Za-z0-9_-]+/)) { \
+					tok = substr(rest, RSTART + 1, RLENGTH - 1); rest = substr(rest, RSTART + RLENGTH); \
+					sub(/^make[ \t]+/, "", tok); \
+					if (!(tok in target)) { print file ":" line ": `make " tok "` names no Makefile target"; bad = 1 } \
+				} \
 				line += gsub(/\n/, "", span); \
 			} \
 		} \
-		BEGIN { n = split(defs, d, " ") } \
+		BEGIN { n = split(defs, d, " "); m = split(targets, t, " "); for (i = 1; i <= m; i++) target[t[i]] = 1 } \
 		FNR == 1 && NR > 1 { check(prev); text = "" } \
 		{ text = text $$0 "\n"; prev = FILENAME } \
 		END { check(prev); exit bad }' README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md

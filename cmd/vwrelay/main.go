@@ -73,8 +73,12 @@ func main() {
 		log.Printf("debug endpoint on http://%s/debug/vars (pprof under /debug/pprof/)", dbg.Addr())
 	}
 
+	// Reap ghost sessions as vwserver does, so a partitioned workstation
+	// below this node lets go of its origin-side locks.
+	d := r.Dlib()
+	d.IdleTimeout, d.WriteTimeout = dlib.DeployedIdleTimeout, dlib.DeployedWriteTimeout
 	go func() {
-		if err := r.Dlib().Serve(ln); err != nil {
+		if err := d.Serve(ln); err != nil {
 			log.Printf("serve: %v", err)
 		}
 	}()

@@ -58,14 +58,23 @@ func LaunchLocal(dataset *field.Unsteady, cfg server.Config, ws client.Config) (
 }
 
 // Serve starts a distributed windtunnel server on the listener and
-// returns immediately; close the returned server's Dlib() to stop.
+// returns immediately; close the returned server's Dlib() to stop. It
+// reaps ghost sessions (serveDeployed).
 func Serve(ln net.Listener, cfg server.Config) (*server.Server, error) {
 	srv, err := server.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	go srv.Dlib().Serve(ln)
+	serveDeployed(srv.Dlib(), ln)
 	return srv, nil
+}
+
+// serveDeployed serves d on ln with the deployed timeouts: a session
+// silent for dlib.DeployedIdleTimeout, or not draining a reply for
+// dlib.DeployedWriteTimeout, is closed and its locks released.
+func serveDeployed(d *dlib.Server, ln net.Listener) {
+	d.IdleTimeout, d.WriteTimeout = dlib.DeployedIdleTimeout, dlib.DeployedWriteTimeout
+	go d.Serve(ln)
 }
 
 // NewLive builds an in-situ windtunnel server: frames are computed
@@ -95,13 +104,14 @@ func NewLive(lv *datasets.Live, cfg server.Config) (*server.Server, error) {
 }
 
 // ServeLive starts NewLive's in-situ server on the listener and
-// returns immediately; close the returned server's Dlib() to stop.
+// returns immediately; close the returned server's Dlib() to stop. It
+// reaps ghost sessions as Serve does.
 func ServeLive(ln net.Listener, lv *datasets.Live, cfg server.Config) (*server.Server, error) {
 	srv, err := NewLive(lv, cfg)
 	if err != nil {
 		return nil, err
 	}
-	go srv.Dlib().Serve(ln)
+	serveDeployed(srv.Dlib(), ln)
 	return srv, nil
 }
 

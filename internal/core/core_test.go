@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/compute"
+	"repro/internal/datasets"
+	"repro/internal/dlib"
 	"repro/internal/field"
 	"repro/internal/flow"
 	"repro/internal/grid"
@@ -325,5 +327,40 @@ func TestWorkersSetsEngineAndPoolWidth(t *testing.T) {
 	}
 	if !reflect.DeepEqual(one.Geometry, three.Geometry) || !reflect.DeepEqual(one.Tools, three.Tools) {
 		t.Error("one-worker round's geometry differs from the three-worker round's")
+	}
+}
+
+// TestDeployedServersReapGhosts: both servers a deployed vwserver runs
+// serve with the deployed idle and write timeouts, the reapers that
+// free a partitioned or non-draining session's locks.
+func TestDeployedServersReapGhosts(t *testing.T) {
+	listen := func() net.Listener {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ln
+	}
+	srv, err := Serve(listen(), server.Config{Store: store.NewMemory(smallDataset(t, 2))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Dlib().Close()
+	lv, err := datasets.NewLive(datasets.Spec{NI: 12, NJ: 12, NK: 6, NumSteps: 4, DT: 0.2},
+		datasets.LiveOptions{Solver: datasets.SolverOptions{Resolution: 16, SpinupSteps: 2, Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := ServeLive(listen(), lv, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Dlib().Close()
+	for name, s := range map[string]*server.Server{"Serve": srv, "ServeLive": live} {
+		d := s.Dlib()
+		if d.IdleTimeout != dlib.DeployedIdleTimeout || d.WriteTimeout != dlib.DeployedWriteTimeout {
+			t.Errorf("%s: idle %v, write %v; want %v, %v", name, d.IdleTimeout, d.WriteTimeout,
+				dlib.DeployedIdleTimeout, dlib.DeployedWriteTimeout)
+		}
 	}
 }

@@ -140,10 +140,11 @@ func TestChaosScriptedScheduleDeterministic(t *testing.T) {
 			{Kind: netsim.FaultReset, AtOp: 7},
 		}}
 		_, c, _, cb := startChaosServer(t, &netsim.FaultPlan{}, serverPlan)
-		c.Timeout = 500 * time.Millisecond
 		var o outcome
 		for i := 0; i < 3; i++ {
-			_, err := c.Call("echo", []byte("x"))
+			ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+			_, err := c.CallContext(ctx, "echo", []byte("x"))
+			cancel()
 			o.errs[i] = err != nil
 		}
 		o.fired = cb.Fired()
@@ -273,13 +274,19 @@ func TestChaosSeededSweep(t *testing.T) {
 }
 
 // TestChaosStalledClientDoesNotWedgeOthers: one client stops draining
-// its socket mid-session; with write timeouts armed, a second client's
-// calls keep completing — the serialized dispatch loop stays live.
+// its socket mid-session. A second client's calls keep completing — a
+// reply is written after the dispatch lock is released, so the
+// serialized dispatch never waits on a peer's socket — and the write
+// timeout closes the stalled session and runs its OnDisconnect, which
+// is what frees a non-draining holder's locks.
 func TestChaosStalledClientDoesNotWedgeOthers(t *testing.T) {
 	s := NewServer()
 	s.WriteTimeout = 50 * time.Millisecond
-	s.IdleTimeout = time.Second
-	s.Register("bulk", func(*Ctx, []byte) ([]byte, error) {
+	var stalled atomic.Int64
+	gone := make(chan int64, 2)
+	s.OnDisconnect = func(sess *Session) { gone <- sess.ID }
+	s.Register("bulk", func(ctx *Ctx, _ []byte) ([]byte, error) {
+		stalled.Store(ctx.Session.ID)
 		return make([]byte, 1<<20), nil // big enough to fill kernel buffers
 	})
 	s.Register("echo", func(_ *Ctx, p []byte) ([]byte, error) { return p, nil })
@@ -291,13 +298,18 @@ func TestChaosStalledClientDoesNotWedgeOthers(t *testing.T) {
 	defer s.Close()
 
 	// The stalled client: raw socket that sends bulk requests and never
-	// reads a byte back.
+	// reads a byte back. A fixed receive buffer keeps the kernel from
+	// growing it, so 16 MB of replies outgrow the socket buffers and a
+	// reply write blocks for good.
 	raw, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	for i := 0; i < 4; i++ {
+	if err := raw.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
 		writeFrame(raw, frame{kind: frameCall, id: uint64(i + 1), proc: "bulk"})
 	}
 
@@ -306,15 +318,24 @@ func TestChaosStalledClientDoesNotWedgeOthers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer healthy.Close()
-	healthy.Timeout = 2 * time.Second
 	for i := 0; i < 5; i++ {
-		start := time.Now()
-		out, err := healthy.Call("echo", []byte("alive"))
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		out, err := healthy.CallContext(ctx, "echo", []byte("alive"))
+		cancel()
 		if err != nil || string(out) != "alive" {
 			t.Fatalf("healthy call %d failed behind stalled peer: %v", i, err)
 		}
-		if elapsed := time.Since(start); elapsed > 2*time.Second {
-			t.Fatalf("healthy call %d took %v", i, elapsed)
+	}
+
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case id := <-gone:
+			if id == stalled.Load() {
+				return
+			}
+		case <-deadline:
+			t.Fatal("the non-draining session was never closed")
 		}
 	}
 }

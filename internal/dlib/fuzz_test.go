@@ -2,6 +2,9 @@ package dlib
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -41,9 +44,11 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzClientRead drives arbitrary bytes — truncated frames, oversized
-// length prefixes, garbage — into a live client's deadline-aware read
-// path. Whatever the "server" sends, a Call with a timeout must return
-// promptly: no hang, no panic, no unbounded allocation.
+// length prefixes, garbage — into a live client's read path, then hangs
+// up. The bytes alone decide the call, promptly: a well-formed reply or
+// error frame for request 1 answers it, and anything else, a reply for
+// another id included, fails it with no hang, no panic and no unbounded
+// allocation.
 func FuzzClientRead(f *testing.F) {
 	var good bytes.Buffer
 	writeFrame(&good, frame{kind: frameReply, id: 1, payload: []byte("ok")})
@@ -53,10 +58,12 @@ func FuzzClientRead(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 2, 0, 0})                            // oversized length prefix
 	f.Add([]byte{13, 0, 0, 0, 3, 1, 0, 0, 0, 0, 0, 0, 0, 'b', 'o', 'o', 'm'}) // error frame
 	f.Add([]byte{})
+	var other bytes.Buffer
+	writeFrame(&other, frame{kind: frameReply, id: 2, payload: []byte("ok")})
+	f.Add(other.Bytes()) // a reply to no call in flight
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := net.Pipe()
 		c := NewClient(a)
-		c.Timeout = 200 * time.Millisecond
 		defer c.Close()
 		go func() {
 			// Swallow the outgoing call, then impersonate the server
@@ -66,17 +73,42 @@ func FuzzClientRead(f *testing.F) {
 			b.Write(data)
 			b.Close()
 		}()
-		done := make(chan struct{})
+		type result struct {
+			out []byte
+			err error
+		}
+		done := make(chan result, 1)
 		go func() {
-			defer close(done)
-			// Any outcome is fine — a valid reply for id 1 succeeds,
-			// everything else errors — as long as it returns.
-			c.Call("probe", []byte("x"))
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			out, err := c.CallContext(ctx, "probe", []byte("x"))
+			done <- result{out, err}
 		}()
+		var got result
 		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
+		case got = <-done:
+		case <-time.After(10 * time.Second):
 			t.Fatal("client call hung on fuzzed reply bytes")
+		}
+		var remote *RemoteError
+		isRemote := errors.As(got.err, &remote)
+		switch want, err := readFrame(bytes.NewReader(data)); {
+		case errors.Is(got.err, context.DeadlineExceeded):
+			t.Fatalf("the deadline, not the bytes, ended the call: %v", got.err)
+		case err == nil && want.id == 1 && want.kind == frameReply:
+			if got.err != nil || !bytes.Equal(got.out, want.payload) {
+				t.Fatalf("reply for the call: got %q, %v; want %q", got.out, got.err, want.payload)
+			}
+		case err == nil && want.id == 1 && want.kind == frameError:
+			if !isRemote || remote.Msg != string(want.payload) {
+				t.Fatalf("error frame for the call: got %v, want remote %q", got.err, want.payload)
+			}
+		case got.err == nil || isRemote:
+			t.Fatalf("bytes that answer no call returned %q, %v", got.out, got.err)
+		case err == nil && errors.Is(got.err, io.EOF):
+			// A whole frame that answers nothing is refused as read,
+			// not discarded until the hangup.
+			t.Fatalf("a frame for id %d (kind %d) was waited past: %v", want.id, want.kind, got.err)
 		}
 	})
 }

@@ -39,7 +39,10 @@ type RedialOptions struct {
 	// means 8. When exhausted the triggering call fails, but a later
 	// call starts a fresh reconnect cycle.
 	MaxAttempts int
-	// CallTimeout is applied to every call without its own deadline.
+	// CallTimeout bounds every call without its own deadline, the
+	// handshake calls OnConnect makes included: it is the one bound on
+	// a call's wait. A call it ends closes its connection, and the next
+	// call redials.
 	CallTimeout time.Duration
 	// OnConnect runs after every successful (re)dial, re-establishing
 	// session state — dlib sessions are per-connection, so handshakes
@@ -168,7 +171,7 @@ func (r *RedialClient) reconnect(ctx context.Context) (*Client, int, error) {
 			continue
 		}
 		c := NewClient(conn)
-		c.Timeout = r.opts.CallTimeout
+		c.timeout = r.opts.CallTimeout
 		if r.opts.OnConnect != nil {
 			if err := r.opts.OnConnect(c); err != nil {
 				c.Close()

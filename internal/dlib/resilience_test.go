@@ -1,20 +1,21 @@
 package dlib
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// TestWaitReturnsStoredErrorOnClosedChannel is the regression test for
-// the closed-channel path: when fail() closes the waiting channel, the
-// caller must see the recorded transport error, not a zero-frame
-// decode or a generic abort.
-func TestWaitReturnsStoredErrorOnClosedChannel(t *testing.T) {
+// TestCallReturnsStoredErrorOnConnectionLoss: a call whose connection
+// dies under it returns the transport error the client records as its
+// end, not a zero-frame decode or a generic abort.
+func TestCallReturnsStoredErrorOnConnectionLoss(t *testing.T) {
 	clientEnd, serverEnd := net.Pipe()
 	c := NewClient(clientEnd)
 	defer c.Close()
@@ -25,7 +26,7 @@ func TestWaitReturnsStoredErrorOnClosedChannel(t *testing.T) {
 		callErr <- err
 	}()
 	// Swallow the outgoing call frame, then kill the connection: the
-	// read loop fails and closes the waiting channel.
+	// call's read of its reply fails.
 	if _, err := readFrame(serverEnd); err != nil {
 		t.Fatal(err)
 	}
@@ -69,43 +70,139 @@ func TestCallContextDeadline(t *testing.T) {
 	}
 }
 
+// TestDefaultTimeoutField: RedialOptions.CallTimeout, the default
+// deadline a RedialClient gives its connections, bounds a call that
+// carries none, and the connection that call ended is dropped.
 func TestDefaultTimeoutField(t *testing.T) {
-	s, c := startServer(t)
+	s, _, addr := startServerAddr(t)
 	release := make(chan struct{})
 	s.Register("stuck", func(*Ctx, []byte) ([]byte, error) {
 		<-release
 		return nil, nil
 	})
 	defer close(release)
-	c.Timeout = 40 * time.Millisecond
-	if _, err := c.Call("stuck", nil); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded via default Timeout", err)
+	r := NewRedialClient(func() (net.Conn, error) {
+		return net.Dial("tcp", addr)
+	}, RedialOptions{CallTimeout: 40 * time.Millisecond})
+	defer r.Close()
+	if _, err := r.Call("stuck", nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded via CallTimeout", err)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.cur != nil {
+		t.Error("the connection a deadline ended is still current")
 	}
 }
 
+// TestLateReplyAfterTimeoutIsDropped: a call whose context ends fails
+// its client, so the reply that lands later is never read — not by the
+// next call, which fails with the same end — and a RedialClient's next
+// call answers on a fresh connection.
 func TestLateReplyAfterTimeoutIsDropped(t *testing.T) {
-	// A reply landing after its call timed out must not leak into the
-	// next call's result.
-	s, c := startServer(t)
+	s, c, addr := startServerAddr(t)
 	var slow atomic.Bool
-	slow.Store(true)
 	s.Register("echo", func(_ *Ctx, p []byte) ([]byte, error) {
 		if slow.Swap(false) {
 			time.Sleep(80 * time.Millisecond)
 		}
 		return p, nil
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := c.CallContext(ctx, "echo", []byte("first")); err == nil {
-		t.Fatal("slow call did not time out")
+	timedOut := func(call func(context.Context) ([]byte, error)) {
+		t.Helper()
+		slow.Store(true)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		if out, err := call(ctx); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("slow call = %q, %v; want DeadlineExceeded", out, err)
+		}
 	}
-	out, err := c.Call("echo", []byte("second"))
-	if err != nil {
+
+	timedOut(func(ctx context.Context) ([]byte, error) { return c.CallContext(ctx, "echo", []byte("first")) })
+	if out, err := c.Call("echo", []byte("second")); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("call after a timed-out call = %q, %v; want the client failed by that deadline", out, err)
+	}
+
+	r := NewRedialClient(func() (net.Conn, error) {
+		return net.Dial("tcp", addr)
+	}, RedialOptions{BaseBackoff: time.Millisecond, CallTimeout: time.Second})
+	defer r.Close()
+	if err := r.Connect(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if string(out) != "second" {
-		t.Errorf("crosstalk: got %q", out)
+	timedOut(func(ctx context.Context) ([]byte, error) { return r.CallContext(ctx, "echo", []byte("first")) })
+	if out, err := r.Call("echo", []byte("second")); err != nil || string(out) != "second" {
+		t.Fatalf("redial call after a timed-out call = %q, %v; want %q", out, err, "second")
+	}
+	if r.Redials() != 1 {
+		t.Errorf("Redials = %d, want 1: the next call answers on a fresh connection", r.Redials())
+	}
+}
+
+// TestRedialCallTimeoutBoundsHandshake: CallTimeout bounds the calls
+// OnConnect makes, so a handshake stalled upstream fails the connect
+// instead of wedging it.
+func TestRedialCallTimeoutBoundsHandshake(t *testing.T) {
+	s, _, addr := startServerAddr(t)
+	release := make(chan struct{})
+	s.Register("hello", func(*Ctx, []byte) ([]byte, error) {
+		<-release
+		return nil, nil
+	})
+	defer close(release)
+	r := NewRedialClient(func() (net.Conn, error) {
+		return net.Dial("tcp", addr)
+	}, RedialOptions{
+		MaxAttempts: 1,
+		CallTimeout: 40 * time.Millisecond,
+		OnConnect: func(c *Client) error {
+			_, err := c.Call("hello", nil)
+			return err
+		},
+	})
+	defer r.Close()
+	done := make(chan error, 1)
+	go func() { done <- r.Connect(context.Background()) }()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("connect = %v, want the handshake's DeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a stalled handshake wedged the connect")
+	}
+}
+
+// TestClientStartsNoGoroutine is a census: clients that made calls hold
+// no goroutine of their own, open or closed — a call runs on its
+// caller's goroutine.
+func TestClientStartsNoGoroutine(t *testing.T) {
+	s := NewServer()
+	s.Register("echo", func(_ *Ctx, p []byte) ([]byte, error) { return p, nil })
+	clientGoroutines := func() int {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		return bytes.Count(buf, []byte("dlib.(*Client)."))
+	}
+	const n = 8
+	var clients []*Client
+	for range n {
+		a, b := net.Pipe()
+		go s.ServeConn(b)
+		c := NewClient(a)
+		clients = append(clients, c)
+		if out, err := c.Call("echo", []byte("x")); err != nil || string(out) != "x" {
+			t.Fatalf("echo = %q, %v", out, err)
+		}
+	}
+	if got := clientGoroutines(); got != 0 {
+		t.Errorf("%d open clients run %d client frames on goroutines between calls, want 0", n, got)
+	}
+	for _, c := range clients {
+		c.Close()
+	}
+	if got := clientGoroutines(); got != 0 {
+		t.Errorf("%d closed clients left %d client frames on goroutines, want 0", n, got)
 	}
 }
 
@@ -152,8 +249,8 @@ func TestRedialReconnects(t *testing.T) {
 	r.cur.conn.Close()
 	r.mu.Unlock()
 
-	// A plain Call may lose the race with the dying read loop once;
-	// the retry crosses the reconnect.
+	// The first call finds the connection dead and drops it; the retry
+	// crosses the reconnect.
 	out, err = callRetrying(context.Background(), r, "echo", []byte("two"))
 	if err != nil || string(out) != "two" {
 		t.Fatalf("post-kill call: %q, %v", out, err)
@@ -317,29 +414,6 @@ func TestServerIdleTimeoutSparesActiveSession(t *testing.T) {
 	}
 	if s.ReapedSessions() != 0 {
 		t.Errorf("active session was reaped")
-	}
-}
-
-func TestServerHandlerTimeout(t *testing.T) {
-	s, c := startServer(t)
-	s.HandlerTimeout = 30 * time.Millisecond
-	release := make(chan struct{})
-	s.Register("slow", func(*Ctx, []byte) ([]byte, error) {
-		<-release
-		return []byte("late"), nil
-	})
-	s.Register("fast", func(*Ctx, []byte) ([]byte, error) { return []byte("ok"), nil })
-
-	_, err := c.Call("slow", nil)
-	var re *RemoteError
-	if !errors.As(err, &re) || !strings.Contains(re.Msg, "timed out") {
-		t.Fatalf("err = %v, want remote timeout", err)
-	}
-	// Let the straggler finish; dispatch must recover and serve again.
-	close(release)
-	out, err := c.Call("fast", nil)
-	if err != nil || string(out) != "ok" {
-		t.Fatalf("server wedged after handler timeout: %q, %v", out, err)
 	}
 }
 

@@ -68,13 +68,6 @@ type Ctx struct {
 // (fresh identity, fresh codec shadows, keyframe resync).
 func (c *Ctx) Hangup() { c.hangup = true }
 
-// takeHangup consumes a pending hangup request.
-func (c *Ctx) takeHangup() bool {
-	h := c.hangup
-	c.hangup = false
-	return h
-}
-
 // Session is the per-connection environment.
 type Session struct {
 	// ID identifies the connection (dense, starting at 1).
@@ -117,15 +110,9 @@ type Server struct {
 	// that stops draining its socket is disconnected instead of
 	// pinning the connection goroutine.
 	WriteTimeout time.Duration
-	// HandlerTimeout, when non-zero, bounds each handler execution:
-	// the caller gets an error reply once it elapses. The runaway
-	// handler keeps the serial dispatch lock until it actually returns
-	// (Go cannot preempt it), but the network side stays responsive.
-	HandlerTimeout time.Duration
 
-	// Clock supplies per-call timing and the HandlerTimeout wait; nil
-	// uses the wall clock. Tests inject a netsim.ManualClock so
-	// timeout behavior is driven deterministically. Set before Serve.
+	// Clock supplies per-call timing; nil uses the wall clock. Set
+	// before Serve.
 	Clock netsim.Clock
 
 	reaped atomic.Int64
@@ -141,6 +128,18 @@ type Server struct {
 	// connection's goroutine, after the last call has finished.
 	OnDisconnect func(sess *Session)
 }
+
+// The timeouts every deployed node (vwserver, through core.Serve and
+// core.ServeLive, and vwrelay) serves with, so a partitioned or
+// non-draining session releases its locks in seconds rather than when
+// TCP gives up. A Server's own defaults stay 0.
+const (
+	// DeployedIdleTimeout is 300 missed frames at §1.2's 10 frames/s.
+	DeployedIdleTimeout = 30 * time.Second
+	// DeployedWriteTimeout is about 13 times the heavy workload's
+	// 773 KB frame at the paper's 1 MB/s link.
+	DeployedWriteTimeout = 10 * time.Second
+)
 
 // NewServer returns a server with no procedures registered: it answers
 // exactly the ones its application registers.
@@ -243,7 +242,6 @@ func (s *Server) serveConn(conn net.Conn, sess *Session) {
 		}
 	}()
 
-	var writeMu sync.Mutex
 	ctx := &Ctx{Session: sess, Server: s}
 	for {
 		if s.IdleTimeout > 0 {
@@ -265,10 +263,7 @@ func (s *Server) serveConn(conn net.Conn, sess *Session) {
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout)) //vw:allow wallclock -- net.Conn deadline
 		}
-		writeMu.Lock()
-		err = writeFrame(conn, reply)
-		writeMu.Unlock()
-		if err != nil || hangup {
+		if err := writeFrame(conn, reply); err != nil || hangup {
 			return
 		}
 	}
@@ -297,38 +292,9 @@ func (s *Server) dispatch(ctx *Ctx, f frame) (frame, bool) {
 	s.calls.Add(1)
 	start := clk.Now()
 
-	var out []byte
-	var err error
-	if s.HandlerTimeout <= 0 {
-		out, err = safeCall(h, ctx, f.payload)
-	} else {
-		// Bounded execution: run the handler aside and wait at most
-		// HandlerTimeout. On expiry the caller gets an error reply now;
-		// the goroutine releases the dispatch lock whenever the handler
-		// truly finishes, preserving the serial-execution invariant.
-		done := make(chan struct{})
-		go func() {
-			out, err = safeCall(h, ctx, f.payload)
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-clk.After(s.HandlerTimeout):
-			s.metrics.record(f.proc, clk.Now().Sub(start), len(f.payload), 0, true)
-			go func() {
-				<-done // wait out the straggler, then free serial dispatch
-				// The caller already got an error frame; the straggler's
-				// reply is discarded, so drop any hangup request here
-				// while still holding the dispatch lock.
-				ctx.takeHangup()
-				s.dispatchMu.Unlock()
-			}()
-			return frame{kind: frameError, id: f.id,
-				payload: []byte(fmt.Sprintf("%s timed out after %v", f.proc, s.HandlerTimeout))}, false
-		}
-	}
+	out, err := safeCall(h, ctx, f.payload)
 	s.metrics.record(f.proc, clk.Now().Sub(start), len(f.payload), len(out), err != nil)
-	hang := ctx.takeHangup()
+	hang := ctx.hangup
 	s.dispatchMu.Unlock()
 	if err != nil {
 		return frame{kind: frameError, id: f.id, payload: []byte(err.Error())}, hang

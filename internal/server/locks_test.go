@@ -12,6 +12,7 @@ package server
 // its torn-record check.
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -184,10 +185,11 @@ var lockFaults = []struct {
 				plan := &netsim.FaultPlan{Faults: []netsim.Fault{{Kind: netsim.FaultReset, AtOp: atOp}}}
 				go c.s.Dlib().ServeConn(plan.Wrap(b))
 				h := dlib.NewClient(a)
-				h.Timeout = 2 * time.Second
 				u := c.update(c.records[0])
 				u.Commands = append(u.Commands, wire.Command{Kind: wire.CmdVortexToggle, Flag: 1, Value: vortex.Value})
-				h.Call(wire.ProcFrame, wire.EncodeClientUpdate(u)) // either outcome is legal
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				h.CallContext(ctx, wire.ProcFrame, wire.EncodeClientUpdate(u)) // either outcome is legal
+				cancel()
 				h.Close()
 				if p := c.s.Env().Tools()[env.ToolVortex-1].Params; p != (env.ToolParams{}) && p != vortex {
 					t.Fatalf("torn vortex parameters %+v", p)
