@@ -140,7 +140,8 @@ relay:
 # session already carries in its State). Every procedure a dlib server answers is one the
 # windtunnel calls: each Register names a wire.Proc constant, the origin
 # and the relay register every constant, internal/client calls each one
-# but wire.ProcFrameRelay, and the relay's upstream exchange
+# but wire.ProcFrameRelay (by Client.Call, or by the call function a
+# redialing client hands its handshake), and the relay's upstream exchange
 # (Relay.fetchRound) calls that one. A relay forwarding a call upstream
 # is not a caller. What a session is sent is decided once: the origin
 # and the relay answer through wire.Session's AnswerFrame and
@@ -174,7 +175,7 @@ deps:
 			awk '/^func \(r \*Relay\) fetchRound\(/,/^}/' $$(ls internal/relay/*.go | grep -v _test.go) | grep -qE 'wire\.ProcFrameRelay\b' || \
 				{ echo "wire.$$p is not called by internal/relay's upstream exchange (Relay.fetchRound)"; fail=1; }; \
 		else \
-			grep -qE "\.Call\(wire\.$$p\b" $$(ls internal/client/*.go | grep -v _test.go) || \
+			grep -qE "(\.Call|[^A-Za-z0-9_.]call)\(wire\.$$p\b" $$(ls internal/client/*.go | grep -v _test.go) || \
 				{ echo "wire.$$p is not called from internal/client"; fail=1; }; \
 		fi; \
 	done; exit $$fail
@@ -193,14 +194,18 @@ deps:
 # Doc citations resolve: every backticked TestX, BenchmarkX or FuzzX in
 # README.md, DESIGN.md, EXPERIMENTS.md and the verify skill names a func
 # declared in a _test.go file somewhere in the repository (benchmark/
-# included), and every backticked `make <target>` names a target of this
-# Makefile. A * stands for any run of identifier characters, so
-# `TestRelay*GoldenFrames` resolves; a name cited as since deleted goes
-# without backticks.
+# included), every backticked `make <target>` names a target of this
+# Makefile, and every backticked file name ending in .go, .s, .json,
+# .txt, .md, .sh or .jsonl is the path, or a path suffix, of a file in
+# the checkout (`server/pool.go` resolves to internal/server/pool.go; a
+# pattern such as `_test.go` is skipped). A * stands for any run of
+# identifier characters, so `TestRelay*GoldenFrames` resolves; a name
+# cited as since deleted goes without backticks.
 refs:
 	@defs=$$(grep -hoE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' $$(find . -name '*_test.go') | sed 's/^func //' | sort -u); \
 	targets=$$(grep -oE '^[A-Za-z0-9_-]+:' Makefile | tr -d :); \
-	awk -v defs="$$defs" -v targets="$$targets" ' \
+	files=$$(find . -type f -not -path './.git/*' | sed 's|^\./||'); \
+	awk -v defs="$$defs" -v targets="$$targets" -v files="$$files" ' \
 		function check(file,   s, pre, span, rest, line, tok, re, i, ok) { \
 			s = text; line = 1; \
 			while (match(s, /`[^`]*`/)) { \
@@ -219,10 +224,18 @@ refs:
 					sub(/^make[ \t]+/, "", tok); \
 					if (!(tok in target)) { print file ":" line ": `make " tok "` names no Makefile target"; bad = 1 } \
 				} \
+				rest = span " "; \
+				while (match(rest, /[A-Za-z0-9_.\/-]+\.(go|s|json|txt|md|sh|jsonl)[^A-Za-z0-9_.\/-]/)) { \
+					tok = substr(rest, RSTART, RLENGTH - 1); rest = substr(rest, RSTART + RLENGTH); \
+					sub(/^(\.\.?\/)+/, "", tok); \
+					if (tok ~ /(^|\/)_/) continue; \
+					ok = 0; for (i = 1; i <= nf; i++) if (f[i] == tok || substr(f[i], length(f[i]) - length(tok)) == "/" tok) { ok = 1; break } \
+					if (!ok) { print file ":" line ": `" tok "` names no file in the checkout"; bad = 1 } \
+				} \
 				line += gsub(/\n/, "", span); \
 			} \
 		} \
-		BEGIN { n = split(defs, d, " "); m = split(targets, t, " "); for (i = 1; i <= m; i++) target[t[i]] = 1 } \
+		BEGIN { n = split(defs, d, " "); m = split(targets, t, " "); for (i = 1; i <= m; i++) target[t[i]] = 1; nf = split(files, f, "\n") } \
 		FNR == 1 && NR > 1 { check(prev); text = "" } \
 		{ text = text $$0 "\n"; prev = FILENAME } \
 		END { check(prev); exit bad }' README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md

@@ -46,7 +46,7 @@ type config struct {
 	data                     string
 	steps                    int
 	resident, prefetch, live bool
-	diskBW, cacheMB          int64
+	diskBW                   int64
 	cacheN                   int
 	budget                   time.Duration
 	liveRes, liveWindow      int
@@ -82,8 +82,7 @@ func parseFlags(args []string) (config, error) {
 	fs.BoolVar(&c.resident, "resident", false, "serve the dataset from memory instead of disk")
 	fs.Int64Var(&c.diskBW, "diskbw", 0, "simulated disk bandwidth in MB/s when streaming (0 = unthrottled)")
 	fs.BoolVar(&c.prefetch, "prefetch", true, "overlap next-timestep loads with computation when streaming")
-	fs.IntVar(&c.cacheN, "cachesteps", 4, "shared timestep cache capacity in steps (0 = uncapped on that axis)")
-	fs.Int64Var(&c.cacheMB, "cachemb", 0, "shared timestep cache budget in MB (0 = uncapped on that axis)")
+	fs.IntVar(&c.cacheN, "cachesteps", 4, "shared timestep cache capacity in steps, the particle-path window included (0 = that window only)")
 	bw := fs.Int64("bw", 0, "per-workstation link bandwidth in MB/s (0 = unconstrained)")
 	latency := fs.Duration("latency", 0, "per-workstation link latency per message")
 	fs.DurationVar(&c.budget, "budget", 0, "per-frame integration budget for the governor (0 = disabled; vwserver defaults to 100ms)")
@@ -131,7 +130,6 @@ func (c config) run(out io.Writer) error {
 	cfg := server.Config{
 		Prefetch:   c.prefetch,
 		CacheSteps: c.cacheN,
-		CacheBytes: c.cacheMB << 20,
 		Budget:     c.budget,
 	}
 	if c.live {

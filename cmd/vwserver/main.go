@@ -40,8 +40,7 @@ func main() {
 		prefetch = flag.Bool("prefetch", true, "read the timesteps the play touches next in the background while rounds compute, when streaming")
 		workers  = flag.Int("workers", 0, "computation worker count: parallel engine, round pool and live solver (0 = GOMAXPROCS)")
 		maxSeeds = flag.Int("maxseeds", 0, "per-rake seed count cap enforced on client commands (0 = default 4096)")
-		cacheN   = flag.Int("cachesteps", 0, "timesteps kept resident when streaming, the particle-path window included (0 with -cachemb 0 = that window only; the window is kept even over this)")
-		cacheMB  = flag.Int64("cachemb", 0, "resident timestep budget in MB when streaming, the particle-path window included (0 with -cachesteps 0 = that window only; the window is kept even over this)")
+		cacheN   = flag.Int("cachesteps", 0, "timesteps kept resident when streaming, the particle-path window included (0 = that window only; the window is kept even over this)")
 		budget   = flag.Duration("budget", 100*time.Millisecond, "per-frame integration budget; the governor sheds load to hold it (0 = disabled, frames run unbounded)")
 		codec    = flag.Int("codec", 2, "highest frame codec to negotiate: 1 = classic full frames only, 2 = allow delta/quantized (v1 clients still served byte-for-byte)")
 		debug    = flag.String("debug", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) on this address, e.g. localhost:6060 (empty = disabled)")
@@ -90,7 +89,6 @@ func main() {
 		MaxSeedsPerRake: *maxSeeds,
 		Prefetch:        *prefetch,
 		CacheSteps:      *cacheN,
-		CacheBytes:      *cacheMB << 20,
 		Budget:          *budget,
 		MaxCodec:        *codec,
 		Tools:           tools,
@@ -188,8 +186,8 @@ func main() {
 			}
 			log.Printf("%s sessions=%d", s, srv.Dlib().NumSessions())
 			if cs, ok := srv.CacheStats(); ok {
-				// wanted= is the §5.1 window, pinned over -cachesteps /
-				// -cachemb: why resident= (and RSS) can exceed them.
+				// wanted= is the §5.1 window, pinned over -cachesteps: why
+				// resident= (and RSS) can exceed it.
 				// mapped= is the step files the disk has mapped and not yet
 				// released: the resident steps, any a round still holds,
 				// and dropped ones the collector has yet to find.

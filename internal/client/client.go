@@ -77,8 +77,9 @@ type Stats struct {
 
 // Workstation is one user's machine.
 type Workstation struct {
-	c     dlib.Caller // a *dlib.RedialClient in resilient mode
-	clock netsim.Clock
+	c         *dlib.Client // a redialing one in resilient mode
+	resilient bool
+	clock     netsim.Clock
 	// wantCodec is the Config.Codec request, at least wire.CodecV1;
 	// the negotiated result lives under mu (it can change across
 	// reconnects).
@@ -144,8 +145,8 @@ func newWorkstation(cfg Config) (*Workstation, error) {
 // session identity. It reruns on every reconnect, because dlib session
 // state — including the server side of the delta shadow — dies with
 // the connection.
-func handshake(c dlib.Caller, want uint8) (wire.DatasetInfo, uint8, int64, error) {
-	out, err := c.Call(wire.ProcHello2, wire.EncodeHelloRequest(want))
+func handshake(call func(proc string, payload []byte) ([]byte, error), want uint8) (wire.DatasetInfo, uint8, int64, error) {
+	out, err := call(wire.ProcHello2, wire.EncodeHelloRequest(want))
 	if err != nil {
 		return wire.DatasetInfo{}, 0, 0, fmt.Errorf("client: hello2: %w", err)
 	}
@@ -153,7 +154,7 @@ func handshake(c dlib.Caller, want uint8) (wire.DatasetInfo, uint8, int64, error
 	if err != nil {
 		return wire.DatasetInfo{}, 0, 0, err
 	}
-	idBytes, err := c.Call(wire.ProcWhoAmI, nil)
+	idBytes, err := call(wire.ProcWhoAmI, nil)
 	if err != nil {
 		return wire.DatasetInfo{}, 0, 0, fmt.Errorf("client: whoami: %w", err)
 	}
@@ -187,7 +188,7 @@ func New(c *dlib.Client, cfg Config) (*Workstation, error) {
 	if err != nil {
 		return nil, err
 	}
-	info, codec, selfID, err := handshake(c, w.wantCodec)
+	info, codec, selfID, err := handshake(c.Call, w.wantCodec)
 	if err != nil {
 		return nil, err
 	}
@@ -201,29 +202,28 @@ func New(c *dlib.Client, cfg Config) (*Workstation, error) {
 // exponential backoff and replays the handshake, resyncing the session
 // identity, while the render loop keeps drawing the last good geometry
 // (figure 9's decoupling, extended to failures). ropts.OnConnect is
-// overridden; ropts.CallTimeout defaults to 2s so a stalled link can
-// never freeze the network goroutine.
+// overridden; ropts.CallTimeout defaults to dlib.DeployedCallTimeout so
+// a stalled link can never freeze the network goroutine.
 func NewResilient(dial dlib.DialFunc, cfg Config, ropts dlib.RedialOptions) (*Workstation, error) {
 	w, err := newWorkstation(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if ropts.CallTimeout <= 0 {
-		ropts.CallTimeout = 2 * time.Second
+		ropts.CallTimeout = dlib.DeployedCallTimeout
 	}
-	ropts.OnConnect = func(c *dlib.Client) error {
-		info, codec, selfID, err := handshake(c, w.wantCodec)
+	ropts.OnConnect = func(call func(string, []byte) ([]byte, error)) error {
+		info, codec, selfID, err := handshake(call, w.wantCodec)
 		if err != nil {
 			return err
 		}
 		w.adoptConnection(info, codec, selfID)
 		return nil
 	}
-	r := dlib.NewRedialClient(dial, ropts)
-	if err := r.Connect(context.Background()); err != nil {
+	w.c, w.resilient = dlib.NewRedialClient(dial, ropts), true
+	if err := w.c.Connect(context.Background()); err != nil {
 		return nil, err
 	}
-	w.c = r
 	return w, nil
 }
 
@@ -256,12 +256,7 @@ func (w *Workstation) Codec() uint8 {
 
 // Reconnects returns how many times the network layer has redialed
 // (always 0 for a non-resilient workstation).
-func (w *Workstation) Reconnects() int64 {
-	if r, ok := w.c.(*dlib.RedialClient); ok {
-		return r.Redials()
-	}
-	return 0
-}
+func (w *Workstation) Reconnects() int64 { return w.c.Redials() }
 
 // LastNetError returns the most recent NetStep failure, or nil.
 func (w *Workstation) LastNetError() error {
@@ -576,7 +571,7 @@ func (w *Workstation) RunDecoupled(user *vr.ScriptedUser, netFrames int) (netHz,
 				// the redial layer heals the link on a later round
 				// while the render loop below keeps drawing the last
 				// good geometry.
-				if _, resilient := w.c.(*dlib.RedialClient); !resilient {
+				if !w.resilient {
 					netErr = e
 					return
 				}

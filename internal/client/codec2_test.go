@@ -71,24 +71,25 @@ func TestCodecV2Negotiated(t *testing.T) {
 	}
 }
 
-// corruptingCaller truncates the Nth successful ProcFrame reply before
-// the workstation decodes it, simulating a payload mangled in transit:
-// the call itself succeeds, the decode fails partway through.
-type corruptingCaller struct {
-	dlib.Caller
-	frames    int
-	corruptAt int
-}
-
-func (c *corruptingCaller) Call(proc string, payload []byte) ([]byte, error) {
-	out, err := c.Caller.Call(proc, payload)
-	if err == nil && proc == wire.ProcFrame {
-		c.frames++
-		if c.frames == c.corruptAt && len(out) > 8 {
-			out = append([]byte(nil), out...)[:len(out)/2]
-		}
+// truncatingProxy is a dlib server in front of up that forwards the
+// workstation's calls and truncates the nth vw.frame reply, simulating
+// a payload mangled in transit: the call itself succeeds, the decode
+// fails partway through.
+func truncatingProxy(up *dlib.Client, nth int) *dlib.Server {
+	p := dlib.NewServer()
+	frames := 0 // dispatch is serial
+	for _, proc := range []string{wire.ProcHello2, wire.ProcWhoAmI, wire.ProcFrame} {
+		p.Register(proc, func(_ *dlib.Ctx, payload []byte) ([]byte, error) {
+			out, err := up.Call(proc, payload)
+			if err == nil && proc == wire.ProcFrame {
+				if frames++; frames == nth && len(out) > 8 {
+					out = out[:len(out)/2]
+				}
+			}
+			return out, err
+		})
 	}
-	return out, err
+	return p
 }
 
 // TestCodecV2DecodeErrorResync is the regression for the corrupted
@@ -101,12 +102,12 @@ func TestCodecV2DecodeErrorResync(t *testing.T) {
 	srv := buildServer(t, 4)
 	a, b := net.Pipe()
 	go srv.Dlib().ServeConn(b)
-	c := dlib.NewClient(a)
-	w, err := New(c, Config{FrameW: 64, FrameH: 64, Codec: wire.CodecV2})
+	c, d := net.Pipe()
+	go truncatingProxy(dlib.NewClient(a), 2).ServeConn(d)
+	w, err := New(dlib.NewClient(c), Config{FrameW: 64, FrameH: 64, Codec: wire.CodecV2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.c = &corruptingCaller{Caller: c, corruptAt: 2}
 	id := w.sessionID()
 	user, err := vr.NewScriptedUser(11)
 	if err != nil {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,7 +42,10 @@ func TestCallReturnsStoredErrorOnConnectionLoss(t *testing.T) {
 		if !strings.Contains(err.Error(), "connection lost") {
 			t.Errorf("call error = %v, want the stored connection error", err)
 		}
-		if stored := c.terminalErr(); stored == nil || err.Error() != stored.Error() {
+		c.mu.Lock()
+		stored := c.err
+		c.mu.Unlock()
+		if stored == nil || err.Error() != stored.Error() {
 			t.Errorf("call error %q != stored client error %q", err, stored)
 		}
 	case <-time.After(5 * time.Second):
@@ -71,8 +76,8 @@ func TestCallContextDeadline(t *testing.T) {
 }
 
 // TestDefaultTimeoutField: RedialOptions.CallTimeout, the default
-// deadline a RedialClient gives its connections, bounds a call that
-// carries none, and the connection that call ended is dropped.
+// deadline of a redialing client, bounds a call that carries none, and
+// the connection that call ended is recorded as ended.
 func TestDefaultTimeoutField(t *testing.T) {
 	s, _, addr := startServerAddr(t)
 	release := make(chan struct{})
@@ -90,15 +95,15 @@ func TestDefaultTimeoutField(t *testing.T) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cur != nil {
-		t.Error("the connection a deadline ended is still current")
+	if r.err == nil {
+		t.Error("the connection a deadline ended is still live")
 	}
 }
 
 // TestLateReplyAfterTimeoutIsDropped: a call whose context ends fails
 // its client, so the reply that lands later is never read — not by the
-// next call, which fails with the same end — and a RedialClient's next
-// call answers on a fresh connection.
+// next call, which fails with the same end — and a redialing client's
+// next call answers on a fresh connection.
 func TestLateReplyAfterTimeoutIsDropped(t *testing.T) {
 	s, c, addr := startServerAddr(t)
 	var slow atomic.Bool
@@ -155,8 +160,8 @@ func TestRedialCallTimeoutBoundsHandshake(t *testing.T) {
 	}, RedialOptions{
 		MaxAttempts: 1,
 		CallTimeout: 40 * time.Millisecond,
-		OnConnect: func(c *Client) error {
-			_, err := c.Call("hello", nil)
+		OnConnect: func(call func(string, []byte) ([]byte, error)) error {
+			_, err := call("hello", nil)
 			return err
 		},
 	})
@@ -175,7 +180,7 @@ func TestRedialCallTimeoutBoundsHandshake(t *testing.T) {
 
 // TestClientStartsNoGoroutine is a census: clients that made calls hold
 // no goroutine of their own, open or closed — a call runs on its
-// caller's goroutine.
+// caller's goroutine, and so does a redialing client's redial.
 func TestClientStartsNoGoroutine(t *testing.T) {
 	s := NewServer()
 	s.Register("echo", func(_ *Ctx, p []byte) ([]byte, error) { return p, nil })
@@ -184,25 +189,117 @@ func TestClientStartsNoGoroutine(t *testing.T) {
 		buf = buf[:runtime.Stack(buf, true)]
 		return bytes.Count(buf, []byte("dlib.(*Client)."))
 	}
-	const n = 8
-	var clients []*Client
-	for range n {
+	pipe := func() (net.Conn, error) {
 		a, b := net.Pipe()
 		go s.ServeConn(b)
-		c := NewClient(a)
-		clients = append(clients, c)
+		return a, nil
+	}
+	echo := func(c *Client) {
+		t.Helper()
 		if out, err := c.Call("echo", []byte("x")); err != nil || string(out) != "x" {
 			t.Fatalf("echo = %q, %v", out, err)
 		}
 	}
+	const n = 8
+	var clients []*Client
+	for range n {
+		a, _ := pipe()
+		c := NewClient(a)
+		clients = append(clients, c)
+		echo(c)
+		// A redialing client that lost its first connection and redialed.
+		r := NewRedialClient(pipe, RedialOptions{BaseBackoff: time.Millisecond})
+		clients = append(clients, r)
+		echo(r)
+		r.mu.Lock()
+		r.conn.Close()
+		r.mu.Unlock()
+		r.Call("echo", nil) // fails on the closed connection
+		echo(r)
+		if r.Redials() != 1 {
+			t.Fatalf("Redials = %d, want 1", r.Redials())
+		}
+	}
 	if got := clientGoroutines(); got != 0 {
-		t.Errorf("%d open clients run %d client frames on goroutines between calls, want 0", n, got)
+		t.Errorf("%d open clients run %d client frames on goroutines between calls, want 0", len(clients), got)
 	}
 	for _, c := range clients {
 		c.Close()
 	}
 	if got := clientGoroutines(); got != 0 {
-		t.Errorf("%d closed clients left %d client frames on goroutines, want 0", n, got)
+		t.Errorf("%d closed clients left %d client frames on goroutines, want 0", len(clients), got)
+	}
+}
+
+// TestRedialOncePerOutage: goroutines that call at once on a redialing
+// client whose connection was killed share one reconnect. Each call is
+// answered but the one that found the connection dead, which fails in
+// transport; the dial and OnConnect run once, and Redials is 1.
+func TestRedialOncePerOutage(t *testing.T) {
+	s := NewServer()
+	s.Register("echo", func(_ *Ctx, p []byte) ([]byte, error) { return p, nil })
+	var dials, connects atomic.Int64
+	r := NewRedialClient(func() (net.Conn, error) {
+		dials.Add(1)
+		a, b := net.Pipe()
+		go s.ServeConn(b)
+		return a, nil
+	}, RedialOptions{
+		BaseBackoff: time.Millisecond,
+		CallTimeout: 5 * time.Second,
+		OnConnect: func(call func(string, []byte) ([]byte, error)) error {
+			connects.Add(1)
+			_, err := call("echo", []byte("hello"))
+			return err
+		},
+	})
+	defer r.Close()
+	if err := r.Connect(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dials.Store(0)
+	connects.Store(0)
+	r.mu.Lock()
+	r.conn.Close()
+	r.mu.Unlock()
+
+	const callers = 16
+	var failed atomic.Int64
+	errs := make(chan error, callers)
+	var start sync.WaitGroup
+	start.Add(1)
+	for i := range callers {
+		go func() {
+			start.Wait()
+			want := []byte{byte(i)}
+			out, err := r.Call("echo", want)
+			var remote *RemoteError
+			switch {
+			case errors.As(err, &remote):
+				err = fmt.Errorf("call %d: remote error %v, want a reply or a transport error", i, err)
+			case err == nil && !bytes.Equal(out, want):
+				err = fmt.Errorf("call %d: reply %v, want %v", i, out, want)
+			case err != nil:
+				failed.Add(1)
+				err = nil
+			}
+			errs <- err
+		}()
+	}
+	start.Done()
+	for range callers {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if got := failed.Load(); got != 1 {
+		t.Errorf("%d calls failed in transport, want 1: the one that found the connection dead", got)
+	}
+	if d, c := dials.Load(), connects.Load(); d != 1 || c != 1 {
+		t.Errorf("%d callers across one outage: %d dials, %d OnConnect runs; want 1 and 1", callers, d, c)
+	}
+	if got := r.Redials(); got != 1 {
+		t.Errorf("Redials = %d, want 1", got)
 	}
 }
 
@@ -210,7 +307,7 @@ func TestClientStartsNoGoroutine(t *testing.T) {
 // to repeat: a transport failure dropped the dead connection, so each
 // attempt redials, until a reply, a remote error, ctx's end or
 // MaxAttempts attempts.
-func callRetrying(ctx context.Context, r *RedialClient, proc string, payload []byte) ([]byte, error) {
+func callRetrying(ctx context.Context, r *Client, proc string, payload []byte) ([]byte, error) {
 	var err error
 	for range r.opts.MaxAttempts {
 		var out []byte
@@ -233,7 +330,7 @@ func TestRedialReconnects(t *testing.T) {
 	}, RedialOptions{
 		BaseBackoff: time.Millisecond,
 		CallTimeout: time.Second,
-		OnConnect: func(*Client) error {
+		OnConnect: func(func(string, []byte) ([]byte, error)) error {
 			connects.Add(1)
 			return nil
 		},
@@ -246,7 +343,7 @@ func TestRedialReconnects(t *testing.T) {
 	}
 	// Kill the live connection out from under the redialer.
 	r.mu.Lock()
-	r.cur.conn.Close()
+	r.conn.Close()
 	r.mu.Unlock()
 
 	// The first call finds the connection dead and drops it; the retry
@@ -260,36 +357,6 @@ func TestRedialReconnects(t *testing.T) {
 	}
 	if r.Redials() != 1 {
 		t.Errorf("Redials = %d, want 1", r.Redials())
-	}
-}
-
-// TestRedialRetriesPastAClosedInnerClient closes the inner client r
-// hands the call before the call starts, as drop does when another
-// caller's call fails on the same connection. That ErrClientClosed is
-// the inner client's, not r's: the call redials and returns the reply.
-func TestRedialRetriesPastAClosedInnerClient(t *testing.T) {
-	s, _, addr := startServerAddr(t)
-	s.Register("echo", func(_ *Ctx, p []byte) ([]byte, error) { return p, nil })
-	var connects atomic.Int64
-	r := NewRedialClient(func() (net.Conn, error) {
-		return net.Dial("tcp", addr)
-	}, RedialOptions{
-		BaseBackoff: time.Millisecond,
-		CallTimeout: time.Second,
-		OnConnect: func(c *Client) error {
-			if connects.Add(1) == 1 {
-				c.Close() // becomes r's current client, closed
-			}
-			return nil
-		},
-	})
-	defer r.Close()
-	out, err := callRetrying(context.Background(), r, "echo", []byte("x"))
-	if err != nil || string(out) != "x" {
-		t.Fatalf("call on a closed inner client: %q, %v; want a redial and the reply", out, err)
-	}
-	if got := connects.Load(); got != 2 {
-		t.Errorf("OnConnect ran %d times, want 2", got)
 	}
 }
 
@@ -311,7 +378,8 @@ func TestRedialGivesUpAfterMaxAttempts(t *testing.T) {
 
 func TestRedialDoesNotRetryNonIdempotent(t *testing.T) {
 	// A transport failure must surface, not silently re-execute: the
-	// call may have run on the server, so RedialClient never retries it.
+	// call may have run on the server, so a redialing client never
+	// retries it.
 	var dials atomic.Int64
 	r := NewRedialClient(func() (net.Conn, error) {
 		dials.Add(1)
@@ -341,7 +409,7 @@ func TestRedialOnConnectFailureRetries(t *testing.T) {
 		return net.Dial("tcp", addr)
 	}, RedialOptions{
 		BaseBackoff: time.Microsecond,
-		OnConnect: func(c *Client) error {
+		OnConnect: func(func(string, []byte) ([]byte, error)) error {
 			if tries.Add(1) < 3 {
 				return errors.New("handshake flake")
 			}

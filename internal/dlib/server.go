@@ -132,13 +132,18 @@ type Server struct {
 // The timeouts every deployed node (vwserver, through core.Serve and
 // core.ServeLive, and vwrelay) serves with, so a partitioned or
 // non-draining session releases its locks in seconds rather than when
-// TCP gives up. A Server's own defaults stay 0.
+// TCP gives up, and the bound on a resilient workstation's calls. A
+// Server's own defaults stay 0.
 const (
 	// DeployedIdleTimeout is 300 missed frames at §1.2's 10 frames/s.
 	DeployedIdleTimeout = 30 * time.Second
 	// DeployedWriteTimeout is about 13 times the heavy workload's
 	// 773 KB frame at the paper's 1 MB/s link.
 	DeployedWriteTimeout = 10 * time.Second
+	// DeployedCallTimeout bounds a resilient workstation's calls
+	// (client.NewResilient), so a stalled link never freezes its
+	// network goroutine; a relay's upstream leg is bounded below it.
+	DeployedCallTimeout = 2 * time.Second
 )
 
 // NewServer returns a server with no procedures registered: it answers

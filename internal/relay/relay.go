@@ -52,6 +52,11 @@
 // still be answered that marker; closing the window needs an origin
 // identity on the wire.
 //
+// Stalled upstream. dlib dispatch is serial, so a leg that never
+// answers would hold every session of the relay behind it. Each call on
+// a leg is bounded by legTimeout; on expiry the leg is closed and the
+// session hung up, as for any other upstream failure.
+//
 // Procedures. A relay answers what an origin answers — vw.hello2,
 // vw.whoami, vw.frame and vw.framerelay — so workstations connect to
 // either and relays chain.
@@ -64,6 +69,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/dlib"
 	"repro/internal/wire"
@@ -148,14 +154,20 @@ type upCache struct {
 	haveRows bool
 }
 
+// legTimeout bounds each call on a session's upstream leg, below the
+// workstation's own call bound so the relay gives up first.
+const legTimeout = dlib.DeployedCallTimeout / 2
+
 // session is the relay's record of one downstream session, kept in its
-// dlib.Session.State: the pinned upstream leg, the codec record the
+// dlib.Session.State: the pinned upstream leg and the timer that closes
+// it when a call on it outlives legTimeout, the codec record the
 // origin keeps for a direct connection (the codec is the origin's hello2
 // answer, proxied), and the scratch the upstream request is assembled
 // in.
 type session struct {
-	idx int // upstream index
-	up  *dlib.Client
+	idx   int // upstream index
+	up    *dlib.Client
+	stall *time.Timer // armed only while a call is on up
 	wire.Session
 	req []byte
 }
@@ -254,22 +266,29 @@ func (r *Relay) ensureSession(ctx *dlib.Ctx) (*session, error) {
 		return nil, fmt.Errorf("relay: dial upstream %d: %w", idx, err)
 	}
 	st := &session{idx: idx, up: dlib.NewClient(conn)}
+	st.stall = time.AfterFunc(legTimeout, func() { st.up.Close() }) //vw:allow wallclock -- a stalled leg is bounded in real time, as the workstation's call is
+	st.stall.Stop()
 	r.mu.Lock()
 	ctx.Session.State = st
 	r.mu.Unlock()
 	return st, nil
 }
 
-// upcall forwards one call on the session's upstream leg. A remote
-// error passes through (the origin rejected the call; the session is
-// healthy). A transport error means the origin-side identity is gone:
-// the upstream client is closed and the downstream connection is hung
-// up after the error reply, so the workstation redials and rebuilds a
-// coherent session across both hops. The upstream's round cache goes
-// too — the origin that answers the redial may be a restarted one —
-// keeping only whether a v2 consumer wants directories.
+// upcall forwards one call on the session's upstream leg, bounded by
+// legTimeout. A remote error passes through (the origin rejected the
+// call; the session is healthy). A transport error, the bound's expiry
+// included, means the origin-side identity is gone: the upstream client
+// is closed and the downstream connection is hung up after the error
+// reply, so the workstation redials and rebuilds a coherent session
+// across both hops. The upstream's round cache goes too — the origin
+// that answers the redial may be a restarted one — keeping only whether
+// a v2 consumer wants directories.
 func (r *Relay) upcall(ctx *dlib.Ctx, st *session, proc string, payload []byte) ([]byte, error) {
+	st.stall.Reset(legTimeout)
 	rep, err := st.up.Call(proc, payload)
+	if !st.stall.Stop() && err != nil {
+		err = fmt.Errorf("no reply within %v: %w", legTimeout, err)
+	}
 	if err != nil {
 		var re *dlib.RemoteError
 		if errors.As(err, &re) {

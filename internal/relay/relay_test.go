@@ -2,6 +2,7 @@ package relay
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"slices"
@@ -632,5 +633,60 @@ func TestRelayCloseClosesEveryLeg(t *testing.T) {
 			t.Fatalf("origin still holds %d sessions after the relay closed", up.NumSessions())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestChaosStalledUpstreamDoesNotWedgeRelay: an upstream whose
+// vw.framerelay never returns holds the relay's serial dispatch for at
+// most legTimeout. Session A is pinned to it; session B, pinned to a
+// healthy upstream, is answered once A's leg times out, and A is hung
+// up like any session whose upstream failed.
+func TestChaosStalledUpstreamDoesNotWedgeRelay(t *testing.T) {
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) })
+	entered := make(chan struct{}, 1)
+	stalled := dlib.NewServer()
+	stalled.Register(wire.ProcHello2, helloV2)
+	stalled.Register(wire.ProcFrameRelay, func(*dlib.Ctx, []byte) ([]byte, error) {
+		entered <- struct{}{}
+		<-release
+		return nil, fmt.Errorf("released")
+	})
+	healthy := fakeUpstream(1, -int32(wire.ToolKindIso))
+	// Sessions are pinned round-robin at their first call: A to the
+	// stalled upstream, B to the healthy one.
+	r, err := New(Config{Upstreams: []dlib.DialFunc{
+		pipeTo(stalled, netsim.Link{}), pipeTo(healthy, netsim.Link{}),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	a, b := dial(t, r), dial(t, r)
+	for _, c := range []*dlib.Client{a, b} {
+		if _, err := c.Call(wire.ProcHello2, wire.EncodeHelloRequest(wire.CodecV2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	aErr := make(chan error, 1)
+	go func() {
+		_, err := a.Call(wire.ProcFrame, emptyUpdate)
+		aErr <- err
+	}()
+	<-entered // A's upstream call holds the relay's dispatch
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err = b.CallContext(ctx, wire.ProcFrame, emptyUpdate)
+	if elapsed := time.Since(start); err != nil || elapsed > legTimeout+legTimeout/2 {
+		t.Fatalf("B behind a stalled upstream: %v after %.1f s, want a frame within %v plus slack", err, elapsed.Seconds(), legTimeout)
+	}
+	if err := <-aErr; err == nil || !strings.Contains(err.Error(), "no reply within") {
+		t.Errorf("A on the stalled upstream = %v, want its leg's bound to fail it", err)
+	}
+	if got := r.Stats().Hangups; got != 1 {
+		t.Errorf("Hangups = %d, want 1", got)
 	}
 }

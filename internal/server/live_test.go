@@ -228,7 +228,7 @@ func TestLiveServerBypassesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Store: ring, CacheSteps: 4, CacheBytes: 1 << 20, Prefetch: true})
+	s, err := New(Config{Store: ring, CacheSteps: 4, Prefetch: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,15 +76,13 @@ type Config struct {
 	// an I/O-backed Store is read on demand, on the goroutine that
 	// needs the step.
 	Prefetch bool
-	// CacheSteps / CacheBytes budget the timesteps an I/O-backed
-	// server keeps beyond that window, least recently used first out:
-	// CacheSteps bounds resident timesteps, CacheBytes their total size
-	// (either may be zero for "no bound on that axis"; both zero keeps
-	// the window and nothing else). The window counts toward the budget
-	// and is never evicted to meet it. A store.Source is never wrapped:
-	// it is its own resident set.
+	// CacheSteps budgets the timesteps an I/O-backed server keeps
+	// beyond that window, least recently used first out (zero keeps the
+	// window and nothing else). The window counts toward the budget and
+	// is never evicted to meet it. Every step has the same size, so the
+	// count is the byte budget too. A store.Source is never wrapped: it
+	// is its own resident set.
 	CacheSteps int
-	CacheBytes int64
 	// Budget is the per-frame integration budget the governor holds
 	// the server under by predictive load-shedding (§5.3: only as many
 	// path points fit a frame as the machine can integrate in 0.1 s).
@@ -384,8 +382,8 @@ func New(cfg Config) (*Server, error) {
 		// An I/O-backed store: one resident set between the pipeline and
 		// mass storage. With no budget configured it holds the wanted
 		// run and nothing else.
-		opts := store.CacheOptions{MaxSteps: cfg.CacheSteps, MaxBytes: cfg.CacheBytes, Prefetch: cfg.Prefetch}
-		if opts.MaxSteps == 0 && opts.MaxBytes == 0 {
+		opts := store.CacheOptions{MaxSteps: cfg.CacheSteps, Prefetch: cfg.Prefetch}
+		if opts.MaxSteps == 0 {
 			opts.MaxSteps = 1
 		}
 		c, err := store.NewCache(cfg.Store, opts)

@@ -14,11 +14,9 @@ import (
 // CacheOptions configures a Cache.
 type CacheOptions struct {
 	// MaxSteps bounds the number of resident timesteps. Zero means no
-	// count bound.
+	// bound. Every step of a dataset has the same size, so this is the
+	// byte budget too.
 	MaxSteps int
-	// MaxBytes bounds the total resident field bytes. Zero means no
-	// byte bound.
-	MaxBytes int64
 	// Prefetch reads the wanted run's missing steps in the background,
 	// in play order; off, each is read by the LoadStep that needs it.
 	Prefetch bool
@@ -45,12 +43,12 @@ type CacheOptions struct {
 // time positions make most loads repeats, so an LRU in front of the
 // disk turns them into memory hits.
 //
-// At least one timestep stays resident regardless of budget — a cache
-// that cannot hold the step it just loaded would re-read every call.
-// The cache never calls its source with mu held, and no call but a
-// LoadStep of a step that is not resident waits for a read. It never
-// rewrites a field it handed out: eviction drops the cache's reference
-// and nothing else, so what a round loaded stays valid.
+// A budget is at least one step, so the step just loaded stays
+// resident unless pins fill the budget. The cache never calls its
+// source with mu held, and no call but a LoadStep of a step that is not
+// resident waits for a read. It never rewrites a field it handed out:
+// eviction drops the cache's reference and nothing else, so what a
+// round loaded stays valid.
 type Cache struct {
 	src  Store
 	opts CacheOptions
@@ -87,9 +85,8 @@ type cacheFlight struct {
 // NewCache wraps src with a shared LRU under the given budget. A Ring
 // is refused: it recycles the fields the cache would hold.
 func NewCache(src Store, opts CacheOptions) (*Cache, error) {
-	if opts.MaxSteps < 0 || opts.MaxBytes < 0 {
-		return nil, fmt.Errorf("store: negative cache budget (steps=%d bytes=%d)",
-			opts.MaxSteps, opts.MaxBytes)
+	if opts.MaxSteps < 0 {
+		return nil, fmt.Errorf("store: negative cache budget (steps=%d)", opts.MaxSteps)
 	}
 	if _, ok := src.(*Ring); ok {
 		return nil, fmt.Errorf("store: a live ring keeps its own residency and recycles its fields; it cannot sit under a cache")
@@ -169,10 +166,9 @@ func (c *Cache) insertLocked(t int, f *field.Field) {
 }
 
 // evictLocked drops least-recently-used steps while the cache is over
-// budget, never a pinned one and never the last one resident — with no
-// wanted run that is the most recent entry.
+// budget, never a pinned one.
 func (c *Cache) evictLocked() {
-	for el := c.lru.Back(); el != nil && c.lru.Len() > 1 && c.overBudgetLocked(); {
+	for el := c.lru.Back(); el != nil && c.overBudgetLocked(); {
 		victim, prev := el.Value.(*cacheEntry), el.Prev()
 		if !victim.pinned {
 			c.lru.Remove(el)
@@ -185,13 +181,7 @@ func (c *Cache) evictLocked() {
 }
 
 func (c *Cache) overBudgetLocked() bool {
-	if c.opts.MaxSteps > 0 && c.lru.Len() > c.opts.MaxSteps {
-		return true
-	}
-	if c.opts.MaxBytes > 0 && c.bytes > c.opts.MaxBytes {
-		return true
-	}
-	return false
+	return c.opts.MaxSteps > 0 && c.lru.Len() > c.opts.MaxSteps
 }
 
 // appendRun appends the wanted run of a dataset of n steps to dst: the

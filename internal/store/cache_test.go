@@ -75,11 +75,12 @@ func TestCacheHitsAndLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheByteBudgetKeepsAtLeastOne(t *testing.T) {
+// TestCacheOneStepBudgetKeepsTheNewest: the smallest budget, one step,
+// keeps the step just loaded resident and books its bytes.
+func TestCacheOneStepBudgetKeepsTheNewest(t *testing.T) {
 	src := NewMemory(makeDataset(t, 3))
 	stepBytes := mustLoad(t, src, 0).SizeBytes()
-	// Budget below one step: the newest step must still stay resident.
-	c, err := NewCache(src, CacheOptions{MaxBytes: stepBytes / 2})
+	c, err := NewCache(src, CacheOptions{MaxSteps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,23 +89,12 @@ func TestCacheByteBudgetKeepsAtLeastOne(t *testing.T) {
 	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 || s.ResidentSteps != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	mustLoad(t, c, 1) // evicts 0: over byte budget
+	mustLoad(t, c, 1) // evicts 0: over budget
 	if c.Resident(0) || !c.Resident(1) {
-		t.Fatalf("resident after byte eviction: 0=%v 1=%v", c.Resident(0), c.Resident(1))
+		t.Fatalf("resident after eviction: 0=%v 1=%v", c.Resident(0), c.Resident(1))
 	}
 	if s := c.Stats(); s.Evictions != 1 || s.ResidentBytes != stepBytes {
 		t.Fatalf("stats = %+v", s)
-	}
-	// A budget of two steps holds exactly two.
-	c2, err := NewCache(src, CacheOptions{MaxBytes: 2 * stepBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustLoad(t, c2, 0)
-	mustLoad(t, c2, 1)
-	mustLoad(t, c2, 2)
-	if s := c2.Stats(); s.ResidentSteps != 2 || s.Evictions != 1 {
-		t.Fatalf("two-step budget stats = %+v", s)
 	}
 }
 
@@ -266,9 +256,6 @@ func TestCacheRejectsNegativeBudget(t *testing.T) {
 	if _, err := NewCache(src, CacheOptions{MaxSteps: -1}); err == nil {
 		t.Error("negative MaxSteps accepted")
 	}
-	if _, err := NewCache(src, CacheOptions{MaxBytes: -1}); err == nil {
-		t.Error("negative MaxBytes accepted")
-	}
 	c, err := NewCache(src, CacheOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +315,7 @@ func TestCacheFailedCoalescedLoadAccounting(t *testing.T) {
 		enter: make(chan int),
 		fail:  map[int]error{1: boom},
 	}
-	c, err := NewCache(src, CacheOptions{MaxSteps: 2, MaxBytes: 64 << 20})
+	c, err := NewCache(src, CacheOptions{MaxSteps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

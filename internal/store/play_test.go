@@ -325,9 +325,8 @@ func TestPrefetcherConcurrentAccess(t *testing.T) {
 }
 
 // TestPinsSurviveAnyBudget: the wanted run stays resident under a
-// budget smaller than it, by count or by bytes, while everything else
-// is evicted to meet the budget; a budget larger than the run keeps
-// its LRU on top.
+// budget smaller than it while everything else is evicted to meet the
+// budget; a budget larger than the run keeps its LRU on top.
 func TestPinsSurviveAnyBudget(t *testing.T) {
 	stepBytes := makeDataset(t, 1).Steps[0].SizeBytes()
 	for _, tc := range []struct {
@@ -336,10 +335,9 @@ func TestPinsSurviveAnyBudget(t *testing.T) {
 		resident []int
 	}{
 		{"one step", CacheOptions{MaxSteps: 1}, []int{3, 4, 5, 6, 7}},
-		{"one byte", CacheOptions{MaxBytes: 1}, []int{3, 4, 5, 6, 7}},
-		{"both", CacheOptions{MaxSteps: 2, MaxBytes: stepBytes}, []int{3, 4, 5, 6, 7}},
+		{"two steps", CacheOptions{MaxSteps: 2}, []int{3, 4, 5, 6, 7}},
+		{"run plus one", CacheOptions{MaxSteps: 6}, []int{0, 3, 4, 5, 6, 7}},
 		{"run plus two", CacheOptions{MaxSteps: 7}, []int{0, 3, 4, 5, 6, 7, 11}},
-		{"bytes for run plus one", CacheOptions{MaxBytes: 6 * stepBytes}, []int{0, 3, 4, 5, 6, 7}},
 	} {
 		c, err := NewCache(NewMemory(makeDataset(t, 12)), tc.opts)
 		if err != nil {
@@ -357,11 +355,8 @@ func TestPinsSurviveAnyBudget(t *testing.T) {
 		// Moving on unpins: the old run is ordinary LRU again.
 		c.Follow(Play{Step: 11})
 		st := c.Stats()
-		if tc.opts.MaxSteps > 0 && st.ResidentSteps > max(tc.opts.MaxSteps, 1) {
+		if st.ResidentSteps > tc.opts.MaxSteps {
 			t.Errorf("%s: %d steps resident after the run moved on, budget %d", tc.name, st.ResidentSteps, tc.opts.MaxSteps)
-		}
-		if tc.opts.MaxBytes > 0 && st.ResidentBytes > max(tc.opts.MaxBytes, stepBytes) {
-			t.Errorf("%s: %d bytes resident after the run moved on, budget %d", tc.name, st.ResidentBytes, tc.opts.MaxBytes)
 		}
 		if st.ResidentBytes != int64(st.ResidentSteps)*stepBytes {
 			t.Errorf("%s: %d bytes booked for %d steps", tc.name, st.ResidentBytes, st.ResidentSteps)
