@@ -13,15 +13,15 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The portable build: internal/grid's Interp3x4 and internal/render's
-# display-list transform are SSE2 assembly on amd64 and Go loops over
-# the scalar code on every other GOARCH, so the non-amd64 side must
-# build and vet too; store.Disk maps timestep files on linux only, so
+# The portable build: internal/grid's Interp3x4, internal/render's
+# display-list transform and internal/wire's codec-v2 point loops are
+# SSE2 assembly on amd64 and Go loops over the scalar code on every
+# other GOARCH, so the non-amd64 side must build and vet too; store.Disk maps timestep files on linux only, so
 # darwin and windows must build without it. Cross-compiling needs
 # nothing from the network.
 cross:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/grid ./internal/integrate ./internal/render
+	GOARCH=arm64 $(GO) vet ./internal/grid ./internal/integrate ./internal/render ./internal/wire
 	GOOS=darwin $(GO) build ./...
 	GOOS=windows $(GO) build ./...
 
@@ -77,7 +77,9 @@ fuzz-server:
 # full decode allocates in proportion to its input. The quantizer,
 # differentially: raw float32 bits for a coordinate and its box, and a
 # raw 16-bit value, through codec v2's arithmetic and the divide-and-
-# math.Round reference, both directions. Then the client update, both
+# math.Round reference, both directions; then 0-9 raw-bit points and a
+# raw-bit box through PutQuantPoints and a decoder (the SSE2 lanes on
+# amd64, every tail) against the same reference. Then the client update, both
 # relay messages and the hello reply every workstation and relay
 # decodes at connect: a count the bytes cannot back is refused before
 # it sizes anything. The 10s budgets keep it ci-sized.
@@ -85,6 +87,7 @@ fuzz-wire:
 	$(GO) test -fuzz FuzzDecodeFrameV2 -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeFrameReply$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzQuantAgrees -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz FuzzQuantPointsAgrees -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeClientUpdate -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeRelayFrameRequest -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz FuzzDecodeRelayFrameReply -fuzztime 10s ./internal/wire/

@@ -185,7 +185,7 @@ func FuzzRasterAgrees(f *testing.F) {
 		dl.reset()
 
 		r = Renderer{FB: imm, y0: top, y1: bottom, mask: e.mask, mvp: e.mvp}
-		scene(&r)
+		drawNow(&r, scene)
 
 		rr := refRenderer{FB: ref, y0: top, y1: bottom, mvp: e.mvp}
 		rr.polyline(pts, r.ink(c))

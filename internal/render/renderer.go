@@ -21,8 +21,9 @@ type Renderer struct {
 	// replace.
 	Additive bool
 
-	// list, when set, makes this the Renderer a Scene records through:
-	// draw calls go on the list instead of the framebuffer.
+	// list is the display list a Scene records through: its draw calls
+	// go on the list. A band worker's Renderer has none; it rasters the
+	// list's runs.
 	list *DisplayList
 }
 
@@ -76,39 +77,15 @@ const nearEps = 1e-5
 
 // Polyline draws connected line segments through pts. Each vertex is
 // transformed and divided once, whichever segments share it; a segment
-// that crosses the near plane w = nearEps is cut there first.
+// that crosses the near plane w = nearEps is cut there first. The call
+// is recorded on the Renderer's display list and drawn with the frame.
 func (r *Renderer) Polyline(pts []vmath.Vec3, c Color) {
-	if r.list != nil {
-		r.list.add(r, kindPolyline, pts, c)
-		return
-	}
-	r.polyline(pts, c)
-}
-
-// polyline is Polyline drawn now, the vertex two segments share carried
-// from one to the next.
-//
-//vw:hotpath
-func (r *Renderer) polyline(pts []vmath.Vec3, c Color) {
-	k, vp := r.ink(c), r.viewport()
-	var a vert
-	for i := range pts {
-		b := vp.divide(r.mvp.TransformPointW(pts[i]))
-		if i > 0 {
-			r.edge(&a, &b, &pts[i-1], &pts[i], &k)
-		}
-		a = b
-	}
+	r.list.add(r, kindPolyline, pts, c)
 }
 
 // Line draws one 3-D line segment.
 func (r *Renderer) Line(a, b vmath.Vec3, c Color) {
-	if r.list != nil {
-		r.list.add(r, kindPolyline, r.list.keep(a, b), c)
-		return
-	}
-	pts := [2]vmath.Vec3{a, b}
-	r.polyline(pts[:], c)
+	r.list.add(r, kindPolyline, r.list.keep(a, b), c)
 }
 
 // Triangles draws a wireframe triangle soup: three vertices per
@@ -116,14 +93,7 @@ func (r *Renderer) Line(a, b vmath.Vec3, c Color) {
 // through the closed path p0 p1 p2 p0. Vertices past the last whole
 // triangle are ignored.
 func (r *Renderer) Triangles(pts []vmath.Vec3, c Color) {
-	if r.list != nil {
-		r.list.add(r, kindTriangles, pts, c)
-		return
-	}
-	for i := 0; i+2 < len(pts); i += 3 {
-		tri := [4]vmath.Vec3{pts[i], pts[i+1], pts[i+2], pts[i]}
-		r.polyline(tri[:], c)
-	}
+	r.list.add(r, kindTriangles, pts, c)
 }
 
 // edge draws the segment between two transformed vertices, pa and pb

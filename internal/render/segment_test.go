@@ -131,10 +131,10 @@ func oneRenderer(t testing.TB, rig StereoRig, w, h int, head vmath.Mat4, scene S
 		t.Fatal(err)
 	}
 	r := Renderer{FB: fb, y1: fb.H, mask: maskR, mvp: rig.Proj.Mul(left)}
-	scene(&r)
+	drawNow(&r, scene)
 	fb.clearZRows(0, fb.H)
 	r.mask, r.mvp = maskB, rig.Proj.Mul(right)
-	scene(&r)
+	drawNow(&r, scene)
 	return fb
 }
 
@@ -336,9 +336,9 @@ func FuzzLine(f *testing.F) {
 			r.mvp = persp
 		}
 		start := time.Now()
-		r.Line(a, b, Color{255, 255, 255})
-		r.Polyline([]vmath.Vec3{b, a, b}, Color{200, 200, 200})
-		r.Line(a, a, Color{255, 255, 255})
+		r.polyline([]vmath.Vec3{a, b}, Color{255, 255, 255})
+		r.polyline([]vmath.Vec3{b, a, b}, Color{200, 200, 200})
+		r.polyline([]vmath.Vec3{a, a}, Color{255, 255, 255})
 		if d := time.Since(start); d > 100*time.Millisecond {
 			t.Errorf("drawing %v-%v took %v", a, b, d)
 		}

@@ -30,7 +30,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/vmath"
 )
@@ -125,7 +124,9 @@ func (i DatasetInfo) Quantizer() Quantizer {
 
 // axis is one coordinate of a Quantizer resolved for arithmetic: the
 // box minimum and extent in float64, built once per call rather than
-// once per coordinate. It is the only definition of either direction.
+// once per coordinate. Its quant and dequant are the one definition of
+// either direction: the portable point loops, the odd point the amd64
+// lanes leave over, and the reference the lanes are tested against.
 type axis struct{ lo, span float64 }
 
 // axes resolves the box. Three values, not an array: the point loops
@@ -164,32 +165,13 @@ func roundSteps(y float64) uint16 {
 	return uint16(y + 0.5)
 }
 
-// unitTable holds float64(q)/quantSteps for every q: the divide of the
-// inverse map is a function of a 16-bit integer. Only a decoding
-// process builds it (512 KB); a server or a skimming relay never does.
-var (
-	unitOnce  sync.Once
-	unitTable [quantSteps + 1]float64
-)
-
-// units returns the built table; callers fetch it once per call, not
-// per coordinate.
-func units() *[quantSteps + 1]float64 {
-	unitOnce.Do(func() {
-		for q := range unitTable {
-			unitTable[q] = float64(q) / quantSteps
-		}
-	})
-	return &unitTable
-}
-
 // dequant is the inverse map onto the box; a flat or inverted axis
 // returns its minimum exactly.
-func (a axis) dequant(unit *[quantSteps + 1]float64, q uint16) float32 {
+func (a axis) dequant(q uint16) float32 {
 	if a.span <= 0 {
 		return float32(a.lo)
 	}
-	return float32(a.lo + unit[q]*a.span)
+	return float32(a.lo + float64(q)/quantSteps*a.span)
 }
 
 // quant maps a physical point to its quantized triple.
@@ -201,8 +183,7 @@ func (q Quantizer) quant(p vmath.Vec3) (x, y, z uint16) {
 // dequant maps a quantized triple back to physical coordinates.
 func (q Quantizer) dequant(x, y, z uint16) vmath.Vec3 {
 	ax, ay, az := q.axes()
-	unit := units()
-	return vmath.Vec3{X: ax.dequant(unit, x), Y: ay.dequant(unit, y), Z: az.dequant(unit, z)}
+	return vmath.Vec3{X: ax.dequant(x), Y: ay.dequant(y), Z: az.dequant(z)}
 }
 
 // RoundTrip returns dequant(quant(p)) — what the peer will see for p.
@@ -305,11 +286,22 @@ func (e *encoder) quantRecords(n int) (first int) {
 
 // PutQuantPoints writes the 6-byte quantized record of every point into
 // dst, which holds at least QuantBytes per point. Disjoint ranges of one
-// segment's records (BeginToolGeomV2) may be written concurrently.
+// segment's records (BeginToolGeomV2) may be written concurrently. On
+// amd64 the points go two at a time through SSE2 lanes that evaluate
+// axis.quant bit for bit; elsewhere, and for an odd last point, through
+// quantPointsGo.
 //
 //vw:hotpath
 func PutQuantPoints(dst []byte, pts []vmath.Vec3, q Quantizer) {
 	ax, ay, az := q.axes()
+	even := len(pts) &^ 1
+	quantPairs(dst[:even*QuantBytes], pts[:even], ax, ay, az)
+	quantPointsGo(dst[even*QuantBytes:], pts[even:], ax, ay, az)
+}
+
+// quantPointsGo is PutQuantPoints as a loop over axis.quant: the
+// portable implementation.
+func quantPointsGo(dst []byte, pts []vmath.Vec3, ax, ay, az axis) {
 	for i, p := range pts {
 		rec := dst[i*QuantBytes : (i+1)*QuantBytes]
 		binary.LittleEndian.PutUint16(rec[0:], ax.quant(p.X))
@@ -330,17 +322,34 @@ func (d *decoder) quantPoints(q Quantizer, budget int) []vmath.Vec3 {
 		return nil
 	}
 	pts := make([]vmath.Vec3, n)
+	dequantPoints(pts, b, q)
+	return pts
+}
+
+// dequantPoints fills pts from its records in src, which holds at least
+// QuantBytes per point: on amd64 two points at a time through SSE2
+// lanes that evaluate axis.dequant bit for bit, elsewhere, and for an
+// odd last point, through dequantPointsGo.
+//
+//vw:hotpath
+func dequantPoints(pts []vmath.Vec3, src []byte, q Quantizer) {
 	ax, ay, az := q.axes()
-	unit := units()
+	even := len(pts) &^ 1
+	dequantPairs(pts[:even], src[:even*QuantBytes], ax, ay, az)
+	dequantPointsGo(pts[even:], src[even*QuantBytes:], ax, ay, az)
+}
+
+// dequantPointsGo is dequantPoints as a loop over axis.dequant: the
+// portable implementation.
+func dequantPointsGo(pts []vmath.Vec3, src []byte, ax, ay, az axis) {
 	for p := range pts {
-		rec := b[p*QuantBytes:][:QuantBytes]
+		rec := src[p*QuantBytes:][:QuantBytes]
 		pts[p] = vmath.Vec3{
-			X: ax.dequant(unit, binary.LittleEndian.Uint16(rec[0:])),
-			Y: ay.dequant(unit, binary.LittleEndian.Uint16(rec[2:])),
-			Z: az.dequant(unit, binary.LittleEndian.Uint16(rec[4:])),
+			X: ax.dequant(binary.LittleEndian.Uint16(rec[0:])),
+			Y: ay.dequant(binary.LittleEndian.Uint16(rec[2:])),
+			Z: az.dequant(binary.LittleEndian.Uint16(rec[4:])),
 		}
 	}
-	return pts
 }
 
 // AppendGeomV2 appends one rake's geometry as a codec-v2 segment:
