@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet cross lint lint-stats deps refs chaos fuzz-dlib fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate ci bench bench-module loc load load-relay relay soak live tools
+.PHONY: all build test race vet cross lint lint-stats chaos fuzz-dlib fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate ci bench bench-module loc load load-relay relay soak live tools
 
 all: build test
 
@@ -16,9 +16,9 @@ vet:
 # The portable build: internal/grid's Interp3x4, internal/render's
 # display-list transform and internal/wire's codec-v2 point loops are
 # SSE2 assembly on amd64 and Go loops over the scalar code on every
-# other GOARCH, so the non-amd64 side must build and vet too; store.Disk maps timestep files on linux only, so
-# darwin and windows must build without it. Cross-compiling needs
-# nothing from the network.
+# other GOARCH, so the non-amd64 side must build and vet too;
+# store.Disk maps timestep files on linux only, so darwin and windows
+# must build without it. Cross-compiling needs nothing from the network.
 cross:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/grid ./internal/integrate ./internal/render ./internal/wire
@@ -26,19 +26,20 @@ cross:
 	GOOS=windows $(GO) build ./...
 
 # Project-specific invariant analyzers (wallclock, lockdiscipline,
-# hotpath, maporder) over the whole module, and the reachability pass:
-# every exported func, method, type, const and var under internal/ is
-# used by another package's non-test code (cmd/, examples/ and
-# benchmark/ count), implements an interface, or is marked
-# //vw:testonly. Fails on any finding not annotated with a //vw:allow
-# directive, on malformed //vw: directives, and on classified packages
-# (internal/analysis.PackageClasses) that lost their //vw:deterministic
-# or //vw:wire opt-in.
+# hotpath, maporder) over the whole module, the reachability pass
+# (every exported name under internal/ has a product caller, implements
+# an interface, or is marked //vw:testonly), and the structural rule
+# table, internal/analysis.Rules: imports, forbidden uses, one-caller
+# functions, dlib procedures, package classes and doc citations, each
+# rule one row. Fails on any finding not annotated with a //vw:allow
+# directive (no allow reaches a rule) and on malformed //vw: directives.
 lint:
 	$(GO) run ./cmd/vwlint ./...
 
 # Suppression-debt report: the //vw:allow count per analyzer, every
-# analyzer listed even at zero so trends diff cleanly across PRs.
+# analyzer listed even at zero so trends diff cleanly across PRs, then
+# the rule table's rows per kind (imports, forbid, onecaller, procs,
+# class, docs).
 lint-stats:
 	$(GO) run ./cmd/vwlint -stats ./...
 
@@ -129,120 +130,6 @@ fuzz-integrate:
 relay:
 	$(GO) test -race -count=1 -run 'Relay' ./internal/server/ ./internal/wire/ ./internal/relay/ ./cmd/vwload/
 
-# The server does not link the relay tier: relays and the load harness
-# sit on top of it, never inside it. The renderer's tests do not link
-# the server: the paper's figures are regenerated by cmd/vwbench. The
-# server does not know store kinds: residency is decided behind
-# store.Source, so its non-test code names no concrete store and no
-# sampler of one. The round's work has one ledger, the governor's demand
-# rows: the server's non-test code names no compute.Stats and calls no
-# Units(), so the governor calibrates on, and grades fidelity in, the
-# units it plans. Session state has one owner, the dlib.Session: the
-# server's and the relay's non-test code declare no map[int64] (a table
-# keyed by session id, pruned on disconnect, beside the record the
-# session already carries in its State). Every procedure a dlib server answers is one the
-# windtunnel calls: each Register names a wire.Proc constant, the origin
-# and the relay register every constant, internal/client calls each one
-# but wire.ProcFrameRelay (by Client.Call, or by the call function a
-# redialing client hands its handshake), and the relay's upstream exchange
-# (Relay.fetchRound) calls that one. A relay forwarding a call upstream
-# is not a caller. What a session is sent is decided once: the origin
-# and the relay answer through wire.Session's AnswerFrame and
-# AnswerRelay, the only non-test callers of wire.AppendRelayFrameReply
-# and (*wire.FrameEncoder).AppendFrame. A timestep file is mapped in
-# one place, so a mapping has one release rule: syscall.Mmap and
-# syscall.Munmap each have one non-test caller, in internal/store.
-deps:
-	@if $(GO) list -deps ./internal/server | grep -qx 'repro/internal/relay'; then \
-		echo 'internal/server depends on internal/relay'; exit 1; fi
-	@if $(GO) list -test -deps ./internal/render | grep -qx 'repro/internal/server'; then \
-		echo 'internal/render tests depend on internal/server'; exit 1; fi
-	@if grep -nE 'store\.(Memory|Ring|Disk)|UnsteadySampler' $$(ls internal/server/*.go | grep -v _test.go); then \
-		echo 'internal/server names a store kind; residency belongs behind store.Source'; exit 1; fi
-	@if grep -nE 'compute\.Stats|\.Units\(\)' $$(ls internal/server/*.go | grep -v _test.go); then \
-		echo 'internal/server counts work outside the demand rows; the governor books planned units'; exit 1; fi
-	@if grep -nE 'map\[int64\]' $$(ls internal/server/*.go internal/relay/*.go | grep -v _test.go); then \
-		echo 'internal/server or internal/relay keys a table by session id; session state rides dlib.Session.State'; exit 1; fi
-	@regs=$$(grep -nE '\bRegister\(' $$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*') | \
-		grep -vE 'func \(|\.Register\(wire\.Proc[A-Za-z0-9]+,'); \
-	if [ -n "$$regs" ]; then echo "$$regs"; \
-		echo 'dlib procedures registered under a name that is not a wire.Proc constant'; exit 1; fi
-	@procs=$$(grep -hoE '^\s*(const\s+)?Proc[A-Za-z0-9]+\s*=' $$(ls internal/wire/*.go | grep -v _test.go) | grep -oE 'Proc[A-Za-z0-9]+'); \
-	[ -n "$$procs" ] || { echo 'internal/wire declares no Proc constant'; exit 1; }; \
-	fail=0; for p in $$procs; do \
-		for pkg in server relay; do \
-			grep -qE "\.Register\(wire\.$$p," $$(ls internal/$$pkg/*.go | grep -v _test.go) || \
-				{ echo "wire.$$p is not registered in internal/$$pkg"; fail=1; }; \
-		done; \
-		if [ $$p = ProcFrameRelay ]; then \
-			awk '/^func \(r \*Relay\) fetchRound\(/,/^}/' $$(ls internal/relay/*.go | grep -v _test.go) | grep -qE 'wire\.ProcFrameRelay\b' || \
-				{ echo "wire.$$p is not called by internal/relay's upstream exchange (Relay.fetchRound)"; fail=1; }; \
-		else \
-			grep -qE "(\.Call|[^A-Za-z0-9_.]call)\(wire\.$$p\b" $$(ls internal/client/*.go | grep -v _test.go) || \
-				{ echo "wire.$$p is not called from internal/client"; fail=1; }; \
-		fi; \
-	done; exit $$fail
-	@fail=0; for f in AppendRelayFrameReply AppendFrame; do \
-		calls=$$(grep -nE "[^A-Za-z0-9_]$$f\(" $$(find . -name '*.go' -not -name '*_test.go') | \
-			grep -vE "^[^:]+:[0-9]+:\s*//|func (\([^)]*\) )?$$f\("); \
-		if [ "$$(printf '%s\n' "$$calls" | grep -c .)" != 1 ] || ! printf '%s\n' "$$calls" | grep -q '^./internal/wire/serve.go:'; then \
-			echo "$$calls"; echo "$$f has a non-test caller besides the serve rule (wire.Session's answers, internal/wire/serve.go)"; fail=1; fi; \
-	done; exit $$fail
-	@fail=0; for f in Mmap Munmap; do \
-		calls=$$(grep -nE "syscall\.$$f\(" $$(find . -name '*.go' -not -name '*_test.go') | grep -vE '^[^:]+:[0-9]+:\s*//'); \
-		if [ "$$(printf '%s\n' "$$calls" | grep -c .)" != 1 ] || ! printf '%s\n' "$$calls" | grep -q '^./internal/store/'; then \
-			echo "$$calls"; echo "syscall.$$f needs exactly one non-test caller, in internal/store (store.Disk's mapping)"; fail=1; fi; \
-	done; exit $$fail
-
-# Doc citations resolve: every backticked TestX, BenchmarkX or FuzzX in
-# README.md, DESIGN.md, EXPERIMENTS.md and the verify skill names a func
-# declared in a _test.go file somewhere in the repository (benchmark/
-# included), every backticked `make <target>` names a target of this
-# Makefile, and every backticked file name ending in .go, .s, .json,
-# .txt, .md, .sh or .jsonl is the path, or a path suffix, of a file in
-# the checkout (`server/pool.go` resolves to internal/server/pool.go; a
-# pattern such as `_test.go` is skipped). A * stands for any run of
-# identifier characters, so `TestRelay*GoldenFrames` resolves; a name
-# cited as since deleted goes without backticks.
-refs:
-	@defs=$$(grep -hoE '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]*' $$(find . -name '*_test.go') | sed 's/^func //' | sort -u); \
-	targets=$$(grep -oE '^[A-Za-z0-9_-]+:' Makefile | tr -d :); \
-	files=$$(find . -type f -not -path './.git/*' | sed 's|^\./||'); \
-	awk -v defs="$$defs" -v targets="$$targets" -v files="$$files" ' \
-		function check(file,   s, pre, span, rest, line, tok, re, i, ok) { \
-			s = text; line = 1; \
-			while (match(s, /`[^`]*`/)) { \
-				pre = substr(s, 1, RSTART - 1); line += gsub(/\n/, "", pre); \
-				span = " " substr(s, RSTART + 1, RLENGTH - 2); s = substr(s, RSTART + RLENGTH); \
-				rest = span; \
-				while (match(rest, /[^A-Za-z0-9_](Test|Benchmark|Fuzz)[A-Z*][A-Za-z0-9_*]*/)) { \
-					tok = substr(rest, RSTART + 1, RLENGTH - 1); rest = substr(rest, RSTART + RLENGTH); \
-					re = tok; gsub(/\*/, "[A-Za-z0-9_]*", re); re = "^" re "$$"; ok = 0; \
-					for (i = 1; i <= n; i++) if (d[i] ~ re) { ok = 1; break } \
-					if (!ok) { print file ":" line ": `" tok "` names no test, benchmark or fuzz target"; bad = 1 } \
-				} \
-				rest = span; \
-				while (match(rest, /[^A-Za-z0-9_-]make[ \t]+[A-Za-z0-9_-]+/)) { \
-					tok = substr(rest, RSTART + 1, RLENGTH - 1); rest = substr(rest, RSTART + RLENGTH); \
-					sub(/^make[ \t]+/, "", tok); \
-					if (!(tok in target)) { print file ":" line ": `make " tok "` names no Makefile target"; bad = 1 } \
-				} \
-				rest = span " "; \
-				while (match(rest, /[A-Za-z0-9_.\/-]+\.(go|s|json|txt|md|sh|jsonl)[^A-Za-z0-9_.\/-]/)) { \
-					tok = substr(rest, RSTART, RLENGTH - 1); rest = substr(rest, RSTART + RLENGTH); \
-					sub(/^(\.\.?\/)+/, "", tok); \
-					if (tok ~ /(^|\/)_/) continue; \
-					ok = 0; for (i = 1; i <= nf; i++) if (f[i] == tok || substr(f[i], length(f[i]) - length(tok)) == "/" tok) { ok = 1; break } \
-					if (!ok) { print file ":" line ": `" tok "` names no file in the checkout"; bad = 1 } \
-				} \
-				line += gsub(/\n/, "", span); \
-			} \
-		} \
-		BEGIN { n = split(defs, d, " "); m = split(targets, t, " "); for (i = 1; i <= m; i++) target[t[i]] = 1; nf = split(files, f, "\n") } \
-		FNR == 1 && NR > 1 { check(prev); text = "" } \
-		{ text = text $$0 "\n"; prev = FILENAME } \
-		END { check(prev); exit bad }' README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md
-
 # The in-situ battery: the solver-vs-replay differential, the live
 # golden corpus entries (direct and relayed), the lock table's steering
 # row and the client's steering chaos, the ring's pin/eviction unit
@@ -262,7 +149,7 @@ tools:
 	$(GO) test -race -count=1 -run xxx -fuzz FuzzToolCommand -fuzztime 5s ./internal/server/
 
 # The gate a change must pass before merging.
-ci: vet cross lint deps refs race relay live tools bench-module fuzz-dlib fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate load-relay
+ci: vet cross lint race relay live tools bench-module fuzz-dlib fuzz-server fuzz-wire fuzz-render fuzz-field fuzz-integrate load-relay
 
 bench:
 	$(GO) test -bench . -benchmem ./...

@@ -9,13 +9,18 @@
 // walks the module, typechecks every non-test package with the
 // source importer, and prints findings as file:line:col: message
 // [analyzer], exiting 1 if anything (including a malformed //vw:
-// directive or a classified package that lost its //vw:deterministic
-// or //vw:wire opt-in) survives the //vw:allow annotations. Run over
-// the whole module, it also runs the reachability pass
-// (analysis.Unreachable): every exported name under internal/ has a
-// caller in another package's non-test code, cmd/, examples/ and
-// benchmark/ included, or is marked //vw:testonly. -stats prints the
-// //vw:allow count per analyzer.
+// directive) survives the //vw:allow annotations. Run over the whole
+// module, it also runs the reachability pass (analysis.Unreachable):
+// every exported name under internal/ has a caller in another
+// package's non-test code, cmd/, examples/ and benchmark/ included, or
+// is marked //vw:testonly; and it holds the module to its rule table
+// (analysis.Rules), whose rows are of six kinds: imports (a package
+// does not link another), forbid (a package uses no such object and
+// keys no map by such a type), onecaller (a function has one non-test
+// caller, in a named place), procs (dlib procedures are registered and
+// called by name), class (a package keeps its //vw: opt-in) and docs
+// (backticked citations resolve). -stats prints the //vw:allow count
+// per analyzer and the rule table's rows per kind.
 package main
 
 import (
@@ -23,7 +28,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -63,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	analyzers := analysis.All()
 	var findings, bad []analysis.Diagnostic
 	var pkgs []*analysis.Package
-	classes := make(map[string]analysis.Class) // import path -> directive-derived class
 	allowCounts := make(map[string]int)
 	for _, rel := range dirs {
 		importPath := modPath
@@ -78,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		pkgs = append(pkgs, pkg)
-		classes[importPath] = analysis.Classify(pkg.Directives)
 		for name, n := range pkg.Directives.AllowCounts() {
 			allowCounts[name] += n
 		}
@@ -92,31 +94,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printStats(stdout, allowCounts)
 		return 0
 	}
-	// Reachability is a property of the whole program: a run over part
-	// of it would miss the callers outside that part.
+	// Reachability and the rule table are properties of the whole
+	// program: a run over part of it would miss what lies outside that part.
 	if whole {
 		findings = append(findings, analysis.Unreachable(pkgs, modPath+"/internal")...)
+		prog := &analysis.Program{Root: root, ModPath: modPath, Fset: loader.Fset, Pkgs: pkgs}
+		findings = append(findings, prog.Check(analysis.Rules)...)
 	}
 
-	// The invariant nets must not rot: every package the registry
-	// classifies keeps the matching //vw: directive in its source.
 	exit := 0
-	for _, p := range sortedKeys(analysis.PackageClasses) {
-		want := analysis.PackageClasses[p]
-		got, loaded := classes[p]
-		if !loaded {
-			continue
-		}
-		if want.Deterministic && !got.Deterministic {
-			fmt.Fprintf(stderr, "vwlint: %s must carry //vw:deterministic (see internal/analysis.PackageClasses)\n", p)
-			exit = 1
-		}
-		if want.WireFacing && !got.WireFacing {
-			fmt.Fprintf(stderr, "vwlint: %s must carry //vw:wire (see internal/analysis.PackageClasses)\n", p)
-			exit = 1
-		}
-	}
-
 	for _, d := range append(bad, findings...) {
 		fmt.Fprintln(stderr, relPosition(cwd, d))
 		exit = 1
@@ -125,7 +111,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // printStats renders the //vw:allow debt per analyzer, every known
-// analyzer listed even at zero so trends are diffable.
+// analyzer listed even at zero so trends are diffable, then the rows
+// of the rule table per kind (no //vw:allow reaches a rule).
 func printStats(w io.Writer, counts map[string]int) {
 	total := 0
 	for _, a := range analysis.All() {
@@ -133,15 +120,16 @@ func printStats(w io.Writer, counts map[string]int) {
 		total += counts[a.Name]
 	}
 	fmt.Fprintf(w, "%-16s %d\n", "total", total)
-}
-
-func sortedKeys(m map[string]analysis.Class) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+	var kinds []string
+	rows := make(map[string]int)
+	for _, r := range analysis.Rules {
+		if rows[r.Kind()]++; rows[r.Kind()] == 1 {
+			kinds = append(kinds, r.Kind())
+		}
 	}
-	sort.Strings(out)
-	return out
+	for _, k := range kinds {
+		fmt.Fprintf(w, "rule:%-11s %d\n", k, rows[k])
+	}
 }
 
 // selectDirs maps package patterns onto module-relative directories,

@@ -75,13 +75,19 @@ func TestRunStats(t *testing.T) {
 			t.Errorf("stats output missing %q:\n%s", name, got)
 		}
 	}
+	kinds := 0
 	for _, line := range strings.Split(strings.TrimSpace(got), "\n") {
 		f := strings.Fields(line)
 		if len(f) != 2 {
 			t.Fatalf("stats line %q not `name count`", line)
 		}
-		switch f[0] {
-		case "wallclock", "total":
+		switch {
+		case strings.HasPrefix(f[0], "rule:"):
+			kinds++
+			if f[1] == "0" {
+				t.Errorf("%s lists a rule kind with no rows", line)
+			}
+		case f[0] == "wallclock" || f[0] == "total":
 			if f[1] != "1" {
 				t.Errorf("%s = %s, want 1", f[0], f[1])
 			}
@@ -90,6 +96,10 @@ func TestRunStats(t *testing.T) {
 				t.Errorf("%s = %s, want 0", f[0], f[1])
 			}
 		}
+	}
+	// Then the rule table's rows, by kind.
+	if kinds != 6 {
+		t.Errorf("%d rule kinds listed, want 6:\n%s", kinds, got)
 	}
 }
 

@@ -5,9 +5,11 @@
 // the frame pipeline's conventions — injected clocks, *Locked mutex
 // discipline, allocation-free hot paths, byte-deterministic iteration —
 // into compile-time checks. Each is kept for a defect no test catches;
-// its fixture carries that defect. Beside them, Unreachable checks the
-// whole program at once: an exported name under internal/ that no
-// other package's product code uses is a finding.
+// its fixture carries that defect. Beside them, two checks read the
+// whole program at once: Unreachable (an exported name under internal/
+// that no other package's product code uses is a finding) and
+// Program.Check, which holds the module to its structural rule table,
+// Rules.
 //
 // The framework is deliberately small: an Analyzer is a named Run
 // function over a typechecked package (Pass), diagnostics are
@@ -49,7 +51,7 @@ type Pass struct {
 	// Directives holds the parsed //vw: comments for the package.
 	Directives *Directives
 	// Class is the package's classification, derived once from the
-	// directives (see Classify). Analyzers gate on it instead of
+	// directives (see classify). Analyzers gate on it instead of
 	// keeping private package lists.
 	Class Class
 
@@ -106,7 +108,7 @@ func Run(a *Analyzer, pkg *Package) []Diagnostic {
 		Files:      pkg.Files,
 		Info:       pkg.Info,
 		Directives: pkg.Directives,
-		Class:      Classify(pkg.Directives),
+		Class:      classify(pkg.Directives),
 	}
 	a.Run(pass)
 	var out []Diagnostic

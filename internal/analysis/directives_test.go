@@ -68,9 +68,9 @@ package p
 	if !d.Deterministic {
 		t.Error("//vw:deterministic stacked under //vw:wire not detected")
 	}
-	c := Classify(d)
+	c := classify(d)
 	if !c.WireFacing || !c.Deterministic {
-		t.Errorf("Classify = %+v, want WireFacing+Deterministic", c)
+		t.Errorf("classify = %+v, want WireFacing+Deterministic", c)
 	}
 }
 

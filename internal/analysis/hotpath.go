@@ -87,7 +87,7 @@ func checkHotCall(pass *Pass, call *ast.CallExpr, localObj func(*ast.Ident) bool
 		return
 	}
 
-	switch obj := calleeObj(info, call).(type) {
+	switch obj := useOf(info, call.Fun).(type) {
 	case *types.Builtin:
 		switch obj.Name() {
 		case "make":

@@ -92,7 +92,7 @@ func mapOrderSinks(pass *Pass, rng *ast.RangeStmt) []mapOrderSink {
 				}
 			}
 		case *ast.CallExpr:
-			obj := calleeObj(pass.Info, n)
+			obj := useOf(pass.Info, n.Fun)
 			switch fn := obj.(type) {
 			case *types.Builtin:
 				// append to a slice declared outside the loop: the
@@ -193,7 +193,7 @@ func sortedAfter(pass *Pass, sc funcScope, rng *ast.RangeStmt, obj types.Object)
 		if !ok || call.Pos() < rng.End() {
 			return true
 		}
-		fn, ok := calleeObj(pass.Info, call).(*types.Func)
+		fn, ok := useOf(pass.Info, call.Fun).(*types.Func)
 		if !ok || fn.Pkg() == nil {
 			return true
 		}

@@ -38,15 +38,18 @@ func unconvert(info *types.Info, e ast.Expr) ast.Expr {
 	}
 }
 
-// calleeObj resolves the object a call expression invokes: a
-// *types.Func for ordinary calls and methods, a *types.Builtin for
-// builtins, nil for indirect calls through function values.
-func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
+// useOf resolves the object an identifier or a selector names, through
+// parens: for a call's Fun, a *types.Func for ordinary calls and
+// methods, a *types.Builtin for builtins, and nil for indirect calls
+// through function values.
+func useOf(info *types.Info, n ast.Node) types.Object {
+	switch e := n.(type) {
+	case *ast.ParenExpr:
+		return useOf(info, e.X)
 	case *ast.Ident:
-		return info.Uses[fun]
+		return info.Uses[e]
 	case *ast.SelectorExpr:
-		return info.Uses[fun.Sel]
+		return info.Uses[e.Sel]
 	}
 	return nil
 }

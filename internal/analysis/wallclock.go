@@ -58,7 +58,7 @@ func runWallclock(pass *Pass) {
 			if !ok {
 				return true
 			}
-			fn, ok := calleeObj(pass.Info, call).(*types.Func)
+			fn, ok := useOf(pass.Info, call.Fun).(*types.Func)
 			if !ok || fn.Pkg() == nil {
 				return true
 			}

@@ -141,6 +141,9 @@ func (q Quantizer) axes() (x, y, z axis) {
 // the round-trip error stays within half a quantization step. The lower
 // clamp is written !(t > 0) so a NaN coordinate quantizes to 0 on every
 // platform; a flat or inverted axis quantizes to 0.
+// The float64 conversion rounds t*quantSteps before roundSteps adds
+// 0.5, so no GOARCH fuses the two (arm64 would, into one FMADDD) and a
+// record is the same bits everywhere; dequant's does the same.
 func (a axis) quant(v float32) uint16 {
 	t := (float64(v) - a.lo) / a.span
 	if !(t > 0) || a.span <= 0 {
@@ -149,7 +152,7 @@ func (a axis) quant(v float32) uint16 {
 	if t >= 1 {
 		return quantSteps
 	}
-	return roundSteps(t * quantSteps)
+	return roundSteps(float64(t * quantSteps))
 }
 
 // roundSteps rounds y, 0 <= y < quantSteps+0.5, half away from zero: the
@@ -171,7 +174,7 @@ func (a axis) dequant(q uint16) float32 {
 	if a.span <= 0 {
 		return float32(a.lo)
 	}
-	return float32(a.lo + float64(q)/quantSteps*a.span)
+	return float32(a.lo + float64(float64(q)/quantSteps*a.span))
 }
 
 // quant maps a physical point to its quantized triple.

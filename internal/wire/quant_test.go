@@ -13,7 +13,9 @@ import (
 // The quantizer's pinned arithmetic, as codec v2 shipped it: a divide
 // and math.Round a coordinate on encode, a divide by the step count on
 // decode. codec2.go evaluates the same functions without either; these
-// are what it must equal, bit for bit.
+// are what it must equal, bit for bit. Each product is rounded by an
+// explicit float64 conversion before its add, as in codec2.go, so no
+// GOARCH fuses them.
 
 func refQuant(v, lo, hi float32) uint16 {
 	span := float64(hi) - float64(lo)
@@ -27,7 +29,7 @@ func refQuant(v, lo, hi float32) uint16 {
 	if t >= 1 {
 		return quantSteps
 	}
-	return uint16(math.Round(t * quantSteps))
+	return uint16(math.Round(float64(t * quantSteps)))
 }
 
 func refDequant(q uint16, lo, hi float32) float32 {
@@ -35,7 +37,7 @@ func refDequant(q uint16, lo, hi float32) float32 {
 	if span <= 0 {
 		return lo
 	}
-	return float32(float64(lo) + float64(q)/quantSteps*span)
+	return float32(float64(lo) + float64(float64(q)/quantSteps*span))
 }
 
 var (
@@ -187,7 +189,7 @@ func TestQuantMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for i := 0; i < 1_000_000; i++ {
 		if i%2 == 0 {
-			checkRound(rng.Float64() * quantSteps)
+			checkRound(float64(rng.Float64() * quantSteps))
 		} else { // small magnitudes: every binade below 1 gets its share
 			checkRound(math.Ldexp(rng.Float64(), -rng.Intn(64)))
 		}
