@@ -37,6 +37,9 @@ var Rules = []Rule{
 	// AnswerFrame and AnswerRelay.
 	callerRule{fn: "internal/wire.AppendRelayFrameReply", in: "internal/wire/serve.go"},
 	callerRule{fn: "internal/wire.FrameEncoder.AppendFrame", in: "internal/wire/serve.go"},
+	// A rake's segment is written once, by the pool unit that computed
+	// its lines; a relay forwards segments and never re-quantizes.
+	callerRule{fn: "internal/wire.AppendGeomV2", in: "internal/server/compute.go"},
 	// A timestep file is mapped in one place, store.Disk, so a mapping
 	// has one release rule.
 	callerRule{fn: "syscall.Mmap", in: "internal/store"},

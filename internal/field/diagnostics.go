@@ -19,29 +19,15 @@ func gradComputational(g *grid.Grid, a []float32, i, j, k int) vmath.Vec3 {
 	}
 	var out vmath.Vec3
 	// d/di
-	iLo, iHi := maxInt(i-1, 0), minInt(i+1, g.NI-1)
+	iLo, iHi := max(i-1, 0), min(i+1, g.NI-1)
 	out.X = diff(g.Index(iLo, j, k), g.Index(iHi, j, k), float32(iHi-iLo))
 	// d/dj
-	jLo, jHi := maxInt(j-1, 0), minInt(j+1, g.NJ-1)
+	jLo, jHi := max(j-1, 0), min(j+1, g.NJ-1)
 	out.Y = diff(g.Index(i, jLo, k), g.Index(i, jHi, k), float32(jHi-jLo))
 	// d/dk
-	kLo, kHi := maxInt(k-1, 0), minInt(k+1, g.NK-1)
+	kLo, kHi := max(k-1, 0), min(k+1, g.NK-1)
 	out.Z = diff(g.Index(i, j, kLo), g.Index(i, j, kHi), float32(kHi-kLo))
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // physicalGradients returns the physical-space gradient rows

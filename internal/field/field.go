@@ -144,9 +144,9 @@ func ToGridCoords(f *Field, g *grid.Grid) error {
 	}
 	for idx, cols := range g.Metric() {
 		// A degenerate cell (e.g. a collapsed pole line) gets +0 rather
-		// than huge values that would poison paths: solveJacobian
+		// than huge values that would poison paths: vmath.Solve3
 		// returns the zero vector there.
-		ugrid, _ := solveJacobian(cols, vmath.Vec3{X: f.U[idx], Y: f.V[idx], Z: f.W[idx]})
+		ugrid, _ := vmath.Solve3(cols, vmath.Vec3{X: f.U[idx], Y: f.V[idx], Z: f.W[idx]})
 		f.U[idx], f.V[idx], f.W[idx] = ugrid.X, ugrid.Y, ugrid.Z
 	}
 	f.Coords = GridCoords
@@ -187,17 +187,4 @@ func PhysicalVelocityInto(dst, f *Field, m grid.Metric, k0, k1 int) {
 		dst.V[idx] = cols[0].Y*ux + cols[1].Y*uy + cols[2].Y*uz
 		dst.W[idx] = cols[0].Z*ux + cols[1].Z*uy + cols[2].Z*uz
 	}
-}
-
-func solveJacobian(cols [3]vmath.Vec3, b vmath.Vec3) (vmath.Vec3, bool) {
-	det := cols[0].Dot(cols[1].Cross(cols[2]))
-	if det < 1e-12 && det > -1e-12 {
-		return vmath.Vec3{}, false
-	}
-	inv := 1 / det
-	return vmath.Vec3{
-		X: b.Dot(cols[1].Cross(cols[2])) * inv,
-		Y: cols[0].Dot(b.Cross(cols[2])) * inv,
-		Z: cols[0].Dot(cols[1].Cross(b)) * inv,
-	}, true
 }

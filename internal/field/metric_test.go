@@ -20,7 +20,7 @@ func oracleToGridCoords(f *Field, g *grid.Grid) *Field {
 		for j := 0; j < f.NJ; j++ {
 			for i := 0; i < f.NI; i++ {
 				cols := g.Jacobian(vmath.Vec3{X: float32(i), Y: float32(j), Z: float32(k)})
-				if ugrid, ok := solveJacobian(cols, f.At(i, j, k)); ok {
+				if ugrid, ok := vmath.Solve3(cols, f.At(i, j, k)); ok {
 					out.SetAt(i, j, k, ugrid)
 				}
 			}

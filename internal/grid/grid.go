@@ -281,7 +281,7 @@ func (g *Grid) PhysToGrid(p vmath.Vec3, guess vmath.Vec3) (vmath.Vec3, error) {
 			return gc, nil
 		}
 		cols := g.Jacobian(gc)
-		step, ok := solve3(cols, resid)
+		step, ok := vmath.Solve3(cols, resid)
 		if !ok {
 			return vmath.Vec3{}, errNotFound
 		}
@@ -297,26 +297,6 @@ func (g *Grid) PhysToGrid(p vmath.Vec3, guess vmath.Vec3) (vmath.Vec3, error) {
 		return gc, nil
 	}
 	return vmath.Vec3{}, errNotFound
-}
-
-// solve3 solves the 3x3 system [c0 c1 c2] x = b by Cramer's rule.
-func solve3(cols [3]vmath.Vec3, b vmath.Vec3) (vmath.Vec3, bool) {
-	det := cols[0].Dot(cols[1].Cross(cols[2]))
-	if absf(det) < 1e-12 {
-		return vmath.Vec3{}, false
-	}
-	inv := 1 / det
-	x := b.Dot(cols[1].Cross(cols[2])) * inv
-	y := cols[0].Dot(b.Cross(cols[2])) * inv
-	z := cols[0].Dot(cols[1].Cross(b)) * inv
-	return vmath.Vec3{X: x, Y: y, Z: z}, true
-}
-
-func absf(f float32) float32 {
-	if f < 0 {
-		return -f
-	}
-	return f
 }
 
 // validate checks structural invariants: coordinate array lengths match

@@ -40,16 +40,11 @@ type segCache struct {
 	// seq numbers the source's geometry content: it changes exactly
 	// when a recompute rewrites the geometry, so a session (or relay)
 	// whose shadow holds (key, seq) can be sent a reference instead of
-	// the points. seg caches the encoded v2 segment for sequence segSeq,
-	// shared by every session that needs the full geometry. The pool job
-	// that rewrites the geometry writes it too once the server has seen a
-	// v2 consumer (sealed, until numberLocked gives the geometry its
-	// sequence); otherwise roundRowsLocked builds it for the first
-	// consumer to ask.
-	seq    uint64
-	seg    []byte
-	segSeq uint64
-	sealed bool
+	// the points. seg is the encoded v2 segment of that geometry, written
+	// by the pool unit that rewrote it and shared by every session that
+	// needs the full geometry.
+	seq uint64
+	seg []byte
 
 	points int64 // points in the cached geometry
 	// fullU and actualU are the units and planned units of the ladder
@@ -277,8 +272,8 @@ func (s *Server) collectLocked(g *grid.Grid, ts env.TimeState, step int) (reused
 		s.jobs = append(s.jobs, rakeJob{idx: idx, snap: snap, gc: gc, streak: streak, upgrade: memoValid})
 	}
 	if len(s.geoCache) > len(s.rakeScratch) {
-		// Rakes removed outside CmdRemoveRake (direct env use): sweep
-		// cache entries not seen this round.
+		// Every live rake has an entry by now, so a surplus is a removed
+		// rake's: sweep the entries not seen this round.
 		for id, gc := range s.geoCache {
 			if gc.touch != r.meta.Round {
 				delete(s.geoCache, id)
@@ -314,15 +309,11 @@ func (s *Server) numberJobsLocked() (computed int, units int64) {
 }
 
 // numberLocked takes the next geometry sequence number for a source a
-// pool job rewrote; a segment the job wrote with it (sealed) is the
-// segment of that sequence from the start.
+// pool job rewrote, and books the segment the job wrote with it.
 func (s *Server) numberLocked(sc *segCache) {
 	s.geoSeq++
 	sc.seq = s.geoSeq
-	if sc.sealed {
-		sc.segSeq, sc.sealed = sc.seq, false
-		s.stats.SegmentsEncoded++
-	}
+	s.stats.SegmentsEncoded++
 }
 
 // totalRoundLocked closes the round: it totals the round list, derives
@@ -462,10 +453,7 @@ func (rc *roundCtx) computeRake(j *rakeJob) {
 	gc.version = j.snap.Version
 	gc.step = step
 	gc.timeKey = ts.Current
-	if rc.seal {
-		gc.seg = wire.AppendGeomV2(gc.seg[:0], gc.geo, rc.quant)
-		gc.sealed = true
-	}
+	gc.seg = wire.AppendGeomV2(gc.seg[:0], gc.geo, rc.quant)
 }
 
 // bookPathLoadsLocked closes the round's books on the store sampler,

@@ -458,7 +458,6 @@ func BenchmarkToolRelevel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.wantSegs = true
 	s.env.GrabTool(1, env.ToolIso)
 	relevel := func(i int) {
 		s.env.SeekTime(float32(i % 2))

@@ -39,10 +39,8 @@ type roundCtx struct {
 	paths integrate.Sampler // nil unless a particle-path rake is dirty
 	eng   compute.Engine
 	opts  integrate.Options
-	// seal says the server has seen a codec-v2 consumer, so the unit that
-	// completes a source's geometry writes its v2 segment too, quantized
-	// by quant.
-	seal  bool
+	// quant quantizes the codec-v2 segment the unit that completes a
+	// source's geometry writes.
 	quant wire.Quantizer
 
 	jobs  []rakeJob
@@ -67,7 +65,8 @@ const (
 	unitCount
 	unitLayout
 	unitFill
-	// unitPlane samples tool a's cutting-plane hedgehog and seals it.
+	// unitPlane samples tool a's cutting-plane hedgehog and writes its
+	// segment.
 	unitPlane
 )
 
@@ -144,7 +143,14 @@ func (s *Server) layoutUnitsLocked(g *grid.Grid) {
 	}
 	tc := &s.toolScal
 	if !tc.derivable(g) {
-		return // dirty tools keep the empty geometry collectToolsLocked left
+		// Dirty tools keep the empty geometry collectToolsLocked left;
+		// it still has a segment.
+		for i := range s.toolGeos {
+			if tg := &s.toolGeos[i]; tg.dirty {
+				tg.seg, _ = wire.BeginToolGeomV2(tg.seg[:0], tg.geo.Tool, 0)
+			}
+		}
+		return
 	}
 	workers := s.cfg.Engine.Workers()
 	if tc.todo&(fieldPhys|fieldSpeed) != 0 {
@@ -199,7 +205,7 @@ func (s *Server) runJobsLocked(g *grid.Grid, ts env.TimeState, step int) {
 	rc := &s.roundCtx
 	*rc = roundCtx{
 		g: g, ts: ts, step: step, batch: compute.SteadyBatch{F: s.cur, G: g},
-		eng: s.cfg.Engine, opts: s.cfg.Options, seal: s.wantSegs, quant: s.quant,
+		eng: s.cfg.Engine, opts: s.cfg.Options, quant: s.quant,
 		jobs: s.jobs, tools: &s.toolGeos, scal: &s.toolScal, pool: &s.pool,
 	}
 	// One time sampler per round, shared by every particle-path rake:
@@ -255,22 +261,14 @@ func (rc *roundCtx) runUnit(u *poolUnit) {
 		tg := &rc.tools[u.a]
 		n := tg.plan.Layout()
 		tg.geo.Points = slices.Grow(tg.geo.Points[:0], n)[:n]
-		if rc.seal {
-			tg.seg, tg.segFirst = wire.BeginToolGeomV2(tg.seg[:0], tg.geo.Tool, n)
-			tg.sealed = true
-		}
+		tg.seg, tg.segFirst = wire.BeginToolGeomV2(tg.seg[:0], tg.geo.Tool, n)
 	case unitFill:
 		tg := &rc.tools[u.a]
 		lo, hi := tg.plan.Fill(u.b, tg.geo.Points)
-		if rc.seal {
-			wire.PutQuantPoints(tg.seg[tg.segFirst+lo*wire.QuantBytes:], tg.geo.Points[lo:hi], rc.quant)
-		}
+		wire.PutQuantPoints(tg.seg[tg.segFirst+lo*wire.QuantBytes:], tg.geo.Points[lo:hi], rc.quant)
 	case unitPlane:
 		tg := &rc.tools[u.a]
 		tg.geo.Points = appendPlaneHedgehog(tg.geo.Points[:0], rc.g, rc.scal.phys, tg.params.Axis, tg.params.Value, tg.stride)
-		if rc.seal {
-			tg.seg = wire.AppendToolGeomV2(tg.seg[:0], tg.geo, rc.quant)
-			tg.sealed = true
-		}
+		tg.seg = wire.AppendToolGeomV2(tg.seg[:0], tg.geo, rc.quant)
 	}
 }

@@ -146,9 +146,8 @@ type Stats struct {
 	// shared codec-v1 reply was actually encoded: that happens the first
 	// time a v1 session or a relay asks for the round, so a round only
 	// codec-v2 sessions consume never pays for it. SegmentsEncoded counts
-	// codec-v2 segment encodes, by the producing pool job or on a
-	// consumer's first request; a server that never saw a v2 session or
-	// a relay directory request encodes none.
+	// codec-v2 segments: one per recomputed source, written by the pool
+	// unit that computed its geometry.
 	FramesEncoded   int64
 	FramesShipped   int64
 	V1Encodes       int64
@@ -306,13 +305,8 @@ type Server struct {
 	// content: it is bumped once per source recompute, tools then jobs,
 	// so segments (and therefore frames) stay deterministic per (client,
 	// round).
-	quant wire.Quantizer
-	// wantSegs is set, for good, the first time a session negotiates
-	// codec v2 or a relay asks for a segment directory: from then on the
-	// pool job that rewrites a source's geometry writes its segment too,
-	// instead of leaving it to the first consumer on the serial path.
-	wantSegs bool
-	geoSeq   uint64
+	quant  wire.Quantizer
+	geoSeq uint64
 	// segScratch holds the wire rows built from the round list per
 	// reply, valid only until the reply encode that follows.
 	segScratch []wire.Segment

@@ -1,7 +1,6 @@
 package server
 
-// Serving-path identity. A round's bytes are produced by whoever needs
-// them, when they need them: a pool job writes its source's codec-v2
+// Serving-path identity. A pool unit writes its source's codec-v2
 // segment as it finishes the geometry, and the shared codec-v1 reply is
 // encoded the first time a v1 session or a relay asks. None of that may
 // show on the wire — every consumer must receive the bytes it would
@@ -14,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/compute"
+	"repro/internal/field"
 	"repro/internal/integrate"
 	"repro/internal/netsim"
 	"repro/internal/vmath"
@@ -163,10 +163,8 @@ func TestV1ReplyOnDemandMatchesEncodeInRound(t *testing.T) {
 
 // TestV2JoinerGetsTheInJobSegments: a v2 session that joins a memoized
 // scene is served the segments the pool jobs wrote, not re-encoded ones,
-// and they are byte-equal to a fresh encode of the standing geometry.
-// The same joiner on a server whose round was computed before any v2
-// consumer existed — so nothing was written in-job and every segment is
-// encoded on this first request — receives the same frame.
+// and they are byte-equal to a fresh encode of the standing geometry —
+// whether the scene was set up by a v2 session or by a v1 one.
 func TestV2JoinerGetsTheInJobSegments(t *testing.T) {
 	scene := wire.ClientUpdate{Head: vmath.Identity(), Commands: append(busyScene(), wire.Command{Kind: wire.CmdSetPlaying})}
 	join := func(v2FromStart bool) (joiner []byte, s *Server) {
@@ -183,18 +181,15 @@ func TestV2JoinerGetsTheInJobSegments(t *testing.T) {
 		if sources != 5 {
 			t.Fatalf("round list holds %d sources, want 2 rakes + 3 tools", sources)
 		}
-		if v2FromStart && (before != sources || encodedOnJoin != 0) {
-			t.Errorf("v2 from the start: %d segments written in-job, %d on join; want %d and 0", before, encodedOnJoin, sources)
-		}
-		if !v2FromStart && (before != 0 || encodedOnJoin != sources) {
-			t.Errorf("v1 until the join: %d segments before it, %d on join; want 0 and %d", before, encodedOnJoin, sources)
+		if before != sources || encodedOnJoin != 0 {
+			t.Errorf("scene set up by a v2 session %v: %d segments written in-job, %d on join; want %d and 0", v2FromStart, before, encodedOnJoin, sources)
 		}
 		return joiner, s
 	}
-	inJob, s := join(true)
-	lazy, _ := join(false)
-	if !bytes.Equal(inJob, lazy) {
-		t.Errorf("joiner's keyframe differs: %d bytes off in-job segments, %d off first-request ones", len(inJob), len(lazy))
+	fromV2, s := join(true)
+	fromV1, _ := join(false)
+	if !bytes.Equal(fromV2, fromV1) {
+		t.Errorf("joiner's keyframe differs: %d bytes after a v2 setup, %d after a v1 one", len(fromV2), len(fromV1))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -205,9 +200,6 @@ func TestV2JoinerGetsTheInJobSegments(t *testing.T) {
 		} else {
 			fresh = wire.AppendToolGeomV2(nil, s.round.tools.Geoms[i-n], s.quant)
 		}
-		if sc.segSeq != sc.seq || sc.sealed {
-			t.Errorf("source %d: segment for seq %d (sealed %v), geometry at seq %d", sc.key, sc.segSeq, sc.sealed, sc.seq)
-		}
 		if !bytes.Equal(sc.seg, fresh) {
 			t.Errorf("source %d: in-job segment differs from a fresh encode (%d vs %d bytes)", sc.key, len(sc.seg), len(fresh))
 		}
@@ -217,10 +209,10 @@ func TestV2JoinerGetsTheInJobSegments(t *testing.T) {
 	}
 }
 
-// TestOnlyConsumedEncodingsArePaidFor: a server that never met a codec-v2
-// session or a relay directory request never encodes a segment, and one
-// that never met a v1 consumer never encodes the shared v1 reply —
-// while FramesEncoded keeps counting one per recomputed round on both.
+// TestOnlyConsumedEncodingsArePaidFor: a server that never met a v1
+// consumer never encodes the shared v1 reply, while FramesEncoded counts
+// one per recomputed round and SegmentsEncoded one per recomputed
+// source, whoever consumes them.
 func TestOnlyConsumedEncodingsArePaidFor(t *testing.T) {
 	scene := wire.ClientUpdate{Head: vmath.Identity(), Commands: busyScene()}
 	idle := wire.ClientUpdate{Head: vmath.Identity()}
@@ -233,8 +225,8 @@ func TestOnlyConsumedEncodingsArePaidFor(t *testing.T) {
 		v1.rawFrame(idle)
 	}
 	st := s.Stats()
-	if st.SegmentsEncoded != 0 {
-		t.Errorf("v1-only server encoded %d segments", st.SegmentsEncoded)
+	if want := st.RakesComputed + st.ToolsComputed; st.SegmentsEncoded != want {
+		t.Errorf("v1-only server wrote %d segments; want one per recompute (%d)", st.SegmentsEncoded, want)
 	}
 	if st.FramesEncoded != rounds || st.V1Encodes != rounds {
 		t.Errorf("v1-only server: %d rounds, %d v1 encodes, want %d each", st.FramesEncoded, st.V1Encodes, rounds)
@@ -253,6 +245,45 @@ func TestOnlyConsumedEncodingsArePaidFor(t *testing.T) {
 	if want := st.RakesComputed + st.ToolsComputed; st.FramesEncoded != rounds || st.SegmentsEncoded != want {
 		t.Errorf("v2-only server: %d rounds, %d segments; want %d rounds and one segment per recompute (%d)",
 			st.FramesEncoded, st.SegmentsEncoded, rounds, want)
+	}
+}
+
+// TestToolsOnANonDerivableStepShipEmpty: on a step that is not in grid
+// coordinates the tools cannot derive anything and ship empty geometry;
+// each dirty tool still gets a segment, so every v2 frame decodes, and
+// v1 and v2 sessions both see one empty geometry per enabled tool.
+func TestToolsOnANonDerivableStepShipEmpty(t *testing.T) {
+	mem := toolDataset(t, 4)
+	for _, f := range mem.Unsteady().Steps {
+		f.Coords = field.Physical
+	}
+	s, err := New(Config{Store: mem, Clock: netsim.NewManualClock(), Engine: compute.Parallel{NumWorkers: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := wire.ClientUpdate{Head: vmath.Identity()}
+	script := []wire.ClientUpdate{
+		{Head: vmath.Identity(), Commands: busyScene()},
+		idle,
+		{Head: vmath.Identity(), Commands: []wire.Command{{Kind: wire.CmdIsoSet, Flag: 1, Value: 1.1}}},
+		idle, idle,
+	}
+	a := newV2Session(t, s, 1)
+	b := newDirectSession(t, s, 2)
+	for i, u := range script {
+		for _, r := range []wire.FrameReply{a.frame(u), b.frame(idle)} {
+			if r.Tools == nil || len(r.Tools.Geoms) != 3 {
+				t.Fatalf("round %d: tool section %+v, want 3 geometries", i, r.Tools)
+			}
+			for k, g := range r.Tools.Geoms {
+				if g.Tool != uint8(k+1) || len(g.Points) != 0 {
+					t.Errorf("round %d: tool geometry %d is kind %d with %d points, want kind %d and none", i, k, g.Tool, len(g.Points), k+1)
+				}
+			}
+		}
+	}
+	if st := s.Stats(); st.ToolsComputed < 6 {
+		t.Fatalf("script recomputed %d tools; too few to exercise the empty path", st.ToolsComputed)
 	}
 }
 

@@ -76,9 +76,6 @@ func (s *Server) handleHello2(ctx *dlib.Ctx, payload []byte) ([]byte, error) {
 	s.mu.Lock()
 	codec := wire.NegotiateCodec(req, uint8(s.cfg.MaxCodec))
 	st.Hello(codec)
-	if codec >= wire.CodecV2 {
-		s.wantSegs = true
-	}
 	s.mu.Unlock()
 	return wire.EncodeHelloReply(codec, s.datasetInfo()), nil
 }
@@ -216,11 +213,11 @@ func (s *Server) v1ReplyLocked() []byte {
 }
 
 // servedRound is the server as the wire.Round its sessions are answered
-// from: the current round, whose codec-v1 reply (v1ReplyLocked) and
-// segment rows (roundRowsLocked) are encoded on an answer's first
-// request. Encode-once fan-out: every v1 session of the round is handed
-// the same bytes, and every v2 session the same segments, filtered
-// through its own delta shadow. Its methods run inside an answer, which
+// from: the current round, whose codec-v1 reply (v1ReplyLocked) is
+// encoded on an answer's first request and whose segments the pool
+// wrote (roundRowsLocked lists them). Encode-once fan-out: every v1
+// session of the round is handed the same bytes, and every v2 session
+// the same segments, filtered through its own delta shadow. Its methods run inside an answer, which
 // serve calls under s.mu: the lock analyzer cannot follow the call
 // through the interface, hence the allows.
 type servedRound Server
@@ -234,14 +231,8 @@ func (v *servedRound) Header() *wire.FrameReply { return &v.round.meta }
 //vw:allow lockdiscipline -- answered under s.mu
 func (v *servedRound) V1() []byte { return (*Server)(v).v1ReplyLocked() }
 
-// Rows hands out the round's rows; a consumer of them also wants every
-// later round's segments written by the pool (wantSegs).
-//
 //vw:allow lockdiscipline -- answered under s.mu
-func (v *servedRound) Rows() []wire.Segment {
-	v.wantSegs = true
-	return (*Server)(v).roundRowsLocked()
-}
+func (v *servedRound) Rows() []wire.Segment { return (*Server)(v).roundRowsLocked() }
 
 // roundRowsLocked walks the round list — rakes, then tools, aligned
 // with the round's geometry followed by its tool geometry — into one
@@ -250,24 +241,9 @@ func (v *servedRound) Rows() []wire.Segment {
 // rows into a directory (wire.RelayFrameRequest.Directory). The rows
 // alias the segment cache and the scratch, so they are valid only until
 // the reply encode that follows. Caller holds s.mu.
-//
-// A row's segment is encoded once per geometry sequence, for every
-// consumer: normally the pool job that computed the geometry wrote it;
-// the encode here is the same one's second call site, for geometry
-// computed before the server saw its first v2 consumer.
 func (s *Server) roundRowsLocked() []wire.Segment {
-	r := &s.round
 	s.segScratch = s.segScratch[:0]
-	for i, sc := range r.segs {
-		if sc.segSeq != sc.seq {
-			s.stats.SegmentsEncoded++
-			if n := len(r.meta.Geometry); i < n {
-				sc.seg = wire.AppendGeomV2(sc.seg[:0], r.meta.Geometry[i], s.quant)
-			} else {
-				sc.seg = wire.AppendToolGeomV2(sc.seg[:0], r.tools.Geoms[i-n], s.quant)
-			}
-			sc.segSeq = sc.seq
-		}
+	for _, sc := range s.round.segs {
 		s.segScratch = append(s.segScratch, wire.Segment{Key: sc.key, Seq: sc.seq, Bytes: sc.seg})
 	}
 	return s.segScratch
@@ -325,11 +301,7 @@ func (s *Server) applyCommand(user int64, c wire.Command) {
 		}
 		s.env.AddRake(c.P0, c.P1, s.clampSeeds(int(c.NumSeeds)), integrate.ToolKind(c.Tool))
 	case wire.CmdRemoveRake:
-		if s.env.RemoveRake(user, c.Rake) == nil {
-			s.mu.Lock()
-			delete(s.geoCache, c.Rake)
-			s.mu.Unlock()
-		}
+		s.env.RemoveRake(user, c.Rake)
 	case wire.CmdGrab:
 		s.env.GrabRake(user, c.Rake, integrate.GrabPoint(c.Grab))
 	case wire.CmdRelease:

@@ -231,7 +231,7 @@ func (s *Server) collectToolsLocked(g *grid.Grid, step int) {
 		}
 		tg.dirty, tg.params, tg.from = true, t.Params, toolKinds[i].from
 		tg.geo = wire.ToolGeom{Tool: kind, Points: tg.geo.Points[:0]}
-		tg.key, tg.sealed = -int32(kind), false
+		tg.key = -int32(kind)
 		tg.have, tg.version, tg.step, tg.stride = true, t.Version, step, stride
 		need |= tg.from
 	}

@@ -41,6 +41,21 @@ func (v Vec3) Cross(w Vec3) Vec3 {
 	}
 }
 
+// Solve3 solves the 3x3 system [c0 c1 c2] x = b by Cramer's rule. A
+// singular system (|det| < 1e-12) yields the zero vector and false.
+func Solve3(cols [3]Vec3, b Vec3) (Vec3, bool) {
+	det := cols[0].Dot(cols[1].Cross(cols[2]))
+	if absf(det) < 1e-12 {
+		return Vec3{}, false
+	}
+	inv := 1 / det
+	return Vec3{
+		X: b.Dot(cols[1].Cross(cols[2])) * inv,
+		Y: cols[0].Dot(b.Cross(cols[2])) * inv,
+		Z: cols[0].Dot(cols[1].Cross(b)) * inv,
+	}, true
+}
+
 // Len returns the Euclidean norm of v.
 func (v Vec3) Len() float32 {
 	return float32(math.Sqrt(float64(v.Dot(v))))
